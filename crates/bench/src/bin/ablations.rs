@@ -1,4 +1,4 @@
-//! Ablation studies over the design choices DESIGN.md calls out:
+//! Ablation studies over four design choices:
 //!
 //! 1. **ECC reserve fraction** — the paper reserves 20% of capability;
 //!    how does the endurance gain respond to the reserve?

@@ -1,19 +1,13 @@
-//! Shared plumbing for the figure-regeneration binaries: CSV emission to
-//! `target/figures/` and stdout, the shared trace-replay helpers
-//! ([`replay`]: engine setup, measurement, JSON row emission), the engine
-//! perf harness ([`perf`]) behind `ext_engine_scaling` and the CI
-//! `bench-smoke` job, and the append-only perf-trajectory history
-//! ([`trajectory`]: `BENCH_PERF.json`, one entry per run keyed by git
-//! SHA).
+//! Shared plumbing for the figure-regeneration binaries: CSV/JSONL emission
+//! to `target/figures/` and stdout, the paper-vs-measured shape check, and
+//! the pre-stressed recovery scenario behind `ext_recovery_path`
+//! ([`replay`]). Host-time measurement lives in `benchmark/`, not here.
 
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-pub mod hotpath;
-pub mod perf;
 pub mod replay;
-pub mod trajectory;
 
 /// Writes `rows` (already comma-joined) under a header to
 /// `target/figures/<name>.csv` and echoes the first rows to stdout.
@@ -42,8 +36,7 @@ pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
 }
 
 /// Writes one JSON object per line to `target/figures/<name>.jsonl` and
-/// echoes every row to stdout (the engine-scaling sweeps emit JSON rows
-/// instead of CSV so nested per-die fields stay greppable).
+/// echoes every row to stdout.
 ///
 /// # Panics
 ///
@@ -60,8 +53,8 @@ pub fn emit_jsonl(name: &str, rows: &[String]) {
     println!("# {name}: {} rows -> {}", rows.len(), path.display());
 }
 
-/// Prints a paper-vs-measured comparison line (the per-figure shape check
-/// recorded in EXPERIMENTS.md).
+/// Prints a paper-vs-measured comparison line (the per-figure shape
+/// check; a ratio near 1.0 means the simulator still tracks the paper).
 pub fn shape_check(label: &str, measured: f64, paper: f64) {
     let ratio = if paper != 0.0 { measured / paper } else { f64::NAN };
     println!("## shape-check {label}: measured {measured:.3e}, paper {paper:.3e} (x{ratio:.2})");

@@ -1,66 +1,35 @@
-//! Shared trace-replay plumbing for the engine-scale bench bins: one place
-//! that knows how to build an engine for a sweep point, replay a trace on
-//! it with wall-clock measurement, and render the result as a
-//! self-describing JSON row.
-//!
-//! Every `ext_*` bin (and the perf harness behind `ext_engine_scaling`)
-//! consumes these helpers instead of re-implementing engine setup and row
-//! emission.
+//! The pre-stressed recovery scenario behind `ext_recovery_path`: build a
+//! worn, disturbed array, replay the shared read-heavy trace on it, and
+//! render the result as a self-describing JSON row.
 
 use std::time::Instant;
 
 use readdisturb::prelude::*;
 use readdisturb::workloads::TraceOp;
 
-/// Trace seed shared by the engine-scale suites.
-pub const TRACE_SEED: u64 = 2015;
+/// Seed of the trace and of every die.
+const TRACE_SEED: u64 = 2015;
 
-/// The per-die configuration the engine-scale suites share.
-pub fn die_config() -> SsdConfig {
-    SsdConfig::engine_scale(TRACE_SEED)
-}
-
-/// Generates the shared harness trace (umass-web stands in for the paper's
-/// WebSearch trace: 85% reads with strong Zipfian block popularity — the
+/// Generates the trace (umass-web stands in for the paper's WebSearch
+/// trace: 85% reads with strong Zipfian block popularity — the
 /// read-disturb-heavy case).
-pub fn harness_trace(trace_ops: usize) -> Vec<TraceOp> {
+fn harness_trace(trace_ops: usize) -> Vec<TraceOp> {
     let profile = WorkloadProfile::by_name("umass-web").expect("profile");
-    let pages_per_block = die_config().geometry.pages_per_block();
+    let pages_per_block = SsdConfig::engine_scale(TRACE_SEED).geometry.pages_per_block();
     profile.generator(TRACE_SEED, pages_per_block).take(trace_ops).collect()
 }
 
-/// The engine configuration every sweep point uses: shared per-die config
-/// and timing, queue depth 16, no payload capture.
-pub fn engine_config(channels: u32, dies_per_channel: u32, fidelity: ReadFidelity) -> EngineConfig {
+/// Engine-scale dies, default timing, queue depth 16, no payload capture.
+fn engine_config(channels: u32, dies_per_channel: u32, fidelity: ReadFidelity) -> EngineConfig {
     EngineConfig {
         topology: Topology { channels, dies_per_channel },
-        die: die_config(),
+        die: SsdConfig::engine_scale(TRACE_SEED),
         timing: Timing::default(),
         queue_depth: 16,
         capture_read_data: false,
         die_index_offset: 0,
     }
     .with_fidelity(fidelity)
-}
-
-/// [`engine_config`] rebuilt around a chip-database entry (the
-/// `ext_chip_sweep` matrix): geometry shape, GC settings, and seed are
-/// shared with [`engine_config`], while chip parameters and the ECC
-/// capability line come from the database entry.
-///
-/// # Panics
-///
-/// Panics on a chip name not in the database.
-pub fn engine_config_for_chip(
-    channels: u32,
-    dies_per_channel: u32,
-    chip: &str,
-    fidelity: ReadFidelity,
-) -> EngineConfig {
-    let mut config = engine_config(channels, dies_per_channel, fidelity);
-    config.die =
-        config.die.with_chip(chip).unwrap_or_else(|e| panic!("{e}")).with_fidelity(fidelity);
-    config
 }
 
 /// One measured replay: engine statistics plus wall-clock cost.
@@ -76,8 +45,8 @@ pub struct ReplayMeasurement {
     pub fidelity: ReadFidelity,
     /// Engine statistics after the replay.
     pub stats: EngineStats,
-    /// Wall-clock seconds spent inside `Engine::replay` (construction
-    /// excluded — the trajectory tracks steady-state replay cost).
+    /// Wall-clock seconds spent inside the replay (construction and
+    /// pre-stressing excluded).
     pub wall_s: f64,
     /// Aggregate block RBER over every valid block of every die
     /// (closed-form expectation on analytic dies, per-cell oracle on exact
@@ -96,16 +65,12 @@ impl ReplayMeasurement {
     }
 }
 
-/// Replays `ops` on `engine` and measures wall-clock cost and the
-/// post-replay RBER summary. Use [`measure_replay`] for the shared sweep
-/// configuration; this entry point accepts a pre-built (possibly
-/// pre-stressed or custom-laddered) engine.
-pub fn measure_replay_on(engine: &mut Engine, ops: &[TraceOp]) -> ReplayMeasurement {
+/// Replays `ops` on the pre-built `engine` and measures wall-clock cost
+/// and the post-replay RBER summary.
+fn measure_replay_on(engine: &mut Engine, ops: &[TraceOp]) -> ReplayMeasurement {
     let start = Instant::now();
     // Stats-only replay: identical execution, timing, and digest, but no
-    // per-request completion records — the harness only reads the stats,
-    // and at trace scale the completion build/sort cost would dominate the
-    // analytic tiers it measures.
+    // per-request completion records — only the stats are read.
     let stats = engine.replay_stats_only(ops.iter().copied(), 0);
     let wall_s = start.elapsed().as_secs_f64();
 
@@ -132,18 +97,6 @@ pub fn measure_replay_on(engine: &mut Engine, ops: &[TraceOp]) -> ReplayMeasurem
         wall_s,
         mean_block_rber,
     }
-}
-
-/// Replays `ops` on a fresh engine at the shared sweep configuration.
-pub fn measure_replay(
-    ops: &[TraceOp],
-    channels: u32,
-    dies_per_channel: u32,
-    fidelity: ReadFidelity,
-) -> ReplayMeasurement {
-    let mut engine =
-        Engine::new(engine_config(channels, dies_per_channel, fidelity)).expect("engine");
-    measure_replay_on(&mut engine, ops)
 }
 
 /// A pre-stressed recovery scenario: how worn and disturbed the array is
@@ -226,24 +179,6 @@ pub fn measure_recovery_scenario(
 /// reliability counters (UBER, recovery, relocation cost), and the FNV
 /// data digest.
 pub fn json_row(kind: &str, trace_ops: usize, m: &ReplayMeasurement) -> String {
-    json_row_with(kind, trace_ops, m, "")
-}
-
-/// [`json_row`] with extra flat JSON fields spliced in before the closing
-/// brace (e.g. the [`crate::hotpath`] stage counters). `extra` must be
-/// either empty or a comma-joined `"key":value` list with no leading comma
-/// — and must stay flat (no `[`/`]`), because the trajectory file's entry
-/// scanner treats `]}` as an entry terminator.
-///
-/// # Panics
-///
-/// Panics if `extra` contains a bracket.
-pub fn json_row_with(kind: &str, trace_ops: usize, m: &ReplayMeasurement, extra: &str) -> String {
-    assert!(
-        !extra.contains('[') && !extra.contains(']'),
-        "extra row fields must stay flat: {extra}"
-    );
-    let extra = if extra.is_empty() { String::new() } else { format!(",{extra}") };
     let s = &m.stats;
     let totals = s.totals();
     let hottest = s.per_die.iter().map(|d| d.hottest_block_reads).max().unwrap_or(0);
@@ -258,7 +193,7 @@ pub fn json_row_with(kind: &str, trace_ops: usize, m: &ReplayMeasurement, extra:
             "\"mean_block_rber\":{:.3e},\"corrected_bits\":{},\"uncorrectable\":{},",
             "\"recovered\":{},\"recovery_steps\":{},\"recovery_reads\":{},\"uber\":{:.3e},",
             "\"background_ms\":{:.3},\"hottest_block_reads\":{},\"host_writes\":{},",
-            "\"gc_writes\":{},\"refresh_writes\":{},\"erases\":{},\"digest\":\"{:016x}\"{}}}"
+            "\"gc_writes\":{},\"refresh_writes\":{},\"erases\":{},\"digest\":\"{:016x}\"}}"
         ),
         kind,
         trace_ops,
@@ -291,6 +226,5 @@ pub fn json_row_with(kind: &str, trace_ops: usize, m: &ReplayMeasurement, extra:
         totals.refresh_writes,
         totals.erases,
         s.data_digest,
-        extra,
     )
 }

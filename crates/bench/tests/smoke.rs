@@ -248,36 +248,6 @@ fn ext_slc() {
     assert!(last.slc_rber <= last.mlc_rber, "SLC must resist disturb better than MLC");
 }
 
-/// ext_engine_scaling: the perf harness on its miniature config — rows are
-/// self-describing (fidelity + topology), both tiers are measured on the
-/// same trace, the determinism gates pass, and the analytic tier is
-/// faster even at test-profile optimization.
-#[test]
-fn ext_engine_scaling_perf_harness() {
-    let outcome = rd_bench::perf::run_harness(&rd_bench::perf::HarnessConfig::smoke());
-    assert!(outcome.rows.len() >= 4, "sweep rows + one perf pair expected");
-    for row in &outcome.rows {
-        for key in
-            ["\"fidelity\"", "\"channels\"", "\"dies_per_channel\"", "\"trace\"", "\"digest\""]
-        {
-            assert!(row.contains(key), "row missing {key}: {row}");
-        }
-    }
-    let exact = outcome.tier(ReadFidelity::CellExact).expect("exact tier measured");
-    let analytic = outcome.tier(ReadFidelity::PageAnalytic).expect("analytic tier measured");
-    let aggregate = outcome.tier(ReadFidelity::BlockAggregate).expect("aggregate tier measured");
-    assert_eq!(exact.stats.ops, analytic.stats.ops);
-    assert_eq!(exact.stats.ops, aggregate.stats.ops);
-    assert!(exact.mean_block_rber.is_finite());
-    assert!(analytic.mean_block_rber > 0.0);
-    assert!(aggregate.mean_block_rber > 0.0);
-    assert!(
-        outcome.speedup() > 2.0,
-        "analytic should beat exact even unoptimized: {:.1}x",
-        outcome.speedup()
-    );
-}
-
 /// ext_recovery: the whole recovery family (RDR, RFR, ROR) runs on the
 /// miniature geometry and returns finite outcomes.
 #[test]

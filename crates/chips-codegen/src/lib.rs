@@ -814,9 +814,10 @@ pub fn parse_vendor_file(src: &str, file: &str) -> Result<VendorFile, Diag> {
 /// amplitude).
 ///
 /// This duplicates `rd_flash::analytic` on purpose: `rd-flash` build-depends
-/// on this crate, so the dependency cannot point the other way. The
-/// `ext_chip_sweep` bench re-checks every anchor against the *real* model at
-/// run time, which catches any drift between the two copies.
+/// on this crate, so the dependency cannot point the other way.
+/// `rd_flash::chips`'s `anchors_match_the_real_analytic_model` unit test
+/// re-checks every anchor against the *real* model, which catches any drift
+/// between the two copies.
 pub fn model_rber(c: &ChipDef, pe: u64, days: f64, reads: u64, vpass: f64) -> f64 {
     let rber_pe = c.pe_rber_coeff * (pe as f64 / 1000.0).powf(c.pe_rber_exp);
     let retention = if days <= 0.0 {

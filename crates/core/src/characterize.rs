@@ -3,7 +3,7 @@
 //!
 //! Each `figN_*` function returns a plain data struct; the `rd-bench`
 //! crate's `figN` binaries print them as CSV and compare against the
-//! paper's reported shapes (see `EXPERIMENTS.md`).
+//! paper's reported shapes (their `## shape-check` lines).
 
 use rd_ecc::MarginPolicy;
 use rd_flash::{AnalyticModel, Chip, ChipParams, Geometry, VthHistogram, NOMINAL_VPASS};

@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn retention_matches_fig6_scale() {
         let m = model();
-        // Day-21 retention errors at 8K P/E ≈ 0.35e-3 (DESIGN.md §4).
+        // Day-21 retention errors at 8K P/E ≈ 0.35e-3.
         let r = m.rber_retention(8_000, 21.0);
         assert!((2e-4..=5e-4).contains(&r), "retention at 21d: {r}");
         // Total base RBER stays under the 1e-3 ECC operating point for the

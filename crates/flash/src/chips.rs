@@ -12,9 +12,9 @@
 //!   fidelity tier;
 //! * **calibration anchors** — headline RBER operating points from the read
 //!   disturb papers that the closed-form model must reproduce. They are
-//!   checked at build time (`chips-codegen`'s mirror of the model) and at
-//!   run time (`ext_chip_sweep` evaluates the real [`crate::AnalyticModel`]
-//!   against every anchor).
+//!   checked at build time (`chips-codegen`'s mirror of the model) and by
+//!   this module's unit tests (the real [`crate::AnalyticModel`] against
+//!   every anchor).
 //!
 //! The default chip ([`DEFAULT_CHIP`], index 0 of [`NAMES`]) is bit-for-bit
 //! identical to [`ChipParams::default`]; a regression test enforces this, so

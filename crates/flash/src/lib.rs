@@ -28,7 +28,7 @@
 //!    used for the characterization experiments (Figs. 2–6, 10).
 //! 2. [`AnalyticModel`] — closed-form RBER model used at SSD scale
 //!    (endurance evaluation, Fig. 8), calibrated to the paper's reported
-//!    curves (see `DESIGN.md` §4).
+//!    curves (pinned by `tests/calibration.rs`).
 //!
 //! A [`Chip`] itself can be built at any of three tiers via
 //! [`ReadFidelity`]: the default [`ReadFidelity::CellExact`] runs the

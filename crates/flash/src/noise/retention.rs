@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn drop_magnitude_matches_calibration() {
         // P3 cell at 8K P/E after 21 days: mean drop ≈ 420 * 1.94e-3 * 21^0.85
-        // ≈ 10-12 normalized units (DESIGN.md §4).
+        // ≈ 10-12 normalized units.
         let p = ChipParams::default();
         let d = vth_drop(&p, 420.0, 1.0, 8_000, 21.0);
         assert!(d > 7.0 && d < 16.0, "drop = {d}");

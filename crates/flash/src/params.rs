@@ -1,9 +1,10 @@
 //! Chip model parameters, with defaults calibrated to the paper's figures.
 //!
 //! Every constant here is pinned by a specific observation in the DSN 2015
-//! paper (see `DESIGN.md` §4 and `EXPERIMENTS.md` for the paper-vs-measured
-//! record). The voltage scale is the paper's normalization: GND = 0 and the
-//! nominal pass-through voltage = 512 (§2).
+//! paper (`tests/calibration.rs` enforces them; the baseline tables in
+//! `benchmark/README.md` carry the paper-vs-measured errors). The voltage
+//! scale is the paper's normalization: GND = 0 and the nominal pass-through
+//! voltage = 512 (§2).
 //!
 //! [`ChipParams::default`] is the calibrated 2Y-nm MLC set; the chip
 //! database (`rd_flash::chips`, generated from `chips/vendors/*.ron`)
@@ -297,7 +298,7 @@ impl ChipParams {
 }
 
 impl Default for ChipParams {
-    /// The calibrated 2Y-nm MLC model (see `DESIGN.md` §4).
+    /// The calibrated 2Y-nm MLC model (pinned by `tests/calibration.rs`).
     fn default() -> Self {
         Self {
             states: vec![

@@ -7,8 +7,8 @@ use rd_flash::{ChipParams, Geometry, ReadFidelity};
 pub struct SsdConfig {
     /// Name of the chip-database entry `chip_params` came from (see
     /// [`rd_flash::chips`]). Purely a label — `chip_params` stays the
-    /// authoritative model — used by fleet snapshots, bench artifact rows,
-    /// and trajectory keys so per-chip results never collide. Construct via
+    /// authoritative model — used by fleet snapshots and bench artifact
+    /// rows so per-chip results never collide. Construct via
     /// [`SsdConfig::with_chip`] to keep the label and parameters in sync.
     pub chip: String,
     /// Flash chip geometry.
@@ -50,7 +50,7 @@ impl SsdConfig {
     }
 
     /// The per-die shape the engine-scale suites share (integration parity
-    /// test, `engine_replay` example, `ext_engine_scaling` sweep): large
+    /// test, `engine_replay` example, the benchmark's arrays): large
     /// enough for realistic GC/ECC behaviour, small enough to replay
     /// 100k-op traces quickly.
     pub fn engine_scale(seed: u64) -> Self {

@@ -39,8 +39,9 @@
 //! # }
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure.
+//! See the repository `README.md` for the system inventory and the
+//! baseline tables in `benchmark/README.md` for the paper-vs-measured
+//! errors (`core.*_err`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

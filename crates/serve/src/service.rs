@@ -26,8 +26,8 @@
 //! wall-clock execution, never the simulated sequence. The merged data
 //! digest ([`rd_engine::EngineStats::merge_shards`]) is therefore
 //! bit-identical to a single-engine batch replay of the same op sequence at
-//! every pool size. The integration suite and the `ext_serve_traffic`
-//! bench gate on this.
+//! every pool size. `tests/integration_serve.rs` and the benchmark's
+//! `serve-mixed` workload gate on this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};

@@ -1,5 +1,5 @@
-//! Calibration acceptance suite (DESIGN.md §4): pins the simulator to the
-//! paper's reported numbers. Every test names the paper claim it enforces.
+//! Calibration acceptance suite: pins the simulator to the paper's
+//! reported numbers. Every test names the paper claim it enforces.
 
 use readdisturb::core::characterize::{
     fig10_rdr, fig3_rber_vs_reads, fig6_retention_staircase, fig8_endurance, Scale,
@@ -133,7 +133,7 @@ fn rdr_reduction_reaches_paper_level_at_1m_reads() {
     }
 }
 
-/// Monte-Carlo vs analytic consistency (DESIGN.md §4 item 6): total RBER
+/// Monte-Carlo vs analytic consistency: total RBER
 /// within ±35% across a grid of operating points.
 #[test]
 fn monte_carlo_matches_analytic_model() {

@@ -12,10 +12,10 @@
 //!   the two tiers compute the *same* expectation (relative difference
 //!   below 1e-9: the fold-free accumulator is algebraically the analytic
 //!   fold);
-//! * **engine-level aggregate RBER** after a 4×4 replay — within a factor
-//!   of [0.3, 3.0] of `CellExact` (low-wear dies: Monte-Carlo noise
-//!   dominates the exact side); the tight 25% band is enforced by the
-//!   full `ext_engine_scaling` harness at 100K ops;
+//! * **engine-level aggregate RBER** after a 4×4 replay on dies pre-worn
+//!   to 8K P/E — within 25% of `CellExact` (ratio in [0.75, 1.33]; the
+//!   benchmark's `paper-exact` workload reports the same quantity as
+//!   `core.tier_rber_err`);
 //! * **determinism** — bit-identical across engine worker-thread counts
 //!   (FNV digest included), and across completion-emitting vs stats-only
 //!   replay.
@@ -115,7 +115,7 @@ fn aggregate_expectation_equals_analytic_closed_form() {
     check(&analytic, &aggregate, "relaxed-vpass");
 }
 
-/// Engine-level trajectory: replay the 4×4 `ext_engine_scaling` trace at
+/// Engine-level trajectory: replay the 4×4 umass-web trace at
 /// both tiers and compare the aggregate post-replay block RBER.
 #[test]
 fn aggregate_replay_rber_matches_exact_within_tolerance() {
@@ -148,7 +148,7 @@ fn aggregate_replay_rber_matches_exact_within_tolerance() {
     let (aggregate_rber, aggregate_stats) = mean_rber(ReadFidelity::BlockAggregate);
     let ratio = aggregate_rber / exact_rber;
     assert!(
-        (0.3..=3.0).contains(&ratio),
+        (0.75..=4.0 / 3.0).contains(&ratio),
         "mean RBER: aggregate {aggregate_rber:.3e} vs exact {exact_rber:.3e} (ratio {ratio:.2})"
     );
     assert_eq!(aggregate_stats.ops, exact_stats.ops);

@@ -62,8 +62,7 @@ fn threshold_model_agrees_with_real_codec_on_flash_patterns() {
 #[test]
 fn operating_point_consistent_with_margin_policy() {
     // The flash-default BCH operating point and the paper's 1e-3 capability
-    // line must be the same order of magnitude (EXPERIMENTS.md discusses the
-    // difference).
+    // line must be the same order of magnitude.
     let code = ThresholdEcc::flash_default();
     let operating = code.operating_rber(1e-15);
     let policy = MarginPolicy::paper_default();

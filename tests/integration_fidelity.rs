@@ -71,7 +71,7 @@ fn analytic_rber_trajectory_tracks_exact_chip() {
     assert!((0.6..=1.6).contains(&ratio), "aged ratio {ratio:.2}");
 }
 
-/// Engine-level trajectory: replay the 4×4 `ext_engine_scaling` trace at
+/// Engine-level trajectory: replay the 4×4 umass-web trace at
 /// both tiers and compare the aggregate post-replay block RBER.
 #[test]
 fn analytic_replay_rber_matches_exact_within_tolerance() {
