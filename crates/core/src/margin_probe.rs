@@ -34,9 +34,9 @@ pub fn discover_worst_page(chip: &mut Chip, block: u32) -> Result<(u32, u64), Fl
     let pages = chip.geometry().pages_per_block();
     let mut worst = (0u32, 0u64);
     for page in 0..pages {
-        let outcome = chip.read_page(block, page)?;
-        if outcome.stats.errors >= worst.1 {
-            worst = (page, outcome.stats.errors);
+        let errors = chip.read_page_counts(block, page)?.stats.errors;
+        if errors >= worst.1 {
+            worst = (page, errors);
         }
     }
     Ok(worst)
@@ -61,10 +61,9 @@ pub fn probe_margin(
 ) -> Result<MarginProbe, FlashError> {
     let tuned_vpass = chip.block_vpass(block)?;
     chip.set_block_vpass(block, rd_flash::NOMINAL_VPASS)?;
-    let outcome = chip.read_page(block, worst_page);
+    let counts = chip.read_page_counts(block, worst_page);
     chip.set_block_vpass(block, tuned_vpass)?;
-    let outcome = outcome?;
-    let mee = outcome.stats.errors;
+    let mee = counts?.stats.errors;
     let page_bits = chip.geometry().bits_per_page();
     Ok(MarginProbe { page: worst_page, mee, margin: policy.margin_errors(page_bits, mee) })
 }

@@ -253,10 +253,10 @@ impl VpassTuner {
     ) -> Result<u64, CoreError> {
         let restore = chip.block_vpass(block)?;
         chip.set_block_vpass(block, vpass)?;
-        let outcome = chip.read_page(block, page);
+        let counts = chip.read_page_counts(block, page);
         chip.set_block_vpass(block, restore)?;
         *probe_reads += 1;
-        Ok(outcome?.blocked_bitlines)
+        Ok(counts?.blocked_bitlines)
     }
 }
 

@@ -1268,20 +1268,22 @@ fn execute_die<P: ControllerPolicy>(
     let mut before = crate::timing::background_counters(die.stats_ref());
     for item in work {
         let (result, corrected, data) = match item.kind {
-            ReqKind::Read => match die.read(item.die_lpa) {
-                Ok(r) => {
-                    // Payload-carrying tiers digest the decoded bytes; the
-                    // aggregate tier carries no payload, so its digest folds
-                    // the corrected-error count (the read's full information
-                    // content) in one xor-multiply round — order- and
-                    // value-sensitive, without the per-byte hash walk.
-                    if r.data.is_empty() {
-                        digest = (digest ^ r.corrected_errors).wrapping_mul(0x0000_0100_0000_01B3);
-                    } else {
-                        digest = fnv1a(digest, &r.data);
-                    }
-                    (Ok(()), r.corrected_errors, capture.then_some(r.data))
-                }
+            // The decoded page is digested where it lives (the chip's
+            // stored payload) and copied only for a capturing caller.
+            ReqKind::Read => match die.read_with(item.die_lpa, |r| {
+                // Payload-carrying tiers digest the decoded bytes; the
+                // aggregate tier carries no payload, so its digest folds
+                // the corrected-error count (the read's full information
+                // content) in one xor-multiply round — order- and
+                // value-sensitive, without the per-byte hash walk.
+                digest = if r.data.is_empty() {
+                    (digest ^ r.corrected_errors).wrapping_mul(0x0000_0100_0000_01B3)
+                } else {
+                    fnv1a(digest, r.data)
+                };
+                (r.corrected_errors, capture.then(|| r.data.to_vec()))
+            }) {
+                Ok((corrected, data)) => (Ok(()), corrected, data),
                 Err(e) => (Err(e), 0, None),
             },
             ReqKind::Write => (die.write(item.die_lpa), 0, None),

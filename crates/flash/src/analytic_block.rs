@@ -19,8 +19,31 @@
 //! uniformly, and blocked bitlines (pass-through failures at a relaxed
 //! Vpass) are sampled from the same model's pass-through term so Vpass
 //! Tuning's zero-counting probe keeps working.
-
-use std::collections::HashSet;
+//!
+//! # Count-first reads
+//!
+//! [`AnalyticBlock::read`] draws a read's events once — same RNG draws in
+//! the same order whoever asks — and feeds them to a [`ReadSink`]:
+//!
+//! * [`CountSink`] — what a controller's ECC reports, with no page buffer.
+//!   A flipped bitline is one error unless blocking overrides it, and a
+//!   blocked bitline senses the top state, so `errors = flips −
+//!   |flips ∩ blocked| + |{blocked : stored bit ≠ top bit}|` in
+//!   O(flips + blocked). The recovery ladder, the tuner's probes and host
+//!   reads nobody observes take this path ([`crate::Chip::read_page_counts`]).
+//! * [`ByteSink`] — applies the events to a copy of the stored page and
+//!   counts errors by Hamming distance, for callers that want the sensed
+//!   bytes ([`crate::Chip::read_page`], [`crate::Chip::read_retry`]).
+//!
+//! # Operating-point cache
+//!
+//! Every closed-form term that does not depend on the read counters is
+//! cached per block ([`OpPoint`]), the shift-dependent ones per distinct
+//! read-reference shift ([`ShiftPoint`]; the default read is shift 0). A
+//! cached term is the value the uncached expression produces, and the
+//! per-read sum adds the same partial sums in the same left-to-right order,
+//! so cached reads are bit-identical to fresh evaluation. Whatever changes
+//! `(pe_cycles, age_days, vpass)` drops the whole cache.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -76,20 +99,57 @@ pub(crate) const RETRY_SHIFT_DECAY: f64 = 10.0;
 /// just overflow the sampled error count.
 pub(crate) const RETRY_SHIFT_GAIN_CAP: f64 = 32.0;
 
-/// Operating-point constants of a block: every closed-form term that
-/// depends only on `(pe_cycles, age_days, vpass)`, not on the read
-/// counters. Reads within a batch share the operating point, so hoisting
-/// these leaves only the disturb-linear fold (one multiply-add and an
-/// `ln_1p`) on the per-read path.
+/// Distinct read-reference shifts cached per block: the default read plus
+/// the retry ladder's. More than this many in rotation only costs
+/// re-evaluation (the oldest entry is overwritten).
+const SHIFT_CACHE: usize = 8;
+
+/// The read-count-independent closed-form terms at one read-reference
+/// shift (the read-retry model): the misclassification floor follows the
+/// shifted references exactly, the disturb component decays as a positive
+/// shift tracks the up-drifted ER/P1 cells, and the retention component
+/// grows by the mirror factor (the shifted boundaries cut into the
+/// down-leaked P2/P3 cells). Both gains are exactly 1 at `shift == 0`.
 #[derive(Debug, Clone, Copy)]
+struct ShiftPoint {
+    shift: f64,
+    /// Shifted Gaussian tail floor + P/E noise + retention × gain, summed
+    /// left to right.
+    static_rber: f64,
+    /// Factor on the disturb term.
+    rd_gain: f64,
+}
+
+impl ShiftPoint {
+    /// Never equal to a requested shift: an empty cache slot.
+    const EMPTY: Self = Self { shift: f64::NAN, static_rber: 0.0, rd_gain: 0.0 };
+
+    fn at(params: &ChipParams, model: &AnalyticModel, pe: u64, age_days: f64, shift: f64) -> Self {
+        let rd_gain = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let ret_gain = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let static_rber = gaussian_tail_floor_shifted(params, pe, shift)
+            + model.rber_pe(pe)
+            + model.rber_retention(pe, age_days) * ret_gain;
+        Self { shift, static_rber, rd_gain }
+    }
+}
+
+/// Operating-point constants of a block: every closed-form term that
+/// depends only on `(pe_cycles, age_days, vpass)` and the read-reference
+/// shift, not on the read counters. Reads within a batch share the
+/// operating point, so hoisting these leaves only the disturb-linear fold
+/// (one multiply-add and an `ln_1p`) on the per-read path.
+#[derive(Debug, Clone)]
 struct OpPoint {
     /// Per-read disturb slope at the current Vpass.
     slope: f64,
-    /// Read-count-independent RBER: Gaussian tail floor + P/E noise +
-    /// retention, summed in the exact order of the uncached path.
-    static_rber: f64,
     /// Per-bitline pass-through blocking probability at the current Vpass.
     blocked_prob: f64,
+    /// Shift points evaluated since the last invalidation.
+    shifts: [ShiftPoint; SHIFT_CACHE],
+    /// Shift points evaluated so far; the next one lands in slot
+    /// `evaluated % SHIFT_CACHE`.
+    evaluated: usize,
 }
 
 /// One flash block of the page-analytic chip model.
@@ -116,9 +176,9 @@ pub(crate) struct AnalyticBlock {
     /// wordlines (their own reads do not pass-through-stress them),
     /// positive on hammer neighbours.
     pending_extra: Vec<f64>,
-    /// Lazily computed operating-point constants; invalidated whenever
-    /// `pe_cycles`, `age_days`, or `vpass` changes. Never serialized —
-    /// a restored block recomputes on first read.
+    /// Lazily computed operating-point constants (shift points included);
+    /// invalidated whenever `pe_cycles`, `age_days`, or `vpass` changes.
+    /// Never serialized — a restored block recomputes on first read.
     op_cache: Option<OpPoint>,
 }
 
@@ -143,23 +203,36 @@ impl AnalyticBlock {
         }
     }
 
-    /// The block's operating-point constants, recomputed only after a
-    /// `(pe_cycles, age_days, vpass)` change. `static_rber` preserves the
-    /// uncached path's left-to-right summation order exactly, so cached
-    /// reads are bit-identical to fresh evaluation.
-    fn op_point(&mut self, params: &ChipParams, model: &AnalyticModel) -> OpPoint {
-        if let Some(c) = self.op_cache {
-            return c;
-        }
-        let c = OpPoint {
-            slope: model.rd_slope(self.pe_cycles, self.vpass),
-            static_rber: gaussian_tail_floor_shifted(params, self.pe_cycles, 0.0)
-                + model.rber_pe(self.pe_cycles)
-                + model.rber_retention(self.pe_cycles, self.age_days),
-            blocked_prob: 2.0 * model.rber_passthrough(self.pe_cycles, self.age_days, self.vpass),
+    /// `(p_err, p_block)` of one read of `wordline` at `shift`: the per-bit
+    /// RBER excluding pass-through errors, and the per-bitline blocking
+    /// probability. Only the disturb fold is evaluated per read; the rest
+    /// comes from the operating-point cache, filled on first use after a
+    /// `(pe_cycles, age_days, vpass)` change.
+    fn read_probabilities(
+        &mut self,
+        params: &ChipParams,
+        model: &AnalyticModel,
+        wordline: u32,
+        shift: f64,
+    ) -> (f64, f64) {
+        let (pe, age_days, vpass) = (self.pe_cycles, self.age_days, self.vpass);
+        let op = self.op_cache.get_or_insert_with(|| OpPoint {
+            slope: model.rd_slope(pe, vpass),
+            blocked_prob: 2.0 * model.rber_passthrough(pe, age_days, vpass),
+            shifts: [ShiftPoint::EMPTY; SHIFT_CACHE],
+            evaluated: 0,
+        });
+        let point = match op.shifts.iter().find(|s| s.shift == shift) {
+            Some(&cached) => cached,
+            None => {
+                let fresh = ShiftPoint::at(params, model, pe, age_days, shift);
+                op.shifts[op.evaluated % SHIFT_CACHE] = fresh;
+                op.evaluated += 1;
+                fresh
+            }
         };
-        self.op_cache = Some(c);
-        c
+        let (slope, blocked_prob) = (op.slope, op.blocked_prob);
+        (point.static_rber + self.rd_term(model, slope, wordline) * point.rd_gain, blocked_prob)
     }
 
     fn pages(&self) -> u32 {
@@ -231,14 +304,16 @@ impl AnalyticBlock {
         }
     }
 
-    /// Disturb linear term seen by one wordline, pending reads included.
-    fn disturb_lin(&self, model: &AnalyticModel, wordline: u32) -> f64 {
+    /// Saturating disturb RBER term of one wordline, pending reads included
+    /// (they accrue at `slope`, the per-read slope at the current Vpass).
+    fn rd_term(&self, model: &AnalyticModel, slope: f64, wordline: u32) -> f64 {
         let wl = wordline as usize;
-        let slope = model.rd_slope(self.pe_cycles, self.vpass);
-        let lin = self.folded_lin
+        let lin = (self.folded_lin
             + self.folded_extra[wl]
-            + slope * (self.pending_reads + self.pending_extra[wl]);
-        lin.max(0.0)
+            + slope * (self.pending_reads + self.pending_extra[wl]))
+            .max(0.0);
+        let p = model.params();
+        p.rd_sat * (lin / p.rd_sat).ln_1p()
     }
 
     /// Block-uniform disturb linear term (the [`BlockStatus::dose`] analogue).
@@ -247,35 +322,14 @@ impl AnalyticBlock {
         (self.folded_lin + slope * self.pending_reads).max(0.0)
     }
 
-    /// Per-bit RBER of one wordline, excluding pass-through errors (those
-    /// are realized as blocked bitlines at read time).
+    /// Per-bit RBER of one wordline at the default references, excluding
+    /// pass-through errors (those are realized as blocked bitlines at read
+    /// time). The oracles' uncached evaluation of what
+    /// [`Self::read_probabilities`] serves at `shift == 0`.
     fn rber_wordline(&self, params: &ChipParams, model: &AnalyticModel, wordline: u32) -> f64 {
-        self.rber_wordline_shifted(params, model, wordline, 0.0)
-    }
-
-    /// [`Self::rber_wordline`] at a uniform read-reference shift (the
-    /// read-retry model): the misclassification floor follows the shifted
-    /// references exactly, the disturb component decays as a positive shift
-    /// tracks the up-drifted ER/P1 cells, and the retention component grows
-    /// by the mirror factor (the shifted boundaries cut into the
-    /// down-leaked P2/P3 cells). At `shift == 0` this is bit-identical to
-    /// the default read path.
-    fn rber_wordline_shifted(
-        &self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        wordline: u32,
-        shift: f64,
-    ) -> f64 {
-        let lin = self.disturb_lin(model, wordline);
-        let p = model.params();
-        let rd = p.rd_sat * (lin / p.rd_sat).ln_1p();
-        let rd_factor = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        let ret_factor = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        gaussian_tail_floor_shifted(params, self.pe_cycles, shift)
-            + model.rber_pe(self.pe_cycles)
-            + model.rber_retention(self.pe_cycles, self.age_days) * ret_factor
-            + rd * rd_factor
+        let point = ShiftPoint::at(params, model, self.pe_cycles, self.age_days, 0.0);
+        let slope = model.rd_slope(self.pe_cycles, self.vpass);
+        point.static_rber + self.rd_term(model, slope, wordline) * point.rd_gain
     }
 
     /// Probability that a bitline is blocked (pass-through failure) at the
@@ -422,42 +476,31 @@ impl AnalyticBlock {
         Ok(())
     }
 
-    pub(crate) fn intended_page_bits(&self, page: u32) -> Result<Vec<u8>, FlashError> {
+    pub(crate) fn intended_page_bits(&self, page: u32) -> Result<&[u8], FlashError> {
         if page >= self.pages() {
             return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
         }
         if !self.page_programmed[page as usize] {
             return Err(FlashError::PageNotProgrammed { page });
         }
-        Ok(self.page_data[page as usize].clone())
+        Ok(&self.page_data[page as usize])
     }
 
-    /// Serves a page read from the analytic model: sample a raw error count
-    /// around the closed-form RBER, flip that many uniformly-chosen bits,
-    /// then overlay sampled pass-through blocking. O(errors) plus one page
-    /// copy; no per-cell work.
-    pub(crate) fn read_page(
+    /// Serves a page read from the analytic model: a raw error count
+    /// sampled around the closed-form RBER at read-reference `shift` (so a
+    /// positive retry shift on a disturb-dominated wordline genuinely
+    /// recovers errors while paying the shifted misclassification floor,
+    /// exactly as the cell-exact sweep does in aggregate), uniformly placed,
+    /// overlaid with sampled pass-through blocking. O(errors), plus whatever
+    /// the sink `S` does with the events: [`CountSink`] leaves
+    /// [`ReadOutcome::data`] empty, [`ByteSink`] fills it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read<S: ReadSink>(
         &mut self,
         params: &ChipParams,
         model: &AnalyticModel,
         rng: &mut StdRng,
-        page: u32,
-        disturb: bool,
-    ) -> Result<ReadOutcome, FlashError> {
-        self.read_page_shifted(params, model, rng, page, 0.0, disturb)
-    }
-
-    /// [`Self::read_page`] with every read reference moved by `shift` — the
-    /// read-retry sample the recovery ladder consumes. Errors are drawn
-    /// around [`Self::rber_wordline_shifted`], so a positive shift on a
-    /// disturb-dominated wordline genuinely recovers errors while paying
-    /// the shifted misclassification floor, exactly as the cell-exact
-    /// sweep does in aggregate.
-    pub(crate) fn read_page_shifted(
-        &mut self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        rng: &mut StdRng,
+        scratch: &mut ReadScratch,
         page: u32,
         shift: f64,
         disturb: bool,
@@ -466,70 +509,26 @@ impl AnalyticBlock {
             return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
         }
         let wl = page / self.bits_per_cell;
-        let page_bit = (page % self.bits_per_cell) as usize;
         if disturb {
             self.hammer_wordline(params, wl, 1);
         }
-        let nbits = self.bitlines as usize;
-        let programmed = self.page_programmed[page as usize];
+        let (p_err, p_block) = self.read_probabilities(params, model, wl, shift);
+        // A blocked bitline cannot conduct, so the cell senses as the top
+        // state (P3 on MLC).
+        let top_bit = crate::state::state_bit(
+            params.n_states() - 1,
+            (page % self.bits_per_cell) as usize,
+            self.bits_per_cell as usize,
+        );
         // An unprogrammed page reads back as erased cells (ER stores 1/1).
-        let mut data =
-            if programmed { self.page_data[page as usize].clone() } else { vec![0xFF; nbits / 8] };
-
-        let c = self.op_point(params, model);
-        let p_err = if shift == 0.0 {
-            // Default read path: only the disturb fold depends on the read
-            // counters; everything else comes from the cached operating
-            // point. Summation order matches the uncached path (the shift
-            // gain factors are exactly 1.0 at `shift == 0`), so this is
-            // bit-identical to `rber_wordline_shifted(.., 0.0)`.
-            let wli = wl as usize;
-            let lin = (self.folded_lin
-                + self.folded_extra[wli]
-                + c.slope * (self.pending_reads + self.pending_extra[wli]))
-                .max(0.0);
-            let p = model.params();
-            let rd = p.rd_sat * (lin / p.rd_sat).ln_1p();
-            c.static_rber + rd
-        } else {
-            // Retry reads pay the full shifted evaluation: the floor and
-            // the gain factors all depend on the shift, so there is
-            // nothing operating-point-stable to reuse.
-            self.rber_wordline_shifted(params, model, wl, shift)
-        };
-        let flips = sample_binomial(rng, self.bitlines as u64, p_err);
-        for_distinct_positions(rng, self.bitlines, flips, |bl| {
-            let i = bl as usize;
-            data[i / 8] ^= 1 << (i % 8);
-        });
-
-        let p_block = c.blocked_prob;
-        let mut blocked = 0u64;
-        if p_block > 0.0 {
-            blocked = sample_binomial(rng, self.bitlines as u64, p_block);
-            // A blocked bitline cannot conduct, so the cell senses as the
-            // top state (P3 on MLC).
-            let top_bit = crate::state::state_bit(
-                params.n_states() - 1,
-                page_bit,
-                self.bits_per_cell as usize,
-            );
-            for_distinct_positions(rng, self.bitlines, blocked, |bl| {
-                bits::set_bit(&mut data, bl as usize, top_bit);
-            });
-        }
-
-        let errors = if programmed {
-            bits::hamming(&data, &self.page_data[page as usize])
-        } else {
-            // Intended is all-ones: errors are exactly the cleared bits.
-            nbits as u64 - data.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
-        };
-        Ok(ReadOutcome {
-            data,
-            stats: BitErrorStats::new(errors, nbits as u64),
-            blocked_bitlines: blocked,
-        })
+        let stored =
+            self.page_programmed[page as usize].then(|| self.page_data[page as usize].as_slice());
+        let mut sink = S::start(stored, self.bitlines as usize, top_bit);
+        let blocked_bitlines =
+            sample_events(rng, scratch, self.bitlines, p_err, p_block, stored, &mut sink);
+        let (errors, data) = sink.finish(stored);
+        let stats = BitErrorStats::new(errors, u64::from(self.bitlines));
+        Ok(ReadOutcome { data, stats, blocked_bitlines })
     }
 
     /// Closed-form expected RBER of one wordline's programmed pages
@@ -607,21 +606,158 @@ pub(crate) fn sample_binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
     }
 }
 
-/// Invokes `apply` on `k` distinct positions in `0..n`, sampled uniformly.
-/// Rejection via a scratch set; `k` is far below `n` at model error rates.
-fn for_distinct_positions(rng: &mut StdRng, n: u32, k: u64, mut apply: impl FnMut(u32)) {
-    let k = k.min(n as u64);
-    if k == n as u64 {
-        for bl in 0..n {
+/// Bitset over bitline indices: the position sampler's rejection set, and
+/// what lets the count-only sink see flip/block overlap without a page.
+#[derive(Debug, Clone)]
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    /// Inserts `i`; `false` if it was already present.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, mask) = (&mut self.0[i / 64], 1u64 << (i % 64));
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+}
+
+/// Per-chip sampling scratch, reused by every read so none allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct ReadScratch {
+    flipped: BitSet,
+    blocked: BitSet,
+}
+
+impl ReadScratch {
+    pub(crate) fn new(bitlines: u32) -> Self {
+        let empty = BitSet(vec![0; (bitlines as usize).div_ceil(64)]);
+        Self { flipped: empty.clone(), blocked: empty }
+    }
+}
+
+/// Receives the bit events of one sampled read, in draw order. `stored` is
+/// the page as programmed, `None` for an erased page (all ones).
+pub(crate) trait ReadSink {
+    fn start(stored: Option<&[u8]>, nbits: usize, top_bit: bool) -> Self;
+    /// Bitline `bl` senses the complement of its stored bit.
+    fn flip(&mut self, bl: usize);
+    /// Bitline `bl` (storing `stored_bit`) cannot conduct and senses the top
+    /// state's bit, whether or not it was `flipped` before.
+    fn block(&mut self, bl: usize, flipped: bool, stored_bit: bool);
+    /// `(raw bit errors, sensed bytes if the sink kept any)`.
+    fn finish(self, stored: Option<&[u8]>) -> (u64, Vec<u8>);
+}
+
+/// Count-only sink: `errors = flips − |flips ∩ blocked| + |{blocked :
+/// stored bit ≠ top bit}|`.
+pub(crate) struct CountSink {
+    top_bit: bool,
+    errors: u64,
+}
+
+impl ReadSink for CountSink {
+    fn start(_stored: Option<&[u8]>, _nbits: usize, top_bit: bool) -> Self {
+        Self { top_bit, errors: 0 }
+    }
+
+    fn flip(&mut self, _bl: usize) {
+        self.errors += 1;
+    }
+
+    fn block(&mut self, _bl: usize, flipped: bool, stored_bit: bool) {
+        self.errors = self.errors - u64::from(flipped) + u64::from(stored_bit != self.top_bit);
+    }
+
+    fn finish(self, _stored: Option<&[u8]>) -> (u64, Vec<u8>) {
+        (self.errors, Vec::new())
+    }
+}
+
+/// Materializing sink: applies the events to a copy of the stored page and
+/// counts errors by comparing the two.
+pub(crate) struct ByteSink {
+    data: Vec<u8>,
+    nbits: usize,
+    top_bit: bool,
+}
+
+impl ReadSink for ByteSink {
+    fn start(stored: Option<&[u8]>, nbits: usize, top_bit: bool) -> Self {
+        Self { data: stored.map_or_else(|| bits::ones(nbits), <[u8]>::to_vec), nbits, top_bit }
+    }
+
+    fn flip(&mut self, bl: usize) {
+        self.data[bl / 8] ^= 1 << (bl % 8);
+    }
+
+    fn block(&mut self, bl: usize, _flipped: bool, _stored_bit: bool) {
+        bits::set_bit(&mut self.data, bl, self.top_bit);
+    }
+
+    fn finish(self, stored: Option<&[u8]>) -> (u64, Vec<u8>) {
+        let errors = match stored {
+            Some(stored) => bits::hamming(&self.data, stored),
+            // Intended is all-ones: errors are exactly the cleared bits.
+            None => self.nbits as u64 - bits::count_ones(&self.data),
+        };
+        (errors, self.data)
+    }
+}
+
+/// Draws one read's events into `sink` — the binomial raw error count, that
+/// many distinct bitlines, then (at a relaxed Vpass) the blocked count and
+/// as many distinct bitlines — and returns the blocked count. The draws do
+/// not depend on the sink.
+fn sample_events(
+    rng: &mut StdRng,
+    scratch: &mut ReadScratch,
+    bitlines: u32,
+    p_err: f64,
+    p_block: f64,
+    stored: Option<&[u8]>,
+    sink: &mut impl ReadSink,
+) -> u64 {
+    let ReadScratch { flipped, blocked } = scratch;
+    let flips = sample_binomial(rng, u64::from(bitlines), p_err);
+    for_distinct_positions(rng, bitlines, flips, flipped, |bl| sink.flip(bl));
+    if p_block <= 0.0 {
+        return 0;
+    }
+    let n_blocked = sample_binomial(rng, u64::from(bitlines), p_block);
+    for_distinct_positions(rng, bitlines, n_blocked, blocked, |bl| {
+        sink.block(bl, flipped.contains(bl), stored.is_none_or(|data| bits::get_bit(data, bl)));
+    });
+    n_blocked
+}
+
+/// Invokes `apply` on `k` distinct positions in `0..n`, sampled uniformly
+/// by rejection against `chosen` (left holding exactly those positions);
+/// `k` is far below `n` at model error rates.
+fn for_distinct_positions(
+    rng: &mut StdRng,
+    n: u32,
+    k: u64,
+    chosen: &mut BitSet,
+    mut apply: impl FnMut(usize),
+) {
+    chosen.0.fill(0);
+    let mut left = k.min(u64::from(n));
+    if left == u64::from(n) {
+        for bl in 0..n as usize {
+            chosen.insert(bl);
             apply(bl);
         }
         return;
     }
-    let mut chosen: HashSet<u32> = HashSet::with_capacity(k as usize);
-    while (chosen.len() as u64) < k {
-        let bl = rng.gen_range(0..n);
+    while left > 0 {
+        let bl = rng.gen_range(0..n) as usize;
         if chosen.insert(bl) {
             apply(bl);
+            left -= 1;
         }
     }
 }
@@ -637,6 +773,19 @@ mod tests {
         (AnalyticBlock::new(8, 1024, 2), params, model, StdRng::seed_from_u64(7))
     }
 
+    /// A default-reference materializing read (fresh scratch per call).
+    fn read_page(
+        block: &mut AnalyticBlock,
+        params: &ChipParams,
+        model: &AnalyticModel,
+        rng: &mut StdRng,
+        page: u32,
+        disturb: bool,
+    ) -> ReadOutcome {
+        let mut scratch = ReadScratch::new(block.bitlines);
+        block.read::<ByteSink>(params, model, rng, &mut scratch, page, 0.0, disturb).unwrap()
+    }
+
     fn program_all(block: &mut AnalyticBlock, rng: &mut StdRng) {
         for page in 0..16 {
             let data = bits::random(rng, 1024);
@@ -650,7 +799,7 @@ mod tests {
         let data = bits::random(&mut rng, 1024);
         block.program_page(4, &data).unwrap();
         assert_eq!(block.intended_page_bits(4).unwrap(), data);
-        let out = block.read_page(&params, &model, &mut rng, 4, true).unwrap();
+        let out = read_page(&mut block, &params, &model, &mut rng, 4, true);
         // Fresh block at 0 P/E: expected errors ≪ 1.
         assert!(out.stats.errors <= 2, "fresh analytic read had {} errors", out.stats.errors);
         assert_eq!(out.blocked_bitlines, 0, "no blocking at nominal Vpass");
@@ -698,7 +847,7 @@ mod tests {
         let mut total = 0u64;
         for _ in 0..n_reads {
             // Oracle reads: no extra disturb, so the expectation is fixed.
-            let out = block.read_page(&params, &model, &mut rng, 6, false).unwrap();
+            let out = read_page(&mut block, &params, &model, &mut rng, 6, false);
             total += out.stats.errors;
         }
         let mean = total as f64 / n_reads as f64;
@@ -752,12 +901,11 @@ mod tests {
         block.set_vpass(&params, &model, params.min_vpass).unwrap();
         let mut blocked = 0u64;
         for _ in 0..64 {
-            blocked +=
-                block.read_page(&params, &model, &mut rng, 0, false).unwrap().blocked_bitlines;
+            blocked += read_page(&mut block, &params, &model, &mut rng, 0, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
         block.set_vpass(&params, &model, NOMINAL_VPASS).unwrap();
-        let out = block.read_page(&params, &model, &mut rng, 0, false).unwrap();
+        let out = read_page(&mut block, &params, &model, &mut rng, 0, false);
         assert_eq!(out.blocked_bitlines, 0);
     }
 
@@ -776,6 +924,31 @@ mod tests {
         assert_eq!(st.programmed_pages, 0);
     }
 
+    /// The closed form as written before the shift cache existed: every
+    /// term re-derived per read (the reference the cache must reproduce).
+    fn p_err_reference(
+        block: &AnalyticBlock,
+        params: &ChipParams,
+        model: &AnalyticModel,
+        wordline: u32,
+        shift: f64,
+    ) -> f64 {
+        let wl = wordline as usize;
+        let slope = model.rd_slope(block.pe_cycles, block.vpass);
+        let lin = (block.folded_lin
+            + block.folded_extra[wl]
+            + slope * (block.pending_reads + block.pending_extra[wl]))
+            .max(0.0);
+        let p = model.params();
+        let rd = p.rd_sat * (lin / p.rd_sat).ln_1p();
+        let rd_factor = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let ret_factor = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        gaussian_tail_floor_shifted(params, block.pe_cycles, shift)
+            + model.rber_pe(block.pe_cycles)
+            + model.rber_retention(block.pe_cycles, block.age_days) * ret_factor
+            + rd * rd_factor
+    }
+
     #[test]
     fn op_point_cache_is_bit_identical_to_fresh_evaluation() {
         let (mut block, params, model, mut rng) = setup();
@@ -784,35 +957,71 @@ mod tests {
         block.advance_days(30.0);
         block.apply_read_disturbs(200_000);
         block.hammer_wordline(&params, 3, 50_000);
-        // Cached reads (the block warms its op-point cache on the first
-        // read) must consume RNG draws and produce data bit-identically to
-        // a cache-cold clone evaluated fresh at every step.
+        // More distinct shifts than cache slots, so eviction is exercised.
+        let shifts = [0.0, 4.0, 8.0, 12.0, 16.0, -4.0, 10.0, 20.0, 30.0, 0.05];
+        assert!(shifts.len() > SHIFT_CACHE);
+        let mut scratch = ReadScratch::new(1024);
+        // Cached reads (the block warms its cache on first use) must
+        // consume RNG draws and produce data bit-identically to a
+        // cache-cold clone evaluated fresh at every step.
         for trial in 0..16 {
-            let mut cold = block.clone();
-            cold.op_cache = None;
             let mut rng_a = StdRng::seed_from_u64(100 + trial);
             let mut rng_b = StdRng::seed_from_u64(100 + trial);
-            for page in [0u32, 6, 7, 12] {
-                let warm = block.read_page(&params, &model, &mut rng_a, page, true).unwrap();
-                let fresh = cold.read_page(&params, &model, &mut rng_b, page, true).unwrap();
-                assert_eq!(warm.data, fresh.data);
-                assert_eq!(warm.stats.errors, fresh.stats.errors);
-                assert_eq!(warm.blocked_bitlines, fresh.blocked_bitlines);
+            for (i, &shift) in shifts.iter().cycle().take(24).enumerate() {
+                let page = [0u32, 6, 7, 12][i % 4];
+                let mut cold = block.clone();
+                cold.op_cache = None;
+                let wl = page / 2;
+                assert_eq!(
+                    block.read_probabilities(&params, &model, wl, shift).0.to_bits(),
+                    p_err_reference(&block, &params, &model, wl, shift).to_bits(),
+                    "shift {shift}"
+                );
+                let warm = block
+                    .read::<ByteSink>(&params, &model, &mut rng_a, &mut scratch, page, shift, true)
+                    .unwrap();
+                let fresh = cold
+                    .read::<ByteSink>(&params, &model, &mut rng_b, &mut scratch, page, shift, true)
+                    .unwrap();
+                assert_eq!(warm, fresh, "shift {shift}");
+                assert_eq!(rng_a.state(), rng_b.state());
             }
-            // Keep operating points aligned across trials.
+            // A new operating point every trial.
             block.advance_days(1.0);
         }
-        // Every op-point mutator must invalidate the cache.
-        let warm = block.op_point(&params, &model);
+        // Every op-point mutator must drop the cache, shift points included.
+        let warm_cache = |block: &mut AnalyticBlock| {
+            let p = block.read_probabilities(&params, &model, 0, 8.0);
+            let op = block.op_cache.as_ref().expect("warmed");
+            assert!(op.shifts.iter().any(|s| s.shift == 8.0));
+            (p, op.slope)
+        };
+        let ((aged, _), slope_nominal) = warm_cache(&mut block);
         block.advance_days(5.0);
         assert!(block.op_cache.is_none(), "advance_days must invalidate");
-        assert_ne!(warm.static_rber, block.op_point(&params, &model).static_rber);
+        assert_ne!(aged, warm_cache(&mut block).0 .0);
         block.set_vpass(&params, &model, params.min_vpass).unwrap();
         assert!(block.op_cache.is_none(), "set_vpass must invalidate");
-        let lo = block.op_point(&params, &model);
-        assert!(lo.blocked_prob > 0.0 && lo.slope < warm.slope);
+        let ((_, p_block), slope_low) = warm_cache(&mut block);
+        assert!(p_block > 0.0 && slope_low < slope_nominal);
+        let snapshot = {
+            let mut w = crate::wire::Writer::new();
+            block.encode_state(&mut w);
+            w.into_bytes()
+        };
+        block.restore_state(&mut crate::wire::Reader::new(&snapshot)).unwrap();
+        assert!(block.op_cache.is_none(), "restore must invalidate");
+        warm_cache(&mut block);
+        block.pre_wear(10);
+        assert!(block.op_cache.is_none(), "pre_wear must invalidate");
+        warm_cache(&mut block);
         block.erase();
         assert!(block.op_cache.is_none(), "erase must invalidate");
+        // Programming into the erased block restarts the retention clock.
+        block.advance_days(2.0);
+        warm_cache(&mut block);
+        block.program_page(0, &bits::random(&mut rng, 1024)).unwrap();
+        assert!(block.op_cache.is_none(), "the program-age reset must invalidate");
     }
 
     #[test]
@@ -821,7 +1030,7 @@ mod tests {
         assert_eq!(sample_binomial(&mut rng, 0, 0.5), 0);
         assert_eq!(sample_binomial(&mut rng, 10, 0.0), 0);
         assert_eq!(sample_binomial(&mut rng, 10, 1.0), 10);
-        // Small-mean regime (Knuth path).
+        // Small-mean regime (exact inverse-CDF path).
         let mean_of = |rng: &mut StdRng, n: u64, p: f64, draws: u64| -> f64 {
             (0..draws).map(|_| sample_binomial(rng, n, p)).sum::<u64>() as f64 / draws as f64
         };
@@ -838,14 +1047,122 @@ mod tests {
     #[test]
     fn distinct_positions_are_distinct_and_complete() {
         let mut rng = StdRng::seed_from_u64(3);
+        let mut chosen = ReadScratch::new(64).flipped;
         let mut seen = Vec::new();
-        for_distinct_positions(&mut rng, 64, 20, |i| seen.push(i));
+        for_distinct_positions(&mut rng, 64, 20, &mut chosen, |i| seen.push(i));
         assert_eq!(seen.len(), 20);
-        let unique: HashSet<u32> = seen.iter().copied().collect();
-        assert_eq!(unique.len(), 20);
-        // k == n short-circuits to the full range.
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 20);
+        assert_eq!(seen, (0..64).filter(|&i| chosen.contains(i)).collect::<Vec<_>>());
+        // k == n short-circuits to the full range (and still marks it).
         let mut all = Vec::new();
-        for_distinct_positions(&mut rng, 16, 16, |i| all.push(i));
+        for_distinct_positions(&mut rng, 16, 16, &mut chosen, |i| all.push(i));
         assert_eq!(all, (0..16).collect::<Vec<_>>());
+        assert!((0..16).all(|i| chosen.contains(i)) && !chosen.contains(16));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The count-only identity against the bytes where flipped and
+        /// blocked bitlines overlap heavily (model-rate reads almost never
+        /// do): both sinks fed by the same draws must agree on the count.
+        #[test]
+        fn count_sink_identity_holds_under_dense_overlap(
+            seed in proptest::prelude::any::<u64>(),
+            bitlines in 1u32..700,
+            p_err in 0.0f64..1.05,
+            p_block in 0.0f64..1.05,
+            programmed in proptest::prelude::any::<bool>(),
+            top_bit in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nbits = bitlines as usize;
+            let page = bits::random(&mut rng, nbits);
+            let stored = programmed.then_some(page.as_slice());
+            let mut scratch = ReadScratch::new(bitlines);
+
+            let mut rng_c = rng.clone();
+            let mut counted = CountSink::start(stored, nbits, top_bit);
+            let blocked_c = sample_events(
+                &mut rng_c, &mut scratch, bitlines, p_err, p_block, stored, &mut counted,
+            );
+            let mut bytes = ByteSink::start(stored, nbits, top_bit);
+            let blocked = sample_events(
+                &mut rng, &mut scratch, bitlines, p_err, p_block, stored, &mut bytes,
+            );
+            let (errors, data) = bytes.finish(stored);
+            let intended = stored.map_or_else(|| bits::ones(nbits), <[u8]>::to_vec);
+            proptest::prop_assert_eq!(errors, bits::hamming(&data, &intended));
+            proptest::prop_assert_eq!(counted.finish(stored).0, errors);
+            proptest::prop_assert_eq!(blocked_c, blocked);
+            proptest::prop_assert_eq!(rng_c.state(), rng.state());
+        }
+
+        /// The count-only read is the materializing read minus the bytes:
+        /// from the same block state and RNG state it reports the same
+        /// counts and leaves the RNG where the materializing read does —
+        /// for every database chip, operating point, page and shift.
+        #[test]
+        fn count_only_read_equals_materializing_read(
+            seed in proptest::prelude::any::<u64>(),
+            pe in 0u64..20_000,
+            age_days in 0.0f64..60.0,
+            pending in 0u64..3_000_000,
+            hammered in 0u64..500_000,
+            relax in 0.0f64..1.0,
+            programmed in proptest::prelude::any::<bool>(),
+            pick in 0usize..64,
+        ) {
+            for spec in crate::chips::all() {
+                let params = spec.params;
+                let (wordlines, bitlines, bpc) = (4u32, 1000u32, params.bits_per_cell());
+                let model = AnalyticModel::from_chip(&params, wordlines);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut block = AnalyticBlock::new(wordlines, bitlines, bpc);
+                block.pre_wear(pe);
+                let pages = wordlines * bpc;
+                let page = pick as u32 % pages;
+                for p in (0..pages).filter(|&p| programmed || p != page) {
+                    block.program_page(p, &bits::random(&mut rng, bitlines as usize)).unwrap();
+                }
+                block.advance_days(age_days);
+                block.apply_read_disturbs(pending);
+                block.hammer_wordline(&params, pick as u32 % wordlines, hammered);
+                // Half the cases at the fully relaxed Vpass, so bitlines do
+                // get blocked (dense overlap is the property above).
+                let relax = (2.0 * relax - 1.0).max(0.0);
+                let vpass = params.min_vpass + relax * (NOMINAL_VPASS - params.min_vpass);
+                block.set_vpass(&params, &model, vpass).unwrap();
+                let shifts: Vec<f64> = std::iter::once(0.0)
+                    .chain(params.retry_shifts.iter().copied())
+                    .chain(params.reread_va_raises.iter().copied())
+                    .collect();
+                let shift = shifts[pick % shifts.len()];
+
+                let mut scratch = ReadScratch::new(bitlines);
+                let (mut counted, mut rng_c) = (block.clone(), rng.clone());
+                let counts = counted
+                    .read::<CountSink>(&params, &model, &mut rng_c, &mut scratch, page, shift, true)
+                    .unwrap();
+                proptest::prop_assert!(counts.data.is_empty());
+                let counts = counts.counts();
+                let bytes = block
+                    .read::<ByteSink>(&params, &model, &mut rng, &mut scratch, page, shift, true)
+                    .unwrap();
+                proptest::prop_assert!(
+                    counts == bytes.counts(),
+                    "{} shift {shift}: {counts:?} vs {:?}", spec.name, bytes.counts()
+                );
+                proptest::prop_assert_eq!(rng_c.state(), rng.state());
+                // The materializing side is itself anchored to the bytes.
+                let intended = block
+                    .intended_page_bits(page)
+                    .map_or_else(|_| bits::ones(bitlines as usize), <[u8]>::to_vec);
+                let distance = bits::hamming(&bytes.data, &intended);
+                proptest::prop_assert_eq!(distance, bytes.stats.errors);
+            }
+        }
     }
 }

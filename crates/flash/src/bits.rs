@@ -35,17 +35,28 @@ pub fn zeroed(nbits: usize) -> Vec<u8> {
     vec![0u8; nbits.div_ceil(8)]
 }
 
+/// Allocates a buffer holding `nbits` set bits (an erased page).
+pub fn ones(nbits: usize) -> Vec<u8> {
+    let mut out = vec![0xFFu8; nbits.div_ceil(8)];
+    mask_tail(&mut out, nbits);
+    out
+}
+
 /// Samples `nbits` uniformly random bits.
 pub fn random<R: Rng + ?Sized>(rng: &mut R, nbits: usize) -> Vec<u8> {
     let mut out = zeroed(nbits);
     rng.fill(&mut out[..]);
-    // Mask the tail so equality comparisons are well defined.
-    let spare = out.len() * 8 - nbits;
-    if spare > 0 {
-        let last = out.len() - 1;
-        out[last] &= 0xFF >> spare;
-    }
+    mask_tail(&mut out, nbits);
     out
+}
+
+/// Clears the spare bits past `nbits` in the last byte, so equality
+/// comparisons and bit counts are well defined.
+fn mask_tail(bytes: &mut [u8], nbits: usize) {
+    let spare = bytes.len() * 8 - nbits;
+    if let Some(last) = bytes.last_mut().filter(|_| spare > 0) {
+        *last &= 0xFF >> spare;
+    }
 }
 
 /// Hamming distance between two equal-length packed slices.
@@ -55,7 +66,24 @@ pub fn random<R: Rng + ?Sized>(rng: &mut R, nbits: usize) -> Vec<u8> {
 /// Panics if lengths differ.
 pub fn hamming(a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "buffers must have equal length");
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as u64).sum()
+    let ((a_words, a_tail), (b_words, b_tail)) = (words(a), words(b));
+    a_words.zip(b_words).map(|(x, y)| u64::from((x ^ y).count_ones())).sum::<u64>()
+        + a_tail.iter().zip(b_tail).map(|(x, y)| u64::from((x ^ y).count_ones())).sum::<u64>()
+}
+
+/// Number of set bits in a packed slice.
+pub fn count_ones(bytes: &[u8]) -> u64 {
+    let (words, tail) = words(bytes);
+    words.map(|w| u64::from(w.count_ones())).sum::<u64>()
+        + tail.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
+}
+
+/// Splits a slice into its whole 8-byte words and the byte tail, so bit
+/// counts cost one popcount per 64 bits instead of one per byte.
+fn words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, &[u8]) {
+    let chunks = bytes.chunks_exact(8);
+    let tail = chunks.remainder();
+    (chunks.map(|c| u64::from_ne_bytes(c.try_into().expect("8-byte chunk"))), tail)
 }
 
 #[cfg(test)]
@@ -84,6 +112,15 @@ mod tests {
             for i in nbits..b.len() * 8 {
                 assert!(!get_bit(&b, i), "tail bit {i} set for nbits={nbits}");
             }
+        }
+    }
+
+    #[test]
+    fn ones_masks_tail() {
+        for nbits in [0usize, 1, 7, 8, 9, 63, 64] {
+            let b = ones(nbits);
+            assert_eq!(b.len(), nbits.div_ceil(8));
+            assert_eq!(count_ones(&b), nbits as u64, "nbits={nbits}");
         }
     }
 

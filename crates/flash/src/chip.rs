@@ -10,12 +10,14 @@
 //! [`ReadFidelity::BlockAggregate`] fast-forwards per-block closed-form
 //! state between interesting events at O(1) per read, with no payloads.
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::aggregate_block::AggregateState;
 use crate::analytic::AnalyticModel;
-use crate::analytic_block::AnalyticBlock;
+use crate::analytic_block::{AnalyticBlock, ByteSink, CountSink, ReadScratch, ReadSink};
 use crate::bits;
 use crate::block::{Block, BlockStatus};
 use crate::error::FlashError;
@@ -35,6 +37,25 @@ pub struct ReadOutcome {
     pub stats: BitErrorStats,
     /// Bitlines that failed to conduct because an unread cell exceeded the
     /// pass-through voltage (the paper's "number of 0's", §3 Step 2).
+    pub blocked_bitlines: u64,
+}
+
+impl ReadOutcome {
+    /// The read's counts without its bytes.
+    pub fn counts(&self) -> ReadCounts {
+        ReadCounts { stats: self.stats, blocked_bitlines: self.blocked_bitlines }
+    }
+}
+
+/// What a controller learns from a read without looking at the bytes: the
+/// on-die ECC's error count and the blocked-bitline count. The retry
+/// ladder, the margin probes and Vpass Tuning's zero counting consume only
+/// this ([`Chip::read_page_counts`], [`Chip::read_retry_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadCounts {
+    /// Raw bit errors against the programmed data.
+    pub stats: BitErrorStats,
+    /// Bitlines that failed to conduct (see [`ReadOutcome::blocked_bitlines`]).
     pub blocked_bitlines: u64,
 }
 
@@ -107,8 +128,9 @@ impl VthHistogram {
 enum Storage {
     /// Per-cell Monte-Carlo state.
     Exact(Vec<Block>),
-    /// Closed-form model plus lightweight per-block counters and payloads.
-    Analytic { model: AnalyticModel, blocks: Vec<AnalyticBlock> },
+    /// Closed-form model plus lightweight per-block counters and payloads
+    /// (and the read sampler's scratch, shared by all blocks).
+    Analytic { model: AnalyticModel, blocks: Vec<AnalyticBlock>, scratch: ReadScratch },
     /// Closed-form model plus struct-of-arrays per-block aggregate state
     /// (no payloads; reads fast-forward between interesting events).
     Aggregate { model: AnalyticModel, state: AggregateState },
@@ -179,6 +201,7 @@ impl Chip {
                         )
                     })
                     .collect(),
+                scratch: ReadScratch::new(geometry.bitlines),
             },
             ReadFidelity::BlockAggregate => {
                 let model = AnalyticModel::from_chip(&params, geometry.wordlines_per_block);
@@ -342,7 +365,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         match &self.storage {
             Storage::Exact(blocks) => Ok(blocks[block as usize].status()),
-            Storage::Analytic { model, blocks } => Ok(blocks[block as usize].status(model)),
+            Storage::Analytic { model, blocks, .. } => Ok(blocks[block as usize].status(model)),
             Storage::Aggregate { state, .. } => Ok(state.status(block as usize)),
         }
     }
@@ -364,15 +387,11 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn erase_block(&mut self, block: u32) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        match &mut self.storage {
-            Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].erase(&params, &mut self.rng);
-            }
+        let Self { params, storage, rng, .. } = self;
+        match storage {
+            Storage::Exact(blocks) => blocks[block as usize].erase(params, rng),
             Storage::Analytic { blocks, .. } => blocks[block as usize].erase(),
-            Storage::Aggregate { model, state } => {
-                state.erase(&self.params, model, block as usize);
-            }
+            Storage::Aggregate { model, state } => state.erase(params, model, block as usize),
         }
         Ok(())
     }
@@ -385,14 +404,12 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn cycle_block(&mut self, block: u32, cycles: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        match &mut self.storage {
-            Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].pre_wear(&params, &mut self.rng, cycles);
-            }
+        let Self { params, storage, rng, .. } = self;
+        match storage {
+            Storage::Exact(blocks) => blocks[block as usize].pre_wear(params, rng, cycles),
             Storage::Analytic { blocks, .. } => blocks[block as usize].pre_wear(cycles),
             Storage::Aggregate { model, state } => {
-                state.pre_wear(&self.params, model, block as usize, cycles);
+                state.pre_wear(params, model, block as usize, cycles);
             }
         }
         Ok(())
@@ -406,14 +423,12 @@ impl Chip {
     pub fn program_page(&mut self, block: u32, page: u32, data: &[u8]) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_page(page)?;
-        match &mut self.storage {
-            Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].program_page(&params, &mut self.rng, page, data)
-            }
+        let Self { params, storage, rng, .. } = self;
+        match storage {
+            Storage::Exact(blocks) => blocks[block as usize].program_page(params, rng, page, data),
             Storage::Analytic { blocks, .. } => blocks[block as usize].program_page(page, data),
             Storage::Aggregate { model, state } => {
-                state.program_page(&self.params, model, block as usize, page, data)
+                state.program_page(params, model, block as usize, page, data)
             }
         }
     }
@@ -443,15 +458,37 @@ impl Chip {
     ///
     /// Fails if the address is out of range.
     pub fn read_page(&mut self, block: u32, page: u32) -> Result<ReadOutcome, FlashError> {
+        self.read_page_into::<ByteSink>(block, page)
+    }
+
+    /// [`Chip::read_page`] for callers that consume only the counts. Same
+    /// read — same disturb, same RNG draws, same counts — but a
+    /// page-analytic chip computes them from the sampled events alone,
+    /// without building, corrupting and re-comparing the page.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address is out of range.
+    // Inlined into the die's per-read pipeline so the tier dispatch costs the
+    // payload-free aggregate tier nothing over `read_page`.
+    #[inline]
+    pub fn read_page_counts(&mut self, block: u32, page: u32) -> Result<ReadCounts, FlashError> {
+        self.read_page_into::<CountSink>(block, page).map(|outcome| outcome.counts())
+    }
+
+    /// A default-reference read whose page-analytic events land in sink `S`
+    /// (the other tiers have one way to read).
+    fn read_page_into<S: ReadSink>(
+        &mut self,
+        block: u32,
+        page: u32,
+    ) -> Result<ReadOutcome, FlashError> {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, read_margin, .. } = self;
         match storage {
-            Storage::Exact(blocks) => {
-                let params = params.clone();
-                blocks[block as usize].read_page(&params, page, 0.0, true)
-            }
-            Storage::Analytic { model, blocks } => {
-                blocks[block as usize].read_page(params, model, rng, page, true)
+            Storage::Exact(blocks) => blocks[block as usize].read_page(params, page, 0.0, true),
+            Storage::Analytic { model, blocks, scratch } => {
+                blocks[block as usize].read::<S>(params, model, rng, scratch, page, 0.0, true)
             }
             Storage::Aggregate { state, .. } => {
                 state.read_page(rng, *read_margin, block as usize, page, true)
@@ -479,8 +516,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         match &mut self.storage {
             Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].read_page_with_refs(&params, page, refs, true)
+                blocks[block as usize].read_page_with_refs(&self.params, page, refs, true)
             }
             Storage::Analytic { .. } | Storage::Aggregate { .. } => {
                 if *refs == self.params.refs {
@@ -511,21 +547,43 @@ impl Chip {
         page: u32,
         shift: f64,
     ) -> Result<RetryReadOutcome, FlashError> {
+        let outcome = self.read_retry_into::<ByteSink>(block, page, shift)?;
+        Ok(RetryReadOutcome { shift, outcome })
+    }
+
+    /// [`Chip::read_retry`] for callers that consume only the counts (see
+    /// [`Chip::read_page_counts`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address is out of range.
+    pub fn read_retry_counts(
+        &mut self,
+        block: u32,
+        page: u32,
+        shift: f64,
+    ) -> Result<ReadCounts, FlashError> {
+        self.read_retry_into::<CountSink>(block, page, shift).map(|outcome| outcome.counts())
+    }
+
+    /// A shifted-reference read whose page-analytic events land in sink `S`.
+    fn read_retry_into<S: ReadSink>(
+        &mut self,
+        block: u32,
+        page: u32,
+        shift: f64,
+    ) -> Result<ReadOutcome, FlashError> {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, .. } = self;
-        let outcome = match storage {
-            Storage::Exact(blocks) => {
-                let params = params.clone();
-                blocks[block as usize].read_page(&params, page, shift, true)?
-            }
-            Storage::Analytic { model, blocks } => {
-                blocks[block as usize].read_page_shifted(params, model, rng, page, shift, true)?
+        match storage {
+            Storage::Exact(blocks) => blocks[block as usize].read_page(params, page, shift, true),
+            Storage::Analytic { model, blocks, scratch } => {
+                blocks[block as usize].read::<S>(params, model, rng, scratch, page, shift, true)
             }
             Storage::Aggregate { model, state } => {
-                state.read_page_shifted(params, model, rng, block as usize, page, shift, true)?
+                state.read_page_shifted(params, model, rng, block as usize, page, shift, true)
             }
-        };
-        Ok(RetryReadOutcome { shift, outcome })
+        }
     }
 
     /// Applies the disturb effect of `n` reads spread over a block in one
@@ -537,10 +595,7 @@ impl Chip {
     pub fn apply_read_disturbs(&mut self, block: u32, n: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].apply_read_disturbs(&params, n);
-            }
+            Storage::Exact(blocks) => blocks[block as usize].apply_read_disturbs(&self.params, n),
             Storage::Analytic { blocks, .. } => blocks[block as usize].apply_read_disturbs(n),
             Storage::Aggregate { state, .. } => state.apply_read_disturbs(block as usize, n),
         }
@@ -559,8 +614,7 @@ impl Chip {
         self.geometry.check_wordline(wordline)?;
         match &mut self.storage {
             Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].hammer_wordline(&params, wordline, n);
+                blocks[block as usize].hammer_wordline(&self.params, wordline, n);
             }
             Storage::Analytic { blocks, .. } => {
                 blocks[block as usize].hammer_wordline(&self.params, wordline, n);
@@ -589,7 +643,7 @@ impl Chip {
             Storage::Exact(blocks) => {
                 Ok(blocks[block as usize].rber_oracle_wordline(&self.params, wordline))
             }
-            Storage::Analytic { model, blocks } => {
+            Storage::Analytic { model, blocks, .. } => {
                 Ok(blocks[block as usize].rber_wordline_oracle(&self.params, model, wordline))
             }
             Storage::Aggregate { state, .. } => {
@@ -645,11 +699,8 @@ impl Chip {
     pub fn set_block_vpass(&mut self, block: u32, vpass: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].set_vpass(&params, vpass)
-            }
-            Storage::Analytic { model, blocks } => {
+            Storage::Exact(blocks) => blocks[block as usize].set_vpass(&self.params, vpass),
+            Storage::Analytic { model, blocks, .. } => {
                 blocks[block as usize].set_vpass(&self.params, model, vpass)
             }
             Storage::Aggregate { model, state } => {
@@ -683,7 +734,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         match &self.storage {
             Storage::Exact(blocks) => Ok(blocks[block as usize].rber_oracle(&self.params)),
-            Storage::Analytic { model, blocks } => {
+            Storage::Analytic { model, blocks, .. } => {
                 Ok(blocks[block as usize].rber_oracle(&self.params, model))
             }
             Storage::Aggregate { state, .. } => Ok(state.rber_oracle(block as usize)),
@@ -703,7 +754,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         match &self.storage {
             Storage::Exact(blocks) => Ok(blocks[block as usize].rber_oracle(&self.params).rate()),
-            Storage::Analytic { model, blocks } => {
+            Storage::Analytic { model, blocks, .. } => {
                 let (expected, bits) = blocks[block as usize].rber_expectation(&self.params, model);
                 Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
             }
@@ -764,8 +815,7 @@ impl Chip {
         self.geometry.check_wordline(wordline)?;
         match &mut self.storage {
             Storage::Exact(blocks) => {
-                let params = self.params.clone();
-                blocks[block as usize].measure_wordline_vth(&params, wordline, step, disturb)
+                blocks[block as usize].measure_wordline_vth(&self.params, wordline, step, disturb)
             }
             _ => Err(FlashError::FidelityUnsupported { op: "per-cell Vth measurement" }),
         }
@@ -793,6 +843,17 @@ impl Chip {
     ///
     /// Fails if the address is out of range or the page is unprogrammed.
     pub fn intended_page_bits(&self, block: u32, page: u32) -> Result<Vec<u8>, FlashError> {
+        self.page_payload(block, page).map(Cow::into_owned)
+    }
+
+    /// [`Chip::intended_page_bits`] without the copy where the tier stores
+    /// payloads: a page-analytic chip lends its stored page, a cell-exact
+    /// chip assembles the bits from its cells' intended states.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address is out of range or the page is unprogrammed.
+    pub fn page_payload(&self, block: u32, page: u32) -> Result<Cow<'_, [u8]>, FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_page(page)?;
         match &self.storage {
@@ -814,9 +875,11 @@ impl Chip {
                     };
                     bits::set_bit(&mut data, bl as usize, bit);
                 }
-                Ok(data)
+                Ok(Cow::Owned(data))
             }
-            Storage::Analytic { blocks, .. } => blocks[block as usize].intended_page_bits(page),
+            Storage::Analytic { blocks, .. } => {
+                blocks[block as usize].intended_page_bits(page).map(Cow::Borrowed)
+            }
             Storage::Aggregate { .. } => {
                 Err(FlashError::FidelityUnsupported { op: "page payload retrieval" })
             }

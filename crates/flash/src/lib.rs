@@ -80,7 +80,7 @@ mod block;
 pub use analytic::{gaussian_tail_floor, AnalyticModel, AnalyticParams, RberBreakdown};
 pub use block::{Block, BlockStatus};
 pub use cell_array::CellArray;
-pub use chip::{Chip, ReadOutcome, RetryReadOutcome, VthHistogram};
+pub use chip::{Chip, ReadCounts, ReadOutcome, RetryReadOutcome, VthHistogram};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;
 pub use geometry::{CellAddr, Geometry, PageAddr, PageKind, WordlineAddr};

@@ -113,6 +113,23 @@ proptest! {
         prop_assert_eq!(bits::hamming(&a, &b), bits::hamming(&b, &a));
         prop_assert!(bits::hamming(&a, &c) <= bits::hamming(&a, &b) + bits::hamming(&b, &c));
     }
+
+    /// The word-wise `hamming` / `count_ones` equal the byte-wise reference
+    /// at every length, including empty buffers and non-multiple-of-8 tails.
+    #[test]
+    fn wordwise_bit_counts_match_the_bytewise_reference(
+        len in 0usize..601,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let b: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let reference: u64 = a.iter().zip(&b).map(|(x, y)| u64::from((x ^ y).count_ones())).sum();
+        prop_assert_eq!(bits::hamming(&a, &b), reference);
+        let ones: u64 = a.iter().map(|x| u64::from(x.count_ones())).sum();
+        prop_assert_eq!(bits::count_ones(&a), ones);
+    }
 }
 
 proptest! {

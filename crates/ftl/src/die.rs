@@ -13,19 +13,33 @@
 //! Every host read runs
 //!
 //! ```text
-//! raw read ──► ECC decode ──► Clean / Corrected
-//!                   │ (errors > capability)
-//!                   ▼
-//!            RecoveryLadder: retry-sweep ──► disturb-reread ──► …
-//!                   │ success                      │ exhausted
-//!                   ▼                              ▼
-//!            Recovered{steps}                Uncorrectable
+//! raw read ──► ECC decode ──► Clean / Corrected ──────────┐
+//! (counts)          │ (errors > capability)               │
+//!                   ▼                                     ▼
+//!            RecoveryLadder: retry-sweep ──► …      DecodedRead: the
+//!            (count-only re-reads)                  stored page, borrowed
+//!                   │ success        │ exhausted         ▲
+//!                   ▼                ▼                   │
+//!            Recovered{steps} ───────│───────────────────┘
+//!                              Uncorrectable
 //! ```
 //!
-//! and returns its [`ReadResolution`] in [`HostRead`]; an exhausted ladder
-//! surfaces as [`FtlError::Uncorrectable`] (the paper's data-loss event).
-//! Ladder re-reads and policy probe reads are counted in [`SsdStats`] so
-//! the engine can charge them to its discrete-event clock.
+//! and hands the consumer a [`DecodedRead`] ([`Die::read_with`]), which
+//! [`Die::read`] copies into a [`HostRead`] with its [`ReadResolution`]; an
+//! exhausted ladder surfaces as [`FtlError::Uncorrectable`] (the paper's
+//! data-loss event). Ladder re-reads and policy probe reads are counted in
+//! [`SsdStats`] so the engine can charge them to its discrete-event clock.
+//!
+//! The pipeline decides on error counts, as a real controller's does, so
+//! the raw read and the ladder's re-reads are count-only
+//! ([`Chip::read_page_counts`]): on the page-analytic tier no page is
+//! copied, corrupted or compared, and the decoded payload is the chip's
+//! stored page, lent. Sensed bytes are materialized only for who looks at
+//! them: a policy that [observes requests](ControllerPolicy::observes_requests)
+//! gets the raw [`rd_flash::ReadOutcome`], and relocation keeps the raw
+//! page it must copy when the ladder cannot save it.
+
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +51,7 @@ use crate::config::SsdConfig;
 use crate::error::FtlError;
 use crate::mapping::{PageMap, Ppa};
 use crate::policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, DAY_NS};
-use crate::recovery::{ReadResolution, RecoveryLadder};
+use crate::recovery::{ReadResolution, RecoveryLadder, RecoveryStepReport};
 use crate::stats::SsdStats;
 
 /// Result of a host read.
@@ -54,6 +68,44 @@ pub struct HostRead {
     pub ppa: Ppa,
     /// How the controller pipeline resolved the read.
     pub resolution: ReadResolution,
+}
+
+/// A decoded host read as the pipeline produced it, borrowed from the die:
+/// what [`Die::read_with`] hands its consumer before anything is copied.
+#[derive(Debug, Clone, Copy)]
+pub struct DecodedRead<'a> {
+    /// The decoded page: the chip's stored payload, not a copy (empty on
+    /// the payload-free aggregate tier).
+    pub data: &'a [u8],
+    /// See [`HostRead::corrected_errors`].
+    pub corrected_errors: u64,
+    /// See [`HostRead::blocked_bitlines`].
+    pub blocked_bitlines: u64,
+    /// Physical location served.
+    pub ppa: Ppa,
+    /// Ladder steps engaged, in escalation order; empty unless the initial
+    /// read failed to decode.
+    pub steps: &'a [RecoveryStepReport],
+}
+
+impl DecodedRead<'_> {
+    /// The owned copy [`Die::read`] returns.
+    // Inlined so `Die::read` builds the `HostRead` in place (an aggregate-tier
+    // read is ~12 ns; an out-of-line copy of the struct shows).
+    #[inline]
+    pub fn to_host_read(&self) -> HostRead {
+        HostRead {
+            data: self.data.to_vec(),
+            corrected_errors: self.corrected_errors,
+            blocked_bitlines: self.blocked_bitlines,
+            ppa: self.ppa,
+            resolution: match (self.steps, self.corrected_errors) {
+                ([], 0) => ReadResolution::Clean,
+                ([], errors) => ReadResolution::Corrected { errors },
+                (steps, _) => ReadResolution::Recovered { steps: steps.to_vec() },
+            },
+        }
+    }
 }
 
 /// Why a relocation write happened (statistics bucket).
@@ -336,10 +388,22 @@ impl<P: ControllerPolicy> Die<P> {
         self.run_policy_hook(|policy, ctx| policy.on_program(ctx, ppa.block))
     }
 
+    /// Reads a logical page through the controller pipeline — see
+    /// [`Die::read_with`] — and returns an owned copy of the result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Die::read_with`].
+    pub fn read(&mut self, lpa: u64) -> Result<HostRead, FtlError> {
+        self.read_with(lpa, |read| read.to_host_read())
+    }
+
     /// Reads a logical page through the controller pipeline: ECC decode,
     /// then — on uncorrectable pages — escalation through the recovery
-    /// ladder (read-retry, disturb-aware re-read). Fires the policy's
-    /// [`ControllerPolicy::on_read`] hook.
+    /// ladder (read-retry, disturb-aware re-read). `consume` sees the
+    /// decoded read in place, before the policy's
+    /// [`ControllerPolicy::on_read`] hook fires (whose actions may move the
+    /// page); a consumer that only folds or counts costs no copy.
     ///
     /// # Errors
     ///
@@ -347,53 +411,62 @@ impl<P: ControllerPolicy> Die<P> {
     /// * [`FtlError::Uncorrectable`] if the raw errors exceed the ECC
     ///   capability *and* every recovery-ladder rung fails (counted as a
     ///   data-loss event, the paper's end-of-life criterion).
-    pub fn read(&mut self, lpa: u64) -> Result<HostRead, FtlError> {
+    pub fn read_with<R>(
+        &mut self,
+        lpa: u64,
+        consume: impl FnOnce(DecodedRead<'_>) -> R,
+    ) -> Result<R, FtlError> {
         self.check_lpa(lpa)?;
         let ppa = self.map.lookup(lpa).ok_or(FtlError::NotWritten { lpa })?;
-        let outcome = self.chip.read_page(ppa.block, ppa.page)?;
+        // Only a request-observing policy looks at the sensed bytes.
+        let observed = if self.policy.observes_requests() {
+            Some(self.chip.read_page(ppa.block, ppa.page)?)
+        } else {
+            None
+        };
+        let raw = match &observed {
+            Some(outcome) => outcome.counts(),
+            None => self.chip.read_page_counts(ppa.block, ppa.page)?,
+        };
         self.stats.host_reads += 1;
         let capability = self.ecc.capability();
-        let (resolution, corrected_errors) = match self.ecc.decode(outcome.stats.errors) {
-            PageDecode::Clean => (ReadResolution::Clean, 0),
+        let mut steps: &[RecoveryStepReport] = &[];
+        let corrected_errors = match self.ecc.decode(raw.stats.errors) {
+            PageDecode::Clean => 0,
             PageDecode::Corrected { errors } => {
                 self.stats.corrected_bits += errors;
-                (ReadResolution::Corrected { errors }, errors)
+                errors
             }
             PageDecode::Failed { errors } => {
                 let ladder =
                     self.ladder.recover(&mut self.chip, ppa.block, ppa.page, capability)?;
                 self.stats.recovery_steps += ladder.steps.len() as u64;
                 self.stats.recovery_reads += ladder.reads_spent;
-                match ladder.recovered_errors() {
-                    Some(recovered) => {
-                        self.stats.recovered_reads += 1;
-                        self.stats.corrected_bits += recovered;
-                        (ReadResolution::Recovered { steps: ladder.steps }, recovered)
-                    }
-                    None => (ReadResolution::Uncorrectable { errors }, 0),
-                }
+                let Some(recovered) = ladder.recovered_errors() else {
+                    // An exhausted ladder is the paper's data-loss event.
+                    self.stats.uncorrectable_reads += 1;
+                    return Err(FtlError::Uncorrectable { lpa, errors, capability });
+                };
+                self.stats.recovered_reads += 1;
+                self.stats.corrected_bits += recovered;
+                steps = ladder.steps;
+                recovered
             }
         };
-        // An exhausted ladder surfaces as the typed error (the paper's
-        // data-loss event); the resolution variant is what pipeline-level
-        // consumers and the ladder tests reason about.
-        if let ReadResolution::Uncorrectable { errors } = resolution {
-            self.stats.uncorrectable_reads += 1;
-            return Err(FtlError::Uncorrectable { lpa, errors, capability });
-        }
         // ECC corrected the read (directly or via a recovered re-read):
-        // return the original (intended) data.
-        let data = self.decoded_payload(ppa.block, ppa.page)?;
-        if self.policy.observes_requests() {
+        // the original (intended) data.
+        let data = decoded_payload(&self.chip, ppa.block, ppa.page)?;
+        let consumed = consume(DecodedRead {
+            data: &data,
+            corrected_errors,
+            blocked_bitlines: raw.blocked_bitlines,
+            ppa,
+            steps,
+        });
+        if let Some(outcome) = observed {
             self.run_policy_hook(|policy, ctx| policy.on_read(ctx, ppa.block, &outcome))?;
         }
-        Ok(HostRead {
-            data,
-            corrected_errors,
-            blocked_bitlines: outcome.blocked_bitlines,
-            ppa,
-            resolution,
-        })
+        Ok(consumed)
     }
 
     /// Advances simulated time, running daily maintenance (refresh scans and
@@ -482,17 +555,6 @@ impl<P: ControllerPolicy> Die<P> {
                 Ok(())
             }
         }
-    }
-
-    /// Payload returned for a read the ECC pipeline decoded. The aggregate
-    /// tier keeps error counts only (no page payloads), so decoded reads
-    /// hand back an empty buffer instead of querying the intended-bits
-    /// oracle it cannot serve.
-    fn decoded_payload(&self, block: u32, page: u32) -> Result<Vec<u8>, FtlError> {
-        if self.chip.fidelity() == ReadFidelity::BlockAggregate {
-            return Ok(Vec::new());
-        }
-        Ok(self.chip.intended_page_bits(block, page)?)
     }
 
     fn check_lpa(&self, lpa: u64) -> Result<(), FtlError> {
@@ -613,10 +675,12 @@ impl<P: ControllerPolicy> Die<P> {
         let victims = self.map.valid_pages(block);
         let capability = self.ecc.capability();
         for (page, lpa) in victims {
+            // Materialized: the raw page is what gets copied if the ladder
+            // cannot save it.
             let outcome = self.chip.read_page(block, page)?;
             let data = if outcome.stats.errors <= capability {
                 self.stats.corrected_bits += outcome.stats.errors;
-                self.decoded_payload(block, page)?
+                decoded_payload(&self.chip, block, page)?.into_owned()
             } else {
                 // Same escalation as the host read path: a page the ladder
                 // can recover must not be corrupted by its own relocation.
@@ -626,7 +690,7 @@ impl<P: ControllerPolicy> Die<P> {
                 match ladder.recovered_errors() {
                     Some(recovered) => {
                         self.stats.corrected_bits += recovered;
-                        self.decoded_payload(block, page)?
+                        decoded_payload(&self.chip, block, page)?.into_owned()
                     }
                     None => {
                         self.stats.data_loss_relocations += 1;
@@ -642,6 +706,17 @@ impl<P: ControllerPolicy> Die<P> {
         self.free.push(block);
         Ok(())
     }
+}
+
+/// Payload of a read the ECC pipeline decoded: the chip's stored page. The
+/// aggregate tier keeps error counts only (no page payloads), so decoded
+/// reads hand back an empty buffer instead of querying the intended-bits
+/// oracle it cannot serve.
+fn decoded_payload(chip: &Chip, block: u32, page: u32) -> Result<Cow<'_, [u8]>, FtlError> {
+    if chip.fidelity() == ReadFidelity::BlockAggregate {
+        return Ok(Cow::Borrowed(&[]));
+    }
+    Ok(chip.page_payload(block, page)?)
 }
 
 #[cfg(test)]

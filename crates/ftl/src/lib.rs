@@ -50,7 +50,7 @@ pub mod ssd;
 pub mod stats;
 
 pub use config::SsdConfig;
-pub use die::{Die, HostRead};
+pub use die::{DecodedRead, Die, HostRead};
 // Re-export: the fidelity knob threads ChipParams → SsdConfig → Die →
 // EngineConfig, and rd-engine reaches it through this crate.
 pub use error::FtlError;

@@ -82,8 +82,9 @@ pub trait ControllerPolicy {
     /// Whether this policy observes per-request events
     /// ([`ControllerPolicy::on_read`] / [`ControllerPolicy::on_program`]).
     /// Tick-only policies return `false` so the controller can skip
-    /// per-request context construction on the hot path; the tick hook
-    /// always fires regardless.
+    /// per-request context construction on the hot path — and serve host
+    /// reads count-only, without materializing the [`ReadOutcome::data`]
+    /// only `on_read` would look at; the tick hook always fires regardless.
     fn observes_requests(&self) -> bool {
         true
     }

@@ -18,7 +18,10 @@
 //!
 //! Every retry read costs real flash work: the steps report the reads they
 //! spent, the controller folds them into [`crate::SsdStats`], and the
-//! engine charges tR per retry read on its discrete-event clock.
+//! engine charges tR per retry read on its discrete-event clock. A rung
+//! decides on error counts alone — what a real decoder reports — so the
+//! built-in rungs issue count-only reads ([`Chip::read_retry_counts`]) and
+//! never look at page bytes.
 
 use rd_flash::{Chip, FlashError};
 
@@ -142,10 +145,10 @@ impl RecoveryStep for RetrySweep {
     ) -> Result<StepAttempt, FlashError> {
         let mut reads_spent = 0;
         for &shift in &self.shifts {
-            let retry = chip.read_retry(block, page, shift)?;
+            let errors = chip.read_retry_counts(block, page, shift)?.stats.errors;
             reads_spent += 1;
-            if retry.outcome.stats.errors <= capability {
-                return Ok(StepAttempt { reads_spent, errors: Some(retry.outcome.stats.errors) });
+            if errors <= capability {
+                return Ok(StepAttempt { reads_spent, errors: Some(errors) });
             }
         }
         Ok(StepAttempt { reads_spent, errors: None })
@@ -189,33 +192,34 @@ impl RecoveryStep for DisturbReRead {
         let mut reads_spent = 0;
         for &raise in &self.va_raises {
             let refs = defaults.with_lowest_raised(raise);
-            let outcome = match chip.read_page_with_refs(block, page, &refs) {
-                Ok(outcome) => outcome,
+            let errors = match chip.read_page_with_refs(block, page, &refs) {
+                Ok(outcome) => outcome.stats.errors,
                 Err(FlashError::FidelityUnsupported { .. }) => {
-                    chip.read_retry(block, page, raise)?.outcome
+                    chip.read_retry_counts(block, page, raise)?.stats.errors
                 }
                 Err(e) => return Err(e),
             };
             reads_spent += 1;
-            if outcome.stats.errors <= capability {
-                return Ok(StepAttempt { reads_spent, errors: Some(outcome.stats.errors) });
+            if errors <= capability {
+                return Ok(StepAttempt { reads_spent, errors: Some(errors) });
             }
         }
         Ok(StepAttempt { reads_spent, errors: None })
     }
 }
 
-/// Outcome of a full ladder escalation on one failing page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LadderOutcome {
+/// Outcome of a full ladder escalation on one failing page, borrowed from
+/// the ladder (which reuses the report buffer across escalations).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LadderOutcome<'a> {
     /// Per-step reports, in escalation order (every step engaged, up to
     /// and including the one that succeeded).
-    pub steps: Vec<RecoveryStepReport>,
+    pub steps: &'a [RecoveryStepReport],
     /// Total flash reads spent across all steps.
     pub reads_spent: u64,
 }
 
-impl LadderOutcome {
+impl LadderOutcome<'_> {
     /// Raw errors of the decodable read the ladder found, or `None` if
     /// every step failed.
     pub fn recovered_errors(&self) -> Option<u64> {
@@ -228,12 +232,14 @@ impl LadderOutcome {
 #[derive(Debug)]
 pub struct RecoveryLadder {
     steps: Vec<Box<dyn RecoveryStep>>,
+    /// Reports of the latest escalation.
+    reports: Vec<RecoveryStepReport>,
 }
 
 impl RecoveryLadder {
     /// Builds a ladder from explicit steps.
     pub fn new(steps: Vec<Box<dyn RecoveryStep>>) -> Self {
-        Self { steps }
+        Self { steps, reports: Vec::new() }
     }
 
     /// The default ladder: [`RetrySweep`] then [`DisturbReRead`].
@@ -281,14 +287,14 @@ impl RecoveryLadder {
         block: u32,
         page: u32,
         capability: u64,
-    ) -> Result<LadderOutcome, FlashError> {
-        let mut steps = Vec::new();
+    ) -> Result<LadderOutcome<'_>, FlashError> {
+        self.reports.clear();
         let mut reads_spent = 0;
         for step in &mut self.steps {
             let attempt = step.attempt(chip, block, page, capability)?;
             reads_spent += attempt.reads_spent;
             let done = attempt.errors.is_some();
-            steps.push(RecoveryStepReport {
+            self.reports.push(RecoveryStepReport {
                 step: step.name(),
                 reads_spent: attempt.reads_spent,
                 errors: attempt.errors,
@@ -297,7 +303,7 @@ impl RecoveryLadder {
                 break;
             }
         }
-        Ok(LadderOutcome { steps, reads_spent })
+        Ok(LadderOutcome { steps: &self.reports, reads_spent })
     }
 }
 

@@ -179,3 +179,104 @@ fn recovery_path_is_bit_identical_across_thread_counts_on_both_tiers() {
         assert_eq!(one, four, "{fidelity}: recovery path diverged across thread counts");
     }
 }
+
+/// The reliability counters the read pipeline produces, in one comparable
+/// row: `(digest, recovered, uncorrectable, recovery_reads, recovery_steps,
+/// policy_probe_reads, corrected_bits)`.
+type PipelineRow = (u64, u64, u64, u64, u64, u64, u64);
+
+fn pipeline_row(stats: &EngineStats) -> PipelineRow {
+    (
+        stats.data_digest,
+        stats.recovered_reads,
+        stats.uncorrectable_reads,
+        stats.recovery_reads,
+        stats.recovery_steps,
+        stats.totals().policy_probe_reads,
+        stats.corrected_bits,
+    )
+}
+
+/// A small worn, aged, pre-disturbed 2×2 PageAnalytic array (the
+/// `hammer-recovery` benchmark shape in miniature) serving a read-mostly
+/// trace with daily maintenance in between, under `policy`.
+fn hammered_analytic_replay<P>(policy: P, threads: usize) -> EngineStats
+where
+    P: ControllerPolicy + Clone + Send + 'static,
+{
+    let die = SsdConfig {
+        geometry: Geometry {
+            blocks: 16,
+            wordlines_per_block: 16,
+            bitlines: 2048,
+            bits_per_cell: 2,
+        },
+        ecc_capability_rber: 1.0e-3,
+        ..staged_config(ReadFidelity::PageAnalytic)
+    };
+    let config = EngineConfig {
+        topology: Topology { channels: 2, dies_per_channel: 2 },
+        die,
+        timing: Timing::default(),
+        queue_depth: 8,
+        capture_read_data: false,
+        die_index_offset: 0,
+    };
+    let mut engine = Engine::with_policy(config, policy).unwrap();
+    for d in 0..4 {
+        let die = engine.die_mut(d);
+        die.set_recovery_ladder(full_recovery_ladder());
+        for b in 0..16 {
+            die.chip_mut().cycle_block(b, 8_000).unwrap();
+        }
+    }
+    for lpa in 0..engine.logical_pages() {
+        engine.submit_write(lpa);
+    }
+    engine.run(threads);
+    engine.drain_completions();
+    engine.advance_time(5.0).unwrap();
+    for d in 0..4 {
+        let die = engine.die_mut(d);
+        for b in die.valid_blocks() {
+            die.chip_mut().apply_read_disturbs(b, 300_000).unwrap();
+        }
+    }
+    let ops = WorkloadProfile::by_name("umass-web")
+        .unwrap()
+        .generator(2015, 32)
+        .take(12_000)
+        .collect::<Vec<_>>();
+    for day in ops.chunks(4_000) {
+        engine.replay_stats_only(day.iter().copied(), threads);
+        engine.advance_time(1.0).unwrap();
+    }
+    engine.stats()
+}
+
+/// Values recorded at commit 9f68a0e, before the count-first read path:
+/// every read of this run then materialized, corrupted and re-compared a
+/// full page. The count-only reads (ladder rungs, tuner probes, host reads
+/// under a tick-only policy) must land on the same digest and counters.
+#[test]
+fn count_first_pipeline_matches_the_materializing_parent_under_vpass_tuning() {
+    const PARENT: PipelineRow = (9709479594948248871, 2295, 328, 9279, 5171, 3515, 14980);
+    for threads in [1, 2] {
+        let stats = hammered_analytic_replay(VpassTuningPolicy::default(), threads);
+        assert_eq!(pipeline_row(&stats), PARENT, "{threads} thread(s)");
+        assert!(stats.recovered_reads > 0 && stats.uncorrectable_reads > 0);
+        assert!(stats.totals().policy_probe_reads > 0);
+    }
+}
+
+/// `ReadReclaim` observes every request, so `Die::read` keeps handing it a
+/// materialized `ReadOutcome`; that branch must stay on the parent's
+/// digest and counters too (values recorded at commit 9f68a0e).
+#[test]
+fn request_observing_policy_keeps_the_materializing_read_branch() {
+    const PARENT: PipelineRow = (8218770412743587499, 776, 7, 5301, 3146, 0, 14481);
+    let stats = hammered_analytic_replay(ReadReclaim { read_threshold: 2_000 }, 2);
+    assert_eq!(pipeline_row(&stats), PARENT);
+    assert!(stats.totals().reclaims > 0, "the reclaim policy never fired");
+    assert!(stats.recovery_reads > 0, "the ladder never engaged");
+}
