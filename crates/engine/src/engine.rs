@@ -4,14 +4,15 @@
 //!
 //! # Execution model
 //!
-//! A call to [`Engine::run`] processes everything in the submission queue as
-//! one batch, in two deterministic phases:
+//! [`Engine::submit`] stripes each request over the dies (page-level
+//! round-robin, as [`Topology::stripe`]) and appends it to its die's work
+//! list. A call to [`Engine::run`] processes everything submitted since the
+//! last launch as one batch, in two deterministic phases:
 //!
-//! 1. **Flash phase (parallel).** Requests are striped over dies
-//!    ([`Topology::stripe`]); each die executes its sub-sequence in arrival
-//!    order against its own [`Die`] (chip + FTL + mitigation policy). Dies
-//!    share no state, so worker threads never contend and the result is
-//!    bit-identical for any thread count.
+//! 1. **Flash phase (parallel).** Each die executes its work list in
+//!    arrival order against its own [`Die`] (chip + FTL + mitigation
+//!    policy). Dies share no state, so worker threads never contend and
+//!    the result is bit-identical for any thread count.
 //! 2. **Timing phase (serial).** A discrete-event pass assigns simulated
 //!    timestamps: per-die queue-depth pacing (a die admits at most
 //!    `queue_depth` outstanding requests), die busy intervals from the
@@ -19,9 +20,10 @@
 //!    reclaim relocations, erases), and per-channel transfer slots that
 //!    serialize dies sharing a bus.
 //!
-//! Completions land in the completion queue ordered by simulated completion
-//! time, and [`Engine::stats`] aggregates throughput, latency percentiles,
-//! and per-die reliability counters.
+//! Completions are posted ordered by simulated completion time, and
+//! [`Engine::stats`] aggregates throughput, latency percentiles, and
+//! per-die reliability counters. Trace replay ([`Engine::replay`]) is the
+//! same path: fold each op's lpa into the logical space, `submit`, run.
 //!
 //! # Pipelining
 //!
@@ -32,8 +34,11 @@
 //! timing phase on the caller's thread. While the coordinator runs the
 //! timing phase of batch N, the pool can already execute the flash phase
 //! of batch N+1 — dies share no timing state, so the interleaving is
-//! bit-identical to running the batches back to back.
+//! bit-identical to running the batches back to back. Requests submitted
+//! while a flash phase is in flight land on the work lists the launch left
+//! behind and form the next batch.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +48,7 @@ use rd_ftl::{ControllerPolicy, Die, FtlError, NoMitigation, ReadFidelity, SnapEr
 use rd_workloads::{OpKind, TraceOp};
 
 use crate::pool::{PoolHandle, WorkerPool};
-use crate::queue::{CompletionQueue, IoCompletion, IoRequest, ReqKind, SubmissionQueue};
+use crate::queue::{IoCompletion, ReqKind};
 use crate::stats::{fnv1a, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
 use crate::timing::Timing;
 use crate::topology::Topology;
@@ -117,17 +122,45 @@ impl EngineConfig {
         self.die.seed ^ global.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Validates the configuration.
+    /// Checks the configuration: topology, timing, per-die config and queue
+    /// depth. This is the gate for configurations that arrive from outside
+    /// the program (command-line flags, decoded checkpoints).
+    ///
+    /// # Errors
+    ///
+    /// Names the first impossible value.
+    pub fn check(&self) -> Result<(), String> {
+        self.topology.check()?;
+        self.timing.check()?;
+        // The per-die rows are the conditions `SsdConfig::validate` asserts.
+        // `Die::with_policy` still asserts them, so one missed here panics
+        // at construction rather than building a broken die.
+        let die = &self.die;
+        for (ok, what) in [
+            (die.geometry.blocks >= 4, "need at least 4 blocks per die"),
+            ((0.01..0.9).contains(&die.overprovision), "overprovision must be in (0.01, 0.9)"),
+            (die.gc_free_threshold >= 1, "gc_free_threshold must be at least 1"),
+            (die.refresh_interval_days > 0.0, "refresh_interval_days must be positive"),
+            (die.page_capability() >= 1, "page ECC capability is zero"),
+            (die.logical_pages() > 0, "die exports no logical pages"),
+            (self.queue_depth >= 1, "queue depth must be at least 1"),
+        ] {
+            if !ok {
+                return Err(what.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// [`EngineConfig::check`] for configurations the program built itself.
     ///
     /// # Panics
     ///
-    /// Panics on an impossible topology, timing, per-die config, or a zero
-    /// queue depth.
+    /// Panics with the error `check` returns.
     pub fn validate(&self) {
-        self.topology.validate();
-        self.die.validate();
-        self.timing.validate();
-        assert!(self.queue_depth >= 1, "queue depth must be at least 1");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -179,8 +212,10 @@ struct ExecRich {
 }
 
 /// Flash-phase output of one die. `rich` is empty on stats-only batches
-/// and parallel to `timing` otherwise.
-#[derive(Debug)]
+/// and parallel to `timing` otherwise. A die with no work this batch gets
+/// the default with its digest carried forward — what [`execute_die`]
+/// returns on an empty work list, minus the clock reads.
+#[derive(Debug, Default)]
 struct DieExec {
     timing: Vec<ExecTiming>,
     rich: Vec<ExecRich>,
@@ -198,24 +233,6 @@ struct DieExec {
     /// Wall-clock nanoseconds spent executing this die's work list
     /// (measured inside the worker; summed into the flash stage counter).
     wall_ns: u64,
-}
-
-/// A [`DieExec`] for a die with no work this batch: the digest is carried
-/// forward unchanged and every tally is zero. Identical to what
-/// [`execute_die`] returns on an empty work list, minus the clock reads.
-fn empty_exec(start_digest: u64) -> DieExec {
-    DieExec {
-        timing: Vec::new(),
-        rich: Vec::new(),
-        digest: start_digest,
-        background_us: 0.0,
-        busy_us: 0.0,
-        reads: 0,
-        writes: 0,
-        reads_not_written: 0,
-        writes_failed: 0,
-        wall_ns: 0,
-    }
 }
 
 /// Result shipped back from a pool worker: the die (ownership returns to
@@ -342,20 +359,21 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// executing on the worker pool (ownership moves into the job and
     /// returns through `results`).
     dies: Vec<Option<Die<P>>>,
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
+    /// Reciprocal of the die count: `submit` stripes every request with it.
+    die_div: FastDiv,
+    /// Requests submitted and not yet launched (they sit in `work`).
+    pending: usize,
+    /// Posted completions, ordered by simulated completion time.
+    cq: VecDeque<IoCompletion>,
     next_id: u64,
-    /// Per-die work lists, reused across batches (arena: cleared, never
-    /// reallocated once the replay loop reaches steady state).
+    /// Per-die work lists `submit` appends to, reused across batches
+    /// (arena: cleared, never reallocated once the loop reaches steady
+    /// state).
     work: Vec<Vec<WorkItem>>,
     /// Second per-die arena set: while one batch's work lists are out on
     /// the pool, the next batch fills these (double buffering for
     /// pipelined batches; the buffers swap on every pooled dispatch).
     spare_work: Vec<Vec<WorkItem>>,
-    /// Reusable submission-drain buffer (service loops run a batch per
-    /// ring doorbell; draining into this keeps the hot path allocation-free
-    /// once it reaches steady state).
-    batch_scratch: Vec<IoRequest>,
     /// Externally attached pool slice (rd-serve shards share one pool).
     /// When set, every flash phase runs on it.
     pool: Option<PoolHandle>,
@@ -427,12 +445,12 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
         Ok(Self {
             config,
             dies,
-            sq: SubmissionQueue::new(),
-            cq: CompletionQueue::new(),
+            die_div: FastDiv::new(nd as u64),
+            pending: 0,
+            cq: VecDeque::new(),
             next_id: 0,
             work: vec![Vec::new(); nd],
             spare_work: vec![Vec::new(); nd],
-            batch_scratch: Vec::new(),
             pool: None,
             owned_pool: None,
             results: None,
@@ -502,11 +520,15 @@ impl<P: ControllerPolicy> Engine<P> {
         self.stage_ns
     }
 
-    /// Enqueues a request; returns its command id.
+    /// Stripes a request onto its die's work list (page-level round-robin,
+    /// as [`Topology::stripe`]); returns its command id. The request runs
+    /// with the next launched batch.
     pub fn submit(&mut self, kind: ReqKind, lpa: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.sq.push(IoRequest { id, kind, lpa });
+        let (die_lpa, die) = self.die_div.div_rem(lpa);
+        self.work[die as usize].push(WorkItem { id, kind, die_lpa });
+        self.pending += 1;
         id
     }
 
@@ -520,27 +542,25 @@ impl<P: ControllerPolicy> Engine<P> {
         self.submit(ReqKind::Write, lpa)
     }
 
-    /// Requests waiting in the submission queue.
+    /// Requests submitted and not yet launched.
     pub fn pending(&self) -> usize {
-        self.sq.len()
+        self.pending
     }
 
     /// Pops the oldest unconsumed completion.
     pub fn pop_completion(&mut self) -> Option<IoCompletion> {
-        self.cq.pop()
+        self.cq.pop_front()
     }
 
     /// Drains every unconsumed completion, oldest first.
     pub fn drain_completions(&mut self) -> Vec<IoCompletion> {
-        self.cq.drain()
+        self.cq.drain(..).collect()
     }
 
-    /// Drains every unconsumed completion into `out`, oldest first,
-    /// reusing the caller's buffer across batches (the steady-state drain
-    /// path for long-running front-ends; see
-    /// [`CompletionQueue::drain_into`](crate::queue::CompletionQueue::drain_into)).
+    /// Appends every unconsumed completion to `out`, oldest first: a
+    /// front-end that drains batch after batch reuses one buffer.
     pub fn drain_completions_into(&mut self, out: &mut Vec<IoCompletion>) {
-        self.cq.drain_into(out);
+        out.extend(self.cq.drain(..));
     }
 
     /// Advances every die's wall clock, running their daily maintenance
@@ -645,6 +665,22 @@ impl<P: ControllerPolicy> Engine<P> {
         w.put_f64(c.timing.xfer_us);
     }
 
+    /// Checkpoints sit between batches: nothing submitted, in flight,
+    /// joined, or unconsumed.
+    fn require_idle(&self, what: &str) -> Result<(), SnapError> {
+        if self.pending > 0 || !self.cq.is_empty() {
+            return Err(SnapError::Mismatch(format!(
+                "{what} requires every submitted request run and every completion drained"
+            )));
+        }
+        if self.flight.is_some() || self.joined.is_some() {
+            return Err(SnapError::Mismatch(format!(
+                "{what} requires no batch in flight (join_batch + finish_batch first)"
+            )));
+        }
+        Ok(())
+    }
+
     /// Serializes the engine's complete mutable state into a versioned,
     /// CRC-protected checkpoint: configuration fingerprint, discrete-event
     /// clock, cumulative accounting, and every die (chip + FTL + RNG
@@ -654,20 +690,11 @@ impl<P: ControllerPolicy> Engine<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError::Mismatch`] while requests are in flight: the
-    /// submission and completion queues must be drained first (a checkpoint
-    /// sits between batches, never inside one).
+    /// Returns [`SnapError::Mismatch`] while requests are in flight: every
+    /// submitted request must have run and every completion been consumed
+    /// (a checkpoint sits between batches, never inside one).
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
-        if !self.sq.is_empty() || !self.cq.is_empty() {
-            return Err(SnapError::Mismatch(
-                "snapshot requires drained submission/completion queues".into(),
-            ));
-        }
-        if self.flight.is_some() || self.joined.is_some() {
-            return Err(SnapError::Mismatch(
-                "snapshot requires no batch in flight (join_batch + finish_batch first)".into(),
-            ));
-        }
+        self.require_idle("snapshot")?;
         let mut w = Writer::new();
         w.section(SEC_CONFIG, |w| self.encode_config_fingerprint(w));
         w.section(SEC_CLOCK, |w| {
@@ -714,16 +741,7 @@ impl<P: ControllerPolicy> Engine<P> {
     ///   (different topology, seed, fidelity, geometry, or timing), or
     ///   requests were in flight here.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        if !self.sq.is_empty() || !self.cq.is_empty() {
-            return Err(SnapError::Mismatch(
-                "restore requires drained submission/completion queues".into(),
-            ));
-        }
-        if self.flight.is_some() || self.joined.is_some() {
-            return Err(SnapError::Mismatch(
-                "restore requires no batch in flight (join_batch + finish_batch first)".into(),
-            ));
-        }
+        self.require_idle("restore")?;
         let payload = wire::open(bytes, ENGINE_SNAP_MAGIC, wire::SNAP_VERSION)?;
         let mut r = Reader::new(payload);
 
@@ -793,28 +811,23 @@ impl<P: ControllerPolicy> Engine<P> {
 }
 
 impl<P: ControllerPolicy + Send + 'static> Engine<P> {
-    /// Processes the entire submission queue as one batch: flash phase
+    /// Processes every pending request as one batch: flash phase
     /// (parallel over dies, `threads` workers; 0 = one per available core)
     /// then timing phase. Returns the number of requests completed; the
-    /// completions are in the completion queue, ordered by simulated
-    /// completion time. Results are bit-identical for any thread count.
+    /// completions are posted ordered by simulated completion time. Results
+    /// are bit-identical for any thread count.
     ///
     /// Equivalent to [`Engine::begin_batch`] + [`Engine::join_batch`] +
     /// [`Engine::finish_batch`] with no overlap.
     pub fn run(&mut self, threads: usize) -> usize {
-        if self.begin_batch(threads) == 0 {
-            return 0;
-        }
-        self.join_batch();
-        self.finish_batch()
+        self.run_batch(threads, true)
     }
 
-    /// Drains the submission queue into per-die work lists and launches
-    /// the flash phase — on the attached [`PoolHandle`] if one is set
-    /// (then `threads` is ignored), on a lazily built engine-owned pool
-    /// for `threads > 1`, or inline on the calling thread for a single
-    /// worker. Returns the batch size; an empty submission queue returns 0
-    /// and launches nothing.
+    /// Launches the flash phase of every pending request — on the attached
+    /// [`PoolHandle`] if one is set (then `threads` is ignored), on a
+    /// lazily built engine-owned pool for `threads > 1`, or inline on the
+    /// calling thread for a single worker. Returns the batch size; with
+    /// nothing pending it returns 0 and launches nothing.
     ///
     /// While a pooled flash phase is in flight, the affected dies are
     /// owned by the pool: [`Engine::die`], [`Engine::stats`], snapshots,
@@ -825,74 +838,32 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     ///
     /// Panics if a flash phase is already in flight.
     pub fn begin_batch(&mut self, threads: usize) -> usize {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        self.sq.drain_into(&mut batch);
-        if batch.is_empty() {
-            self.batch_scratch = batch;
+        self.launch(threads, true)
+    }
+
+    /// One batch start to finish; `emit` selects completion records.
+    fn run_batch(&mut self, threads: usize, emit: bool) -> usize {
+        if self.launch(threads, emit) == 0 {
             return 0;
         }
-        for w in &mut self.work {
-            w.clear();
-        }
-        for req in &batch {
-            let (die, die_lpa) = self.config.topology.stripe(req.lpa);
-            self.work[die as usize].push(WorkItem { id: req.id, kind: req.kind, die_lpa });
-        }
-        let n = batch.len();
-        self.batch_scratch = batch;
-        self.spawn_flash(threads, true);
-        n
-    }
-
-    /// Collects the in-flight flash phase launched by
-    /// [`Engine::begin_batch`]: blocks until every dispatched die returns,
-    /// folds digests and per-die counters, and parks the result for
-    /// [`Engine::finish_batch`]. After this the dies are accessible again
-    /// and the *next* batch may begin before the timing phase of this one
-    /// runs — that is the pipelining window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no flash phase is in flight, or if a joined batch is
-    /// already awaiting [`Engine::finish_batch`].
-    pub fn join_batch(&mut self) {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        let joined = self.join_flash();
-        self.joined = Some(joined);
-    }
-
-    /// Runs the serial timing phase of the batch parked by
-    /// [`Engine::join_batch`] and queues its completions. Returns the
-    /// number of requests completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no joined batch is pending.
-    pub fn finish_batch(&mut self) -> usize {
-        let joined = self.joined.take().expect("no joined batch; call join_batch() first");
-        self.timing_phase(joined)
-    }
-
-    /// Runs the per-die work lists already distributed into `self.work`
-    /// (the arena the replay entry points fill directly, skipping the
-    /// submission-queue pass).
-    fn run_prepared(&mut self, threads: usize, emit: bool) -> usize {
-        self.spawn_flash(threads, emit);
-        let joined = self.join_flash();
-        self.timing_phase(joined)
+        self.join_batch();
+        self.finish_batch()
     }
 
     /// Phase 1 launch: dispatches every non-empty per-die work list to the
-    /// selected executor. The attached pool (if any) always runs the phase
-    /// — even with one lane, so a pipelining front-end still overlaps it
-    /// with the coordinator's timing pass. Without an attached pool,
-    /// `threads <= 1` executes inline and `threads > 1` uses the lazily
-    /// built engine-owned pool. Die `d` maps to lane `d % workers` — a
-    /// pure function of die index and pool size, so execution partitioning
-    /// (and therefore every digest) is reproducible.
-    fn spawn_flash(&mut self, threads: usize, emit: bool) {
+    /// executor [`Engine::begin_batch`] describes. The attached pool runs
+    /// the phase even with one lane, so a pipelining front-end still
+    /// overlaps it with the coordinator's timing pass. Die `d` maps to lane
+    /// `d % workers` — a pure function of die index and pool size, so
+    /// execution partitioning (and therefore every digest) is reproducible.
+    /// Either executor leaves `work` empty and owned by the engine, so
+    /// `submit` can keep appending while the phase is in flight.
+    fn launch(&mut self, threads: usize, emit: bool) -> usize {
+        if self.pending == 0 {
+            return 0;
+        }
         assert!(self.flight.is_none(), "flash phase already in flight; call join_batch() first");
+        let batch = std::mem::take(&mut self.pending);
         let nd = self.dies.len();
         let handle = match &self.pool {
             Some(h) => Some(h.clone()),
@@ -924,19 +895,17 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                     d as u64,
                     nd as u64,
                 );
+                self.work[d].clear();
                 execs.push(Some(exec));
             }
             self.flight = Some(Flight { execs, outstanding: 0, emit });
-            return;
+            return batch;
         };
-        if self.results.is_none() {
-            self.results = Some(mpsc::channel());
-        }
-        let tx = self.results.as_ref().expect("created above").0.clone();
+        let tx = self.results.get_or_insert_with(mpsc::channel).0.clone();
         let mut outstanding = 0usize;
         for d in 0..nd {
             if self.work[d].is_empty() {
-                execs.push(Some(empty_exec(self.die_digest[d])));
+                execs.push(Some(DieExec { digest: self.die_digest[d], ..DieExec::default() }));
                 continue;
             }
             execs.push(None);
@@ -972,13 +941,24 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             outstanding += 1;
         }
         self.flight = Some(Flight { execs, outstanding, emit });
+        batch
     }
 
-    /// Phase 1 collection: receives every outstanding pool result, returns
-    /// dies and work arenas to their slots, and folds digests and
-    /// cumulative per-die counters in die order (fold order is independent
-    /// of completion order, so accounting is deterministic).
-    fn join_flash(&mut self) -> JoinedBatch {
+    /// Phase 1 collection: blocks until every die dispatched by
+    /// [`Engine::begin_batch`] returns, puts dies and work arenas back in
+    /// their slots, folds digests and cumulative per-die counters in die
+    /// order (fold order is independent of completion order, so accounting
+    /// is deterministic), and parks the result for
+    /// [`Engine::finish_batch`]. After this the dies are accessible again
+    /// and the *next* batch may begin before the timing phase of this one
+    /// runs — that is the pipelining window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no flash phase is in flight, or if a joined batch is
+    /// already awaiting [`Engine::finish_batch`].
+    pub fn join_batch(&mut self) {
+        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         let flight =
             self.flight.take().expect("no flash phase in flight; call begin_batch() first");
         let Flight { mut execs, outstanding, emit } = flight;
@@ -1007,13 +987,20 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             self.writes_failed += e.writes_failed;
             self.stage_ns.flash_ns += e.wall_ns;
         }
-        JoinedBatch { execs, emit }
+        self.joined = Some(JoinedBatch { execs, emit });
     }
 
-    /// Phase 2: serial discrete-event timing over a joined batch.
-    fn timing_phase(&mut self, joined: JoinedBatch) -> usize {
+    /// Phase 2: the serial discrete-event timing pass over the batch parked
+    /// by [`Engine::join_batch`]; posts its completions. Returns the number
+    /// of requests completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no joined batch is pending.
+    pub fn finish_batch(&mut self) -> usize {
+        let JoinedBatch { mut execs, emit } =
+            self.joined.take().expect("no joined batch; call join_batch() first");
         let started = Instant::now();
-        let JoinedBatch { mut execs, emit } = joined;
         let nd = self.dies.len();
 
         // Discrete-event timing. Repeatedly dispatch the request
@@ -1114,48 +1101,45 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         }
         completions
             .sort_unstable_by(|a, b| a.complete_us.total_cmp(&b.complete_us).then(a.id.cmp(&b.id)));
-        for c in completions {
-            self.cq.push(c);
-        }
+        self.cq.extend(completions);
         self.stage_ns.timing_ns += started.elapsed().as_nanos() as u64;
         total
     }
 
-    /// Replays a trace across the array: every op is striped to its die
-    /// (engine-level `lpa % logical_pages`) and the whole trace is processed
-    /// as one saturating batch. Returns the cumulative statistics.
+    /// Replays a trace across the array: every op's lpa is folded into the
+    /// logical space (`lpa % logical_pages`) and submitted, and the whole
+    /// trace — with anything already pending ahead of it — runs as one
+    /// saturating batch. Returns the cumulative statistics.
     pub fn replay<I: IntoIterator<Item = TraceOp>>(
         &mut self,
         ops: I,
         threads: usize,
     ) -> EngineStats {
-        self.prepare_replay(ops);
-        self.run_prepared(threads, true);
+        self.submit_trace(ops);
+        self.run_batch(threads, true);
         self.stats()
     }
 
-    /// Distributes pending submissions plus the trace straight into the
-    /// per-die work arena — one pass, no intermediate submission-queue
-    /// records. Order (and thus ids, digests, timing) is identical to
-    /// `submit`-then-`run`.
-    fn prepare_replay<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
-        let logical = self.logical_pages();
-        for w in &mut self.work {
-            w.clear();
-        }
-        let mut pending = std::mem::take(&mut self.batch_scratch);
-        pending.clear();
-        self.sq.drain_into(&mut pending);
-        for req in &pending {
-            let (die, die_lpa) = self.config.topology.stripe(req.lpa);
-            self.work[die as usize].push(WorkItem { id: req.id, kind: req.kind, die_lpa });
-        }
-        self.batch_scratch = pending;
-        // Reciprocal-multiply divisions: the trace loop folds every op's
-        // lpa into the logical space and stripes it across dies, and two
-        // hardware divides per op are measurable at billion-op scale.
-        let logical_div = FastDiv::new(logical);
-        let die_div = FastDiv::new(u64::from(self.config.topology.dies()));
+    /// [`Engine::replay`] without per-request completion records: identical
+    /// flash execution, timing, digest, and statistics, but nothing is
+    /// posted. This is the bulk-replay entry point — at billion-op trace
+    /// scale the [`IoCompletion`] build/sort/post cost dominates the
+    /// analytic tiers, and a stats-only replay skips it.
+    pub fn replay_stats_only<I: IntoIterator<Item = TraceOp>>(
+        &mut self,
+        ops: I,
+        threads: usize,
+    ) -> EngineStats {
+        self.submit_trace(ops);
+        self.run_batch(threads, false);
+        self.stats()
+    }
+
+    /// Submits a trace, each lpa folded into the logical space.
+    fn submit_trace<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
+        // Reciprocal multiply, as in `submit`: a hardware divide per op is
+        // measurable at billion-op scale.
+        let logical_div = FastDiv::new(self.logical_pages());
         let ops = ops.into_iter();
         // Striping spreads a trace near-uniformly; reserving the per-die
         // arenas up front keeps the first replay off the realloc path.
@@ -1168,27 +1152,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 OpKind::Read => ReqKind::Read,
                 OpKind::Write => ReqKind::Write,
             };
-            let (_, lpa) = logical_div.div_rem(op.lpa);
-            let id = self.next_id;
-            self.next_id += 1;
-            let (die_lpa, die) = die_div.div_rem(lpa);
-            self.work[die as usize].push(WorkItem { id, kind, die_lpa });
+            self.submit(kind, logical_div.div_rem(op.lpa).1);
         }
-    }
-
-    /// [`Engine::replay`] without per-request completion records: identical
-    /// flash execution, timing, digest, and statistics, but the completion
-    /// queue stays empty. This is the bulk-replay entry point — at
-    /// billion-op trace scale the [`IoCompletion`] build/sort/queue cost
-    /// dominates the analytic tiers, and a stats-only replay skips it.
-    pub fn replay_stats_only<I: IntoIterator<Item = TraceOp>>(
-        &mut self,
-        ops: I,
-        threads: usize,
-    ) -> EngineStats {
-        self.prepare_replay(ops);
-        self.run_prepared(threads, false);
-        self.stats()
     }
 }
 
@@ -1208,10 +1173,11 @@ fn resolve_threads(requested: usize, dies: usize) -> usize {
 /// for any 64-bit dividend, so a single conditional fix-up after the
 /// high-half multiply restores `(n / d, n % d)` exactly.
 ///
-/// The replay loop folds every op's lpa into the logical space and stripes
-/// it across dies through two of these; rd-serve's shard router uses a
-/// third. Public so those callers (and the property suite pitting it
-/// against `/`/`%` over the full divisor range) share one implementation.
+/// [`Engine::submit`] stripes every request through one, trace replay folds
+/// each lpa into the logical space through another, and rd-serve's shard
+/// router divides by the die and shard counts the same way. Public so those
+/// callers (and the property suite pitting it against `/`/`%` over the full
+/// divisor range) share one implementation.
 #[derive(Debug, Clone, Copy)]
 pub struct FastDiv {
     d: u64,
@@ -1372,6 +1338,7 @@ mod tests {
         for c in &completions {
             assert!(c.result.is_ok(), "request {} failed: {:?}", c.id, c.result);
             assert!(c.complete_us > c.submit_us);
+            assert_eq!(c.die, engine.config().topology.stripe(c.lpa).0, "submit mis-striped");
         }
         let stats = engine.stats();
         assert_eq!(stats.ops, 16);

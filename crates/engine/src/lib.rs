@@ -4,8 +4,9 @@
 //! read traffic; this crate provides the missing SSD-scale layer over the
 //! single-die substrate. It stripes a logical address space across
 //! `channels × dies_per_channel` flash dies (each a full [`rd_ftl::Die`]:
-//! chip + FTL + GC + refresh + mitigation policy), accepts batched requests
-//! through NVMe-style submission/completion queues, advances a
+//! chip + FTL + GC + refresh + mitigation policy): [`Engine::submit`] appends
+//! each request to its die's work list, a launched batch runs every list
+//! and posts completions in simulated-time order. The engine advances a
 //! discrete-event clock with per-command latencies ([`Timing`]: tR, tPROG,
 //! tBERS, channel transfer), and replays [`rd_workloads`] traces across dies
 //! in parallel with deterministic per-die seeding — the flash phase is
@@ -40,7 +41,7 @@ pub mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
 pub use pool::{PoolHandle, WorkerPool};
-pub use queue::{CompletionQueue, IoCompletion, IoRequest, ReqKind, SubmissionQueue};
+pub use queue::{IoCompletion, ReqKind};
 pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;
 // Re-export: the per-die read-path fidelity knob (see `rd_flash::fidelity`).

@@ -1,12 +1,11 @@
-//! NVMe-style submission and completion queues.
+//! The host-visible request and completion records.
 //!
-//! Hosts enqueue [`IoRequest`]s into the [`SubmissionQueue`]; the engine's
-//! scheduler drains them in arrival order, stripes them over dies, and posts
-//! an [`IoCompletion`] per request — carrying the simulated submit/start/
-//! complete timestamps from which latency percentiles are computed — into
-//! the [`CompletionQueue`].
-
-use std::collections::VecDeque;
+//! A host hands [`Engine::submit`](crate::Engine::submit) a [`ReqKind`] and
+//! an engine-level logical page; the engine stripes the request onto its
+//! die's work list and, once the batch has run, posts one [`IoCompletion`]
+//! — carrying the simulated submit/start/complete timestamps from which
+//! latency percentiles are computed — that the host pops or drains in
+//! simulated completion order.
 
 use rd_ftl::FtlError;
 
@@ -20,21 +19,10 @@ pub enum ReqKind {
     Write,
 }
 
-/// One host request against the engine's logical address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoRequest {
-    /// Command identifier, unique per engine, assigned at submission.
-    pub id: u64,
-    /// Request kind.
-    pub kind: ReqKind,
-    /// Engine-level logical page address (striped over dies).
-    pub lpa: u64,
-}
-
 /// Completion record of one request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoCompletion {
-    /// Command identifier from the matching [`IoRequest`].
+    /// Command identifier [`Engine::submit`](crate::Engine::submit) returned.
     pub id: u64,
     /// Request kind.
     pub kind: ReqKind,
@@ -65,132 +53,9 @@ impl IoCompletion {
     }
 }
 
-/// FIFO of requests awaiting dispatch.
-#[derive(Debug, Default)]
-pub struct SubmissionQueue {
-    entries: VecDeque<IoRequest>,
-}
-
-impl SubmissionQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, req: IoRequest) {
-        self.entries.push_back(req);
-    }
-
-    /// Removes and returns every queued request, oldest first.
-    pub fn drain(&mut self) -> Vec<IoRequest> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Appends every queued request to `out` (oldest first) and empties the
-    /// queue. Batch loops that drain on every iteration reuse one buffer
-    /// through this instead of allocating a fresh `Vec` per batch.
-    pub fn drain_into(&mut self, out: &mut Vec<IoRequest>) {
-        out.extend(self.entries.drain(..));
-    }
-
-    /// Queued requests.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// FIFO of posted completions, ordered by simulated completion time.
-#[derive(Debug, Default)]
-pub struct CompletionQueue {
-    entries: VecDeque<IoCompletion>,
-}
-
-impl CompletionQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Posts a completion.
-    pub fn push(&mut self, c: IoCompletion) {
-        self.entries.push_back(c);
-    }
-
-    /// Pops the oldest completion, if any.
-    pub fn pop(&mut self) -> Option<IoCompletion> {
-        self.entries.pop_front()
-    }
-
-    /// Removes and returns every posted completion, oldest first.
-    pub fn drain(&mut self) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Appends every posted completion to `out` (oldest first) and empties
-    /// the queue — the allocation-reuse variant of [`CompletionQueue::drain`]
-    /// for service loops that consume completions batch after batch.
-    pub fn drain_into(&mut self, out: &mut Vec<IoCompletion>) {
-        out.extend(self.entries.drain(..));
-    }
-
-    /// Posted completions not yet consumed.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queues_are_fifo() {
-        let mut sq = SubmissionQueue::new();
-        sq.push(IoRequest { id: 1, kind: ReqKind::Write, lpa: 0 });
-        sq.push(IoRequest { id: 2, kind: ReqKind::Read, lpa: 0 });
-        assert_eq!(sq.len(), 2);
-        let drained = sq.drain();
-        assert!(sq.is_empty());
-        assert_eq!(drained[0].id, 1);
-        assert_eq!(drained[1].id, 2);
-    }
-
-    #[test]
-    fn drain_into_reuses_buffer_and_appends() {
-        let mut sq = SubmissionQueue::new();
-        let mut buf = Vec::with_capacity(4);
-        sq.push(IoRequest { id: 1, kind: ReqKind::Write, lpa: 0 });
-        sq.drain_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        assert!(sq.is_empty());
-        let ptr = buf.as_ptr();
-        buf.clear();
-        sq.push(IoRequest { id: 2, kind: ReqKind::Read, lpa: 1 });
-        sq.push(IoRequest { id: 3, kind: ReqKind::Read, lpa: 2 });
-        sq.drain_into(&mut buf);
-        assert_eq!(buf.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(ptr, buf.as_ptr(), "small drains must reuse the buffer allocation");
-        // Appends after existing contents rather than clearing them.
-        sq.push(IoRequest { id: 4, kind: ReqKind::Read, lpa: 3 });
-        sq.drain_into(&mut buf);
-        assert_eq!(buf.last().unwrap().id, 4);
-        assert_eq!(buf.len(), 3);
-    }
 
     #[test]
     fn completion_latency() {
@@ -207,9 +72,5 @@ mod tests {
             data: None,
         };
         assert!((c.latency_us() - 105.0).abs() < 1e-12);
-        let mut cq = CompletionQueue::new();
-        cq.push(c);
-        assert_eq!(cq.pop().unwrap().id, 7);
-        assert!(cq.pop().is_none());
     }
 }

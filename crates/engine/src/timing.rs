@@ -90,19 +90,29 @@ impl Timing {
             + retry_reads as f64 * self.read_us
     }
 
-    /// Validates the constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any latency is non-positive or non-finite.
-    pub fn validate(&self) {
+    /// Rejects a non-positive or non-finite latency.
+    pub(crate) fn check(&self) -> Result<(), String> {
         for (name, v) in [
             ("read_us", self.read_us),
             ("program_us", self.program_us),
             ("erase_us", self.erase_us),
             ("xfer_us", self.xfer_us),
         ] {
-            assert!(v.is_finite() && v > 0.0, "timing {name} must be positive, got {v}");
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("timing {name} must be positive, got {v}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Validates the constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any latency is non-positive or non-finite.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }

@@ -18,7 +18,7 @@ pub struct Topology {
 
 impl Topology {
     /// A single-channel, single-die topology — the degenerate case that must
-    /// behave exactly like the single-chip [`rd_ftl::Ssd`].
+    /// behave exactly like one bare [`rd_ftl::Die`].
     pub fn single() -> Self {
         Self { channels: 1, dies_per_channel: 1 }
     }
@@ -41,14 +41,26 @@ impl Topology {
         ((lpa % n) as u32, lpa / n)
     }
 
+    /// Rejects a zero-channel or zero-die topology.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.channels < 1 {
+            return Err("need at least one channel".into());
+        }
+        if self.dies_per_channel < 1 {
+            return Err("need at least one die per channel".into());
+        }
+        Ok(())
+    }
+
     /// Validates the shape.
     ///
     /// # Panics
     ///
     /// Panics on a zero-channel or zero-die topology.
     pub fn validate(&self) {
-        assert!(self.channels >= 1, "need at least one channel");
-        assert!(self.dies_per_channel >= 1, "need at least one die per channel");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

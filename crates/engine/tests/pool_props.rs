@@ -4,9 +4,10 @@
 //! at every read-path fidelity tier. The flash phase assigns die `d` to
 //! lane `d % workers` with no work stealing and folds results in die
 //! order, and the timing phase is strictly serial, so nothing observable
-//! may depend on how many OS threads executed the flash work or on whether
+//! may depend on how many OS threads executed the flash work, on whether
 //! the next batch's flash phase overlapped the previous batch's timing
-//! phase.
+//! phase, or on whether the next batch was submitted while the previous
+//! flash phase was still in flight.
 
 use proptest::prelude::*;
 use rd_engine::{Engine, EngineConfig, EngineStats, ReadFidelity};
@@ -26,12 +27,23 @@ fn engine(seed: u64, tier: u8) -> Engine {
     Engine::new(config).expect("engine")
 }
 
-/// Replays `ops` trace operations in fixed-size batches and returns the
-/// final stats. `pipelined` drives the three-stage API with batch `N+1`'s
-/// flash phase submitted before batch `N`'s timing phase runs (the serve
-/// worker's overlap pattern); otherwise each batch is run to completion
-/// before the next is submitted.
-fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, pipelined: bool) -> EngineStats {
+/// How `run_batched` drives consecutive batches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    /// Each batch runs to completion before the next is submitted.
+    Sequential,
+    /// Batch `N+1` is submitted and launched after `join_batch(N)` and
+    /// before `finish_batch(N)` (the serve worker's overlap pattern).
+    Pipelined,
+    /// As `Pipelined`, but batch `N+1` is submitted between
+    /// `begin_batch(N)` and `join_batch(N)`: requests submitted while a
+    /// flash phase is in flight must form the next batch.
+    InFlight,
+}
+
+/// Replays `ops` trace operations in fixed-size batches, driven as `mode`
+/// says, and returns the final stats.
+fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, mode: Mode) -> EngineStats {
     let mut engine = engine(seed, tier);
     let profile = WorkloadProfile::by_name("postmark").expect("profile");
     let pages_per_block = engine.config().die.geometry.pages_per_block();
@@ -47,13 +59,23 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, pipelined: bool)
     };
 
     let batches: Vec<&[rd_workloads::TraceOp]> = trace.chunks(32).collect();
-    if pipelined {
+    if mode == Mode::Sequential {
+        for batch in &batches {
+            submit(&mut engine, batch);
+            engine.run(threads);
+        }
+    } else {
         let mut began = false;
         for batch in &batches {
+            if mode == Mode::InFlight {
+                submit(&mut engine, batch);
+            }
             if began {
                 engine.join_batch();
             }
-            submit(&mut engine, batch);
+            if mode == Mode::Pipelined {
+                submit(&mut engine, batch);
+            }
             let n = engine.begin_batch(threads);
             if began {
                 engine.finish_batch();
@@ -64,11 +86,6 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, pipelined: bool)
             engine.join_batch();
             engine.finish_batch();
         }
-    } else {
-        for batch in &batches {
-            submit(&mut engine, batch);
-            engine.run(threads);
-        }
     }
     while engine.pop_completion().is_some() {}
     engine.stats()
@@ -78,27 +95,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For arbitrary seeds, op counts, and fidelity tiers, every pool size
-    /// in {1, 2, 8} — with and without pipelining — produces `EngineStats`
-    /// equal to the single-threaded unpipelined reference, per-die
-    /// breakdown and data digest included.
+    /// in {1, 2, 8} — sequential, pipelined, and with in-flight submission
+    /// — produces `EngineStats` equal to the single-threaded sequential
+    /// reference, per-die breakdown and data digest included.
     #[test]
     fn stats_identical_across_pool_sizes_and_pipelining(
         seed in any::<u64>(),
         ops in 1usize..160,
         tier in 0u8..3,
     ) {
-        let reference = run_batched(seed, tier, ops, 1, false);
+        let reference = run_batched(seed, tier, ops, 1, Mode::Sequential);
         prop_assert!(reference.ops == ops as u64, "reference dropped ops");
         for threads in [1usize, 2, 8] {
-            for pipelined in [false, true] {
-                if threads == 1 && !pipelined {
+            for mode in [Mode::Sequential, Mode::Pipelined, Mode::InFlight] {
+                if threads == 1 && mode == Mode::Sequential {
                     continue;
                 }
-                let got = run_batched(seed, tier, ops, threads, pipelined);
-                prop_assert!(
-                    got == reference,
-                    "stats diverged at threads={threads} pipelined={pipelined}"
-                );
+                let got = run_batched(seed, tier, ops, threads, mode);
+                prop_assert!(got == reference, "stats diverged at threads={threads} {mode:?}");
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Property suite for the engine's arithmetic helpers: `FastDiv` against
 //! the hardware `/`/`%` across the full divisor range, and the latency
-//! percentile selector at degenerate sample sizes.
+//! percentile selector at degenerate sample sizes. Also the one table
+//! check: `EngineConfig::check` against the asserting `validate`s.
 
 use proptest::prelude::*;
-use rd_engine::{percentiles_50_99, FastDiv};
+use rd_engine::{percentiles_50_99, EngineConfig, FastDiv};
 
 proptest! {
     /// The reciprocal-multiply division must agree with `/` and `%` for
@@ -92,5 +93,33 @@ proptest! {
         prop_assert!(sample.contains(&p50));
         prop_assert!(sample.contains(&p99));
         prop_assert_eq!(sample, before);
+    }
+}
+
+/// `EngineConfig::check` is the non-panicking gate for configurations from
+/// outside the program: it must name every impossible value, and its
+/// per-die rows restate `SsdConfig::validate`, so the two must not drift.
+#[test]
+fn check_rejects_what_the_asserting_validates_panic_on() {
+    type Break = fn(&mut EngineConfig);
+    let cases: [(Break, &str, bool); 9] = [
+        (|c| c.topology.channels = 0, "channel", false),
+        (|c| c.topology.dies_per_channel = 0, "die per channel", false),
+        (|c| c.timing.read_us = f64::NAN, "read_us", false),
+        (|c| c.queue_depth = 0, "queue depth", false),
+        (|c| c.die.geometry.blocks = 3, "blocks", true),
+        (|c| c.die.overprovision = 0.95, "overprovision", true),
+        (|c| c.die.gc_free_threshold = 0, "gc_free_threshold", true),
+        (|c| c.die.refresh_interval_days = f64::NAN, "refresh_interval_days", true),
+        (|c| c.die.ecc_capability_rber = 0.0, "ECC capability", true),
+    ];
+    EngineConfig::small_test().check().expect("the test config is valid");
+    for (break_it, needle, per_die) in cases {
+        let mut config = EngineConfig::small_test();
+        break_it(&mut config);
+        let err = config.check().expect_err(needle);
+        assert!(err.contains(needle), "`{err}` does not name `{needle}`");
+        let die_panics = std::panic::catch_unwind(|| config.die.validate()).is_err();
+        assert_eq!(die_panics, per_die, "SsdConfig::validate disagrees on `{needle}`");
     }
 }

@@ -100,9 +100,9 @@ impl FleetConfig {
         }
     }
 
-    /// Validates the configuration (the engine template is validated by
-    /// `EngineConfig::validate`, which panics on impossible shapes; fleet
-    /// knobs return a descriptive error instead).
+    /// Validates the configuration, engine template included
+    /// ([`EngineConfig::check`]). [`Fleet::restore`] runs a config decoded
+    /// from checkpoint bytes through this, so nothing here may panic.
     pub fn validate(&self) -> Result<(), String> {
         if self.drives == 0 {
             return Err("fleet needs at least one drive".into());
@@ -119,8 +119,7 @@ impl FleetConfig {
         if WorkloadProfile::by_name(&self.profile).is_none() {
             return Err(format!("unknown workload profile '{}'", self.profile));
         }
-        self.engine.validate();
-        Ok(())
+        self.engine.check()
     }
 }
 
@@ -646,6 +645,11 @@ mod tests {
         let mut wrong_magic = snap.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(Fleet::restore(&wrong_magic).err(), Some(SnapError::BadMagic { .. })));
+        // Restore validates the decoded config: an engine template no drive
+        // can be built from must come back as an error, not unwind.
+        let mut bad = tiny();
+        bad.engine.queue_depth = 0;
+        assert!(bad.validate().unwrap_err().contains("queue depth"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! list, garbage collection, refresh, and controller-policy orchestration.
 //!
 //! [`Die`] is the unit of reuse between the single-chip [`crate::Ssd`]
-//! (which wraps exactly one die) and the multi-channel/multi-die engine
+//! (an alias for one die) and the multi-channel/multi-die engine
 //! (`rd-engine`), which holds one `Die` per physical die and drives them in
 //! parallel. All controller semantics — out-of-place writes, greedy GC,
 //! wear-leveling allocation, remapping-based refresh, the ECC decode →
@@ -851,26 +851,6 @@ mod tests {
             (corrected, die.stats())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn die_matches_ssd_bit_for_bit() {
-        // The single-chip Ssd is a wrapper over Die; drive both through the
-        // same op sequence and demand identical data and statistics.
-        let mut die = Die::new(SsdConfig::small_test()).unwrap();
-        let mut ssd = crate::Ssd::new(SsdConfig::small_test()).unwrap();
-        for lpa in 0..30u64 {
-            die.write(lpa % 8).unwrap();
-            ssd.write(lpa % 8).unwrap();
-        }
-        for _ in 0..40 {
-            let a = die.read(3).unwrap();
-            let b = ssd.read(3).unwrap();
-            assert_eq!(a, b);
-        }
-        die.advance_time(8.0).unwrap();
-        ssd.advance_time(8.0).unwrap();
-        assert_eq!(die.stats(), ssd.stats());
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   controller; policy actions become background jobs whose flash work is
 //!   counted and charged to the engine clock.
 //!
-//! The per-die controller state lives in [`Die`]; [`Ssd`] wraps exactly one
-//! die (the historical single-chip API) and the multi-die engine
-//! (`rd-engine`) arrays many of them, so both share semantics by
-//! construction.
+//! The per-die controller state lives in [`Die`]; [`Ssd`] is the name of
+//! one die used on its own and the multi-die engine (`rd-engine`) arrays
+//! many of them, so both share semantics by construction.
 //!
 //! ```
 //! use rd_ftl::{Ssd, SsdConfig};

@@ -1,144 +1,22 @@
-//! The single-chip SSD: a thin facade over one [`Die`].
+//! The single-chip SSD is one [`Die`]: [`Ssd`] names that use of the type.
 //!
 //! All controller mechanics (FTL, garbage collection, refresh, policy
-//! orchestration) live in [`crate::die`]; `Ssd` pins exactly one die behind
-//! the historical single-chip API. The multi-die engine (`rd-engine`) builds
-//! on the same [`Die`] type, so the two paths share semantics by
-//! construction.
+//! orchestration) live in [`crate::die`]. The multi-die engine
+//! (`rd-engine`) arrays the same [`Die`] type, so the single-chip and
+//! multi-die paths share semantics by construction. The tests below drive
+//! the controller through the single-chip name.
 
-use crate::config::SsdConfig;
 use crate::die::Die;
-use crate::error::FtlError;
-use crate::mapping::PageMap;
-use crate::policy::{ControllerPolicy, NoMitigation};
-use crate::stats::SsdStats;
-use rd_flash::Chip;
+use crate::policy::NoMitigation;
 
-pub use crate::die::HostRead;
-
-/// The simulated single-chip SSD.
-#[derive(Debug)]
-pub struct Ssd<P: ControllerPolicy = NoMitigation> {
-    die: Die<P>,
-}
-
-impl Ssd<NoMitigation> {
-    /// Creates an SSD with the baseline (no-mitigation) policy.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible but typed for future device-open semantics.
-    pub fn new(config: SsdConfig) -> Result<Self, FtlError> {
-        Self::with_policy(config, NoMitigation)
-    }
-}
-
-impl<P: ControllerPolicy> Ssd<P> {
-    /// Creates an SSD with an explicit controller policy.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible but typed for future device-open semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
-    pub fn with_policy(config: SsdConfig, policy: P) -> Result<Self, FtlError> {
-        Ok(Self { die: Die::with_policy(config, policy)? })
-    }
-
-    /// The SSD configuration.
-    pub fn config(&self) -> &SsdConfig {
-        self.die.config()
-    }
-
-    /// Controller statistics.
-    pub fn stats(&self) -> SsdStats {
-        self.die.stats()
-    }
-
-    /// Elapsed simulated time in days.
-    pub fn clock_days(&self) -> f64 {
-        self.die.clock_days()
-    }
-
-    /// Read-only chip access.
-    pub fn chip(&self) -> &Chip {
-        self.die.chip()
-    }
-
-    /// Mutable chip access (experiments may inject wear or disturbs).
-    pub fn chip_mut(&mut self) -> &mut Chip {
-        self.die.chip_mut()
-    }
-
-    /// The mapping table (read-only).
-    pub fn map(&self) -> &PageMap {
-        self.die.map()
-    }
-
-    /// The controller policy.
-    pub fn policy(&self) -> &P {
-        self.die.policy()
-    }
-
-    /// The recovery ladder the read pipeline escalates through.
-    pub fn recovery_ladder(&self) -> &crate::recovery::RecoveryLadder {
-        self.die.recovery_ladder()
-    }
-
-    /// Replaces the recovery ladder (see [`Die::set_recovery_ladder`]).
-    pub fn set_recovery_ladder(&mut self, ladder: crate::recovery::RecoveryLadder) {
-        self.die.set_recovery_ladder(ladder)
-    }
-
-    /// The underlying die (the engine-facing view of the same state).
-    pub fn die(&self) -> &Die<P> {
-        &self.die
-    }
-
-    /// Blocks currently holding valid data.
-    pub fn valid_blocks(&self) -> Vec<u32> {
-        self.die.valid_blocks()
-    }
-
-    /// Writes a logical page (host write). Fresh pseudo-random content is
-    /// generated per write, as the paper's characterization does.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `lpa` is out of range or the device runs out of space.
-    pub fn write(&mut self, lpa: u64) -> Result<(), FtlError> {
-        self.die.write(lpa)
-    }
-
-    /// Reads a logical page through the controller pipeline (ECC decode,
-    /// then recovery-ladder escalation on uncorrectable pages).
-    ///
-    /// # Errors
-    ///
-    /// * [`FtlError::NotWritten`] if the page was never written;
-    /// * [`FtlError::Uncorrectable`] if raw errors exceed the ECC capability
-    ///   and every recovery-ladder rung fails (counted as a data-loss
-    ///   event, the paper's end-of-life criterion).
-    pub fn read(&mut self, lpa: u64) -> Result<HostRead, FtlError> {
-        self.die.read(lpa)
-    }
-
-    /// Advances simulated time, running daily maintenance (refresh scans and
-    /// the policy's daily hook) at each day boundary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relocation failures (e.g. out of space during refresh).
-    pub fn advance_time(&mut self, days: f64) -> Result<(), FtlError> {
-        self.die.advance_time(days)
-    }
-}
+/// The simulated single-chip SSD: exactly one [`Die`].
+pub type Ssd<P = NoMitigation> = Die<P>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SsdConfig;
+    use crate::error::FtlError;
     use crate::policy::ReadReclaim;
 
     fn small_ssd() -> Ssd {

@@ -148,7 +148,10 @@ impl CliOptions {
         for tenant in &self.tenants {
             tenant.validate()?;
         }
-        Ok(())
+        // The topology and the chip were checked above and the remaining
+        // engine knobs are constants, so the one a flag can still break is
+        // the queue depth.
+        self.engine_config().check().map_err(|e| format!("--queue-depth {}: {e}", self.queue_depth))
     }
 }
 
@@ -300,6 +303,8 @@ mod tests {
         assert!(parse(&argv("run --tier marble")).is_err());
         assert!(parse(&argv("run --ops twelve")).is_err());
         assert!(parse(&argv("run --wat 1")).is_err());
+        let zero_depth = parse(&argv("run --queue-depth 0")).unwrap_err();
+        assert!(zero_depth.starts_with("--queue-depth 0"), "{zero_depth}");
         assert!(parse(&argv("run --tenant only-one-field")).is_err());
     }
 

@@ -135,77 +135,73 @@ struct InflightBatch {
     base_id: u64,
 }
 
-/// Submits a batch's ops to the shard engine and launches its flash phase
-/// on the attached pool slice. Returns the id of the first request.
-fn submit_and_begin(engine: &mut Engine, batch: &[ShardOp]) -> u64 {
-    let mut base_id = None;
-    for op in batch {
-        let id = engine.submit(op.kind, op.lpa);
-        base_id.get_or_insert(id);
-    }
-    engine.begin_batch(1);
-    base_id.unwrap_or(0)
-}
-
-/// Completes a joined batch: serial timing phase, completion drain, tenant
-/// accounting fold, buffer recycle, and the completion count the admission
-/// window watches. The caller must have called `join_batch` already.
-fn settle_batch(
-    engine: &mut Engine,
-    inflight: InflightBatch,
-    accounting: &mut [TenantAccounting],
-    scratch: &mut Vec<IoCompletion>,
-    accounting_ns: &mut u64,
-    recycle: &Sender<Vec<ShardOp>>,
-    completed: &AtomicU64,
-) {
-    engine.finish_batch();
-    let started = Instant::now();
-    scratch.clear();
-    engine.drain_completions_into(scratch);
-    for completion in scratch.iter() {
-        let slot = (completion.id - inflight.base_id) as usize;
-        let tenant = usize::from(inflight.ops[slot].tenant);
-        accounting[tenant].record(completion);
-    }
-    *accounting_ns += started.elapsed().as_nanos() as u64;
-    let mut ops = inflight.ops;
-    ops.clear();
-    // The front-end may be mid-shutdown and not listening; drop it then.
-    let _ = recycle.send(ops);
-    completed.fetch_add(1, Ordering::Release);
-}
-
-fn shard_worker_loop(
-    mut engine: Engine,
-    inbox: Receiver<ShardMsg>,
-    completed: Arc<AtomicU64>,
+/// A shard worker thread's state: its engine, the batch whose flash phase
+/// is on the pool, and what settling a batch touches.
+struct ShardState {
+    engine: Engine,
+    inflight: Option<InflightBatch>,
+    accounting: Vec<TenantAccounting>,
+    scratch: Vec<IoCompletion>,
+    accounting_ns: u64,
     recycle: Sender<Vec<ShardOp>>,
-    tenants: usize,
-) {
-    let mut accounting: Vec<TenantAccounting> = vec![TenantAccounting::default(); tenants];
-    let mut scratch = Vec::new();
-    let mut accounting_ns = 0u64;
-    let mut inflight: Option<InflightBatch> = None;
+    completed: Arc<AtomicU64>,
+}
+
+impl ShardState {
+    /// Submits a non-empty batch to the shard engine and launches its flash
+    /// phase on the attached pool slice.
+    fn begin(&mut self, ops: Vec<ShardOp>) {
+        let mut base_id = None;
+        for op in &ops {
+            let id = self.engine.submit(op.kind, op.lpa);
+            base_id.get_or_insert(id);
+        }
+        self.engine.begin_batch(1);
+        self.inflight = Some(InflightBatch { ops, base_id: base_id.unwrap_or(0) });
+    }
+
+    /// Collects the in-flight flash phase (if any), launches `next`, and
+    /// only then completes the collected batch — serial timing phase,
+    /// completion drain, tenant accounting fold, buffer recycle, and the
+    /// completion count the admission window watches — so that coordinator
+    /// work overlaps the pool executing `next`.
+    fn settle_then_begin(&mut self, next: Option<Vec<ShardOp>>) {
+        let prev = self.inflight.take();
+        if prev.is_some() {
+            self.engine.join_batch();
+        }
+        if let Some(ops) = next {
+            self.begin(ops);
+        }
+        let Some(prev) = prev else { return };
+        self.engine.finish_batch();
+        let started = Instant::now();
+        self.scratch.clear();
+        self.engine.drain_completions_into(&mut self.scratch);
+        for completion in &self.scratch {
+            let slot = (completion.id - prev.base_id) as usize;
+            let tenant = usize::from(prev.ops[slot].tenant);
+            self.accounting[tenant].record(completion);
+        }
+        self.accounting_ns += started.elapsed().as_nanos() as u64;
+        let mut ops = prev.ops;
+        ops.clear();
+        // The front-end may be mid-shutdown and not listening; drop it then.
+        let _ = self.recycle.send(ops);
+        self.completed.fetch_add(1, Ordering::Release);
+    }
+}
+
+fn shard_worker_loop(mut shard: ShardState, inbox: Receiver<ShardMsg>) {
     loop {
         // While a flash phase is on the pool, poll instead of park: if no
         // follow-up message is ready the pipeline window closes immediately
         // (flush() spins on the completed counter and sends nothing).
-        let msg = if inflight.is_some() {
+        let msg = if shard.inflight.is_some() {
             match inbox.try_recv() {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => {
-                    let prev = inflight.take().expect("checked above");
-                    engine.join_batch();
-                    settle_batch(
-                        &mut engine,
-                        prev,
-                        &mut accounting,
-                        &mut scratch,
-                        &mut accounting_ns,
-                        &recycle,
-                        &completed,
-                    );
+                    shard.settle_then_begin(None);
                     continue;
                 }
                 Err(TryRecvError::Disconnected) => break,
@@ -216,87 +212,39 @@ fn shard_worker_loop(
                 Err(_) => break,
             }
         };
+        // Control messages observe fully settled state.
+        if !matches!(msg, ShardMsg::Batch(_)) {
+            shard.settle_then_begin(None);
+        }
         match msg {
-            ShardMsg::Batch(batch) => {
-                if batch.is_empty() {
-                    let _ = recycle.send(batch);
-                    completed.fetch_add(1, Ordering::Release);
-                    continue;
-                }
-                if let Some(prev) = inflight.take() {
-                    // The pipeline overlap: collect the previous flash
-                    // phase, launch the new one, and only then run the
-                    // previous batch's timing + accounting while the pool
-                    // executes the new flash phase.
-                    engine.join_batch();
-                    let base_id = submit_and_begin(&mut engine, &batch);
-                    settle_batch(
-                        &mut engine,
-                        prev,
-                        &mut accounting,
-                        &mut scratch,
-                        &mut accounting_ns,
-                        &recycle,
-                        &completed,
-                    );
-                    inflight = Some(InflightBatch { ops: batch, base_id });
-                } else {
-                    let base_id = submit_and_begin(&mut engine, &batch);
-                    inflight = Some(InflightBatch { ops: batch, base_id });
-                }
+            ShardMsg::Batch(batch) if batch.is_empty() => {
+                let _ = shard.recycle.send(batch);
+                shard.completed.fetch_add(1, Ordering::Release);
             }
-            control => {
-                // Control messages observe fully settled state.
-                if let Some(prev) = inflight.take() {
-                    engine.join_batch();
-                    settle_batch(
-                        &mut engine,
-                        prev,
-                        &mut accounting,
-                        &mut scratch,
-                        &mut accounting_ns,
-                        &recycle,
-                        &completed,
-                    );
-                }
-                match control {
-                    ShardMsg::Batch(_) => unreachable!("handled above"),
-                    ShardMsg::Report(reply) => {
-                        let report = ShardReport {
-                            stats: engine.stats(),
-                            tenants: accounting.clone(),
-                            stage: engine.stage_ns(),
-                            accounting_ns,
-                        };
-                        // The service side may have dropped the reply
-                        // receiver on a racing shutdown; nothing to do then.
-                        let _ = reply.send(report);
-                    }
-                    ShardMsg::Snapshot(reply) => {
-                        let _ = reply.send(engine.snapshot());
-                    }
-                    ShardMsg::Restore(bytes, reply) => {
-                        let _ = reply.send(engine.restore(&bytes));
-                    }
-                    ShardMsg::Shutdown => return,
-                }
+            ShardMsg::Batch(batch) => shard.settle_then_begin(Some(batch)),
+            ShardMsg::Report(reply) => {
+                let report = ShardReport {
+                    stats: shard.engine.stats(),
+                    tenants: shard.accounting.clone(),
+                    stage: shard.engine.stage_ns(),
+                    accounting_ns: shard.accounting_ns,
+                };
+                // The service side may have dropped the reply receiver on
+                // a racing shutdown; nothing to do then.
+                let _ = reply.send(report);
             }
+            ShardMsg::Snapshot(reply) => {
+                let _ = reply.send(shard.engine.snapshot());
+            }
+            ShardMsg::Restore(bytes, reply) => {
+                let _ = reply.send(shard.engine.restore(&bytes));
+            }
+            ShardMsg::Shutdown => return,
         }
     }
     // Inbox disconnected with a batch still on the pool (front-end dropped
     // without a shutdown message): settle so the engine drops consistent.
-    if let Some(prev) = inflight.take() {
-        engine.join_batch();
-        settle_batch(
-            &mut engine,
-            prev,
-            &mut accounting,
-            &mut scratch,
-            &mut accounting_ns,
-            &recycle,
-            &completed,
-        );
-    }
+    shard.settle_then_begin(None);
 }
 
 /// The running sharded front-end.
@@ -337,13 +285,18 @@ impl Service {
             let (sender, inbox) = mpsc::channel();
             let (recycle_tx, recycle_rx) = mpsc::channel();
             let completed = Arc::new(AtomicU64::new(0));
-            let worker_completed = Arc::clone(&completed);
-            let tenant_count = tenants.len();
+            let state = ShardState {
+                engine,
+                inflight: None,
+                accounting: vec![TenantAccounting::default(); tenants.len()],
+                scratch: Vec::new(),
+                accounting_ns: 0,
+                recycle: recycle_tx,
+                completed: Arc::clone(&completed),
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("rd-serve-shard-{shard}"))
-                .spawn(move || {
-                    shard_worker_loop(engine, inbox, worker_completed, recycle_tx, tenant_count)
-                })
+                .spawn(move || shard_worker_loop(state, inbox))
                 .expect("spawn shard worker");
             workers.push(ShardWorker {
                 sender,

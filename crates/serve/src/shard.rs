@@ -1,10 +1,10 @@
 //! Sharding the SSD array over channel groups.
 //!
 //! A shard is a contiguous group of channels served by its own
-//! [`rd_engine::Engine`] (with its own submission/completion rings and its
-//! own worker thread in the service). Shards share no flash state, so they
-//! execute concurrently without locks; the [`ShardPlan`] owns the only
-//! cross-shard invariants:
+//! [`rd_engine::Engine`] (with its own per-die work lists, its own
+//! completions and its own worker thread in the service). Shards share no
+//! flash state, so they execute concurrently without locks; the
+//! [`ShardPlan`] owns the only cross-shard invariants:
 //!
 //! * **routing** — an engine-level logical page maps to exactly one shard
 //!   and one shard-local page, via the same page-level round-robin striping
