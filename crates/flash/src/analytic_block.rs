@@ -642,6 +642,9 @@ impl ReadScratch {
 /// Receives the bit events of one sampled read, in draw order. `stored` is
 /// the page as programmed, `None` for an erased page (all ones).
 pub(crate) trait ReadSink {
+    /// Whether the sink keeps the sensed bytes (the cell-exact tier, which
+    /// senses states rather than events, assembles them only then).
+    const BYTES: bool;
     fn start(stored: Option<&[u8]>, nbits: usize, top_bit: bool) -> Self;
     /// Bitline `bl` senses the complement of its stored bit.
     fn flip(&mut self, bl: usize);
@@ -660,6 +663,7 @@ pub(crate) struct CountSink {
 }
 
 impl ReadSink for CountSink {
+    const BYTES: bool = false;
     fn start(_stored: Option<&[u8]>, _nbits: usize, top_bit: bool) -> Self {
         Self { top_bit, errors: 0 }
     }
@@ -686,6 +690,7 @@ pub(crate) struct ByteSink {
 }
 
 impl ReadSink for ByteSink {
+    const BYTES: bool = true;
     fn start(stored: Option<&[u8]>, nbits: usize, top_bit: bool) -> Self {
         Self { data: stored.map_or_else(|| bits::ones(nbits), <[u8]>::to_vec), nbits, top_bit }
     }

@@ -5,11 +5,12 @@
 use rand::rngs::StdRng;
 
 use crate::bits;
-use crate::cell_array::{CellArray, OperatingPoint};
+use crate::cell_array::{CellArray, Level, OperatingPoint, Screen, Sense, SenseScratch};
+use crate::chip::ReadOutcome;
 use crate::error::FlashError;
 use crate::geometry::{PageAddr, PageKind};
 use crate::params::{ChipParams, NOMINAL_VPASS};
-use crate::state::CellState;
+use crate::state::{CellState, VoltageRefs};
 use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
 
@@ -52,11 +53,39 @@ pub struct Block {
     candidate_floor: f64,
 }
 
-/// Per-bitline maxima of candidate cells: `(best_vth, best_wordline,
-/// second_vth)`. Lets a read of wordline `w` decide blocking in O(1).
-struct BitlineMaxima {
-    best: Vec<(f32, u32)>,
-    second: Vec<f32>,
+/// The Gray code of a state index ([`crate::state::gray_code`], on the
+/// cell lanes' `u8`). A state stores its complement: the LSB page holds the
+/// complemented high bit, the MSB page the complemented low bit.
+#[inline]
+fn gray(state: u8) -> u8 {
+    state ^ state >> 1
+}
+
+/// How far a Gray code shifts right to bring `kind`'s page bit to bit 0.
+fn gray_shift(kind: PageKind) -> u8 {
+    match kind {
+        PageKind::Lsb => 1,
+        PageKind::Msb => 0,
+    }
+}
+
+/// The packed page that cells in `states` (one state index per bitline)
+/// store or sense on a page of `kind`, eight cells per byte.
+pub(crate) fn pack_page(states: &[u8], kind: PageKind) -> Vec<u8> {
+    let shift = gray_shift(kind);
+    let pack = |cells: &[u8]| {
+        cells.iter().enumerate().fold(0u8, |byte, (j, &s)| byte | (!gray(s) >> shift & 1) << j)
+    };
+    states.chunks(8).map(pack).collect()
+}
+
+/// Bits of a page of `kind` on which the sensed states differ from the
+/// intended ones. The Gray map is linear over XOR, so two states' page bits
+/// differ exactly where the Gray code of their XOR has that bit set — no
+/// per-cell table, and the loop vectorizes.
+fn bit_errors(sensed: &[u8], intended: &[u8], kind: PageKind) -> u64 {
+    let shift = gray_shift(kind);
+    sensed.iter().zip(intended).map(|(&s, &i)| u64::from(gray(s ^ i) >> shift & 1)).sum()
 }
 
 impl Block {
@@ -91,14 +120,22 @@ impl Block {
         OperatingPoint { pe_cycles: self.pe_cycles, age_days: self.age_days, dose: self.dose }
     }
 
+    /// The dose one wordline has accumulated: the block-uniform dose plus
+    /// its concentrated-disturb adjustment, never negative.
+    fn wordline_dose(&self, wordline: u32) -> f64 {
+        (self.dose + self.wordline_extra_dose[wordline as usize]).max(0.0)
+    }
+
     /// The operating point as seen by one wordline, including its
     /// concentrated-disturb adjustment.
     pub fn operating_point_for(&self, wordline: u32) -> OperatingPoint {
-        OperatingPoint {
-            pe_cycles: self.pe_cycles,
-            age_days: self.age_days,
-            dose: (self.dose + self.wordline_extra_dose[wordline as usize]).max(0.0),
-        }
+        OperatingPoint { dose: self.wordline_dose(wordline), ..self.operating_point() }
+    }
+
+    /// The block's wear and age, hoisted; each wordline senses at
+    /// `.at_dose(self.wordline_dose(wl))`.
+    fn sense(&self, params: &ChipParams) -> Sense {
+        Sense::new(params, self.operating_point())
     }
 
     /// Iterates `(wordline, bitline, intended_state, current_vth)` over the
@@ -106,17 +143,15 @@ impl Block {
     pub fn iter_cells_current<'a>(
         &'a self,
         params: &'a ChipParams,
-    ) -> impl Iterator<Item = (u32, u32, crate::state::CellState, f64)> + 'a {
+    ) -> impl Iterator<Item = (u32, u32, CellState, f64)> + 'a {
+        let sense = self.sense(params);
         (0..self.wordlines).flat_map(move |wl| {
-            let op = self.operating_point_for(wl);
-            (0..self.bitlines).map(move |bl| {
-                (
-                    wl,
-                    bl,
-                    self.cells.intended_state(wl, bl),
-                    self.cells.current_vth(params, wl, bl, op),
-                )
-            })
+            let intended = self.cells.intended_wordline(wl);
+            self.cells
+                .wordline_vth(wl, sense.at_dose(self.wordline_dose(wl)))
+                .zip(intended)
+                .zip(0..)
+                .map(move |((vth, &state), bl)| (wl, bl, CellState::from_index(state), vth))
         })
     }
 
@@ -342,31 +377,31 @@ impl Block {
         }
     }
 
-    /// Reads a page at the default references shifted by `refs_shift`, at
-    /// the block's current Vpass. The read itself disturbs the block (pass
-    /// `disturb = false` for oracle measurements).
-    pub fn read_page(
+    /// Reads a page at the given read references (the defaults, a read-retry
+    /// shift of them, or each boundary moved independently — what
+    /// read-reference optimization needs), at the block's current Vpass.
+    /// The read itself disturbs the block (pass `disturb = false` for oracle
+    /// measurements). The sensed bytes are assembled only when `keep_data`;
+    /// the counts are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// * [`FlashError::PageOutOfRange`] for a bad index;
+    /// * [`FlashError::FidelityUnsupported`] for a non-MLC reference set.
+    pub(crate) fn read_page(
         &mut self,
         params: &ChipParams,
         page: u32,
-        refs_shift: f64,
+        refs: &VoltageRefs,
         disturb: bool,
-    ) -> Result<crate::chip::ReadOutcome, FlashError> {
-        let refs = params.refs.shifted(refs_shift);
-        self.read_page_with_refs(params, page, &refs, disturb)
-    }
-
-    /// Reads a page at fully custom read references (each boundary moved
-    /// independently — what read-reference optimization needs).
-    pub fn read_page_with_refs(
-        &mut self,
-        params: &ChipParams,
-        page: u32,
-        refs: &crate::state::VoltageRefs,
-        disturb: bool,
-    ) -> Result<crate::chip::ReadOutcome, FlashError> {
+        keep_data: bool,
+        scratch: &mut SenseScratch,
+    ) -> Result<ReadOutcome, FlashError> {
         if page >= self.wordlines * 2 {
             return Err(FlashError::PageOutOfRange { page, pages: self.wordlines * 2 });
+        }
+        if refs.n_states() != 4 {
+            return Err(FlashError::FidelityUnsupported { op: "a non-MLC read-reference set" });
         }
         let addr = PageAddr { block: 0, page };
         let wl = addr.wordline();
@@ -374,41 +409,15 @@ impl Block {
         if disturb {
             self.hammer_wordline(params, wl, 1);
         }
-        let op = self.operating_point_for(wl);
-        let maxima = self.bitline_maxima(params);
-
-        let nbits = self.bitlines as usize;
-        let mut data = bits::zeroed(nbits);
-        let mut errors = 0u64;
-        let mut blocked_count = 0u64;
-        for bl in 0..self.bitlines {
-            let blocked = maxima.blocks(bl, wl, self.vpass);
-            let sensed = if blocked {
-                blocked_count += 1;
-                CellState::P3
-            } else {
-                refs.classify(self.cells.current_vth(params, wl, bl, op))
-            };
-            let bit = match kind {
-                PageKind::Lsb => sensed.lsb(),
-                PageKind::Msb => sensed.msb(),
-            };
-            bits::set_bit(&mut data, bl as usize, bit);
-            let expected = {
-                let intended = self.cells.intended_state(wl, bl);
-                match kind {
-                    PageKind::Lsb => intended.lsb(),
-                    PageKind::Msb => intended.msb(),
-                }
-            };
-            if bit != expected {
-                errors += 1;
-            }
-        }
-        Ok(crate::chip::ReadOutcome {
-            data,
-            stats: BitErrorStats::new(errors, nbits as u64),
-            blocked_bitlines: blocked_count,
+        let sense = self.sense(params);
+        self.find_blockers(params, sense, &mut scratch.blockers);
+        let blocked_bitlines =
+            self.sense_with_blocking(wl, sense, &Screen::new(params, refs), scratch);
+        let errors = bit_errors(&scratch.states, self.cells.intended_wordline(wl), kind);
+        Ok(ReadOutcome {
+            data: if keep_data { pack_page(&scratch.states, kind) } else { Vec::new() },
+            stats: BitErrorStats::new(errors, u64::from(self.bitlines)),
+            blocked_bitlines,
         })
     }
 
@@ -416,67 +425,34 @@ impl Block {
     /// against the intended state, including pass-through blocking, without
     /// adding disturb dose. This is what the paper's figures plot.
     pub fn rber_oracle(&self, params: &ChipParams) -> BitErrorStats {
-        let maxima = self.bitline_maxima(params);
-        let mut errors = 0u64;
-        let mut total_bits = 0u64;
-        for wl in 0..self.wordlines {
-            let lsb_on = self.page_programmed[(wl * 2) as usize];
-            let msb_on = self.page_programmed[(wl * 2 + 1) as usize];
-            if !lsb_on && !msb_on {
-                continue;
-            }
-            let op = self.operating_point_for(wl);
-            for bl in 0..self.bitlines {
-                let blocked = maxima.blocks(bl, wl, self.vpass);
-                let sensed = if blocked {
-                    CellState::P3
-                } else {
-                    params.refs.classify(self.cells.current_vth(params, wl, bl, op))
-                };
-                let intended = self.cells.intended_state(wl, bl);
-                if lsb_on {
-                    total_bits += 1;
-                    errors += u64::from(sensed.lsb() != intended.lsb());
-                }
-                if msb_on {
-                    total_bits += 1;
-                    errors += u64::from(sensed.msb() != intended.msb());
-                }
-            }
-        }
-        BitErrorStats::new(errors, total_bits)
+        self.oracle(params, 0..self.wordlines)
     }
 
     /// Oracle RBER of a single wordline's programmed pages (used by the
     /// concentrated-disturb experiments to resolve per-wordline damage).
     pub fn rber_oracle_wordline(&self, params: &ChipParams, wordline: u32) -> BitErrorStats {
-        let maxima = self.bitline_maxima(params);
-        let mut errors = 0u64;
-        let mut total_bits = 0u64;
-        let lsb_on = self.page_programmed[(wordline * 2) as usize];
-        let msb_on = self.page_programmed[(wordline * 2 + 1) as usize];
-        if !lsb_on && !msb_on {
-            return BitErrorStats::default();
-        }
-        let op = self.operating_point_for(wordline);
-        for bl in 0..self.bitlines {
-            let blocked = maxima.blocks(bl, wordline, self.vpass);
-            let sensed = if blocked {
-                CellState::P3
-            } else {
-                params.refs.classify(self.cells.current_vth(params, wordline, bl, op))
-            };
-            let intended = self.cells.intended_state(wordline, bl);
-            if lsb_on {
-                total_bits += 1;
-                errors += u64::from(sensed.lsb() != intended.lsb());
+        self.oracle(params, wordline..wordline + 1)
+    }
+
+    fn oracle(&self, params: &ChipParams, wordlines: std::ops::Range<u32>) -> BitErrorStats {
+        let mut scratch = SenseScratch::default();
+        let sense = self.sense(params);
+        let screen = Screen::new(params, &params.refs);
+        self.find_blockers(params, sense, &mut scratch.blockers);
+        let mut stats = BitErrorStats::default();
+        for wl in wordlines {
+            let programmed = |kind| self.page_programmed[PageAddr::of(0, wl, kind).page as usize];
+            if !PageKind::ALL.into_iter().any(programmed) {
+                continue;
             }
-            if msb_on {
-                total_bits += 1;
-                errors += u64::from(sensed.msb() != intended.msb());
+            self.sense_with_blocking(wl, sense, &screen, &mut scratch);
+            let intended = self.cells.intended_wordline(wl);
+            for kind in PageKind::ALL.into_iter().filter(|&kind| programmed(kind)) {
+                let errors = bit_errors(&scratch.states, intended, kind);
+                stats = stats + BitErrorStats::new(errors, u64::from(self.bitlines));
             }
         }
-        BitErrorStats::new(errors, total_bits)
+        stats
     }
 
     /// Measures the threshold voltage of every cell on a wordline by a
@@ -485,32 +461,39 @@ impl Block {
     ///
     /// When `disturb` is true the sweep's reads (one per step) disturb the
     /// block, exactly as the paper's FPGA methodology does.
-    pub fn measure_wordline_vth(
+    ///
+    /// # Errors
+    ///
+    /// * [`FlashError::WordlineOutOfRange`] for a bad index;
+    /// * [`FlashError::StepNotPositive`] unless `step` is positive and finite.
+    pub(crate) fn measure_wordline_vth(
         &mut self,
         params: &ChipParams,
         wordline: u32,
         step: f64,
         disturb: bool,
+        scratch: &mut SenseScratch,
     ) -> Result<Vec<f64>, FlashError> {
         if wordline >= self.wordlines {
             return Err(FlashError::WordlineOutOfRange { wordline, wordlines: self.wordlines });
         }
-        assert!(step > 0.0, "step must be positive");
+        if !(step > 0.0 && step.is_finite()) {
+            return Err(FlashError::StepNotPositive { step });
+        }
         let sweep_lo = -60.0;
         let steps = ((self.vpass - sweep_lo) / step).ceil() as u64;
         if disturb {
             self.hammer_wordline(params, wordline, steps);
         }
-        let op = self.operating_point_for(wordline);
-        let maxima = self.bitline_maxima(params);
-        let mut out = Vec::with_capacity(self.bitlines as usize);
-        for bl in 0..self.bitlines {
-            if maxima.blocks(bl, wordline, self.vpass) {
-                out.push(f64::INFINITY);
-            } else {
-                let v = self.cells.current_vth(params, wordline, bl, op);
-                out.push((v / step).floor() * step + step / 2.0);
-            }
+        let sense = self.sense(params);
+        self.find_blockers(params, sense, &mut scratch.blockers);
+        let mut out: Vec<f64> = self
+            .cells
+            .wordline_vth(wordline, sense.at_dose(self.wordline_dose(wordline)))
+            .map(|v| (v / step).floor() * step + step / 2.0)
+            .collect();
+        for &(bl, _) in scratch.blockers.iter().filter(|&&(_, wl)| wl != wordline) {
+            out[bl as usize] = f64::INFINITY;
         }
         Ok(out)
     }
@@ -533,16 +516,90 @@ impl Block {
         }
     }
 
-    fn bitline_maxima(&self, params: &ChipParams) -> BitlineMaxima {
-        let mut maxima = BitlineMaxima {
-            best: vec![(f32::NEG_INFINITY, u32::MAX); self.bitlines as usize],
-            second: vec![f32::NEG_INFINITY; self.bitlines as usize],
-        };
+    /// Collects `(bitline, wordline)` of every cell whose voltage exceeds
+    /// the block's Vpass: a read of any *other* wordline finds that bitline
+    /// unable to conduct. Only the candidate cells can be among them.
+    fn find_blockers(&self, params: &ChipParams, sense: Sense, blockers: &mut Vec<(u32, u32)>) {
+        blockers.clear();
+        let vpass = Level::vpass(params, self.vpass);
         for &i in &self.candidates {
             let wl = i / self.bitlines;
-            let bl = (i % self.bitlines) as usize;
-            let v =
-                self.cells.current_vth_at(params, i as usize, self.operating_point_for(wl)) as f32;
+            let sense = sense.at_dose(self.wordline_dose(wl));
+            if self.cells.exceeds_vpass(i as usize, &sense, &vpass) {
+                blockers.push((i % self.bitlines, wl));
+            }
+        }
+    }
+
+    /// Senses a wordline as a read of it does: the state index of every
+    /// bitline under `screen`'s references is left in `scratch.states`,
+    /// forced to P3 where one of `scratch.blockers` on another wordline
+    /// keeps the bitline from conducting. Returns the number of bitlines so
+    /// blocked.
+    fn sense_with_blocking(
+        &self,
+        wordline: u32,
+        sense: Sense,
+        screen: &Screen,
+        scratch: &mut SenseScratch,
+    ) -> u64 {
+        let sense = sense.at_dose(self.wordline_dose(wordline));
+        self.cells.sense_wordline(wordline, &sense, screen, scratch);
+        // Two blockers can share a bitline: flag a bitline while counting it.
+        const COUNTED: u8 = 0x80;
+        let SenseScratch { states, blockers, .. } = scratch;
+        let mut blocked = 0;
+        for &(bl, _) in blockers.iter().filter(|&&(_, wl)| wl != wordline) {
+            let state = &mut states[bl as usize];
+            if *state & COUNTED == 0 {
+                *state = CellState::P3.index() | COUNTED;
+                blocked += 1;
+            }
+        }
+        for &(bl, _) in blockers.iter() {
+            states[bl as usize] &= !COUNTED;
+        }
+        blocked
+    }
+}
+
+/// The per-cell loops this module ran before [`CellArray::sense_wordline`],
+/// kept verbatim as the reference the kernel's callers are tested against:
+/// every voltage from [`CellArray::reference_vth`], every class from
+/// [`VoltageRefs::classify`], blocking from per-bitline maxima.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Per-bitline maxima of candidate cells: `(best_vth, best_wordline,
+    /// second_vth)`.
+    struct BitlineMaxima {
+        best: Vec<(f32, u32)>,
+        second: Vec<f32>,
+    }
+
+    impl BitlineMaxima {
+        fn blocks(&self, bl: u32, target_wl: u32, vpass: f64) -> bool {
+            let (best_v, best_wl) = self.best[bl as usize];
+            let relevant = if best_wl == target_wl { self.second[bl as usize] } else { best_v };
+            relevant as f64 > vpass
+        }
+    }
+
+    pub(crate) fn vth(block: &Block, params: &ChipParams, wl: u32, bl: u32) -> f64 {
+        let i = (wl * block.bitlines + bl) as usize;
+        block.cells.reference_vth(params, i, block.operating_point_for(wl))
+    }
+
+    fn bitline_maxima(block: &Block, params: &ChipParams) -> BitlineMaxima {
+        let mut maxima = BitlineMaxima {
+            best: vec![(f32::NEG_INFINITY, u32::MAX); block.bitlines as usize],
+            second: vec![f32::NEG_INFINITY; block.bitlines as usize],
+        };
+        for &i in &block.candidates {
+            let wl = i / block.bitlines;
+            let bl = (i % block.bitlines) as usize;
+            let v = vth(block, params, wl, bl as u32) as f32;
             let (best_v, _) = maxima.best[bl];
             if v > best_v {
                 maxima.second[bl] = best_v;
@@ -553,17 +610,111 @@ impl Block {
         }
         maxima
     }
-}
 
-impl BitlineMaxima {
-    /// Whether a read of `target_wl` on bitline `bl` is blocked at `vpass`:
-    /// some *other* wordline's cell on the bitline exceeds the pass-through
-    /// voltage, so the bitline cannot conduct.
-    #[inline]
-    fn blocks(&self, bl: u32, target_wl: u32, vpass: f64) -> bool {
-        let (best_v, best_wl) = self.best[bl as usize];
-        let relevant = if best_wl == target_wl { self.second[bl as usize] } else { best_v };
-        relevant as f64 > vpass
+    pub(crate) fn read_page(
+        block: &mut Block,
+        params: &ChipParams,
+        page: u32,
+        refs: &VoltageRefs,
+        disturb: bool,
+    ) -> ReadOutcome {
+        let addr = PageAddr { block: 0, page };
+        let wl = addr.wordline();
+        let kind = addr.kind();
+        if disturb {
+            block.hammer_wordline(params, wl, 1);
+        }
+        let maxima = bitline_maxima(block, params);
+        let nbits = block.bitlines as usize;
+        let mut data = bits::zeroed(nbits);
+        let mut errors = 0u64;
+        let mut blocked_count = 0u64;
+        for bl in 0..block.bitlines {
+            let blocked = maxima.blocks(bl, wl, block.vpass);
+            let sensed = if blocked {
+                blocked_count += 1;
+                CellState::P3
+            } else {
+                refs.classify(vth(block, params, wl, bl))
+            };
+            let bit = match kind {
+                PageKind::Lsb => sensed.lsb(),
+                PageKind::Msb => sensed.msb(),
+            };
+            bits::set_bit(&mut data, bl as usize, bit);
+            let intended = block.cells.intended_state(wl, bl);
+            let expected = match kind {
+                PageKind::Lsb => intended.lsb(),
+                PageKind::Msb => intended.msb(),
+            };
+            if bit != expected {
+                errors += 1;
+            }
+        }
+        ReadOutcome {
+            data,
+            stats: BitErrorStats::new(errors, nbits as u64),
+            blocked_bitlines: blocked_count,
+        }
+    }
+
+    pub(crate) fn rber_oracle_wordline(
+        block: &Block,
+        params: &ChipParams,
+        wordline: u32,
+    ) -> BitErrorStats {
+        let maxima = bitline_maxima(block, params);
+        let mut errors = 0u64;
+        let mut total_bits = 0u64;
+        let lsb_on = block.page_programmed[(wordline * 2) as usize];
+        let msb_on = block.page_programmed[(wordline * 2 + 1) as usize];
+        for bl in 0..block.bitlines {
+            let blocked = maxima.blocks(bl, wordline, block.vpass);
+            let sensed = if blocked {
+                CellState::P3
+            } else {
+                params.refs.classify(vth(block, params, wordline, bl))
+            };
+            let intended = block.cells.intended_state(wordline, bl);
+            if lsb_on {
+                total_bits += 1;
+                errors += u64::from(sensed.lsb() != intended.lsb());
+            }
+            if msb_on {
+                total_bits += 1;
+                errors += u64::from(sensed.msb() != intended.msb());
+            }
+        }
+        BitErrorStats::new(errors, total_bits)
+    }
+
+    pub(crate) fn rber_oracle(block: &Block, params: &ChipParams) -> BitErrorStats {
+        (0..block.wordlines).map(|wl| rber_oracle_wordline(block, params, wl)).sum()
+    }
+
+    pub(crate) fn measure_wordline_vth(
+        block: &mut Block,
+        params: &ChipParams,
+        wordline: u32,
+        step: f64,
+        disturb: bool,
+    ) -> Vec<f64> {
+        let sweep_lo = -60.0;
+        let steps = ((block.vpass - sweep_lo) / step).ceil() as u64;
+        if disturb {
+            block.hammer_wordline(params, wordline, steps);
+        }
+        let maxima = bitline_maxima(block, params);
+        (0..block.bitlines)
+            .map(|bl| {
+                if maxima.blocks(bl, wordline, block.vpass) {
+                    f64::INFINITY
+                } else {
+                    let v = vth(block, params, wordline, bl);
+                    (v / step).floor() * step + step / 2.0
+                }
+            })
+            .collect()
     }
 }
 
@@ -584,6 +735,161 @@ mod tests {
             let data = bits::random(rng, block.bitlines as usize);
             block.program_page(params, rng, page, &data).unwrap();
         }
+    }
+
+    /// A materializing read at the default references.
+    fn read(block: &mut Block, params: &ChipParams, page: u32, disturb: bool) -> ReadOutcome {
+        let mut scratch = SenseScratch::default();
+        block.read_page(params, page, &params.refs, disturb, true, &mut scratch).unwrap()
+    }
+
+    /// Blocks in the states the experiments put them in: fresh, worn and
+    /// disturbed, worn + aged + hammered at a relaxed Vpass (bitlines
+    /// blocked), and half programmed.
+    fn scenarios() -> Vec<(&'static str, Block, ChipParams)> {
+        let params = ChipParams::default();
+        let mut out = Vec::new();
+        let build = |seed: u64, wear: u64, pages: u32| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut block = Block::new(16, 2048, &params, &mut rng);
+            if wear > 0 {
+                block.pre_wear(&params, &mut rng, wear);
+            }
+            for page in 0..pages {
+                let data = bits::random(&mut rng, 2048);
+                block.program_page(&params, &mut rng, page, &data).unwrap();
+            }
+            block
+        };
+        out.push(("fresh", build(1, 0, 32), params.clone()));
+
+        let mut worn = build(2, 8_000, 32);
+        worn.apply_read_disturbs(&params, 400_000);
+        out.push(("worn, disturbed", worn, params.clone()));
+
+        let mut relaxed = build(3, 12_000, 32);
+        relaxed.advance_days(14.0);
+        relaxed.set_vpass(&params, params.min_vpass).unwrap();
+        relaxed.apply_read_disturbs(&params, 2_000_000);
+        relaxed.hammer_wordline(&params, 5, 600_000);
+        out.push(("worn, aged, hammered, relaxed Vpass", relaxed, params.clone()));
+
+        // A hammered wordline of an otherwise unread block: its own dose
+        // adjustment cancels the uniform dose (clamped at zero).
+        let mut hammered = build(4, 8_000, 32);
+        hammered.hammer_wordline(&params, 9, 1_000_000);
+        assert_eq!(hammered.operating_point_for(9).dose, 0.0);
+        out.push(("hammered only", hammered, params.clone()));
+
+        let mut half = build(5, 5_000, 15);
+        half.advance_days(3.0);
+        half.apply_read_disturbs(&params, 900_000);
+        out.push(("half programmed", half, params));
+        out
+    }
+
+    #[test]
+    fn reads_and_oracles_match_the_per_cell_reference() {
+        let mut scratch = SenseScratch::default();
+        let mut blocked_somewhere = 0;
+        for (name, block, params) in scenarios() {
+            assert_eq!(
+                block.rber_oracle(&params),
+                reference::rber_oracle(&block, &params),
+                "{name}"
+            );
+            for wl in 0..block.wordlines {
+                assert_eq!(
+                    block.rber_oracle_wordline(&params, wl),
+                    reference::rber_oracle_wordline(&block, &params, wl),
+                    "{name}, wordline {wl}"
+                );
+            }
+            for ((wl, bl, _, vth), i) in block.iter_cells_current(&params).zip(0..) {
+                assert_eq!((wl, bl), (i / block.bitlines, i % block.bitlines));
+                assert_eq!(vth.to_bits(), reference::vth(&block, &params, wl, bl).to_bits());
+            }
+
+            // Disturbing reads at the default references, two retry shifts
+            // and independently moved references, on two copies in lockstep.
+            let (mut new, mut old) = (block.clone(), block.clone());
+            let refs = params.refs;
+            let reference_sets = [
+                refs,
+                refs.shifted(8.0),
+                refs.shifted(-4.0),
+                refs.with_lowest_raised(20.0),
+                VoltageRefs::new(refs.va() - 6.0, refs.vb() + 3.0, refs.vc() - 11.0),
+            ];
+            for (page, refs) in (0..block.wordlines * 2).zip(reference_sets.iter().cycle()) {
+                let expected = reference::read_page(&mut old, &params, page, refs, true);
+                let counted =
+                    new.clone().read_page(&params, page, refs, true, false, &mut scratch).unwrap();
+                let got = new.read_page(&params, page, refs, true, true, &mut scratch).unwrap();
+                assert_eq!(got, expected, "{name}, page {page}");
+                assert_eq!(counted.counts(), expected.counts(), "{name}, page {page}");
+                assert!(counted.data.is_empty());
+                blocked_somewhere += got.blocked_bitlines;
+            }
+            for wl in [0, 5, 9, block.wordlines - 1] {
+                for (step, disturb) in [(2.0, false), (0.5, true)] {
+                    let got =
+                        new.measure_wordline_vth(&params, wl, step, disturb, &mut scratch).unwrap();
+                    let expected =
+                        reference::measure_wordline_vth(&mut old, &params, wl, step, disturb);
+                    assert_eq!(
+                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{name}, wordline {wl}"
+                    );
+                }
+            }
+            assert_eq!(new.status(), old.status(), "{name}");
+            assert_eq!(new.wordline_extra_dose, old.wordline_extra_dose, "{name}");
+            assert_eq!(new.rber_oracle(&params), reference::rber_oracle(&old, &params), "{name}");
+        }
+        assert!(blocked_somewhere > 0, "no scenario blocked a bitline");
+    }
+
+    #[test]
+    fn page_bits_follow_the_gray_map() {
+        use crate::state::ALL_STATES;
+        let states: Vec<u8> = ALL_STATES.iter().map(|s| s.index()).collect();
+        for (kind, bit) in [
+            (PageKind::Lsb, CellState::lsb as fn(CellState) -> bool),
+            (PageKind::Msb, CellState::msb),
+        ] {
+            let packed = pack_page(&states, kind)[0];
+            for sensed in ALL_STATES {
+                assert_eq!(packed >> sensed.index() & 1 == 1, bit(sensed), "{kind:?} of {sensed}");
+                for intended in ALL_STATES {
+                    assert_eq!(
+                        bit_errors(&[sensed.index()], &[intended.index()], kind),
+                        u64::from(bit(sensed) != bit(intended)),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_reference_sets_and_steps_are_typed_errors() {
+        let (mut block, params, mut rng) = block_with(4, 512);
+        program_random(&mut block, &params, &mut rng);
+        let mut scratch = SenseScratch::default();
+        let tlc = VoltageRefs::from_levels(&[60., 120., 180., 240., 300., 360., 420.]);
+        let before = block.status();
+        assert!(matches!(
+            block.read_page(&params, 0, &tlc, true, true, &mut scratch),
+            Err(FlashError::FidelityUnsupported { .. })
+        ));
+        for step in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                block.measure_wordline_vth(&params, 0, step, true, &mut scratch),
+                Err(FlashError::StepNotPositive { .. })
+            ));
+        }
+        assert_eq!(block.status(), before, "a rejected command must not disturb the block");
     }
 
     #[test]
@@ -619,8 +925,8 @@ mod tests {
         let msb = bits::random(&mut rng, 512);
         block.program_page(&params, &mut rng, 6, &lsb).unwrap(); // wl 3 LSB
         block.program_page(&params, &mut rng, 7, &msb).unwrap(); // wl 3 MSB
-        let out_l = block.read_page(&params, 6, 0.0, true).unwrap();
-        let out_m = block.read_page(&params, 7, 0.0, true).unwrap();
+        let out_l = read(&mut block, &params, 6, true);
+        let out_m = read(&mut block, &params, 7, true);
         // A fresh block reads back exactly on a 512-bitline sample with
         // overwhelming probability.
         assert_eq!(bits::hamming(&out_l.data, &lsb), out_l.stats.errors);
@@ -633,14 +939,14 @@ mod tests {
         let (mut block, params, mut rng) = block_with(4, 512);
         program_random(&mut block, &params, &mut rng);
         let d0 = block.status().dose;
-        block.read_page(&params, 0, 0.0, true).unwrap();
+        read(&mut block, &params, 0, true);
         block.apply_read_disturbs(&params, 99);
         let st = block.status();
         assert_eq!(st.reads_since_erase, 100);
         assert!(st.dose > d0);
         // Oracle read does not disturb.
         let d1 = block.status().dose;
-        block.read_page(&params, 0, 0.0, false).unwrap();
+        read(&mut block, &params, 0, false);
         assert_eq!(block.status().dose, d1);
     }
 
@@ -709,14 +1015,14 @@ mod tests {
         block.set_vpass(&params, params.min_vpass).unwrap();
         let mut blocked = 0u64;
         for page in 0..8 {
-            blocked += block.read_page(&params, page, 0.0, false).unwrap().blocked_bitlines;
+            blocked += read(&mut block, &params, page, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected some blocked bitlines at minimum vpass");
         // And none at nominal.
         block.set_vpass(&params, NOMINAL_VPASS).unwrap();
         let mut blocked_nominal = 0u64;
         for page in 0..8 {
-            blocked_nominal += block.read_page(&params, page, 0.0, false).unwrap().blocked_bitlines;
+            blocked_nominal += read(&mut block, &params, page, false).blocked_bitlines;
         }
         assert_eq!(blocked_nominal, 0);
     }
@@ -726,7 +1032,9 @@ mod tests {
         let (mut block, params, mut rng) = block_with(4, 512);
         program_random(&mut block, &params, &mut rng);
         let step = 2.0;
-        let measured = block.measure_wordline_vth(&params, 1, step, false).unwrap();
+        let measured = block
+            .measure_wordline_vth(&params, 1, step, false, &mut SenseScratch::default())
+            .unwrap();
         let op = block.operating_point();
         for (bl, m) in measured.iter().enumerate() {
             if m.is_finite() {

@@ -14,14 +14,67 @@
 //! block-level operating point (wear, retention age, accumulated disturb
 //! dose), so a million reads are applied in O(1) bookkeeping and evaluated
 //! lazily per cell.
+//!
+//! ## Sensing a wordline
+//!
+//! A cell's voltage is `v = κ·ln(exp(v0/κ) + α·s·D)` with
+//! `v0 = base − drop(base, leak, wear, age)` (see [`crate::noise`]). Nothing
+//! in it but `base`, `leak` and `s` varies along a wordline, so a `Sense`
+//! evaluates the rest once — the retention rate at this wear, `age^e`, `α`,
+//! `D`, `κ` — and `CellArray::current_vth_at` is the one definition of the
+//! voltage, for every caller.
+//!
+//! A *read* does not need the voltage, only which side of each reference
+//! `L` it falls on, and `v < L ⇔ exp(v0/κ) + α·s·D < exp(L/κ)` can be
+//! decided without the `exp`/`ln` pair for almost every cell
+//! (`CellArray::sense_wordline`):
+//!
+//! * **below `L`** when `v0 ≤ L − κ·ln2 − GUARD_V` *and*
+//!   `α·s·D ≤ ½(1 − TERM_SLACK)·exp(L/κ)`: each summand is under half of
+//!   `exp(L/κ)`, the first by the factor `exp(−GUARD_V/κ)`, the second by
+//!   `1 − TERM_SLACK`, so the true `v` sits at least
+//!   `κ·TERM_SLACK/2 = 1.25e-8` V under `L` — five orders of magnitude more
+//!   than the ~1e-13 V the computed `κ·ln(exp(·) + ·)` can be off by;
+//! * **at or above `L`** when `v0 ≥ L + GUARD_V`: the dose term is never
+//!   negative, so disturb only raises a cell, and `exp` then `ln` returns
+//!   `v0` to within the same ~1e-13 V.
+//!
+//! `exp(L/κ)` is evaluated once per reference. Only the cells neither test
+//! settles — those within `κ·ln2 ≈ 17` V under a reference, and the
+//! disturb-prone tail whose `α·s·D` is comparable to `exp(L/κ)`, a fraction
+//! of a percent of a worn, hammered block — go through the closed form, and
+//! are classified by [`VoltageRefs::classify_index`]. The outcome
+//! is therefore the classification of the very voltage
+//! `CellArray::current_vth_at` returns, for every cell: an evaluation is
+//! skipped only where a guard band proves its result.
+//!
+//! Who needs volts: the Vth histogram, the read-retry voltage sweep and the
+//! per-cell iterators (they get the hoisted operating point and nothing
+//! else). Who needs a class: page reads at any references, the RBER
+//! oracles, and the pass-through decision (is a cell above Vpass), which
+//! compares the voltage rounded to `f32` and so uses a guard wide enough
+//! to cover that rounding.
+
+use std::f64::consts::LN_2;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::noise::{pe_cycling, read_disturb, retention};
 use crate::params::ChipParams;
-use crate::state::{CellState, ALL_STATES};
+use crate::state::{CellState, VoltageRefs, ALL_STATES};
 use crate::wire::{Reader, SnapError, Writer};
+
+/// Voltage guard (normalized volts) kept between a cell's undisturbed
+/// voltage and a reference before a comparison may stand in for the closed
+/// form. Seven orders of magnitude above the closed form's rounding error,
+/// and nothing beside the `κ·ln2` volts under each reference the screen
+/// already leaves to the closed form.
+const GUARD_V: f64 = 1.0e-6;
+
+/// Relative slack kept between a cell's dose term and `½·exp(L/κ)`; worth
+/// `κ·TERM_SLACK/2` volts of margin under the reference.
+const TERM_SLACK: f64 = 1.0e-9;
 
 /// Block-level operating point under which cell voltages are evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -43,6 +96,147 @@ pub struct CellArray {
     base_vth: Vec<f32>,
     leak: Vec<f32>,
     susceptibility: Vec<f32>,
+}
+
+/// A wordline's operating point with everything that does not vary from cell
+/// to cell evaluated once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sense {
+    /// `(retention rate at this wear, age^e)`; `None` at age zero, where no
+    /// cell has leaked.
+    retention: Option<(f64, f64)>,
+    kappa: f64,
+    alpha: f64,
+    dose: f64,
+}
+
+impl Sense {
+    pub(crate) fn new(params: &ChipParams, op: OperatingPoint) -> Self {
+        let retention = (op.age_days > 0.0).then(|| {
+            (params.retention_rate_at(op.pe_cycles), op.age_days.powf(params.retention_time_exp))
+        });
+        Self { retention, kappa: params.rd_kappa, alpha: params.rd_alpha, dose: op.dose }
+    }
+
+    /// The same wear and age at another wordline's dose.
+    pub(crate) fn at_dose(self, dose: f64) -> Self {
+        Self { dose, ..self }
+    }
+
+    /// A cell's voltage after retention loss, before disturb (`v0`).
+    #[inline]
+    fn retained(&self, base: f64, leak: f64) -> f64 {
+        match self.retention {
+            Some((rate, time_pow)) => base - retention::vth_drop_at(base, leak, rate, time_pow),
+            None => base,
+        }
+    }
+
+    /// A cell's dose term `α·s·D`.
+    #[inline]
+    fn term(&self, susceptibility: f64) -> f64 {
+        self.alpha * susceptibility * self.dose
+    }
+
+    #[inline]
+    fn vth(&self, base: f64, leak: f64, susceptibility: f64) -> f64 {
+        let v0 = self.retained(base, leak);
+        if self.dose <= 0.0 {
+            return v0;
+        }
+        read_disturb::disturbed_vth_at(self.kappa, v0, self.term(susceptibility))
+    }
+}
+
+/// One reference voltage `L` in the comparison domain (module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Level {
+    at: f64,
+    /// A cell with `v0` at or above this reads at or above `L`.
+    above: f64,
+    /// A cell with `v0` at or below this and a dose term at or below
+    /// `half_exp` reads below `L`.
+    below: f64,
+    half_exp: f64,
+}
+
+impl Level {
+    /// `guard` is [`GUARD_V`] for a reference the `f64` voltage is compared
+    /// against, wider where the compared voltage was rounded first.
+    fn new(kappa: f64, at: f64, guard: f64) -> Self {
+        let half_exp = 0.5 * (1.0 - TERM_SLACK) * (at / kappa).exp();
+        // An exponential outside the normal range bounds nothing: leave
+        // every cell to the closed form, which saturates the same way.
+        let usable = half_exp.is_finite() && half_exp >= f64::MIN_POSITIVE;
+        Self {
+            at,
+            // Below -700κ `exp(v0/κ)` itself leaves the normal range.
+            above: (at + guard).max(-700.0 * kappa),
+            below: if usable { at - kappa * LN_2 - guard } else { f64::NEG_INFINITY },
+            half_exp,
+        }
+    }
+
+    /// The pass-through voltage. Blocking compares a cell's voltage *after*
+    /// rounding to `f32`, which moves it by up to half an `f32` ulp; the
+    /// guard keeps a screened cell `guard / 2`, four times that, under
+    /// `vpass`.
+    pub(crate) fn vpass(params: &ChipParams, vpass: f64) -> Self {
+        let guard = GUARD_V.max(vpass.abs() * 4.0 * f64::from(f32::EPSILON));
+        Self::new(params.rd_kappa, vpass, guard)
+    }
+
+    #[inline]
+    fn is_above(&self, v0: f64, term: f64) -> bool {
+        (v0 >= self.above) & (term >= 0.0)
+    }
+
+    #[inline]
+    fn is_below(&self, v0: f64, term: f64) -> bool {
+        (v0 <= self.below) & (term <= self.half_exp)
+    }
+}
+
+/// An MLC read-reference set in the comparison domain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Screen {
+    refs: VoltageRefs,
+    levels: [Level; 3],
+}
+
+impl Screen {
+    /// # Panics
+    ///
+    /// Panics on a non-MLC reference set (callers validate first).
+    pub(crate) fn new(params: &ChipParams, refs: &VoltageRefs) -> Self {
+        assert_eq!(refs.n_states(), 4, "the cell-exact tier senses MLC references");
+        let level = |i| Level::new(params.rd_kappa, refs.level(i), GUARD_V);
+        Self { refs: *refs, levels: [level(0), level(1), level(2)] }
+    }
+
+    /// `(state index if every reference is settled, whether it is)`.
+    #[inline]
+    fn classify(&self, v0: f64, term: f64) -> (u8, bool) {
+        let (mut class, mut settled) = (0u8, true);
+        for level in &self.levels {
+            let above = level.is_above(v0, term);
+            class += u8::from(above);
+            settled &= above | level.is_below(v0, term);
+        }
+        (class, settled)
+    }
+}
+
+/// Reused buffers of [`CellArray::sense_wordline`] and of the pass-through
+/// decision built on it (one per chip, so a warm read allocates nothing).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SenseScratch {
+    /// Sensed state index per bitline of the wordline last sensed.
+    pub(crate) states: Vec<u8>,
+    /// Bitlines of that wordline the screen left to the closed form.
+    residue: Vec<u32>,
+    /// `(bitline, wordline)` of the block's cells above Vpass.
+    pub(crate) blockers: Vec<(u32, u32)>,
 }
 
 impl CellArray {
@@ -119,32 +313,27 @@ impl CellArray {
         pe_cycles: u64,
     ) {
         assert_eq!(states.len(), self.bitlines as usize, "one state per bitline");
+        // Everything that depends only on the wear level, once per wordline.
+        let misprogram = params.misprogram_prob(pe_cycles);
+        let dists = ALL_STATES.map(|state| params.state_dist(state, pe_cycles));
+        // Over-programmed outliers: exponential tail above outlier_base,
+        // truncated at outlier_cap (program-verify bounds the maximum
+        // stored voltage below the nominal Vpass).
+        let outlier_span =
+            1.0 - (-(params.outlier_cap - params.outlier_base) / params.outlier_scale).exp();
+        let lo = self.index(wordline, 0);
         for (bitline, &state) in states.iter().enumerate() {
-            let i = self.index(wordline, bitline as u32);
-            self.intended[i] = state.index();
-            let placed = pe_cycling::place_state(rng, params, state, pe_cycles);
-            self.base_vth[i] = self.sample_placed_vth(params, rng, placed, pe_cycles) as f32;
+            self.intended[lo + bitline] = state.index();
+            let placed = pe_cycling::place_state_at(rng, misprogram, state);
+            let vth = if placed == CellState::P3 && rng.gen::<f64>() < params.outlier_prob {
+                let u: f64 = rng.gen::<f64>() * outlier_span;
+                params.outlier_base - params.outlier_scale * (1.0 - u).ln()
+            } else {
+                let dist = dists[placed.index() as usize];
+                dist.mean + dist.sigma * retention::sample_standard_normal(rng)
+            };
+            self.base_vth[lo + bitline] = vth as f32;
         }
-    }
-
-    fn sample_placed_vth(
-        &self,
-        params: &ChipParams,
-        rng: &mut StdRng,
-        placed: CellState,
-        pe_cycles: u64,
-    ) -> f64 {
-        if placed == CellState::P3 && rng.gen::<f64>() < params.outlier_prob {
-            // Over-programmed outlier: exponential tail above outlier_base,
-            // truncated at outlier_cap (program-verify bounds the maximum
-            // stored voltage below the nominal Vpass).
-            let span =
-                1.0 - (-(params.outlier_cap - params.outlier_base) / params.outlier_scale).exp();
-            let u: f64 = rng.gen::<f64>() * span;
-            return params.outlier_base - params.outlier_scale * (1.0 - u).ln();
-        }
-        let dist = params.state_dist(placed, pe_cycles);
-        dist.mean + dist.sigma * retention::sample_standard_normal(rng)
     }
 
     /// The intended (programmed) state of a cell.
@@ -163,6 +352,12 @@ impl CellArray {
         self.susceptibility[self.index(wordline, bitline)] as f64
     }
 
+    /// The intended states of one wordline, one index per bitline.
+    pub(crate) fn intended_wordline(&self, wordline: u32) -> &[u8] {
+        let lo = self.index(wordline, 0);
+        &self.intended[lo..lo + self.bitlines as usize]
+    }
+
     /// The cell's current threshold voltage under an operating point:
     /// retention loss applied to the base voltage, then the accumulated
     /// disturb dose.
@@ -173,16 +368,94 @@ impl CellArray {
         bitline: u32,
         op: OperatingPoint,
     ) -> f64 {
-        let i = self.index(wordline, bitline);
-        self.current_vth_at(params, i, op)
+        self.current_vth_at(self.index(wordline, bitline), &Sense::new(params, op))
     }
 
+    /// The one definition of a cell's voltage: every voltage this crate
+    /// reports, and every one [`CellArray::sense_wordline`] has to compute,
+    /// comes from here.
     #[inline]
-    pub(crate) fn current_vth_at(&self, params: &ChipParams, i: usize, op: OperatingPoint) -> f64 {
+    pub(crate) fn current_vth_at(&self, i: usize, sense: &Sense) -> f64 {
+        sense.vth(self.base_vth[i] as f64, self.leak[i] as f64, self.susceptibility[i] as f64)
+    }
+
+    /// The current voltages of one wordline, in bitline order.
+    pub(crate) fn wordline_vth(
+        &self,
+        wordline: u32,
+        sense: Sense,
+    ) -> impl Iterator<Item = f64> + '_ {
+        let lo = self.index(wordline, 0);
+        (lo..lo + self.bitlines as usize).map(move |i| self.current_vth_at(i, &sense))
+    }
+
+    /// Senses one wordline against `screen`'s references: leaves the state
+    /// index each bitline reads as in `scratch.states` — for every cell the
+    /// [`VoltageRefs::classify_index`] of its [`CellArray::current_vth_at`],
+    /// computed only for the cells the comparison screen cannot settle
+    /// (module docs). Returns how many cells those were.
+    pub(crate) fn sense_wordline(
+        &self,
+        wordline: u32,
+        sense: &Sense,
+        screen: &Screen,
+        scratch: &mut SenseScratch,
+    ) -> usize {
+        let n = self.bitlines as usize;
+        let lo = self.index(wordline, 0);
+        let SenseScratch { states, residue, .. } = scratch;
+        states.resize(n, 0);
+        let lanes = self.base_vth[lo..lo + n]
+            .iter()
+            .zip(&self.leak[lo..lo + n])
+            .zip(&self.susceptibility[lo..lo + n]);
+        // The screen: no branch and nothing carried from cell to cell, so
+        // the compiler is free to vectorize it. An unsettled cell is flagged
+        // in its state byte and collected afterwards.
+        const UNSETTLED: u8 = 0x80;
+        for (state, ((&base, &leak), &s)) in states.iter_mut().zip(lanes) {
+            let v0 = sense.retained(base as f64, leak as f64);
+            let (class, settled) = screen.classify(v0, sense.term(s as f64));
+            *state = if settled { class } else { UNSETTLED };
+        }
+        residue.clear();
+        residue.extend((0..n as u32).filter(|&bl| states[bl as usize] == UNSETTLED));
+        for &bl in residue.iter() {
+            let vth = self.current_vth_at(lo + bl as usize, sense);
+            states[bl as usize] = screen.refs.classify_index(vth) as u8;
+        }
+        residue.len()
+    }
+
+    /// Whether cell `i` blocks its bitline at the pass-through voltage
+    /// `vpass` describes: its voltage, rounded to `f32`, exceeds it.
+    pub(crate) fn exceeds_vpass(&self, i: usize, sense: &Sense, vpass: &Level) -> bool {
+        let v0 = sense.retained(self.base_vth[i] as f64, self.leak[i] as f64);
+        !vpass.is_below(v0, sense.term(self.susceptibility[i] as f64))
+            && (self.current_vth_at(i, sense) as f32) as f64 > vpass.at
+    }
+
+    /// A cell's voltage as every caller computed it before [`Sense`]
+    /// existed — the per-cell closed forms written out, every power
+    /// re-derived, sharing no code with the hoisted path. The reference the
+    /// kernel and its callers are tested against.
+    #[cfg(test)]
+    pub(crate) fn reference_vth(&self, params: &ChipParams, i: usize, op: OperatingPoint) -> f64 {
         let base = self.base_vth[i] as f64;
-        let drop =
-            retention::vth_drop(params, base, self.leak[i] as f64, op.pe_cycles, op.age_days);
-        read_disturb::disturbed_vth(params, base - drop, self.susceptibility[i] as f64, op.dose)
+        let drop = if op.age_days <= 0.0 || base <= 0.0 {
+            0.0
+        } else {
+            let rate = params.retention_rate_at(op.pe_cycles);
+            let drop = base * rate * op.age_days.powf(params.retention_time_exp);
+            (drop * self.leak[i] as f64).min(base)
+        };
+        let v0 = base - drop;
+        if op.dose <= 0.0 {
+            return v0;
+        }
+        let kappa = params.rd_kappa;
+        let term = params.rd_alpha * self.susceptibility[i] as f64 * op.dose;
+        kappa * ((v0 / kappa).exp() + term).ln()
     }
 
     /// Iterates `(wordline, bitline, intended_state, current_vth)` over the
@@ -192,10 +465,11 @@ impl CellArray {
         params: &'a ChipParams,
         op: OperatingPoint,
     ) -> impl Iterator<Item = (u32, u32, CellState, f64)> + 'a {
+        let sense = Sense::new(params, op);
         (0..self.len()).map(move |i| {
             let wl = (i / self.bitlines as usize) as u32;
             let bl = (i % self.bitlines as usize) as u32;
-            (wl, bl, CellState::from_index(self.intended[i]), self.current_vth_at(params, i, op))
+            (wl, bl, CellState::from_index(self.intended[i]), self.current_vth_at(i, &sense))
         })
     }
 
@@ -258,6 +532,9 @@ impl CellArray {
         out
     }
 }
+
+#[cfg(test)]
+mod kernel_tests;
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,8 @@ use crate::aggregate_block::AggregateState;
 use crate::analytic::AnalyticModel;
 use crate::analytic_block::{AnalyticBlock, ByteSink, CountSink, ReadScratch, ReadSink};
 use crate::bits;
-use crate::block::{Block, BlockStatus};
+use crate::block::{pack_page, Block, BlockStatus};
+use crate::cell_array::SenseScratch;
 use crate::error::FlashError;
 use crate::fidelity::ReadFidelity;
 use crate::geometry::Geometry;
@@ -126,8 +127,9 @@ impl VthHistogram {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Storage {
-    /// Per-cell Monte-Carlo state.
-    Exact(Vec<Block>),
+    /// Per-cell Monte-Carlo state (and the wordline-sensing scratch, shared
+    /// by all blocks).
+    Exact { blocks: Vec<Block>, scratch: SenseScratch },
     /// Closed-form model plus lightweight per-block counters and payloads
     /// (and the read sampler's scratch, shared by all blocks).
     Analytic { model: AnalyticModel, blocks: Vec<AnalyticBlock>, scratch: ReadScratch },
@@ -178,8 +180,8 @@ impl Chip {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let storage = match params.fidelity {
-            ReadFidelity::CellExact => Storage::Exact(
-                (0..geometry.blocks)
+            ReadFidelity::CellExact => Storage::Exact {
+                blocks: (0..geometry.blocks)
                     .map(|_| {
                         Block::new(
                             geometry.wordlines_per_block,
@@ -189,7 +191,8 @@ impl Chip {
                         )
                     })
                     .collect(),
-            ),
+                scratch: SenseScratch::default(),
+            },
             ReadFidelity::PageAnalytic => Storage::Analytic {
                 model: AnalyticModel::from_chip(&params, geometry.wordlines_per_block),
                 blocks: (0..geometry.blocks)
@@ -255,7 +258,7 @@ impl Chip {
             None => w.put_bool(false),
         }
         match &self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 for b in blocks {
                     b.encode_state(w);
                 }
@@ -304,7 +307,7 @@ impl Chip {
         }
         let read_margin = if r.get_bool()? { Some(r.get_u64()?) } else { None };
         match &mut self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 for b in blocks.iter_mut() {
                     b.restore_state(r)?;
                 }
@@ -351,7 +354,7 @@ impl Chip {
     fn block_ref(&self, block: u32) -> Result<&Block, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(&blocks[block as usize]),
+            Storage::Exact { blocks, .. } => Ok(&blocks[block as usize]),
             _ => Err(FlashError::FidelityUnsupported { op: "per-cell block access" }),
         }
     }
@@ -364,7 +367,7 @@ impl Chip {
     pub fn block_status(&self, block: u32) -> Result<BlockStatus, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(blocks[block as usize].status()),
+            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].status()),
             Storage::Analytic { model, blocks, .. } => Ok(blocks[block as usize].status(model)),
             Storage::Aggregate { state, .. } => Ok(state.status(block as usize)),
         }
@@ -389,7 +392,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, .. } = self;
         match storage {
-            Storage::Exact(blocks) => blocks[block as usize].erase(params, rng),
+            Storage::Exact { blocks, .. } => blocks[block as usize].erase(params, rng),
             Storage::Analytic { blocks, .. } => blocks[block as usize].erase(),
             Storage::Aggregate { model, state } => state.erase(params, model, block as usize),
         }
@@ -406,7 +409,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, .. } = self;
         match storage {
-            Storage::Exact(blocks) => blocks[block as usize].pre_wear(params, rng, cycles),
+            Storage::Exact { blocks, .. } => blocks[block as usize].pre_wear(params, rng, cycles),
             Storage::Analytic { blocks, .. } => blocks[block as usize].pre_wear(cycles),
             Storage::Aggregate { model, state } => {
                 state.pre_wear(params, model, block as usize, cycles);
@@ -425,7 +428,9 @@ impl Chip {
         self.geometry.check_page(page)?;
         let Self { params, storage, rng, .. } = self;
         match storage {
-            Storage::Exact(blocks) => blocks[block as usize].program_page(params, rng, page, data),
+            Storage::Exact { blocks, .. } => {
+                blocks[block as usize].program_page(params, rng, page, data)
+            }
             Storage::Analytic { blocks, .. } => blocks[block as usize].program_page(page, data),
             Storage::Aggregate { model, state } => {
                 state.program_page(params, model, block as usize, page, data)
@@ -486,7 +491,14 @@ impl Chip {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, read_margin, .. } = self;
         match storage {
-            Storage::Exact(blocks) => blocks[block as usize].read_page(params, page, 0.0, true),
+            Storage::Exact { blocks, scratch } => blocks[block as usize].read_page(
+                params,
+                page,
+                &params.refs,
+                true,
+                S::BYTES,
+                scratch,
+            ),
             Storage::Analytic { model, blocks, scratch } => {
                 blocks[block as usize].read::<S>(params, model, rng, scratch, page, 0.0, true)
             }
@@ -515,8 +527,8 @@ impl Chip {
     ) -> Result<ReadOutcome, FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => {
-                blocks[block as usize].read_page_with_refs(&self.params, page, refs, true)
+            Storage::Exact { blocks, scratch } => {
+                blocks[block as usize].read_page(&self.params, page, refs, true, true, scratch)
             }
             Storage::Analytic { .. } | Storage::Aggregate { .. } => {
                 if *refs == self.params.refs {
@@ -576,7 +588,10 @@ impl Chip {
         self.geometry.check_block(block)?;
         let Self { params, storage, rng, .. } = self;
         match storage {
-            Storage::Exact(blocks) => blocks[block as usize].read_page(params, page, shift, true),
+            Storage::Exact { blocks, scratch } => {
+                let refs = params.refs.shifted(shift);
+                blocks[block as usize].read_page(params, page, &refs, true, S::BYTES, scratch)
+            }
             Storage::Analytic { model, blocks, scratch } => {
                 blocks[block as usize].read::<S>(params, model, rng, scratch, page, shift, true)
             }
@@ -595,7 +610,9 @@ impl Chip {
     pub fn apply_read_disturbs(&mut self, block: u32, n: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => blocks[block as usize].apply_read_disturbs(&self.params, n),
+            Storage::Exact { blocks, .. } => {
+                blocks[block as usize].apply_read_disturbs(&self.params, n)
+            }
             Storage::Analytic { blocks, .. } => blocks[block as usize].apply_read_disturbs(n),
             Storage::Aggregate { state, .. } => state.apply_read_disturbs(block as usize, n),
         }
@@ -613,7 +630,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 blocks[block as usize].hammer_wordline(&self.params, wordline, n);
             }
             Storage::Analytic { blocks, .. } => {
@@ -640,7 +657,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
         match &self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 Ok(blocks[block as usize].rber_oracle_wordline(&self.params, wordline))
             }
             Storage::Analytic { model, blocks, .. } => {
@@ -655,7 +672,7 @@ impl Chip {
     /// Advances the retention clock of every block.
     pub fn advance_days(&mut self, days: f64) {
         match &mut self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 for b in blocks {
                     b.advance_days(days);
                 }
@@ -681,7 +698,7 @@ impl Chip {
     pub fn advance_block_days(&mut self, block: u32, days: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => blocks[block as usize].advance_days(days),
+            Storage::Exact { blocks, .. } => blocks[block as usize].advance_days(days),
             Storage::Analytic { blocks, .. } => blocks[block as usize].advance_days(days),
             Storage::Aggregate { model, state } => {
                 state.advance_days(&self.params, model, block as usize, days);
@@ -699,7 +716,7 @@ impl Chip {
     pub fn set_block_vpass(&mut self, block: u32, vpass: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => blocks[block as usize].set_vpass(&self.params, vpass),
+            Storage::Exact { blocks, .. } => blocks[block as usize].set_vpass(&self.params, vpass),
             Storage::Analytic { model, blocks, .. } => {
                 blocks[block as usize].set_vpass(&self.params, model, vpass)
             }
@@ -717,7 +734,7 @@ impl Chip {
     pub fn block_vpass(&self, block: u32) -> Result<f64, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(blocks[block as usize].vpass()),
+            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].vpass()),
             Storage::Analytic { blocks, .. } => Ok(blocks[block as usize].vpass()),
             Storage::Aggregate { state, .. } => Ok(state.vpass(block as usize)),
         }
@@ -733,7 +750,7 @@ impl Chip {
     pub fn block_rber(&self, block: u32) -> Result<BitErrorStats, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(blocks[block as usize].rber_oracle(&self.params)),
+            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].rber_oracle(&self.params)),
             Storage::Analytic { model, blocks, .. } => {
                 Ok(blocks[block as usize].rber_oracle(&self.params, model))
             }
@@ -753,7 +770,9 @@ impl Chip {
     pub fn block_rber_rate(&self, block: u32) -> Result<f64, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(blocks[block as usize].rber_oracle(&self.params).rate()),
+            Storage::Exact { blocks, .. } => {
+                Ok(blocks[block as usize].rber_oracle(&self.params).rate())
+            }
             Storage::Analytic { model, blocks, .. } => {
                 let (expected, bits) = blocks[block as usize].rber_expectation(&self.params, model);
                 Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
@@ -771,10 +790,13 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if `block` is out of range or the chip is page-analytic.
+    /// Fails if `block` is out of range, the chip is page-analytic, or
+    /// `bin_width` is not positive and finite.
     pub fn vth_histogram(&self, block: u32, bin_width: f64) -> Result<VthHistogram, FlashError> {
         let b = self.block_ref(block)?;
-        assert!(bin_width > 0.0, "bin width must be positive");
+        if !(bin_width > 0.0 && bin_width.is_finite()) {
+            return Err(FlashError::StepNotPositive { step: bin_width });
+        }
         let min = -80.0;
         let max = crate::params::NOMINAL_VPASS + 40.0;
         let nbins = ((max - min) / bin_width).ceil() as usize;
@@ -803,7 +825,8 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if the address is out of range or the chip is page-analytic.
+    /// Fails if the address is out of range, the chip is page-analytic, or
+    /// `step` is not positive and finite.
     pub fn measure_wordline_vth(
         &mut self,
         block: u32,
@@ -814,9 +837,13 @@ impl Chip {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
         match &mut self.storage {
-            Storage::Exact(blocks) => {
-                blocks[block as usize].measure_wordline_vth(&self.params, wordline, step, disturb)
-            }
+            Storage::Exact { blocks, scratch } => blocks[block as usize].measure_wordline_vth(
+                &self.params,
+                wordline,
+                step,
+                disturb,
+                scratch,
+            ),
             _ => Err(FlashError::FidelityUnsupported { op: "per-cell Vth measurement" }),
         }
     }
@@ -830,7 +857,7 @@ impl Chip {
         self.geometry.check_block(block)?;
         self.geometry.check_page(page)?;
         match &self.storage {
-            Storage::Exact(blocks) => Ok(blocks[block as usize].is_page_programmed(page)),
+            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].is_page_programmed(page)),
             Storage::Analytic { blocks, .. } => Ok(blocks[block as usize].is_page_programmed(page)),
             Storage::Aggregate { state, .. } => Ok(state.is_page_programmed(block as usize, page)),
         }
@@ -857,24 +884,13 @@ impl Chip {
         self.geometry.check_block(block)?;
         self.geometry.check_page(page)?;
         match &self.storage {
-            Storage::Exact(blocks) => {
+            Storage::Exact { blocks, .. } => {
                 let b = &blocks[block as usize];
                 if !b.is_page_programmed(page) {
                     return Err(FlashError::PageNotProgrammed { page });
                 }
                 let addr = crate::geometry::PageAddr { block, page };
-                let wl = addr.wordline();
-                let kind = addr.kind();
-                let nbits = self.geometry.bits_per_page();
-                let mut data = bits::zeroed(nbits);
-                for bl in 0..self.geometry.bitlines {
-                    let st = b.cells().intended_state(wl, bl);
-                    let bit = match kind {
-                        crate::geometry::PageKind::Lsb => st.lsb(),
-                        crate::geometry::PageKind::Msb => st.msb(),
-                    };
-                    bits::set_bit(&mut data, bl as usize, bit);
-                }
+                let data = pack_page(b.cells().intended_wordline(addr.wordline()), addr.kind());
                 Ok(Cow::Owned(data))
             }
             Storage::Analytic { blocks, .. } => {
@@ -1032,6 +1048,78 @@ mod tests {
         // PDF integrates to ~1.
         let integral: f64 = (0..hist.counts.len()).map(|i| hist.pdf(i) * hist.bin_width).sum();
         assert!((integral - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn histogram_matches_the_per_cell_reference() {
+        let mut chip = test_chip();
+        chip.cycle_block(0, 9_000).unwrap();
+        chip.program_block_random(0, 6).unwrap();
+        chip.advance_days(10.0);
+        chip.apply_read_disturbs(0, 700_000).unwrap();
+        chip.hammer_wordline(0, 3, 200_000).unwrap();
+        let hist = chip.vth_histogram(0, 2.0).unwrap();
+        let block = chip.block(0).unwrap();
+        let mut expected = [(); 4].map(|()| vec![0u64; hist.counts.len()]);
+        let geometry = chip.geometry();
+        for wl in 0..geometry.wordlines_per_block {
+            for bl in 0..geometry.bitlines {
+                let vth = crate::block::reference::vth(block, chip.params(), wl, bl);
+                let bin = ((vth - hist.min) / hist.bin_width).floor() as usize;
+                expected[block.cells().intended_state(wl, bl).index() as usize][bin] += 1;
+            }
+        }
+        assert_eq!(hist.by_state, expected);
+        assert_eq!(hist.total, geometry.cells_per_block() as u64);
+    }
+
+    #[test]
+    fn count_only_reads_match_materializing_reads() {
+        let build = || {
+            let mut chip = test_chip();
+            chip.cycle_block(0, 8_000).unwrap();
+            chip.program_block_random(0, 2).unwrap();
+            chip.apply_read_disturbs(0, 600_000).unwrap();
+            chip.set_block_vpass(0, chip.params().min_vpass).unwrap();
+            chip
+        };
+        let (mut bytes, mut counts) = (build(), build());
+        for page in 0..bytes.geometry().pages_per_block() {
+            let read = bytes.read_page(0, page).unwrap();
+            assert_eq!(read.data.len(), bytes.geometry().bits_per_page() / 8);
+            assert_eq!(counts.read_page_counts(0, page).unwrap(), read.counts());
+            let retry = bytes.read_retry(0, page, 8.0).unwrap().outcome;
+            assert_eq!(counts.read_retry_counts(0, page, 8.0).unwrap(), retry.counts());
+        }
+        assert_eq!(bytes.rng.state(), counts.rng.state());
+        assert_eq!(bytes.block_status(0).unwrap(), counts.block_status(0).unwrap());
+        assert_eq!(bytes.block_rber(0).unwrap(), counts.block_rber(0).unwrap());
+    }
+
+    #[test]
+    fn non_mlc_references_are_a_typed_error() {
+        let mut chip = test_chip();
+        chip.program_block_random(0, 1).unwrap();
+        let tlc =
+            crate::state::VoltageRefs::from_levels(&[60., 120., 180., 240., 300., 360., 420.]);
+        assert!(matches!(
+            chip.read_page_with_refs(0, 0, &tlc),
+            Err(FlashError::FidelityUnsupported { .. })
+        ));
+        assert_eq!(chip.block_status(0).unwrap().reads_since_erase, 0);
+    }
+
+    #[test]
+    fn non_positive_steps_are_a_typed_error() {
+        let mut chip = test_chip();
+        chip.program_block_random(0, 1).unwrap();
+        for step in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                chip.measure_wordline_vth(0, 0, step, false),
+                Err(FlashError::StepNotPositive { .. })
+            ));
+            assert!(matches!(chip.vth_histogram(0, step), Err(FlashError::StepNotPositive { .. })));
+        }
     }
 
     #[test]

@@ -54,13 +54,21 @@ pub enum FlashError {
         /// Highest supported value.
         max: f64,
     },
-    /// The operation needs per-cell state the chip's fidelity tier does not
-    /// keep (e.g. Vth histograms or read-retry sweeps on a
-    /// [`crate::ReadFidelity::PageAnalytic`] chip). Rebuild the chip with
-    /// [`crate::ReadFidelity::CellExact`] to run it.
+    /// The chip's fidelity tier does not serve the operation: it needs
+    /// per-cell state the tier does not keep (e.g. Vth histograms or
+    /// read-retry sweeps on a [`crate::ReadFidelity::PageAnalytic`] chip —
+    /// rebuild the chip with [`crate::ReadFidelity::CellExact`] to run it),
+    /// or a reference set for another cell type than the MLC-native
+    /// cell-exact tier senses.
     FidelityUnsupported {
         /// The operation that was requested.
         op: &'static str,
+    },
+    /// A voltage step (the quantum of a read-retry sweep, the bin width of
+    /// a histogram) was not a positive finite number.
+    StepNotPositive {
+        /// Requested step (normalized volts).
+        step: f64,
     },
 }
 
@@ -89,7 +97,14 @@ impl std::fmt::Display for FlashError {
                 write!(f, "pass-through voltage {requested} outside supported range [{min}, {max}]")
             }
             FlashError::FidelityUnsupported { op } => {
-                write!(f, "{op} requires per-cell state (CellExact fidelity)")
+                write!(
+                    f,
+                    "{op} is not served at this fidelity tier \
+                     (per-cell operations need CellExact, which is MLC-only)"
+                )
+            }
+            FlashError::StepNotPositive { step } => {
+                write!(f, "voltage step {step} must be positive and finite")
             }
         }
     }

@@ -23,7 +23,17 @@ pub fn place_state<R: Rng + ?Sized>(
     intended: CellState,
     pe_cycles: u64,
 ) -> CellState {
-    let p = params.misprogram_prob(pe_cycles);
+    place_state_at(rng, params.misprogram_prob(pe_cycles), intended)
+}
+
+/// [`place_state`] at a misprogram probability the caller evaluated (once
+/// per wordline, not once per cell). Same draws in the same order.
+#[inline]
+pub(crate) fn place_state_at<R: Rng + ?Sized>(
+    rng: &mut R,
+    p: f64,
+    intended: CellState,
+) -> CellState {
     if p <= 0.0 || rng.gen::<f64>() >= p {
         return intended;
     }

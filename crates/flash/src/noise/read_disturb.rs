@@ -14,7 +14,7 @@
 //!
 //! where `D` is the cumulative *dose* (reads weighted by wear and Vpass
 //! factors, see [`crate::ChipParams::dose_increment`]) and `s` the cell's
-//! susceptibility. The form reproduces the paper's three charcterization
+//! susceptibility. The form reproduces the paper's three characterization
 //! findings simultaneously:
 //!
 //! * shift grows with the number of reads (sub-linearly — Fig. 2a);
@@ -29,6 +29,18 @@
 //! exploits (paper §5.2), and its tail exponent sets the observed
 //! `RBER ∝ reads^a` growth that keeps Fig. 3 near-linear while Fig. 4 and
 //! Fig. 10 saturate.
+//!
+//! The split is sharp in the closed form. A cell crosses a reference `L`
+//! when `exp(V0/κ) + α·s·D ≥ exp(L/κ)`, so under a dose `D` every cell
+//! sitting more than `κ·ln2` below `L` has a *critical susceptibility*
+//! `s_crit = ½·exp(L/κ) / (α·D)`: with `s ≤ s_crit` it cannot reach `L`
+//! whatever else is true of it (disturb-resistant at this dose), and only
+//! the `P(s > s_crit) = s_crit^-a` tail above — a fraction of a percent of
+//! a worn block after 100K reads — can have changed state. RDR finds that
+//! tail by inducing more disturb and watching which cells move;
+//! [`crate::CellArray`]'s wordline-sensing kernel uses the same inequality
+//! to classify the resistant majority by comparison, without evaluating
+//! the `exp`/`ln` pair.
 
 use rand::Rng;
 
@@ -42,8 +54,13 @@ pub fn disturbed_vth(params: &ChipParams, base_vth: f64, susceptibility: f64, do
     if dose <= 0.0 {
         return base_vth;
     }
-    let kappa = params.rd_kappa;
-    let term = params.rd_alpha * susceptibility * dose;
+    disturbed_vth_at(params.rd_kappa, base_vth, params.rd_alpha * susceptibility * dose)
+}
+
+/// The closed form itself, `κ · ln(exp(V0/κ) + term)` with
+/// `term = α · s · D` — the one place it is written down.
+#[inline]
+pub(crate) fn disturbed_vth_at(kappa: f64, base_vth: f64, term: f64) -> f64 {
     kappa * ((base_vth / kappa).exp() + term).ln()
 }
 

@@ -17,12 +17,29 @@ use crate::params::ChipParams;
 /// [`sample_leak_factor`]). The drop is clamped so the voltage never falls
 /// below zero (the scale's GND).
 pub fn vth_drop(params: &ChipParams, base_vth: f64, leak: f64, pe_cycles: u64, days: f64) -> f64 {
-    if days <= 0.0 || base_vth <= 0.0 {
+    if days <= 0.0 {
         return 0.0;
     }
-    let rate = params.retention_rate_at(pe_cycles);
-    let drop = base_vth * rate * days.powf(params.retention_time_exp) * leak;
-    drop.min(base_vth)
+    let time_pow = days.powf(params.retention_time_exp);
+    vth_drop_at(base_vth, leak, params.retention_rate_at(pe_cycles), time_pow)
+}
+
+/// [`vth_drop`] for a positive age whose two block-level powers — the wear
+/// rate [`ChipParams::retention_rate_at`] and `days^retention_time_exp` —
+/// were evaluated by the caller (once per wordline, not once per cell).
+///
+/// Written as two selects rather than an early return and `f64::min` (same
+/// value for every input, NaNs included) so that the wordline-sensing loop
+/// it is inlined into stays free of data-dependent branches.
+#[inline]
+pub(crate) fn vth_drop_at(base_vth: f64, leak: f64, rate: f64, time_pow: f64) -> f64 {
+    let drop = base_vth * rate * time_pow * leak;
+    let drop = if drop < base_vth { drop } else { base_vth };
+    if base_vth <= 0.0 {
+        0.0
+    } else {
+        drop
+    }
 }
 
 /// Samples the per-cell leak factor: log-normal with mean 1.

@@ -244,9 +244,12 @@ impl VoltageRefs {
     ///
     /// # Panics
     ///
-    /// Panics on non-MLC reference sets (use [`VoltageRefs::classify_index`]).
+    /// Panics when a non-MLC reference set puts `vth` above a fourth
+    /// boundary (use [`VoltageRefs::classify_index`]); debug builds reject
+    /// every non-MLC set. The chip's read commands validate the set once
+    /// and return [`crate::FlashError::FidelityUnsupported`] instead.
     pub fn classify(&self, vth: f64) -> CellState {
-        assert_eq!(self.n_states(), 4, "CellState classification is MLC-only");
+        debug_assert_eq!(self.n_states(), 4, "CellState classification is MLC-only");
         CellState::from_index(self.classify_index(vth) as u8)
     }
 

@@ -10,6 +10,13 @@
 //! reads must cost allocations per *batch* (work arenas, timing records),
 //! not per read. Before the count-first pipeline every sampled read paid two
 //! payload clones and a `HashSet`.
+//!
+//! The cell-exact tier is count-first too: the raw read senses states into
+//! per-chip scratch and counts errors without packing a page, and the
+//! pass-through decision keeps its (usually empty) blocker list there. It
+//! stores cells, not pages, so the one allocation a warm read keeps is the
+//! decoded payload it assembles (it used to pay four: the sensed page, two
+//! per-bitline maxima vectors, the payload).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,6 +91,47 @@ fn stress(die: &mut Die) {
 fn warm_analytic_reads_do_not_allocate() {
     die_reads_never_allocate();
     stats_only_replay_allocations_do_not_scale_with_reads();
+    exact_die_reads_allocate_only_the_payload();
+}
+
+fn exact_die_reads_allocate_only_the_payload() {
+    // ECC wide enough to decode a page with a dozen blocked bitlines.
+    let config = SsdConfig { ecc_capability_rber: 1.0e-2, ..die_config() };
+    let mut die = Die::new(config.with_fidelity(ReadFidelity::CellExact)).unwrap();
+    for b in 0..16 {
+        die.chip_mut().cycle_block(b, 3_000).unwrap();
+    }
+    let pages = die.map().logical_pages();
+    for lpa in 0..pages {
+        die.write(lpa).unwrap();
+    }
+    // One block at the lowest Vpass, so its reads walk a non-empty blocker
+    // list, and disturbed enough for ECC to have bits to correct.
+    let relaxed = die.valid_blocks()[0];
+    let min_vpass = die.chip().params().min_vpass;
+    die.chip_mut().set_block_vpass(relaxed, min_vpass).unwrap();
+    die.chip_mut().apply_read_disturbs(relaxed, 100_000).unwrap();
+    let pass = |die: &mut Die| -> (u64, u64, u64) {
+        let (mut corrected, mut blocked, mut worst) = (0, 0, 0);
+        for lpa in 0..pages {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let (errors, bitlines) = die
+                .read_with(lpa, |r| {
+                    assert!(r.steps.is_empty(), "the gate covers reads ECC decodes directly");
+                    assert_eq!(r.data.len(), 256);
+                    (r.corrected_errors, r.blocked_bitlines)
+                })
+                .unwrap();
+            worst = worst.max(ALLOCS.load(Ordering::Relaxed) - before);
+            corrected += errors;
+            blocked += bitlines;
+        }
+        (corrected, blocked, worst)
+    };
+    pass(&mut die); // warm-up: the chip's sensing scratch
+    let (corrected, blocked, worst) = pass(&mut die);
+    assert!(corrected > 0 && blocked > 0, "saw {corrected} corrected bits, {blocked} blocked");
+    assert!(worst <= 1, "a warm cell-exact read made {worst} heap allocations");
 }
 
 fn die_reads_never_allocate() {

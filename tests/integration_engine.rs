@@ -117,3 +117,39 @@ fn multi_die_replay_conserves_trace_counts() {
     assert_eq!(totals.host_reads + stats.reads_not_written, reads);
     assert_eq!(totals.host_writes, 4_000 - reads);
 }
+
+/// The cell-exact tier senses wordlines through one comparison-domain
+/// kernel (`rd_flash::cell_array`); it may not move a simulated number.
+/// These are the statistics the per-cell loops it replaced produced for
+/// this replay (recorded at commit 56caf17), at either thread count.
+#[test]
+fn cell_exact_replay_statistics_are_pinned() {
+    let seed = 2015;
+    let ops = trace(seed, 8_000);
+    for threads in [1, 2] {
+        let topology = Topology { channels: 2, dies_per_channel: 2 };
+        let mut engine = Engine::new(engine_config(seed, topology)).unwrap();
+        assert_eq!(engine.config().die.fidelity(), ReadFidelity::CellExact);
+        let fill = (0..engine.logical_pages()).map(|lpa| TraceOp {
+            kind: OpKind::Write,
+            lpa,
+            time_s: 0.0,
+        });
+        engine.replay(fill, threads);
+        let stats = engine.replay(ops.iter().copied(), threads);
+        let totals = stats.totals();
+        assert_eq!(
+            (
+                stats.data_digest,
+                stats.corrected_bits,
+                totals.host_reads,
+                totals.host_writes,
+                totals.gc_writes,
+                totals.erases,
+                stats.uncorrectable_reads,
+            ),
+            (13_985_599_615_842_755_045, 133, 6_821, 1_947, 3_552, 293, 0),
+            "at {threads} thread(s)"
+        );
+    }
+}
