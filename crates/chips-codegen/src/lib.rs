@@ -1,40 +1,63 @@
-//! Build-time generator for the declarative chip database.
+//! The chip model, and the build-time generator for the chip database.
 //!
-//! The chip database lives in `chips/vendors/*.ron` — one file per
-//! (anonymized) vendor, each declaring named NAND parts as the full
-//! `rd_flash::ChipParams` coefficient set plus chip-level metadata and
-//! **calibration anchors** (headline RBER operating points from the read
-//! disturb / SSD-error-characterization papers). This crate is consumed two
-//! ways:
+//! This crate has no dependencies, so everything that needs the model can
+//! sit on top of it — `rd-flash`'s `build.rs`, `rd-flash` itself (which
+//! re-exports the model modules, so the rest of the workspace reaches them
+//! as `rd_flash::…`), and the `chips-codegen` lint binary. It has two
+//! halves:
 //!
-//! * `rd-flash`'s `build.rs` calls [`parse_vendor_file`], [`validate`], and
-//!   [`emit`] to generate the typed `chips::ChipDb` accessors into
-//!   `OUT_DIR/chip_db.rs`;
-//! * the `chips-codegen --check` binary runs the same parse + validation
-//!   standalone, so CI can lint the database (with line/column diagnostics)
-//!   without building the whole workspace.
+//! * **The model** (`src/model/`): [`params`] — the `ChipParams`
+//!   coefficient set, its `check` and the [`params::COEFFICIENTS`] table;
+//!   [`state`] — cell states, the Gray map, read references; [`fidelity`] —
+//!   the tier enum and its codecs; [`math`] — Gaussian tails and the
+//!   one-draw binomial; [`analytic`] — the closed-form RBER model every
+//!   mitigation result in the paper rests on.
+//! * **The database generator** (this file). The chip database lives in
+//!   `chips/vendors/*.ron` — one file per (anonymized) vendor, each
+//!   declaring named NAND parts as a full `ChipParams` plus chip-level
+//!   metadata and **calibration anchors** (headline RBER operating points
+//!   from the read disturb / SSD-error-characterization papers).
+//!   `rd-flash`'s `build.rs` calls [`load_dir`], [`validate`] and [`emit`]
+//!   to generate the typed `rd_flash::chips` accessors into
+//!   `OUT_DIR/chip_db.rs`; the `chips-codegen --check` binary runs the same
+//!   parse + validation standalone, so CI can lint the database (with
+//!   line/column diagnostics) without building the workspace.
 //!
 //! The parser is a hand-rolled RON *subset* — structs `(field: value, ...)`,
 //! lists `[...]`, strings, numbers, booleans, and `//` comments — matching
 //! the repo's no-external-deps house style. Anything fancier (enums with
 //! payloads, maps, raw strings) is rejected with a located diagnostic.
 //!
-//! Validation mirrors `ChipParams::check` (the source of truth at run time)
-//! and additionally checks database-level invariants the flash crate cannot
+//! Per-chip validation is `ChipParams::check`, the gate the runtime uses;
+//! on top of it come the database-level invariants only this crate can
 //! see: name uniqueness across vendor files, exactly one default chip,
-//! anchor monotonicity, and agreement between each anchor and the closed
-//! form RBER model (re-derived here — see [`model_rber`]) within a log-scale
-//! tolerance.
+//! anchor monotonicity, and agreement between each anchor and
+//! [`analytic::AnalyticModel`] within a log-scale tolerance.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use std::fmt;
+use std::path::Path;
 
-/// Nominal pass-through voltage on the papers' normalized scale. Must match
-/// `rd_flash::NOMINAL_VPASS`.
-pub const NOMINAL_VPASS: f64 = 512.0;
+// The model's sources sit together under `model/` but are mounted at the
+// crate root: `rd-flash` re-exports them at *its* root, so a path such as
+// `crate::params::ChipParams` reads the same in either crate.
+#[path = "model/analytic.rs"]
+pub mod analytic;
+#[path = "model/fidelity.rs"]
+pub mod fidelity;
+#[path = "model/math.rs"]
+pub mod math;
+#[path = "model/params.rs"]
+pub mod params;
+#[path = "model/state.rs"]
+pub mod state;
 
-/// Maximum states per cell the flash crate supports (`rd_flash`'s
-/// `MAX_STATES`).
-pub const MAX_STATES: usize = 16;
+use analytic::AnalyticModel;
+use fidelity::ReadFidelity;
+use params::{ChipParams, StateParams, COEFFICIENTS, NOMINAL_VPASS};
+use state::VoltageRefs;
 
 /// Wordlines-per-block assumed when deriving the pass-through amplitude for
 /// anchor validation (the standard characterization geometry).
@@ -73,55 +96,6 @@ impl std::error::Error for Diag {}
 // Data model
 // ---------------------------------------------------------------------------
 
-/// One Gaussian programming target: `(mean, sigma)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StateDef {
-    /// Mean threshold voltage right after programming.
-    pub mean: f64,
-    /// Standard deviation right after programming.
-    pub sigma: f64,
-}
-
-/// Read-path fidelity tier a chip defaults to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FidelityDef {
-    /// Per-cell Monte-Carlo (MLC only).
-    CellExact,
-    /// Sampled closed-form model, per-page state.
-    PageAnalytic,
-    /// Sampled closed-form model, per-block aggregate state.
-    BlockAggregate,
-}
-
-impl FidelityDef {
-    /// The RON spelling of this tier.
-    pub fn as_ron(self) -> &'static str {
-        match self {
-            FidelityDef::CellExact => "cell-exact",
-            FidelityDef::PageAnalytic => "page-analytic",
-            FidelityDef::BlockAggregate => "block-aggregate",
-        }
-    }
-
-    fn from_ron(s: &str) -> Option<Self> {
-        match s {
-            "cell-exact" => Some(FidelityDef::CellExact),
-            "page-analytic" => Some(FidelityDef::PageAnalytic),
-            "block-aggregate" => Some(FidelityDef::BlockAggregate),
-            _ => None,
-        }
-    }
-
-    /// The `rd_flash::ReadFidelity` variant path emitted into generated code.
-    pub fn as_rust(self) -> &'static str {
-        match self {
-            FidelityDef::CellExact => "ReadFidelity::CellExact",
-            FidelityDef::PageAnalytic => "ReadFidelity::PageAnalytic",
-            FidelityDef::BlockAggregate => "ReadFidelity::BlockAggregate",
-        }
-    }
-}
-
 /// A calibration anchor: one headline operating point from the papers and
 /// the raw bit error rate the model must reproduce there.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,8 +112,8 @@ pub struct AnchorDef {
     pub rber: f64,
 }
 
-/// One chip entry of a vendor file — the full `ChipParams` coefficient set
-/// plus database-level metadata.
+/// One chip entry of a vendor file: the model parameters plus
+/// database-level metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipDef {
     /// Unique chip name (`--chip` selector), kebab-case.
@@ -148,68 +122,10 @@ pub struct ChipDef {
     pub description: String,
     /// Whether this chip is the repository default (exactly one per DB).
     pub default: bool,
-    /// Default read-path fidelity tier.
-    pub fidelity: FidelityDef,
     /// Provisioned ECC capability line (tolerable RBER) for this part.
     pub ecc_capability_rber: f64,
-    /// Programming distributions in threshold-voltage order.
-    pub states: Vec<StateDef>,
-    /// Read reference voltages (`states.len() - 1` boundaries).
-    pub refs: Vec<f64>,
-    /// Lowest pass-through voltage the tuning interface accepts.
-    pub min_vpass: f64,
-    /// `rber_pe = pe_rber_coeff * (PE/1000)^pe_rber_exp`.
-    pub pe_rber_coeff: f64,
-    /// Exponent of the P/E error law.
-    pub pe_rber_exp: f64,
-    /// Distribution widening with wear (coefficient).
-    pub pe_sigma_widen_coeff: f64,
-    /// Distribution widening with wear (exponent).
-    pub pe_sigma_widen_exp: f64,
-    /// Base retention-loss rate.
-    pub retention_rate: f64,
-    /// Wear acceleration of retention loss.
-    pub retention_pe_exp: f64,
-    /// Sub-linear time exponent of retention loss.
-    pub retention_time_exp: f64,
-    /// Log-normal sigma of per-cell leak rates.
-    pub retention_leak_sigma_ln: f64,
-    /// Per-read disturb dose coefficient.
-    pub rd_alpha: f64,
-    /// Tunneling softness of the disturb closed form.
-    pub rd_kappa: f64,
-    /// Wear exponent of the disturb slope.
-    pub rd_pe_exp: f64,
-    /// Reference P/E count of the slope law.
-    pub rd_pe_ref: f64,
-    /// Vpass sensitivity (volts per e-fold).
-    pub rd_vpass_lambda: f64,
-    /// Pareto tail exponent of disturb susceptibility.
-    pub rd_susceptibility_pareto_a: f64,
-    /// Cap on the susceptibility factor.
-    pub rd_susceptibility_cap: f64,
-    /// Extra dose multiplier for direct neighbours of a hammered wordline.
-    pub rd_neighbor_boost: f64,
-    /// Over-programmed tail probability (top state).
-    pub outlier_prob: f64,
-    /// Lower edge of the outlier tail.
-    pub outlier_base: f64,
-    /// Exponential scale of the outlier tail.
-    pub outlier_scale: f64,
-    /// Hard cap of the outlier tail (below nominal Vpass).
-    pub outlier_cap: f64,
-    /// Program-interference sigma (added in quadrature).
-    pub program_interference_sigma: f64,
-    /// Closed-form retention coefficient (analytic tiers).
-    pub analytic_ret_coeff: f64,
-    /// Closed-form per-read disturb slope at reference wear/nominal Vpass.
-    pub analytic_rd_slope: f64,
-    /// Closed-form disturb saturation level.
-    pub analytic_rd_sat: f64,
-    /// Read-retry uniform reference shifts, in sweep order.
-    pub retry_shifts: Vec<f64>,
-    /// Disturb-aware re-read lowest-boundary raises, in order.
-    pub reread_va_raises: Vec<f64>,
+    /// The part's model parameters, default fidelity tier included.
+    pub params: ChipParams,
     /// Calibration anchors, ordered by `(pe, days, reads)`.
     pub anchors: Vec<AnchorDef>,
 }
@@ -585,6 +501,26 @@ impl<'a> Fields<'a> {
         None
     }
 
+    fn req_str(&mut self, name: &str) -> Result<String, Diag> {
+        let v = self.get(name)?;
+        self.str_of(v, name)
+    }
+
+    fn req_f64(&mut self, name: &str) -> Result<f64, Diag> {
+        let v = self.get(name)?;
+        self.f64_of(v, name)
+    }
+
+    fn req_u64(&mut self, name: &str) -> Result<u64, Diag> {
+        let v = self.get(name)?;
+        self.u64_of(v, name)
+    }
+
+    fn req_f64_list(&mut self, name: &str) -> Result<Vec<f64>, Diag> {
+        let v = self.get(name)?;
+        self.f64_list_of(v, name)
+    }
+
     fn finish(self) -> Result<(), Diag> {
         for (i, (n, v)) in self.entries.iter().enumerate() {
             if !self.taken[i] {
@@ -655,23 +591,10 @@ impl<'a> Fields<'a> {
     }
 }
 
-macro_rules! req_f64 {
-    ($f:expr, $name:literal) => {{
-        let v = $f.get($name)?;
-        $f.f64_of(v, $name)?
-    }};
-}
-
 fn parse_chip(file: &str, v: &SpannedValue) -> Result<ChipDef, Diag> {
     let mut f = Fields::of(file, v, "chip")?;
-    let name = {
-        let v = f.get("name")?;
-        f.str_of(v, "name")?
-    };
-    let description = {
-        let v = f.get("description")?;
-        f.str_of(v, "description")?
-    };
+    let name = f.req_str("name")?;
+    let description = f.req_str("description")?;
     let default = match f.get_opt("default") {
         Some(v) => f.bool_of(v, "default")?,
         None => false,
@@ -679,7 +602,8 @@ fn parse_chip(file: &str, v: &SpannedValue) -> Result<ChipDef, Diag> {
     let fidelity = {
         let v = f.get("fidelity")?;
         let s = f.str_of(v, "fidelity")?;
-        FidelityDef::from_ron(&s).ok_or_else(|| {
+        // The database spells tiers out; the CLI's short aliases stay CLI.
+        s.parse::<ReadFidelity>().ok().filter(|tier| tier.as_str() == s).ok_or_else(|| {
             f.diag(
                 v.line,
                 v.col,
@@ -696,86 +620,53 @@ fn parse_chip(file: &str, v: &SpannedValue) -> Result<ChipDef, Diag> {
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             let mut sf = Fields::of(file, item, "state")?;
-            let mean = req_f64!(sf, "mean");
-            let sigma = req_f64!(sf, "sigma");
+            let (mean, sigma) = (sf.req_f64("mean")?, sf.req_f64("sigma")?);
             sf.finish()?;
-            out.push(StateDef { mean, sigma });
+            out.push(StateParams { mean, sigma });
         }
         out
     };
     let refs = {
         let v = f.get("refs")?;
-        f.f64_list_of(v, "refs")?
+        VoltageRefs::try_from_levels(&f.f64_list_of(v, "refs")?)
+            .map_err(|e| f.diag(v.line, v.col, format!("field `refs`: {e}")))?
     };
-    let retry_shifts = {
-        let v = f.get("retry_shifts")?;
-        f.f64_list_of(v, "retry_shifts")?
-    };
-    let reread_va_raises = {
-        let v = f.get("reread_va_raises")?;
-        f.f64_list_of(v, "reread_va_raises")?
-    };
+    let retry_shifts = f.req_f64_list("retry_shifts")?;
+    let reread_va_raises = f.req_f64_list("reread_va_raises")?;
     let anchors = {
         let v = f.get("anchors")?;
         let items = f.list_of(v, "anchors")?;
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             let mut af = Fields::of(file, item, "anchor")?;
-            let pe = {
-                let v = af.get("pe")?;
-                af.u64_of(v, "pe")?
+            let anchor = AnchorDef {
+                pe: af.req_u64("pe")?,
+                days: af.req_f64("days")?,
+                reads: af.req_u64("reads")?,
+                vpass: af.req_f64("vpass")?,
+                rber: af.req_f64("rber")?,
             };
-            let days = req_f64!(af, "days");
-            let reads = {
-                let v = af.get("reads")?;
-                af.u64_of(v, "reads")?
-            };
-            let vpass = req_f64!(af, "vpass");
-            let rber = req_f64!(af, "rber");
             af.finish()?;
-            out.push(AnchorDef { pe, days, reads, vpass, rber });
+            out.push(anchor);
         }
         out
     };
-    let chip = ChipDef {
-        name,
-        description,
-        default,
-        fidelity,
-        ecc_capability_rber: req_f64!(f, "ecc_capability_rber"),
+    let ecc_capability_rber = f.req_f64("ecc_capability_rber")?;
+    let mut params = ChipParams {
         states,
         refs,
-        min_vpass: req_f64!(f, "min_vpass"),
-        pe_rber_coeff: req_f64!(f, "pe_rber_coeff"),
-        pe_rber_exp: req_f64!(f, "pe_rber_exp"),
-        pe_sigma_widen_coeff: req_f64!(f, "pe_sigma_widen_coeff"),
-        pe_sigma_widen_exp: req_f64!(f, "pe_sigma_widen_exp"),
-        retention_rate: req_f64!(f, "retention_rate"),
-        retention_pe_exp: req_f64!(f, "retention_pe_exp"),
-        retention_time_exp: req_f64!(f, "retention_time_exp"),
-        retention_leak_sigma_ln: req_f64!(f, "retention_leak_sigma_ln"),
-        rd_alpha: req_f64!(f, "rd_alpha"),
-        rd_kappa: req_f64!(f, "rd_kappa"),
-        rd_pe_exp: req_f64!(f, "rd_pe_exp"),
-        rd_pe_ref: req_f64!(f, "rd_pe_ref"),
-        rd_vpass_lambda: req_f64!(f, "rd_vpass_lambda"),
-        rd_susceptibility_pareto_a: req_f64!(f, "rd_susceptibility_pareto_a"),
-        rd_susceptibility_cap: req_f64!(f, "rd_susceptibility_cap"),
-        rd_neighbor_boost: req_f64!(f, "rd_neighbor_boost"),
-        outlier_prob: req_f64!(f, "outlier_prob"),
-        outlier_base: req_f64!(f, "outlier_base"),
-        outlier_scale: req_f64!(f, "outlier_scale"),
-        outlier_cap: req_f64!(f, "outlier_cap"),
-        program_interference_sigma: req_f64!(f, "program_interference_sigma"),
-        analytic_ret_coeff: req_f64!(f, "analytic_ret_coeff"),
-        analytic_rd_slope: req_f64!(f, "analytic_rd_slope"),
-        analytic_rd_sat: req_f64!(f, "analytic_rd_sat"),
+        min_vpass: f.req_f64("min_vpass")?,
+        fidelity,
         retry_shifts,
         reread_va_raises,
-        anchors,
+        // Every coefficient is a required field, read next.
+        ..ChipParams::default()
     };
+    for c in COEFFICIENTS {
+        (c.set)(&mut params, f.req_f64(c.name)?);
+    }
     f.finish()?;
-    Ok(chip)
+    Ok(ChipDef { name, description, default, ecc_capability_rber, params, anchors })
 }
 
 /// Parses one vendor file. `file` labels diagnostics (usually the path).
@@ -791,10 +682,7 @@ pub fn parse_vendor_file(src: &str, file: &str) -> Result<VendorFile, Diag> {
         return Err(p.diag_here("trailing content after the vendor struct"));
     }
     let mut f = Fields::of(file, &root, "vendor")?;
-    let vendor = {
-        let v = f.get("vendor")?;
-        f.str_of(v, "vendor")?
-    };
+    let vendor = f.req_str("vendor")?;
     let chips = {
         let v = f.get("chips")?;
         let items = f.list_of(v, "chips")?;
@@ -805,44 +693,34 @@ pub fn parse_vendor_file(src: &str, file: &str) -> Result<VendorFile, Diag> {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form model mirror (anchor validation)
+// Loading
 // ---------------------------------------------------------------------------
 
-/// The closed-form RBER model at one operating point, re-derived from the
-/// chip definition exactly as `rd_flash::AnalyticModel::from_chip` does
-/// (with [`ANCHOR_WORDLINES`] wordlines per block for the pass-through
-/// amplitude).
+/// Reads and parses one vendor file.
 ///
-/// This duplicates `rd_flash::analytic` on purpose: `rd-flash` build-depends
-/// on this crate, so the dependency cannot point the other way.
-/// `rd_flash::chips`'s `anchors_match_the_real_analytic_model` unit test
-/// re-checks every anchor against the *real* model, which catches any drift
-/// between the two copies.
-pub fn model_rber(c: &ChipDef, pe: u64, days: f64, reads: u64, vpass: f64) -> f64 {
-    let rber_pe = c.pe_rber_coeff * (pe as f64 / 1000.0).powf(c.pe_rber_exp);
-    let retention = if days <= 0.0 {
-        0.0
-    } else {
-        c.analytic_ret_coeff
-            * (pe as f64 / 1000.0).powf(c.retention_pe_exp)
-            * days.powf(c.retention_time_exp)
-    };
-    let slope = c.analytic_rd_slope
-        * (pe.max(1) as f64 / c.rd_pe_ref).powf(c.rd_pe_exp)
-        * ((vpass - NOMINAL_VPASS) / c.rd_vpass_lambda).exp();
-    let read_disturb = c.analytic_rd_sat * (slope * reads as f64 / c.analytic_rd_sat).ln_1p();
-    let w = ANCHOR_WORDLINES.max(2) as f64;
-    let pt_amp = 0.5 * (w - 1.0) * (1.0 / c.states.len() as f64) * c.outlier_prob;
-    let drift = 0.5
-        * c.outlier_base
-        * c.retention_rate
-        * (pe as f64 / 1000.0).powf(c.retention_pe_exp)
-        * days.max(0.0).powf(c.retention_time_exp);
-    let q_cap = (-(c.outlier_cap - c.outlier_base) / c.outlier_scale).exp();
-    let exceed =
-        ((-(vpass - c.outlier_base + drift) / c.outlier_scale).exp() - q_cap) / (1.0 - q_cap);
-    let passthrough = pt_amp * exceed.clamp(0.0, 1.0);
-    rber_pe + retention + read_disturb + passthrough
+/// # Errors
+///
+/// Returns the I/O error, or the first parse diagnostic, as
+/// `file:line:col: message`.
+pub fn load_file(path: &Path) -> Result<VendorFile, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_vendor_file(&src, &path.display().to_string()).map_err(|d| d.to_string())
+}
+
+/// Reads and parses every `*.ron` file directly under `dir`, in file-name
+/// order (the order `build.rs` and the lint binary must agree on).
+///
+/// # Errors
+///
+/// Returns the first I/O error or parse diagnostic.
+pub fn load_dir(dir: &Path) -> Result<Vec<VendorFile>, String> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "ron"))
+        .collect();
+    paths.sort();
+    paths.iter().map(|p| load_file(p)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -850,106 +728,39 @@ pub fn model_rber(c: &ChipDef, pe: u64, days: f64, reads: u64, vpass: f64) -> f6
 // ---------------------------------------------------------------------------
 
 fn validate_chip(c: &ChipDef) -> Result<(), String> {
-    let n = c.states.len();
-    if !(n.is_power_of_two() && (2..=MAX_STATES).contains(&n)) {
-        return Err(format!("state count {n} must be a power of two in 2..={MAX_STATES}"));
-    }
-    if c.fidelity == FidelityDef::CellExact && n != 4 {
-        return Err(format!("fidelity cell-exact is MLC-only, chip declares {n} states"));
-    }
     if c.name.is_empty()
         || !c.name.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
     {
         return Err(format!("chip name `{}` must be non-empty kebab-case", c.name));
     }
-    for w in c.states.windows(2) {
-        if w[0].mean >= w[1].mean {
-            return Err(format!(
-                "state means must be strictly increasing ({} >= {})",
-                w[0].mean, w[1].mean
-            ));
-        }
-    }
-    for s in &c.states {
-        if s.sigma <= 0.0 {
-            return Err(format!("state sigma {} must be positive", s.sigma));
-        }
-    }
-    if c.refs.len() != n - 1 {
-        return Err(format!("{} refs cannot separate {n} states (need {})", c.refs.len(), n - 1));
-    }
-    for (i, &v) in c.refs.iter().enumerate() {
-        if !(c.states[i].mean < v && v < c.states[i + 1].mean) {
-            return Err(format!(
-                "ref {i} ({v}) must sit between state means {} and {}",
-                c.states[i].mean,
-                c.states[i + 1].mean
-            ));
-        }
-    }
-    let top = c.states[n - 1];
-    if top.mean + 4.0 * top.sigma >= NOMINAL_VPASS {
-        return Err(format!(
-            "top state ({} + 4*{}) must clear the nominal Vpass {NOMINAL_VPASS}",
-            top.mean, top.sigma
-        ));
-    }
-    if !(c.min_vpass > 0.0 && c.min_vpass < NOMINAL_VPASS) {
-        return Err(format!("min_vpass {} outside (0, {NOMINAL_VPASS})", c.min_vpass));
-    }
-    if !(c.outlier_base < c.outlier_cap && c.outlier_cap < NOMINAL_VPASS) {
-        return Err(format!(
-            "outlier tail [{}, {}] must sit below the nominal Vpass",
-            c.outlier_base, c.outlier_cap
-        ));
-    }
+    c.params.check()?;
     if !(c.ecc_capability_rber > 0.0 && c.ecc_capability_rber < 0.1) {
         return Err(format!("ecc_capability_rber {} outside (0, 0.1)", c.ecc_capability_rber));
-    }
-    if c.retry_shifts.is_empty() || c.reread_va_raises.is_empty() {
-        return Err("retry_shifts and reread_va_raises must be non-empty".into());
-    }
-    for coeff in [
-        ("pe_rber_coeff", c.pe_rber_coeff),
-        ("retention_rate", c.retention_rate),
-        ("rd_alpha", c.rd_alpha),
-        ("rd_kappa", c.rd_kappa),
-        ("rd_pe_ref", c.rd_pe_ref),
-        ("rd_vpass_lambda", c.rd_vpass_lambda),
-        ("rd_susceptibility_pareto_a", c.rd_susceptibility_pareto_a),
-        ("outlier_prob", c.outlier_prob),
-        ("outlier_scale", c.outlier_scale),
-        ("analytic_ret_coeff", c.analytic_ret_coeff),
-        ("analytic_rd_slope", c.analytic_rd_slope),
-        ("analytic_rd_sat", c.analytic_rd_sat),
-    ] {
-        if coeff.1 <= 0.0 {
-            return Err(format!("{} must be positive, got {}", coeff.0, coeff.1));
-        }
     }
     if c.anchors.is_empty() {
         return Err("at least one calibration anchor is required".into());
     }
+    let model = AnalyticModel::from_chip(&c.params, ANCHOR_WORDLINES);
     for a in &c.anchors {
         if !(a.rber > 0.0 && a.rber < 1.0) {
             return Err(format!("anchor rber {} outside (0, 1)", a.rber));
         }
-        if !(a.vpass >= c.min_vpass && a.vpass <= NOMINAL_VPASS) {
+        if !(a.vpass >= c.params.min_vpass && a.vpass <= NOMINAL_VPASS) {
             return Err(format!(
                 "anchor vpass {} outside the chip's [{}, {NOMINAL_VPASS}] range",
-                a.vpass, c.min_vpass
+                a.vpass, c.params.min_vpass
             ));
         }
         if a.days < 0.0 {
             return Err(format!("anchor days {} must be non-negative", a.days));
         }
-        let model = model_rber(c, a.pe, a.days, a.reads, a.vpass);
-        let err = (model.log10() - a.rber.log10()).abs();
+        let got = model.rber(a.pe, a.days, a.reads, a.vpass);
+        let err = (got.log10() - a.rber.log10()).abs();
         if err > ANCHOR_TOL_LOG10 {
             return Err(format!(
                 "anchor (pe={}, days={}, reads={}, vpass={}) declares rber {:.3e} but the \
                  closed-form model gives {:.3e} ({:.2} decades apart, tolerance {})",
-                a.pe, a.days, a.reads, a.vpass, a.rber, model, err, ANCHOR_TOL_LOG10
+                a.pe, a.days, a.reads, a.vpass, a.rber, got, err, ANCHOR_TOL_LOG10
             ));
         }
     }
@@ -1031,10 +842,9 @@ pub fn validate(files: &[VendorFile]) -> Result<(), Vec<String>> {
 /// Formats an `f64` as a Rust literal that parses back to the identical bit
 /// pattern (`{:?}` is Rust's shortest round-trip form).
 fn lit(x: f64) -> String {
-    let s = format!("{x:?}");
     // `{:?}` always includes a `.` or an exponent for finite floats, so the
-    // token is already a float literal.
-    s
+    // token is a float literal in Rust and a number in RON.
+    format!("{x:?}")
 }
 
 fn lit_list(xs: &[f64]) -> String {
@@ -1114,8 +924,9 @@ pub fn emit(files: &[VendorFile]) -> String {
             desc = c.description,
             ecc = lit(c.ecc_capability_rber),
         ));
+        let p = &c.params;
         out.push_str("                states: vec![\n");
-        for s in &c.states {
+        for s in &p.states {
             out.push_str(&format!(
                 "                    StateParams {{ mean: {}, sigma: {} }},\n",
                 lit(s.mean),
@@ -1125,45 +936,20 @@ pub fn emit(files: &[VendorFile]) -> String {
         out.push_str("                ],\n");
         out.push_str(&format!(
             "                refs: VoltageRefs::from_levels(&[{}]),\n",
-            lit_list(&c.refs)
+            lit_list(p.refs.levels())
         ));
-        out.push_str(&format!("                min_vpass: {},\n", lit(c.min_vpass)));
-        out.push_str(&format!("                fidelity: {},\n", c.fidelity.as_rust()));
-        for (field, value) in [
-            ("pe_rber_coeff", c.pe_rber_coeff),
-            ("pe_rber_exp", c.pe_rber_exp),
-            ("pe_sigma_widen_coeff", c.pe_sigma_widen_coeff),
-            ("pe_sigma_widen_exp", c.pe_sigma_widen_exp),
-            ("retention_rate", c.retention_rate),
-            ("retention_pe_exp", c.retention_pe_exp),
-            ("retention_time_exp", c.retention_time_exp),
-            ("retention_leak_sigma_ln", c.retention_leak_sigma_ln),
-            ("rd_alpha", c.rd_alpha),
-            ("rd_kappa", c.rd_kappa),
-            ("rd_pe_exp", c.rd_pe_exp),
-            ("rd_pe_ref", c.rd_pe_ref),
-            ("rd_vpass_lambda", c.rd_vpass_lambda),
-            ("rd_susceptibility_pareto_a", c.rd_susceptibility_pareto_a),
-            ("rd_susceptibility_cap", c.rd_susceptibility_cap),
-            ("rd_neighbor_boost", c.rd_neighbor_boost),
-            ("outlier_prob", c.outlier_prob),
-            ("outlier_base", c.outlier_base),
-            ("outlier_scale", c.outlier_scale),
-            ("outlier_cap", c.outlier_cap),
-            ("program_interference_sigma", c.program_interference_sigma),
-            ("analytic_ret_coeff", c.analytic_ret_coeff),
-            ("analytic_rd_slope", c.analytic_rd_slope),
-            ("analytic_rd_sat", c.analytic_rd_sat),
-        ] {
-            out.push_str(&format!("                {field}: {},\n", lit(value)));
+        out.push_str(&format!("                min_vpass: {},\n", lit(p.min_vpass)));
+        out.push_str(&format!("                fidelity: ReadFidelity::{:?},\n", p.fidelity));
+        for coeff in COEFFICIENTS {
+            out.push_str(&format!("                {}: {},\n", coeff.name, lit((coeff.get)(p))));
         }
         out.push_str(&format!(
             "                retry_shifts: vec![{}],\n",
-            lit_list(&c.retry_shifts)
+            lit_list(&p.retry_shifts)
         ));
         out.push_str(&format!(
             "                reread_va_raises: vec![{}],\n",
-            lit_list(&c.reread_va_raises)
+            lit_list(&p.reread_va_raises)
         ));
         out.push_str("            },\n        },\n");
     }
@@ -1175,10 +961,6 @@ pub fn emit(files: &[VendorFile]) -> String {
 // RON writer (round-trip testing and `--fmt` style output)
 // ---------------------------------------------------------------------------
 
-fn ron_f64(x: f64) -> String {
-    format!("{x:?}")
-}
-
 /// Serializes a vendor file back to the RON subset [`parse_vendor_file`]
 /// accepts. `parse(to_ron(f)) == f` for every representable file — the
 /// round-trip property the codegen test suite checks.
@@ -1188,76 +970,46 @@ pub fn to_ron(vf: &VendorFile) -> String {
     out.push_str(&format!("    vendor: {:?},\n", vf.vendor));
     out.push_str("    chips: [\n");
     for c in &vf.chips {
+        let p = &c.params;
         out.push_str("        (\n");
         out.push_str(&format!("            name: {:?},\n", c.name));
         out.push_str(&format!("            description: {:?},\n", c.description));
         if c.default {
             out.push_str("            default: true,\n");
         }
-        out.push_str(&format!("            fidelity: {:?},\n", c.fidelity.as_ron()));
+        out.push_str(&format!("            fidelity: {:?},\n", p.fidelity.as_str()));
         out.push_str(&format!(
             "            ecc_capability_rber: {},\n",
-            ron_f64(c.ecc_capability_rber)
+            lit(c.ecc_capability_rber)
         ));
         out.push_str("            states: [\n");
-        for s in &c.states {
+        for s in &p.states {
             out.push_str(&format!(
                 "                (mean: {}, sigma: {}),\n",
-                ron_f64(s.mean),
-                ron_f64(s.sigma)
+                lit(s.mean),
+                lit(s.sigma)
             ));
         }
         out.push_str("            ],\n");
-        out.push_str(&format!(
-            "            refs: [{}],\n",
-            c.refs.iter().map(|&x| ron_f64(x)).collect::<Vec<_>>().join(", ")
-        ));
-        for (field, value) in [
-            ("min_vpass", c.min_vpass),
-            ("pe_rber_coeff", c.pe_rber_coeff),
-            ("pe_rber_exp", c.pe_rber_exp),
-            ("pe_sigma_widen_coeff", c.pe_sigma_widen_coeff),
-            ("pe_sigma_widen_exp", c.pe_sigma_widen_exp),
-            ("retention_rate", c.retention_rate),
-            ("retention_pe_exp", c.retention_pe_exp),
-            ("retention_time_exp", c.retention_time_exp),
-            ("retention_leak_sigma_ln", c.retention_leak_sigma_ln),
-            ("rd_alpha", c.rd_alpha),
-            ("rd_kappa", c.rd_kappa),
-            ("rd_pe_exp", c.rd_pe_exp),
-            ("rd_pe_ref", c.rd_pe_ref),
-            ("rd_vpass_lambda", c.rd_vpass_lambda),
-            ("rd_susceptibility_pareto_a", c.rd_susceptibility_pareto_a),
-            ("rd_susceptibility_cap", c.rd_susceptibility_cap),
-            ("rd_neighbor_boost", c.rd_neighbor_boost),
-            ("outlier_prob", c.outlier_prob),
-            ("outlier_base", c.outlier_base),
-            ("outlier_scale", c.outlier_scale),
-            ("outlier_cap", c.outlier_cap),
-            ("program_interference_sigma", c.program_interference_sigma),
-            ("analytic_ret_coeff", c.analytic_ret_coeff),
-            ("analytic_rd_slope", c.analytic_rd_slope),
-            ("analytic_rd_sat", c.analytic_rd_sat),
-        ] {
-            out.push_str(&format!("            {field}: {},\n", ron_f64(value)));
+        out.push_str(&format!("            refs: [{}],\n", lit_list(p.refs.levels())));
+        out.push_str(&format!("            min_vpass: {},\n", lit(p.min_vpass)));
+        for coeff in COEFFICIENTS {
+            out.push_str(&format!("            {}: {},\n", coeff.name, lit((coeff.get)(p))));
         }
-        out.push_str(&format!(
-            "            retry_shifts: [{}],\n",
-            c.retry_shifts.iter().map(|&x| ron_f64(x)).collect::<Vec<_>>().join(", ")
-        ));
+        out.push_str(&format!("            retry_shifts: [{}],\n", lit_list(&p.retry_shifts)));
         out.push_str(&format!(
             "            reread_va_raises: [{}],\n",
-            c.reread_va_raises.iter().map(|&x| ron_f64(x)).collect::<Vec<_>>().join(", ")
+            lit_list(&p.reread_va_raises)
         ));
         out.push_str("            anchors: [\n");
         for a in &c.anchors {
             out.push_str(&format!(
                 "                (pe: {}, days: {}, reads: {}, vpass: {}, rber: {}),\n",
                 a.pe,
-                ron_f64(a.days),
+                lit(a.days),
                 a.reads,
-                ron_f64(a.vpass),
-                ron_f64(a.rber)
+                lit(a.vpass),
+                lit(a.rber)
             ));
         }
         out.push_str("            ],\n");
@@ -1276,42 +1028,8 @@ mod tests {
             name: name.to_string(),
             description: "test chip".to_string(),
             default,
-            fidelity: FidelityDef::CellExact,
             ecc_capability_rber: 1.0e-3,
-            states: vec![
-                StateDef { mean: 40.0, sigma: 15.0 },
-                StateDef { mean: 160.0, sigma: 13.0 },
-                StateDef { mean: 290.0, sigma: 13.0 },
-                StateDef { mean: 420.0, sigma: 12.0 },
-            ],
-            refs: vec![100.0, 225.0, 355.0],
-            min_vpass: 460.8,
-            pe_rber_coeff: 1.6e-5,
-            pe_rber_exp: 1.6,
-            pe_sigma_widen_coeff: 0.02,
-            pe_sigma_widen_exp: 0.7,
-            retention_rate: 1.6e-4,
-            retention_pe_exp: 1.2,
-            retention_time_exp: 0.85,
-            retention_leak_sigma_ln: 0.75,
-            rd_alpha: 1.1e-7,
-            rd_kappa: 25.0,
-            rd_pe_exp: 1.45,
-            rd_pe_ref: 2000.0,
-            rd_vpass_lambda: 4.0,
-            rd_susceptibility_pareto_a: 0.85,
-            rd_susceptibility_cap: 1.0e5,
-            rd_neighbor_boost: 1.5,
-            outlier_prob: 7.6e-4,
-            outlier_base: 460.0,
-            outlier_scale: 12.0,
-            outlier_cap: 508.0,
-            program_interference_sigma: 2.0,
-            analytic_ret_coeff: 2.3e-6,
-            analytic_rd_slope: 1.0e-9,
-            analytic_rd_sat: 2.0e-2,
-            retry_shifts: vec![4.0, 8.0, 12.0, 16.0, -4.0],
-            reread_va_raises: vec![10.0, 20.0, 30.0],
+            params: ChipParams::default(),
             anchors: vec![AnchorDef {
                 pe: 8_000,
                 days: 0.0,
@@ -1368,20 +1086,47 @@ mod tests {
     #[test]
     fn validation_requires_sorted_anchors() {
         let mut chip = mlc_chip("t-mlc", true);
-        let a0 = chip.anchors[0];
-        chip.anchors = vec![
-            AnchorDef { pe: 8_000, reads: 100, ..a0 },
-            AnchorDef {
-                pe: 8_000,
-                reads: 0,
-                rber: model_rber(&chip, 8_000, 0.0, 0, NOMINAL_VPASS),
-                ..a0
-            },
-        ];
-        chip.anchors[0].rber = model_rber(&chip, 8_000, 0.0, 100, NOMINAL_VPASS);
+        let model = AnalyticModel::from_chip(&chip.params, ANCHOR_WORDLINES);
+        let anchor = |reads| AnchorDef {
+            reads,
+            rber: model.rber(8_000, 0.0, reads, NOMINAL_VPASS),
+            ..chip.anchors[0]
+        };
+        chip.anchors = vec![anchor(100), anchor(0)];
         let vf = VendorFile { vendor: "vendor-t".into(), chips: vec![chip] };
         let problems = validate(&[vf]).unwrap_err();
         assert!(problems[0].contains("sorted"), "{problems:?}");
+    }
+
+    #[test]
+    fn per_chip_validation_is_the_runtime_check() {
+        let mut chip = mlc_chip("t-mlc", true);
+        chip.params.outlier_scale = 0.0;
+        let err = chip.params.check().unwrap_err();
+        let vf = VendorFile { vendor: "vendor-t".into(), chips: vec![chip] };
+        assert_eq!(validate(&[vf]).unwrap_err(), [format!("vendor-t/t-mlc: {err}")]);
+    }
+
+    /// A reference list `VoltageRefs` cannot hold is a located diagnostic
+    /// on the `refs` field, not the constructor's panic.
+    #[test]
+    fn unrepresentable_refs_are_a_diagnostic() {
+        let good =
+            to_ron(&VendorFile { vendor: "vendor-t".into(), chips: vec![mlc_chip("t-mlc", true)] });
+        let refs_line = good.lines().position(|l| l.trim_start().starts_with("refs:")).unwrap();
+        let sixteen = (1..=16).map(|i| format!("{i}.0")).collect::<Vec<_>>().join(", ");
+        for (refs, needle) in [
+            ("", "need 1..=15 references, got 0"),
+            (sixteen.as_str(), "need 1..=15 references, got 16"),
+            ("100.0, 100.0, 355.0", "strictly increasing"),
+            ("225.0, 100.0, 355.0", "strictly increasing"),
+        ] {
+            let bad = good.replace("refs: [100.0, 225.0, 355.0]", &format!("refs: [{refs}]"));
+            assert_ne!(bad, good);
+            let err = parse_vendor_file(&bad, "refs.ron").unwrap_err();
+            assert!(err.msg.contains("field `refs`") && err.msg.contains(needle), "{err}");
+            assert_eq!((err.line as usize, err.col), (refs_line + 1, 19), "{err}");
+        }
     }
 
     #[test]

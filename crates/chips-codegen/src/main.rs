@@ -9,29 +9,8 @@
 //! `--emit <out>` additionally writes the generated Rust (handy for
 //! inspecting what `build.rs` will produce).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
-
-fn collect_ron_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
-    let mut files = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            let mut in_dir: Vec<PathBuf> = std::fs::read_dir(p)
-                .map_err(|e| format!("{}: {e}", p.display()))?
-                .filter_map(|entry| entry.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|ext| ext == "ron"))
-                .collect();
-            in_dir.sort();
-            files.extend(in_dir);
-        } else {
-            files.push(p.clone());
-        }
-    }
-    if files.is_empty() {
-        return Err("no .ron files found".to_string());
-    }
-    Ok(files)
-}
 
 fn run() -> Result<(), String> {
     let mut check = false;
@@ -62,16 +41,19 @@ fn run() -> Result<(), String> {
         return Err("nothing to do: pass --check and/or --emit OUT (try --help)".to_string());
     }
     if paths.is_empty() {
-        paths.push(Path::new("chips/vendors").to_path_buf());
+        paths.push(PathBuf::from("chips/vendors"));
     }
 
-    let files = collect_ron_files(&paths)?;
     let mut parsed = Vec::new();
-    for path in &files {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let vf = chips_codegen::parse_vendor_file(&src, &path.display().to_string())
-            .map_err(|d| d.to_string())?;
-        parsed.push(vf);
+    for path in &paths {
+        if path.is_dir() {
+            parsed.extend(chips_codegen::load_dir(path)?);
+        } else {
+            parsed.push(chips_codegen::load_file(path)?);
+        }
+    }
+    if parsed.is_empty() {
+        return Err("no .ron files found".to_string());
     }
     chips_codegen::validate(&parsed).map_err(|problems| problems.join("\n"))?;
 

@@ -15,6 +15,7 @@
 //! A consistency test in the calibration suite keeps the Monte-Carlo chip
 //! within tolerance of this model across the Fig. 3 grid.
 
+use crate::math::normal_q;
 use crate::params::{ChipParams, NOMINAL_VPASS};
 
 /// Parameters of the analytic model. Defaults are derived from
@@ -208,11 +209,96 @@ impl AnalyticModel {
 }
 
 /// Per-bit error floor from programming-distribution tail overlap at the
-/// factory read references (the page-analytic backend's fresh-block floor;
-/// see `analytic_block`). Exposed for benchmarks and calibration tooling
-/// that want the read-count-independent part of the closed form on its own.
-pub fn gaussian_tail_floor(params: &crate::params::ChipParams, pe_cycles: u64) -> f64 {
-    crate::analytic_block::gaussian_tail_floor_shifted(params, pe_cycles, 0.0)
+/// factory read references (the page-analytic backend's fresh-block floor).
+/// Exposed for benchmarks and calibration tooling that want the
+/// read-count-independent part of the closed form on its own.
+pub fn gaussian_tail_floor(params: &ChipParams, pe_cycles: u64) -> f64 {
+    gaussian_tail_floor_shifted(params, pe_cycles, 0.0)
+}
+
+/// Per-bit error floor from programming-distribution tail overlap at the
+/// read references, each moved by `shift` normalized volts (randomly
+/// programmed data; `shift == 0` is the default read path).
+///
+/// The closed-form [`AnalyticModel`] is calibrated to the paper's measured
+/// curves from 2K P/E upward, where misprogram noise dominates; on a fresh
+/// block the Monte-Carlo chip still shows a small error floor from the
+/// Gaussian tails crossing the read references. Each of the `N - 1` state
+/// boundaries contributes its two one-sided tails; states are equiprobable
+/// (`1/N`) under random data and an adjacent-state misread flips exactly
+/// one of the cell's `bits_per_cell` bits (Gray coding), hence the
+/// `1/(N * bits_per_cell)` weight (1/8 for MLC). A nonzero `shift` is the
+/// floor a read-retry re-read pays: away from the factory references, the
+/// tails of *undisturbed* states cross the shifted boundaries and
+/// misclassify.
+pub fn gaussian_tail_floor_shifted(params: &ChipParams, pe_cycles: u64, shift: f64) -> f64 {
+    let refs = &params.refs;
+    let mut per_cell = 0.0;
+    for i in 0..refs.len() {
+        let vref = refs.level(i) + shift;
+        let d_lo = params.state_dist_index(i, pe_cycles);
+        let d_hi = params.state_dist_index(i + 1, pe_cycles);
+        per_cell +=
+            normal_q((vref - d_lo.mean) / d_lo.sigma) + normal_q((d_hi.mean - vref) / d_hi.sigma);
+    }
+    per_cell / (params.n_states() as u32 * params.bits_per_cell()) as f64
+}
+
+/// E-folding scale (normalized volts) of a retry shift's effect on the
+/// disturb/retention error components. Read disturb lifts ER/P1 upward, so
+/// raising the references by a state-sigma-scale shift re-centres them past
+/// the drifted cells (errors decay); retention pulls P2/P3 downward, so the
+/// same raise moves the boundaries *into* the leaked cells (errors grow).
+/// The scale matches the default state sigma (≈10 normalized volts).
+pub const RETRY_SHIFT_DECAY: f64 = 10.0;
+
+/// Cap on the shift amplification factors: beyond a few decay lengths the
+/// shifted-floor term dominates anyway, and an unbounded exponential would
+/// just overflow the sampled error count.
+pub const RETRY_SHIFT_GAIN_CAP: f64 = 32.0;
+
+/// The read-count-independent closed-form terms at one read-reference
+/// shift (the read-retry model): the misclassification floor follows the
+/// shifted references exactly, the disturb component decays as a positive
+/// shift tracks the up-drifted ER/P1 cells, and the retention component
+/// grows by the mirror factor (the shifted boundaries cut into the
+/// down-leaked P2/P3 cells). Both gains are exactly 1 at `shift == 0`, so
+/// the default read is the shift-0 point. Both closed-form tiers sense
+/// through this ([`ShiftPoint::rber`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ShiftPoint {
+    /// The read-reference shift the point was evaluated at.
+    pub shift: f64,
+    /// Shifted Gaussian tail floor + P/E noise + retention × gain, summed
+    /// left to right.
+    pub static_rber: f64,
+    /// Factor on the disturb term.
+    pub rd_gain: f64,
+}
+
+impl ShiftPoint {
+    /// Evaluates the point for a block at `pe` P/E cycles and `age_days`
+    /// of retention.
+    pub fn at(
+        params: &ChipParams,
+        model: &AnalyticModel,
+        pe: u64,
+        age_days: f64,
+        shift: f64,
+    ) -> Self {
+        let rd_gain = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let ret_gain = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let static_rber = gaussian_tail_floor_shifted(params, pe, shift)
+            + model.rber_pe(pe)
+            + model.rber_retention(pe, age_days) * ret_gain;
+        Self { shift, static_rber, rd_gain }
+    }
+
+    /// Per-bit RBER of a read (pass-through excluded) whose saturating
+    /// disturb term at the default references is `rd_term`.
+    pub fn rber(&self, rd_term: f64) -> f64 {
+        self.static_rber + rd_term * self.rd_gain
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   calibrated against the Monte-Carlo chip by the calibration suite —
 //!   answers these at O(errors) per page read.
 //!
-//! [`ReadFidelity`] selects the tier a [`crate::Chip`] is built with (via
-//! [`crate::ChipParams::fidelity`]); the knob threads unchanged through
+//! [`ReadFidelity`] selects the tier a `Chip` is built with (via
+//! [`crate::params::ChipParams::fidelity`]); the knob threads unchanged through
 //! `rd_ftl::SsdConfig` → `rd_ftl::Die` → `rd_engine::EngineConfig`.
 //!
 //! # Tier contract
@@ -27,7 +27,7 @@
 //! | `ReadReclaim`, Vpass Tuning, refresh policies | exact | fully supported (counter/probe driven) | fully supported (counter/probe driven) |
 //! | read-retry sweeps (`read_retry`) | exact | sampled at the shifted reference | sampled at the shifted reference |
 //! | page payloads (`intended_page_bits`, read data) | exact bytes | exact bytes | empty (error counts only) |
-//! | Vth histograms, RDR, per-cell oracles | exact | [`crate::FlashError::FidelityUnsupported`] | [`crate::FlashError::FidelityUnsupported`] |
+//! | Vth histograms, RDR, per-cell oracles | exact | `FlashError::FidelityUnsupported` | `FlashError::FidelityUnsupported` |
 //!
 //! `CellExact` is the default everywhere and is bit-for-bit identical to
 //! the behaviour before the tier existed (the golden-run suite enforces
@@ -61,13 +61,13 @@ pub enum ReadFidelity {
     /// * **ECC-margin crossings**, computed analytically — the block's
     ///   expected error count approaches the decoder's correction
     ///   capability (the chip learns the margin via
-    ///   [`crate::Chip::set_read_margin`]);
-    /// * **Vpass changes** ([`crate::Chip::set_block_vpass`]) — any
+    ///   `Chip::set_read_margin`);
+    /// * **Vpass changes** (`Chip::set_block_vpass`) — any
     ///   relaxed pass-through voltage makes blocked-bitline sensing
     ///   probabilistic, so reads sample live from then on;
     /// * **policy probes** at relaxed Vpass (Vpass Tuning's
     ///   blocked-bitline zero counting) — served by the same live path;
-    /// * **recovery-ladder entry** ([`crate::Chip::read_retry`]) — retry
+    /// * **recovery-ladder entry** (`Chip::read_retry`) — retry
     ///   reads at shifted references are always sampled so escalation
     ///   behaves like the other tiers;
     /// * **bulk disturb / retention / wear updates**
@@ -88,6 +88,25 @@ impl ReadFidelity {
             ReadFidelity::CellExact => "cell-exact",
             ReadFidelity::PageAnalytic => "page-analytic",
             ReadFidelity::BlockAggregate => "block-aggregate",
+        }
+    }
+
+    /// The tier's byte in checkpoints and configuration fingerprints.
+    pub fn tag(self) -> u8 {
+        match self {
+            ReadFidelity::CellExact => 0,
+            ReadFidelity::PageAnalytic => 1,
+            ReadFidelity::BlockAggregate => 2,
+        }
+    }
+
+    /// The tier a checkpoint byte names, `None` for an unknown one.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(ReadFidelity::CellExact),
+            1 => Some(ReadFidelity::PageAnalytic),
+            2 => Some(ReadFidelity::BlockAggregate),
+            _ => None,
         }
     }
 }
@@ -127,9 +146,11 @@ mod tests {
         {
             assert_eq!(tier.as_str().parse::<ReadFidelity>().unwrap(), tier);
             assert_eq!(tier.to_string(), tier.as_str());
+            assert_eq!(ReadFidelity::from_tag(tier.tag()), Some(tier));
         }
         assert_eq!("analytic".parse::<ReadFidelity>().unwrap(), ReadFidelity::PageAnalytic);
         assert_eq!("aggregate".parse::<ReadFidelity>().unwrap(), ReadFidelity::BlockAggregate);
         assert!("mlc".parse::<ReadFidelity>().is_err());
+        assert_eq!(ReadFidelity::from_tag(3), None);
     }
 }

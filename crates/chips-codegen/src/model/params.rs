@@ -14,7 +14,7 @@
 //! power-of-two state count.
 
 use crate::fidelity::ReadFidelity;
-use crate::state::{CellState, VoltageRefs};
+use crate::state::{CellState, VoltageRefs, MAX_STATES};
 
 /// The nominal pass-through voltage on the normalized scale (paper §2:
 /// "the nominal value of Vpass is equal to 512 in our normalized scale").
@@ -32,7 +32,7 @@ pub struct StateParams {
 /// Full parameter set of the simulated chip.
 ///
 /// Construct via [`ChipParams::default`] (calibrated 2Y-nm MLC model), look
-/// one up by name in the generated chip database ([`crate::chips`]), or
+/// one up by name in the generated chip database (`rd_flash::chips`), or
 /// adjust individual fields for ablation studies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipParams {
@@ -242,18 +242,29 @@ impl ChipParams {
         n as f64 * self.rd_wear_factor(pe_cycles) * self.rd_vpass_factor(vpass)
     }
 
-    /// Validates internal consistency: power-of-two state count, ordered
-    /// state means, matching reference count with references placed between
-    /// adjacent means, the top state fitting below the nominal Vpass, and
-    /// non-empty retry ranges.
+    /// Validates internal consistency: power-of-two state count (four at
+    /// the cell-exact tier), ordered state means with positive sigmas,
+    /// matching reference count with references placed between adjacent
+    /// means, the top state and the over-programmed tail fitting below the
+    /// nominal Vpass, non-empty retry ranges, and a positive value for
+    /// every coefficient [`COEFFICIENTS`] marks so.
+    ///
+    /// This is the one per-chip gate: the chip database build, a decoded
+    /// checkpoint's configuration and the command-line tools all call it.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check(&self) -> Result<(), String> {
         let n = self.states.len();
-        if !(n.is_power_of_two() && (2..=crate::state::MAX_STATES).contains(&n)) {
-            return Err(format!("state count {n} must be a power of two in 2..=16"));
+        if !(n.is_power_of_two() && (2..=MAX_STATES).contains(&n)) {
+            return Err(format!("state count {n} must be a power of two in 2..={MAX_STATES}"));
+        }
+        if self.fidelity == ReadFidelity::CellExact && n != 4 {
+            return Err(format!(
+                "the cell-exact tier is MLC-only ({n} states requested); \
+                 use page-analytic or block-aggregate"
+            ));
         }
         for w in self.states.windows(2) {
             if w[0].mean >= w[1].mean {
@@ -261,6 +272,11 @@ impl ChipParams {
                     "state means must be strictly increasing ({} >= {})",
                     w[0].mean, w[1].mean
                 ));
+            }
+        }
+        for s in &self.states {
+            if s.sigma <= 0.0 {
+                return Err(format!("state sigma {} must be positive", s.sigma));
             }
         }
         if self.refs.n_states() != n {
@@ -290,12 +306,80 @@ impl ChipParams {
         if !(self.min_vpass > 0.0 && self.min_vpass < NOMINAL_VPASS) {
             return Err(format!("min_vpass {} outside (0, {NOMINAL_VPASS})", self.min_vpass));
         }
+        if !(self.outlier_base < self.outlier_cap && self.outlier_cap < NOMINAL_VPASS) {
+            return Err(format!(
+                "outlier tail [{}, {}] must sit below the nominal Vpass",
+                self.outlier_base, self.outlier_cap
+            ));
+        }
         if self.retry_shifts.is_empty() || self.reread_va_raises.is_empty() {
             return Err("retry_shifts and reread_va_raises must be non-empty".into());
+        }
+        for c in COEFFICIENTS.iter().filter(|c| c.positive) {
+            let value = (c.get)(self);
+            if value <= 0.0 {
+                return Err(format!("{} must be positive, got {value}", c.name));
+            }
         }
         Ok(())
     }
 }
+
+/// One scalar coefficient of [`ChipParams`], addressable by name.
+pub struct Coefficient {
+    /// The field's name, which is also its key in `chips/vendors/*.ron`.
+    pub name: &'static str,
+    /// Whether [`ChipParams::check`] insists on a value above zero (the
+    /// model divides by it, or takes its logarithm or a power of it).
+    pub positive: bool,
+    /// Reads the field.
+    pub get: fn(&ChipParams) -> f64,
+    /// Writes the field.
+    pub set: fn(&mut ChipParams, f64),
+}
+
+macro_rules! coefficients {
+    ($($field:ident: $positive:literal,)*) => {
+        &[$(Coefficient {
+            name: stringify!($field),
+            positive: $positive,
+            get: |p| p.$field,
+            set: |p, v| p.$field = v,
+        }),*]
+    };
+}
+
+/// Every scalar coefficient of [`ChipParams`] in declaration order, each
+/// with whether it must be positive. The chip database's parser, Rust
+/// emitter and RON writer and [`ChipParams::check`]'s sign rows all walk
+/// this table, so a new coefficient is a struct field, its
+/// [`Default`] value and one row here.
+pub const COEFFICIENTS: &[Coefficient] = coefficients! {
+    pe_rber_coeff: true,
+    pe_rber_exp: false,
+    pe_sigma_widen_coeff: false,
+    pe_sigma_widen_exp: false,
+    retention_rate: true,
+    retention_pe_exp: false,
+    retention_time_exp: false,
+    retention_leak_sigma_ln: false,
+    rd_alpha: true,
+    rd_kappa: true,
+    rd_pe_exp: false,
+    rd_pe_ref: true,
+    rd_vpass_lambda: true,
+    rd_susceptibility_pareto_a: true,
+    rd_susceptibility_cap: false,
+    rd_neighbor_boost: false,
+    outlier_prob: true,
+    outlier_base: false,
+    outlier_scale: true,
+    outlier_cap: false,
+    program_interference_sigma: false,
+    analytic_ret_coeff: true,
+    analytic_rd_slope: true,
+    analytic_rd_sat: true,
+};
 
 impl Default for ChipParams {
     /// The calibrated 2Y-nm MLC model (pinned by `tests/calibration.rs`).
@@ -366,23 +450,51 @@ mod tests {
         assert_eq!(p.bits_per_cell(), 2);
     }
 
+    /// Every per-chip row the chip database lint enforces, each as one
+    /// mutation of the default chip.
     #[test]
     fn check_rejects_inconsistent_params() {
-        let mut p = ChipParams::default();
-        p.states.truncate(3);
-        assert!(p.check().unwrap_err().contains("power of two"));
-
-        let mut p = ChipParams::default();
-        p.states[2].mean = 100.0;
-        assert!(p.check().unwrap_err().contains("strictly increasing"));
-
-        let p =
-            ChipParams { refs: VoltageRefs::from_levels(&[100.0, 225.0]), ..Default::default() };
-        assert!(p.check().unwrap_err().contains("references"));
-
-        let mut p = ChipParams::default();
-        p.retry_shifts.clear();
-        assert!(p.check().unwrap_err().contains("retry_shifts"));
+        type Break = fn(&mut ChipParams);
+        let cases: [(Break, &str); 14] = [
+            (|p| p.states.truncate(3), "power of two"),
+            (
+                |p| {
+                    p.states.truncate(2);
+                    p.refs = VoltageRefs::from_levels(&[100.0]);
+                },
+                "MLC-only",
+            ),
+            (|p| p.states[2].mean = 100.0, "strictly increasing"),
+            (|p| p.states[1].sigma = 0.0, "state sigma 0 must be positive"),
+            (|p| p.refs = VoltageRefs::from_levels(&[100.0, 225.0]), "references separate"),
+            (
+                |p| p.refs = VoltageRefs::from_levels(&[100.0, 150.0, 355.0]),
+                "(150) must sit between state means",
+            ),
+            (|p| p.states[3].sigma = 30.0, "must clear the nominal Vpass"),
+            (|p| p.min_vpass = 0.0, "min_vpass 0 outside"),
+            (|p| p.min_vpass = NOMINAL_VPASS, "min_vpass 512 outside"),
+            (|p| p.outlier_cap = NOMINAL_VPASS, "outlier tail"),
+            (|p| p.outlier_base = p.outlier_cap, "outlier tail"),
+            (|p| p.retry_shifts.clear(), "retry_shifts"),
+            (|p| p.reread_va_raises.clear(), "reread_va_raises"),
+            (|p| p.analytic_rd_sat = -1.0, "analytic_rd_sat must be positive, got -1"),
+        ];
+        for (break_it, needle) in cases {
+            let mut p = ChipParams::default();
+            break_it(&mut p);
+            let err = p.check().expect_err(needle);
+            assert!(err.contains(needle), "`{err}` does not name `{needle}`");
+        }
+        // The sign rows are exactly the table's: a marked coefficient is
+        // rejected at zero under its own name, an unmarked one is not.
+        for c in COEFFICIENTS {
+            let mut p = ChipParams::default();
+            (c.set)(&mut p, 0.0);
+            assert_eq!((c.get)(&p), 0.0);
+            let sign_row = format!("{} must be positive, got 0", c.name);
+            assert_eq!(p.check().err().is_some_and(|e| e == sign_row), c.positive, "{}", c.name);
+        }
     }
 
     #[test]

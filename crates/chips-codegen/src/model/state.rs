@@ -177,22 +177,28 @@ impl VoltageRefs {
     ///
     /// # Panics
     ///
-    /// Panics if the list is empty, exceeds [`MAX_STATES`]` - 1` entries, or
-    /// is not strictly increasing.
+    /// Panics with the error [`VoltageRefs::try_from_levels`] returns.
     pub fn from_levels(levels: &[f64]) -> Self {
-        assert!(
-            !levels.is_empty() && levels.len() < MAX_STATES,
-            "need 1..={} references, got {}",
-            MAX_STATES - 1,
-            levels.len()
-        );
-        assert!(
-            levels.windows(2).all(|w| w[0] < w[1]),
-            "references must be strictly increasing: {levels:?}"
-        );
+        Self::try_from_levels(levels).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`VoltageRefs::from_levels`] for lists that arrive from outside the
+    /// program (the chip database parser).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a list that is empty, exceeds [`MAX_STATES`]` - 1` entries,
+    /// or is not strictly increasing.
+    pub fn try_from_levels(levels: &[f64]) -> Result<Self, String> {
+        if levels.is_empty() || levels.len() >= MAX_STATES {
+            return Err(format!("need 1..={} references, got {}", MAX_STATES - 1, levels.len()));
+        }
+        if !levels.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!("references must be strictly increasing: {levels:?}"));
+        }
         let mut stored = [0.0; MAX_STATES - 1];
         stored[..levels.len()].copy_from_slice(levels);
-        Self { levels: stored, count: levels.len() as u8 }
+        Ok(Self { levels: stored, count: levels.len() as u8 })
     }
 
     /// The active boundaries, in increasing order.
@@ -247,7 +253,7 @@ impl VoltageRefs {
     /// Panics when a non-MLC reference set puts `vth` above a fourth
     /// boundary (use [`VoltageRefs::classify_index`]); debug builds reject
     /// every non-MLC set. The chip's read commands validate the set once
-    /// and return [`crate::FlashError::FidelityUnsupported`] instead.
+    /// and return `FlashError::FidelityUnsupported` instead.
     pub fn classify(&self, vth: f64) -> CellState {
         debug_assert_eq!(self.n_states(), 4, "CellState classification is MLC-only");
         CellState::from_index(self.classify_index(vth) as u8)
@@ -294,7 +300,7 @@ impl VoltageRefs {
 
 impl Default for VoltageRefs {
     /// Default MLC references positioned between the default state means
-    /// (see [`crate::ChipParams`]).
+    /// (see [`crate::params::ChipParams`]).
     fn default() -> Self {
         Self::from_levels(&[100.0, 225.0, 355.0])
     }

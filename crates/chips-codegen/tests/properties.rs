@@ -2,13 +2,16 @@
 //! survive a full serialize → parse round trip, and the emitter must stay
 //! loss-free on the float values it writes into generated Rust.
 
-use chips_codegen::{
-    parse_vendor_file, to_ron, AnchorDef, ChipDef, FidelityDef, StateDef, VendorFile,
-};
+use chips_codegen::fidelity::ReadFidelity;
+use chips_codegen::params::{ChipParams, StateParams, COEFFICIENTS};
+use chips_codegen::state::VoltageRefs;
+use chips_codegen::{parse_vendor_file, to_ron, AnchorDef, ChipDef, VendorFile};
 use proptest::prelude::*;
 
 /// Builds a structurally valid chip (parseable; not necessarily passing
-/// database validation — round-tripping must not depend on validity).
+/// database validation — round-tripping must not depend on validity):
+/// the default parameters with the shape fields regenerated and every
+/// coefficient moved off its default by its own amount.
 #[allow(clippy::too_many_arguments)]
 fn chip(
     name_suffix: u32,
@@ -21,48 +24,32 @@ fn chip(
     n_anchors: usize,
 ) -> ChipDef {
     let n = 1usize << bits;
-    let states: Vec<StateDef> =
-        (0..n).map(|i| StateDef { mean: base_mean + spacing * i as f64, sigma }).collect();
     let refs: Vec<f64> = (0..n - 1).map(|i| base_mean + spacing * (i as f64 + 0.5)).collect();
+    let mut params = ChipParams {
+        states: (0..n)
+            .map(|i| StateParams { mean: base_mean + spacing * i as f64, sigma })
+            .collect(),
+        refs: VoltageRefs::from_levels(&refs),
+        min_vpass: 460.0 + coeff,
+        fidelity: match bits {
+            2 => ReadFidelity::CellExact,
+            3 => ReadFidelity::PageAnalytic,
+            _ => ReadFidelity::BlockAggregate,
+        },
+        retry_shifts: (1..=n_retry).map(|i| i as f64 * (1.0 + coeff)).collect(),
+        reread_va_raises: (1..=n_retry).map(|i| i as f64 * 7.0).collect(),
+        ..ChipParams::default()
+    };
+    for (i, c) in COEFFICIENTS.iter().enumerate() {
+        let moved = (c.get)(&params) * (1.0 + coeff / (i + 1) as f64);
+        (c.set)(&mut params, moved);
+    }
     ChipDef {
         name: format!("pt-chip-{name_suffix}"),
         description: format!("proptest chip #{name_suffix}"),
         default: name_suffix == 0,
-        fidelity: match bits {
-            2 => FidelityDef::CellExact,
-            3 => FidelityDef::PageAnalytic,
-            _ => FidelityDef::BlockAggregate,
-        },
         ecc_capability_rber: coeff * 10.0,
-        states,
-        refs,
-        min_vpass: 460.0 + coeff,
-        pe_rber_coeff: coeff * 1.0e-4,
-        pe_rber_exp: 1.0 + coeff,
-        pe_sigma_widen_coeff: coeff * 0.1,
-        pe_sigma_widen_exp: 0.5 + coeff,
-        retention_rate: coeff * 1.0e-3,
-        retention_pe_exp: 1.0 + coeff,
-        retention_time_exp: coeff,
-        retention_leak_sigma_ln: coeff,
-        rd_alpha: coeff * 1.0e-6,
-        rd_kappa: 20.0 + coeff,
-        rd_pe_exp: 1.0 + coeff,
-        rd_pe_ref: 1000.0 + coeff,
-        rd_vpass_lambda: 3.0 + coeff,
-        rd_susceptibility_pareto_a: coeff,
-        rd_susceptibility_cap: 1.0e5,
-        rd_neighbor_boost: coeff,
-        outlier_prob: coeff * 1.0e-3,
-        outlier_base: 430.0 + coeff,
-        outlier_scale: 10.0 + coeff,
-        outlier_cap: 500.0 + coeff,
-        program_interference_sigma: coeff,
-        analytic_ret_coeff: coeff * 1.0e-5,
-        analytic_rd_slope: coeff * 1.0e-9,
-        analytic_rd_sat: coeff * 0.1,
-        retry_shifts: (1..=n_retry).map(|i| i as f64 * (1.0 + coeff)).collect(),
-        reread_va_raises: (1..=n_retry).map(|i| i as f64 * 7.0).collect(),
+        params,
         anchors: (0..n_anchors)
             .map(|i| AnchorDef {
                 pe: 1000 * (i as u64 + 1),
@@ -111,11 +98,11 @@ proptest! {
         // the emitter relies on this for the bit-for-bit default chip.
         let x = mantissa * 10f64.powi(exp);
         let mut c = chip(0, 2, 40.0, 120.0, 12.0, 0.5, 3, 1);
-        c.pe_rber_coeff = x;
+        c.params.pe_rber_coeff = x;
         c.anchors[0].rber = x;
         let vf = VendorFile { vendor: "vendor-pt".to_string(), chips: vec![c] };
         let back = parse_vendor_file(&to_ron(&vf), "floats.ron").unwrap();
-        prop_assert_eq!(back.chips[0].pe_rber_coeff.to_bits(), x.to_bits());
+        prop_assert_eq!(back.chips[0].params.pe_rber_coeff.to_bits(), x.to_bits());
         prop_assert_eq!(back.chips[0].anchors[0].rber.to_bits(), x.to_bits());
     }
 }

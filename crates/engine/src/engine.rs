@@ -132,22 +132,9 @@ impl EngineConfig {
     pub fn check(&self) -> Result<(), String> {
         self.topology.check()?;
         self.timing.check()?;
-        // The per-die rows are the conditions `SsdConfig::validate` asserts.
-        // `Die::with_policy` still asserts them, so one missed here panics
-        // at construction rather than building a broken die.
-        let die = &self.die;
-        for (ok, what) in [
-            (die.geometry.blocks >= 4, "need at least 4 blocks per die"),
-            ((0.01..0.9).contains(&die.overprovision), "overprovision must be in (0.01, 0.9)"),
-            (die.gc_free_threshold >= 1, "gc_free_threshold must be at least 1"),
-            (die.refresh_interval_days > 0.0, "refresh_interval_days must be positive"),
-            (die.page_capability() >= 1, "page ECC capability is zero"),
-            (die.logical_pages() > 0, "die exports no logical pages"),
-            (self.queue_depth >= 1, "queue depth must be at least 1"),
-        ] {
-            if !ok {
-                return Err(what.into());
-            }
+        self.die.check()?;
+        if self.queue_depth == 0 {
+            return Err("queue depth must be at least 1".into());
         }
         Ok(())
     }
@@ -651,11 +638,7 @@ impl<P: ControllerPolicy> Engine<P> {
         w.put_u32(c.die_index_offset);
         w.put_u64(c.die.seed);
         w.put_u64(c.die.logical_pages());
-        w.put_u8(match c.fidelity() {
-            ReadFidelity::CellExact => 0,
-            ReadFidelity::PageAnalytic => 1,
-            ReadFidelity::BlockAggregate => 2,
-        });
+        w.put_u8(c.fidelity().tag());
         w.put_u32(c.die.geometry.blocks);
         w.put_u32(c.die.geometry.wordlines_per_block);
         w.put_u32(c.die.geometry.bitlines);

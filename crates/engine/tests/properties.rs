@@ -98,11 +98,12 @@ proptest! {
 
 /// `EngineConfig::check` is the non-panicking gate for configurations from
 /// outside the program: it must name every impossible value, and its
-/// per-die rows restate `SsdConfig::validate`, so the two must not drift.
+/// per-die rows are `SsdConfig::check`, which `SsdConfig::validate` panics
+/// with.
 #[test]
 fn check_rejects_what_the_asserting_validates_panic_on() {
     type Break = fn(&mut EngineConfig);
-    let cases: [(Break, &str, bool); 9] = [
+    let cases: [(Break, &str, bool); 14] = [
         (|c| c.topology.channels = 0, "channel", false),
         (|c| c.topology.dies_per_channel = 0, "die per channel", false),
         (|c| c.timing.read_us = f64::NAN, "read_us", false),
@@ -112,6 +113,18 @@ fn check_rejects_what_the_asserting_validates_panic_on() {
         (|c| c.die.gc_free_threshold = 0, "gc_free_threshold", true),
         (|c| c.die.refresh_interval_days = f64::NAN, "refresh_interval_days", true),
         (|c| c.die.ecc_capability_rber = 0.0, "ECC capability", true),
+        (|c| c.die.geometry.wordlines_per_block = 0, "wordlines", true),
+        (|c| c.die.geometry.bitlines = 1004, "multiple of 8", true),
+        (|c| c.die.geometry.bits_per_cell = 3, "bits_per_cell", true),
+        (|c| c.die.chip_params.retry_shifts.clear(), "retry_shifts", true),
+        (
+            |c| {
+                c.die = c.die.clone().with_chip("va-tlc-v3").unwrap();
+                c.die.chip_params.fidelity = rd_engine::ReadFidelity::CellExact;
+            },
+            "MLC-only",
+            true,
+        ),
     ];
     EngineConfig::small_test().check().expect("the test config is valid");
     for (break_it, needle, per_die) in cases {

@@ -11,25 +11,11 @@ use std::path::{Path, PathBuf};
 fn main() {
     let manifest_dir = std::env::var("CARGO_MANIFEST_DIR").expect("cargo sets CARGO_MANIFEST_DIR");
     let db_dir = Path::new(&manifest_dir).join("../../chips/vendors");
+    // A directory path covers every file under it.
     println!("cargo:rerun-if-changed={}", db_dir.display());
 
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&db_dir)
-        .unwrap_or_else(|e| panic!("chip database dir {}: {e}", db_dir.display()))
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "ron"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "no vendor files in {}", db_dir.display());
-
-    let mut files = Vec::new();
-    for path in &paths {
-        println!("cargo:rerun-if-changed={}", path.display());
-        let src =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let vf = chips_codegen::parse_vendor_file(&src, &path.display().to_string())
-            .unwrap_or_else(|d| panic!("chip database parse error:\n{d}"));
-        files.push(vf);
-    }
+    let files = chips_codegen::load_dir(&db_dir)
+        .unwrap_or_else(|e| panic!("chip database parse error:\n{e}"));
     if let Err(problems) = chips_codegen::validate(&files) {
         panic!("chip database validation failed:\n{}", problems.join("\n"));
     }

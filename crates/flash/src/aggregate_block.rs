@@ -35,10 +35,8 @@
 
 use rand::rngs::StdRng;
 
-use crate::analytic::AnalyticModel;
-use crate::analytic_block::{
-    gaussian_tail_floor_shifted, sample_binomial, RETRY_SHIFT_DECAY, RETRY_SHIFT_GAIN_CAP,
-};
+use crate::analytic::{AnalyticModel, ShiftPoint};
+use crate::analytic_block::sample_binomial;
 use crate::block::BlockStatus;
 use crate::chip::ReadOutcome;
 use crate::error::FlashError;
@@ -156,9 +154,7 @@ impl AggregateState {
     fn refresh_caches(&mut self, params: &ChipParams, model: &AnalyticModel, b: usize) {
         let pe = self.pe_cycles[b];
         self.slope[b] = model.rd_slope(pe, self.vpass[b]);
-        self.static_rber[b] = gaussian_tail_floor_shifted(params, pe, 0.0)
-            + model.rber_pe(pe)
-            + model.rber_retention(pe, self.age_days[b]);
+        self.static_rber[b] = ShiftPoint::at(params, model, pe, self.age_days[b], 0.0).static_rber;
         self.blocked_prob[b] = 2.0 * model.rber_passthrough(pe, self.age_days[b], self.vpass[b]);
         self.invalidate(b);
     }
@@ -178,6 +174,20 @@ impl AggregateState {
     /// is realized as blocked bitlines at read time).
     fn rber_block(&self, b: usize) -> f64 {
         self.static_rber[b] + self.rd_term(b)
+    }
+
+    /// [`Self::rber_block`] sensed at references moved by `shift`. The
+    /// shift response is the page-analytic tier's (one [`ShiftPoint`]),
+    /// evaluated per call: retry reads are rare at this tier.
+    fn rber_block_shifted(
+        &self,
+        params: &ChipParams,
+        model: &AnalyticModel,
+        b: usize,
+        shift: f64,
+    ) -> f64 {
+        ShiftPoint::at(params, model, self.pe_cycles[b], self.age_days[b], shift)
+            .rber(self.rd_term(b))
     }
 
     /// Recomputes the fast-forward summary: the rounded expected error
@@ -289,10 +299,7 @@ impl AggregateState {
     }
 
     /// Read-retry sample at a uniform reference shift — always sampled
-    /// (recovery-ladder entry is a fast-forward event). The shift response
-    /// matches the page-analytic tier: the misclassification floor follows
-    /// the shifted references, the disturb component decays with a positive
-    /// shift and the retention component grows by the mirror factor.
+    /// (recovery-ladder entry is a fast-forward event).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_page_shifted(
         &mut self,
@@ -310,13 +317,7 @@ impl AggregateState {
                 self.slope[block] * self.wl_weight[(page / self.bits_per_cell) as usize];
             self.reads_since_erase[block] += 1;
         }
-        let pe = self.pe_cycles[block];
-        let rd_factor = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        let ret_factor = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        let p_err = gaussian_tail_floor_shifted(params, pe, shift)
-            + model.rber_pe(pe)
-            + model.rber_retention(pe, self.age_days[block]) * ret_factor
-            + self.rd_term(block) * rd_factor;
+        let p_err = self.rber_block_shifted(params, model, block, shift);
         let mut outcome = self.sample_outcome(rng, p_err);
         self.overlay_blocking(rng, block, &mut outcome);
         Ok(outcome)
@@ -689,6 +690,48 @@ mod tests {
         assert_eq!(ab, gb);
         let rel = (ge / ae - 1.0).abs();
         assert!(rel < 1e-9, "uniform-disturb closed forms diverged: {ge} vs {ae}");
+    }
+
+    /// `refresh_caches` and `read_page_shifted` evaluate the page-analytic
+    /// tier's [`ShiftPoint`]. Per database chip: `static_rber` and the
+    /// shifted per-bit RBER at each of its retry shifts, folded over their
+    /// bits, against the values the aggregate tier's own two spellings of
+    /// the sum gave on ae93447.
+    #[test]
+    fn shared_shift_point_reproduces_the_hand_written_sums() {
+        const RECORDED: [(&str, u64); 7] = [
+            ("va-mlc-2y", 0xda51bff5d5c5ccc0),
+            ("va-mlc-1x", 0xd9e6f3192c37241a),
+            ("va-qlc-v5", 0x7f7d92f1ff6ba5ca),
+            ("va-tlc-v3", 0xa8a038541cc7fde1),
+            ("vb-mlc-2z", 0x348c31c705ae01ff),
+            ("vb-qlc-96l", 0x0386ef659614cee9),
+            ("vb-tlc-64l", 0xf905f64282ba3311),
+        ];
+        let folded: Vec<(&str, u64)> = crate::chips::all()
+            .iter()
+            .map(|spec| {
+                let params = &spec.params;
+                let model = AnalyticModel::from_chip(params, 8);
+                let bpc = params.bits_per_cell();
+                let mut state = AggregateState::new(1, 8, 1024, bpc, params, &model);
+                state.pre_wear(params, &model, 0, 8_000);
+                for page in 0..8 * bpc {
+                    state.program_page(params, &model, 0, page, &[]).unwrap();
+                }
+                state.advance_days(params, &model, 0, 21.0);
+                state.apply_read_disturbs(0, 500_000);
+                let fold = params.retry_shifts.iter().fold(
+                    state.static_rber[0].to_bits(),
+                    |fold, &shift| {
+                        let p_err = state.rber_block_shifted(params, &model, 0, shift);
+                        fold.wrapping_mul(0x0000_0100_0000_01b3) ^ p_err.to_bits()
+                    },
+                );
+                (spec.name, fold)
+            })
+            .collect();
+        assert_eq!(folded, RECORDED);
     }
 
     #[test]

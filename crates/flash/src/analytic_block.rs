@@ -39,7 +39,8 @@
 //!
 //! Every closed-form term that does not depend on the read counters is
 //! cached per block ([`OpPoint`]), the shift-dependent ones per distinct
-//! read-reference shift ([`ShiftPoint`]; the default read is shift 0). A
+//! read-reference shift ([`ShiftPoint`], the evaluation the block-aggregate
+//! tier shares; the default read is shift 0). A
 //! cached term is the value the uncached expression produces, and the
 //! per-read sum adds the same partial sums in the same left-to-right order,
 //! so cached reads are bit-identical to fresh evaluation. Whatever changes
@@ -48,91 +49,22 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::analytic::AnalyticModel;
+use crate::analytic::{AnalyticModel, ShiftPoint};
 use crate::bits;
 use crate::block::BlockStatus;
 use crate::chip::ReadOutcome;
 use crate::error::FlashError;
-use crate::math::normal_q;
 use crate::noise::retention;
 use crate::params::{ChipParams, NOMINAL_VPASS};
 use crate::BitErrorStats;
-
-/// Per-bit error floor from programming-distribution tail overlap at the
-/// read references, each moved by `shift` normalized volts (randomly
-/// programmed data; `shift == 0` is the default read path).
-///
-/// The closed-form [`AnalyticModel`] is calibrated to the paper's measured
-/// curves from 2K P/E upward, where misprogram noise dominates; on a fresh
-/// block the Monte-Carlo chip still shows a small error floor from the
-/// Gaussian tails crossing the read references. Each of the `N - 1` state
-/// boundaries contributes its two one-sided tails; states are equiprobable
-/// (`1/N`) under random data and an adjacent-state misread flips exactly
-/// one of the cell's `bits_per_cell` bits (Gray coding), hence the
-/// `1/(N * bits_per_cell)` weight (1/8 for MLC). A nonzero `shift` is the
-/// floor a read-retry re-read pays: away from the factory references, the
-/// tails of *undisturbed* states cross the shifted boundaries and
-/// misclassify.
-pub(crate) fn gaussian_tail_floor_shifted(params: &ChipParams, pe_cycles: u64, shift: f64) -> f64 {
-    let refs = &params.refs;
-    let mut per_cell = 0.0;
-    for i in 0..refs.len() {
-        let vref = refs.level(i) + shift;
-        let d_lo = params.state_dist_index(i, pe_cycles);
-        let d_hi = params.state_dist_index(i + 1, pe_cycles);
-        per_cell +=
-            normal_q((vref - d_lo.mean) / d_lo.sigma) + normal_q((d_hi.mean - vref) / d_hi.sigma);
-    }
-    per_cell / (params.n_states() as u32 * params.bits_per_cell()) as f64
-}
-
-/// E-folding scale (normalized volts) of a retry shift's effect on the
-/// disturb/retention error components. Read disturb lifts ER/P1 upward, so
-/// raising the references by a state-sigma-scale shift re-centres them past
-/// the drifted cells (errors decay); retention pulls P2/P3 downward, so the
-/// same raise moves the boundaries *into* the leaked cells (errors grow).
-/// The scale matches the default state sigma (≈10 normalized volts).
-pub(crate) const RETRY_SHIFT_DECAY: f64 = 10.0;
-
-/// Cap on the shift amplification factors: beyond a few decay lengths the
-/// shifted-floor term dominates anyway, and an unbounded exponential would
-/// just overflow the sampled error count.
-pub(crate) const RETRY_SHIFT_GAIN_CAP: f64 = 32.0;
 
 /// Distinct read-reference shifts cached per block: the default read plus
 /// the retry ladder's. More than this many in rotation only costs
 /// re-evaluation (the oldest entry is overwritten).
 const SHIFT_CACHE: usize = 8;
 
-/// The read-count-independent closed-form terms at one read-reference
-/// shift (the read-retry model): the misclassification floor follows the
-/// shifted references exactly, the disturb component decays as a positive
-/// shift tracks the up-drifted ER/P1 cells, and the retention component
-/// grows by the mirror factor (the shifted boundaries cut into the
-/// down-leaked P2/P3 cells). Both gains are exactly 1 at `shift == 0`.
-#[derive(Debug, Clone, Copy)]
-struct ShiftPoint {
-    shift: f64,
-    /// Shifted Gaussian tail floor + P/E noise + retention × gain, summed
-    /// left to right.
-    static_rber: f64,
-    /// Factor on the disturb term.
-    rd_gain: f64,
-}
-
-impl ShiftPoint {
-    /// Never equal to a requested shift: an empty cache slot.
-    const EMPTY: Self = Self { shift: f64::NAN, static_rber: 0.0, rd_gain: 0.0 };
-
-    fn at(params: &ChipParams, model: &AnalyticModel, pe: u64, age_days: f64, shift: f64) -> Self {
-        let rd_gain = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        let ret_gain = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        let static_rber = gaussian_tail_floor_shifted(params, pe, shift)
-            + model.rber_pe(pe)
-            + model.rber_retention(pe, age_days) * ret_gain;
-        Self { shift, static_rber, rd_gain }
-    }
-}
+/// An empty cache slot: its shift is never equal to a requested one.
+const EMPTY_SLOT: ShiftPoint = ShiftPoint { shift: f64::NAN, static_rber: 0.0, rd_gain: 0.0 };
 
 /// Operating-point constants of a block: every closed-form term that
 /// depends only on `(pe_cycles, age_days, vpass)` and the read-reference
@@ -219,7 +151,7 @@ impl AnalyticBlock {
         let op = self.op_cache.get_or_insert_with(|| OpPoint {
             slope: model.rd_slope(pe, vpass),
             blocked_prob: 2.0 * model.rber_passthrough(pe, age_days, vpass),
-            shifts: [ShiftPoint::EMPTY; SHIFT_CACHE],
+            shifts: [EMPTY_SLOT; SHIFT_CACHE],
             evaluated: 0,
         });
         let point = match op.shifts.iter().find(|s| s.shift == shift) {
@@ -232,7 +164,7 @@ impl AnalyticBlock {
             }
         };
         let (slope, blocked_prob) = (op.slope, op.blocked_prob);
-        (point.static_rber + self.rd_term(model, slope, wordline) * point.rd_gain, blocked_prob)
+        (point.rber(self.rd_term(model, slope, wordline)), blocked_prob)
     }
 
     fn pages(&self) -> u32 {
@@ -329,7 +261,7 @@ impl AnalyticBlock {
     fn rber_wordline(&self, params: &ChipParams, model: &AnalyticModel, wordline: u32) -> f64 {
         let point = ShiftPoint::at(params, model, self.pe_cycles, self.age_days, 0.0);
         let slope = model.rd_slope(self.pe_cycles, self.vpass);
-        point.static_rber + self.rd_term(model, slope, wordline) * point.rd_gain
+        point.rber(self.rd_term(model, slope, wordline))
     }
 
     /// Probability that a bitline is blocked (pass-through failure) at the
@@ -770,6 +702,7 @@ fn for_distinct_positions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::{gaussian_tail_floor_shifted, RETRY_SHIFT_DECAY, RETRY_SHIFT_GAIN_CAP};
     use rand::SeedableRng;
 
     fn setup() -> (AnalyticBlock, ChipParams, AnalyticModel, StdRng) {

@@ -241,12 +241,7 @@ impl Chip {
     /// params, analytic model) are not written: restore targets a chip
     /// rebuilt from the same configuration.
     pub fn encode_state(&self, w: &mut crate::wire::Writer) {
-        let tag: u8 = match self.params.fidelity {
-            ReadFidelity::CellExact => 0,
-            ReadFidelity::PageAnalytic => 1,
-            ReadFidelity::BlockAggregate => 2,
-        };
-        w.put_u8(tag);
+        w.put_u8(self.params.fidelity.tag());
         for word in self.rng.state() {
             w.put_u64(word);
         }
@@ -288,11 +283,7 @@ impl Chip {
     ) -> Result<(), crate::wire::SnapError> {
         use crate::wire::SnapError;
         let tag = r.get_u8()?;
-        let expected: u8 = match self.params.fidelity {
-            ReadFidelity::CellExact => 0,
-            ReadFidelity::PageAnalytic => 1,
-            ReadFidelity::BlockAggregate => 2,
-        };
+        let expected = self.params.fidelity.tag();
         if tag != expected {
             return Err(SnapError::Mismatch(format!(
                 "snapshot fidelity tag {tag} != chip tier {expected}"

@@ -11,10 +11,9 @@
 //!   part's provisioned ECC capability line, and its default read-path
 //!   fidelity tier;
 //! * **calibration anchors** — headline RBER operating points from the read
-//!   disturb papers that the closed-form model must reproduce. They are
-//!   checked at build time (`chips-codegen`'s mirror of the model) and by
-//!   this module's unit tests (the real [`crate::AnalyticModel`] against
-//!   every anchor).
+//!   disturb papers that the closed-form model must reproduce. `build.rs`
+//!   checks every anchor against [`crate::AnalyticModel`] — the model this
+//!   crate runs, which `chips-codegen` owns — and fails the build on a miss.
 //!
 //! The default chip ([`DEFAULT_CHIP`], index 0 of [`NAMES`]) is bit-for-bit
 //! identical to [`ChipParams::default`]; a regression test enforces this, so
@@ -135,31 +134,5 @@ mod tests {
         }
         assert_eq!(get("no-such-chip"), None);
         assert_eq!(names()[0], DEFAULT_CHIP);
-    }
-
-    #[test]
-    fn anchors_match_the_real_analytic_model() {
-        // Build-time validation uses chips-codegen's mirror of the closed
-        // form; this re-checks every anchor against the real model so the
-        // two implementations cannot drift apart silently.
-        for spec in all() {
-            let model = crate::AnalyticModel::from_chip(&spec.params, 64);
-            for a in spec.anchors {
-                let got = model.rber(a.pe_cycles, a.days, a.reads, a.vpass);
-                let err = (got.log10() - a.rber.log10()).abs();
-                assert!(
-                    err <= 0.2,
-                    "{}: anchor (pe={}, days={}, reads={}, vpass={}) declares {:.3e}, \
-                     model gives {:.3e}",
-                    spec.name,
-                    a.pe_cycles,
-                    a.days,
-                    a.reads,
-                    a.vpass,
-                    a.rber,
-                    got
-                );
-            }
-        }
     }
 }

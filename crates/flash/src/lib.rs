@@ -59,19 +59,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
 pub mod bits;
 pub mod cell_array;
 pub mod chip;
 pub mod chips;
 pub mod error;
-pub mod fidelity;
 pub mod geometry;
-pub mod math;
 pub mod noise;
-pub mod params;
-pub mod state;
 pub mod wire;
+
+// The chip model — parameters, cell states, the fidelity enum, the math and
+// the closed-form RBER — lives in the dependency-free `chips-codegen` crate
+// so `build.rs` validates the chip database with the code that runs here.
+pub use chips_codegen::{analytic, fidelity, math, params, state};
 
 mod aggregate_block;
 mod analytic_block;

@@ -50,18 +50,6 @@ fn parse<T: std::str::FromStr>(flag: &str, v: String) -> T {
     })
 }
 
-fn parse_fidelity(v: &str) -> ReadFidelity {
-    match v {
-        "exact" | "cell-exact" => ReadFidelity::CellExact,
-        "analytic" | "page-analytic" => ReadFidelity::PageAnalytic,
-        "aggregate" | "block-aggregate" => ReadFidelity::BlockAggregate,
-        other => {
-            eprintln!("rd-fleet: unknown fidelity '{other}' (exact|analytic|aggregate)");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn config_json(c: &FleetConfig) -> String {
     format!(
         concat!(
@@ -110,15 +98,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         config.engine.die = config.engine.die.clone().with_chip(&v)?;
     }
     if let Some(v) = take_flag(&mut args, "--fidelity") {
-        config.engine = config.engine.with_fidelity(parse_fidelity(&v));
-    }
-    if config.engine.fidelity() == ReadFidelity::CellExact
-        && config.engine.die.geometry.bits_per_cell != 2
-    {
-        return Err(format!(
-            "--fidelity exact is MLC-only; chip {} has {} bits per cell",
-            config.engine.die.chip, config.engine.die.geometry.bits_per_cell
-        ));
+        config.engine = config.engine.with_fidelity(parse::<ReadFidelity>("--fidelity", v));
     }
     if let Some(v) = take_flag(&mut args, "--endurance") {
         config.endurance_pe = parse("--endurance", v);
@@ -130,8 +110,11 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         return Err(format!("unrecognized arguments: {args:?}"));
     }
 
-    println!("{}", config_json(&config));
+    // `Fleet::new` is the gate for flag combinations no drive can be built
+    // from (a TLC chip at the MLC-only exact tier, say): nothing is printed
+    // for one.
     let mut fleet = Fleet::new(config)?;
+    println!("{}", config_json(fleet.config()));
     fleet.run(epochs, threads, |row| println!("{}", row.to_json()));
     if let Some(path) = checkpoint {
         let bytes = fleet.snapshot().map_err(|e| format!("snapshot: {e}"))?;

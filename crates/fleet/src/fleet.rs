@@ -34,23 +34,6 @@ pub const FLEET_SNAP_VERSION: u32 = 1;
 const SEC_CONFIG: u32 = 1;
 const SEC_STATE: u32 = 2;
 
-fn fidelity_tag(f: ReadFidelity) -> u8 {
-    match f {
-        ReadFidelity::CellExact => 0,
-        ReadFidelity::PageAnalytic => 1,
-        ReadFidelity::BlockAggregate => 2,
-    }
-}
-
-fn fidelity_from_tag(t: u8) -> Result<ReadFidelity, SnapError> {
-    match t {
-        0 => Ok(ReadFidelity::CellExact),
-        1 => Ok(ReadFidelity::PageAnalytic),
-        2 => Ok(ReadFidelity::BlockAggregate),
-        other => Err(SnapError::Mismatch(format!("unknown fidelity tag {other}"))),
-    }
-}
-
 /// Full description of a fleet run. The checkpoint serializes every field
 /// (chip parameters excluded — drives always vary around the calibrated
 /// [`rd_flash::ChipParams::default`] set at the configured fidelity, so
@@ -479,7 +462,7 @@ fn encode_config(c: &FleetConfig, w: &mut Writer) {
     w.put_f64(e.die.refresh_interval_days);
     w.put_f64(e.die.ecc_capability_rber);
     w.put_u64(e.die.seed);
-    w.put_u8(fidelity_tag(e.die.chip_params.fidelity));
+    w.put_u8(e.die.chip_params.fidelity.tag());
     w.put_f64(e.timing.read_us);
     w.put_f64(e.timing.program_us);
     w.put_f64(e.timing.erase_us);
@@ -520,7 +503,9 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, SnapError> {
     let refresh_interval_days = r.get_f64()?;
     let ecc_capability_rber = r.get_f64()?;
     let die_seed = r.get_u64()?;
-    let fidelity = fidelity_from_tag(r.get_u8()?)?;
+    let tag = r.get_u8()?;
+    let fidelity = ReadFidelity::from_tag(tag)
+        .ok_or_else(|| SnapError::Mismatch(format!("unknown fidelity tag {tag}")))?;
     let timing = Timing {
         read_us: r.get_f64()?,
         program_us: r.get_f64()?,
@@ -646,10 +631,31 @@ mod tests {
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(Fleet::restore(&wrong_magic).err(), Some(SnapError::BadMagic { .. })));
         // Restore validates the decoded config: an engine template no drive
-        // can be built from must come back as an error, not unwind.
-        let mut bad = tiny();
-        bad.engine.queue_depth = 0;
-        assert!(bad.validate().unwrap_err().contains("queue depth"));
+        // can be built from must come back as an error, not unwind — the
+        // rows `Chip::new` asserts included.
+        type Break = fn(&mut EngineConfig);
+        let cases: [(Break, &str); 3] = [
+            (|e| e.queue_depth = 0, "queue depth"),
+            (
+                |e| {
+                    e.die = e.die.clone().with_chip("vb-tlc-64l").unwrap();
+                    *e = e.clone().with_fidelity(ReadFidelity::CellExact);
+                },
+                "MLC-only",
+            ),
+            (|e| e.die.geometry.bitlines = 1004, "multiple of 8"),
+        ];
+        for (break_it, needle) in cases {
+            let mut bad = tiny();
+            break_it(&mut bad.engine);
+            let mut payload = Writer::new();
+            payload.section(SEC_CONFIG, |w| encode_config(&bad, w));
+            let sealed = wire::seal(FLEET_SNAP_MAGIC, FLEET_SNAP_VERSION, &payload.into_bytes());
+            match Fleet::restore(&sealed).err() {
+                Some(SnapError::Mismatch(e)) => assert!(e.contains(needle), "{e}"),
+                other => panic!("{needle}: expected a config mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

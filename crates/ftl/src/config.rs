@@ -119,19 +119,52 @@ impl SsdConfig {
         ((self.geometry.bits_per_page() as f64) * self.ecc_capability_rber).floor() as u64
     }
 
-    /// Validates internal consistency.
+    /// Checks the configuration: the chip parameters
+    /// ([`ChipParams::check`]), their agreement with the geometry — what
+    /// [`rd_flash::Chip::new`] asserts — and the FTL's own limits (capacity,
+    /// GC headroom, ECC capability). This is the gate for configurations
+    /// that arrive from outside the program (command-line flags, decoded
+    /// checkpoints).
+    ///
+    /// # Errors
+    ///
+    /// Names the first impossible value.
+    pub fn check(&self) -> Result<(), String> {
+        self.chip_params.check()?;
+        let g = &self.geometry;
+        if g.bits_per_cell != self.chip_params.bits_per_cell() {
+            return Err(format!(
+                "geometry bits_per_cell {} disagrees with the chip parameters' {} states",
+                g.bits_per_cell,
+                self.chip_params.n_states()
+            ));
+        }
+        for (ok, what) in [
+            (g.blocks >= 4, "need at least 4 blocks per die"),
+            (g.wordlines_per_block > 0, "blocks need wordlines"),
+            (g.bitlines.is_multiple_of(8), "bitlines must be a multiple of 8"),
+            ((0.01..0.9).contains(&self.overprovision), "overprovision must be in (0.01, 0.9)"),
+            (self.gc_free_threshold >= 1, "gc_free_threshold must be at least 1"),
+            (self.refresh_interval_days > 0.0, "refresh_interval_days must be positive"),
+            (self.page_capability() >= 1, "page ECC capability is zero"),
+            (self.logical_pages() > 0, "die exports no logical pages"),
+        ] {
+            if !ok {
+                return Err(what.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// [`SsdConfig::check`] for configurations the program built itself.
     ///
     /// # Panics
     ///
-    /// Panics on impossible configurations (zero capacity, no GC headroom,
-    /// zero ECC capability).
+    /// Panics with the error `check` returns.
     pub fn validate(&self) {
-        assert!(self.geometry.blocks >= 4, "need at least 4 blocks");
-        assert!((0.01..0.9).contains(&self.overprovision), "overprovision must be in (0.01, 0.9)");
-        assert!(self.gc_free_threshold >= 1);
-        assert!(self.refresh_interval_days > 0.0);
-        assert!(self.page_capability() >= 1, "page ECC capability is zero");
-        assert!(self.logical_pages() > 0);
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

@@ -131,27 +131,25 @@ impl CliOptions {
         if self.batch_ops == 0 {
             return Err("--batch must be positive".into());
         }
-        let spec = rd_ftl::chips::get(&self.chip).ok_or_else(|| {
-            format!(
+        if rd_ftl::chips::get(&self.chip).is_none() {
+            return Err(format!(
                 "--chip {}: unknown chip (database has: {})",
                 self.chip,
                 rd_ftl::chips::names().join(", ")
-            )
-        })?;
-        if self.fidelity == ReadFidelity::CellExact && spec.params.bits_per_cell() != 2 {
-            return Err(format!(
-                "--tier cell-exact is MLC-only; chip {} has {} bits per cell",
-                spec.name,
-                spec.params.bits_per_cell()
             ));
         }
         for tenant in &self.tenants {
             tenant.validate()?;
         }
-        // The topology and the chip were checked above and the remaining
-        // engine knobs are constants, so the one a flag can still break is
-        // the queue depth.
-        self.engine_config().check().map_err(|e| format!("--queue-depth {}: {e}", self.queue_depth))
+        // The topology was checked above and the remaining engine knobs are
+        // constants, so what a flag can still break is the chip at the
+        // chosen tier (cell-exact is MLC-only) and the queue depth.
+        let engine = self.engine_config();
+        engine
+            .die
+            .check()
+            .map_err(|e| format!("--chip {} --tier {}: {e}", self.chip, self.fidelity))?;
+        engine.check().map_err(|e| format!("--queue-depth {}: {e}", self.queue_depth))
     }
 }
 
