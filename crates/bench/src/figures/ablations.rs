@@ -11,7 +11,7 @@
 use readdisturb::core::lifetime::{average_gain, EnduranceConfig, EnduranceEvaluator};
 use readdisturb::prelude::*;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let suite = WorkloadProfile::suite();
     let mut rows = Vec::new();
 
@@ -69,10 +69,11 @@ fn main() {
         ));
     }
 
-    rd_bench::emit_csv("ablations", "knob,value,result,extra", &rows);
+    crate::emit_csv("ablations", "knob,value,result,extra", &rows);
     println!("\nreadings:");
     println!("- reserve 0.2 trades a little day-0 margin for robustness (paper's choice)");
     println!("- longer refresh intervals amplify tuning's value (more disturb to mitigate)");
     println!("- heavier susceptibility tails (smaller a) saturate disturb RBER sooner");
     println!("- finer tuner steps squeeze more reduction at more probe reads");
+    Ok(())
 }

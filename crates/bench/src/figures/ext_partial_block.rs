@@ -5,14 +5,15 @@
 
 use readdisturb::core::characterize::{ext_partial_block, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let rows = ext_partial_block(Scale::full(), 5).expect("experiment");
     let csv: Vec<String> = rows
         .iter()
         .map(|r| format!("{},{:.3},{:.6e}", r.reads, r.erased_shift, r.programmed_rber))
         .collect();
-    rd_bench::emit_csv("ext_partial_block", "reads,erased_vth_shift,programmed_rber", &csv);
+    crate::emit_csv("ext_partial_block", "reads,erased_vth_shift,programmed_rber", &csv);
 
     let last = rows.last().expect("rows");
-    rd_bench::shape_check("erased-wordline Vth shift @1M reads (units)", last.erased_shift, 10.0);
+    crate::shape_check("erased-wordline Vth shift @1M reads (units)", last.erased_shift, 10.0);
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use readdisturb::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> crate::FigureResult {
     let mut rows = Vec::new();
 
     // RDR on a disturb-dominated block.
@@ -54,6 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    rd_bench::emit_csv("ext_recovery", "mechanism,scenario,before,after,reduction", &rows);
+    crate::emit_csv("ext_recovery", "mechanism,scenario,before,after,reduction", &rows);
     Ok(())
 }

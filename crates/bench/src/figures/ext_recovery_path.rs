@@ -4,13 +4,12 @@
 //! did about it (recovered vs uncorrectable reads, retry reads spent,
 //! UBER, and the engine-clock cost of the background work).
 //!
-//! Built on the shared `rd_bench::replay` helpers — the same engine setup
-//! and JSON row emission the perf harness uses.
+//! Built on the [`crate::replay`] helpers.
 
-use rd_bench::replay::{json_row, measure_recovery_scenario, RecoveryScenario};
+use crate::replay::{json_row, measure_recovery_scenario, RecoveryScenario};
 use readdisturb::prelude::*;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let scenario = RecoveryScenario::full();
     let mut rows = Vec::new();
     let mut measurements = Vec::new();
@@ -19,7 +18,7 @@ fn main() {
         rows.push(json_row("recovery", scenario.trace_ops, &m));
         measurements.push(m);
     }
-    rd_bench::emit_jsonl("ext_recovery_path", &rows);
+    crate::emit_jsonl("ext_recovery_path", &rows);
 
     for m in &measurements {
         let s = &m.stats;
@@ -45,10 +44,11 @@ fn main() {
         }
     }
     let exact = &measurements[0];
-    rd_bench::shape_check(
+    crate::shape_check(
         "recovered fraction of escalated reads (cell-exact)",
         exact.stats.recovered_reads as f64
             / (exact.stats.recovered_reads + exact.stats.uncorrectable_reads).max(1) as f64,
         0.5,
     );
+    Ok(())
 }

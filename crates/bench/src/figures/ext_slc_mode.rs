@@ -3,11 +3,11 @@
 
 use readdisturb::core::characterize::{ext_slc_mode, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let rows = ext_slc_mode(Scale::full(), 9).expect("experiment");
     let csv: Vec<String> =
         rows.iter().map(|r| format!("{},{:.6e},{:.6e}", r.reads, r.mlc_rber, r.slc_rber)).collect();
-    rd_bench::emit_csv("ext_slc_mode", "reads,mlc_rber,slc_rber", &csv);
+    crate::emit_csv("ext_slc_mode", "reads,mlc_rber,slc_rber", &csv);
 
     // Resistance is about disturb-induced *growth*: both technologies share
     // the wear-related error floor, but only MLC accumulates disturb errors.
@@ -15,9 +15,10 @@ fn main() {
     let last = rows.last().expect("rows");
     let slc_growth = (last.slc_rber - first.slc_rber).max(0.0);
     let mlc_growth = last.mlc_rber - first.mlc_rber;
-    rd_bench::shape_check(
+    crate::shape_check(
         "SLC/MLC disturb-induced RBER growth ratio @1M reads",
         slc_growth / mlc_growth,
         0.01,
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use readdisturb::flash::chip::state_legend;
 use readdisturb::prelude::*;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let params = ChipParams::default();
     let rows: Vec<String> = state_legend(&params)
         .into_iter()
@@ -14,7 +14,7 @@ fn main() {
             format!("{state},{mean},{sigma},{}{}", u8::from(lsb), u8::from(msb))
         })
         .collect();
-    rd_bench::emit_csv("fig01_states", "state,mean,sigma,bits(lsb msb)", &rows);
+    crate::emit_csv("fig01_states", "state,mean,sigma,bits(lsb msb)", &rows);
     println!(
         "references: Va={} Vb={} Vc={}  nominal Vpass={}",
         params.refs.va(),
@@ -22,4 +22,5 @@ fn main() {
         params.refs.vc(),
         NOMINAL_VPASS
     );
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig2_vth_histograms, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig2_vth_histograms(Scale::full(), 20).expect("fig2");
     let mut rows = Vec::new();
     for (reads, hist) in &data.snapshots {
@@ -13,9 +13,10 @@ fn main() {
             }
         }
     }
-    rd_bench::emit_csv("fig02a", "reads,vth,pdf", &rows);
+    crate::emit_csv("fig02a", "reads,vth,pdf", &rows);
     // Shape check: ER mean shift after 1M reads (paper Fig. 2b: ~10 units).
     let er0 = data.snapshots[0].1.state_mean(readdisturb::flash::CellState::Er);
     let er1m = data.snapshots[3].1.state_mean(readdisturb::flash::CellState::Er);
-    rd_bench::shape_check("fig2 ER mean shift @1M reads", er1m - er0, 10.0);
+    crate::shape_check("fig2 ER mean shift @1M reads", er1m - er0, 10.0);
+    Ok(())
 }

@@ -4,7 +4,7 @@
 use readdisturb::core::characterize::{fig2_vth_histograms, Scale};
 use readdisturb::flash::CellState;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig2_vth_histograms(Scale::full(), 20).expect("fig2");
     let mut rows = Vec::new();
     for (reads, hist) in &data.snapshots {
@@ -19,5 +19,6 @@ fn main() {
             }
         }
     }
-    rd_bench::emit_csv("fig02b", "reads,vth,pdf_er,pdf_p1", &rows);
+    crate::emit_csv("fig02b", "reads,vth,pdf_er,pdf_p1", &rows);
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig3_rber_vs_reads, Scale, PAPER_FIG3_SLOPES};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig3_rber_vs_reads(Scale::full(), 99).expect("fig3");
     let mut rows = Vec::new();
     for series in &data.series {
@@ -11,7 +11,7 @@ fn main() {
             rows.push(format!("{},{},{:.6e}", series.pe_cycles, reads, rber));
         }
     }
-    rd_bench::emit_csv("fig03", "pe_cycles,reads,rber", &rows);
+    crate::emit_csv("fig03", "pe_cycles,reads,rber", &rows);
 
     println!("\nslope table (per read):");
     println!("{:>8} {:>14} {:>14} {:>14}", "P/E", "measured", "analytic", "paper");
@@ -20,6 +20,7 @@ fn main() {
             "{:>8} {:>14.2e} {:>14.2e} {:>14.2e}",
             pe, series.fitted_slope, series.analytic_slope, paper
         );
-        rd_bench::shape_check(&format!("fig3 slope @{pe} P/E"), series.fitted_slope, paper);
+        crate::shape_check(&format!("fig3 slope @{pe} P/E"), series.fitted_slope, paper);
     }
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig4_vpass_read_tolerance, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig4_vpass_read_tolerance(Scale::full(), 4).expect("fig4");
     let mut rows = Vec::new();
     for series in &data.series {
@@ -11,7 +11,7 @@ fn main() {
             rows.push(format!("{},{},{:.6e}", series.vpass_pct, reads, rber));
         }
     }
-    rd_bench::emit_csv("fig04", "vpass_pct,reads,rber", &rows);
+    crate::emit_csv("fig04", "vpass_pct,reads,rber", &rows);
 
     // Shape check: tolerable reads at a fixed RBER grow exponentially as
     // Vpass drops — compare reads-to-1.2e-3 between 100% and 98%.
@@ -24,5 +24,6 @@ fn main() {
             .unwrap_or(1e9)
     };
     let gain = reads_to(98) / reads_to(100).max(1.0);
-    rd_bench::shape_check("fig4 read-tolerance gain per 2% Vpass", gain, 10.0);
+    crate::shape_check("fig4 read-tolerance gain per 2% Vpass", gain, 10.0);
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig5_passthrough_sweep, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     // Pass-through errors come from a sparse over-programmed population
     // (~2e-4 of cells); use a 1M-cell block so the curves are not
     // shot-noise limited.
@@ -15,7 +15,7 @@ fn main() {
             rows.push(format!("{},{:.0},{:.6e}", series.age_days, vpass, addl));
         }
     }
-    rd_bench::emit_csv("fig05", "age_days,vpass,additional_rber", &rows);
+    crate::emit_csv("fig05", "age_days,vpass,additional_rber", &rows);
 
     // Shape checks: ~1e-3 at Vpass=480 with fresh data; zero near nominal;
     // older data strictly safer.
@@ -27,7 +27,8 @@ fn main() {
             .map(|p| p.1)
             .unwrap_or(f64::NAN)
     };
-    rd_bench::shape_check("fig5 addl RBER @480, 0-day", at(0, 480.0), 1.0e-3);
-    rd_bench::shape_check("fig5 addl RBER @510, 0-day (free region)", at(0, 510.0), 0.0);
-    rd_bench::shape_check("fig5 age relief @480 (21d/0d)", at(21, 480.0) / at(0, 480.0), 0.3);
+    crate::shape_check("fig5 addl RBER @480, 0-day", at(0, 480.0), 1.0e-3);
+    crate::shape_check("fig5 addl RBER @510, 0-day (free region)", at(0, 510.0), 0.0);
+    crate::shape_check("fig5 age relief @480 (21d/0d)", at(21, 480.0) / at(0, 480.0), 0.3);
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::fig6_retention_staircase;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig6_retention_staircase(64);
     let rows: Vec<String> = data
         .rows
@@ -12,11 +12,12 @@ fn main() {
             format!("{},{:.6e},{:.6e},{}", r.day, r.base_rber, r.margin_rber, r.safe_reduction_pct)
         })
         .collect();
-    rd_bench::emit_csv("fig06", "day,base_rber,margin_rber,safe_reduction_pct", &rows);
+    crate::emit_csv("fig06", "day,base_rber,margin_rber,safe_reduction_pct", &rows);
     println!("capability {:.1e}, usable {:.1e}", data.capability, data.usable);
 
     let max_pct = data.rows.iter().map(|r| r.safe_reduction_pct).max().unwrap_or(0);
-    rd_bench::shape_check("fig6 max safe reduction (%)", max_pct as f64, 4.0);
+    crate::shape_check("fig6 max safe reduction (%)", max_pct as f64, 4.0);
     let band = data.rows.iter().filter(|r| r.safe_reduction_pct == 4).count();
-    rd_bench::shape_check("fig6 4% band length (days)", band as f64, 4.0);
+    crate::shape_check("fig6 4% band length (days)", band as f64, 4.0);
+    Ok(())
 }

@@ -4,14 +4,14 @@
 
 use readdisturb::core::characterize::fig7_refresh_intervals;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig7_refresh_intervals(8_000, 40_000.0, 64);
     let rows: Vec<String> = data
         .points
         .iter()
         .map(|p| format!("{:.2},{:.6e},{:.6e}", p.day, p.unmitigated, p.mitigated))
         .collect();
-    rd_bench::emit_csv("fig07", "day,unmitigated_rber,mitigated_rber", &rows);
+    crate::emit_csv("fig07", "day,unmitigated_rber,mitigated_rber", &rows);
     println!("refresh interval: {} days, capability {:.1e}", data.interval_days, data.capability);
 
     let peak = |f: &dyn Fn(&readdisturb::core::characterize::Fig7Point) -> f64| {
@@ -19,5 +19,6 @@ fn main() {
     };
     let unmit = peak(&|p| p.unmitigated);
     let mit = peak(&|p| p.mitigated);
-    rd_bench::shape_check("fig7 peak error reduction from mitigation", 1.0 - mit / unmit, 0.5);
+    crate::shape_check("fig7 peak error reduction from mitigation", 1.0 - mit / unmit, 0.5);
+    Ok(())
 }

@@ -4,14 +4,15 @@
 use readdisturb::core::characterize::fig8_endurance;
 use readdisturb::core::lifetime::average_gain;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let results = fig8_endurance();
     let rows: Vec<String> = results
         .iter()
         .map(|r| format!("{},{},{},{:.3}", r.workload, r.baseline, r.tuned, r.gain()))
         .collect();
-    rd_bench::emit_csv("fig08", "workload,baseline_pe,tuned_pe,gain", &rows);
+    crate::emit_csv("fig08", "workload,baseline_pe,tuned_pe,gain", &rows);
 
     let avg = average_gain(&results);
-    rd_bench::shape_check("fig8 average endurance gain", avg, 0.21);
+    crate::shape_check("fig8 average endurance gain", avg, 0.21);
+    Ok(())
 }

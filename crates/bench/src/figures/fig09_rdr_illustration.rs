@@ -2,13 +2,13 @@
 //! shift far under read disturb, disturb-resistant ones barely move, so the
 //! measured shift separates the overlapping populations at the boundary.
 //!
-//! This binary reproduces the illustration with concrete cells from the
+//! This routine reproduces the illustration with concrete cells from the
 //! simulator: it tracks the four-cell example of the paper's Fig. 9 (two
 //! ER cells, two P1 cells) plus population statistics.
 
 use readdisturb::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> crate::FigureResult {
     let mut chip = Chip::new(Geometry::characterization(), ChipParams::default(), 17);
     chip.cycle_block(0, 8_000)?;
     chip.program_block_random(0, 5)?;
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!("after,er_near_boundary,{}", after.1),
         format!("after,p1_near_boundary,{}", after.2),
     ];
-    rd_bench::emit_csv("fig09_rdr_illustration", "phase,quantity,value", &rows);
+    crate::emit_csv("fig09_rdr_illustration", "phase,quantity,value", &rows);
     println!(
         "\nER cells within 15 units of Va: {} -> {} (disturb-prone population)",
         before.1, after.1

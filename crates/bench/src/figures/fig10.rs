@@ -3,19 +3,16 @@
 
 use readdisturb::core::characterize::{fig10_rdr, Scale};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let data = fig10_rdr(Scale::full(), 55).expect("fig10");
     let rows: Vec<String> = data
         .points
         .iter()
         .map(|p| format!("{},{:.6e},{:.6e}", p.reads, p.no_recovery, p.rdr))
         .collect();
-    rd_bench::emit_csv("fig10", "reads,no_recovery_rber,rdr_rber", &rows);
+    crate::emit_csv("fig10", "reads,no_recovery_rber,rdr_rber", &rows);
 
     let last = data.points.last().expect("points");
-    rd_bench::shape_check(
-        "fig10 RBER reduction @1M reads",
-        1.0 - last.rdr / last.no_recovery,
-        0.36,
-    );
+    crate::shape_check("fig10 RBER reduction @1M reads", 1.0 - last.rdr / last.no_recovery, 0.36);
+    Ok(())
 }

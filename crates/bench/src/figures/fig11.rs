@@ -3,16 +3,16 @@
 
 use readdisturb::dram::ModulePopulation;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);
     let rows: Vec<String> = population
         .fig11_points()
         .into_iter()
         .map(|(mfr, date, errors)| format!("{mfr},{date:.2},{errors}"))
         .collect();
-    rd_bench::emit_csv("fig11", "manufacturer,date,errors_per_gbit", &rows);
+    crate::emit_csv("fig11", "manufacturer,date,errors_per_gbit", &rows);
 
-    rd_bench::shape_check(
+    crate::shape_check(
         "fig11 vulnerable modules (of 129)",
         population.vulnerable_count() as f64,
         110.0,
@@ -24,4 +24,5 @@ fn main() {
         .filter(|m| m.year == 2012 || m.year == 2013)
         .all(|m| m.is_vulnerable());
     println!("all 2012-2013 modules vulnerable: {all_2012_13}");
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use readdisturb::dram::{HammerExperiment, ModulePopulation};
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);
     let mut rows = Vec::new();
     for (i, module) in population.fig12_representatives().iter().enumerate() {
@@ -20,5 +20,6 @@ fn main() {
             exp.max_victims()
         );
     }
-    rd_bench::emit_csv("fig12", "module,victims_per_row,row_count", &rows);
+    crate::emit_csv("fig12", "module,victims_per_row,row_count", &rows);
+    Ok(())
 }

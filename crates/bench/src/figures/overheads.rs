@@ -3,7 +3,7 @@
 
 use readdisturb::core::overhead::OverheadModel;
 
-fn main() {
+pub fn run() -> crate::FigureResult {
     let model = OverheadModel::paper_512gb();
     let rows = vec![
         format!("blocks,{}", model.blocks()),
@@ -11,11 +11,12 @@ fn main() {
         format!("daily_overhead_s,{:.2}", model.daily_overhead_seconds()),
         format!("daily_overhead_fraction,{:.2e}", model.daily_overhead_fraction()),
     ];
-    rd_bench::emit_csv("overheads", "quantity,value", &rows);
-    rd_bench::shape_check("daily overhead (s/512GB)", model.daily_overhead_seconds(), 24.34);
-    rd_bench::shape_check(
+    crate::emit_csv("overheads", "quantity,value", &rows);
+    crate::shape_check("daily overhead (s/512GB)", model.daily_overhead_seconds(), 24.34);
+    crate::shape_check(
         "storage overhead (KB/512GB)",
         model.storage_overhead_bytes() as f64 / 1024.0,
         128.0,
     );
+    Ok(())
 }

@@ -1,5 +1,6 @@
-//! Shared plumbing for the figure-regeneration binaries: CSV/JSONL emission
-//! to `target/figures/` and stdout, the paper-vs-measured shape check, and
+//! The paper's figures as one table ([`FIGURES`], which the `figures`
+//! binary runs by name) and the plumbing they share: CSV/JSONL emission to
+//! `target/figures/` and stdout, the paper-vs-measured shape check, and
 //! the pre-stressed recovery scenario behind `ext_recovery_path`
 //! ([`replay`]). Host-time measurement lives in `benchmark/`, not here.
 
@@ -7,14 +8,25 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
+mod figures;
 pub mod replay;
+
+pub use figures::FIGURES;
+
+/// What a figure's `run` returns; an `Err` ends the `figures` run the way
+/// it ends a `main`.
+pub type FigureResult = Result<(), Box<dyn std::error::Error>>;
+
+/// One [`FIGURES`] entry: the name `figures` takes on its command line and
+/// files the output under, and the routine that regenerates the figure.
+pub type Figure = (&'static str, fn() -> FigureResult);
 
 /// Writes `rows` (already comma-joined) under a header to
 /// `target/figures/<name>.csv` and echoes the first rows to stdout.
 ///
 /// # Panics
 ///
-/// Panics on I/O failure (these are experiment binaries).
+/// Panics on I/O failure (these are experiment routines).
 pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
     let dir = PathBuf::from("target/figures");
     fs::create_dir_all(&dir).expect("create target/figures");
@@ -40,7 +52,7 @@ pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
 ///
 /// # Panics
 ///
-/// Panics on I/O failure (these are experiment binaries).
+/// Panics on I/O failure (these are experiment routines).
 pub fn emit_jsonl(name: &str, rows: &[String]) {
     let dir = PathBuf::from("target/figures");
     fs::create_dir_all(&dir).expect("create target/figures");

@@ -2,8 +2,6 @@
 //! worn, disturbed array, replay the shared read-heavy trace on it, and
 //! render the result as a self-describing JSON row.
 
-use std::time::Instant;
-
 use readdisturb::prelude::*;
 use readdisturb::workloads::TraceOp;
 
@@ -32,7 +30,7 @@ fn engine_config(channels: u32, dies_per_channel: u32, fidelity: ReadFidelity) -
     .with_fidelity(fidelity)
 }
 
-/// One measured replay: engine statistics plus wall-clock cost.
+/// One measured replay: engine statistics plus the RBER it left behind.
 #[derive(Debug, Clone)]
 pub struct ReplayMeasurement {
     /// Topology: channels.
@@ -45,34 +43,18 @@ pub struct ReplayMeasurement {
     pub fidelity: ReadFidelity,
     /// Engine statistics after the replay.
     pub stats: EngineStats,
-    /// Wall-clock seconds spent inside the replay (construction and
-    /// pre-stressing excluded).
-    pub wall_s: f64,
     /// Aggregate block RBER over every valid block of every die
     /// (closed-form expectation on analytic dies, per-cell oracle on exact
     /// ones).
     pub mean_block_rber: f64,
 }
 
-impl ReplayMeasurement {
-    /// Host-side replay throughput in kIOPS (trace ops per wall second).
-    pub fn host_kiops(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            0.0
-        } else {
-            self.stats.ops as f64 / self.wall_s / 1e3
-        }
-    }
-}
-
-/// Replays `ops` on the pre-built `engine` and measures wall-clock cost
-/// and the post-replay RBER summary.
+/// Replays `ops` on the pre-built `engine` and takes the post-replay RBER
+/// summary.
 fn measure_replay_on(engine: &mut Engine, ops: &[TraceOp]) -> ReplayMeasurement {
-    let start = Instant::now();
     // Stats-only replay: identical execution, timing, and digest, but no
     // per-request completion records — only the stats are read.
     let stats = engine.replay_stats_only(ops.iter().copied(), 0);
-    let wall_s = start.elapsed().as_secs_f64();
 
     let mut errors = 0.0f64;
     let mut bits = 0u64;
@@ -94,7 +76,6 @@ fn measure_replay_on(engine: &mut Engine, ops: &[TraceOp]) -> ReplayMeasurement 
         chip: engine.config().die.chip.clone(),
         fidelity: engine.config().fidelity(),
         stats,
-        wall_s,
         mean_block_rber,
     }
 }
@@ -175,7 +156,7 @@ pub fn measure_recovery_scenario(
 }
 
 /// Renders a measurement as one self-describing JSON row: topology,
-/// fidelity tier, throughput (host and simulated), latency percentiles,
+/// fidelity tier, simulated throughput, latency percentiles,
 /// reliability counters (UBER, recovery, relocation cost), and the FNV
 /// data digest.
 pub fn json_row(kind: &str, trace_ops: usize, m: &ReplayMeasurement) -> String {
@@ -187,8 +168,7 @@ pub fn json_row(kind: &str, trace_ops: usize, m: &ReplayMeasurement) -> String {
             "{{\"kind\":\"{}\",\"trace\":\"umass-web\",\"trace_ops\":{},",
             "\"chip\":\"{}\",",
             "\"channels\":{},\"dies_per_channel\":{},\"dies\":{},\"fidelity\":\"{}\",",
-            "\"ops\":{},\"reads\":{},\"writes\":{},",
-            "\"wall_ms\":{:.3},\"host_kiops\":{:.2},\"sim_kiops\":{:.2},",
+            "\"ops\":{},\"reads\":{},\"writes\":{},\"sim_kiops\":{:.2},",
             "\"makespan_ms\":{:.3},\"p50_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},",
             "\"mean_block_rber\":{:.3e},\"corrected_bits\":{},\"uncorrectable\":{},",
             "\"recovered\":{},\"recovery_steps\":{},\"recovery_reads\":{},\"uber\":{:.3e},",
@@ -205,8 +185,6 @@ pub fn json_row(kind: &str, trace_ops: usize, m: &ReplayMeasurement) -> String {
         s.ops,
         s.reads,
         s.writes,
-        m.wall_s * 1e3,
-        m.host_kiops(),
         s.iops() / 1e3,
         s.makespan_us / 1e3,
         s.latency_p50_us,

@@ -1,6 +1,8 @@
-//! Smoke tests for the figure pipeline: every `src/bin/fig*.rs` (and
-//! `ext_*`/`ablations`/`overheads`) binary's underlying routine, run on the
-//! miniature testsupport geometry, asserting non-empty and finite output.
+//! Smoke tests for the figure pipeline: the routine under every
+//! `rd_bench::FIGURES` entry (`fig*`, `ext_*`, `ablations`, `overheads`), run
+//! on the miniature testsupport geometry, asserting non-empty and finite
+//! output — plus the table itself, and the closed-form entries run through
+//! it at full scale.
 //!
 //! These guard the figure-regeneration path without full-scale runs: a
 //! refactor that breaks a `characterize::fig*` function fails here in
@@ -298,5 +300,36 @@ fn ext_recovery_path_scenario() {
         for key in ["\"recovered\"", "\"recovery_reads\"", "\"uber\"", "\"background_ms\""] {
             assert!(row.contains(key), "row missing {key}: {row}");
         }
+    }
+}
+
+/// The figure table: 20 names, none twice; the paper's figures first, in
+/// ascending order; `ext_recovery_path` last.
+#[test]
+fn figure_table_names_are_unique_and_ordered() {
+    let names: Vec<&str> = rd_bench::FIGURES.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names.len(), 20);
+    let mut unique = names.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), names.len(), "duplicate name in {names:?}");
+    let paper: Vec<&str> = names.iter().copied().filter(|n| n.starts_with("fig")).collect();
+    assert_eq!(paper, names[..13], "the paper's figures come first");
+    assert!(paper.windows(2).all(|w| w[0] < w[1]), "paper figures out of order: {paper:?}");
+    assert_eq!(names.last(), Some(&"ext_recovery_path"));
+}
+
+/// The entries that are closed-form at full scale (milliseconds each) run
+/// through the table by name, and each leaves its CSV behind.
+#[test]
+fn closed_form_figures_run_through_the_table() {
+    for wanted in ["fig01_states", "fig06", "fig07", "fig08", "fig11", "fig12", "overheads"] {
+        let (name, run) = rd_bench::FIGURES
+            .iter()
+            .find(|(name, _)| *name == wanted)
+            .unwrap_or_else(|| panic!("{wanted} is not in the table"));
+        run().unwrap_or_else(|err| panic!("{name} failed: {err}"));
+        let csv = std::fs::read_to_string(format!("target/figures/{name}.csv")).expect("csv");
+        assert!(csv.lines().count() > 1, "{name}.csv has no rows");
     }
 }

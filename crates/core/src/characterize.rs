@@ -2,8 +2,8 @@
 //! figure of the paper's evaluation (Figs. 2–8 and 10).
 //!
 //! Each `figN_*` function returns a plain data struct; the `rd-bench`
-//! crate's `figN` binaries print them as CSV and compare against the
-//! paper's reported shapes (their `## shape-check` lines).
+//! crate's `figN` figures (`figures figN`) print them as CSV and compare
+//! against the paper's reported shapes (their `## shape-check` lines).
 
 use rd_ecc::MarginPolicy;
 use rd_flash::{AnalyticModel, Chip, ChipParams, Geometry, VthHistogram, NOMINAL_VPASS};
@@ -28,7 +28,7 @@ impl Scale {
         Self { wordlines: 64, bitlines: 4096 }
     }
 
-    /// Reduced scale for unit tests and Criterion benches.
+    /// Reduced scale for unit tests and the benchmark's smoke runs.
     pub fn quick() -> Self {
         Self { wordlines: 16, bitlines: 1024 }
     }

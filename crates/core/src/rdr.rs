@@ -196,30 +196,7 @@ impl Rdr {
         block: u32,
         outcome: &RdrOutcome,
     ) -> Result<BitErrorStats, CoreError> {
-        let geometry = chip.geometry();
-        let blk = chip.block(block)?;
-        let mut errors = 0u64;
-        let mut bits = 0u64;
-        for wl in 0..geometry.wordlines_per_block {
-            let lsb_on = blk.is_page_programmed(wl * 2);
-            let msb_on = blk.is_page_programmed(wl * 2 + 1);
-            if !lsb_on && !msb_on {
-                continue;
-            }
-            for bl in 0..geometry.bitlines {
-                let intended = blk.cells().intended_state(wl, bl);
-                let got = outcome.corrected[wl as usize][bl as usize];
-                if lsb_on {
-                    bits += 1;
-                    errors += u64::from(got.lsb() != intended.lsb());
-                }
-                if msb_on {
-                    bits += 1;
-                    errors += u64::from(got.msb() != intended.msb());
-                }
-            }
-        }
-        Ok(BitErrorStats::new(errors, bits))
+        errors_vs_intended(chip, block, &outcome.corrected)
     }
 
     /// Extracts the recovered bits of one page from an outcome.
@@ -239,6 +216,40 @@ impl Rdr {
         }
         data
     }
+}
+
+/// Raw bit errors of recovered per-cell states (`corrected[wordline][bitline]`)
+/// against the programmed ground truth, over the programmed pages of `block`.
+/// Shared with [`crate::Rfr`], whose outcome has the same shape.
+pub(crate) fn errors_vs_intended(
+    chip: &Chip,
+    block: u32,
+    corrected: &[Vec<CellState>],
+) -> Result<BitErrorStats, CoreError> {
+    let geometry = chip.geometry();
+    let blk = chip.block(block)?;
+    let mut errors = 0u64;
+    let mut bits = 0u64;
+    for wl in 0..geometry.wordlines_per_block {
+        let lsb_on = blk.is_page_programmed(wl * 2);
+        let msb_on = blk.is_page_programmed(wl * 2 + 1);
+        if !lsb_on && !msb_on {
+            continue;
+        }
+        for bl in 0..geometry.bitlines {
+            let intended = blk.cells().intended_state(wl, bl);
+            let got = corrected[wl as usize][bl as usize];
+            if lsb_on {
+                bits += 1;
+                errors += u64::from(got.lsb() != intended.lsb());
+            }
+            if msb_on {
+                bits += 1;
+                errors += u64::from(got.msb() != intended.msb());
+            }
+        }
+    }
+    Ok(BitErrorStats::new(errors, bits))
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ proptest! {
     /// refresh interval. (With reserve below ~10% the greedy tuner can
     /// over-spend capability on deliberate pass-through errors and lose
     /// endurance on read-cold workloads — the failure mode the paper's 20%
-    /// reserve exists to prevent; the ablations binary quantifies it.)
+    /// reserve exists to prevent; the `ablations` figure quantifies it.)
     #[test]
     fn endurance_gain_never_negative(
         reserve in 0.15f64..0.5,

@@ -387,24 +387,6 @@ impl AggregateState {
         self.refresh_caches(params, model, block);
     }
 
-    /// In-place refresh: rewrite the same data (one P/E cycle), resetting
-    /// age, reads, and disturb dose while keeping pages programmed.
-    pub(crate) fn refresh_in_place(
-        &mut self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
-    ) {
-        let count = self.programmed_count[block];
-        let pages = self.pages() as usize;
-        let saved: Vec<bool> = self.programmed[block * pages..(block + 1) * pages].to_vec();
-        self.pe_cycles[block] += 1;
-        self.reset_after_erase(block);
-        self.programmed[block * pages..(block + 1) * pages].copy_from_slice(&saved);
-        self.programmed_count[block] = count;
-        self.refresh_caches(params, model, block);
-    }
-
     pub(crate) fn advance_days(
         &mut self,
         params: &ChipParams,
@@ -430,17 +412,9 @@ impl AggregateState {
         model: &AnalyticModel,
         block: usize,
         vpass: f64,
-    ) -> Result<(), FlashError> {
-        if !(params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
-            return Err(FlashError::VpassOutOfRange {
-                requested: vpass,
-                min: params.min_vpass,
-                max: NOMINAL_VPASS,
-            });
-        }
+    ) {
         self.vpass[block] = vpass;
         self.refresh_caches(params, model, block);
-        Ok(())
     }
 
     /// Uniformly spread reads: block-level disturb only (matches the other
@@ -738,20 +712,16 @@ mod tests {
     fn relaxed_vpass_forces_sampled_blocking() {
         let (mut state, params, model, mut rng) = setup();
         program_all(&mut state, &params, &model);
-        state.set_vpass(&params, &model, 0, params.min_vpass).unwrap();
+        state.set_vpass(&params, &model, 0, params.min_vpass);
         let mut blocked = 0u64;
         for _ in 0..64 {
             blocked +=
                 state.read_page(&mut rng, Some(1_000), 0, 0, false).unwrap().blocked_bitlines;
         }
         assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
-        state.set_vpass(&params, &model, 0, NOMINAL_VPASS).unwrap();
+        state.set_vpass(&params, &model, 0, NOMINAL_VPASS);
         let out = state.read_page(&mut rng, Some(1_000), 0, 0, false).unwrap();
         assert_eq!(out.blocked_bitlines, 0);
-        assert!(matches!(
-            state.set_vpass(&params, &model, 0, 0.5 * NOMINAL_VPASS),
-            Err(FlashError::VpassOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -805,21 +775,5 @@ mod tests {
         assert_eq!(st.age_days, 0.0);
         assert_eq!(st.dose, 0.0);
         assert_eq!(st.programmed_pages, 0);
-    }
-
-    #[test]
-    fn refresh_in_place_keeps_data_and_resets_wear_state() {
-        let (mut state, params, model, _) = setup();
-        program_all(&mut state, &params, &model);
-        state.apply_read_disturbs(0, 10_000);
-        state.advance_days(&params, &model, 0, 5.0);
-        state.refresh_in_place(&params, &model, 0);
-        let st = state.status(0);
-        assert_eq!(st.pe_cycles, 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        assert_eq!(st.dose, 0.0);
-        assert_eq!(st.programmed_pages, 16);
-        assert!(state.is_page_programmed(0, 0));
     }
 }

@@ -207,23 +207,10 @@ impl AnalyticBlock {
 
     /// Folds the pending read counters into the disturb term at the Vpass
     /// they were accumulated under, then applies the new setting.
-    pub(crate) fn set_vpass(
-        &mut self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        vpass: f64,
-    ) -> Result<(), FlashError> {
-        if !(params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
-            return Err(FlashError::VpassOutOfRange {
-                requested: vpass,
-                min: params.min_vpass,
-                max: NOMINAL_VPASS,
-            });
-        }
+    pub(crate) fn set_vpass(&mut self, model: &AnalyticModel, vpass: f64) {
         self.fold_pending(model);
         self.vpass = vpass;
         self.op_cache = None;
-        Ok(())
     }
 
     fn fold_pending(&mut self, model: &AnalyticModel) {
@@ -810,21 +797,21 @@ mod tests {
 
     #[test]
     fn vpass_fold_preserves_accumulated_disturb() {
-        let (mut block, params, model, mut rng) = setup();
+        let (mut block, _, model, mut rng) = setup();
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
         block.apply_read_disturbs(100_000);
         let before = block.disturb_lin_uniform(&model);
         // Lowering Vpass must not erase the disturb damage already done
         // (pass-through errors do rise — that is the physics, not history).
-        block.set_vpass(&params, &model, 0.96 * NOMINAL_VPASS).unwrap();
+        block.set_vpass(&model, 0.96 * NOMINAL_VPASS);
         let after = block.disturb_lin_uniform(&model);
         assert!((after / before - 1.0).abs() < 1e-9, "fold changed history: {before} -> {after}");
         // …but future reads at the lower Vpass accumulate disturb slower.
         let mut low = block.clone();
         low.apply_read_disturbs(100_000);
         let mut high = block.clone();
-        high.set_vpass(&params, &model, NOMINAL_VPASS).unwrap();
+        high.set_vpass(&model, NOMINAL_VPASS);
         high.apply_read_disturbs(100_000);
         assert!(
             low.disturb_lin_uniform(&model) < high.disturb_lin_uniform(&model),
@@ -836,13 +823,13 @@ mod tests {
     fn relaxed_vpass_blocks_bitlines_and_nominal_does_not() {
         let (mut block, params, model, mut rng) = setup();
         program_all(&mut block, &mut rng);
-        block.set_vpass(&params, &model, params.min_vpass).unwrap();
+        block.set_vpass(&model, params.min_vpass);
         let mut blocked = 0u64;
         for _ in 0..64 {
             blocked += read_page(&mut block, &params, &model, &mut rng, 0, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
-        block.set_vpass(&params, &model, NOMINAL_VPASS).unwrap();
+        block.set_vpass(&model, NOMINAL_VPASS);
         let out = read_page(&mut block, &params, &model, &mut rng, 0, false);
         assert_eq!(out.blocked_bitlines, 0);
     }
@@ -938,7 +925,7 @@ mod tests {
         block.advance_days(5.0);
         assert!(block.op_cache.is_none(), "advance_days must invalidate");
         assert_ne!(aged, warm_cache(&mut block).0 .0);
-        block.set_vpass(&params, &model, params.min_vpass).unwrap();
+        block.set_vpass(&model, params.min_vpass);
         assert!(block.op_cache.is_none(), "set_vpass must invalidate");
         let ((_, p_block), slope_low) = warm_cache(&mut block);
         assert!(p_block > 0.0 && slope_low < slope_nominal);
@@ -1072,7 +1059,7 @@ mod tests {
                 // get blocked (dense overlap is the property above).
                 let relax = (2.0 * relax - 1.0).max(0.0);
                 let vpass = params.min_vpass + relax * (NOMINAL_VPASS - params.min_vpass);
-                block.set_vpass(&params, &model, vpass).unwrap();
+                block.set_vpass(&model, vpass);
                 let shifts: Vec<f64> = std::iter::once(0.0)
                     .chain(params.retry_shifts.iter().copied())
                     .chain(params.reread_va_raises.iter().copied())

@@ -178,22 +178,10 @@ impl Block {
     }
 
     /// Sets the per-block pass-through voltage (the interface the paper
-    /// proposes manufacturers add; see §7).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::VpassOutOfRange`] outside
-    /// `[params.min_vpass, NOMINAL_VPASS]`.
-    pub fn set_vpass(&mut self, params: &ChipParams, vpass: f64) -> Result<(), FlashError> {
-        if !(params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
-            return Err(FlashError::VpassOutOfRange {
-                requested: vpass,
-                min: params.min_vpass,
-                max: NOMINAL_VPASS,
-            });
-        }
+    /// proposes manufacturers add; see §7). `Chip::set_block_vpass` has
+    /// checked it against `[params.min_vpass, NOMINAL_VPASS]`.
+    pub(crate) fn set_vpass(&mut self, vpass: f64) {
         self.vpass = vpass;
-        Ok(())
     }
 
     /// Erases the block: all cells return to ER, wear increments, the
@@ -769,7 +757,7 @@ mod tests {
 
         let mut relaxed = build(3, 12_000, 32);
         relaxed.advance_days(14.0);
-        relaxed.set_vpass(&params, params.min_vpass).unwrap();
+        relaxed.set_vpass(params.min_vpass);
         relaxed.apply_read_disturbs(&params, 2_000_000);
         relaxed.hammer_wordline(&params, 5, 600_000);
         out.push(("worn, aged, hammered, relaxed Vpass", relaxed, params.clone()));
@@ -987,7 +975,7 @@ mod tests {
         program_random(&mut hi, &params, &mut rng2);
         let mut rng2 = StdRng::seed_from_u64(8);
         program_random(&mut lo, &params, &mut rng2);
-        lo.set_vpass(&params, 0.96 * NOMINAL_VPASS).unwrap();
+        lo.set_vpass(0.96 * NOMINAL_VPASS);
         hi.apply_read_disturbs(&params, 200_000);
         lo.apply_read_disturbs(&params, 200_000);
         assert!(lo.status().dose < hi.status().dose);
@@ -995,14 +983,31 @@ mod tests {
 
     #[test]
     fn vpass_range_enforced() {
-        let (mut block, params, _) = block_with(4, 512);
-        assert!(block.set_vpass(&params, NOMINAL_VPASS).is_ok());
-        assert!(block.set_vpass(&params, params.min_vpass).is_ok());
-        assert!(matches!(
-            block.set_vpass(&params, params.min_vpass - 5.0),
-            Err(FlashError::VpassOutOfRange { .. })
-        ));
-        assert!(block.set_vpass(&params, NOMINAL_VPASS + 1.0).is_err());
+        use crate::{Chip, Geometry, ReadFidelity};
+        // The rule lives in `Chip::set_block_vpass`, ahead of every tier.
+        for fidelity in
+            [ReadFidelity::CellExact, ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate]
+        {
+            let mut chip =
+                Chip::with_fidelity(Geometry::small(), ChipParams::default(), 2024, fidelity);
+            let min_vpass = chip.params().min_vpass;
+            assert!(chip.set_block_vpass(0, NOMINAL_VPASS).is_ok(), "{fidelity}");
+            assert!(chip.set_block_vpass(0, min_vpass).is_ok(), "{fidelity}");
+            for out_of_range in [min_vpass - 5.0, NOMINAL_VPASS + 1.0, 0.5 * NOMINAL_VPASS] {
+                assert!(
+                    matches!(
+                        chip.set_block_vpass(0, out_of_range),
+                        Err(FlashError::VpassOutOfRange { .. })
+                    ),
+                    "{fidelity}: {out_of_range}"
+                );
+            }
+            assert_eq!(
+                chip.block_vpass(0).unwrap(),
+                min_vpass,
+                "{fidelity}: a refusal sets nothing"
+            );
+        }
     }
 
     #[test]
@@ -1012,14 +1017,14 @@ mod tests {
         // Large enough that outliers (~4e-4 of P3 cells) are present.
         let mut block = Block::new(32, 4096, &params, &mut rng);
         program_random(&mut block, &params, &mut rng);
-        block.set_vpass(&params, params.min_vpass).unwrap();
+        block.set_vpass(params.min_vpass);
         let mut blocked = 0u64;
         for page in 0..8 {
             blocked += read(&mut block, &params, page, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected some blocked bitlines at minimum vpass");
         // And none at nominal.
-        block.set_vpass(&params, NOMINAL_VPASS).unwrap();
+        block.set_vpass(NOMINAL_VPASS);
         let mut blocked_nominal = 0u64;
         for page in 0..8 {
             blocked_nominal += read(&mut block, &params, page, false).blocked_bitlines;

@@ -13,7 +13,7 @@
 use std::borrow::Cow;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::aggregate_block::AggregateState;
 use crate::analytic::AnalyticModel;
@@ -24,7 +24,7 @@ use crate::cell_array::SenseScratch;
 use crate::error::FlashError;
 use crate::fidelity::ReadFidelity;
 use crate::geometry::Geometry;
-use crate::params::ChipParams;
+use crate::params::{ChipParams, NOMINAL_VPASS};
 use crate::state::{CellState, ALL_STATES};
 use crate::BitErrorStats;
 
@@ -706,15 +706,23 @@ impl Chip {
     /// tuning range.
     pub fn set_block_vpass(&mut self, block: u32, vpass: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
+        if !(self.params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
+            return Err(FlashError::VpassOutOfRange {
+                requested: vpass,
+                min: self.params.min_vpass,
+                max: NOMINAL_VPASS,
+            });
+        }
         match &mut self.storage {
-            Storage::Exact { blocks, .. } => blocks[block as usize].set_vpass(&self.params, vpass),
+            Storage::Exact { blocks, .. } => blocks[block as usize].set_vpass(vpass),
             Storage::Analytic { model, blocks, .. } => {
-                blocks[block as usize].set_vpass(&self.params, model, vpass)
+                blocks[block as usize].set_vpass(model, vpass);
             }
             Storage::Aggregate { model, state } => {
-                state.set_vpass(&self.params, model, block as usize, vpass)
+                state.set_vpass(&self.params, model, block as usize, vpass);
             }
         }
+        Ok(())
     }
 
     /// A block's current pass-through voltage.
@@ -789,7 +797,7 @@ impl Chip {
             return Err(FlashError::StepNotPositive { step: bin_width });
         }
         let min = -80.0;
-        let max = crate::params::NOMINAL_VPASS + 40.0;
+        let max = NOMINAL_VPASS + 40.0;
         let nbins = ((max - min) / bin_width).ceil() as usize;
         let mut hist = VthHistogram {
             bin_width,
@@ -892,37 +900,6 @@ impl Chip {
             }
         }
     }
-
-    /// Refreshes a block: saves the logical data, erases, and reprograms it
-    /// (remapping-based refresh as assumed by the paper's 7-day interval).
-    /// Retention age, read count, and disturb dose reset; wear increments.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `block` is out of range.
-    pub fn refresh_block(&mut self, block: u32) -> Result<(), FlashError> {
-        self.geometry.check_block(block)?;
-        // The aggregate tier keeps no payloads: refresh in place (same
-        // semantics — wear increments, clocks and dose reset, data stays).
-        if let Storage::Aggregate { model, state } = &mut self.storage {
-            state.refresh_in_place(&self.params, model, block as usize);
-            return Ok(());
-        }
-        let pages: Vec<(u32, Vec<u8>)> = (0..self.geometry.pages_per_block())
-            .filter(|p| self.is_page_programmed(block, *p).unwrap_or(false))
-            .map(|p| (p, self.intended_page_bits(block, p).expect("programmed page")))
-            .collect();
-        self.erase_block(block)?;
-        for (page, data) in pages {
-            self.program_page(block, page, &data)?;
-        }
-        Ok(())
-    }
-
-    /// Uniformly random page index (helper for workload-driven tests).
-    pub fn random_page(&mut self) -> u32 {
-        self.rng.gen_range(0..self.geometry.pages_per_block())
-    }
 }
 
 /// Convenience: the four states with their default distribution parameters,
@@ -940,7 +917,6 @@ pub fn state_legend(params: &ChipParams) -> Vec<(CellState, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::NOMINAL_VPASS;
 
     fn test_chip() -> Chip {
         Chip::new(Geometry::small(), ChipParams::default(), 1234)
@@ -990,23 +966,6 @@ mod tests {
     fn unprogrammed_page_oracle_errors() {
         let chip = test_chip();
         assert!(matches!(chip.intended_page_bits(0, 0), Err(FlashError::PageNotProgrammed { .. })));
-    }
-
-    #[test]
-    fn refresh_preserves_data_and_resets_clocks() {
-        let mut chip = test_chip();
-        chip.program_block_random(0, 9).unwrap();
-        let before = chip.intended_page_bits(0, 5).unwrap();
-        chip.apply_read_disturbs(0, 10_000).unwrap();
-        chip.advance_days(7.0);
-        let pe_before = chip.block_status(0).unwrap().pe_cycles;
-        chip.refresh_block(0).unwrap();
-        let st = chip.block_status(0).unwrap();
-        assert_eq!(st.pe_cycles, pe_before + 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        let after = chip.intended_page_bits(0, 5).unwrap();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -1201,10 +1160,6 @@ mod tests {
         let out = chip.read_page(0, 3).unwrap();
         assert_eq!(bits::hamming(&truth, &out.data), out.stats.errors);
         assert_eq!(chip.block_status(0).unwrap().reads_since_erase, 1);
-        // Refresh works from stored payloads.
-        chip.refresh_block(0).unwrap();
-        assert_eq!(chip.intended_page_bits(0, 3).unwrap(), truth);
-        assert_eq!(chip.block_status(0).unwrap().reads_since_erase, 0);
     }
 
     #[test]
@@ -1277,16 +1232,6 @@ mod tests {
         assert!(out.data.is_empty(), "aggregate reads carry no payload");
         assert_eq!(out.stats.bits, chip.geometry().bits_per_page() as u64);
         assert_eq!(chip.block_status(0).unwrap().reads_since_erase, 1);
-        // Refresh needs no payloads: wear increments, clocks reset, data stays.
-        chip.apply_read_disturbs(0, 10_000).unwrap();
-        chip.advance_days(7.0);
-        let pe_before = chip.block_status(0).unwrap().pe_cycles;
-        chip.refresh_block(0).unwrap();
-        let st = chip.block_status(0).unwrap();
-        assert_eq!(st.pe_cycles, pe_before + 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        assert!(chip.is_page_programmed(0, 3).unwrap());
     }
 
     #[test]

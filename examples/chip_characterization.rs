@@ -2,7 +2,7 @@
 //! device and prints compact summaries of each finding.
 //!
 //! Run with: `cargo run --release --example chip_characterization`
-//! (Full CSV dumps of every figure come from the `rd-bench` binaries.)
+//! (Full CSV dumps of every figure come from `rd-bench`'s `figures` binary.)
 
 use readdisturb::core::characterize::{
     fig2_vth_histograms, fig3_rber_vs_reads, fig5_passthrough_sweep, fig6_retention_staircase,

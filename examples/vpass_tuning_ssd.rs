@@ -92,6 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (1.0 - bits_tuned as f64 / bits_base.max(1) as f64) * 100.0
     );
     println!("\n(the endurance translation of this error reduction is Fig. 8:");
-    println!(" run `cargo run --release -p rd-bench --bin fig08`)");
+    println!(" run `cargo run --release -p rd-bench --bin figures -- fig08`)");
     Ok(())
 }
