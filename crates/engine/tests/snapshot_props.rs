@@ -105,3 +105,115 @@ proptest! {
         prop_assert_eq!(err, SnapError::BadVersion { found: version, expected: 1 });
     }
 }
+
+/// The allocator fields of one die image, as `Die::encode_state` lays them
+/// out after the chip, the map and the statistics.
+struct Allocator {
+    free: Vec<u32>,
+    active: Option<(u32, u32)>,
+    relocating: Option<u32>,
+}
+
+/// `engine`'s checkpoint with die 0's allocator fields passed through
+/// `edit`: a CRC-valid container whose every other byte is the engine's
+/// own.
+fn with_edited_allocator(engine: &Engine, edit: impl FnOnce(&mut Allocator)) -> Vec<u8> {
+    use rd_engine::wire::{self, Reader, Writer};
+    let encoded = |f: &dyn Fn(&mut Writer)| {
+        let mut w = Writer::new();
+        f(&mut w);
+        w.into_bytes()
+    };
+    let die = engine.die(0);
+    let image = encoded(&|w| die.encode_state(w));
+    // What precedes the allocator in a die image is public state.
+    let head = encoded(&|w| {
+        die.chip().encode_state(w);
+        die.map().encode_state(w);
+        die.stats().encode_state(w);
+    })
+    .len();
+    let mut r = Reader::new(&image[head..]);
+    let mut allocator = Allocator {
+        free: r.get_u32s().unwrap(),
+        active: r.get_bool().unwrap().then(|| (r.get_u32().unwrap(), r.get_u32().unwrap())),
+        relocating: None,
+    };
+    let in_gc = r.get_bool().unwrap();
+    allocator.relocating = r.get_bool().unwrap().then(|| r.get_u32().unwrap());
+    let tail = r.take(r.remaining()).unwrap(); // data RNG and clocks
+    edit(&mut allocator);
+    let edited = encoded(&|w| {
+        w.put_raw(&image[..head]);
+        w.put_u32s(&allocator.free);
+        w.put_bool(allocator.active.is_some());
+        if let Some((block, page)) = allocator.active {
+            w.put_u32(block);
+            w.put_u32(page);
+        }
+        w.put_bool(in_gc);
+        w.put_bool(allocator.relocating.is_some());
+        if let Some(block) = allocator.relocating {
+            w.put_u32(block);
+        }
+        w.put_raw(tail);
+    });
+
+    // The dies are the container's last section and die 0 leads it: splice
+    // the edited image in and re-frame the section with the tag it had.
+    let snap = engine.snapshot().expect("queues are drained");
+    let payload = wire::open(&snap, ENGINE_SNAP_MAGIC, wire::SNAP_VERSION).unwrap();
+    let dies: usize = (0..engine.config().topology.dies())
+        .map(|d| encoded(&|w| engine.die(d).encode_state(w)).len())
+        .sum::<usize>()
+        + 8;
+    let section = payload.len() - dies - 12;
+    let tag = u32::from_le_bytes(payload[section..section + 4].try_into().unwrap());
+    let body = &payload[section + 12..];
+    assert_eq!(&body[8..8 + image.len()], &image[..], "die 0 is where the layout says");
+    let rebuilt = encoded(&|w| {
+        w.put_raw(&payload[..section]);
+        w.section(tag, |w| {
+            w.put_raw(&body[..8]);
+            w.put_raw(&edited);
+            w.put_raw(&body[8 + image.len()..]);
+        });
+    });
+    wire::seal(ENGINE_SNAP_MAGIC, wire::SNAP_VERSION, &rebuilt)
+}
+
+/// A CRC-valid checkpoint whose free list repeats a block, lists a block
+/// that still holds valid pages, or lists the active or relocating block
+/// would restore into a die that later hands one block out twice (the
+/// `already mapped` panic, inside a pool job). Restore names each instead.
+#[test]
+fn inconsistent_allocators_are_rejected() {
+    let engine = arbitrary_engine(11, 300, 2);
+    let restore = |snap: &[u8]| {
+        let mut config = EngineConfig::small_test().with_fidelity(ReadFidelity::BlockAggregate);
+        config.die.seed = 11;
+        Engine::new(config).expect("engine").restore(snap)
+    };
+    // The unedited rebuild is the engine's own checkpoint.
+    let same = with_edited_allocator(&engine, |_| {});
+    assert_eq!(same, engine.snapshot().unwrap());
+    assert_eq!(restore(&same), Ok(()));
+
+    let die = engine.die(0);
+    let in_use = die.valid_blocks()[0];
+    type Edit = Box<dyn FnOnce(&mut Allocator)>;
+    let cases: [(Edit, &str); 4] = [
+        (Box::new(|a| a.free.push(a.free[0])), "repeats block"),
+        (Box::new(move |a| a.free.push(in_use)), "still holds valid pages"),
+        // An empty block can only be active or relocating if it left the
+        // free list: claim the list's first block without removing it.
+        (Box::new(|a| a.active = Some((a.free[0], 0))), "names the active block"),
+        (Box::new(|a| a.relocating = Some(a.free[0])), "names the relocating block"),
+    ];
+    for (edit, needle) in cases {
+        match restore(&with_edited_allocator(&engine, edit)) {
+            Err(SnapError::Mismatch(e)) => assert!(e.contains(needle), "{needle}: got `{e}`"),
+            other => panic!("{needle}: expected a mismatch, got {other:?}"),
+        }
+    }
+}

@@ -263,7 +263,7 @@ impl Chip {
                     b.encode_state(w);
                 }
             }
-            Storage::Aggregate { state, .. } => state.encode_state(w),
+            Storage::Aggregate { model, state } => state.encode_state(&self.params, model, w),
         }
     }
 
@@ -385,7 +385,7 @@ impl Chip {
         match storage {
             Storage::Exact { blocks, .. } => blocks[block as usize].erase(params, rng),
             Storage::Analytic { blocks, .. } => blocks[block as usize].erase(),
-            Storage::Aggregate { model, state } => state.erase(params, model, block as usize),
+            Storage::Aggregate { state, .. } => state.erase(block as usize),
         }
         Ok(())
     }
@@ -402,9 +402,7 @@ impl Chip {
         match storage {
             Storage::Exact { blocks, .. } => blocks[block as usize].pre_wear(params, rng, cycles),
             Storage::Analytic { blocks, .. } => blocks[block as usize].pre_wear(cycles),
-            Storage::Aggregate { model, state } => {
-                state.pre_wear(params, model, block as usize, cycles);
-            }
+            Storage::Aggregate { state, .. } => state.pre_wear(block as usize, cycles),
         }
         Ok(())
     }
@@ -423,9 +421,7 @@ impl Chip {
                 blocks[block as usize].program_page(params, rng, page, data)
             }
             Storage::Analytic { blocks, .. } => blocks[block as usize].program_page(page, data),
-            Storage::Aggregate { model, state } => {
-                state.program_page(params, model, block as usize, page, data)
-            }
+            Storage::Aggregate { state, .. } => state.program_page(block as usize, page, data),
         }
     }
 
@@ -493,8 +489,8 @@ impl Chip {
             Storage::Analytic { model, blocks, scratch } => {
                 blocks[block as usize].read::<S>(params, model, rng, scratch, page, 0.0, true)
             }
-            Storage::Aggregate { state, .. } => {
-                state.read_page(rng, *read_margin, block as usize, page, true)
+            Storage::Aggregate { model, state } => {
+                state.read_page(params, model, rng, *read_margin, block as usize, page, true)
             }
         }
     }
@@ -605,7 +601,9 @@ impl Chip {
                 blocks[block as usize].apply_read_disturbs(&self.params, n)
             }
             Storage::Analytic { blocks, .. } => blocks[block as usize].apply_read_disturbs(n),
-            Storage::Aggregate { state, .. } => state.apply_read_disturbs(block as usize, n),
+            Storage::Aggregate { model, state } => {
+                state.apply_read_disturbs(&self.params, model, block as usize, n);
+            }
         }
         Ok(())
     }
@@ -627,8 +625,8 @@ impl Chip {
             Storage::Analytic { blocks, .. } => {
                 blocks[block as usize].hammer_wordline(&self.params, wordline, n);
             }
-            Storage::Aggregate { state, .. } => {
-                state.hammer_wordline(block as usize, wordline, n);
+            Storage::Aggregate { model, state } => {
+                state.hammer_wordline(&self.params, model, block as usize, wordline, n);
             }
         }
         Ok(())
@@ -654,8 +652,8 @@ impl Chip {
             Storage::Analytic { model, blocks, .. } => {
                 Ok(blocks[block as usize].rber_wordline_oracle(&self.params, model, wordline))
             }
-            Storage::Aggregate { state, .. } => {
-                Ok(state.rber_wordline_oracle(block as usize, wordline))
+            Storage::Aggregate { model, state } => {
+                Ok(state.rber_wordline_oracle(&self.params, model, block as usize, wordline))
             }
         }
     }
@@ -673,9 +671,9 @@ impl Chip {
                     b.advance_days(days);
                 }
             }
-            Storage::Aggregate { model, state } => {
+            Storage::Aggregate { state, .. } => {
                 for b in 0..self.geometry.blocks {
-                    state.advance_days(&self.params, model, b as usize, days);
+                    state.advance_days(b as usize, days);
                 }
             }
         }
@@ -691,9 +689,7 @@ impl Chip {
         match &mut self.storage {
             Storage::Exact { blocks, .. } => blocks[block as usize].advance_days(days),
             Storage::Analytic { blocks, .. } => blocks[block as usize].advance_days(days),
-            Storage::Aggregate { model, state } => {
-                state.advance_days(&self.params, model, block as usize, days);
-            }
+            Storage::Aggregate { state, .. } => state.advance_days(block as usize, days),
         }
         Ok(())
     }
@@ -718,9 +714,7 @@ impl Chip {
             Storage::Analytic { model, blocks, .. } => {
                 blocks[block as usize].set_vpass(model, vpass);
             }
-            Storage::Aggregate { model, state } => {
-                state.set_vpass(&self.params, model, block as usize, vpass);
-            }
+            Storage::Aggregate { state, .. } => state.set_vpass(block as usize, vpass),
         }
         Ok(())
     }
@@ -753,7 +747,9 @@ impl Chip {
             Storage::Analytic { model, blocks, .. } => {
                 Ok(blocks[block as usize].rber_oracle(&self.params, model))
             }
-            Storage::Aggregate { state, .. } => Ok(state.rber_oracle(block as usize)),
+            Storage::Aggregate { model, state } => {
+                Ok(state.rber_oracle(&self.params, model, block as usize))
+            }
         }
     }
 
@@ -776,8 +772,8 @@ impl Chip {
                 let (expected, bits) = blocks[block as usize].rber_expectation(&self.params, model);
                 Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
             }
-            Storage::Aggregate { state, .. } => {
-                let (expected, bits) = state.rber_expectation(block as usize);
+            Storage::Aggregate { model, state } => {
+                let (expected, bits) = state.rber_expectation(&self.params, model, block as usize);
                 Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
             }
         }

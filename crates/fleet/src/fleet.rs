@@ -634,8 +634,19 @@ mod tests {
         // can be built from must come back as an error, not unwind — the
         // rows `Chip::new` asserts included.
         type Break = fn(&mut EngineConfig);
-        let cases: [(Break, &str); 3] = [
+        let cases: [(Break, &str); 5] = [
             (|e| e.queue_depth = 0, "queue depth"),
+            // A die the packed page map cannot address, and a block whose
+            // page count wraps `u32`: refused before anything is allocated
+            // or indexed with them.
+            (
+                |e| {
+                    e.die.geometry.blocks = 1 << 16;
+                    e.die.geometry.wordlines_per_block = 1 << 15;
+                },
+                "exceed the page map",
+            ),
+            (|e| e.die.geometry.wordlines_per_block = 1 << 31, "overflow u32"),
             (
                 |e| {
                     e.die = e.die.clone().with_chip("vb-tlc-64l").unwrap();

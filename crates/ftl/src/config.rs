@@ -2,6 +2,8 @@
 
 use rd_flash::{ChipParams, Geometry, ReadFidelity};
 
+use crate::mapping::MAX_PHYSICAL_PAGES;
+
 /// Configuration of the simulated SSD.
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
@@ -121,10 +123,10 @@ impl SsdConfig {
 
     /// Checks the configuration: the chip parameters
     /// ([`ChipParams::check`]), their agreement with the geometry — what
-    /// [`rd_flash::Chip::new`] asserts — and the FTL's own limits (capacity,
-    /// GC headroom, ECC capability). This is the gate for configurations
-    /// that arrive from outside the program (command-line flags, decoded
-    /// checkpoints).
+    /// [`rd_flash::Chip::new`] asserts — and the FTL's own limits (die size,
+    /// capacity, GC headroom, ECC capability). This is the gate for
+    /// configurations that arrive from outside the program (command-line
+    /// flags, decoded checkpoints).
     ///
     /// # Errors
     ///
@@ -137,6 +139,20 @@ impl SsdConfig {
                 "geometry bits_per_cell {} disagrees with the chip parameters' {} states",
                 g.bits_per_cell,
                 self.chip_params.n_states()
+            ));
+        }
+        // Before anything below multiplies them out: the page count of a
+        // block must fit `u32`, and the die's the page map's packed entries.
+        let pages = g.wordlines_per_block.checked_mul(g.bits_per_cell).ok_or_else(|| {
+            format!(
+                "pages per block ({} wordlines x {} bits per cell) overflow u32",
+                g.wordlines_per_block, g.bits_per_cell
+            )
+        })?;
+        let physical = u64::from(g.blocks) * u64::from(pages);
+        if physical > MAX_PHYSICAL_PAGES {
+            return Err(format!(
+                "{physical} physical pages per die exceed the page map's {MAX_PHYSICAL_PAGES}"
             ));
         }
         for (ok, what) in [
@@ -191,6 +207,23 @@ mod tests {
     fn defaults_validate() {
         SsdConfig::default().validate();
         SsdConfig::small_test().validate();
+    }
+
+    #[test]
+    fn oversized_dies_are_typed_errors() {
+        // 2^31 wordlines x 2 bits per cell wraps `pages_per_block` to 0.
+        let mut wraps = SsdConfig::small_test();
+        wraps.geometry.wordlines_per_block = 1 << 31;
+        assert!(wraps.check().unwrap_err().contains("overflow u32"));
+        // 2^16 blocks x 2^16 pages = 2^32: two pages more than the packed
+        // map addresses, and no wrap on the way to finding out.
+        let mut large = SsdConfig::small_test();
+        large.geometry.blocks = 1 << 16;
+        large.geometry.wordlines_per_block = 1 << 15;
+        assert!(large.check().unwrap_err().contains("exceed the page map"));
+        // One block fewer fits, passes this row and fails none after it.
+        large.geometry.blocks = (1 << 16) - 1;
+        assert_eq!(large.check(), Ok(()));
     }
 
     #[test]

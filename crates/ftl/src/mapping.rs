@@ -1,4 +1,19 @@
 //! Logical-to-physical page mapping with validity tracking.
+//!
+//! The map is two flat `u32` tables — 8 bytes per logical/physical page
+//! pair — so a die's whole map stays cache-resident while the write path
+//! and garbage collection walk it:
+//!
+//! * `l2p[lpa]` is the physical page packed as `block * pages_per_block +
+//!   page`;
+//! * `p2l[block * pages_per_block + page]` is the die-local logical page
+//!   stored there.
+//!
+//! `u32::MAX` marks an unmapped logical page and an invalid physical page
+//! alike, which is why a die is limited to `u32::MAX - 1` physical pages
+//! ([`crate::SsdConfig::check`] turns a larger one away). The packing is
+//! private to this module: the interface speaks [`Ppa`] and `u64` logical
+//! pages, and a checkpoint stores `(block, page)` pairs.
 
 /// Physical page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -9,12 +24,22 @@ pub struct Ppa {
     pub page: u32,
 }
 
+/// `l2p` entry of an unmapped logical page; `p2l` entry of an invalid
+/// physical page.
+const NONE: u32 = u32::MAX;
+
+/// Most physical pages one map can address: packed addresses and die-local
+/// logical pages must both stay clear of [`NONE`].
+pub(crate) const MAX_PHYSICAL_PAGES: u64 = NONE as u64 - 1;
+
 /// Page-level mapping table: logical page ↔ physical page, plus per-block
 /// valid-page counts for garbage collection.
 #[derive(Debug, Clone)]
 pub struct PageMap {
-    l2p: Vec<Option<Ppa>>,
-    p2l: Vec<Vec<Option<u64>>>,
+    /// Packed physical page of each logical page ([`NONE`] = unmapped).
+    l2p: Vec<u32>,
+    /// Logical page held by each packed physical page ([`NONE`] = invalid).
+    p2l: Vec<u32>,
     valid_count: Vec<u32>,
     pages_per_block: u32,
 }
@@ -22,13 +47,36 @@ pub struct PageMap {
 impl PageMap {
     /// Creates an empty map for `logical_pages` over `blocks` ×
     /// `pages_per_block` physical pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the die is larger than the packed entries can address
+    /// (more than `u32::MAX - 1` physical pages), or exports more logical
+    /// pages than it has physical ones.
     pub fn new(logical_pages: u64, blocks: u32, pages_per_block: u32) -> Self {
+        let physical = u64::from(blocks) * u64::from(pages_per_block);
+        assert!(
+            physical <= MAX_PHYSICAL_PAGES,
+            "{physical} physical pages exceed the page map's {MAX_PHYSICAL_PAGES}"
+        );
+        assert!(logical_pages <= physical, "more logical pages than physical pages");
         Self {
-            l2p: vec![None; logical_pages as usize],
-            p2l: (0..blocks).map(|_| vec![None; pages_per_block as usize]).collect(),
+            l2p: vec![NONE; logical_pages as usize],
+            p2l: vec![NONE; physical as usize],
             valid_count: vec![0; blocks as usize],
             pages_per_block,
         }
+    }
+
+    fn pack(&self, ppa: Ppa) -> usize {
+        // A page past the block's end would alias a slot of the next block.
+        assert!(ppa.page < self.pages_per_block, "physical page {ppa:?} out of range");
+        ppa.block as usize * self.pages_per_block as usize + ppa.page as usize
+    }
+
+    #[inline]
+    fn unpack(&self, packed: u32) -> Ppa {
+        Ppa { block: packed / self.pages_per_block, page: packed % self.pages_per_block }
     }
 
     /// Exported logical capacity in pages.
@@ -38,17 +86,34 @@ impl PageMap {
 
     /// Current physical location of a logical page.
     pub fn lookup(&self, lpa: u64) -> Option<Ppa> {
-        self.l2p.get(lpa as usize).copied().flatten()
+        match self.l2p.get(lpa as usize) {
+            Some(&packed) if packed != NONE => Some(self.unpack(packed)),
+            _ => None,
+        }
     }
 
     /// Logical owner of a physical page (if valid).
     pub fn owner(&self, ppa: Ppa) -> Option<u64> {
-        self.p2l[ppa.block as usize][ppa.page as usize]
+        match self.p2l[self.pack(ppa)] {
+            NONE => None,
+            lpa => Some(u64::from(lpa)),
+        }
     }
 
     /// Valid pages in a block.
     pub fn valid_count(&self, block: u32) -> u32 {
         self.valid_count[block as usize]
+    }
+
+    /// Valid pages of every block, indexed by block (what the GC victim
+    /// scan walks).
+    pub(crate) fn valid_counts(&self) -> &[u32] {
+        &self.valid_count
+    }
+
+    /// Blocks currently holding valid data, in index order.
+    pub(crate) fn valid_blocks(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..).zip(&self.valid_count).filter(|(_, &valid)| valid > 0).map(|(block, _)| block)
     }
 
     /// Installs a new mapping, invalidating the previous location if any.
@@ -59,19 +124,18 @@ impl PageMap {
     /// Panics if the target physical page is already valid (the FTL must
     /// never double-map).
     pub fn remap(&mut self, lpa: u64, ppa: Ppa) -> Option<Ppa> {
-        assert!(
-            self.p2l[ppa.block as usize][ppa.page as usize].is_none(),
-            "physical page {ppa:?} already mapped"
-        );
-        let old = self.l2p[lpa as usize].take();
-        if let Some(old_ppa) = old {
-            self.p2l[old_ppa.block as usize][old_ppa.page as usize] = None;
-            self.valid_count[old_ppa.block as usize] -= 1;
-        }
-        self.l2p[lpa as usize] = Some(ppa);
-        self.p2l[ppa.block as usize][ppa.page as usize] = Some(lpa);
+        let slot = self.pack(ppa);
+        assert!(self.p2l[slot] == NONE, "physical page {ppa:?} already mapped");
+        let old = std::mem::replace(&mut self.l2p[lpa as usize], slot as u32);
+        self.p2l[slot] = lpa as u32;
         self.valid_count[ppa.block as usize] += 1;
-        old
+        if old == NONE {
+            return None;
+        }
+        let old_ppa = self.unpack(old);
+        self.p2l[old as usize] = NONE;
+        self.valid_count[old_ppa.block as usize] -= 1;
+        Some(old_ppa)
     }
 
     /// Clears every mapping into `block` (called on erase). The logical
@@ -84,15 +148,6 @@ impl PageMap {
         assert_eq!(self.valid_count[block as usize], 0, "erasing block {block} with valid pages");
     }
 
-    /// Valid `(page, lpa)` pairs of a block (for GC relocation).
-    pub fn valid_pages(&self, block: u32) -> Vec<(u32, u64)> {
-        self.p2l[block as usize]
-            .iter()
-            .enumerate()
-            .filter_map(|(p, l)| l.map(|lpa| (p as u32, lpa)))
-            .collect()
-    }
-
     /// Pages per block (layout constant).
     pub fn pages_per_block(&self) -> u32 {
         self.pages_per_block
@@ -103,15 +158,15 @@ impl PageMap {
     /// are rebuilt on restore, consistent by construction.
     pub fn encode_state(&self, w: &mut rd_flash::wire::Writer) {
         w.put_u64(self.l2p.len() as u64);
-        for entry in &self.l2p {
-            match entry {
-                Some(ppa) => {
-                    w.put_bool(true);
-                    w.put_u32(ppa.block);
-                    w.put_u32(ppa.page);
-                }
-                None => w.put_bool(false),
+        for &packed in &self.l2p {
+            if packed == NONE {
+                w.put_bool(false);
+                continue;
             }
+            let ppa = self.unpack(packed);
+            w.put_bool(true);
+            w.put_u32(ppa.block);
+            w.put_u32(ppa.page);
         }
     }
 
@@ -134,27 +189,26 @@ impl PageMap {
                 self.l2p.len()
             )));
         }
-        let blocks = self.p2l.len();
+        let blocks = self.valid_count.len();
         let mut l2p = Vec::with_capacity(n);
-        let mut p2l: Vec<Vec<Option<u64>>> =
-            (0..blocks).map(|_| vec![None; self.pages_per_block as usize]).collect();
+        let mut p2l = vec![NONE; self.p2l.len()];
         let mut valid_count = vec![0u32; blocks];
         for lpa in 0..n {
             if !r.get_bool()? {
-                l2p.push(None);
+                l2p.push(NONE);
                 continue;
             }
             let ppa = Ppa { block: r.get_u32()?, page: r.get_u32()? };
             if ppa.block as usize >= blocks || ppa.page >= self.pages_per_block {
                 return Err(SnapError::Mismatch(format!("ppa {ppa:?} out of range")));
             }
-            let slot = &mut p2l[ppa.block as usize][ppa.page as usize];
-            if slot.is_some() {
+            let slot = self.pack(ppa);
+            if p2l[slot] != NONE {
                 return Err(SnapError::Mismatch(format!("ppa {ppa:?} double-mapped")));
             }
-            *slot = Some(lpa as u64);
+            p2l[slot] = lpa as u32;
             valid_count[ppa.block as usize] += 1;
-            l2p.push(Some(ppa));
+            l2p.push(slot as u32);
         }
         self.l2p = l2p;
         self.p2l = p2l;
@@ -166,12 +220,12 @@ impl PageMap {
     /// valid counts agree. Used by tests and debug assertions.
     pub fn check_consistency(&self) -> bool {
         let mut counts = vec![0u32; self.valid_count.len()];
-        for (lpa, entry) in self.l2p.iter().enumerate() {
-            if let Some(ppa) = entry {
-                if self.p2l[ppa.block as usize][ppa.page as usize] != Some(lpa as u64) {
+        for (lpa, &packed) in self.l2p.iter().enumerate() {
+            if packed != NONE {
+                if self.p2l[packed as usize] != lpa as u32 {
                     return false;
                 }
-                counts[ppa.block as usize] += 1;
+                counts[(packed / self.pages_per_block) as usize] += 1;
             }
         }
         counts == self.valid_count
@@ -179,8 +233,93 @@ impl PageMap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    impl PageMap {
+        /// Valid `(page, lpa)` pairs of a block, collected into a list: what
+        /// relocation walked before it asked [`PageMap::owner`] page by
+        /// page. Kept as the reference the die's tests compare against.
+        pub(crate) fn valid_pages(&self, block: u32) -> Vec<(u32, u64)> {
+            (0..self.pages_per_block)
+                .filter_map(|page| self.owner(Ppa { block, page }).map(|lpa| (page, lpa)))
+                .collect()
+        }
+    }
+
+    /// The checkpoint bytes of a map held as one `Option<Ppa>` per logical
+    /// page, written the way the unpacked tables wrote them.
+    pub(crate) fn encode_unpacked(l2p: &[Option<Ppa>]) -> Vec<u8> {
+        let mut w = rd_flash::wire::Writer::new();
+        w.put_u64(l2p.len() as u64);
+        for entry in l2p {
+            match entry {
+                Some(ppa) => {
+                    w.put_bool(true);
+                    w.put_u32(ppa.block);
+                    w.put_u32(ppa.page);
+                }
+                None => w.put_bool(false),
+            }
+        }
+        w.into_bytes()
+    }
+
+    proptest! {
+        /// The packed tables against a pair of hash maps under random
+        /// remaps: same lookups, owners, valid counts and returned old
+        /// locations; checkpoint bytes equal the model's written the old
+        /// way, and restore into a fresh map as the same map.
+        #[test]
+        fn packed_tables_match_a_hash_map_model(
+            blocks in 1u32..6,
+            pages_per_block in 1u32..7,
+            remaps in proptest::collection::vec(any::<u64>(), 0..80),
+        ) {
+            let physical = blocks * pages_per_block;
+            let logical = u64::from(physical);
+            let mut map = PageMap::new(logical, blocks, pages_per_block);
+            let mut l2p: HashMap<u64, Ppa> = HashMap::new();
+            let mut p2l: HashMap<Ppa, u64> = HashMap::new();
+            for draw in remaps {
+                let lpa = (draw >> 32) % logical;
+                let slot = draw as u32 % physical;
+                let ppa = Ppa { block: slot / pages_per_block, page: slot % pages_per_block };
+                if p2l.contains_key(&ppa) {
+                    continue; // the FTL never double-maps
+                }
+                let old = l2p.insert(lpa, ppa);
+                if let Some(old) = old {
+                    p2l.remove(&old);
+                }
+                p2l.insert(ppa, lpa);
+                prop_assert_eq!(map.remap(lpa, ppa), old);
+            }
+            for lpa in 0..logical + 2 {
+                prop_assert_eq!(map.lookup(lpa), l2p.get(&lpa).copied());
+            }
+            for block in 0..blocks {
+                let owners: Vec<(u32, u64)> = (0..pages_per_block)
+                    .filter_map(|page| p2l.get(&Ppa { block, page }).map(|&lpa| (page, lpa)))
+                    .collect();
+                prop_assert_eq!(map.valid_count(block) as usize, owners.len());
+                prop_assert_eq!(map.valid_pages(block), owners);
+            }
+            prop_assert!(map.check_consistency());
+            let mut w = rd_flash::wire::Writer::new();
+            map.encode_state(&mut w);
+            let bytes = w.into_bytes();
+            let model: Vec<_> = (0..logical).map(|lpa| l2p.get(&lpa).copied()).collect();
+            prop_assert_eq!(&bytes, &encode_unpacked(&model));
+            let mut restored = PageMap::new(logical, blocks, pages_per_block);
+            restored.restore_state(&mut rd_flash::wire::Reader::new(&bytes)).unwrap();
+            prop_assert_eq!(restored.l2p, map.l2p);
+            prop_assert_eq!(restored.p2l, map.p2l);
+            prop_assert_eq!(restored.valid_count, map.valid_count);
+        }
+    }
 
     #[test]
     fn remap_moves_validity() {

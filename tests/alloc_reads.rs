@@ -1,4 +1,5 @@
-//! Allocation gate for the count-first read pipeline (flash → ftl → engine).
+//! Allocation gates for the read pipeline (flash → ftl → engine) and the
+//! FTL's write/GC path.
 //!
 //! On the page-analytic tier a host read that nobody observes is count-only
 //! end to end: the raw read and every ladder re-read sample error counts
@@ -17,22 +18,50 @@
 //! stores cells, not pages, so the one allocation a warm read keeps is the
 //! decoded payload it assembles (it used to pay four: the sensed page, two
 //! per-bitline maxima vectors, the payload).
+//!
+//! The write path: a host write, the GC passes it triggers and a
+//! maintenance day (refresh scan, policy tick) work on the die's dense
+//! tables and one block-list scratch buffer, so on the payload-free
+//! aggregate tier they allocate nothing once warm, on the page-analytic tier
+//! only the page copies a write or a relocation must make, and a
+//! request-observing policy's hook — once per host read and write — none.
+//! Before, every GC pass collected the victim's valid pages into a fresh
+//! `Vec`, and every hook and every day the valid blocks.
+//!
+//! Allocations are counted per thread, so each gate sees its own only
+//! (the engine gate replays inline on one thread).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use readdisturb::ftl::{Die, FtlError, SsdConfig};
+use readdisturb::ftl::{Die, FtlError, ReadReclaim, SsdConfig};
 use readdisturb::prelude::*;
 use readdisturb::workloads::{OpKind, TraceOp};
 
-/// Counts every heap allocation (and reallocation) process-wide.
+/// Counts every heap allocation (and reallocation) of the calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it from inside
+    // the allocator allocates nothing and is valid for the thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // A thread past its TLS teardown is not one a gate is counting on.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// plain thread-local cell that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -41,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -86,7 +115,6 @@ fn stress(die: &mut Die) {
     }
 }
 
-/// One test, so nothing else in the process allocates while it counts.
 #[test]
 fn warm_analytic_reads_do_not_allocate() {
     die_reads_never_allocate();
@@ -114,7 +142,7 @@ fn exact_die_reads_allocate_only_the_payload() {
     let pass = |die: &mut Die| -> (u64, u64, u64) {
         let (mut corrected, mut blocked, mut worst) = (0, 0, 0);
         for lpa in 0..pages {
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = allocs();
             let (errors, bitlines) = die
                 .read_with(lpa, |r| {
                     assert!(r.steps.is_empty(), "the gate covers reads ECC decodes directly");
@@ -122,7 +150,7 @@ fn exact_die_reads_allocate_only_the_payload() {
                     (r.corrected_errors, r.blocked_bitlines)
                 })
                 .unwrap();
-            worst = worst.max(ALLOCS.load(Ordering::Relaxed) - before);
+            worst = worst.max(allocs() - before);
             corrected += errors;
             blocked += bitlines;
         }
@@ -155,11 +183,11 @@ fn die_reads_never_allocate() {
     // buffer.
     pass(&mut die, &mut seen);
     seen = [0; 4];
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..4 {
         pass(&mut die, &mut seen);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     assert!(
         seen.iter().all(|&n| n > 0),
         "window must cover clean/corrected/recovered/uncorrectable reads, saw {seen:?}"
@@ -185,9 +213,9 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
         (0..n).map(move |i| TraceOp { kind: OpKind::Read, lpa: (i * 7) % pages, time_s: 0.0 })
     };
     let mut window = |n: u64| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         engine.replay_stats_only(reads(n), 1);
-        ALLOCS.load(Ordering::Relaxed) - before
+        allocs() - before
     };
     // Warm-up at the largest size, so arenas and latency vectors are grown.
     window(16_000);
@@ -200,5 +228,119 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
     assert!(
         large < small + 64,
         "allocations scale with reads: {small} for 2 000 reads vs {large} for 16 000"
+    );
+}
+
+/// Overwrites of the hot half of the logical space with a maintenance day
+/// every `pages / 4` of them, for `days` days: GC runs throughout, and the
+/// blocks of the cold half sit until the weekly refresh moves them.
+fn overwrite_and_age(die: &mut Die, days: u32, salt: u64) {
+    let pages = die.map().logical_pages();
+    let mut lpa = salt;
+    for _ in 0..days {
+        for _ in 0..pages / 4 {
+            lpa = lpa.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            die.write((lpa >> 33) % (pages / 2)).unwrap();
+        }
+        die.advance_time(1.0).unwrap();
+    }
+}
+
+/// What a warm window of overwrites and maintenance days cost a die that
+/// is filled, in GC steady state, with its scratch buffers grown and its
+/// refresh fired before the window opens.
+struct WriteWindow {
+    allocs: u64,
+    host_writes: u64,
+    relocated_pages: u64,
+    erases: u64,
+}
+
+fn warm_write_window(fidelity: ReadFidelity) -> WriteWindow {
+    let mut die = Die::new(die_config().with_fidelity(fidelity)).unwrap();
+    for lpa in 0..die.map().logical_pages() {
+        die.write(lpa).unwrap();
+    }
+    overwrite_and_age(&mut die, 12, 1);
+    let start = die.stats();
+    let before = allocs();
+    overwrite_and_age(&mut die, 12, 2);
+    let allocs = allocs() - before;
+    let stats = die.stats();
+    assert!(
+        start.refreshes > 0
+            && stats.gc_writes > start.gc_writes
+            && stats.refresh_writes > start.refresh_writes,
+        "window must cover GC and refresh relocations: {start:?} -> {stats:?}"
+    );
+    WriteWindow {
+        allocs,
+        host_writes: stats.host_writes - start.host_writes,
+        relocated_pages: (stats.total_writes() - stats.host_writes)
+            - (start.total_writes() - start.host_writes),
+        erases: stats.erases - start.erases,
+    }
+}
+
+#[test]
+fn warm_aggregate_writes_with_gc_allocate_nothing() {
+    let w = warm_write_window(ReadFidelity::BlockAggregate);
+    assert_eq!(
+        w.allocs, 0,
+        "{} heap allocations over {} host writes, {} relocated pages, {} erases",
+        w.allocs, w.host_writes, w.relocated_pages, w.erases
+    );
+}
+
+#[test]
+fn warm_analytic_writes_allocate_only_their_page_copies() {
+    let w = warm_write_window(ReadFidelity::PageAnalytic);
+    // A host write generates its page; a relocation senses the raw page
+    // (what it copies if ECC and the ladder fail) and copies the decoded
+    // one out of the chip it is about to program. Storing a page reuses
+    // the erased page's buffer.
+    assert!(
+        w.allocs <= w.host_writes + 2 * w.relocated_pages,
+        "{} heap allocations for {} host writes and {} relocated pages over {} erases",
+        w.allocs,
+        w.host_writes,
+        w.relocated_pages,
+        w.erases
+    );
+}
+
+/// Read reclaim observes every host read and program: its hook sees the
+/// valid-block list, built in the die's scratch buffer. The only
+/// allocation left is the one-action batch of a reclaim it asks for.
+#[test]
+fn request_observing_policy_hooks_do_not_allocate() {
+    let config = die_config().with_fidelity(ReadFidelity::BlockAggregate);
+    let mut die = Die::with_policy(config, ReadReclaim { read_threshold: 300 }).unwrap();
+    let pages = die.map().logical_pages();
+    let traffic = |die: &mut Die<ReadReclaim>| {
+        for round in 0..40u64 {
+            for lpa in 0..pages {
+                die.read_with(lpa, |_| ()).unwrap();
+                if (lpa + round) % 16 == 0 {
+                    die.write(lpa).unwrap();
+                }
+            }
+        }
+    };
+    for lpa in 0..pages {
+        die.write(lpa).unwrap();
+    }
+    traffic(&mut die);
+    let start = die.stats();
+    let before = allocs();
+    traffic(&mut die);
+    let allocs = allocs() - before;
+    let stats = die.stats();
+    let reclaims = stats.reclaims - start.reclaims;
+    assert!(reclaims > 0 && stats.gc_writes > start.gc_writes, "{start:?} -> {stats:?}");
+    assert!(
+        allocs <= reclaims,
+        "{allocs} heap allocations over {} hooks ({reclaims} reclaims)",
+        (stats.host_reads - start.host_reads) + (stats.host_writes - start.host_writes)
     );
 }
