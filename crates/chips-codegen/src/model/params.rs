@@ -7,9 +7,8 @@
 //! voltage = 512 (§2).
 //!
 //! [`ChipParams::default`] is the calibrated 2Y-nm MLC set; the chip
-//! database (`rd_flash::chips`, generated from `chips/vendors/*.ron`)
-//! provides named parameter sets for other vendors, nodes, and state counts
-//! (TLC/QLC). The state list is variable-length for that reason — the
+//! database ([`crate::chips`]) provides named parameter sets for other
+//! vendors, nodes, and state counts (TLC/QLC). The state list is variable-length for that reason — the
 //! per-cell Monte-Carlo tier stays MLC-native, the analytic tiers accept any
 //! power-of-two state count.
 
@@ -32,7 +31,7 @@ pub struct StateParams {
 /// Full parameter set of the simulated chip.
 ///
 /// Construct via [`ChipParams::default`] (calibrated 2Y-nm MLC model), look
-/// one up by name in the generated chip database (`rd_flash::chips`), or
+/// one up by name in the chip database ([`crate::chips`]), or
 /// adjust individual fields for ablation studies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipParams {
@@ -249,8 +248,9 @@ impl ChipParams {
     /// nominal Vpass, non-empty retry ranges, and a positive value for
     /// every coefficient [`COEFFICIENTS`] marks so.
     ///
-    /// This is the one per-chip gate: the chip database build, a decoded
-    /// checkpoint's configuration and the command-line tools all call it.
+    /// This is the one per-chip gate: the chip database's rules
+    /// ([`crate::validate`]), a decoded checkpoint's configuration and the
+    /// command-line tools all call it.
     ///
     /// # Errors
     ///
@@ -327,7 +327,7 @@ impl ChipParams {
 
 /// One scalar coefficient of [`ChipParams`], addressable by name.
 pub struct Coefficient {
-    /// The field's name, which is also its key in `chips/vendors/*.ron`.
+    /// The field's name, as [`ChipParams::check`] reports it.
     pub name: &'static str,
     /// Whether [`ChipParams::check`] insists on a value above zero (the
     /// model divides by it, or takes its logarithm or a power of it).
@@ -350,10 +350,10 @@ macro_rules! coefficients {
 }
 
 /// Every scalar coefficient of [`ChipParams`] in declaration order, each
-/// with whether it must be positive. The chip database's parser, Rust
-/// emitter and RON writer and [`ChipParams::check`]'s sign rows all walk
-/// this table, so a new coefficient is a struct field, its
-/// [`Default`] value and one row here.
+/// with whether it must be positive: [`ChipParams::check`]'s sign rows walk
+/// this table, so a new coefficient is a struct field, its [`Default`] value
+/// and one row here (rustc then asks for it in every spelled-out entry of
+/// [`crate::chips::all`]).
 pub const COEFFICIENTS: &[Coefficient] = coefficients! {
     pe_rber_coeff: true,
     pe_rber_exp: false,
@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(p.bits_per_cell(), 2);
     }
 
-    /// Every per-chip row the chip database lint enforces, each as one
+    /// Every per-chip row the chip database rules enforce, each as one
     /// mutation of the default chip.
     #[test]
     fn check_rejects_inconsistent_params() {

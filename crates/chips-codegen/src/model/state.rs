@@ -177,28 +177,22 @@ impl VoltageRefs {
     ///
     /// # Panics
     ///
-    /// Panics with the error [`VoltageRefs::try_from_levels`] returns.
+    /// Panics if the list is empty, exceeds [`MAX_STATES`]` - 1` entries, or
+    /// is not strictly increasing.
     pub fn from_levels(levels: &[f64]) -> Self {
-        Self::try_from_levels(levels).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`VoltageRefs::from_levels`] for lists that arrive from outside the
-    /// program (the chip database parser).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a list that is empty, exceeds [`MAX_STATES`]` - 1` entries,
-    /// or is not strictly increasing.
-    pub fn try_from_levels(levels: &[f64]) -> Result<Self, String> {
-        if levels.is_empty() || levels.len() >= MAX_STATES {
-            return Err(format!("need 1..={} references, got {}", MAX_STATES - 1, levels.len()));
-        }
-        if !levels.windows(2).all(|w| w[0] < w[1]) {
-            return Err(format!("references must be strictly increasing: {levels:?}"));
-        }
+        assert!(
+            !levels.is_empty() && levels.len() < MAX_STATES,
+            "need 1..={} references, got {}",
+            MAX_STATES - 1,
+            levels.len()
+        );
+        assert!(
+            levels.windows(2).all(|w| w[0] < w[1]),
+            "references must be strictly increasing: {levels:?}"
+        );
         let mut stored = [0.0; MAX_STATES - 1];
         stored[..levels.len()].copy_from_slice(levels);
-        Ok(Self { levels: stored, count: levels.len() as u8 })
+        Self { levels: stored, count: levels.len() as u8 }
     }
 
     /// The active boundaries, in increasing order.

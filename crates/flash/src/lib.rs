@@ -62,16 +62,15 @@
 pub mod bits;
 pub mod cell_array;
 pub mod chip;
-pub mod chips;
 pub mod error;
 pub mod geometry;
 pub mod noise;
 pub mod wire;
 
 // The chip model — parameters, cell states, the fidelity enum, the math and
-// the closed-form RBER — lives in the dependency-free `chips-codegen` crate
-// so `build.rs` validates the chip database with the code that runs here.
-pub use chips_codegen::{analytic, fidelity, math, params, state};
+// the closed-form RBER — and the chip database live in the dependency-free
+// `chips-codegen` crate.
+pub use chips_codegen::{analytic, chips, fidelity, math, params, state};
 
 mod aggregate_block;
 mod analytic_block;

@@ -43,9 +43,18 @@ pub struct SsdStats {
 }
 
 impl std::ops::AddAssign for SsdStats {
-    fn add_assign(&mut self, rhs: Self) {
-        // Full destructuring: adding a field to SsdStats fails to compile
-        // here until the aggregation learns about it.
+    fn add_assign(&mut self, mut rhs: Self) {
+        for (sum, add) in self.counters_mut().into_iter().zip(rhs.counters_mut()) {
+            *sum += *add;
+        }
+    }
+}
+
+impl SsdStats {
+    /// Every counter, in checkpoint wire order. The one full destructuring:
+    /// adding a field to [`SsdStats`] fails to compile here until summing,
+    /// encoding and restoring all learn about it.
+    fn counters_mut(&mut self) -> [&mut u64; 15] {
         let SsdStats {
             host_writes,
             gc_writes,
@@ -62,26 +71,26 @@ impl std::ops::AddAssign for SsdStats {
             data_loss_relocations,
             refreshes,
             reclaims,
-        } = rhs;
-        self.host_writes += host_writes;
-        self.gc_writes += gc_writes;
-        self.refresh_writes += refresh_writes;
-        self.reclaim_writes += reclaim_writes;
-        self.erases += erases;
-        self.host_reads += host_reads;
-        self.uncorrectable_reads += uncorrectable_reads;
-        self.recovered_reads += recovered_reads;
-        self.recovery_steps += recovery_steps;
-        self.recovery_reads += recovery_reads;
-        self.policy_probe_reads += policy_probe_reads;
-        self.corrected_bits += corrected_bits;
-        self.data_loss_relocations += data_loss_relocations;
-        self.refreshes += refreshes;
-        self.reclaims += reclaims;
+        } = self;
+        [
+            host_writes,
+            gc_writes,
+            refresh_writes,
+            reclaim_writes,
+            erases,
+            host_reads,
+            uncorrectable_reads,
+            recovered_reads,
+            recovery_steps,
+            recovery_reads,
+            policy_probe_reads,
+            corrected_bits,
+            data_loss_relocations,
+            refreshes,
+            reclaims,
+        ]
     }
-}
 
-impl SsdStats {
     /// Total physical page writes.
     pub fn total_writes(&self) -> u64 {
         self.host_writes + self.gc_writes + self.refresh_writes + self.reclaim_writes
@@ -102,45 +111,11 @@ impl SsdStats {
         }
     }
 
-    /// Serializes every counter (checkpointing support). Full destructuring:
-    /// adding a field to [`SsdStats`] fails to compile here until the codec
-    /// learns about it.
+    /// Serializes every counter (checkpointing support).
     pub fn encode_state(&self, w: &mut rd_flash::wire::Writer) {
-        let SsdStats {
-            host_writes,
-            gc_writes,
-            refresh_writes,
-            reclaim_writes,
-            erases,
-            host_reads,
-            uncorrectable_reads,
-            recovered_reads,
-            recovery_steps,
-            recovery_reads,
-            policy_probe_reads,
-            corrected_bits,
-            data_loss_relocations,
-            refreshes,
-            reclaims,
-        } = *self;
-        for v in [
-            host_writes,
-            gc_writes,
-            refresh_writes,
-            reclaim_writes,
-            erases,
-            host_reads,
-            uncorrectable_reads,
-            recovered_reads,
-            recovery_steps,
-            recovery_reads,
-            policy_probe_reads,
-            corrected_bits,
-            data_loss_relocations,
-            refreshes,
-            reclaims,
-        ] {
-            w.put_u64(v);
+        let mut copy = *self;
+        for counter in copy.counters_mut() {
+            w.put_u64(*counter);
         }
     }
 
@@ -153,21 +128,9 @@ impl SsdStats {
         &mut self,
         r: &mut rd_flash::wire::Reader<'_>,
     ) -> Result<(), rd_flash::SnapError> {
-        self.host_writes = r.get_u64()?;
-        self.gc_writes = r.get_u64()?;
-        self.refresh_writes = r.get_u64()?;
-        self.reclaim_writes = r.get_u64()?;
-        self.erases = r.get_u64()?;
-        self.host_reads = r.get_u64()?;
-        self.uncorrectable_reads = r.get_u64()?;
-        self.recovered_reads = r.get_u64()?;
-        self.recovery_steps = r.get_u64()?;
-        self.recovery_reads = r.get_u64()?;
-        self.policy_probe_reads = r.get_u64()?;
-        self.corrected_bits = r.get_u64()?;
-        self.data_loss_relocations = r.get_u64()?;
-        self.refreshes = r.get_u64()?;
-        self.reclaims = r.get_u64()?;
+        for counter in self.counters_mut() {
+            *counter = r.get_u64()?;
+        }
         Ok(())
     }
 

@@ -143,14 +143,26 @@ pub fn run_repl<R: BufRead, W: Write>(
                     }
                 }
             }
-            ["tier", tier] => match tier.parse() {
-                Err(message) => writeln!(out, "error: {message}")?,
-                Ok(fidelity) => {
-                    options.fidelity = fidelity;
-                    service = None; // rebuilt lazily with the new tier
-                    writeln!(out, "fidelity set to {fidelity} (service will rebuild)")?;
+            ["tier", tier] => {
+                // The same gate the `--tier` flag passes: not every chip
+                // supports every tier.
+                let switched = tier.parse().and_then(|fidelity| {
+                    let switched = CliOptions { fidelity, ..options.clone() };
+                    switched.validate().map(|()| switched)
+                });
+                match switched {
+                    Err(message) => writeln!(out, "error: {message}")?,
+                    Ok(switched) => {
+                        options = switched;
+                        service = None; // rebuilt lazily with the new tier
+                        writeln!(
+                            out,
+                            "fidelity set to {} (service will rebuild)",
+                            options.fidelity
+                        )?;
+                    }
                 }
-            },
+            }
             ["snapshot", path] => match ensure_service(&mut service, &options, out)? {
                 None => {}
                 Some(service) => match service.checkpoint() {
@@ -222,8 +234,12 @@ mod tests {
     }
 
     fn drive(script: &str) -> (usize, String) {
+        drive_with(small_options(), script)
+    }
+
+    fn drive_with(options: CliOptions, script: &str) -> (usize, String) {
         let mut out = Vec::new();
-        let commands = run_repl(small_options(), script.as_bytes(), &mut out).expect("repl I/O");
+        let commands = run_repl(options, script.as_bytes(), &mut out).expect("repl I/O");
         (commands, String::from_utf8(out).expect("utf8"))
     }
 
@@ -254,6 +270,16 @@ mod tests {
         assert!(out.contains("unknown command"), "{out}");
         assert!(out.contains("unknown fidelity"), "{out}");
         assert!(out.contains("unknown profile"), "{out}");
+
+        // A tier the chip does not support is refused like the `--tier` flag
+        // refuses it: the old tier and the running service both stay (a
+        // run reports the service's cumulative op count).
+        let tlc = CliOptions { chip: "va-tlc-v3".to_string(), ..small_options() };
+        let (commands, out) = drive_with(tlc, "run 50\ntier cell-exact\nrun 100\nquit\n");
+        assert_eq!(commands, 3);
+        assert_eq!(out.matches("error:").count(), 1, "{out}");
+        assert!(out.contains("error: --chip va-tlc-v3 --tier cell-exact: "), "{out}");
+        assert!(out.contains("served 50 ops") && out.contains("served 150 ops"), "{out}");
     }
 
     #[test]

@@ -89,6 +89,13 @@ impl TenantConfig {
         if self.name.is_empty() {
             return Err("tenant name must be non-empty".into());
         }
+        // The JSON report interpolates the name between quotes as it is.
+        if self.name.contains(|c: char| c == '"' || c == '\\' || c.is_control()) {
+            return Err(format!(
+                "tenant name {:?} must not contain `\"`, `\\` or a control character",
+                self.name
+            ));
+        }
         if WorkloadProfile::by_name(&self.profile).is_none() {
             return Err(format!("unknown profile `{}`", self.profile));
         }
@@ -391,6 +398,12 @@ mod tests {
         assert!(TenantConfig::parse_spec("a:postmark:abc").is_err());
         assert!(TenantConfig::parse_spec("a:postmark:-5").is_err());
         assert!(TenantConfig::parse_spec("a:postmark:100:0.5").is_err());
+        // Names the JSON report could not quote as they are.
+        for name in ["", "we\"b", "we\\b", "we\nb", "we\u{7f}b"] {
+            let err = TenantConfig::parse_spec(&format!("{name}:postmark:100")).unwrap_err();
+            assert!(err.starts_with("tenant name"), "{err}");
+        }
+        TenantConfig::parse_spec("tenant 1 (wéb):postmark:100").unwrap();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * agree across `PageAnalytic` and `BlockAggregate` **within 2×** (both
 //!   tiers sample the same physics).
 //!
-//! The declared calibration anchors are re-checked against the real
-//! closed form by `rd_flash::chips`'s own unit test.
+//! The declared calibration anchors are checked against the real closed
+//! form by `rd_flash::chips`'s own unit test (`database_passes_every_rule`,
+//! in the `chips-codegen` crate the module is re-exported from).
 
 use readdisturb::flash::chips;
 use readdisturb::prelude::*;
