@@ -5,40 +5,82 @@
 //! # Execution model
 //!
 //! [`Engine::submit`] stripes each request over the dies (page-level
-//! round-robin, as [`Topology::stripe`]) and appends it to its die's work
-//! list. A call to [`Engine::run`] processes everything submitted since the
-//! last launch as one batch, in two deterministic phases:
+//! round-robin, as [`Topology::stripe`]) and appends it to its die's queue.
+//! A call to [`Engine::run`] processes everything submitted since the last
+//! launch as one batch, in two deterministic phases:
 //!
-//! 1. **Flash phase (parallel).** Each die executes its work list in
+//! 1. **Flash phase (parallel over dies).** Each die executes its queue in
 //!    arrival order against its own [`Die`] (chip + FTL + mitigation
 //!    policy). Dies share no state, so worker threads never contend and
 //!    the result is bit-identical for any thread count.
-//! 2. **Timing phase (serial).** A discrete-event pass assigns simulated
-//!    timestamps: per-die queue-depth pacing (a die admits at most
-//!    `queue_depth` outstanding requests), die busy intervals from the
-//!    [`Timing`] constants plus reconstructed background work (GC/refresh/
-//!    reclaim relocations, erases), and per-channel transfer slots that
-//!    serialize dies sharing a bus.
+//! 2. **Timing phase (serial, channel by channel).** A discrete-event pass
+//!    assigns simulated timestamps: per-die queue-depth pacing (a die
+//!    admits at most `queue_depth` outstanding requests), die busy
+//!    intervals from the [`Timing`] constants plus reconstructed background
+//!    work (GC/refresh/reclaim relocations, erases), and per-channel
+//!    transfer slots that serialize dies sharing a bus.
+//!
+//! The unit of the timing phase is the **channel**, not the die: a request
+//! starts at `ready.max(chan_free)` — its die's clock and its channel's —
+//! so the dies of one channel are tied together by the bus they share,
+//! while two channels share no clock at all. Inside `run` (and the replay
+//! entry points, which are `run` after a bulk submit) the phases therefore
+//! overlap: the coordinator receives die results as they land, and as soon
+//! as every die of the lowest untimed channel is in, it times that channel
+//! while the pool's lanes execute the dies of later ones. The wall time of
+//! one batch is `max(flash / workers, timing)` plus the wait for the first
+//! channel, not their sum.
+//!
+//! **Channels are timed strictly in index order**, whatever order results
+//! arrive in, and the batch's submission time is read once, before the
+//! first. What the channels do share is the latency sample — whose order is
+//! part of the checkpoint and of the running sum behind the mean — and the
+//! makespan; the in-order rule makes every one of them see exactly what a
+//! fully serial pass would have produced, so statistics, completions and
+//! checkpoint bytes do not depend on the thread count.
 //!
 //! Completions are posted ordered by simulated completion time, and
 //! [`Engine::stats`] aggregates throughput, latency percentiles, and
 //! per-die reliability counters. Trace replay ([`Engine::replay`]) is the
 //! same path: fold each op's lpa into the logical space, `submit`, run.
 //!
+//! A die job that panics on the pool is reported on the result channel by
+//! the job itself, and the coordinator panics in turn, inside the `run` or
+//! `join_batch` that was collecting, naming the die — it never waits for a
+//! result that will not come. The pool's lanes survive the panic.
+//!
+//! # Bytes per request
+//!
+//! A bulk replay is bound by the memory it touches for the first time, not
+//! by the instructions in its loops (a fresh 4 KiB page costs ~2.4 µs on
+//! the box the benchmark runs on), so the per-request records are kept to
+//! one word each, in arenas the engine keeps across batches:
+//!
+//! | stage | stats-only replay | emitting (`submit`/`run`, `replay`) |
+//! |---|---|---|
+//! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | 24 → **12** (the slot + a `u32` id offset) |
+//! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | 16 + 80 → **88** (`ExecRich`, now with the kind) |
+//! | completed | 8 (the latency sample) | 8 + 112 (`IoCompletion`) |
+//! | reported | 8 → **< 0.25** (`stats()` copied the sample to select in it) | same |
+//!
 //! # Pipelining
 //!
-//! [`Engine::run`] is sugar over a three-stage API that lets a front-end
-//! overlap consecutive batches: [`Engine::begin_batch`] launches the flash
-//! phase on a persistent [`WorkerPool`], [`Engine::join_batch`] collects
-//! the per-die results, and [`Engine::finish_batch`] runs the serial
-//! timing phase on the caller's thread. While the coordinator runs the
-//! timing phase of batch N, the pool can already execute the flash phase
-//! of batch N+1 — dies share no timing state, so the interleaving is
-//! bit-identical to running the batches back to back. Requests submitted
-//! while a flash phase is in flight land on the work lists the launch left
-//! behind and form the next batch.
+//! [`Engine::run`] overlaps the phases of *one* batch. A front-end that
+//! wants to overlap *consecutive* batches drives the same two pieces —
+//! collect one die's result, time one channel — through the staged API:
+//! [`Engine::begin_batch`] launches the flash phase on a persistent
+//! [`WorkerPool`], [`Engine::join_batch`] collects every die and folds the
+//! accounting (after it the dies are accessible again), and
+//! [`Engine::finish_batch`] times every channel on the caller's thread.
+//! While the coordinator runs the timing phase of batch N, the pool can
+//! already execute the flash phase of batch N+1 — a batch's timing reads
+//! only its own answered queues and the engine's clocks, never a die, so
+//! the interleaving is bit-identical to running the batches back to back.
+//! Requests submitted while a flash phase is in flight land on the queues
+//! the launch left behind and form the next batch.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -160,24 +202,40 @@ const SEC_CLOCK: u32 = 2;
 const SEC_ACCOUNTING: u32 = 3;
 const SEC_DIES: u32 = 4;
 
-/// A request routed to its die (flash-phase work unit). The original lpa is
-/// not carried: striping is a bijection, so emit paths reconstruct it as
-/// `die_lpa * dies + die`.
+/// A request routed to its die (flash-phase work unit), packed into one
+/// word: the die-local page address above the kind bit. Neither the
+/// original lpa nor the command id is carried: striping is a bijection, so
+/// emit paths reconstruct the lpa as `die_lpa * dies + die`, and ids are
+/// completion-record data that ride in [`DieQueue::ids`].
 #[derive(Debug, Clone, Copy)]
-struct WorkItem {
-    id: u64,
-    kind: ReqKind,
-    die_lpa: u64,
+struct WorkItem(u64);
+
+impl WorkItem {
+    /// Address field of a request whose die-local address does not fit it;
+    /// the address itself is the next entry of [`DieQueue::wide`]. Only a
+    /// single-die array can produce one (with two dies or more the
+    /// quotient of a `u64` is below 2⁶³), and no die has that many pages,
+    /// so such a request always completes with `LpaOutOfRange`.
+    const WIDE: u64 = u64::MAX >> 1;
+
+    fn new(kind: ReqKind, die_lpa: u64) -> Self {
+        Self(die_lpa.min(Self::WIDE) << 1 | u64::from(kind == ReqKind::Write))
+    }
+
+    fn kind(self) -> ReqKind {
+        if self.0 & 1 == 0 {
+            ReqKind::Read
+        } else {
+            ReqKind::Write
+        }
+    }
+
+    fn addr(self) -> u64 {
+        self.0 >> 1
+    }
 }
 
-/// The request was a write (else a read).
-const FLAG_WRITE: u8 = 1;
-/// A read that missed the mapping table (answered without flash work).
-const FLAG_NOT_WRITTEN: u8 = 1 << 1;
-/// A write the FTL rejected.
-const FLAG_WRITE_FAILED: u8 = 1 << 2;
-
-/// Hot flash-phase record: the 16 bytes per request the discrete-event
+/// Hot flash-phase record: the 8 bytes per request the discrete-event
 /// timing pass actually touches (background die time is folded into
 /// `service_us` and accumulated per die in [`DieExec`]). Everything a
 /// completion record needs beyond this lives in [`ExecRich`], which bulk
@@ -185,26 +243,78 @@ const FLAG_WRITE_FAILED: u8 = 1 << 2;
 #[derive(Debug, Clone, Copy)]
 struct ExecTiming {
     service_us: f64,
-    flags: u8,
 }
+
+impl ExecTiming {
+    fn to_slot(self) -> u64 {
+        self.service_us.to_bits()
+    }
+
+    fn from_slot(slot: u64) -> Self {
+        Self { service_us: f64::from_bits(slot) }
+    }
+}
+
+/// One die's queue. `slots` holds one word per request in arrival order: a
+/// packed [`WorkItem`] from `submit` until the die executes it, the bits of
+/// its [`ExecTiming`] from then until the timing pass has read it — the
+/// answer overwrites the question in place, so a request costs 8 bytes of
+/// arena from submission to posting.
+#[derive(Debug, Clone, Default)]
+struct DieQueue {
+    slots: Vec<u64>,
+    /// Command ids as offsets from the batch's first id, parallel to
+    /// `slots` on a batch that emits completions. A stats-only replay
+    /// leaves it short: nothing reads an id there.
+    ids: Vec<u32>,
+    /// Die-local addresses too wide for a slot, in arrival order (see
+    /// [`WorkItem::WIDE`]).
+    wide: Vec<u64>,
+}
+
+impl DieQueue {
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.ids.clear();
+        self.wide.clear();
+    }
+}
+
+/// Most requests one batch may hold ahead of a request submitted with an
+/// id (ids travel as `u32` offsets from the batch's first). Unit tests
+/// build with a small limit so the guard is reachable.
+const MAX_ID_OFFSET: usize = if cfg!(test) { 4095 } else { u32::MAX as usize };
 
 /// Cold flash-phase record, built only when completions are emitted.
 #[derive(Debug)]
 struct ExecRich {
     id: u64,
+    kind: ReqKind,
     lpa: u64,
     corrected: u64,
     result: Result<(), FtlError>,
     data: Option<Vec<u8>>,
 }
 
-/// Flash-phase output of one die. `rich` is empty on stats-only batches
-/// and parallel to `timing` otherwise. A die with no work this batch gets
-/// the default with its digest carried forward — what [`execute_die`]
-/// returns on an empty work list, minus the clock reads.
+/// What every die's flash phase of one batch shares.
+#[derive(Debug, Clone, Copy)]
+struct ExecContext {
+    timing: Timing,
+    capture: bool,
+    emit: bool,
+    dies: u64,
+    /// Command id of the batch's first request.
+    first_id: u64,
+}
+
+/// Flash-phase output of one die: its queue with every slot answered,
+/// `rich` (empty on stats-only batches, parallel to the slots otherwise)
+/// and the batch's per-die totals. A die with no work this batch gets the
+/// default with its digest carried forward — what [`execute_die`] returns
+/// on an empty queue, minus the clock reads.
 #[derive(Debug, Default)]
 struct DieExec {
-    timing: Vec<ExecTiming>,
+    queue: DieQueue,
     rich: Vec<ExecRich>,
     digest: u64,
     /// Total background die time across the batch (per-op deltas summed in
@@ -222,14 +332,30 @@ struct DieExec {
     wall_ns: u64,
 }
 
-/// Result shipped back from a pool worker: the die (ownership returns to
-/// the engine), its recycled work buffer, and the flash-phase output.
-type PoolResult<P> = (usize, Die<P>, Vec<WorkItem>, DieExec);
+/// What a pool job reports: the die (ownership returns to the engine) and
+/// its flash-phase output, or — from a job that panicked — the index of the
+/// die that was lost with it.
+type PoolResult<P> = Result<(usize, Die<P>, DieExec), usize>;
 
 /// Both ends of the persistent pool-dispatch result channel.
 type ResultChannel<P> = (Sender<PoolResult<P>>, Receiver<PoolResult<P>>);
 
-/// A flash phase in flight on the pool (or already executed inline).
+/// Reports a die job that unwinds instead of finishing, so the coordinator
+/// panics too instead of waiting for a result that will never come.
+struct PanicReport<P: ControllerPolicy> {
+    die: usize,
+    results: Sender<PoolResult<P>>,
+}
+
+impl<P: ControllerPolicy> Drop for PanicReport<P> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.results.send(Err(self.die));
+        }
+    }
+}
+
+/// A batch between launch and the end of its timing pass.
 #[derive(Debug)]
 struct Flight {
     /// Per-die results; `None` slots are still executing on the pool.
@@ -237,13 +363,17 @@ struct Flight {
     /// Dies dispatched to the pool and not yet collected.
     outstanding: usize,
     emit: bool,
+    /// Requests in the batch.
+    total: usize,
 }
 
-/// A joined flash phase awaiting its serial timing pass.
+/// What one batch's timing pass carries from channel to channel.
 #[derive(Debug)]
-struct JoinedBatch {
-    execs: Vec<DieExec>,
-    emit: bool,
+struct TimingPass {
+    /// Simulated time the batch was submitted at: the clock when the pass
+    /// began, read once, before any channel moves it.
+    batch_now: f64,
+    completions: Vec<IoCompletion>,
 }
 
 /// Wall-clock time spent in each stage of the engine's batch loop,
@@ -353,14 +483,13 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// Posted completions, ordered by simulated completion time.
     cq: VecDeque<IoCompletion>,
     next_id: u64,
-    /// Per-die work lists `submit` appends to, reused across batches
-    /// (arena: cleared, never reallocated once the loop reaches steady
-    /// state).
-    work: Vec<Vec<WorkItem>>,
-    /// Second per-die arena set: while one batch's work lists are out on
-    /// the pool, the next batch fills these (double buffering for
-    /// pipelined batches; the buffers swap on every pooled dispatch).
-    spare_work: Vec<Vec<WorkItem>>,
+    /// Per-die queues `submit` appends to, reused across batches (arena:
+    /// cleared, never reallocated once the loop reaches steady state).
+    work: Vec<DieQueue>,
+    /// Second per-die arena set: a launched batch's queues stay with it
+    /// until its timing pass has read them, and the next batch fills these
+    /// meanwhile (double buffering; the buffers swap on every launch).
+    spare_work: Vec<DieQueue>,
     /// Externally attached pool slice (rd-serve shards share one pool).
     /// When set, every flash phase runs on it.
     pool: Option<PoolHandle>,
@@ -374,7 +503,7 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// Flash phase in flight (between `begin_batch` and `join_batch`).
     flight: Option<Flight>,
     /// Joined flash phase awaiting `finish_batch`.
-    joined: Option<JoinedBatch>,
+    joined: Option<Flight>,
     /// Cumulative per-stage wall-clock counters (diagnostic only).
     stage_ns: EngineStageNs,
     // Discrete-event clock state (persists across batches).
@@ -392,6 +521,9 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     reads_not_written: u64,
     writes_failed: u64,
     latencies: Vec<f64>,
+    /// Sum of `latencies`, added up in sample order as the timing pass
+    /// appends them (the additions `iter().sum()` would make).
+    latency_sum: f64,
 }
 
 impl Engine<NoMitigation> {
@@ -436,8 +568,8 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             pending: 0,
             cq: VecDeque::new(),
             next_id: 0,
-            work: vec![Vec::new(); nd],
-            spare_work: vec![Vec::new(); nd],
+            work: vec![DieQueue::default(); nd],
+            spare_work: vec![DieQueue::default(); nd],
             pool: None,
             owned_pool: None,
             results: None,
@@ -457,6 +589,7 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             reads_not_written: 0,
             writes_failed: 0,
             latencies: Vec::new(),
+            latency_sum: 0.0,
         })
     }
 }
@@ -510,11 +643,37 @@ impl<P: ControllerPolicy> Engine<P> {
     /// Stripes a request onto its die's work list (page-level round-robin,
     /// as [`Topology::stripe`]); returns its command id. The request runs
     /// with the next launched batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics once 2³² requests are pending: launch a batch first.
     pub fn submit(&mut self, kind: ReqKind, lpa: u64) -> u64 {
+        self.enqueue(kind, lpa, true)
+    }
+
+    /// [`Engine::submit`]; `with_id: false` skips recording the id, for a
+    /// batch that will post no completions.
+    #[inline]
+    fn enqueue(&mut self, kind: ReqKind, lpa: u64, with_id: bool) -> u64 {
+        // Checked before anything is queued, so a refused request leaves
+        // the batch as it was.
+        assert!(
+            !with_id || self.pending <= MAX_ID_OFFSET,
+            "{} requests pending: launch a batch before submitting more",
+            self.pending
+        );
         let id = self.next_id;
         self.next_id += 1;
         let (die_lpa, die) = self.die_div.div_rem(lpa);
-        self.work[die as usize].push(WorkItem { id, kind, die_lpa });
+        let queue = &mut self.work[die as usize];
+        queue.slots.push(WorkItem::new(kind, die_lpa).0);
+        if die_lpa >= WorkItem::WIDE {
+            queue.wide.push(die_lpa);
+        }
+        if with_id {
+            // The batch's first id is `pending` submissions back.
+            queue.ids.push(self.pending as u32);
+        }
         self.pending += 1;
         id
     }
@@ -587,18 +746,14 @@ impl<P: ControllerPolicy> Engine<P> {
                 ssd,
             });
         }
-        let mut digest = FNV_OFFSET;
-        for dd in &self.die_digest {
-            digest = fnv1a(digest, &dd.to_le_bytes());
-        }
-        // Phase 2 is serial, so the latency sample's natural order is
-        // deterministic and thread-count-independent; the mean sums it
-        // directly and the percentiles come from two O(n) selections
-        // instead of a full sort.
+        // The timing pass runs channels in index order, so the latency
+        // sample's order is deterministic and thread-count-independent; the
+        // mean divides the sum kept in that order and the percentiles come
+        // from an exact selection instead of a full sort.
         let mean = if self.latencies.is_empty() {
             0.0
         } else {
-            self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
+            self.latency_sum / self.latencies.len() as f64
         };
         let (p50, p99) = percentiles_50_99(&self.latencies);
         EngineStats {
@@ -621,9 +776,16 @@ impl<P: ControllerPolicy> Engine<P> {
             latency_p50_us: p50,
             latency_p99_us: p99,
             latency_mean_us: mean,
-            data_digest: digest,
+            data_digest: self.data_digest(),
             per_die,
         }
+    }
+
+    /// FNV-1a digest folded over the per-die digests in die order — the
+    /// [`EngineStats::data_digest`] of [`Engine::stats`], without building
+    /// the rest of the snapshot.
+    pub fn data_digest(&self) -> u64 {
+        self.die_digest.iter().fold(FNV_OFFSET, |digest, dd| fnv1a(digest, &dd.to_le_bytes()))
     }
 
     /// Writes the configuration fingerprint the restore path validates:
@@ -777,6 +939,7 @@ impl<P: ControllerPolicy> Engine<P> {
         self.reads_not_written = acc.get_u64()?;
         self.writes_failed = acc.get_u64()?;
         self.latencies = acc.get_f64s()?;
+        self.latency_sum = self.latencies.iter().fold(0.0, |sum, latency| sum + latency);
 
         let mut dies = r.section(SEC_DIES)?;
         let n_dies = dies.get_u64()? as usize;
@@ -824,16 +987,34 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.launch(threads, true)
     }
 
-    /// One batch start to finish; `emit` selects completion records.
+    /// One batch start to finish; `emit` selects completion records. The
+    /// coordinator does not wait for the whole flash phase: as soon as every
+    /// die of the lowest untimed channel has landed it times that channel,
+    /// while the lanes execute the dies of later ones.
     fn run_batch(&mut self, threads: usize, emit: bool) -> usize {
+        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         if self.launch(threads, emit) == 0 {
             return 0;
         }
-        self.join_batch();
-        self.finish_batch()
+        let mut flight = self.flight.take().expect("just launched");
+        let started = Instant::now();
+        let waited_before = self.stage_ns.pool_wait_ns;
+        let mut pass = self.begin_timing(&flight);
+        for ch in 0..self.chan_free_us.len() {
+            let dies = self.channel_dies(ch);
+            while flight.execs[dies.clone()].iter().any(Option::is_none) {
+                self.collect_one(&mut flight);
+            }
+            self.fold_channel(&flight, ch);
+            self.time_channel(&mut flight, ch, &mut pass);
+        }
+        let done = self.end_timing(flight, pass);
+        let waited = self.stage_ns.pool_wait_ns - waited_before;
+        self.stage_ns.timing_ns += (started.elapsed().as_nanos() as u64).saturating_sub(waited);
+        done
     }
 
-    /// Phase 1 launch: dispatches every non-empty per-die work list to the
+    /// Phase 1 launch: dispatches every non-empty per-die queue to the
     /// executor [`Engine::begin_batch`] describes. The attached pool runs
     /// the phase even with one lane, so a pipelining front-end still
     /// overlaps it with the coordinator's timing pass. Die `d` maps to lane
@@ -863,114 +1044,120 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 }
             }
         };
-        let mut execs: Vec<Option<DieExec>> = Vec::with_capacity(nd);
-        let Some(handle) = handle else {
-            // Inline execution on the calling thread (identical results).
-            for d in 0..nd {
-                let die = self.dies[d].as_mut().expect("die present");
-                let exec = execute_die(
-                    die,
-                    &self.work[d],
-                    &self.config.timing,
-                    self.config.capture_read_data,
-                    self.die_digest[d],
-                    emit,
-                    d as u64,
-                    nd as u64,
-                );
-                self.work[d].clear();
-                execs.push(Some(exec));
-            }
-            self.flight = Some(Flight { execs, outstanding: 0, emit });
-            return batch;
+        let ctx = ExecContext {
+            timing: self.config.timing,
+            capture: self.config.capture_read_data,
+            emit,
+            dies: nd as u64,
+            first_id: self.next_id - batch as u64,
         };
-        let tx = self.results.get_or_insert_with(mpsc::channel).0.clone();
+        let mut execs: Vec<Option<DieExec>> = Vec::with_capacity(nd);
         let mut outstanding = 0usize;
         for d in 0..nd {
-            if self.work[d].is_empty() {
-                execs.push(Some(DieExec { digest: self.die_digest[d], ..DieExec::default() }));
+            let start_digest = self.die_digest[d];
+            if self.work[d].slots.is_empty() {
+                execs.push(Some(DieExec { digest: start_digest, ..DieExec::default() }));
                 continue;
             }
-            execs.push(None);
-            let die = self.dies[d].take().expect("die present");
-            // Swap in the spare arena so the next batch can fill per-die
-            // work lists while this one is still out on the pool.
-            let work =
+            // Swap in the spare arena: the queue stays with this batch
+            // until its timing pass has read the answers, and the next
+            // batch fills the other one meanwhile.
+            let queue =
                 std::mem::replace(&mut self.work[d], std::mem::take(&mut self.spare_work[d]));
-            let start_digest = self.die_digest[d];
-            let timing = self.config.timing;
-            let capture = self.config.capture_read_data;
-            let dies_u64 = nd as u64;
-            let tx = tx.clone();
+            let Some(handle) = &handle else {
+                // Inline execution on the calling thread (identical results).
+                let die = self.dies[d].as_mut().expect("die present");
+                execs.push(Some(execute_die(die, queue, &ctx, start_digest, d as u64)));
+                continue;
+            };
+            execs.push(None);
+            let mut die = self.dies[d].take().expect("die present");
+            let results = self.results.get_or_insert_with(mpsc::channel).0.clone();
             handle.submit(
                 d,
                 Box::new(move || {
-                    let mut die = die;
-                    let exec = execute_die(
-                        &mut die,
-                        &work,
-                        &timing,
-                        capture,
-                        start_digest,
-                        emit,
-                        d as u64,
-                        dies_u64,
-                    );
+                    let report = PanicReport { die: d, results };
+                    let exec = execute_die(&mut die, queue, &ctx, start_digest, d as u64);
                     // Send fails only if the engine was dropped mid-flight;
                     // the die is discarded along with it.
-                    let _ = tx.send((d, die, work, exec));
+                    let _ = report.results.send(Ok((d, die, exec)));
                 }),
             );
             outstanding += 1;
         }
-        self.flight = Some(Flight { execs, outstanding, emit });
+        self.flight = Some(Flight { execs, outstanding, emit, total: batch });
         batch
     }
 
-    /// Phase 1 collection: blocks until every die dispatched by
-    /// [`Engine::begin_batch`] returns, puts dies and work arenas back in
-    /// their slots, folds digests and cumulative per-die counters in die
-    /// order (fold order is independent of completion order, so accounting
-    /// is deterministic), and parks the result for
-    /// [`Engine::finish_batch`]. After this the dies are accessible again
-    /// and the *next* batch may begin before the timing phase of this one
-    /// runs — that is the pipelining window.
+    /// The contiguous die range of channel `ch`.
+    fn channel_dies(&self, ch: usize) -> Range<usize> {
+        let dpc = self.config.topology.dies_per_channel as usize;
+        ch * dpc..(ch + 1) * dpc
+    }
+
+    /// Blocks until one more pooled die of `flight` reports, and puts the
+    /// die back in its slot.
     ///
     /// # Panics
     ///
-    /// Panics if no flash phase is in flight, or if a joined batch is
-    /// already awaiting [`Engine::finish_batch`].
-    pub fn join_batch(&mut self) {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        let flight =
-            self.flight.take().expect("no flash phase in flight; call begin_batch() first");
-        let Flight { mut execs, outstanding, emit } = flight;
-        if outstanding > 0 {
-            let started = Instant::now();
-            let rx = &self.results.as_ref().expect("pooled flight has a channel").1;
-            for _ in 0..outstanding {
-                let (d, die, mut work, exec) = rx.recv().expect("pool worker died");
-                self.dies[d] = Some(die);
-                work.clear();
-                self.spare_work[d] = work;
-                execs[d] = Some(exec);
-            }
-            self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
-        }
-        let execs: Vec<DieExec> =
-            execs.into_iter().map(|e| e.expect("every die resolved")).collect();
-        for (d, e) in execs.iter().enumerate() {
+    /// Panics, naming the die, if its job panicked on the pool.
+    fn collect_one(&mut self, flight: &mut Flight) {
+        let started = Instant::now();
+        let rx = &self.results.as_ref().expect("pooled flight has a channel").1;
+        // The engine keeps a sender, so the channel never disconnects: a
+        // lost job is reported by its `PanicReport`.
+        let (d, die, exec) = match rx.recv().expect("engine holds a sender") {
+            Ok(landed) => landed,
+            Err(d) => panic!("die {d}'s flash phase panicked on the worker pool"),
+        };
+        self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
+        self.dies[d] = Some(die);
+        flight.execs[d] = Some(exec);
+        flight.outstanding -= 1;
+    }
+
+    /// Folds the digests and cumulative per-die counters of channel `ch`'s
+    /// dies, all landed, in die order.
+    fn fold_channel(&mut self, flight: &Flight, ch: usize) {
+        for d in self.channel_dies(ch) {
+            let e = flight.execs[d].as_ref().expect("channel's dies landed");
             self.die_digest[d] = e.digest;
             self.die_background_us[d] += e.background_us;
             self.die_busy_us[d] += e.busy_us;
-            self.die_ops[d] += e.timing.len() as u64;
+            self.die_ops[d] += e.queue.slots.len() as u64;
             self.reads += e.reads;
             self.writes += e.writes;
             self.reads_not_written += e.reads_not_written;
             self.writes_failed += e.writes_failed;
             self.stage_ns.flash_ns += e.wall_ns;
         }
-        self.joined = Some(JoinedBatch { execs, emit });
+    }
+
+    /// Phase 1 collection: blocks until every die dispatched by
+    /// [`Engine::begin_batch`] returns, puts the dies back in their slots,
+    /// folds digests and cumulative per-die counters in die order (fold
+    /// order is independent of completion order, so accounting is
+    /// deterministic), and parks the result for [`Engine::finish_batch`].
+    /// After this the dies are accessible again and the *next* batch may
+    /// begin before the timing phase of this one runs — that is the
+    /// pipelining window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no flash phase is in flight, if a joined batch is already
+    /// awaiting [`Engine::finish_batch`], or — naming the die — if a die's
+    /// job panicked on the pool.
+    pub fn join_batch(&mut self) {
+        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
+        let mut flight =
+            self.flight.take().expect("no flash phase in flight; call begin_batch() first");
+        while flight.outstanding > 0 {
+            self.collect_one(&mut flight);
+        }
+        for ch in 0..self.chan_free_us.len() {
+            self.fold_channel(&flight, ch);
+        }
+        self.joined = Some(flight);
     }
 
     /// Phase 2: the serial discrete-event timing pass over the batch parked
@@ -981,24 +1168,57 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     ///
     /// Panics if no joined batch is pending.
     pub fn finish_batch(&mut self) -> usize {
-        let JoinedBatch { mut execs, emit } =
-            self.joined.take().expect("no joined batch; call join_batch() first");
+        let mut flight = self.joined.take().expect("no joined batch; call join_batch() first");
         let started = Instant::now();
-        let nd = self.dies.len();
-
-        // Discrete-event timing. Repeatedly dispatch the request
-        // with the earliest per-die ready time (queue-depth pacing + die
-        // availability), serializing channel transfer slots. A die's
-        // (ready, submit) pair only changes when that die dispatches, so the
-        // values are cached and the loop is a flat argmin scan; ties pick
-        // the lowest die index, exactly as the full rescan did.
-        let batch_now = self.sim_end_us;
-        let total: usize = execs.iter().map(|e| e.timing.len()).sum();
-        if total == 0 {
-            return 0;
+        let mut pass = self.begin_timing(&flight);
+        for ch in 0..self.chan_free_us.len() {
+            self.time_channel(&mut flight, ch, &mut pass);
         }
-        self.latencies.reserve(total);
-        let mut completions: Vec<IoCompletion> = Vec::with_capacity(if emit { total } else { 0 });
+        let done = self.end_timing(flight, pass);
+        self.stage_ns.timing_ns += started.elapsed().as_nanos() as u64;
+        done
+    }
+
+    /// Opens a batch's timing pass: reads the batch's submission time and
+    /// sizes the latency sample and the completion list for it.
+    fn begin_timing(&mut self, flight: &Flight) -> TimingPass {
+        self.latencies.reserve(flight.total);
+        TimingPass {
+            batch_now: self.sim_end_us,
+            completions: Vec::with_capacity(if flight.emit { flight.total } else { 0 }),
+        }
+    }
+
+    /// Discrete-event timing of channel `ch`, whose dies have all landed.
+    /// Repeatedly dispatches the request with the earliest per-die ready
+    /// time (queue-depth pacing + die availability), serializing the
+    /// channel's transfer slots. A die's (ready, submit) pair only changes
+    /// when that die dispatches, so the values are cached and the loop is a
+    /// flat argmin scan; ties pick the lowest die index, exactly as a full
+    /// rescan would.
+    ///
+    /// Channels share no timing state — a request starts at
+    /// `ready.max(chan_free)`, its own die's and its own channel's clocks —
+    /// so each channel's contiguous die range dispatches independently: the
+    /// argmin spans `dies_per_channel` entries, the channel-slot clock
+    /// lives in a register, and a channel can be timed before later
+    /// channels' dies have executed. What the channels do share is the
+    /// latency sample (its order is in the checkpoint), the running sum and
+    /// the makespan, so callers time channels strictly in index order;
+    /// cross-channel interleaving cannot change any per-die or
+    /// order-insensitive global statistic, and the completion sort in
+    /// [`Self::end_timing`] restores one global time order.
+    fn time_channel(&mut self, flight: &mut Flight, ch: usize, pass: &mut TimingPass) {
+        let dies = self.channel_dies(ch);
+        let lo = dies.start;
+        let batch_now = pass.batch_now;
+        let execs = &mut flight.execs[dies];
+        let queued =
+            |e: &Option<DieExec>| e.as_ref().expect("channel's dies landed").queue.slots.len();
+        let chan_total: usize = execs.iter().map(queued).sum();
+        if chan_total == 0 {
+            return;
+        }
         let ready_of = |window: &Window, die_free: f64| -> (f64, f64) {
             let submit = match window.front_if_full() {
                 Some(front) => front.max(batch_now),
@@ -1006,87 +1226,88 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             };
             (submit.max(die_free), submit)
         };
-        // Channels share no timing state, so each channel's contiguous die
-        // range dispatches independently: the argmin spans dies_per_channel
-        // entries instead of the whole array, and the channel-slot clock
-        // lives in a register. Within a channel, ties pick the lowest die
-        // index, exactly as a global rescan would; cross-channel
-        // interleaving cannot change any per-die or order-insensitive
-        // global statistic, and the completion sort below restores one
-        // global time order.
-        let dpc = self.config.topology.dies_per_channel as usize;
-        for ch in 0..self.chan_free_us.len() {
-            let lo = ch * dpc;
-            let hi = (lo + dpc).min(nd);
-            let span = hi - lo;
-            let chan_total: usize = execs[lo..hi].iter().map(|e| e.timing.len()).sum();
-            if chan_total == 0 {
-                continue;
-            }
-            let mut chan_free = self.chan_free_us[ch];
-            let mut next = vec![0usize; span];
-            let mut ready_cache: Vec<(f64, f64)> = (lo..hi)
-                .map(|d| {
-                    if execs[d].timing.is_empty() {
-                        (f64::INFINITY, batch_now)
-                    } else {
-                        ready_of(&self.inflight[d], self.die_free_us[d])
-                    }
-                })
-                .collect();
-            for _ in 0..chan_total {
-                let mut j = 0usize;
-                for i in 1..span {
-                    if ready_cache[i].0 < ready_cache[j].0 {
-                        j = i;
-                    }
-                }
-                let d = lo + j;
-                let (ready, submit) = ready_cache[j];
-                debug_assert!(ready.is_finite(), "work remains while total not reached");
-                let item = execs[d].timing[next[j]];
-                let start = ready.max(chan_free);
-                let complete = start + item.service_us;
-                chan_free = start + self.config.timing.xfer_us.min(item.service_us);
-                self.die_free_us[d] = complete;
-                self.inflight[d].push(complete);
-                self.latencies.push(complete - submit);
-                if complete > self.sim_end_us {
-                    self.sim_end_us = complete;
-                }
-                if emit {
-                    let rich = &mut execs[d].rich[next[j]];
-                    completions.push(IoCompletion {
-                        id: rich.id,
-                        kind: if item.flags & FLAG_WRITE != 0 {
-                            ReqKind::Write
-                        } else {
-                            ReqKind::Read
-                        },
-                        lpa: rich.lpa,
-                        die: d as u32,
-                        submit_us: submit,
-                        start_us: start,
-                        complete_us: complete,
-                        corrected_errors: rich.corrected,
-                        result: std::mem::replace(&mut rich.result, Ok(())),
-                        data: rich.data.take(),
-                    });
-                }
-                next[j] += 1;
-                ready_cache[j] = if next[j] >= execs[d].timing.len() {
+        let mut chan_free = self.chan_free_us[ch];
+        let mut next = vec![0usize; execs.len()];
+        let mut ready_cache: Vec<(f64, f64)> = execs
+            .iter()
+            .enumerate()
+            .map(|(j, e)| {
+                if queued(e) == 0 {
                     (f64::INFINITY, batch_now)
                 } else {
-                    ready_of(&self.inflight[d], self.die_free_us[d])
-                };
+                    ready_of(&self.inflight[lo + j], self.die_free_us[lo + j])
+                }
+            })
+            .collect();
+        for _ in 0..chan_total {
+            let mut j = 0usize;
+            for i in 1..ready_cache.len() {
+                if ready_cache[i].0 < ready_cache[j].0 {
+                    j = i;
+                }
             }
-            self.chan_free_us[ch] = chan_free;
+            let d = lo + j;
+            let (ready, submit) = ready_cache[j];
+            debug_assert!(ready.is_finite(), "work remains while total not reached");
+            let exec = execs[j].as_mut().expect("channel's dies landed");
+            let item = ExecTiming::from_slot(exec.queue.slots[next[j]]);
+            let start = ready.max(chan_free);
+            let complete = start + item.service_us;
+            chan_free = start + self.config.timing.xfer_us.min(item.service_us);
+            self.die_free_us[d] = complete;
+            self.inflight[d].push(complete);
+            let latency = complete - submit;
+            self.latencies.push(latency);
+            self.latency_sum += latency;
+            if complete > self.sim_end_us {
+                self.sim_end_us = complete;
+            }
+            if flight.emit {
+                let rich = &mut exec.rich[next[j]];
+                pass.completions.push(IoCompletion {
+                    id: rich.id,
+                    kind: rich.kind,
+                    lpa: rich.lpa,
+                    die: d as u32,
+                    submit_us: submit,
+                    start_us: start,
+                    complete_us: complete,
+                    corrected_errors: rich.corrected,
+                    result: std::mem::replace(&mut rich.result, Ok(())),
+                    data: rich.data.take(),
+                });
+            }
+            next[j] += 1;
+            ready_cache[j] = if next[j] >= exec.queue.slots.len() {
+                (f64::INFINITY, batch_now)
+            } else {
+                ready_of(&self.inflight[d], self.die_free_us[d])
+            };
         }
-        completions
+        self.chan_free_us[ch] = chan_free;
+    }
+
+    /// Closes a batch's timing pass: posts its completions in simulated
+    /// time order and takes the queues back as arenas for later batches.
+    fn end_timing(&mut self, flight: Flight, mut pass: TimingPass) -> usize {
+        pass.completions
             .sort_unstable_by(|a, b| a.complete_us.total_cmp(&b.complete_us).then(a.id.cmp(&b.id)));
-        self.cq.extend(completions);
-        self.stage_ns.timing_ns += started.elapsed().as_nanos() as u64;
-        total
+        self.cq.extend(pass.completions);
+        for (d, exec) in flight.execs.into_iter().enumerate() {
+            let mut queue = exec.expect("every die timed").queue;
+            queue.clear();
+            // `submit` may be appending to an arena that never grew (the
+            // launch found no spare to swap in): give it this one.
+            let idle = if self.work[d].slots.capacity() == 0 {
+                &mut self.work[d]
+            } else {
+                &mut self.spare_work[d]
+            };
+            if idle.slots.capacity() == 0 {
+                *idle = queue;
+            }
+        }
+        flight.total
     }
 
     /// Replays a trace across the array: every op's lpa is folded into the
@@ -1098,7 +1319,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ops: I,
         threads: usize,
     ) -> EngineStats {
-        self.submit_trace(ops);
+        self.submit_trace(ops, true);
         self.run_batch(threads, true);
         self.stats()
     }
@@ -1113,13 +1334,26 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ops: I,
         threads: usize,
     ) -> EngineStats {
-        self.submit_trace(ops);
-        self.run_batch(threads, false);
+        self.replay_unreported(ops, threads);
         self.stats()
     }
 
-    /// Submits a trace, each lpa folded into the logical space.
-    fn submit_trace<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
+    /// [`Engine::replay_stats_only`] for a caller that reads the statistics
+    /// later, or only some of them ([`Engine::data_digest`], a die's
+    /// counters): returns the number of requests completed instead of
+    /// building an [`EngineStats`].
+    pub fn replay_unreported<I: IntoIterator<Item = TraceOp>>(
+        &mut self,
+        ops: I,
+        threads: usize,
+    ) -> usize {
+        self.submit_trace(ops, false);
+        self.run_batch(threads, false)
+    }
+
+    /// Submits a trace, each lpa folded into the logical space; `with_ids`
+    /// as [`Self::enqueue`].
+    fn submit_trace<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I, with_ids: bool) {
         // Reciprocal multiply, as in `submit`: a hardware divide per op is
         // measurable at billion-op scale.
         let logical_div = FastDiv::new(self.logical_pages());
@@ -1128,14 +1362,17 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         // arenas up front keeps the first replay off the realloc path.
         let hint = ops.size_hint().0 / self.work.len().max(1);
         for w in &mut self.work {
-            w.reserve(hint + hint / 8);
+            w.slots.reserve(hint + hint / 8);
+            if with_ids {
+                w.ids.reserve(hint + hint / 8);
+            }
         }
         for op in ops {
             let kind = match op.kind {
                 OpKind::Read => ReqKind::Read,
                 OpKind::Write => ReqKind::Write,
             };
-            self.submit(kind, logical_div.div_rem(op.lpa).1);
+            self.enqueue(kind, logical_div.div_rem(op.lpa).1, with_ids);
         }
     }
 }
@@ -1190,23 +1427,20 @@ impl FastDiv {
     }
 }
 
-/// Executes one die's work list, measuring per-request service time from the
+/// Executes one die's queue, measuring per-request service time from the
 /// timing constants plus the controller-counter delta (background GC/refresh
-/// relocations and erases the request triggered).
-#[allow(clippy::too_many_arguments)]
+/// relocations and erases the request triggered), and answers every slot in
+/// place with its [`ExecTiming`].
 fn execute_die<P: ControllerPolicy>(
     die: &mut Die<P>,
-    work: &[WorkItem],
-    timing: &Timing,
-    capture: bool,
+    mut queue: DieQueue,
+    ctx: &ExecContext,
     start_digest: u64,
-    emit: bool,
     die_index: u64,
-    dies: u64,
 ) -> DieExec {
     let wall_started = Instant::now();
-    let mut timing_recs = Vec::with_capacity(work.len());
-    let mut rich = Vec::with_capacity(if emit { work.len() } else { 0 });
+    let timing = &ctx.timing;
+    let mut rich = Vec::with_capacity(if ctx.emit { queue.slots.len() } else { 0 });
     let mut digest = start_digest;
     let mut background_total = 0.0f64;
     let mut busy_total = 0.0f64;
@@ -1215,11 +1449,18 @@ fn execute_die<P: ControllerPolicy>(
     // The billable counters are monotone, so each request's delta runs from
     // the previous request's snapshot — one extraction per op, not two.
     let mut before = crate::timing::background_counters(die.stats_ref());
-    for item in work {
-        let (result, corrected, data) = match item.kind {
+    let mut wide = queue.wide.iter();
+    for (i, slot) in queue.slots.iter_mut().enumerate() {
+        let item = WorkItem(*slot);
+        let kind = item.kind();
+        let die_lpa = match item.addr() {
+            WorkItem::WIDE => *wide.next().expect("a wide slot queues its address"),
+            addr => addr,
+        };
+        let (result, corrected, data) = match kind {
             // The decoded page is digested where it lives (the chip's
             // stored payload) and copied only for a capturing caller.
-            ReqKind::Read => match die.read_with(item.die_lpa, |r| {
+            ReqKind::Read => match die.read_with(die_lpa, |r| {
                 // Payload-carrying tiers digest the decoded bytes; the
                 // aggregate tier carries no payload, so its digest folds
                 // the corrected-error count (the read's full information
@@ -1230,17 +1471,17 @@ fn execute_die<P: ControllerPolicy>(
                 } else {
                     fnv1a(digest, r.data)
                 };
-                (r.corrected_errors, capture.then(|| r.data.to_vec()))
+                (r.corrected_errors, ctx.capture.then(|| r.data.to_vec()))
             }) {
                 Ok((corrected, data)) => (Ok(()), corrected, data),
                 Err(e) => (Err(e), 0, None),
             },
-            ReqKind::Write => (die.write(item.die_lpa), 0, None),
+            ReqKind::Write => (die.write(die_lpa), 0, None),
         };
         let after = crate::timing::background_counters(die.stats_ref());
         // Failed lookups (NotWritten / out-of-range) are answered from the
         // mapping table without touching the array: only a command slot.
-        let base = match (item.kind, &result) {
+        let base = match (kind, &result) {
             (ReqKind::Read, Ok(()) | Err(FtlError::Uncorrectable { .. })) => {
                 timing.read_service_us()
             }
@@ -1251,28 +1492,26 @@ fn execute_die<P: ControllerPolicy>(
         before = after;
         background_total += background_us;
         let service_us = base + background_us;
-        let flags = match item.kind {
+        match kind {
             ReqKind::Read => {
                 reads += 1;
-                let missed = matches!(result, Err(FtlError::NotWritten { .. }));
-                reads_not_written += u64::from(missed);
-                u8::from(missed) * FLAG_NOT_WRITTEN
+                reads_not_written += u64::from(matches!(result, Err(FtlError::NotWritten { .. })));
             }
             ReqKind::Write => {
                 writes += 1;
                 writes_failed += u64::from(result.is_err());
-                FLAG_WRITE | (u8::from(result.is_err()) * FLAG_WRITE_FAILED)
             }
-        };
+        }
         busy_total += service_us;
-        timing_recs.push(ExecTiming { service_us, flags });
-        if emit {
-            let lpa = item.die_lpa * dies + die_index;
-            rich.push(ExecRich { id: item.id, lpa, corrected, result, data });
+        *slot = ExecTiming { service_us }.to_slot();
+        if ctx.emit {
+            let id = ctx.first_id + u64::from(queue.ids[i]);
+            let lpa = die_lpa * ctx.dies + die_index;
+            rich.push(ExecRich { id, kind, lpa, corrected, result, data });
         }
     }
     DieExec {
-        timing: timing_recs,
+        queue,
         rich,
         digest,
         background_us: background_total,
@@ -1530,6 +1769,47 @@ mod tests {
         // The intact snapshot restores into a fresh same-config engine.
         target.restore(&snap).unwrap();
         assert_eq!(target.stats(), engine.stats());
+    }
+
+    #[test]
+    fn queued_and_executed_records_are_one_word() {
+        assert_eq!(std::mem::size_of::<WorkItem>(), 8);
+        assert_eq!(std::mem::size_of::<ExecTiming>(), 8);
+        for (kind, die_lpa) in
+            [(ReqKind::Read, 0), (ReqKind::Write, 0), (ReqKind::Write, WorkItem::WIDE - 1)]
+        {
+            let item = WorkItem::new(kind, die_lpa);
+            assert_eq!((item.kind(), item.addr()), (kind, die_lpa));
+        }
+        for die_lpa in [WorkItem::WIDE, WorkItem::WIDE + 1, u64::MAX] {
+            assert_eq!(WorkItem::new(ReqKind::Read, die_lpa).addr(), WorkItem::WIDE);
+        }
+        let answered = ExecTiming::from_slot(ExecTiming { service_us: 675.0 }.to_slot());
+        assert_eq!(answered.service_us, 675.0);
+    }
+
+    /// Ids ride as `u32` offsets from the batch's first; unit tests build
+    /// with `MAX_ID_OFFSET` = 4095, so the 4097th pending `submit` trips the
+    /// guard, while a stats-only replay — which records no ids — may queue
+    /// any number.
+    #[test]
+    fn id_offsets_are_guarded_at_their_limit() {
+        let reads =
+            |n: usize| (0..n).map(|i| TraceOp { time_s: 0.0, kind: OpKind::Read, lpa: i as u64 });
+        let mut engine = Engine::new(EngineConfig::small_test()).unwrap();
+        assert_eq!(engine.replay_unreported(reads(MAX_ID_OFFSET + 2), 1), MAX_ID_OFFSET + 2);
+        let first = engine.submit_read(0);
+        for _ in 0..MAX_ID_OFFSET {
+            engine.submit_read(0);
+        }
+        let overflow =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.submit_read(0)));
+        assert!(overflow.is_err(), "the guard let offset {} through", MAX_ID_OFFSET + 1);
+        // Launching makes room, and the largest offset came through intact.
+        assert_eq!(engine.run(2), MAX_ID_OFFSET + 1);
+        let ids: Vec<u64> = engine.drain_completions().iter().map(|c| c.id).collect();
+        assert_eq!(ids.iter().max(), Some(&(first + MAX_ID_OFFSET as u64)));
+        engine.submit_read(0);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -42,7 +43,8 @@ struct LaneState {
 /// and no work stealing (see the module docs for why that matters).
 ///
 /// Dropping the pool shuts it down: each worker finishes the jobs already
-/// in its lane, then exits, and the drop joins every thread.
+/// in its lane, then exits, and the drop joins every thread. A job that
+/// panics is dropped where it unwound; its lane goes on to the next job.
 pub struct WorkerPool {
     lanes: Vec<Arc<Lane>>,
     handles: Vec<JoinHandle<()>>,
@@ -125,7 +127,11 @@ fn worker_loop(lane: &Lane) {
                 state = lane.signal.wait(state).expect("pool lane lock poisoned");
             }
         };
-        job();
+        // A panicking job must not take the lane with it: the lane's other
+        // jobs are queued behind it and other engines share the pool. The
+        // job's owner learns of the panic from the job itself (the engine's
+        // die jobs report it on their result channel).
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
     }
 }
 

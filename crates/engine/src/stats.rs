@@ -225,24 +225,145 @@ pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Nearest-rank p50 and p99 of an (unsorted) latency sample via two O(n)
-/// order-statistic selections — the same values a nearest-rank read off a
-/// fully sorted copy yields, without the sort. Returns zeros for an empty
+/// Nearest-rank p50 and p99 of an (unsorted) latency sample — the same two
+/// values a nearest-rank read off a copy sorted by [`f64::total_cmp`]
+/// yields, bit for bit, without the sort. Returns zeros for an empty
 /// sample; with `n == 1` or `n == 2` the two ranks coincide on the maximum,
 /// so `p50 == p99`. Public because per-tenant accounting layers (rd-serve)
 /// reduce their own latency samples with the exact same estimator.
+///
+/// A short sample is copied and selected in place. From 4096 values
+/// (`COUNTING_MIN_LEN`) on nothing is copied: the sample is counted by the
+/// leading bits of each value's `total_cmp` key (past the bits every value
+/// shares), the bucket holding a rank is counted again one digit deeper
+/// while it is large, and only a bucket under 1/32 of the sample is
+/// gathered for the final selection. A replay window's millions of
+/// latencies hold a few thousand distinct values, so a large bucket that
+/// stops shrinking is one value repeated, and is recognized as such. Which
+/// path runs is read from `sample.len()` alone.
 pub fn percentiles_50_99(sample: &[f64]) -> (f64, f64) {
     if sample.is_empty() {
         return (0.0, 0.0);
     }
-    let mut scratch = sample.to_vec();
-    let last = scratch.len() - 1;
+    let last = sample.len() - 1;
     let i50 = (last as f64 * 0.50).round() as usize;
     let i99 = (last as f64 * 0.99).round() as usize;
-    let (lower, p99, _) = scratch.select_nth_unstable_by(i99, f64::total_cmp);
-    let p99 = *p99;
-    let p50 = if i50 == i99 { p99 } else { *lower.select_nth_unstable_by(i50, f64::total_cmp).1 };
-    (p50, p99)
+    if sample.len() < COUNTING_MIN_LEN {
+        let mut scratch = sample.to_vec();
+        let (lower, p99, _) = scratch.select_nth_unstable_by(i99, f64::total_cmp);
+        let p99 = *p99;
+        let p50 =
+            if i50 == i99 { p99 } else { *lower.select_nth_unstable_by(i50, f64::total_cmp).1 };
+        return (p50, p99);
+    }
+    let (all, any) = sample.iter().fold((u64::MAX, 0), |(all, any), &x| {
+        let key = total_key(x);
+        (all & key, any | key)
+    });
+    let shared = (all ^ any).leading_zeros();
+    let mut keys = [all; 2];
+    if shared < 64 {
+        select_keys(sample, key_prefix(all, shared), shared, &mut [i50, i99], &mut keys);
+    }
+    (from_key(keys[0]), from_key(keys[1]))
+}
+
+/// Shortest sample [`percentiles_50_99`] counts instead of copying: below
+/// it the copy is smaller than the count tables.
+const COUNTING_MIN_LEN: usize = 4096;
+
+/// Key bits one counting pass resolves (its tables live on the stack).
+const DIGIT_BITS: u32 = 11;
+
+/// The `u64` whose unsigned order is [`f64::total_cmp`]'s order.
+#[inline]
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The value [`total_key`] maps to `key`.
+fn from_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ (1 << 63) } else { !key })
+}
+
+/// The leading `known` bits of `key`.
+#[inline]
+fn key_prefix(key: u64, known: u32) -> u64 {
+    if known == 0 {
+        0
+    } else {
+        key >> (64 - known)
+    }
+}
+
+/// Among the samples whose key starts with the `known < 64` bits `prefix`,
+/// finds the keys at sorted positions `ranks` (ascending, relative to that
+/// subset) and writes them to the parallel `out`.
+fn select_keys(sample: &[f64], prefix: u64, known: u32, ranks: &mut [usize], out: &mut [u64]) {
+    let digit = DIGIT_BITS.min(64 - known);
+    let shift = 64 - known - digit;
+    let mask = (1usize << digit) - 1;
+    // Branch-free, and two tables filled alternately: a latency sample is
+    // mostly ties, and consecutive increments of one counter wait for each
+    // other.
+    let mut counts = [[0usize; 1 << DIGIT_BITS]; 2];
+    let (mut all, mut any) = (u64::MAX, 0u64);
+    let mut tally = |table: usize, x: f64| {
+        let key = total_key(x);
+        let hit = key_prefix(key, known) == prefix;
+        counts[table][(key >> shift) as usize & mask] += usize::from(hit);
+        let hit = u64::from(hit).wrapping_neg();
+        all &= key | !hit;
+        any |= key & hit;
+    };
+    let mut pairs = sample.chunks_exact(2);
+    for pair in &mut pairs {
+        tally(0, pair[0]);
+        tally(1, pair[1]);
+    }
+    if let [x] = pairs.remainder() {
+        tally(0, *x);
+    }
+    if all == any {
+        // One value repeated: no digit would ever split it.
+        out.fill(all);
+        return;
+    }
+    let gather_max = sample.len() / 32;
+    let (mut below, mut next) = (0usize, 0usize);
+    let [even, odd] = &counts;
+    for (d, count) in even.iter().zip(odd).map(|(a, b)| a + b).enumerate() {
+        let first = next;
+        while next < ranks.len() && ranks[next] < below + count {
+            ranks[next] -= below;
+            next += 1;
+        }
+        if next > first {
+            let (prefix, known) = ((prefix << digit) | d as u64, known + digit);
+            let (ranks, out) = (&mut ranks[first..next], &mut out[first..next]);
+            if known == 64 {
+                out.fill(prefix);
+            } else if count <= gather_max {
+                let mut keys = Vec::with_capacity(count);
+                for &x in sample {
+                    let key = total_key(x);
+                    if key_prefix(key, known) == prefix {
+                        keys.push(key);
+                    }
+                }
+                for (rank, out) in ranks.iter().zip(out) {
+                    *out = *keys.select_nth_unstable(*rank).1;
+                }
+            } else {
+                select_keys(sample, prefix, known, ranks, out);
+            }
+        }
+        below += count;
+        if next == ranks.len() {
+            break;
+        }
+    }
 }
 
 /// FNV-1a offset basis (the digest's initial state). Public so external

@@ -7,10 +7,13 @@
 //! may depend on how many OS threads executed the flash work, on whether
 //! the next batch's flash phase overlapped the previous batch's timing
 //! phase, or on whether the next batch was submitted while the previous
-//! flash phase was still in flight.
+//! flash phase was still in flight. Nor on `run` timing a channel while
+//! later channels' dies still execute, nor on the one-word packing of
+//! queued requests; and a die job that panics on the pool panics the
+//! coordinator instead of hanging it.
 
 use proptest::prelude::*;
-use rd_engine::{Engine, EngineConfig, EngineStats, ReadFidelity};
+use rd_engine::{Engine, EngineConfig, EngineStats, ReadFidelity, ReqKind};
 use rd_workloads::WorkloadProfile;
 
 fn fidelity(tier: u8) -> ReadFidelity {
@@ -116,4 +119,190 @@ proptest! {
             }
         }
     }
+}
+
+/// A policy whose first host program panics, inside the die job.
+#[derive(Debug, Clone)]
+struct PanicsOnProgram;
+
+impl rd_ftl::ControllerPolicy for PanicsOnProgram {
+    fn name(&self) -> &'static str {
+        "panics-on-program"
+    }
+
+    fn on_program(
+        &mut self,
+        _ctx: &mut rd_ftl::PolicyContext<'_>,
+        block: u32,
+    ) -> Vec<rd_ftl::PolicyAction> {
+        panic!("policy refuses the program to block {block}");
+    }
+}
+
+/// A die job that panics on the pool must panic the coordinator, inside
+/// the `run` that launched it and naming the die — not leave it blocked on
+/// a result that will never arrive — and the pool's lanes must survive for
+/// the other engines attached to them.
+#[test]
+fn panicking_die_job_panics_the_coordinator_instead_of_hanging() {
+    use rd_engine::{PoolHandle, WorkerPool};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let pool = Arc::new(WorkerPool::new(2));
+    let mut doomed = Engine::with_policy(EngineConfig::small_test(), PanicsOnProgram).unwrap();
+    doomed.attach_pool(PoolHandle::all(Arc::clone(&pool)));
+    let dies = u64::from(doomed.config().topology.dies());
+    let (tx, rx) = mpsc::channel();
+    let coordinator = std::thread::spawn(move || {
+        // Eight writes, all striped onto die 2.
+        for i in 0..8 {
+            doomed.submit_write(i * dies + 2);
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.run(2)))
+            .map_err(|p| {
+                p.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".into())
+            });
+        let _ = tx.send(outcome);
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(5)).expect("coordinator hung");
+    coordinator.join().unwrap();
+    let message = outcome.expect_err("run() returned although die 2's job panicked");
+    assert!(message.contains("die 2") && message.contains("panicked"), "panic was `{message}`");
+
+    // Both lanes still serve: a second engine on the same pool completes.
+    let mut healthy = Engine::new(EngineConfig::small_test()).unwrap();
+    healthy.attach_pool(PoolHandle::all(pool));
+    for lpa in 0..8 {
+        healthy.submit_write(lpa);
+    }
+    assert_eq!(healthy.run(2), 8);
+    assert!(healthy.drain_completions().iter().all(|c| c.result.is_ok()));
+}
+
+/// Everything a caller can observe of a run: statistics, the completions
+/// in posting order, the checkpoint.
+type Observed = (EngineStats, Vec<rd_engine::IoCompletion>, Vec<u8>);
+
+/// Fills a `channels × dies_per_channel` array, then runs a batch whose
+/// heavy work — overwrites, so GC — is all on die 0 while every other die
+/// gets a handful of reads: on a pool, channel 1's dies land long before
+/// channel 0's. Then a third, uniform batch on the recycled arenas.
+/// `staged` drives the batches through `begin/join/finish` instead of
+/// `run`.
+fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, staged: bool) -> Observed {
+    let mut config = EngineConfig::small_test();
+    config.topology = rd_engine::Topology { channels, dies_per_channel };
+    let mut engine = Engine::new(config).expect("engine");
+    let dies = u64::from(channels * dies_per_channel);
+    let logical = engine.logical_pages();
+    let mut completions = Vec::new();
+    let mut go = |engine: &mut Engine| {
+        let n = if staged {
+            let n = engine.begin_batch(threads);
+            engine.join_batch();
+            assert_eq!(engine.finish_batch(), n);
+            n
+        } else {
+            engine.run(threads)
+        };
+        engine.drain_completions_into(&mut completions);
+        n
+    };
+    for lpa in 0..logical {
+        engine.submit_write(lpa);
+    }
+    assert_eq!(go(&mut engine) as u64, logical);
+    let per_die = logical / dies;
+    for round in 0..6 {
+        for i in 0..per_die {
+            engine.submit_write(i * dies); // die 0
+        }
+        for d in 1..dies {
+            engine.submit_read(round * dies + d);
+        }
+    }
+    assert_eq!(go(&mut engine) as u64, 6 * (per_die + dies - 1));
+    for lpa in (0..logical).rev() {
+        engine.submit(if lpa % 3 == 0 { ReqKind::Write } else { ReqKind::Read }, lpa);
+    }
+    assert_eq!(go(&mut engine) as u64, logical);
+    let stats = engine.stats();
+    assert!(stats.per_die[0].ssd.gc_writes > 0, "die 0 never collected garbage");
+    (stats, completions, engine.snapshot().expect("idle engine"))
+}
+
+/// Timing a channel as soon as its dies are in, while later dies still
+/// execute, changes nothing observable: on a 2×2 and a 4×4 array, for a
+/// batch whose channel-1 dies land first, statistics, completions (order
+/// and every field) and checkpoint bytes are equal at 1, 2 and 8 threads,
+/// and equal to the staged sequence that times nothing until every die has
+/// landed.
+#[test]
+fn overlapped_timing_changes_nothing_observable() {
+    for (channels, dies_per_channel) in [(2, 2), (4, 4)] {
+        let reference = skewed_run(channels, dies_per_channel, 1, true);
+        assert_eq!(reference.1.len() as u64, reference.0.ops);
+        for threads in [1usize, 2, 8] {
+            for staged in [false, true] {
+                let got = skewed_run(channels, dies_per_channel, threads, staged);
+                let what =
+                    format!("{channels}x{dies_per_channel} threads={threads} staged={staged}");
+                assert_eq!(got.0, reference.0, "stats diverged: {what}");
+                assert_eq!(got.1, reference.1, "completions diverged: {what}");
+                assert!(got.2 == reference.2, "checkpoint bytes diverged: {what}");
+            }
+        }
+    }
+}
+
+/// The packed work slot holds 63 bits of die-local address. Addresses that
+/// do not fit — and out-of-range ones that do — complete with exactly the
+/// error the 24-byte work item gave (strings recorded from the parent
+/// commit).
+#[test]
+fn out_of_range_addresses_complete_with_the_unpacked_error() {
+    let results = |config: EngineConfig, lpas: &[u64]| -> Vec<String> {
+        let mut engine = Engine::new(config).expect("engine");
+        for &lpa in lpas {
+            engine.submit_read(lpa);
+            engine.submit_write(lpa);
+        }
+        assert_eq!(engine.run(2), 2 * lpas.len());
+        let mut completions = engine.drain_completions();
+        completions.sort_by_key(|c| c.id);
+        for (c, lpa) in completions.iter().zip(lpas.iter().flat_map(|l| [l, l])) {
+            assert_eq!(c.lpa, *lpa, "completion lost its address");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.writes_failed, stats.reads_not_written), (lpas.len() as u64, 0));
+        completions.iter().map(|c| format!("{:?}", c.result)).collect()
+    };
+    let array = EngineConfig::small_test();
+    let logical = array.logical_pages();
+    assert_eq!(
+        results(array, &[u64::MAX, logical]),
+        [
+            "Err(LpaOutOfRange { lpa: 4611686018427387903, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 4611686018427387903, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 204, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 204, capacity: 204 })",
+        ]
+    );
+    // One die: the die-local address is the lpa itself, all 64 bits of it.
+    let single =
+        EngineConfig { topology: rd_engine::Topology::single(), ..EngineConfig::small_test() };
+    assert_eq!(
+        results(single, &[u64::MAX, (1 << 63) + 5, (1 << 63) - 1, (1 << 63) - 2]),
+        [
+            "Err(LpaOutOfRange { lpa: 18446744073709551615, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 18446744073709551615, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775813, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775813, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775807, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775807, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775806, capacity: 204 })",
+            "Err(LpaOutOfRange { lpa: 9223372036854775806, capacity: 204 })",
+        ]
+    );
 }

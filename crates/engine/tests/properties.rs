@@ -1,6 +1,7 @@
 //! Property suite for the engine's arithmetic helpers: `FastDiv` against
 //! the hardware `/`/`%` across the full divisor range, and the latency
-//! percentile selector at degenerate sample sizes. Also the one table
+//! percentile selector at degenerate sample sizes and, against a sorted
+//! reference, on both sides of its switch to counting. Also the one table
 //! check: `EngineConfig::check` against the asserting `validate`s.
 
 use proptest::prelude::*;
@@ -93,6 +94,110 @@ proptest! {
         prop_assert!(sample.contains(&p50));
         prop_assert!(sample.contains(&p99));
         prop_assert_eq!(sample, before);
+    }
+}
+
+/// Nearest-rank p50/p99 read off a copy sorted by `total_cmp`: what
+/// `percentiles_50_99` must return, bit for bit.
+fn sorted_reference(sample: &[f64]) -> (u64, u64) {
+    let mut sorted = sample.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let last = sorted.len() - 1;
+    let at = |q: f64| sorted[(last as f64 * q).round() as usize].to_bits();
+    (at(0.50), at(0.99))
+}
+
+fn selected(sample: &[f64]) -> (u64, u64) {
+    let (p50, p99) = percentiles_50_99(sample);
+    (p50.to_bits(), p99.to_bits())
+}
+
+/// Maps arbitrary bits to a value the counting selection must order as
+/// `total_cmp` does: both zeros, both infinities, subnormals, either sign,
+/// any non-NaN bit pattern, and neighbours that share every leading digit
+/// of their key.
+fn awkward_value(bits: u64) -> f64 {
+    let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+    match bits % 9 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => 5e-324,
+        5 => -f64::MIN_POSITIVE / 8.0,
+        6 => (unit - 0.5) * 2.0e6,
+        7 => 75.0 + unit * 1.0e-6,
+        _ => {
+            let x = f64::from_bits(bits);
+            if x.is_nan() {
+                f64::from_bits(bits & !(1 << 62))
+            } else {
+                x
+            }
+        }
+    }
+}
+
+/// Lengths on both sides of the switch from copy-and-select to counting
+/// (4096), and long enough beyond it that gathered buckets are real.
+fn straddling_len() -> impl Strategy<Value = usize> {
+    prop_oneof![4000usize..4200, 4095usize..4098, 10_000usize..30_000]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Heavy ties: at most eight distinct values, so a rank's bucket never
+    /// shrinks below a large share of the sample and the selection has to
+    /// recognize one value repeated (a palette of one is exactly that).
+    #[test]
+    fn selection_is_exact_under_heavy_ties(
+        palette in proptest::collection::vec(any::<u64>(), 1..=8),
+        weights in proptest::collection::vec(1u32..1000, 8),
+        n in straddling_len(),
+        seed in any::<u64>(),
+    ) {
+        let total: u32 = weights[..palette.len()].iter().sum();
+        let mut x = seed | 1;
+        let sample: Vec<f64> = (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let mut pick = (x >> 33) as u32 % total;
+                let mut i = 0;
+                while pick >= weights[i] {
+                    pick -= weights[i];
+                    i += 1;
+                }
+                awkward_value(palette[i])
+            })
+            .collect();
+        prop_assert_eq!(selected(&sample), sorted_reference(&sample));
+    }
+
+    /// Few or no ties: both ranks in one leading-digit bucket (a narrow
+    /// band), in two (a band plus a far tail), or anywhere (mixed signs and
+    /// magnitudes).
+    #[test]
+    fn selection_is_exact_across_buckets(
+        n in straddling_len(),
+        tail in 0usize..400,
+        band in 0usize..3,
+        outliers in proptest::collection::vec(any::<u64>(), 400),
+        seed in any::<u64>(),
+    ) {
+        let band = [(75.0, 75.000_001), (25.0, 700.0), (-3.0e3, 3.0e3)][band];
+        let mut x = seed | 1;
+        let sample: Vec<f64> = (0..n)
+            .map(|i| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                if i < tail {
+                    awkward_value(outliers[i])
+                } else {
+                    band.0 + (band.1 - band.0) * ((x >> 11) as f64 / (1u64 << 53) as f64)
+                }
+            })
+            .collect();
+        prop_assert_eq!(selected(&sample), sorted_reference(&sample));
     }
 }
 

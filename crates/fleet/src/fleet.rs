@@ -276,7 +276,7 @@ impl Fleet {
             let tseed = traffic_seed(self.config.seed, i as u32, slot.generation, epoch);
             let trace =
                 profile.generator(tseed, pages_per_block).take(self.config.ops_per_epoch as usize);
-            slot.engine.replay_stats_only(trace, threads);
+            slot.engine.replay_unreported(trace, threads);
             slot.engine
                 .advance_time(self.config.epoch_days)
                 .expect("epoch dwell on a validated config");
@@ -301,7 +301,7 @@ impl Fleet {
                 continue;
             }
             slot.retired += live;
-            let digest = slot.engine.stats().data_digest;
+            let digest = slot.engine.data_digest();
             slot.retired_digest = fnv1a(slot.retired_digest, &digest.to_le_bytes());
             let next = slot.generation + 1;
             let (engine, endurance_pe) = build_drive(&self.config, i as u32, next)
@@ -322,7 +322,7 @@ impl Fleet {
             total += slot.retired;
             total += live_stats(&slot.engine);
             digest = fnv1a(digest, &slot.retired_digest.to_le_bytes());
-            digest = fnv1a(digest, &slot.engine.stats().data_digest.to_le_bytes());
+            digest = fnv1a(digest, &slot.engine.data_digest().to_le_bytes());
         }
         let refresh_amp = if total.host_writes == 0 {
             0.0
@@ -599,6 +599,45 @@ mod tests {
 
         assert_eq!(uninterrupted.row(), resumed.row());
         assert_eq!(uninterrupted.epochs_done(), resumed.epochs_done());
+    }
+
+    /// The epoch loop replays without building a report and reads each
+    /// drive's digest directly. Twin drives driven the reporting way — one
+    /// `EngineStats` per replay, the digest read out of another — must
+    /// leave the same row, the same digest and the same checkpoint bytes.
+    #[test]
+    fn unreported_epochs_match_reporting_replays() {
+        let config = tiny();
+        let profile = WorkloadProfile::by_name(&config.profile).unwrap();
+        let pages_per_block = config.engine.die.geometry.pages_per_block();
+        let mut fleet = Fleet::new(config.clone()).unwrap();
+        let mut twins: Vec<Engine> =
+            (0..config.drives).map(|slot| build_drive(&config, slot, 0).unwrap().0).collect();
+        for epoch in 0..3 {
+            let row = fleet.epoch(1);
+            assert_eq!(row.replacements, 0, "twins model generation 0 only");
+            let mut digest = FNV_OFFSET;
+            let mut total = SsdStats::default();
+            for (slot, twin) in twins.iter_mut().enumerate() {
+                let tseed = traffic_seed(config.seed, slot as u32, 0, epoch);
+                let trace =
+                    profile.generator(tseed, pages_per_block).take(config.ops_per_epoch as usize);
+                let stats = twin.replay_stats_only(trace, 1);
+                twin.advance_time(config.epoch_days).unwrap();
+                assert_eq!(stats.data_digest, twin.data_digest());
+                digest = fnv1a(digest, &FNV_OFFSET.to_le_bytes());
+                digest = fnv1a(digest, &twin.stats().data_digest.to_le_bytes());
+                total += live_stats(twin);
+                assert_eq!(
+                    fleet.slots[slot].engine.snapshot().unwrap(),
+                    twin.snapshot().unwrap(),
+                    "drive {slot} checkpoint bytes diverged at epoch {epoch}"
+                );
+            }
+            assert_eq!(row.digest, digest, "fleet digest diverged at epoch {epoch}");
+            assert_eq!((row.host_reads, row.host_writes), (total.host_reads, total.host_writes));
+            assert_eq!(row.waf, total.waf());
+        }
     }
 
     #[test]

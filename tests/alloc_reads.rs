@@ -9,8 +9,10 @@
 //! ECC-corrected, ladder-recovered or uncorrectable — must not touch the
 //! heap anywhere on the flash/ftl path, and a stats-only engine replay of
 //! reads must cost allocations per *batch* (work arenas, timing records),
-//! not per read. Before the count-first pipeline every sampled read paid two
-//! payload clones and a `HashSet`.
+//! not per read — and, counted in bytes, nothing per read but its 8-byte
+//! latency, with `stats()` reducing that sample where it lies. Before the
+//! count-first pipeline every sampled read paid two payload clones and a
+//! `HashSet`.
 //!
 //! The cell-exact tier is count-first too: the raw read senses states into
 //! per-chip scratch and counts errors without packing a page, and the
@@ -38,18 +40,23 @@ use readdisturb::ftl::{Die, FtlError, ReadReclaim, SsdConfig};
 use readdisturb::prelude::*;
 use readdisturb::workloads::{OpKind, TraceOp};
 
-/// Counts every heap allocation (and reallocation) of the calling thread.
+/// Counts every heap allocation (and reallocation) of the calling thread,
+/// and the bytes they ask for.
 struct CountingAlloc;
 
 thread_local! {
     // Const-initialized and without a destructor: touching it from inside
     // the allocator allocates nothing and is valid for the thread's life.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one call that asked for `bytes` of fresh heap (a reallocation
+/// asks for what it grows by).
+fn count_one(bytes: usize) {
     // A thread past its TLS teardown is not one a gate is counting on.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations the calling thread has made so far.
@@ -57,11 +64,16 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes the calling thread's allocations have requested so far.
+fn alloc_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the counter is a
 // plain thread-local cell that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -70,7 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -229,6 +241,89 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
         large < small + 64,
         "allocations scale with reads: {small} for 2 000 reads vs {large} for 16 000"
     );
+}
+
+/// The byte gate. A stats-only replay keeps 8 bytes per request — its
+/// latency — and nothing else once the per-die arenas are warm: the queue
+/// slot is overwritten in place by the service time the timing pass reads
+/// (the 24-byte work item plus a 16-byte timing record allocated per batch
+/// failed this at 16 B/read). And `stats()` reads the sample where it
+/// lies: its percentiles count in a table on the stack and gather only the
+/// buckets that hold the two ranks (a full-sample copy failed this at 8
+/// B/sample).
+#[test]
+fn stats_only_replay_keeps_eight_bytes_per_read() {
+    let config = EngineConfig {
+        topology: Topology { channels: 2, dies_per_channel: 2 },
+        die: die_config(),
+        timing: Timing::default(),
+        queue_depth: 8,
+        capture_read_data: false,
+        die_index_offset: 0,
+    };
+    let mut engine = Engine::new(config).unwrap();
+    for d in 0..4 {
+        stress(engine.die_mut(d));
+    }
+    let pages = engine.logical_pages();
+    const READS: u64 = 16_000;
+    let reads = || {
+        (0..READS).map(move |i| TraceOp { kind: OpKind::Read, lpa: (i * 7) % pages, time_s: 0.0 })
+    };
+    // Warm-up: grows the per-die arenas, and the sample to exactly READS.
+    engine.replay_unreported(reads(), 1);
+    let before = alloc_bytes();
+    engine.replay_unreported(reads(), 1);
+    let replay = alloc_bytes() - before;
+    // The sample's own growth: READS latencies.
+    let beyond = replay.saturating_sub(8 * READS);
+    eprintln!(
+        "warm stats-only replay of {READS} reads: {replay} bytes, {beyond} beyond the sample"
+    );
+    assert!(
+        beyond <= 10 * READS,
+        "a warm stats-only replay requested {beyond} bytes beyond its {READS} latencies"
+    );
+
+    let sample_bytes = 8 * 2 * READS;
+    let before = alloc_bytes();
+    let stats = engine.stats();
+    let report = alloc_bytes() - before;
+    assert_eq!(stats.ops, 2 * READS);
+    eprintln!("stats() over {} latencies: {report} bytes", 2 * READS);
+    assert!(
+        report < sample_bytes / 10,
+        "stats() requested {report} bytes over a {sample_bytes}-byte latency sample"
+    );
+}
+
+/// Below its switch to counting, `percentiles_50_99` copies the sample and
+/// selects in the copy: one allocation of the sample's own size, no table.
+/// (A fixed 2¹⁶-entry count table cost `fleet-lifetime` 2% through the 160
+/// `stats()` calls a window makes on its small drives.)
+#[test]
+fn short_sample_percentiles_allocate_the_sample_only() {
+    use readdisturb::engine::percentiles_50_99;
+    for n in [1usize, 100, 1013, 4095] {
+        let sample: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1013) as f64).collect();
+        let before = alloc_bytes();
+        let (p50, p99) = percentiles_50_99(&sample);
+        let requested = alloc_bytes() - before;
+        assert!(p50 <= p99);
+        assert!(
+            requested <= 8 * n as u64,
+            "percentiles over {n} samples requested {requested} bytes, the sample is {}",
+            8 * n
+        );
+    }
+    // Past the switch nothing is copied: ranks in sparse buckets gather
+    // those buckets, at most 1/64 of the sample each.
+    let n = 100_000usize;
+    let sample: Vec<f64> = (0..n).map(|i| 25.0 + ((i * 7919) % 10_007) as f64).collect();
+    let before = alloc_bytes();
+    percentiles_50_99(&sample);
+    let requested = alloc_bytes() - before;
+    assert!(requested <= 8 * n as u64 / 32, "counting path requested {requested} bytes");
 }
 
 /// Overwrites of the hot half of the logical space with a maintenance day
