@@ -25,8 +25,8 @@
 //! so the dies of one channel are tied together by the bus they share,
 //! while two channels share no clock at all. Inside `run` (and the replay
 //! entry points, which are `run` after a bulk submit) the phases therefore
-//! overlap: the coordinator receives die results as they land, and as soon
-//! as every die of the lowest untimed channel is in, it times that channel
+//! overlap: the coordinator collects dies as they land, and as soon as
+//! every die of the lowest untimed channel is in, it times that channel
 //! while the pool's lanes execute the dies of later ones. The wall time of
 //! one batch is `max(flash / workers, timing)` plus the wait for the first
 //! channel, not their sum.
@@ -44,10 +44,10 @@
 //! per-die reliability counters. Trace replay ([`Engine::replay`]) is the
 //! same path: fold each op's lpa into the logical space, `submit`, run.
 //!
-//! A die job that panics on the pool is reported on the result channel by
-//! the job itself, and the coordinator panics in turn, inside the `run` or
-//! `join_batch` that was collecting, naming the die — it never waits for a
-//! result that will not come. The pool's lanes survive the panic.
+//! A die job that panics on the pool is reported by the job itself where
+//! its die would have landed, and the coordinator panics in turn, inside
+//! the `run` or `join_batch` that was collecting, naming the die — it never
+//! waits for a die that will not come. The pool's lanes survive the panic.
 //!
 //! # Bytes per request
 //!
@@ -56,33 +56,53 @@
 //! the box the benchmark runs on), so the per-request records are kept to
 //! one word each, in arenas the engine keeps across batches:
 //!
-//! | stage | stats-only replay | emitting (`submit`/`run`, `replay`) |
-//! |---|---|---|
-//! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | 24 → **12** (the slot + a `u32` id offset) |
-//! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | 16 + 80 → **88** (`ExecRich`, now with the kind) |
-//! | completed | 8 (the latency sample) | 8 + 112 (`IoCompletion`) |
-//! | reported | 8 → **< 0.25** (`stats()` copied the sample to select in it) | same |
+//! | stage | stats-only replay | summarized (`begin_batch_summarized`) | full (`submit`/`run`, `replay`) |
+//! |---|---|---|---|
+//! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | **12** (the slot + a `u32` id offset) | 24 → **12** |
+//! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | **8** (an `Outcome` word: kind, class, corrected errors) | 16 + 80 → 8 + **72** (the word + `ExecRich`: address, start time, error, data) |
+//! | completed | 8 (the latency sample) | 8 + **32** (`CompletionSummary`) | 8 + 32 + 112 (the summary, then the `IoCompletion` assembled from it) |
+//! | reported | 8 → **< 0.25** (`stats()` copied the sample to select in it) | same | same |
+//!
+//! A front-end that only accounts — an rd-serve shard worker reads a
+//! completion's latency, its outcome and which request of the batch it was
+//! — asks for the summarized level: the timing pass writes the same
+//! 32-byte record for both emitting levels, one sort puts them in posting
+//! order, and only a full batch goes on to assemble [`IoCompletion`]s from
+//! them. Every record of the table lives in an arena that travels with its
+//! die's queue or is kept by the engine, so a warm batch allocates nothing
+//! per request but its latency.
 //!
 //! # Pipelining
 //!
 //! [`Engine::run`] overlaps the phases of *one* batch. A front-end that
 //! wants to overlap *consecutive* batches drives the same two pieces —
-//! collect one die's result, time one channel — through the staged API:
-//! [`Engine::begin_batch`] launches the flash phase on a persistent
-//! [`WorkerPool`], [`Engine::join_batch`] collects every die and folds the
-//! accounting (after it the dies are accessible again), and
-//! [`Engine::finish_batch`] times every channel on the caller's thread.
+//! collect the dies that have landed, time one channel — through the
+//! staged API:
+//! [`Engine::begin_batch`] (or [`Engine::begin_batch_summarized`]) launches
+//! the flash phase on a persistent [`WorkerPool`], [`Engine::join_batch`]
+//! collects every die and folds the accounting (after it the dies are
+//! accessible again), and [`Engine::finish_batch`] times every channel on
+//! the caller's thread.
 //! While the coordinator runs the timing phase of batch N, the pool can
 //! already execute the flash phase of batch N+1 — a batch's timing reads
 //! only its own answered queues and the engine's clocks, never a die, so
 //! the interleaving is bit-identical to running the batches back to back.
 //! Requests submitted while a flash phase is in flight land on the queues
 //! the launch left behind and form the next batch.
+//!
+//! **One wake per flight.** The jobs of a flight land their dies on one
+//! list and count down; a coordinator that has to wait says at which count
+//! it wants to be woken and sleeps once. `join_batch` asks for zero — the
+//! last job to land wakes it, where a result channel woke it for every die
+//! (eight sleeps per 1,024-op batch on a 16-die array served by two
+//! shards). `run` asks for the count at which the channel it wants to time
+//! next *could* be complete — if `k` of its dies are missing, `k` landings
+//! from now — so it still times early channels while later dies execute.
+//! A job that lands with nobody waiting signals nobody.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use rd_ftl::wire::{self, Reader, Writer};
@@ -90,7 +110,7 @@ use rd_ftl::{ControllerPolicy, Die, FtlError, NoMitigation, ReadFidelity, SnapEr
 use rd_workloads::{OpKind, TraceOp};
 
 use crate::pool::{PoolHandle, WorkerPool};
-use crate::queue::{IoCompletion, ReqKind};
+use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
 use crate::stats::{fnv1a, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
 use crate::timing::Timing;
 use crate::topology::Topology;
@@ -259,7 +279,9 @@ impl ExecTiming {
 /// packed [`WorkItem`] from `submit` until the die executes it, the bits of
 /// its [`ExecTiming`] from then until the timing pass has read it — the
 /// answer overwrites the question in place, so a request costs 8 bytes of
-/// arena from submission to posting.
+/// arena from submission to posting. What the flash phase records beyond
+/// that (`outcomes`, `rich`) rides here too, so the whole per-die record of
+/// a batch is one set of arenas the engine gets back.
 #[derive(Debug, Clone, Default)]
 struct DieQueue {
     slots: Vec<u64>,
@@ -270,6 +292,12 @@ struct DieQueue {
     /// Die-local addresses too wide for a slot, in arrival order (see
     /// [`WorkItem::WIDE`]).
     wide: Vec<u64>,
+    /// What each request came to, parallel to `slots` on a batch that
+    /// emits ([`Emit::Summary`] and [`Emit::Full`]).
+    outcomes: Vec<Outcome>,
+    /// The rest of an [`IoCompletion`], parallel to `slots` on an
+    /// [`Emit::Full`] batch only.
+    rich: Vec<ExecRich>,
 }
 
 impl DieQueue {
@@ -277,6 +305,8 @@ impl DieQueue {
         self.slots.clear();
         self.ids.clear();
         self.wide.clear();
+        self.outcomes.clear();
+        self.rich.clear();
     }
 }
 
@@ -285,13 +315,29 @@ impl DieQueue {
 /// build with a small limit so the guard is reachable.
 const MAX_ID_OFFSET: usize = if cfg!(test) { 4095 } else { u32::MAX as usize };
 
-/// Cold flash-phase record, built only when completions are emitted.
-#[derive(Debug)]
+/// How much of each request a batch reports once it is timed. The levels
+/// differ in what the flash phase keeps per request; the timing pass writes
+/// one [`CompletionSummary`] per request for both emitting levels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    /// Statistics only (bulk replay): nothing per request but its latency.
+    None,
+    /// One [`CompletionSummary`] per request: the flash phase keeps an
+    /// [`Outcome`] word.
+    Summary,
+    /// One [`IoCompletion`] per request: the flash phase also keeps an
+    /// [`ExecRich`].
+    Full,
+}
+
+/// Cold flash-phase record, built only for full completions: what an
+/// [`IoCompletion`] holds that neither its [`CompletionSummary`] nor the
+/// batch's first id gives.
+#[derive(Debug, Clone)]
 struct ExecRich {
-    id: u64,
-    kind: ReqKind,
     lpa: u64,
-    corrected: u64,
+    /// Filled in by the timing pass.
+    start_us: f64,
     result: Result<(), FtlError>,
     data: Option<Vec<u8>>,
 }
@@ -301,21 +347,18 @@ struct ExecRich {
 struct ExecContext {
     timing: Timing,
     capture: bool,
-    emit: bool,
+    emit: Emit,
     dies: u64,
-    /// Command id of the batch's first request.
-    first_id: u64,
 }
 
-/// Flash-phase output of one die: its queue with every slot answered,
-/// `rich` (empty on stats-only batches, parallel to the slots otherwise)
-/// and the batch's per-die totals. A die with no work this batch gets the
-/// default with its digest carried forward — what [`execute_die`] returns
-/// on an empty queue, minus the clock reads.
+/// Flash-phase output of one die: its queue with every slot answered (and,
+/// on an emitting batch, its outcomes recorded) and the batch's per-die
+/// totals. A die with no work this batch gets the default with its digest
+/// carried forward — what [`execute_die`] returns on an empty queue, minus
+/// the clock reads.
 #[derive(Debug, Default)]
 struct DieExec {
     queue: DieQueue,
-    rich: Vec<ExecRich>,
     digest: u64,
     /// Total background die time across the batch (per-op deltas summed in
     /// execution order, so the accumulated float is reproducible).
@@ -332,25 +375,68 @@ struct DieExec {
     wall_ns: u64,
 }
 
-/// What a pool job reports: the die (ownership returns to the engine) and
-/// its flash-phase output, or — from a job that panicked — the index of the
-/// die that was lost with it.
-type PoolResult<P> = Result<(usize, Die<P>, DieExec), usize>;
+/// Where the pool jobs of a flight land: a list the coordinator empties
+/// and a countdown, so the coordinator sleeps once per flight (or once per
+/// channel it is waiting to time) instead of once per die.
+#[derive(Debug)]
+struct Landing<P: ControllerPolicy> {
+    state: Mutex<Landed<P>>,
+    wake: Condvar,
+}
 
-/// Both ends of the persistent pool-dispatch result channel.
-type ResultChannel<P> = (Sender<PoolResult<P>>, Receiver<PoolResult<P>>);
+#[derive(Debug)]
+struct Landed<P: ControllerPolicy> {
+    /// Dies (ownership returns to the engine) and their flash-phase output,
+    /// in landing order, until the coordinator collects them.
+    dies: Vec<(usize, Die<P>, DieExec)>,
+    /// Jobs of the flight that have not landed.
+    running: usize,
+    /// Set by a parked coordinator: the job that brings `running` down to
+    /// this wakes it. A job that lands with nobody waiting signals nobody.
+    wake_at: Option<usize>,
+    /// A die whose job unwound instead of landing.
+    panicked: Option<usize>,
+}
 
-/// Reports a die job that unwinds instead of finishing, so the coordinator
-/// panics too instead of waiting for a result that will never come.
+impl<P: ControllerPolicy> Landing<P> {
+    fn new() -> Self {
+        let state = Landed { dies: Vec::new(), running: 0, wake_at: None, panicked: None };
+        Self { state: Mutex::new(state), wake: Condvar::new() }
+    }
+
+    /// A job's last act: hands the die and its output over, and wakes the
+    /// coordinator if this is the landing it asked for.
+    fn land(&self, d: usize, die: Die<P>, exec: DieExec) {
+        let mut landed = self.state.lock().expect("landing lock poisoned");
+        landed.dies.push((d, die, exec));
+        landed.running -= 1;
+        let wake = landed.wake_at.is_some_and(|at| landed.running <= at);
+        if wake {
+            // One signal per request to be woken, not one per later landing.
+            landed.wake_at = None;
+        }
+        drop(landed);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+}
+
+/// Reports a die job that unwinds instead of landing, so the coordinator
+/// panics too instead of waiting for a die that will never come.
 struct PanicReport<P: ControllerPolicy> {
     die: usize,
-    results: Sender<PoolResult<P>>,
+    landing: Arc<Landing<P>>,
 }
 
 impl<P: ControllerPolicy> Drop for PanicReport<P> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let _ = self.results.send(Err(self.die));
+            // No job panics holding the lock; and a drop must not panic.
+            let mut landed = self.landing.state.lock().unwrap_or_else(PoisonError::into_inner);
+            landed.panicked = Some(self.die);
+            drop(landed);
+            self.landing.wake.notify_one();
         }
     }
 }
@@ -362,9 +448,11 @@ struct Flight {
     execs: Vec<Option<DieExec>>,
     /// Dies dispatched to the pool and not yet collected.
     outstanding: usize,
-    emit: bool,
+    emit: Emit,
     /// Requests in the batch.
     total: usize,
+    /// Command id of the batch's first request.
+    first_id: u64,
 }
 
 /// What one batch's timing pass carries from channel to channel.
@@ -373,7 +461,17 @@ struct TimingPass {
     /// Simulated time the batch was submitted at: the clock when the pass
     /// began, read once, before any channel moves it.
     batch_now: f64,
-    completions: Vec<IoCompletion>,
+    /// Where this batch's records begin in [`Engine::timed`].
+    first: usize,
+}
+
+/// What [`Engine::time_channel`] keeps per die of the channel it is timing:
+/// the next slot to dispatch and the cached `(ready, submit)` pair.
+#[derive(Debug, Clone, Copy)]
+struct DieCursor {
+    next: usize,
+    ready: f64,
+    submit: f64,
 }
 
 /// Wall-clock time spent in each stage of the engine's batch loop,
@@ -482,6 +580,12 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     pending: usize,
     /// Posted completions, ordered by simulated completion time.
     cq: VecDeque<IoCompletion>,
+    /// One record per request of an emitting batch, written by the timing
+    /// pass in dispatch order and sorted into posting order when the pass
+    /// ends. A full batch's records are then assembled into `cq`; a
+    /// summarized batch's stay, posted, until
+    /// [`Engine::swap_summaries`] takes them.
+    timed: Vec<CompletionSummary>,
     next_id: u64,
     /// Per-die queues `submit` appends to, reused across batches (arena:
     /// cleared, never reallocated once the loop reaches steady state).
@@ -497,9 +601,16 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// attached and the caller asks for more than one worker. Rebuilt if a
     /// later call asks for a different size.
     owned_pool: Option<Arc<WorkerPool>>,
-    /// Persistent result channel for pool dispatch (created on first use;
-    /// workers hold clones of the sender only while jobs are in flight).
-    results: Option<ResultChannel<P>>,
+    /// Where pool jobs land (created on first use; jobs hold clones only
+    /// while they are in flight).
+    landing: Option<Arc<Landing<P>>>,
+    /// Emptied `Flight::execs` lists, for the next launches (two once a
+    /// front-end pipelines: one flight joined, one on the pool).
+    spare_execs: Vec<Vec<Option<DieExec>>>,
+    /// Timing-pass scratch: one cursor per die of a channel.
+    cursors: Vec<DieCursor>,
+    /// Completion-assembly scratch: the next `rich` entry of each die.
+    rich_next: Vec<usize>,
     /// Flash phase in flight (between `begin_batch` and `join_batch`).
     flight: Option<Flight>,
     /// Joined flash phase awaiting `finish_batch`.
@@ -567,12 +678,16 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             die_div: FastDiv::new(nd as u64),
             pending: 0,
             cq: VecDeque::new(),
+            timed: Vec::new(),
             next_id: 0,
             work: vec![DieQueue::default(); nd],
             spare_work: vec![DieQueue::default(); nd],
             pool: None,
             owned_pool: None,
-            results: None,
+            landing: None,
+            spare_execs: Vec::new(),
+            cursors: Vec::new(),
+            rich_next: vec![0; nd],
             flight: None,
             joined: None,
             stage_ns: EngineStageNs::default(),
@@ -709,6 +824,15 @@ impl<P: ControllerPolicy> Engine<P> {
         out.extend(self.cq.drain(..));
     }
 
+    /// Takes every unconsumed summary of the summarized batches finished so
+    /// far, oldest first, by swap: `out` is cleared and becomes the engine's
+    /// next buffer, so a front-end that swaps batch after batch allocates
+    /// nothing.
+    pub fn swap_summaries(&mut self, out: &mut Vec<CompletionSummary>) {
+        out.clear();
+        std::mem::swap(&mut self.timed, out);
+    }
+
     /// Advances every die's wall clock, running their daily maintenance
     /// (refresh scans, policy daily hooks).
     ///
@@ -813,7 +937,7 @@ impl<P: ControllerPolicy> Engine<P> {
     /// Checkpoints sit between batches: nothing submitted, in flight,
     /// joined, or unconsumed.
     fn require_idle(&self, what: &str) -> Result<(), SnapError> {
-        if self.pending > 0 || !self.cq.is_empty() {
+        if self.pending > 0 || !self.cq.is_empty() || !self.timed.is_empty() {
             return Err(SnapError::Mismatch(format!(
                 "{what} requires every submitted request run and every completion drained"
             )));
@@ -966,7 +1090,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// Equivalent to [`Engine::begin_batch`] + [`Engine::join_batch`] +
     /// [`Engine::finish_batch`] with no overlap.
     pub fn run(&mut self, threads: usize) -> usize {
-        self.run_batch(threads, true)
+        self.run_batch(threads, Emit::Full)
     }
 
     /// Launches the flash phase of every pending request — on the attached
@@ -984,14 +1108,28 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     ///
     /// Panics if a flash phase is already in flight.
     pub fn begin_batch(&mut self, threads: usize) -> usize {
-        self.launch(threads, true)
+        self.launch(threads, Emit::Full)
+    }
+
+    /// [`Engine::begin_batch`] for a front-end that only accounts: the
+    /// batch runs, is timed and is counted exactly as a full one, but
+    /// [`Engine::finish_batch`] posts one 32-byte [`CompletionSummary`] per
+    /// request — in the order the [`IoCompletion`]s would have been posted
+    /// — for [`Engine::swap_summaries`] to take, and no [`IoCompletion`] is
+    /// built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flash phase is already in flight.
+    pub fn begin_batch_summarized(&mut self, threads: usize) -> usize {
+        self.launch(threads, Emit::Summary)
     }
 
     /// One batch start to finish; `emit` selects completion records. The
     /// coordinator does not wait for the whole flash phase: as soon as every
     /// die of the lowest untimed channel has landed it times that channel,
     /// while the lanes execute the dies of later ones.
-    fn run_batch(&mut self, threads: usize, emit: bool) -> usize {
+    fn run_batch(&mut self, threads: usize, emit: Emit) -> usize {
         assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         if self.launch(threads, emit) == 0 {
             return 0;
@@ -999,14 +1137,21 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let mut flight = self.flight.take().expect("just launched");
         let started = Instant::now();
         let waited_before = self.stage_ns.pool_wait_ns;
-        let mut pass = self.begin_timing(&flight);
+        let pass = self.begin_timing(&flight);
         for ch in 0..self.chan_free_us.len() {
             let dies = self.channel_dies(ch);
-            while flight.execs[dies.clone()].iter().any(Option::is_none) {
-                self.collect_one(&mut flight);
+            loop {
+                let missing = flight.execs[dies.clone()].iter().filter(|e| e.is_none()).count();
+                if missing == 0 {
+                    break;
+                }
+                // The channel is complete no sooner than `missing` landings
+                // from now: sleep through the ones before that.
+                let wake_at = flight.outstanding - missing;
+                self.collect(&mut flight, wake_at);
             }
             self.fold_channel(&flight, ch);
-            self.time_channel(&mut flight, ch, &mut pass);
+            self.time_channel(&mut flight, ch, &pass);
         }
         let done = self.end_timing(flight, pass);
         let waited = self.stage_ns.pool_wait_ns - waited_before;
@@ -1022,7 +1167,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// execution partitioning (and therefore every digest) is reproducible.
     /// Either executor leaves `work` empty and owned by the engine, so
     /// `submit` can keep appending while the phase is in flight.
-    fn launch(&mut self, threads: usize, emit: bool) -> usize {
+    fn launch(&mut self, threads: usize, emit: Emit) -> usize {
         if self.pending == 0 {
             return 0;
         }
@@ -1044,14 +1189,20 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 }
             }
         };
+        let pooled = handle.map(|handle| {
+            let landing = Arc::clone(self.landing.get_or_insert_with(|| Arc::new(Landing::new())));
+            // The countdown is set before the first job can land.
+            let jobs = self.work.iter().filter(|queue| !queue.slots.is_empty()).count();
+            landing.state.lock().expect("landing lock poisoned").running = jobs;
+            (handle, landing)
+        });
         let ctx = ExecContext {
             timing: self.config.timing,
             capture: self.config.capture_read_data,
             emit,
             dies: nd as u64,
-            first_id: self.next_id - batch as u64,
         };
-        let mut execs: Vec<Option<DieExec>> = Vec::with_capacity(nd);
+        let mut execs = self.spare_execs.pop().unwrap_or_default();
         let mut outstanding = 0usize;
         for d in 0..nd {
             let start_digest = self.die_digest[d];
@@ -1064,7 +1215,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             // batch fills the other one meanwhile.
             let queue =
                 std::mem::replace(&mut self.work[d], std::mem::take(&mut self.spare_work[d]));
-            let Some(handle) = &handle else {
+            let Some((handle, landing)) = &pooled else {
                 // Inline execution on the calling thread (identical results).
                 let die = self.dies[d].as_mut().expect("die present");
                 execs.push(Some(execute_die(die, queue, &ctx, start_digest, d as u64)));
@@ -1072,20 +1223,20 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             };
             execs.push(None);
             let mut die = self.dies[d].take().expect("die present");
-            let results = self.results.get_or_insert_with(mpsc::channel).0.clone();
+            let report = PanicReport { die: d, landing: Arc::clone(landing) };
             handle.submit(
                 d,
                 Box::new(move || {
-                    let report = PanicReport { die: d, results };
                     let exec = execute_die(&mut die, queue, &ctx, start_digest, d as u64);
-                    // Send fails only if the engine was dropped mid-flight;
-                    // the die is discarded along with it.
-                    let _ = report.results.send(Ok((d, die, exec)));
+                    // If the engine was dropped mid-flight the die is
+                    // discarded along with the landing.
+                    report.landing.land(d, die, exec);
                 }),
             );
             outstanding += 1;
         }
-        self.flight = Some(Flight { execs, outstanding, emit, total: batch });
+        let first_id = self.next_id - batch as u64;
+        self.flight = Some(Flight { execs, outstanding, emit, total: batch, first_id });
         batch
     }
 
@@ -1095,25 +1246,33 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ch * dpc..(ch + 1) * dpc
     }
 
-    /// Blocks until one more pooled die of `flight` reports, and puts the
-    /// die back in its slot.
+    /// Sleeps until at most `wake_at` of `flight`'s pool jobs are still
+    /// running — one sleep, however many land meanwhile — then puts every
+    /// die that has landed back in its slot.
     ///
     /// # Panics
     ///
-    /// Panics, naming the die, if its job panicked on the pool.
-    fn collect_one(&mut self, flight: &mut Flight) {
+    /// Panics, naming the die, if a job panicked on the pool.
+    fn collect(&mut self, flight: &mut Flight, wake_at: usize) {
         let started = Instant::now();
-        let rx = &self.results.as_ref().expect("pooled flight has a channel").1;
-        // The engine keeps a sender, so the channel never disconnects: a
-        // lost job is reported by its `PanicReport`.
-        let (d, die, exec) = match rx.recv().expect("engine holds a sender") {
-            Ok(landed) => landed,
-            Err(d) => panic!("die {d}'s flash phase panicked on the worker pool"),
-        };
+        let landing = self.landing.as_ref().expect("pooled flight has a landing");
+        let mut landed = landing.state.lock().expect("landing lock poisoned");
+        while landed.running > wake_at && landed.panicked.is_none() {
+            landed.wake_at = Some(wake_at);
+            landed = landing.wake.wait(landed).expect("landing lock poisoned");
+        }
+        landed.wake_at = None;
+        let panicked = landed.panicked;
+        for (d, die, exec) in landed.dies.drain(..) {
+            self.dies[d] = Some(die);
+            flight.execs[d] = Some(exec);
+            flight.outstanding -= 1;
+        }
+        drop(landed);
         self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
-        self.dies[d] = Some(die);
-        flight.execs[d] = Some(exec);
-        flight.outstanding -= 1;
+        if let Some(d) = panicked {
+            panic!("die {d}'s flash phase panicked on the worker pool");
+        }
     }
 
     /// Folds the digests and cumulative per-die counters of channel `ch`'s
@@ -1133,14 +1292,14 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         }
     }
 
-    /// Phase 1 collection: blocks until every die dispatched by
-    /// [`Engine::begin_batch`] returns, puts the dies back in their slots,
-    /// folds digests and cumulative per-die counters in die order (fold
-    /// order is independent of completion order, so accounting is
-    /// deterministic), and parks the result for [`Engine::finish_batch`].
-    /// After this the dies are accessible again and the *next* batch may
-    /// begin before the timing phase of this one runs — that is the
-    /// pipelining window.
+    /// Phase 1 collection: sleeps until every die dispatched by
+    /// [`Engine::begin_batch`] has landed — once, woken by the last of them
+    /// — puts the dies back in their slots, folds digests and cumulative
+    /// per-die counters in die order (fold order is independent of landing
+    /// order, so accounting is deterministic), and parks the result for
+    /// [`Engine::finish_batch`]. After this the dies are accessible again
+    /// and the *next* batch may begin before the timing phase of this one
+    /// runs — that is the pipelining window.
     ///
     /// # Panics
     ///
@@ -1151,8 +1310,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         let mut flight =
             self.flight.take().expect("no flash phase in flight; call begin_batch() first");
-        while flight.outstanding > 0 {
-            self.collect_one(&mut flight);
+        if flight.outstanding > 0 {
+            self.collect(&mut flight, 0);
         }
         for ch in 0..self.chan_free_us.len() {
             self.fold_channel(&flight, ch);
@@ -1161,8 +1320,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     }
 
     /// Phase 2: the serial discrete-event timing pass over the batch parked
-    /// by [`Engine::join_batch`]; posts its completions. Returns the number
-    /// of requests completed.
+    /// by [`Engine::join_batch`]; posts its completions (or, for a batch
+    /// begun by [`Engine::begin_batch_summarized`], its summaries). Returns
+    /// the number of requests completed.
     ///
     /// # Panics
     ///
@@ -1170,9 +1330,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     pub fn finish_batch(&mut self) -> usize {
         let mut flight = self.joined.take().expect("no joined batch; call join_batch() first");
         let started = Instant::now();
-        let mut pass = self.begin_timing(&flight);
+        let pass = self.begin_timing(&flight);
         for ch in 0..self.chan_free_us.len() {
-            self.time_channel(&mut flight, ch, &mut pass);
+            self.time_channel(&mut flight, ch, &pass);
         }
         let done = self.end_timing(flight, pass);
         self.stage_ns.timing_ns += started.elapsed().as_nanos() as u64;
@@ -1180,13 +1340,13 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     }
 
     /// Opens a batch's timing pass: reads the batch's submission time and
-    /// sizes the latency sample and the completion list for it.
+    /// sizes the latency sample and the record list for it.
     fn begin_timing(&mut self, flight: &Flight) -> TimingPass {
         self.latencies.reserve(flight.total);
-        TimingPass {
-            batch_now: self.sim_end_us,
-            completions: Vec::with_capacity(if flight.emit { flight.total } else { 0 }),
+        if flight.emit != Emit::None {
+            self.timed.reserve(flight.total);
         }
+        TimingPass { batch_now: self.sim_end_us, first: self.timed.len() }
     }
 
     /// Discrete-event timing of channel `ch`, whose dies have all landed.
@@ -1206,12 +1366,16 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// latency sample (its order is in the checkpoint), the running sum and
     /// the makespan, so callers time channels strictly in index order;
     /// cross-channel interleaving cannot change any per-die or
-    /// order-insensitive global statistic, and the completion sort in
+    /// order-insensitive global statistic, and the sort in
     /// [`Self::end_timing`] restores one global time order.
-    fn time_channel(&mut self, flight: &mut Flight, ch: usize, pass: &mut TimingPass) {
+    ///
+    /// An emitting batch gets one [`CompletionSummary`] per request, the
+    /// same record whether summaries or full completions are wanted.
+    fn time_channel(&mut self, flight: &mut Flight, ch: usize, pass: &TimingPass) {
         let dies = self.channel_dies(ch);
         let lo = dies.start;
         let batch_now = pass.batch_now;
+        let emit = flight.emit != Emit::None;
         let execs = &mut flight.execs[dies];
         let queued =
             |e: &Option<DieExec>| e.as_ref().expect("channel's dies landed").queue.slots.len();
@@ -1227,30 +1391,28 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             (submit.max(die_free), submit)
         };
         let mut chan_free = self.chan_free_us[ch];
-        let mut next = vec![0usize; execs.len()];
-        let mut ready_cache: Vec<(f64, f64)> = execs
-            .iter()
-            .enumerate()
-            .map(|(j, e)| {
-                if queued(e) == 0 {
-                    (f64::INFINITY, batch_now)
-                } else {
-                    ready_of(&self.inflight[lo + j], self.die_free_us[lo + j])
-                }
-            })
-            .collect();
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        cursors.extend(execs.iter().enumerate().map(|(j, e)| {
+            let (ready, submit) = if queued(e) == 0 {
+                (f64::INFINITY, batch_now)
+            } else {
+                ready_of(&self.inflight[lo + j], self.die_free_us[lo + j])
+            };
+            DieCursor { next: 0, ready, submit }
+        }));
         for _ in 0..chan_total {
             let mut j = 0usize;
-            for i in 1..ready_cache.len() {
-                if ready_cache[i].0 < ready_cache[j].0 {
+            for i in 1..cursors.len() {
+                if cursors[i].ready < cursors[j].ready {
                     j = i;
                 }
             }
             let d = lo + j;
-            let (ready, submit) = ready_cache[j];
+            let DieCursor { next, ready, submit } = cursors[j];
             debug_assert!(ready.is_finite(), "work remains while total not reached");
-            let exec = execs[j].as_mut().expect("channel's dies landed");
-            let item = ExecTiming::from_slot(exec.queue.slots[next[j]]);
+            let queue = &mut execs[j].as_mut().expect("channel's dies landed").queue;
+            let item = ExecTiming::from_slot(queue.slots[next]);
             let start = ready.max(chan_free);
             let complete = start + item.service_us;
             chan_free = start + self.config.timing.xfer_us.min(item.service_us);
@@ -1262,38 +1424,71 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             if complete > self.sim_end_us {
                 self.sim_end_us = complete;
             }
-            if flight.emit {
-                let rich = &mut exec.rich[next[j]];
-                pass.completions.push(IoCompletion {
-                    id: rich.id,
-                    kind: rich.kind,
-                    lpa: rich.lpa,
-                    die: d as u32,
-                    submit_us: submit,
-                    start_us: start,
+            if emit {
+                self.timed.push(CompletionSummary {
                     complete_us: complete,
-                    corrected_errors: rich.corrected,
-                    result: std::mem::replace(&mut rich.result, Ok(())),
-                    data: rich.data.take(),
+                    submit_us: submit,
+                    outcome: queue.outcomes[next],
+                    slot: queue.ids[next],
+                    die: d as u32,
                 });
+                // The one time a full completion carries that its summary
+                // does not.
+                if let Some(rich) = queue.rich.get_mut(next) {
+                    rich.start_us = start;
+                }
             }
-            next[j] += 1;
-            ready_cache[j] = if next[j] >= exec.queue.slots.len() {
+            let next = next + 1;
+            let (ready, submit) = if next >= queue.slots.len() {
                 (f64::INFINITY, batch_now)
             } else {
                 ready_of(&self.inflight[d], self.die_free_us[d])
             };
+            cursors[j] = DieCursor { next, ready, submit };
         }
         self.chan_free_us[ch] = chan_free;
+        self.cursors = cursors;
     }
 
-    /// Closes a batch's timing pass: posts its completions in simulated
-    /// time order and takes the queues back as arenas for later batches.
-    fn end_timing(&mut self, flight: Flight, mut pass: TimingPass) -> usize {
-        pass.completions
-            .sort_unstable_by(|a, b| a.complete_us.total_cmp(&b.complete_us).then(a.id.cmp(&b.id)));
-        self.cq.extend(pass.completions);
-        for (d, exec) in flight.execs.into_iter().enumerate() {
+    /// Closes a batch's timing pass: sorts its records into simulated time
+    /// order — posting them, if summaries were asked for — assembles full
+    /// completions from them, if those were, and takes the queues back as
+    /// arenas for later batches.
+    fn end_timing(&mut self, flight: Flight, pass: TimingPass) -> usize {
+        let Flight { mut execs, emit, total, first_id, .. } = flight;
+        // `slot` orders as the command id does: both count from the batch's
+        // first request.
+        self.timed[pass.first..].sort_unstable_by(|a, b| {
+            a.complete_us.total_cmp(&b.complete_us).then(a.slot.cmp(&b.slot))
+        });
+        if emit == Emit::Full {
+            // A die's completion times never decrease and its ids grow, so
+            // the sort left each die's records in dispatch order: a die's
+            // next record belongs to its next `rich` entry.
+            self.rich_next.fill(0);
+            self.cq.reserve(total);
+            for s in self.timed.drain(pass.first..) {
+                let d = s.die as usize;
+                let queue = &mut execs[d].as_mut().expect("every die timed").queue;
+                let i = self.rich_next[d];
+                self.rich_next[d] += 1;
+                assert_eq!(queue.ids[i], s.slot, "die {d}'s records left dispatch order");
+                let rich = &mut queue.rich[i];
+                self.cq.push_back(IoCompletion {
+                    id: first_id + u64::from(s.slot),
+                    kind: s.outcome.kind(),
+                    lpa: rich.lpa,
+                    die: s.die,
+                    submit_us: s.submit_us,
+                    start_us: rich.start_us,
+                    complete_us: s.complete_us,
+                    corrected_errors: s.outcome.corrected_errors(),
+                    result: std::mem::replace(&mut rich.result, Ok(())),
+                    data: rich.data.take(),
+                });
+            }
+        }
+        for (d, exec) in execs.drain(..).enumerate() {
             let mut queue = exec.expect("every die timed").queue;
             queue.clear();
             // `submit` may be appending to an arena that never grew (the
@@ -1307,7 +1502,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 *idle = queue;
             }
         }
-        flight.total
+        self.spare_execs.push(execs);
+        total
     }
 
     /// Replays a trace across the array: every op's lpa is folded into the
@@ -1320,7 +1516,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         threads: usize,
     ) -> EngineStats {
         self.submit_trace(ops, true);
-        self.run_batch(threads, true);
+        self.run_batch(threads, Emit::Full);
         self.stats()
     }
 
@@ -1348,7 +1544,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         threads: usize,
     ) -> usize {
         self.submit_trace(ops, false);
-        self.run_batch(threads, false)
+        self.run_batch(threads, Emit::None)
     }
 
     /// Submits a trace, each lpa folded into the logical space; `with_ids`
@@ -1427,10 +1623,24 @@ impl FastDiv {
     }
 }
 
+/// How many requests ahead of the one it is executing [`execute_die`] loads
+/// the `l2p` entry of a request, and how many ahead the `p2l` entry of that
+/// request's current mapping (see [`rd_ftl::PageMap::pretouch`]): far enough
+/// for a miss to be served meanwhile, and the `p2l` touch later than the
+/// `l2p` one it reads through.
+const L2P_AHEAD: usize = 16;
+const P2L_AHEAD: usize = 8;
+
 /// Executes one die's queue, measuring per-request service time from the
 /// timing constants plus the controller-counter delta (background GC/refresh
 /// relocations and erases the request triggered), and answers every slot in
 /// place with its [`ExecTiming`].
+///
+/// A lane that cycles through several dies finds each die's page map gone
+/// from its cache when it returns (at 128 requests a visit the flash phase
+/// costs twice what one long visit does), and the misses of one request
+/// would otherwise start only when it executes; the queue says which
+/// addresses come next, so their map lines are loaded ahead.
 fn execute_die<P: ControllerPolicy>(
     die: &mut Die<P>,
     mut queue: DieQueue,
@@ -1440,7 +1650,6 @@ fn execute_die<P: ControllerPolicy>(
 ) -> DieExec {
     let wall_started = Instant::now();
     let timing = &ctx.timing;
-    let mut rich = Vec::with_capacity(if ctx.emit { queue.slots.len() } else { 0 });
     let mut digest = start_digest;
     let mut background_total = 0.0f64;
     let mut busy_total = 0.0f64;
@@ -1449,9 +1658,14 @@ fn execute_die<P: ControllerPolicy>(
     // The billable counters are monotone, so each request's delta runs from
     // the previous request's snapshot — one extraction per op, not two.
     let mut before = crate::timing::background_counters(die.stats_ref());
-    let mut wide = queue.wide.iter();
-    for (i, slot) in queue.slots.iter_mut().enumerate() {
-        let item = WorkItem(*slot);
+    let DieQueue { slots, wide, outcomes, rich, .. } = &mut queue;
+    let mut wide = wide.iter();
+    for i in 0..slots.len() {
+        // Past the end, and for a wide address, there is nothing to touch:
+        // both read as out of range.
+        let ahead = |n: usize| slots.get(i + n).map_or(u64::MAX, |&slot| WorkItem(slot).addr());
+        die.pretouch(ahead(L2P_AHEAD), ahead(P2L_AHEAD));
+        let item = WorkItem(slots[i]);
         let kind = item.kind();
         let die_lpa = match item.addr() {
             WorkItem::WIDE => *wide.next().expect("a wide slot queues its address"),
@@ -1503,16 +1717,17 @@ fn execute_die<P: ControllerPolicy>(
             }
         }
         busy_total += service_us;
-        *slot = ExecTiming { service_us }.to_slot();
-        if ctx.emit {
-            let id = ctx.first_id + u64::from(queue.ids[i]);
+        slots[i] = ExecTiming { service_us }.to_slot();
+        if ctx.emit != Emit::None {
+            outcomes.push(Outcome::new(kind, &result, corrected));
+        }
+        if ctx.emit == Emit::Full {
             let lpa = die_lpa * ctx.dies + die_index;
-            rich.push(ExecRich { id, kind, lpa, corrected, result, data });
+            rich.push(ExecRich { lpa, start_us: 0.0, result, data });
         }
     }
     DieExec {
         queue,
-        rich,
         digest,
         background_us: background_total,
         busy_us: busy_total,
@@ -1775,6 +1990,8 @@ mod tests {
     fn queued_and_executed_records_are_one_word() {
         assert_eq!(std::mem::size_of::<WorkItem>(), 8);
         assert_eq!(std::mem::size_of::<ExecTiming>(), 8);
+        assert_eq!(std::mem::size_of::<Outcome>(), 8);
+        assert_eq!(std::mem::size_of::<ExecRich>(), 72);
         for (kind, die_lpa) in
             [(ReqKind::Read, 0), (ReqKind::Write, 0), (ReqKind::Write, WorkItem::WIDE - 1)]
         {
@@ -1786,6 +2003,38 @@ mod tests {
         }
         let answered = ExecTiming::from_slot(ExecTiming { service_us: 675.0 }.to_slot());
         assert_eq!(answered.service_us, 675.0);
+    }
+
+    /// A flight whose jobs have all landed before the coordinator asks — the
+    /// countdown reaches zero with nobody to wake — is joined without a
+    /// sleep and loses nothing.
+    #[test]
+    fn a_flight_that_lands_before_anyone_waits_is_joined_all_the_same() {
+        let mut engine = Engine::new(EngineConfig::small_test()).unwrap();
+        for lpa in 0..8u64 {
+            engine.submit_write(lpa);
+        }
+        assert_eq!(engine.begin_batch(2), 8);
+        let landing = Arc::clone(engine.landing.as_ref().expect("pooled launch"));
+        loop {
+            let landed = landing.state.lock().unwrap();
+            assert_eq!(landed.wake_at, None, "nobody is waiting");
+            if landed.running == 0 {
+                assert_eq!(landed.dies.len(), 4, "every die landed on the list");
+                break;
+            }
+            drop(landed);
+            std::thread::yield_now();
+        }
+        engine.join_batch();
+        assert_eq!(engine.finish_batch(), 8);
+        let completions = engine.drain_completions();
+        assert_eq!(completions.len(), 8);
+        assert!(completions.iter().all(|c| c.result.is_ok()));
+        // The landing is reused: a second flight counts down from its own jobs.
+        engine.submit_read(5);
+        assert_eq!(engine.run(2), 1);
+        assert_eq!(engine.stats().ops, 9);
     }
 
     /// Ids ride as `u32` offsets from the batch's first; unit tests build

@@ -41,7 +41,7 @@ pub mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
 pub use pool::{PoolHandle, WorkerPool};
-pub use queue::{IoCompletion, ReqKind};
+pub use queue::{CompletionSummary, IoCompletion, Outcome, OutcomeClass, ReqKind};
 pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;
 // Re-export: the per-die read-path fidelity knob (see `rd_flash::fidelity`).

@@ -10,10 +10,12 @@
 //! flash phase was still in flight. Nor on `run` timing a channel while
 //! later channels' dies still execute, nor on the one-word packing of
 //! queued requests; and a die job that panics on the pool panics the
-//! coordinator instead of hanging it.
+//! coordinator instead of hanging it. Nor on whether a batch posts full
+//! completions or 32-byte summaries, nor on the coordinator being woken
+//! once per flight instead of once per die.
 
 use proptest::prelude::*;
-use rd_engine::{Engine, EngineConfig, EngineStats, ReadFidelity, ReqKind};
+use rd_engine::{Engine, EngineConfig, EngineStats, OutcomeClass, ReadFidelity, ReqKind, Topology};
 use rd_workloads::WorkloadProfile;
 
 fn fidelity(tier: u8) -> ReadFidelity {
@@ -117,6 +119,183 @@ proptest! {
                 let got = run_batched(seed, tier, ops, threads, mode);
                 prop_assert!(got == reference, "stats diverged at threads={threads} {mode:?}");
             }
+        }
+    }
+}
+
+/// What both emit levels report of one request: its position in the batch,
+/// kind, outcome class, corrected-error count and the bits of its latency.
+type Row = (u32, ReqKind, OutcomeClass, u64, u64);
+
+/// An array whose die 0 is worn, aged and disturbed past its ECC (reads of
+/// it come back corrected, recovered or uncorrectable) and whose every
+/// fourth logical page was never written.
+fn worn_array(channels: u32, dies_per_channel: u32, seed: u64) -> Engine {
+    let mut config = EngineConfig::small_test().with_fidelity(ReadFidelity::PageAnalytic);
+    config.topology = Topology { channels, dies_per_channel };
+    config.die.seed = seed;
+    config.die.ecc_capability_rber = 1.0e-3;
+    let mut engine = Engine::new(config).expect("engine");
+    let blocks = engine.config().die.geometry.blocks;
+    for block in 0..blocks {
+        engine.die_mut(0).chip_mut().cycle_block(block, 8_000).expect("cycle");
+    }
+    for lpa in (0..engine.logical_pages()).filter(|lpa| lpa % 4 != 3) {
+        engine.submit_write(lpa);
+    }
+    engine.run(1);
+    engine.drain_completions();
+    engine.advance_time(3.0).expect("age");
+    for block in engine.die(0).valid_blocks() {
+        engine.die_mut(0).chip_mut().apply_read_disturbs(block, 12_000_000).expect("disturb");
+    }
+    engine
+}
+
+/// Runs `batches` through the staged API on `lanes` lanes, posting full
+/// completions or summaries, and returns every request's [`Row`] in posting
+/// order, the final statistics and the checkpoint.
+fn rows_of(
+    mut engine: Engine,
+    batches: &[Vec<(ReqKind, u64)>],
+    lanes: usize,
+    summarized: bool,
+) -> (Vec<Row>, EngineStats, Vec<u8>) {
+    let mut rows = Vec::new();
+    let mut summaries = Vec::new();
+    for batch in batches {
+        let first_id = engine.submit(batch[0].0, batch[0].1);
+        for &(kind, lpa) in &batch[1..] {
+            engine.submit(kind, lpa);
+        }
+        let n = if summarized {
+            engine.begin_batch_summarized(lanes)
+        } else {
+            engine.begin_batch(lanes)
+        };
+        engine.join_batch();
+        assert_eq!(engine.finish_batch(), n);
+        engine.swap_summaries(&mut summaries);
+        let completions = engine.drain_completions();
+        assert_eq!(if summarized { summaries.len() } else { completions.len() }, n);
+        assert!(if summarized { completions.is_empty() } else { summaries.is_empty() });
+        rows.extend(summaries.iter().map(|s| {
+            let o = s.outcome;
+            (s.slot, o.kind(), o.class(), o.corrected_errors(), s.latency_us().to_bits())
+        }));
+        rows.extend(completions.iter().map(|c| {
+            let o = c.outcome();
+            assert_eq!((o.kind(), o.corrected_errors()), (c.kind, c.corrected_errors));
+            (
+                (c.id - first_id) as u32,
+                c.kind,
+                o.class(),
+                c.corrected_errors,
+                c.latency_us().to_bits(),
+            )
+        }));
+    }
+    let stats = engine.stats();
+    (rows, stats, engine.snapshot().expect("idle engine"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A summarized batch is a full one with less written down: from
+    /// identical engines — 2×2 and 4×4, die 0 worn until reads of it are
+    /// lost, a quarter of the pages unwritten, some addresses past the end
+    /// — at 1, 2 and 8 lanes, the summaries say of every request, in the
+    /// same order, what the completions say (batch position, kind, outcome
+    /// class, corrected errors, latency to the bit), and statistics and
+    /// checkpoint bytes are equal.
+    #[test]
+    fn summarized_batches_equal_full_ones_to_the_bit(
+        seed in any::<u64>(),
+        salts in proptest::collection::vec(any::<u64>(), 1..4),
+    ) {
+        for (channels, dies_per_channel) in [(2u32, 2u32), (4, 4)] {
+            let dies = u64::from(channels * dies_per_channel);
+            let logical = worn_array(channels, dies_per_channel, seed).logical_pages();
+            // Each batch opens with a sweep of the worn die, an unwritten
+            // page and two addresses past the end; then up to 160 seeded
+            // draws, two in eight of them past the end of the array.
+            let batches: Vec<Vec<(ReqKind, u64)>> = salts
+                .iter()
+                .map(|&salt| {
+                    let sweep = (0..24)
+                        .map(|i| (ReqKind::Read, i * dies))
+                        .chain([(ReqKind::Read, 3), (ReqKind::Write, logical), (ReqKind::Read, u64::MAX)]);
+                    let mix = (0..1 + salt % 160).map(|i| {
+                        let draw = (salt ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+                        let kind = if draw % 3 == 0 { ReqKind::Write } else { ReqKind::Read };
+                        let lpa = match draw % 8 {
+                            0 => logical + draw % 5,
+                            1 => u64::MAX - draw % 5,
+                            _ => (draw >> 3) % logical,
+                        };
+                        (kind, lpa)
+                    });
+                    sweep.chain(mix).collect()
+                })
+                .collect();
+            let reference =
+                rows_of(worn_array(channels, dies_per_channel, seed), &batches, 1, false);
+            let classes = |class| reference.0.iter().filter(|row| row.2 == class).count();
+            prop_assert!(reference.1.uncorrectable_reads > 0, "the worn die lost no read");
+            prop_assert!(classes(OutcomeClass::NotWritten) > 0 && classes(OutcomeClass::Ok) > 0);
+            prop_assert!(classes(OutcomeClass::Failed) as u64 > reference.1.uncorrectable_reads);
+            for lanes in [1usize, 2, 8] {
+                for summarized in [false, true] {
+                    let engine = worn_array(channels, dies_per_channel, seed);
+                    let got = rows_of(engine, &batches, lanes, summarized);
+                    let what = format!(
+                        "{channels}x{dies_per_channel} lanes={lanes} summarized={summarized}"
+                    );
+                    prop_assert!(got.0 == reference.0, "rows diverged: {}", what);
+                    prop_assert!(got.1 == reference.1, "stats diverged: {}", what);
+                    prop_assert!(got.2 == reference.2, "checkpoint bytes diverged: {}", what);
+                }
+            }
+        }
+    }
+}
+
+/// A batch that lands on one die only — every other die's slot is filled
+/// at launch and the countdown starts at one — gives the same statistics,
+/// completions and checkpoint inline, overlapped on a pool and staged on a
+/// pool: the coordinator times the empty channel without sleeping and is
+/// woken for the other by the one job there is.
+#[test]
+fn a_batch_on_one_die_wakes_the_coordinator_once_and_changes_nothing() {
+    let observe = |threads: usize, staged: bool| -> Observed {
+        let mut engine = Engine::new(EngineConfig::small_test()).expect("engine");
+        let dies = u64::from(engine.config().topology.dies());
+        let per_die = engine.logical_pages() / dies;
+        let mut completions = Vec::new();
+        for round in 0..3u64 {
+            for i in 0..per_die {
+                let kind = if (i + round) % 3 == 0 { ReqKind::Read } else { ReqKind::Write };
+                engine.submit(kind, i * dies + 2);
+            }
+            if staged {
+                engine.begin_batch(threads);
+                engine.join_batch();
+                engine.finish_batch();
+            } else {
+                engine.run(threads);
+            }
+            engine.drain_completions_into(&mut completions);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.per_die[2].ops, 3 * per_die);
+        assert_eq!(stats.ops, 3 * per_die, "another die got work");
+        (stats, completions, engine.snapshot().expect("idle engine"))
+    };
+    let reference = observe(1, true);
+    for threads in [2usize, 8] {
+        for staged in [false, true] {
+            assert!(observe(threads, staged) == reference, "threads={threads} staged={staged}");
         }
     }
 }

@@ -449,6 +449,14 @@ impl<P: ControllerPolicy> Die<P> {
         self.run_policy_hook(|policy, ctx| policy.on_program(ctx, ppa.block))
     }
 
+    /// [`PageMap::pretouch`] on this die's map: a caller that knows the
+    /// addresses of its coming requests (the engine's flash phase walks a
+    /// queue) starts their map misses early. Changes nothing.
+    #[inline]
+    pub fn pretouch(&self, far: u64, near: u64) {
+        self.map.pretouch(far, near);
+    }
+
     /// Reads a logical page through the controller pipeline — see
     /// [`Die::read_with`] — and returns an owned copy of the result.
     ///

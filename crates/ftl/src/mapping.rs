@@ -100,6 +100,20 @@ impl PageMap {
         }
     }
 
+    /// Loads the map lines two later requests will want — the `l2p` entry
+    /// of `far` and the `p2l` entry `near` currently maps to — so that their
+    /// cache misses overlap the caller's work in between instead of
+    /// serialising with it. Reads only and returns nothing: an unmapped or
+    /// out-of-range address is skipped, and no result may depend on a call.
+    #[inline]
+    pub fn pretouch(&self, far: u64, near: u64) {
+        let entry = |lpa: u64| usize::try_from(lpa).ok().and_then(|lpa| self.l2p.get(lpa));
+        std::hint::black_box(entry(far).copied());
+        // An unmapped page's `NONE` lies past the end of `p2l`.
+        let owner = entry(near).and_then(|&packed| self.p2l.get(packed as usize));
+        std::hint::black_box(owner.copied());
+    }
+
     /// Valid pages in a block.
     pub fn valid_count(&self, block: u32) -> u32 {
         self.valid_count[block as usize]
@@ -351,6 +365,31 @@ pub(crate) mod tests {
         let v = map.valid_pages(1);
         assert_eq!(v, vec![(0, 5), (3, 0)]);
         assert!(map.valid_pages(0).is_empty());
+    }
+
+    /// `pretouch` takes `&self` and only loads: every address a request can
+    /// carry — past the end, the engine's wide-address sentinel (2⁶³ − 1),
+    /// unmapped, mapped — on an empty and on a full map leaves the map as
+    /// it was.
+    #[test]
+    fn pretouch_is_inert_for_every_address() {
+        let fresh = PageMap::new(8, 4, 4);
+        let mut filled = PageMap::new(8, 4, 4);
+        for lpa in 0..8 {
+            filled.remap(lpa, Ppa { block: lpa as u32 / 4, page: lpa as u32 % 4 });
+        }
+        filled.remap(3, Ppa { block: 3, page: 3 });
+        for map in [&fresh, &filled] {
+            let before = (map.l2p.clone(), map.p2l.clone(), map.valid_count.clone());
+            let addresses = [u64::MAX, u64::MAX >> 1, 8, 7, 3, 0];
+            for far in addresses {
+                for near in addresses {
+                    map.pretouch(far, near);
+                }
+            }
+            assert_eq!((map.l2p.clone(), map.p2l.clone(), map.valid_count.clone()), before);
+            assert!(map.check_consistency());
+        }
     }
 
     #[test]

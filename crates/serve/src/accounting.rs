@@ -4,11 +4,13 @@
 //! a multi-tenant front-end additionally owes each tenant its own latency
 //! percentiles and its own reliability number (UBER — uncorrectable bit
 //! errors per bit read, the paper's headline metric). [`TenantAccounting`]
-//! folds completions one at a time in the shard workers, then merges across
-//! shards at report time.
+//! folds completions one at a time in the shard workers — from the engine's
+//! 32-byte [`CompletionSummary`], which carries everything the fold reads
+//! — then merges across shards at report time.
 
-use rd_engine::{percentiles_50_99, IoCompletion, ReqKind};
-use rd_ftl::FtlError;
+use rd_engine::{
+    percentiles_50_99, CompletionSummary, IoCompletion, Outcome, OutcomeClass, ReqKind,
+};
 
 /// One tenant's running totals on one shard (mergeable across shards).
 #[derive(Debug, Clone, Default)]
@@ -35,25 +37,34 @@ pub struct TenantAccounting {
 impl TenantAccounting {
     /// Folds one completion into the totals.
     pub fn record(&mut self, completion: &IoCompletion) {
+        self.fold(completion.outcome(), completion.latency_us());
+    }
+
+    /// Folds one summarized completion into the totals: what
+    /// [`TenantAccounting::record`] makes of the same request's
+    /// [`IoCompletion`], to the bit.
+    pub fn record_summary(&mut self, summary: &CompletionSummary) {
+        self.fold(summary.outcome, summary.latency_us());
+    }
+
+    fn fold(&mut self, outcome: Outcome, latency_us: f64) {
         self.ops += 1;
-        self.corrected_bits += completion.corrected_errors;
-        match completion.kind {
-            ReqKind::Read => {
+        self.corrected_bits += outcome.corrected_errors();
+        match (outcome.kind(), outcome.class()) {
+            (ReqKind::Read, class) => {
                 self.reads += 1;
-                match completion.result {
-                    Err(FtlError::NotWritten { .. }) => self.reads_not_written += 1,
-                    Err(_) => self.uncorrectable_reads += 1,
-                    Ok(()) => {}
+                match class {
+                    OutcomeClass::Ok => {}
+                    OutcomeClass::NotWritten => self.reads_not_written += 1,
+                    OutcomeClass::Failed => self.uncorrectable_reads += 1,
                 }
             }
-            ReqKind::Write => {
+            (ReqKind::Write, class) => {
                 self.writes += 1;
-                if completion.result.is_err() {
-                    self.writes_failed += 1;
-                }
+                self.writes_failed += u64::from(class != OutcomeClass::Ok);
             }
         }
-        self.latencies_us.push(completion.latency_us());
+        self.latencies_us.push(latency_us);
     }
 
     /// Merges another shard's totals for the same tenant into this one.
@@ -161,6 +172,7 @@ impl TenantSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rd_ftl::FtlError;
 
     fn not_written() -> FtlError {
         FtlError::NotWritten { lpa: 0 }
@@ -201,6 +213,61 @@ mod tests {
         assert_eq!(acct.latencies_us, vec![50.0, 10.0, 90.0, 200.0]);
         // 1 uncorrectable page out of 2 attempted reads.
         assert!((acct.uber() - 0.5).abs() < 1e-12);
+    }
+
+    /// The shard workers fold summaries; `record` folds full completions.
+    /// From identical engines over the same batches — unwritten reads,
+    /// rejected writes, corrected reads — every tenant's accounting comes
+    /// out equal, the order-sensitive latency sum behind the mean included.
+    #[test]
+    fn summaries_fold_to_what_completions_fold_to() {
+        use rd_engine::{Engine, EngineConfig, ReadFidelity};
+        const TENANTS: usize = 3;
+        let accounts = |summarized: bool| {
+            let config = EngineConfig::small_test().with_fidelity(ReadFidelity::PageAnalytic);
+            let mut engine = Engine::new(config).unwrap();
+            let logical = engine.logical_pages();
+            let mut accounts = vec![TenantAccounting::default(); TENANTS];
+            let mut summaries = Vec::new();
+            for batch in 0..6u64 {
+                for i in 0..200u64 {
+                    let draw = (batch * 200 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+                    let kind = if draw % 3 == 0 { ReqKind::Write } else { ReqKind::Read };
+                    // One address in sixteen is past the end; the rest
+                    // share 96 pages, so reads find written ones.
+                    let lpa = if draw % 16 == 0 { logical + draw % 5 } else { draw / 16 % 96 };
+                    engine.submit(kind, lpa);
+                }
+                if summarized {
+                    engine.begin_batch_summarized(2);
+                } else {
+                    engine.begin_batch(2);
+                }
+                engine.join_batch();
+                engine.finish_batch();
+                let first_id = batch * 200;
+                engine.swap_summaries(&mut summaries);
+                for summary in &summaries {
+                    accounts[summary.slot as usize % TENANTS].record_summary(summary);
+                }
+                for completion in engine.drain_completions() {
+                    accounts[(completion.id - first_id) as usize % TENANTS].record(&completion);
+                }
+            }
+            accounts
+        };
+        let (full, lean) = (accounts(false), accounts(true));
+        for (tenant, (full, lean)) in full.iter().zip(&lean).enumerate() {
+            assert!(full.reads_not_written > 0 && full.writes_failed > 0);
+            assert!(full.reads > 2 * full.reads_not_written && full.uncorrectable_reads > 0);
+            let bits = |a: &TenantAccounting| -> Vec<u64> {
+                a.latencies_us.iter().map(|l| l.to_bits()).collect()
+            };
+            assert_eq!(bits(full), bits(lean), "tenant {tenant}: latency order or bits differ");
+            let (full, lean) = (full.summary("t"), lean.summary("t"));
+            assert_eq!(full, lean, "tenant {tenant}");
+            assert_eq!(full.mean_latency_us.to_bits(), lean.mean_latency_us.to_bits());
+        }
     }
 
     #[test]

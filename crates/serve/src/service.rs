@@ -19,6 +19,16 @@
 //! worker joins N, launches N+1, and only then runs N's serial timing
 //! phase and tenant-accounting fold — coordinator work overlaps pool work.
 //!
+//! **What a shard worker consumes.** Of each completion: its latency, its
+//! outcome (kind, ok / not-written / failed, corrected errors) and which op
+//! of the batch it answers — that op's tenant is whom it is accounted to.
+//! So batches are launched with [`Engine::begin_batch_summarized`] and
+//! settle as 32-byte [`CompletionSummary`]s, in the order full completions
+//! would have been posted (the per-tenant latency sums are
+//! order-sensitive), taken in a buffer the worker swaps with the engine's;
+//! no [`rd_engine::IoCompletion`] is built on this path. Joining a batch
+//! costs the worker one sleep, ended by the last die to land.
+//!
 //! **Digest parity.** Workers process batches FIFO and each shard engine
 //! sees exactly the ops the monolithic engine's matching dies would see, in
 //! the same order, with the same per-die RNG streams; the pool assigns die
@@ -37,8 +47,8 @@ use std::time::Instant;
 
 use rd_engine::wire::{self, Reader, Writer};
 use rd_engine::{
-    Engine, EngineConfig, EngineStageNs, EngineStats, IoCompletion, PoolHandle, ReqKind, SnapError,
-    WorkerPool,
+    CompletionSummary, Engine, EngineConfig, EngineStageNs, EngineStats, PoolHandle, ReqKind,
+    SnapError, WorkerPool,
 };
 use rd_ftl::FtlError;
 
@@ -128,20 +138,16 @@ struct ShardWorker {
     recycle: Receiver<Vec<ShardOp>>,
 }
 
-/// A batch whose flash phase is on the pool: the ops are kept for tenant
-/// attribution, `base_id` maps completion ids back to batch slots.
-struct InflightBatch {
-    ops: Vec<ShardOp>,
-    base_id: u64,
-}
-
 /// A shard worker thread's state: its engine, the batch whose flash phase
 /// is on the pool, and what settling a batch touches.
 struct ShardState {
     engine: Engine,
-    inflight: Option<InflightBatch>,
+    /// The ops of the batch on the pool, kept for tenant attribution: a
+    /// summary's `slot` is its op's index here.
+    inflight: Option<Vec<ShardOp>>,
     accounting: Vec<TenantAccounting>,
-    scratch: Vec<IoCompletion>,
+    /// The settled batch's summaries, swapped with the engine's buffer.
+    scratch: Vec<CompletionSummary>,
     accounting_ns: u64,
     recycle: Sender<Vec<ShardOp>>,
     completed: Arc<AtomicU64>,
@@ -149,20 +155,19 @@ struct ShardState {
 
 impl ShardState {
     /// Submits a non-empty batch to the shard engine and launches its flash
-    /// phase on the attached pool slice.
+    /// phase on the attached pool slice, asking for summaries: the worker
+    /// reads a completion's latency, outcome and batch slot, nothing else.
     fn begin(&mut self, ops: Vec<ShardOp>) {
-        let mut base_id = None;
         for op in &ops {
-            let id = self.engine.submit(op.kind, op.lpa);
-            base_id.get_or_insert(id);
+            self.engine.submit(op.kind, op.lpa);
         }
-        self.engine.begin_batch(1);
-        self.inflight = Some(InflightBatch { ops, base_id: base_id.unwrap_or(0) });
+        self.engine.begin_batch_summarized(1);
+        self.inflight = Some(ops);
     }
 
     /// Collects the in-flight flash phase (if any), launches `next`, and
     /// only then completes the collected batch — serial timing phase,
-    /// completion drain, tenant accounting fold, buffer recycle, and the
+    /// summary swap, tenant accounting fold, buffer recycle, and the
     /// completion count the admission window watches — so that coordinator
     /// work overlaps the pool executing `next`.
     fn settle_then_begin(&mut self, next: Option<Vec<ShardOp>>) {
@@ -173,18 +178,15 @@ impl ShardState {
         if let Some(ops) = next {
             self.begin(ops);
         }
-        let Some(prev) = prev else { return };
+        let Some(mut ops) = prev else { return };
         self.engine.finish_batch();
         let started = Instant::now();
-        self.scratch.clear();
-        self.engine.drain_completions_into(&mut self.scratch);
-        for completion in &self.scratch {
-            let slot = (completion.id - prev.base_id) as usize;
-            let tenant = usize::from(prev.ops[slot].tenant);
-            self.accounting[tenant].record(completion);
+        self.engine.swap_summaries(&mut self.scratch);
+        for summary in &self.scratch {
+            let tenant = usize::from(ops[summary.slot as usize].tenant);
+            self.accounting[tenant].record_summary(summary);
         }
         self.accounting_ns += started.elapsed().as_nanos() as u64;
-        let mut ops = prev.ops;
         ops.clear();
         // The front-end may be mid-shutdown and not listening; drop it then.
         let _ = self.recycle.send(ops);
@@ -552,7 +554,7 @@ pub struct ServiceStageNs {
     pub flash_ns: u64,
     /// Serial discrete-event timing phase, ns.
     pub timing_ns: u64,
-    /// Completion drain + tenant-accounting fold, ns.
+    /// Summary swap + tenant-accounting fold, ns.
     pub accounting_ns: u64,
 }
 

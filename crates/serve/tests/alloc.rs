@@ -1,13 +1,15 @@
 //! Steady-state allocation gate for the serving hot loop.
 //!
 //! The service recycles its shard submission buffers, the engine
-//! double-buffers its per-die work arenas, and the aggregate-tier flash
-//! read path allocates nothing per op — so once the pipeline is warm, a
-//! read-only serving window must cost a small constant number of
-//! allocations per *batch* (boxed pool jobs, channel nodes) that does not
-//! scale with the number of ops in the batch. A per-op allocation anywhere
-//! on the submit → shard → flash → accounting path would show up here as
-//! per-batch counts growing linearly with `batch_ops`.
+//! double-buffers its per-die work arenas, the aggregate-tier flash read
+//! path allocates nothing per op, and the shard worker takes each batch's
+//! completions as 32-byte summaries in a buffer it swaps with the engine's
+//! — so once the pipeline is warm, a read-only serving window must cost a
+//! small constant number of allocations per *batch* (one boxed pool job per
+//! die) that does not scale with the number of ops in the batch. A per-op
+//! allocation anywhere on the submit → shard → flash → accounting path
+//! would show up here as per-batch counts growing linearly with
+//! `batch_ops`.
 //!
 //! The warmup window uses the real mixed tenant traffic (so the measured
 //! reads hit genuinely written flash); the measured window is read-only
@@ -117,15 +119,19 @@ fn steady_state_allocations_per_batch_are_bounded_and_batch_size_independent() {
     let large = allocs_per_batch(512);
     eprintln!("steady-state allocs/batch: {small:.1} at batch_ops=64, {large:.1} at 512");
 
-    // Constant-per-batch budget: one boxed flash job and one result-channel
-    // node per die, the batch and recycle channel nodes, plus slack for
-    // amortized growth (latency vectors double occasionally). Far below
-    // one allocation per op.
+    // Measured: 2.2 — one boxed flash job per die of the shard (2), plus
+    // the amortized share of channel blocks and of latency vectors
+    // doubling — and up to 3.6 when a shard's second set of die arenas
+    // first grows inside the window (whether a batch ever arrives while
+    // another is on the pool is up to the scheduler). The margin to 6
+    // covers that; a per-batch `Vec` for each die's records, the batch's
+    // completion list, the timing pass's scratch and a result-channel node
+    // per die failed this at 8.3.
     for (batch_ops, per_batch) in [(64u64, small), (512u64, large)] {
         assert!(
-            per_batch < 100.0,
+            per_batch < 6.0,
             "steady-state allocations per batch at batch_ops={batch_ops}: {per_batch:.1} \
-             (expected a small constant)"
+             (expected 2 to 4)"
         );
     }
 
@@ -133,7 +139,7 @@ fn steady_state_allocations_per_batch_are_bounded_and_batch_size_independent() {
     // per-batch allocation count. A single per-op allocation on the hot
     // path would add ≥448 here.
     assert!(
-        large < small + 64.0,
+        large < small + 4.0,
         "per-batch allocations scale with batch_ops: {small:.1} at 64 vs {large:.1} at 512"
     );
 }

@@ -10,9 +10,11 @@
 //! heap anywhere on the flash/ftl path, and a stats-only engine replay of
 //! reads must cost allocations per *batch* (work arenas, timing records),
 //! not per read — and, counted in bytes, nothing per read but its 8-byte
-//! latency, with `stats()` reducing that sample where it lies. Before the
-//! count-first pipeline every sampled read paid two payload clones and a
-//! `HashSet`.
+//! latency, with `stats()` reducing that sample where it lies; a
+//! summarized batch (what an rd-serve shard worker runs) the same, its
+//! per-request records living in arenas that travel with the die queues and
+//! a buffer the caller swaps with the engine's. Before the count-first
+//! pipeline every sampled read paid two payload clones and a `HashSet`.
 //!
 //! The cell-exact tier is count-first too: the raw read senses states into
 //! per-chip scratch and counts errors without packing a page, and the
@@ -207,7 +209,8 @@ fn die_reads_never_allocate() {
     assert_eq!(allocs, 0, "{allocs} heap allocations over {} reads {seen:?}", 4 * pages);
 }
 
-fn stats_only_replay_allocations_do_not_scale_with_reads() {
+/// A 2×2 array of [`die_config`] dies, each put through [`stress`].
+fn stressed_array() -> Engine {
     let config = EngineConfig {
         topology: Topology { channels: 2, dies_per_channel: 2 },
         die: die_config(),
@@ -220,6 +223,11 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
     for d in 0..4 {
         stress(engine.die_mut(d));
     }
+    engine
+}
+
+fn stats_only_replay_allocations_do_not_scale_with_reads() {
+    let mut engine = stressed_array();
     let pages = engine.logical_pages();
     let reads = |n: u64| {
         (0..n).map(move |i| TraceOp { kind: OpKind::Read, lpa: (i * 7) % pages, time_s: 0.0 })
@@ -253,18 +261,7 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
 /// B/sample).
 #[test]
 fn stats_only_replay_keeps_eight_bytes_per_read() {
-    let config = EngineConfig {
-        topology: Topology { channels: 2, dies_per_channel: 2 },
-        die: die_config(),
-        timing: Timing::default(),
-        queue_depth: 8,
-        capture_read_data: false,
-        die_index_offset: 0,
-    };
-    let mut engine = Engine::new(config).unwrap();
-    for d in 0..4 {
-        stress(engine.die_mut(d));
-    }
+    let mut engine = stressed_array();
     let pages = engine.logical_pages();
     const READS: u64 = 16_000;
     let reads = || {
@@ -294,6 +291,48 @@ fn stats_only_replay_keeps_eight_bytes_per_read() {
     assert!(
         report < sample_bytes / 10,
         "stats() requested {report} bytes over a {sample_bytes}-byte latency sample"
+    );
+}
+
+/// The byte gate for a summarized batch, the staged sequence an rd-serve
+/// shard worker drives (begin → join → finish → swap): once warm it asks
+/// for nothing but its latencies' 8 bytes per request. The outcome words
+/// and ids are arenas that travel with the die queues, the 32-byte
+/// summaries go to a buffer swapped with the caller's, and the per-flight
+/// die list and the timing pass's cursors are kept by the engine (a `Vec`
+/// per die, per channel and per batch for the same records failed this).
+#[test]
+fn warm_summarized_batch_keeps_eight_bytes_per_request() {
+    let mut engine = stressed_array();
+    let pages = engine.logical_pages();
+    const BATCH: u64 = 1024;
+    let mut summaries = Vec::new();
+    let mut batch = || {
+        for i in 0..BATCH {
+            engine.submit_read((i * 7) % pages);
+        }
+        assert_eq!(engine.begin_batch_summarized(1) as u64, BATCH);
+        engine.join_batch();
+        engine.finish_batch();
+        engine.swap_summaries(&mut summaries);
+        assert_eq!(summaries.len() as u64, BATCH);
+    };
+    // Two batches warm the die arenas and both of the swapped buffers, and
+    // leave the latency sample full at 2 × BATCH.
+    batch();
+    batch();
+    let before = alloc_bytes();
+    // Over the next six the sample doubles twice, to 8 × BATCH: the
+    // latencies of exactly these six batches.
+    for _ in 0..6 {
+        batch();
+    }
+    let requested = alloc_bytes() - before;
+    eprintln!("six warm summarized batches of {BATCH}: {requested} bytes");
+    assert!(
+        requested <= 8 * 6 * BATCH,
+        "six warm summarized batches requested {requested} bytes, their latencies are {}",
+        8 * 6 * BATCH
     );
 }
 
