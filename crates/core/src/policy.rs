@@ -3,20 +3,22 @@
 //! Plugs the paper's mechanism into the same SSD substrate as the baseline
 //! and read-reclaim policies, so endurance comparisons run the identical
 //! controller with only the mitigation swapped (paper §3's evaluation
-//! methodology). The tuner's probe reads are charged to the controller
-//! through [`rd_ftl::PolicyContext::charge_probe_reads`], so the engine's
-//! discrete-event clock pays tR for every margin probe and zero-counting
-//! read — the paper's §3 overhead accounting, now measured in engine time
-//! rather than modelled offline.
+//! methodology). It implements only the daily
+//! [`rd_ftl::ControllerPolicy::on_tick`]: the mechanism needs one margin
+//! probe per block a day and nothing from the host reads in between, which
+//! keep the trait's empty `on_read`. The tuner's probe reads are charged
+//! to the controller through [`rd_ftl::PolicyContext::charge_probe_reads`],
+//! so the engine's discrete-event clock pays tR for every margin probe and
+//! zero-counting read — the paper's §3 overhead accounting, now measured
+//! in engine time rather than modelled offline.
 
-use rd_ftl::{ControllerPolicy, PolicyAction, PolicyContext, DAY_NS};
+use rd_ftl::{ControllerPolicy, PolicyContext};
 
 use crate::vpass_tuning::{VpassTuner, VpassTunerConfig};
 
-/// Vpass Tuning as a pluggable controller policy: on each maintenance
-/// tick, every block holding valid data is tuned — freshly-refreshed
-/// blocks get the full identification (Action 2), others the raise-check
-/// (Action 1).
+/// Vpass Tuning as a pluggable controller policy: on each daily tick,
+/// every block holding valid data is tuned — freshly-refreshed blocks get
+/// the full identification (Action 2), others the raise-check (Action 1).
 #[derive(Debug, Clone)]
 pub struct VpassTuningPolicy {
     tuner: VpassTuner,
@@ -41,22 +43,7 @@ impl Default for VpassTuningPolicy {
 }
 
 impl ControllerPolicy for VpassTuningPolicy {
-    fn name(&self) -> &'static str {
-        "vpass-tuning"
-    }
-
-    // Tick-only: lets the controller skip per-request hook plumbing.
-    fn observes_requests(&self) -> bool {
-        false
-    }
-
-    fn on_tick(&mut self, ctx: &mut PolicyContext<'_>, elapsed_ns: u64) -> Vec<PolicyAction> {
-        // The tuner's cadence is daily; ticks are day-aligned (see
-        // `rd_ftl::DAY_NS`), so any tick covering at least a day runs one
-        // sweep.
-        if elapsed_ns < DAY_NS {
-            return Vec::new();
-        }
+    fn on_tick(&mut self, ctx: &mut PolicyContext<'_>) {
         let probe_reads_before = self.tuner.stats().probe_reads;
         for &block in ctx.valid_blocks {
             if !self.tuner.is_initialized(block) {
@@ -79,7 +66,6 @@ impl ControllerPolicy for VpassTuningPolicy {
         // Every probe read the sweep issued becomes controller time (tR
         // each on the engine clock).
         ctx.charge_probe_reads(self.tuner.stats().probe_reads - probe_reads_before);
-        Vec::new()
     }
 }
 

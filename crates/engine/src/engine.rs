@@ -643,7 +643,7 @@ impl Engine<NoMitigation> {
     ///
     /// # Errors
     ///
-    /// Propagates die-construction failures.
+    /// As [`Engine::with_policy`].
     pub fn new(config: EngineConfig) -> Result<Self, FtlError> {
         Self::with_policy(config, NoMitigation)
     }
@@ -656,13 +656,9 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
     ///
     /// # Errors
     ///
-    /// Propagates die-construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
+    /// [`FtlError::InvalidConfig`] with [`EngineConfig::check`]'s message.
     pub fn with_policy(config: EngineConfig, policy: P) -> Result<Self, FtlError> {
-        config.validate();
+        config.check().map_err(FtlError::InvalidConfig)?;
         let nd = config.topology.dies() as usize;
         let nc = config.topology.channels as usize;
         let qd = config.queue_depth as usize;

@@ -90,8 +90,12 @@ impl Timing {
             + retry_reads as f64 * self.read_us
     }
 
+    /// Checks the constants.
+    ///
+    /// # Errors
+    ///
     /// Rejects a non-positive or non-finite latency.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    pub fn check(&self) -> Result<(), String> {
         for (name, v) in [
             ("read_us", self.read_us),
             ("program_us", self.program_us),
@@ -103,17 +107,6 @@ impl Timing {
             }
         }
         Ok(())
-    }
-
-    /// Validates the constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any latency is non-positive or non-finite.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -130,7 +123,7 @@ mod tests {
     #[test]
     fn defaults_validate_and_order_sanely() {
         let t = Timing::default();
-        t.validate();
+        assert_eq!(t.check(), Ok(()));
         assert!(t.read_us < t.program_us);
         assert!(t.program_us < t.erase_us);
         assert!(t.xfer_us < t.read_us);
@@ -160,6 +153,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_latency_rejected() {
-        Timing { read_us: 0.0, ..Timing::mlc() }.validate();
+        Timing { read_us: 0.0, ..Timing::mlc() }.check().unwrap();
     }
 }

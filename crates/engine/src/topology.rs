@@ -41,26 +41,26 @@ impl Topology {
         ((lpa % n) as u32, lpa / n)
     }
 
-    /// Rejects a zero-channel or zero-die topology.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    /// Checks the shape.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a zero-channel or zero-die topology, and one whose die count
+    /// overflows `u32`.
+    pub fn check(&self) -> Result<(), String> {
         if self.channels < 1 {
             return Err("need at least one channel".into());
         }
         if self.dies_per_channel < 1 {
             return Err("need at least one die per channel".into());
         }
-        Ok(())
-    }
-
-    /// Validates the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-channel or zero-die topology.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
+        if self.channels.checked_mul(self.dies_per_channel).is_none() {
+            return Err(format!(
+                "{} channels x {} dies per channel overflow u32",
+                self.channels, self.dies_per_channel
+            ));
         }
+        Ok(())
     }
 }
 
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn single_topology_is_identity() {
         let t = Topology::single();
-        t.validate();
+        assert_eq!(t.check(), Ok(()));
         for lpa in [0u64, 3, 17, 1 << 30] {
             assert_eq!(t.stripe(lpa), (0, lpa));
         }

@@ -300,21 +300,13 @@ fn a_batch_on_one_die_wakes_the_coordinator_once_and_changes_nothing() {
     }
 }
 
-/// A policy whose first host program panics, inside the die job.
+/// A policy whose first decoded host read panics, inside the die job.
 #[derive(Debug, Clone)]
-struct PanicsOnProgram;
+struct PanicsOnRead;
 
-impl rd_ftl::ControllerPolicy for PanicsOnProgram {
-    fn name(&self) -> &'static str {
-        "panics-on-program"
-    }
-
-    fn on_program(
-        &mut self,
-        _ctx: &mut rd_ftl::PolicyContext<'_>,
-        block: u32,
-    ) -> Vec<rd_ftl::PolicyAction> {
-        panic!("policy refuses the program to block {block}");
+impl rd_ftl::ControllerPolicy for PanicsOnRead {
+    fn on_read(&mut self, _chip: &rd_ftl::Chip, block: u32) -> Option<rd_ftl::PolicyAction> {
+        panic!("policy refuses the read of block {block}");
     }
 }
 
@@ -329,14 +321,17 @@ fn panicking_die_job_panics_the_coordinator_instead_of_hanging() {
     use std::time::Duration;
 
     let pool = Arc::new(WorkerPool::new(2));
-    let mut doomed = Engine::with_policy(EngineConfig::small_test(), PanicsOnProgram).unwrap();
+    let mut doomed = Engine::with_policy(EngineConfig::small_test(), PanicsOnRead).unwrap();
     doomed.attach_pool(PoolHandle::all(Arc::clone(&pool)));
     let dies = u64::from(doomed.config().topology.dies());
     let (tx, rx) = mpsc::channel();
     let coordinator = std::thread::spawn(move || {
-        // Eight writes, all striped onto die 2.
+        // Eight writes, then reads of them, all striped onto die 2.
         for i in 0..8 {
             doomed.submit_write(i * dies + 2);
+        }
+        for i in 0..8 {
+            doomed.submit_read(i * dies + 2);
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.run(2)))
             .map_err(|p| {

@@ -2,10 +2,11 @@
 //! the hardware `/`/`%` across the full divisor range, and the latency
 //! percentile selector at degenerate sample sizes and, against a sorted
 //! reference, on both sides of its switch to counting. Also the one table
-//! check: `EngineConfig::check` against the asserting `validate`s.
+//! check: `EngineConfig::check` against what the constructors return.
 
 use proptest::prelude::*;
-use rd_engine::{percentiles_50_99, EngineConfig, FastDiv};
+use rd_engine::{percentiles_50_99, Engine, EngineConfig, FastDiv};
+use rd_ftl::{Die, FtlError};
 
 proptest! {
     /// The reciprocal-multiply division must agree with `/` and `%` for
@@ -201,10 +202,10 @@ proptest! {
     }
 }
 
-/// `EngineConfig::check` is the non-panicking gate for configurations from
-/// outside the program: it must name every impossible value, and its
-/// per-die rows are `SsdConfig::check`, which `SsdConfig::validate` panics
-/// with.
+/// `EngineConfig::check` is the gate for configurations from outside the
+/// program: it must name every impossible value, and the constructors
+/// return what it says — `Engine::new` on every row, `Die::new` on exactly
+/// the per-die rows, which are `SsdConfig::check`'s.
 #[test]
 fn check_rejects_what_the_asserting_validates_panic_on() {
     type Break = fn(&mut EngineConfig);
@@ -237,7 +238,12 @@ fn check_rejects_what_the_asserting_validates_panic_on() {
         break_it(&mut config);
         let err = config.check().expect_err(needle);
         assert!(err.contains(needle), "`{err}` does not name `{needle}`");
-        let die_panics = std::panic::catch_unwind(|| config.die.validate()).is_err();
-        assert_eq!(die_panics, per_die, "SsdConfig::validate disagrees on `{needle}`");
+        let rejected = FtlError::InvalidConfig(err);
+        assert_eq!(Engine::new(config.clone()).err(), Some(rejected.clone()), "{needle}");
+        let die = Die::new(config.die).err();
+        assert_eq!(die.is_some(), per_die, "Die::new disagrees on `{needle}`");
+        if per_die {
+            assert_eq!(die, Some(rejected), "{needle}");
+        }
     }
 }

@@ -673,8 +673,16 @@ mod tests {
         // can be built from must come back as an error, not unwind — the
         // rows `Chip::new` asserts included.
         type Break = fn(&mut EngineConfig);
-        let cases: [(Break, &str); 5] = [
+        let cases: [(Break, &str); 6] = [
             (|e| e.queue_depth = 0, "queue depth"),
+            // A die count that wraps `u32` (2^32 + 2^16 dies).
+            (
+                |e| {
+                    e.topology.channels = 65_536;
+                    e.topology.dies_per_channel = 65_537;
+                },
+                "dies per channel overflow u32",
+            ),
             // A die the packed page map cannot address, and a block whose
             // page count wraps `u32`: refused before anything is allocated
             // or indexed with them.

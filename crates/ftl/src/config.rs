@@ -171,17 +171,6 @@ impl SsdConfig {
         }
         Ok(())
     }
-
-    /// [`SsdConfig::check`] for configurations the program built itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the error `check` returns.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 impl Default for SsdConfig {
@@ -205,8 +194,8 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        SsdConfig::default().validate();
-        SsdConfig::small_test().validate();
+        assert_eq!(SsdConfig::default().check(), Ok(()));
+        assert_eq!(SsdConfig::small_test().check(), Ok(()));
     }
 
     #[test]
@@ -241,7 +230,7 @@ mod tests {
         let a = c.with_fidelity(ReadFidelity::PageAnalytic);
         assert_eq!(a.fidelity(), ReadFidelity::PageAnalytic);
         assert_eq!(a.chip_params.fidelity, ReadFidelity::PageAnalytic);
-        a.validate();
+        assert_eq!(a.check(), Ok(()));
     }
 
     #[test]

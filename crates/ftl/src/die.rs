@@ -25,19 +25,20 @@
 //! ```
 //!
 //! and hands the consumer a [`DecodedRead`] ([`Die::read_with`]), which
-//! [`Die::read`] copies into a [`HostRead`] with its [`ReadResolution`]; an
-//! exhausted ladder surfaces as [`FtlError::Uncorrectable`] (the paper's
-//! data-loss event). Ladder re-reads and policy probe reads are counted in
-//! [`SsdStats`] so the engine can charge them to its discrete-event clock.
+//! [`Die::read`] copies into a [`HostRead`] with its [`ReadResolution`];
+//! then the policy's [`ControllerPolicy::on_read`] sees the chip and the
+//! block read. An exhausted ladder surfaces as [`FtlError::Uncorrectable`]
+//! (the paper's data-loss event). Ladder re-reads and policy probe reads
+//! are counted in [`SsdStats`] so the engine can charge them to its
+//! discrete-event clock.
 //!
 //! The pipeline decides on error counts, as a real controller's does, so
 //! the raw read and the ladder's re-reads are count-only
 //! ([`Chip::read_page_counts`]): on the page-analytic tier no page is
 //! copied, corrupted or compared, and the decoded payload is the chip's
-//! stored page, lent. Sensed bytes are materialized only for who looks at
-//! them: a policy that [observes requests](ControllerPolicy::observes_requests)
-//! gets the raw [`rd_flash::ReadOutcome`], and relocation keeps the raw
-//! page it must copy when the ladder cannot save it.
+//! stored page, lent. The one read that materializes sensed bytes is
+//! relocation's: it keeps the raw page it must copy when the ladder cannot
+//! save it.
 //!
 //! # The allocator and garbage collection
 //!
@@ -59,8 +60,9 @@
 //!   map for each page's owner at that moment ([`PageMap::owner`]), so no
 //!   list of valid pages is collected: a GC pass costs one read and one
 //!   program per valid page, `pages_per_block` map loads, and one erase;
-//! * the stale-block list of a maintenance day and the valid-block list a
-//!   policy hook sees are built in one scratch buffer the die keeps.
+//! * the stale-block list of a maintenance day and the valid-block list
+//!   the policy's daily tick sees are built in one scratch buffer the die
+//!   keeps.
 
 use std::borrow::Cow;
 
@@ -73,7 +75,7 @@ use rd_flash::{bits, Chip, ReadFidelity};
 use crate::config::SsdConfig;
 use crate::error::FtlError;
 use crate::mapping::{PageMap, Ppa};
-use crate::policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, DAY_NS};
+use crate::policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext};
 use crate::recovery::{ReadResolution, RecoveryLadder, RecoveryStepReport};
 use crate::stats::SsdStats;
 
@@ -153,7 +155,7 @@ pub struct Die<P: ControllerPolicy = NoMitigation> {
     free: Vec<u32>,
     /// One flag per block, set exactly while the block is in `free`.
     is_free: Vec<bool>,
-    /// Block list reused by daily maintenance and the policy hooks.
+    /// Block list reused by daily maintenance and the policy tick.
     block_scratch: Vec<u32>,
     active: Option<(u32, u32)>,
     in_gc: bool,
@@ -175,7 +177,7 @@ impl Die<NoMitigation> {
     ///
     /// # Errors
     ///
-    /// Currently infallible but typed for future device-open semantics.
+    /// As [`Die::with_policy`].
     pub fn new(config: SsdConfig) -> Result<Self, FtlError> {
         Self::with_policy(config, NoMitigation)
     }
@@ -189,13 +191,9 @@ impl<P: ControllerPolicy> Die<P> {
     ///
     /// # Errors
     ///
-    /// Currently infallible but typed for future device-open semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
+    /// [`FtlError::InvalidConfig`] with [`SsdConfig::check`]'s message.
     pub fn with_policy(config: SsdConfig, policy: P) -> Result<Self, FtlError> {
-        config.validate();
+        config.check().map_err(FtlError::InvalidConfig)?;
         let mut chip = Chip::new(config.geometry, config.chip_params.clone(), config.seed);
         let map = PageMap::new(
             config.logical_pages(),
@@ -426,8 +424,7 @@ impl<P: ControllerPolicy> Die<P> {
     }
 
     /// Writes a logical page (host write). Fresh pseudo-random content is
-    /// generated per write, as the paper's characterization does. Fires the
-    /// policy's [`ControllerPolicy::on_program`] hook.
+    /// generated per write, as the paper's characterization does.
     ///
     /// # Errors
     ///
@@ -442,11 +439,7 @@ impl<P: ControllerPolicy> Die<P> {
         } else {
             bits::random(&mut self.data_rng, self.config.geometry.bits_per_page())
         };
-        let ppa = self.write_data(lpa, &data, WriteClass::Host)?;
-        if !self.policy.observes_requests() {
-            return Ok(());
-        }
-        self.run_policy_hook(|policy, ctx| policy.on_program(ctx, ppa.block))
+        self.write_data(lpa, &data, WriteClass::Host)
     }
 
     /// [`PageMap::pretouch`] on this die's map: a caller that knows the
@@ -471,7 +464,7 @@ impl<P: ControllerPolicy> Die<P> {
     /// then — on uncorrectable pages — escalation through the recovery
     /// ladder (read-retry, disturb-aware re-read). `consume` sees the
     /// decoded read in place, before the policy's
-    /// [`ControllerPolicy::on_read`] hook fires (whose actions may move the
+    /// [`ControllerPolicy::on_read`] hook fires (whose action may move the
     /// page); a consumer that only folds or counts costs no copy.
     ///
     /// # Errors
@@ -487,16 +480,7 @@ impl<P: ControllerPolicy> Die<P> {
     ) -> Result<R, FtlError> {
         self.check_lpa(lpa)?;
         let ppa = self.map.lookup(lpa).ok_or(FtlError::NotWritten { lpa })?;
-        // Only a request-observing policy looks at the sensed bytes.
-        let observed = if self.policy.observes_requests() {
-            Some(self.chip.read_page(ppa.block, ppa.page)?)
-        } else {
-            None
-        };
-        let raw = match &observed {
-            Some(outcome) => outcome.counts(),
-            None => self.chip.read_page_counts(ppa.block, ppa.page)?,
-        };
+        let raw = self.chip.read_page_counts(ppa.block, ppa.page)?;
         self.stats.host_reads += 1;
         let capability = self.ecc.capability();
         let mut steps: &[RecoveryStepReport] = &[];
@@ -532,8 +516,8 @@ impl<P: ControllerPolicy> Die<P> {
             ppa,
             steps,
         });
-        if let Some(outcome) = observed {
-            self.run_policy_hook(|policy, ctx| policy.on_read(ctx, ppa.block, &outcome))?;
+        if let Some(action) = self.policy.on_read(&self.chip, ppa.block) {
+            self.apply_action(action)?;
         }
         Ok(consumed)
     }
@@ -559,31 +543,6 @@ impl<P: ControllerPolicy> Die<P> {
         Ok(())
     }
 
-    /// Runs one policy hook: builds the context, collects the action batch
-    /// and probe-read charge, then executes the actions as background jobs.
-    fn run_policy_hook<F>(&mut self, hook: F) -> Result<(), FtlError>
-    where
-        F: FnOnce(&mut P, &mut PolicyContext<'_>) -> Vec<PolicyAction>,
-    {
-        let (actions, probe_reads) = {
-            self.block_scratch.clear();
-            self.block_scratch.extend(self.map.valid_blocks());
-            let mut ctx = PolicyContext::new(
-                &mut self.chip,
-                &self.block_scratch,
-                self.config.refresh_interval_days,
-                self.ecc.capability(),
-            );
-            let actions = hook(&mut self.policy, &mut ctx);
-            (actions, ctx.probe_reads())
-        };
-        self.stats.policy_probe_reads += probe_reads;
-        for action in actions {
-            self.apply_action(action)?;
-        }
-        Ok(())
-    }
-
     fn daily_maintenance(&mut self) -> Result<(), FtlError> {
         // Remapping-based refresh of blocks past the interval.
         let interval = self.config.refresh_interval_days;
@@ -595,8 +554,13 @@ impl<P: ControllerPolicy> Die<P> {
         let refreshed = self.refresh_stale(&stale, interval);
         self.block_scratch = stale;
         refreshed?;
-        // Policy tick (one day of simulated time per maintenance tick).
-        self.run_policy_hook(|policy, ctx| policy.on_tick(ctx, DAY_NS))
+        // The policy tick sees the valid blocks the refresh left.
+        self.block_scratch.clear();
+        self.block_scratch.extend(self.map.valid_blocks());
+        let mut ctx = PolicyContext::new(&mut self.chip, &self.block_scratch);
+        self.policy.on_tick(&mut ctx);
+        self.stats.policy_probe_reads += ctx.probe_reads();
+        Ok(())
     }
 
     fn refresh_stale(&mut self, stale: &[u32], interval: f64) -> Result<(), FtlError> {
@@ -621,8 +585,7 @@ impl<P: ControllerPolicy> Die<P> {
     fn apply_action(&mut self, action: PolicyAction) -> Result<(), FtlError> {
         match action {
             PolicyAction::ReclaimBlock(block) => {
-                // An earlier action in the same batch can trigger GC that
-                // already evacuated this block; reclaiming it again would
+                // A free block holds nothing to reclaim; relocating it would
                 // duplicate it in the free pool (double-allocation).
                 if self.is_free[block as usize] {
                     return Ok(());
@@ -642,7 +605,7 @@ impl<P: ControllerPolicy> Die<P> {
         }
     }
 
-    fn write_data(&mut self, lpa: u64, data: &[u8], class: WriteClass) -> Result<Ppa, FtlError> {
+    fn write_data(&mut self, lpa: u64, data: &[u8], class: WriteClass) -> Result<(), FtlError> {
         let ppa = self.alloc_page()?;
         self.chip.program_page(ppa.block, ppa.page, data)?;
         self.map.remap(lpa, ppa);
@@ -652,7 +615,7 @@ impl<P: ControllerPolicy> Die<P> {
             WriteClass::Refresh => self.stats.refresh_writes += 1,
             WriteClass::Reclaim => self.stats.reclaim_writes += 1,
         }
-        Ok(ppa)
+        Ok(())
     }
 
     fn alloc_page(&mut self) -> Result<Ppa, FtlError> {
@@ -773,8 +736,7 @@ impl<P: ControllerPolicy> Die<P> {
                 }
             }
         };
-        self.write_data(lpa, &data, class)?;
-        Ok(())
+        self.write_data(lpa, &data, class)
     }
 
     /// Moves all valid data out of `block` ([`Self::relocate_page`]), erases
@@ -1131,6 +1093,76 @@ mod tests {
             assert!(stats.recovery_reads > 0, "recovered reads must cost retry reads");
             assert!(stats.recovery_steps > 0);
         }
+    }
+
+    /// Records every hook call it receives.
+    #[derive(Debug, Default)]
+    struct Counting {
+        reads: Vec<u32>,
+        ticks: u32,
+    }
+
+    impl ControllerPolicy for Counting {
+        fn on_read(&mut self, _chip: &Chip, block: u32) -> Option<PolicyAction> {
+            self.reads.push(block);
+            None
+        }
+
+        fn on_tick(&mut self, _ctx: &mut PolicyContext<'_>) {
+            self.ticks += 1;
+        }
+    }
+
+    #[test]
+    fn policy_hooks_fire_per_decoded_read_and_per_day() {
+        let mut die = Die::with_policy(SsdConfig::small_test(), Counting::default()).unwrap();
+        // Worn blocks, so that a disturbed one loses pages.
+        for b in 0..die.config().geometry.blocks {
+            die.chip_mut().cycle_block(b, 8_000).unwrap();
+        }
+        let pages = die.map().logical_pages();
+        // Writes, the GC they trigger and a reclaim's relocations: no hook.
+        let half = pages / 2;
+        for lpa in 0..half {
+            die.write(lpa).unwrap();
+        }
+        let mut x = 1u64;
+        for _ in 0..5 * half {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            die.write((x >> 33) % half).unwrap();
+        }
+        let block = die.map().lookup(0).unwrap().block;
+        die.apply_action(PolicyAction::ReclaimBlock(block)).unwrap();
+        let stats = die.stats();
+        assert!(stats.gc_writes > 0 && stats.reclaim_writes > 0, "{stats:?}");
+        assert!(die.policy().reads.is_empty());
+        // Unwritten and out-of-range reads: no hook.
+        assert!(matches!(die.read(pages - 1), Err(FtlError::NotWritten { .. })));
+        assert!(matches!(die.read(pages), Err(FtlError::LpaOutOfRange { .. })));
+        // Every decoded read fires once, with the block the map served; an
+        // uncorrectable one never.
+        for b in die.valid_blocks().into_iter().step_by(2) {
+            die.chip_mut().apply_read_disturbs(b, 1_000_000).unwrap();
+        }
+        let (mut served, mut lost) = (Vec::new(), 0);
+        for lpa in 0..half {
+            let block = die.map().lookup(lpa).unwrap().block;
+            match die.read(lpa) {
+                Ok(_) => served.push(block),
+                Err(FtlError::Uncorrectable { .. }) => lost += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(!served.is_empty() && lost > 0, "{} decoded, {lost} lost", served.len());
+        assert_eq!(die.policy().reads, served);
+        // The tick: once per simulated day boundary crossed.
+        assert_eq!(die.policy().ticks, 0);
+        die.advance_time(3.0).unwrap();
+        assert_eq!(die.policy().ticks, 3);
+        die.advance_time(0.5).unwrap();
+        die.advance_time(0.5).unwrap();
+        assert_eq!(die.policy().ticks, 4);
+        assert_eq!(die.policy().reads, served);
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub enum FtlError {
     OutOfSpace,
     /// An underlying flash operation failed.
     Flash(FlashError),
+    /// A die or array configuration failed its check; the message names the
+    /// first impossible value.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for FtlError {
@@ -47,6 +50,7 @@ impl std::fmt::Display for FtlError {
             ),
             FtlError::OutOfSpace => write!(f, "no free blocks available after garbage collection"),
             FtlError::Flash(e) => write!(f, "flash operation failed: {e}"),
+            FtlError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }

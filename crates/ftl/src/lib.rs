@@ -15,10 +15,11 @@
 //!   escalates through a pluggable [`RecoveryLadder`] (read-retry sweep,
 //!   RFR-style disturb-aware re-read) before declaring loss, returning a
 //!   typed [`ReadResolution`];
-//! * an event-driven [`ControllerPolicy`] hook (`on_read` / `on_program` /
-//!   `on_tick`) through which `rd-core` plugs Vpass Tuning into the same
-//!   controller; policy actions become background jobs whose flash work is
-//!   counted and charged to the engine clock.
+//! * a two-hook [`ControllerPolicy`] — `on_read(chip, block)` after every
+//!   decoded host read, `on_tick(ctx)` once per simulated day — through
+//!   which `rd-core` plugs Vpass Tuning into the same controller; a
+//!   policy's actions and probe reads are counted and charged to the
+//!   engine clock.
 //!
 //! The per-die controller state lives in [`Die`]; [`Ssd`] is the name of
 //! one die used on its own and the multi-die engine (`rd-engine`) arrays
@@ -50,16 +51,15 @@ pub mod stats;
 
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
-// Re-export: the fidelity knob threads ChipParams → SsdConfig → Die →
-// EngineConfig, and rd-engine reaches it through this crate.
 pub use error::FtlError;
 pub use mapping::{PageMap, Ppa};
-pub use policy::{
-    ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim, DAY_NS,
-};
+pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;
-pub use rd_flash::{ReadFidelity, SnapError};
+// Re-exports: the fidelity knob threads ChipParams → SsdConfig → Die →
+// EngineConfig, and `ControllerPolicy::on_read` takes the chip; rd-engine
+// reaches both through this crate.
+pub use rd_flash::{Chip, ReadFidelity, SnapError};
 pub use recovery::{
     DisturbReRead, LadderOutcome, ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport,
     RetrySweep, StepAttempt,

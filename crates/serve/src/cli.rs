@@ -119,9 +119,11 @@ impl CliOptions {
     ///
     /// Returns a human-readable message naming the offending flag.
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 || self.dies_per_channel == 0 {
-            return Err("--channels and --dies must be positive".into());
-        }
+        Topology { channels: self.channels, dies_per_channel: self.dies_per_channel }
+            .check()
+            .map_err(|e| {
+                format!("--channels {} --dies {}: {e}", self.channels, self.dies_per_channel)
+            })?;
         if self.shards == 0 || !self.channels.is_multiple_of(self.shards) {
             return Err(format!(
                 "--shards {} must divide --channels {}",
@@ -304,6 +306,8 @@ mod tests {
         let zero_depth = parse(&argv("run --queue-depth 0")).unwrap_err();
         assert!(zero_depth.starts_with("--queue-depth 0"), "{zero_depth}");
         assert!(parse(&argv("run --tenant only-one-field")).is_err());
+        let too_many_dies = parse(&argv("run --channels 65536 --dies 65537")).unwrap_err();
+        assert!(too_many_dies.contains("dies per channel overflow u32"), "{too_many_dies}");
     }
 
     #[test]

@@ -37,11 +37,14 @@ impl ShardPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or does not divide the channel count
-    /// (a shard must be a whole number of channels — dies on one channel
-    /// share a bus and cannot straddle engines).
+    /// Panics with [`Topology::check`]'s message on a topology it rejects,
+    /// and if `shards` is zero or does not divide the channel count (a
+    /// shard must be a whole number of channels — dies on one channel share
+    /// a bus and cannot straddle engines).
     pub fn new(topology: Topology, shards: u32) -> Self {
-        topology.validate();
+        if let Err(e) = topology.check() {
+            panic!("{e}");
+        }
         assert!(shards >= 1, "need at least one shard");
         assert!(
             topology.channels.is_multiple_of(shards),

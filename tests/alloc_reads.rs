@@ -1,8 +1,8 @@
 //! Allocation gates for the read pipeline (flash → ftl → engine) and the
 //! FTL's write/GC path.
 //!
-//! On the page-analytic tier a host read that nobody observes is count-only
-//! end to end: the raw read and every ladder re-read sample error counts
+//! On the page-analytic tier a host read is count-only end to end: the raw
+//! read and every ladder re-read sample error counts
 //! without building a page, the sampler's rejection sets live in per-chip
 //! scratch, the ladder reuses its report buffer, and the decoded payload is
 //! lent from the chip's stored page. So once warm, a read — clean,
@@ -27,10 +27,11 @@
 //! maintenance day (refresh scan, policy tick) work on the die's dense
 //! tables and one block-list scratch buffer, so on the payload-free
 //! aggregate tier they allocate nothing once warm, on the page-analytic tier
-//! only the page copies a write or a relocation must make, and a
-//! request-observing policy's hook — once per host read and write — none.
-//! Before, every GC pass collected the victim's valid pages into a fresh
-//! `Vec`, and every hook and every day the valid blocks.
+//! only the page copies a write or a relocation must make, and a policy's
+//! read hook — once per decoded host read, with the chip and the block —
+//! nothing, the reclaims it asks for included. Before, every GC pass
+//! collected the victim's valid pages into a fresh `Vec`, every day the
+//! valid blocks, and every reclaim its one-action batch.
 //!
 //! Allocations are counted per thread, so each gate sees its own only
 //! (the engine gate replays inline on one thread).
@@ -443,9 +444,9 @@ fn warm_analytic_writes_allocate_only_their_page_copies() {
     );
 }
 
-/// Read reclaim observes every host read and program: its hook sees the
-/// valid-block list, built in the die's scratch buffer. The only
-/// allocation left is the one-action batch of a reclaim it asks for.
+/// Read reclaim observes every decoded host read: its hook reads the
+/// block's counter off the chip and answers with at most one action, so
+/// neither the hook nor the reclaims it asks for touch the heap.
 #[test]
 fn request_observing_policy_hooks_do_not_allocate() {
     let config = die_config().with_fidelity(ReadFidelity::BlockAggregate);
@@ -472,9 +473,10 @@ fn request_observing_policy_hooks_do_not_allocate() {
     let stats = die.stats();
     let reclaims = stats.reclaims - start.reclaims;
     assert!(reclaims > 0 && stats.gc_writes > start.gc_writes, "{start:?} -> {stats:?}");
-    assert!(
-        allocs <= reclaims,
+    assert_eq!(
+        allocs,
+        0,
         "{allocs} heap allocations over {} hooks ({reclaims} reclaims)",
-        (stats.host_reads - start.host_reads) + (stats.host_writes - start.host_writes)
+        stats.host_reads - start.host_reads
     );
 }

@@ -269,9 +269,10 @@ fn count_first_pipeline_matches_the_materializing_parent_under_vpass_tuning() {
     }
 }
 
-/// `ReadReclaim` observes every request, so `Die::read` keeps handing it a
-/// materialized `ReadOutcome`; that branch must stay on the parent's
-/// digest and counters too (values recorded at commit 9f68a0e).
+/// `ReadReclaim`'s host reads were once materialized for its hook to look
+/// at; they are count-only now, as every policy's are, and must stay on the
+/// digest and counters of that materializing branch (values recorded at
+/// commit 9f68a0e).
 #[test]
 fn request_observing_policy_keeps_the_materializing_read_branch() {
     const PARENT: PipelineRow = (8218770412743587499, 776, 7, 5301, 3146, 0, 14481);
