@@ -157,8 +157,8 @@ pub fn measure_recovery_scenario(
 
 /// Renders a measurement as one self-describing JSON row: topology,
 /// fidelity tier, simulated throughput, latency percentiles,
-/// reliability counters (UBER, recovery, relocation cost), and the FNV
-/// data digest.
+/// reliability counters (UBER, recovery, relocation cost), and the data
+/// digest.
 pub fn json_row(kind: &str, trace_ops: usize, m: &ReplayMeasurement) -> String {
     let s = &m.stats;
     let totals = s.totals();

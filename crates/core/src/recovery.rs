@@ -8,11 +8,11 @@
 //! last-resort rungs of a running controller.
 //!
 //! Both mechanisms need the per-cell oracles of the cell-exact chip
-//! (read-retry Vth sweeps); on a page-analytic chip they skip cleanly
-//! (`errors: None`), letting the built-in uniform-retry rungs carry the
-//! escalation at that tier.
+//! (read-retry Vth sweeps); on the closed-form tiers they skip cleanly
+//! (`errors: None`, no read spent) before touching the chip or the heap,
+//! letting the built-in uniform-retry rungs carry the escalation there.
 
-use rd_flash::{bits, Chip, FlashError, PageAddr, PageKind};
+use rd_flash::{bits, Chip, FlashError, PageAddr, PageKind, ReadFidelity};
 use rd_ftl::{RecoveryLadder, RecoveryStep, RetrySweep, StepAttempt};
 
 use crate::rfr::{Rfr, RfrConfig};
@@ -45,6 +45,9 @@ impl RecoveryStep for RorRecoveryStep {
         page: u32,
         capability: u64,
     ) -> Result<StepAttempt, FlashError> {
+        if chip.fidelity() != ReadFidelity::CellExact {
+            return Ok(StepAttempt { reads_spent: 0, errors: None });
+        }
         let wordline = PageAddr { block, page }.wordline();
         let reads_before = chip.block_status(block)?.reads_since_erase;
         let result = self.ror.optimize_wordline(chip, block, wordline);
@@ -53,8 +56,8 @@ impl RecoveryStep for RorRecoveryStep {
         let sweep_reads = chip.block_status(block)?.reads_since_erase - reads_before;
         let learned = match result {
             Ok(outcome) => outcome,
-            // The sweep needs per-cell Vth measurement: skip cleanly on a
-            // page-analytic chip (or a non-flash optimizer failure below).
+            // A sweep the chip cannot measure (or a non-flash optimizer
+            // failure below) skips the rung cleanly.
             Err(crate::CoreError::Flash(FlashError::FidelityUnsupported { .. })) => {
                 return Ok(StepAttempt { reads_spent: sweep_reads, errors: None });
             }
@@ -102,6 +105,9 @@ impl RecoveryStep for RfrRecoveryStep {
         page: u32,
         capability: u64,
     ) -> Result<StepAttempt, FlashError> {
+        if chip.fidelity() != ReadFidelity::CellExact {
+            return Ok(StepAttempt { reads_spent: 0, errors: None });
+        }
         let reads_before = chip.block_status(block)?.reads_since_erase;
         let outcome = match self.rfr.recover_block(chip, block) {
             Ok(outcome) => outcome,
@@ -152,7 +158,7 @@ pub fn full_recovery_ladder() -> RecoveryLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_flash::{ChipParams, Geometry, ReadFidelity};
+    use rd_flash::{ChipParams, Geometry};
 
     fn stressed_chip(fidelity: ReadFidelity, pe: u64, disturbs: u64, days: f64) -> Chip {
         let mut chip = Chip::with_fidelity(
@@ -195,10 +201,12 @@ mod tests {
 
     #[test]
     fn ror_step_skips_on_analytic_tier() {
-        let mut chip = stressed_chip(ReadFidelity::PageAnalytic, 10_000, 1_500_000, 14.0);
-        let mut step = RorRecoveryStep::default();
-        let attempt = step.attempt(&mut chip, 0, 3, 8).unwrap();
-        assert_eq!(attempt, StepAttempt { reads_spent: 0, errors: None });
+        for fidelity in [ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate] {
+            let mut chip = stressed_chip(fidelity, 10_000, 1_500_000, 14.0);
+            let mut step = RorRecoveryStep::default();
+            let attempt = step.attempt(&mut chip, 0, 3, 8).unwrap();
+            assert_eq!(attempt, StepAttempt { reads_spent: 0, errors: None });
+        }
     }
 
     #[test]
@@ -230,10 +238,12 @@ mod tests {
 
     #[test]
     fn rfr_step_skips_on_analytic_tier() {
-        let mut chip = stressed_chip(ReadFidelity::PageAnalytic, 12_000, 0, 28.0);
-        let mut step = RfrRecoveryStep::default();
-        let attempt = step.attempt(&mut chip, 0, 3, 8).unwrap();
-        assert_eq!(attempt, StepAttempt { reads_spent: 0, errors: None });
+        for fidelity in [ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate] {
+            let mut chip = stressed_chip(fidelity, 12_000, 0, 28.0);
+            let mut step = RfrRecoveryStep::default();
+            let attempt = step.attempt(&mut chip, 0, 3, 8).unwrap();
+            assert_eq!(attempt, StepAttempt { reads_spent: 0, errors: None });
+        }
     }
 
     #[test]

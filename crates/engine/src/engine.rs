@@ -111,7 +111,7 @@ use rd_workloads::{OpKind, TraceOp};
 
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
-use crate::stats::{fnv1a, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
+use crate::stats::{fnv1a, fold_page, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
 use crate::timing::Timing;
 use crate::topology::Topology;
 
@@ -901,9 +901,12 @@ impl<P: ControllerPolicy> Engine<P> {
         }
     }
 
-    /// FNV-1a digest folded over the per-die digests in die order — the
-    /// [`EngineStats::data_digest`] of [`Engine::stats`], without building
-    /// the rest of the snapshot.
+    /// The [`EngineStats::data_digest`] of [`Engine::stats`], without
+    /// building the rest of the snapshot: the per-die digests folded by
+    /// [`fnv1a`] in die order. Each die folds every page it decodes eight
+    /// bytes per round ([`crate::fold_page`]) on the payload tiers
+    /// (`PageAnalytic`, `CellExact`), and every read's corrected-error count
+    /// in one round on the payload-free `BlockAggregate` tier.
     pub fn data_digest(&self) -> u64 {
         self.die_digest.iter().fold(FNV_OFFSET, |digest, dd| fnv1a(digest, &dd.to_le_bytes()))
     }
@@ -1671,15 +1674,15 @@ fn execute_die<P: ControllerPolicy>(
             // The decoded page is digested where it lives (the chip's
             // stored payload) and copied only for a capturing caller.
             ReqKind::Read => match die.read_with(die_lpa, |r| {
-                // Payload-carrying tiers digest the decoded bytes; the
-                // aggregate tier carries no payload, so its digest folds
-                // the corrected-error count (the read's full information
-                // content) in one xor-multiply round — order- and
-                // value-sensitive, without the per-byte hash walk.
+                // Payload-carrying tiers digest the decoded bytes, eight a
+                // round; the aggregate tier carries no payload, so its
+                // digest folds the corrected-error count (the read's full
+                // information content) in one xor-multiply round — order-
+                // and value-sensitive, without a walk over bytes.
                 digest = if r.data.is_empty() {
                     (digest ^ r.corrected_errors).wrapping_mul(0x0000_0100_0000_01B3)
                 } else {
-                    fnv1a(digest, r.data)
+                    fold_page(digest, r.data)
                 };
                 (r.corrected_errors, ctx.capture.then(|| r.data.to_vec()))
             }) {

@@ -46,6 +46,6 @@ pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;
 // Re-export: the per-die read-path fidelity knob (see `rd_flash::fidelity`).
 pub use rd_ftl::ReadFidelity;
-pub use stats::{fnv1a, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
+pub use stats::{fnv1a, fold_page, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
 pub use timing::Timing;
 pub use topology::Topology;

@@ -21,10 +21,12 @@ pub struct DieStats {
     /// Highest `reads_since_erase` over the die's blocks — the die's current
     /// worst-case read-disturb accumulation point.
     pub hottest_block_reads: u64,
-    /// FNV-1a digest of every payload this die served (the per-die term the
-    /// engine-level [`EngineStats::data_digest`] folds in die order). Carried
-    /// per die so sharded deployments ([`EngineStats::merge_shards`]) can
-    /// rebuild the exact monolithic digest.
+    /// Digest of every read this die decoded, in service order (the per-die
+    /// term the engine-level [`EngineStats::data_digest`] folds in die
+    /// order): each decoded page through [`fold_page`] on the payload tiers,
+    /// each read's corrected-error count in one xor-multiply round on the
+    /// payload-free aggregate tier. Carried per die so sharded deployments
+    /// ([`EngineStats::merge_shards`]) can rebuild the exact monolithic digest.
     pub digest: u64,
     /// The die's controller counters (writes, erases, corrected bits, …).
     pub ssd: SsdStats,
@@ -79,8 +81,11 @@ pub struct EngineStats {
     pub latency_p99_us: f64,
     /// Mean end-to-end request latency (µs).
     pub latency_mean_us: f64,
-    /// FNV-1a digest folded over every decoded read payload in die order —
-    /// a bit-exact fingerprint of all data the engine served.
+    /// The per-die [`DieStats::digest`]s folded by [`fnv1a`] in die order — a
+    /// bit-exact fingerprint of all data the engine served. A die folds each
+    /// decoded page eight bytes per round ([`fold_page`]) at the
+    /// `PageAnalytic` and `CellExact` tiers, and each read's corrected-error
+    /// count at `BlockAggregate`, which carries no payload.
     pub data_digest: u64,
     /// Per-die breakdown, indexed by die id.
     pub per_die: Vec<DieStats>,
@@ -372,12 +377,40 @@ fn select_keys(sample: &[f64], prefix: u64, known: u32, ranks: &mut [usize], out
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into an FNV-1a 64-bit digest.
+///
+/// Byte-serial, so it is kept off the per-read path: it folds the per-die
+/// digests into [`EngineStats::data_digest`] ([`crate::Engine::data_digest`],
+/// [`EngineStats::merge_shards`]), the `len % 8` tail of [`fold_page`], and
+/// the fleet's slot and row digests; the benchmark hashes each workload's
+/// statistics into its fingerprint with it.
 pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// Multiplier of [`fold_page`]'s word round: 2⁶⁴ over the golden ratio.
+const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Folds a decoded page into a die's payload digest eight bytes per round.
+///
+/// Each little-endian word `w` is xored into `hash`, the result multiplied
+/// to 128 bits by an odd constant (2⁶⁴ over the golden ratio), and the two
+/// halves xored into the new `hash`; the `len % 8` tail bytes go through
+/// [`fnv1a`], so every byte reaches the digest. The high half is what
+/// carries a flipped top bit into the low bits: a wrapping multiply by an
+/// odd constant (FNV's prime, applied to whole words) never carries
+/// downwards, so flips of bit 63 in two words would cancel.
+pub fn fold_page(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8-byte words"));
+        let p = u128::from(hash ^ w) * u128::from(FOLD_K);
+        hash = (p as u64) ^ ((p >> 64) as u64);
+    }
+    fnv1a(hash, words.remainder())
 }
 
 #[cfg(test)]
@@ -599,5 +632,46 @@ mod tests {
         let b = fnv1a(FNV_OFFSET, &[3, 2, 1]);
         assert_ne!(a, b);
         assert_eq!(a, fnv1a(FNV_OFFSET, &[1, 2, 3]));
+    }
+
+    /// A 256-byte page of distinct, non-trivial bytes.
+    fn page() -> Vec<u8> {
+        (0..256u32).map(|i| (i.wrapping_mul(167) ^ 0x5A) as u8).collect()
+    }
+
+    #[test]
+    fn fold_page_separates_every_single_bit_flip() {
+        let page = page();
+        let clean = fold_page(FNV_OFFSET, &page);
+        let mut digests: Vec<u64> = (0..page.len() * 8)
+            .map(|bit| {
+                let mut flipped = page.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                fold_page(FNV_OFFSET, &flipped)
+            })
+            .collect();
+        assert!(digests.iter().all(|&d| d != clean), "a bit flip left the digest unchanged");
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), 2048, "two single-bit flips collided");
+    }
+
+    #[test]
+    fn fold_page_is_word_order_sensitive() {
+        let page = page();
+        let mut swapped = page.clone();
+        swapped[8..16].copy_from_slice(&page[80..88]);
+        swapped[80..88].copy_from_slice(&page[8..16]);
+        assert_ne!(fold_page(FNV_OFFSET, &page), fold_page(FNV_OFFSET, &swapped));
+    }
+
+    #[test]
+    fn fold_page_folds_the_tail_and_passes_empty_through() {
+        let mut page = page();
+        page.truncate(125);
+        let digest = fold_page(FNV_OFFSET, &page);
+        page[124] ^= 1;
+        assert_ne!(digest, fold_page(FNV_OFFSET, &page), "the 5-byte tail was not folded");
+        assert_eq!(fold_page(0x1234_5678_9abc_def0, &[]), 0x1234_5678_9abc_def0);
     }
 }

@@ -4,7 +4,7 @@
 //! Instead of per-cell threshold voltages, a block keeps only
 //!
 //! * the packed **page payloads** as programmed (so reads return real data
-//!   and the engine's FNV digest gate still bites),
+//!   and the engine's payload digest gate still bites),
 //! * the block **operating point** (P/E cycles, retention age, Vpass), and
 //! * **batched disturb counters**: reads are accumulated per block plus a
 //!   per-wordline adjustment (hammer concentration on neighbours), and are

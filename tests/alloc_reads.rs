@@ -177,37 +177,51 @@ fn exact_die_reads_allocate_only_the_payload() {
     assert!(worst <= 1, "a warm cell-exact read made {worst} heap allocations");
 }
 
+/// Under the die's default ladder, then under `full_recovery_ladder()` (what
+/// `hammer-recovery` installs), whose ROR and RFR rungs must skip on this
+/// tier without touching the heap.
 fn die_reads_never_allocate() {
-    let mut die = Die::new(die_config()).unwrap();
-    stress(&mut die);
-    let pages = die.map().logical_pages();
-    // (clean, corrected, recovered, uncorrectable)
-    let mut seen = [0u64; 4];
-    let pass = |die: &mut Die, seen: &mut [u64; 4]| {
-        for lpa in 0..pages {
-            match die.read_with(lpa, |r| (r.steps.len(), r.corrected_errors, r.data.len())) {
-                Ok((0, 0, len)) => seen[0] += u64::from(len == 256),
-                Ok((0, _, _)) => seen[1] += 1,
-                Ok(_) => seen[2] += 1,
-                Err(FtlError::Uncorrectable { .. }) => seen[3] += 1,
-                Err(e) => panic!("unexpected read error: {e}"),
-            }
+    for full_ladder in [false, true] {
+        let mut die = Die::new(die_config()).unwrap();
+        if full_ladder {
+            die.set_recovery_ladder(full_recovery_ladder());
         }
-    };
-    // Warm-up: every block's operating-point cache, the ladder's report
-    // buffer.
-    pass(&mut die, &mut seen);
-    seen = [0; 4];
-    let before = allocs();
-    for _ in 0..4 {
+        stress(&mut die);
+        let pages = die.map().logical_pages();
+        // (clean, corrected, recovered, uncorrectable)
+        let mut seen = [0u64; 4];
+        let pass = |die: &mut Die, seen: &mut [u64; 4]| {
+            for lpa in 0..pages {
+                match die.read_with(lpa, |r| (r.steps.len(), r.corrected_errors, r.data.len())) {
+                    Ok((0, 0, len)) => seen[0] += u64::from(len == 256),
+                    Ok((0, _, _)) => seen[1] += 1,
+                    Ok(_) => seen[2] += 1,
+                    Err(FtlError::Uncorrectable { .. }) => seen[3] += 1,
+                    Err(e) => panic!("unexpected read error: {e}"),
+                }
+            }
+        };
+        // Warm-up: every block's operating-point cache, the ladder's report
+        // buffer.
         pass(&mut die, &mut seen);
+        seen = [0; 4];
+        let before = allocs();
+        for _ in 0..4 {
+            pass(&mut die, &mut seen);
+        }
+        let allocs = allocs() - before;
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "window must cover clean/corrected/recovered/uncorrectable reads, saw {seen:?} \
+             (full ladder: {full_ladder})"
+        );
+        assert_eq!(
+            allocs,
+            0,
+            "{allocs} heap allocations over {} reads {seen:?} (full ladder: {full_ladder})",
+            4 * pages
+        );
     }
-    let allocs = allocs() - before;
-    assert!(
-        seen.iter().all(|&n| n > 0),
-        "window must cover clean/corrected/recovered/uncorrectable reads, saw {seen:?}"
-    );
-    assert_eq!(allocs, 0, "{allocs} heap allocations over {} reads {seen:?}", 4 * pages);
 }
 
 /// A 2×2 array of [`die_config`] dies, each put through [`stress`].

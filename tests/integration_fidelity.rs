@@ -13,7 +13,7 @@
 //!   of [0.3, 3.0] (low-wear dies: small expectations, Monte-Carlo noise
 //!   dominates the exact side);
 //! * **determinism** — the analytic tier is bit-identical across engine
-//!   worker-thread counts (FNV payload digest included), exactly like the
+//!   worker-thread counts (payload digest included), exactly like the
 //!   exact tier.
 
 use readdisturb::core::VpassTuningPolicy;
@@ -119,7 +119,7 @@ fn analytic_replay_rber_matches_exact_within_tolerance() {
 }
 
 /// The analytic tier must be bit-identical for any worker-thread count —
-/// the same FNV digest gate the exact tier passes.
+/// the same payload digest gate the exact tier passes.
 #[test]
 fn analytic_replay_is_thread_count_invariant() {
     let ops = trace(8_000);
