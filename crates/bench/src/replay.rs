@@ -143,7 +143,7 @@ pub fn measure_recovery_scenario(
         engine.submit_write(lpa);
     }
     engine.run(0);
-    engine.drain_completions();
+    engine.drain_completions_into(&mut Vec::new());
     // Concentrated read-disturb burst on every data-holding block.
     for d in 0..dies {
         let die = engine.die_mut(d);

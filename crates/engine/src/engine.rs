@@ -23,13 +23,13 @@
 //! The unit of the timing phase is the **channel**, not the die: a request
 //! starts at `ready.max(chan_free)` — its die's clock and its channel's —
 //! so the dies of one channel are tied together by the bus they share,
-//! while two channels share no clock at all. Inside `run` (and the replay
-//! entry points, which are `run` after a bulk submit) the phases therefore
-//! overlap: the coordinator collects dies as they land, and as soon as
-//! every die of the lowest untimed channel is in, it times that channel
-//! while the pool's lanes execute the dies of later ones. The wall time of
-//! one batch is `max(flash / workers, timing)` plus the wait for the first
-//! channel, not their sum.
+//! while two channels share no clock at all. The phases therefore overlap:
+//! [`Engine::finish_batch`] — which `run` is, after its launch — collects
+//! dies as they land, and as soon as every die of the lowest untimed
+//! channel is in, it times that channel while the pool's lanes execute the
+//! dies of later ones. The wall time of one batch is
+//! `max(flash / workers, timing)` plus the wait for the first channel, not
+//! their sum.
 //!
 //! **Channels are timed strictly in index order**, whatever order results
 //! arrive in, and the batch's submission time is read once, before the
@@ -41,13 +41,15 @@
 //!
 //! Completions are posted ordered by simulated completion time, and
 //! [`Engine::stats`] aggregates throughput, latency percentiles, and
-//! per-die reliability counters. Trace replay ([`Engine::replay`]) is the
-//! same path: fold each op's lpa into the logical space, `submit`, run.
+//! per-die reliability counters. Trace replay
+//! ([`Engine::replay_stats_only`]) is the same path: fold each op's lpa
+//! into the logical space and queue it, launch, finish — posting nothing.
 //!
 //! A die job that panics on the pool is reported by the job itself where
 //! its die would have landed, and the coordinator panics in turn, inside
-//! the `run` or `join_batch` that was collecting, naming the die — it never
-//! waits for a die that will not come. The pool's lanes survive the panic.
+//! the `run`, `join_batch` or `finish_batch` that was collecting, naming
+//! the die — it never waits for a die that will not come. The pool's lanes
+//! survive the panic.
 //!
 //! # Bytes per request
 //!
@@ -56,7 +58,7 @@
 //! the box the benchmark runs on), so the per-request records are kept to
 //! one word each, in arenas the engine keeps across batches:
 //!
-//! | stage | stats-only replay | summarized (`begin_batch_summarized`) | full (`submit`/`run`, `replay`) |
+//! | stage | stats-only (`replay_stats_only`) | summarized (`begin_batch_summarized`) | full (`run`, `begin_batch`) |
 //! |---|---|---|---|
 //! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | **12** (the slot + a `u32` id offset) | 24 → **12** |
 //! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | **8** (an `Outcome` word: kind, class, corrected errors) | 16 + 80 → 8 + **72** (the word + `ExecRich`: address, start time, error, data) |
@@ -80,9 +82,12 @@
 //! staged API:
 //! [`Engine::begin_batch`] (or [`Engine::begin_batch_summarized`]) launches
 //! the flash phase on a persistent [`WorkerPool`], [`Engine::join_batch`]
-//! collects every die and folds the accounting (after it the dies are
-//! accessible again), and [`Engine::finish_batch`] times every channel on
-//! the caller's thread.
+//! only collects every die (after it the dies are accessible again), and
+//! [`Engine::finish_batch`] times every channel on the caller's thread —
+//! the settle loop `run` ends with, which finds every channel's dies in.
+//! Either way a die's digest and counters are folded into the engine's
+//! accounting where the die lands: each fold writes the die's own slot or
+//! adds to an integer total, so landing order cannot change a bit.
 //! While the coordinator runs the timing phase of batch N, the pool can
 //! already execute the flash phase of batch N+1 — a batch's timing reads
 //! only its own answered queues and the engine's clocks, never a die, so
@@ -95,12 +100,11 @@
 //! it wants to be woken and sleeps once. `join_batch` asks for zero — the
 //! last job to land wakes it, where a result channel woke it for every die
 //! (eight sleeps per 1,024-op batch on a 16-die array served by two
-//! shards). `run` asks for the count at which the channel it wants to time
-//! next *could* be complete — if `k` of its dies are missing, `k` landings
-//! from now — so it still times early channels while later dies execute.
-//! A job that lands with nobody waiting signals nobody.
+//! shards). `finish_batch` asks for the count at which the channel it wants
+//! to time next *could* be complete — if `k` of its dies are missing, `k`
+//! landings from now — so it still times early channels while later dies
+//! execute. A job that lands with nobody waiting signals nobody.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -353,10 +357,9 @@ struct ExecContext {
 
 /// Flash-phase output of one die: its queue with every slot answered (and,
 /// on an emitting batch, its outcomes recorded) and the batch's per-die
-/// totals. A die with no work this batch gets the default with its digest
-/// carried forward — what [`execute_die`] returns on an empty queue, minus
-/// the clock reads.
-#[derive(Debug, Default)]
+/// totals, which [`Engine::fold`] adds to the accounting where the die
+/// lands.
+#[derive(Debug)]
 struct DieExec {
     queue: DieQueue,
     digest: u64,
@@ -444,8 +447,9 @@ impl<P: ControllerPolicy> Drop for PanicReport<P> {
 /// A batch between launch and the end of its timing pass.
 #[derive(Debug)]
 struct Flight {
-    /// Per-die results; `None` slots are still executing on the pool.
-    execs: Vec<Option<DieExec>>,
+    /// Per-die answered queues; `None` slots are still executing on the
+    /// pool.
+    queues: Vec<Option<DieQueue>>,
     /// Dies dispatched to the pool and not yet collected.
     outstanding: usize,
     emit: Emit,
@@ -453,16 +457,6 @@ struct Flight {
     total: usize,
     /// Command id of the batch's first request.
     first_id: u64,
-}
-
-/// What one batch's timing pass carries from channel to channel.
-#[derive(Debug)]
-struct TimingPass {
-    /// Simulated time the batch was submitted at: the clock when the pass
-    /// began, read once, before any channel moves it.
-    batch_now: f64,
-    /// Where this batch's records begin in [`Engine::timed`].
-    first: usize,
 }
 
 /// What [`Engine::time_channel`] keeps per die of the channel it is timing:
@@ -480,9 +474,11 @@ struct DieCursor {
 /// and out of checkpoints.
 ///
 /// `pool_wait_ns` is coordinator time blocked collecting pool results in
-/// [`Engine::join_batch`]; `flash_ns` is worker-side execution time summed
-/// over dies (it can exceed wall time when workers overlap); `timing_ns`
-/// is the serial discrete-event pass in [`Engine::finish_batch`].
+/// [`Engine::join_batch`], [`Engine::finish_batch`] and [`Engine::run`];
+/// `flash_ns` is worker-side execution time summed over dies (it can exceed
+/// wall time when workers overlap); `timing_ns` is the serial
+/// discrete-event pass in `finish_batch` (and so `run`), less its pool
+/// waits.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStageNs {
     /// Coordinator wait for pool results, ns.
@@ -579,7 +575,7 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// Requests submitted and not yet launched (they sit in `work`).
     pending: usize,
     /// Posted completions, ordered by simulated completion time.
-    cq: VecDeque<IoCompletion>,
+    cq: Vec<IoCompletion>,
     /// One record per request of an emitting batch, written by the timing
     /// pass in dispatch order and sorted into posting order when the pass
     /// ends. A full batch's records are then assembled into `cq`; a
@@ -604,14 +600,14 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// Where pool jobs land (created on first use; jobs hold clones only
     /// while they are in flight).
     landing: Option<Arc<Landing<P>>>,
-    /// Emptied `Flight::execs` lists, for the next launches (two once a
+    /// Emptied `Flight::queues` lists, for the next launches (two once a
     /// front-end pipelines: one flight joined, one on the pool).
-    spare_execs: Vec<Vec<Option<DieExec>>>,
+    spare_queues: Vec<Vec<Option<DieQueue>>>,
     /// Timing-pass scratch: one cursor per die of a channel.
     cursors: Vec<DieCursor>,
     /// Completion-assembly scratch: the next `rich` entry of each die.
     rich_next: Vec<usize>,
-    /// Flash phase in flight (between `begin_batch` and `join_batch`).
+    /// Batch launched and neither joined nor finished.
     flight: Option<Flight>,
     /// Joined flash phase awaiting `finish_batch`.
     joined: Option<Flight>,
@@ -673,7 +669,7 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             dies,
             die_div: FastDiv::new(nd as u64),
             pending: 0,
-            cq: VecDeque::new(),
+            cq: Vec::new(),
             timed: Vec::new(),
             next_id: 0,
             work: vec![DieQueue::default(); nd],
@@ -681,7 +677,7 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             pool: None,
             owned_pool: None,
             landing: None,
-            spare_execs: Vec::new(),
+            spare_queues: Vec::new(),
             cursors: Vec::new(),
             rich_next: vec![0; nd],
             flight: None,
@@ -804,20 +800,10 @@ impl<P: ControllerPolicy> Engine<P> {
         self.pending
     }
 
-    /// Pops the oldest unconsumed completion.
-    pub fn pop_completion(&mut self) -> Option<IoCompletion> {
-        self.cq.pop_front()
-    }
-
-    /// Drains every unconsumed completion, oldest first.
-    pub fn drain_completions(&mut self) -> Vec<IoCompletion> {
-        self.cq.drain(..).collect()
-    }
-
     /// Appends every unconsumed completion to `out`, oldest first: a
     /// front-end that drains batch after batch reuses one buffer.
     pub fn drain_completions_into(&mut self, out: &mut Vec<IoCompletion>) {
-        out.extend(self.cq.drain(..));
+        out.append(&mut self.cq);
     }
 
     /// Takes every unconsumed summary of the summarized batches finished so
@@ -1084,19 +1070,25 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// (parallel over dies, `threads` workers; 0 = one per available core)
     /// then timing phase. Returns the number of requests completed; the
     /// completions are posted ordered by simulated completion time. Results
-    /// are bit-identical for any thread count.
+    /// are bit-identical for any thread count. It is
+    /// [`Engine::begin_batch`] + [`Engine::finish_batch`].
     ///
-    /// Equivalent to [`Engine::begin_batch`] + [`Engine::join_batch`] +
-    /// [`Engine::finish_batch`] with no overlap.
+    /// # Panics
+    ///
+    /// Panics if a batch is in flight or joined, or — naming the die — if
+    /// a die's job panicked on the pool.
     pub fn run(&mut self, threads: usize) -> usize {
-        self.run_batch(threads, Emit::Full)
+        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
+        self.launch(threads, Emit::Full);
+        self.finish_batch()
     }
 
     /// Launches the flash phase of every pending request — on the attached
     /// [`PoolHandle`] if one is set (then `threads` is ignored), on a
     /// lazily built engine-owned pool for `threads > 1`, or inline on the
-    /// calling thread for a single worker. Returns the batch size; with
-    /// nothing pending it returns 0 and launches nothing.
+    /// calling thread for a single worker. Returns the batch size. With
+    /// nothing pending the batch is empty, and still a batch: `join_batch`
+    /// returns at once and `finish_batch` returns 0.
     ///
     /// While a pooled flash phase is in flight, the affected dies are
     /// owned by the pool: [`Engine::die`], [`Engine::stats`], snapshots,
@@ -1124,40 +1116,6 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.launch(threads, Emit::Summary)
     }
 
-    /// One batch start to finish; `emit` selects completion records. The
-    /// coordinator does not wait for the whole flash phase: as soon as every
-    /// die of the lowest untimed channel has landed it times that channel,
-    /// while the lanes execute the dies of later ones.
-    fn run_batch(&mut self, threads: usize, emit: Emit) -> usize {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        if self.launch(threads, emit) == 0 {
-            return 0;
-        }
-        let mut flight = self.flight.take().expect("just launched");
-        let started = Instant::now();
-        let waited_before = self.stage_ns.pool_wait_ns;
-        let pass = self.begin_timing(&flight);
-        for ch in 0..self.chan_free_us.len() {
-            let dies = self.channel_dies(ch);
-            loop {
-                let missing = flight.execs[dies.clone()].iter().filter(|e| e.is_none()).count();
-                if missing == 0 {
-                    break;
-                }
-                // The channel is complete no sooner than `missing` landings
-                // from now: sleep through the ones before that.
-                let wake_at = flight.outstanding - missing;
-                self.collect(&mut flight, wake_at);
-            }
-            self.fold_channel(&flight, ch);
-            self.time_channel(&mut flight, ch, &pass);
-        }
-        let done = self.end_timing(flight, pass);
-        let waited = self.stage_ns.pool_wait_ns - waited_before;
-        self.stage_ns.timing_ns += (started.elapsed().as_nanos() as u64).saturating_sub(waited);
-        done
-    }
-
     /// Phase 1 launch: dispatches every non-empty per-die queue to the
     /// executor [`Engine::begin_batch`] describes. The attached pool runs
     /// the phase even with one lane, so a pipelining front-end still
@@ -1165,33 +1123,31 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// `d % workers` — a pure function of die index and pool size, so
     /// execution partitioning (and therefore every digest) is reproducible.
     /// Either executor leaves `work` empty and owned by the engine, so
-    /// `submit` can keep appending while the phase is in flight.
+    /// `submit` can keep appending while the phase is in flight; a die run
+    /// inline is folded here, where it lands.
     fn launch(&mut self, threads: usize, emit: Emit) -> usize {
-        if self.pending == 0 {
-            return 0;
-        }
         assert!(self.flight.is_none(), "flash phase already in flight; call join_batch() first");
         let batch = std::mem::take(&mut self.pending);
         let nd = self.dies.len();
+        let jobs = self.work.iter().filter(|queue| !queue.slots.is_empty()).count();
         let handle = match &self.pool {
+            // An empty batch has nothing to execute anywhere.
+            _ if jobs == 0 => None,
             Some(h) => Some(h.clone()),
-            None => {
-                let t = resolve_threads(threads, nd);
-                if t <= 1 {
-                    None
-                } else {
+            None => match resolve_threads(threads, nd) {
+                1 => None,
+                t => {
                     if self.owned_pool.as_ref().map(|p| p.workers()) != Some(t) {
                         self.owned_pool = Some(Arc::new(WorkerPool::new(t)));
                     }
                     let pool = self.owned_pool.as_ref().expect("just built");
                     Some(PoolHandle::all(Arc::clone(pool)))
                 }
-            }
+            },
         };
         let pooled = handle.map(|handle| {
             let landing = Arc::clone(self.landing.get_or_insert_with(|| Arc::new(Landing::new())));
             // The countdown is set before the first job can land.
-            let jobs = self.work.iter().filter(|queue| !queue.slots.is_empty()).count();
             landing.state.lock().expect("landing lock poisoned").running = jobs;
             (handle, landing)
         });
@@ -1201,12 +1157,10 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             emit,
             dies: nd as u64,
         };
-        let mut execs = self.spare_execs.pop().unwrap_or_default();
-        let mut outstanding = 0usize;
+        let mut queues = self.spare_queues.pop().unwrap_or_default();
         for d in 0..nd {
-            let start_digest = self.die_digest[d];
             if self.work[d].slots.is_empty() {
-                execs.push(Some(DieExec { digest: start_digest, ..DieExec::default() }));
+                queues.push(Some(DieQueue::default()));
                 continue;
             }
             // Swap in the spare arena: the queue stays with this batch
@@ -1214,13 +1168,15 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             // batch fills the other one meanwhile.
             let queue =
                 std::mem::replace(&mut self.work[d], std::mem::take(&mut self.spare_work[d]));
+            let start_digest = self.die_digest[d];
             let Some((handle, landing)) = &pooled else {
                 // Inline execution on the calling thread (identical results).
                 let die = self.dies[d].as_mut().expect("die present");
-                execs.push(Some(execute_die(die, queue, &ctx, start_digest, d as u64)));
+                let exec = execute_die(die, queue, &ctx, start_digest, d as u64);
+                queues.push(Some(self.fold(d, exec)));
                 continue;
             };
-            execs.push(None);
+            queues.push(None);
             let mut die = self.dies[d].take().expect("die present");
             let report = PanicReport { die: d, landing: Arc::clone(landing) };
             handle.submit(
@@ -1232,10 +1188,10 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                     report.landing.land(d, die, exec);
                 }),
             );
-            outstanding += 1;
         }
+        let outstanding = if pooled.is_some() { jobs } else { 0 };
         let first_id = self.next_id - batch as u64;
-        self.flight = Some(Flight { execs, outstanding, emit, total: batch, first_id });
+        self.flight = Some(Flight { queues, outstanding, emit, total: batch, first_id });
         batch
     }
 
@@ -1247,14 +1203,17 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
 
     /// Sleeps until at most `wake_at` of `flight`'s pool jobs are still
     /// running — one sleep, however many land meanwhile — then puts every
-    /// die that has landed back in its slot.
+    /// die that has landed back in its slot and folds its output.
     ///
     /// # Panics
     ///
     /// Panics, naming the die, if a job panicked on the pool.
     fn collect(&mut self, flight: &mut Flight, wake_at: usize) {
+        if flight.outstanding == 0 {
+            return;
+        }
         let started = Instant::now();
-        let landing = self.landing.as_ref().expect("pooled flight has a landing");
+        let landing = Arc::clone(self.landing.as_ref().expect("pooled flight has a landing"));
         let mut landed = landing.state.lock().expect("landing lock poisoned");
         while landed.running > wake_at && landed.panicked.is_none() {
             landed.wake_at = Some(wake_at);
@@ -1264,7 +1223,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let panicked = landed.panicked;
         for (d, die, exec) in landed.dies.drain(..) {
             self.dies[d] = Some(die);
-            flight.execs[d] = Some(exec);
+            flight.queues[d] = Some(self.fold(d, exec));
             flight.outstanding -= 1;
         }
         drop(landed);
@@ -1274,28 +1233,25 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         }
     }
 
-    /// Folds the digests and cumulative per-die counters of channel `ch`'s
-    /// dies, all landed, in die order.
-    fn fold_channel(&mut self, flight: &Flight, ch: usize) {
-        for d in self.channel_dies(ch) {
-            let e = flight.execs[d].as_ref().expect("channel's dies landed");
-            self.die_digest[d] = e.digest;
-            self.die_background_us[d] += e.background_us;
-            self.die_busy_us[d] += e.busy_us;
-            self.die_ops[d] += e.queue.slots.len() as u64;
-            self.reads += e.reads;
-            self.writes += e.writes;
-            self.reads_not_written += e.reads_not_written;
-            self.writes_failed += e.writes_failed;
-            self.stage_ns.flash_ns += e.wall_ns;
-        }
+    /// Folds die `d`'s flash-phase output into the cumulative accounting and
+    /// returns its answered queue. Every update is the die's own slot or an
+    /// integer total, so the order dies land in changes no bit.
+    fn fold(&mut self, d: usize, exec: DieExec) -> DieQueue {
+        self.die_digest[d] = exec.digest;
+        self.die_background_us[d] += exec.background_us;
+        self.die_busy_us[d] += exec.busy_us;
+        self.die_ops[d] += exec.queue.slots.len() as u64;
+        self.reads += exec.reads;
+        self.writes += exec.writes;
+        self.reads_not_written += exec.reads_not_written;
+        self.writes_failed += exec.writes_failed;
+        self.stage_ns.flash_ns += exec.wall_ns;
+        exec.queue
     }
 
     /// Phase 1 collection: sleeps until every die dispatched by
     /// [`Engine::begin_batch`] has landed — once, woken by the last of them
-    /// — puts the dies back in their slots, folds digests and cumulative
-    /// per-die counters in die order (fold order is independent of landing
-    /// order, so accounting is deterministic), and parks the result for
+    /// — puts the dies back in their slots and parks the batch for
     /// [`Engine::finish_batch`]. After this the dies are accessible again
     /// and the *next* batch may begin before the timing phase of this one
     /// runs — that is the pipelining window.
@@ -1309,52 +1265,60 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         let mut flight =
             self.flight.take().expect("no flash phase in flight; call begin_batch() first");
-        if flight.outstanding > 0 {
-            self.collect(&mut flight, 0);
-        }
-        for ch in 0..self.chan_free_us.len() {
-            self.fold_channel(&flight, ch);
-        }
+        self.collect(&mut flight, 0);
         self.joined = Some(flight);
     }
 
     /// Phase 2: the serial discrete-event timing pass over the batch parked
-    /// by [`Engine::join_batch`]; posts its completions (or, for a batch
-    /// begun by [`Engine::begin_batch_summarized`], its summaries). Returns
-    /// the number of requests completed.
+    /// by [`Engine::join_batch`] — or, if none is, over the one still in
+    /// flight, each channel timed as soon as its dies have landed; posts
+    /// its completions (or, for a batch begun by
+    /// [`Engine::begin_batch_summarized`], its summaries). Returns the
+    /// number of requests completed.
     ///
     /// # Panics
     ///
-    /// Panics if no joined batch is pending.
+    /// Panics if no batch was begun, or — naming the die — if a die's job
+    /// panicked on the pool.
     pub fn finish_batch(&mut self) -> usize {
-        let mut flight = self.joined.take().expect("no joined batch; call join_batch() first");
+        let joined_or_in_flight = self.joined.take().or_else(|| self.flight.take());
+        let mut flight = joined_or_in_flight.expect("no batch to finish; call begin_batch() first");
         let started = Instant::now();
-        let pass = self.begin_timing(&flight);
-        for ch in 0..self.chan_free_us.len() {
-            self.time_channel(&mut flight, ch, &pass);
-        }
-        let done = self.end_timing(flight, pass);
-        self.stage_ns.timing_ns += started.elapsed().as_nanos() as u64;
-        done
-    }
-
-    /// Opens a batch's timing pass: reads the batch's submission time and
-    /// sizes the latency sample and the record list for it.
-    fn begin_timing(&mut self, flight: &Flight) -> TimingPass {
+        let waited_before = self.stage_ns.pool_wait_ns;
+        // The batch was submitted at the clock before any channel moves it;
+        // its records begin at `first` in `timed`.
+        let (batch_now, first) = (self.sim_end_us, self.timed.len());
         self.latencies.reserve(flight.total);
         if flight.emit != Emit::None {
             self.timed.reserve(flight.total);
         }
-        TimingPass { batch_now: self.sim_end_us, first: self.timed.len() }
+        for ch in 0..self.chan_free_us.len() {
+            let dies = self.channel_dies(ch);
+            loop {
+                let missing = flight.queues[dies.clone()].iter().filter(|q| q.is_none()).count();
+                if missing == 0 {
+                    break;
+                }
+                // The channel is complete no sooner than `missing` landings
+                // from now: sleep through the ones before that.
+                let wake_at = flight.outstanding - missing;
+                self.collect(&mut flight, wake_at);
+            }
+            self.time_channel(&mut flight, ch, batch_now);
+        }
+        let done = self.end_timing(flight, first);
+        let waited = self.stage_ns.pool_wait_ns - waited_before;
+        self.stage_ns.timing_ns += (started.elapsed().as_nanos() as u64).saturating_sub(waited);
+        done
     }
 
-    /// Discrete-event timing of channel `ch`, whose dies have all landed.
-    /// Repeatedly dispatches the request with the earliest per-die ready
-    /// time (queue-depth pacing + die availability), serializing the
-    /// channel's transfer slots. A die's (ready, submit) pair only changes
-    /// when that die dispatches, so the values are cached and the loop is a
-    /// flat argmin scan; ties pick the lowest die index, exactly as a full
-    /// rescan would.
+    /// Discrete-event timing of channel `ch`, whose dies have all landed,
+    /// for a batch submitted at `batch_now`. Repeatedly dispatches the
+    /// request with the earliest per-die ready time (queue-depth pacing +
+    /// die availability), serializing the channel's transfer slots. A die's
+    /// (ready, submit) pair only changes when that die dispatches, so the
+    /// values are cached and the loop is a flat argmin scan; ties pick the
+    /// lowest die index, exactly as a full rescan would.
     ///
     /// Channels share no timing state — a request starts at
     /// `ready.max(chan_free)`, its own die's and its own channel's clocks —
@@ -1370,15 +1334,13 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     ///
     /// An emitting batch gets one [`CompletionSummary`] per request, the
     /// same record whether summaries or full completions are wanted.
-    fn time_channel(&mut self, flight: &mut Flight, ch: usize, pass: &TimingPass) {
+    fn time_channel(&mut self, flight: &mut Flight, ch: usize, batch_now: f64) {
         let dies = self.channel_dies(ch);
         let lo = dies.start;
-        let batch_now = pass.batch_now;
         let emit = flight.emit != Emit::None;
-        let execs = &mut flight.execs[dies];
-        let queued =
-            |e: &Option<DieExec>| e.as_ref().expect("channel's dies landed").queue.slots.len();
-        let chan_total: usize = execs.iter().map(queued).sum();
+        let queues = &mut flight.queues[dies];
+        let queued = |q: &Option<DieQueue>| q.as_ref().expect("channel's dies landed").slots.len();
+        let chan_total: usize = queues.iter().map(queued).sum();
         if chan_total == 0 {
             return;
         }
@@ -1392,8 +1354,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let mut chan_free = self.chan_free_us[ch];
         let mut cursors = std::mem::take(&mut self.cursors);
         cursors.clear();
-        cursors.extend(execs.iter().enumerate().map(|(j, e)| {
-            let (ready, submit) = if queued(e) == 0 {
+        cursors.extend(queues.iter().enumerate().map(|(j, q)| {
+            let (ready, submit) = if queued(q) == 0 {
                 (f64::INFINITY, batch_now)
             } else {
                 ready_of(&self.inflight[lo + j], self.die_free_us[lo + j])
@@ -1410,7 +1372,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             let d = lo + j;
             let DieCursor { next, ready, submit } = cursors[j];
             debug_assert!(ready.is_finite(), "work remains while total not reached");
-            let queue = &mut execs[j].as_mut().expect("channel's dies landed").queue;
+            let queue = queues[j].as_mut().expect("channel's dies landed");
             let item = ExecTiming::from_slot(queue.slots[next]);
             let start = ready.max(chan_free);
             let complete = start + item.service_us;
@@ -1449,15 +1411,15 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.cursors = cursors;
     }
 
-    /// Closes a batch's timing pass: sorts its records into simulated time
-    /// order — posting them, if summaries were asked for — assembles full
-    /// completions from them, if those were, and takes the queues back as
-    /// arenas for later batches.
-    fn end_timing(&mut self, flight: Flight, pass: TimingPass) -> usize {
-        let Flight { mut execs, emit, total, first_id, .. } = flight;
+    /// Closes a batch's timing pass: sorts its records (from `first` on in
+    /// `timed`) into simulated time order — posting them, if summaries were
+    /// asked for — assembles full completions from them, if those were, and
+    /// takes the queues back as arenas for later batches.
+    fn end_timing(&mut self, flight: Flight, first: usize) -> usize {
+        let Flight { mut queues, emit, total, first_id, .. } = flight;
         // `slot` orders as the command id does: both count from the batch's
         // first request.
-        self.timed[pass.first..].sort_unstable_by(|a, b| {
+        self.timed[first..].sort_unstable_by(|a, b| {
             a.complete_us.total_cmp(&b.complete_us).then(a.slot.cmp(&b.slot))
         });
         if emit == Emit::Full {
@@ -1466,14 +1428,14 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             // next record belongs to its next `rich` entry.
             self.rich_next.fill(0);
             self.cq.reserve(total);
-            for s in self.timed.drain(pass.first..) {
+            for s in self.timed.drain(first..) {
                 let d = s.die as usize;
-                let queue = &mut execs[d].as_mut().expect("every die timed").queue;
+                let queue = queues[d].as_mut().expect("every die timed");
                 let i = self.rich_next[d];
                 self.rich_next[d] += 1;
                 assert_eq!(queue.ids[i], s.slot, "die {d}'s records left dispatch order");
                 let rich = &mut queue.rich[i];
-                self.cq.push_back(IoCompletion {
+                self.cq.push(IoCompletion {
                     id: first_id + u64::from(s.slot),
                     kind: s.outcome.kind(),
                     lpa: rich.lpa,
@@ -1487,8 +1449,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 });
             }
         }
-        for (d, exec) in execs.drain(..).enumerate() {
-            let mut queue = exec.expect("every die timed").queue;
+        for (d, queue) in queues.drain(..).enumerate() {
+            let mut queue = queue.expect("every die timed");
             queue.clear();
             // `submit` may be appending to an arena that never grew (the
             // launch found no spare to swap in): give it this one.
@@ -1501,29 +1463,18 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 *idle = queue;
             }
         }
-        self.spare_execs.push(execs);
+        self.spare_queues.push(queues);
         total
     }
 
     /// Replays a trace across the array: every op's lpa is folded into the
-    /// logical space (`lpa % logical_pages`) and submitted, and the whole
-    /// trace — with anything already pending ahead of it — runs as one
-    /// saturating batch. Returns the cumulative statistics.
-    pub fn replay<I: IntoIterator<Item = TraceOp>>(
-        &mut self,
-        ops: I,
-        threads: usize,
-    ) -> EngineStats {
-        self.submit_trace(ops, true);
-        self.run_batch(threads, Emit::Full);
-        self.stats()
-    }
-
-    /// [`Engine::replay`] without per-request completion records: identical
-    /// flash execution, timing, digest, and statistics, but nothing is
-    /// posted. This is the bulk-replay entry point — at billion-op trace
-    /// scale the [`IoCompletion`] build/sort/post cost dominates the
-    /// analytic tiers, and a stats-only replay skips it.
+    /// logical space (`lpa % logical_pages`) and queued, and the whole trace
+    /// — with anything already pending ahead of it — runs as one saturating
+    /// batch that posts nothing. Flash execution, timing, digest and
+    /// statistics are those of `submit` + [`Engine::run`]; what is skipped
+    /// is the per-request [`IoCompletion`] build/sort/post, whose cost
+    /// dominates the analytic tiers at billion-op trace scale. Returns the
+    /// cumulative statistics.
     pub fn replay_stats_only<I: IntoIterator<Item = TraceOp>>(
         &mut self,
         ops: I,
@@ -1542,13 +1493,14 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ops: I,
         threads: usize,
     ) -> usize {
-        self.submit_trace(ops, false);
-        self.run_batch(threads, Emit::None)
+        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
+        self.submit_trace(ops);
+        self.launch(threads, Emit::None);
+        self.finish_batch()
     }
 
-    /// Submits a trace, each lpa folded into the logical space; `with_ids`
-    /// as [`Self::enqueue`].
-    fn submit_trace<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I, with_ids: bool) {
+    /// Queues a trace without ids, each lpa folded into the logical space.
+    fn submit_trace<I: IntoIterator<Item = TraceOp>>(&mut self, ops: I) {
         // Reciprocal multiply, as in `submit`: a hardware divide per op is
         // measurable at billion-op scale.
         let logical_div = FastDiv::new(self.logical_pages());
@@ -1558,16 +1510,13 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let hint = ops.size_hint().0 / self.work.len().max(1);
         for w in &mut self.work {
             w.slots.reserve(hint + hint / 8);
-            if with_ids {
-                w.ids.reserve(hint + hint / 8);
-            }
         }
         for op in ops {
             let kind = match op.kind {
                 OpKind::Read => ReqKind::Read,
                 OpKind::Write => ReqKind::Write,
             };
-            self.enqueue(kind, logical_div.div_rem(op.lpa).1, with_ids);
+            self.enqueue(kind, logical_div.div_rem(op.lpa).1, false);
         }
     }
 }
@@ -1742,6 +1691,12 @@ fn execute_die<P: ControllerPolicy>(
 mod tests {
     use super::*;
 
+    fn drained(engine: &mut Engine) -> Vec<IoCompletion> {
+        let mut completions = Vec::new();
+        engine.drain_completions_into(&mut completions);
+        completions
+    }
+
     fn fill_and_read(config: EngineConfig, threads: usize) -> EngineStats {
         let mut engine = Engine::new(config).unwrap();
         let logical = engine.logical_pages();
@@ -1769,7 +1724,7 @@ mod tests {
             engine.submit_read(lpa);
         }
         engine.run(2);
-        let completions = engine.drain_completions();
+        let completions = drained(&mut engine);
         assert_eq!(completions.len(), 16);
         for c in &completions {
             assert!(c.result.is_ok(), "request {} failed: {:?}", c.id, c.result);
@@ -1788,8 +1743,11 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::small_test()).unwrap();
         engine.submit_read(3);
         engine.run(1);
-        let c = engine.pop_completion().unwrap();
-        assert!(matches!(c.result, Err(FtlError::NotWritten { .. })));
+        let completions = drained(&mut engine);
+        assert!(matches!(
+            completions[..],
+            [IoCompletion { result: Err(FtlError::NotWritten { .. }), .. }]
+        ));
         assert_eq!(engine.stats().reads_not_written, 1);
     }
 
@@ -1841,12 +1799,12 @@ mod tests {
             engine.submit_write(lpa);
         }
         engine.run(1);
-        engine.drain_completions();
+        drained(&mut engine);
         for lpa in 0..4u64 {
             engine.submit_read(lpa);
         }
         engine.run(1);
-        for c in engine.drain_completions() {
+        for c in drained(&mut engine) {
             // Each request is admitted only once the previous finished, so
             // latency is pure service time.
             assert!(
@@ -1887,11 +1845,16 @@ mod tests {
             .collect();
         let mut full = Engine::new(EngineConfig::small_test()).unwrap();
         let mut lean = Engine::new(EngineConfig::small_test()).unwrap();
-        let a = full.replay(ops.iter().copied(), 2);
+        let logical = full.logical_pages();
+        for op in &ops {
+            let kind = if op.kind == OpKind::Read { ReqKind::Read } else { ReqKind::Write };
+            full.submit(kind, op.lpa % logical);
+        }
+        assert_eq!(full.run(2), ops.len());
         let b = lean.replay_stats_only(ops.iter().copied(), 2);
-        assert_eq!(a, b, "stats-only replay must be statistically identical");
-        assert_eq!(full.drain_completions().len(), ops.len());
-        assert!(lean.drain_completions().is_empty(), "stats-only replay emits no completions");
+        assert_eq!(full.stats(), b, "stats-only replay must be statistically identical");
+        assert_eq!(drained(&mut full).len(), ops.len());
+        assert!(drained(&mut lean).is_empty(), "stats-only replay emits no completions");
     }
 
     #[test]
@@ -1963,7 +1926,7 @@ mod tests {
         engine.submit_write(0);
         assert!(matches!(engine.snapshot(), Err(SnapError::Mismatch(_))));
         engine.run(1);
-        engine.drain_completions();
+        drained(&mut engine);
         let snap = engine.snapshot().unwrap();
         // Same shape, different base seed: the fingerprint must reject it.
         let mut other_cfg = EngineConfig::small_test();
@@ -2027,7 +1990,7 @@ mod tests {
         }
         engine.join_batch();
         assert_eq!(engine.finish_batch(), 8);
-        let completions = engine.drain_completions();
+        let completions = drained(&mut engine);
         assert_eq!(completions.len(), 8);
         assert!(completions.iter().all(|c| c.result.is_ok()));
         // The landing is reused: a second flight counts down from its own jobs.
@@ -2055,7 +2018,7 @@ mod tests {
         assert!(overflow.is_err(), "the guard let offset {} through", MAX_ID_OFFSET + 1);
         // Launching makes room, and the largest offset came through intact.
         assert_eq!(engine.run(2), MAX_ID_OFFSET + 1);
-        let ids: Vec<u64> = engine.drain_completions().iter().map(|c| c.id).collect();
+        let ids: Vec<u64> = drained(&mut engine).iter().map(|c| c.id).collect();
         assert_eq!(ids.iter().max(), Some(&(first + MAX_ID_OFFSET as u64)));
         engine.submit_read(0);
     }

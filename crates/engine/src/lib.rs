@@ -20,8 +20,9 @@
 //! let id = engine.submit_write(3);
 //! engine.submit_read(3);
 //! engine.run(2); // flash phase on 2 worker threads, then timing phase
-//! let write = engine.pop_completion().unwrap();
-//! let read = engine.pop_completion().unwrap();
+//! let mut completions = Vec::new();
+//! engine.drain_completions_into(&mut completions);
+//! let [write, read] = &completions[..] else { panic!("two completions") };
 //! assert_eq!(write.id, id);
 //! assert!(read.result.is_ok() && read.complete_us > write.complete_us);
 //! assert!(engine.stats().iops() > 0.0);

@@ -2,9 +2,10 @@
 //! full statistics — data digest, per-die counters, simulated latencies —
 //! are bit-identical for any pool size, with and without batch pipelining,
 //! at every read-path fidelity tier. The flash phase assigns die `d` to
-//! lane `d % workers` with no work stealing and folds results in die
-//! order, and the timing phase is strictly serial, so nothing observable
-//! may depend on how many OS threads executed the flash work, on whether
+//! lane `d % workers` with no work stealing and folds each die's results
+//! where it lands, into that die's own counters and integer totals, and
+//! the timing phase is strictly serial, so nothing observable may depend
+//! on how many OS threads executed the flash work, on whether
 //! the next batch's flash phase overlapped the previous batch's timing
 //! phase, or on whether the next batch was submitted while the previous
 //! flash phase was still in flight. Nor on `run` timing a channel while
@@ -70,29 +71,22 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, mode: Mode) -> E
             engine.run(threads);
         }
     } else {
-        let mut began = false;
+        // The pipeline opens on an empty batch, which is a batch like any.
+        engine.begin_batch(threads);
         for batch in &batches {
             if mode == Mode::InFlight {
                 submit(&mut engine, batch);
             }
-            if began {
-                engine.join_batch();
-            }
+            engine.join_batch();
             if mode == Mode::Pipelined {
                 submit(&mut engine, batch);
             }
-            let n = engine.begin_batch(threads);
-            if began {
-                engine.finish_batch();
-            }
-            began = n > 0;
-        }
-        if began {
-            engine.join_batch();
+            engine.begin_batch(threads);
             engine.finish_batch();
         }
+        engine.join_batch();
+        engine.finish_batch();
     }
-    while engine.pop_completion().is_some() {}
     engine.stats()
 }
 
@@ -144,7 +138,7 @@ fn worn_array(channels: u32, dies_per_channel: u32, seed: u64) -> Engine {
         engine.submit_write(lpa);
     }
     engine.run(1);
-    engine.drain_completions();
+    engine.drain_completions_into(&mut Vec::new());
     engine.advance_time(3.0).expect("age");
     for block in engine.die(0).valid_blocks() {
         engine.die_mut(0).chip_mut().apply_read_disturbs(block, 12_000_000).expect("disturb");
@@ -163,6 +157,7 @@ fn rows_of(
 ) -> (Vec<Row>, EngineStats, Vec<u8>) {
     let mut rows = Vec::new();
     let mut summaries = Vec::new();
+    let mut completions = Vec::new();
     for batch in batches {
         let first_id = engine.submit(batch[0].0, batch[0].1);
         for &(kind, lpa) in &batch[1..] {
@@ -176,7 +171,8 @@ fn rows_of(
         engine.join_batch();
         assert_eq!(engine.finish_batch(), n);
         engine.swap_summaries(&mut summaries);
-        let completions = engine.drain_completions();
+        completions.clear();
+        engine.drain_completions_into(&mut completions);
         assert_eq!(if summarized { summaries.len() } else { completions.len() }, n);
         assert!(if summarized { completions.is_empty() } else { summaries.is_empty() });
         rows.extend(summaries.iter().map(|s| {
@@ -351,20 +347,33 @@ fn panicking_die_job_panics_the_coordinator_instead_of_hanging() {
         healthy.submit_write(lpa);
     }
     assert_eq!(healthy.run(2), 8);
-    assert!(healthy.drain_completions().iter().all(|c| c.result.is_ok()));
+    let mut completions = Vec::new();
+    healthy.drain_completions_into(&mut completions);
+    assert!(completions.iter().all(|c| c.result.is_ok()));
 }
 
 /// Everything a caller can observe of a run: statistics, the completions
 /// in posting order, the checkpoint.
 type Observed = (EngineStats, Vec<rd_engine::IoCompletion>, Vec<u8>);
 
+/// How [`skewed_run`] settles each batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Settle {
+    /// `run`.
+    Run,
+    /// `begin_batch` + `finish_batch`: channels are timed as their dies land.
+    Finish,
+    /// `begin_batch` + `join_batch` + `finish_batch`: nothing is timed until
+    /// every die has landed.
+    JoinFinish,
+}
+
 /// Fills a `channels × dies_per_channel` array, then runs a batch whose
 /// heavy work — overwrites, so GC — is all on die 0 while every other die
 /// gets a handful of reads: on a pool, channel 1's dies land long before
-/// channel 0's. Then a third, uniform batch on the recycled arenas.
-/// `staged` drives the batches through `begin/join/finish` instead of
-/// `run`.
-fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, staged: bool) -> Observed {
+/// channel 0's. Then a third, uniform batch on the recycled arenas. Every
+/// batch is settled as `settle` says.
+fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, settle: Settle) -> Observed {
     let mut config = EngineConfig::small_test();
     config.topology = rd_engine::Topology { channels, dies_per_channel };
     let mut engine = Engine::new(config).expect("engine");
@@ -372,13 +381,15 @@ fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, staged: bool
     let logical = engine.logical_pages();
     let mut completions = Vec::new();
     let mut go = |engine: &mut Engine| {
-        let n = if staged {
+        let n = if settle == Settle::Run {
+            engine.run(threads)
+        } else {
             let n = engine.begin_batch(threads);
-            engine.join_batch();
+            if settle == Settle::JoinFinish {
+                engine.join_batch();
+            }
             assert_eq!(engine.finish_batch(), n);
             n
-        } else {
-            engine.run(threads)
         };
         engine.drain_completions_into(&mut completions);
         n
@@ -410,18 +421,18 @@ fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, staged: bool
 /// execute, changes nothing observable: on a 2×2 and a 4×4 array, for a
 /// batch whose channel-1 dies land first, statistics, completions (order
 /// and every field) and checkpoint bytes are equal at 1, 2 and 8 threads,
-/// and equal to the staged sequence that times nothing until every die has
-/// landed.
+/// whether the batch is settled by `run`, by `finish_batch` straight after
+/// the launch, or by the staged sequence that times nothing until every die
+/// has landed.
 #[test]
 fn overlapped_timing_changes_nothing_observable() {
     for (channels, dies_per_channel) in [(2, 2), (4, 4)] {
-        let reference = skewed_run(channels, dies_per_channel, 1, true);
+        let reference = skewed_run(channels, dies_per_channel, 1, Settle::JoinFinish);
         assert_eq!(reference.1.len() as u64, reference.0.ops);
         for threads in [1usize, 2, 8] {
-            for staged in [false, true] {
-                let got = skewed_run(channels, dies_per_channel, threads, staged);
-                let what =
-                    format!("{channels}x{dies_per_channel} threads={threads} staged={staged}");
+            for settle in [Settle::Run, Settle::Finish, Settle::JoinFinish] {
+                let got = skewed_run(channels, dies_per_channel, threads, settle);
+                let what = format!("{channels}x{dies_per_channel} threads={threads} {settle:?}");
                 assert_eq!(got.0, reference.0, "stats diverged: {what}");
                 assert_eq!(got.1, reference.1, "completions diverged: {what}");
                 assert!(got.2 == reference.2, "checkpoint bytes diverged: {what}");
@@ -443,7 +454,8 @@ fn out_of_range_addresses_complete_with_the_unpacked_error() {
             engine.submit_write(lpa);
         }
         assert_eq!(engine.run(2), 2 * lpas.len());
-        let mut completions = engine.drain_completions();
+        let mut completions = Vec::new();
+        engine.drain_completions_into(&mut completions);
         completions.sort_by_key(|c| c.id);
         for (c, lpa) in completions.iter().zip(lpas.iter().flat_map(|l| [l, l])) {
             assert_eq!(c.lpa, *lpa, "completion lost its address");

@@ -16,7 +16,8 @@ fn submission_beyond_queue_depth_paces_admission() {
     let mut engine = Engine::new(single_die_config(depth)).unwrap();
     engine.submit_write(0);
     engine.run(1);
-    engine.drain_completions();
+    let mut completions = Vec::new();
+    engine.drain_completions_into(&mut completions);
 
     let n = 24usize; // 6x the queue depth
     for _ in 0..n {
@@ -26,7 +27,8 @@ fn submission_beyond_queue_depth_paces_admission() {
     assert_eq!(engine.run(1), n);
     assert_eq!(engine.pending(), 0);
 
-    let completions = engine.drain_completions();
+    completions.clear();
+    engine.drain_completions_into(&mut completions);
     assert_eq!(completions.len(), n);
     let svc = Timing::mlc().read_service_us();
     for (i, c) in completions.iter().enumerate() {
@@ -49,33 +51,51 @@ fn submission_beyond_queue_depth_paces_admission() {
     }
 }
 
-/// Running an empty submission queue is a no-op, and draining is
-/// idempotent: completions come out once, oldest first, then never again.
+/// Running an empty submission queue is a no-op — staged too, at both
+/// launch levels, with or without a join — and draining is idempotent:
+/// completions come out once, oldest first, then never again.
 #[test]
 fn empty_batch_and_completion_draining() {
     let mut engine = Engine::new(single_die_config(8)).unwrap();
+    let mut completions = Vec::new();
+    let mut summaries = Vec::new();
     // Empty batch: nothing processed, nothing posted.
     assert_eq!(engine.run(1), 0);
-    assert!(engine.pop_completion().is_none());
-    assert!(engine.drain_completions().is_empty());
+    engine.drain_completions_into(&mut completions);
+    assert!(completions.is_empty());
     let idle = engine.stats();
     assert_eq!(idle.ops, 0);
     assert_eq!(idle.makespan_us, 0.0);
+    for summarized in [false, true] {
+        for join in [false, true] {
+            let launched =
+                if summarized { engine.begin_batch_summarized(2) } else { engine.begin_batch(2) };
+            assert_eq!(launched, 0);
+            if join {
+                engine.join_batch();
+            }
+            assert_eq!(engine.finish_batch(), 0, "summarized={summarized} join={join}");
+            engine.swap_summaries(&mut summaries);
+            engine.drain_completions_into(&mut completions);
+            assert!(summaries.is_empty() && completions.is_empty());
+        }
+    }
+    assert_eq!(engine.stats(), idle, "an empty staged batch moved the engine");
 
     for lpa in 0..6u64 {
         engine.submit_write(lpa);
     }
     engine.run(1);
-    // Mixed consumption: pop one, drain the rest, then both are empty.
-    let first = engine.pop_completion().expect("one completion");
-    let rest = engine.drain_completions();
-    assert_eq!(rest.len(), 5);
-    assert!(rest.iter().all(|c| c.id > first.id || c.complete_us >= first.complete_us));
-    assert!(engine.pop_completion().is_none());
-    assert!(engine.drain_completions().is_empty());
+    // Draining appends oldest first, then finds nothing more.
+    engine.drain_completions_into(&mut completions);
+    assert_eq!(completions.len(), 6);
+    assert!(completions.windows(2).all(|w| w[1].complete_us >= w[0].complete_us));
+    engine.drain_completions_into(&mut completions);
+    assert_eq!(completions.len(), 6);
     // A later empty batch must not resurrect consumed completions.
     assert_eq!(engine.run(1), 0);
-    assert!(engine.drain_completions().is_empty());
+    engine.drain_completions_into(&mut completions);
+    assert_eq!(completions.len(), 6);
 }
 
 /// At maximum depth (every request admitted at once) the completion order
@@ -99,7 +119,9 @@ fn completion_order_deterministic_under_max_depth() {
             engine.submit(ReqKind::Read, lpa);
         }
         engine.run(threads);
-        engine.drain_completions().iter().map(|c| (c.id, c.complete_us)).collect()
+        let mut completions = Vec::new();
+        engine.drain_completions_into(&mut completions);
+        completions.iter().map(|c| (c.id, c.complete_us)).collect()
     };
     let a = run(1);
     let b = run(1);

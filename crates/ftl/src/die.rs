@@ -186,8 +186,7 @@ impl Die<NoMitigation> {
 impl<P: ControllerPolicy> Die<P> {
     /// Creates a die with an explicit controller policy and the recovery
     /// ladder declared by the chip's read-retry interface
-    /// ([`RecoveryLadder::for_chip`]; identical to
-    /// [`RecoveryLadder::standard`] for the default chip).
+    /// ([`RecoveryLadder::for_chip`]).
     ///
     /// # Errors
     ///

@@ -242,16 +242,12 @@ impl RecoveryLadder {
         Self { steps, reports: Vec::new() }
     }
 
-    /// The default ladder: [`RetrySweep`] then [`DisturbReRead`].
-    pub fn standard() -> Self {
-        Self::new(vec![Box::<RetrySweep>::default(), Box::<DisturbReRead>::default()])
-    }
-
     /// The ladder driven by a chip's declared read-retry interface: the
     /// chip database's `retry_shifts` feed the uniform sweep and
     /// `reread_va_raises` the disturb-aware re-read. For
-    /// [`rd_flash::ChipParams::default`] this is exactly [`RecoveryLadder::standard`]
-    /// (the step `Default`s mirror the default chip's ranges).
+    /// [`rd_flash::ChipParams::default`] the rungs are the step `Default`s
+    /// ([`RetrySweep`] then [`DisturbReRead`]), which mirror the default
+    /// chip's ranges.
     pub fn for_chip(params: &rd_flash::ChipParams) -> Self {
         Self::new(vec![
             Box::new(RetrySweep { shifts: params.retry_shifts.clone() }),
@@ -304,12 +300,6 @@ impl RecoveryLadder {
             }
         }
         Ok(LadderOutcome { steps: &self.reports, reads_spent })
-    }
-}
-
-impl Default for RecoveryLadder {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 
@@ -368,7 +358,7 @@ mod tests {
         // Deep wear and disturb: capability zero is unreachable at any
         // shift on this block, so every rung engages and fails.
         let mut chip = disturbed_chip(ReadFidelity::CellExact, 12_000, 2_000_000);
-        let mut ladder = RecoveryLadder::standard();
+        let mut ladder = RecoveryLadder::for_chip(&ChipParams::default());
         let page = failing_page(&mut chip, 0);
         let outcome = ladder.recover(&mut chip, 0, page, 0).unwrap();
         assert_eq!(outcome.steps.len(), 2, "both rungs must engage");
@@ -409,7 +399,8 @@ mod tests {
     #[test]
     fn default_chip_ladder_equals_the_standard_ladder() {
         // The step `Default`s mirror the default chip's declared retry
-        // interface, so the database-driven ladder is the golden one.
+        // interface, so the default chip's database-driven ladder is the
+        // golden one.
         let params = rd_flash::ChipParams::default();
         assert_eq!(params.retry_shifts, RetrySweep::default().shifts);
         assert_eq!(params.reread_va_raises, DisturbReRead::default().va_raises);

@@ -229,6 +229,7 @@ mod tests {
             let logical = engine.logical_pages();
             let mut accounts = vec![TenantAccounting::default(); TENANTS];
             let mut summaries = Vec::new();
+            let mut completions = Vec::new();
             for batch in 0..6u64 {
                 for i in 0..200u64 {
                     let draw = (batch * 200 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
@@ -250,8 +251,10 @@ mod tests {
                 for summary in &summaries {
                     accounts[summary.slot as usize % TENANTS].record_summary(summary);
                 }
-                for completion in engine.drain_completions() {
-                    accounts[(completion.id - first_id) as usize % TENANTS].record(&completion);
+                completions.clear();
+                engine.drain_completions_into(&mut completions);
+                for completion in &completions {
+                    accounts[(completion.id - first_id) as usize % TENANTS].record(completion);
                 }
             }
             accounts

@@ -154,7 +154,7 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Submits a non-empty batch to the shard engine and launches its flash
+    /// Submits a batch to the shard engine and launches its flash
     /// phase on the attached pool slice, asking for summaries: the worker
     /// reads a completion's latency, outcome and batch slot, nothing else.
     fn begin(&mut self, ops: Vec<ShardOp>) {
@@ -219,10 +219,6 @@ fn shard_worker_loop(mut shard: ShardState, inbox: Receiver<ShardMsg>) {
             shard.settle_then_begin(None);
         }
         match msg {
-            ShardMsg::Batch(batch) if batch.is_empty() => {
-                let _ = shard.recycle.send(batch);
-                shard.completed.fetch_add(1, Ordering::Release);
-            }
             ShardMsg::Batch(batch) => shard.settle_then_begin(Some(batch)),
             ShardMsg::Report(reply) => {
                 let report = ShardReport {

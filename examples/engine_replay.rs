@@ -57,14 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // without bound until refresh catches them.
     let mut engine = Engine::new(config())?;
     let exact_start = std::time::Instant::now();
-    let baseline = engine.replay(ops.iter().copied(), 0);
+    let baseline = engine.replay_stats_only(ops.iter().copied(), 0);
     let exact_wall = exact_start.elapsed();
     print_summary("baseline", &baseline);
 
     // Read reclaim per die: every die runs its own policy instance, exactly
     // as the single-chip `Ssd` would.
     let mut reclaiming = Engine::with_policy(config(), ReadReclaim { read_threshold: 40 })?;
-    let reclaimed = reclaiming.replay(ops.iter().copied(), 0);
+    let reclaimed = reclaiming.replay_stats_only(ops.iter().copied(), 0);
     println!();
     print_summary("read-reclaim", &reclaimed);
 
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // shape; host wall-clock drops by orders of magnitude.
     let mut analytic = Engine::new(config().with_fidelity(ReadFidelity::PageAnalytic))?;
     let analytic_start = std::time::Instant::now();
-    let fast = analytic.replay(ops.iter().copied(), 0);
+    let fast = analytic.replay_stats_only(ops.iter().copied(), 0);
     let analytic_wall = analytic_start.elapsed();
     println!();
     print_summary("page-analytic", &fast);

@@ -22,7 +22,7 @@
 
 use readdisturb::flash::FlashError;
 use readdisturb::prelude::*;
-use readdisturb::workloads::TraceOp;
+use readdisturb::workloads::{OpKind, TraceOp};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -130,7 +130,7 @@ fn aggregate_replay_rber_matches_exact_within_tolerance() {
                 engine.die_mut(d).chip_mut().cycle_block(b, 8_000).unwrap();
             }
         }
-        let stats = engine.replay(ops.iter().copied(), 0);
+        let stats = engine.replay_stats_only(ops.iter().copied(), 0);
         let (mut errors, mut bits) = (0.0f64, 0u64);
         for d in 0..engine.config().topology.dies() {
             let die = engine.die(d);
@@ -173,11 +173,19 @@ fn aggregate_replay_is_thread_count_invariant() {
     assert_eq!(a, b, "aggregate replay depends on worker-thread count");
     assert_eq!(a, c, "aggregate replay depends on worker-thread count");
     assert!(a.ops == 8_000 && a.data_digest != FNV_OFFSET);
-    // Full replay (with completions) produces the same statistics.
+    // Submitted and run (with completions), the trace produces the same
+    // statistics.
     let mut engine = Engine::new(engine_config(ReadFidelity::BlockAggregate)).unwrap();
-    let full = engine.replay(ops.iter().copied(), 4);
-    assert_eq!(a, full, "stats-only and full replay diverged");
-    assert_eq!(engine.drain_completions().len(), 8_000);
+    let logical = engine.logical_pages();
+    for op in &ops {
+        let kind = if op.kind == OpKind::Read { ReqKind::Read } else { ReqKind::Write };
+        engine.submit(kind, op.lpa % logical);
+    }
+    assert_eq!(engine.run(4), 8_000);
+    assert_eq!(a, engine.stats(), "stats-only and full replay diverged");
+    let mut completions = Vec::new();
+    engine.drain_completions_into(&mut completions);
+    assert_eq!(completions.len(), 8_000);
 }
 
 /// Recovery-ladder escalation parity: a worn, heavily disturbed block

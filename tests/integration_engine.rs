@@ -50,8 +50,14 @@ fn single_die_engine_matches_single_chip_ssd() {
     // Engine run: same trace, same seed, 1 channel × 1 die.
     let mut engine = Engine::new(engine_config(seed, Topology::single())).unwrap();
     assert_eq!(engine.logical_pages(), logical, "1x1 engine must export the ssd capacity");
-    let stats = engine.replay(ops.iter().copied(), 2);
-    let mut completions = engine.drain_completions();
+    for op in &ops {
+        let kind = if op.kind == OpKind::Read { ReqKind::Read } else { ReqKind::Write };
+        engine.submit(kind, op.lpa % logical);
+    }
+    engine.run(2);
+    let stats = engine.stats();
+    let mut completions = Vec::new();
+    engine.drain_completions_into(&mut completions);
     completions.sort_by_key(|c| c.id); // submission order
 
     // Byte-identical reads, identical per-read corrected counts.
@@ -90,8 +96,10 @@ fn engine_replay_is_thread_count_invariant() {
     let seed = 77;
     let ops = trace(seed, 4_000);
     let topo = Topology { channels: 2, dies_per_channel: 2 };
-    let a = Engine::new(engine_config(seed, topo)).unwrap().replay(ops.iter().copied(), 1);
-    let b = Engine::new(engine_config(seed, topo)).unwrap().replay(ops.iter().copied(), 4);
+    let a =
+        Engine::new(engine_config(seed, topo)).unwrap().replay_stats_only(ops.iter().copied(), 1);
+    let b =
+        Engine::new(engine_config(seed, topo)).unwrap().replay_stats_only(ops.iter().copied(), 4);
     assert_eq!(a, b, "engine results depend on worker-thread count");
 }
 
@@ -102,7 +110,7 @@ fn multi_die_replay_conserves_trace_counts() {
     let reads = ops.iter().filter(|o| o.kind == OpKind::Read).count() as u64;
     let topo = Topology { channels: 4, dies_per_channel: 2 };
     let mut engine = Engine::new(engine_config(seed, topo)).unwrap();
-    let stats = engine.replay(ops.iter().copied(), 0);
+    let stats = engine.replay_stats_only(ops.iter().copied(), 0);
     assert_eq!(stats.ops, 4_000);
     assert_eq!(stats.reads, reads);
     assert_eq!(stats.writes, 4_000 - reads);
@@ -139,8 +147,8 @@ fn cell_exact_replay_statistics_are_pinned() {
             lpa,
             time_s: 0.0,
         });
-        engine.replay(fill, threads);
-        let stats = engine.replay(ops.iter().copied(), threads);
+        engine.replay_stats_only(fill, threads);
+        let stats = engine.replay_stats_only(ops.iter().copied(), threads);
         let totals = stats.totals();
         assert_eq!(
             (

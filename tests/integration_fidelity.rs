@@ -86,7 +86,7 @@ fn analytic_replay_rber_matches_exact_within_tolerance() {
                 engine.die_mut(d).chip_mut().cycle_block(b, 8_000).unwrap();
             }
         }
-        let stats = engine.replay(ops.iter().copied(), 0);
+        let stats = engine.replay_stats_only(ops.iter().copied(), 0);
         let (mut errors, mut bits) = (0.0f64, 0u64);
         for d in 0..engine.config().topology.dies() {
             let die = engine.die(d);
@@ -125,7 +125,7 @@ fn analytic_replay_is_thread_count_invariant() {
     let ops = trace(8_000);
     let run = |threads: usize| -> EngineStats {
         let mut engine = Engine::new(engine_config(ReadFidelity::PageAnalytic)).unwrap();
-        engine.replay(ops.iter().copied(), threads)
+        engine.replay_stats_only(ops.iter().copied(), threads)
     };
     let a = run(1);
     let b = run(4);

@@ -151,7 +151,7 @@ fn stressed_replay(fidelity: ReadFidelity, threads: usize) -> EngineStats {
         engine.submit_write(lpa);
     }
     engine.run(threads);
-    engine.drain_completions();
+    engine.drain_completions_into(&mut Vec::new());
     for d in 0..4 {
         let die = engine.die_mut(d);
         for b in die.valid_blocks() {
@@ -163,7 +163,7 @@ fn stressed_replay(fidelity: ReadFidelity, threads: usize) -> EngineStats {
         .generator(2015, 16)
         .take(6_000)
         .collect::<Vec<_>>();
-    engine.replay(ops, threads)
+    engine.replay_stats_only(ops, threads)
 }
 
 #[test]
@@ -234,7 +234,7 @@ where
         engine.submit_write(lpa);
     }
     engine.run(threads);
-    engine.drain_completions();
+    engine.drain_completions_into(&mut Vec::new());
     engine.advance_time(5.0).unwrap();
     for d in 0..4 {
         let die = engine.die_mut(d);
