@@ -2,18 +2,12 @@
 
 use rd_flash::FlashError;
 
-/// Errors returned by the tuning and recovery mechanisms.
+/// Errors returned by the recovery mechanisms.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
     /// The underlying flash operation failed.
     Flash(FlashError),
-    /// A block was not initialized (no worst-page record; run
-    /// [`crate::VpassTuner::manufacture_init`] first).
-    NotInitialized {
-        /// The offending block.
-        block: u32,
-    },
     /// Recovery was requested on a page with no programmed data.
     NothingToRecover {
         /// The offending page.
@@ -25,9 +19,6 @@ impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoreError::Flash(e) => write!(f, "flash operation failed: {e}"),
-            CoreError::NotInitialized { block } => {
-                write!(f, "block {block} has no worst-page record; run manufacture_init first")
-            }
             CoreError::NothingToRecover { page } => {
                 write!(f, "page {page} holds no programmed data to recover")
             }
@@ -58,6 +49,6 @@ mod tests {
     fn display_and_conversion() {
         let e: CoreError = FlashError::PageNotProgrammed { page: 1 }.into();
         assert!(e.to_string().contains("flash operation failed"));
-        assert!(CoreError::NotInitialized { block: 3 }.to_string().contains("block 3"));
+        assert!(CoreError::NothingToRecover { page: 3 }.to_string().contains("page 3"));
     }
 }

@@ -1,44 +1,39 @@
-//! # rd-core — Vpass Tuning and Read Disturb Recovery
+//! # rd-core — Read Disturb Recovery, characterization and evaluation
 //!
-//! The primary contribution of *Read Disturb Errors in MLC NAND Flash
-//! Memory: Characterization, Mitigation, and Recovery* (Cai et al.,
-//! DSN 2015), implemented against the `rd-flash` device substrate:
+//! The offline half of *Read Disturb Errors in MLC NAND Flash Memory:
+//! Characterization, Mitigation, and Recovery* (Cai et al., DSN 2015),
+//! implemented against the `rd-flash` device substrate. The paper's
+//! mitigation, Vpass Tuning (§3), is a controller mechanism and lives in
+//! `rd-ftl` as the controller policy [`rd_ftl::VpassTuner`]; this crate
+//! re-exports it.
 //!
-//! * [`VpassTuner`] — the paper's mitigation (§3): a per-block online
-//!   mechanism that finds the lowest pass-through voltage whose induced
-//!   read errors still fit inside the unused ECC correction margin
-//!   `M = 0.8·C − MEE`, re-run daily (Action 1: raise check; Action 2:
-//!   post-refresh lowering) with a fallback to nominal when the margin is
-//!   exhausted. Evaluated by [`lifetime`] to reproduce Fig. 8's +21%
-//!   average endurance.
 //! * [`Rdr`] — the paper's recovery (§4–5): after ECC fails, induce
 //!   additional read disturbs, classify cells as disturb-prone or
 //!   disturb-resistant by their measured threshold-voltage shift against
 //!   `ΔVref`, and probabilistically reassign boundary cells (prone → lower
 //!   state, resistant → higher state) to pull the error count back inside
 //!   the ECC capability. Reproduces Fig. 10's up-to-36% RBER reduction.
+//! * [`Ror`] and [`Rfr`] — read-reference optimization and Retention
+//!   Failure Recovery, also as rungs of the controller's recovery ladder
+//!   ([`recovery`]).
 //! * [`characterize`] — the experiment harness regenerating every
 //!   characterization figure (Figs. 2–7, 10).
 //! * [`lifetime`] — the analytic endurance evaluator over the
-//!   `rd-workloads` suite (Fig. 8).
-//! * [`overhead`] — the mechanism's storage and latency cost accounting
+//!   `rd-workloads` suite (Fig. 8's +21% average endurance from Vpass
+//!   Tuning).
+//! * [`overhead`] — Vpass Tuning's storage and latency cost accounting
 //!   (128 KB metadata and ≈24 s/day for a 512 GB SSD, §3).
 //!
 //! ```
-//! use rd_core::{VpassTuner, VpassTunerConfig};
-//! use rd_flash::{Chip, ChipParams, Geometry, NOMINAL_VPASS};
+//! use rd_core::lifetime::EnduranceEvaluator;
+//! use rd_core::{EnduranceConfig, Mitigation};
+//! use rd_workloads::WorkloadProfile;
 //!
-//! # fn main() -> Result<(), rd_core::CoreError> {
-//! let mut chip = Chip::new(Geometry::characterization(), ChipParams::default(), 7);
-//! chip.cycle_block(0, 4_000)?;
-//! chip.program_block_random(0, 1)?;
-//!
-//! let mut tuner = VpassTuner::new(VpassTunerConfig::default());
-//! tuner.manufacture_init(&mut chip, 0)?;
-//! let report = tuner.tune_block(&mut chip, 0)?;
-//! assert!(report.vpass_after <= NOMINAL_VPASS);
-//! # Ok(())
-//! # }
+//! let evaluator = EnduranceEvaluator::new(EnduranceConfig::default());
+//! let profile = &WorkloadProfile::suite()[0];
+//! let baseline = evaluator.endurance(profile, Mitigation::Baseline);
+//! let tuned = evaluator.endurance(profile, Mitigation::VpassTuning);
+//! assert!(tuned >= baseline);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,20 +42,19 @@
 pub mod characterize;
 pub mod error;
 pub mod lifetime;
-pub mod margin_probe;
 pub mod overhead;
-pub mod policy;
 pub mod rdr;
 pub mod recovery;
 pub mod rfr;
 pub mod ror;
-pub mod vpass_tuning;
 
 pub use error::CoreError;
 pub use lifetime::{EnduranceConfig, EnduranceResult, Mitigation};
-pub use policy::VpassTuningPolicy;
+pub use rd_ftl::{TuneReport, VpassTuner, VpassTunerConfig};
 pub use rdr::{Rdr, RdrConfig, RdrOutcome};
 pub use recovery::{full_recovery_ladder, RfrRecoveryStep, RorRecoveryStep};
 pub use rfr::{Rfr, RfrConfig, RfrOutcome};
 pub use ror::{Ror, RorConfig, RorOutcome};
-pub use vpass_tuning::{TuneReport, VpassTuner, VpassTunerConfig};
+
+/// The tuner's former wrapper name, kept for the benchmark, which names it.
+pub type VpassTuningPolicy = VpassTuner;

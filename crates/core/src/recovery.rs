@@ -144,9 +144,10 @@ impl RecoveryStep for RfrRecoveryStep {
     }
 }
 
-/// The full recovery ladder the paper's toolbox supports, cheap rungs
-/// first: uniform read-retry, learned references (ROR), then offline
-/// retention recovery (RFR).
+/// [`RetrySweep::default()`] (default shifts, not the chip's
+/// `retry_shifts`), then ROR, then RFR. ROR and RFR skip below `CellExact`,
+/// so on the closed-form tiers this is one rung; lacking `DisturbReRead`, it
+/// is weaker there than a die's default [`RecoveryLadder::for_chip`].
 pub fn full_recovery_ladder() -> RecoveryLadder {
     RecoveryLadder::new(vec![
         Box::<RetrySweep>::default(),

@@ -940,7 +940,10 @@ impl<P: ControllerPolicy> Engine<P> {
     /// clock, cumulative accounting, and every die (chip + FTL + RNG
     /// streams). Restoring the bytes into an engine built from the same
     /// configuration resumes the run bit-identically — same digests, same
-    /// statistics, same latencies — on every fidelity tier.
+    /// statistics, same latencies — on every fidelity tier, for stateless
+    /// policies. A [`rd_ftl::VpassTuner`] is not written, so a restored
+    /// tuning engine re-discovers worst pages with fresh, disturbing reads
+    /// and diverges ([`rd_ftl::Die::encode_state`]; ROADMAP.md, item 5(c)).
     ///
     /// # Errors
     ///
@@ -984,7 +987,8 @@ impl<P: ControllerPolicy> Engine<P> {
     /// Restores a checkpoint produced by [`Engine::snapshot`] into this
     /// engine, which must have been built from the same configuration.
     /// Existing state is replaced wholesale; on error the engine may be
-    /// partially restored and must be discarded.
+    /// partially restored and must be discarded. Policies keep their own
+    /// state, so a [`rd_ftl::VpassTuner`] is not restored ([`Engine::snapshot`]).
     ///
     /// # Errors
     ///

@@ -303,10 +303,14 @@ impl<P: ControllerPolicy> Die<P> {
 
     /// Serializes the die's full mutable state — chip, mapping table,
     /// allocator, statistics, data RNG, and clock — into `w` (checkpointing
-    /// support). Policy-internal state is **not** captured: the shipped
-    /// policies are either stateless or rebuild their view from the chip
-    /// counters restored here. Config-derived components (ECC model,
-    /// recovery ladder) are rebuilt by the constructor.
+    /// support). Policy-internal state is **not** captured. That is exact
+    /// for [`NoMitigation`] and [`crate::ReadReclaim`], which keep none, but
+    /// not for [`crate::VpassTuner`]: its worst-page lane and
+    /// [`crate::TunerStats`] are not written, so a restored tuning die
+    /// re-discovers each block's worst page with fresh, disturbing reads
+    /// and does not continue bit-identically (ROADMAP.md, item 5(c)).
+    /// Config-derived components (ECC model, recovery ladder) are rebuilt
+    /// by the constructor.
     pub fn encode_state(&self, w: &mut rd_flash::wire::Writer) {
         self.chip.encode_state(w);
         self.map.encode_state(w);
@@ -338,7 +342,8 @@ impl<P: ControllerPolicy> Die<P> {
     /// Restores state serialized by [`Self::encode_state`] into `self`,
     /// which must have been constructed from the same [`SsdConfig`]. After
     /// a successful restore the die continues bit-identically to the
-    /// checkpointed one.
+    /// checkpointed one, unless its policy keeps state (a
+    /// [`crate::VpassTuner`]; see [`Self::encode_state`]).
     ///
     /// # Errors
     ///

@@ -16,10 +16,13 @@
 //!   RFR-style disturb-aware re-read) before declaring loss, returning a
 //!   typed [`ReadResolution`];
 //! * a two-hook [`ControllerPolicy`] — `on_read(chip, block)` after every
-//!   decoded host read, `on_tick(ctx)` once per simulated day — through
-//!   which `rd-core` plugs Vpass Tuning into the same controller; a
-//!   policy's actions and probe reads are counted and charged to the
-//!   engine clock.
+//!   decoded host read, `on_tick(ctx)` once per simulated day; a policy's
+//!   actions and probe reads are counted and charged to the engine clock;
+//! * the paper's mitigation, **Vpass Tuning** (§3): [`VpassTuner`] is a
+//!   controller policy whose daily tick probes each valid block's
+//!   worst-case page for the unused ECC margin ([`margin_probe`]) and walks
+//!   the block's pass-through voltage down into it, beside the
+//!   [`ReadReclaim`] baseline it is compared against.
 //!
 //! The per-die controller state lives in [`Die`]; [`Ssd`] is the name of
 //! one die used on its own and the multi-die engine (`rd-engine`) arrays
@@ -44,10 +47,12 @@ pub mod config;
 pub mod die;
 pub mod error;
 pub mod mapping;
+pub mod margin_probe;
 pub mod policy;
 pub mod recovery;
 pub mod ssd;
 pub mod stats;
+pub mod vpass_tuning;
 
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
@@ -56,6 +61,7 @@ pub use mapping::{PageMap, Ppa};
 pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;
+pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};
 // Re-exports: the fidelity knob threads ChipParams → SsdConfig → Die →
 // EngineConfig, and `ControllerPolicy::on_read` takes the chip; rd-engine
 // reaches both through this crate.

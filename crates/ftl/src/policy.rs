@@ -9,9 +9,9 @@
 //! — relocation reads and programs, probe reads — is counted in
 //! [`crate::SsdStats`] and charged to the engine's discrete-event clock.
 //!
-//! The FTL ships two built-in policies — [`NoMitigation`] (the paper's
-//! baseline) and [`ReadReclaim`] (the prior-art mitigation, §5) — and
-//! `rd-core` implements the paper's Vpass Tuning against the same trait.
+//! The FTL ships three policies: [`NoMitigation`] (the paper's baseline),
+//! [`ReadReclaim`] (the prior-art mitigation, §5) and the paper's Vpass
+//! Tuning, [`crate::VpassTuner`].
 
 use rd_flash::Chip;
 
@@ -109,7 +109,68 @@ impl ControllerPolicy for ReadReclaim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_flash::{ChipParams, Geometry};
+    use crate::{Die, SsdConfig, VpassTuner};
+    use rd_flash::{ChipParams, Geometry, NOMINAL_VPASS};
+
+    /// A worn 8-block die under Vpass Tuning, 32 pages written.
+    fn tuning_die() -> Die<VpassTuner> {
+        let config = SsdConfig {
+            chip: rd_flash::chips::DEFAULT_CHIP.to_string(),
+            geometry: Geometry {
+                blocks: 8,
+                wordlines_per_block: 8,
+                bitlines: 16 * 1024,
+                bits_per_cell: 2,
+            },
+            overprovision: 0.25,
+            gc_free_threshold: 2,
+            refresh_interval_days: 7.0,
+            ecc_capability_rber: 1.0e-3,
+            seed: 13,
+            chip_params: ChipParams::default(),
+        };
+        let mut die = Die::with_policy(config, VpassTuner::default()).unwrap();
+        // Pre-wear so the disturb slope is visible, then write data.
+        for b in 0..8 {
+            die.chip_mut().cycle_block(b, 4_000).unwrap();
+        }
+        for lpa in 0..32 {
+            die.write(lpa).unwrap();
+        }
+        die
+    }
+
+    #[test]
+    fn policy_tunes_valid_blocks_daily() {
+        let mut die = tuning_die();
+        die.advance_time(1.0).unwrap();
+        // At least one block with valid data should now be tuned below nominal.
+        let tuned =
+            die.valid_blocks().iter().any(|&b| die.chip().block_vpass(b).unwrap() < NOMINAL_VPASS);
+        assert!(tuned, "no block was tuned below nominal");
+        assert!(die.policy().stats().tunings + die.policy().stats().checks > 0);
+    }
+
+    #[test]
+    fn probe_reads_are_charged_to_the_controller() {
+        let mut die = tuning_die();
+        die.advance_time(1.0).unwrap();
+        let charged = die.stats().policy_probe_reads;
+        let spent = die.policy().stats().probe_reads;
+        assert!(charged > 0, "tuning probes must be charged as controller time");
+        assert_eq!(charged, spent, "every tuner probe read must be charged exactly once");
+    }
+
+    #[test]
+    fn reads_remain_correct_under_tuning() {
+        let mut die = tuning_die();
+        die.advance_time(2.0).unwrap();
+        // All data must still decode within ECC capability after tuning.
+        for lpa in 0..32 {
+            let r = die.read(lpa).expect("read must stay correctable under tuning");
+            assert!(r.corrected_errors <= die.config().page_capability());
+        }
+    }
 
     #[test]
     fn no_mitigation_is_inert() {

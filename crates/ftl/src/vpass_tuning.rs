@@ -16,14 +16,19 @@
 //! raises Vpass if accumulating retention/disturb errors have eaten the
 //! margin (Action 1). When the margin is exhausted the mechanism falls back
 //! to the nominal Vpass — correctness is never traded for endurance.
-
-use std::collections::HashMap;
+//!
+//! [`VpassTuner`] is itself the [`ControllerPolicy`]: once a day it runs one
+//! of the two actions on every block holding valid data and bills the probe
+//! reads at tR each ([`PolicyContext::charge_probe_reads`]).
 
 use rd_ecc::MarginPolicy;
-use rd_flash::{Chip, NOMINAL_VPASS};
+use rd_flash::{Chip, FlashError, NOMINAL_VPASS};
 
-use crate::error::CoreError;
 use crate::margin_probe::{discover_worst_page, probe_margin};
+use crate::policy::{ControllerPolicy, PolicyContext};
+
+/// `worst_pages` entry of a block whose worst page is not yet discovered.
+const UNKNOWN: u32 = u32::MAX;
 
 /// Configuration of the tuner.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,18 +87,36 @@ pub struct TunerStats {
     pub probe_reads: u64,
 }
 
-/// The per-device Vpass tuning mechanism.
+/// The per-device Vpass tuning mechanism, and the controller policy that
+/// runs it daily.
+///
+/// A block's worst page is discovered on its first [`Self::tune_block`] or
+/// [`Self::daily_check`], unless [`Self::manufacture_init`] ran first. The
+/// discovery reads count in [`TunerStats::probe_reads`], not in the
+/// returned [`TuneReport`].
+///
+/// [`crate::Die::encode_state`] writes neither the worst pages nor the
+/// stats: a restored tuning die re-discovers each worst page with fresh,
+/// disturbing reads and does not continue bit-identically (ROADMAP.md,
+/// item 5(c)).
 #[derive(Debug, Clone)]
 pub struct VpassTuner {
     config: VpassTunerConfig,
-    worst_pages: HashMap<u32, u32>,
+    /// Worst page per block, [`UNKNOWN`] until discovered.
+    worst_pages: Vec<u32>,
     stats: TunerStats,
+}
+
+impl Default for VpassTuner {
+    fn default() -> Self {
+        Self::new(VpassTunerConfig::default())
+    }
 }
 
 impl VpassTuner {
     /// Creates a tuner.
     pub fn new(config: VpassTunerConfig) -> Self {
-        Self { config, worst_pages: HashMap::new(), stats: TunerStats::default() }
+        Self { config, worst_pages: Vec::new(), stats: TunerStats::default() }
     }
 
     /// The tuner's configuration.
@@ -106,22 +129,30 @@ impl VpassTuner {
         self.stats
     }
 
-    /// Whether a block has a worst-page record.
-    pub fn is_initialized(&self, block: u32) -> bool {
-        self.worst_pages.contains_key(&block)
-    }
-
     /// Manufacture-time step: discover and record the predicted worst-case
     /// page of a (programmed) block.
     ///
     /// # Errors
     ///
     /// Fails if `block` is out of range.
-    pub fn manufacture_init(&mut self, chip: &mut Chip, block: u32) -> Result<u32, CoreError> {
+    pub fn manufacture_init(&mut self, chip: &mut Chip, block: u32) -> Result<u32, FlashError> {
         let (page, _) = discover_worst_page(chip, block)?;
         self.stats.probe_reads += chip.geometry().pages_per_block() as u64;
-        self.worst_pages.insert(block, page);
+        // The discovery reads range-checked `block`, so the chip's block
+        // count covers it.
+        if self.worst_pages.len() <= block as usize {
+            self.worst_pages.resize(chip.geometry().blocks as usize, UNKNOWN);
+        }
+        self.worst_pages[block as usize] = page;
         Ok(page)
+    }
+
+    /// The block's recorded worst page, discovered first if unknown.
+    fn worst_page(&mut self, chip: &mut Chip, block: u32) -> Result<u32, FlashError> {
+        match self.worst_pages.get(block as usize) {
+            Some(&page) if page != UNKNOWN => Ok(page),
+            _ => self.manufacture_init(chip, block),
+        }
     }
 
     /// Action 2 — full Vpass identification for a block (run after each
@@ -129,60 +160,49 @@ impl VpassTuner {
     ///
     /// # Errors
     ///
-    /// Fails if the block was never initialized or on flash errors.
-    pub fn tune_block(&mut self, chip: &mut Chip, block: u32) -> Result<TuneReport, CoreError> {
-        let worst = *self.worst_pages.get(&block).ok_or(CoreError::NotInitialized { block })?;
+    /// Fails on flash errors (an out-of-range block).
+    pub fn tune_block(&mut self, chip: &mut Chip, block: u32) -> Result<TuneReport, FlashError> {
+        let worst = self.worst_page(chip, block)?;
         let vpass_before = chip.block_vpass(block)?;
-        let mut probe_reads = 0u64;
-
         let probe = probe_margin(chip, block, worst, &self.config.margin)?;
-        probe_reads += 1;
+        let mut probe_reads = 1u64;
         self.stats.tunings += 1;
 
-        if probe.margin == 0 {
+        let fell_back = probe.margin == 0;
+        let (vpass, zeros) = if fell_back {
             // Fallback: no unused correction capability to spend.
-            chip.set_block_vpass(block, NOMINAL_VPASS)?;
             self.stats.fallbacks += 1;
-            self.stats.probe_reads += probe_reads;
-            return Ok(TuneReport {
-                block,
-                vpass_before,
-                vpass_after: NOMINAL_VPASS,
-                mee: probe.mee,
-                margin: 0,
-                passthrough_zeros: 0,
-                fell_back: true,
-                probe_reads,
-            });
-        }
+            (NOMINAL_VPASS, 0)
+        } else {
+            let min_vpass = chip.params().min_vpass;
+            let step = self.config.step;
+            let mut vpass = vpass_before;
+            let mut zeros = self.count_zeros(chip, block, worst, vpass, &mut probe_reads)?;
 
-        let min_vpass = chip.params().min_vpass;
-        let step = self.config.step;
-        let mut vpass = vpass_before;
-        let mut zeros = self.count_zeros(chip, block, worst, vpass, &mut probe_reads)?;
-
-        // Steps 1 + 2: aggressively lower while the induced zeros fit.
-        while zeros <= probe.margin && vpass - step >= min_vpass {
-            let candidate = vpass - step;
-            let n = self.count_zeros(chip, block, worst, candidate, &mut probe_reads)?;
-            if n <= probe.margin {
-                vpass = candidate;
-                zeros = n;
-            } else {
-                // Went one step too far; leave `vpass` at the last good value.
-                break;
+            // Steps 1 + 2: aggressively lower while the induced zeros fit.
+            while zeros <= probe.margin && vpass - step >= min_vpass {
+                let candidate = vpass - step;
+                let n = self.count_zeros(chip, block, worst, candidate, &mut probe_reads)?;
+                if n <= probe.margin {
+                    vpass = candidate;
+                    zeros = n;
+                } else {
+                    // Went one step too far; leave `vpass` at the last good value.
+                    break;
+                }
             }
-        }
-        // Step 3: roll upward until verification passes (handles the case
-        // where even the starting Vpass no longer verifies).
-        while zeros > probe.margin && vpass + step <= NOMINAL_VPASS {
-            vpass += step;
-            zeros = self.count_zeros(chip, block, worst, vpass, &mut probe_reads)?;
-        }
-        if zeros > probe.margin {
-            vpass = NOMINAL_VPASS;
-            zeros = 0;
-        }
+            // Step 3: roll upward until verification passes (handles the case
+            // where even the starting Vpass no longer verifies).
+            while zeros > probe.margin && vpass + step <= NOMINAL_VPASS {
+                vpass += step;
+                zeros = self.count_zeros(chip, block, worst, vpass, &mut probe_reads)?;
+            }
+            if zeros > probe.margin {
+                (NOMINAL_VPASS, 0)
+            } else {
+                (vpass, zeros)
+            }
+        };
         chip.set_block_vpass(block, vpass)?;
         self.stats.probe_reads += probe_reads;
         Ok(TuneReport {
@@ -192,7 +212,7 @@ impl VpassTuner {
             mee: probe.mee,
             margin: probe.margin,
             passthrough_zeros: zeros,
-            fell_back: false,
+            fell_back,
             probe_reads,
         })
     }
@@ -203,13 +223,12 @@ impl VpassTuner {
     ///
     /// # Errors
     ///
-    /// Fails if the block was never initialized or on flash errors.
-    pub fn daily_check(&mut self, chip: &mut Chip, block: u32) -> Result<TuneReport, CoreError> {
-        let worst = *self.worst_pages.get(&block).ok_or(CoreError::NotInitialized { block })?;
+    /// Fails on flash errors (an out-of-range block).
+    pub fn daily_check(&mut self, chip: &mut Chip, block: u32) -> Result<TuneReport, FlashError> {
+        let worst = self.worst_page(chip, block)?;
         let vpass_before = chip.block_vpass(block)?;
-        let mut probe_reads = 0u64;
         let probe = probe_margin(chip, block, worst, &self.config.margin)?;
-        probe_reads += 1;
+        let mut probe_reads = 1u64;
         self.stats.checks += 1;
 
         let step = self.config.step;
@@ -250,7 +269,7 @@ impl VpassTuner {
         page: u32,
         vpass: f64,
         probe_reads: &mut u64,
-    ) -> Result<u64, CoreError> {
+    ) -> Result<u64, FlashError> {
         let restore = chip.block_vpass(block)?;
         chip.set_block_vpass(block, vpass)?;
         let counts = chip.read_page_counts(block, page);
@@ -260,10 +279,30 @@ impl VpassTuner {
     }
 }
 
+impl ControllerPolicy for VpassTuner {
+    /// Tunes every block holding valid data: freshly refreshed or written
+    /// blocks get the full identification (Action 2), others the
+    /// raise-check (Action 1).
+    fn on_tick(&mut self, ctx: &mut PolicyContext<'_>) {
+        let probe_reads_before = self.stats.probe_reads;
+        for &block in ctx.valid_blocks {
+            let age = ctx.chip.block_status(block).map(|s| s.age_days).unwrap_or(f64::MAX);
+            // Age ≤ one daily tick means refreshed or written since the last
+            // tick. A failing block must not stop the daily sweep.
+            let _ = if age < 1.5 {
+                self.tune_block(ctx.chip, block)
+            } else {
+                self.daily_check(ctx.chip, block)
+            };
+        }
+        ctx.charge_probe_reads(self.stats.probe_reads - probe_reads_before);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_flash::{ChipParams, Geometry};
+    use rd_flash::{ChipParams, Geometry, ReadFidelity};
 
     /// Geometry with realistic page sizes (64 Ki bits, as on real MLC
     /// parts): the worst-page/mean-page error ratio is then small enough
@@ -274,23 +313,47 @@ mod tests {
     }
 
     fn chip_at(pe: u64, seed: u64) -> Chip {
-        let mut chip = Chip::new(tuning_geometry(), ChipParams::default(), seed);
+        chip_at_tier(ReadFidelity::CellExact, pe, seed)
+    }
+
+    fn chip_at_tier(fidelity: ReadFidelity, pe: u64, seed: u64) -> Chip {
+        let mut chip =
+            Chip::with_fidelity(tuning_geometry(), ChipParams::default(), seed, fidelity);
         chip.cycle_block(0, pe).unwrap();
         chip.program_block_random(0, seed ^ 1).unwrap();
         chip
     }
 
+    /// A fresh tuner's first action on a block is `manufacture_init`
+    /// followed by that action, down to the chip's RNG stream.
     #[test]
-    fn tuning_requires_initialization() {
-        let mut chip = chip_at(4_000, 3);
-        let mut tuner = VpassTuner::new(VpassTunerConfig::default());
-        assert!(matches!(
-            tuner.tune_block(&mut chip, 0),
-            Err(CoreError::NotInitialized { block: 0 })
-        ));
-        tuner.manufacture_init(&mut chip, 0).unwrap();
-        assert!(tuner.is_initialized(0));
-        assert!(tuner.tune_block(&mut chip, 0).is_ok());
+    fn first_visit_discovers_the_worst_page() {
+        type Action = fn(&mut VpassTuner, &mut Chip, u32) -> Result<TuneReport, FlashError>;
+        let actions: [(&str, Action); 2] =
+            [("tune_block", VpassTuner::tune_block), ("daily_check", VpassTuner::daily_check)];
+        for fidelity in [ReadFidelity::PageAnalytic, ReadFidelity::CellExact] {
+            for (name, action) in actions {
+                let mut lazy_chip = chip_at_tier(fidelity, 5_000, 21);
+                let mut eager_chip = chip_at_tier(fidelity, 5_000, 21);
+                let mut lazy = VpassTuner::default();
+                let mut eager = VpassTuner::default();
+                eager.manufacture_init(&mut eager_chip, 0).unwrap();
+                let at = format!("{name} at {fidelity:?}");
+                assert_eq!(
+                    action(&mut lazy, &mut lazy_chip, 0).unwrap(),
+                    action(&mut eager, &mut eager_chip, 0).unwrap(),
+                    "{at}"
+                );
+                assert_eq!(lazy.stats(), eager.stats(), "{at}");
+                assert_eq!(lazy_chip.block_vpass(0), eager_chip.block_vpass(0), "{at}");
+                assert_eq!(lazy_chip.block_status(0), eager_chip.block_status(0), "{at}");
+                assert_eq!(
+                    lazy_chip.read_page_counts(0, 0),
+                    eager_chip.read_page_counts(0, 0),
+                    "{at}: RNG streams diverged"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! |---|---|
 //! | [`flash`] | cell-accurate MLC NAND simulator: Vth distributions, P/E cycling, retention, read disturb, pass-through errors |
 //! | [`ecc`] | GF(2^m) + BCH codec, threshold ECC model, the paper's margin arithmetic |
-//! | [`ftl`] | SSD substrate: page-mapped FTL, GC, wear leveling, 7-day refresh, read reclaim |
+//! | [`ftl`] | SSD substrate: page-mapped FTL, GC, wear leveling, 7-day refresh, read reclaim, and the paper's mitigation, Vpass Tuning, as a controller policy |
 //! | [`engine`] | multi-channel/multi-die SSD engine: request scheduling, die-level timing, parallel trace replay |
 //! | [`workloads`] | synthetic trace generators modelled on the paper's trace families |
 //! | [`serve`] | sharded async multi-tenant serving front-end over the engine |
 //! | [`fleet`] | fleet-scale lifetime simulation: varied drives, epoch phases, versioned checkpoint/restore |
-//! | [`core`] | **the paper's contribution**: Vpass Tuning, Read Disturb Recovery, the characterization harness, and the endurance evaluator |
+//! | [`core`] | **the paper's offline half**: Read Disturb Recovery, ROR/RFR, the characterization harness, the endurance evaluator and overheads |
 //! | [`dram`] | RowHammer module-population model (related-work Figs. 11–12) |
 //!
 //! ## Quickstart
@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The paper's mechanisms: Vpass Tuning, RDR, characterization, lifetime.
+/// The paper's offline mechanisms: RDR, characterization, lifetime.
 pub use rd_core as core;
 /// RowHammer module-population model (related-work figures).
 pub use rd_dram as dram;
@@ -69,7 +69,7 @@ pub use rd_workloads as workloads;
 pub mod prelude {
     pub use rd_core::{
         full_recovery_ladder, Mitigation, Rdr, RdrConfig, Rfr, RfrConfig, RfrRecoveryStep, Ror,
-        RorConfig, RorRecoveryStep, TuneReport, VpassTuner, VpassTunerConfig, VpassTuningPolicy,
+        RorConfig, RorRecoveryStep,
     };
     pub use rd_ecc::{BchCode, MarginPolicy, PageEccModel, ThresholdEcc};
     pub use rd_engine::{Engine, EngineConfig, EngineStats, ReqKind, Timing, Topology};
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use rd_fleet::{Fleet, FleetConfig, FleetRow, VariationSpread};
     pub use rd_ftl::{
         ControllerPolicy, NoMitigation, ReadReclaim, ReadResolution, RecoveryLadder, RecoveryStep,
-        Ssd, SsdConfig,
+        Ssd, SsdConfig, TuneReport, VpassTuner, VpassTunerConfig,
     };
     pub use rd_serve::{ServeConfig, Service, ShardPlan, TenantConfig, Traffic};
     pub use rd_workloads::{TraceGenerator, TraceStats, WorkloadProfile};

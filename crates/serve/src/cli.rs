@@ -7,7 +7,7 @@
 use rd_engine::{EngineConfig, ReadFidelity, Timing, Topology};
 use rd_ftl::SsdConfig;
 
-use crate::service::ServeConfig;
+use crate::service::{ServeConfig, Service};
 use crate::tenant::TenantConfig;
 
 /// Parsed deployment options shared by `run` and `repl`.
@@ -117,22 +117,9 @@ impl CliOptions {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the offending flag.
+    /// Returns a human-readable message naming the offending flag or the
+    /// deployment field it sets.
     pub fn validate(&self) -> Result<(), String> {
-        Topology { channels: self.channels, dies_per_channel: self.dies_per_channel }
-            .check()
-            .map_err(|e| {
-                format!("--channels {} --dies {}: {e}", self.channels, self.dies_per_channel)
-            })?;
-        if self.shards == 0 || !self.channels.is_multiple_of(self.shards) {
-            return Err(format!(
-                "--shards {} must divide --channels {}",
-                self.shards, self.channels
-            ));
-        }
-        if self.batch_ops == 0 {
-            return Err("--batch must be positive".into());
-        }
         if rd_ftl::chips::get(&self.chip).is_none() {
             return Err(format!(
                 "--chip {}: unknown chip (database has: {})",
@@ -140,12 +127,12 @@ impl CliOptions {
                 rd_ftl::chips::names().join(", ")
             ));
         }
-        for tenant in &self.tenants {
-            tenant.validate()?;
-        }
-        // The topology was checked above and the remaining engine knobs are
-        // constants, so what a flag can still break is the chip at the
-        // chosen tier (cell-exact is MLC-only) and the queue depth.
+        // Tenants, batch size, topology and shard split: what
+        // `Service::start` rejects.
+        Service::check(&self.serve_config(), &self.tenants())?;
+        // The remaining engine knobs are constants, so what a flag can still
+        // break is the chip at the chosen tier (cell-exact is MLC-only) and
+        // the queue depth.
         let engine = self.engine_config();
         engine
             .die

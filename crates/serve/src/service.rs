@@ -261,12 +261,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Propagates engine construction failures; panics on an invalid
-    /// shard/topology split (see [`ShardPlan::new`]).
+    /// [`FtlError::InvalidConfig`] naming the field, before any thread is
+    /// spawned: no tenants or one [`TenantConfig::validate`] rejects, a zero
+    /// `batch_ops` or `max_inflight_batches`, or a bad engine topology, shard
+    /// split or `die_index_offset`. Engine construction failures propagate.
     pub fn start(config: ServeConfig, tenants: Vec<TenantConfig>) -> Result<Self, FtlError> {
-        assert!(!tenants.is_empty(), "need at least one tenant");
-        assert!(config.batch_ops > 0, "batch_ops must be positive");
-        assert!(config.max_inflight_batches > 0, "admission window must be positive");
+        Self::check(&config, &tenants).map_err(FtlError::InvalidConfig)?;
         let plan = ShardPlan::new(config.engine.topology, config.shards);
         let pool_threads = if config.pool_threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -306,6 +306,34 @@ impl Service {
             });
         }
         Ok(Self { plan, config, tenants, workers, ops_submitted: 0 })
+    }
+
+    /// What [`Self::start`] rejects, as a message naming the field.
+    pub(crate) fn check(config: &ServeConfig, tenants: &[TenantConfig]) -> Result<(), String> {
+        if tenants.is_empty() {
+            return Err("tenants: need at least one tenant".into());
+        }
+        for (i, tenant) in tenants.iter().enumerate() {
+            tenant.validate().map_err(|e| format!("tenants[{i}]: {e}"))?;
+        }
+        if config.batch_ops == 0 {
+            return Err("batch_ops must be positive".into());
+        }
+        if config.max_inflight_batches == 0 {
+            return Err("max_inflight_batches must be positive".into());
+        }
+        let topology = config.engine.topology;
+        topology.check().map_err(|e| format!("engine.topology: {e}"))?;
+        if config.shards == 0 || !topology.channels.is_multiple_of(config.shards) {
+            return Err(format!(
+                "shards ({}) must divide the channel count ({})",
+                config.shards, topology.channels
+            ));
+        }
+        if config.engine.die_index_offset != 0 {
+            return Err("engine.die_index_offset must be 0: it is the whole array's".into());
+        }
+        Ok(())
     }
 
     /// The shard plan in force.
@@ -619,6 +647,34 @@ mod tests {
             TenantConfig::new("web", "umass-web", 4000.0),
             TenantConfig::new("mail", "postmark", 2000.0),
         ]
+    }
+
+    #[test]
+    fn start_rejects_a_bad_deployment_naming_the_field() {
+        let ok = ServeConfig::small_test;
+        let engine = |topology, die_index_offset| ServeConfig {
+            engine: EngineConfig { topology, die_index_offset, ..EngineConfig::small_test() },
+            ..ok()
+        };
+        let mut bad_tenant = tenants();
+        bad_tenant[1].ops_per_s = 0.0;
+        let zero_channels = rd_engine::Topology { channels: 0, dies_per_channel: 2 };
+        let cases = [
+            ("tenants", ok(), Vec::new()),
+            ("tenants[1]: ops_per_s", ok(), bad_tenant),
+            ("batch_ops", ServeConfig { batch_ops: 0, ..ok() }, tenants()),
+            ("max_inflight_batches", ServeConfig { max_inflight_batches: 0, ..ok() }, tenants()),
+            ("engine.topology", engine(zero_channels, 0), tenants()),
+            ("shards (0)", ServeConfig { shards: 0, ..ok() }, tenants()),
+            ("shards (3)", ServeConfig { shards: 3, ..ok() }, tenants()),
+            ("engine.die_index_offset", engine(ok().engine.topology, 2), tenants()),
+        ];
+        for (field, config, tenants) in cases {
+            match Service::start(config, tenants) {
+                Err(FtlError::InvalidConfig(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}: expected InvalidConfig, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

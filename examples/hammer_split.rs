@@ -76,7 +76,7 @@ fn hammer_ops(seed: u64, logical: u64, n: usize) -> Vec<TraceOp> {
 }
 
 /// Installs the full ladder and wears every block (before the fill).
-fn wear(die: &mut Die<VpassTuningPolicy>) {
+fn wear(die: &mut Die<VpassTuner>) {
     die.set_recovery_ladder(full_recovery_ladder());
     for block in 0..die.chip().geometry().blocks {
         die.chip_mut().cycle_block(block, PRE_WEAR).expect("block in range");
@@ -84,16 +84,16 @@ fn wear(die: &mut Die<VpassTuningPolicy>) {
 }
 
 /// Reads every valid block `PRE_DISTURBS` times (after the fill and ageing).
-fn pre_disturb(die: &mut Die<VpassTuningPolicy>) {
+fn pre_disturb(die: &mut Die<VpassTuner>) {
     for block in die.valid_blocks() {
         die.chip_mut().apply_read_disturbs(block, PRE_DISTURBS).expect("block in range");
     }
 }
 
 /// One die of the array, worn, filled, aged and pre-disturbed.
-fn hammered_die(config: &SsdConfig) -> Die<VpassTuningPolicy> {
+fn hammered_die(config: &SsdConfig) -> Die<VpassTuner> {
     let mut die =
-        Die::with_policy(config.clone(), VpassTuningPolicy::default()).expect("array die builds");
+        Die::with_policy(config.clone(), VpassTuner::default()).expect("array die builds");
     wear(&mut die);
     for lpa in 0..die.map().logical_pages() {
         die.write(lpa).expect("fill fits");
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ops = hammer_ops(SEED, logical, DAYS * OPS_PER_DAY);
 
     let started = Instant::now();
-    let mut engine = Engine::with_policy(config.clone(), VpassTuningPolicy::default())?;
+    let mut engine = Engine::with_policy(config.clone(), VpassTuner::default())?;
     for d in 0..config.topology.dies() {
         wear(engine.die_mut(d));
     }

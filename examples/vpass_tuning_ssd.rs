@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example vpass_tuning_ssd`
 
+use readdisturb::ftl::FtlError;
 use readdisturb::prelude::*;
 use readdisturb::workloads::OpKind;
 
@@ -56,8 +57,9 @@ fn replay<P: ControllerPolicy>(
         let lpa = op.lpa % logical_pages;
         match op.kind {
             OpKind::Write => ssd.write(lpa)?,
+            // A lost read is what the demo counts (`uncorrectable_reads`).
             OpKind::Read => match ssd.read(lpa) {
-                Ok(_) | Err(readdisturb::ftl::FtlError::NotWritten { .. }) => {}
+                Ok(_) | Err(FtlError::NotWritten { .. } | FtlError::Uncorrectable { .. }) => {}
                 Err(e) => return Err(e.into()),
             },
         }
@@ -80,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline = Ssd::new(ssd_config())?;
     let (bits_base, loss_base, _) = replay(baseline)?;
 
-    let tuned = Ssd::with_policy(ssd_config(), VpassTuningPolicy::default())?;
+    let tuned = Ssd::with_policy(ssd_config(), VpassTuner::default())?;
     let (bits_tuned, loss_tuned, reduction) = replay(tuned)?;
 
     println!("{:<22} {:>16} {:>16}", "", "baseline", "vpass-tuning");

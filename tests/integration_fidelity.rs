@@ -16,7 +16,6 @@
 //!   worker-thread counts (payload digest included), exactly like the
 //!   exact tier.
 
-use readdisturb::core::VpassTuningPolicy;
 use readdisturb::prelude::*;
 use readdisturb::workloads::TraceOp;
 
@@ -174,8 +173,7 @@ fn vpass_tuning_policy_works_on_both_tiers() {
             chip_params: ChipParams::default(),
         }
         .with_fidelity(fidelity);
-        let mut ssd =
-            Ssd::with_policy(config, VpassTuningPolicy::new(VpassTunerConfig::default())).unwrap();
+        let mut ssd = Ssd::with_policy(config, VpassTuner::default()).unwrap();
         for b in 0..8 {
             ssd.chip_mut().cycle_block(b, 4_000).unwrap();
         }

@@ -266,7 +266,7 @@ where
 fn count_first_pipeline_matches_the_materializing_parent_under_vpass_tuning() {
     const PARENT: PipelineRow = (12543777059110965207, 2295, 328, 9279, 5171, 3515, 14980);
     for threads in [1, 2] {
-        let stats = hammered_analytic_replay(VpassTuningPolicy::default(), threads);
+        let stats = hammered_analytic_replay(VpassTuner::default(), threads);
         assert_eq!(pipeline_row(&stats), PARENT, "{threads} thread(s)");
         assert!(stats.recovered_reads > 0 && stats.uncorrectable_reads > 0);
         assert!(stats.totals().policy_probe_reads > 0);
