@@ -48,7 +48,7 @@ mod poly;
 
 pub use bch::{BchCode, Decoded};
 pub use margin::MarginPolicy;
-pub use model::{PageDecode, PageEccModel, ThresholdEcc};
+pub use model::{page_capability, PageDecode, PageEccModel, ThresholdEcc};
 
 /// Errors returned by ECC construction and decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]

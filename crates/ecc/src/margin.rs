@@ -39,7 +39,7 @@ impl MarginPolicy {
 
     /// Correction capability `C` of a page, in bit errors.
     pub fn capability_errors(&self, page_bits: usize) -> u64 {
-        (self.capability_rber * page_bits as f64).floor() as u64
+        crate::model::page_capability(page_bits, self.capability_rber)
     }
 
     /// The paper's `M = (1 - reserve) * C - MEE`, in bit errors (clamped at
@@ -48,12 +48,6 @@ impl MarginPolicy {
         let usable =
             ((1.0 - self.reserve_frac) * self.capability_errors(page_bits) as f64).floor() as u64;
         usable.saturating_sub(mee)
-    }
-
-    /// Whether the device has reached end of life at this RBER (errors
-    /// exceed even the full capability — the paper's lifetime criterion).
-    pub fn exhausted(&self, current_rber: f64) -> bool {
-        current_rber > self.capability_rber
     }
 }
 
@@ -82,12 +76,5 @@ mod tests {
         assert_eq!(p.capability_errors(16384), 16);
         assert_eq!(p.margin_errors(16384, 5), 7);
         assert_eq!(p.margin_errors(16384, 20), 0, "clamped");
-    }
-
-    #[test]
-    fn lifetime_criterion() {
-        let p = MarginPolicy::paper_default();
-        assert!(!p.exhausted(0.9e-3));
-        assert!(p.exhausted(1.1e-3));
     }
 }

@@ -93,6 +93,14 @@ impl ThresholdEcc {
     }
 }
 
+/// Correction capability `C` of a page, in bit errors, for an ECC
+/// provisioned to tolerate `capability_rber` raw bit errors per bit:
+/// `floor(capability_rber × page_bits)`. The page model, the margin policy
+/// and the FTL configuration all count a page's capability with it.
+pub fn page_capability(page_bits: usize, capability_rber: f64) -> u64 {
+    (capability_rber * page_bits as f64).floor() as u64
+}
+
 /// ECC capability expressed at page granularity — the unit the paper's
 /// tuning mechanism reasons in ("the maximum number of raw bit errors
 /// correctable by ECC is C", §3).
@@ -111,7 +119,7 @@ impl PageEccModel {
     /// Panics if the resulting capability is zero (page too small for the
     /// requested operating point).
     pub fn from_operating_rber(page_bits: usize, operating_rber: f64) -> Self {
-        let capability = (operating_rber * page_bits as f64).floor() as u64;
+        let capability = page_capability(page_bits, operating_rber);
         assert!(capability > 0, "page of {page_bits} bits has zero capability");
         Self { page_bits, capability }
     }
@@ -144,11 +152,6 @@ impl PageEccModel {
             PageDecode::Failed { errors }
         }
     }
-
-    /// Capability as an RBER.
-    pub fn capability_rber(&self) -> f64 {
-        self.capability as f64 / self.page_bits as f64
-    }
 }
 
 /// Outcome of a page-granular ECC decode ([`PageEccModel::decode`]).
@@ -167,21 +170,6 @@ pub enum PageDecode {
         /// Raw bit errors observed.
         errors: u64,
     },
-}
-
-impl PageDecode {
-    /// Whether the decode succeeded (clean or corrected).
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, PageDecode::Failed { .. })
-    }
-
-    /// Raw bit errors the decode saw.
-    pub fn errors(&self) -> u64 {
-        match *self {
-            PageDecode::Clean => 0,
-            PageDecode::Corrected { errors } | PageDecode::Failed { errors } => errors,
-        }
-    }
 }
 
 /// Upper tail `P(X > k)` of `X ~ Binomial(n, p)`, computed by direct
@@ -278,9 +266,6 @@ mod tests {
         assert_eq!(pm.decode(3), PageDecode::Corrected { errors: 3 });
         assert_eq!(pm.decode(4), PageDecode::Corrected { errors: 4 });
         assert_eq!(pm.decode(5), PageDecode::Failed { errors: 5 });
-        assert!(pm.decode(4).is_ok() && !pm.decode(5).is_ok());
-        assert_eq!(pm.decode(5).errors(), 5);
-        assert_eq!(pm.decode(0).errors(), 0);
     }
 
     #[test]
@@ -288,7 +273,7 @@ mod tests {
         let pm = PageEccModel::from_operating_rber(4096, 1.0e-3);
         assert_eq!(pm.capability(), 4);
         assert!(pm.correctable(4) && !pm.correctable(5));
-        assert!((pm.capability_rber() - 4.0 / 4096.0).abs() < 1e-12);
+        assert_eq!(page_capability(4096, 1.0e-3), 4);
         let pm = PageEccModel::from_operating_rber(16384, 1.0e-3);
         assert_eq!(pm.capability(), 16);
     }

@@ -95,7 +95,8 @@ impl EngineStats {
     /// Raw simulated throughput in I/O operations per second: **every**
     /// completed request over the makespan, including failed-lookup reads
     /// and rejected writes (they consume schedule slots). For the rate of
-    /// requests that did useful work, see [`EngineStats::effective_iops`].
+    /// requests that did useful work, divide [`EngineStats::effective_ops`]
+    /// by the makespan.
     pub fn iops(&self) -> f64 {
         if self.makespan_us <= 0.0 {
             0.0
@@ -110,15 +111,6 @@ impl EngineStats {
     /// would count requests that moved no data.
     pub fn effective_ops(&self) -> u64 {
         self.ops - self.reads_not_written - self.writes_failed
-    }
-
-    /// Simulated throughput over [`EngineStats::effective_ops`] only.
-    pub fn effective_iops(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
-            0.0
-        } else {
-            self.effective_ops() as f64 / (self.makespan_us / 1e6)
-        }
     }
 
     /// Sum of the per-die controller counters.
@@ -476,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn effective_iops_excludes_failed_ops() {
+    fn effective_ops_excludes_failed_ops() {
         let s = EngineStats {
             channels: 1,
             dies: 1,
@@ -501,12 +493,10 @@ mod tests {
             per_die: Vec::new(),
         };
         // Error-heavy run: raw iops counts every schedule slot, effective
-        // only the 800 requests that moved data.
+        // ops only the 800 requests that moved data.
         assert_eq!(s.effective_ops(), 800);
         assert!((s.iops() - 1000.0).abs() < 1e-9);
-        assert!((s.effective_iops() - 800.0).abs() < 1e-9);
-        let zero = EngineStats { makespan_us: 0.0, ..s };
-        assert_eq!(zero.effective_iops(), 0.0);
+        assert_eq!(EngineStats { makespan_us: 0.0, ..s }.iops(), 0.0);
     }
 
     fn shard_stats(fidelity: ReadFidelity, dies: u32, reads: u64, makespan: f64) -> EngineStats {

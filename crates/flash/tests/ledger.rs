@@ -1,0 +1,201 @@
+//! The per-block state every fidelity tier keeps — wear, retention clock,
+//! read count, Vpass and programmed pages — and the bytes each tier
+//! checkpoints.
+//!
+//! One random command sequence drives one chip per tier, and after every
+//! step the three agree on everything but the tier-specific disturb dose. A
+//! scripted history then pins `fnv1a(Chip::encode_state)` per tier, so a
+//! change to any tier's checkpoint layout or arithmetic shows up here.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rd_flash::NOMINAL_VPASS;
+use rd_flash::{bits, wire, BlockStatus, Chip, ChipParams, FlashError, Geometry, ReadFidelity};
+
+const TIERS: [ReadFidelity; 3] =
+    [ReadFidelity::CellExact, ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate];
+
+fn geometry() -> Geometry {
+    Geometry { blocks: 3, wordlines_per_block: 4, bitlines: 256, bits_per_cell: 2 }
+}
+
+/// One chip command, with addresses that may be one past the end.
+#[derive(Debug, Clone)]
+enum Op {
+    Program { block: u32, page: u32, data: Vec<u8> },
+    Erase { block: u32 },
+    Cycle { block: u32, cycles: u64 },
+    AdvanceDays { days: f64 },
+    AdvanceBlockDays { block: u32, days: f64 },
+    SetVpass { block: u32, vpass: f64 },
+    Disturbs { block: u32, n: u64 },
+    Hammer { block: u32, wordline: u32, n: u64 },
+    Read { block: u32, page: u32 },
+    Retry { block: u32, page: u32, shift: f64 },
+}
+
+impl Op {
+    fn decode(draw: u64, params: &ChipParams) -> Self {
+        let g = geometry();
+        let mut pick = StdRng::seed_from_u64(draw);
+        let block = pick.gen_range(0..=g.blocks);
+        let page = pick.gen_range(0..=g.pages_per_block());
+        let n = pick.gen_range(1..300_000u64);
+        match pick.gen_range(0..10u32) {
+            0 => {
+                // Mostly a whole page, sometimes a short one; never empty
+                // (an empty payload is the aggregate tier's canonical write).
+                let data = if pick.gen_bool(0.85) {
+                    bits::random(&mut pick, g.bits_per_page())
+                } else {
+                    vec![0u8; 3]
+                };
+                Op::Program { block, page, data }
+            }
+            1 => Op::Erase { block },
+            2 => Op::Cycle { block, cycles: n % 5_000 },
+            3 => Op::AdvanceDays { days: pick.gen_range(0.0..6.0) },
+            4 => Op::AdvanceBlockDays { block, days: pick.gen_range(0.0..6.0) },
+            5 => Op::SetVpass {
+                block,
+                vpass: pick.gen_range(params.min_vpass - 10.0..NOMINAL_VPASS + 5.0),
+            },
+            6 => Op::Disturbs { block, n },
+            7 => Op::Hammer { block, wordline: page / 2, n },
+            8 => Op::Read { block, page },
+            _ => Op::Retry { block, page, shift: pick.gen_range(-12.0..12.0) },
+        }
+    }
+
+    fn apply(&self, chip: &mut Chip) -> Result<(), FlashError> {
+        match *self {
+            Op::Program { block, page, ref data } => chip.program_page(block, page, data),
+            Op::Erase { block } => chip.erase_block(block),
+            Op::Cycle { block, cycles } => chip.cycle_block(block, cycles),
+            Op::AdvanceDays { days } => {
+                chip.advance_days(days);
+                Ok(())
+            }
+            Op::AdvanceBlockDays { block, days } => chip.advance_block_days(block, days),
+            Op::SetVpass { block, vpass } => chip.set_block_vpass(block, vpass),
+            Op::Disturbs { block, n } => chip.apply_read_disturbs(block, n),
+            Op::Hammer { block, wordline, n } => chip.hammer_wordline(block, wordline, n),
+            Op::Read { block, page } => chip.read_page(block, page).map(drop),
+            Op::Retry { block, page, shift } => chip.read_retry(block, page, shift).map(drop),
+        }
+    }
+}
+
+/// One block's status (dose masked), Vpass and programmed flags.
+type Row =
+    (Result<BlockStatus, FlashError>, Result<f64, FlashError>, Vec<Result<bool, FlashError>>);
+
+/// What every tier must report alike, for every block and page including
+/// one past the end: the status with the tier-specific dose masked, the
+/// Vpass and the programmed flags.
+fn ledger(chip: &Chip) -> Vec<Row> {
+    let g = chip.geometry();
+    (0..=g.blocks)
+        .map(|block| {
+            let status = chip.block_status(block).map(|s| BlockStatus { dose: 0.0, ..s });
+            let pages = (0..=g.pages_per_block())
+                .map(|page| chip.is_page_programmed(block, page))
+                .collect();
+            (status, chip.block_vpass(block), pages)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One random command sequence — out-of-range addresses, double
+    /// programs, short payloads and out-of-range Vpass included — applied
+    /// to one chip per tier: every step returns the same error, or none, on
+    /// every tier and leaves the same ledger behind.
+    #[test]
+    fn tiers_agree_on_the_ledger(
+        seed in any::<u64>(),
+        draws in proptest::collection::vec(any::<u64>(), 1..120),
+    ) {
+        let params = ChipParams::default();
+        let mut chips: Vec<Chip> = TIERS
+            .iter()
+            .map(|&tier| Chip::with_fidelity(geometry(), params.clone(), seed, tier))
+            .collect();
+        for draw in draws {
+            let op = Op::decode(draw, &params);
+            let results: Vec<Result<(), FlashError>> =
+                chips.iter_mut().map(|chip| op.apply(chip)).collect();
+            let exact = ledger(&chips[0]);
+            for (i, chip) in chips.iter().enumerate().skip(1) {
+                prop_assert!(results[i] == results[0], "{} on {:?}", TIERS[i], op);
+                prop_assert!(ledger(chip) == exact, "{} after {:?}", TIERS[i], op);
+            }
+        }
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A page of data drawn from `seed`.
+fn page(seed: u64) -> Vec<u8> {
+    bits::random(&mut StdRng::seed_from_u64(seed), Geometry::small().bits_per_page())
+}
+
+/// Wear, program, age, disturb, hammer, relax Vpass, read, erase — then
+/// the checkpoint.
+fn scripted_checkpoint(tier: ReadFidelity) -> Vec<u8> {
+    let params = ChipParams::default();
+    let min_vpass = params.min_vpass;
+    let mut chip = Chip::with_fidelity(Geometry::small(), params, 2015, tier);
+    chip.set_read_margin(Some(6));
+    chip.cycle_block(0, 6_000).unwrap();
+    chip.cycle_block(2, 900).unwrap();
+    chip.program_block_random(0, 11).unwrap();
+    for p in 0..5 {
+        chip.program_page(1, p, &page(p.into())).unwrap();
+    }
+    chip.advance_days(9.0);
+    chip.advance_block_days(1, 2.5).unwrap();
+    chip.apply_read_disturbs(0, 400_000).unwrap();
+    chip.hammer_wordline(0, 3, 120_000).unwrap();
+    chip.set_block_vpass(0, min_vpass).unwrap();
+    chip.apply_read_disturbs(0, 50_000).unwrap();
+    for p in 0..6 {
+        chip.read_page(0, p).unwrap();
+        chip.read_page_counts(1, p).unwrap();
+    }
+    chip.read_retry(0, 7, 8.0).unwrap();
+    chip.read_retry_counts(1, 2, -4.0).unwrap();
+    chip.set_block_vpass(0, NOMINAL_VPASS).unwrap();
+    chip.erase_block(1).unwrap();
+    chip.program_page(1, 0, &page(99)).unwrap();
+    let mut w = wire::Writer::new();
+    chip.encode_state(&mut w);
+    w.into_bytes()
+}
+
+/// Each tier's checkpoint bytes after [`scripted_checkpoint`]'s history:
+/// the layout, and every value in it, stay as recorded.
+#[test]
+fn checkpoint_bytes_are_pinned_per_tier() {
+    const PINNED: [(ReadFidelity, u64); 3] = [
+        (ReadFidelity::CellExact, 0x70b7_716c_ca48_997a),
+        (ReadFidelity::PageAnalytic, 0x25a6_7b8e_660f_79af),
+        (ReadFidelity::BlockAggregate, 0x327e_05bf_5824_ea60),
+    ];
+    let got: Vec<(ReadFidelity, u64)> =
+        TIERS.iter().map(|&tier| (tier, fnv1a(&scripted_checkpoint(tier)))).collect();
+    assert_eq!(
+        got,
+        PINNED,
+        "{}",
+        got.iter().map(|(tier, h)| format!("{tier}: {h:#018x}")).collect::<Vec<_>>().join(", ")
+    );
+}

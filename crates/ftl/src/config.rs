@@ -116,9 +116,9 @@ impl SsdConfig {
         ((physical as f64) * (1.0 - self.overprovision)).floor() as u64
     }
 
-    /// ECC capability per page in bit errors.
+    /// ECC capability per page in bit errors ([`rd_ecc::page_capability`]).
     pub fn page_capability(&self) -> u64 {
-        ((self.geometry.bits_per_page() as f64) * self.ecc_capability_rber).floor() as u64
+        rd_ecc::page_capability(self.geometry.bits_per_page(), self.ecc_capability_rber)
     }
 
     /// Checks the configuration: the chip parameters

@@ -206,11 +206,6 @@ impl<P: ControllerPolicy> Die<P> {
             config.geometry.bits_per_page(),
             config.ecc_capability_rber,
         );
-        debug_assert_eq!(
-            ecc.capability(),
-            config.page_capability(),
-            "ECC model and config capability formulas diverged"
-        );
         // Tell the chip the decode margin so the aggregate tier can
         // fast-forward reads whose ECC outcome is analytically decided
         // (a no-op hint on the other tiers).

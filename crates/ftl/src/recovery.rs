@@ -51,21 +51,6 @@ pub enum ReadResolution {
     },
 }
 
-impl ReadResolution {
-    /// Whether the read ultimately produced decodable data.
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, ReadResolution::Uncorrectable { .. })
-    }
-
-    /// Ladder steps engaged (zero unless the read escalated).
-    pub fn steps_engaged(&self) -> u64 {
-        match self {
-            ReadResolution::Recovered { steps } => steps.len() as u64,
-            _ => 0,
-        }
-    }
-}
-
 /// Report of one ladder step's attempt on a failing page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryStepReport {
@@ -377,23 +362,6 @@ mod tests {
         assert!(outcome.steps.is_empty());
         assert_eq!(outcome.reads_spent, 0);
         assert!(outcome.recovered_errors().is_none());
-    }
-
-    #[test]
-    fn resolution_accessors() {
-        assert!(ReadResolution::Clean.is_ok());
-        assert!(ReadResolution::Corrected { errors: 3 }.is_ok());
-        assert!(!ReadResolution::Uncorrectable { errors: 9 }.is_ok());
-        let rec = ReadResolution::Recovered {
-            steps: vec![RecoveryStepReport {
-                step: "retry-sweep",
-                reads_spent: 2,
-                errors: Some(1),
-            }],
-        };
-        assert!(rec.is_ok());
-        assert_eq!(rec.steps_engaged(), 1);
-        assert_eq!(ReadResolution::Clean.steps_engaged(), 0);
     }
 
     #[test]
