@@ -33,8 +33,8 @@
 //!
 //! **Channels are timed strictly in index order**, whatever order results
 //! arrive in, and the batch's submission time is read once, before the
-//! first. What the channels do share is the latency sample — whose order is
-//! part of the checkpoint and of the running sum behind the mean — and the
+//! first. What the channels do share is the latency histogram — whose
+//! running sum behind the mean is added in timing order — and the
 //! makespan; the in-order rule makes every one of them see exactly what a
 //! fully serial pass would have produced, so statistics, completions and
 //! checkpoint bytes do not depend on the thread count.
@@ -62,8 +62,8 @@
 //! |---|---|---|---|
 //! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | **12** (the slot + a `u32` id offset) | 24 → **12** |
 //! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | **8** (an `Outcome` word: kind, class, corrected errors) | 16 + 80 → 8 + **72** (the word + `ExecRich`: address, start time, error, data) |
-//! | completed | 8 (the latency sample) | 8 + **32** (`CompletionSummary`) | 8 + 32 + 112 (the summary, then the `IoCompletion` assembled from it) |
-//! | reported | 8 → **< 0.25** (`stats()` copied the sample to select in it) | same | same |
+//! | completed | 8 → **0** (a latency sample; now one counter of a [`LatencyHistogram`] sized to the range) | **32** (`CompletionSummary`) | 32 + 112 (the summary, then the `IoCompletion` assembled from it) |
+//! | reported | 8 → **0** (`stats()` copied, then selected in, the sample; now it scans the histogram's counters) | same | same |
 //!
 //! A front-end that only accounts — an rd-serve shard worker reads a
 //! completion's latency, its outcome and which request of the batch it was
@@ -72,7 +72,7 @@
 //! order, and only a full batch goes on to assemble [`IoCompletion`]s from
 //! them. Every record of the table lives in an arena that travels with its
 //! die's queue or is kept by the engine, so a warm batch allocates nothing
-//! per request but its latency.
+//! per request.
 //!
 //! # Pipelining
 //!
@@ -115,7 +115,7 @@ use rd_workloads::{OpKind, TraceOp};
 
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
-use crate::stats::{fnv1a, fold_page, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
+use crate::stats::{fnv1a, fold_page, DieStats, EngineStats, LatencyHistogram, FNV_OFFSET};
 use crate::timing::Timing;
 use crate::topology::Topology;
 
@@ -324,7 +324,7 @@ const MAX_ID_OFFSET: usize = if cfg!(test) { 4095 } else { u32::MAX as usize };
 /// one [`CompletionSummary`] per request for both emitting levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Emit {
-    /// Statistics only (bulk replay): nothing per request but its latency.
+    /// Statistics only (bulk replay): nothing kept per request.
     None,
     /// One [`CompletionSummary`] per request: the flash phase keeps an
     /// [`Outcome`] word.
@@ -627,10 +627,9 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     writes: u64,
     reads_not_written: u64,
     writes_failed: u64,
-    latencies: Vec<f64>,
-    /// Sum of `latencies`, added up in sample order as the timing pass
-    /// appends them (the additions `iter().sum()` would make).
-    latency_sum: f64,
+    /// Every request's latency, bucketed, with their sum added in the
+    /// order the timing pass produces them.
+    latency: LatencyHistogram,
 }
 
 impl Engine<NoMitigation> {
@@ -695,8 +694,7 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             writes: 0,
             reads_not_written: 0,
             writes_failed: 0,
-            latencies: Vec::new(),
-            latency_sum: 0.0,
+            latency: LatencyHistogram::default(),
         })
     }
 }
@@ -852,16 +850,9 @@ impl<P: ControllerPolicy> Engine<P> {
                 ssd,
             });
         }
-        // The timing pass runs channels in index order, so the latency
-        // sample's order is deterministic and thread-count-independent; the
-        // mean divides the sum kept in that order and the percentiles come
-        // from an exact selection instead of a full sort.
-        let mean = if self.latencies.is_empty() {
-            0.0
-        } else {
-            self.latency_sum / self.latencies.len() as f64
-        };
-        let (p50, p99) = percentiles_50_99(&self.latencies);
+        // The timing pass runs channels in index order, so the latency sum
+        // behind the mean is added in a thread-count-independent order.
+        let (p50, p99) = self.latency.p50_p99();
         EngineStats {
             channels: self.config.topology.channels,
             dies: self.config.topology.dies(),
@@ -881,7 +872,7 @@ impl<P: ControllerPolicy> Engine<P> {
             makespan_us: self.sim_end_us,
             latency_p50_us: p50,
             latency_p99_us: p99,
-            latency_mean_us: mean,
+            latency_mean_us: self.latency.mean(),
             data_digest: self.data_digest(),
             per_die,
         }
@@ -973,7 +964,7 @@ impl<P: ControllerPolicy> Engine<P> {
             w.put_u64(self.writes);
             w.put_u64(self.reads_not_written);
             w.put_u64(self.writes_failed);
-            w.put_f64s(&self.latencies);
+            self.latency.encode_state(w);
         });
         w.section(SEC_DIES, |w| {
             w.put_u64(self.dies.len() as u64);
@@ -1051,8 +1042,7 @@ impl<P: ControllerPolicy> Engine<P> {
         self.writes = acc.get_u64()?;
         self.reads_not_written = acc.get_u64()?;
         self.writes_failed = acc.get_u64()?;
-        self.latencies = acc.get_f64s()?;
-        self.latency_sum = self.latencies.iter().fold(0.0, |sum, latency| sum + latency);
+        self.latency.restore_state(&mut acc)?;
 
         let mut dies = r.section(SEC_DIES)?;
         let n_dies = dies.get_u64()? as usize;
@@ -1292,7 +1282,6 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         // The batch was submitted at the clock before any channel moves it;
         // its records begin at `first` in `timed`.
         let (batch_now, first) = (self.sim_end_us, self.timed.len());
-        self.latencies.reserve(flight.total);
         if flight.emit != Emit::None {
             self.timed.reserve(flight.total);
         }
@@ -1330,8 +1319,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// argmin spans `dies_per_channel` entries, the channel-slot clock
     /// lives in a register, and a channel can be timed before later
     /// channels' dies have executed. What the channels do share is the
-    /// latency sample (its order is in the checkpoint), the running sum and
-    /// the makespan, so callers time channels strictly in index order;
+    /// latency histogram (its sum is added in timing order) and the
+    /// makespan, so callers time channels strictly in index order;
     /// cross-channel interleaving cannot change any per-die or
     /// order-insensitive global statistic, and the sort in
     /// [`Self::end_timing`] restores one global time order.
@@ -1383,9 +1372,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             chan_free = start + self.config.timing.xfer_us.min(item.service_us);
             self.die_free_us[d] = complete;
             self.inflight[d].push(complete);
-            let latency = complete - submit;
-            self.latencies.push(latency);
-            self.latency_sum += latency;
+            self.latency.record(complete - submit);
             if complete > self.sim_end_us {
                 self.sim_end_us = complete;
             }

@@ -10,7 +10,10 @@
 //! discrete-event clock with per-command latencies ([`Timing`]: tR, tPROG,
 //! tBERS, channel transfer), and replays [`rd_workloads`] traces across dies
 //! in parallel with deterministic per-die seeding — the flash phase is
-//! bit-identical for any worker-thread count.
+//! bit-identical for any worker-thread count. Request latencies go into one
+//! bounded, mergeable [`LatencyHistogram`] (the same type rd-serve keeps per
+//! tenant), so the engine's latency state and its checkpoint stay the same
+//! size however many requests it serves.
 //!
 //! ```
 //! use rd_engine::{Engine, EngineConfig};
@@ -47,6 +50,6 @@ pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;
 // Re-export: the per-die read-path fidelity knob (see `rd_flash::fidelity`).
 pub use rd_ftl::ReadFidelity;
-pub use stats::{fnv1a, fold_page, percentiles_50_99, DieStats, EngineStats, FNV_OFFSET};
+pub use stats::{fnv1a, fold_page, DieStats, EngineStats, LatencyHistogram, FNV_OFFSET};
 pub use timing::Timing;
 pub use topology::Topology;

@@ -1,7 +1,9 @@
-//! Aggregate engine statistics: throughput, latency percentiles, and the
-//! per-die reliability counters the paper's SSD-scale evaluation tracks.
+//! Aggregate engine statistics: throughput, latency percentiles from a
+//! bounded [`LatencyHistogram`], and the per-die reliability counters the
+//! paper's SSD-scale evaluation tracks.
 
-use rd_ftl::{ReadFidelity, SsdStats};
+use rd_ftl::wire::{Reader, Writer};
+use rd_ftl::{ReadFidelity, SnapError, SsdStats};
 
 /// Per-die snapshot inside an [`EngineStats`].
 #[derive(Debug, Clone, PartialEq)]
@@ -75,9 +77,11 @@ pub struct EngineStats {
     pub background_us: f64,
     /// Simulated time at which the last request completed (µs).
     pub makespan_us: f64,
-    /// Median end-to-end request latency (µs).
+    /// Median end-to-end request latency (µs): the lower edge of its
+    /// [`LatencyHistogram`] bucket, within 2⁻⁷ below the exact value.
     pub latency_p50_us: f64,
-    /// 99th-percentile end-to-end request latency (µs).
+    /// 99th-percentile end-to-end request latency (µs), bucketed as
+    /// `latency_p50_us` is.
     pub latency_p99_us: f64,
     /// Mean end-to-end request latency (µs).
     pub latency_mean_us: f64,
@@ -132,9 +136,10 @@ impl EngineStats {
     /// * the data digest folds every die digest in global die order —
     ///   bit-identical to the monolithic engine's digest when the shards
     ///   were built with matching [`crate::EngineConfig::die_index_offset`]s;
-    /// * latency percentiles/mean come from `latency_sample` (per-shard
-    ///   percentiles are not mergeable), which the caller collects from
-    ///   completions; pass the concatenated per-request latencies.
+    /// * latency percentiles and mean come from `latency`, the merge of
+    ///   every shard's (or tenant's) [`LatencyHistogram`]: a histogram
+    ///   merges by adding counts, so the merged percentiles are the ones
+    ///   one histogram over every request would report.
     ///
     /// UBER is recomputed from the merged counters and defined as 0 when no
     /// host reads were served (never a 0/0 NaN).
@@ -142,7 +147,7 @@ impl EngineStats {
     /// # Panics
     ///
     /// Panics if `shards` is empty or the shards disagree on fidelity.
-    pub fn merge_shards(shards: &[EngineStats], latency_sample: &[f64]) -> EngineStats {
+    pub fn merge_shards(shards: &[EngineStats], latency: &LatencyHistogram) -> EngineStats {
         assert!(!shards.is_empty(), "need at least one shard");
         let fidelity = shards[0].fidelity;
         assert!(
@@ -199,166 +204,156 @@ impl EngineStats {
         }
         let totals = merged.totals();
         merged.uber = totals.uber();
-        let (p50, p99) = percentiles_50_99(latency_sample);
-        merged.latency_p50_us = p50;
-        merged.latency_p99_us = p99;
-        merged.latency_mean_us = if latency_sample.is_empty() {
-            0.0
-        } else {
-            latency_sample.iter().sum::<f64>() / latency_sample.len() as f64
-        };
+        (merged.latency_p50_us, merged.latency_p99_us) = latency.p50_p99();
+        merged.latency_mean_us = latency.mean();
         merged
     }
 }
 
-/// The `q`-quantile (0..=1) of a latency sample by nearest-rank on a sorted
-/// copy. Returns 0 for an empty sample.
-#[cfg(test)]
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// Mantissa bits a bucket keeps below the exponent: a bucket spans at most
+/// 2⁻⁷ (0.8%) of its lower edge.
+const MANTISSA_BITS: u32 = 7;
+/// The bits of an `f64` below its bucket key.
+const KEY_SHIFT: u32 = 52 - MANTISSA_BITS;
+/// Bottom of the range, 2⁻¹⁶ µs: bucket 0 (edge 0) holds what is below it.
+const MIN_US: f64 = 1.0 / 65_536.0;
+const MIN_KEY: u64 = MIN_US.to_bits() >> KEY_SHIFT;
+/// Bucket 0, then 2⁷ buckets per binade up to 2⁴⁷ µs (4.5 years; the last
+/// bucket holds anything larger): 63 KiB of counters at most.
+const BUCKETS: usize = 1 + (63 << MANTISSA_BITS);
+/// Counters come in aligned blocks of this many buckets, so a histogram's
+/// layout is the block hull of its buckets, whatever order it was filled in.
+const BLOCK: usize = 1 << MANTISSA_BITS;
+
+/// The bucket of `latency_us`: its exponent and top 7 mantissa bits.
+#[inline]
+fn bucket(latency_us: f64) -> usize {
+    let key = latency_us.to_bits() >> KEY_SHIFT;
+    if key < MIN_KEY || latency_us.is_sign_negative() {
+        return 0;
+    }
+    (key - MIN_KEY + 1).min(BUCKETS as u64 - 1) as usize
+}
+
+/// The smallest latency bucket `b` holds.
+fn lower_edge(b: usize) -> f64 {
+    if b == 0 {
         return 0.0;
     }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    f64::from_bits((b as u64 - 1 + MIN_KEY) << KEY_SHIFT)
 }
 
-/// Nearest-rank p50 and p99 of an (unsorted) latency sample — the same two
-/// values a nearest-rank read off a copy sorted by [`f64::total_cmp`]
-/// yields, bit for bit, without the sort. Returns zeros for an empty
-/// sample; with `n == 1` or `n == 2` the two ranks coincide on the maximum,
-/// so `p50 == p99`. Public because per-tenant accounting layers (rd-serve)
-/// reduce their own latency samples with the exact same estimator.
-///
-/// A short sample is copied and selected in place. From 4096 values
-/// (`COUNTING_MIN_LEN`) on nothing is copied: the sample is counted by the
-/// leading bits of each value's `total_cmp` key (past the bits every value
-/// shares), the bucket holding a rank is counted again one digit deeper
-/// while it is large, and only a bucket under 1/32 of the sample is
-/// gathered for the final selection. A replay window's millions of
-/// latencies hold a few thousand distinct values, so a large bucket that
-/// stops shrinking is one value repeated, and is recognized as such. Which
-/// path runs is read from `sample.len()` alone.
-pub fn percentiles_50_99(sample: &[f64]) -> (f64, f64) {
-    if sample.is_empty() {
-        return (0.0, 0.0);
-    }
-    let last = sample.len() - 1;
-    let i50 = (last as f64 * 0.50).round() as usize;
-    let i99 = (last as f64 * 0.99).round() as usize;
-    if sample.len() < COUNTING_MIN_LEN {
-        let mut scratch = sample.to_vec();
-        let (lower, p99, _) = scratch.select_nth_unstable_by(i99, f64::total_cmp);
-        let p99 = *p99;
-        let p50 =
-            if i50 == i99 { p99 } else { *lower.select_nth_unstable_by(i50, f64::total_cmp).1 };
-        return (p50, p99);
-    }
-    let (all, any) = sample.iter().fold((u64::MAX, 0), |(all, any), &x| {
-        let key = total_key(x);
-        (all & key, any | key)
-    });
-    let shared = (all ^ any).leading_zeros();
-    let mut keys = [all; 2];
-    if shared < 64 {
-        select_keys(sample, key_prefix(all, shared), shared, &mut [i50, i99], &mut keys);
-    }
-    (from_key(keys[0]), from_key(keys[1]))
+/// A bounded, mergeable record of request latencies (µs): log-linear
+/// buckets keyed by the bits of each `f64` (HdrHistogram's layout) and the
+/// exact sum, added in record order. Its counters cover whole blocks around
+/// the buckets seen, so recording allocates only when a latency leaves that
+/// range, and never past 64 KiB. [`Self::merge`] adds counts, so merged
+/// shards or tenants report what one histogram over all of them would.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LatencyHistogram {
+    /// Bucket of `counts[0]`.
+    first: usize,
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
 }
 
-/// Shortest sample [`percentiles_50_99`] counts instead of copying: below
-/// it the copy is smaller than the count tables.
-const COUNTING_MIN_LEN: usize = 4096;
-
-/// Key bits one counting pass resolves (its tables live on the stack).
-const DIGIT_BITS: u32 = 11;
-
-/// The `u64` whose unsigned order is [`f64::total_cmp`]'s order.
-#[inline]
-fn total_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
-}
-
-/// The value [`total_key`] maps to `key`.
-fn from_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key ^ (1 << 63) } else { !key })
-}
-
-/// The leading `known` bits of `key`.
-#[inline]
-fn key_prefix(key: u64, known: u32) -> u64 {
-    if known == 0 {
-        0
-    } else {
-        key >> (64 - known)
-    }
-}
-
-/// Among the samples whose key starts with the `known < 64` bits `prefix`,
-/// finds the keys at sorted positions `ranks` (ascending, relative to that
-/// subset) and writes them to the parallel `out`.
-fn select_keys(sample: &[f64], prefix: u64, known: u32, ranks: &mut [usize], out: &mut [u64]) {
-    let digit = DIGIT_BITS.min(64 - known);
-    let shift = 64 - known - digit;
-    let mask = (1usize << digit) - 1;
-    // Branch-free, and two tables filled alternately: a latency sample is
-    // mostly ties, and consecutive increments of one counter wait for each
-    // other.
-    let mut counts = [[0usize; 1 << DIGIT_BITS]; 2];
-    let (mut all, mut any) = (u64::MAX, 0u64);
-    let mut tally = |table: usize, x: f64| {
-        let key = total_key(x);
-        let hit = key_prefix(key, known) == prefix;
-        counts[table][(key >> shift) as usize & mask] += usize::from(hit);
-        let hit = u64::from(hit).wrapping_neg();
-        all &= key | !hit;
-        any |= key & hit;
-    };
-    let mut pairs = sample.chunks_exact(2);
-    for pair in &mut pairs {
-        tally(0, pair[0]);
-        tally(1, pair[1]);
-    }
-    if let [x] = pairs.remainder() {
-        tally(0, *x);
-    }
-    if all == any {
-        // One value repeated: no digit would ever split it.
-        out.fill(all);
-        return;
-    }
-    let gather_max = sample.len() / 32;
-    let (mut below, mut next) = (0usize, 0usize);
-    let [even, odd] = &counts;
-    for (d, count) in even.iter().zip(odd).map(|(a, b)| a + b).enumerate() {
-        let first = next;
-        while next < ranks.len() && ranks[next] < below + count {
-            ranks[next] -= below;
-            next += 1;
+impl LatencyHistogram {
+    /// Counts one latency (µs).
+    #[inline]
+    pub fn record(&mut self, latency_us: f64) {
+        let b = bucket(latency_us);
+        if b.wrapping_sub(self.first) >= self.counts.len() {
+            self.widen(b, b + 1);
         }
-        if next > first {
-            let (prefix, known) = ((prefix << digit) | d as u64, known + digit);
-            let (ranks, out) = (&mut ranks[first..next], &mut out[first..next]);
-            if known == 64 {
-                out.fill(prefix);
-            } else if count <= gather_max {
-                let mut keys = Vec::with_capacity(count);
-                for &x in sample {
-                    let key = total_key(x);
-                    if key_prefix(key, known) == prefix {
-                        keys.push(key);
-                    }
-                }
-                for (rank, out) in ranks.iter().zip(out) {
-                    *out = *keys.select_nth_unstable(*rank).1;
-                }
-            } else {
-                select_keys(sample, prefix, known, ranks, out);
+        self.counts[b - self.first] += 1;
+        self.count += 1;
+        self.sum += latency_us;
+    }
+
+    /// Adds `other`'s counts and sum to this histogram's.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if !other.counts.is_empty() {
+            self.widen(other.first, other.first + other.counts.len());
+            let mine = &mut self.counts[other.first - self.first..];
+            mine.iter_mut().zip(&other.counts).for_each(|(mine, theirs)| *mine += theirs);
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
+    /// Latencies recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Their sum (µs).
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Their mean (µs); 0 when nothing was recorded.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Nearest-rank p50 and p99 — ranks `round((n − 1) · q)` of the sorted
+    /// latencies — each reported as its bucket's lower edge: at most the
+    /// exact value, and more than it over 1 + 2⁻⁷. `(0, 0)` when empty. One
+    /// scan of the counters, no allocation.
+    pub fn p50_p99(&self) -> (f64, f64) {
+        let last = self.count.saturating_sub(1) as f64;
+        let ranks = [(last * 0.50).round() as u64, (last * 0.99).round() as u64];
+        let (mut edges, mut below, mut next) = ([0.0; 2], 0, 0);
+        for (i, &count) in self.counts.iter().enumerate() {
+            below += count;
+            while next < 2 && ranks[next] < below {
+                edges[next] = lower_edge(self.first + i);
+                next += 1;
             }
         }
-        below += count;
-        if next == ranks.len() {
-            break;
+        (edges[0], edges[1])
+    }
+
+    /// Writes the histogram into a checkpoint.
+    pub fn encode_state(&self, w: &mut Writer) {
+        w.put_u64(self.first as u64);
+        w.put_u64s(&self.counts);
+        w.put_f64(self.sum);
+    }
+
+    /// Restores a histogram written by [`Self::encode_state`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if the bytes end early, and
+    /// [`SnapError::Mismatch`] if the counters leave the range.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        let (first, counts, sum) = (r.get_u64()?, r.get_u64s()?, r.get_f64()?);
+        let fits = BUCKETS.checked_sub(counts.len()).is_some_and(|room| first <= room as u64);
+        match counts.iter().try_fold(0u64, |n, &c| n.checked_add(c)) {
+            Some(count) if fits && first % BLOCK as u64 == 0 => {
+                *self = LatencyHistogram { first: first as usize, counts, count, sum };
+                Ok(())
+            }
+            _ => Err(SnapError::Mismatch("latency histogram out of range".into())),
+        }
+    }
+
+    /// Grows the counters to cover buckets `lo..hi`, in whole blocks.
+    #[cold]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        let (first, end) = (self.first, self.first + self.counts.len());
+        let (lo, hi) = if self.counts.is_empty() { (lo, hi) } else { (lo.min(first), hi.max(end)) };
+        let (lo, hi) = (lo / BLOCK * BLOCK, hi.next_multiple_of(BLOCK).min(BUCKETS));
+        if (lo, hi) != (first, end) {
+            let mut counts = vec![0; hi - lo];
+            counts[first.saturating_sub(lo)..][..end - first].copy_from_slice(&self.counts);
+            (self.first, self.counts) = (lo, counts);
         }
     }
 }
@@ -541,7 +536,10 @@ mod tests {
     fn merge_shards_sums_renumbers_and_folds_digests() {
         let a = shard_stats(ReadFidelity::BlockAggregate, 2, 10, 5.0);
         let b = shard_stats(ReadFidelity::BlockAggregate, 2, 30, 7.0);
-        let lat = [1.0, 2.0, 3.0, 4.0];
+        let mut lat = LatencyHistogram::default();
+        for latency in [1.0, 2.0, 3.0, 4.0] {
+            lat.record(latency);
+        }
         let m = EngineStats::merge_shards(&[a.clone(), b.clone()], &lat);
         assert_eq!(m.dies, 4);
         assert_eq!(m.channels, 4);
@@ -561,7 +559,7 @@ mod tests {
         }
         assert_eq!(m.data_digest, expect);
         assert!((m.latency_mean_us - 2.5).abs() < 1e-12);
-        assert_eq!(m.latency_p50_us, percentiles_50_99(&lat).0);
+        assert_eq!((m.latency_p50_us, m.latency_p99_us), (3.0, 4.0));
     }
 
     #[test]
@@ -569,7 +567,7 @@ mod tests {
         // No host reads anywhere: UBER must be 0, not 0/0 = NaN.
         let a = shard_stats(ReadFidelity::CellExact, 1, 0, 1.0);
         let b = shard_stats(ReadFidelity::CellExact, 1, 0, 2.0);
-        let m = EngineStats::merge_shards(&[a, b], &[]);
+        let m = EngineStats::merge_shards(&[a, b], &LatencyHistogram::default());
         assert_eq!(m.uber, 0.0);
         assert!(m.uber.is_finite());
         assert_eq!(m.latency_p50_us, 0.0);
@@ -579,41 +577,57 @@ mod tests {
         c.uncorrectable_reads = 2;
         c.per_die[0].ssd.uncorrectable_reads = 2;
         let d = shard_stats(ReadFidelity::CellExact, 1, 1000, 1.0);
-        let m = EngineStats::merge_shards(&[c, d], &[]);
+        let m = EngineStats::merge_shards(&[c, d], &LatencyHistogram::default());
         assert!((m.uber - 2.0 / 2000.0).abs() < 1e-15);
     }
 
     #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert!((percentile(&v, 0.5) - 51.0).abs() < 1.01);
-        assert!(percentile(&v, 0.99) >= 98.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+    fn histogram_is_sized_to_the_occupied_range() {
+        let mut h = LatencyHistogram::default();
+        for latency in [52.0, 75.5, 99.9, 52.0] {
+            h.record(latency);
+        }
+        // 52 to 100 µs straddle one binade edge: one or two blocks.
+        assert!(h.counts.len() <= 2 * BLOCK, "{} counters", h.counts.len());
+        let warm = h.counts.as_ptr();
+        h.record(64.0);
+        assert_eq!(h.counts.as_ptr(), warm, "a latency inside the range moved the counters");
+        // Both ends of the range, past both ends, and the non-finite.
+        for latency in [0.0, -1.0, MIN_US, 1e-30, 2f64.powi(47) * 0.999, 1e300, f64::INFINITY] {
+            h.record(latency);
+        }
+        assert_eq!(h.counts.len(), BUCKETS);
+        assert!(BUCKETS * std::mem::size_of::<u64>() <= 64 << 10);
+        assert_eq!(h.counts[0], 3, "0, a negative and 1e-30 count below the range");
+        assert_eq!(h.counts[BUCKETS - 1], 3, "the top bucket holds what is past the range");
+        assert_eq!(lower_edge(bucket(MIN_US)), MIN_US);
+        assert_eq!(h.count(), 12);
     }
 
     #[test]
-    fn selection_percentiles_match_sorted_nearest_rank() {
-        // Deterministic pseudo-random sample (LCG), checked at several sizes
-        // including the tiny ones where the two rank indices coincide.
-        for n in [1usize, 2, 3, 7, 100, 1013] {
-            let mut x = 0x2545_f491_4f6c_dd1du64;
-            let sample: Vec<f64> = (0..n)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407);
-                    (x >> 11) as f64
-                })
-                .collect();
-            let mut sorted = sample.clone();
-            sorted.sort_unstable_by(f64::total_cmp);
-            let (p50, p99) = percentiles_50_99(&sample);
-            assert_eq!(p50, percentile(&sorted, 0.50), "n = {n}");
-            assert_eq!(p99, percentile(&sorted, 0.99), "n = {n}");
+    fn histogram_checkpoint_round_trips_and_rejects_out_of_range_counters() {
+        let mut h = LatencyHistogram::default();
+        for i in 0..1000 {
+            h.record(40.0 + f64::from(i) * 3.7);
         }
-        assert_eq!(percentiles_50_99(&[]), (0.0, 0.0));
+        let mut w = Writer::new();
+        h.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = LatencyHistogram::default();
+        restored.restore_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored, h);
+        assert_eq!(restored.sum().to_bits(), h.sum().to_bits());
+        for (first, counts) in
+            [(1u64, vec![1u64]), (BUCKETS as u64 - 1, vec![1, 1]), (0, vec![u64::MAX, 1])]
+        {
+            let mut w = Writer::new();
+            w.put_u64(first);
+            w.put_u64s(&counts);
+            w.put_f64(0.0);
+            let bytes = w.into_bytes();
+            let err = LatencyHistogram::default().restore_state(&mut Reader::new(&bytes));
+            assert!(matches!(err, Err(SnapError::Mismatch(_))), "first {first}: {err:?}");
+        }
     }
 
     #[test]

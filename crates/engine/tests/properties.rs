@@ -1,11 +1,11 @@
 //! Property suite for the engine's arithmetic helpers: `FastDiv` against
 //! the hardware `/`/`%` across the full divisor range, and the latency
-//! percentile selector at degenerate sample sizes and, against a sorted
-//! reference, on both sides of its switch to counting. Also the one table
-//! check: `EngineConfig::check` against what the constructors return.
+//! histogram at degenerate sample sizes, against a sorted reference across
+//! its whole range, and merged in any order. Also the one table check:
+//! `EngineConfig::check` against what the constructors return.
 
 use proptest::prelude::*;
-use rd_engine::{percentiles_50_99, Engine, EngineConfig, FastDiv};
+use rd_engine::{Engine, EngineConfig, FastDiv, LatencyHistogram};
 use rd_ftl::{Die, FtlError};
 
 proptest! {
@@ -70,135 +70,153 @@ fn fastdiv_rejects_zero_divisor() {
     let _ = FastDiv::new(0);
 }
 
-#[test]
-fn percentiles_at_degenerate_sample_sizes() {
-    // Empty: defined as (0, 0) rather than a panic.
-    assert_eq!(percentiles_50_99(&[]), (0.0, 0.0));
-    // n=1: both percentiles are the only observation.
-    assert_eq!(percentiles_50_99(&[42.0]), (42.0, 42.0));
-    // n=2: index arithmetic rounds p50 to the upper element and p99 to the
-    // max — and must not index out of bounds.
-    assert_eq!(percentiles_50_99(&[10.0, 20.0]), (20.0, 20.0));
-    assert_eq!(percentiles_50_99(&[20.0, 10.0]), (20.0, 20.0), "order must not matter");
-    // n=3: p50 is the median.
-    assert_eq!(percentiles_50_99(&[30.0, 10.0, 20.0]), (20.0, 30.0));
+/// Lower end of the histogram's documented range (µs).
+const RANGE_MIN: f64 = 1.0 / 65_536.0;
+
+/// The largest latency below the top of the documented range, 2⁴⁷ µs.
+fn range_max() -> f64 {
+    f64::from_bits(2f64.powi(47).to_bits() - 1)
 }
 
-proptest! {
-    /// For any sample: p50 ≤ p99, both are members of the sample, and the
-    /// input slice is never reordered (callers keep accounting order).
-    #[test]
-    fn percentiles_are_order_statistics(sample in proptest::collection::vec(0.0f64..1e9, 1..200)) {
-        let before = sample.clone();
-        let (p50, p99) = percentiles_50_99(&sample);
-        prop_assert!(p50 <= p99);
-        prop_assert!(sample.contains(&p50));
-        prop_assert!(sample.contains(&p99));
-        prop_assert_eq!(sample, before);
+/// A histogram of `sample`, recorded in order.
+fn histogram(sample: &[f64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::default();
+    for &latency in sample {
+        h.record(latency);
     }
+    h
 }
 
-/// Nearest-rank p50/p99 read off a copy sorted by `total_cmp`: what
-/// `percentiles_50_99` must return, bit for bit.
-fn sorted_reference(sample: &[f64]) -> (u64, u64) {
+#[test]
+fn histogram_percentiles_at_degenerate_sample_sizes() {
+    // Empty: defined as (0, 0) rather than a panic.
+    assert_eq!(histogram(&[]).p50_p99(), (0.0, 0.0));
+    assert_eq!(histogram(&[]).mean(), 0.0);
+    // n=1: both percentiles are the only observation.
+    assert_eq!(histogram(&[42.0]).p50_p99(), (42.0, 42.0));
+    // n=2: the rank rule rounds p50 to the upper element and p99 to the max.
+    assert_eq!(histogram(&[10.0, 20.0]).p50_p99(), (20.0, 20.0));
+    assert_eq!(histogram(&[20.0, 10.0]).p50_p99(), (20.0, 20.0), "order must not matter");
+    // n=3: p50 is the median.
+    assert_eq!(histogram(&[30.0, 10.0, 20.0]).p50_p99(), (20.0, 30.0));
+    // Values on bucket edges are reported exactly, 0 included.
+    assert_eq!(histogram(&[0.0, 0.0, 75.0]).p50_p99(), (0.0, 75.0));
+}
+
+/// Nearest-rank p50/p99 read off a copy sorted by `total_cmp`: the exact
+/// values the histogram's bucket edges approximate from below.
+fn sorted_reference(sample: &[f64]) -> (f64, f64) {
     let mut sorted = sample.to_vec();
     sorted.sort_unstable_by(f64::total_cmp);
     let last = sorted.len() - 1;
-    let at = |q: f64| sorted[(last as f64 * q).round() as usize].to_bits();
+    let at = |q: f64| sorted[(last as f64 * q).round() as usize];
     (at(0.50), at(0.99))
 }
 
-fn selected(sample: &[f64]) -> (u64, u64) {
-    let (p50, p99) = percentiles_50_99(sample);
-    (p50.to_bits(), p99.to_bits())
-}
-
-/// Maps arbitrary bits to a value the counting selection must order as
-/// `total_cmp` does: both zeros, both infinities, subnormals, either sign,
-/// any non-NaN bit pattern, and neighbours that share every leading digit
-/// of their key.
-fn awkward_value(bits: u64) -> f64 {
+/// Maps arbitrary bits to a latency the histogram must bucket: 0, both
+/// ends of its documented range, bucket edges, and values spread
+/// log-uniformly across the whole range.
+fn range_value(bits: u64) -> f64 {
     let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
-    match bits % 9 {
+    match bits % 6 {
         0 => 0.0,
-        1 => -0.0,
-        2 => f64::INFINITY,
-        3 => f64::NEG_INFINITY,
-        4 => 5e-324,
-        5 => -f64::MIN_POSITIVE / 8.0,
-        6 => (unit - 0.5) * 2.0e6,
-        7 => 75.0 + unit * 1.0e-6,
-        _ => {
-            let x = f64::from_bits(bits);
-            if x.is_nan() {
-                f64::from_bits(bits & !(1 << 62))
-            } else {
-                x
-            }
-        }
+        1 => RANGE_MIN,
+        2 => range_max(),
+        3 => 75.0,
+        4 => 75.0 + unit * 1.0e-6,
+        _ => RANGE_MIN * 2f64.powf(63.0 * unit),
     }
 }
 
-/// Lengths on both sides of the switch from copy-and-select to counting
-/// (4096), and long enough beyond it that gathered buckets are real.
-fn straddling_len() -> impl Strategy<Value = usize> {
-    prop_oneof![4000usize..4200, 4095usize..4098, 10_000usize..30_000]
+/// A sample of `n` draws from `palette` (weighted by `weights`), so a few
+/// values carry heavy ties.
+fn weighted_sample(palette: &[f64], weights: &[u32], n: usize, seed: u64) -> Vec<f64> {
+    let total: u32 = weights[..palette.len()].iter().sum();
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let mut pick = (x >> 33) as u32 % total;
+            let mut i = 0;
+            while pick >= weights[i] {
+                pick -= weights[i];
+                i += 1;
+            }
+            palette[i]
+        })
+        .collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Heavy ties: at most eight distinct values, so a rank's bucket never
-    /// shrinks below a large share of the sample and the selection has to
-    /// recognize one value repeated (a palette of one is exactly that).
+    /// Each reported percentile is its bucket's lower edge: never above the
+    /// exact nearest-rank value, and more than that value over 1 + 2⁻⁷ (a
+    /// 0 is reported exactly). The mean is the sample's, summed in order.
     #[test]
-    fn selection_is_exact_under_heavy_ties(
+    fn histogram_percentiles_are_within_one_bucket_below_the_exact_ones(
         palette in proptest::collection::vec(any::<u64>(), 1..=8),
         weights in proptest::collection::vec(1u32..1000, 8),
-        n in straddling_len(),
+        n in 1usize..3000,
         seed in any::<u64>(),
     ) {
-        let total: u32 = weights[..palette.len()].iter().sum();
-        let mut x = seed | 1;
-        let sample: Vec<f64> = (0..n)
-            .map(|_| {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                let mut pick = (x >> 33) as u32 % total;
-                let mut i = 0;
-                while pick >= weights[i] {
-                    pick -= weights[i];
-                    i += 1;
-                }
-                awkward_value(palette[i])
-            })
-            .collect();
-        prop_assert_eq!(selected(&sample), sorted_reference(&sample));
+        let palette: Vec<f64> = palette.into_iter().map(range_value).collect();
+        let sample = weighted_sample(&palette, &weights, n, seed);
+        let h = histogram(&sample);
+        let (p50, p99) = h.p50_p99();
+        let (e50, e99) = sorted_reference(&sample);
+        for (reported, exact) in [(p50, e50), (p99, e99)] {
+            prop_assert!(reported <= exact, "{} above the exact {}", reported, exact);
+            prop_assert!(
+                reported > exact / (1.0 + 2f64.powi(-7)) || (exact == 0.0 && reported == 0.0),
+                "{} more than one bucket below the exact {}", reported, exact
+            );
+        }
+        let sum = sample.iter().fold(0.0, |sum, latency| sum + latency);
+        prop_assert_eq!(h.sum().to_bits(), sum.to_bits());
+        prop_assert_eq!(h.count(), n as u64);
     }
 
-    /// Few or no ties: both ranks in one leading-digit bucket (a narrow
-    /// band), in two (a band plus a far tail), or anywhere (mixed signs and
-    /// magnitudes).
+    /// A sample split arbitrarily across `k` histograms and merged back in
+    /// any order is the histogram of the whole sample: the same counts,
+    /// sum and percentiles. Latencies are multiples of 2⁻⁴ µs below 2³⁰ µs,
+    /// whose sums are exact in an `f64`, so the sum checks the merge, not
+    /// rounding.
     #[test]
-    fn selection_is_exact_across_buckets(
-        n in straddling_len(),
-        tail in 0usize..400,
-        band in 0usize..3,
-        outliers in proptest::collection::vec(any::<u64>(), 400),
+    fn merged_histograms_equal_one_over_the_whole_sample(
+        palette in proptest::collection::vec(0u64..1 << 34, 1..=8),
+        weights in proptest::collection::vec(1u32..1000, 8),
+        n in 0usize..3000,
+        k in 1usize..8,
         seed in any::<u64>(),
     ) {
-        let band = [(75.0, 75.000_001), (25.0, 700.0), (-3.0e3, 3.0e3)][band];
-        let mut x = seed | 1;
-        let sample: Vec<f64> = (0..n)
-            .map(|i| {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                if i < tail {
-                    awkward_value(outliers[i])
-                } else {
-                    band.0 + (band.1 - band.0) * ((x >> 11) as f64 / (1u64 << 53) as f64)
-                }
-            })
-            .collect();
-        prop_assert_eq!(selected(&sample), sorted_reference(&sample));
+        let palette: Vec<f64> = palette.into_iter().map(|q| q as f64 / 16.0).collect();
+        let sample = weighted_sample(&palette, &weights, n, seed);
+        let whole = histogram(&sample);
+        let mut parts = vec![LatencyHistogram::default(); k];
+        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for &latency in &sample {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            parts[(x >> 33) as usize % k].record(latency);
+        }
+        let merge = |order: &[usize]| {
+            let mut merged = LatencyHistogram::default();
+            for &i in order {
+                merged.merge(&parts[i]);
+            }
+            merged
+        };
+        let forward: Vec<usize> = (0..k).collect();
+        let mut shuffled = forward.clone();
+        for i in (1..k).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            shuffled.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        for merged in [merge(&forward), merge(&shuffled)] {
+            prop_assert_eq!(&merged, &whole);
+            prop_assert_eq!(merged.sum().to_bits(), whole.sum().to_bits());
+            prop_assert_eq!(merged.p50_p99(), whole.p50_p99());
+        }
     }
 }
 

@@ -97,12 +97,16 @@ proptest! {
     /// A well-formed container (valid magic and CRC) of a future format
     /// version is refused with `BadVersion` — not misparsed, not a panic.
     #[test]
-    fn version_mismatch_is_a_typed_error(version in 2u32..=u32::MAX, junk in 0usize..256) {
+    fn version_mismatch_is_a_typed_error(
+        version in (rd_engine::wire::SNAP_VERSION + 1)..=u32::MAX,
+        junk in 0usize..256,
+    ) {
         let payload = vec![0xABu8; junk];
         let snap = rd_engine::wire::seal(ENGINE_SNAP_MAGIC, version, &payload);
         let mut victim = Engine::new(EngineConfig::small_test()).expect("engine");
         let err = victim.restore(&snap).expect_err("future version accepted");
-        prop_assert_eq!(err, SnapError::BadVersion { found: version, expected: 1 });
+        let expected = rd_engine::wire::SNAP_VERSION;
+        prop_assert_eq!(err, SnapError::BadVersion { found: version, expected });
     }
 }
 
@@ -216,4 +220,24 @@ fn inconsistent_allocators_are_rejected() {
             other => panic!("{needle}: expected a mismatch, got {other:?}"),
         }
     }
+}
+
+/// A checkpoint's size depends on the engine's state, not on how many
+/// requests it has served: replaying the same reads again moves the
+/// latency histogram's counts, not its size (a checkpoint that carried
+/// every request's latency grew 8 bytes per request).
+#[test]
+fn checkpoint_size_does_not_grow_with_requests_served() {
+    use rd_workloads::{OpKind, TraceOp};
+    let mut engine = arbitrary_engine(5, 0, 2);
+    let pages = engine.logical_pages();
+    let ops = |kind: OpKind| (0..pages).map(move |lpa| TraceOp { kind, lpa, time_s: 0.0 });
+    engine.replay_unreported(ops(OpKind::Write), 1);
+    engine.replay_unreported(ops(OpKind::Read), 1);
+    let warm = engine.snapshot().expect("queues are drained");
+    engine.replay_unreported(ops(OpKind::Read), 1);
+    let again = engine.snapshot().expect("queues are drained");
+    assert_eq!(engine.stats().ops, 3 * pages);
+    assert_eq!(again.len(), warm.len(), "{pages} more reads grew the checkpoint");
+    assert_ne!(again, warm);
 }

@@ -27,7 +27,9 @@
 use std::fmt;
 
 /// Current container format version shared by every rd-* snapshot kind.
-pub const SNAP_VERSION: u32 = 1;
+/// Version 2: an engine checkpoint carries its latency histogram, not
+/// every request's latency.
+pub const SNAP_VERSION: u32 = 2;
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// the codec never panics on untrusted bytes.
@@ -488,14 +490,14 @@ mod tests {
             Err(SnapError::BadMagic { .. })
         ));
         // A version bump with a valid CRC is a typed version error.
-        let mut v2 = sealed.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crc32(&v2[..v2.len() - 4]);
-        let at = v2.len() - 4;
-        v2[at..].copy_from_slice(&crc.to_le_bytes());
+        let mut next = sealed.clone();
+        next[8..12].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
+        let crc = crc32(&next[..next.len() - 4]);
+        let at = next.len() - 4;
+        next[at..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
-            open(&v2, MAGIC, SNAP_VERSION),
-            Err(SnapError::BadVersion { found: 2, expected: SNAP_VERSION })
+            open(&next, MAGIC, SNAP_VERSION),
+            Err(SnapError::BadVersion { found: SNAP_VERSION + 1, expected: SNAP_VERSION })
         );
     }
 

@@ -5,10 +5,6 @@
 //! the `RDFLTSNP` container layout and the simulation physics; a PR that
 //! intentionally changes either regenerates both files with
 //! `cargo test -p rd-fleet --test fixture -- --ignored regen`.
-//!
-//! The committed checkpoint predates the chip name at the end of the config
-//! section, so it also pins that such snapshots still restore (to the
-//! default chip); a regenerated one is that name longer.
 
 use std::path::PathBuf;
 

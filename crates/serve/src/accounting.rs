@@ -6,13 +6,16 @@
 //! errors per bit read, the paper's headline metric). [`TenantAccounting`]
 //! folds completions one at a time in the shard workers — from the engine's
 //! 32-byte [`CompletionSummary`], which carries everything the fold reads
-//! — then merges across shards at report time.
+//! — then merges across shards at report time. Latencies go into a
+//! [`LatencyHistogram`], so a tenant's accounting stays the same size
+//! whether it has served one request or a billion.
 
 use rd_engine::{
-    percentiles_50_99, CompletionSummary, IoCompletion, Outcome, OutcomeClass, ReqKind,
+    CompletionSummary, IoCompletion, LatencyHistogram, Outcome, OutcomeClass, ReqKind,
 };
 
-/// One tenant's running totals on one shard (mergeable across shards).
+/// One tenant's running totals on one shard: counters and a bounded
+/// latency histogram, all of which merge across shards by adding.
 #[derive(Debug, Clone, Default)]
 pub struct TenantAccounting {
     /// Completions observed.
@@ -30,8 +33,9 @@ pub struct TenantAccounting {
     pub writes_failed: u64,
     /// Bit errors ECC corrected across this tenant's reads.
     pub corrected_bits: u64,
-    /// Device-time latency of every completion, in microseconds.
-    pub latencies_us: Vec<f64>,
+    /// Device-time latency of every completion (µs), bucketed, with their
+    /// exact sum.
+    pub latency: LatencyHistogram,
 }
 
 impl TenantAccounting {
@@ -64,7 +68,7 @@ impl TenantAccounting {
                 self.writes_failed += u64::from(class != OutcomeClass::Ok);
             }
         }
-        self.latencies_us.push(latency_us);
+        self.latency.record(latency_us);
     }
 
     /// Merges another shard's totals for the same tenant into this one.
@@ -76,7 +80,7 @@ impl TenantAccounting {
         self.uncorrectable_reads += other.uncorrectable_reads;
         self.writes_failed += other.writes_failed;
         self.corrected_bits += other.corrected_bits;
-        self.latencies_us.extend_from_slice(&other.latencies_us);
+        self.latency.merge(&other.latency);
     }
 
     /// Uncorrectable bit error rate over this tenant's reads. When ECC
@@ -92,15 +96,10 @@ impl TenantAccounting {
         self.uncorrectable_reads as f64 / attempted as f64
     }
 
-    /// Point-in-time summary (selects percentiles on a scratch copy of the
-    /// latency sample; the accounting itself is untouched).
+    /// Point-in-time summary: percentiles from one scan of the latency
+    /// histogram's counters, the mean from its exact sum.
     pub fn summary(&self, name: &str) -> TenantSummary {
-        let (p50, p99) = percentiles_50_99(&self.latencies_us);
-        let mean = if self.latencies_us.is_empty() {
-            0.0
-        } else {
-            self.latencies_us.iter().sum::<f64>() / self.latencies_us.len() as f64
-        };
+        let (p50, p99) = self.latency.p50_p99();
         TenantSummary {
             name: name.to_string(),
             ops: self.ops,
@@ -109,7 +108,7 @@ impl TenantAccounting {
             reads_not_written: self.reads_not_written,
             uncorrectable_reads: self.uncorrectable_reads,
             writes_failed: self.writes_failed,
-            mean_latency_us: mean,
+            mean_latency_us: self.latency.mean(),
             p50_latency_us: p50,
             p99_latency_us: p99,
             uber: self.uber(),
@@ -117,7 +116,9 @@ impl TenantAccounting {
     }
 }
 
-/// A tenant's externally reported numbers.
+/// A tenant's externally reported numbers. The percentiles are
+/// [`LatencyHistogram`] bucket edges: at most the exact nearest-rank value,
+/// and within 2⁻⁷ (0.8%) of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// Tenant display name.
@@ -136,9 +137,9 @@ pub struct TenantSummary {
     pub writes_failed: u64,
     /// Mean device-time latency (µs).
     pub mean_latency_us: f64,
-    /// Median device-time latency (µs).
+    /// Median device-time latency (µs), a bucket's lower edge.
     pub p50_latency_us: f64,
-    /// 99th-percentile device-time latency (µs).
+    /// 99th-percentile device-time latency (µs), a bucket's lower edge.
     pub p99_latency_us: f64,
     /// Uncorrectable bit error rate over reads.
     pub uber: f64,
@@ -210,7 +211,8 @@ mod tests {
         assert_eq!(acct.uncorrectable_reads, 1);
         assert_eq!(acct.writes_failed, 0);
         assert_eq!(acct.corrected_bits, 8);
-        assert_eq!(acct.latencies_us, vec![50.0, 10.0, 90.0, 200.0]);
+        assert_eq!((acct.latency.count(), acct.latency.sum()), (4, 350.0));
+        assert_eq!(acct.latency.p50_p99(), (90.0, 200.0));
         // 1 uncorrectable page out of 2 attempted reads.
         assert!((acct.uber() - 0.5).abs() < 1e-12);
     }
@@ -263,10 +265,8 @@ mod tests {
         for (tenant, (full, lean)) in full.iter().zip(&lean).enumerate() {
             assert!(full.reads_not_written > 0 && full.writes_failed > 0);
             assert!(full.reads > 2 * full.reads_not_written && full.uncorrectable_reads > 0);
-            let bits = |a: &TenantAccounting| -> Vec<u64> {
-                a.latencies_us.iter().map(|l| l.to_bits()).collect()
-            };
-            assert_eq!(bits(full), bits(lean), "tenant {tenant}: latency order or bits differ");
+            assert_eq!(full.latency, lean.latency, "tenant {tenant}: latencies differ");
+            assert_eq!(full.latency.sum().to_bits(), lean.latency.sum().to_bits());
             let (full, lean) = (full.summary("t"), lean.summary("t"));
             assert_eq!(full, lean, "tenant {tenant}");
             assert_eq!(full.mean_latency_us.to_bits(), lean.mean_latency_us.to_bits());
@@ -292,7 +292,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.ops, 100);
-        assert_eq!(a.latencies_us.len(), 100);
+        assert_eq!(a.latency.count(), 100);
         let s = a.summary("t0");
         assert_eq!(s.name, "t0");
         assert!((s.p50_latency_us - 50.0).abs() <= 1.0, "p50 {}", s.p50_latency_us);

@@ -47,8 +47,8 @@ use std::time::Instant;
 
 use rd_engine::wire::{self, Reader, Writer};
 use rd_engine::{
-    CompletionSummary, Engine, EngineConfig, EngineStageNs, EngineStats, PoolHandle, ReqKind,
-    SnapError, WorkerPool,
+    CompletionSummary, Engine, EngineConfig, EngineStageNs, EngineStats, LatencyHistogram,
+    PoolHandle, ReqKind, SnapError, WorkerPool,
 };
 use rd_ftl::FtlError;
 
@@ -451,11 +451,11 @@ impl Service {
             stage.accounting_ns += shard.accounting_ns;
             shard_stats.push(shard.stats);
         }
-        let mut latency_sample: Vec<f64> = Vec::new();
+        let mut latency = LatencyHistogram::default();
         for acct in &tenant_accounting {
-            latency_sample.extend_from_slice(&acct.latencies_us);
+            latency.merge(&acct.latency);
         }
-        let stats = EngineStats::merge_shards(&shard_stats, &latency_sample);
+        let stats = EngineStats::merge_shards(&shard_stats, &latency);
         let tenants: Vec<TenantSummary> = self
             .tenants
             .iter()
@@ -471,7 +471,7 @@ impl Service {
     /// bytes serves subsequent traffic with the same data digest as one
     /// that never checkpointed.
     ///
-    /// Tenant accounting (per-tenant op counts and latency samples) is
+    /// Tenant accounting (per-tenant op counts and latency histograms) is
     /// reporting state, not simulation state, and is **not** captured — a
     /// restored service starts its accounting from zero.
     ///

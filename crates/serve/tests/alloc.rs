@@ -120,10 +120,10 @@ fn steady_state_allocations_per_batch_are_bounded_and_batch_size_independent() {
     eprintln!("steady-state allocs/batch: {small:.1} at batch_ops=64, {large:.1} at 512");
 
     // Measured: 2.2 — one boxed flash job per die of the shard (2), plus
-    // the amortized share of channel blocks and of latency vectors
-    // doubling — and up to 3.6 when a shard's second set of die arenas
-    // first grows inside the window (whether a batch ever arrives while
-    // another is on the pool is up to the scheduler). The margin to 6
+    // the amortized share of channel blocks — and up to 3.6 when a shard's
+    // second set of die arenas first grows inside the window (whether a
+    // batch ever arrives while another is on the pool is up to the
+    // scheduler). The margin to 6
     // covers that; a per-batch `Vec` for each die's records, the batch's
     // completion list, the timing pass's scratch and a result-channel node
     // per die failed this at 8.3.

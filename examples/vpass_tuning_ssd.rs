@@ -39,19 +39,15 @@ fn replay<P: ControllerPolicy>(
     let pages_per_block = ssd.config().geometry.pages_per_block();
     let logical_pages = ssd.map().logical_pages();
     // Scale the trace footprint down to the demo SSD.
-    let mut gen = profile.generator(3, pages_per_block);
+    let gen = profile.generator(3, pages_per_block);
+    let sim_s = 14.0 * 86_400.0;
+    // Thin the trace so the demo stays fast while preserving the mix; the
+    // device still ages by the whole trace's time, so its daily ticks and
+    // refreshes run.
+    let thin = 200;
+    // Trace time of the last op the device served.
     let mut clock_s = 0.0f64;
-    let sim_days = 14.0;
-    // Thin the trace so the demo stays fast while preserving the mix.
-    let thin = 200u64;
-    let mut n = 0u64;
-    while clock_s < sim_days * 86_400.0 {
-        let op = gen.next().expect("infinite generator");
-        n += 1;
-        if !n.is_multiple_of(thin) {
-            clock_s = op.time_s;
-            continue;
-        }
+    for op in gen.take_while(|op| op.time_s < sim_s).skip(thin - 1).step_by(thin) {
         ssd.advance_time((op.time_s - clock_s).max(0.0) / 86_400.0)?;
         clock_s = op.time_s;
         let lpa = op.lpa % logical_pages;

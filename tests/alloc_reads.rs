@@ -9,11 +9,11 @@
 //! ECC-corrected, ladder-recovered or uncorrectable — must not touch the
 //! heap anywhere on the flash/ftl path, and a stats-only engine replay of
 //! reads must cost allocations per *batch* (work arenas, timing records),
-//! not per read — and, counted in bytes, nothing per read but its 8-byte
-//! latency, with `stats()` reducing that sample where it lies; a
-//! summarized batch (what an rd-serve shard worker runs) the same, its
-//! per-request records living in arenas that travel with the die queues and
-//! a buffer the caller swaps with the engine's. Before the count-first
+//! not per read — and, counted in bytes, nothing per read at all: its
+//! latency is a count in a bounded histogram, which `stats()` reads in one
+//! scan. A summarized batch (what an rd-serve shard worker runs) asks for
+//! nothing either, its per-request records living in arenas that travel
+//! with the die queues and a buffer the caller swaps with the engine's. Before the count-first
 //! pipeline every sampled read paid two payload clones and a `HashSet`.
 //!
 //! The cell-exact tier is count-first too: the raw read senses states into
@@ -252,7 +252,7 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
         engine.replay_stats_only(reads(n), 1);
         allocs() - before
     };
-    // Warm-up at the largest size, so arenas and latency vectors are grown.
+    // Warm-up at the largest size, so the arenas are grown.
     window(16_000);
     let small = window(2_000);
     let large = window(16_000);
@@ -266,58 +266,67 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
     );
 }
 
-/// The byte gate. A stats-only replay keeps 8 bytes per request — its
-/// latency — and nothing else once the per-die arenas are warm: the queue
+/// The byte gate. Once the per-die arenas and the latency histogram's
+/// range are warm, a stats-only replay keeps nothing per request: the queue
 /// slot is overwritten in place by the service time the timing pass reads
 /// (the 24-byte work item plus a 16-byte timing record allocated per batch
-/// failed this at 16 B/read). And `stats()` reads the sample where it
-/// lies: its percentiles count in a table on the stack and gather only the
-/// buckets that hold the two ranks (a full-sample copy failed this at 8
-/// B/sample).
+/// failed this at 16 B/read), and a latency is one more count in a bucket
+/// (an 8-byte latency sample per request failed this at 8 B/read). So a
+/// warm replay of `2 × READS` requests asks for exactly the bytes one of
+/// `READS` does. And `stats()` asks for its `per_die` vector and nothing
+/// else, at any history length: its percentiles are one scan of the
+/// histogram's counters (a full-sample copy failed this at 8 B/sample).
 #[test]
 fn stats_only_replay_keeps_eight_bytes_per_read() {
+    use readdisturb::engine::DieStats;
     let mut engine = stressed_array();
     let pages = engine.logical_pages();
     const READS: u64 = 16_000;
-    let reads = || {
-        (0..READS).map(move |i| TraceOp { kind: OpKind::Read, lpa: (i * 7) % pages, time_s: 0.0 })
+    let reads = |n: u64| {
+        (0..n).map(move |i| TraceOp { kind: OpKind::Read, lpa: (i * 7) % pages, time_s: 0.0 })
     };
-    // Warm-up: grows the per-die arenas, and the sample to exactly READS.
-    engine.replay_unreported(reads(), 1);
-    let before = alloc_bytes();
-    engine.replay_unreported(reads(), 1);
-    let replay = alloc_bytes() - before;
-    // The sample's own growth: READS latencies.
-    let beyond = replay.saturating_sub(8 * READS);
+    let per_die = std::mem::size_of::<DieStats>() as u64 * 4;
+    let stats_bytes = |engine: &Engine| {
+        let before = alloc_bytes();
+        let stats = engine.stats();
+        let requested = alloc_bytes() - before;
+        eprintln!("stats() after {} requests: {requested} bytes", stats.ops);
+        assert_eq!(
+            requested, per_die,
+            "stats() after {} requests asked for more than its per-die vector",
+            stats.ops
+        );
+    };
+    stats_bytes(&engine);
+    // Warm-up at the larger size: grows the per-die arenas and covers the
+    // latencies' range.
+    engine.replay_unreported(reads(2 * READS), 1);
+    stats_bytes(&engine);
+    let mut window = |n: u64| {
+        let before = alloc_bytes();
+        engine.replay_unreported(reads(n), 1);
+        alloc_bytes() - before
+    };
+    let (small, large) = (window(READS), window(2 * READS));
     eprintln!(
-        "warm stats-only replay of {READS} reads: {replay} bytes, {beyond} beyond the sample"
+        "warm stats-only replays: {small} bytes for {READS} reads, {large} for {}",
+        2 * READS
     );
-    assert!(
-        beyond <= 10 * READS,
-        "a warm stats-only replay requested {beyond} bytes beyond its {READS} latencies"
-    );
-
-    let sample_bytes = 8 * 2 * READS;
-    let before = alloc_bytes();
-    let stats = engine.stats();
-    let report = alloc_bytes() - before;
-    assert_eq!(stats.ops, 2 * READS);
-    eprintln!("stats() over {} latencies: {report} bytes", 2 * READS);
-    assert!(
-        report < sample_bytes / 10,
-        "stats() requested {report} bytes over a {sample_bytes}-byte latency sample"
-    );
+    assert_eq!(large, small, "a warm stats-only replay's bytes grow with its reads");
+    stats_bytes(&engine);
+    assert!(engine.stats().recovered_reads > 0 && engine.stats().uncorrectable_reads > 0);
 }
 
 /// The byte gate for a summarized batch, the staged sequence an rd-serve
 /// shard worker drives (begin → join → finish → swap): once warm it asks
-/// for nothing but its latencies' 8 bytes per request. The outcome words
-/// and ids are arenas that travel with the die queues, the 32-byte
-/// summaries go to a buffer swapped with the caller's, and the per-flight
-/// die list and the timing pass's cursors are kept by the engine (a `Vec`
-/// per die, per channel and per batch for the same records failed this).
+/// for nothing at all. The outcome words and ids are arenas that travel
+/// with the die queues, the 32-byte summaries go to a buffer swapped with
+/// the caller's, the per-flight die list and the timing pass's cursors are
+/// kept by the engine (a `Vec` per die, per channel and per batch for the
+/// same records failed this), and a latency is a count in a histogram
+/// bucket (an 8-byte sample per request failed this at 8 B/request).
 #[test]
-fn warm_summarized_batch_keeps_eight_bytes_per_request() {
+fn warm_summarized_batch_requests_no_bytes() {
     let mut engine = stressed_array();
     let pages = engine.logical_pages();
     const BATCH: u64 = 1024;
@@ -332,52 +341,17 @@ fn warm_summarized_batch_keeps_eight_bytes_per_request() {
         engine.swap_summaries(&mut summaries);
         assert_eq!(summaries.len() as u64, BATCH);
     };
-    // Two batches warm the die arenas and both of the swapped buffers, and
-    // leave the latency sample full at 2 × BATCH.
+    // Two batches warm the die arenas, both of the swapped buffers and the
+    // latency histogram's range.
     batch();
     batch();
     let before = alloc_bytes();
-    // Over the next six the sample doubles twice, to 8 × BATCH: the
-    // latencies of exactly these six batches.
     for _ in 0..6 {
         batch();
     }
     let requested = alloc_bytes() - before;
     eprintln!("six warm summarized batches of {BATCH}: {requested} bytes");
-    assert!(
-        requested <= 8 * 6 * BATCH,
-        "six warm summarized batches requested {requested} bytes, their latencies are {}",
-        8 * 6 * BATCH
-    );
-}
-
-/// Below its switch to counting, `percentiles_50_99` copies the sample and
-/// selects in the copy: one allocation of the sample's own size, no table.
-/// (A fixed 2¹⁶-entry count table cost `fleet-lifetime` 2% through the 160
-/// `stats()` calls a window makes on its small drives.)
-#[test]
-fn short_sample_percentiles_allocate_the_sample_only() {
-    use readdisturb::engine::percentiles_50_99;
-    for n in [1usize, 100, 1013, 4095] {
-        let sample: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1013) as f64).collect();
-        let before = alloc_bytes();
-        let (p50, p99) = percentiles_50_99(&sample);
-        let requested = alloc_bytes() - before;
-        assert!(p50 <= p99);
-        assert!(
-            requested <= 8 * n as u64,
-            "percentiles over {n} samples requested {requested} bytes, the sample is {}",
-            8 * n
-        );
-    }
-    // Past the switch nothing is copied: ranks in sparse buckets gather
-    // those buckets, at most 1/64 of the sample each.
-    let n = 100_000usize;
-    let sample: Vec<f64> = (0..n).map(|i| 25.0 + ((i * 7919) % 10_007) as f64).collect();
-    let before = alloc_bytes();
-    percentiles_50_99(&sample);
-    let requested = alloc_bytes() - before;
-    assert!(requested <= 8 * n as u64 / 32, "counting path requested {requested} bytes");
+    assert_eq!(requested, 0, "six warm summarized batches requested {requested} bytes");
 }
 
 /// Overwrites of the hot half of the logical space with a maintenance day

@@ -127,3 +127,54 @@ fn policy_and_manual_tuner_agree() {
     let report2 = tuner2.tune_block(&mut chip2, 0).unwrap();
     assert_eq!(manual.vpass_after, report2.vpass_after);
 }
+
+/// The product path: a thinned trace replayed through an `Ssd` running the
+/// tuner, with the device aged by the trace's whole elapsed time — not just
+/// the gaps between the ops it serves — so its daily ticks run and tune
+/// some block below nominal.
+#[test]
+fn replayed_trace_tunes_a_block_below_nominal_vpass() {
+    use readdisturb::ftl::FtlError;
+    use readdisturb::workloads::OpKind;
+    let config = SsdConfig {
+        chip: readdisturb::flash::chips::DEFAULT_CHIP.to_string(),
+        geometry: Geometry {
+            blocks: 12,
+            wordlines_per_block: 8,
+            bitlines: 8 * 1024,
+            bits_per_cell: 2,
+        },
+        overprovision: 0.25,
+        gc_free_threshold: 2,
+        refresh_interval_days: 7.0,
+        ecc_capability_rber: 1.0e-3,
+        seed: 11,
+        chip_params: ChipParams::default(),
+    }
+    .with_fidelity(ReadFidelity::PageAnalytic);
+    let mut ssd = Ssd::with_policy(config, VpassTuner::default()).unwrap();
+    let logical_pages = ssd.map().logical_pages();
+    let pages_per_block = ssd.config().geometry.pages_per_block();
+    let trace = WorkloadProfile::by_name("umass-web").unwrap().generator(3, pages_per_block);
+    let (days, thin) = (3.0, 200);
+    let mut clock_s = 0.0f64;
+    for op in trace.take_while(|op| op.time_s < days * 86_400.0).skip(thin - 1).step_by(thin) {
+        ssd.advance_time((op.time_s - clock_s) / 86_400.0).unwrap();
+        clock_s = op.time_s;
+        let lpa = op.lpa % logical_pages;
+        match op.kind {
+            OpKind::Write => ssd.write(lpa).unwrap(),
+            OpKind::Read => match ssd.read(lpa) {
+                Ok(_) | Err(FtlError::NotWritten { .. } | FtlError::Uncorrectable { .. }) => {}
+                Err(e) => panic!("read {lpa}: {e}"),
+            },
+        }
+    }
+    assert!(clock_s > (days - 0.5) * 86_400.0, "the device aged {clock_s} s");
+    let vpass: Vec<f64> =
+        ssd.valid_blocks().iter().map(|&b| ssd.chip().block_vpass(b).unwrap()).collect();
+    assert!(
+        vpass.iter().any(|&v| v < NOMINAL_VPASS),
+        "no valid block tuned below nominal after {days} days: {vpass:?}"
+    );
+}
