@@ -15,6 +15,9 @@
 //! other flags needed) and continues; the result is bit-identical to a run
 //! that never stopped. `inspect` decodes a container and prints its config
 //! and current aggregate row without advancing anything.
+//!
+//! `--threads N` (default 1) advances N drives concurrently; 0 means one per
+//! available core. The rows do not depend on it.
 
 use rd_fleet::{Fleet, FleetConfig, ReadFidelity};
 use std::process::ExitCode;
@@ -26,7 +29,8 @@ fn usage() -> ! {
          [--fidelity exact|analytic|aggregate] \
          [--endurance N] [--replace-uncorrectable N] [--threads N] [--checkpoint PATH]\n\
          \x20      rd-fleet resume --checkpoint PATH [--epochs N] [--threads N] [--save PATH]\n\
-         \x20      rd-fleet inspect --checkpoint PATH"
+         \x20      rd-fleet inspect --checkpoint PATH\n\
+         --threads N advances N drives concurrently (0 = one per core); rows do not depend on it"
     );
     std::process::exit(2);
 }

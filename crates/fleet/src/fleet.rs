@@ -11,10 +11,11 @@
 //! retired ledger, and a fresh drive (next generation, freshly sampled
 //! variation, decorrelated RNG streams) takes the slot.
 //!
-//! Everything is a deterministic function of [`FleetConfig`]: the same
-//! config produces bit-identical fleet rows at any worker-thread count, and
-//! a run resumed from a checkpoint is bit-identical to one that never
-//! stopped.
+//! The drives of an epoch advance concurrently, one per worker thread, and
+//! the replacement policy runs once they are all done. Everything is a
+//! deterministic function of [`FleetConfig`]: the same config produces
+//! bit-identical fleet rows at any worker-thread count, and a run resumed
+//! from a checkpoint is bit-identical to one that never stopped.
 
 use crate::variation::{drive_seed, sample_drive, traffic_seed, VariationSpread};
 use rd_engine::wire::{self, Reader, Writer};
@@ -24,6 +25,7 @@ use rd_engine::{
 use rd_flash::Geometry;
 use rd_ftl::{SsdConfig, SsdStats};
 use rd_workloads::WorkloadProfile;
+use std::sync::Mutex;
 
 /// Container magic of a fleet checkpoint (see [`rd_ftl::wire`]).
 pub const FLEET_SNAP_MAGIC: &[u8; 8] = b"RDFLTSNP";
@@ -265,22 +267,41 @@ impl Fleet {
 
     /// Advances the whole fleet by one epoch (traffic burst, retention
     /// dwell, replacement policy) and returns the post-epoch row.
-    /// `threads` sizes each drive's replay worker pool; it does not affect
-    /// any result bit.
+    ///
+    /// `threads` drives advance concurrently (0 = one per available core),
+    /// the calling thread among them: each worker takes the next drive off
+    /// a shared queue, generates its trace, replays it inline and runs its
+    /// dwell. After the join the calling thread applies the replacement
+    /// policy and builds the row, slot by slot. A drive's epoch reads only
+    /// the config, its own slot and the epoch number, and writes only its
+    /// own slot, so `threads` does not affect any result bit.
     pub fn epoch(&mut self, threads: usize) -> FleetRow {
         let profile = WorkloadProfile::by_name(&self.config.profile)
             .expect("profile validated at construction");
-        let pages_per_block = self.config.engine.die.geometry.pages_per_block();
-        let epoch = self.epochs_done;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let tseed = traffic_seed(self.config.seed, i as u32, slot.generation, epoch);
-            let trace =
-                profile.generator(tseed, pages_per_block).take(self.config.ops_per_epoch as usize);
-            slot.engine.replay_unreported(trace, threads);
-            slot.engine
-                .advance_time(self.config.epoch_days)
-                .expect("epoch dwell on a validated config");
+        // Every drive draws from the same popularity tables; each reseeded
+        // copy redraws only its rank permutation.
+        let tables = profile.generator(0, self.config.engine.die.geometry.pages_per_block());
+        let (config, epoch) = (&self.config, self.epochs_done);
+        let workers = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
         }
+        .min(self.slots.len());
+        let queue = Mutex::new(self.slots.iter_mut().enumerate());
+        let drain = || loop {
+            let next = queue.lock().expect("drive queue lock poisoned").next();
+            let Some((i, slot)) = next else { break };
+            let tseed = traffic_seed(config.seed, i as u32, slot.generation, epoch);
+            let trace = tables.reseeded(tseed).take(config.ops_per_epoch as usize);
+            slot.engine.replay_unreported(trace, 1);
+            slot.engine.advance_time(config.epoch_days).expect("epoch dwell on a validated config");
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(drain);
+            }
+            drain();
+        });
         self.epochs_done += 1;
         self.apply_replacement_policy();
         self.row()
@@ -344,7 +365,8 @@ impl Fleet {
     }
 
     /// Runs `epochs` further epochs, invoking `on_row` after each, and
-    /// returns all rows.
+    /// returns all rows. Each epoch advances `threads` drives at a time
+    /// (0 = one per available core; see [`Fleet::epoch`]).
     pub fn run(
         &mut self,
         epochs: u32,
@@ -467,8 +489,6 @@ fn encode_config(c: &FleetConfig, w: &mut Writer) {
     w.put_f64(e.timing.program_us);
     w.put_f64(e.timing.erase_us);
     w.put_f64(e.timing.xfer_us);
-    // Appended last so version-1 checkpoints written before the chip
-    // database existed still restore (they fall back to the default chip).
     w.put_bytes(e.die.chip.as_bytes());
 }
 
@@ -512,14 +532,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, SnapError> {
         erase_us: r.get_f64()?,
         xfer_us: r.get_f64()?,
     };
-    // Checkpoints from before the chip database end here; they predate
-    // non-default chips, so an absent name means the default part.
-    let chip_name = if r.is_empty() {
-        rd_flash::chips::DEFAULT_CHIP.to_string()
-    } else {
-        String::from_utf8(r.get_bytes()?)
-            .map_err(|_| SnapError::Mismatch("chip name is not UTF-8".into()))?
-    };
+    let chip_name = String::from_utf8(r.get_bytes()?)
+        .map_err(|_| SnapError::Mismatch("chip name is not UTF-8".into()))?;
     let spec = rd_flash::chips::get(&chip_name).ok_or_else(|| {
         SnapError::Mismatch(format!("checkpoint names unknown chip `{chip_name}`"))
     })?;
@@ -714,6 +728,17 @@ mod tests {
                 other => panic!("{needle}: expected a config mismatch, got {other:?}"),
             }
         }
+        // A config section that ends before the chip name (how checkpoints
+        // older than the chip database ended it) is truncated, not the
+        // default chip.
+        let mut w = Writer::new();
+        encode_config(&tiny(), &mut w);
+        let full = w.into_bytes();
+        let chipless = &full[..full.len() - 8 - tiny().engine.die.chip.len()];
+        let mut payload = Writer::new();
+        payload.section(SEC_CONFIG, |w| w.put_raw(chipless));
+        let sealed = wire::seal(FLEET_SNAP_MAGIC, FLEET_SNAP_VERSION, &payload.into_bytes());
+        assert_eq!(Fleet::restore(&sealed).err(), Some(SnapError::Truncated));
     }
 
     #[test]
@@ -743,23 +768,5 @@ mod tests {
         let mut resumed = Fleet::restore(&snap).unwrap();
         resumed.run(2, 1, |_| {});
         assert_eq!(uninterrupted.row(), resumed.row());
-    }
-
-    #[test]
-    fn chipless_config_decodes_to_the_default_chip() {
-        // Version-1 checkpoints written before the chip database ended the
-        // config section right after the timing block; restoring them must
-        // resolve to the default part.
-        let mut w = Writer::new();
-        encode_config(&tiny(), &mut w);
-        let full = w.into_bytes();
-        let name = tiny().engine.die.chip;
-        assert_eq!(name, rd_flash::chips::DEFAULT_CHIP);
-        let legacy = &full[..full.len() - 8 - name.len()]; // strip len-prefixed name
-        let decoded = decode_config(&mut Reader::new(legacy)).unwrap();
-        assert_eq!(decoded.engine.die.chip, rd_flash::chips::DEFAULT_CHIP);
-        assert_eq!(decoded.engine.die.chip_params, tiny().engine.die.chip_params);
-        assert_eq!(decoded.drives, tiny().drives);
-        assert_eq!(decoded.engine.die.geometry.bits_per_cell, 2);
     }
 }

@@ -12,7 +12,9 @@
 //! Two properties make multi-year trajectories practical:
 //!
 //! - **Determinism**: everything derives from the fleet seed. The same
-//!   [`FleetConfig`] yields bit-identical rows at any worker-thread count.
+//!   [`FleetConfig`] yields bit-identical rows at any worker-thread count;
+//!   `threads` is how many drives advance concurrently, each replayed
+//!   inline on its worker.
 //! - **Checkpoint/restore**: [`Fleet::snapshot`] serializes the whole
 //!   fleet (config included) into one versioned, CRC-guarded container
 //!   built on [`rd_ftl::wire`]; [`Fleet::restore`] resumes it

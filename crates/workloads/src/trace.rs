@@ -62,9 +62,28 @@ impl TraceGenerator {
     /// Panics if `pages_per_block == 0`.
     pub fn new(profile: &WorkloadProfile, seed: u64, pages_per_block: u32) -> Self {
         assert!(pages_per_block > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
         let n = profile.footprint_blocks as usize;
-        let mut block_of_rank: Vec<u32> = (0..profile.footprint_blocks).collect();
+        let tables = Self {
+            rng: StdRng::seed_from_u64(seed),
+            time_s: 0.0,
+            mean_gap_s: 86_400.0 / profile.daily_ops,
+            read_fraction: profile.read_fraction,
+            pages_per_block: pages_per_block as u64,
+            read_popularity: ZipfSampler::new(n, profile.zipf_theta),
+            write_popularity: ZipfSampler::new(n, profile.zipf_theta * 0.5),
+            block_of_rank: Vec::new(),
+        };
+        tables.reseeded(seed)
+    }
+
+    /// The generator `profile.generator(seed, pages_per_block)` would build
+    /// for this one's profile and layout, sharing this one's popularity
+    /// tables instead of rebuilding them: only the rank permutation is drawn
+    /// afresh. Where this generator has got to does not matter.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = self.read_popularity.len();
+        let mut block_of_rank: Vec<u32> = (0..n as u32).collect();
         // Fisher-Yates permutation so heat is not index-correlated.
         for i in (1..n).rev() {
             let j = rng.gen_range(0..=i);
@@ -73,12 +92,10 @@ impl TraceGenerator {
         Self {
             rng,
             time_s: 0.0,
-            mean_gap_s: 86_400.0 / profile.daily_ops,
-            read_fraction: profile.read_fraction,
-            pages_per_block: pages_per_block as u64,
-            read_popularity: ZipfSampler::new(n, profile.zipf_theta),
-            write_popularity: ZipfSampler::new(n, profile.zipf_theta * 0.5),
+            read_popularity: self.read_popularity.clone(),
+            write_popularity: self.write_popularity.clone(),
             block_of_rank,
+            ..*self
         }
     }
 
@@ -107,6 +124,12 @@ impl Iterator for TraceGenerator {
     fn next(&mut self) -> Option<TraceOp> {
         Some(self.next_op())
     }
+
+    /// Infinite, as `std::iter::repeat` reports it: `take(n)` then reports
+    /// exactly `n`, so a consumer can reserve for the whole trace up front.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +148,26 @@ mod tests {
         assert_eq!(a, b);
         let c: Vec<TraceOp> = TraceGenerator::new(&profile(), 10, 64).take(500).collect();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn reseeded_generators_match_fresh_ones() {
+        for name in ["postmark", "write-heavy", "umass-web"] {
+            let p = WorkloadProfile::by_name(name).unwrap();
+            let mut template = p.generator(1, 64);
+            template.nth(99); // a used template reseeds all the same
+            for seed in [0, 7, 2015, u64::MAX] {
+                let reseeded: Vec<TraceOp> = template.reseeded(seed).take(2_000).collect();
+                let fresh: Vec<TraceOp> = p.generator(seed, 64).take(2_000).collect();
+                assert_eq!(reseeded, fresh, "{name} at seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn take_reports_its_exact_length() {
+        let ops = TraceGenerator::new(&profile(), 9, 64).take(1_234);
+        assert_eq!(ops.size_hint(), (1_234, Some(1_234)));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Zipfian sampling over ranked items, used for block popularity.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 /// Samples ranks `0..n` with probability proportional to `(rank+1)^-theta`.
 ///
 /// `theta = 0` degenerates to uniform; real storage traces show
-/// `theta ≈ 0.5–1.0` for read popularity.
+/// `theta ≈ 0.5–1.0` for read popularity. The table is shared, so a clone
+/// costs a reference count, not a rebuild.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl ZipfSampler {
@@ -30,7 +33,7 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= total;
         }
-        Self { cdf }
+        Self { cdf: cdf.into() }
     }
 
     /// Number of items.

@@ -266,6 +266,34 @@ fn stats_only_replay_allocations_do_not_scale_with_reads() {
     );
 }
 
+/// A fresh engine's first replay of `ops`, on the calling thread: the
+/// allocations it makes and the bytes they ask for.
+fn first_replay_cost(ops: impl IntoIterator<Item = TraceOp>) -> (u64, u64) {
+    let config = EngineConfig::small_test().with_fidelity(ReadFidelity::BlockAggregate);
+    let mut engine = Engine::new(config).unwrap();
+    let (calls, bytes) = (allocs(), alloc_bytes());
+    engine.replay_unreported(ops, 1);
+    (allocs() - calls, alloc_bytes() - bytes)
+}
+
+/// A generated trace reserves the per-die arenas as a collected one does:
+/// the generator is infinite and says so, so `take(n)` reports exactly `n`
+/// and a fresh engine's first replay of it allocates exactly what a replay
+/// of the same ops from a `Vec` does. (With `Iterator`'s default `(0,
+/// None)` hint every die's arena grew by doubling instead: a dozen
+/// reallocations per die, and an arena up to twice the size.)
+#[test]
+fn generated_traces_reserve_like_collected_ones() {
+    const OPS: usize = 20_000;
+    let ppb = EngineConfig::small_test().die.geometry.pages_per_block();
+    let profile = WorkloadProfile::by_name("write-heavy").unwrap();
+    let collected: Vec<TraceOp> = profile.generator(7, ppb).take(OPS).collect();
+    let generated = first_replay_cost(profile.generator(7, ppb).take(OPS));
+    let from_vec = first_replay_cost(collected);
+    eprintln!("first replay of {OPS} ops: generated {generated:?}, collected {from_vec:?}");
+    assert_eq!(generated, from_vec, "(allocations, bytes) of a generated vs a collected trace");
+}
+
 /// The byte gate. Once the per-die arenas and the latency histogram's
 /// range are warm, a stats-only replay keeps nothing per request: the queue
 /// slot is overwritten in place by the service time the timing pass reads

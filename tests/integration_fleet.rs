@@ -97,21 +97,43 @@ fn snapshot_is_a_fixed_point_under_restore() {
     }
 }
 
-/// Fleet curves are a pure function of the config: worker-thread count is
-/// invisible, different seeds diverge.
+/// Fleet curves are a pure function of the config: how many drives advance
+/// at once is invisible, different seeds diverge. Five drives outnumber 2
+/// and 3 threads and split evenly over neither, 8 threads outnumber the
+/// drives, and the low endurance rating retires drives from the second
+/// epoch on, so replacements land between concurrent epochs. Every row and
+/// the final checkpoint bytes agree across thread counts, and a checkpoint
+/// taken at 3 threads resumes at 1 onto the uninterrupted curve.
 #[test]
 fn fleet_curves_are_deterministic() {
     let mut config = readdisturb::fleet::FleetConfig::quick();
-    config.drives = 2;
+    config.drives = 5;
     config.ops_per_epoch = 4_000;
+    config.endurance_pe = 60;
 
-    let rows = Fleet::new(config.clone()).unwrap().run(3, 1, |_| {});
-    let threaded = Fleet::new(config.clone()).unwrap().run(3, 4, |_| {});
-    assert_eq!(rows, threaded, "fleet rows depend on worker-thread count");
+    let curve = |threads: usize| {
+        let mut fleet = Fleet::new(config.clone()).unwrap();
+        let rows = fleet.run(4, threads, |_| {});
+        (rows, fleet.snapshot().unwrap())
+    };
+    let (rows, snap) = curve(1);
+    assert!(rows[1].replacements > 0, "endurance 60 must retire drives by the second epoch");
+    for threads in [2, 3, 8] {
+        let (threaded, threaded_snap) = curve(threads);
+        assert_eq!(rows, threaded, "fleet rows depend on worker-thread count ({threads})");
+        assert!(threaded_snap == snap, "{threads} threads: checkpoint bytes diverged");
+    }
+
+    let mut first = Fleet::new(config.clone()).unwrap();
+    first.run(2, 3, |_| {});
+    let mut resumed = Fleet::restore(&first.snapshot().unwrap()).unwrap();
+    let tail = resumed.run(2, 1, |_| {});
+    assert_eq!(tail, rows[2..], "3-thread checkpoint resumed at 1 left the curve");
+    assert!(resumed.snapshot().unwrap() == snap, "resumed checkpoint bytes diverged");
 
     let mut reseeded = config.clone();
     reseeded.seed ^= 1;
-    let other = Fleet::new(reseeded).unwrap().run(3, 1, |_| {});
+    let other = Fleet::new(reseeded).unwrap().run(4, 1, |_| {});
     assert_ne!(rows, other, "different fleet seeds must diverge");
 }
 
