@@ -38,10 +38,15 @@ pub fn run() -> crate::FigureResult {
 
 /// Returns (ER mean Vth, ER cells near Va, P1 cells near Va).
 fn snapshot(chip: &Chip, va: f64) -> (f64, u64, u64) {
-    let block = chip.block(0).expect("block 0");
-    let params = chip.params();
+    let cells = chip.cells(0).expect("block 0");
+    let (params, geometry) = (chip.params(), chip.geometry());
     let (mut sum, mut n, mut er_near, mut p1_near) = (0.0, 0u64, 0u64, 0u64);
-    for (_, _, state, vth) in block.iter_cells_current(params) {
+    let cells_current = (0..geometry.wordlines_per_block).flat_map(|wl| {
+        let op = chip.operating_point(0, wl).expect("in-range wordline");
+        (0..geometry.bitlines)
+            .map(move |bl| (cells.intended_state(wl, bl), cells.current_vth(params, wl, bl, op)))
+    });
+    for (state, vth) in cells_current {
         match state {
             CellState::Er => {
                 sum += vth;

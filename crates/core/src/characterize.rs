@@ -516,10 +516,10 @@ pub fn ext_partial_block(scale: Scale, seed: u64) -> Result<Vec<PartialBlockRow>
     }
     let erased_wl = scale.wordlines - 1; // top wordline: never programmed
     let erased_mean = |chip: &Chip| -> f64 {
-        let block = chip.block(0).expect("block");
-        let op = block.operating_point_for(erased_wl);
+        let cells = chip.cells(0).expect("cell-exact block");
+        let op = chip.operating_point(0, erased_wl).expect("in-range wordline");
         (0..scale.bitlines)
-            .map(|bl| block.cells().current_vth(chip.params(), erased_wl, bl, op))
+            .map(|bl| cells.current_vth(chip.params(), erased_wl, bl, op))
             .sum::<f64>()
             / scale.bitlines as f64
     };

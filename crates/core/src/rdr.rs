@@ -227,17 +227,17 @@ pub(crate) fn errors_vs_intended(
     corrected: &[Vec<CellState>],
 ) -> Result<BitErrorStats, CoreError> {
     let geometry = chip.geometry();
-    let blk = chip.block(block)?;
+    let cells = chip.cells(block)?;
     let mut errors = 0u64;
     let mut bits = 0u64;
     for wl in 0..geometry.wordlines_per_block {
-        let lsb_on = blk.is_page_programmed(wl * 2);
-        let msb_on = blk.is_page_programmed(wl * 2 + 1);
+        let lsb_on = chip.is_page_programmed(block, wl * 2)?;
+        let msb_on = chip.is_page_programmed(block, wl * 2 + 1)?;
         if !lsb_on && !msb_on {
             continue;
         }
         for bl in 0..geometry.bitlines {
-            let intended = blk.cells().intended_state(wl, bl);
+            let intended = cells.intended_state(wl, bl);
             let got = corrected[wl as usize][bl as usize];
             if lsb_on {
                 bits += 1;

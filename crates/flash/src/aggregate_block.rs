@@ -4,8 +4,8 @@
 //! A block's error state is a closed-form function of its operating point
 //! (P/E cycles, reads-since-erase, retention age, Vpass), advanced lazily:
 //! an event that moves the operating point (erase, pre-wear, the first
-//! program after an erase, ageing, a Vpass change) only marks the block
-//! *dirty*, and the closed form's three per-block values — disturb slope,
+//! program after an erase, ageing, a Vpass change — the chip's
+//! "operating point moved" hook) only marks the block *dirty*, and the closed form's three per-block values — disturb slope,
 //! disturb-independent RBER, pass-through blocking probability, some twenty
 //! transcendentals together — are evaluated once by the first consumer
 //! that needs them. Those that settle a dirty block are `read_page`,
@@ -44,17 +44,18 @@
 //!
 //! Payloads are not modeled at this tier: reads return empty data and the
 //! per-page intended bits are unavailable (`FidelityUnsupported`). Only
-//! error counts, blocked-bitline counts, and all per-block counters that
-//! drive mitigation policies are maintained.
+//! error counts and blocked-bitline counts are produced; the per-block
+//! counters that drive mitigation policies are the chip's block ledger,
+//! which the tier reads as `(&ledger, b)`.
 
 use rand::rngs::StdRng;
 
 use crate::analytic::{AnalyticModel, ShiftPoint};
 use crate::analytic_block::sample_binomial;
-use crate::block::BlockStatus;
 use crate::chip::ReadOutcome;
-use crate::error::FlashError;
-use crate::params::{ChipParams, NOMINAL_VPASS};
+use crate::ledger::BlockLedger;
+use crate::params::ChipParams;
+use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
 
 /// Extra slack (in error bits) added to the 6-sigma margin-proximity test.
@@ -71,14 +72,14 @@ struct OperatingPoint {
     blocked_prob: f64,
 }
 
-/// Struct-of-arrays aggregate state for every block of one die.
+/// Struct-of-arrays aggregate state for every block of one die; block `b`'s
+/// operating point is ledger row `b`.
 #[derive(Debug, Clone)]
 pub(crate) struct AggregateState {
-    wordlines: u32,
     bitlines: u32,
     bits_per_cell: u32,
-    /// Cached `AnalyticParams::rd_sat` (the model is fixed per chip).
-    rd_sat: f64,
+    /// The chip's closed-form model.
+    model: AnalyticModel,
     /// Per-wordline hammer weight (geometry constant): the block-mean
     /// disturb contribution of one read targeting that wordline, in units
     /// of the per-read slope. Matches the page-analytic tier's
@@ -90,10 +91,6 @@ pub(crate) struct AggregateState {
     avg_weight: f64,
 
     // ---- per-block lanes (index = block) ----
-    pe_cycles: Vec<u64>,
-    age_days: Vec<f64>,
-    reads_since_erase: Vec<u64>,
-    vpass: Vec<f64>,
     /// Fold-free disturb-linear accumulator: `Σ slope(at read) · weight`.
     lin: Vec<f64>,
     /// Whether the block's (pe, age, vpass) moved since [`Self::slope`],
@@ -114,10 +111,6 @@ pub(crate) struct AggregateState {
     /// Whether reads sample live (margin proximity; one-way until the next
     /// invalidating event recomputes it).
     sampling: Vec<bool>,
-
-    // ---- per-page lanes (index = block * pages_per_block + page) ----
-    programmed: Vec<bool>,
-    programmed_count: Vec<u32>,
 }
 
 impl AggregateState {
@@ -127,7 +120,7 @@ impl AggregateState {
         bitlines: u32,
         bits_per_cell: u32,
         params: &ChipParams,
-        model: &AnalyticModel,
+        model: AnalyticModel,
     ) -> Self {
         let n = blocks as usize;
         let w = wordlines as usize;
@@ -139,16 +132,11 @@ impl AggregateState {
             .collect();
         let avg_weight = wl_weight.iter().sum::<f64>() / w as f64;
         Self {
-            wordlines,
             bitlines,
             bits_per_cell,
-            rd_sat: model.params().rd_sat,
+            model,
             wl_weight,
             avg_weight,
-            pe_cycles: vec![0; n],
-            age_days: vec![0.0; n],
-            reads_since_erase: vec![0; n],
-            vpass: vec![NOMINAL_VPASS; n],
             lin: vec![0.0; n],
             dirty: vec![true; n],
             slope: vec![0.0; n],
@@ -157,32 +145,21 @@ impl AggregateState {
             summary_errors: vec![0; n],
             summary_horizon: vec![0; n],
             sampling: vec![false; n],
-            programmed: vec![false; n * w * bits_per_cell as usize],
-            programmed_count: vec![0; n],
         }
     }
 
-    fn pages(&self) -> u32 {
-        self.wordlines * self.bits_per_cell
-    }
-
-    fn check_page(&self, page: u32) -> Result<(), FlashError> {
-        if page >= self.pages() {
-            return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
-        }
-        Ok(())
-    }
-
-    /// Called after any change to (pe, age, vpass): the operating-point
-    /// caches now lag the block and the fast-forward summary is invalid.
-    fn refresh_caches(&mut self, b: usize) {
+    /// Called after any change to block `b`'s (pe, age, vpass): the
+    /// operating-point caches now lag the block and the fast-forward
+    /// summary is invalid.
+    pub(crate) fn op_point_moved(&mut self, b: usize) {
         self.dirty[b] = true;
         self.invalidate(b);
     }
 
     /// The closed form at the block's current (pe, age, vpass).
-    fn evaluate(&self, params: &ChipParams, model: &AnalyticModel, b: usize) -> OperatingPoint {
-        let (pe, age, vpass) = (self.pe_cycles[b], self.age_days[b], self.vpass[b]);
+    fn evaluate(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> OperatingPoint {
+        let (pe, age, vpass) = (ledger.pe_cycles[b], ledger.age_days[b], ledger.vpass[b]);
+        let model = &self.model;
         OperatingPoint {
             slope: model.rd_slope(pe, vpass),
             static_rber: ShiftPoint::at(params, model, pe, age, 0.0).static_rber,
@@ -192,38 +169,30 @@ impl AggregateState {
 
     /// Brings a dirty block's cached operating point up to date.
     #[inline]
-    fn settle(&mut self, params: &ChipParams, model: &AnalyticModel, b: usize) {
+    fn settle(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize) {
         if self.dirty[b] {
-            self.settle_dirty(params, model, b);
+            self.settle_dirty(params, ledger, b);
         }
     }
 
     #[cold]
-    fn settle_dirty(&mut self, params: &ChipParams, model: &AnalyticModel, b: usize) {
-        let point = self.evaluate(params, model, b);
+    fn settle_dirty(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize) {
+        let point = self.evaluate(params, ledger, b);
         self.slope[b] = point.slope;
         self.static_rber[b] = point.static_rber;
         self.blocked_prob[b] = point.blocked_prob;
         self.dirty[b] = false;
     }
 
-    /// What the lanes hold for the block (current only while it is clean).
-    fn cached(&self, b: usize) -> OperatingPoint {
-        OperatingPoint {
-            slope: self.slope[b],
-            static_rber: self.static_rber[b],
-            blocked_prob: self.blocked_prob[b],
-        }
-    }
-
-    /// The block's operating point for a `&self` consumer: the cached one,
-    /// or a fresh evaluation while the block is dirty.
-    fn point(&self, params: &ChipParams, model: &AnalyticModel, b: usize) -> OperatingPoint {
+    /// The block's operating point for a `&self` consumer: what the lanes
+    /// hold, or a fresh evaluation while the block is dirty.
+    fn point(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> OperatingPoint {
         if self.dirty[b] {
-            self.evaluate(params, model, b)
-        } else {
-            self.cached(b)
+            return self.evaluate(params, ledger, b);
         }
+        let (slope, static_rber, blocked_prob) =
+            (self.slope[b], self.static_rber[b], self.blocked_prob[b]);
+        OperatingPoint { slope, static_rber, blocked_prob }
     }
 
     /// Forces a summary recomputation at the next read.
@@ -234,7 +203,13 @@ impl AggregateState {
 
     /// Saturating disturb RBER term from the fold-free accumulator.
     fn rd_term(&self, b: usize) -> f64 {
-        self.rd_sat * (self.lin[b].max(0.0) / self.rd_sat).ln_1p()
+        let rd_sat = self.model.params().rd_sat;
+        rd_sat * (self.lin[b].max(0.0) / rd_sat).ln_1p()
+    }
+
+    /// The block's disturb dose: the accumulator, never negative.
+    pub(crate) fn dose(&self, b: usize) -> f64 {
+        self.lin[b].max(0.0)
     }
 
     /// Closed-form per-bit RBER of a settled block (pass-through excluded —
@@ -244,24 +219,10 @@ impl AggregateState {
         self.static_rber[b] + self.rd_term(b)
     }
 
-    /// [`Self::rber_block`] sensed at references moved by `shift`. The
-    /// shift response is the page-analytic tier's (one [`ShiftPoint`]),
-    /// evaluated per call: retry reads are rare at this tier.
-    fn rber_block_shifted(
-        &self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        b: usize,
-        shift: f64,
-    ) -> f64 {
-        ShiftPoint::at(params, model, self.pe_cycles[b], self.age_days[b], shift)
-            .rber(self.rd_term(b))
-    }
-
     /// Recomputes the fast-forward summary: the rounded expected error
     /// count, the live-sampling decision, and the read-count horizon at
     /// which either could change.
-    fn refresh_summary(&mut self, margin: Option<u64>, b: usize) {
+    fn refresh_summary(&mut self, margin: Option<u64>, reads_since_erase: u64, b: usize) {
         let bits = self.bitlines as f64;
         let mean = self.rber_block(b) * bits;
         self.summary_errors[b] = mean.round() as u64;
@@ -291,7 +252,7 @@ impl AggregateState {
         let per_read = self.slope[b] * self.avg_weight;
         self.summary_horizon[b] = if rd_target <= self.rd_term(b) {
             // Already past the target (numerical edge): re-check shortly.
-            self.reads_since_erase[b].saturating_add(1)
+            reads_since_erase.saturating_add(1)
         } else if per_read <= 0.0 {
             // Host reads cannot move the accumulator; only invalidating
             // events (bulk disturbs, aging, Vpass) can, and they reset the
@@ -299,175 +260,110 @@ impl AggregateState {
             u64::MAX
         } else {
             // Invert rd = rd_sat·ln(1 + lin/rd_sat) for the target lin.
-            let lin_target = self.rd_sat * ((rd_target / self.rd_sat).exp_m1());
+            let rd_sat = self.model.params().rd_sat;
+            let lin_target = rd_sat * ((rd_target / rd_sat).exp_m1());
             let delta = ((lin_target - self.lin[b]) / per_read).ceil().max(1.0);
             if delta.is_finite() && delta < 9.0e18 {
-                self.reads_since_erase[b].saturating_add(delta as u64)
+                reads_since_erase.saturating_add(delta as u64)
             } else {
                 u64::MAX
             }
         };
     }
 
-    /// Samples one live read at the block's current operating point.
-    fn sample_outcome(&self, rng: &mut StdRng, p_err: f64) -> ReadOutcome {
+    /// Samples one live read at the block's current operating point, with
+    /// pass-through blocking overlaid (each blocked bitline senses as P3
+    /// and flips half its bits on average).
+    fn sample_outcome(&self, rng: &mut StdRng, b: usize, p_err: f64) -> ReadOutcome {
         let n = self.bitlines as u64;
-        let flips = sample_binomial(rng, n, p_err.min(1.0));
+        let mut errors = sample_binomial(rng, n, p_err.min(1.0)).min(n);
+        let (p_block, mut blocked) = (self.blocked_prob[b], 0);
+        if p_block > 0.0 {
+            blocked = sample_binomial(rng, n, p_block.min(1.0));
+            errors = (errors + sample_binomial(rng, blocked, 0.5)).min(n);
+        }
         ReadOutcome {
             data: Vec::new(),
-            stats: BitErrorStats::new(flips.min(n), n),
-            blocked_bitlines: 0,
+            stats: BitErrorStats::new(errors, n),
+            blocked_bitlines: blocked,
         }
     }
 
-    /// Overlays sampled pass-through blocking on a live outcome (each
-    /// blocked bitline senses as P3 and flips half its bits on average).
-    fn overlay_blocking(&self, rng: &mut StdRng, b: usize, outcome: &mut ReadOutcome) {
-        let p_block = self.blocked_prob[b];
-        if p_block <= 0.0 {
-            return;
+    /// Settles the block and, with `disturb`, applies one read of `page`.
+    #[inline]
+    fn settle_and_disturb(
+        &mut self,
+        params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
+        page: u32,
+        disturb: bool,
+    ) {
+        self.settle(params, ledger, b);
+        if disturb {
+            self.lin[b] += self.slope[b] * self.wl_weight[(page / self.bits_per_cell) as usize];
+            ledger.reads_since_erase[b] += 1;
         }
-        let n = self.bitlines as u64;
-        let blocked = sample_binomial(rng, n, p_block.min(1.0));
-        let blocked_errs = sample_binomial(rng, blocked, 0.5);
-        outcome.blocked_bitlines = blocked;
-        outcome.stats = BitErrorStats::new((outcome.stats.errors + blocked_errs).min(n), n);
     }
 
-    /// Serves a page read. Fast-forward mode costs O(1) with no RNG draw;
-    /// live mode samples from the same binomial as the page-analytic tier.
+    /// Serves a read of an in-range page. Fast-forward mode costs O(1) with
+    /// no RNG draw; live mode samples from the same binomial as the
+    /// page-analytic tier.
+    // Inlined, with `settle_and_disturb`, into the chip's read dispatch: out
+    // of line, the fast-forward read costs the call more than its work.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn read_page(
         &mut self,
         params: &ChipParams,
-        model: &AnalyticModel,
+        ledger: &mut BlockLedger,
         rng: &mut StdRng,
         margin: Option<u64>,
-        block: usize,
+        b: usize,
         page: u32,
         disturb: bool,
-    ) -> Result<ReadOutcome, FlashError> {
-        self.check_page(page)?;
-        self.settle(params, model, block);
-        if disturb {
-            self.lin[block] +=
-                self.slope[block] * self.wl_weight[(page / self.bits_per_cell) as usize];
-            self.reads_since_erase[block] += 1;
+    ) -> ReadOutcome {
+        self.settle_and_disturb(params, ledger, b, page, disturb);
+        let reads = ledger.reads_since_erase[b];
+        if reads >= self.summary_horizon[b] {
+            self.refresh_summary(margin, reads, b);
         }
-        if self.reads_since_erase[block] >= self.summary_horizon[block] {
-            self.refresh_summary(margin, block);
-        }
-        if self.sampling[block] || self.blocked_prob[block] > 0.0 {
-            let mut outcome = self.sample_outcome(rng, self.rber_block(block));
-            self.overlay_blocking(rng, block, &mut outcome);
-            return Ok(outcome);
+        if self.sampling[b] || self.blocked_prob[b] > 0.0 {
+            return self.sample_outcome(rng, b, self.rber_block(b));
         }
         let n = self.bitlines as u64;
-        Ok(ReadOutcome {
+        ReadOutcome {
             data: Vec::new(),
-            stats: BitErrorStats::new(self.summary_errors[block].min(n), n),
+            stats: BitErrorStats::new(self.summary_errors[b].min(n), n),
             blocked_bitlines: 0,
-        })
+        }
     }
 
-    /// Read-retry sample at a uniform reference shift — always sampled
-    /// (recovery-ladder entry is a fast-forward event).
+    /// Read-retry sample of an in-range page at a uniform reference shift —
+    /// always sampled (recovery-ladder entry is a fast-forward event). The
+    /// shift response is the page-analytic tier's (one [`ShiftPoint`]),
+    /// evaluated per call: retry reads are rare at this tier.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_page_shifted(
         &mut self,
         params: &ChipParams,
-        model: &AnalyticModel,
+        ledger: &mut BlockLedger,
         rng: &mut StdRng,
-        block: usize,
+        b: usize,
         page: u32,
         shift: f64,
         disturb: bool,
-    ) -> Result<ReadOutcome, FlashError> {
-        self.check_page(page)?;
-        self.settle(params, model, block);
-        if disturb {
-            self.lin[block] +=
-                self.slope[block] * self.wl_weight[(page / self.bits_per_cell) as usize];
-            self.reads_since_erase[block] += 1;
-        }
-        let p_err = self.rber_block_shifted(params, model, block, shift);
-        let mut outcome = self.sample_outcome(rng, p_err);
-        self.overlay_blocking(rng, block, &mut outcome);
-        Ok(outcome)
+    ) -> ReadOutcome {
+        self.settle_and_disturb(params, ledger, b, page, disturb);
+        let (pe, age) = (ledger.pe_cycles[b], ledger.age_days[b]);
+        let point = ShiftPoint::at(params, &self.model, pe, age, shift);
+        self.sample_outcome(rng, b, point.rber(self.rd_term(b)))
     }
 
-    pub(crate) fn program_page(
-        &mut self,
-        block: usize,
-        page: u32,
-        data: &[u8],
-    ) -> Result<(), FlashError> {
-        self.check_page(page)?;
-        let idx = block * self.pages() as usize + page as usize;
-        if self.programmed[idx] {
-            return Err(FlashError::PageAlreadyProgrammed { page });
-        }
-        // Payloads are not modeled: an empty slice is the canonical write at
-        // this tier, but real data is accepted (and dropped) so tier-generic
-        // callers keep working — length-checked when present.
-        if !data.is_empty() && data.len() * 8 != self.bitlines as usize {
-            return Err(FlashError::DataLengthMismatch {
-                got: data.len() * 8,
-                expected: self.bitlines as usize,
-            });
-        }
-        if self.programmed_count[block] == 0 {
-            // Writing into a fully-erased block starts a fresh retention
-            // period (same rule as the other tiers).
-            self.age_days[block] = 0.0;
-            self.refresh_caches(block);
-        }
-        self.programmed[idx] = true;
-        self.programmed_count[block] += 1;
-        Ok(())
-    }
-
-    pub(crate) fn is_page_programmed(&self, block: usize, page: u32) -> bool {
-        self.programmed.get(block * self.pages() as usize + page as usize).copied().unwrap_or(false)
-    }
-
-    fn reset_after_erase(&mut self, block: usize) {
-        self.age_days[block] = 0.0;
-        self.reads_since_erase[block] = 0;
-        self.lin[block] = 0.0;
-        let pages = self.pages() as usize;
-        self.programmed[block * pages..(block + 1) * pages].fill(false);
-        self.programmed_count[block] = 0;
-    }
-
-    pub(crate) fn erase(&mut self, block: usize) {
-        self.pe_cycles[block] += 1;
-        self.reset_after_erase(block);
-        self.refresh_caches(block);
-    }
-
-    pub(crate) fn pre_wear(&mut self, block: usize, cycles: u64) {
-        self.pe_cycles[block] += cycles;
-        self.reset_after_erase(block);
-        self.refresh_caches(block);
-    }
-
-    pub(crate) fn advance_days(&mut self, block: usize, days: f64) {
-        assert!(days >= 0.0, "time flows forward");
-        self.age_days[block] += days;
-        self.refresh_caches(block);
-    }
-
-    pub(crate) fn vpass(&self, block: usize) -> f64 {
-        self.vpass[block]
-    }
-
-    /// Applies a new Vpass. Fold-free: the accumulator already carries the
-    /// slope in effect at each past read, so no counter folding is needed —
-    /// only the forward-looking caches change.
-    pub(crate) fn set_vpass(&mut self, block: usize, vpass: f64) {
-        self.vpass[block] = vpass;
-        self.refresh_caches(block);
+    /// After the ledger's erase (or pre-wear): no disturb.
+    pub(crate) fn reset(&mut self, b: usize) {
+        self.lin[b] = 0.0;
+        self.op_point_moved(b);
     }
 
     /// Uniformly spread reads: block-level disturb only (matches the other
@@ -475,14 +371,14 @@ impl AggregateState {
     pub(crate) fn apply_read_disturbs(
         &mut self,
         params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
+        ledger: &mut BlockLedger,
+        b: usize,
         n: u64,
     ) {
-        self.settle(params, model, block);
-        self.lin[block] += self.slope[block] * n as f64;
-        self.reads_since_erase[block] += n;
-        self.invalidate(block);
+        self.settle(params, ledger, b);
+        self.lin[b] += self.slope[b] * n as f64;
+        ledger.reads_since_erase[b] += n;
+        self.invalidate(b);
     }
 
     /// Reads concentrated on one wordline. The aggregate tier keeps no
@@ -491,27 +387,15 @@ impl AggregateState {
     pub(crate) fn hammer_wordline(
         &mut self,
         params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
+        ledger: &mut BlockLedger,
+        b: usize,
         wordline: u32,
         n: u64,
     ) {
-        assert!(wordline < self.wordlines, "wordline out of range");
-        self.settle(params, model, block);
-        self.lin[block] += self.slope[block] * self.wl_weight[wordline as usize] * n as f64;
-        self.reads_since_erase[block] += n;
-        self.invalidate(block);
-    }
-
-    pub(crate) fn status(&self, block: usize) -> BlockStatus {
-        BlockStatus {
-            pe_cycles: self.pe_cycles[block],
-            reads_since_erase: self.reads_since_erase[block],
-            age_days: self.age_days[block],
-            vpass: self.vpass[block],
-            programmed_pages: self.programmed_count[block],
-            dose: self.lin[block].max(0.0),
-        }
+        self.settle(params, ledger, b);
+        self.lin[b] += self.slope[b] * self.wl_weight[wordline as usize] * n as f64;
+        ledger.reads_since_erase[b] += n;
+        self.invalidate(b);
     }
 
     /// Closed-form expected RBER of one wordline's programmed pages
@@ -520,26 +404,24 @@ impl AggregateState {
     pub(crate) fn rber_wordline_oracle(
         &self,
         params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
+        ledger: &BlockLedger,
+        b: usize,
         wordline: u32,
     ) -> BitErrorStats {
-        let base = block * self.pages() as usize;
-        let pages = (0..self.bits_per_cell)
-            .filter(|&k| self.programmed[base + (wordline * self.bits_per_cell + k) as usize])
-            .count() as u64;
-        if pages == 0 {
+        let first = wordline * self.bits_per_cell;
+        let pages = (first..first + self.bits_per_cell).filter(|&p| ledger.is_programmed(b, p));
+        let bits = pages.count() as u64 * self.bitlines as u64;
+        if bits == 0 {
             return BitErrorStats::default();
         }
-        let bits = pages * self.bitlines as u64;
-        let p = self.rber_with_blocking(params, model, block);
+        let p = self.rber_with_blocking(params, ledger, b);
         BitErrorStats::new((p * bits as f64).round() as u64, bits)
     }
 
     /// Expected per-bit RBER of the block, pass-through errors included
     /// (half of a blocked bitline's bits flip), settled or not.
-    fn rber_with_blocking(&self, params: &ChipParams, model: &AnalyticModel, b: usize) -> f64 {
-        let point = self.point(params, model, b);
+    fn rber_with_blocking(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> f64 {
+        let point = self.point(params, ledger, b);
         point.static_rber + self.rd_term(b) + 0.5 * point.blocked_prob
     }
 
@@ -548,116 +430,62 @@ impl AggregateState {
     pub(crate) fn rber_expectation(
         &self,
         params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
+        ledger: &BlockLedger,
+        b: usize,
     ) -> (f64, u64) {
-        let bits = self.programmed_count[block] as u64 * self.bitlines as u64;
-        (self.rber_with_blocking(params, model, block) * bits as f64, bits)
+        let bits = ledger.programmed_pages(b) as u64 * self.bitlines as u64;
+        (self.rber_with_blocking(params, ledger, b) * bits as f64, bits)
     }
 
-    /// Closed-form expected RBER, rounded to whole bits (the
-    /// [`BitErrorStats`] oracle shape).
-    pub(crate) fn rber_oracle(
-        &self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        block: usize,
-    ) -> BitErrorStats {
-        let (expected, bits) = self.rber_expectation(params, model, block);
-        BitErrorStats::new(expected.round() as u64, bits)
-    }
-
-    /// Serializes every mutable lane, caches included: fast-forward
-    /// summaries and sampling flags are part of the replay-visible state
-    /// (they gate when RNG draws happen), so bit-exact resume requires
-    /// them verbatim rather than recomputed. The operating-point lanes are
-    /// written settled — a dirty block's values evaluated here — so the
-    /// bytes do not depend on which blocks happen to have been read, and
-    /// the dirty flags need no lane.
-    pub(crate) fn encode_state(
-        &self,
-        params: &ChipParams,
-        model: &AnalyticModel,
-        w: &mut crate::wire::Writer,
-    ) {
+    /// Serializes the ledger and every mutable lane, caches included:
+    /// fast-forward summaries and sampling flags are part of the
+    /// replay-visible state (they gate when RNG draws happen), so bit-exact
+    /// resume requires them verbatim rather than recomputed. The
+    /// operating-point lanes are written settled — a dirty block's values
+    /// evaluated here — so the bytes do not depend on which blocks happen
+    /// to have been read, and the dirty flags need no lane.
+    pub(crate) fn encode_state(&self, params: &ChipParams, ledger: &BlockLedger, w: &mut Writer) {
         let points: Vec<OperatingPoint> =
-            (0..self.dirty.len()).map(|b| self.point(params, model, b)).collect();
+            (0..self.dirty.len()).map(|b| self.point(params, ledger, b)).collect();
         let lane = |of: fn(&OperatingPoint) -> f64| points.iter().map(of).collect::<Vec<f64>>();
-        w.put_u64s(&self.pe_cycles);
-        w.put_f64s(&self.age_days);
-        w.put_u64s(&self.reads_since_erase);
-        w.put_f64s(&self.vpass);
-        w.put_f64s(&self.lin);
-        w.put_f64s(&lane(|p| p.slope));
-        w.put_f64s(&lane(|p| p.static_rber));
-        w.put_f64s(&lane(|p| p.blocked_prob));
-        w.put_u64s(&self.summary_errors);
-        w.put_u64s(&self.summary_horizon);
-        w.put_bools(&self.sampling);
-        w.put_bools(&self.programmed);
-        w.put_u32s(&self.programmed_count);
+        ledger.encode_lanes(w, |w| {
+            w.put_f64s(&self.lin);
+            w.put_f64s(&lane(|p| p.slope));
+            w.put_f64s(&lane(|p| p.static_rber));
+            w.put_f64s(&lane(|p| p.blocked_prob));
+            w.put_u64s(&self.summary_errors);
+            w.put_u64s(&self.summary_horizon);
+            w.put_bools(&self.sampling);
+        });
     }
 
-    /// Restores lanes serialized by [`Self::encode_state`] into `self`,
-    /// which must have been constructed with the same geometry and model.
+    /// Restores the ledger and the lanes serialized by
+    /// [`Self::encode_state`] into `self`, which must have been constructed
+    /// with the same geometry and model.
     pub(crate) fn restore_state(
         &mut self,
-        r: &mut crate::wire::Reader<'_>,
-    ) -> Result<(), crate::wire::SnapError> {
-        use crate::wire::SnapError;
-        let n = self.pe_cycles.len();
-        let pages = n * self.pages() as usize;
-        let pe_cycles = r.get_u64s()?;
-        let age_days = r.get_f64s()?;
-        let reads_since_erase = r.get_u64s()?;
-        let vpass = r.get_f64s()?;
-        let lin = r.get_f64s()?;
-        let slope = r.get_f64s()?;
-        let static_rber = r.get_f64s()?;
-        let blocked_prob = r.get_f64s()?;
-        let summary_errors = r.get_u64s()?;
-        let summary_horizon = r.get_u64s()?;
-        let sampling = r.get_bools()?;
-        let programmed = r.get_bools()?;
-        let programmed_count = r.get_u32s()?;
-        let block_lanes = [
-            pe_cycles.len(),
-            age_days.len(),
-            reads_since_erase.len(),
-            vpass.len(),
-            lin.len(),
-            slope.len(),
-            static_rber.len(),
-            blocked_prob.len(),
-            summary_errors.len(),
-            summary_horizon.len(),
-            sampling.len(),
-            programmed_count.len(),
-        ];
-        if block_lanes.iter().any(|&len| len != n) {
-            return Err(SnapError::Mismatch(format!("aggregate block lane length != {n} blocks")));
-        }
-        if programmed.len() != pages {
-            return Err(SnapError::Mismatch(format!(
-                "aggregate page lane {} != {pages}",
-                programmed.len()
-            )));
-        }
-        self.pe_cycles = pe_cycles;
-        self.age_days = age_days;
-        self.reads_since_erase = reads_since_erase;
-        self.vpass = vpass;
-        self.lin = lin;
+        ledger: &mut BlockLedger,
+        r: &mut Reader<'_>,
+    ) -> Result<(), SnapError> {
+        let n = self.dirty.len();
+        let (f64_lanes, summary_errors, summary_horizon, sampling) =
+            ledger.restore_lanes(r, |r| {
+                let f64_lanes = [r.get_f64s()?, r.get_f64s()?, r.get_f64s()?, r.get_f64s()?];
+                let (errors, horizon, sampling) = (r.get_u64s()?, r.get_u64s()?, r.get_bools()?);
+                let mut lens = f64_lanes.iter().map(Vec::len).chain([errors.len(), horizon.len()]);
+                if lens.any(|len| len != n) || sampling.len() != n {
+                    return Err(SnapError::Mismatch(format!(
+                        "aggregate block lane length != {n} blocks"
+                    )));
+                }
+                Ok((f64_lanes, errors, horizon, sampling))
+            })?;
+        [self.lin, self.slope, self.static_rber, self.blocked_prob] = f64_lanes;
         // The encoded operating points are settled ones.
         self.dirty = vec![false; n];
-        self.slope = slope;
-        self.static_rber = static_rber;
-        self.blocked_prob = blocked_prob;
         self.summary_errors = summary_errors;
         self.summary_horizon = summary_horizon;
         self.sampling = sampling;
-        self.programmed = programmed;
-        self.programmed_count = programmed_count;
         Ok(())
     }
 }
@@ -665,30 +493,106 @@ impl AggregateState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FlashError;
+    use crate::params::NOMINAL_VPASS;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    impl AggregateState {
+    /// Aggregate state with a ledger of its own, moved by the rules the
+    /// chip applies.
+    #[derive(Debug, Clone)]
+    struct Fixture {
+        state: AggregateState,
+        ledger: BlockLedger,
+    }
+
+    impl Fixture {
+        fn new(blocks: u32, bits_per_cell: u32, params: &ChipParams) -> Self {
+            let model = AnalyticModel::from_chip(params, 8);
+            let state = AggregateState::new(blocks, 8, 1024, bits_per_cell, params, model);
+            Self { state, ledger: BlockLedger::new(blocks, 8 * bits_per_cell, 1024, true) }
+        }
+
         /// Settles every block: after each mutation, this is the state
         /// that evaluated the closed form eagerly at every event.
-        fn settle_all(&mut self, params: &ChipParams, model: &AnalyticModel) {
-            for b in 0..self.dirty.len() {
-                self.settle(params, model, b);
+        fn settle_all(&mut self, params: &ChipParams) {
+            for b in 0..self.state.dirty.len() {
+                self.state.settle(params, &self.ledger, b);
             }
         }
 
-        fn encoded(&self, params: &ChipParams, model: &AnalyticModel) -> Vec<u8> {
+        fn encoded(&self, params: &ChipParams) -> Vec<u8> {
             let mut w = crate::wire::Writer::new();
-            self.encode_state(params, model, &mut w);
+            self.state.encode_state(params, &self.ledger, &mut w);
             w.into_bytes()
+        }
+
+        fn program(&mut self, b: usize, page: u32) -> Result<(), FlashError> {
+            if self.ledger.program(b, page, &[])? {
+                self.state.op_point_moved(b);
+            }
+            Ok(())
+        }
+
+        fn pre_wear(&mut self, b: usize, cycles: u64) {
+            self.ledger.erase(b, cycles);
+            self.state.reset(b);
+        }
+
+        fn advance_days(&mut self, b: usize, days: f64) {
+            self.ledger.advance_days(b, days);
+            self.state.op_point_moved(b);
+        }
+
+        fn set_vpass(&mut self, b: usize, vpass: f64) {
+            self.ledger.vpass[b] = vpass;
+            self.state.op_point_moved(b);
+        }
+
+        fn disturb(&mut self, params: &ChipParams, b: usize, n: u64) {
+            self.state.apply_read_disturbs(params, &mut self.ledger, b, n);
+        }
+
+        fn read(
+            &mut self,
+            params: &ChipParams,
+            rng: &mut StdRng,
+            margin: Option<u64>,
+            b: usize,
+            page: u32,
+            disturb: bool,
+        ) -> ReadOutcome {
+            let Self { state, ledger } = self;
+            state.read_page(params, ledger, rng, margin, b, page, disturb)
+        }
+
+        fn read_shifted(
+            &mut self,
+            params: &ChipParams,
+            rng: &mut StdRng,
+            b: usize,
+            page: u32,
+            shift: f64,
+            disturb: bool,
+        ) -> ReadOutcome {
+            let Self { state, ledger } = self;
+            state.read_page_shifted(params, ledger, rng, b, page, shift, disturb)
+        }
+
+        fn status(&self, b: usize) -> crate::BlockStatus {
+            self.ledger.status(b, self.state.dose(b))
+        }
+
+        fn expectation(&self, params: &ChipParams, b: usize) -> (f64, u64) {
+            self.state.rber_expectation(params, &self.ledger, b)
         }
     }
 
     const TWIN_BLOCKS: usize = 3;
 
     /// A fresh state of the twin test's geometry.
-    fn twin_state(params: &ChipParams, model: &AnalyticModel) -> AggregateState {
-        AggregateState::new(TWIN_BLOCKS as u32, 8, 1024, 2, params, model)
+    fn twin_state(params: &ChipParams) -> Fixture {
+        Fixture::new(TWIN_BLOCKS as u32, 2, params)
     }
 
     /// One step of the twin test, applied to both states alike
@@ -698,7 +602,6 @@ mod tests {
         Program { block: usize, page: u32 },
         Read { block: usize, page: u32, disturb: bool },
         ShiftedRead { block: usize, page: u32, shift: f64 },
-        Erase { block: usize },
         PreWear { block: usize, cycles: u64 },
         AdvanceDays { days: f64 },
         SetVpass { block: usize, vpass: f64 },
@@ -717,7 +620,8 @@ mod tests {
                 0 => Op::Program { block, page },
                 1 | 2 => Op::Read { block, page, disturb: pick.gen_bool(0.8) },
                 3 => Op::ShiftedRead { block, page, shift: pick.gen_range(-20.0..20.0) },
-                4 => Op::Erase { block },
+                // An erase is pre-wear by one cycle.
+                4 => Op::PreWear { block, cycles: 1 },
                 5 => Op::PreWear { block, cycles: n % 6_000 },
                 6 => Op::AdvanceDays { days: pick.gen_range(0.0..9.0) },
                 7 => {
@@ -731,47 +635,41 @@ mod tests {
 
         fn apply(
             self,
-            state: &mut AggregateState,
+            twin: &mut Fixture,
             params: &ChipParams,
-            model: &AnalyticModel,
             rng: &mut StdRng,
             margin: Option<u64>,
         ) -> Option<ReadOutcome> {
             match self {
                 Op::Program { block, page } => {
                     // A programmed page stays programmed until the erase.
-                    let _ = state.program_page(block, page, &[]);
+                    let _ = twin.program(block, page);
                 }
                 Op::Read { block, page, disturb } => {
-                    return Some(
-                        state.read_page(params, model, rng, margin, block, page, disturb).unwrap(),
-                    );
+                    return Some(twin.read(params, rng, margin, block, page, disturb));
                 }
                 Op::ShiftedRead { block, page, shift } => {
-                    return Some(
-                        state
-                            .read_page_shifted(params, model, rng, block, page, shift, true)
-                            .unwrap(),
-                    );
+                    return Some(twin.read_shifted(params, rng, block, page, shift, true));
                 }
-                Op::Erase { block } => state.erase(block),
-                Op::PreWear { block, cycles } => state.pre_wear(block, cycles),
+                Op::PreWear { block, cycles } => twin.pre_wear(block, cycles),
                 Op::AdvanceDays { days } => {
                     for block in 0..TWIN_BLOCKS {
-                        state.advance_days(block, days);
+                        twin.advance_days(block, days);
                     }
                 }
-                Op::SetVpass { block, vpass } => state.set_vpass(block, vpass),
-                Op::Disturbs { block, n } => state.apply_read_disturbs(params, model, block, n),
+                Op::SetVpass { block, vpass } => twin.set_vpass(block, vpass),
+                Op::Disturbs { block, n } => twin.disturb(params, block, n),
                 Op::Hammer { block, wordline, n } => {
-                    state.hammer_wordline(params, model, block, wordline, n);
+                    let Fixture { state, ledger } = twin;
+                    state.hammer_wordline(params, ledger, block, wordline, n);
                 }
                 Op::EncodeRestore => {
-                    let bytes = state.encoded(params, model);
-                    let mut fresh = twin_state(params, model);
-                    fresh.restore_state(&mut crate::wire::Reader::new(&bytes)).unwrap();
-                    assert!(fresh.dirty.iter().all(|&d| !d), "a restored state is settled");
-                    *state = fresh;
+                    let bytes = twin.encoded(params);
+                    let mut fresh = twin_state(params);
+                    let Fixture { state, ledger } = &mut fresh;
+                    state.restore_state(ledger, &mut crate::wire::Reader::new(&bytes)).unwrap();
+                    assert!(fresh.state.dirty.iter().all(|&d| !d), "a restored state is settled");
+                    *twin = fresh;
                 }
             }
             None
@@ -794,66 +692,64 @@ mod tests {
             draws in proptest::collection::vec(any::<u64>(), 1..160),
         ) {
             let params = ChipParams::default();
-            let model = AnalyticModel::from_chip(&params, 8);
             // Margin 0 stands for "no hint": every read samples.
             let margin = (margin > 0).then_some(margin);
-            let mut lazy = twin_state(&params, &model);
+            let mut lazy = twin_state(&params);
             let mut eager = lazy.clone();
-            eager.settle_all(&params, &model);
+            eager.settle_all(&params);
             let mut lazy_rng = StdRng::seed_from_u64(seed);
             let mut eager_rng = lazy_rng.clone();
             for draw in draws {
                 let op = Op::decode(draw, &params);
-                let got = op.apply(&mut lazy, &params, &model, &mut lazy_rng, margin);
-                let expected = op.apply(&mut eager, &params, &model, &mut eager_rng, margin);
-                eager.settle_all(&params, &model);
+                let got = op.apply(&mut lazy, &params, &mut lazy_rng, margin);
+                let expected = op.apply(&mut eager, &params, &mut eager_rng, margin);
+                eager.settle_all(&params);
                 prop_assert_eq!(got, expected);
                 prop_assert_eq!(lazy_rng.state(), eager_rng.state());
                 for b in 0..TWIN_BLOCKS {
-                    let oracles = |s: &AggregateState| {
-                        let (expected, bits) = s.rber_expectation(&params, &model, b);
+                    let oracles = |s: &Fixture| {
+                        let (expected, bits) = s.expectation(&params, b);
                         (
                             expected.to_bits(),
                             bits,
-                            s.rber_oracle(&params, &model, b),
-                            (0..8).map(|wl| s.rber_wordline_oracle(&params, &model, b, wl)).collect::<Vec<_>>(),
+                            (0..8).map(|wl| s.state.rber_wordline_oracle(&params, &s.ledger, b, wl)).collect::<Vec<_>>(),
                             s.status(b),
                         )
                     };
                     prop_assert_eq!(oracles(&lazy), oracles(&eager));
-                    if !lazy.dirty[b] {
-                        prop_assert_eq!(lazy.cached(b), lazy.evaluate(&params, &model, b));
+                    if !lazy.state.dirty[b] {
+                        prop_assert_eq!(
+                            lazy.state.point(&params, &lazy.ledger, b),
+                            lazy.state.evaluate(&params, &lazy.ledger, b)
+                        );
                     }
                 }
-                prop_assert_eq!(lazy.encoded(&params, &model), eager.encoded(&params, &model));
+                prop_assert_eq!(lazy.encoded(&params), eager.encoded(&params));
             }
         }
     }
 
-    fn setup() -> (AggregateState, ChipParams, AnalyticModel, StdRng) {
+    fn setup() -> (Fixture, ChipParams, StdRng) {
         let params = ChipParams::default();
-        let model = AnalyticModel::from_chip(&params, 8);
-        let state = AggregateState::new(2, 8, 1024, 2, &params, &model);
-        (state, params, model, StdRng::seed_from_u64(7))
+        let twin = Fixture::new(2, 2, &params);
+        (twin, params, StdRng::seed_from_u64(7))
     }
 
-    fn program_all(state: &mut AggregateState) {
+    fn program_all(state: &mut Fixture) {
         for page in 0..16 {
-            state.program_page(0, page, &[]).unwrap();
+            state.program(0, page).unwrap();
         }
     }
 
     #[test]
     fn fast_forward_reads_touch_no_rng() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         program_all(&mut state);
         // Fresh block, wide margin: every read must be served cached.
         let margin = Some(40u64);
         let before = rng.clone();
         for i in 0..10_000u64 {
-            let out = state
-                .read_page(&params, &model, &mut rng, margin, 0, (i % 16) as u32, true)
-                .unwrap();
+            let out = state.read(&params, &mut rng, margin, 0, (i % 16) as u32, true);
             assert!(out.data.is_empty());
             assert_eq!(out.blocked_bitlines, 0);
         }
@@ -870,10 +766,10 @@ mod tests {
 
     #[test]
     fn no_margin_hint_always_samples() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         program_all(&mut state);
         let before = rng.clone();
-        state.read_page(&params, &model, &mut rng, None, 0, 0, true).unwrap();
+        state.read(&params, &mut rng, None, 0, 0, true);
         let mut a = before;
         assert_ne!(
             rand::Rng::gen::<u64>(&mut a),
@@ -884,57 +780,59 @@ mod tests {
 
     #[test]
     fn margin_proximity_switches_to_live_sampling() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         state.pre_wear(0, 8_000);
         program_all(&mut state);
-        state.apply_read_disturbs(&params, &model, 0, 2_000_000);
+        state.disturb(&params, 0, 2_000_000);
         // Expected errors now approach/exceed a tight margin: must sample.
-        let out = state.read_page(&params, &model, &mut rng, Some(4), 0, 0, false).unwrap();
-        assert!(state.sampling[0], "worn+disturbed block must leave fast-forward mode");
-        let _ = out;
+        state.read(&params, &mut rng, Some(4), 0, 0, false);
+        assert!(state.state.sampling[0], "worn+disturbed block must leave fast-forward mode");
     }
 
     #[test]
     fn summary_tracks_expectation_across_horizons() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         state.pre_wear(0, 8_000);
         program_all(&mut state);
         // Wide margin keeps the block in fast-forward mode; the served
         // count must track the closed-form expectation within rounding.
         for _ in 0..200_000u64 {
-            let out = state.read_page(&params, &model, &mut rng, Some(10_000), 0, 0, true).unwrap();
-            let expect = state.rber_block(0) * 1024.0;
+            let out = state.read(&params, &mut rng, Some(10_000), 0, 0, true);
+            let expect = state.state.rber_block(0) * 1024.0;
             let served = out.stats.errors as f64;
             assert!(
                 (served - expect).abs() <= 1.0,
                 "served {served} drifted from expectation {expect:.2}"
             );
         }
-        assert!(state.rber_block(0) > state.static_rber[0], "disturb must accumulate");
+        assert!(state.state.rber_block(0) > state.state.static_rber[0], "disturb must accumulate");
     }
 
     #[test]
     fn matches_analytic_uniform_disturb_closed_form() {
-        let (mut state, params, model, _) = setup();
+        let (mut state, params, _) = setup();
         let mut analytic = crate::analytic_block::AnalyticBlock::new(8, 1024, 2);
-        analytic.pre_wear(8_000);
+        let mut ledger = BlockLedger::new(1, 16, 1024, false);
+        ledger.erase(0, 8_000);
         state.pre_wear(0, 8_000);
         program_all(&mut state);
         let mut rng = StdRng::seed_from_u64(9);
         for page in 0..16 {
             let data = crate::bits::random(&mut rng, 1024);
-            analytic.program_page(page, &data).unwrap();
+            ledger.program(0, page, &data).unwrap();
+            analytic.program_page(page, &data);
         }
-        analytic.apply_read_disturbs(500_000);
-        state.apply_read_disturbs(&params, &model, 0, 500_000);
-        let (ae, ab) = analytic.rber_expectation(&params, &model);
-        let (ge, gb) = state.rber_expectation(&params, &model, 0);
+        analytic.apply_read_disturbs(&mut ledger, 0, 500_000);
+        state.disturb(&params, 0, 500_000);
+        let model = AnalyticModel::from_chip(&params, 8);
+        let (ae, ab) = analytic.rber_expectation(&params, &model, &ledger, 0);
+        let (ge, gb) = state.expectation(&params, 0);
         assert_eq!(ab, gb);
         let rel = (ge / ae - 1.0).abs();
         assert!(rel < 1e-9, "uniform-disturb closed forms diverged: {ge} vs {ae}");
     }
 
-    /// `refresh_caches` and `read_page_shifted` evaluate the page-analytic
+    /// `evaluate` and `read_page_shifted` evaluate the page-analytic
     /// tier's [`ShiftPoint`]. Per database chip: `static_rber` and the
     /// shifted per-bit RBER at each of its retry shifts, folded over their
     /// bits, against the values the aggregate tier's own two spellings of
@@ -956,17 +854,19 @@ mod tests {
                 let params = &spec.params;
                 let model = AnalyticModel::from_chip(params, 8);
                 let bpc = params.bits_per_cell();
-                let mut state = AggregateState::new(1, 8, 1024, bpc, params, &model);
+                let mut state = Fixture::new(1, bpc, params);
                 state.pre_wear(0, 8_000);
                 for page in 0..8 * bpc {
-                    state.program_page(0, page, &[]).unwrap();
+                    state.program(0, page).unwrap();
                 }
                 state.advance_days(0, 21.0);
-                state.apply_read_disturbs(params, &model, 0, 500_000);
+                state.disturb(params, 0, 500_000);
+                let (pe, age) = (state.ledger.pe_cycles[0], state.ledger.age_days[0]);
                 let fold = params.retry_shifts.iter().fold(
-                    state.static_rber[0].to_bits(),
+                    state.state.static_rber[0].to_bits(),
                     |fold, &shift| {
-                        let p_err = state.rber_block_shifted(params, &model, 0, shift);
+                        let point = ShiftPoint::at(params, &model, pe, age, shift);
+                        let p_err = point.rber(state.state.rd_term(0));
                         fold.wrapping_mul(0x0000_0100_0000_01b3) ^ p_err.to_bits()
                     },
                 );
@@ -978,38 +878,27 @@ mod tests {
 
     #[test]
     fn relaxed_vpass_forces_sampled_blocking() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         program_all(&mut state);
         state.set_vpass(0, params.min_vpass);
         let mut blocked = 0u64;
         for _ in 0..64 {
-            blocked += state
-                .read_page(&params, &model, &mut rng, Some(1_000), 0, 0, false)
-                .unwrap()
-                .blocked_bitlines;
+            blocked += state.read(&params, &mut rng, Some(1_000), 0, 0, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
         state.set_vpass(0, NOMINAL_VPASS);
-        let out = state.read_page(&params, &model, &mut rng, Some(1_000), 0, 0, false).unwrap();
+        let out = state.read(&params, &mut rng, Some(1_000), 0, 0, false);
         assert_eq!(out.blocked_bitlines, 0);
     }
 
     #[test]
     fn shifted_retry_recovers_disturb_errors() {
-        let (mut state, params, model, mut rng) = setup();
+        let (mut state, params, mut rng) = setup();
         state.pre_wear(0, 10_000);
         program_all(&mut state);
-        state.apply_read_disturbs(&params, &model, 0, 3_000_000);
-        let sum = |state: &mut AggregateState, rng: &mut StdRng, shift: f64| -> u64 {
-            (0..32)
-                .map(|_| {
-                    state
-                        .read_page_shifted(&params, &model, rng, 0, 0, shift, false)
-                        .unwrap()
-                        .stats
-                        .errors
-                })
-                .sum()
+        state.disturb(&params, 0, 3_000_000);
+        let sum = |state: &mut Fixture, rng: &mut StdRng, shift: f64| -> u64 {
+            (0..32).map(|_| state.read_shifted(&params, rng, 0, 0, shift, false).stats.errors).sum()
         };
         let base = sum(&mut state, &mut rng, 0.0);
         let raised = sum(&mut state, &mut rng, 12.0);
@@ -1017,30 +906,5 @@ mod tests {
             raised < base,
             "positive retry shift must recover disturb errors ({raised} !< {base})"
         );
-    }
-
-    #[test]
-    fn program_and_erase_semantics_match_other_tiers() {
-        let (mut state, params, model, _) = setup();
-        state.program_page(0, 3, &[]).unwrap();
-        assert!(state.is_page_programmed(0, 3));
-        assert!(matches!(
-            state.program_page(0, 3, &[]),
-            Err(FlashError::PageAlreadyProgrammed { page: 3 })
-        ));
-        assert!(matches!(state.program_page(0, 99, &[]), Err(FlashError::PageOutOfRange { .. })));
-        assert!(matches!(
-            state.program_page(0, 4, &[0u8; 3]),
-            Err(FlashError::DataLengthMismatch { .. })
-        ));
-        state.apply_read_disturbs(&params, &model, 0, 1_000);
-        state.advance_days(0, 3.0);
-        state.erase(0);
-        let st = state.status(0);
-        assert_eq!(st.pe_cycles, 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        assert_eq!(st.dose, 0.0);
-        assert_eq!(st.programmed_pages, 0);
     }
 }

@@ -1,11 +1,12 @@
 //! Page-analytic block state: the [`crate::ReadFidelity::PageAnalytic`]
 //! backend of [`crate::Chip`].
 //!
-//! Instead of per-cell threshold voltages, a block keeps only
+//! Instead of per-cell threshold voltages, a block keeps only — beside its
+//! operating point (P/E cycles, retention age, Vpass) and programmed pages,
+//! which are the chip's block-ledger row —
 //!
 //! * the packed **page payloads** as programmed (so reads return real data
-//!   and the engine's payload digest gate still bites),
-//! * the block **operating point** (P/E cycles, retention age, Vpass), and
+//!   and the engine's payload digest gate still bites), and
 //! * **batched disturb counters**: reads are accumulated per block plus a
 //!   per-wordline adjustment (hammer concentration on neighbours), and are
 //!   folded into the analytic disturb term lazily — only when the Vpass
@@ -44,18 +45,20 @@
 //! cached term is the value the uncached expression produces, and the
 //! per-read sum adds the same partial sums in the same left-to-right order,
 //! so cached reads are bit-identical to fresh evaluation. Whatever changes
-//! `(pe_cycles, age_days, vpass)` drops the whole cache.
+//! `(pe_cycles, age_days, vpass)` drops the whole cache: the chip calls
+//! [`AnalyticBlock::op_point_moved`] (or [`AnalyticBlock::reset`]) after
+//! every such ledger change.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::analytic::{AnalyticModel, ShiftPoint};
 use crate::bits;
-use crate::block::BlockStatus;
 use crate::chip::ReadOutcome;
-use crate::error::FlashError;
+use crate::ledger::BlockLedger;
 use crate::noise::retention;
-use crate::params::{ChipParams, NOMINAL_VPASS};
+use crate::params::ChipParams;
+use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
 
 /// Distinct read-reference shifts cached per block: the default read plus
@@ -84,18 +87,14 @@ struct OpPoint {
     evaluated: usize,
 }
 
-/// One flash block of the page-analytic chip model.
+/// One flash block of the page-analytic chip model; its operating point is
+/// ledger row `b`.
 #[derive(Debug, Clone)]
 pub(crate) struct AnalyticBlock {
     wordlines: u32,
     bitlines: u32,
     bits_per_cell: u32,
-    pe_cycles: u64,
-    age_days: f64,
-    reads_since_erase: u64,
-    vpass: f64,
-    page_programmed: Vec<bool>,
-    /// Packed page payloads as programmed (empty until first program).
+    /// Packed page payloads as programmed (empty while unprogrammed).
     page_data: Vec<Vec<u8>>,
     /// Read-disturb linear term accumulated at *past* Vpass settings:
     /// `Σ rd_slope(pe, vpass_at_read) · reads`, block-uniform part.
@@ -109,24 +108,19 @@ pub(crate) struct AnalyticBlock {
     /// positive on hammer neighbours.
     pending_extra: Vec<f64>,
     /// Lazily computed operating-point constants (shift points included);
-    /// invalidated whenever `pe_cycles`, `age_days`, or `vpass` changes.
-    /// Never serialized — a restored block recomputes on first read.
+    /// dropped by [`Self::op_point_moved`] whenever `pe_cycles`,
+    /// `age_days`, or `vpass` changes. Never serialized — a restored block
+    /// recomputes on first read.
     op_cache: Option<OpPoint>,
 }
 
 impl AnalyticBlock {
     pub(crate) fn new(wordlines: u32, bitlines: u32, bits_per_cell: u32) -> Self {
-        let pages = wordlines as usize * bits_per_cell as usize;
         Self {
             wordlines,
             bitlines,
             bits_per_cell,
-            pe_cycles: 0,
-            age_days: 0.0,
-            reads_since_erase: 0,
-            vpass: NOMINAL_VPASS,
-            page_programmed: vec![false; pages],
-            page_data: vec![Vec::new(); pages],
+            page_data: vec![Vec::new(); (wordlines * bits_per_cell) as usize],
             folded_lin: 0.0,
             folded_extra: vec![0.0; wordlines as usize],
             pending_reads: 0.0,
@@ -144,10 +138,12 @@ impl AnalyticBlock {
         &mut self,
         params: &ChipParams,
         model: &AnalyticModel,
+        ledger: &BlockLedger,
+        b: usize,
         wordline: u32,
         shift: f64,
     ) -> (f64, f64) {
-        let (pe, age_days, vpass) = (self.pe_cycles, self.age_days, self.vpass);
+        let (pe, age_days, vpass) = (ledger.pe_cycles[b], ledger.age_days[b], ledger.vpass[b]);
         let op = self.op_cache.get_or_insert_with(|| OpPoint {
             slope: model.rd_slope(pe, vpass),
             blocked_prob: 2.0 * model.rber_passthrough(pe, age_days, vpass),
@@ -167,14 +163,8 @@ impl AnalyticBlock {
         (point.rber(self.rd_term(model, slope, wordline)), blocked_prob)
     }
 
-    fn pages(&self) -> u32 {
-        self.wordlines * self.bits_per_cell
-    }
-
-    fn reset_after_erase(&mut self) {
-        self.age_days = 0.0;
-        self.reads_since_erase = 0;
-        self.page_programmed.fill(false);
+    /// After the ledger's erase (or pre-wear): no payloads, no disturb.
+    pub(crate) fn reset(&mut self) {
         for d in &mut self.page_data {
             d.clear();
         }
@@ -185,36 +175,16 @@ impl AnalyticBlock {
         self.op_cache = None;
     }
 
-    pub(crate) fn erase(&mut self) {
-        self.pe_cycles += 1;
-        self.reset_after_erase();
-    }
-
-    pub(crate) fn pre_wear(&mut self, cycles: u64) {
-        self.pe_cycles += cycles;
-        self.reset_after_erase();
-    }
-
-    pub(crate) fn advance_days(&mut self, days: f64) {
-        assert!(days >= 0.0, "time flows forward");
-        self.age_days += days;
+    /// The block's `(pe_cycles, age_days, vpass)` moved: drop the cache.
+    pub(crate) fn op_point_moved(&mut self) {
         self.op_cache = None;
-    }
-
-    pub(crate) fn vpass(&self) -> f64 {
-        self.vpass
     }
 
     /// Folds the pending read counters into the disturb term at the Vpass
-    /// they were accumulated under, then applies the new setting.
-    pub(crate) fn set_vpass(&mut self, model: &AnalyticModel, vpass: f64) {
-        self.fold_pending(model);
-        self.vpass = vpass;
-        self.op_cache = None;
-    }
-
-    fn fold_pending(&mut self, model: &AnalyticModel) {
-        let slope = model.rd_slope(self.pe_cycles, self.vpass);
+    /// they were accumulated under; the chip calls this before it moves
+    /// the block's Vpass.
+    pub(crate) fn fold_pending(&mut self, model: &AnalyticModel, ledger: &BlockLedger, b: usize) {
+        let slope = model.rd_slope(ledger.pe_cycles[b], ledger.vpass[b]);
         self.folded_lin += slope * self.pending_reads;
         self.pending_reads = 0.0;
         for (folded, pending) in self.folded_extra.iter_mut().zip(&mut self.pending_extra) {
@@ -235,43 +205,31 @@ impl AnalyticBlock {
         p.rd_sat * (lin / p.rd_sat).ln_1p()
     }
 
-    /// Block-uniform disturb linear term (the [`BlockStatus::dose`] analogue).
-    fn disturb_lin_uniform(&self, model: &AnalyticModel) -> f64 {
-        let slope = model.rd_slope(self.pe_cycles, self.vpass);
+    /// Block-uniform disturb linear term (the [`crate::BlockStatus::dose`]
+    /// analogue).
+    pub(crate) fn dose(&self, model: &AnalyticModel, ledger: &BlockLedger, b: usize) -> f64 {
+        let slope = model.rd_slope(ledger.pe_cycles[b], ledger.vpass[b]);
         (self.folded_lin + slope * self.pending_reads).max(0.0)
-    }
-
-    /// Per-bit RBER of one wordline at the default references, excluding
-    /// pass-through errors (those are realized as blocked bitlines at read
-    /// time). The oracles' uncached evaluation of what
-    /// [`Self::read_probabilities`] serves at `shift == 0`.
-    fn rber_wordline(&self, params: &ChipParams, model: &AnalyticModel, wordline: u32) -> f64 {
-        let point = ShiftPoint::at(params, model, self.pe_cycles, self.age_days, 0.0);
-        let slope = model.rd_slope(self.pe_cycles, self.vpass);
-        point.rber(self.rd_term(model, slope, wordline))
-    }
-
-    /// Probability that a bitline is blocked (pass-through failure) at the
-    /// block's current Vpass. Each blocked bitline senses as P3 and flips
-    /// half the bits on average, so the model's per-bit pass-through RBER
-    /// doubles into a per-bitline blocking probability.
-    fn blocked_prob(&self, model: &AnalyticModel) -> f64 {
-        2.0 * model.rber_passthrough(self.pe_cycles, self.age_days, self.vpass)
     }
 
     /// Uniformly spread reads: block-level disturb only (matches
     /// `Block::apply_read_disturbs`).
-    pub(crate) fn apply_read_disturbs(&mut self, n: u64) {
+    pub(crate) fn apply_read_disturbs(&mut self, ledger: &mut BlockLedger, b: usize, n: u64) {
         self.pending_reads += n as f64;
-        self.reads_since_erase += n;
+        ledger.reads_since_erase[b] += n;
     }
 
     /// Reads concentrated on one wordline: neighbours get boosted disturb,
     /// the target none from its own reads (matches `Block::hammer_wordline`).
-    pub(crate) fn hammer_wordline(&mut self, params: &ChipParams, wordline: u32, n: u64) {
-        assert!(wordline < self.wordlines, "wordline out of range");
-        self.pending_reads += n as f64;
-        self.reads_since_erase += n;
+    pub(crate) fn hammer_wordline(
+        &mut self,
+        params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
+        wordline: u32,
+        n: u64,
+    ) {
+        self.apply_read_disturbs(ledger, b, n);
         let wl = wordline as usize;
         self.pending_extra[wl] -= n as f64;
         let boost = n as f64 * params.rd_neighbor_boost;
@@ -283,17 +241,10 @@ impl AnalyticBlock {
         }
     }
 
-    pub(crate) fn is_page_programmed(&self, page: u32) -> bool {
-        self.page_programmed.get(page as usize).copied().unwrap_or(false)
-    }
-
-    /// Serializes every mutable lane of the block (checkpointing support).
-    pub(crate) fn encode_state(&self, w: &mut crate::wire::Writer) {
-        w.put_u64(self.pe_cycles);
-        w.put_f64(self.age_days);
-        w.put_u64(self.reads_since_erase);
-        w.put_f64(self.vpass);
-        w.put_bools(&self.page_programmed);
+    /// Serializes every mutable lane of the block with ledger row `b`
+    /// (checkpointing support).
+    pub(crate) fn encode_state(&self, ledger: &BlockLedger, b: usize, w: &mut Writer) {
+        ledger.encode_row(b, w, |_| {});
         w.put_u64(self.page_data.len() as u64);
         for d in &self.page_data {
             w.put_bytes(d);
@@ -304,26 +255,18 @@ impl AnalyticBlock {
         w.put_f64s(&self.pending_extra);
     }
 
-    /// Restores a block serialized by [`Self::encode_state`] into `self`,
-    /// which must have been constructed with the same geometry.
+    /// Restores a block and ledger row `b` serialized by
+    /// [`Self::encode_state`] into `self`, which must have been constructed
+    /// with the same geometry. A programmed page's payload must be one page
+    /// long, an unprogrammed page's empty.
     pub(crate) fn restore_state(
         &mut self,
-        r: &mut crate::wire::Reader<'_>,
-    ) -> Result<(), crate::wire::SnapError> {
-        use crate::wire::SnapError;
-        let pages = self.pages() as usize;
-        let pe_cycles = r.get_u64()?;
-        let age_days = r.get_f64()?;
-        let reads_since_erase = r.get_u64()?;
-        let vpass = r.get_f64()?;
-        let page_programmed = r.get_bools()?;
-        if page_programmed.len() != pages {
-            return Err(SnapError::Mismatch(format!(
-                "analytic block page count {} != {}",
-                page_programmed.len(),
-                pages
-            )));
-        }
+        ledger: &mut BlockLedger,
+        b: usize,
+        r: &mut Reader<'_>,
+    ) -> Result<(), SnapError> {
+        ledger.restore_row(b, r, |_| Ok(()))?;
+        let pages = self.page_data.len();
         let n_data = r.get_u64()? as usize;
         if n_data != pages {
             return Err(SnapError::Mismatch(format!(
@@ -331,8 +274,17 @@ impl AnalyticBlock {
             )));
         }
         let mut page_data = Vec::with_capacity(pages);
-        for _ in 0..pages {
-            page_data.push(r.get_bytes()?);
+        for page in 0..pages as u32 {
+            let data = r.get_bytes()?;
+            let expected =
+                if ledger.is_programmed(b, page) { self.bitlines as usize / 8 } else { 0 };
+            if data.len() != expected {
+                return Err(SnapError::Mismatch(format!(
+                    "analytic page {page} payload {} bytes != {expected}",
+                    data.len()
+                )));
+            }
+            page_data.push(data);
         }
         let folded_lin = r.get_f64()?;
         let folded_extra = r.get_f64s()?;
@@ -347,11 +299,6 @@ impl AnalyticBlock {
                 wls
             )));
         }
-        self.pe_cycles = pe_cycles;
-        self.age_days = age_days;
-        self.reads_since_erase = reads_since_erase;
-        self.vpass = vpass;
-        self.page_programmed = page_programmed;
         self.page_data = page_data;
         self.folded_lin = folded_lin;
         self.folded_extra = folded_extra;
@@ -361,77 +308,43 @@ impl AnalyticBlock {
         Ok(())
     }
 
-    pub(crate) fn status(&self, model: &AnalyticModel) -> BlockStatus {
-        BlockStatus {
-            pe_cycles: self.pe_cycles,
-            reads_since_erase: self.reads_since_erase,
-            age_days: self.age_days,
-            vpass: self.vpass,
-            programmed_pages: self.page_programmed.iter().filter(|p| **p).count() as u32,
-            dose: self.disturb_lin_uniform(model),
-        }
-    }
-
-    pub(crate) fn program_page(&mut self, page: u32, data: &[u8]) -> Result<(), FlashError> {
-        if page >= self.pages() {
-            return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
-        }
-        if self.page_programmed[page as usize] {
-            return Err(FlashError::PageAlreadyProgrammed { page });
-        }
-        let expected = self.bitlines as usize;
-        if data.len() * 8 != expected {
-            return Err(FlashError::DataLengthMismatch { got: data.len() * 8, expected });
-        }
-        // Data age: writing into a fully-erased block starts a fresh
-        // retention period (same rule as the cell-exact block).
-        if !self.page_programmed.iter().any(|&p| p) {
-            self.age_days = 0.0;
-            self.op_cache = None;
-        }
+    /// Stores the payload of a page the ledger has accepted.
+    pub(crate) fn program_page(&mut self, page: u32, data: &[u8]) {
         self.page_data[page as usize].clear();
         self.page_data[page as usize].extend_from_slice(data);
-        self.page_programmed[page as usize] = true;
-        Ok(())
     }
 
-    pub(crate) fn intended_page_bits(&self, page: u32) -> Result<&[u8], FlashError> {
-        if page >= self.pages() {
-            return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
-        }
-        if !self.page_programmed[page as usize] {
-            return Err(FlashError::PageNotProgrammed { page });
-        }
-        Ok(&self.page_data[page as usize])
+    /// A page's payload as programmed (empty while unprogrammed).
+    pub(crate) fn payload(&self, page: u32) -> &[u8] {
+        &self.page_data[page as usize]
     }
 
-    /// Serves a page read from the analytic model: a raw error count
-    /// sampled around the closed-form RBER at read-reference `shift` (so a
-    /// positive retry shift on a disturb-dominated wordline genuinely
-    /// recovers errors while paying the shifted misclassification floor,
-    /// exactly as the cell-exact sweep does in aggregate), uniformly placed,
-    /// overlaid with sampled pass-through blocking. O(errors), plus whatever
-    /// the sink `S` does with the events: [`CountSink`] leaves
+    /// Serves a read of an in-range page from the analytic model: a raw
+    /// error count sampled around the closed-form RBER at read-reference
+    /// `shift` (so a positive retry shift on a disturb-dominated wordline
+    /// genuinely recovers errors while paying the shifted misclassification
+    /// floor, exactly as the cell-exact sweep does in aggregate), uniformly
+    /// placed, overlaid with sampled pass-through blocking. O(errors), plus
+    /// whatever the sink `S` does with the events: [`CountSink`] leaves
     /// [`ReadOutcome::data`] empty, [`ByteSink`] fills it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn read<S: ReadSink>(
         &mut self,
         params: &ChipParams,
         model: &AnalyticModel,
+        ledger: &mut BlockLedger,
+        b: usize,
         rng: &mut StdRng,
         scratch: &mut ReadScratch,
         page: u32,
         shift: f64,
         disturb: bool,
-    ) -> Result<ReadOutcome, FlashError> {
-        if page >= self.pages() {
-            return Err(FlashError::PageOutOfRange { page, pages: self.pages() });
-        }
+    ) -> ReadOutcome {
         let wl = page / self.bits_per_cell;
         if disturb {
-            self.hammer_wordline(params, wl, 1);
+            self.hammer_wordline(params, ledger, b, wl, 1);
         }
-        let (p_err, p_block) = self.read_probabilities(params, model, wl, shift);
+        let (p_err, p_block) = self.read_probabilities(params, model, ledger, b, wl, shift);
         // A blocked bitline cannot conduct, so the cell senses as the top
         // state (P3 on MLC).
         let top_bit = crate::state::state_bit(
@@ -440,14 +353,40 @@ impl AnalyticBlock {
             self.bits_per_cell as usize,
         );
         // An unprogrammed page reads back as erased cells (ER stores 1/1).
-        let stored =
-            self.page_programmed[page as usize].then(|| self.page_data[page as usize].as_slice());
+        let stored = ledger.is_programmed(b, page).then(|| self.payload(page));
         let mut sink = S::start(stored, self.bitlines as usize, top_bit);
         let blocked_bitlines =
             sample_events(rng, scratch, self.bitlines, p_err, p_block, stored, &mut sink);
         let (errors, data) = sink.finish(stored);
         let stats = BitErrorStats::new(errors, u64::from(self.bitlines));
-        Ok(ReadOutcome { data, stats, blocked_bitlines })
+        ReadOutcome { data, stats, blocked_bitlines }
+    }
+
+    /// Closed-form `(expected error bits, bits)` of one wordline's
+    /// programmed pages at the default references: the uncached evaluation
+    /// of what [`Self::read_probabilities`] serves at `shift == 0`, plus the
+    /// pass-through errors reads realize as blocked bitlines (a blocked
+    /// bitline senses as P3 and flips half its bits on average, so the
+    /// per-bitline blocking probability is twice the per-bit RBER).
+    fn wordline_expectation(
+        &self,
+        params: &ChipParams,
+        model: &AnalyticModel,
+        ledger: &BlockLedger,
+        b: usize,
+        wordline: u32,
+    ) -> (f64, u64) {
+        let first = wordline * self.bits_per_cell;
+        let pages = (first..first + self.bits_per_cell).filter(|&p| ledger.is_programmed(b, p));
+        let bits = pages.count() as u64 * u64::from(self.bitlines);
+        if bits == 0 {
+            return (0.0, 0);
+        }
+        let (pe, age_days, vpass) = (ledger.pe_cycles[b], ledger.age_days[b], ledger.vpass[b]);
+        let point = ShiftPoint::at(params, model, pe, age_days, 0.0);
+        let rber = point.rber(self.rd_term(model, model.rd_slope(pe, vpass), wordline));
+        let blocked_prob = 2.0 * model.rber_passthrough(pe, age_days, vpass);
+        ((rber + 0.5 * blocked_prob) * bits as f64, bits)
     }
 
     /// Closed-form expected RBER of one wordline's programmed pages
@@ -456,17 +395,12 @@ impl AnalyticBlock {
         &self,
         params: &ChipParams,
         model: &AnalyticModel,
+        ledger: &BlockLedger,
+        b: usize,
         wordline: u32,
     ) -> BitErrorStats {
-        let pages = (0..self.bits_per_cell)
-            .filter(|&k| self.page_programmed[(wordline * self.bits_per_cell + k) as usize])
-            .count() as u64;
-        if pages == 0 {
-            return BitErrorStats::default();
-        }
-        let bits = pages * self.bitlines as u64;
-        let p = self.rber_wordline(params, model, wordline) + 0.5 * self.blocked_prob(model);
-        BitErrorStats::new((p * bits as f64).round() as u64, bits)
+        let (expected, bits) = self.wordline_expectation(params, model, ledger, b, wordline);
+        BitErrorStats::new(expected.round() as u64, bits)
     }
 
     /// Closed-form expected RBER over all programmed pages of the block,
@@ -475,29 +409,12 @@ impl AnalyticBlock {
         &self,
         params: &ChipParams,
         model: &AnalyticModel,
+        ledger: &BlockLedger,
+        b: usize,
     ) -> (f64, u64) {
-        let mut expected = 0.0f64;
-        let mut bits = 0u64;
-        let p_block_err = 0.5 * self.blocked_prob(model);
-        for wl in 0..self.wordlines {
-            let pages = (0..self.bits_per_cell)
-                .filter(|&k| self.page_programmed[(wl * self.bits_per_cell + k) as usize])
-                .count() as u64;
-            if pages == 0 {
-                continue;
-            }
-            let wl_bits = pages * self.bitlines as u64;
-            expected += (self.rber_wordline(params, model, wl) + p_block_err) * wl_bits as f64;
-            bits += wl_bits;
-        }
-        (expected, bits)
-    }
-
-    /// Closed-form expected RBER over all programmed pages of the block,
-    /// rounded to whole bits (the [`BitErrorStats`] oracle shape).
-    pub(crate) fn rber_oracle(&self, params: &ChipParams, model: &AnalyticModel) -> BitErrorStats {
-        let (expected, bits) = self.rber_expectation(params, model);
-        BitErrorStats::new(expected.round() as u64, bits)
+        (0..self.wordlines)
+            .map(|wl| self.wordline_expectation(params, model, ledger, b, wl))
+            .fold((0.0, 0), |(expected, bits), (e, n)| (expected + e, bits + n))
     }
 }
 
@@ -690,31 +607,122 @@ fn for_distinct_positions(
 mod tests {
     use super::*;
     use crate::analytic::{gaussian_tail_floor_shifted, RETRY_SHIFT_DECAY, RETRY_SHIFT_GAIN_CAP};
+    use crate::params::NOMINAL_VPASS;
+    use crate::{Chip, Geometry, ReadFidelity};
     use rand::SeedableRng;
 
-    fn setup() -> (AnalyticBlock, ChipParams, AnalyticModel, StdRng) {
+    /// A block with a one-row ledger of its own (row 0), moved by the rules
+    /// the chip applies.
+    #[derive(Debug, Clone)]
+    struct Fixture {
+        block: AnalyticBlock,
+        ledger: BlockLedger,
+    }
+
+    impl Fixture {
+        fn new(wordlines: u32, bitlines: u32, bits_per_cell: u32) -> Self {
+            let block = AnalyticBlock::new(wordlines, bitlines, bits_per_cell);
+            Self { block, ledger: BlockLedger::new(1, wordlines * bits_per_cell, bitlines, false) }
+        }
+
+        fn pre_wear(&mut self, cycles: u64) {
+            self.ledger.erase(0, cycles);
+            self.block.reset();
+        }
+
+        fn program(&mut self, page: u32, data: &[u8]) {
+            if self.ledger.program(0, page, data).unwrap() {
+                self.block.op_point_moved();
+            }
+            self.block.program_page(page, data);
+        }
+
+        fn advance_days(&mut self, days: f64) {
+            self.ledger.advance_days(0, days);
+            self.block.op_point_moved();
+        }
+
+        fn set_vpass(&mut self, model: &AnalyticModel, vpass: f64) {
+            self.block.fold_pending(model, &self.ledger, 0);
+            self.ledger.vpass[0] = vpass;
+            self.block.op_point_moved();
+        }
+
+        fn disturb(&mut self, n: u64) {
+            self.block.apply_read_disturbs(&mut self.ledger, 0, n);
+        }
+
+        fn hammer(&mut self, params: &ChipParams, wordline: u32, n: u64) {
+            self.block.hammer_wordline(params, &mut self.ledger, 0, wordline, n);
+        }
+
+        fn dose(&self, model: &AnalyticModel) -> f64 {
+            self.block.dose(model, &self.ledger, 0)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn read<S: ReadSink>(
+            &mut self,
+            params: &ChipParams,
+            model: &AnalyticModel,
+            rng: &mut StdRng,
+            scratch: &mut ReadScratch,
+            page: u32,
+            shift: f64,
+            disturb: bool,
+        ) -> ReadOutcome {
+            let Self { block, ledger } = self;
+            block.read::<S>(params, model, ledger, 0, rng, scratch, page, shift, disturb)
+        }
+
+        fn probabilities(
+            &mut self,
+            params: &ChipParams,
+            model: &AnalyticModel,
+            wordline: u32,
+            shift: f64,
+        ) -> (f64, f64) {
+            self.block.read_probabilities(params, model, &self.ledger, 0, wordline, shift)
+        }
+
+        fn oracle(&self, params: &ChipParams, model: &AnalyticModel) -> BitErrorStats {
+            let (expected, bits) = self.block.rber_expectation(params, model, &self.ledger, 0);
+            BitErrorStats::new(expected.round() as u64, bits)
+        }
+
+        fn oracle_wordline(
+            &self,
+            params: &ChipParams,
+            model: &AnalyticModel,
+            wordline: u32,
+        ) -> BitErrorStats {
+            self.block.rber_wordline_oracle(params, model, &self.ledger, 0, wordline)
+        }
+    }
+
+    fn setup() -> (Fixture, ChipParams, AnalyticModel, StdRng) {
         let params = ChipParams::default();
         let model = AnalyticModel::from_chip(&params, 8);
-        (AnalyticBlock::new(8, 1024, 2), params, model, StdRng::seed_from_u64(7))
+        (Fixture::new(8, 1024, 2), params, model, StdRng::seed_from_u64(7))
     }
 
     /// A default-reference materializing read (fresh scratch per call).
     fn read_page(
-        block: &mut AnalyticBlock,
+        block: &mut Fixture,
         params: &ChipParams,
         model: &AnalyticModel,
         rng: &mut StdRng,
         page: u32,
         disturb: bool,
     ) -> ReadOutcome {
-        let mut scratch = ReadScratch::new(block.bitlines);
-        block.read::<ByteSink>(params, model, rng, &mut scratch, page, 0.0, disturb).unwrap()
+        let mut scratch = ReadScratch::new(block.block.bitlines);
+        block.read::<ByteSink>(params, model, rng, &mut scratch, page, 0.0, disturb)
     }
 
-    fn program_all(block: &mut AnalyticBlock, rng: &mut StdRng) {
+    fn program_all(block: &mut Fixture, rng: &mut StdRng) {
         for page in 0..16 {
             let data = bits::random(rng, 1024);
-            block.program_page(page, &data).unwrap();
+            block.program(page, &data);
         }
     }
 
@@ -722,30 +730,13 @@ mod tests {
     fn program_read_round_trip_is_near_clean_when_fresh() {
         let (mut block, params, model, mut rng) = setup();
         let data = bits::random(&mut rng, 1024);
-        block.program_page(4, &data).unwrap();
-        assert_eq!(block.intended_page_bits(4).unwrap(), data);
+        block.program(4, &data);
+        assert_eq!(block.block.payload(4), data);
         let out = read_page(&mut block, &params, &model, &mut rng, 4, true);
         // Fresh block at 0 P/E: expected errors ≪ 1.
         assert!(out.stats.errors <= 2, "fresh analytic read had {} errors", out.stats.errors);
         assert_eq!(out.blocked_bitlines, 0, "no blocking at nominal Vpass");
-        assert_eq!(block.status(&model).reads_since_erase, 1);
-    }
-
-    #[test]
-    fn program_validation_matches_exact_block() {
-        let (mut block, _, _, mut rng) = setup();
-        let data = bits::random(&mut rng, 1024);
-        block.program_page(0, &data).unwrap();
-        assert!(matches!(
-            block.program_page(0, &data),
-            Err(FlashError::PageAlreadyProgrammed { page: 0 })
-        ));
-        assert!(matches!(block.program_page(99, &data), Err(FlashError::PageOutOfRange { .. })));
-        assert!(matches!(
-            block.program_page(1, &[0u8; 3]),
-            Err(FlashError::DataLengthMismatch { .. })
-        ));
-        assert!(matches!(block.intended_page_bits(2), Err(FlashError::PageNotProgrammed { .. })));
+        assert_eq!(block.ledger.status(0, block.dose(&model)).reads_since_erase, 1);
     }
 
     #[test]
@@ -753,11 +744,11 @@ mod tests {
         let (mut block, params, model, mut rng) = setup();
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
-        let r0 = block.rber_oracle(&params, &model).rate();
-        block.apply_read_disturbs(250_000);
-        let r1 = block.rber_oracle(&params, &model).rate();
-        block.apply_read_disturbs(750_000);
-        let r2 = block.rber_oracle(&params, &model).rate();
+        let r0 = block.oracle(&params, &model).rate();
+        block.disturb(250_000);
+        let r1 = block.oracle(&params, &model).rate();
+        block.disturb(750_000);
+        let r2 = block.oracle(&params, &model).rate();
         assert!(r0 < r1 && r1 < r2, "{r0} {r1} {r2}");
     }
 
@@ -766,8 +757,8 @@ mod tests {
         let (mut block, params, model, mut rng) = setup();
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
-        block.apply_read_disturbs(500_000);
-        let expect = block.rber_wordline(&params, &model, 3) * 1024.0;
+        block.disturb(500_000);
+        let expect = block.probabilities(&params, &model, 3, 0.0).0 * 1024.0;
         let n_reads = 400usize;
         let mut total = 0u64;
         for _ in 0..n_reads {
@@ -787,10 +778,10 @@ mod tests {
         let (mut block, params, model, mut rng) = setup();
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
-        block.hammer_wordline(&params, 4, 500_000);
-        let neighbour = block.rber_wordline_oracle(&params, &model, 5).rate();
-        let distant = block.rber_wordline_oracle(&params, &model, 1).rate();
-        let hammered = block.rber_wordline_oracle(&params, &model, 4).rate();
+        block.hammer(&params, 4, 500_000);
+        let neighbour = block.oracle_wordline(&params, &model, 5).rate();
+        let distant = block.oracle_wordline(&params, &model, 1).rate();
+        let hammered = block.oracle_wordline(&params, &model, 4).rate();
         assert!(neighbour > distant, "neighbour {neighbour:.3e} vs distant {distant:.3e}");
         assert!(hammered < distant, "hammered {hammered:.3e} vs distant {distant:.3e}");
     }
@@ -800,23 +791,20 @@ mod tests {
         let (mut block, _, model, mut rng) = setup();
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
-        block.apply_read_disturbs(100_000);
-        let before = block.disturb_lin_uniform(&model);
+        block.disturb(100_000);
+        let before = block.dose(&model);
         // Lowering Vpass must not erase the disturb damage already done
         // (pass-through errors do rise — that is the physics, not history).
         block.set_vpass(&model, 0.96 * NOMINAL_VPASS);
-        let after = block.disturb_lin_uniform(&model);
+        let after = block.dose(&model);
         assert!((after / before - 1.0).abs() < 1e-9, "fold changed history: {before} -> {after}");
         // …but future reads at the lower Vpass accumulate disturb slower.
         let mut low = block.clone();
-        low.apply_read_disturbs(100_000);
+        low.disturb(100_000);
         let mut high = block.clone();
         high.set_vpass(&model, NOMINAL_VPASS);
-        high.apply_read_disturbs(100_000);
-        assert!(
-            low.disturb_lin_uniform(&model) < high.disturb_lin_uniform(&model),
-            "lower Vpass must slow disturb accumulation"
-        );
+        high.disturb(100_000);
+        assert!(low.dose(&model) < high.dose(&model), "lower Vpass must slow disturb accumulation");
     }
 
     #[test]
@@ -834,32 +822,20 @@ mod tests {
         assert_eq!(out.blocked_bitlines, 0);
     }
 
-    #[test]
-    fn erase_resets_state_and_increments_wear() {
-        let (mut block, _, model, mut rng) = setup();
-        program_all(&mut block, &mut rng);
-        block.apply_read_disturbs(1_000);
-        block.advance_days(3.0);
-        block.erase();
-        let st = block.status(&model);
-        assert_eq!(st.pe_cycles, 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        assert_eq!(st.dose, 0.0);
-        assert_eq!(st.programmed_pages, 0);
-    }
-
     /// The closed form as written before the shift cache existed: every
     /// term re-derived per read (the reference the cache must reproduce).
     fn p_err_reference(
-        block: &AnalyticBlock,
+        block: &Fixture,
         params: &ChipParams,
         model: &AnalyticModel,
         wordline: u32,
         shift: f64,
     ) -> f64 {
         let wl = wordline as usize;
-        let slope = model.rd_slope(block.pe_cycles, block.vpass);
+        let (pe, age_days, vpass) =
+            (block.ledger.pe_cycles[0], block.ledger.age_days[0], block.ledger.vpass[0]);
+        let block = &block.block;
+        let slope = model.rd_slope(pe, vpass);
         let lin = (block.folded_lin
             + block.folded_extra[wl]
             + slope * (block.pending_reads + block.pending_extra[wl]))
@@ -868,9 +844,9 @@ mod tests {
         let rd = p.rd_sat * (lin / p.rd_sat).ln_1p();
         let rd_factor = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
         let ret_factor = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
-        gaussian_tail_floor_shifted(params, block.pe_cycles, shift)
-            + model.rber_pe(block.pe_cycles)
-            + model.rber_retention(block.pe_cycles, block.age_days) * ret_factor
+        gaussian_tail_floor_shifted(params, pe, shift)
+            + model.rber_pe(pe)
+            + model.rber_retention(pe, age_days) * ret_factor
             + rd * rd_factor
     }
 
@@ -880,8 +856,8 @@ mod tests {
         block.pre_wear(8_000);
         program_all(&mut block, &mut rng);
         block.advance_days(30.0);
-        block.apply_read_disturbs(200_000);
-        block.hammer_wordline(&params, 3, 50_000);
+        block.disturb(200_000);
+        block.hammer(&params, 3, 50_000);
         // More distinct shifts than cache slots, so eviction is exercised.
         let shifts = [0.0, 4.0, 8.0, 12.0, 16.0, -4.0, 10.0, 20.0, 30.0, 0.05];
         assert!(shifts.len() > SHIFT_CACHE);
@@ -895,58 +871,88 @@ mod tests {
             for (i, &shift) in shifts.iter().cycle().take(24).enumerate() {
                 let page = [0u32, 6, 7, 12][i % 4];
                 let mut cold = block.clone();
-                cold.op_cache = None;
+                cold.block.op_cache = None;
                 let wl = page / 2;
                 assert_eq!(
-                    block.read_probabilities(&params, &model, wl, shift).0.to_bits(),
+                    block.probabilities(&params, &model, wl, shift).0.to_bits(),
                     p_err_reference(&block, &params, &model, wl, shift).to_bits(),
                     "shift {shift}"
                 );
-                let warm = block
-                    .read::<ByteSink>(&params, &model, &mut rng_a, &mut scratch, page, shift, true)
-                    .unwrap();
-                let fresh = cold
-                    .read::<ByteSink>(&params, &model, &mut rng_b, &mut scratch, page, shift, true)
-                    .unwrap();
+                let warm = block.read::<ByteSink>(
+                    &params,
+                    &model,
+                    &mut rng_a,
+                    &mut scratch,
+                    page,
+                    shift,
+                    true,
+                );
+                let fresh = cold.read::<ByteSink>(
+                    &params,
+                    &model,
+                    &mut rng_b,
+                    &mut scratch,
+                    page,
+                    shift,
+                    true,
+                );
                 assert_eq!(warm, fresh, "shift {shift}");
                 assert_eq!(rng_a.state(), rng_b.state());
             }
             // A new operating point every trial.
             block.advance_days(1.0);
         }
-        // Every op-point mutator must drop the cache, shift points included.
-        let warm_cache = |block: &mut AnalyticBlock| {
-            let p = block.read_probabilities(&params, &model, 0, 8.0);
-            let op = block.op_cache.as_ref().expect("warmed");
-            assert!(op.shifts.iter().any(|s| s.shift == 8.0));
-            (p, op.slope)
+    }
+
+    /// Every chip command that moves a page-analytic block's
+    /// `(pe_cycles, age_days, vpass)` drops its operating-point cache,
+    /// shift points included; the next read re-evaluates at the new point.
+    #[test]
+    fn op_point_movers_drop_the_cache() {
+        let mut chip = Chip::with_fidelity(
+            Geometry::small(),
+            ChipParams::default(),
+            7,
+            ReadFidelity::PageAnalytic,
+        );
+        let min_vpass = chip.params().min_vpass;
+        chip.cycle_block(0, 8_000).unwrap();
+        chip.program_block_random(0, 1).unwrap();
+        chip.advance_days(30.0);
+        let warm = |chip: &mut Chip| {
+            chip.read_retry_counts(0, 0, 8.0).unwrap();
+            let op = chip.analytic_block(0).op_cache.clone().expect("warmed");
+            let point = *op.shifts.iter().find(|s| s.shift == 8.0).expect("shift cached");
+            (point, op.slope, op.blocked_prob)
         };
-        let ((aged, _), slope_nominal) = warm_cache(&mut block);
-        block.advance_days(5.0);
-        assert!(block.op_cache.is_none(), "advance_days must invalidate");
-        assert_ne!(aged, warm_cache(&mut block).0 .0);
-        block.set_vpass(&model, params.min_vpass);
-        assert!(block.op_cache.is_none(), "set_vpass must invalidate");
-        let ((_, p_block), slope_low) = warm_cache(&mut block);
+        let cold = |chip: &Chip| chip.analytic_block(0).op_cache.is_none();
+        let (aged, slope_nominal, _) = warm(&mut chip);
+        chip.advance_days(5.0);
+        assert!(cold(&chip), "advance_days must invalidate");
+        assert_ne!(aged.static_rber, warm(&mut chip).0.static_rber);
+        chip.advance_block_days(0, 1.0).unwrap();
+        assert!(cold(&chip), "advance_block_days must invalidate");
+        warm(&mut chip);
+        chip.set_block_vpass(0, min_vpass).unwrap();
+        assert!(cold(&chip), "set_block_vpass must invalidate");
+        let (_, slope_low, p_block) = warm(&mut chip);
         assert!(p_block > 0.0 && slope_low < slope_nominal);
-        let snapshot = {
-            let mut w = crate::wire::Writer::new();
-            block.encode_state(&mut w);
-            w.into_bytes()
-        };
-        block.restore_state(&mut crate::wire::Reader::new(&snapshot)).unwrap();
-        assert!(block.op_cache.is_none(), "restore must invalidate");
-        warm_cache(&mut block);
-        block.pre_wear(10);
-        assert!(block.op_cache.is_none(), "pre_wear must invalidate");
-        warm_cache(&mut block);
-        block.erase();
-        assert!(block.op_cache.is_none(), "erase must invalidate");
+        let mut w = crate::wire::Writer::new();
+        chip.encode_state(&mut w);
+        chip.restore_state(&mut crate::wire::Reader::new(&w.into_bytes())).unwrap();
+        assert!(cold(&chip), "restore must invalidate");
+        warm(&mut chip);
+        chip.cycle_block(0, 10).unwrap();
+        assert!(cold(&chip), "cycle_block must invalidate");
+        chip.program_page(0, 0, &bits::random(&mut StdRng::seed_from_u64(3), 512)).unwrap();
+        warm(&mut chip);
+        chip.erase_block(0).unwrap();
+        assert!(cold(&chip), "erase_block must invalidate");
         // Programming into the erased block restarts the retention clock.
-        block.advance_days(2.0);
-        warm_cache(&mut block);
-        block.program_page(0, &bits::random(&mut rng, 1024)).unwrap();
-        assert!(block.op_cache.is_none(), "the program-age reset must invalidate");
+        chip.advance_days(2.0);
+        warm(&mut chip);
+        chip.program_page(0, 0, &bits::random(&mut StdRng::seed_from_u64(4), 512)).unwrap();
+        assert!(cold(&chip), "the program-age reset must invalidate");
     }
 
     #[test]
@@ -1045,16 +1051,16 @@ mod tests {
                 let (wordlines, bitlines, bpc) = (4u32, 1000u32, params.bits_per_cell());
                 let model = AnalyticModel::from_chip(&params, wordlines);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut block = AnalyticBlock::new(wordlines, bitlines, bpc);
+                let mut block = Fixture::new(wordlines, bitlines, bpc);
                 block.pre_wear(pe);
                 let pages = wordlines * bpc;
                 let page = pick as u32 % pages;
                 for p in (0..pages).filter(|&p| programmed || p != page) {
-                    block.program_page(p, &bits::random(&mut rng, bitlines as usize)).unwrap();
+                    block.program(p, &bits::random(&mut rng, bitlines as usize));
                 }
                 block.advance_days(age_days);
-                block.apply_read_disturbs(pending);
-                block.hammer_wordline(&params, pick as u32 % wordlines, hammered);
+                block.disturb(pending);
+                block.hammer(&params, pick as u32 % wordlines, hammered);
                 // Half the cases at the fully relaxed Vpass, so bitlines do
                 // get blocked (dense overlap is the property above).
                 let relax = (2.0 * relax - 1.0).max(0.0);
@@ -1069,22 +1075,22 @@ mod tests {
                 let mut scratch = ReadScratch::new(bitlines);
                 let (mut counted, mut rng_c) = (block.clone(), rng.clone());
                 let counts = counted
-                    .read::<CountSink>(&params, &model, &mut rng_c, &mut scratch, page, shift, true)
-                    .unwrap();
+                    .read::<CountSink>(&params, &model, &mut rng_c, &mut scratch, page, shift, true);
                 proptest::prop_assert!(counts.data.is_empty());
                 let counts = counts.counts();
                 let bytes = block
-                    .read::<ByteSink>(&params, &model, &mut rng, &mut scratch, page, shift, true)
-                    .unwrap();
+                    .read::<ByteSink>(&params, &model, &mut rng, &mut scratch, page, shift, true);
                 proptest::prop_assert!(
                     counts == bytes.counts(),
                     "{} shift {shift}: {counts:?} vs {:?}", spec.name, bytes.counts()
                 );
                 proptest::prop_assert_eq!(rng_c.state(), rng.state());
                 // The materializing side is itself anchored to the bytes.
-                let intended = block
-                    .intended_page_bits(page)
-                    .map_or_else(|_| bits::ones(bitlines as usize), <[u8]>::to_vec);
+                let intended = if programmed {
+                    block.block.payload(page).to_vec()
+                } else {
+                    bits::ones(bitlines as usize)
+                };
                 let distance = bits::hamming(&bytes.data, &intended);
                 proptest::prop_assert_eq!(distance, bytes.stats.errors);
             }

@@ -1,6 +1,7 @@
-//! A flash block: the erase unit, holding wordlines of MLC cells plus the
-//! block-level operating state (wear, retention clock, disturb dose, and the
-//! per-block pass-through voltage that Vpass Tuning adjusts).
+//! A cell-exact flash block: the erase unit's per-cell physics — the cell
+//! array, the read-disturb dose and the pass-through candidates. Wear, age,
+//! read count, Vpass and programmed pages live in the chip's
+//! [`BlockLedger`], row `b`.
 
 use rand::rngs::StdRng;
 
@@ -9,45 +10,24 @@ use crate::cell_array::{CellArray, Level, OperatingPoint, Screen, Sense, SenseSc
 use crate::chip::ReadOutcome;
 use crate::error::FlashError;
 use crate::geometry::{PageAddr, PageKind};
-use crate::params::{ChipParams, NOMINAL_VPASS};
+use crate::ledger::BlockLedger;
+use crate::params::ChipParams;
 use crate::state::{CellState, VoltageRefs};
 use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
 
-/// Snapshot of a block's operating state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockStatus {
-    /// Program/erase cycles endured.
-    pub pe_cycles: u64,
-    /// Reads performed since the last erase.
-    pub reads_since_erase: u64,
-    /// Days since the last erase/program.
-    pub age_days: f64,
-    /// Current pass-through voltage (normalized scale).
-    pub vpass: f64,
-    /// Number of programmed pages.
-    pub programmed_pages: u32,
-    /// Accumulated read-disturb dose (model-internal units).
-    pub dose: f64,
-}
-
 /// One flash block of the Monte-Carlo chip model.
 #[derive(Debug, Clone)]
-pub struct Block {
+pub(crate) struct Block {
     wordlines: u32,
     bitlines: u32,
     cells: CellArray,
-    pe_cycles: u64,
     dose: f64,
     /// Per-wordline dose adjustment on top of the block-uniform dose:
     /// positive for the neighbours of hammered wordlines (concentrated read
     /// disturb, \[97\]), negative for a hammered wordline itself (it is not
     /// pass-through-stressed during its own reads).
     wordline_extra_dose: Vec<f64>,
-    age_days: f64,
-    reads_since_erase: u64,
-    vpass: f64,
-    page_programmed: Vec<bool>,
     /// Cell indices whose base Vth can possibly exceed a relaxed Vpass.
     candidates: Vec<u32>,
     candidate_floor: f64,
@@ -101,23 +81,13 @@ impl Block {
             wordlines,
             bitlines,
             cells,
-            pe_cycles: 0,
             dose: 0.0,
             wordline_extra_dose: vec![0.0; wordlines as usize],
-            age_days: 0.0,
-            reads_since_erase: 0,
-            vpass: NOMINAL_VPASS,
-            page_programmed: vec![false; wordlines as usize * 2],
             candidates: Vec::new(),
             candidate_floor,
         };
         block.refresh_candidates();
         block
-    }
-
-    /// The block's current operating point (wear, age, block-uniform dose).
-    pub fn operating_point(&self) -> OperatingPoint {
-        OperatingPoint { pe_cycles: self.pe_cycles, age_days: self.age_days, dose: self.dose }
     }
 
     /// The dose one wordline has accumulated: the block-uniform dose plus
@@ -126,25 +96,34 @@ impl Block {
         (self.dose + self.wordline_extra_dose[wordline as usize]).max(0.0)
     }
 
-    /// The operating point as seen by one wordline, including its
-    /// concentrated-disturb adjustment.
-    pub fn operating_point_for(&self, wordline: u32) -> OperatingPoint {
-        OperatingPoint { dose: self.wordline_dose(wordline), ..self.operating_point() }
+    /// The operating point as seen by one wordline: the block's wear and
+    /// age (ledger row `b`) at the wordline's own dose.
+    pub(crate) fn operating_point_for(
+        &self,
+        ledger: &BlockLedger,
+        b: usize,
+        wordline: u32,
+    ) -> OperatingPoint {
+        let (pe_cycles, age_days) = (ledger.pe_cycles[b], ledger.age_days[b]);
+        OperatingPoint { pe_cycles, age_days, dose: self.wordline_dose(wordline) }
     }
 
     /// The block's wear and age, hoisted; each wordline senses at
     /// `.at_dose(self.wordline_dose(wl))`.
-    fn sense(&self, params: &ChipParams) -> Sense {
-        Sense::new(params, self.operating_point())
+    fn sense(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> Sense {
+        let (pe_cycles, age_days) = (ledger.pe_cycles[b], ledger.age_days[b]);
+        Sense::new(params, OperatingPoint { pe_cycles, age_days, dose: self.dose })
     }
 
     /// Iterates `(wordline, bitline, intended_state, current_vth)` over the
     /// whole block, applying each wordline's own disturb dose.
-    pub fn iter_cells_current<'a>(
+    pub(crate) fn iter_cells_current<'a>(
         &'a self,
         params: &'a ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
     ) -> impl Iterator<Item = (u32, u32, CellState, f64)> + 'a {
-        let sense = self.sense(params);
+        let sense = self.sense(params, ledger, b);
         (0..self.wordlines).flat_map(move |wl| {
             let intended = self.cells.intended_wordline(wl);
             self.cells
@@ -155,95 +134,38 @@ impl Block {
         })
     }
 
-    /// Status snapshot.
-    pub fn status(&self) -> BlockStatus {
-        BlockStatus {
-            pe_cycles: self.pe_cycles,
-            reads_since_erase: self.reads_since_erase,
-            age_days: self.age_days,
-            vpass: self.vpass,
-            programmed_pages: self.page_programmed.iter().filter(|p| **p).count() as u32,
-            dose: self.dose,
-        }
+    /// The accumulated block-uniform read-disturb dose.
+    pub(crate) fn dose(&self) -> f64 {
+        self.dose
     }
 
     /// Read-only access to the cell array (oracle inspection).
-    pub fn cells(&self) -> &CellArray {
+    pub(crate) fn cells(&self) -> &CellArray {
         &self.cells
     }
 
-    /// Current pass-through voltage.
-    pub fn vpass(&self) -> f64 {
-        self.vpass
-    }
-
-    /// Sets the per-block pass-through voltage (the interface the paper
-    /// proposes manufacturers add; see §7). `Chip::set_block_vpass` has
-    /// checked it against `[params.min_vpass, NOMINAL_VPASS]`.
-    pub(crate) fn set_vpass(&mut self, vpass: f64) {
-        self.vpass = vpass;
-    }
-
-    /// Erases the block: all cells return to ER, wear increments, the
-    /// retention clock, read counter, and disturb dose reset.
-    pub fn erase(&mut self, params: &ChipParams, rng: &mut StdRng) {
-        self.pe_cycles += 1;
+    /// After the ledger's erase (or pre-wear) to `pe_cycles`: all cells
+    /// return to ER and the disturb dose resets.
+    pub(crate) fn reset(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
         self.dose = 0.0;
         self.wordline_extra_dose.fill(0.0);
-        self.age_days = 0.0;
-        self.reads_since_erase = 0;
-        self.page_programmed.fill(false);
-        self.cells.erase(params, rng, self.pe_cycles);
+        self.cells.erase(params, rng, pe_cycles);
         self.refresh_candidates();
     }
 
-    /// Adds `cycles` of prior wear without simulating each cycle (the
-    /// paper's experiments pre-wear blocks to 2K–15K P/E before measuring).
-    /// The block is left erased.
-    pub fn pre_wear(&mut self, params: &ChipParams, rng: &mut StdRng, cycles: u64) {
-        self.pe_cycles += cycles;
-        self.dose = 0.0;
-        self.wordline_extra_dose.fill(0.0);
-        self.age_days = 0.0;
-        self.reads_since_erase = 0;
-        self.page_programmed.fill(false);
-        self.cells.erase(params, rng, self.pe_cycles);
-        self.refresh_candidates();
-    }
-
-    /// Programs one page. LSB pages may be programmed before their MSB page
-    /// (real MLC program order); programming an MSB page whose LSB page was
-    /// never written treats the LSB data as all-ones (erased).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlashError::PageOutOfRange`] for a bad index;
-    /// * [`FlashError::PageAlreadyProgrammed`] if the page was written since
-    ///   the last erase;
-    /// * [`FlashError::DataLengthMismatch`] if `data` is not exactly one bit
-    ///   per bitline.
-    pub fn program_page(
+    /// Programs one page the ledger has accepted. LSB pages may be
+    /// programmed before their MSB page (real MLC program order);
+    /// programming an MSB page whose LSB page was never written treats the
+    /// LSB data as all-ones (erased).
+    pub(crate) fn program_page(
         &mut self,
         params: &ChipParams,
         rng: &mut StdRng,
+        ledger: &BlockLedger,
+        b: usize,
         page: u32,
         data: &[u8],
-    ) -> Result<(), FlashError> {
-        if page >= self.wordlines * 2 {
-            return Err(FlashError::PageOutOfRange { page, pages: self.wordlines * 2 });
-        }
-        if self.page_programmed[page as usize] {
-            return Err(FlashError::PageAlreadyProgrammed { page });
-        }
-        let expected = self.bitlines as usize;
-        if data.len() * 8 != expected {
-            return Err(FlashError::DataLengthMismatch { got: data.len() * 8, expected });
-        }
-        // The retention clock tracks the age of the *data*: writing into a
-        // fully-erased block starts a fresh retention period.
-        if !self.page_programmed.iter().any(|&p| p) {
-            self.age_days = 0.0;
-        }
+    ) {
         let addr = PageAddr { block: 0, page };
         let wl = addr.wordline();
         let mut states = Vec::with_capacity(self.bitlines as usize);
@@ -266,68 +188,48 @@ impl Block {
                 }
             }
         }
-        self.cells.program_wordline(params, rng, wl, &states, self.pe_cycles);
-        self.page_programmed[page as usize] = true;
+        self.cells.program_wordline(params, rng, wl, &states, ledger.pe_cycles[b]);
         self.refresh_candidates_wordline(wl);
-        Ok(())
     }
 
-    /// Serializes all mutable block state (checkpointing). Config-derived
-    /// constants (`candidate_floor`, geometry) are not written; the
-    /// pass-through candidate list *is*, verbatim, because its order depends
-    /// on the program history and the blocking decision walks it in order.
-    pub(crate) fn encode_state(&self, w: &mut Writer) {
-        w.put_u64(self.pe_cycles);
-        w.put_f64(self.dose);
-        w.put_f64s(&self.wordline_extra_dose);
-        w.put_f64(self.age_days);
-        w.put_u64(self.reads_since_erase);
-        w.put_f64(self.vpass);
-        w.put_bools(&self.page_programmed);
+    /// Serializes all mutable block state with ledger row `b`
+    /// (checkpointing). Config-derived constants (`candidate_floor`,
+    /// geometry) are not written; the pass-through candidate list *is*,
+    /// verbatim, because its order depends on the program history and the
+    /// blocking decision walks it in order.
+    pub(crate) fn encode_state(&self, ledger: &BlockLedger, b: usize, w: &mut Writer) {
+        ledger.encode_row(b, w, |w| {
+            w.put_f64(self.dose);
+            w.put_f64s(&self.wordline_extra_dose);
+        });
         w.put_u32s(&self.candidates);
         self.cells.encode_state(w);
     }
 
-    /// Restores block state into a freshly built block of identical
-    /// geometry and parameters.
-    pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let pe_cycles = r.get_u64()?;
-        let dose = r.get_f64()?;
-        let wordline_extra_dose = r.get_f64s()?;
-        let age_days = r.get_f64()?;
-        let reads_since_erase = r.get_u64()?;
-        let vpass = r.get_f64()?;
-        let page_programmed = r.get_bools()?;
+    /// Restores block state and ledger row `b` into a freshly built block
+    /// of identical geometry and parameters.
+    pub(crate) fn restore_state(
+        &mut self,
+        ledger: &mut BlockLedger,
+        b: usize,
+        r: &mut Reader<'_>,
+    ) -> Result<(), SnapError> {
+        let (dose, wordline_extra_dose) = ledger.restore_row(b, r, |r| {
+            let dose_lanes = (r.get_f64()?, r.get_f64s()?);
+            if dose_lanes.1.len() != self.wordlines as usize {
+                return Err(SnapError::Mismatch("block wordline count differs".into()));
+            }
+            Ok(dose_lanes)
+        })?;
         let candidates = r.get_u32s()?;
-        if wordline_extra_dose.len() != self.wordlines as usize
-            || page_programmed.len() != self.wordlines as usize * 2
-        {
-            return Err(SnapError::Mismatch("block wordline count differs".into()));
-        }
         if candidates.iter().any(|&i| i as usize >= self.cells.len()) {
             return Err(SnapError::Mismatch("candidate index out of range".into()));
         }
         self.cells.restore_state(r)?;
-        self.pe_cycles = pe_cycles;
         self.dose = dose;
         self.wordline_extra_dose = wordline_extra_dose;
-        self.age_days = age_days;
-        self.reads_since_erase = reads_since_erase;
-        self.vpass = vpass;
-        self.page_programmed = page_programmed;
         self.candidates = candidates;
         Ok(())
-    }
-
-    /// Whether a page has been programmed since the last erase.
-    pub fn is_page_programmed(&self, page: u32) -> bool {
-        self.page_programmed.get(page as usize).copied().unwrap_or(false)
-    }
-
-    /// Advances the block's retention clock.
-    pub fn advance_days(&mut self, days: f64) {
-        assert!(days >= 0.0, "time flows forward");
-        self.age_days += days;
     }
 
     /// Applies the disturb effect of `n` reads *spread across the block*
@@ -335,9 +237,15 @@ impl Block {
     /// model makes this exact, see [`crate::noise::read_disturb`]). Reads
     /// spread over wordlines average out the concentrated-neighbour effect,
     /// so only the uniform dose accumulates.
-    pub fn apply_read_disturbs(&mut self, params: &ChipParams, n: u64) {
-        self.dose += params.dose_increment(n, self.pe_cycles, self.vpass);
-        self.reads_since_erase += n;
+    pub(crate) fn apply_read_disturbs(
+        &mut self,
+        params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
+        n: u64,
+    ) {
+        self.dose += params.dose_increment(n, ledger.pe_cycles[b], ledger.vpass[b]);
+        ledger.reads_since_erase[b] += n;
     }
 
     /// Applies the disturb effect of `n` reads all targeting one wordline
@@ -345,15 +253,17 @@ impl Block {
     /// the direct neighbours an extra `rd_neighbor_boost` multiple of it
     /// (concentrated read disturb, \[97\]), and the target itself none — its
     /// gates see read references, not Vpass, during its own reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wordline` is out of range.
-    pub fn hammer_wordline(&mut self, params: &ChipParams, wordline: u32, n: u64) {
-        assert!(wordline < self.wordlines, "wordline out of range");
-        let inc = params.dose_increment(n, self.pe_cycles, self.vpass);
+    pub(crate) fn hammer_wordline(
+        &mut self,
+        params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
+        wordline: u32,
+        n: u64,
+    ) {
+        let inc = params.dose_increment(n, ledger.pe_cycles[b], ledger.vpass[b]);
         self.dose += inc;
-        self.reads_since_erase += n;
+        ledger.reads_since_erase[b] += n;
         let wl = wordline as usize;
         self.wordline_extra_dose[wl] -= inc;
         let boost = inc * params.rd_neighbor_boost;
@@ -365,29 +275,28 @@ impl Block {
         }
     }
 
-    /// Reads a page at the given read references (the defaults, a read-retry
-    /// shift of them, or each boundary moved independently — what
-    /// read-reference optimization needs), at the block's current Vpass.
-    /// The read itself disturbs the block (pass `disturb = false` for oracle
-    /// measurements). The sensed bytes are assembled only when `keep_data`;
-    /// the counts are the same either way.
+    /// Reads an in-range page at the given read references (the defaults, a
+    /// read-retry shift of them, or each boundary moved independently —
+    /// what read-reference optimization needs), at the block's current
+    /// Vpass. The read itself disturbs the block (pass `disturb = false`
+    /// for oracle measurements). The sensed bytes are assembled only when
+    /// `keep_data`; the counts are the same either way.
     ///
     /// # Errors
     ///
-    /// * [`FlashError::PageOutOfRange`] for a bad index;
-    /// * [`FlashError::FidelityUnsupported`] for a non-MLC reference set.
+    /// [`FlashError::FidelityUnsupported`] for a non-MLC reference set.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_page(
         &mut self,
         params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
         page: u32,
         refs: &VoltageRefs,
         disturb: bool,
         keep_data: bool,
         scratch: &mut SenseScratch,
     ) -> Result<ReadOutcome, FlashError> {
-        if page >= self.wordlines * 2 {
-            return Err(FlashError::PageOutOfRange { page, pages: self.wordlines * 2 });
-        }
         if refs.n_states() != 4 {
             return Err(FlashError::FidelityUnsupported { op: "a non-MLC read-reference set" });
         }
@@ -395,10 +304,10 @@ impl Block {
         let wl = addr.wordline();
         let kind = addr.kind();
         if disturb {
-            self.hammer_wordline(params, wl, 1);
+            self.hammer_wordline(params, ledger, b, wl, 1);
         }
-        let sense = self.sense(params);
-        self.find_blockers(params, sense, &mut scratch.blockers);
+        let sense = self.sense(params, ledger, b);
+        self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let blocked_bitlines =
             self.sense_with_blocking(wl, sense, &Screen::new(params, refs), scratch);
         let errors = bit_errors(&scratch.states, self.cells.intended_wordline(wl), kind);
@@ -412,24 +321,41 @@ impl Block {
     /// Oracle RBER over all programmed pages: counts both bits of every cell
     /// against the intended state, including pass-through blocking, without
     /// adding disturb dose. This is what the paper's figures plot.
-    pub fn rber_oracle(&self, params: &ChipParams) -> BitErrorStats {
-        self.oracle(params, 0..self.wordlines)
+    pub(crate) fn rber_oracle(
+        &self,
+        params: &ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
+    ) -> BitErrorStats {
+        self.oracle(params, ledger, b, 0..self.wordlines)
     }
 
     /// Oracle RBER of a single wordline's programmed pages (used by the
     /// concentrated-disturb experiments to resolve per-wordline damage).
-    pub fn rber_oracle_wordline(&self, params: &ChipParams, wordline: u32) -> BitErrorStats {
-        self.oracle(params, wordline..wordline + 1)
+    pub(crate) fn rber_oracle_wordline(
+        &self,
+        params: &ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
+        wordline: u32,
+    ) -> BitErrorStats {
+        self.oracle(params, ledger, b, wordline..wordline + 1)
     }
 
-    fn oracle(&self, params: &ChipParams, wordlines: std::ops::Range<u32>) -> BitErrorStats {
+    fn oracle(
+        &self,
+        params: &ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
+        wordlines: std::ops::Range<u32>,
+    ) -> BitErrorStats {
         let mut scratch = SenseScratch::default();
-        let sense = self.sense(params);
+        let sense = self.sense(params, ledger, b);
         let screen = Screen::new(params, &params.refs);
-        self.find_blockers(params, sense, &mut scratch.blockers);
+        self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let mut stats = BitErrorStats::default();
         for wl in wordlines {
-            let programmed = |kind| self.page_programmed[PageAddr::of(0, wl, kind).page as usize];
+            let programmed = |kind| ledger.is_programmed(b, PageAddr::of(0, wl, kind).page);
             if !PageKind::ALL.into_iter().any(programmed) {
                 continue;
             }
@@ -443,38 +369,37 @@ impl Block {
         stats
     }
 
-    /// Measures the threshold voltage of every cell on a wordline by a
-    /// read-retry sweep quantized at `step` volts. Blocked bitlines (cells
-    /// elsewhere on the bitline above Vpass) report `f64::INFINITY`.
+    /// Measures the threshold voltage of every cell on an in-range wordline
+    /// by a read-retry sweep quantized at `step` volts. Blocked bitlines
+    /// (cells elsewhere on the bitline above Vpass) report `f64::INFINITY`.
     ///
     /// When `disturb` is true the sweep's reads (one per step) disturb the
     /// block, exactly as the paper's FPGA methodology does.
     ///
     /// # Errors
     ///
-    /// * [`FlashError::WordlineOutOfRange`] for a bad index;
-    /// * [`FlashError::StepNotPositive`] unless `step` is positive and finite.
+    /// [`FlashError::StepNotPositive`] unless `step` is positive and finite.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn measure_wordline_vth(
         &mut self,
         params: &ChipParams,
+        ledger: &mut BlockLedger,
+        b: usize,
         wordline: u32,
         step: f64,
         disturb: bool,
         scratch: &mut SenseScratch,
     ) -> Result<Vec<f64>, FlashError> {
-        if wordline >= self.wordlines {
-            return Err(FlashError::WordlineOutOfRange { wordline, wordlines: self.wordlines });
-        }
         if !(step > 0.0 && step.is_finite()) {
             return Err(FlashError::StepNotPositive { step });
         }
         let sweep_lo = -60.0;
-        let steps = ((self.vpass - sweep_lo) / step).ceil() as u64;
+        let steps = ((ledger.vpass[b] - sweep_lo) / step).ceil() as u64;
         if disturb {
-            self.hammer_wordline(params, wordline, steps);
+            self.hammer_wordline(params, ledger, b, wordline, steps);
         }
-        let sense = self.sense(params);
-        self.find_blockers(params, sense, &mut scratch.blockers);
+        let sense = self.sense(params, ledger, b);
+        self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let mut out: Vec<f64> = self
             .cells
             .wordline_vth(wordline, sense.at_dose(self.wordline_dose(wordline)))
@@ -505,11 +430,18 @@ impl Block {
     }
 
     /// Collects `(bitline, wordline)` of every cell whose voltage exceeds
-    /// the block's Vpass: a read of any *other* wordline finds that bitline
-    /// unable to conduct. Only the candidate cells can be among them.
-    fn find_blockers(&self, params: &ChipParams, sense: Sense, blockers: &mut Vec<(u32, u32)>) {
+    /// the block's `vpass`: a read of any *other* wordline finds that
+    /// bitline unable to conduct. Only the candidate cells can be among them.
+    fn find_blockers(
+        &self,
+        params: &ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
+        sense: Sense,
+        blockers: &mut Vec<(u32, u32)>,
+    ) {
         blockers.clear();
-        let vpass = Level::vpass(params, self.vpass);
+        let vpass = Level::vpass(params, ledger.vpass[b]);
         for &i in &self.candidates {
             let wl = i / self.bitlines;
             let sense = sense.at_dose(self.wordline_dose(wl));
@@ -551,12 +483,92 @@ impl Block {
     }
 }
 
+/// A block with a one-row ledger of its own (row 0): the cell-exact tier as
+/// the chip drives it, for the tests that reach below the chip.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct Fixture {
+    pub(crate) block: Block,
+    pub(crate) ledger: BlockLedger,
+}
+
+#[cfg(test)]
+impl Fixture {
+    fn new(wordlines: u32, bitlines: u32, params: &ChipParams, rng: &mut StdRng) -> Self {
+        let block = Block::new(wordlines, bitlines, params, rng);
+        Self { block, ledger: BlockLedger::new(1, wordlines * 2, bitlines, false) }
+    }
+
+    fn pre_wear(&mut self, params: &ChipParams, rng: &mut StdRng, cycles: u64) {
+        self.ledger.erase(0, cycles);
+        self.block.reset(params, rng, self.ledger.pe_cycles[0]);
+    }
+
+    fn program(&mut self, params: &ChipParams, rng: &mut StdRng, page: u32, data: &[u8]) {
+        self.ledger.program(0, page, data).unwrap();
+        self.block.program_page(params, rng, &self.ledger, 0, page, data);
+    }
+
+    fn status(&self) -> crate::BlockStatus {
+        self.ledger.status(0, self.block.dose)
+    }
+
+    fn vpass(&self) -> f64 {
+        self.ledger.vpass[0]
+    }
+
+    fn op_for(&self, wordline: u32) -> OperatingPoint {
+        self.block.operating_point_for(&self.ledger, 0, wordline)
+    }
+
+    fn disturb(&mut self, params: &ChipParams, n: u64) {
+        self.block.apply_read_disturbs(params, &mut self.ledger, 0, n);
+    }
+
+    fn hammer(&mut self, params: &ChipParams, wordline: u32, n: u64) {
+        self.block.hammer_wordline(params, &mut self.ledger, 0, wordline, n);
+    }
+
+    fn read(
+        &mut self,
+        params: &ChipParams,
+        page: u32,
+        refs: &VoltageRefs,
+        disturb: bool,
+        keep_data: bool,
+        scratch: &mut SenseScratch,
+    ) -> Result<ReadOutcome, FlashError> {
+        let Self { block, ledger } = self;
+        block.read_page(params, ledger, 0, page, refs, disturb, keep_data, scratch)
+    }
+
+    fn measure(
+        &mut self,
+        params: &ChipParams,
+        wordline: u32,
+        step: f64,
+        disturb: bool,
+        scratch: &mut SenseScratch,
+    ) -> Result<Vec<f64>, FlashError> {
+        let Self { block, ledger } = self;
+        block.measure_wordline_vth(params, ledger, 0, wordline, step, disturb, scratch)
+    }
+
+    fn oracle(&self, params: &ChipParams) -> BitErrorStats {
+        self.block.rber_oracle(params, &self.ledger, 0)
+    }
+
+    fn oracle_wordline(&self, params: &ChipParams, wordline: u32) -> BitErrorStats {
+        self.block.rber_oracle_wordline(params, &self.ledger, 0, wordline)
+    }
+}
+
 /// The per-cell loops this module ran before [`CellArray::sense_wordline`],
 /// kept verbatim as the reference the kernel's callers are tested against:
 /// every voltage from [`CellArray::reference_vth`], every class from
 /// [`VoltageRefs::classify`], blocking from per-bitline maxima.
 #[cfg(test)]
-pub(crate) mod reference {
+mod reference {
     use super::*;
 
     /// Per-bitline maxima of candidate cells: `(best_vth, best_wordline,
@@ -574,12 +586,13 @@ pub(crate) mod reference {
         }
     }
 
-    pub(crate) fn vth(block: &Block, params: &ChipParams, wl: u32, bl: u32) -> f64 {
-        let i = (wl * block.bitlines + bl) as usize;
-        block.cells.reference_vth(params, i, block.operating_point_for(wl))
+    pub(crate) fn vth(fixture: &Fixture, params: &ChipParams, wl: u32, bl: u32) -> f64 {
+        let i = (wl * fixture.block.bitlines + bl) as usize;
+        fixture.block.cells.reference_vth(params, i, fixture.op_for(wl))
     }
 
-    fn bitline_maxima(block: &Block, params: &ChipParams) -> BitlineMaxima {
+    fn bitline_maxima(fixture: &Fixture, params: &ChipParams) -> BitlineMaxima {
+        let block = &fixture.block;
         let mut maxima = BitlineMaxima {
             best: vec![(f32::NEG_INFINITY, u32::MAX); block.bitlines as usize],
             second: vec![f32::NEG_INFINITY; block.bitlines as usize],
@@ -587,7 +600,7 @@ pub(crate) mod reference {
         for &i in &block.candidates {
             let wl = i / block.bitlines;
             let bl = (i % block.bitlines) as usize;
-            let v = vth(block, params, wl, bl as u32) as f32;
+            let v = vth(fixture, params, wl, bl as u32) as f32;
             let (best_v, _) = maxima.best[bl];
             if v > best_v {
                 maxima.second[bl] = best_v;
@@ -600,7 +613,7 @@ pub(crate) mod reference {
     }
 
     pub(crate) fn read_page(
-        block: &mut Block,
+        fixture: &mut Fixture,
         params: &ChipParams,
         page: u32,
         refs: &VoltageRefs,
@@ -610,20 +623,21 @@ pub(crate) mod reference {
         let wl = addr.wordline();
         let kind = addr.kind();
         if disturb {
-            block.hammer_wordline(params, wl, 1);
+            fixture.hammer(params, wl, 1);
         }
-        let maxima = bitline_maxima(block, params);
+        let maxima = bitline_maxima(fixture, params);
+        let block = &fixture.block;
         let nbits = block.bitlines as usize;
         let mut data = bits::zeroed(nbits);
         let mut errors = 0u64;
         let mut blocked_count = 0u64;
         for bl in 0..block.bitlines {
-            let blocked = maxima.blocks(bl, wl, block.vpass);
+            let blocked = maxima.blocks(bl, wl, fixture.vpass());
             let sensed = if blocked {
                 blocked_count += 1;
                 CellState::P3
             } else {
-                refs.classify(vth(block, params, wl, bl))
+                refs.classify(vth(fixture, params, wl, bl))
             };
             let bit = match kind {
                 PageKind::Lsb => sensed.lsb(),
@@ -647,23 +661,23 @@ pub(crate) mod reference {
     }
 
     pub(crate) fn rber_oracle_wordline(
-        block: &Block,
+        fixture: &Fixture,
         params: &ChipParams,
         wordline: u32,
     ) -> BitErrorStats {
-        let maxima = bitline_maxima(block, params);
+        let maxima = bitline_maxima(fixture, params);
         let mut errors = 0u64;
         let mut total_bits = 0u64;
-        let lsb_on = block.page_programmed[(wordline * 2) as usize];
-        let msb_on = block.page_programmed[(wordline * 2 + 1) as usize];
-        for bl in 0..block.bitlines {
-            let blocked = maxima.blocks(bl, wordline, block.vpass);
+        let lsb_on = fixture.ledger.is_programmed(0, wordline * 2);
+        let msb_on = fixture.ledger.is_programmed(0, wordline * 2 + 1);
+        for bl in 0..fixture.block.bitlines {
+            let blocked = maxima.blocks(bl, wordline, fixture.vpass());
             let sensed = if blocked {
                 CellState::P3
             } else {
-                params.refs.classify(vth(block, params, wordline, bl))
+                params.refs.classify(vth(fixture, params, wordline, bl))
             };
-            let intended = block.cells.intended_state(wordline, bl);
+            let intended = fixture.block.cells.intended_state(wordline, bl);
             if lsb_on {
                 total_bits += 1;
                 errors += u64::from(sensed.lsb() != intended.lsb());
@@ -676,29 +690,29 @@ pub(crate) mod reference {
         BitErrorStats::new(errors, total_bits)
     }
 
-    pub(crate) fn rber_oracle(block: &Block, params: &ChipParams) -> BitErrorStats {
-        (0..block.wordlines).map(|wl| rber_oracle_wordline(block, params, wl)).sum()
+    pub(crate) fn rber_oracle(fixture: &Fixture, params: &ChipParams) -> BitErrorStats {
+        (0..fixture.block.wordlines).map(|wl| rber_oracle_wordline(fixture, params, wl)).sum()
     }
 
     pub(crate) fn measure_wordline_vth(
-        block: &mut Block,
+        fixture: &mut Fixture,
         params: &ChipParams,
         wordline: u32,
         step: f64,
         disturb: bool,
     ) -> Vec<f64> {
         let sweep_lo = -60.0;
-        let steps = ((block.vpass - sweep_lo) / step).ceil() as u64;
+        let steps = ((fixture.vpass() - sweep_lo) / step).ceil() as u64;
         if disturb {
-            block.hammer_wordline(params, wordline, steps);
+            fixture.hammer(params, wordline, steps);
         }
-        let maxima = bitline_maxima(block, params);
-        (0..block.bitlines)
+        let maxima = bitline_maxima(fixture, params);
+        (0..fixture.block.bitlines)
             .map(|bl| {
-                if maxima.blocks(bl, wordline, block.vpass) {
+                if maxima.blocks(bl, wordline, fixture.vpass()) {
                     f64::INFINITY
                 } else {
-                    let v = vth(block, params, wordline, bl);
+                    let v = vth(fixture, params, wordline, bl);
                     (v / step).floor() * step + step / 2.0
                 }
             })
@@ -709,69 +723,70 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::NOMINAL_VPASS;
     use rand::SeedableRng;
 
-    fn block_with(wordlines: u32, bitlines: u32) -> (Block, ChipParams, StdRng) {
+    fn block_with(wordlines: u32, bitlines: u32) -> (Fixture, ChipParams, StdRng) {
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(2024);
-        let block = Block::new(wordlines, bitlines, &params, &mut rng);
+        let block = Fixture::new(wordlines, bitlines, &params, &mut rng);
         (block, params, rng)
     }
 
-    fn program_random(block: &mut Block, params: &ChipParams, rng: &mut StdRng) {
-        for page in 0..block.wordlines * 2 {
-            let data = bits::random(rng, block.bitlines as usize);
-            block.program_page(params, rng, page, &data).unwrap();
+    fn program_random(block: &mut Fixture, params: &ChipParams, rng: &mut StdRng) {
+        for page in 0..block.block.wordlines * 2 {
+            let data = bits::random(rng, block.block.bitlines as usize);
+            block.program(params, rng, page, &data);
         }
     }
 
     /// A materializing read at the default references.
-    fn read(block: &mut Block, params: &ChipParams, page: u32, disturb: bool) -> ReadOutcome {
+    fn read(block: &mut Fixture, params: &ChipParams, page: u32, disturb: bool) -> ReadOutcome {
         let mut scratch = SenseScratch::default();
-        block.read_page(params, page, &params.refs, disturb, true, &mut scratch).unwrap()
+        block.read(params, page, &params.refs, disturb, true, &mut scratch).unwrap()
     }
 
     /// Blocks in the states the experiments put them in: fresh, worn and
     /// disturbed, worn + aged + hammered at a relaxed Vpass (bitlines
     /// blocked), and half programmed.
-    fn scenarios() -> Vec<(&'static str, Block, ChipParams)> {
+    fn scenarios() -> Vec<(&'static str, Fixture, ChipParams)> {
         let params = ChipParams::default();
         let mut out = Vec::new();
         let build = |seed: u64, wear: u64, pages: u32| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut block = Block::new(16, 2048, &params, &mut rng);
+            let mut block = Fixture::new(16, 2048, &params, &mut rng);
             if wear > 0 {
                 block.pre_wear(&params, &mut rng, wear);
             }
             for page in 0..pages {
                 let data = bits::random(&mut rng, 2048);
-                block.program_page(&params, &mut rng, page, &data).unwrap();
+                block.program(&params, &mut rng, page, &data);
             }
             block
         };
         out.push(("fresh", build(1, 0, 32), params.clone()));
 
         let mut worn = build(2, 8_000, 32);
-        worn.apply_read_disturbs(&params, 400_000);
+        worn.disturb(&params, 400_000);
         out.push(("worn, disturbed", worn, params.clone()));
 
         let mut relaxed = build(3, 12_000, 32);
-        relaxed.advance_days(14.0);
-        relaxed.set_vpass(params.min_vpass);
-        relaxed.apply_read_disturbs(&params, 2_000_000);
-        relaxed.hammer_wordline(&params, 5, 600_000);
+        relaxed.ledger.advance_days(0, 14.0);
+        relaxed.ledger.vpass[0] = params.min_vpass;
+        relaxed.disturb(&params, 2_000_000);
+        relaxed.hammer(&params, 5, 600_000);
         out.push(("worn, aged, hammered, relaxed Vpass", relaxed, params.clone()));
 
         // A hammered wordline of an otherwise unread block: its own dose
         // adjustment cancels the uniform dose (clamped at zero).
         let mut hammered = build(4, 8_000, 32);
-        hammered.hammer_wordline(&params, 9, 1_000_000);
-        assert_eq!(hammered.operating_point_for(9).dose, 0.0);
+        hammered.hammer(&params, 9, 1_000_000);
+        assert_eq!(hammered.op_for(9).dose, 0.0);
         out.push(("hammered only", hammered, params.clone()));
 
         let mut half = build(5, 5_000, 15);
-        half.advance_days(3.0);
-        half.apply_read_disturbs(&params, 900_000);
+        half.ledger.advance_days(0, 3.0);
+        half.disturb(&params, 900_000);
         out.push(("half programmed", half, params));
         out
     }
@@ -780,27 +795,29 @@ mod tests {
     fn reads_and_oracles_match_the_per_cell_reference() {
         let mut scratch = SenseScratch::default();
         let mut blocked_somewhere = 0;
-        for (name, block, params) in scenarios() {
+        for (name, fixture, params) in scenarios() {
+            let (wordlines, bitlines) = (fixture.block.wordlines, fixture.block.bitlines);
             assert_eq!(
-                block.rber_oracle(&params),
-                reference::rber_oracle(&block, &params),
+                fixture.oracle(&params),
+                reference::rber_oracle(&fixture, &params),
                 "{name}"
             );
-            for wl in 0..block.wordlines {
+            for wl in 0..wordlines {
                 assert_eq!(
-                    block.rber_oracle_wordline(&params, wl),
-                    reference::rber_oracle_wordline(&block, &params, wl),
+                    fixture.oracle_wordline(&params, wl),
+                    reference::rber_oracle_wordline(&fixture, &params, wl),
                     "{name}, wordline {wl}"
                 );
             }
-            for ((wl, bl, _, vth), i) in block.iter_cells_current(&params).zip(0..) {
-                assert_eq!((wl, bl), (i / block.bitlines, i % block.bitlines));
-                assert_eq!(vth.to_bits(), reference::vth(&block, &params, wl, bl).to_bits());
+            let cells = fixture.block.iter_cells_current(&params, &fixture.ledger, 0);
+            for ((wl, bl, _, vth), i) in cells.zip(0..) {
+                assert_eq!((wl, bl), (i / bitlines, i % bitlines));
+                assert_eq!(vth.to_bits(), reference::vth(&fixture, &params, wl, bl).to_bits());
             }
 
             // Disturbing reads at the default references, two retry shifts
             // and independently moved references, on two copies in lockstep.
-            let (mut new, mut old) = (block.clone(), block.clone());
+            let (mut new, mut old) = (fixture.clone(), fixture.clone());
             let refs = params.refs;
             let reference_sets = [
                 refs,
@@ -809,20 +826,19 @@ mod tests {
                 refs.with_lowest_raised(20.0),
                 VoltageRefs::new(refs.va() - 6.0, refs.vb() + 3.0, refs.vc() - 11.0),
             ];
-            for (page, refs) in (0..block.wordlines * 2).zip(reference_sets.iter().cycle()) {
+            for (page, refs) in (0..wordlines * 2).zip(reference_sets.iter().cycle()) {
                 let expected = reference::read_page(&mut old, &params, page, refs, true);
                 let counted =
-                    new.clone().read_page(&params, page, refs, true, false, &mut scratch).unwrap();
-                let got = new.read_page(&params, page, refs, true, true, &mut scratch).unwrap();
+                    new.clone().read(&params, page, refs, true, false, &mut scratch).unwrap();
+                let got = new.read(&params, page, refs, true, true, &mut scratch).unwrap();
                 assert_eq!(got, expected, "{name}, page {page}");
                 assert_eq!(counted.counts(), expected.counts(), "{name}, page {page}");
                 assert!(counted.data.is_empty());
                 blocked_somewhere += got.blocked_bitlines;
             }
-            for wl in [0, 5, 9, block.wordlines - 1] {
+            for wl in [0, 5, 9, wordlines - 1] {
                 for (step, disturb) in [(2.0, false), (0.5, true)] {
-                    let got =
-                        new.measure_wordline_vth(&params, wl, step, disturb, &mut scratch).unwrap();
+                    let got = new.measure(&params, wl, step, disturb, &mut scratch).unwrap();
                     let expected =
                         reference::measure_wordline_vth(&mut old, &params, wl, step, disturb);
                     assert_eq!(
@@ -833,8 +849,8 @@ mod tests {
                 }
             }
             assert_eq!(new.status(), old.status(), "{name}");
-            assert_eq!(new.wordline_extra_dose, old.wordline_extra_dose, "{name}");
-            assert_eq!(new.rber_oracle(&params), reference::rber_oracle(&old, &params), "{name}");
+            assert_eq!(new.block.wordline_extra_dose, old.block.wordline_extra_dose, "{name}");
+            assert_eq!(new.oracle(&params), reference::rber_oracle(&old, &params), "{name}");
         }
         assert!(blocked_somewhere > 0, "no scenario blocked a bitline");
     }
@@ -868,12 +884,12 @@ mod tests {
         let tlc = VoltageRefs::from_levels(&[60., 120., 180., 240., 300., 360., 420.]);
         let before = block.status();
         assert!(matches!(
-            block.read_page(&params, 0, &tlc, true, true, &mut scratch),
+            block.read(&params, 0, &tlc, true, true, &mut scratch),
             Err(FlashError::FidelityUnsupported { .. })
         ));
         for step in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                block.measure_wordline_vth(&params, 0, step, true, &mut scratch),
+                block.measure(&params, 0, step, true, &mut scratch),
                 Err(FlashError::StepNotPositive { .. })
             ));
         }
@@ -884,26 +900,10 @@ mod tests {
     fn fresh_programmed_block_has_near_zero_errors() {
         let (mut block, params, mut rng) = block_with(8, 1024);
         program_random(&mut block, &params, &mut rng);
-        let stats = block.rber_oracle(&params);
+        let stats = block.oracle(&params);
         assert_eq!(stats.bits, 8 * 1024 * 2);
         // Fresh block: only deep Gaussian tails can err.
         assert!(stats.rate() < 1e-3, "fresh rber = {}", stats.rate());
-    }
-
-    #[test]
-    fn double_program_rejected() {
-        let (mut block, params, mut rng) = block_with(4, 512);
-        let data = bits::random(&mut rng, 512);
-        block.program_page(&params, &mut rng, 0, &data).unwrap();
-        let err = block.program_page(&params, &mut rng, 0, &data).unwrap_err();
-        assert!(matches!(err, FlashError::PageAlreadyProgrammed { page: 0 }));
-    }
-
-    #[test]
-    fn wrong_data_length_rejected() {
-        let (mut block, params, mut rng) = block_with(4, 512);
-        let err = block.program_page(&params, &mut rng, 0, &[0u8; 3]).unwrap_err();
-        assert!(matches!(err, FlashError::DataLengthMismatch { .. }));
     }
 
     #[test]
@@ -911,8 +911,8 @@ mod tests {
         let (mut block, params, mut rng) = block_with(4, 512);
         let lsb = bits::random(&mut rng, 512);
         let msb = bits::random(&mut rng, 512);
-        block.program_page(&params, &mut rng, 6, &lsb).unwrap(); // wl 3 LSB
-        block.program_page(&params, &mut rng, 7, &msb).unwrap(); // wl 3 MSB
+        block.program(&params, &mut rng, 6, &lsb); // wl 3 LSB
+        block.program(&params, &mut rng, 7, &msb); // wl 3 MSB
         let out_l = read(&mut block, &params, 6, true);
         let out_m = read(&mut block, &params, 7, true);
         // A fresh block reads back exactly on a 512-bitline sample with
@@ -928,7 +928,7 @@ mod tests {
         program_random(&mut block, &params, &mut rng);
         let d0 = block.status().dose;
         read(&mut block, &params, 0, true);
-        block.apply_read_disturbs(&params, 99);
+        block.disturb(&params, 99);
         let st = block.status();
         assert_eq!(st.reads_since_erase, 100);
         assert!(st.dose > d0);
@@ -939,28 +939,13 @@ mod tests {
     }
 
     #[test]
-    fn erase_resets_state() {
-        let (mut block, params, mut rng) = block_with(4, 512);
-        program_random(&mut block, &params, &mut rng);
-        block.apply_read_disturbs(&params, 1000);
-        block.advance_days(3.0);
-        block.erase(&params, &mut rng);
-        let st = block.status();
-        assert_eq!(st.pe_cycles, 1);
-        assert_eq!(st.reads_since_erase, 0);
-        assert_eq!(st.age_days, 0.0);
-        assert_eq!(st.dose, 0.0);
-        assert_eq!(st.programmed_pages, 0);
-    }
-
-    #[test]
     fn disturb_increases_rber_on_worn_block() {
         let (mut block, params, mut rng) = block_with(16, 2048);
         block.pre_wear(&params, &mut rng, 8_000);
         program_random(&mut block, &params, &mut rng);
-        let before = block.rber_oracle(&params).rate();
-        block.apply_read_disturbs(&params, 500_000);
-        let after = block.rber_oracle(&params).rate();
+        let before = block.oracle(&params).rate();
+        block.disturb(&params, 500_000);
+        let after = block.oracle(&params).rate();
         assert!(after > before, "rber before {before} after {after}");
     }
 
@@ -968,16 +953,16 @@ mod tests {
     fn lowering_vpass_reduces_disturb_accumulation() {
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut hi = Block::new(16, 2048, &params, &mut rng);
+        let mut hi = Fixture::new(16, 2048, &params, &mut rng);
         hi.pre_wear(&params, &mut rng, 8_000);
         let mut lo = hi.clone();
         let mut rng2 = StdRng::seed_from_u64(8);
         program_random(&mut hi, &params, &mut rng2);
         let mut rng2 = StdRng::seed_from_u64(8);
         program_random(&mut lo, &params, &mut rng2);
-        lo.set_vpass(0.96 * NOMINAL_VPASS);
-        hi.apply_read_disturbs(&params, 200_000);
-        lo.apply_read_disturbs(&params, 200_000);
+        lo.ledger.vpass[0] = 0.96 * NOMINAL_VPASS;
+        hi.disturb(&params, 200_000);
+        lo.disturb(&params, 200_000);
         assert!(lo.status().dose < hi.status().dose);
     }
 
@@ -1015,16 +1000,16 @@ mod tests {
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(42);
         // Large enough that outliers (~4e-4 of P3 cells) are present.
-        let mut block = Block::new(32, 4096, &params, &mut rng);
+        let mut block = Fixture::new(32, 4096, &params, &mut rng);
         program_random(&mut block, &params, &mut rng);
-        block.set_vpass(params.min_vpass);
+        block.ledger.vpass[0] = params.min_vpass;
         let mut blocked = 0u64;
         for page in 0..8 {
             blocked += read(&mut block, &params, page, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected some blocked bitlines at minimum vpass");
         // And none at nominal.
-        block.set_vpass(NOMINAL_VPASS);
+        block.ledger.vpass[0] = NOMINAL_VPASS;
         let mut blocked_nominal = 0u64;
         for page in 0..8 {
             blocked_nominal += read(&mut block, &params, page, false).blocked_bitlines;
@@ -1037,13 +1022,12 @@ mod tests {
         let (mut block, params, mut rng) = block_with(4, 512);
         program_random(&mut block, &params, &mut rng);
         let step = 2.0;
-        let measured = block
-            .measure_wordline_vth(&params, 1, step, false, &mut SenseScratch::default())
-            .unwrap();
-        let op = block.operating_point();
+        let measured =
+            block.measure(&params, 1, step, false, &mut SenseScratch::default()).unwrap();
+        let op = block.op_for(1);
         for (bl, m) in measured.iter().enumerate() {
             if m.is_finite() {
-                let truth = block.cells().current_vth(&params, 1, bl as u32, op);
+                let truth = block.block.cells().current_vth(&params, 1, bl as u32, op);
                 assert!((truth - m).abs() <= step / 2.0 + 1e-9, "bl {bl}: {truth} vs {m}");
             }
         }
@@ -1056,16 +1040,16 @@ mod tests {
         // less.
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(17);
-        let mut block = Block::new(16, 4096, &params, &mut rng);
+        let mut block = Fixture::new(16, 4096, &params, &mut rng);
         block.pre_wear(&params, &mut rng, 8_000);
         program_random(&mut block, &params, &mut rng);
         let target = 8u32;
-        block.hammer_wordline(&params, target, 300_000);
-        let neighbor = block.rber_oracle_wordline(&params, target + 1).rate()
-            + block.rber_oracle_wordline(&params, target - 1).rate();
-        let distant = block.rber_oracle_wordline(&params, 1).rate()
-            + block.rber_oracle_wordline(&params, 15).rate();
-        let hammered = block.rber_oracle_wordline(&params, target).rate();
+        block.hammer(&params, target, 300_000);
+        let neighbor = block.oracle_wordline(&params, target + 1).rate()
+            + block.oracle_wordline(&params, target - 1).rate();
+        let distant =
+            block.oracle_wordline(&params, 1).rate() + block.oracle_wordline(&params, 15).rate();
+        let hammered = block.oracle_wordline(&params, target).rate();
         assert!(
             neighbor > 1.3 * distant,
             "neighbours {neighbor:.3e} not hotter than distant {distant:.3e}"
@@ -1080,18 +1064,17 @@ mod tests {
     fn hammered_dose_never_negative() {
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut block = Block::new(8, 512, &params, &mut rng);
+        let mut block = Fixture::new(8, 512, &params, &mut rng);
         block.pre_wear(&params, &mut rng, 8_000);
         program_random(&mut block, &params, &mut rng);
-        block.hammer_wordline(&params, 4, 1_000_000);
-        let op = block.operating_point_for(4);
-        assert!(op.dose >= 0.0);
+        block.hammer(&params, 4, 1_000_000);
+        assert!(block.op_for(4).dose >= 0.0);
         // And the uniform batch keeps all wordlines equal.
         let mut rng2 = StdRng::seed_from_u64(3);
-        let mut uniform = Block::new(8, 512, &params, &mut rng2);
-        uniform.apply_read_disturbs(&params, 1000);
+        let mut uniform = Fixture::new(8, 512, &params, &mut rng2);
+        uniform.disturb(&params, 1000);
         for wl in 0..8 {
-            assert_eq!(uniform.operating_point_for(wl).dose, uniform.operating_point().dose);
+            assert_eq!(uniform.op_for(wl).dose, uniform.block.dose);
         }
     }
 
@@ -1101,22 +1084,21 @@ mod tests {
         // programmed block; their (erased) cells shift upward.
         let params = ChipParams::default();
         let mut rng = StdRng::seed_from_u64(9);
-        let mut block = Block::new(8, 1024, &params, &mut rng);
+        let mut block = Fixture::new(8, 1024, &params, &mut rng);
         block.pre_wear(&params, &mut rng, 8_000);
         // Program only wordline 0 (pages 0 and 1).
         for page in 0..2 {
             let data = bits::random(&mut rng, 1024);
-            block.program_page(&params, &mut rng, page, &data).unwrap();
+            block.program(&params, &mut rng, page, &data);
         }
-        let before: f64 = (0..1024)
-            .map(|bl| block.cells().current_vth(&params, 5, bl, block.operating_point_for(5)))
-            .sum::<f64>()
-            / 1024.0;
-        block.apply_read_disturbs(&params, 1_000_000);
-        let after: f64 = (0..1024)
-            .map(|bl| block.cells().current_vth(&params, 5, bl, block.operating_point_for(5)))
-            .sum::<f64>()
-            / 1024.0;
+        let mean_vth = |block: &Fixture| {
+            let op = block.op_for(5);
+            (0..1024).map(|bl| block.block.cells().current_vth(&params, 5, bl, op)).sum::<f64>()
+                / 1024.0
+        };
+        let before = mean_vth(&block);
+        block.disturb(&params, 1_000_000);
+        let after = mean_vth(&block);
         assert!(after > before + 2.0, "erased wordline moved only {before:.1} -> {after:.1}");
     }
 
@@ -1124,11 +1106,11 @@ mod tests {
     fn msb_after_lsb_preserves_lsb_data() {
         let (mut block, params, mut rng) = block_with(2, 512);
         let lsb = bits::random(&mut rng, 512);
-        block.program_page(&params, &mut rng, 0, &lsb).unwrap();
+        block.program(&params, &mut rng, 0, &lsb);
         let msb = bits::random(&mut rng, 512);
-        block.program_page(&params, &mut rng, 1, &msb).unwrap();
+        block.program(&params, &mut rng, 1, &msb);
         for bl in 0..512u32 {
-            let st = block.cells().intended_state(0, bl);
+            let st = block.block.cells().intended_state(0, bl);
             assert_eq!(st.lsb(), bits::get_bit(&lsb, bl as usize), "bl {bl}");
             assert_eq!(st.msb(), bits::get_bit(&msb, bl as usize), "bl {bl}");
         }

@@ -348,7 +348,8 @@ impl CellArray {
     }
 
     /// The cell's read-disturb susceptibility factor.
-    pub fn susceptibility(&self, wordline: u32, bitline: u32) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn susceptibility(&self, wordline: u32, bitline: u32) -> f64 {
         self.susceptibility[self.index(wordline, bitline)] as f64
     }
 
@@ -459,8 +460,9 @@ impl CellArray {
     }
 
     /// Iterates `(wordline, bitline, intended_state, current_vth)` over the
-    /// whole array.
-    pub fn iter_cells<'a>(
+    /// whole array, every wordline at `op`.
+    #[cfg(test)]
+    pub(crate) fn iter_cells<'a>(
         &'a self,
         params: &'a ChipParams,
         op: OperatingPoint,
@@ -518,8 +520,9 @@ impl CellArray {
         Ok(())
     }
 
-    /// Fraction of cells intended per state (diagnostic helper).
-    pub fn state_fractions(&self) -> [f64; 4] {
+    /// Fraction of cells intended per state.
+    #[cfg(test)]
+    pub(crate) fn state_fractions(&self) -> [f64; 4] {
         let mut counts = [0usize; 4];
         for &s in &self.intended {
             counts[s as usize] += 1;

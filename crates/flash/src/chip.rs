@@ -2,13 +2,18 @@
 //! mirroring what the paper's FPGA platform drives (erase, program, read,
 //! read-retry) plus the per-block Vpass control the paper proposes.
 //!
-//! A chip is built at one of three fidelity tiers (see [`crate::fidelity`]):
-//! the default [`ReadFidelity::CellExact`] keeps per-cell Monte-Carlo state
-//! ([`Block`]/[`crate::CellArray`]); [`ReadFidelity::PageAnalytic`] serves
-//! reads from the calibrated closed-form model at O(errors) per page and
-//! returns [`FlashError::FidelityUnsupported`] for the per-cell oracles;
-//! [`ReadFidelity::BlockAggregate`] fast-forwards per-block closed-form
-//! state between interesting events at O(1) per read, with no payloads.
+//! What a controller tracks per block — wear, retention age, reads since
+//! erase, Vpass and the programmed pages — lives once, in the chip's block
+//! ledger, whatever the tier; the lifecycle rules (program checks, erase,
+//! ageing, status) are the ledger's. Each fidelity tier (see
+//! [`crate::fidelity`]) keeps only its physics beside it: the default
+//! [`ReadFidelity::CellExact`] per-cell Monte-Carlo state (reachable as
+//! [`Chip::cells`]); [`ReadFidelity::PageAnalytic`] payloads and disturb
+//! counters, serving reads from the calibrated closed-form model at
+//! O(errors) per page and returning [`FlashError::FidelityUnsupported`] for
+//! the per-cell oracles; [`ReadFidelity::BlockAggregate`] per-block
+//! closed-form lanes fast-forwarded between interesting events at O(1) per
+//! read, with no payloads.
 
 use std::borrow::Cow;
 
@@ -19,11 +24,12 @@ use crate::aggregate_block::AggregateState;
 use crate::analytic::AnalyticModel;
 use crate::analytic_block::{AnalyticBlock, ByteSink, CountSink, ReadScratch, ReadSink};
 use crate::bits;
-use crate::block::{pack_page, Block, BlockStatus};
-use crate::cell_array::SenseScratch;
+use crate::block::{pack_page, Block};
+use crate::cell_array::{CellArray, OperatingPoint, SenseScratch};
 use crate::error::FlashError;
 use crate::fidelity::ReadFidelity;
 use crate::geometry::Geometry;
+use crate::ledger::{BlockLedger, BlockStatus};
 use crate::params::{ChipParams, NOMINAL_VPASS};
 use crate::state::{CellState, ALL_STATES};
 use crate::BitErrorStats;
@@ -120,7 +126,8 @@ impl VthHistogram {
     }
 }
 
-/// Per-block storage of the chip, selected by the fidelity tier.
+/// Per-block physics of the chip, selected by the fidelity tier; what every
+/// tier shares is the chip's [`BlockLedger`].
 // One Storage exists per chip, so the size spread between the variants
 // costs a few hundred bytes total — boxing would only add an indirection
 // on the read hot path.
@@ -130,12 +137,43 @@ enum Storage {
     /// Per-cell Monte-Carlo state (and the wordline-sensing scratch, shared
     /// by all blocks).
     Exact { blocks: Vec<Block>, scratch: SenseScratch },
-    /// Closed-form model plus lightweight per-block counters and payloads
-    /// (and the read sampler's scratch, shared by all blocks).
+    /// Closed-form model plus per-block disturb counters and payloads (and
+    /// the read sampler's scratch, shared by all blocks).
     Analytic { model: AnalyticModel, blocks: Vec<AnalyticBlock>, scratch: ReadScratch },
     /// Closed-form model plus struct-of-arrays per-block aggregate state
     /// (no payloads; reads fast-forward between interesting events).
-    Aggregate { model: AnalyticModel, state: AggregateState },
+    Aggregate { state: AggregateState },
+}
+
+impl Storage {
+    /// Block `b`'s `(pe_cycles, age_days, vpass)` moved: the analytic tier
+    /// drops its operating-point cache, the aggregate tier marks the block
+    /// dirty.
+    fn op_point_moved(&mut self, b: usize) {
+        match self {
+            Storage::Exact { .. } => {}
+            Storage::Analytic { blocks, .. } => blocks[b].op_point_moved(),
+            Storage::Aggregate { state } => state.op_point_moved(b),
+        }
+    }
+
+    /// Returns block `b`'s physics to erased after the ledger's erase.
+    fn reset(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize, rng: &mut StdRng) {
+        match self {
+            Storage::Exact { blocks, .. } => blocks[b].reset(params, rng, ledger.pe_cycles[b]),
+            Storage::Analytic { blocks, .. } => blocks[b].reset(),
+            Storage::Aggregate { state } => state.reset(b),
+        }
+    }
+
+    /// Block `b`'s block-uniform disturb dose, in the tier's own units.
+    fn dose(&self, ledger: &BlockLedger, b: usize) -> f64 {
+        match self {
+            Storage::Exact { blocks, .. } => blocks[b].dose(),
+            Storage::Analytic { model, blocks, .. } => blocks[b].dose(model, ledger, b),
+            Storage::Aggregate { state } => state.dose(b),
+        }
+    }
 }
 
 /// The simulated MLC NAND flash chip.
@@ -143,6 +181,7 @@ enum Storage {
 pub struct Chip {
     geometry: Geometry,
     params: ChipParams,
+    ledger: BlockLedger,
     storage: Storage,
     rng: StdRng,
     /// ECC correction capability hint (error bits per page) used by the
@@ -179,47 +218,36 @@ impl Chip {
             params.n_states()
         );
         let mut rng = StdRng::seed_from_u64(seed);
+        let (wordlines, bitlines) = (geometry.wordlines_per_block, geometry.bitlines);
         let storage = match params.fidelity {
             ReadFidelity::CellExact => Storage::Exact {
                 blocks: (0..geometry.blocks)
-                    .map(|_| {
-                        Block::new(
-                            geometry.wordlines_per_block,
-                            geometry.bitlines,
-                            &params,
-                            &mut rng,
-                        )
-                    })
+                    .map(|_| Block::new(wordlines, bitlines, &params, &mut rng))
                     .collect(),
                 scratch: SenseScratch::default(),
             },
             ReadFidelity::PageAnalytic => Storage::Analytic {
-                model: AnalyticModel::from_chip(&params, geometry.wordlines_per_block),
+                model: AnalyticModel::from_chip(&params, wordlines),
                 blocks: (0..geometry.blocks)
-                    .map(|_| {
-                        AnalyticBlock::new(
-                            geometry.wordlines_per_block,
-                            geometry.bitlines,
-                            geometry.bits_per_cell,
-                        )
-                    })
+                    .map(|_| AnalyticBlock::new(wordlines, bitlines, geometry.bits_per_cell))
                     .collect(),
-                scratch: ReadScratch::new(geometry.bitlines),
+                scratch: ReadScratch::new(bitlines),
             },
-            ReadFidelity::BlockAggregate => {
-                let model = AnalyticModel::from_chip(&params, geometry.wordlines_per_block);
-                let state = AggregateState::new(
+            ReadFidelity::BlockAggregate => Storage::Aggregate {
+                state: AggregateState::new(
                     geometry.blocks,
-                    geometry.wordlines_per_block,
-                    geometry.bitlines,
+                    wordlines,
+                    bitlines,
                     geometry.bits_per_cell,
                     &params,
-                    &model,
-                );
-                Storage::Aggregate { model, state }
-            }
+                    AnalyticModel::from_chip(&params, wordlines),
+                ),
+            },
         };
-        Self { geometry, params, storage, rng, read_margin: None }
+        let empty_writes = params.fidelity == ReadFidelity::BlockAggregate;
+        let ledger =
+            BlockLedger::new(geometry.blocks, geometry.pages_per_block(), bitlines, empty_writes);
+        Self { geometry, params, ledger, storage, rng, read_margin: None }
     }
 
     /// Tells the chip the decoder's per-page correction capability (error
@@ -252,18 +280,15 @@ impl Chip {
             }
             None => w.put_bool(false),
         }
+        let ledger = &self.ledger;
         match &self.storage {
             Storage::Exact { blocks, .. } => {
-                for b in blocks {
-                    b.encode_state(w);
-                }
+                blocks.iter().enumerate().for_each(|(b, block)| block.encode_state(ledger, b, w));
             }
             Storage::Analytic { blocks, .. } => {
-                for b in blocks {
-                    b.encode_state(w);
-                }
+                blocks.iter().enumerate().for_each(|(b, block)| block.encode_state(ledger, b, w));
             }
-            Storage::Aggregate { model, state } => state.encode_state(&self.params, model, w),
+            Storage::Aggregate { state } => state.encode_state(&self.params, ledger, w),
         }
     }
 
@@ -275,8 +300,10 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`crate::SnapError::Mismatch`] when the snapshot's fidelity
-    /// tier or block-lane shapes disagree with this chip, and the usual
-    /// decode errors on truncated input.
+    /// tier or block-lane shapes disagree with this chip, or its block
+    /// state contradicts itself (a programmed-page count that is not the
+    /// flags', a payload that is not one page long), and the usual decode
+    /// errors on truncated input.
     pub fn restore_state(
         &mut self,
         r: &mut crate::wire::Reader<'_>,
@@ -297,18 +324,19 @@ impl Chip {
             return Err(SnapError::Mismatch("all-zero RNG state".into()));
         }
         let read_margin = if r.get_bool()? { Some(r.get_u64()?) } else { None };
+        let ledger = &mut self.ledger;
         match &mut self.storage {
             Storage::Exact { blocks, .. } => {
-                for b in blocks.iter_mut() {
-                    b.restore_state(r)?;
+                for (b, block) in blocks.iter_mut().enumerate() {
+                    block.restore_state(ledger, b, r)?;
                 }
             }
             Storage::Analytic { blocks, .. } => {
-                for b in blocks.iter_mut() {
-                    b.restore_state(r)?;
+                for (b, block) in blocks.iter_mut().enumerate() {
+                    block.restore_state(ledger, b, r)?;
                 }
             }
-            Storage::Aggregate { state, .. } => state.restore_state(r)?,
+            Storage::Aggregate { state } => state.restore_state(ledger, r)?,
         }
         self.rng = StdRng::from_state(rng_state);
         self.read_margin = read_margin;
@@ -342,12 +370,45 @@ impl Chip {
         self.params.fidelity
     }
 
-    fn block_ref(&self, block: u32) -> Result<&Block, FlashError> {
+    /// A page-analytic chip's block `b` (its physics, for tier tests).
+    #[cfg(test)]
+    pub(crate) fn analytic_block(&self, b: usize) -> &AnalyticBlock {
+        match &self.storage {
+            Storage::Analytic { blocks, .. } => &blocks[b],
+            _ => panic!("not a page-analytic chip"),
+        }
+    }
+
+    fn exact_block(&self, block: u32) -> Result<&Block, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
             Storage::Exact { blocks, .. } => Ok(&blocks[block as usize]),
             _ => Err(FlashError::FidelityUnsupported { op: "per-cell block access" }),
         }
+    }
+
+    /// Read-only access to a block's cells (oracle inspection for
+    /// experiments and tests). Requires [`ReadFidelity::CellExact`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if `block` is out of range or the chip is not cell-exact.
+    pub fn cells(&self, block: u32) -> Result<&CellArray, FlashError> {
+        self.exact_block(block).map(Block::cells)
+    }
+
+    /// The operating point a wordline's cells sit at — the block's wear and
+    /// retention age, and the wordline's own disturb dose (concentrated
+    /// disturb included) — for evaluating [`CellArray::current_vth`].
+    /// Requires [`ReadFidelity::CellExact`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address is out of range or the chip is not cell-exact.
+    pub fn operating_point(&self, block: u32, wordline: u32) -> Result<OperatingPoint, FlashError> {
+        let exact = self.exact_block(block)?;
+        self.geometry.check_wordline(wordline)?;
+        Ok(exact.operating_point_for(&self.ledger, block as usize, wordline))
     }
 
     /// Status snapshot of a block.
@@ -357,37 +418,17 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn block_status(&self, block: u32) -> Result<BlockStatus, FlashError> {
         self.geometry.check_block(block)?;
-        match &self.storage {
-            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].status()),
-            Storage::Analytic { model, blocks, .. } => Ok(blocks[block as usize].status(model)),
-            Storage::Aggregate { state, .. } => Ok(state.status(block as usize)),
-        }
+        let b = block as usize;
+        Ok(self.ledger.status(b, self.storage.dose(&self.ledger, b)))
     }
 
-    /// Direct read-only access to a block (oracle inspection for experiments
-    /// and tests). Requires [`ReadFidelity::CellExact`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if `block` is out of range or the chip is page-analytic.
-    pub fn block(&self, block: u32) -> Result<&Block, FlashError> {
-        self.block_ref(block)
-    }
-
-    /// Erases a block.
+    /// Erases a block: one P/E cycle of wear ([`Chip::cycle_block`] by one).
     ///
     /// # Errors
     ///
     /// Fails if `block` is out of range.
     pub fn erase_block(&mut self, block: u32) -> Result<(), FlashError> {
-        self.geometry.check_block(block)?;
-        let Self { params, storage, rng, .. } = self;
-        match storage {
-            Storage::Exact { blocks, .. } => blocks[block as usize].erase(params, rng),
-            Storage::Analytic { blocks, .. } => blocks[block as usize].erase(),
-            Storage::Aggregate { state, .. } => state.erase(block as usize),
-        }
-        Ok(())
+        self.cycle_block(block, 1)
     }
 
     /// Adds `cycles` of prior wear to a block, leaving it erased (the
@@ -398,31 +439,43 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn cycle_block(&mut self, block: u32, cycles: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        let Self { params, storage, rng, .. } = self;
-        match storage {
-            Storage::Exact { blocks, .. } => blocks[block as usize].pre_wear(params, rng, cycles),
-            Storage::Analytic { blocks, .. } => blocks[block as usize].pre_wear(cycles),
-            Storage::Aggregate { state, .. } => state.pre_wear(block as usize, cycles),
-        }
+        let Self { params, ledger, storage, rng, .. } = self;
+        ledger.erase(block as usize, cycles);
+        storage.reset(params, ledger, block as usize, rng);
         Ok(())
     }
 
-    /// Programs a page with packed data bits.
+    /// Programs a page with packed data bits. LSB pages may be programmed
+    /// before their MSB page (real MLC program order); programming an MSB
+    /// page whose LSB page was never written treats the LSB data as
+    /// all-ones (erased). The first page after an erase restarts the
+    /// block's retention clock.
     ///
     /// # Errors
     ///
-    /// See [`Block::program_page`].
+    /// Checked in this order, each leaving the block untouched:
+    /// * [`FlashError::BlockOutOfRange`] / [`FlashError::PageOutOfRange`]
+    ///   for a bad address;
+    /// * [`FlashError::PageAlreadyProgrammed`] if the page was written since
+    ///   the last erase;
+    /// * [`FlashError::DataLengthMismatch`] if `data` is not exactly one bit
+    ///   per bitline (a block-aggregate chip, which keeps no payloads, also
+    ///   accepts an empty slice).
     pub fn program_page(&mut self, block: u32, page: u32, data: &[u8]) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        self.geometry.check_page(page)?;
-        let Self { params, storage, rng, .. } = self;
+        let b = block as usize;
+        if self.ledger.program(b, page, data)? {
+            self.storage.op_point_moved(b);
+        }
+        let Self { params, ledger, storage, rng, .. } = self;
         match storage {
             Storage::Exact { blocks, .. } => {
-                blocks[block as usize].program_page(params, rng, page, data)
+                blocks[b].program_page(params, rng, ledger, b, page, data);
             }
-            Storage::Analytic { blocks, .. } => blocks[block as usize].program_page(page, data),
-            Storage::Aggregate { state, .. } => state.program_page(block as usize, page, data),
+            Storage::Analytic { blocks, .. } => blocks[b].program_page(page, data),
+            Storage::Aggregate { .. } => {}
         }
+        Ok(())
     }
 
     /// Programs every page of a block with pseudo-random data derived from
@@ -450,7 +503,7 @@ impl Chip {
     ///
     /// Fails if the address is out of range.
     pub fn read_page(&mut self, block: u32, page: u32) -> Result<ReadOutcome, FlashError> {
-        self.read_page_into::<ByteSink>(block, page)
+        self.read_into::<ByteSink>(block, page, None)
     }
 
     /// [`Chip::read_page`] for callers that consume only the counts. Same
@@ -465,47 +518,51 @@ impl Chip {
     // payload-free aggregate tier nothing over `read_page`.
     #[inline]
     pub fn read_page_counts(&mut self, block: u32, page: u32) -> Result<ReadCounts, FlashError> {
-        self.read_page_into::<CountSink>(block, page).map(|outcome| outcome.counts())
+        self.read_into::<CountSink>(block, page, None).map(|outcome| outcome.counts())
     }
 
-    /// A default-reference read whose page-analytic events land in sink `S`
-    /// (the other tiers have one way to read).
-    fn read_page_into<S: ReadSink>(
+    /// A read at the default references (`shift` `None`) or shifted ones,
+    /// whose page-analytic events land in sink `S` (the other tiers have
+    /// one way to read). A block-aggregate chip fast-forwards default reads
+    /// and samples every retry.
+    fn read_into<S: ReadSink>(
         &mut self,
         block: u32,
         page: u32,
+        shift: Option<f64>,
     ) -> Result<ReadOutcome, FlashError> {
         self.geometry.check_block(block)?;
-        let Self { params, storage, rng, read_margin, .. } = self;
+        self.geometry.check_page(page)?;
+        let b = block as usize;
+        let Self { params, ledger, storage, rng, read_margin, .. } = self;
         match storage {
-            Storage::Exact { blocks, scratch } => blocks[block as usize].read_page(
-                params,
-                page,
-                &params.refs,
-                true,
-                S::BYTES,
-                scratch,
-            ),
+            Storage::Exact { blocks, scratch } => {
+                let refs = shift.map_or(params.refs, |shift| params.refs.shifted(shift));
+                blocks[b].read_page(params, ledger, b, page, &refs, true, S::BYTES, scratch)
+            }
             Storage::Analytic { model, blocks, scratch } => {
-                blocks[block as usize].read::<S>(params, model, rng, scratch, page, 0.0, true)
+                let shift = shift.unwrap_or(0.0);
+                Ok(blocks[b].read::<S>(params, model, ledger, b, rng, scratch, page, shift, true))
             }
-            Storage::Aggregate { model, state } => {
-                state.read_page(params, model, rng, *read_margin, block as usize, page, true)
-            }
+            Storage::Aggregate { state } => Ok(match shift {
+                None => state.read_page(params, ledger, rng, *read_margin, b, page, true),
+                Some(shift) => state.read_page_shifted(params, ledger, rng, b, page, shift, true),
+            }),
         }
     }
 
     /// Reads a page at fully custom read references (each boundary moved
     /// independently), as read-reference optimization requires.
     ///
-    /// On a page-analytic chip only the default references are served (the
-    /// closed-form model has no per-boundary error decomposition).
+    /// The closed-form tiers (page-analytic and block-aggregate) serve only
+    /// the default references: their model has no per-boundary error
+    /// decomposition.
     ///
     /// # Errors
     ///
     /// Fails if the address is out of range, or with
     /// [`FlashError::FidelityUnsupported`] for non-default references on a
-    /// page-analytic chip.
+    /// closed-form tier or a non-MLC reference set on a cell-exact chip.
     pub fn read_page_with_refs(
         &mut self,
         block: u32,
@@ -513,17 +570,15 @@ impl Chip {
         refs: &crate::state::VoltageRefs,
     ) -> Result<ReadOutcome, FlashError> {
         self.geometry.check_block(block)?;
-        match &mut self.storage {
+        let b = block as usize;
+        let Self { geometry, params, ledger, storage, .. } = self;
+        match storage {
             Storage::Exact { blocks, scratch } => {
-                blocks[block as usize].read_page(&self.params, page, refs, true, true, scratch)
+                geometry.check_page(page)?;
+                blocks[b].read_page(params, ledger, b, page, refs, true, true, scratch)
             }
-            Storage::Analytic { .. } | Storage::Aggregate { .. } => {
-                if *refs == self.params.refs {
-                    self.read_page(block, page)
-                } else {
-                    Err(FlashError::FidelityUnsupported { op: "custom-reference read" })
-                }
-            }
+            _ if *refs == params.refs => self.read_page(block, page),
+            _ => Err(FlashError::FidelityUnsupported { op: "custom-reference read" }),
         }
     }
 
@@ -531,11 +586,12 @@ impl Chip {
     /// (the mechanism the paper uses to measure Vth distributions and to
     /// mimic Vpass changes on real chips, §2).
     ///
-    /// Served at both fidelity tiers: the cell-exact chip classifies every
-    /// cell against the shifted references; the page-analytic chip samples
-    /// the retry around its closed-form shifted-RBER model (disturb errors
-    /// decay with a positive shift, retention errors grow, and the
-    /// misclassification floor follows the moved references).
+    /// Served at every fidelity tier: the cell-exact chip classifies every
+    /// cell against the shifted references; the closed-form tiers sample
+    /// the retry around the shifted-RBER model (disturb errors decay with a
+    /// positive shift, retention errors grow, and the misclassification
+    /// floor follows the moved references) — per wordline on a
+    /// page-analytic chip, at the block-level rate on a block-aggregate one.
     ///
     /// # Errors
     ///
@@ -546,7 +602,7 @@ impl Chip {
         page: u32,
         shift: f64,
     ) -> Result<RetryReadOutcome, FlashError> {
-        let outcome = self.read_retry_into::<ByteSink>(block, page, shift)?;
+        let outcome = self.read_into::<ByteSink>(block, page, Some(shift))?;
         Ok(RetryReadOutcome { shift, outcome })
     }
 
@@ -562,30 +618,7 @@ impl Chip {
         page: u32,
         shift: f64,
     ) -> Result<ReadCounts, FlashError> {
-        self.read_retry_into::<CountSink>(block, page, shift).map(|outcome| outcome.counts())
-    }
-
-    /// A shifted-reference read whose page-analytic events land in sink `S`.
-    fn read_retry_into<S: ReadSink>(
-        &mut self,
-        block: u32,
-        page: u32,
-        shift: f64,
-    ) -> Result<ReadOutcome, FlashError> {
-        self.geometry.check_block(block)?;
-        let Self { params, storage, rng, .. } = self;
-        match storage {
-            Storage::Exact { blocks, scratch } => {
-                let refs = params.refs.shifted(shift);
-                blocks[block as usize].read_page(params, page, &refs, true, S::BYTES, scratch)
-            }
-            Storage::Analytic { model, blocks, scratch } => {
-                blocks[block as usize].read::<S>(params, model, rng, scratch, page, shift, true)
-            }
-            Storage::Aggregate { model, state } => {
-                state.read_page_shifted(params, model, rng, block as usize, page, shift, true)
-            }
-        }
+        self.read_into::<CountSink>(block, page, Some(shift)).map(|outcome| outcome.counts())
     }
 
     /// Applies the disturb effect of `n` reads spread over a block in one
@@ -596,21 +629,21 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn apply_read_disturbs(&mut self, block: u32, n: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        match &mut self.storage {
-            Storage::Exact { blocks, .. } => {
-                blocks[block as usize].apply_read_disturbs(&self.params, n)
-            }
-            Storage::Analytic { blocks, .. } => blocks[block as usize].apply_read_disturbs(n),
-            Storage::Aggregate { model, state } => {
-                state.apply_read_disturbs(&self.params, model, block as usize, n);
-            }
+        let b = block as usize;
+        let Self { params, ledger, storage, .. } = self;
+        match storage {
+            Storage::Exact { blocks, .. } => blocks[b].apply_read_disturbs(params, ledger, b, n),
+            Storage::Analytic { blocks, .. } => blocks[b].apply_read_disturbs(ledger, b, n),
+            Storage::Aggregate { state } => state.apply_read_disturbs(params, ledger, b, n),
         }
         Ok(())
     }
 
-    /// Applies the disturb effect of `n` reads all targeting one wordline:
-    /// its direct neighbours receive concentrated extra disturb, the target
-    /// itself none (see [`Block::hammer_wordline`]).
+    /// Applies the disturb effect of `n` reads all targeting one wordline
+    /// (a "hammered" page): every other wordline receives the uniform dose,
+    /// its direct neighbours concentrated extra disturb, the target itself
+    /// none — its gates see read references, not Vpass, during its own
+    /// reads. A block-aggregate chip folds the hammer into its block mean.
     ///
     /// # Errors
     ///
@@ -618,22 +651,24 @@ impl Chip {
     pub fn hammer_wordline(&mut self, block: u32, wordline: u32, n: u64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
-        match &mut self.storage {
+        let b = block as usize;
+        let Self { params, ledger, storage, .. } = self;
+        match storage {
             Storage::Exact { blocks, .. } => {
-                blocks[block as usize].hammer_wordline(&self.params, wordline, n);
+                blocks[b].hammer_wordline(params, ledger, b, wordline, n)
             }
             Storage::Analytic { blocks, .. } => {
-                blocks[block as usize].hammer_wordline(&self.params, wordline, n);
+                blocks[b].hammer_wordline(params, ledger, b, wordline, n)
             }
-            Storage::Aggregate { model, state } => {
-                state.hammer_wordline(&self.params, model, block as usize, wordline, n);
-            }
+            Storage::Aggregate { state } => state.hammer_wordline(params, ledger, b, wordline, n),
         }
         Ok(())
     }
 
-    /// Oracle RBER of one wordline's programmed pages. On a page-analytic
-    /// chip this is the closed-form expectation, rounded to whole bits.
+    /// Oracle RBER of one wordline's programmed pages. On the closed-form
+    /// tiers this is the closed-form expectation, rounded to whole bits; a
+    /// block-aggregate chip keeps no per-wordline state, so its value is the
+    /// block-level rate, with no hammer concentration.
     ///
     /// # Errors
     ///
@@ -645,37 +680,23 @@ impl Chip {
     ) -> Result<crate::BitErrorStats, FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
-        match &self.storage {
+        let (b, params, ledger) = (block as usize, &self.params, &self.ledger);
+        Ok(match &self.storage {
             Storage::Exact { blocks, .. } => {
-                Ok(blocks[block as usize].rber_oracle_wordline(&self.params, wordline))
+                blocks[b].rber_oracle_wordline(params, ledger, b, wordline)
             }
             Storage::Analytic { model, blocks, .. } => {
-                Ok(blocks[block as usize].rber_wordline_oracle(&self.params, model, wordline))
+                blocks[b].rber_wordline_oracle(params, model, ledger, b, wordline)
             }
-            Storage::Aggregate { model, state } => {
-                Ok(state.rber_wordline_oracle(&self.params, model, block as usize, wordline))
-            }
-        }
+            Storage::Aggregate { state } => state.rber_wordline_oracle(params, ledger, b, wordline),
+        })
     }
 
     /// Advances the retention clock of every block.
     pub fn advance_days(&mut self, days: f64) {
-        match &mut self.storage {
-            Storage::Exact { blocks, .. } => {
-                for b in blocks {
-                    b.advance_days(days);
-                }
-            }
-            Storage::Analytic { blocks, .. } => {
-                for b in blocks {
-                    b.advance_days(days);
-                }
-            }
-            Storage::Aggregate { state, .. } => {
-                for b in 0..self.geometry.blocks {
-                    state.advance_days(b as usize, days);
-                }
-            }
+        for b in 0..self.geometry.blocks as usize {
+            self.ledger.advance_days(b, days);
+            self.storage.op_point_moved(b);
         }
     }
 
@@ -686,15 +707,14 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn advance_block_days(&mut self, block: u32, days: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        match &mut self.storage {
-            Storage::Exact { blocks, .. } => blocks[block as usize].advance_days(days),
-            Storage::Analytic { blocks, .. } => blocks[block as usize].advance_days(days),
-            Storage::Aggregate { state, .. } => state.advance_days(block as usize, days),
-        }
+        self.ledger.advance_days(block as usize, days);
+        self.storage.op_point_moved(block as usize);
         Ok(())
     }
 
-    /// Sets a block's pass-through voltage.
+    /// Sets a block's pass-through voltage (the interface the paper
+    /// proposes manufacturers add, §7). A page-analytic chip first folds
+    /// the block's pending reads at the Vpass they happened under.
     ///
     /// # Errors
     ///
@@ -709,13 +729,12 @@ impl Chip {
                 max: NOMINAL_VPASS,
             });
         }
-        match &mut self.storage {
-            Storage::Exact { blocks, .. } => blocks[block as usize].set_vpass(vpass),
-            Storage::Analytic { model, blocks, .. } => {
-                blocks[block as usize].set_vpass(model, vpass);
-            }
-            Storage::Aggregate { state, .. } => state.set_vpass(block as usize, vpass),
+        let b = block as usize;
+        if let Storage::Analytic { model, blocks, .. } = &mut self.storage {
+            blocks[b].fold_pending(model, &self.ledger, b);
         }
+        self.ledger.vpass[b] = vpass;
+        self.storage.op_point_moved(b);
         Ok(())
     }
 
@@ -726,57 +745,51 @@ impl Chip {
     /// Fails if `block` is out of range.
     pub fn block_vpass(&self, block: u32) -> Result<f64, FlashError> {
         self.geometry.check_block(block)?;
-        match &self.storage {
-            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].vpass()),
-            Storage::Analytic { blocks, .. } => Ok(blocks[block as usize].vpass()),
-            Storage::Aggregate { state, .. } => Ok(state.vpass(block as usize)),
-        }
+        Ok(self.ledger.vpass[block as usize])
     }
 
-    /// Oracle RBER of a block (no disturb added by the measurement). On a
-    /// page-analytic chip this is the closed-form expectation, rounded to
+    /// Oracle RBER of a block (no disturb added by the measurement). On the
+    /// closed-form tiers this is the closed-form expectation, rounded to
     /// whole bits.
     ///
     /// # Errors
     ///
     /// Fails if `block` is out of range.
     pub fn block_rber(&self, block: u32) -> Result<BitErrorStats, FlashError> {
-        self.geometry.check_block(block)?;
-        match &self.storage {
-            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].rber_oracle(&self.params)),
-            Storage::Analytic { model, blocks, .. } => {
-                Ok(blocks[block as usize].rber_oracle(&self.params, model))
-            }
-            Storage::Aggregate { model, state } => {
-                Ok(state.rber_oracle(&self.params, model, block as usize))
-            }
-        }
+        let (expected, bits) = self.rber_expectation(block)?;
+        Ok(BitErrorStats::new(expected.round() as u64, bits))
     }
 
     /// Expected block RBER as a real number over the block's programmed
     /// pages: the per-cell oracle rate on a cell-exact chip, the *unrounded*
-    /// closed-form expectation on a page-analytic chip. This is the quantity
-    /// to compare across fidelity tiers — [`Chip::block_rber`] rounds to
-    /// whole bits, which quantizes small expectations to zero.
+    /// closed-form expectation on the closed-form tiers. This is the
+    /// quantity to compare across fidelity tiers — [`Chip::block_rber`]
+    /// rounds to whole bits, which quantizes small expectations to zero.
     ///
     /// # Errors
     ///
     /// Fails if `block` is out of range.
     pub fn block_rber_rate(&self, block: u32) -> Result<f64, FlashError> {
+        let (expected, bits) = self.rber_expectation(block)?;
+        Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
+    }
+
+    /// `(expected error bits, bits)` over a block's programmed pages: the
+    /// per-cell oracle's count on a cell-exact chip, the unrounded
+    /// closed-form expectation on the other tiers.
+    fn rber_expectation(&self, block: u32) -> Result<(f64, u64), FlashError> {
         self.geometry.check_block(block)?;
-        match &self.storage {
+        let (b, params, ledger) = (block as usize, &self.params, &self.ledger);
+        Ok(match &self.storage {
             Storage::Exact { blocks, .. } => {
-                Ok(blocks[block as usize].rber_oracle(&self.params).rate())
+                let oracle = blocks[b].rber_oracle(params, ledger, b);
+                (oracle.errors as f64, oracle.bits)
             }
             Storage::Analytic { model, blocks, .. } => {
-                let (expected, bits) = blocks[block as usize].rber_expectation(&self.params, model);
-                Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
+                blocks[b].rber_expectation(params, model, ledger, b)
             }
-            Storage::Aggregate { model, state } => {
-                let (expected, bits) = state.rber_expectation(&self.params, model, block as usize);
-                Ok(if bits == 0 { 0.0 } else { expected / bits as f64 })
-            }
-        }
+            Storage::Aggregate { state } => state.rber_expectation(params, ledger, b),
+        })
     }
 
     /// Threshold-voltage histogram of a block (oracle; the experimental
@@ -785,10 +798,10 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if `block` is out of range, the chip is page-analytic, or
+    /// Fails if `block` is out of range, the chip is not cell-exact, or
     /// `bin_width` is not positive and finite.
     pub fn vth_histogram(&self, block: u32, bin_width: f64) -> Result<VthHistogram, FlashError> {
-        let b = self.block_ref(block)?;
+        let b = self.exact_block(block)?;
         if !(bin_width > 0.0 && bin_width.is_finite()) {
             return Err(FlashError::StepNotPositive { step: bin_width });
         }
@@ -802,7 +815,7 @@ impl Chip {
             by_state: [vec![0; nbins], vec![0; nbins], vec![0; nbins], vec![0; nbins]],
             total: 0,
         };
-        for (_, _, state, vth) in b.iter_cells_current(&self.params) {
+        for (_, _, state, vth) in b.iter_cells_current(&self.params, &self.ledger, block as usize) {
             let bin = ((vth - min) / bin_width).floor();
             if bin >= 0.0 && (bin as usize) < nbins {
                 let i = bin as usize;
@@ -820,7 +833,7 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if the address is out of range, the chip is page-analytic, or
+    /// Fails if the address is out of range, the chip is not cell-exact, or
     /// `step` is not positive and finite.
     pub fn measure_wordline_vth(
         &mut self,
@@ -831,9 +844,12 @@ impl Chip {
     ) -> Result<Vec<f64>, FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_wordline(wordline)?;
+        let b = block as usize;
         match &mut self.storage {
-            Storage::Exact { blocks, scratch } => blocks[block as usize].measure_wordline_vth(
+            Storage::Exact { blocks, scratch } => blocks[b].measure_wordline_vth(
                 &self.params,
+                &mut self.ledger,
+                b,
                 wordline,
                 step,
                 disturb,
@@ -851,11 +867,7 @@ impl Chip {
     pub fn is_page_programmed(&self, block: u32, page: u32) -> Result<bool, FlashError> {
         self.geometry.check_block(block)?;
         self.geometry.check_page(page)?;
-        match &self.storage {
-            Storage::Exact { blocks, .. } => Ok(blocks[block as usize].is_page_programmed(page)),
-            Storage::Analytic { blocks, .. } => Ok(blocks[block as usize].is_page_programmed(page)),
-            Storage::Aggregate { state, .. } => Ok(state.is_page_programmed(block as usize, page)),
-        }
+        Ok(self.ledger.is_programmed(block as usize, page))
     }
 
     /// Ground-truth programmed bits of a page (evaluation oracle for
@@ -863,7 +875,7 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if the address is out of range or the page is unprogrammed.
+    /// See [`Chip::page_payload`].
     pub fn intended_page_bits(&self, block: u32, page: u32) -> Result<Vec<u8>, FlashError> {
         self.page_payload(block, page).map(Cow::into_owned)
     }
@@ -874,26 +886,23 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Fails if the address is out of range or the page is unprogrammed.
+    /// Fails if the address is out of range or the page is unprogrammed,
+    /// and with [`FlashError::FidelityUnsupported`] on a block-aggregate
+    /// chip, which keeps no payloads.
     pub fn page_payload(&self, block: u32, page: u32) -> Result<Cow<'_, [u8]>, FlashError> {
-        self.geometry.check_block(block)?;
-        self.geometry.check_page(page)?;
+        let programmed = self.is_page_programmed(block, page)?;
+        let b = block as usize;
         match &self.storage {
-            Storage::Exact { blocks, .. } => {
-                let b = &blocks[block as usize];
-                if !b.is_page_programmed(page) {
-                    return Err(FlashError::PageNotProgrammed { page });
-                }
-                let addr = crate::geometry::PageAddr { block, page };
-                let data = pack_page(b.cells().intended_wordline(addr.wordline()), addr.kind());
-                Ok(Cow::Owned(data))
-            }
-            Storage::Analytic { blocks, .. } => {
-                blocks[block as usize].intended_page_bits(page).map(Cow::Borrowed)
-            }
             Storage::Aggregate { .. } => {
                 Err(FlashError::FidelityUnsupported { op: "page payload retrieval" })
             }
+            _ if !programmed => Err(FlashError::PageNotProgrammed { page }),
+            Storage::Exact { blocks, .. } => {
+                let addr = crate::geometry::PageAddr { block, page };
+                let cells = blocks[b].cells();
+                Ok(Cow::Owned(pack_page(cells.intended_wordline(addr.wordline()), addr.kind())))
+            }
+            Storage::Analytic { blocks, .. } => Ok(Cow::Borrowed(blocks[b].payload(page))),
         }
     }
 }
@@ -1005,14 +1014,16 @@ mod tests {
         chip.apply_read_disturbs(0, 700_000).unwrap();
         chip.hammer_wordline(0, 3, 200_000).unwrap();
         let hist = chip.vth_histogram(0, 2.0).unwrap();
-        let block = chip.block(0).unwrap();
+        let cells = chip.cells(0).unwrap();
         let mut expected = [(); 4].map(|()| vec![0u64; hist.counts.len()]);
         let geometry = chip.geometry();
         for wl in 0..geometry.wordlines_per_block {
+            let op = chip.operating_point(0, wl).unwrap();
             for bl in 0..geometry.bitlines {
-                let vth = crate::block::reference::vth(block, chip.params(), wl, bl);
+                let i = (wl * geometry.bitlines + bl) as usize;
+                let vth = cells.reference_vth(chip.params(), i, op);
                 let bin = ((vth - hist.min) / hist.bin_width).floor() as usize;
-                expected[block.cells().intended_state(wl, bl).index() as usize][bin] += 1;
+                expected[cells.intended_state(wl, bl).index() as usize][bin] += 1;
             }
         }
         assert_eq!(hist.by_state, expected);
@@ -1182,7 +1193,8 @@ mod tests {
             chip.measure_wordline_vth(0, 0, 1.0, false),
             Err(FlashError::FidelityUnsupported { .. })
         ));
-        assert!(matches!(chip.block(0), Err(FlashError::FidelityUnsupported { .. })));
+        assert!(matches!(chip.cells(0), Err(FlashError::FidelityUnsupported { .. })));
+        assert!(matches!(chip.operating_point(0, 0), Err(FlashError::FidelityUnsupported { .. })));
         // Default refs and zero shift are served.
         let refs = chip.params().refs;
         assert!(chip.read_page_with_refs(0, 0, &refs).is_ok());
@@ -1239,7 +1251,8 @@ mod tests {
             chip.measure_wordline_vth(0, 0, 1.0, false),
             Err(FlashError::FidelityUnsupported { .. })
         ));
-        assert!(matches!(chip.block(0), Err(FlashError::FidelityUnsupported { .. })));
+        assert!(matches!(chip.cells(0), Err(FlashError::FidelityUnsupported { .. })));
+        assert!(matches!(chip.operating_point(0, 0), Err(FlashError::FidelityUnsupported { .. })));
         assert!(matches!(
             chip.intended_page_bits(0, 0),
             Err(FlashError::FidelityUnsupported { .. })

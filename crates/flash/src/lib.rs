@@ -24,8 +24,9 @@
 //!
 //! Two levels of fidelity are provided and kept consistent by tests:
 //!
-//! 1. [`Chip`] / [`Block`] / [`CellArray`] — Monte-Carlo, per-cell simulation
-//!    used for the characterization experiments (Figs. 2–6, 10).
+//! 1. [`Chip`] / [`CellArray`] — Monte-Carlo, per-cell simulation used for
+//!    the characterization experiments (Figs. 2–6, 10); [`Chip::cells`] and
+//!    [`Chip::operating_point`] expose a block's cells for inspection.
 //! 2. [`AnalyticModel`] — closed-form RBER model used at SSD scale
 //!    (endurance evaluation, Fig. 8), calibrated to the paper's reported
 //!    curves (pinned by `tests/calibration.rs`).
@@ -37,7 +38,10 @@
 //! [`ReadFidelity::BlockAggregate`] fast-forwards closed-form per-block
 //! state between interesting events at O(1) per read — the tier
 //! billion-op lifetime replay uses (see [`fidelity`] for the contract
-//! between the tiers).
+//! between the tiers). Whatever the tier, a chip keeps each block's wear,
+//! retention age, read count, Vpass and programmed pages once, in one block
+//! ledger with one set of lifecycle rules ([`BlockStatus`] reports it);
+//! each tier adds only its physics.
 //!
 //! ## Quick example
 //!
@@ -75,14 +79,15 @@ pub use chips_codegen::{analytic, chips, fidelity, math, params, state};
 mod aggregate_block;
 mod analytic_block;
 mod block;
+mod ledger;
 
 pub use analytic::{gaussian_tail_floor, AnalyticModel, AnalyticParams, RberBreakdown};
-pub use block::{Block, BlockStatus};
 pub use cell_array::CellArray;
 pub use chip::{Chip, ReadCounts, ReadOutcome, RetryReadOutcome, VthHistogram};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;
 pub use geometry::{CellAddr, Geometry, PageAddr, PageKind, WordlineAddr};
+pub use ledger::BlockStatus;
 pub use params::{ChipParams, StateParams, NOMINAL_VPASS};
 pub use state::{CellState, StateRegion, VoltageRefs};
 pub use wire::SnapError;

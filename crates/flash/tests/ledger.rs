@@ -5,13 +5,17 @@
 //! One random command sequence drives one chip per tier, and after every
 //! step the three agree on everything but the tier-specific disturb dose. A
 //! scripted history then pins `fnv1a(Chip::encode_state)` per tier, so a
-//! change to any tier's checkpoint layout or arithmetic shows up here.
+//! change to any tier's checkpoint layout or arithmetic shows up here. An
+//! erase is pre-wear by one cycle on every tier, and a checkpoint whose
+//! block state contradicts itself is refused rather than restored.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rd_flash::NOMINAL_VPASS;
-use rd_flash::{bits, wire, BlockStatus, Chip, ChipParams, FlashError, Geometry, ReadFidelity};
+use rd_flash::{
+    bits, wire, BlockStatus, Chip, ChipParams, FlashError, Geometry, ReadFidelity, SnapError,
+};
 
 const TIERS: [ReadFidelity; 3] =
     [ReadFidelity::CellExact, ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate];
@@ -198,4 +202,135 @@ fn checkpoint_bytes_are_pinned_per_tier() {
         "{}",
         got.iter().map(|(tier, h)| format!("{tier}: {h:#018x}")).collect::<Vec<_>>().join(", ")
     );
+}
+
+/// A worn, programmed, aged, disturbed chip of `tier`: blocks 0 and 1 in
+/// use, block 2 fresh.
+fn used_chip(tier: ReadFidelity) -> Chip {
+    let mut chip = Chip::with_fidelity(geometry(), ChipParams::default(), 33, tier);
+    chip.set_read_margin(Some(8));
+    chip.cycle_block(0, 4_000).unwrap();
+    chip.program_block_random(0, 1).unwrap();
+    chip.program_page(1, 0, &bits::random(&mut StdRng::seed_from_u64(2), 256)).unwrap();
+    chip.advance_days(6.0);
+    chip.apply_read_disturbs(0, 200_000).unwrap();
+    chip.hammer_wordline(1, 0, 30_000).unwrap();
+    chip.set_block_vpass(0, chip.params().min_vpass).unwrap();
+    chip.read_page(0, 3).unwrap();
+    chip
+}
+
+fn encoded(chip: &Chip) -> Vec<u8> {
+    let mut w = wire::Writer::new();
+    chip.encode_state(&mut w);
+    w.into_bytes()
+}
+
+/// On every tier, erasing a block and pre-wearing it by one cycle leave
+/// twin chips with the same checkpoint bytes and the same next reads.
+#[test]
+fn erase_is_pre_wear_by_one() {
+    for tier in TIERS {
+        for block in 0..geometry().blocks {
+            let (mut erased, mut cycled) = (used_chip(tier), used_chip(tier));
+            erased.erase_block(block).unwrap();
+            cycled.cycle_block(block, 1).unwrap();
+            assert_eq!(encoded(&erased), encoded(&cycled), "{tier}, block {block}");
+            for chip in [&mut erased, &mut cycled] {
+                chip.program_block_random(block, 7).unwrap();
+            }
+            for page in 0..geometry().pages_per_block() {
+                let reads = [&mut erased, &mut cycled]
+                    .map(|chip| chip.read_page_counts(block, page).unwrap());
+                assert_eq!(reads[0], reads[1], "{tier}, block {block}, page {page}");
+            }
+            assert_eq!(encoded(&erased), encoded(&cycled), "{tier}, block {block}");
+        }
+    }
+}
+
+/// The head of a snapshot: fidelity tag, a non-zero RNG state, no margin.
+fn snapshot_head(tier: ReadFidelity) -> wire::Writer {
+    let mut w = wire::Writer::new();
+    w.put_u8(tier.tag());
+    for word in 1..=4u64 {
+        w.put_u64(word);
+    }
+    w.put_bool(false);
+    w
+}
+
+fn restore(tier: ReadFidelity, snapshot: wire::Writer) -> Result<(), SnapError> {
+    let mut chip = Chip::with_fidelity(geometry(), ChipParams::default(), 1, tier);
+    chip.restore_state(&mut wire::Reader::new(&snapshot.into_bytes()))
+}
+
+/// A page-analytic snapshot whose one programmed page carries a 1-byte
+/// payload on a 256-bitline chip is refused; restored, its next read would
+/// index past the payload.
+#[test]
+fn analytic_payloads_must_be_one_page_long() {
+    let g = geometry();
+    let pages = g.pages_per_block() as usize;
+    let snapshot = |payload_len: usize| {
+        let mut w = snapshot_head(ReadFidelity::PageAnalytic);
+        for block in 0..g.blocks {
+            w.put_u64(0); // P/E cycles
+            w.put_f64(0.0); // age
+            w.put_u64(0); // reads since erase
+            w.put_f64(NOMINAL_VPASS);
+            let mut flags = vec![false; pages];
+            flags[0] = block == 0;
+            w.put_bools(&flags);
+            w.put_u64(pages as u64);
+            for page in 0..pages {
+                let len = if block == 0 && page == 0 { payload_len } else { 0 };
+                w.put_bytes(&vec![0xa5; len]);
+            }
+            w.put_f64(0.0);
+            w.put_f64s(&vec![0.0; g.wordlines_per_block as usize]);
+            w.put_f64(0.0);
+            w.put_f64s(&vec![0.0; g.wordlines_per_block as usize]);
+        }
+        w
+    };
+    assert_eq!(restore(ReadFidelity::PageAnalytic, snapshot(g.bits_per_page() / 8)), Ok(()));
+    assert!(matches!(
+        restore(ReadFidelity::PageAnalytic, snapshot(1)),
+        Err(SnapError::Mismatch(_))
+    ));
+}
+
+/// A block-aggregate snapshot whose programmed-page count says 0 while a
+/// page flag is set is refused; restored, the chip would report
+/// `programmed_pages: 0` for a block with a programmed page.
+#[test]
+fn aggregate_programmed_counts_must_match_the_flags() {
+    let g = geometry();
+    let n = g.blocks as usize;
+    let snapshot = |count: u32| {
+        let mut w = snapshot_head(ReadFidelity::BlockAggregate);
+        w.put_u64s(&vec![0; n]); // P/E cycles
+        w.put_f64s(&vec![0.0; n]); // age
+        w.put_u64s(&vec![0; n]); // reads since erase
+        w.put_f64s(&vec![NOMINAL_VPASS; n]);
+        for _ in 0..4 {
+            w.put_f64s(&vec![0.0; n]); // lin, slope, static RBER, blocked
+        }
+        w.put_u64s(&vec![0; n]); // summary errors
+        w.put_u64s(&vec![0; n]); // summary horizon
+        w.put_bools(&vec![false; n]); // sampling
+        let mut flags = vec![false; n * g.pages_per_block() as usize];
+        flags[0] = true;
+        w.put_bools(&flags);
+        let mut counts = vec![0u32; n];
+        counts[0] = count;
+        w.put_u32s(&counts);
+        w
+    };
+    assert_eq!(restore(ReadFidelity::BlockAggregate, snapshot(1)), Ok(()));
+    assert!(matches!(
+        restore(ReadFidelity::BlockAggregate, snapshot(0)),
+        Err(SnapError::Mismatch(_))
+    ));
 }

@@ -229,5 +229,5 @@ fn cell_exact_is_the_default_tier() {
     assert_eq!(EngineConfig::small_test().fidelity(), ReadFidelity::CellExact);
     let chip = Chip::new(Geometry::small(), ChipParams::default(), 1);
     assert_eq!(chip.fidelity(), ReadFidelity::CellExact);
-    assert!(chip.block(0).is_ok(), "default tier keeps per-cell access");
+    assert!(chip.cells(0).is_ok(), "default tier keeps per-cell access");
 }
