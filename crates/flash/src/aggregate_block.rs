@@ -907,4 +907,38 @@ mod tests {
             "positive retry shift must recover disturb errors ({raised} !< {base})"
         );
     }
+
+    /// The payload-free tier programs with an empty write and otherwise
+    /// refuses and erases exactly as the other tiers do.
+    #[test]
+    fn program_and_erase_semantics_match_other_tiers() {
+        use crate::{Chip, Geometry, ReadFidelity};
+        let mut chip = Chip::with_fidelity(
+            Geometry::small(),
+            ChipParams::default(),
+            5,
+            ReadFidelity::BlockAggregate,
+        );
+        chip.program_page(0, 3, &[]).unwrap();
+        assert!(chip.is_page_programmed(0, 3).unwrap());
+        assert!(matches!(
+            chip.program_page(0, 3, &[]),
+            Err(FlashError::PageAlreadyProgrammed { page: 3 })
+        ));
+        assert!(matches!(chip.program_page(0, 99, &[]), Err(FlashError::PageOutOfRange { .. })));
+        assert!(matches!(
+            chip.program_page(0, 4, &[0u8; 3]),
+            Err(FlashError::DataLengthMismatch { .. })
+        ));
+        chip.apply_read_disturbs(0, 1_000).unwrap();
+        chip.advance_days(3.0);
+        chip.erase_block(0).unwrap();
+        let st = chip.block_status(0).unwrap();
+        assert_eq!(st.pe_cycles, 1);
+        assert_eq!(st.reads_since_erase, 0);
+        assert_eq!(st.age_days, 0.0);
+        assert_eq!(st.dose, 0.0);
+        assert_eq!(st.programmed_pages, 0);
+        assert!(!chip.is_page_programmed(0, 3).unwrap());
+    }
 }

@@ -608,7 +608,7 @@ mod tests {
     use super::*;
     use crate::analytic::{gaussian_tail_floor_shifted, RETRY_SHIFT_DECAY, RETRY_SHIFT_GAIN_CAP};
     use crate::params::NOMINAL_VPASS;
-    use crate::{Chip, Geometry, ReadFidelity};
+    use crate::{Chip, FlashError, Geometry, ReadFidelity};
     use rand::SeedableRng;
 
     /// A block with a one-row ledger of its own (row 0), moved by the rules
@@ -737,6 +737,48 @@ mod tests {
         assert!(out.stats.errors <= 2, "fresh analytic read had {} errors", out.stats.errors);
         assert_eq!(out.blocked_bitlines, 0, "no blocking at nominal Vpass");
         assert_eq!(block.ledger.status(0, block.dose(&model)).reads_since_erase, 1);
+    }
+
+    /// Program validation on the page-analytic chip refuses exactly what
+    /// the cell-exact chip refuses.
+    #[test]
+    fn program_validation_matches_exact_block() {
+        let data = bits::random(&mut StdRng::seed_from_u64(2024), 512);
+        let outcomes = [ReadFidelity::CellExact, ReadFidelity::PageAnalytic].map(|tier| {
+            let mut chip = Chip::with_fidelity(Geometry::small(), ChipParams::default(), 5, tier);
+            chip.program_page(0, 0, &data).unwrap();
+            let double = chip.program_page(0, 0, &data);
+            assert!(matches!(double, Err(FlashError::PageAlreadyProgrammed { page: 0 })), "{tier}");
+            let range = chip.program_page(0, 99, &data);
+            assert!(matches!(range, Err(FlashError::PageOutOfRange { .. })), "{tier}");
+            let short = chip.program_page(0, 1, &[0u8; 3]);
+            assert!(matches!(short, Err(FlashError::DataLengthMismatch { .. })), "{tier}");
+            let unwritten = chip.intended_page_bits(0, 2);
+            assert!(matches!(unwritten, Err(FlashError::PageNotProgrammed { .. })), "{tier}");
+            (double, range, short, unwritten, chip.block_status(0).unwrap().programmed_pages)
+        });
+        assert_eq!(outcomes[0], outcomes[1]);
+    }
+
+    #[test]
+    fn erase_resets_state_and_increments_wear() {
+        let mut chip = Chip::with_fidelity(
+            Geometry::small(),
+            ChipParams::default(),
+            5,
+            ReadFidelity::PageAnalytic,
+        );
+        chip.program_block_random(0, 1).unwrap();
+        chip.apply_read_disturbs(0, 1_000).unwrap();
+        chip.advance_days(3.0);
+        chip.erase_block(0).unwrap();
+        let st = chip.block_status(0).unwrap();
+        assert_eq!(st.pe_cycles, 1);
+        assert_eq!(st.reads_since_erase, 0);
+        assert_eq!(st.age_days, 0.0);
+        assert_eq!(st.dose, 0.0);
+        assert_eq!(st.programmed_pages, 0);
+        assert!(!chip.is_page_programmed(0, 0).unwrap());
     }
 
     #[test]

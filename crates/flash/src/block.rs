@@ -906,6 +906,47 @@ mod tests {
         assert!(stats.rate() < 1e-3, "fresh rber = {}", stats.rate());
     }
 
+    /// A cell-exact chip: program and erase go through the chip, which
+    /// applies the ledger's rules before the block's physics.
+    fn exact_chip() -> crate::Chip {
+        use crate::{Chip, Geometry, ReadFidelity};
+        Chip::with_fidelity(Geometry::small(), ChipParams::default(), 2024, ReadFidelity::CellExact)
+    }
+
+    #[test]
+    fn double_program_rejected() {
+        let mut chip = exact_chip();
+        let data = bits::random(&mut StdRng::seed_from_u64(1), 512);
+        chip.program_page(0, 0, &data).unwrap();
+        let before = chip.block_status(0).unwrap();
+        let err = chip.program_page(0, 0, &data).unwrap_err();
+        assert!(matches!(err, FlashError::PageAlreadyProgrammed { page: 0 }));
+        assert_eq!(chip.block_status(0).unwrap(), before, "a refusal changes nothing");
+    }
+
+    #[test]
+    fn wrong_data_length_rejected() {
+        let mut chip = exact_chip();
+        let err = chip.program_page(0, 0, &[0u8; 3]).unwrap_err();
+        assert!(matches!(err, FlashError::DataLengthMismatch { .. }));
+        assert!(!chip.is_page_programmed(0, 0).unwrap());
+    }
+
+    #[test]
+    fn erase_resets_state() {
+        let mut chip = exact_chip();
+        chip.program_block_random(0, 1).unwrap();
+        chip.apply_read_disturbs(0, 1000).unwrap();
+        chip.advance_days(3.0);
+        chip.erase_block(0).unwrap();
+        let st = chip.block_status(0).unwrap();
+        assert_eq!(st.pe_cycles, 1);
+        assert_eq!(st.reads_since_erase, 0);
+        assert_eq!(st.age_days, 0.0);
+        assert_eq!(st.dose, 0.0);
+        assert_eq!(st.programmed_pages, 0);
+    }
+
     #[test]
     fn read_back_matches_programmed_data() {
         let (mut block, params, mut rng) = block_with(4, 512);
