@@ -34,8 +34,15 @@
 //! this). `PageAnalytic` is deterministic per seed and bit-identical for
 //! any engine worker-thread count, but produces a *different* (sampled)
 //! error stream than `CellExact` by construction. `BlockAggregate` shares
-//! those determinism guarantees while serving most host reads without
-//! touching the RNG at all.
+//! those determinism guarantees, and serves a host read without touching
+//! the RNG while the block's expected errors sit more than a 6-sigma +
+//! 2-bit band under the page's ECC capability. With a capability of 2 bits
+//! or fewer (`SsdConfig::small_test` pages, the fleet's drives) that band
+//! is always open and every read samples — through a zero-error screen that
+//! settles most small-mean reads from their one uniform without the
+//! binomial's `ln_1p`/`exp` — and a write-heavy run's GC relocation reads
+//! settle every block they rewrite, from a per-die memo of the closed form
+//! when another block already stood at the same (P/E, age, Vpass).
 
 /// Fidelity tier of a chip's read path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -75,8 +82,11 @@ pub enum ReadFidelity {
     ///   cached summary is invalidated and recomputed at the next read.
     ///
     /// Between events a read costs O(1) with no RNG draw and no payload
-    /// allocation. Read payloads are empty at this tier — only error
-    /// counts and blocked-bitline counts are modeled.
+    /// allocation. A page ECC capability of 2 bits or fewer is inside the
+    /// margin band from the first read, so there every read samples, most
+    /// of them settled by a zero-error screen on their one uniform. Read
+    /// payloads are empty at this tier — only error counts and
+    /// blocked-bitline counts are modeled.
     BlockAggregate,
 }
 

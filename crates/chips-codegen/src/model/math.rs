@@ -89,6 +89,28 @@ pub fn binomial_from_uniform(n: u64, p: f64, u: f64) -> u64 {
     k
 }
 
+/// Rounding allowance of [`binomial_zero_bound`], in probability.
+const ZERO_BOUND_GUARD: f64 = 1.0e-12;
+
+/// A uniform below which [`binomial_from_uniform`]`(n, p, u)` returns 0 for
+/// every `p ∈ (0, p_up]`, with `p_up < 1`: the zero-error screen, which
+/// settles most small-mean draws without the walk's `ln_1p` and `exp`.
+///
+/// The walk returns 0 exactly when `u ≤ pmf(0) = exp(n·ln_1p(−p))`. For
+/// `p ≤ p_up < 1`, `ln(1 − p) ≥ −p/(1 − p) ≥ −p_up/(1 − p_up)` (the ratio
+/// grows with `p`) and `exp(x) ≥ 1 + x`, so
+/// `(1 − p)^n ≥ 1 − n·p_up/(1 − p_up)`. The bound is only positive when
+/// `n·p/(1 − p) < 1`, where the computed exponent is within a few ulps of
+/// its true value, at most 1 in magnitude: the walk's `pmf(0)` is then off
+/// by under 1e-15, and the bound's own three roundings by a few ulps of 1.
+/// A guard keeps the bound 1e-12 under its exact value, three orders of
+/// magnitude more than both together, so a screened draw is one the walk
+/// would have returned 0 for. A bound that is not positive screens nothing.
+pub fn binomial_zero_bound(n: u64, p_up: f64) -> f64 {
+    debug_assert!(p_up > 0.0 && p_up < 1.0, "p_up {p_up} outside (0, 1)");
+    1.0 - n as f64 * p_up / (1.0 - p_up) - ZERO_BOUND_GUARD
+}
+
 /// Intersection point of two Gaussian PDFs with `mean_lo < mean_hi`.
 ///
 /// Solves `N(x; lo) = N(x; hi)` for the crossing between the two means; this
@@ -178,6 +200,88 @@ mod tests {
             / grid as f64;
         let expect = n as f64 * p;
         assert!((mean - expect).abs() / expect < 0.02, "mean {mean} vs np {expect}");
+    }
+
+    /// SplitMix64: the property tests' generator (the crate has no
+    /// dependencies, test ones included).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform over `[0, 1)`, 53 bits, as `rand`'s `f64` draws.
+        fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The largest `f64` below a positive `x`.
+    fn below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    /// Whenever the screen accepts `(n, p_up, u)` — `u` below the bound —
+    /// the walk returns 0 for every `p ∈ (0, p_up]`: `n ∈ 1..=65_536`,
+    /// `p_up ∈ (0, min(0.5, 32/n))` spread uniformly and over twelve
+    /// decades, `u` uniform and within 1e-12 of the bound.
+    #[test]
+    fn zero_bound_screens_only_zero_draws() {
+        let mut rng = SplitMix(0x2015);
+        let (mut screened, mut near) = (0u64, 0u64);
+        for case in 0..100_000u32 {
+            let n = (65_536f64.powf(rng.unit()) as u64).clamp(1, 65_536);
+            let cap = (32.0 / n as f64).min(0.5);
+            let p_up = if case % 2 == 0 {
+                cap * rng.unit().max(1e-300)
+            } else {
+                cap * 1e-12f64.powf(1.0 - rng.unit())
+            };
+            let p = match case % 3 {
+                0 => p_up,
+                _ => p_up * (1.0 - rng.unit()),
+            };
+            let bound = binomial_zero_bound(n, p_up);
+            let jitter = (2.0 * rng.unit() - 1.0) * 1e-12;
+            let edge = if bound > 0.0 { below(bound) } else { 0.0 };
+            for u in [rng.unit(), (bound + jitter).clamp(0.0, below(1.0)), edge] {
+                if u < bound {
+                    assert_eq!(
+                        binomial_from_uniform(n, p, u),
+                        0,
+                        "n {n}, p_up {p_up:e}, p {p:e}, u {u} under bound {bound}"
+                    );
+                    screened += 1;
+                    near += u64::from(bound - u <= 1e-12);
+                }
+            }
+        }
+        assert!(screened > 100_000 && near > 30_000, "{screened} screened, {near} near the bound");
+    }
+
+    /// The bound's edge, `p == p_up` and `u` the largest screened uniform,
+    /// over a grid of `n` and of means from 1e-9 to just under 1.
+    #[test]
+    fn zero_bound_holds_at_its_edge() {
+        let means = [1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999_999];
+        for n in [1u64, 2, 3, 7, 64, 1000, 1024, 2048, 4096, 8192, 65_535, 65_536] {
+            for mean in means {
+                let p_up = (mean / n as f64).min(0.5);
+                let bound = binomial_zero_bound(n, p_up);
+                if bound <= 0.0 {
+                    continue;
+                }
+                let u = below(bound);
+                assert_eq!(binomial_from_uniform(n, p_up, u), 0, "n {n}, p_up {p_up:e}, u {u}");
+                // Not vacuous: the bound is within 2e-12 of `1 − n·p_up/(1 − p_up)`.
+                assert!(bound > 1.0 - n as f64 * p_up / (1.0 - p_up) - 2e-12);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! (P/E cycles, reads-since-erase, retention age, Vpass), advanced lazily:
 //! an event that moves the operating point (erase, pre-wear, the first
 //! program after an erase, ageing, a Vpass change — the chip's
-//! "operating point moved" hook) only marks the block *dirty*, and the closed form's three per-block values — disturb slope,
+//! "operating point moved" hook) only marks the block *dirty*, and the
+//! closed form's three per-block values — disturb slope,
 //! disturb-independent RBER, pass-through blocking probability, some twenty
 //! transcendentals together — are evaluated once by the first consumer
 //! that needs them. Those that settle a dirty block are `read_page`,
@@ -14,8 +15,18 @@
 //! dirty block's values on the fly and leave it dirty, so a checkpoint
 //! carries settled values — the bytes an eager evaluation at every event
 //! would have written — and a restored state is clean. A block that is
-//! erased, programmed and aged without being read (most of a write-heavy
-//! lifetime run) never pays for the closed form.
+//! erased, programmed and aged without being read never pays for the
+//! closed form; but a block that is read after each rewrite settles after
+//! each rewrite, and in a write-heavy lifetime run the GC relocation reads
+//! alone read every block it rewrites.
+//!
+//! So a die also keeps a small direct-mapped **memo** of the points it has
+//! evaluated, keyed by the exact `(pe, age bits, vpass bits)`: blocks that
+//! were erased as often, programmed as long ago and read at the same Vpass
+//! share one evaluation. The closed form is a pure function of that key and
+//! of the chip's params and model, both fixed when the chip is built, so a
+//! hit is bit-equal to an evaluation, and the memo is a cache only — never
+//! checkpointed or restored.
 //!
 //! The state is kept as a **struct-of-arrays** over all blocks of a die so
 //! the replay hot loop touches a handful of dense `Vec<f64>` lanes instead
@@ -28,19 +39,33 @@
 //!
 //! Reads are served in one of two modes per block:
 //!
-//! * **fast-forward** (the common case): the rounded expected error count
-//!   is precomputed into a per-block summary together with a *horizon* —
-//!   the reads-since-erase count at which the summary could change (the
-//!   expectation grows by half a bit) or the ECC margin could plausibly be
-//!   crossed (computed analytically by inverting the saturating disturb
-//!   law). Until the horizon, a read is O(1): no RNG draw, no payload
-//!   allocation, no per-wordline work.
+//! * **fast-forward**: the rounded expected error count is precomputed into
+//!   a per-block summary together with a *horizon* — the reads-since-erase
+//!   count at which the summary could change (the expectation grows by half
+//!   a bit) or the ECC margin could plausibly be crossed (computed
+//!   analytically by inverting the saturating disturb law). Until the
+//!   horizon, a read is O(1): no RNG draw, no payload allocation, no
+//!   per-wordline work.
 //! * **live sampling**: once the block's error expectation comes within a
 //!   6-sigma-plus-slack band of the ECC margin (reported by the FTL via
 //!   [`crate::Chip::set_read_margin`]), or whenever the pass-through
 //!   blocking probability is nonzero (relaxed Vpass — policy probes must
 //!   see sampled blocked-bitline counts), reads sample error counts from
 //!   the same binomial the page-analytic tier uses.
+//!
+//! Fast-forward is the common case only where the margin leaves room for
+//! the band. With a page ECC capability of 2 bits or fewer
+//! (`SsdConfig::small_test` pages, the fleet's drives) the 6-sigma + 2-bit
+//! band is open even at zero expected errors, so every read of every block
+//! samples. A sampled read of a block with no pass-through blocking and a
+//! small mean therefore goes through a **zero-error screen** first: the one
+//! uniform the binomial would draw is drawn and compared with
+//! [`binomial_zero_bound`] at `p_up = (static_rber + lin)·(1 + guard)`, an
+//! upper bound on the read's probability that needs no `ln_1p`
+//! (`ln_1p(x) ≤ x`). Below the bound the read has no errors — at a mean of
+//! a hundredth of a bit, nearly every read; otherwise the same uniform goes
+//! through the binomial walk. Outcomes and RNG draws are those of the
+//! unscreened read.
 //!
 //! Payloads are not modeled at this tier: reads return empty data and the
 //! per-page intended bits are unavailable (`FidelityUnsupported`). Only
@@ -49,11 +74,13 @@
 //! which the tier reads as `(&ledger, b)`.
 
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::analytic::{AnalyticModel, ShiftPoint};
-use crate::analytic_block::sample_binomial;
+use crate::analytic_block::{sample_binomial, INVERSION_MAX_MEAN};
 use crate::chip::ReadOutcome;
 use crate::ledger::BlockLedger;
+use crate::math::{binomial_from_uniform, binomial_zero_bound};
 use crate::params::ChipParams;
 use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
@@ -63,6 +90,13 @@ use crate::BitErrorStats;
 /// suggests, so the band is padded before fast-forwarding is allowed.
 const MARGIN_SLACK_BITS: f64 = 2.0;
 
+/// Relative allowance for rounding in the upper bound a screened read puts
+/// on its error probability (see [`AggregateState::sample_read`]).
+const P_UP_GUARD: f64 = 1.0e-12;
+
+/// Slots of the per-die operating-point memo.
+const MEMO_SLOTS: usize = 64;
+
 /// The closed form's per-block values at one (pe, age, vpass): what the
 /// `slope` / `static_rber` / `blocked_prob` lanes cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,6 +104,45 @@ struct OperatingPoint {
     slope: f64,
     static_rber: f64,
     blocked_prob: f64,
+}
+
+/// The exact inputs of [`AggregateState::evaluate`]:
+/// `(pe, age_days.to_bits(), vpass.to_bits())`.
+type PointKey = [u64; 3];
+
+/// Direct-mapped memo of [`AggregateState::evaluate`] over the points one
+/// die has evaluated. The closed form is a pure function of the key, the
+/// chip's params and its model, and the last two are fixed when the chip is
+/// built, so a hit is bit-equal to an evaluation. A cache and nothing else:
+/// never checkpointed, never restored, not configurable.
+#[derive(Debug, Clone)]
+struct PointMemo(Box<[Option<(PointKey, OperatingPoint)>]>);
+
+impl PointMemo {
+    fn new() -> Self {
+        Self(vec![None; MEMO_SLOTS].into_boxed_slice())
+    }
+
+    fn key(ledger: &BlockLedger, b: usize) -> PointKey {
+        [ledger.pe_cycles[b], ledger.age_days[b].to_bits(), ledger.vpass[b].to_bits()]
+    }
+
+    fn slot([pe, age, vpass]: PointKey) -> usize {
+        let mixed =
+            (pe ^ age.rotate_left(21) ^ vpass.rotate_left(42)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    fn get(&self, key: PointKey) -> Option<OperatingPoint> {
+        match self.0[Self::slot(key)] {
+            Some((held, point)) if held == key => Some(point),
+            _ => None,
+        }
+    }
+
+    fn put(&mut self, key: PointKey, point: OperatingPoint) {
+        self.0[Self::slot(key)] = Some((key, point));
+    }
 }
 
 /// Struct-of-arrays aggregate state for every block of one die; block `b`'s
@@ -111,6 +184,9 @@ pub(crate) struct AggregateState {
     /// Whether reads sample live (margin proximity; one-way until the next
     /// invalidating event recomputes it).
     sampling: Vec<bool>,
+    /// Operating points this die has evaluated, for [`Self::settle`] and
+    /// [`Self::point`].
+    memo: PointMemo,
 }
 
 impl AggregateState {
@@ -145,6 +221,7 @@ impl AggregateState {
             summary_errors: vec![0; n],
             summary_horizon: vec![0; n],
             sampling: vec![false; n],
+            memo: PointMemo::new(),
         }
     }
 
@@ -177,7 +254,12 @@ impl AggregateState {
 
     #[cold]
     fn settle_dirty(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize) {
-        let point = self.evaluate(params, ledger, b);
+        let key = PointMemo::key(ledger, b);
+        let point = self.memo.get(key).unwrap_or_else(|| {
+            let point = self.evaluate(params, ledger, b);
+            self.memo.put(key, point);
+            point
+        });
         self.slope[b] = point.slope;
         self.static_rber[b] = point.static_rber;
         self.blocked_prob[b] = point.blocked_prob;
@@ -185,10 +267,11 @@ impl AggregateState {
     }
 
     /// The block's operating point for a `&self` consumer: what the lanes
-    /// hold, or a fresh evaluation while the block is dirty.
+    /// hold, or, while the block is dirty, the memo's or a fresh evaluation.
     fn point(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> OperatingPoint {
         if self.dirty[b] {
-            return self.evaluate(params, ledger, b);
+            let memo = self.memo.get(PointMemo::key(ledger, b));
+            return memo.unwrap_or_else(|| self.evaluate(params, ledger, b));
         }
         let (slope, static_rber, blocked_prob) =
             (self.slope[b], self.static_rber[b], self.blocked_prob[b]);
@@ -289,6 +372,39 @@ impl AggregateState {
         }
     }
 
+    /// A live read of a settled block: the outcome and the RNG draws of
+    /// `sample_outcome(rng, b, rber_block(b))`, with the zero-error screen
+    /// in front of the binomial. When that read would draw exactly one
+    /// uniform — no pass-through blocking, `0 < p < 1`, a mean under
+    /// [`INVERSION_MAX_MEAN`] — the uniform is drawn here and compared with
+    /// [`binomial_zero_bound`] at `p_up ≥ p`, which needs no `ln_1p`: below
+    /// it the read has no errors, otherwise the same uniform goes through
+    /// the binomial walk at `p` itself.
+    // Out of line, so the fast-forward read it is called from stays small.
+    #[inline(never)]
+    fn sample_read(&self, rng: &mut StdRng, b: usize) -> ReadOutcome {
+        let n = self.bitlines as u64;
+        let static_rber = self.static_rber[b];
+        // `rd_term ≤ lin` as `ln_1p(x) ≤ x`; the guard covers the few ulps
+        // by which either side's rounding could reverse that.
+        let p_up = (static_rber + self.lin[b].max(0.0)) * (1.0 + P_UP_GUARD);
+        let one_uniform = self.blocked_prob[b] <= 0.0
+            && static_rber > 0.0
+            && n > 0
+            && p_up < 1.0
+            && n as f64 * p_up < INVERSION_MAX_MEAN;
+        if !one_uniform {
+            return self.sample_outcome(rng, b, self.rber_block(b));
+        }
+        let u = rng.gen();
+        let errors = if u < binomial_zero_bound(n, p_up) {
+            0
+        } else {
+            binomial_from_uniform(n, self.rber_block(b), u).min(n)
+        };
+        ReadOutcome { data: Vec::new(), stats: BitErrorStats::new(errors, n), blocked_bitlines: 0 }
+    }
+
     /// Settles the block and, with `disturb`, applies one read of `page`.
     #[inline]
     fn settle_and_disturb(
@@ -329,7 +445,7 @@ impl AggregateState {
             self.refresh_summary(margin, reads, b);
         }
         if self.sampling[b] || self.blocked_prob[b] > 0.0 {
-            return self.sample_outcome(rng, b, self.rber_block(b));
+            return self.sample_read(rng, b);
         }
         let n = self.bitlines as u64;
         ReadOutcome {
@@ -566,6 +682,35 @@ mod tests {
             state.read_page(params, ledger, rng, margin, b, page, disturb)
         }
 
+        /// [`Self::read`] without the zero-error screen: a sampled read
+        /// goes straight to `sample_outcome` at `rber_block`.
+        fn read_reference(
+            &mut self,
+            params: &ChipParams,
+            rng: &mut StdRng,
+            margin: Option<u64>,
+            b: usize,
+            page: u32,
+            disturb: bool,
+        ) -> ReadOutcome {
+            let Self { state, ledger } = self;
+            state.settle_and_disturb(params, ledger, b, page, disturb);
+            let reads = ledger.reads_since_erase[b];
+            if reads >= state.summary_horizon[b] {
+                state.refresh_summary(margin, reads, b);
+            }
+            if state.sampling[b] || state.blocked_prob[b] > 0.0 {
+                return state.sample_outcome(rng, b, state.rber_block(b));
+            }
+            let n = state.bitlines as u64;
+            let errors = state.summary_errors[b].min(n);
+            ReadOutcome {
+                data: Vec::new(),
+                stats: BitErrorStats::new(errors, n),
+                blocked_bitlines: 0,
+            }
+        }
+
         fn read_shifted(
             &mut self,
             params: &ChipParams,
@@ -633,20 +778,26 @@ mod tests {
             }
         }
 
+        /// Applies the op; a `Read` goes through the screen when `screened`,
+        /// through [`Fixture::read_reference`] otherwise.
         fn apply(
             self,
             twin: &mut Fixture,
             params: &ChipParams,
             rng: &mut StdRng,
             margin: Option<u64>,
+            screened: bool,
         ) -> Option<ReadOutcome> {
             match self {
                 Op::Program { block, page } => {
                     // A programmed page stays programmed until the erase.
                     let _ = twin.program(block, page);
                 }
-                Op::Read { block, page, disturb } => {
+                Op::Read { block, page, disturb } if screened => {
                     return Some(twin.read(params, rng, margin, block, page, disturb));
+                }
+                Op::Read { block, page, disturb } => {
+                    return Some(twin.read_reference(params, rng, margin, block, page, disturb));
                 }
                 Op::ShiftedRead { block, page, shift } => {
                     return Some(twin.read_shifted(params, rng, block, page, shift, true));
@@ -679,12 +830,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Operating points evaluated on demand against operating points
-        /// evaluated at every event: twin states under one random op
-        /// sequence, the eager twin settling every block after every op.
-        /// Read outcomes, RNG streams, oracle values and checkpoint bytes
-        /// are bit-equal at every step, and whatever the lazy twin holds
-        /// cached for a clean block is what a fresh evaluation gives.
+        /// Operating points evaluated on demand, through the memo, and
+        /// reads through the zero-error screen, against operating points
+        /// evaluated at every event and the unscreened reference read: twin
+        /// states under one random op sequence, the eager twin settling
+        /// every block after every op. Read outcomes, RNG streams, oracle
+        /// values and checkpoint bytes are bit-equal at every step, and
+        /// whatever the lazy twin holds cached for a clean block is what a
+        /// fresh evaluation gives.
         #[test]
         fn on_demand_operating_points_match_eager_evaluation(
             seed in any::<u64>(),
@@ -701,8 +854,8 @@ mod tests {
             let mut eager_rng = lazy_rng.clone();
             for draw in draws {
                 let op = Op::decode(draw, &params);
-                let got = op.apply(&mut lazy, &params, &mut lazy_rng, margin);
-                let expected = op.apply(&mut eager, &params, &mut eager_rng, margin);
+                let got = op.apply(&mut lazy, &params, &mut lazy_rng, margin, true);
+                let expected = op.apply(&mut eager, &params, &mut eager_rng, margin, false);
                 eager.settle_all(&params);
                 prop_assert_eq!(got, expected);
                 prop_assert_eq!(lazy_rng.state(), eager_rng.state());
@@ -874,6 +1027,97 @@ mod tests {
             })
             .collect();
         assert_eq!(folded, RECORDED);
+    }
+
+    /// Sampled reads through the screen against the reference read, bit
+    /// for bit and draw for draw, on each of its branches: a fresh block,
+    /// where the bound is near 1 and screens most reads; a worn, disturbed
+    /// one with `n·p ≳ 1`, where the bound is not positive and every read
+    /// walks the binomial from the same uniform; and one hammered past the
+    /// inversion regime (`n·p ≥ 32` with `p_up < 1`), which the normal
+    /// approximation serves.
+    #[test]
+    fn screened_reads_equal_the_reference_read() {
+        let params = ChipParams::default();
+        let mut fixture = Fixture::new(3, 2, &params);
+        for b in 0..3 {
+            if b > 0 {
+                fixture.pre_wear(b, 8_000);
+            }
+            for page in 0..16 {
+                fixture.program(b, page).unwrap();
+            }
+        }
+        fixture.disturb(&params, 1, 100_000);
+        fixture.disturb(&params, 2, 10_000_000);
+        for b in 0..3 {
+            let (mut screened, mut reference) = (fixture.clone(), fixture.clone());
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut reference_rng = rng.clone();
+            let mut zeros = 0;
+            for i in 0..4_000u32 {
+                let got = screened.read(&params, &mut rng, None, b, i % 16, true);
+                let expected =
+                    reference.read_reference(&params, &mut reference_rng, None, b, i % 16, true);
+                assert_eq!(got, expected, "block {b}, read {i}");
+                assert_eq!(rng.state(), reference_rng.state(), "block {b}, read {i}");
+                zeros += u32::from(got.stats.errors == 0);
+            }
+            let state = &screened.state;
+            let n = f64::from(state.bitlines);
+            let mean = n * state.rber_block(b);
+            let p_up = (state.static_rber[b] + state.lin[b]) * (1.0 + P_UP_GUARD);
+            let bound = binomial_zero_bound(n as u64, p_up);
+            let branch = match b {
+                0 => n * p_up < INVERSION_MAX_MEAN && bound > 0.5 && zeros > 2_000,
+                1 => n * p_up < INVERSION_MAX_MEAN && mean > 1.0 && bound <= 0.0,
+                _ => p_up < 1.0 && mean >= INVERSION_MAX_MEAN,
+            };
+            assert!(branch, "block {b}: mean {mean}, p_up {p_up}, bound {bound}, {zeros} zeros");
+        }
+    }
+
+    /// The memo serves a block whose `(pe, age, vpass)` another block
+    /// already settled at, and only that exact point: two blocks at one
+    /// point settle to bit-equal lanes, a block one ulp older is evaluated
+    /// on its own, and a value planted under the shared point is what both
+    /// of its blocks read back.
+    #[test]
+    fn operating_point_memo_serves_only_the_exact_point() {
+        let params = ChipParams::default();
+        let mut fixture = Fixture::new(3, 2, &params);
+        for b in 0..3 {
+            fixture.pre_wear(b, 3_000);
+            fixture.program(b, 0).unwrap();
+            fixture.set_vpass(b, 0.98 * NOMINAL_VPASS);
+            fixture.advance_days(b, 21.0);
+        }
+        fixture.ledger.age_days[2] = f64::from_bits(21.0f64.to_bits() + 1);
+        fixture.settle_all(&params);
+        let lanes = |f: &Fixture, b: usize| {
+            let s = &f.state;
+            [s.slope[b], s.static_rber[b], s.blocked_prob[b]].map(f64::to_bits)
+        };
+        assert_eq!(lanes(&fixture, 0), lanes(&fixture, 1));
+        for b in 0..3 {
+            let fresh = fixture.state.evaluate(&params, &fixture.ledger, b);
+            assert_eq!(fixture.state.point(&params, &fixture.ledger, b), fresh);
+        }
+        let shared = PointMemo::key(&fixture.ledger, 0);
+        assert_ne!(shared, PointMemo::key(&fixture.ledger, 2));
+        let planted = OperatingPoint { slope: 1.0, static_rber: 0.25, blocked_prob: 0.0 };
+        fixture.state.memo.put(shared, planted);
+        for b in 0..3 {
+            fixture.state.op_point_moved(b);
+        }
+        assert_eq!(fixture.state.point(&params, &fixture.ledger, 1), planted);
+        fixture.settle_all(&params);
+        for b in 0..2 {
+            assert_eq!(fixture.state.point(&params, &fixture.ledger, b), planted);
+        }
+        let own = fixture.state.evaluate(&params, &fixture.ledger, 2);
+        assert_ne!(own, planted);
+        assert_eq!(fixture.state.point(&params, &fixture.ledger, 2), own);
     }
 
     #[test]

@@ -418,6 +418,9 @@ impl AnalyticBlock {
     }
 }
 
+/// Means below which [`sample_binomial`] inverts one uniform draw.
+pub(crate) const INVERSION_MAX_MEAN: f64 = 32.0;
+
 /// Samples `Binomial(n, p)` deterministically from `rng`: exact inverse-CDF
 /// from a single uniform draw for small means (the common case — RBERs here
 /// are 1e-9..1e-2), a normal approximation for large ones. Always in `0..=n`.
@@ -429,7 +432,7 @@ pub(crate) fn sample_binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
         return n;
     }
     let mean = n as f64 * p;
-    if mean < 32.0 {
+    if mean < INVERSION_MAX_MEAN {
         // One RNG draw regardless of outcome (the former Knuth product
         // inversion paid one draw per trial), and an exact binomial rather
         // than its Poisson approximation.
