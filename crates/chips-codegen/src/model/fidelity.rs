@@ -23,7 +23,7 @@
 //! |---|---|---|---|
 //! | `read_page`, `program_page`, `erase`, refresh | per-cell Monte-Carlo | sampled from the analytic model | cached per-block summary, sampled only near events |
 //! | `block_rber` / `wordline_rber` | per-cell oracle | closed-form expectation | closed-form expectation (block-level) |
-//! | disturb accounting | per-read dose updates | batched per-(block, wordline) counters, folded lazily | fold-free per-block accumulator (slope applied at read time) |
+//! | disturb accounting | per-read dose updates | fold-free per-block accumulator plus a per-wordline adjustment (slope applied at read time) | fold-free per-block accumulator (slope applied at read time) |
 //! | `ReadReclaim`, Vpass Tuning, refresh policies | exact | fully supported (counter/probe driven) | fully supported (counter/probe driven) |
 //! | read-retry sweeps (`read_retry`) | exact | sampled at the shifted reference | sampled at the shifted reference |
 //! | page payloads (`intended_page_bits`, read data) | exact bytes | exact bytes | empty (error counts only) |
@@ -54,8 +54,12 @@ pub enum ReadFidelity {
     CellExact,
     /// Closed-form analytic error model: reads sample an error count and
     /// error positions from the calibrated RBER model (per-block P/E,
-    /// read-disturb count, retention age, and Vpass as inputs) using the
-    /// chip's seeded RNG. Statistically faithful, O(errors) per page read;
+    /// read-disturb dose, retention age, and Vpass as inputs) using the
+    /// chip's seeded RNG. The same per-block closed-form state as
+    /// [`ReadFidelity::BlockAggregate`], plus page lanes: stored payloads,
+    /// and a fold-free per-wordline disturb adjustment so a hammered
+    /// wordline's neighbours err more than the rest. Reads never
+    /// fast-forward. Statistically faithful, O(errors) per page read;
     /// per-cell oracles are unavailable.
     PageAnalytic,
     /// Event-driven per-block aggregate model: a block's error state is a

@@ -1,87 +1,82 @@
-//! Block-aggregate state: the [`crate::ReadFidelity::BlockAggregate`]
-//! backend of [`crate::Chip`].
+//! The closed-form backend of [`crate::ReadFidelity::BlockAggregate`] and
+//! [`crate::ReadFidelity::PageAnalytic`] chips: one [`AggregateState`] per
+//! die, a struct-of-arrays over its blocks, so the replay hot loop touches a
+//! handful of dense lanes instead of per-block objects.
 //!
 //! A block's error state is a closed-form function of its operating point
-//! (P/E cycles, reads-since-erase, retention age, Vpass), advanced lazily:
-//! an event that moves the operating point (erase, pre-wear, the first
-//! program after an erase, ageing, a Vpass change — the chip's
-//! "operating point moved" hook) only marks the block *dirty*, and the
-//! closed form's three per-block values — disturb slope,
-//! disturb-independent RBER, pass-through blocking probability, some twenty
-//! transcendentals together — are evaluated once by the first consumer
-//! that needs them. Those that settle a dirty block are `read_page`,
-//! `read_page_shifted`, `apply_read_disturbs` and `hammer_wordline` (each
-//! applies the slope); the `&self` oracles and `encode_state` evaluate a
-//! dirty block's values on the fly and leave it dirty, so a checkpoint
-//! carries settled values — the bytes an eager evaluation at every event
-//! would have written — and a restored state is clean. A block that is
-//! erased, programmed and aged without being read never pays for the
-//! closed form; but a block that is read after each rewrite settles after
-//! each rewrite, and in a write-heavy lifetime run the GC relocation reads
-//! alone read every block it rewrites.
+//! (P/E cycles, retention age, Vpass — its ledger row) and its disturb
+//! dose. An event that moves the operating point (erase, pre-wear, the
+//! first program after an erase, ageing, a Vpass change — the chip's
+//! "operating point moved" hook) only marks the block *dirty*; the closed
+//! form's per-block values — disturb slope, disturb-independent RBER,
+//! pass-through blocking probability, some twenty transcendentals — are
+//! evaluated by the first read or disturb batch that needs them. The `&self`
+//! oracles and `encode_state` evaluate a dirty block's values on the fly
+//! and leave it dirty, so a checkpoint carries settled values — the bytes
+//! an eager evaluation at every event would have written. A die memoizes
+//! the points it has evaluated, keyed by the exact `(pe, age bits, vpass
+//! bits)`, and the read-retry [`ShiftPoint`]s, keyed by `(pe, age bits,
+//! shift bits)`: a hit is bit-equal to an evaluation (params and model are
+//! fixed when the chip is built), and the memos are never checkpointed.
 //!
-//! So a die also keeps a small direct-mapped **memo** of the points it has
-//! evaluated, keyed by the exact `(pe, age bits, vpass bits)`: blocks that
-//! were erased as often, programmed as long ago and read at the same Vpass
-//! share one evaluation. The closed form is a pure function of that key and
-//! of the chip's params and model, both fixed when the chip is built, so a
-//! hit is bit-equal to an evaluation, and the memo is a cache only — never
-//! checkpointed or restored.
+//! The disturb accumulator is **fold-free**: every disturbing read adds
+//! `rd_slope(pe, vpass) × weight` at once (the slope in effect *at the
+//! read*), so a Vpass change needs no counter folding.
 //!
-//! The state is kept as a **struct-of-arrays** over all blocks of a die so
-//! the replay hot loop touches a handful of dense `Vec<f64>` lanes instead
-//! of pointer-chasing per-block objects, and the disturb accumulator is
-//! **fold-free**: every disturbing read adds `rd_slope(pe, vpass) ×
-//! hammer-weight` directly (the slope in effect *at the read* is applied
-//! immediately), so a Vpass change needs no counter folding and the
-//! accumulated damage history is exact by construction — numerically
-//! identical to the page-analytic tier's folded counters.
+//! # Block-aggregate mode
 //!
-//! Reads are served in one of two modes per block:
+//! A read's hammer concentration folds into the block accumulator at its
+//! wordline's geometry weight, and a read is served one of two ways:
 //!
 //! * **fast-forward**: the rounded expected error count is precomputed into
 //!   a per-block summary together with a *horizon* — the reads-since-erase
 //!   count at which the summary could change (the expectation grows by half
 //!   a bit) or the ECC margin could plausibly be crossed (computed
 //!   analytically by inverting the saturating disturb law). Until the
-//!   horizon, a read is O(1): no RNG draw, no payload allocation, no
-//!   per-wordline work.
+//!   horizon, a read is O(1): no RNG draw, no payload, no per-wordline work.
 //! * **live sampling**: once the block's error expectation comes within a
 //!   6-sigma-plus-slack band of the ECC margin (reported by the FTL via
 //!   [`crate::Chip::set_read_margin`]), or whenever the pass-through
 //!   blocking probability is nonzero (relaxed Vpass — policy probes must
 //!   see sampled blocked-bitline counts), reads sample error counts from
-//!   the same binomial the page-analytic tier uses.
+//!   the binomial of [`crate::sampler`].
 //!
-//! Fast-forward is the common case only where the margin leaves room for
-//! the band. With a page ECC capability of 2 bits or fewer
-//! (`SsdConfig::small_test` pages, the fleet's drives) the 6-sigma + 2-bit
-//! band is open even at zero expected errors, so every read of every block
-//! samples. A sampled read of a block with no pass-through blocking and a
-//! small mean therefore goes through a **zero-error screen** first: the one
-//! uniform the binomial would draw is drawn and compared with
+//! With a page ECC capability of 2 bits or fewer (`SsdConfig::small_test`
+//! pages, the fleet's drives) the band is open even at zero expected
+//! errors, so every read samples. A sampled read with no pass-through
+//! blocking and a small mean goes through a **zero-error screen** first:
+//! the one uniform the binomial would draw is compared with
 //! [`binomial_zero_bound`] at `p_up = (static_rber + lin)·(1 + guard)`, an
-//! upper bound on the read's probability that needs no `ln_1p`
-//! (`ln_1p(x) ≤ x`). Below the bound the read has no errors — at a mean of
-//! a hundredth of a bit, nearly every read; otherwise the same uniform goes
-//! through the binomial walk. Outcomes and RNG draws are those of the
-//! unscreened read.
+//! upper bound on the read's probability that needs no `ln_1p`. Below it
+//! the read has no errors; otherwise the same uniform walks the binomial.
+//! Outcomes and RNG draws are those of the unscreened read. Reads return
+//! empty data, and the per-page intended bits are unavailable
+//! (`FidelityUnsupported`).
 //!
-//! Payloads are not modeled at this tier: reads return empty data and the
-//! per-page intended bits are unavailable (`FidelityUnsupported`). Only
-//! error counts and blocked-bitline counts are produced; the per-block
-//! counters that drive mitigation policies are the chip's block ledger,
-//! which the tier reads as `(&ledger, b)`.
+//! # Page lanes
+//!
+//! A page-analytic chip's state also keeps **page lanes**: the payloads as
+//! programmed (so reads return real data and the engine's payload digest
+//! gate still bites), and a fold-free per-wordline disturb adjustment on top
+//! of the block accumulator — a read of wordline `w` adds its slope to the
+//! block, takes it off `w` (its own reads do not pass-through-stress it) and
+//! adds `rd_neighbor_boost ×` the slope to `w`'s neighbours. Such a state
+//! never fast-forwards: every read samples its events at the wordline's
+//! closed-form RBER through [`sample_events`] into a count-only or a
+//! materializing [`ReadSink`], O(errors), with pass-through blocking
+//! overlaid so Vpass Tuning's zero-counting probe keeps working.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::analytic::{AnalyticModel, ShiftPoint};
-use crate::analytic_block::{sample_binomial, INVERSION_MAX_MEAN};
 use crate::chip::ReadOutcome;
+use crate::fidelity::ReadFidelity;
+use crate::geometry::Geometry;
 use crate::ledger::BlockLedger;
 use crate::math::{binomial_from_uniform, binomial_zero_bound};
 use crate::params::ChipParams;
+use crate::sampler::{sample_binomial, sample_events, ReadScratch, ReadSink, INVERSION_MAX_MEAN};
 use crate::wire::{Reader, SnapError, Writer};
 use crate::BitErrorStats;
 
@@ -94,7 +89,7 @@ const MARGIN_SLACK_BITS: f64 = 2.0;
 /// on its error probability (see [`AggregateState::sample_read`]).
 const P_UP_GUARD: f64 = 1.0e-12;
 
-/// Slots of the per-die operating-point memo.
+/// Slots of each per-die memo.
 const MEMO_SLOTS: usize = 64;
 
 /// The closed form's per-block values at one (pe, age, vpass): what the
@@ -106,58 +101,73 @@ struct OperatingPoint {
     blocked_prob: f64,
 }
 
-/// The exact inputs of [`AggregateState::evaluate`]:
-/// `(pe, age_days.to_bits(), vpass.to_bits())`.
-type PointKey = [u64; 3];
+/// The exact inputs of a memoized evaluation: `(pe, age_days.to_bits(),
+/// vpass or shift .to_bits())`.
+type MemoKey = [u64; 3];
 
-/// Direct-mapped memo of [`AggregateState::evaluate`] over the points one
-/// die has evaluated. The closed form is a pure function of the key, the
-/// chip's params and its model, and the last two are fixed when the chip is
-/// built, so a hit is bit-equal to an evaluation. A cache and nothing else:
-/// never checkpointed, never restored, not configurable.
+/// [`AggregateState::evaluate`]'s key for block `b`.
+fn point_key(ledger: &BlockLedger, b: usize) -> MemoKey {
+    [ledger.pe_cycles[b], ledger.age_days[b].to_bits(), ledger.vpass[b].to_bits()]
+}
+
+/// Direct-mapped memo of a closed-form evaluation over the points one die
+/// has evaluated. The closed form is a pure function of the key, the chip's
+/// params and its model, and the last two are fixed when the chip is built,
+/// so a hit is bit-equal to an evaluation. A cache and nothing else: never
+/// checkpointed, never restored, not configurable.
 #[derive(Debug, Clone)]
-struct PointMemo(Box<[Option<(PointKey, OperatingPoint)>]>);
+struct Memo<V>(Box<[Option<(MemoKey, V)>]>);
 
-impl PointMemo {
+impl<V: Copy> Memo<V> {
     fn new() -> Self {
         Self(vec![None; MEMO_SLOTS].into_boxed_slice())
     }
 
-    fn key(ledger: &BlockLedger, b: usize) -> PointKey {
-        [ledger.pe_cycles[b], ledger.age_days[b].to_bits(), ledger.vpass[b].to_bits()]
-    }
-
-    fn slot([pe, age, vpass]: PointKey) -> usize {
+    fn slot([pe, age, third]: MemoKey) -> usize {
         let mixed =
-            (pe ^ age.rotate_left(21) ^ vpass.rotate_left(42)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (pe ^ age.rotate_left(21) ^ third.rotate_left(42)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
     }
 
-    fn get(&self, key: PointKey) -> Option<OperatingPoint> {
+    fn get(&self, key: MemoKey) -> Option<V> {
         match self.0[Self::slot(key)] {
-            Some((held, point)) if held == key => Some(point),
+            Some((held, value)) if held == key => Some(value),
             _ => None,
         }
     }
 
-    fn put(&mut self, key: PointKey, point: OperatingPoint) {
-        self.0[Self::slot(key)] = Some((key, point));
+    fn put(&mut self, key: MemoKey, value: V) {
+        self.0[Self::slot(key)] = Some((key, value));
     }
 }
 
-/// Struct-of-arrays aggregate state for every block of one die; block `b`'s
-/// operating point is ledger row `b`.
+/// What only a page-analytic chip's state keeps.
+#[derive(Debug, Clone)]
+struct PageLanes {
+    /// Packed payloads as programmed, `b * pages_per_block + page` (empty
+    /// while unprogrammed).
+    data: Vec<Vec<u8>>,
+    /// Fold-free per-wordline disturb adjustment on top of the block's
+    /// accumulator, `b * wordlines + wl`: negative on hammered wordlines,
+    /// positive on their neighbours.
+    extra: Vec<f64>,
+    /// The event sampler's scratch, shared by all blocks.
+    scratch: ReadScratch,
+}
+
+/// Struct-of-arrays closed-form state for every block of one die; block
+/// `b`'s operating point is ledger row `b`.
 #[derive(Debug, Clone)]
 pub(crate) struct AggregateState {
     bitlines: u32,
     bits_per_cell: u32,
+    /// The chip's parameters (for the shifted floor and the hammer boost).
+    params: ChipParams,
     /// The chip's closed-form model.
     model: AnalyticModel,
-    /// Per-wordline hammer weight (geometry constant): the block-mean
-    /// disturb contribution of one read targeting that wordline, in units
-    /// of the per-read slope. Matches the page-analytic tier's
-    /// block-uniform + per-wordline-extra accounting averaged over the
-    /// block: `1 + (boost · neighbours − 1) / W`.
+    /// Per-wordline hammer weight: the block-mean disturb of one read of
+    /// that wordline in units of the slope — the page lanes' accounting
+    /// averaged over the block, `1 + (boost · neighbours − 1) / W`.
     wl_weight: Vec<f64>,
     /// Mean of [`Self::wl_weight`] — used to convert a disturb-linear gap
     /// into a read-count horizon.
@@ -186,20 +196,19 @@ pub(crate) struct AggregateState {
     sampling: Vec<bool>,
     /// Operating points this die has evaluated, for [`Self::settle`] and
     /// [`Self::point`].
-    memo: PointMemo,
+    memo: Memo<OperatingPoint>,
+    /// Read-retry shift points this die has evaluated.
+    shifts: Memo<ShiftPoint>,
+    /// Payloads and per-wordline disturb: page-analytic chips only.
+    pages: Option<PageLanes>,
 }
 
 impl AggregateState {
-    pub(crate) fn new(
-        blocks: u32,
-        wordlines: u32,
-        bitlines: u32,
-        bits_per_cell: u32,
-        params: &ChipParams,
-        model: AnalyticModel,
-    ) -> Self {
-        let n = blocks as usize;
-        let w = wordlines as usize;
+    /// The state of a chip of `geometry`; with page lanes iff `params` asks
+    /// for [`ReadFidelity::PageAnalytic`].
+    pub(crate) fn new(geometry: Geometry, params: ChipParams) -> Self {
+        let n = geometry.blocks as usize;
+        let w = geometry.wordlines_per_block as usize;
         let wl_weight: Vec<f64> = (0..w)
             .map(|wl| {
                 let neighbours = usize::from(wl > 0) + usize::from(wl + 1 < w);
@@ -207,10 +216,16 @@ impl AggregateState {
             })
             .collect();
         let avg_weight = wl_weight.iter().sum::<f64>() / w as f64;
+        let pages = (params.fidelity == ReadFidelity::PageAnalytic).then(|| PageLanes {
+            data: vec![Vec::new(); n * geometry.pages_per_block() as usize],
+            extra: vec![0.0; n * w],
+            scratch: ReadScratch::new(geometry.bitlines),
+        });
         Self {
-            bitlines,
-            bits_per_cell,
-            model,
+            bitlines: geometry.bitlines,
+            bits_per_cell: geometry.bits_per_cell,
+            model: AnalyticModel::from_chip(&params, geometry.wordlines_per_block),
+            params,
             wl_weight,
             avg_weight,
             lin: vec![0.0; n],
@@ -221,8 +236,18 @@ impl AggregateState {
             summary_errors: vec![0; n],
             summary_horizon: vec![0; n],
             sampling: vec![false; n],
-            memo: PointMemo::new(),
+            memo: Memo::new(),
+            shifts: Memo::new(),
+            pages,
         }
+    }
+
+    fn wordlines(&self) -> usize {
+        self.wl_weight.len()
+    }
+
+    fn pages_per_block(&self) -> usize {
+        self.wordlines() * self.bits_per_cell as usize
     }
 
     /// Called after any change to block `b`'s (pe, age, vpass): the
@@ -234,29 +259,29 @@ impl AggregateState {
     }
 
     /// The closed form at the block's current (pe, age, vpass).
-    fn evaluate(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> OperatingPoint {
+    fn evaluate(&self, ledger: &BlockLedger, b: usize) -> OperatingPoint {
         let (pe, age, vpass) = (ledger.pe_cycles[b], ledger.age_days[b], ledger.vpass[b]);
         let model = &self.model;
         OperatingPoint {
             slope: model.rd_slope(pe, vpass),
-            static_rber: ShiftPoint::at(params, model, pe, age, 0.0).static_rber,
+            static_rber: ShiftPoint::at(&self.params, model, pe, age, 0.0).static_rber,
             blocked_prob: 2.0 * model.rber_passthrough(pe, age, vpass),
         }
     }
 
     /// Brings a dirty block's cached operating point up to date.
     #[inline]
-    fn settle(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize) {
+    fn settle(&mut self, ledger: &BlockLedger, b: usize) {
         if self.dirty[b] {
-            self.settle_dirty(params, ledger, b);
+            self.settle_dirty(ledger, b);
         }
     }
 
     #[cold]
-    fn settle_dirty(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize) {
-        let key = PointMemo::key(ledger, b);
+    fn settle_dirty(&mut self, ledger: &BlockLedger, b: usize) {
+        let key = point_key(ledger, b);
         let point = self.memo.get(key).unwrap_or_else(|| {
-            let point = self.evaluate(params, ledger, b);
+            let point = self.evaluate(ledger, b);
             self.memo.put(key, point);
             point
         });
@@ -268,14 +293,26 @@ impl AggregateState {
 
     /// The block's operating point for a `&self` consumer: what the lanes
     /// hold, or, while the block is dirty, the memo's or a fresh evaluation.
-    fn point(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> OperatingPoint {
+    fn point(&self, ledger: &BlockLedger, b: usize) -> OperatingPoint {
         if self.dirty[b] {
-            let memo = self.memo.get(PointMemo::key(ledger, b));
-            return memo.unwrap_or_else(|| self.evaluate(params, ledger, b));
+            let memo = self.memo.get(point_key(ledger, b));
+            return memo.unwrap_or_else(|| self.evaluate(ledger, b));
         }
         let (slope, static_rber, blocked_prob) =
             (self.slope[b], self.static_rber[b], self.blocked_prob[b]);
         OperatingPoint { slope, static_rber, blocked_prob }
+    }
+
+    /// The read-reference `shift`'s point at the block's (pe, age), through
+    /// the shift memo.
+    fn shift_point(&mut self, ledger: &BlockLedger, b: usize, shift: f64) -> ShiftPoint {
+        let (pe, age) = (ledger.pe_cycles[b], ledger.age_days[b]);
+        let key = [pe, age.to_bits(), shift.to_bits()];
+        self.shifts.get(key).unwrap_or_else(|| {
+            let point = ShiftPoint::at(&self.params, &self.model, pe, age, shift);
+            self.shifts.put(key, point);
+            point
+        })
     }
 
     /// Forces a summary recomputation at the next read.
@@ -284,10 +321,21 @@ impl AggregateState {
         self.sampling[b] = false;
     }
 
-    /// Saturating disturb RBER term from the fold-free accumulator.
-    fn rd_term(&self, b: usize) -> f64 {
+    /// Saturating disturb RBER term of a disturb-linear value.
+    fn saturate(&self, lin: f64) -> f64 {
         let rd_sat = self.model.params().rd_sat;
-        rd_sat * (self.lin[b].max(0.0) / rd_sat).ln_1p()
+        rd_sat * (lin.max(0.0) / rd_sat).ln_1p()
+    }
+
+    /// Saturating disturb RBER term of one wordline: the block's, plus the
+    /// wordline's adjustment where there are page lanes.
+    fn wordline_rd_term(&self, b: usize, wordline: u32) -> f64 {
+        match &self.pages {
+            None => self.saturate(self.lin[b]),
+            Some(pages) => {
+                self.saturate(self.lin[b] + pages.extra[b * self.wordlines() + wordline as usize])
+            }
+        }
     }
 
     /// The block's disturb dose: the accumulator, never negative.
@@ -299,7 +347,7 @@ impl AggregateState {
     /// that is realized as blocked bitlines at read time).
     fn rber_block(&self, b: usize) -> f64 {
         debug_assert!(!self.dirty[b], "block {b} read through a stale operating point");
-        self.static_rber[b] + self.rd_term(b)
+        self.static_rber[b] + self.saturate(self.lin[b])
     }
 
     /// Recomputes the fast-forward summary: the rounded expected error
@@ -333,7 +381,7 @@ impl AggregateState {
         let p_target = step_target.min(margin_target);
         let rd_target = p_target - self.static_rber[b];
         let per_read = self.slope[b] * self.avg_weight;
-        self.summary_horizon[b] = if rd_target <= self.rd_term(b) {
+        self.summary_horizon[b] = if rd_target <= self.saturate(self.lin[b]) {
             // Already past the target (numerical edge): re-check shortly.
             reads_since_erase.saturating_add(1)
         } else if per_read <= 0.0 {
@@ -385,7 +433,7 @@ impl AggregateState {
     fn sample_read(&self, rng: &mut StdRng, b: usize) -> ReadOutcome {
         let n = self.bitlines as u64;
         let static_rber = self.static_rber[b];
-        // `rd_term ≤ lin` as `ln_1p(x) ≤ x`; the guard covers the few ulps
+        // `saturate(lin) ≤ lin` as `ln_1p(x) ≤ x`; the guard covers the few ulps
         // by which either side's rounding could reverse that.
         let p_up = (static_rber + self.lin[b].max(0.0)) * (1.0 + P_UP_GUARD);
         let one_uniform = self.blocked_prob[b] <= 0.0
@@ -405,33 +453,70 @@ impl AggregateState {
         ReadOutcome { data: Vec::new(), stats: BitErrorStats::new(errors, n), blocked_bitlines: 0 }
     }
 
+    /// Adds `n` reads of `wordline` to a settled block's accumulators at its
+    /// slope: at the wordline's weight without page lanes, to the block and
+    /// the wordline's lanes with them.
+    #[inline]
+    fn add_reads(&mut self, b: usize, wordline: u32, n: u64) {
+        let (wl, slope, w) = (wordline as usize, self.slope[b], self.wordlines());
+        let Some(pages) = &mut self.pages else {
+            self.lin[b] += slope * self.wl_weight[wl] * n as f64;
+            return;
+        };
+        let dose = slope * n as f64;
+        self.lin[b] += dose;
+        let extra = &mut pages.extra[b * w..(b + 1) * w];
+        extra[wl] -= dose;
+        let boost = dose * self.params.rd_neighbor_boost;
+        if wl > 0 {
+            extra[wl - 1] += boost;
+        }
+        if wl + 1 < w {
+            extra[wl + 1] += boost;
+        }
+    }
+
     /// Settles the block and, with `disturb`, applies one read of `page`.
     #[inline]
-    fn settle_and_disturb(
-        &mut self,
-        params: &ChipParams,
-        ledger: &mut BlockLedger,
-        b: usize,
-        page: u32,
-        disturb: bool,
-    ) {
-        self.settle(params, ledger, b);
+    fn settle_and_disturb(&mut self, ledger: &mut BlockLedger, b: usize, page: u32, disturb: bool) {
+        self.settle(ledger, b);
         if disturb {
-            self.lin[b] += self.slope[b] * self.wl_weight[(page / self.bits_per_cell) as usize];
+            self.add_reads(b, page / self.bits_per_cell, 1);
             ledger.reads_since_erase[b] += 1;
         }
     }
 
-    /// Serves a read of an in-range page. Fast-forward mode costs O(1) with
-    /// no RNG draw; live mode samples from the same binomial as the
-    /// page-analytic tier.
+    /// Serves a read of an in-range page, at the default references
+    /// (`shift` `None`) or shifted ones, disturbing the block: through the
+    /// page lanes into sink `S` where there are any, otherwise
+    /// [`Self::read_page`] or [`Self::read_page_shifted`].
+    // Inlined into the chip's read dispatch, with `read_page`.
+    #[inline]
+    pub(crate) fn read<S: ReadSink>(
+        &mut self,
+        ledger: &mut BlockLedger,
+        rng: &mut StdRng,
+        margin: Option<u64>,
+        b: usize,
+        page: u32,
+        shift: Option<f64>,
+    ) -> ReadOutcome {
+        if self.pages.is_some() {
+            return self.read_events::<S>(ledger, rng, b, page, shift, true);
+        }
+        match shift {
+            None => self.read_page(ledger, rng, margin, b, page, true),
+            Some(shift) => self.read_page_shifted(ledger, rng, b, page, shift, true),
+        }
+    }
+
+    /// Serves a read of an in-range page without page lanes. Fast-forward
+    /// mode costs O(1) with no RNG draw; live mode samples the binomial.
     // Inlined, with `settle_and_disturb`, into the chip's read dispatch: out
     // of line, the fast-forward read costs the call more than its work.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn read_page(
+    fn read_page(
         &mut self,
-        params: &ChipParams,
         ledger: &mut BlockLedger,
         rng: &mut StdRng,
         margin: Option<u64>,
@@ -439,7 +524,7 @@ impl AggregateState {
         page: u32,
         disturb: bool,
     ) -> ReadOutcome {
-        self.settle_and_disturb(params, ledger, b, page, disturb);
+        self.settle_and_disturb(ledger, b, page, disturb);
         let reads = ledger.reads_since_erase[b];
         if reads >= self.summary_horizon[b] {
             self.refresh_summary(margin, reads, b);
@@ -455,14 +540,11 @@ impl AggregateState {
         }
     }
 
-    /// Read-retry sample of an in-range page at a uniform reference shift —
-    /// always sampled (recovery-ladder entry is a fast-forward event). The
-    /// shift response is the page-analytic tier's (one [`ShiftPoint`]),
-    /// evaluated per call: retry reads are rare at this tier.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn read_page_shifted(
+    /// Read-retry sample of an in-range page at a uniform reference shift,
+    /// without page lanes — always sampled (recovery-ladder entry is a
+    /// fast-forward event), at the block-level rate.
+    fn read_page_shifted(
         &mut self,
-        params: &ChipParams,
         ledger: &mut BlockLedger,
         rng: &mut StdRng,
         b: usize,
@@ -470,138 +552,285 @@ impl AggregateState {
         shift: f64,
         disturb: bool,
     ) -> ReadOutcome {
-        self.settle_and_disturb(params, ledger, b, page, disturb);
-        let (pe, age) = (ledger.pe_cycles[b], ledger.age_days[b]);
-        let point = ShiftPoint::at(params, &self.model, pe, age, shift);
-        self.sample_outcome(rng, b, point.rber(self.rd_term(b)))
+        self.settle_and_disturb(ledger, b, page, disturb);
+        let point = self.shift_point(ledger, b, shift);
+        self.sample_outcome(rng, b, point.rber(self.saturate(self.lin[b])))
     }
 
-    /// After the ledger's erase (or pre-wear): no disturb.
+    /// `(p_err, p_block)` of a read of `wordline` of a settled block at
+    /// `shift` (`None`: the default references): the per-bit RBER excluding
+    /// pass-through errors, and the per-bitline blocking probability.
+    fn read_probabilities(
+        &mut self,
+        ledger: &BlockLedger,
+        b: usize,
+        wordline: u32,
+        shift: Option<f64>,
+    ) -> (f64, f64) {
+        let rd = self.wordline_rd_term(b, wordline);
+        let p_err = match shift {
+            None => self.static_rber[b] + rd,
+            Some(shift) => self.shift_point(ledger, b, shift).rber(rd),
+        };
+        (p_err, self.blocked_prob[b])
+    }
+
+    /// Serves a read of an in-range page through the page lanes: a raw
+    /// error count sampled around the wordline's closed-form RBER at
+    /// `shift` (so a positive retry shift on a disturb-dominated wordline
+    /// genuinely recovers errors while paying the shifted misclassification
+    /// floor, as the cell-exact sweep does in aggregate), uniformly placed,
+    /// overlaid with sampled pass-through blocking. O(errors), plus
+    /// whatever the sink `S` does with the events: [`crate::sampler::CountSink`]
+    /// leaves [`ReadOutcome::data`] empty, [`crate::sampler::ByteSink`] fills it.
+    // Out of line, so the chip's read dispatch stays small for other tiers.
+    #[inline(never)]
+    fn read_events<S: ReadSink>(
+        &mut self,
+        ledger: &mut BlockLedger,
+        rng: &mut StdRng,
+        b: usize,
+        page: u32,
+        shift: Option<f64>,
+        disturb: bool,
+    ) -> ReadOutcome {
+        self.settle_and_disturb(ledger, b, page, disturb);
+        let bpc = self.bits_per_cell;
+        let (p_err, p_block) = self.read_probabilities(ledger, b, page / bpc, shift);
+        // A blocked bitline cannot conduct, so the cell senses as the top
+        // state (P3 on MLC).
+        let top = crate::state::state_bit(
+            self.params.n_states() - 1,
+            (page % bpc) as usize,
+            bpc as usize,
+        );
+        let i = b * self.pages_per_block() + page as usize;
+        let pages = self.pages.as_mut().expect("a page read needs page lanes");
+        // An unprogrammed page reads back as erased cells (ER stores 1/1).
+        let stored = ledger.is_programmed(b, page).then_some(pages.data[i].as_slice());
+        let mut sink = S::start(stored, self.bitlines as usize, top);
+        let scratch = &mut pages.scratch;
+        let blocked_bitlines =
+            sample_events(rng, scratch, self.bitlines, p_err, p_block, stored, &mut sink);
+        let (errors, data) = sink.finish(stored);
+        let stats = BitErrorStats::new(errors, u64::from(self.bitlines));
+        ReadOutcome { data, stats, blocked_bitlines }
+    }
+
+    /// After the ledger's erase (or pre-wear): no disturb, no payloads.
     pub(crate) fn reset(&mut self, b: usize) {
         self.lin[b] = 0.0;
+        let (w, ppb) = (self.wordlines(), self.pages_per_block());
+        if let Some(pages) = &mut self.pages {
+            pages.data[b * ppb..(b + 1) * ppb].iter_mut().for_each(Vec::clear);
+            pages.extra[b * w..(b + 1) * w].fill(0.0);
+        }
         self.op_point_moved(b);
     }
 
-    /// Uniformly spread reads: block-level disturb only (matches the other
-    /// tiers' `apply_read_disturbs`).
-    pub(crate) fn apply_read_disturbs(
+    /// Stores the payload of a page the ledger has accepted, where there are
+    /// page lanes.
+    pub(crate) fn program_page(&mut self, b: usize, page: u32, data: &[u8]) {
+        let i = b * self.pages_per_block() + page as usize;
+        if let Some(pages) = &mut self.pages {
+            pages.data[i].clear();
+            pages.data[i].extend_from_slice(data);
+        }
+    }
+
+    /// A page's payload as programmed (empty while unprogrammed); `None`
+    /// without page lanes.
+    pub(crate) fn payload(&self, b: usize, page: u32) -> Option<&[u8]> {
+        let i = b * self.pages_per_block() + page as usize;
+        self.pages.as_ref().map(|pages| pages.data[i].as_slice())
+    }
+
+    /// A batch of `n` reads: spread uniformly over the block (`wordline`
+    /// `None`), block-level disturb only; or concentrated on one wordline,
+    /// into the page lanes where there are any, otherwise into the block
+    /// mean at the wordline's geometry weight.
+    pub(crate) fn disturb(
         &mut self,
-        params: &ChipParams,
         ledger: &mut BlockLedger,
         b: usize,
+        wordline: Option<u32>,
         n: u64,
     ) {
-        self.settle(params, ledger, b);
-        self.lin[b] += self.slope[b] * n as f64;
+        self.settle(ledger, b);
+        match wordline {
+            None => self.lin[b] += self.slope[b] * n as f64,
+            Some(wordline) => self.add_reads(b, wordline, n),
+        }
         ledger.reads_since_erase[b] += n;
         self.invalidate(b);
     }
 
-    /// Reads concentrated on one wordline. The aggregate tier keeps no
-    /// per-wordline error state, so the hammer folds into the block mean at
-    /// the wordline's geometry weight.
-    pub(crate) fn hammer_wordline(
-        &mut self,
-        params: &ChipParams,
-        ledger: &mut BlockLedger,
-        b: usize,
-        wordline: u32,
-        n: u64,
-    ) {
-        self.settle(params, ledger, b);
-        self.lin[b] += self.slope[b] * self.wl_weight[wordline as usize] * n as f64;
-        ledger.reads_since_erase[b] += n;
-        self.invalidate(b);
+    /// Expected per-bit RBER of one wordline of the block, pass-through
+    /// errors included (half of a blocked bitline's bits flip), settled or
+    /// not. Without page lanes every wordline has the block-level rate.
+    fn rber_with_blocking(&self, ledger: &BlockLedger, b: usize, wordline: u32) -> f64 {
+        let point = self.point(ledger, b);
+        point.static_rber + self.wordline_rd_term(b, wordline) + 0.5 * point.blocked_prob
+    }
+
+    /// Closed-form `(expected error bits, bits)` of one wordline's
+    /// programmed pages at the default references.
+    fn wordline_expectation(&self, ledger: &BlockLedger, b: usize, wordline: u32) -> (f64, u64) {
+        let first = wordline * self.bits_per_cell;
+        let pages = (first..first + self.bits_per_cell).filter(|&p| ledger.is_programmed(b, p));
+        let bits = pages.count() as u64 * u64::from(self.bitlines);
+        if bits == 0 {
+            return (0.0, 0);
+        }
+        (self.rber_with_blocking(ledger, b, wordline) * bits as f64, bits)
     }
 
     /// Closed-form expected RBER of one wordline's programmed pages
-    /// (pass-through errors included), rounded to whole bits. All wordlines
-    /// of a block share the aggregate operating point.
+    /// (pass-through errors included), rounded to whole bits.
     pub(crate) fn rber_wordline_oracle(
         &self,
-        params: &ChipParams,
         ledger: &BlockLedger,
         b: usize,
         wordline: u32,
     ) -> BitErrorStats {
-        let first = wordline * self.bits_per_cell;
-        let pages = (first..first + self.bits_per_cell).filter(|&p| ledger.is_programmed(b, p));
-        let bits = pages.count() as u64 * self.bitlines as u64;
-        if bits == 0 {
-            return BitErrorStats::default();
-        }
-        let p = self.rber_with_blocking(params, ledger, b);
-        BitErrorStats::new((p * bits as f64).round() as u64, bits)
-    }
-
-    /// Expected per-bit RBER of the block, pass-through errors included
-    /// (half of a blocked bitline's bits flip), settled or not.
-    fn rber_with_blocking(&self, params: &ChipParams, ledger: &BlockLedger, b: usize) -> f64 {
-        let point = self.point(params, ledger, b);
-        point.static_rber + self.rd_term(b) + 0.5 * point.blocked_prob
+        let (expected, bits) = self.wordline_expectation(ledger, b, wordline);
+        BitErrorStats::new(expected.round() as u64, bits)
     }
 
     /// Closed-form expected RBER over all programmed pages of the block,
-    /// unrounded: `(expected error bits, total bits)`.
-    pub(crate) fn rber_expectation(
-        &self,
-        params: &ChipParams,
-        ledger: &BlockLedger,
-        b: usize,
-    ) -> (f64, u64) {
+    /// unrounded: `(expected error bits, total bits)` — summed over the
+    /// wordlines where there are page lanes.
+    pub(crate) fn rber_expectation(&self, ledger: &BlockLedger, b: usize) -> (f64, u64) {
+        if self.pages.is_some() {
+            return (0..self.wordlines() as u32)
+                .map(|wl| self.wordline_expectation(ledger, b, wl))
+                .fold((0.0, 0), |(expected, bits), (e, n)| (expected + e, bits + n));
+        }
         let bits = ledger.programmed_pages(b) as u64 * self.bitlines as u64;
-        (self.rber_with_blocking(params, ledger, b) * bits as f64, bits)
+        (self.rber_with_blocking(ledger, b, 0) * bits as f64, bits)
     }
 
-    /// Serializes the ledger and every mutable lane, caches included:
-    /// fast-forward summaries and sampling flags are part of the
-    /// replay-visible state (they gate when RNG draws happen), so bit-exact
-    /// resume requires them verbatim rather than recomputed. The
+    /// Serializes the ledger and every mutable lane into `w`.
+    ///
+    /// Without page lanes: the ledger lane by lane with every mutable lane,
+    /// caches included — fast-forward summaries and sampling flags are part
+    /// of the replay-visible state (they gate when RNG draws happen), so
+    /// bit-exact resume requires them verbatim rather than recomputed. The
     /// operating-point lanes are written settled — a dirty block's values
     /// evaluated here — so the bytes do not depend on which blocks happen
     /// to have been read, and the dirty flags need no lane.
-    pub(crate) fn encode_state(&self, params: &ChipParams, ledger: &BlockLedger, w: &mut Writer) {
-        let points: Vec<OperatingPoint> =
-            (0..self.dirty.len()).map(|b| self.point(params, ledger, b)).collect();
-        let lane = |of: fn(&OperatingPoint) -> f64| points.iter().map(of).collect::<Vec<f64>>();
-        ledger.encode_lanes(w, |w| {
-            w.put_f64s(&self.lin);
-            w.put_f64s(&lane(|p| p.slope));
-            w.put_f64s(&lane(|p| p.static_rber));
-            w.put_f64s(&lane(|p| p.blocked_prob));
-            w.put_u64s(&self.summary_errors);
-            w.put_u64s(&self.summary_horizon);
-            w.put_bools(&self.sampling);
-        });
+    ///
+    /// With page lanes: one row per block — the ledger row, the payload
+    /// count and payloads, then the block accumulator and the wordline
+    /// adjustments as folded disturb counters, each followed by zero
+    /// pending counters (the row layout of the folded/pending counters this
+    /// state replaced).
+    pub(crate) fn encode_state(&self, ledger: &BlockLedger, w: &mut Writer) {
+        let Some(pages) = &self.pages else {
+            let points: Vec<OperatingPoint> =
+                (0..self.dirty.len()).map(|b| self.point(ledger, b)).collect();
+            let lane = |of: fn(&OperatingPoint) -> f64| points.iter().map(of).collect::<Vec<_>>();
+            ledger.encode_lanes(w, |w| {
+                w.put_f64s(&self.lin);
+                w.put_f64s(&lane(|p| p.slope));
+                w.put_f64s(&lane(|p| p.static_rber));
+                w.put_f64s(&lane(|p| p.blocked_prob));
+                w.put_u64s(&self.summary_errors);
+                w.put_u64s(&self.summary_horizon);
+                w.put_bools(&self.sampling);
+            });
+            return;
+        };
+        let (wls, ppb) = (self.wordlines(), self.pages_per_block());
+        let pending = vec![0.0; wls];
+        for b in 0..self.dirty.len() {
+            ledger.encode_row(b, w, |_| {});
+            w.put_u64(ppb as u64);
+            pages.data[b * ppb..(b + 1) * ppb].iter().for_each(|data| w.put_bytes(data));
+            w.put_f64(self.lin[b]);
+            w.put_f64s(&pages.extra[b * wls..(b + 1) * wls]);
+            w.put_f64(0.0);
+            w.put_f64s(&pending);
+        }
     }
 
-    /// Restores the ledger and the lanes serialized by
-    /// [`Self::encode_state`] into `self`, which must have been constructed
-    /// with the same geometry and model.
+    /// Restores what [`Self::encode_state`] wrote into `self`, which must
+    /// have been constructed with the same geometry and params; nothing is
+    /// restored unless the whole section decodes and fits. In the row
+    /// layout, a programmed page's payload must be one page long and an
+    /// unprogrammed page's empty, and non-zero pending counters (a
+    /// checkpoint of the folded/pending counters) fold in at the restored
+    /// row's slope.
     pub(crate) fn restore_state(
         &mut self,
         ledger: &mut BlockLedger,
         r: &mut Reader<'_>,
     ) -> Result<(), SnapError> {
-        let n = self.dirty.len();
-        let (f64_lanes, summary_errors, summary_horizon, sampling) =
-            ledger.restore_lanes(r, |r| {
-                let f64_lanes = [r.get_f64s()?, r.get_f64s()?, r.get_f64s()?, r.get_f64s()?];
-                let (errors, horizon, sampling) = (r.get_u64s()?, r.get_u64s()?, r.get_bools()?);
-                let mut lens = f64_lanes.iter().map(Vec::len).chain([errors.len(), horizon.len()]);
-                if lens.any(|len| len != n) || sampling.len() != n {
-                    return Err(SnapError::Mismatch(format!(
-                        "aggregate block lane length != {n} blocks"
-                    )));
+        let (n, wls, ppb) = (self.dirty.len(), self.wordlines(), self.pages_per_block());
+        if self.pages.is_none() {
+            let (f64_lanes, summary_errors, summary_horizon, sampling) =
+                ledger.restore_lanes(r, |r| {
+                    let f64_lanes = [r.get_f64s()?, r.get_f64s()?, r.get_f64s()?, r.get_f64s()?];
+                    let (errors, horizon, sampling) =
+                        (r.get_u64s()?, r.get_u64s()?, r.get_bools()?);
+                    let mut lens =
+                        f64_lanes.iter().map(Vec::len).chain([errors.len(), horizon.len()]);
+                    if lens.any(|len| len != n) || sampling.len() != n {
+                        return Err(SnapError::Mismatch(format!(
+                            "aggregate block lane length != {n} blocks"
+                        )));
+                    }
+                    Ok((f64_lanes, errors, horizon, sampling))
+                })?;
+            [self.lin, self.slope, self.static_rber, self.blocked_prob] = f64_lanes;
+            // The encoded operating points are settled ones.
+            self.dirty = vec![false; n];
+            self.summary_errors = summary_errors;
+            self.summary_horizon = summary_horizon;
+            self.sampling = sampling;
+            return Ok(());
+        }
+        let mismatch = |what: String| Err(SnapError::Mismatch(format!("analytic block {what}")));
+        let mut rows = ledger.clone();
+        let (mut data, mut lin, mut extra) = (Vec::new(), Vec::new(), Vec::new());
+        for b in 0..n {
+            rows.restore_row(b, r, |_| Ok(()))?;
+            let count = r.get_u64()?;
+            if count != ppb as u64 {
+                return mismatch(format!("payload count {count} != {ppb}"));
+            }
+            for page in 0..ppb as u32 {
+                let payload = r.get_bytes()?;
+                let len = if rows.is_programmed(b, page) { self.bitlines as usize / 8 } else { 0 };
+                if payload.len() != len {
+                    return mismatch(format!(
+                        "page {page} payload {} bytes != {len}",
+                        payload.len()
+                    ));
                 }
-                Ok((f64_lanes, errors, horizon, sampling))
-            })?;
-        [self.lin, self.slope, self.static_rber, self.blocked_prob] = f64_lanes;
-        // The encoded operating points are settled ones.
-        self.dirty = vec![false; n];
-        self.summary_errors = summary_errors;
-        self.summary_horizon = summary_horizon;
-        self.sampling = sampling;
+                data.push(payload);
+            }
+            let (folded_lin, folded_extra) = (r.get_f64()?, r.get_f64s()?);
+            let (pending_reads, pending_extra) = (r.get_f64()?, r.get_f64s()?);
+            if folded_extra.len() != wls || pending_extra.len() != wls {
+                return mismatch(format!("wordline lanes != {wls}"));
+            }
+            let slope = self.model.rd_slope(rows.pe_cycles[b], rows.vpass[b]);
+            let fold = |folded: f64, pending: f64| {
+                if pending == 0.0 {
+                    folded
+                } else {
+                    folded + slope * pending
+                }
+            };
+            lin.push(fold(folded_lin, pending_reads));
+            extra.extend(folded_extra.iter().zip(&pending_extra).map(|(&f, &p)| fold(f, p)));
+        }
+        *ledger = rows;
+        self.lin = lin;
+        let pages = self.pages.as_mut().expect("page lanes checked above");
+        (pages.data, pages.extra) = (data, extra);
+        (0..n).for_each(|b| self.op_point_moved(b));
         Ok(())
     }
 }
@@ -609,13 +838,16 @@ impl AggregateState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::{gaussian_tail_floor_shifted, RETRY_SHIFT_DECAY, RETRY_SHIFT_GAIN_CAP};
     use crate::error::FlashError;
     use crate::params::NOMINAL_VPASS;
+    use crate::sampler::{ByteSink, CountSink};
+    use crate::{bits, Chip};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    /// Aggregate state with a ledger of its own, moved by the rules the
-    /// chip applies.
+    /// A state with a ledger of its own, moved by the rules the chip
+    /// applies.
     #[derive(Debug, Clone)]
     struct Fixture {
         state: AggregateState,
@@ -623,30 +855,58 @@ mod tests {
     }
 
     impl Fixture {
+        /// Without page lanes: `blocks` blocks of 8 wordlines on 1024
+        /// bitlines.
         fn new(blocks: u32, bits_per_cell: u32, params: &ChipParams) -> Self {
-            let model = AnalyticModel::from_chip(params, 8);
-            let state = AggregateState::new(blocks, 8, 1024, bits_per_cell, params, model);
-            Self { state, ledger: BlockLedger::new(blocks, 8 * bits_per_cell, 1024, true) }
+            let geometry =
+                Geometry { blocks, wordlines_per_block: 8, bitlines: 1024, bits_per_cell };
+            Self::with(geometry, params, ReadFidelity::BlockAggregate)
+        }
+
+        /// With page lanes: one block.
+        fn paged(wordlines: u32, bitlines: u32, params: &ChipParams) -> Self {
+            let bits_per_cell = params.bits_per_cell();
+            let geometry =
+                Geometry { blocks: 1, wordlines_per_block: wordlines, bitlines, bits_per_cell };
+            Self::with(geometry, params, ReadFidelity::PageAnalytic)
+        }
+
+        fn with(geometry: Geometry, params: &ChipParams, fidelity: ReadFidelity) -> Self {
+            let params = ChipParams { fidelity, ..params.clone() };
+            let empty_writes = fidelity == ReadFidelity::BlockAggregate;
+            let ledger = BlockLedger::new(
+                geometry.blocks,
+                geometry.pages_per_block(),
+                geometry.bitlines,
+                empty_writes,
+            );
+            Self { state: AggregateState::new(geometry, params), ledger }
         }
 
         /// Settles every block: after each mutation, this is the state
         /// that evaluated the closed form eagerly at every event.
-        fn settle_all(&mut self, params: &ChipParams) {
+        fn settle_all(&mut self) {
             for b in 0..self.state.dirty.len() {
-                self.state.settle(params, &self.ledger, b);
+                self.state.settle(&self.ledger, b);
             }
         }
 
-        fn encoded(&self, params: &ChipParams) -> Vec<u8> {
+        fn encoded(&self) -> Vec<u8> {
             let mut w = crate::wire::Writer::new();
-            self.state.encode_state(params, &self.ledger, &mut w);
+            self.state.encode_state(&self.ledger, &mut w);
             w.into_bytes()
         }
 
+        /// The empty write of a state without page lanes.
         fn program(&mut self, b: usize, page: u32) -> Result<(), FlashError> {
-            if self.ledger.program(b, page, &[])? {
+            self.store(b, page, &[])
+        }
+
+        fn store(&mut self, b: usize, page: u32, data: &[u8]) -> Result<(), FlashError> {
+            if self.ledger.program(b, page, data)? {
                 self.state.op_point_moved(b);
             }
+            self.state.program_page(b, page, data);
             Ok(())
         }
 
@@ -665,13 +925,16 @@ mod tests {
             self.state.op_point_moved(b);
         }
 
-        fn disturb(&mut self, params: &ChipParams, b: usize, n: u64) {
-            self.state.apply_read_disturbs(params, &mut self.ledger, b, n);
+        fn disturb(&mut self, b: usize, n: u64) {
+            self.state.disturb(&mut self.ledger, b, None, n);
+        }
+
+        fn hammer(&mut self, b: usize, wordline: u32, n: u64) {
+            self.state.disturb(&mut self.ledger, b, Some(wordline), n);
         }
 
         fn read(
             &mut self,
-            params: &ChipParams,
             rng: &mut StdRng,
             margin: Option<u64>,
             b: usize,
@@ -679,14 +942,13 @@ mod tests {
             disturb: bool,
         ) -> ReadOutcome {
             let Self { state, ledger } = self;
-            state.read_page(params, ledger, rng, margin, b, page, disturb)
+            state.read_page(ledger, rng, margin, b, page, disturb)
         }
 
         /// [`Self::read`] without the zero-error screen: a sampled read
         /// goes straight to `sample_outcome` at `rber_block`.
         fn read_reference(
             &mut self,
-            params: &ChipParams,
             rng: &mut StdRng,
             margin: Option<u64>,
             b: usize,
@@ -694,7 +956,7 @@ mod tests {
             disturb: bool,
         ) -> ReadOutcome {
             let Self { state, ledger } = self;
-            state.settle_and_disturb(params, ledger, b, page, disturb);
+            state.settle_and_disturb(ledger, b, page, disturb);
             let reads = ledger.reads_since_erase[b];
             if reads >= state.summary_horizon[b] {
                 state.refresh_summary(margin, reads, b);
@@ -713,7 +975,6 @@ mod tests {
 
         fn read_shifted(
             &mut self,
-            params: &ChipParams,
             rng: &mut StdRng,
             b: usize,
             page: u32,
@@ -721,15 +982,47 @@ mod tests {
             disturb: bool,
         ) -> ReadOutcome {
             let Self { state, ledger } = self;
-            state.read_page_shifted(params, ledger, rng, b, page, shift, disturb)
+            state.read_page_shifted(ledger, rng, b, page, shift, disturb)
+        }
+
+        /// A read of block 0 through the page lanes into sink `S`.
+        fn read_events<S: ReadSink>(
+            &mut self,
+            rng: &mut StdRng,
+            page: u32,
+            shift: Option<f64>,
+            disturb: bool,
+        ) -> ReadOutcome {
+            let Self { state, ledger } = self;
+            state.read_events::<S>(ledger, rng, 0, page, shift, disturb)
+        }
+
+        /// A default-reference materializing page read of block 0.
+        fn read_bytes(&mut self, rng: &mut StdRng, page: u32, disturb: bool) -> ReadOutcome {
+            self.read_events::<ByteSink>(rng, page, None, disturb)
+        }
+
+        /// Block 0's `(p_err, p_block)` for a read of `wordline` at `shift`.
+        fn probabilities(&mut self, wordline: u32, shift: Option<f64>) -> (f64, f64) {
+            self.state.settle(&self.ledger, 0);
+            self.state.read_probabilities(&self.ledger, 0, wordline, shift)
         }
 
         fn status(&self, b: usize) -> crate::BlockStatus {
             self.ledger.status(b, self.state.dose(b))
         }
 
-        fn expectation(&self, params: &ChipParams, b: usize) -> (f64, u64) {
-            self.state.rber_expectation(params, &self.ledger, b)
+        fn expectation(&self, b: usize) -> (f64, u64) {
+            self.state.rber_expectation(&self.ledger, b)
+        }
+
+        fn oracle(&self, b: usize) -> BitErrorStats {
+            let (expected, bits) = self.expectation(b);
+            BitErrorStats::new(expected.round() as u64, bits)
+        }
+
+        fn oracle_wordline(&self, b: usize, wordline: u32) -> BitErrorStats {
+            self.state.rber_wordline_oracle(&self.ledger, b, wordline)
         }
     }
 
@@ -794,13 +1087,13 @@ mod tests {
                     let _ = twin.program(block, page);
                 }
                 Op::Read { block, page, disturb } if screened => {
-                    return Some(twin.read(params, rng, margin, block, page, disturb));
+                    return Some(twin.read(rng, margin, block, page, disturb));
                 }
                 Op::Read { block, page, disturb } => {
-                    return Some(twin.read_reference(params, rng, margin, block, page, disturb));
+                    return Some(twin.read_reference(rng, margin, block, page, disturb));
                 }
                 Op::ShiftedRead { block, page, shift } => {
-                    return Some(twin.read_shifted(params, rng, block, page, shift, true));
+                    return Some(twin.read_shifted(rng, block, page, shift, true));
                 }
                 Op::PreWear { block, cycles } => twin.pre_wear(block, cycles),
                 Op::AdvanceDays { days } => {
@@ -809,13 +1102,10 @@ mod tests {
                     }
                 }
                 Op::SetVpass { block, vpass } => twin.set_vpass(block, vpass),
-                Op::Disturbs { block, n } => twin.disturb(params, block, n),
-                Op::Hammer { block, wordline, n } => {
-                    let Fixture { state, ledger } = twin;
-                    state.hammer_wordline(params, ledger, block, wordline, n);
-                }
+                Op::Disturbs { block, n } => twin.disturb(block, n),
+                Op::Hammer { block, wordline, n } => twin.hammer(block, wordline, n),
                 Op::EncodeRestore => {
-                    let bytes = twin.encoded(params);
+                    let bytes = twin.encoded();
                     let mut fresh = twin_state(params);
                     let Fixture { state, ledger } = &mut fresh;
                     state.restore_state(ledger, &mut crate::wire::Reader::new(&bytes)).unwrap();
@@ -849,35 +1139,35 @@ mod tests {
             let margin = (margin > 0).then_some(margin);
             let mut lazy = twin_state(&params);
             let mut eager = lazy.clone();
-            eager.settle_all(&params);
+            eager.settle_all();
             let mut lazy_rng = StdRng::seed_from_u64(seed);
             let mut eager_rng = lazy_rng.clone();
             for draw in draws {
                 let op = Op::decode(draw, &params);
                 let got = op.apply(&mut lazy, &params, &mut lazy_rng, margin, true);
                 let expected = op.apply(&mut eager, &params, &mut eager_rng, margin, false);
-                eager.settle_all(&params);
+                eager.settle_all();
                 prop_assert_eq!(got, expected);
                 prop_assert_eq!(lazy_rng.state(), eager_rng.state());
                 for b in 0..TWIN_BLOCKS {
                     let oracles = |s: &Fixture| {
-                        let (expected, bits) = s.expectation(&params, b);
+                        let (expected, bits) = s.expectation(b);
                         (
                             expected.to_bits(),
                             bits,
-                            (0..8).map(|wl| s.state.rber_wordline_oracle(&params, &s.ledger, b, wl)).collect::<Vec<_>>(),
+                            (0..8).map(|wl| s.oracle_wordline(b, wl)).collect::<Vec<_>>(),
                             s.status(b),
                         )
                     };
                     prop_assert_eq!(oracles(&lazy), oracles(&eager));
                     if !lazy.state.dirty[b] {
                         prop_assert_eq!(
-                            lazy.state.point(&params, &lazy.ledger, b),
-                            lazy.state.evaluate(&params, &lazy.ledger, b)
+                            lazy.state.point(&lazy.ledger, b),
+                            lazy.state.evaluate(&lazy.ledger, b)
                         );
                     }
                 }
-                prop_assert_eq!(lazy.encoded(&params), eager.encoded(&params));
+                prop_assert_eq!(lazy.encoded(), eager.encoded());
             }
         }
     }
@@ -896,13 +1186,13 @@ mod tests {
 
     #[test]
     fn fast_forward_reads_touch_no_rng() {
-        let (mut state, params, mut rng) = setup();
+        let (mut state, _, mut rng) = setup();
         program_all(&mut state);
         // Fresh block, wide margin: every read must be served cached.
         let margin = Some(40u64);
         let before = rng.clone();
         for i in 0..10_000u64 {
-            let out = state.read(&params, &mut rng, margin, 0, (i % 16) as u32, true);
+            let out = state.read(&mut rng, margin, 0, (i % 16) as u32, true);
             assert!(out.data.is_empty());
             assert_eq!(out.blocked_bitlines, 0);
         }
@@ -919,10 +1209,10 @@ mod tests {
 
     #[test]
     fn no_margin_hint_always_samples() {
-        let (mut state, params, mut rng) = setup();
+        let (mut state, _, mut rng) = setup();
         program_all(&mut state);
         let before = rng.clone();
-        state.read(&params, &mut rng, None, 0, 0, true);
+        state.read(&mut rng, None, 0, 0, true);
         let mut a = before;
         assert_ne!(
             rand::Rng::gen::<u64>(&mut a),
@@ -933,24 +1223,24 @@ mod tests {
 
     #[test]
     fn margin_proximity_switches_to_live_sampling() {
-        let (mut state, params, mut rng) = setup();
+        let (mut state, _, mut rng) = setup();
         state.pre_wear(0, 8_000);
         program_all(&mut state);
-        state.disturb(&params, 0, 2_000_000);
+        state.disturb(0, 2_000_000);
         // Expected errors now approach/exceed a tight margin: must sample.
-        state.read(&params, &mut rng, Some(4), 0, 0, false);
+        state.read(&mut rng, Some(4), 0, 0, false);
         assert!(state.state.sampling[0], "worn+disturbed block must leave fast-forward mode");
     }
 
     #[test]
     fn summary_tracks_expectation_across_horizons() {
-        let (mut state, params, mut rng) = setup();
+        let (mut state, _, mut rng) = setup();
         state.pre_wear(0, 8_000);
         program_all(&mut state);
         // Wide margin keeps the block in fast-forward mode; the served
         // count must track the closed-form expectation within rounding.
         for _ in 0..200_000u64 {
-            let out = state.read(&params, &mut rng, Some(10_000), 0, 0, true);
+            let out = state.read(&mut rng, Some(10_000), 0, 0, true);
             let expect = state.state.rber_block(0) * 1024.0;
             let served = out.stats.errors as f64;
             assert!(
@@ -961,35 +1251,35 @@ mod tests {
         assert!(state.state.rber_block(0) > state.state.static_rber[0], "disturb must accumulate");
     }
 
+    /// Under uniformly spread disturb the page lanes hold no wordline
+    /// adjustment, and the per-wordline expectation summed over the block
+    /// is the block-level one.
     #[test]
     fn matches_analytic_uniform_disturb_closed_form() {
         let (mut state, params, _) = setup();
-        let mut analytic = crate::analytic_block::AnalyticBlock::new(8, 1024, 2);
-        let mut ledger = BlockLedger::new(1, 16, 1024, false);
-        ledger.erase(0, 8_000);
+        let mut paged = Fixture::paged(8, 1024, &params);
+        paged.pre_wear(0, 8_000);
         state.pre_wear(0, 8_000);
         program_all(&mut state);
         let mut rng = StdRng::seed_from_u64(9);
         for page in 0..16 {
-            let data = crate::bits::random(&mut rng, 1024);
-            ledger.program(0, page, &data).unwrap();
-            analytic.program_page(page, &data);
+            paged.store(0, page, &bits::random(&mut rng, 1024)).unwrap();
         }
-        analytic.apply_read_disturbs(&mut ledger, 0, 500_000);
-        state.disturb(&params, 0, 500_000);
-        let model = AnalyticModel::from_chip(&params, 8);
-        let (ae, ab) = analytic.rber_expectation(&params, &model, &ledger, 0);
-        let (ge, gb) = state.expectation(&params, 0);
+        paged.disturb(0, 500_000);
+        state.disturb(0, 500_000);
+        assert_eq!(paged.status(0), state.status(0));
+        let (ae, ab) = paged.expectation(0);
+        let (ge, gb) = state.expectation(0);
         assert_eq!(ab, gb);
         let rel = (ge / ae - 1.0).abs();
         assert!(rel < 1e-9, "uniform-disturb closed forms diverged: {ge} vs {ae}");
     }
 
-    /// `evaluate` and `read_page_shifted` evaluate the page-analytic
-    /// tier's [`ShiftPoint`]. Per database chip: `static_rber` and the
-    /// shifted per-bit RBER at each of its retry shifts, folded over their
-    /// bits, against the values the aggregate tier's own two spellings of
-    /// the sum gave on ae93447.
+    /// `evaluate` and `read_page_shifted` evaluate the shared
+    /// [`ShiftPoint`]. Per database chip: `static_rber` and the shifted
+    /// per-bit RBER at each of its retry shifts, folded over their bits,
+    /// against the values the aggregate tier's own two spellings of the sum
+    /// gave on ae93447.
     #[test]
     fn shared_shift_point_reproduces_the_hand_written_sums() {
         const RECORDED: [(&str, u64); 7] = [
@@ -1013,13 +1303,13 @@ mod tests {
                     state.program(0, page).unwrap();
                 }
                 state.advance_days(0, 21.0);
-                state.disturb(params, 0, 500_000);
+                state.disturb(0, 500_000);
                 let (pe, age) = (state.ledger.pe_cycles[0], state.ledger.age_days[0]);
                 let fold = params.retry_shifts.iter().fold(
                     state.state.static_rber[0].to_bits(),
                     |fold, &shift| {
                         let point = ShiftPoint::at(params, &model, pe, age, shift);
-                        let p_err = point.rber(state.state.rd_term(0));
+                        let p_err = point.rber(state.state.saturate(state.state.lin[0]));
                         fold.wrapping_mul(0x0000_0100_0000_01b3) ^ p_err.to_bits()
                     },
                 );
@@ -1048,17 +1338,16 @@ mod tests {
                 fixture.program(b, page).unwrap();
             }
         }
-        fixture.disturb(&params, 1, 100_000);
-        fixture.disturb(&params, 2, 10_000_000);
+        fixture.disturb(1, 100_000);
+        fixture.disturb(2, 10_000_000);
         for b in 0..3 {
             let (mut screened, mut reference) = (fixture.clone(), fixture.clone());
             let mut rng = StdRng::seed_from_u64(11);
             let mut reference_rng = rng.clone();
             let mut zeros = 0;
             for i in 0..4_000u32 {
-                let got = screened.read(&params, &mut rng, None, b, i % 16, true);
-                let expected =
-                    reference.read_reference(&params, &mut reference_rng, None, b, i % 16, true);
+                let got = screened.read(&mut rng, None, b, i % 16, true);
+                let expected = reference.read_reference(&mut reference_rng, None, b, i % 16, true);
                 assert_eq!(got, expected, "block {b}, read {i}");
                 assert_eq!(rng.state(), reference_rng.state(), "block {b}, read {i}");
                 zeros += u32::from(got.stats.errors == 0);
@@ -1093,31 +1382,31 @@ mod tests {
             fixture.advance_days(b, 21.0);
         }
         fixture.ledger.age_days[2] = f64::from_bits(21.0f64.to_bits() + 1);
-        fixture.settle_all(&params);
+        fixture.settle_all();
         let lanes = |f: &Fixture, b: usize| {
             let s = &f.state;
             [s.slope[b], s.static_rber[b], s.blocked_prob[b]].map(f64::to_bits)
         };
         assert_eq!(lanes(&fixture, 0), lanes(&fixture, 1));
         for b in 0..3 {
-            let fresh = fixture.state.evaluate(&params, &fixture.ledger, b);
-            assert_eq!(fixture.state.point(&params, &fixture.ledger, b), fresh);
+            let fresh = fixture.state.evaluate(&fixture.ledger, b);
+            assert_eq!(fixture.state.point(&fixture.ledger, b), fresh);
         }
-        let shared = PointMemo::key(&fixture.ledger, 0);
-        assert_ne!(shared, PointMemo::key(&fixture.ledger, 2));
+        let shared = point_key(&fixture.ledger, 0);
+        assert_ne!(shared, point_key(&fixture.ledger, 2));
         let planted = OperatingPoint { slope: 1.0, static_rber: 0.25, blocked_prob: 0.0 };
         fixture.state.memo.put(shared, planted);
         for b in 0..3 {
             fixture.state.op_point_moved(b);
         }
-        assert_eq!(fixture.state.point(&params, &fixture.ledger, 1), planted);
-        fixture.settle_all(&params);
+        assert_eq!(fixture.state.point(&fixture.ledger, 1), planted);
+        fixture.settle_all();
         for b in 0..2 {
-            assert_eq!(fixture.state.point(&params, &fixture.ledger, b), planted);
+            assert_eq!(fixture.state.point(&fixture.ledger, b), planted);
         }
-        let own = fixture.state.evaluate(&params, &fixture.ledger, 2);
+        let own = fixture.state.evaluate(&fixture.ledger, 2);
         assert_ne!(own, planted);
-        assert_eq!(fixture.state.point(&params, &fixture.ledger, 2), own);
+        assert_eq!(fixture.state.point(&fixture.ledger, 2), own);
     }
 
     #[test]
@@ -1127,22 +1416,22 @@ mod tests {
         state.set_vpass(0, params.min_vpass);
         let mut blocked = 0u64;
         for _ in 0..64 {
-            blocked += state.read(&params, &mut rng, Some(1_000), 0, 0, false).blocked_bitlines;
+            blocked += state.read(&mut rng, Some(1_000), 0, 0, false).blocked_bitlines;
         }
         assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
         state.set_vpass(0, NOMINAL_VPASS);
-        let out = state.read(&params, &mut rng, Some(1_000), 0, 0, false);
+        let out = state.read(&mut rng, Some(1_000), 0, 0, false);
         assert_eq!(out.blocked_bitlines, 0);
     }
 
     #[test]
     fn shifted_retry_recovers_disturb_errors() {
-        let (mut state, params, mut rng) = setup();
+        let (mut state, _, mut rng) = setup();
         state.pre_wear(0, 10_000);
         program_all(&mut state);
-        state.disturb(&params, 0, 3_000_000);
+        state.disturb(0, 3_000_000);
         let sum = |state: &mut Fixture, rng: &mut StdRng, shift: f64| -> u64 {
-            (0..32).map(|_| state.read_shifted(&params, rng, 0, 0, shift, false).stats.errors).sum()
+            (0..32).map(|_| state.read_shifted(rng, 0, 0, shift, false).stats.errors).sum()
         };
         let base = sum(&mut state, &mut rng, 0.0);
         let raised = sum(&mut state, &mut rng, 12.0);
@@ -1156,7 +1445,7 @@ mod tests {
     /// refuses and erases exactly as the other tiers do.
     #[test]
     fn program_and_erase_semantics_match_other_tiers() {
-        use crate::{Chip, Geometry, ReadFidelity};
+        use crate::Geometry;
         let mut chip = Chip::with_fidelity(
             Geometry::small(),
             ChipParams::default(),
@@ -1184,5 +1473,345 @@ mod tests {
         assert_eq!(st.dose, 0.0);
         assert_eq!(st.programmed_pages, 0);
         assert!(!chip.is_page_programmed(0, 3).unwrap());
+    }
+
+    // ---- page lanes ----
+
+    /// One page-laned block of 8 wordlines on 1024 MLC bitlines.
+    fn paged_setup() -> (Fixture, ChipParams, StdRng) {
+        let params = ChipParams::default();
+        (Fixture::paged(8, 1024, &params), params, StdRng::seed_from_u64(7))
+    }
+
+    fn store_all(fixture: &mut Fixture, rng: &mut StdRng) {
+        for page in 0..16 {
+            fixture.store(0, page, &bits::random(rng, 1024)).unwrap();
+        }
+    }
+
+    #[test]
+    fn program_read_round_trip_is_near_clean_when_fresh() {
+        let (mut block, _, mut rng) = paged_setup();
+        let data = bits::random(&mut rng, 1024);
+        block.store(0, 4, &data).unwrap();
+        assert_eq!(block.state.payload(0, 4), Some(data.as_slice()));
+        let out = block.read_bytes(&mut rng, 4, true);
+        // Fresh block at 0 P/E: expected errors ≪ 1.
+        assert!(out.stats.errors <= 2, "fresh analytic read had {} errors", out.stats.errors);
+        assert_eq!(out.blocked_bitlines, 0, "no blocking at nominal Vpass");
+        assert_eq!(block.status(0).reads_since_erase, 1);
+    }
+
+    /// Program validation on the page-analytic chip refuses exactly what
+    /// the cell-exact chip refuses.
+    #[test]
+    fn program_validation_matches_exact_block() {
+        use crate::Geometry;
+        let data = bits::random(&mut StdRng::seed_from_u64(2024), 512);
+        let outcomes = [ReadFidelity::CellExact, ReadFidelity::PageAnalytic].map(|tier| {
+            let mut chip = Chip::with_fidelity(Geometry::small(), ChipParams::default(), 5, tier);
+            chip.program_page(0, 0, &data).unwrap();
+            let double = chip.program_page(0, 0, &data);
+            assert!(matches!(double, Err(FlashError::PageAlreadyProgrammed { page: 0 })), "{tier}");
+            let range = chip.program_page(0, 99, &data);
+            assert!(matches!(range, Err(FlashError::PageOutOfRange { .. })), "{tier}");
+            let short = chip.program_page(0, 1, &[0u8; 3]);
+            assert!(matches!(short, Err(FlashError::DataLengthMismatch { .. })), "{tier}");
+            let unwritten = chip.intended_page_bits(0, 2);
+            assert!(matches!(unwritten, Err(FlashError::PageNotProgrammed { .. })), "{tier}");
+            (double, range, short, unwritten, chip.block_status(0).unwrap().programmed_pages)
+        });
+        assert_eq!(outcomes[0], outcomes[1]);
+    }
+
+    #[test]
+    fn erase_resets_state_and_increments_wear() {
+        use crate::Geometry;
+        let mut chip = Chip::with_fidelity(
+            Geometry::small(),
+            ChipParams::default(),
+            5,
+            ReadFidelity::PageAnalytic,
+        );
+        chip.program_block_random(0, 1).unwrap();
+        chip.apply_read_disturbs(0, 1_000).unwrap();
+        chip.advance_days(3.0);
+        chip.erase_block(0).unwrap();
+        let st = chip.block_status(0).unwrap();
+        assert_eq!(st.pe_cycles, 1);
+        assert_eq!(st.reads_since_erase, 0);
+        assert_eq!(st.age_days, 0.0);
+        assert_eq!(st.dose, 0.0);
+        assert_eq!(st.programmed_pages, 0);
+        assert!(!chip.is_page_programmed(0, 0).unwrap());
+    }
+
+    #[test]
+    fn disturb_raises_expected_rber() {
+        let (mut block, _, mut rng) = paged_setup();
+        block.pre_wear(0, 8_000);
+        store_all(&mut block, &mut rng);
+        let r0 = block.oracle(0).rate();
+        block.disturb(0, 250_000);
+        let r1 = block.oracle(0).rate();
+        block.disturb(0, 750_000);
+        let r2 = block.oracle(0).rate();
+        assert!(r0 < r1 && r1 < r2, "{r0} {r1} {r2}");
+    }
+
+    #[test]
+    fn sampled_errors_track_expectation() {
+        let (mut block, _, mut rng) = paged_setup();
+        block.pre_wear(0, 8_000);
+        store_all(&mut block, &mut rng);
+        block.disturb(0, 500_000);
+        let expect = block.probabilities(3, None).0 * 1024.0;
+        let n_reads = 400usize;
+        let mut total = 0u64;
+        for _ in 0..n_reads {
+            // Oracle reads: no extra disturb, so the expectation is fixed.
+            total += block.read_bytes(&mut rng, 6, false).stats.errors;
+        }
+        let mean = total as f64 / n_reads as f64;
+        assert!(
+            (0.7..=1.4).contains(&(mean / expect)),
+            "sampled mean {mean:.2} vs expectation {expect:.2}"
+        );
+    }
+
+    #[test]
+    fn hammer_concentrates_on_neighbours() {
+        let (mut block, _, mut rng) = paged_setup();
+        block.pre_wear(0, 8_000);
+        store_all(&mut block, &mut rng);
+        block.hammer(0, 4, 500_000);
+        let neighbour = block.oracle_wordline(0, 5).rate();
+        let distant = block.oracle_wordline(0, 1).rate();
+        let hammered = block.oracle_wordline(0, 4).rate();
+        assert!(neighbour > distant, "neighbour {neighbour:.3e} vs distant {distant:.3e}");
+        assert!(hammered < distant, "hammered {hammered:.3e} vs distant {distant:.3e}");
+    }
+
+    #[test]
+    fn vpass_fold_preserves_accumulated_disturb() {
+        let (mut block, _, mut rng) = paged_setup();
+        block.pre_wear(0, 8_000);
+        store_all(&mut block, &mut rng);
+        block.disturb(0, 100_000);
+        block.hammer(0, 2, 30_000);
+        let before = (block.status(0).dose, block.oracle_wordline(0, 3));
+        // Lowering Vpass must not erase the disturb damage already done
+        // (pass-through errors do rise — that is the physics, not history).
+        block.set_vpass(0, 0.96 * NOMINAL_VPASS);
+        assert_eq!(block.status(0).dose, before.0, "a Vpass change rewrote history");
+        block.set_vpass(0, NOMINAL_VPASS);
+        assert_eq!((block.status(0).dose, block.oracle_wordline(0, 3)), before);
+        // …but future reads at the lower Vpass accumulate disturb slower.
+        let mut low = block.clone();
+        low.set_vpass(0, 0.96 * NOMINAL_VPASS);
+        low.disturb(0, 100_000);
+        let mut high = block.clone();
+        high.disturb(0, 100_000);
+        assert!(
+            low.status(0).dose < high.status(0).dose,
+            "lower Vpass must slow disturb accumulation"
+        );
+    }
+
+    #[test]
+    fn relaxed_vpass_blocks_bitlines_and_nominal_does_not() {
+        let (mut block, params, mut rng) = paged_setup();
+        store_all(&mut block, &mut rng);
+        block.set_vpass(0, params.min_vpass);
+        let mut blocked = 0u64;
+        for _ in 0..64 {
+            blocked += block.read_bytes(&mut rng, 0, false).blocked_bitlines;
+        }
+        assert!(blocked > 0, "expected sampled blocking at minimum Vpass");
+        block.set_vpass(0, NOMINAL_VPASS);
+        assert_eq!(block.read_bytes(&mut rng, 0, false).blocked_bitlines, 0);
+    }
+
+    /// A page read's error probability re-derived from the ledger row and
+    /// the fold-free lanes, every term evaluated afresh (the reference the
+    /// settled lanes and the shift memo must reproduce).
+    fn p_err_reference(block: &Fixture, params: &ChipParams, wordline: u32, shift: f64) -> f64 {
+        let model = &block.state.model;
+        let (pe, age_days) = (block.ledger.pe_cycles[0], block.ledger.age_days[0]);
+        let extra = block.state.pages.as_ref().unwrap().extra[wordline as usize];
+        let lin = (block.state.lin[0] + extra).max(0.0);
+        let p = model.params();
+        let rd = p.rd_sat * (lin / p.rd_sat).ln_1p();
+        let rd_factor = (-shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        let ret_factor = (shift / RETRY_SHIFT_DECAY).exp().min(RETRY_SHIFT_GAIN_CAP);
+        gaussian_tail_floor_shifted(params, pe, shift)
+            + model.rber_pe(pe)
+            + model.rber_retention(pe, age_days) * ret_factor
+            + rd * rd_factor
+    }
+
+    #[test]
+    fn op_point_cache_is_bit_identical_to_fresh_evaluation() {
+        let (mut block, params, mut rng) = paged_setup();
+        block.pre_wear(0, 8_000);
+        store_all(&mut block, &mut rng);
+        block.advance_days(0, 30.0);
+        block.disturb(0, 200_000);
+        block.hammer(0, 3, 50_000);
+        // The default references, then more distinct shifts than the
+        // shift memo has slots, so its evictions are exercised.
+        let shifts: Vec<Option<f64>> = std::iter::once(None)
+            .chain((0..MEMO_SLOTS + 16).map(|i| Some(i as f64 * 0.75 - 12.0)))
+            .collect();
+        // Settled lanes and memo hits must consume RNG draws and produce
+        // data bit-identically to a clone whose lanes are dirty and whose
+        // memos are empty at every step.
+        for trial in 0..8 {
+            let mut rng_a = StdRng::seed_from_u64(100 + trial);
+            let mut rng_b = StdRng::seed_from_u64(100 + trial);
+            for (i, &shift) in shifts.iter().cycle().take(2 * shifts.len()).enumerate() {
+                let page = [0u32, 6, 7, 12][i % 4];
+                let mut cold = block.clone();
+                cold.state.op_point_moved(0);
+                (cold.state.memo, cold.state.shifts) = (Memo::new(), Memo::new());
+                let wl = page / 2;
+                assert_eq!(
+                    block.probabilities(wl, shift).0.to_bits(),
+                    p_err_reference(&block, &params, wl, shift.unwrap_or(0.0)).to_bits(),
+                    "shift {shift:?}"
+                );
+                let warm = block.read_events::<ByteSink>(&mut rng_a, page, shift, true);
+                let fresh = cold.read_events::<ByteSink>(&mut rng_b, page, shift, true);
+                assert_eq!(warm, fresh, "shift {shift:?}");
+                assert_eq!(rng_a.state(), rng_b.state());
+            }
+            // A new operating point every trial.
+            block.advance_days(0, 1.0);
+        }
+    }
+
+    /// Every chip command that moves a page-analytic block's
+    /// `(pe_cycles, age_days, vpass)` marks its operating point dirty; the
+    /// next read settles it at the new point, and a retry's shift point
+    /// comes from the memo at that point.
+    #[test]
+    fn op_point_movers_drop_the_cache() {
+        use crate::Geometry;
+        let mut chip = Chip::with_fidelity(
+            Geometry::small(),
+            ChipParams::default(),
+            7,
+            ReadFidelity::PageAnalytic,
+        );
+        let min_vpass = chip.params().min_vpass;
+        chip.cycle_block(0, 8_000).unwrap();
+        chip.program_block_random(0, 1).unwrap();
+        chip.advance_days(30.0);
+        let warm = |chip: &mut Chip| {
+            chip.read_retry_counts(0, 0, 8.0).unwrap();
+            let status = chip.block_status(0).unwrap();
+            let state = chip.closed_form();
+            assert!(!state.dirty[0], "a read settles the block");
+            let key = [status.pe_cycles, status.age_days.to_bits(), 8.0f64.to_bits()];
+            let point = state.shifts.get(key).expect("shift memoized");
+            let fresh =
+                ShiftPoint::at(chip.params(), &state.model, status.pe_cycles, status.age_days, 8.0);
+            let bits = |p: ShiftPoint| [p.shift, p.static_rber, p.rd_gain].map(f64::to_bits);
+            assert_eq!(bits(point), bits(fresh));
+            (point, state.slope[0], state.blocked_prob[0])
+        };
+        let dirty = |chip: &Chip| chip.closed_form().dirty[0];
+        let (aged, slope_nominal, _) = warm(&mut chip);
+        chip.advance_days(5.0);
+        assert!(dirty(&chip), "advance_days must invalidate");
+        assert_ne!(aged.static_rber, warm(&mut chip).0.static_rber);
+        chip.advance_block_days(0, 1.0).unwrap();
+        assert!(dirty(&chip), "advance_block_days must invalidate");
+        warm(&mut chip);
+        chip.set_block_vpass(0, min_vpass).unwrap();
+        assert!(dirty(&chip), "set_block_vpass must invalidate");
+        let (_, slope_low, p_block) = warm(&mut chip);
+        assert!(p_block > 0.0 && slope_low < slope_nominal);
+        let mut w = crate::wire::Writer::new();
+        chip.encode_state(&mut w);
+        chip.restore_state(&mut crate::wire::Reader::new(&w.into_bytes())).unwrap();
+        assert!(dirty(&chip), "restore must invalidate");
+        warm(&mut chip);
+        chip.cycle_block(0, 10).unwrap();
+        assert!(dirty(&chip), "cycle_block must invalidate");
+        chip.program_page(0, 0, &bits::random(&mut StdRng::seed_from_u64(3), 512)).unwrap();
+        warm(&mut chip);
+        chip.erase_block(0).unwrap();
+        assert!(dirty(&chip), "erase_block must invalidate");
+        // Programming into the erased block restarts the retention clock.
+        chip.advance_days(2.0);
+        warm(&mut chip);
+        chip.program_page(0, 0, &bits::random(&mut StdRng::seed_from_u64(4), 512)).unwrap();
+        assert!(dirty(&chip), "the program-age reset must invalidate");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The count-only read is the materializing read minus the bytes:
+        /// from the same block state and RNG state it reports the same
+        /// counts and leaves the RNG where the materializing read does —
+        /// for every database chip, operating point, page and shift.
+        #[test]
+        fn count_only_read_equals_materializing_read(
+            seed in any::<u64>(),
+            pe in 0u64..20_000,
+            age_days in 0.0f64..60.0,
+            pending in 0u64..3_000_000,
+            hammered in 0u64..500_000,
+            relax in 0.0f64..1.0,
+            programmed in any::<bool>(),
+            pick in 0usize..64,
+        ) {
+            for spec in crate::chips::all() {
+                let params = spec.params.clone();
+                let (wordlines, bitlines, bpc) = (4u32, 1000u32, params.bits_per_cell());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut block = Fixture::paged(wordlines, bitlines, &params);
+                block.pre_wear(0, pe);
+                let pages = wordlines * bpc;
+                let page = pick as u32 % pages;
+                for p in (0..pages).filter(|&p| programmed || p != page) {
+                    block.store(0, p, &bits::random(&mut rng, bitlines as usize)).unwrap();
+                }
+                block.advance_days(0, age_days);
+                block.disturb(0, pending);
+                block.hammer(0, pick as u32 % wordlines, hammered);
+                // Half the cases at the fully relaxed Vpass, so bitlines do
+                // get blocked (dense overlap is the sampler's property).
+                let relax = (2.0 * relax - 1.0).max(0.0);
+                let vpass = params.min_vpass + relax * (NOMINAL_VPASS - params.min_vpass);
+                block.set_vpass(0, vpass);
+                let shifts: Vec<Option<f64>> = std::iter::once(None)
+                    .chain(params.retry_shifts.iter().map(|&s| Some(s)))
+                    .chain(params.reread_va_raises.iter().map(|&s| Some(s)))
+                    .collect();
+                let shift = shifts[pick % shifts.len()];
+
+                let (mut counted, mut rng_c) = (block.clone(), rng.clone());
+                let counts = counted.read_events::<CountSink>(&mut rng_c, page, shift, true);
+                prop_assert!(counts.data.is_empty());
+                let counts = counts.counts();
+                let bytes = block.read_events::<ByteSink>(&mut rng, page, shift, true);
+                prop_assert!(
+                    counts == bytes.counts(),
+                    "{} shift {shift:?}: {counts:?} vs {:?}", spec.name, bytes.counts()
+                );
+                prop_assert_eq!(rng_c.state(), rng.state());
+                // The materializing side is itself anchored to the bytes.
+                let intended = if programmed {
+                    block.state.payload(0, page).unwrap().to_vec()
+                } else {
+                    bits::ones(bitlines as usize)
+                };
+                let distance = bits::hamming(&bytes.data, &intended);
+                prop_assert_eq!(distance, bytes.stats.errors);
+            }
+        }
     }
 }

@@ -8,12 +8,13 @@
 //! ageing, status) are the ledger's. Each fidelity tier (see
 //! [`crate::fidelity`]) keeps only its physics beside it: the default
 //! [`ReadFidelity::CellExact`] per-cell Monte-Carlo state (reachable as
-//! [`Chip::cells`]); [`ReadFidelity::PageAnalytic`] payloads and disturb
-//! counters, serving reads from the calibrated closed-form model at
-//! O(errors) per page and returning [`FlashError::FidelityUnsupported`] for
-//! the per-cell oracles; [`ReadFidelity::BlockAggregate`] per-block
-//! closed-form lanes fast-forwarded between interesting events at O(1) per
-//! read, with no payloads.
+//! [`Chip::cells`]), or one closed-form state for the two other tiers —
+//! per-block lanes of the calibrated closed-form model with a fold-free
+//! disturb accumulator, returning [`FlashError::FidelityUnsupported`] for
+//! the per-cell oracles. [`ReadFidelity::BlockAggregate`] fast-forwards
+//! those lanes between interesting events at O(1) per read, with no
+//! payloads; [`ReadFidelity::PageAnalytic`] adds page lanes — payloads and
+//! a per-wordline disturb adjustment — and samples every read at O(errors).
 
 use std::borrow::Cow;
 
@@ -21,8 +22,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::aggregate_block::AggregateState;
-use crate::analytic::AnalyticModel;
-use crate::analytic_block::{AnalyticBlock, ByteSink, CountSink, ReadScratch, ReadSink};
 use crate::bits;
 use crate::block::{pack_page, Block};
 use crate::cell_array::{CellArray, OperatingPoint, SenseScratch};
@@ -31,6 +30,7 @@ use crate::fidelity::ReadFidelity;
 use crate::geometry::Geometry;
 use crate::ledger::{BlockLedger, BlockStatus};
 use crate::params::{ChipParams, NOMINAL_VPASS};
+use crate::sampler::{ByteSink, CountSink, ReadSink};
 use crate::state::{CellState, ALL_STATES};
 use crate::BitErrorStats;
 
@@ -137,23 +137,19 @@ enum Storage {
     /// Per-cell Monte-Carlo state (and the wordline-sensing scratch, shared
     /// by all blocks).
     Exact { blocks: Vec<Block>, scratch: SenseScratch },
-    /// Closed-form model plus per-block disturb counters and payloads (and
-    /// the read sampler's scratch, shared by all blocks).
-    Analytic { model: AnalyticModel, blocks: Vec<AnalyticBlock>, scratch: ReadScratch },
-    /// Closed-form model plus struct-of-arrays per-block aggregate state
-    /// (no payloads; reads fast-forward between interesting events).
-    Aggregate { state: AggregateState },
+    /// The closed-form model's struct-of-arrays per-block state, with page
+    /// lanes (payloads, per-wordline disturb and the event sampler's
+    /// scratch) on a page-analytic chip.
+    ClosedForm { state: AggregateState },
 }
 
 impl Storage {
-    /// Block `b`'s `(pe_cycles, age_days, vpass)` moved: the analytic tier
-    /// drops its operating-point cache, the aggregate tier marks the block
-    /// dirty.
+    /// Block `b`'s `(pe_cycles, age_days, vpass)` moved: the closed-form
+    /// state marks the block dirty.
     fn op_point_moved(&mut self, b: usize) {
         match self {
             Storage::Exact { .. } => {}
-            Storage::Analytic { blocks, .. } => blocks[b].op_point_moved(),
-            Storage::Aggregate { state } => state.op_point_moved(b),
+            Storage::ClosedForm { state } => state.op_point_moved(b),
         }
     }
 
@@ -161,17 +157,15 @@ impl Storage {
     fn reset(&mut self, params: &ChipParams, ledger: &BlockLedger, b: usize, rng: &mut StdRng) {
         match self {
             Storage::Exact { blocks, .. } => blocks[b].reset(params, rng, ledger.pe_cycles[b]),
-            Storage::Analytic { blocks, .. } => blocks[b].reset(),
-            Storage::Aggregate { state } => state.reset(b),
+            Storage::ClosedForm { state } => state.reset(b),
         }
     }
 
     /// Block `b`'s block-uniform disturb dose, in the tier's own units.
-    fn dose(&self, ledger: &BlockLedger, b: usize) -> f64 {
+    fn dose(&self, b: usize) -> f64 {
         match self {
             Storage::Exact { blocks, .. } => blocks[b].dose(),
-            Storage::Analytic { model, blocks, .. } => blocks[b].dose(model, ledger, b),
-            Storage::Aggregate { state } => state.dose(b),
+            Storage::ClosedForm { state } => state.dose(b),
         }
     }
 }
@@ -226,23 +220,9 @@ impl Chip {
                     .collect(),
                 scratch: SenseScratch::default(),
             },
-            ReadFidelity::PageAnalytic => Storage::Analytic {
-                model: AnalyticModel::from_chip(&params, wordlines),
-                blocks: (0..geometry.blocks)
-                    .map(|_| AnalyticBlock::new(wordlines, bitlines, geometry.bits_per_cell))
-                    .collect(),
-                scratch: ReadScratch::new(bitlines),
-            },
-            ReadFidelity::BlockAggregate => Storage::Aggregate {
-                state: AggregateState::new(
-                    geometry.blocks,
-                    wordlines,
-                    bitlines,
-                    geometry.bits_per_cell,
-                    &params,
-                    AnalyticModel::from_chip(&params, wordlines),
-                ),
-            },
+            ReadFidelity::PageAnalytic | ReadFidelity::BlockAggregate => {
+                Storage::ClosedForm { state: AggregateState::new(geometry, params.clone()) }
+            }
         };
         let empty_writes = params.fidelity == ReadFidelity::BlockAggregate;
         let ledger =
@@ -285,10 +265,7 @@ impl Chip {
             Storage::Exact { blocks, .. } => {
                 blocks.iter().enumerate().for_each(|(b, block)| block.encode_state(ledger, b, w));
             }
-            Storage::Analytic { blocks, .. } => {
-                blocks.iter().enumerate().for_each(|(b, block)| block.encode_state(ledger, b, w));
-            }
-            Storage::Aggregate { state } => state.encode_state(&self.params, ledger, w),
+            Storage::ClosedForm { state } => state.encode_state(ledger, w),
         }
     }
 
@@ -331,12 +308,7 @@ impl Chip {
                     block.restore_state(ledger, b, r)?;
                 }
             }
-            Storage::Analytic { blocks, .. } => {
-                for (b, block) in blocks.iter_mut().enumerate() {
-                    block.restore_state(ledger, b, r)?;
-                }
-            }
-            Storage::Aggregate { state } => state.restore_state(ledger, r)?,
+            Storage::ClosedForm { state } => state.restore_state(ledger, r)?,
         }
         self.rng = StdRng::from_state(rng_state);
         self.read_margin = read_margin;
@@ -370,12 +342,13 @@ impl Chip {
         self.params.fidelity
     }
 
-    /// A page-analytic chip's block `b` (its physics, for tier tests).
+    /// A closed-form chip's state (its dirty flags and caches, for tier
+    /// tests).
     #[cfg(test)]
-    pub(crate) fn analytic_block(&self, b: usize) -> &AnalyticBlock {
+    pub(crate) fn closed_form(&self) -> &AggregateState {
         match &self.storage {
-            Storage::Analytic { blocks, .. } => &blocks[b],
-            _ => panic!("not a page-analytic chip"),
+            Storage::ClosedForm { state } => state,
+            Storage::Exact { .. } => panic!("not a closed-form chip"),
         }
     }
 
@@ -419,7 +392,7 @@ impl Chip {
     pub fn block_status(&self, block: u32) -> Result<BlockStatus, FlashError> {
         self.geometry.check_block(block)?;
         let b = block as usize;
-        Ok(self.ledger.status(b, self.storage.dose(&self.ledger, b)))
+        Ok(self.ledger.status(b, self.storage.dose(b)))
     }
 
     /// Erases a block: one P/E cycle of wear ([`Chip::cycle_block`] by one).
@@ -472,8 +445,7 @@ impl Chip {
             Storage::Exact { blocks, .. } => {
                 blocks[b].program_page(params, rng, ledger, b, page, data);
             }
-            Storage::Analytic { blocks, .. } => blocks[b].program_page(page, data),
-            Storage::Aggregate { .. } => {}
+            Storage::ClosedForm { state } => state.program_page(b, page, data),
         }
         Ok(())
     }
@@ -508,23 +480,23 @@ impl Chip {
 
     /// [`Chip::read_page`] for callers that consume only the counts. Same
     /// read — same disturb, same RNG draws, same counts — but a
-    /// page-analytic chip computes them from the sampled events alone,
+    /// page-analytic chip counts the sampled events through its page lanes
     /// without building, corrupting and re-comparing the page.
     ///
     /// # Errors
     ///
     /// Fails if the address is out of range.
-    // Inlined into the die's per-read pipeline so the tier dispatch costs the
-    // payload-free aggregate tier nothing over `read_page`.
+    // Inlined into the die's per-read pipeline so the dispatch costs the
+    // payload-free aggregate mode nothing over `read_page`.
     #[inline]
     pub fn read_page_counts(&mut self, block: u32, page: u32) -> Result<ReadCounts, FlashError> {
         self.read_into::<CountSink>(block, page, None).map(|outcome| outcome.counts())
     }
 
     /// A read at the default references (`shift` `None`) or shifted ones,
-    /// whose page-analytic events land in sink `S` (the other tiers have
-    /// one way to read). A block-aggregate chip fast-forwards default reads
-    /// and samples every retry.
+    /// whose page-analytic events land in sink `S` (a cell-exact chip only
+    /// asks it whether to keep the bytes). A block-aggregate chip
+    /// fast-forwards default reads and samples every retry.
     fn read_into<S: ReadSink>(
         &mut self,
         block: u32,
@@ -540,14 +512,9 @@ impl Chip {
                 let refs = shift.map_or(params.refs, |shift| params.refs.shifted(shift));
                 blocks[b].read_page(params, ledger, b, page, &refs, true, S::BYTES, scratch)
             }
-            Storage::Analytic { model, blocks, scratch } => {
-                let shift = shift.unwrap_or(0.0);
-                Ok(blocks[b].read::<S>(params, model, ledger, b, rng, scratch, page, shift, true))
+            Storage::ClosedForm { state } => {
+                Ok(state.read::<S>(ledger, rng, *read_margin, b, page, shift))
             }
-            Storage::Aggregate { state } => Ok(match shift {
-                None => state.read_page(params, ledger, rng, *read_margin, b, page, true),
-                Some(shift) => state.read_page_shifted(params, ledger, rng, b, page, shift, true),
-            }),
         }
     }
 
@@ -590,8 +557,9 @@ impl Chip {
     /// cell against the shifted references; the closed-form tiers sample
     /// the retry around the shifted-RBER model (disturb errors decay with a
     /// positive shift, retention errors grow, and the misclassification
-    /// floor follows the moved references) — per wordline on a
-    /// page-analytic chip, at the block-level rate on a block-aggregate one.
+    /// floor follows the moved references), its read-count-independent
+    /// terms memoized per die — per wordline on a page-analytic chip, at the
+    /// block-level rate on a block-aggregate one.
     ///
     /// # Errors
     ///
@@ -633,8 +601,7 @@ impl Chip {
         let Self { params, ledger, storage, .. } = self;
         match storage {
             Storage::Exact { blocks, .. } => blocks[b].apply_read_disturbs(params, ledger, b, n),
-            Storage::Analytic { blocks, .. } => blocks[b].apply_read_disturbs(ledger, b, n),
-            Storage::Aggregate { state } => state.apply_read_disturbs(params, ledger, b, n),
+            Storage::ClosedForm { state } => state.disturb(ledger, b, None, n),
         }
         Ok(())
     }
@@ -657,10 +624,7 @@ impl Chip {
             Storage::Exact { blocks, .. } => {
                 blocks[b].hammer_wordline(params, ledger, b, wordline, n)
             }
-            Storage::Analytic { blocks, .. } => {
-                blocks[b].hammer_wordline(params, ledger, b, wordline, n)
-            }
-            Storage::Aggregate { state } => state.hammer_wordline(params, ledger, b, wordline, n),
+            Storage::ClosedForm { state } => state.disturb(ledger, b, Some(wordline), n),
         }
         Ok(())
     }
@@ -685,10 +649,7 @@ impl Chip {
             Storage::Exact { blocks, .. } => {
                 blocks[b].rber_oracle_wordline(params, ledger, b, wordline)
             }
-            Storage::Analytic { model, blocks, .. } => {
-                blocks[b].rber_wordline_oracle(params, model, ledger, b, wordline)
-            }
-            Storage::Aggregate { state } => state.rber_wordline_oracle(params, ledger, b, wordline),
+            Storage::ClosedForm { state } => state.rber_wordline_oracle(ledger, b, wordline),
         })
     }
 
@@ -713,8 +674,8 @@ impl Chip {
     }
 
     /// Sets a block's pass-through voltage (the interface the paper
-    /// proposes manufacturers add, §7). A page-analytic chip first folds
-    /// the block's pending reads at the Vpass they happened under.
+    /// proposes manufacturers add, §7). Disturb already done stays as it
+    /// was: the closed-form tiers applied each read's slope at the read.
     ///
     /// # Errors
     ///
@@ -730,9 +691,6 @@ impl Chip {
             });
         }
         let b = block as usize;
-        if let Storage::Analytic { model, blocks, .. } = &mut self.storage {
-            blocks[b].fold_pending(model, &self.ledger, b);
-        }
         self.ledger.vpass[b] = vpass;
         self.storage.op_point_moved(b);
         Ok(())
@@ -785,10 +743,7 @@ impl Chip {
                 let oracle = blocks[b].rber_oracle(params, ledger, b);
                 (oracle.errors as f64, oracle.bits)
             }
-            Storage::Analytic { model, blocks, .. } => {
-                blocks[b].rber_expectation(params, model, ledger, b)
-            }
-            Storage::Aggregate { state } => state.rber_expectation(params, ledger, b),
+            Storage::ClosedForm { state } => state.rber_expectation(ledger, b),
         })
     }
 
@@ -893,16 +848,17 @@ impl Chip {
         let programmed = self.is_page_programmed(block, page)?;
         let b = block as usize;
         match &self.storage {
-            Storage::Aggregate { .. } => {
-                Err(FlashError::FidelityUnsupported { op: "page payload retrieval" })
-            }
+            Storage::ClosedForm { state } => match state.payload(b, page) {
+                None => Err(FlashError::FidelityUnsupported { op: "page payload retrieval" }),
+                Some(_) if !programmed => Err(FlashError::PageNotProgrammed { page }),
+                Some(stored) => Ok(Cow::Borrowed(stored)),
+            },
             _ if !programmed => Err(FlashError::PageNotProgrammed { page }),
             Storage::Exact { blocks, .. } => {
                 let addr = crate::geometry::PageAddr { block, page };
                 let cells = blocks[b].cells();
                 Ok(Cow::Owned(pack_page(cells.intended_wordline(addr.wordline()), addr.kind())))
             }
-            Storage::Analytic { blocks, .. } => Ok(Cow::Borrowed(blocks[b].payload(page))),
         }
     }
 }

@@ -37,8 +37,9 @@
 //! from the calibrated closed-form model at O(errors) per read, and
 //! [`ReadFidelity::BlockAggregate`] fast-forwards closed-form per-block
 //! state between interesting events at O(1) per read — the tier
-//! billion-op lifetime replay uses (see [`fidelity`] for the contract
-//! between the tiers). Whatever the tier, a chip keeps each block's wear,
+//! billion-op lifetime replay uses; the two share one closed-form per-block
+//! state, to which a page-analytic chip adds payloads and per-wordline
+//! disturb (see [`fidelity`] for the contract between the tiers). Whatever the tier, a chip keeps each block's wear,
 //! retention age, read count, Vpass and programmed pages once, in one block
 //! ledger with one set of lifecycle rules ([`BlockStatus`] reports it);
 //! each tier adds only its physics.
@@ -77,9 +78,9 @@ pub mod wire;
 pub use chips_codegen::{analytic, chips, fidelity, math, params, state};
 
 mod aggregate_block;
-mod analytic_block;
 mod block;
 mod ledger;
+mod sampler;
 
 pub use analytic::{gaussian_tail_floor, AnalyticModel, AnalyticParams, RberBreakdown};
 pub use cell_array::CellArray;

@@ -7,14 +7,18 @@
 //! scripted history then pins `fnv1a(Chip::encode_state)` per tier, so a
 //! change to any tier's checkpoint layout or arithmetic shows up here. An
 //! erase is pre-wear by one cycle on every tier, and a checkpoint whose
-//! block state contradicts itself is refused rather than restored.
+//! block state contradicts itself is refused rather than restored — on the
+//! closed-form tiers without restoring any of it. A page-analytic
+//! checkpoint with pending read counters still restores, folded in.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rd_flash::analytic::ShiftPoint;
 use rd_flash::NOMINAL_VPASS;
 use rd_flash::{
-    bits, wire, BlockStatus, Chip, ChipParams, FlashError, Geometry, ReadFidelity, SnapError,
+    bits, wire, AnalyticModel, BlockStatus, Chip, ChipParams, FlashError, Geometry, ReadFidelity,
+    SnapError,
 };
 
 const TIERS: [ReadFidelity; 3] =
@@ -191,7 +195,7 @@ fn scripted_checkpoint(tier: ReadFidelity) -> Vec<u8> {
 fn checkpoint_bytes_are_pinned_per_tier() {
     const PINNED: [(ReadFidelity, u64); 3] = [
         (ReadFidelity::CellExact, 0x70b7_716c_ca48_997a),
-        (ReadFidelity::PageAnalytic, 0x25a6_7b8e_660f_79af),
+        (ReadFidelity::PageAnalytic, 0x1d42_ff05_44fa_7ff3),
         (ReadFidelity::BlockAggregate, 0x327e_05bf_5824_ea60),
     ];
     let got: Vec<(ReadFidelity, u64)> =
@@ -265,40 +269,168 @@ fn restore(tier: ReadFidelity, snapshot: wire::Writer) -> Result<(), SnapError> 
     chip.restore_state(&mut wire::Reader::new(&snapshot.into_bytes()))
 }
 
+/// One block of a hand-built page-analytic checkpoint, in its per-block
+/// row layout: the ledger row, the payloads, then the folded disturb
+/// counters and the pending ones.
+#[derive(Debug, Clone)]
+struct AnalyticRow {
+    pe_cycles: u64,
+    age_days: f64,
+    vpass: f64,
+    programmed: Vec<bool>,
+    /// Bytes of each programmed page's payload.
+    payload_len: Vec<usize>,
+    folded_lin: f64,
+    folded_extra: Vec<f64>,
+    pending_reads: f64,
+    pending_extra: Vec<f64>,
+}
+
+impl AnalyticRow {
+    /// A fresh, unprogrammed block of [`geometry`].
+    fn fresh() -> Self {
+        let g = geometry();
+        let (pages, wordlines) = (g.pages_per_block() as usize, g.wordlines_per_block as usize);
+        Self {
+            pe_cycles: 0,
+            age_days: 0.0,
+            vpass: NOMINAL_VPASS,
+            programmed: vec![false; pages],
+            payload_len: vec![g.bits_per_page() / 8; pages],
+            folded_lin: 0.0,
+            folded_extra: vec![0.0; wordlines],
+            pending_reads: 0.0,
+            pending_extra: vec![0.0; wordlines],
+        }
+    }
+
+    fn put(&self, w: &mut wire::Writer) {
+        w.put_u64(self.pe_cycles);
+        w.put_f64(self.age_days);
+        w.put_u64(0); // reads since erase
+        w.put_f64(self.vpass);
+        w.put_bools(&self.programmed);
+        w.put_u64(self.programmed.len() as u64);
+        for (&programmed, &len) in self.programmed.iter().zip(&self.payload_len) {
+            w.put_bytes(&vec![0xa5; if programmed { len } else { 0 }]);
+        }
+        w.put_f64(self.folded_lin);
+        w.put_f64s(&self.folded_extra);
+        w.put_f64(self.pending_reads);
+        w.put_f64s(&self.pending_extra);
+    }
+}
+
+/// A page-analytic snapshot of `rows`, one per block.
+fn analytic_snapshot(rows: &[AnalyticRow]) -> wire::Writer {
+    let mut w = snapshot_head(ReadFidelity::PageAnalytic);
+    rows.iter().for_each(|row| row.put(&mut w));
+    w
+}
+
 /// A page-analytic snapshot whose one programmed page carries a 1-byte
 /// payload on a 256-bitline chip is refused; restored, its next read would
 /// index past the payload.
 #[test]
 fn analytic_payloads_must_be_one_page_long() {
-    let g = geometry();
-    let pages = g.pages_per_block() as usize;
     let snapshot = |payload_len: usize| {
-        let mut w = snapshot_head(ReadFidelity::PageAnalytic);
-        for block in 0..g.blocks {
-            w.put_u64(0); // P/E cycles
-            w.put_f64(0.0); // age
-            w.put_u64(0); // reads since erase
-            w.put_f64(NOMINAL_VPASS);
-            let mut flags = vec![false; pages];
-            flags[0] = block == 0;
-            w.put_bools(&flags);
-            w.put_u64(pages as u64);
-            for page in 0..pages {
-                let len = if block == 0 && page == 0 { payload_len } else { 0 };
-                w.put_bytes(&vec![0xa5; len]);
-            }
-            w.put_f64(0.0);
-            w.put_f64s(&vec![0.0; g.wordlines_per_block as usize]);
-            w.put_f64(0.0);
-            w.put_f64s(&vec![0.0; g.wordlines_per_block as usize]);
-        }
-        w
+        let mut rows = vec![AnalyticRow::fresh(); geometry().blocks as usize];
+        rows[0].programmed[0] = true;
+        rows[0].payload_len[0] = payload_len;
+        analytic_snapshot(&rows)
     };
-    assert_eq!(restore(ReadFidelity::PageAnalytic, snapshot(g.bits_per_page() / 8)), Ok(()));
+    let page_bytes = geometry().bits_per_page() / 8;
+    assert_eq!(restore(ReadFidelity::PageAnalytic, snapshot(page_bytes)), Ok(()));
     assert!(matches!(
         restore(ReadFidelity::PageAnalytic, snapshot(1)),
         Err(SnapError::Mismatch(_))
     ));
+}
+
+/// A page-analytic checkpoint whose blocks carry pending read counters —
+/// the layout of the folded/pending counters, which today's chips write as
+/// zero — restores with the pending reads folded in at the restored row's
+/// slope: the dose is `folded_lin + rd_slope(pe, vpass) · pending_reads`,
+/// and the block RBER is the closed form at every wordline's
+/// `folded + slope · (pending_reads + pending_extra)`.
+#[test]
+fn pending_analytic_counters_fold_in_on_restore() {
+    let g = geometry();
+    let params = ChipParams::default();
+    let model = AnalyticModel::from_chip(&params, g.wordlines_per_block);
+    let mut rows = vec![AnalyticRow::fresh(); g.blocks as usize];
+    for (b, row) in rows.iter_mut().enumerate() {
+        row.pe_cycles = 6_000 + 1_500 * b as u64;
+        row.age_days = 12.5 + b as f64;
+        row.vpass = (0.99 - 0.02 * b as f64) * NOMINAL_VPASS;
+        row.programmed = (0..g.pages_per_block()).map(|p| b == 0 || p % 3 != 1).collect();
+        row.folded_lin = 2.0e-3 * (b + 1) as f64;
+        row.folded_extra = vec![-1.0e-4, 3.0e-4, 0.0, 2.0e-4];
+        row.pending_reads = 150_000.0 + 10_000.0 * b as f64;
+        row.pending_extra = vec![-20_000.0, 45_000.0, 0.0, 10_000.0 * b as f64];
+    }
+    let mut chip = Chip::with_fidelity(g, params.clone(), 1, ReadFidelity::PageAnalytic);
+    chip.restore_state(&mut wire::Reader::new(&analytic_snapshot(&rows).into_bytes())).unwrap();
+    let close = |got: f64, expected: f64| (got / expected - 1.0).abs() < 1e-12;
+    let rd_sat = model.params().rd_sat;
+    for (b, row) in rows.iter().enumerate() {
+        let (pe, age, vpass) = (row.pe_cycles, row.age_days, row.vpass);
+        let slope = model.rd_slope(pe, vpass);
+        let dose = row.folded_lin + slope * row.pending_reads;
+        let status = chip.block_status(b as u32).unwrap();
+        assert!(close(status.dose, dose), "block {b}: dose {} vs {dose}", status.dose);
+        let point = ShiftPoint::at(&params, &model, pe, age, 0.0);
+        let blocked = 2.0 * model.rber_passthrough(pe, age, vpass);
+        let (mut expected, mut bits) = (0.0, 0.0);
+        for wl in 0..g.wordlines_per_block as usize {
+            let lin = row.folded_lin
+                + row.folded_extra[wl]
+                + slope * (row.pending_reads + row.pending_extra[wl]);
+            let rd = rd_sat * (lin.max(0.0) / rd_sat).ln_1p();
+            let pages = (0..2).filter(|&i| row.programmed[2 * wl + i]).count() as f64;
+            expected += (point.rber(rd) + 0.5 * blocked) * pages * f64::from(g.bitlines);
+            bits += pages * f64::from(g.bitlines);
+        }
+        let rate = chip.block_rber_rate(b as u32).unwrap();
+        assert!(close(rate, expected / bits), "block {b}: rate {rate} vs {}", expected / bits);
+    }
+}
+
+/// A closed-form restore commits nothing unless the whole snapshot
+/// decodes and fits: a snapshot cut at every third byte, or (page-analytic)
+/// one whose last block carries a payload one byte short, is refused, and
+/// the chip restored into keeps its checkpoint bytes.
+#[test]
+fn closed_form_restores_are_all_or_nothing() {
+    for tier in [ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate] {
+        let mut source = used_chip(tier);
+        source.erase_block(1).unwrap();
+        source.program_block_random(2, 4).unwrap();
+        source.apply_read_disturbs(2, 70_000).unwrap();
+        let snapshot = encoded(&source);
+        let mut target = Chip::with_fidelity(geometry(), ChipParams::default(), 9, tier);
+        target.cycle_block(1, 300).unwrap();
+        target.program_block_random(1, 5).unwrap();
+        let before = encoded(&target);
+        for cut in (0..snapshot.len()).step_by(3) {
+            let result = target.restore_state(&mut wire::Reader::new(&snapshot[..cut]));
+            assert!(result.is_err(), "{tier}: a snapshot cut at byte {cut} restored");
+            assert_eq!(encoded(&target), before, "{tier}: a cut at byte {cut} left state behind");
+        }
+        if tier == ReadFidelity::PageAnalytic {
+            let mut rows = vec![AnalyticRow::fresh(); geometry().blocks as usize];
+            for row in &mut rows {
+                row.programmed[0] = true;
+            }
+            rows.last_mut().unwrap().payload_len[0] -= 1;
+            let short = analytic_snapshot(&rows).into_bytes();
+            let result = target.restore_state(&mut wire::Reader::new(&short));
+            assert!(matches!(result, Err(SnapError::Mismatch(_))), "{result:?}");
+            assert_eq!(encoded(&target), before, "{tier}: a short payload left state behind");
+        }
+        target.restore_state(&mut wire::Reader::new(&snapshot)).unwrap();
+        assert_eq!(encoded(&target), snapshot, "{tier}");
+    }
 }
 
 /// A block-aggregate snapshot whose programmed-page count says 0 while a

@@ -10,8 +10,8 @@
 //!   of [0.6, 1.6] (the calibration band the analytic tier is pinned to);
 //! * **aggregate vs analytic closed form** — under block-uniform disturb
 //!   the two tiers compute the *same* expectation (relative difference
-//!   below 1e-9: the fold-free accumulator is algebraically the analytic
-//!   fold);
+//!   below 1e-9: both tiers share one fold-free accumulator, which the
+//!   analytic tier sums per wordline);
 //! * **engine-level aggregate RBER** after a 4×4 replay on dies pre-worn
 //!   to 8K P/E — within 25% of `CellExact` (ratio in [0.75, 1.33]; the
 //!   benchmark's `paper-exact` workload reports the same quantity as
@@ -78,9 +78,9 @@ fn aggregate_rber_trajectory_tracks_exact_chip() {
     assert!((0.6..=1.6).contains(&ratio), "aged ratio {ratio:.2}");
 }
 
-/// Under block-uniform disturb the aggregate tier's fold-free accumulator
-/// is algebraically identical to the analytic tier's folded counters: the
-/// closed-form expectations must agree to floating-point noise at every
+/// Under block-uniform disturb the two tiers share one fold-free
+/// accumulator and the analytic tier's page lanes add no per-wordline term:
+/// the closed-form expectations must agree to floating-point noise at every
 /// checkpoint of a mixed wear/disturb/retention/Vpass schedule.
 #[test]
 fn aggregate_expectation_equals_analytic_closed_form() {
