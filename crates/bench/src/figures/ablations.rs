@@ -11,7 +11,7 @@
 use readdisturb::core::lifetime::{average_gain, EnduranceConfig, EnduranceEvaluator};
 use readdisturb::prelude::*;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let suite = WorkloadProfile::suite();
     let mut rows = Vec::new();
 

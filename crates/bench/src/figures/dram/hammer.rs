@@ -4,22 +4,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::module::DramModule;
+use super::module::DramModule;
 
 /// A hammer sweep over a module's rows.
 #[derive(Debug, Clone)]
-pub struct HammerExperiment {
-    /// Rows hammered.
-    pub rows: u32,
+pub(crate) struct HammerExperiment {
     /// Histogram: `histogram[v]` = number of aggressor rows that flipped
     /// exactly `v` victim cells.
-    pub histogram: Vec<u64>,
+    pub(crate) histogram: Vec<u64>,
 }
 
 impl HammerExperiment {
     /// Hammers `rows` aggressor rows of `module`, collecting the
     /// victims-per-row histogram.
-    pub fn run(module: &DramModule, rows: u32, seed: u64) -> Self {
+    pub(crate) fn run(module: &DramModule, rows: u32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut histogram: Vec<u64> = Vec::new();
         for _ in 0..rows {
@@ -29,21 +27,16 @@ impl HammerExperiment {
             }
             histogram[v] += 1;
         }
-        Self { rows, histogram }
-    }
-
-    /// Total victim cells across all hammered rows.
-    pub fn total_victims(&self) -> u64 {
-        self.histogram.iter().enumerate().map(|(v, &count)| v as u64 * count).sum()
+        Self { histogram }
     }
 
     /// Rows that flipped at least one victim.
-    pub fn affected_rows(&self) -> u64 {
+    pub(crate) fn affected_rows(&self) -> u64 {
         self.histogram.iter().skip(1).sum()
     }
 
     /// Maximum victims observed on a single aggressor row.
-    pub fn max_victims(&self) -> usize {
+    pub(crate) fn max_victims(&self) -> usize {
         self.histogram.len().saturating_sub(1)
     }
 }
@@ -51,7 +44,14 @@ impl HammerExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::ModulePopulation;
+    use crate::figures::dram::ModulePopulation;
+
+    impl HammerExperiment {
+        /// Total victim cells across all hammered rows.
+        fn total_victims(&self) -> u64 {
+            self.histogram.iter().enumerate().map(|(v, &count)| v as u64 * count).sum()
+        }
+    }
 
     #[test]
     fn vulnerable_module_histogram_shape() {

@@ -6,7 +6,7 @@ use rand::Rng;
 
 /// The three (anonymized) major DRAM manufacturers of the RowHammer study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Manufacturer {
+pub(crate) enum Manufacturer {
     /// Manufacturer A.
     A,
     /// Manufacturer B.
@@ -27,30 +27,30 @@ impl std::fmt::Display for Manufacturer {
 
 /// One DRAM module of the tested population.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DramModule {
+pub(crate) struct DramModule {
     /// Manufacturer.
-    pub manufacturer: Manufacturer,
+    pub(crate) manufacturer: Manufacturer,
     /// Manufacture year (2008–2014).
-    pub year: u32,
+    pub(crate) year: u32,
     /// Manufacture week (1–52).
-    pub week: u32,
+    pub(crate) week: u32,
     /// Observed RowHammer error rate, in errors per 10^9 cells, when every
     /// row is hammered to the study's read count.
-    pub errors_per_gbit: u64,
+    pub(crate) errors_per_gbit: u64,
     /// Scale of the module's victims-per-aggressor-row distribution (the
     /// per-module heterogeneity visible in Fig. 12).
-    pub victim_scale: f64,
+    pub(crate) victim_scale: f64,
 }
 
 impl DramModule {
     /// Whether the module exhibits any RowHammer errors.
-    pub fn is_vulnerable(&self) -> bool {
+    pub(crate) fn is_vulnerable(&self) -> bool {
         self.errors_per_gbit > 0
     }
 
     /// The module label in the paper's `X yyww / n` format (without the
     /// module index).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}{:02}{:02}", self.manufacturer, self.year % 100, self.week)
     }
 
@@ -58,7 +58,7 @@ impl DramModule {
     /// aggressor row: a heavy-tailed (geometric-mixture) count, zero for
     /// invulnerable modules and for a fraction of rows even on vulnerable
     /// ones.
-    pub fn sample_victims(&self, rng: &mut StdRng) -> u32 {
+    pub(crate) fn sample_victims(&self, rng: &mut StdRng) -> u32 {
         if !self.is_vulnerable() || self.victim_scale <= 0.0 {
             return 0;
         }

@@ -3,11 +3,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::module::{DramModule, Manufacturer};
+use super::module::{DramModule, Manufacturer};
 
 /// The tested module population.
 #[derive(Debug, Clone)]
-pub struct ModulePopulation {
+pub(crate) struct ModulePopulation {
     modules: Vec<DramModule>,
 }
 
@@ -16,7 +16,7 @@ impl ModulePopulation {
     /// modules from 2008–2014, the earliest vulnerable module dating to
     /// 2010, all 2012–2013 modules vulnerable, and error rates climbing to
     /// ~10^5–10^6 errors per 10^9 cells for the newest parts.
-    pub fn paper_129(seed: u64) -> Self {
+    pub(crate) fn paper_129(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut modules = Vec::with_capacity(129);
         let manufacturers = [Manufacturer::A, Manufacturer::B, Manufacturer::C];
@@ -67,17 +67,17 @@ impl ModulePopulation {
     }
 
     /// The modules.
-    pub fn modules(&self) -> &[DramModule] {
+    pub(crate) fn modules(&self) -> &[DramModule] {
         &self.modules
     }
 
     /// Number of vulnerable modules.
-    pub fn vulnerable_count(&self) -> usize {
+    pub(crate) fn vulnerable_count(&self) -> usize {
         self.modules.iter().filter(|m| m.is_vulnerable()).count()
     }
 
     /// `(year, errors_per_gbit)` scatter points for Fig. 11, one per module.
-    pub fn fig11_points(&self) -> Vec<(Manufacturer, f64, u64)> {
+    pub(crate) fn fig11_points(&self) -> Vec<(Manufacturer, f64, u64)> {
         self.modules
             .iter()
             .map(|m| (m.manufacturer, m.year as f64 + m.week as f64 / 52.0, m.errors_per_gbit))
@@ -86,7 +86,7 @@ impl ModulePopulation {
 
     /// Three representative vulnerable modules (one per manufacturer) with
     /// the largest victim scales — the Fig. 12 exemplars.
-    pub fn fig12_representatives(&self) -> Vec<&DramModule> {
+    pub(crate) fn fig12_representatives(&self) -> Vec<&DramModule> {
         [Manufacturer::A, Manufacturer::B, Manufacturer::C]
             .iter()
             .filter_map(|&mfr| {

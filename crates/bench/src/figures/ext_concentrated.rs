@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{ext_concentrated_disturb, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let rows = ext_concentrated_disturb(Scale::full(), 11, 400_000).expect("experiment");
     let csv: Vec<String> = rows.iter().map(|r| format!("{},{:.6e}", r.distance, r.rber)).collect();
     crate::emit_csv("ext_concentrated", "wordline_distance,rber", &csv);

@@ -5,7 +5,7 @@
 
 use readdisturb::core::characterize::{ext_partial_block, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let rows = ext_partial_block(Scale::full(), 5).expect("experiment");
     let csv: Vec<String> = rows
         .iter()

@@ -5,7 +5,7 @@
 
 use readdisturb::prelude::*;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let mut rows = Vec::new();
 
     // RDR on a disturb-dominated block.

@@ -9,7 +9,7 @@
 use crate::replay::{json_row, measure_recovery_scenario, RecoveryScenario};
 use readdisturb::prelude::*;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let scenario = RecoveryScenario::full();
     let mut rows = Vec::new();
     let mut measurements = Vec::new();

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{ext_slc_mode, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let rows = ext_slc_mode(Scale::full(), 9).expect("experiment");
     let csv: Vec<String> =
         rows.iter().map(|r| format!("{},{:.6e},{:.6e}", r.reads, r.mlc_rber, r.slc_rber)).collect();

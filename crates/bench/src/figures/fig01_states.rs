@@ -5,7 +5,7 @@
 use readdisturb::flash::chip::state_legend;
 use readdisturb::prelude::*;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let params = ChipParams::default();
     let rows: Vec<String> = state_legend(&params)
         .into_iter()

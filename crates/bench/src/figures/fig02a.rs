@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig2_vth_histograms, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig2_vth_histograms(Scale::full(), 20).expect("fig2");
     let mut rows = Vec::new();
     for (reads, hist) in &data.snapshots {

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig3_rber_vs_reads, Scale, PAPER_FIG3_SLOPES};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig3_rber_vs_reads(Scale::full(), 99).expect("fig3");
     let mut rows = Vec::new();
     for series in &data.series {

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig4_vpass_read_tolerance, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig4_vpass_read_tolerance(Scale::full(), 4).expect("fig4");
     let mut rows = Vec::new();
     for series in &data.series {

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig5_passthrough_sweep, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     // Pass-through errors come from a sparse over-programmed population
     // (~2e-4 of cells); use a 1M-cell block so the curves are not
     // shot-noise limited.

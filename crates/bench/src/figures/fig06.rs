@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::fig6_retention_staircase;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig6_retention_staircase(64);
     let rows: Vec<String> = data
         .rows

@@ -4,7 +4,7 @@
 
 use readdisturb::core::characterize::fig7_refresh_intervals;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig7_refresh_intervals(8_000, 40_000.0, 64);
     let rows: Vec<String> = data
         .points

@@ -4,7 +4,7 @@
 use readdisturb::core::characterize::fig8_endurance;
 use readdisturb::core::lifetime::average_gain;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let results = fig8_endurance();
     let rows: Vec<String> = results
         .iter()

@@ -8,7 +8,7 @@
 
 use readdisturb::prelude::*;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let mut chip = Chip::new(Geometry::characterization(), ChipParams::default(), 17);
     chip.cycle_block(0, 8_000)?;
     chip.program_block_random(0, 5)?;

@@ -3,7 +3,7 @@
 
 use readdisturb::core::characterize::{fig10_rdr, Scale};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let data = fig10_rdr(Scale::full(), 55).expect("fig10");
     let rows: Vec<String> = data
         .points

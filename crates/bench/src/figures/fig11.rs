@@ -1,9 +1,9 @@
 //! Fig. 11 — RowHammer error rate vs module manufacture date for the
 //! 129-module DRAM population (related-work reproduction, from \[42\]).
 
-use readdisturb::dram::ModulePopulation;
+use super::dram::ModulePopulation;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);
     let rows: Vec<String> = population
         .fig11_points()

@@ -1,9 +1,9 @@
 //! Fig. 12 — victims per aggressor row for three representative DRAM
 //! modules, one per manufacturer (related-work reproduction, from \[42\]).
 
-use readdisturb::dram::{HammerExperiment, ModulePopulation};
+use super::dram::{HammerExperiment, ModulePopulation};
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);
     let mut rows = Vec::new();
     for (i, module) in population.fig12_representatives().iter().enumerate() {

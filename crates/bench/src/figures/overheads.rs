@@ -3,7 +3,7 @@
 
 use readdisturb::core::overhead::OverheadModel;
 
-pub fn run() -> crate::FigureResult {
+pub(crate) fn run() -> crate::FigureResult {
     let model = OverheadModel::paper_512gb();
     let rows = vec![
         format!("blocks,{}", model.blocks()),

@@ -5,7 +5,7 @@
 use crate::gf::GfTables;
 
 /// Multiplies two polynomials over GF(2^m).
-pub fn mul(gf: &GfTables, a: &[u16], b: &[u16]) -> Vec<u16> {
+pub(crate) fn mul(gf: &GfTables, a: &[u16], b: &[u16]) -> Vec<u16> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
@@ -24,7 +24,7 @@ pub fn mul(gf: &GfTables, a: &[u16], b: &[u16]) -> Vec<u16> {
 }
 
 /// Evaluates a polynomial at `x` (Horner).
-pub fn eval(gf: &GfTables, poly: &[u16], x: u16) -> u16 {
+pub(crate) fn eval(gf: &GfTables, poly: &[u16], x: u16) -> u16 {
     let mut acc = 0u16;
     for &c in poly.iter().rev() {
         acc = gf.mul(acc, x) ^ c;
@@ -34,13 +34,13 @@ pub fn eval(gf: &GfTables, poly: &[u16], x: u16) -> u16 {
 
 /// Degree of a polynomial (ignoring leading zeros); degree 0 for constants
 /// and empty polynomials.
-pub fn degree(poly: &[u16]) -> usize {
+pub(crate) fn degree(poly: &[u16]) -> usize {
     poly.iter().rposition(|&c| c != 0).unwrap_or(0)
 }
 
 /// Minimal polynomial over GF(2) of `alpha^i`: product of `(x - alpha^c)`
 /// over the cyclotomic coset of `i`. All coefficients land in {0, 1}.
-pub fn minimal_polynomial(gf: &GfTables, i: usize) -> Vec<u16> {
+pub(crate) fn minimal_polynomial(gf: &GfTables, i: usize) -> Vec<u16> {
     let n = gf.group_order();
     // Cyclotomic coset {i, 2i, 4i, ...} mod n.
     let mut coset = Vec::new();

@@ -180,7 +180,7 @@ impl EngineConfig {
 
     /// The seed of a die's private RNG streams, derived from the base seed
     /// and the die's **global** index (`die_index_offset + die`) so die 0
-    /// of an unsharded engine reproduces the single-chip [`rd_ftl::Ssd`]
+    /// of an unsharded engine reproduces a single-chip [`rd_ftl::Die`]
     /// exactly, the other dies get decorrelated streams, and a shard's dies
     /// match the monolithic engine's dies at the same global positions.
     pub fn die_seed(&self, die: u32) -> u64 {
@@ -646,7 +646,7 @@ impl Engine<NoMitigation> {
 
 impl<P: ControllerPolicy + Clone> Engine<P> {
     /// Creates an engine running one clone of `policy` per die — the same
-    /// [`ControllerPolicy`] implementations the single-chip [`rd_ftl::Ssd`]
+    /// [`ControllerPolicy`] implementations a single-chip [`rd_ftl::Die`]
     /// accepts plug in unchanged, with per-die state.
     ///
     /// # Errors

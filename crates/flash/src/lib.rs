@@ -64,6 +64,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The chip model: parameters, cell states, the fidelity enum, the math and
+// the closed-form RBER, and the chip database. None of it depends on the
+// simulator below.
+pub mod analytic;
+pub mod chips;
+pub mod fidelity;
+pub mod math;
+pub mod params;
+pub mod state;
+
 pub mod bits;
 pub mod cell_array;
 pub mod chip;
@@ -71,11 +81,6 @@ pub mod error;
 pub mod geometry;
 pub mod noise;
 pub mod wire;
-
-// The chip model — parameters, cell states, the fidelity enum, the math and
-// the closed-form RBER — and the chip database live in the dependency-free
-// `chips-codegen` crate.
-pub use chips_codegen::{analytic, chips, fidelity, math, params, state};
 
 mod aggregate_block;
 mod block;

@@ -202,8 +202,7 @@ mod tests {
         assert!((mean - expect).abs() / expect < 0.02, "mean {mean} vs np {expect}");
     }
 
-    /// SplitMix64: the property tests' generator (the crate has no
-    /// dependencies, test ones included).
+    /// SplitMix64: the property tests' generator.
     struct SplitMix(u64);
 
     impl SplitMix {

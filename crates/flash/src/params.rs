@@ -249,7 +249,7 @@ impl ChipParams {
     /// every coefficient [`COEFFICIENTS`] marks so.
     ///
     /// This is the one per-chip gate: the chip database's rules
-    /// ([`crate::validate`]), a decoded checkpoint's configuration and the
+    /// ([`crate::chips`]' unit tests), a decoded checkpoint's configuration and the
     /// command-line tools all call it.
     ///
     /// # Errors

@@ -24,15 +24,15 @@
 //!   the block's pass-through voltage down into it, beside the
 //!   [`ReadReclaim`] baseline it is compared against.
 //!
-//! The per-die controller state lives in [`Die`]; [`Ssd`] is the name of
-//! one die used on its own and the multi-die engine (`rd-engine`) arrays
+//! The per-die controller state lives in [`Die`]: one die used on its own
+//! is the single-chip SSD, and the multi-die engine (`rd-engine`) arrays
 //! many of them, so both share semantics by construction.
 //!
 //! ```
-//! use rd_ftl::{Ssd, SsdConfig};
+//! use rd_ftl::{Die, SsdConfig};
 //!
 //! # fn main() -> Result<(), rd_ftl::FtlError> {
-//! let mut ssd = Ssd::new(SsdConfig::small_test())?;
+//! let mut ssd = Die::new(SsdConfig::small_test())?;
 //! ssd.write(3)?;             // write logical page 3
 //! let read = ssd.read(3)?;   // read it back through ECC
 //! assert_eq!(read.corrected_errors, 0);
@@ -50,7 +50,6 @@ pub mod mapping;
 pub mod margin_probe;
 pub mod policy;
 pub mod recovery;
-pub mod ssd;
 pub mod stats;
 pub mod vpass_tuning;
 
@@ -70,5 +69,4 @@ pub use recovery::{
     DisturbReRead, LadderOutcome, ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport,
     RetrySweep, StepAttempt,
 };
-pub use ssd::Ssd;
 pub use stats::SsdStats;

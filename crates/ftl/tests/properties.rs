@@ -1,7 +1,7 @@
 //! Property-based tests of FTL invariants under random operation sequences.
 
 use proptest::prelude::*;
-use rd_ftl::{FtlError, Ssd, SsdConfig};
+use rd_ftl::{Die, FtlError, SsdConfig};
 
 fn tiny_config(seed: u64) -> SsdConfig {
     SsdConfig {
@@ -47,7 +47,7 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(arb_op(35), 1..120),
     ) {
-        let mut ssd = Ssd::new(tiny_config(seed)).unwrap();
+        let mut ssd = Die::new(tiny_config(seed)).unwrap();
         let mut written = std::collections::HashSet::new();
         for op in ops {
             match op {
@@ -75,7 +75,7 @@ proptest! {
     /// physical writes equal host + relocation writes.
     #[test]
     fn waf_accounting(seed in any::<u64>(), writes in 1usize..200) {
-        let mut ssd = Ssd::new(tiny_config(seed)).unwrap();
+        let mut ssd = Die::new(tiny_config(seed)).unwrap();
         for i in 0..writes {
             ssd.write((i % 35) as u64).unwrap();
         }

@@ -13,7 +13,6 @@
 //! | [`serve`] | sharded async multi-tenant serving front-end over the engine |
 //! | [`fleet`] | fleet-scale lifetime simulation: varied drives, epoch phases, versioned checkpoint/restore |
 //! | [`core`] | **the paper's offline half**: Read Disturb Recovery, ROR/RFR, the characterization harness, the endurance evaluator and overheads |
-//! | [`dram`] | RowHammer module-population model (related-work Figs. 11–12) |
 //!
 //! ## Quickstart
 //!
@@ -48,8 +47,6 @@
 
 /// The paper's offline mechanisms: RDR, characterization, lifetime.
 pub use rd_core as core;
-/// RowHammer module-population model (related-work figures).
-pub use rd_dram as dram;
 /// BCH and threshold ECC.
 pub use rd_ecc as ecc;
 /// The multi-channel/multi-die SSD engine.
@@ -80,7 +77,7 @@ pub mod prelude {
     pub use rd_fleet::{Fleet, FleetConfig, FleetRow, VariationSpread};
     pub use rd_ftl::{
         ControllerPolicy, NoMitigation, ReadReclaim, ReadResolution, RecoveryLadder, RecoveryStep,
-        Ssd, SsdConfig, TuneReport, VpassTuner, VpassTunerConfig,
+        SsdConfig, TuneReport, VpassTuner, VpassTunerConfig,
     };
     pub use rd_serve::{ServeConfig, Service, ShardPlan, TenantConfig, Traffic};
     pub use rd_workloads::{TraceGenerator, TraceStats, WorkloadProfile};
@@ -95,7 +92,6 @@ mod tests {
         let _ = crate::ecc::MarginPolicy::paper_default();
         let _ = crate::workloads::WorkloadProfile::suite();
         let _ = crate::core::RdrConfig::default();
-        let _ = crate::dram::ModulePopulation::paper_129(1);
         let _ = crate::engine::EngineConfig::small_test();
         let _ = crate::fleet::FleetConfig::quick();
         let _ = crate::serve::ServeConfig::small_test();

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_summary("baseline", &baseline);
 
     // Read reclaim per die: every die runs its own policy instance, exactly
-    // as the single-chip `Ssd` would.
+    // as a single-chip `Die` would.
     let mut reclaiming = Engine::with_policy(config(), ReadReclaim { read_threshold: 40 })?;
     let reclaimed = reclaiming.replay_stats_only(ops.iter().copied(), 0);
     println!();

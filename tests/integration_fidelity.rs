@@ -16,6 +16,7 @@
 //!   worker-thread counts (payload digest included), exactly like the
 //!   exact tier.
 
+use readdisturb::ftl::Die;
 use readdisturb::prelude::*;
 use readdisturb::workloads::TraceOp;
 
@@ -139,7 +140,7 @@ fn analytic_replay_is_thread_count_invariant() {
 fn read_reclaim_policy_works_on_both_tiers() {
     for fidelity in [ReadFidelity::CellExact, ReadFidelity::PageAnalytic] {
         let config = SsdConfig::small_test().with_fidelity(fidelity);
-        let mut ssd = Ssd::with_policy(config, ReadReclaim { read_threshold: 500 }).unwrap();
+        let mut ssd = Die::with_policy(config, ReadReclaim { read_threshold: 500 }).unwrap();
         ssd.write(0).unwrap();
         let first = ssd.read(0).unwrap().ppa;
         for _ in 0..600 {
@@ -173,7 +174,7 @@ fn vpass_tuning_policy_works_on_both_tiers() {
             chip_params: ChipParams::default(),
         }
         .with_fidelity(fidelity);
-        let mut ssd = Ssd::with_policy(config, VpassTuner::default()).unwrap();
+        let mut ssd = Die::with_policy(config, VpassTuner::default()).unwrap();
         for b in 0..8 {
             ssd.chip_mut().cycle_block(b, 4_000).unwrap();
         }

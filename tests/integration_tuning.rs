@@ -128,13 +128,13 @@ fn policy_and_manual_tuner_agree() {
     assert_eq!(manual.vpass_after, report2.vpass_after);
 }
 
-/// The product path: a thinned trace replayed through an `Ssd` running the
+/// The product path: a thinned trace replayed through a `Die` running the
 /// tuner, with the device aged by the trace's whole elapsed time — not just
 /// the gaps between the ops it serves — so its daily ticks run and tune
 /// some block below nominal.
 #[test]
 fn replayed_trace_tunes_a_block_below_nominal_vpass() {
-    use readdisturb::ftl::FtlError;
+    use readdisturb::ftl::{Die, FtlError};
     use readdisturb::workloads::OpKind;
     let config = SsdConfig {
         chip: readdisturb::flash::chips::DEFAULT_CHIP.to_string(),
@@ -152,7 +152,7 @@ fn replayed_trace_tunes_a_block_below_nominal_vpass() {
         chip_params: ChipParams::default(),
     }
     .with_fidelity(ReadFidelity::PageAnalytic);
-    let mut ssd = Ssd::with_policy(config, VpassTuner::default()).unwrap();
+    let mut ssd = Die::with_policy(config, VpassTuner::default()).unwrap();
     let logical_pages = ssd.map().logical_pages();
     let pages_per_block = ssd.config().geometry.pages_per_block();
     let trace = WorkloadProfile::by_name("umass-web").unwrap().generator(3, pages_per_block);
