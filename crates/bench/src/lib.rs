@@ -15,7 +15,7 @@ pub use figures::FIGURES;
 
 /// What a figure's `run` returns; an `Err` ends the `figures` run the way
 /// it ends a `main`.
-pub type FigureResult = Result<(), Box<dyn std::error::Error>>;
+pub(crate) type FigureResult = Result<(), Box<dyn std::error::Error>>;
 
 /// One [`FIGURES`] entry: the name `figures` takes on its command line and
 /// files the output under, and the routine that regenerates the figure.
@@ -27,7 +27,7 @@ pub type Figure = (&'static str, fn() -> FigureResult);
 /// # Panics
 ///
 /// Panics on I/O failure (these are experiment routines).
-pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
+pub(crate) fn emit_csv(name: &str, header: &str, rows: &[String]) {
     let dir = PathBuf::from("target/figures");
     fs::create_dir_all(&dir).expect("create target/figures");
     let path = dir.join(format!("{name}.csv"));
@@ -53,7 +53,7 @@ pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
 /// # Panics
 ///
 /// Panics on I/O failure (these are experiment routines).
-pub fn emit_jsonl(name: &str, rows: &[String]) {
+pub(crate) fn emit_jsonl(name: &str, rows: &[String]) {
     let dir = PathBuf::from("target/figures");
     fs::create_dir_all(&dir).expect("create target/figures");
     let path = dir.join(format!("{name}.jsonl"));
@@ -67,7 +67,7 @@ pub fn emit_jsonl(name: &str, rows: &[String]) {
 
 /// Prints a paper-vs-measured comparison line (the per-figure shape
 /// check; a ratio near 1.0 means the simulator still tracks the paper).
-pub fn shape_check(label: &str, measured: f64, paper: f64) {
+pub(crate) fn shape_check(label: &str, measured: f64, paper: f64) {
     let ratio = if paper != 0.0 { measured / paper } else { f64::NAN };
     println!("## shape-check {label}: measured {measured:.3e}, paper {paper:.3e} (x{ratio:.2})");
 }

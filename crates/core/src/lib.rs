@@ -45,10 +45,10 @@ pub mod lifetime;
 pub mod overhead;
 pub mod rdr;
 pub mod recovery;
-pub mod rfr;
-pub mod ror;
+pub(crate) mod rfr;
+pub(crate) mod ror;
 
-pub use error::CoreError;
+pub(crate) use error::CoreError;
 pub use lifetime::{EnduranceConfig, EnduranceResult, Mitigation};
 pub use rd_ftl::{TuneReport, VpassTuner, VpassTunerConfig};
 pub use rdr::{Rdr, RdrConfig, RdrOutcome};

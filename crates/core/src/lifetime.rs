@@ -38,7 +38,7 @@ pub enum Mitigation {
 
 impl Mitigation {
     /// Display name for experiment output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Mitigation::Baseline => "baseline",
             Mitigation::VpassTuning => "vpass-tuning",
@@ -143,7 +143,7 @@ impl EnduranceEvaluator {
 
     /// Worst-case RBER at the end of a refresh interval for the workload's
     /// hottest block.
-    pub fn interval_end_rber(
+    pub(crate) fn interval_end_rber(
         &self,
         profile: &WorkloadProfile,
         mitigation: Mitigation,

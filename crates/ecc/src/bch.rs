@@ -171,7 +171,7 @@ impl BchCode {
 
     /// Number of raw bit errors between a received buffer and a codeword
     /// (diagnostic helper).
-    pub fn diff(&self, a: &[u8], b: &[u8]) -> usize {
+    pub(crate) fn diff(&self, a: &[u8], b: &[u8]) -> usize {
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
     }
 

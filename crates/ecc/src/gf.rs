@@ -20,10 +20,10 @@ const PRIMITIVE_POLYS: [u32; 11] = [
 ];
 
 /// Smallest supported extension degree.
-pub const MIN_M: u32 = 4;
+pub(crate) const MIN_M: u32 = 4;
 /// Largest supported extension degree (GF(2^14): 16383-bit codewords, the
 /// size class of real flash page BCH).
-pub const MAX_M: u32 = 14;
+pub(crate) const MAX_M: u32 = 14;
 
 /// Log/antilog tables for GF(2^m). Elements are represented as `u16`
 /// polynomial bit patterns; zero is the additive identity.
@@ -65,18 +65,18 @@ impl GfTables {
     }
 
     /// The extension degree `m`.
-    pub fn m(&self) -> u32 {
+    pub(crate) fn m(&self) -> u32 {
         self.m
     }
 
     /// Order of the multiplicative group, `2^m - 1` (also the codeword
     /// length of the primitive BCH code over this field).
-    pub fn group_order(&self) -> usize {
+    pub(crate) fn group_order(&self) -> usize {
         self.size
     }
 
     /// `alpha^i` for `i` taken modulo the group order.
-    pub fn alpha_pow(&self, i: usize) -> u16 {
+    pub(crate) fn alpha_pow(&self, i: usize) -> u16 {
         self.exp[i % self.size]
     }
 
@@ -85,7 +85,7 @@ impl GfTables {
     /// # Panics
     ///
     /// Panics on zero (zero has no logarithm).
-    pub fn log(&self, a: u16) -> u16 {
+    pub(crate) fn log(&self, a: u16) -> u16 {
         assert!(a != 0, "log of zero");
         self.log[a as usize]
     }

@@ -40,7 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bch;
+pub(crate) mod bch;
 pub mod gf;
 pub mod margin;
 pub mod model;

@@ -70,7 +70,7 @@ impl ThresholdEcc {
 
     /// Probability that a codeword fails to decode at raw bit error rate
     /// `rber` (binomial upper tail beyond `t`).
-    pub fn frame_error_prob(&self, rber: f64) -> f64 {
+    pub(crate) fn frame_error_prob(&self, rber: f64) -> f64 {
         binomial_tail_above(self.codeword_bits, rber, self.t as usize)
     }
 
@@ -125,7 +125,7 @@ impl PageEccModel {
     }
 
     /// Page size in bits.
-    pub fn page_bits(&self) -> usize {
+    pub(crate) fn page_bits(&self) -> usize {
         self.page_bits
     }
 
@@ -175,7 +175,7 @@ pub enum PageDecode {
 /// Upper tail `P(X > k)` of `X ~ Binomial(n, p)`, computed by direct
 /// summation in log space (accurate into the deep tail where the normal
 /// approximation fails by orders of magnitude).
-pub fn binomial_tail_above(n: usize, p: f64, k: usize) -> f64 {
+pub(crate) fn binomial_tail_above(n: usize, p: f64, k: usize) -> f64 {
     if p <= 0.0 {
         return 0.0;
     }

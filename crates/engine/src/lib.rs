@@ -41,7 +41,7 @@ pub mod pool;
 pub mod queue;
 pub mod stats;
 pub mod timing;
-pub mod topology;
+pub(crate) mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
 pub use pool::{PoolHandle, WorkerPool};

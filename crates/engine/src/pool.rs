@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 /// A unit of work shipped to a pool lane. Jobs own everything they touch
 /// (the engine moves the die itself into the closure) and report results
 /// out of band, so the pool needs no return channel of its own.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// One worker's job lane: a FIFO queue plus the parking signal.
 struct Lane {
@@ -79,7 +79,7 @@ impl WorkerPool {
     }
 
     /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.lanes.len()
     }
 
@@ -169,12 +169,12 @@ impl PoolHandle {
     }
 
     /// Number of lanes visible through this handle.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.len
     }
 
     /// Enqueues `job` on local lane `lane % workers()`.
-    pub fn submit(&self, lane: usize, job: Job) {
+    pub(crate) fn submit(&self, lane: usize, job: Job) {
         self.pool.submit(self.offset + lane % self.len, job);
     }
 }

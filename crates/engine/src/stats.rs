@@ -332,7 +332,7 @@ impl LatencyHistogram {
     ///
     /// [`SnapError::Truncated`] if the bytes end early, and
     /// [`SnapError::Mismatch`] if the counters leave the range.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         let (first, counts, sum) = (r.get_u64()?, r.get_u64s()?, r.get_f64()?);
         let fits = BUCKETS.checked_sub(counts.len()).is_some_and(|room| first <= room as u64);
         match counts.iter().try_fold(0u64, |n, &c| n.checked_add(c)) {

@@ -12,7 +12,7 @@ use rd_ftl::SsdStats;
 /// The three controller-counter groups the timing model bills as background
 /// die time (relocation writes, erases, retry/probe reads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackgroundCounters {
+pub(crate) struct BackgroundCounters {
     /// GC + refresh + reclaim relocation writes.
     pub relocations: u64,
     /// Block erases.
@@ -22,7 +22,7 @@ pub struct BackgroundCounters {
 }
 
 /// Extracts the background-billable counter groups from a stats block.
-pub fn background_counters(stats: &SsdStats) -> BackgroundCounters {
+pub(crate) fn background_counters(stats: &SsdStats) -> BackgroundCounters {
     BackgroundCounters {
         relocations: stats.gc_writes + stats.refresh_writes + stats.reclaim_writes,
         erases: stats.erases,
@@ -56,7 +56,7 @@ impl Timing {
     }
 
     /// Service time of a host write.
-    pub fn write_service_us(&self) -> f64 {
+    pub(crate) fn write_service_us(&self) -> f64 {
         self.program_us + self.xfer_us
     }
 
@@ -65,14 +65,14 @@ impl Timing {
     /// delta: every relocation write is a read + program pair, every erase
     /// a tBERS, and every recovery-ladder re-read or policy probe read a
     /// tR — so retry escalations and tuning sweeps cost real engine time.
-    pub fn background_us(&self, before: &SsdStats, after: &SsdStats) -> f64 {
+    pub(crate) fn background_us(&self, before: &SsdStats, after: &SsdStats) -> f64 {
         self.background_us_between(background_counters(before), background_counters(after))
     }
 
     /// [`Timing::background_us`] from two pre-extracted
     /// [`background_counters`] snapshots — the replay hot loop uses this to
     /// avoid copying the full stats block around every request.
-    pub fn background_us_between(
+    pub(crate) fn background_us_between(
         &self,
         before: BackgroundCounters,
         after: BackgroundCounters,

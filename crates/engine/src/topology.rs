@@ -29,7 +29,7 @@ impl Topology {
     }
 
     /// The channel a die is attached to.
-    pub fn channel_of(&self, die: u32) -> u32 {
+    pub(crate) fn channel_of(&self, die: u32) -> u32 {
         die / self.dies_per_channel
     }
 

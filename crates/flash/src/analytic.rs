@@ -63,7 +63,7 @@ impl AnalyticParams {
     /// Derives the analytic constants from the Monte-Carlo chip parameters
     /// and the block's wordline count (pass-through errors scale with the
     /// number of unread wordlines per bitline).
-    pub fn from_chip(chip: &ChipParams, wordlines_per_block: u32) -> Self {
+    pub(crate) fn from_chip(chip: &ChipParams, wordlines_per_block: u32) -> Self {
         let w = wordlines_per_block.max(2) as f64;
         // A blocked bitline senses as the top state; averaged over the N
         // intended states of the target cell and the page kinds, half the
@@ -118,7 +118,7 @@ pub struct RberBreakdown {
 impl RberBreakdown {
     /// Total RBER (components are independent error channels at these
     /// magnitudes, so they add).
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.pe + self.retention + self.read_disturb + self.passthrough
     }
 }
@@ -193,7 +193,7 @@ impl AnalyticModel {
     }
 
     /// Full decomposition at an operating point.
-    pub fn breakdown(&self, pe_cycles: u64, days: f64, reads: u64, vpass: f64) -> RberBreakdown {
+    pub(crate) fn breakdown(&self, pe_cycles: u64, days: f64, reads: u64, vpass: f64) -> RberBreakdown {
         RberBreakdown {
             pe: self.rber_pe(pe_cycles),
             retention: self.rber_retention(pe_cycles, days),
@@ -231,7 +231,7 @@ pub fn gaussian_tail_floor(params: &ChipParams, pe_cycles: u64) -> f64 {
 /// floor a read-retry re-read pays: away from the factory references, the
 /// tails of *undisturbed* states cross the shifted boundaries and
 /// misclassify.
-pub fn gaussian_tail_floor_shifted(params: &ChipParams, pe_cycles: u64, shift: f64) -> f64 {
+pub(crate) fn gaussian_tail_floor_shifted(params: &ChipParams, pe_cycles: u64, shift: f64) -> f64 {
     let refs = &params.refs;
     let mut per_cell = 0.0;
     for i in 0..refs.len() {
@@ -250,12 +250,12 @@ pub fn gaussian_tail_floor_shifted(params: &ChipParams, pe_cycles: u64, shift: f
 /// the drifted cells (errors decay); retention pulls P2/P3 downward, so the
 /// same raise moves the boundaries *into* the leaked cells (errors grow).
 /// The scale matches the default state sigma (≈10 normalized volts).
-pub const RETRY_SHIFT_DECAY: f64 = 10.0;
+pub(crate) const RETRY_SHIFT_DECAY: f64 = 10.0;
 
 /// Cap on the shift amplification factors: beyond a few decay lengths the
 /// shifted-floor term dominates anyway, and an unbounded exponential would
 /// just overflow the sampled error count.
-pub const RETRY_SHIFT_GAIN_CAP: f64 = 32.0;
+pub(crate) const RETRY_SHIFT_GAIN_CAP: f64 = 32.0;
 
 /// The read-count-independent closed-form terms at one read-reference
 /// shift (the read-retry model): the misclassification floor follows the

@@ -36,7 +36,7 @@ pub fn zeroed(nbits: usize) -> Vec<u8> {
 }
 
 /// Allocates a buffer holding `nbits` set bits (an erased page).
-pub fn ones(nbits: usize) -> Vec<u8> {
+pub(crate) fn ones(nbits: usize) -> Vec<u8> {
     let mut out = vec![0xFFu8; nbits.div_ceil(8)];
     mask_tail(&mut out, nbits);
     out

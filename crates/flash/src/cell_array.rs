@@ -267,17 +267,17 @@ impl CellArray {
     }
 
     /// Whether the array is empty (zero-sized geometry).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.intended.is_empty()
     }
 
     /// Wordline count.
-    pub fn wordlines(&self) -> u32 {
+    pub(crate) fn wordlines(&self) -> u32 {
         self.wordlines
     }
 
     /// Bitline count.
-    pub fn bitlines(&self) -> u32 {
+    pub(crate) fn bitlines(&self) -> u32 {
         self.bitlines
     }
 
@@ -304,7 +304,7 @@ impl CellArray {
     /// # Panics
     ///
     /// Panics if `states.len() != bitlines`.
-    pub fn program_wordline(
+    pub(crate) fn program_wordline(
         &mut self,
         params: &ChipParams,
         rng: &mut StdRng,

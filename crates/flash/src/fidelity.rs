@@ -97,7 +97,7 @@ pub enum ReadFidelity {
 impl ReadFidelity {
     /// Stable lowercase identifier (used in benchmark JSON rows and CLI
     /// arguments).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ReadFidelity::CellExact => "cell-exact",
             ReadFidelity::PageAnalytic => "page-analytic",

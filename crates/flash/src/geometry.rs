@@ -27,7 +27,7 @@ pub enum PageKind {
 impl PageKind {
     /// The two page kinds in program order (LSB is programmed first on real
     /// MLC parts).
-    pub const ALL: [PageKind; 2] = [PageKind::Lsb, PageKind::Msb];
+    pub(crate) const ALL: [PageKind; 2] = [PageKind::Lsb, PageKind::Msb];
 }
 
 /// Shape of a simulated chip.
@@ -69,7 +69,7 @@ impl Geometry {
     }
 
     /// Cells per block.
-    pub fn cells_per_block(&self) -> usize {
+    pub(crate) fn cells_per_block(&self) -> usize {
         self.wordlines_per_block as usize * self.bitlines as usize
     }
 
@@ -79,24 +79,24 @@ impl Geometry {
     }
 
     /// Bits of user data per block.
-    pub fn bits_per_block(&self) -> usize {
+    pub(crate) fn bits_per_block(&self) -> usize {
         self.cells_per_block() * self.bits_per_cell as usize
     }
 
     /// The wordline backing a page index (pages of a wordline are
     /// consecutive: page `w * bits_per_cell + k` is bit-kind `k` of
     /// wordline `w`).
-    pub fn wordline_of_page(&self, page: u32) -> u32 {
+    pub(crate) fn wordline_of_page(&self, page: u32) -> u32 {
         page / self.bits_per_cell
     }
 
     /// The bit position within the cell (0 = LSB page) a page index maps to.
-    pub fn page_bit(&self, page: u32) -> u32 {
+    pub(crate) fn page_bit(&self, page: u32) -> u32 {
         page % self.bits_per_cell
     }
 
     /// Validates a block index.
-    pub fn check_block(&self, block: u32) -> Result<(), FlashError> {
+    pub(crate) fn check_block(&self, block: u32) -> Result<(), FlashError> {
         if block < self.blocks {
             Ok(())
         } else {
@@ -105,7 +105,7 @@ impl Geometry {
     }
 
     /// Validates a wordline index.
-    pub fn check_wordline(&self, wordline: u32) -> Result<(), FlashError> {
+    pub(crate) fn check_wordline(&self, wordline: u32) -> Result<(), FlashError> {
         if wordline < self.wordlines_per_block {
             Ok(())
         } else {
@@ -114,7 +114,7 @@ impl Geometry {
     }
 
     /// Validates a page index within a block.
-    pub fn check_page(&self, page: u32) -> Result<(), FlashError> {
+    pub(crate) fn check_page(&self, page: u32) -> Result<(), FlashError> {
         if page < self.pages_per_block() {
             Ok(())
         } else {

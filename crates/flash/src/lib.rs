@@ -70,12 +70,12 @@
 pub mod analytic;
 pub mod chips;
 pub mod fidelity;
-pub mod math;
+pub(crate) mod math;
 pub mod params;
 pub mod state;
 
 pub mod bits;
-pub mod cell_array;
+pub(crate) mod cell_array;
 pub mod chip;
 pub mod error;
 pub mod geometry;
@@ -88,7 +88,7 @@ mod ledger;
 mod sampler;
 
 pub use analytic::{gaussian_tail_floor, AnalyticModel, AnalyticParams, RberBreakdown};
-pub use cell_array::CellArray;
+pub(crate) use cell_array::CellArray;
 pub use chip::{Chip, ReadCounts, ReadOutcome, RetryReadOutcome, VthHistogram};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;
@@ -126,7 +126,7 @@ impl BitErrorStats {
     }
 
     /// Merges two measurements (e.g. across pages of a block).
-    pub fn merge(self, other: Self) -> Self {
+    pub(crate) fn merge(self, other: Self) -> Self {
         Self { errors: self.errors + other.errors, bits: self.bits + other.bits }
     }
 }

@@ -8,7 +8,7 @@
 /// Error function via the Abramowitz & Stegun 7.1.26 rational approximation.
 ///
 /// Maximum absolute error ~1.5e-7 over the real line.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -20,7 +20,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function.
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
@@ -28,7 +28,7 @@ pub fn normal_cdf(z: f64) -> f64 {
 ///
 /// For large `z` the complementary form of [`erf`] loses precision, so an
 /// asymptotic expansion is used beyond `z = 6`.
-pub fn normal_q(z: f64) -> f64 {
+pub(crate) fn normal_q(z: f64) -> f64 {
     if z > 6.0 {
         // Asymptotic upper tail: phi(z)/z * (1 - 1/z^2 + 3/z^4).
         let phi = (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt();
@@ -40,18 +40,18 @@ pub fn normal_q(z: f64) -> f64 {
 }
 
 /// Standard normal probability density function.
-pub fn normal_pdf(z: f64) -> f64 {
+pub(crate) fn normal_pdf(z: f64) -> f64 {
     (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt()
 }
 
 /// Density at `x` of a normal distribution with the given mean and sigma.
-pub fn gaussian_pdf(x: f64, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn gaussian_pdf(x: f64, mean: f64, sigma: f64) -> f64 {
     normal_pdf((x - mean) / sigma) / sigma
 }
 
 /// `ln(1 + x)` kept as a named helper because the analytic read-disturb model
 /// uses it as its soft-saturation primitive (see `AnalyticParams::rd_sat`).
-pub fn ln1p(x: f64) -> f64 {
+pub(crate) fn ln1p(x: f64) -> f64 {
     x.ln_1p()
 }
 
@@ -65,7 +65,7 @@ pub fn ln1p(x: f64) -> f64 {
 /// product-inversion costs one RNG call *per trial*). Intended for the
 /// small-mean regime (`np` ≲ 32); larger means should use a normal
 /// approximation.
-pub fn binomial_from_uniform(n: u64, p: f64, u: f64) -> u64 {
+pub(crate) fn binomial_from_uniform(n: u64, p: f64, u: f64) -> u64 {
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -106,7 +106,7 @@ const ZERO_BOUND_GUARD: f64 = 1.0e-12;
 /// A guard keeps the bound 1e-12 under its exact value, three orders of
 /// magnitude more than both together, so a screened draw is one the walk
 /// would have returned 0 for. A bound that is not positive screens nothing.
-pub fn binomial_zero_bound(n: u64, p_up: f64) -> f64 {
+pub(crate) fn binomial_zero_bound(n: u64, p_up: f64) -> f64 {
     debug_assert!(p_up > 0.0 && p_up < 1.0, "p_up {p_up} outside (0, 1)");
     1.0 - n as f64 * p_up / (1.0 - p_up) - ZERO_BOUND_GUARD
 }
@@ -118,7 +118,7 @@ pub fn binomial_zero_bound(n: u64, p_up: f64) -> f64 {
 /// `ΔVref` classification threshold used by Read Disturb Recovery (paper
 /// §5.2). Falls back to the midpoint when sigmas are equal (closed form
 /// degenerates).
-pub fn gaussian_intersection(mean_lo: f64, sigma_lo: f64, mean_hi: f64, sigma_hi: f64) -> f64 {
+pub(crate) fn gaussian_intersection(mean_lo: f64, sigma_lo: f64, mean_hi: f64, sigma_hi: f64) -> f64 {
     assert!(mean_lo < mean_hi, "means must be ordered");
     if (sigma_lo - sigma_hi).abs() < 1e-12 {
         return 0.5 * (mean_lo + mean_hi);

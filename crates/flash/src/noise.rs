@@ -6,7 +6,7 @@
 //! plus sampled per-cell process variation, so the closed forms can be
 //! property-tested in isolation and composed by [`crate::CellArray`].
 
-pub mod pe_cycling;
-pub mod program_interference;
+pub(crate) mod pe_cycling;
+pub(crate) mod program_interference;
 pub mod read_disturb;
 pub mod retention;

@@ -17,7 +17,7 @@ use crate::state::CellState;
 /// Returns the state the cell actually lands in. ER can only be misplaced
 /// upward and P3 only downward; interior states go either way with equal
 /// probability.
-pub fn place_state<R: Rng + ?Sized>(
+pub(crate) fn place_state<R: Rng + ?Sized>(
     rng: &mut R,
     params: &ChipParams,
     intended: CellState,

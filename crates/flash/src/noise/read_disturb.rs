@@ -74,7 +74,7 @@ pub fn vth_shift(params: &ChipParams, base_vth: f64, susceptibility: f64, dose: 
 /// to show the closed form is exactly the fixed point of incremental
 /// application (the additivity that lets [`crate::CellArray`] batch a
 /// million reads into one update).
-pub fn disturbed_vth_iterative(
+pub(crate) fn disturbed_vth_iterative(
     params: &ChipParams,
     base_vth: f64,
     susceptibility: f64,
@@ -91,7 +91,7 @@ pub fn disturbed_vth_iterative(
 
 /// Samples the per-cell susceptibility factor: Pareto(1, a) capped at
 /// `rd_susceptibility_cap`.
-pub fn sample_susceptibility<R: Rng + ?Sized>(rng: &mut R, params: &ChipParams) -> f64 {
+pub(crate) fn sample_susceptibility<R: Rng + ?Sized>(rng: &mut R, params: &ChipParams) -> f64 {
     let a = params.rd_susceptibility_pareto_a;
     let u: f64 = rng.gen::<f64>().max(1e-300);
     u.powf(-1.0 / a).min(params.rd_susceptibility_cap)

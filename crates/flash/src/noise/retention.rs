@@ -43,7 +43,7 @@ pub(crate) fn vth_drop_at(base_vth: f64, leak: f64, rate: f64, time_pow: f64) ->
 }
 
 /// Samples the per-cell leak factor: log-normal with mean 1.
-pub fn sample_leak_factor<R: Rng + ?Sized>(rng: &mut R, params: &ChipParams) -> f64 {
+pub(crate) fn sample_leak_factor<R: Rng + ?Sized>(rng: &mut R, params: &ChipParams) -> f64 {
     let sigma = params.retention_leak_sigma_ln;
     let mu = -0.5 * sigma * sigma; // mean-1 lognormal
     let z: f64 = sample_standard_normal(rng);
@@ -52,7 +52,7 @@ pub fn sample_leak_factor<R: Rng + ?Sized>(rng: &mut R, params: &ChipParams) -> 
 
 /// Box–Muller standard normal sample (avoids a distribution-crate
 /// dependency; two uniforms per call, one output used).
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 > 1e-300 {

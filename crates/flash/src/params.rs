@@ -186,7 +186,7 @@ impl ChipParams {
 
     /// Programming distribution of the state at index `i` at a given wear
     /// level.
-    pub fn state_dist_index(&self, i: usize, pe_cycles: u64) -> StateParams {
+    pub(crate) fn state_dist_index(&self, i: usize, pe_cycles: u64) -> StateParams {
         let base = self.states[i];
         let widen = 1.0
             + self.pe_sigma_widen_coeff * (pe_cycles as f64 / 1000.0).powf(self.pe_sigma_widen_exp);
@@ -195,12 +195,12 @@ impl ChipParams {
     }
 
     /// Programming distribution of an MLC state at a given wear level.
-    pub fn state_dist(&self, state: CellState, pe_cycles: u64) -> StateParams {
+    pub(crate) fn state_dist(&self, state: CellState, pe_cycles: u64) -> StateParams {
         self.state_dist_index(state.index() as usize, pe_cycles)
     }
 
     /// The P/E-cycling component of RBER (program/erase noise floor).
-    pub fn rber_pe(&self, pe_cycles: u64) -> f64 {
+    pub(crate) fn rber_pe(&self, pe_cycles: u64) -> f64 {
         self.pe_rber_coeff * (pe_cycles as f64 / 1000.0).powf(self.pe_rber_exp)
     }
 
@@ -208,13 +208,13 @@ impl ChipParams {
     /// state. Each misprogrammed cell contributes one erroneous bit out of
     /// its `bits_per_cell`, so this is `bits_per_cell` times the per-bit
     /// P/E error rate.
-    pub fn misprogram_prob(&self, pe_cycles: u64) -> f64 {
+    pub(crate) fn misprogram_prob(&self, pe_cycles: u64) -> f64 {
         (f64::from(self.bits_per_cell()) * self.rber_pe(pe_cycles)).min(0.05)
     }
 
     /// Retention-loss rate multiplier at a given wear level (per unit
     /// `days^retention_time_exp`, as a fraction of the cell's Vth).
-    pub fn retention_rate_at(&self, pe_cycles: u64) -> f64 {
+    pub(crate) fn retention_rate_at(&self, pe_cycles: u64) -> f64 {
         self.retention_rate * (pe_cycles as f64 / 1000.0).powf(self.retention_pe_exp)
     }
 
@@ -224,14 +224,14 @@ impl ChipParams {
     /// slope table); because errors scale as `dose^a` with `a` the
     /// susceptibility Pareto exponent, the dose itself must carry the
     /// exponent `rd_pe_exp / a`.
-    pub fn rd_wear_factor(&self, pe_cycles: u64) -> f64 {
+    pub(crate) fn rd_wear_factor(&self, pe_cycles: u64) -> f64 {
         let a = self.rd_susceptibility_pareto_a;
         (pe_cycles.max(1) as f64 / self.rd_pe_ref).powf(self.rd_pe_exp / a)
     }
 
     /// Vpass factor entering the dose accumulation (see
     /// [`ChipParams::rd_wear_factor`] for why the Pareto exponent divides).
-    pub fn rd_vpass_factor(&self, vpass: f64) -> f64 {
+    pub(crate) fn rd_vpass_factor(&self, vpass: f64) -> f64 {
         let a = self.rd_susceptibility_pareto_a;
         ((vpass - NOMINAL_VPASS) / (self.rd_vpass_lambda * a)).exp()
     }
@@ -326,7 +326,7 @@ impl ChipParams {
 }
 
 /// One scalar coefficient of [`ChipParams`], addressable by name.
-pub struct Coefficient {
+pub(crate) struct Coefficient {
     /// The field's name, as [`ChipParams::check`] reports it.
     pub name: &'static str,
     /// Whether [`ChipParams::check`] insists on a value above zero (the
@@ -354,7 +354,7 @@ macro_rules! coefficients {
 /// this table, so a new coefficient is a struct field, its [`Default`] value
 /// and one row here (rustc then asks for it in every spelled-out entry of
 /// [`crate::chips::all`]).
-pub const COEFFICIENTS: &[Coefficient] = coefficients! {
+pub(crate) const COEFFICIENTS: &[Coefficient] = coefficients! {
     pe_rber_coeff: true,
     pe_rber_exp: false,
     pe_sigma_widen_coeff: false,

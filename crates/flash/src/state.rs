@@ -33,13 +33,13 @@ pub enum CellState {
 }
 
 /// All states in threshold-voltage order.
-pub const ALL_STATES: [CellState; 4] = [CellState::Er, CellState::P1, CellState::P2, CellState::P3];
+pub(crate) const ALL_STATES: [CellState; 4] = [CellState::Er, CellState::P1, CellState::P2, CellState::P3];
 
 /// Largest state count a [`VoltageRefs`] set supports (QLC: 16 states).
-pub const MAX_STATES: usize = 16;
+pub(crate) const MAX_STATES: usize = 16;
 
 /// Gray code of a state index: adjacent states differ in exactly one bit.
-pub fn gray_code(state: usize) -> usize {
+pub(crate) fn gray_code(state: usize) -> usize {
     state ^ (state >> 1)
 }
 
@@ -49,7 +49,7 @@ pub fn gray_code(state: usize) -> usize {
 ///
 /// For MLC this reproduces [`CellState::lsb`] (`kind` 0) and
 /// [`CellState::msb`] (`kind` 1) exactly.
-pub fn state_bit(state: usize, kind: usize, bits_per_cell: usize) -> bool {
+pub(crate) fn state_bit(state: usize, kind: usize, bits_per_cell: usize) -> bool {
     debug_assert!(kind < bits_per_cell, "page kind {kind} of a {bits_per_cell}-bit cell");
     (!gray_code(state) >> (bits_per_cell - 1 - kind)) & 1 == 1
 }
@@ -57,7 +57,7 @@ pub fn state_bit(state: usize, kind: usize, bits_per_cell: usize) -> bool {
 /// Bit positions differing between two states' stored values of a
 /// `bits_per_cell`-bit cell (the Gray property makes this 1 for adjacent
 /// states).
-pub fn state_bit_errors(a: usize, b: usize, bits_per_cell: usize) -> u64 {
+pub(crate) fn state_bit_errors(a: usize, b: usize, bits_per_cell: usize) -> u64 {
     let diff = gray_code(a) ^ gray_code(b);
     (diff & ((1 << bits_per_cell) - 1)).count_ones() as u64
 }
@@ -68,7 +68,7 @@ impl CellState {
     /// # Panics
     ///
     /// Panics if `index > 3`.
-    pub fn from_index(index: u8) -> Self {
+    pub(crate) fn from_index(index: u8) -> Self {
         ALL_STATES[index as usize]
     }
 
@@ -78,7 +78,7 @@ impl CellState {
     }
 
     /// Builds the state storing the given `(lsb, msb)` pair.
-    pub fn from_bits(lsb: bool, msb: bool) -> Self {
+    pub(crate) fn from_bits(lsb: bool, msb: bool) -> Self {
         match (lsb, msb) {
             (true, true) => CellState::Er,
             (true, false) => CellState::P1,
@@ -104,14 +104,14 @@ impl CellState {
 
     /// Number of bit positions differing between the two states' stored
     /// values (0, 1 or 2). Adjacent states always differ by exactly one bit.
-    pub fn bit_errors_vs(self, other: CellState) -> u64 {
+    pub(crate) fn bit_errors_vs(self, other: CellState) -> u64 {
         let (l1, m1) = self.bits();
         let (l2, m2) = other.bits();
         u64::from(l1 != l2) + u64::from(m1 != m2)
     }
 
     /// The next-higher state, if any.
-    pub fn up(self) -> Option<CellState> {
+    pub(crate) fn up(self) -> Option<CellState> {
         match self {
             CellState::Er => Some(CellState::P1),
             CellState::P1 => Some(CellState::P2),
@@ -179,7 +179,7 @@ impl VoltageRefs {
     ///
     /// Panics if the list is empty, exceeds [`MAX_STATES`]` - 1` entries, or
     /// is not strictly increasing.
-    pub fn from_levels(levels: &[f64]) -> Self {
+    pub(crate) fn from_levels(levels: &[f64]) -> Self {
         assert!(
             !levels.is_empty() && levels.len() < MAX_STATES,
             "need 1..={} references, got {}",
@@ -196,7 +196,7 @@ impl VoltageRefs {
     }
 
     /// The active boundaries, in increasing order.
-    pub fn levels(&self) -> &[f64] {
+    pub(crate) fn levels(&self) -> &[f64] {
         &self.levels[..self.count as usize]
     }
 
@@ -212,7 +212,7 @@ impl VoltageRefs {
     }
 
     /// The `i`-th boundary (between states `i` and `i + 1`).
-    pub fn level(&self, i: usize) -> f64 {
+    pub(crate) fn level(&self, i: usize) -> f64 {
         self.levels()[i]
     }
 
@@ -235,7 +235,7 @@ impl VoltageRefs {
     /// Classifies a threshold voltage into the index of the state region it
     /// currently occupies: the number of boundaries at or below `vth`
     /// (a cell sitting exactly on a boundary reads as the upper state).
-    pub fn classify_index(&self, vth: f64) -> usize {
+    pub(crate) fn classify_index(&self, vth: f64) -> usize {
         self.levels().iter().filter(|&&level| vth >= level).count()
     }
 
@@ -318,7 +318,7 @@ impl StateRegion {
     }
 
     /// Region assigned to state index `i` under the given references.
-    pub fn of_index(i: usize, refs: &VoltageRefs) -> Self {
+    pub(crate) fn of_index(i: usize, refs: &VoltageRefs) -> Self {
         let lo = if i == 0 { f64::NEG_INFINITY } else { refs.level(i - 1) };
         let hi = if i == refs.len() { NOMINAL_VPASS } else { refs.level(i) };
         StateRegion { lo, hi }

@@ -100,7 +100,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC32 (IEEE) of `bytes` — the container trailer checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -126,7 +126,7 @@ impl Writer {
     }
 
     /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
@@ -161,7 +161,7 @@ impl Writer {
     }
 
     /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
+    pub(crate) fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
     }
 
@@ -201,7 +201,7 @@ impl Writer {
     }
 
     /// Appends a length-prefixed `f32` slice (bit patterns).
-    pub fn put_f32s(&mut self, vs: &[f32]) {
+    pub(crate) fn put_f32s(&mut self, vs: &[f32]) {
         self.put_u64(vs.len() as u64);
         for &v in vs {
             self.put_f32(v);
@@ -283,7 +283,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, SnapError> {
+    pub(crate) fn get_f32(&mut self) -> Result<f32, SnapError> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
@@ -333,13 +333,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed `f32` sequence.
-    pub fn get_f32s(&mut self) -> Result<Vec<f32>, SnapError> {
+    pub(crate) fn get_f32s(&mut self) -> Result<Vec<f32>, SnapError> {
         let n = self.get_len(4)?;
         (0..n).map(|_| self.get_f32()).collect()
     }
 
     /// Reads a length-prefixed `bool` sequence.
-    pub fn get_bools(&mut self) -> Result<Vec<bool>, SnapError> {
+    pub(crate) fn get_bools(&mut self) -> Result<Vec<bool>, SnapError> {
         let n = self.get_len(1)?;
         (0..n).map(|_| self.get_bool()).collect()
     }

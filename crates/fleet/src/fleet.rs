@@ -88,7 +88,7 @@ impl FleetConfig {
     /// Validates the configuration, engine template included
     /// ([`EngineConfig::check`]). [`Fleet::restore`] runs a config decoded
     /// from checkpoint bytes through this, so nothing here may panic.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.drives == 0 {
             return Err("fleet needs at least one drive".into());
         }

@@ -34,7 +34,7 @@ impl VariationSpread {
     /// endurance — wide enough that fleet percentiles separate from the
     /// nominal drive, narrow enough that every drive stays on the
     /// calibrated model's validity range.
-    pub fn moderate() -> Self {
+    pub(crate) fn moderate() -> Self {
         Self { rber_sigma: 0.25, retention_sigma: 0.25, disturb_sigma: 0.25, endurance_sigma: 0.15 }
     }
 

@@ -117,7 +117,7 @@ impl DecodedRead<'_> {
     // Inlined so `Die::read` builds the `HostRead` in place (an aggregate-tier
     // read is ~12 ns; an out-of-line copy of the struct shows).
     #[inline]
-    pub fn to_host_read(&self) -> HostRead {
+    pub(crate) fn to_host_read(&self) -> HostRead {
         HostRead {
             data: self.data.to_vec(),
             corrected_errors: self.corrected_errors,
@@ -280,7 +280,7 @@ impl<P: ControllerPolicy> Die<P> {
     }
 
     /// The recovery ladder (read-only).
-    pub fn recovery_ladder(&self) -> &RecoveryLadder {
+    pub(crate) fn recovery_ladder(&self) -> &RecoveryLadder {
         &self.ladder
     }
 

@@ -47,16 +47,16 @@ pub mod config;
 pub mod die;
 pub mod error;
 pub mod mapping;
-pub mod margin_probe;
+pub(crate) mod margin_probe;
 pub mod policy;
 pub mod recovery;
 pub mod stats;
-pub mod vpass_tuning;
+pub(crate) mod vpass_tuning;
 
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
 pub use error::FtlError;
-pub use mapping::{PageMap, Ppa};
+pub(crate) use mapping::{PageMap, Ppa};
 pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;

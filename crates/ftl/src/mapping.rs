@@ -115,7 +115,7 @@ impl PageMap {
     }
 
     /// Valid pages in a block.
-    pub fn valid_count(&self, block: u32) -> u32 {
+    pub(crate) fn valid_count(&self, block: u32) -> u32 {
         self.valid_count[block as usize]
     }
 
@@ -137,7 +137,7 @@ impl PageMap {
     ///
     /// Panics if the target physical page is already valid (the FTL must
     /// never double-map).
-    pub fn remap(&mut self, lpa: u64, ppa: Ppa) -> Option<Ppa> {
+    pub(crate) fn remap(&mut self, lpa: u64, ppa: Ppa) -> Option<Ppa> {
         let slot = self.pack(ppa);
         assert!(self.p2l[slot] == NONE, "physical page {ppa:?} already mapped");
         let old = std::mem::replace(&mut self.l2p[lpa as usize], slot as u32);
@@ -158,7 +158,7 @@ impl PageMap {
     /// # Panics
     ///
     /// Panics if the block still holds valid pages.
-    pub fn assert_block_empty(&self, block: u32) {
+    pub(crate) fn assert_block_empty(&self, block: u32) {
         assert_eq!(self.valid_count[block as usize], 0, "erasing block {block} with valid pages");
     }
 
@@ -191,7 +191,7 @@ impl PageMap {
     ///
     /// Returns [`rd_flash::SnapError::Mismatch`] on shape disagreement, an
     /// out-of-range physical address, or a double-mapped physical page.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         r: &mut rd_flash::wire::Reader<'_>,
     ) -> Result<(), rd_flash::SnapError> {

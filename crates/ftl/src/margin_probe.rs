@@ -12,7 +12,7 @@ use rd_flash::{Chip, FlashError};
 
 /// Outcome of probing a block's worst-case page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MarginProbe {
+pub(crate) struct MarginProbe {
     /// The page probed.
     pub page: u32,
     /// Raw bit errors observed (the MEE).
@@ -30,7 +30,7 @@ pub struct MarginProbe {
 /// # Errors
 ///
 /// Fails if `block` is out of range.
-pub fn discover_worst_page(chip: &mut Chip, block: u32) -> Result<(u32, u64), FlashError> {
+pub(crate) fn discover_worst_page(chip: &mut Chip, block: u32) -> Result<(u32, u64), FlashError> {
     let pages = chip.geometry().pages_per_block();
     let mut worst = (0u32, 0u64);
     for page in 0..pages {
@@ -53,7 +53,7 @@ pub fn discover_worst_page(chip: &mut Chip, block: u32) -> Result<(u32, u64), Fl
 /// # Errors
 ///
 /// Fails if the address is out of range.
-pub fn probe_margin(
+pub(crate) fn probe_margin(
     chip: &mut Chip,
     block: u32,
     worst_page: u32,

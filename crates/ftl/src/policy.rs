@@ -38,12 +38,12 @@ impl<'a> PolicyContext<'a> {
     /// Reports `n` probe reads the policy issued against the chip (tuning
     /// sweeps, margin probes). They become controller time: tR each on the
     /// engine's discrete-event clock.
-    pub fn charge_probe_reads(&mut self, n: u64) {
+    pub(crate) fn charge_probe_reads(&mut self, n: u64) {
         self.probe_reads += n;
     }
 
     /// Probe reads charged so far in this tick.
-    pub fn probe_reads(&self) -> u64 {
+    pub(crate) fn probe_reads(&self) -> u64 {
         self.probe_reads
     }
 }
@@ -94,7 +94,7 @@ pub struct ReadReclaim {
 
 impl ReadReclaim {
     /// Creates the policy with the Yaffs MLC default of 50 000 reads.
-    pub fn yaffs_default() -> Self {
+    pub(crate) fn yaffs_default() -> Self {
         Self { read_threshold: 50_000 }
     }
 }

@@ -207,7 +207,7 @@ pub struct LadderOutcome<'a> {
 impl LadderOutcome<'_> {
     /// Raw errors of the decodable read the ladder found, or `None` if
     /// every step failed.
-    pub fn recovered_errors(&self) -> Option<u64> {
+    pub(crate) fn recovered_errors(&self) -> Option<u64> {
         self.steps.last().and_then(|s| s.errors)
     }
 }
@@ -252,7 +252,7 @@ impl RecoveryLadder {
     }
 
     /// Whether the ladder has no rungs.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
 
@@ -262,7 +262,7 @@ impl RecoveryLadder {
     /// # Errors
     ///
     /// Fails only on flash addressing errors.
-    pub fn recover(
+    pub(crate) fn recover(
         &mut self,
         chip: &mut Chip,
         block: u32,

@@ -98,7 +98,7 @@ impl SsdStats {
 
     /// Pages relocated by background jobs (GC, refresh, policy reclaim) —
     /// each cost a read + a program on the engine clock.
-    pub fn relocated_pages(&self) -> u64 {
+    pub(crate) fn relocated_pages(&self) -> u64 {
         self.gc_writes + self.refresh_writes + self.reclaim_writes
     }
 

@@ -47,7 +47,7 @@ impl TenantAccounting {
     /// Folds one summarized completion into the totals: what
     /// [`TenantAccounting::record`] makes of the same request's
     /// [`IoCompletion`], to the bit.
-    pub fn record_summary(&mut self, summary: &CompletionSummary) {
+    pub(crate) fn record_summary(&mut self, summary: &CompletionSummary) {
         self.fold(summary.outcome, summary.latency_us());
     }
 
@@ -72,7 +72,7 @@ impl TenantAccounting {
     }
 
     /// Merges another shard's totals for the same tenant into this one.
-    pub fn merge(&mut self, other: &TenantAccounting) {
+    pub(crate) fn merge(&mut self, other: &TenantAccounting) {
         self.ops += other.ops;
         self.reads += other.reads;
         self.writes += other.writes;
@@ -88,7 +88,7 @@ impl TenantAccounting {
     /// uncorrectable page events per page read (page size cancels, matching
     /// `rd_ftl::SsdStats::uber`). Zero when the tenant has attempted no
     /// reads (guarded divide).
-    pub fn uber(&self) -> f64 {
+    pub(crate) fn uber(&self) -> f64 {
         let attempted = self.reads - self.reads_not_written;
         if attempted == 0 {
             return 0.0;
@@ -98,7 +98,7 @@ impl TenantAccounting {
 
     /// Point-in-time summary: percentiles from one scan of the latency
     /// histogram's counters, the mean from its exact sum.
-    pub fn summary(&self, name: &str) -> TenantSummary {
+    pub(crate) fn summary(&self, name: &str) -> TenantSummary {
         let (p50, p99) = self.latency.p50_p99();
         TenantSummary {
             name: name.to_string(),
@@ -147,7 +147,7 @@ pub struct TenantSummary {
 
 impl TenantSummary {
     /// One flat JSON object (for snapshot files and bench rows).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"tenant\":\"{}\",\"ops\":{},\"reads\":{},\"writes\":{},",

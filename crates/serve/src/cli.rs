@@ -63,7 +63,7 @@ impl CliOptions {
     /// The default 4-tenant mix used when no `--tenant` is given: two
     /// read-heavy web/financial tenants and two mixed mail/engineering
     /// tenants, rates staggered so no two tenants are in lockstep.
-    pub fn default_tenants() -> Vec<TenantConfig> {
+    pub(crate) fn default_tenants() -> Vec<TenantConfig> {
         vec![
             TenantConfig::new("web", "umass-web", 6000.0),
             TenantConfig::new("fin", "umass-fin1", 4000.0),
@@ -87,7 +87,7 @@ impl CliOptions {
     ///
     /// Panics on an unknown chip name; [`CliOptions::validate`] catches that
     /// first on every CLI path.
-    pub fn engine_config(&self) -> EngineConfig {
+    pub(crate) fn engine_config(&self) -> EngineConfig {
         let die = SsdConfig::engine_scale(self.seed)
             .with_chip(&self.chip)
             .expect("chip name checked in validate()")
@@ -119,7 +119,7 @@ impl CliOptions {
     ///
     /// Returns a human-readable message naming the offending flag or the
     /// deployment field it sets.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if rd_ftl::chips::get(&self.chip).is_none() {
             return Err(format!(
                 "--chip {}: unknown chip (database has: {})",

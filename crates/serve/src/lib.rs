@@ -36,15 +36,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accounting;
+pub(crate) mod accounting;
 pub mod cli;
 pub mod repl;
 pub mod service;
-pub mod shard;
-pub mod tenant;
+pub(crate) mod shard;
+pub(crate) mod tenant;
 
 pub use accounting::{TenantAccounting, TenantSummary};
-pub use cli::{CliOptions, Command};
+pub(crate) use cli::{CliOptions, Command};
 pub use service::{
     ServeConfig, Service, ServiceReport, ServiceStageNs, SERVICE_SNAP_MAGIC, SERVICE_SNAP_VERSION,
 };

@@ -67,17 +67,17 @@ impl ShardPlan {
     }
 
     /// The total (pre-split) topology.
-    pub fn topology(&self) -> Topology {
+    pub(crate) fn topology(&self) -> Topology {
         self.topology
     }
 
     /// Dies owned by one shard.
-    pub fn dies_per_shard(&self) -> u32 {
+    pub(crate) fn dies_per_shard(&self) -> u32 {
         self.dies_per_shard
     }
 
     /// The topology of a single shard's engine.
-    pub fn shard_topology(&self) -> Topology {
+    pub(crate) fn shard_topology(&self) -> Topology {
         Topology {
             channels: self.topology.channels / self.shards,
             dies_per_channel: self.topology.dies_per_channel,
@@ -94,7 +94,7 @@ impl ShardPlan {
     /// Panics if `base` already carries a nonzero offset (it must describe
     /// the whole array), disagrees with the plan's topology, or `shard` is
     /// out of range.
-    pub fn shard_config(&self, base: &EngineConfig, shard: u32) -> EngineConfig {
+    pub(crate) fn shard_config(&self, base: &EngineConfig, shard: u32) -> EngineConfig {
         assert!(shard < self.shards, "shard {shard} out of range ({})", self.shards);
         assert_eq!(base.die_index_offset, 0, "base config must describe the whole array");
         assert_eq!(base.topology, self.topology, "base config topology disagrees with the plan");

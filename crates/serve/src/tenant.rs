@@ -58,7 +58,7 @@ impl TenantConfig {
     ///
     /// Returns a human-readable message on a malformed spec, an unknown
     /// profile, or a non-positive rate.
-    pub fn parse_spec(spec: &str) -> Result<Self, String> {
+    pub(crate) fn parse_spec(spec: &str) -> Result<Self, String> {
         let parts: Vec<&str> = spec.split(':').collect();
         if !(3..=4).contains(&parts.len()) {
             return Err(format!(
@@ -85,7 +85,7 @@ impl TenantConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("tenant name must be non-empty".into());
         }
@@ -115,7 +115,7 @@ impl TenantConfig {
     }
 
     /// Long-run mean offered rate with bursts folded in.
-    pub fn mean_ops_per_s(&self) -> f64 {
+    pub(crate) fn mean_ops_per_s(&self) -> f64 {
         self.ops_per_s * (1.0 - self.burst_duty + self.burst_duty * self.burst_factor)
     }
 }

@@ -34,7 +34,7 @@
 pub mod profile;
 pub mod stats;
 pub mod trace;
-pub mod zipf;
+pub(crate) mod zipf;
 
 pub use profile::WorkloadProfile;
 pub use stats::TraceStats;

@@ -127,17 +127,17 @@ impl WorkloadProfile {
     }
 
     /// Reads per day across the whole footprint.
-    pub fn reads_per_day(&self) -> f64 {
+    pub(crate) fn reads_per_day(&self) -> f64 {
         self.daily_ops * self.read_fraction
     }
 
     /// Writes per day across the whole footprint.
-    pub fn writes_per_day(&self) -> f64 {
+    pub(crate) fn writes_per_day(&self) -> f64 {
         self.daily_ops * (1.0 - self.read_fraction)
     }
 
     /// Fraction of reads hitting the hottest logical block (Zipf top share).
-    pub fn hottest_block_read_share(&self) -> f64 {
+    pub(crate) fn hottest_block_read_share(&self) -> f64 {
         zipf::top_share(self.footprint_blocks as usize, self.zipf_theta)
     }
 
@@ -150,7 +150,7 @@ impl WorkloadProfile {
 
     /// P/E cycles consumed per day per block, assuming even wear-leveling
     /// across the footprint and a write amplification factor `waf`.
-    pub fn pe_per_block_day(&self, pages_per_block: u32, waf: f64) -> f64 {
+    pub(crate) fn pe_per_block_day(&self, pages_per_block: u32, waf: f64) -> f64 {
         self.writes_per_day() * waf / (pages_per_block as f64 * self.footprint_blocks as f64)
     }
 

@@ -68,7 +68,7 @@ impl TraceStats {
     }
 
     /// Share of reads going to the hottest block.
-    pub fn hottest_block_read_share(&self) -> f64 {
+    pub(crate) fn hottest_block_read_share(&self) -> f64 {
         if self.reads == 0 {
             0.0
         } else {

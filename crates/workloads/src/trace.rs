@@ -29,7 +29,7 @@ pub struct TraceOp {
 
 impl TraceOp {
     /// The logical block this op addresses, given the generator's layout.
-    pub fn logical_block(&self, pages_per_block: u64) -> u64 {
+    pub(crate) fn logical_block(&self, pages_per_block: u64) -> u64 {
         self.lpa / pages_per_block
     }
 }

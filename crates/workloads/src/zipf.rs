@@ -43,12 +43,12 @@ impl ZipfSampler {
 
     /// Whether the sampler is over an empty set (never true; `new` rejects
     /// `n == 0`).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cdf.is_empty()
     }
 
     /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {
@@ -71,7 +71,7 @@ impl ZipfSampler {
 
 /// Closed-form top-rank share without building a sampler (used by the
 /// analytic endurance path).
-pub fn top_share(n: usize, theta: f64) -> f64 {
+pub(crate) fn top_share(n: usize, theta: f64) -> f64 {
     assert!(n > 0);
     let h: f64 = (0..n).map(|k| ((k + 1) as f64).powf(-theta)).sum();
     1.0 / h

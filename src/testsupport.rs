@@ -31,7 +31,7 @@ use rand::SeedableRng;
 pub const GOLDEN_SEED: u64 = 2015;
 
 /// Deterministic RNG for a test, decorrelated from other fixtures by `salt`.
-pub fn rng(salt: u64) -> StdRng {
+pub(crate) fn rng(salt: u64) -> StdRng {
     StdRng::seed_from_u64(GOLDEN_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -43,13 +43,13 @@ pub fn tiny_scale() -> Scale {
 
 /// Miniature chip geometry matching [`tiny_scale`], with a few blocks so
 /// FTL-level tests have room to relocate.
-pub fn tiny_geometry() -> Geometry {
+pub(crate) fn tiny_geometry() -> Geometry {
     Geometry { blocks: 4, wordlines_per_block: 8, bitlines: 512, bits_per_cell: 2 }
 }
 
 /// Miniature SSD configuration on [`tiny_geometry`]'s cell budget, seeded
 /// from [`GOLDEN_SEED`].
-pub fn tiny_ssd_config() -> SsdConfig {
+pub(crate) fn tiny_ssd_config() -> SsdConfig {
     let mut config = SsdConfig::small_test();
     config.seed = GOLDEN_SEED;
     config
