@@ -51,10 +51,10 @@ pub(crate) mod ror;
 pub(crate) use error::CoreError;
 pub use lifetime::{EnduranceConfig, EnduranceResult, Mitigation};
 pub use rd_ftl::{TuneReport, VpassTuner, VpassTunerConfig};
-pub use rdr::{Rdr, RdrConfig, RdrOutcome};
+pub use rdr::{Rdr, RdrConfig};
 pub use recovery::{full_recovery_ladder, RfrRecoveryStep, RorRecoveryStep};
-pub use rfr::{Rfr, RfrConfig, RfrOutcome};
-pub use ror::{Ror, RorConfig, RorOutcome};
+pub use rfr::{Rfr, RfrConfig};
+pub use ror::{Ror, RorConfig};
 
 /// The tuner's former wrapper name, kept for the benchmark, which names it.
 pub type VpassTuningPolicy = VpassTuner;

@@ -37,15 +37,6 @@ pub enum Mitigation {
 }
 
 impl Mitigation {
-    /// Display name for experiment output.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Mitigation::Baseline => "baseline",
-            Mitigation::VpassTuning => "vpass-tuning",
-            Mitigation::ReadReclaim { .. } => "read-reclaim",
-            Mitigation::Combined { .. } => "combined",
-        }
-    }
 }
 
 /// Endurance evaluation configuration.

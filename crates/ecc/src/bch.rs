@@ -169,12 +169,6 @@ impl BchCode {
         Ok(cw)
     }
 
-    /// Number of raw bit errors between a received buffer and a codeword
-    /// (diagnostic helper).
-    pub(crate) fn diff(&self, a: &[u8], b: &[u8]) -> usize {
-        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
-    }
-
     /// Decodes a packed codeword, correcting up to `t` bit errors.
     ///
     /// # Errors

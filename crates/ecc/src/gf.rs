@@ -29,7 +29,6 @@ pub(crate) const MAX_M: u32 = 14;
 /// polynomial bit patterns; zero is the additive identity.
 #[derive(Debug, Clone)]
 pub struct GfTables {
-    m: u32,
     size: usize, // 2^m - 1 (multiplicative group order)
     exp: Vec<u16>,
     log: Vec<u16>,
@@ -61,12 +60,7 @@ impl GfTables {
         for i in size..2 * size {
             exp[i] = exp[i - size];
         }
-        Ok(Self { m, size, exp, log })
-    }
-
-    /// The extension degree `m`.
-    pub(crate) fn m(&self) -> u32 {
-        self.m
+        Ok(Self { size, exp, log })
     }
 
     /// Order of the multiplicative group, `2^m - 1` (also the codeword
@@ -78,16 +72,6 @@ impl GfTables {
     /// `alpha^i` for `i` taken modulo the group order.
     pub(crate) fn alpha_pow(&self, i: usize) -> u16 {
         self.exp[i % self.size]
-    }
-
-    /// Discrete log of a nonzero element.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero (zero has no logarithm).
-    pub(crate) fn log(&self, a: u16) -> u16 {
-        assert!(a != 0, "log of zero");
-        self.log[a as usize]
     }
 
     /// Field multiplication.
@@ -137,6 +121,18 @@ impl GfTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GfTables {
+        /// Discrete log of a nonzero element.
+        ///
+        /// # Panics
+        ///
+        /// Panics on zero (zero has no logarithm).
+        fn log(&self, a: u16) -> u16 {
+            assert!(a != 0, "log of zero");
+            self.log[a as usize]
+        }
+    }
 
     #[test]
     fn rejects_out_of_range_degrees() {

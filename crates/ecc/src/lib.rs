@@ -46,7 +46,7 @@ pub mod margin;
 pub mod model;
 mod poly;
 
-pub use bch::{BchCode, Decoded};
+pub use bch::BchCode;
 pub use margin::MarginPolicy;
 pub use model::{page_capability, PageDecode, PageEccModel, ThresholdEcc};
 

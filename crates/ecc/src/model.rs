@@ -124,11 +124,6 @@ impl PageEccModel {
         Self { page_bits, capability }
     }
 
-    /// Page size in bits.
-    pub(crate) fn page_bits(&self) -> usize {
-        self.page_bits
-    }
-
     /// Correctable raw bit errors per page, `C`.
     pub fn capability(&self) -> u64 {
         self.capability

@@ -168,11 +168,6 @@ impl PoolHandle {
         Self { pool, offset, len }
     }
 
-    /// Number of lanes visible through this handle.
-    pub(crate) fn workers(&self) -> usize {
-        self.len
-    }
-
     /// Enqueues `job` on local lane `lane % workers()`.
     pub(crate) fn submit(&self, lane: usize, job: Job) {
         self.pool.submit(self.offset + lane % self.len, job);
@@ -194,6 +189,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+
+    impl PoolHandle {
+        /// Number of lanes visible through this handle.
+        fn workers(&self) -> usize {
+            self.len
+        }
+    }
 
     #[test]
     fn jobs_on_one_lane_run_in_fifo_order() {

@@ -62,16 +62,12 @@ impl Timing {
 
     /// Extra die-busy time implied by background work the FTL performed
     /// while serving one request, reconstructed from the controller-counter
-    /// delta: every relocation write is a read + program pair, every erase
-    /// a tBERS, and every recovery-ladder re-read or policy probe read a
-    /// tR — so retry escalations and tuning sweeps cost real engine time.
-    pub(crate) fn background_us(&self, before: &SsdStats, after: &SsdStats) -> f64 {
-        self.background_us_between(background_counters(before), background_counters(after))
-    }
-
-    /// [`Timing::background_us`] from two pre-extracted
-    /// [`background_counters`] snapshots — the replay hot loop uses this to
-    /// avoid copying the full stats block around every request.
+    /// delta between two [`background_counters`] snapshots: every
+    /// relocation write is a read + program pair, every erase a tBERS, and
+    /// every recovery-ladder re-read or policy probe read a tR — so retry
+    /// escalations and tuning sweeps cost real engine time. The replay hot
+    /// loop extracts the counters to avoid copying the full stats block
+    /// around every request.
     pub(crate) fn background_us_between(
         &self,
         before: BackgroundCounters,
@@ -119,6 +115,13 @@ impl Default for Timing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timing {
+        /// [`Timing::background_us_between`] from two full stats blocks.
+        fn background_us(&self, before: &SsdStats, after: &SsdStats) -> f64 {
+            self.background_us_between(background_counters(before), background_counters(after))
+        }
+    }
 
     #[test]
     fn defaults_validate_and_order_sanely() {

@@ -266,21 +266,6 @@ impl CellArray {
         self.intended.len()
     }
 
-    /// Whether the array is empty (zero-sized geometry).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.intended.is_empty()
-    }
-
-    /// Wordline count.
-    pub(crate) fn wordlines(&self) -> u32 {
-        self.wordlines
-    }
-
-    /// Bitline count.
-    pub(crate) fn bitlines(&self) -> u32 {
-        self.bitlines
-    }
-
     #[inline]
     fn index(&self, wordline: u32, bitline: u32) -> usize {
         debug_assert!(wordline < self.wordlines && bitline < self.bitlines);

@@ -10,8 +10,8 @@
 //! [`Geometry::bits_per_cell`] generalizes the pages-per-wordline count so
 //! the chip database can describe TLC (3) and QLC (4) parts; the
 //! [`PageAddr`] LSB/MSB helpers remain the MLC vocabulary the cell-exact
-//! tier uses, while [`Geometry::wordline_of_page`]/[`Geometry::page_bit`]
-//! address any state count.
+//! tier uses; at any state count, page `w * bits_per_cell + k` is bit `k`
+//! of wordline `w`.
 
 use crate::error::FlashError;
 
@@ -68,31 +68,9 @@ impl Geometry {
         self.wordlines_per_block * self.bits_per_cell
     }
 
-    /// Cells per block.
-    pub(crate) fn cells_per_block(&self) -> usize {
-        self.wordlines_per_block as usize * self.bitlines as usize
-    }
-
     /// Bits of user data per page (one bit per cell of the wordline).
     pub fn bits_per_page(&self) -> usize {
         self.bitlines as usize
-    }
-
-    /// Bits of user data per block.
-    pub(crate) fn bits_per_block(&self) -> usize {
-        self.cells_per_block() * self.bits_per_cell as usize
-    }
-
-    /// The wordline backing a page index (pages of a wordline are
-    /// consecutive: page `w * bits_per_cell + k` is bit-kind `k` of
-    /// wordline `w`).
-    pub(crate) fn wordline_of_page(&self, page: u32) -> u32 {
-        page / self.bits_per_cell
-    }
-
-    /// The bit position within the cell (0 = LSB page) a page index maps to.
-    pub(crate) fn page_bit(&self, page: u32) -> u32 {
-        page % self.bits_per_cell
     }
 
     /// Validates a block index.
@@ -129,15 +107,6 @@ impl Default for Geometry {
     }
 }
 
-/// Address of a wordline within the chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WordlineAddr {
-    /// Block index.
-    pub block: u32,
-    /// Wordline index within the block.
-    pub wordline: u32,
-}
-
 /// Address of a logical page within the chip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr {
@@ -150,7 +119,7 @@ pub struct PageAddr {
 impl PageAddr {
     /// The wordline backing this page on an MLC part: pages are interleaved
     /// (page `2w` = LSB of wordline `w`, page `2w + 1` = MSB). Non-MLC
-    /// parts address pages via [`Geometry::wordline_of_page`].
+    /// parts put page `w * bits_per_cell + k` on wordline `w`.
     pub fn wordline(&self) -> u32 {
         self.page / 2
     }
@@ -171,20 +140,33 @@ impl PageAddr {
     }
 }
 
-/// Address of a single cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellAddr {
-    /// Block index.
-    pub block: u32,
-    /// Wordline index within the block.
-    pub wordline: u32,
-    /// Bitline (column) index.
-    pub bitline: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Geometry {
+        /// Cells per block.
+        pub(crate) fn cells_per_block(&self) -> usize {
+            self.wordlines_per_block as usize * self.bitlines as usize
+        }
+
+        /// Bits of user data per block.
+        fn bits_per_block(&self) -> usize {
+            self.cells_per_block() * self.bits_per_cell as usize
+        }
+
+        /// The wordline backing a page index (pages of a wordline are
+        /// consecutive: page `w * bits_per_cell + k` is bit-kind `k` of
+        /// wordline `w`).
+        fn wordline_of_page(&self, page: u32) -> u32 {
+            page / self.bits_per_cell
+        }
+
+        /// The bit position within the cell (0 = LSB page) a page index maps to.
+        fn page_bit(&self, page: u32) -> u32 {
+            page % self.bits_per_cell
+        }
+    }
 
     #[test]
     fn page_wordline_interleaving_round_trips() {

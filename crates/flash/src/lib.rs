@@ -87,15 +87,14 @@ mod block;
 mod ledger;
 mod sampler;
 
-pub use analytic::{gaussian_tail_floor, AnalyticModel, AnalyticParams, RberBreakdown};
-pub(crate) use cell_array::CellArray;
-pub use chip::{Chip, ReadCounts, ReadOutcome, RetryReadOutcome, VthHistogram};
+pub use analytic::AnalyticModel;
+pub use chip::{Chip, VthHistogram};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;
-pub use geometry::{CellAddr, Geometry, PageAddr, PageKind, WordlineAddr};
+pub use geometry::{Geometry, PageAddr, PageKind};
 pub use ledger::BlockStatus;
-pub use params::{ChipParams, StateParams, NOMINAL_VPASS};
-pub use state::{CellState, StateRegion, VoltageRefs};
+pub use params::{ChipParams, NOMINAL_VPASS};
+pub use state::{CellState, VoltageRefs};
 pub use wire::SnapError;
 
 /// Measured raw bit error statistics for a region of the chip.

@@ -39,22 +39,6 @@ pub(crate) fn normal_q(z: f64) -> f64 {
     }
 }
 
-/// Standard normal probability density function.
-pub(crate) fn normal_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt()
-}
-
-/// Density at `x` of a normal distribution with the given mean and sigma.
-pub(crate) fn gaussian_pdf(x: f64, mean: f64, sigma: f64) -> f64 {
-    normal_pdf((x - mean) / sigma) / sigma
-}
-
-/// `ln(1 + x)` kept as a named helper because the analytic read-disturb model
-/// uses it as its soft-saturation primitive (see `AnalyticParams::rd_sat`).
-pub(crate) fn ln1p(x: f64) -> f64 {
-    x.ln_1p()
-}
-
 /// Binomial(`n`, `p`) sample from a single uniform draw `u ∈ [0, 1)` via an
 /// inverse-CDF walk (product recursion on the PMF).
 ///
@@ -111,34 +95,44 @@ pub(crate) fn binomial_zero_bound(n: u64, p_up: f64) -> f64 {
     1.0 - n as f64 * p_up / (1.0 - p_up) - ZERO_BOUND_GUARD
 }
 
-/// Intersection point of two Gaussian PDFs with `mean_lo < mean_hi`.
-///
-/// Solves `N(x; lo) = N(x; hi)` for the crossing between the two means; this
-/// is the optimal read-reference position between two adjacent states and the
-/// `ΔVref` classification threshold used by Read Disturb Recovery (paper
-/// §5.2). Falls back to the midpoint when sigmas are equal (closed form
-/// degenerates).
-pub(crate) fn gaussian_intersection(mean_lo: f64, sigma_lo: f64, mean_hi: f64, sigma_hi: f64) -> f64 {
-    assert!(mean_lo < mean_hi, "means must be ordered");
-    if (sigma_lo - sigma_hi).abs() < 1e-12 {
-        return 0.5 * (mean_lo + mean_hi);
-    }
-    // Quadratic a x^2 + b x + c = 0 from equating log-densities.
-    let (s1, s2) = (sigma_lo * sigma_lo, sigma_hi * sigma_hi);
-    let a = 1.0 / s1 - 1.0 / s2;
-    let b = -2.0 * (mean_lo / s1 - mean_hi / s2);
-    let c = mean_lo * mean_lo / s1 - mean_hi * mean_hi / s2 + 2.0 * (sigma_lo / sigma_hi).ln();
-    let disc = (b * b - 4.0 * a * c).max(0.0);
-    let r1 = (-b + disc.sqrt()) / (2.0 * a);
-    let r2 = (-b - disc.sqrt()) / (2.0 * a);
-    // Pick the root between the means; otherwise fall back to the midpoint.
-    let mid = 0.5 * (mean_lo + mean_hi);
-    [r1, r2].into_iter().find(|r| *r > mean_lo && *r < mean_hi).unwrap_or(mid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Standard normal probability density function.
+    fn normal_pdf(z: f64) -> f64 {
+        (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt()
+    }
+
+    /// Density at `x` of a normal distribution with the given mean and sigma.
+    fn gaussian_pdf(x: f64, mean: f64, sigma: f64) -> f64 {
+        normal_pdf((x - mean) / sigma) / sigma
+    }
+
+    /// Intersection point of two Gaussian PDFs with `mean_lo < mean_hi`.
+    ///
+    /// Solves `N(x; lo) = N(x; hi)` for the crossing between the two means; this
+    /// is the optimal read-reference position between two adjacent states and the
+    /// `ΔVref` classification threshold used by Read Disturb Recovery (paper
+    /// §5.2). Falls back to the midpoint when sigmas are equal (closed form
+    /// degenerates).
+    fn gaussian_intersection(mean_lo: f64, sigma_lo: f64, mean_hi: f64, sigma_hi: f64) -> f64 {
+        assert!(mean_lo < mean_hi, "means must be ordered");
+        if (sigma_lo - sigma_hi).abs() < 1e-12 {
+            return 0.5 * (mean_lo + mean_hi);
+        }
+        // Quadratic a x^2 + b x + c = 0 from equating log-densities.
+        let (s1, s2) = (sigma_lo * sigma_lo, sigma_hi * sigma_hi);
+        let a = 1.0 / s1 - 1.0 / s2;
+        let b = -2.0 * (mean_lo / s1 - mean_hi / s2);
+        let c = mean_lo * mean_lo / s1 - mean_hi * mean_hi / s2 + 2.0 * (sigma_lo / sigma_hi).ln();
+        let disc = (b * b - 4.0 * a * c).max(0.0);
+        let r1 = (-b + disc.sqrt()) / (2.0 * a);
+        let r2 = (-b - disc.sqrt()) / (2.0 * a);
+        // Pick the root between the means; otherwise fall back to the midpoint.
+        let mid = 0.5 * (mean_lo + mean_hi);
+        [r1, r2].into_iter().find(|r| *r > mean_lo && *r < mean_hi).unwrap_or(mid)
+    }
 
     #[test]
     fn erf_known_values() {

@@ -8,26 +8,26 @@
 
 use rand::Rng;
 
-use crate::params::ChipParams;
 use crate::state::CellState;
 
-/// Decides whether a cell being programmed to `intended` is misplaced, and
-/// if so into which adjacent state.
-///
-/// Returns the state the cell actually lands in. ER can only be misplaced
-/// upward and P3 only downward; interior states go either way with equal
-/// probability.
+/// [`place_state_at`] at the misprogram probability of `pe_cycles` wear.
+#[cfg(test)]
 pub(crate) fn place_state<R: Rng + ?Sized>(
     rng: &mut R,
-    params: &ChipParams,
+    params: &crate::params::ChipParams,
     intended: CellState,
     pe_cycles: u64,
 ) -> CellState {
     place_state_at(rng, params.misprogram_prob(pe_cycles), intended)
 }
 
-/// [`place_state`] at a misprogram probability the caller evaluated (once
-/// per wordline, not once per cell). Same draws in the same order.
+/// Decides whether a cell being programmed to `intended` is misplaced, and
+/// if so into which adjacent state, at misprogram probability `p` (the
+/// caller evaluates it once per wordline, not once per cell).
+///
+/// Returns the state the cell actually lands in. ER can only be misplaced
+/// upward and P3 only downward; interior states go either way with equal
+/// probability.
 #[inline]
 pub(crate) fn place_state_at<R: Rng + ?Sized>(
     rng: &mut R,
@@ -52,6 +52,7 @@ pub(crate) fn place_state_at<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ChipParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

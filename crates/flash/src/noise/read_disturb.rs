@@ -72,9 +72,10 @@ pub fn vth_shift(params: &ChipParams, base_vth: f64, susceptibility: f64, dose: 
 /// Reference implementation: applies the dose in `steps` increments,
 /// feeding each step's output voltage into the next. Used by property tests
 /// to show the closed form is exactly the fixed point of incremental
-/// application (the additivity that lets [`crate::CellArray`] batch a
+/// application (the additivity that lets the cell-exact tier batch a
 /// million reads into one update).
-pub(crate) fn disturbed_vth_iterative(
+#[cfg(test)]
+fn disturbed_vth_iterative(
     params: &ChipParams,
     base_vth: f64,
     susceptibility: f64,

@@ -334,7 +334,8 @@ pub(crate) struct Coefficient {
     pub positive: bool,
     /// Reads the field.
     pub get: fn(&ChipParams) -> f64,
-    /// Writes the field.
+    /// Writes the field (the table's own test zeroes each coefficient).
+    #[cfg(test)]
     pub set: fn(&mut ChipParams, f64),
 }
 
@@ -344,6 +345,7 @@ macro_rules! coefficients {
             name: stringify!($field),
             positive: $positive,
             get: |p| p.$field,
+            #[cfg(test)]
             set: |p, v| p.$field = v,
         }),*]
     };

@@ -54,14 +54,6 @@ pub(crate) fn state_bit(state: usize, kind: usize, bits_per_cell: usize) -> bool
     (!gray_code(state) >> (bits_per_cell - 1 - kind)) & 1 == 1
 }
 
-/// Bit positions differing between two states' stored values of a
-/// `bits_per_cell`-bit cell (the Gray property makes this 1 for adjacent
-/// states).
-pub(crate) fn state_bit_errors(a: usize, b: usize, bits_per_cell: usize) -> u64 {
-    let diff = gray_code(a) ^ gray_code(b);
-    (diff & ((1 << bits_per_cell) - 1)).count_ones() as u64
-}
-
 impl CellState {
     /// Builds a state from its index in threshold-voltage order.
     ///
@@ -100,14 +92,6 @@ impl CellState {
     /// Both bits as a `(lsb, msb)` tuple.
     pub fn bits(self) -> (bool, bool) {
         (self.lsb(), self.msb())
-    }
-
-    /// Number of bit positions differing between the two states' stored
-    /// values (0, 1 or 2). Adjacent states always differ by exactly one bit.
-    pub(crate) fn bit_errors_vs(self, other: CellState) -> u64 {
-        let (l1, m1) = self.bits();
-        let (l2, m2) = other.bits();
-        u64::from(l1 != l2) + u64::from(m1 != m2)
     }
 
     /// The next-higher state, if any.
@@ -333,6 +317,24 @@ impl StateRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit positions differing between two states' stored values of a
+    /// `bits_per_cell`-bit cell (the Gray property makes this 1 for adjacent
+    /// states).
+    fn state_bit_errors(a: usize, b: usize, bits_per_cell: usize) -> u64 {
+        let diff = gray_code(a) ^ gray_code(b);
+        (diff & ((1 << bits_per_cell) - 1)).count_ones() as u64
+    }
+
+    impl CellState {
+        /// Number of bit positions differing between the two states' stored
+        /// values (0, 1 or 2). Adjacent states always differ by exactly one bit.
+        fn bit_errors_vs(self, other: CellState) -> u64 {
+            let (l1, m1) = self.bits();
+            let (l2, m2) = other.bits();
+            u64::from(l1 != l2) + u64::from(m1 != m2)
+        }
+    }
 
     #[test]
     fn gray_map_matches_paper_figure_1() {

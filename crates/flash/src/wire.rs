@@ -126,7 +126,7 @@ impl Writer {
     }
 
     /// Whether nothing has been written.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 

@@ -41,8 +41,8 @@
 pub mod fleet;
 pub mod variation;
 
-pub use fleet::{Fleet, FleetConfig, FleetRow, FLEET_SNAP_MAGIC, FLEET_SNAP_VERSION};
-pub use variation::{drive_seed, sample_drive, traffic_seed, DriveVariation, VariationSpread};
+pub use fleet::{Fleet, FleetConfig, FleetRow};
+pub use variation::VariationSpread;
 
 // Re-exports so fleet callers name engine/ftl types without extra deps.
 pub use rd_engine::{Engine, EngineConfig, ReadFidelity, SnapError};

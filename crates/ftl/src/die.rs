@@ -117,7 +117,7 @@ impl DecodedRead<'_> {
     // Inlined so `Die::read` builds the `HostRead` in place (an aggregate-tier
     // read is ~12 ns; an out-of-line copy of the struct shows).
     #[inline]
-    pub(crate) fn to_host_read(&self) -> HostRead {
+    pub(crate) fn to_host_read(self) -> HostRead {
         HostRead {
             data: self.data.to_vec(),
             corrected_errors: self.corrected_errors,
@@ -277,11 +277,6 @@ impl<P: ControllerPolicy> Die<P> {
     /// The per-page ECC model the read pipeline decodes through.
     pub fn ecc(&self) -> &PageEccModel {
         &self.ecc
-    }
-
-    /// The recovery ladder (read-only).
-    pub(crate) fn recovery_ladder(&self) -> &RecoveryLadder {
-        &self.ladder
     }
 
     /// Replaces the recovery ladder (e.g. with `rd-core`'s ROR/RFR steps,
@@ -798,6 +793,13 @@ mod tests {
     use super::*;
     use crate::policy::ReadReclaim;
     use proptest::prelude::*;
+
+    impl<P: ControllerPolicy> Die<P> {
+        /// The recovery ladder (read-only).
+        fn recovery_ladder(&self) -> &RecoveryLadder {
+            &self.ladder
+        }
+    }
 
     impl<P: ControllerPolicy> Die<P> {
         /// The victim scan [`Die::gc_victim`] replaced: every block probed

@@ -56,8 +56,7 @@ pub(crate) mod vpass_tuning;
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
 pub use error::FtlError;
-pub(crate) use mapping::{PageMap, Ppa};
-pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
+pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;
 pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};

@@ -92,13 +92,6 @@ pub struct ReadReclaim {
     pub read_threshold: u64,
 }
 
-impl ReadReclaim {
-    /// Creates the policy with the Yaffs MLC default of 50 000 reads.
-    pub(crate) fn yaffs_default() -> Self {
-        Self { read_threshold: 50_000 }
-    }
-}
-
 impl ControllerPolicy for ReadReclaim {
     fn on_read(&mut self, chip: &Chip, block: u32) -> Option<PolicyAction> {
         let reads = chip.block_status(block).map(|s| s.reads_since_erase).unwrap_or(0);
@@ -111,6 +104,13 @@ mod tests {
     use super::*;
     use crate::{Die, SsdConfig, VpassTuner};
     use rd_flash::{ChipParams, Geometry, NOMINAL_VPASS};
+
+    impl ReadReclaim {
+        /// Creates the policy with the Yaffs MLC default of 50 000 reads.
+        fn yaffs_default() -> Self {
+            Self { read_threshold: 50_000 }
+        }
+    }
 
     /// A worn 8-block die under Vpass Tuning, 32 pages written.
     fn tuning_die() -> Die<VpassTuner> {

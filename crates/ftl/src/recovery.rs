@@ -252,7 +252,7 @@ impl RecoveryLadder {
     }
 
     /// Whether the ladder has no rungs.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
 

@@ -96,12 +96,6 @@ impl SsdStats {
         self.host_writes + self.gc_writes + self.refresh_writes + self.reclaim_writes
     }
 
-    /// Pages relocated by background jobs (GC, refresh, policy reclaim) —
-    /// each cost a read + a program on the engine clock.
-    pub(crate) fn relocated_pages(&self) -> u64 {
-        self.gc_writes + self.refresh_writes + self.reclaim_writes
-    }
-
     /// Write amplification factor: physical writes per host write.
     pub fn waf(&self) -> f64 {
         if self.host_writes == 0 {
@@ -150,6 +144,14 @@ impl SsdStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SsdStats {
+        /// Pages relocated by background jobs (GC, refresh, policy reclaim) —
+        /// each cost a read + a program on the engine clock.
+        fn relocated_pages(&self) -> u64 {
+            self.gc_writes + self.refresh_writes + self.reclaim_writes
+        }
+    }
 
     #[test]
     fn add_assign_sums_every_counter() {

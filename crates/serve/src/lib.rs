@@ -43,8 +43,7 @@ pub mod service;
 pub(crate) mod shard;
 pub(crate) mod tenant;
 
-pub use accounting::{TenantAccounting, TenantSummary};
-pub(crate) use cli::{CliOptions, Command};
+pub use accounting::TenantAccounting;
 pub use service::{
     ServeConfig, Service, ServiceReport, ServiceStageNs, SERVICE_SNAP_MAGIC, SERVICE_SNAP_VERSION,
 };

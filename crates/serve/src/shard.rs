@@ -66,16 +66,6 @@ impl ShardPlan {
         self.shards
     }
 
-    /// The total (pre-split) topology.
-    pub(crate) fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// Dies owned by one shard.
-    pub(crate) fn dies_per_shard(&self) -> u32 {
-        self.dies_per_shard
-    }
-
     /// The topology of a single shard's engine.
     pub(crate) fn shard_topology(&self) -> Topology {
         Topology {
@@ -119,6 +109,13 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardPlan {
+        /// Dies owned by one shard.
+        fn dies_per_shard(&self) -> u32 {
+            self.dies_per_shard
+        }
+    }
 
     fn base(topology: Topology) -> EngineConfig {
         EngineConfig { topology, ..EngineConfig::small_test() }

@@ -131,11 +131,6 @@ impl WorkloadProfile {
         self.daily_ops * self.read_fraction
     }
 
-    /// Writes per day across the whole footprint.
-    pub(crate) fn writes_per_day(&self) -> f64 {
-        self.daily_ops * (1.0 - self.read_fraction)
-    }
-
     /// Fraction of reads hitting the hottest logical block (Zipf top share).
     pub(crate) fn hottest_block_read_share(&self) -> f64 {
         zipf::top_share(self.footprint_blocks as usize, self.zipf_theta)
@@ -148,12 +143,6 @@ impl WorkloadProfile {
         self.reads_per_day() * days * self.hottest_block_read_share()
     }
 
-    /// P/E cycles consumed per day per block, assuming even wear-leveling
-    /// across the footprint and a write amplification factor `waf`.
-    pub(crate) fn pe_per_block_day(&self, pages_per_block: u32, waf: f64) -> f64 {
-        self.writes_per_day() * waf / (pages_per_block as f64 * self.footprint_blocks as f64)
-    }
-
     /// An op-by-op generator for this profile.
     pub fn generator(&self, seed: u64, pages_per_block: u32) -> TraceGenerator {
         TraceGenerator::new(self, seed, pages_per_block)
@@ -163,6 +152,19 @@ impl WorkloadProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WorkloadProfile {
+        /// Writes per day across the whole footprint.
+        fn writes_per_day(&self) -> f64 {
+            self.daily_ops * (1.0 - self.read_fraction)
+        }
+
+        /// P/E cycles consumed per day per block, assuming even wear-leveling
+        /// across the footprint and a write amplification factor `waf`.
+        fn pe_per_block_day(&self, pages_per_block: u32, waf: f64) -> f64 {
+            self.writes_per_day() * waf / (pages_per_block as f64 * self.footprint_blocks as f64)
+        }
+    }
 
     #[test]
     fn suite_has_distinct_names() {

@@ -67,15 +67,6 @@ impl TraceStats {
         self.reads_per_block.values().copied().max().unwrap_or(0)
     }
 
-    /// Share of reads going to the hottest block.
-    pub(crate) fn hottest_block_read_share(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.hottest_block_reads() as f64 / self.reads as f64
-        }
-    }
-
     /// The `n` hottest blocks by read count, hottest first.
     pub fn hottest_blocks(&self, n: usize) -> Vec<(u64, u64)> {
         let mut v: Vec<(u64, u64)> = self.reads_per_block.iter().map(|(&b, &c)| (b, c)).collect();
@@ -89,6 +80,17 @@ impl TraceStats {
 mod tests {
     use super::*;
     use crate::profile::WorkloadProfile;
+
+    impl TraceStats {
+        /// Share of reads going to the hottest block.
+        fn hottest_block_read_share(&self) -> f64 {
+            if self.reads == 0 {
+                0.0
+            } else {
+                self.hottest_block_reads() as f64 / self.reads as f64
+            }
+        }
+    }
 
     #[test]
     fn stats_match_profile_parameters() {

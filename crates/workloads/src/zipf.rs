@@ -43,17 +43,8 @@ impl ZipfSampler {
 
     /// Whether the sampler is over an empty set (never true; `new` rejects
     /// `n == 0`).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// Probability mass of rank `k`.
-    pub(crate) fn pmf(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
     }
 
     /// Share of the most popular item (`pmf(0)`), i.e. the fraction of
@@ -82,6 +73,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ZipfSampler {
+        /// Probability mass of rank `k`.
+        fn pmf(&self, k: usize) -> f64 {
+            if k == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[k] - self.cdf[k - 1]
+            }
+        }
+    }
 
     #[test]
     fn uniform_when_theta_zero() {

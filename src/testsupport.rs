@@ -3,9 +3,9 @@
 //!
 //! Every suite in `tests/` (and future perf work) builds on three rules:
 //!
-//! 1. **All randomness is seeded.** Fixtures expose [`rng`] /
-//!    [`GOLDEN_SEED`]; nothing in the test pyramid draws entropy from the
-//!    environment, so every run of every suite is reproducible.
+//! 1. **All randomness is seeded.** Fixtures expose [`GOLDEN_SEED`];
+//!    nothing in the test pyramid draws entropy from the environment, so
+//!    every run of every suite is reproducible.
 //! 2. **Experiments are pure functions of their seed.** The golden runs
 //!    below re-execute reduced versions of the paper's headline experiments
 //!    and expose their outputs both as named scalars (asserted against
@@ -20,39 +20,16 @@ use readdisturb::core::characterize::Scale;
 use readdisturb::core::lifetime::{EnduranceConfig, EnduranceEvaluator};
 use readdisturb::core::rdr::Rdr;
 use readdisturb::flash::{Chip, ChipParams, Geometry};
-use readdisturb::ftl::SsdConfig;
 use readdisturb::workloads::WorkloadProfile;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The one seed all golden runs are pinned to. Changing it invalidates every
 /// checked-in golden value in `tests/golden_runs.rs`.
 pub const GOLDEN_SEED: u64 = 2015;
 
-/// Deterministic RNG for a test, decorrelated from other fixtures by `salt`.
-pub(crate) fn rng(salt: u64) -> StdRng {
-    StdRng::seed_from_u64(GOLDEN_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Miniature Monte-Carlo scale (4 Ki cells/block): RBER resolution ~2e-4,
 /// enough to see the paper's effects while keeping suites fast.
 pub fn tiny_scale() -> Scale {
     Scale { wordlines: 8, bitlines: 512 }
-}
-
-/// Miniature chip geometry matching [`tiny_scale`], with a few blocks so
-/// FTL-level tests have room to relocate.
-pub(crate) fn tiny_geometry() -> Geometry {
-    Geometry { blocks: 4, wordlines_per_block: 8, bitlines: 512, bits_per_cell: 2 }
-}
-
-/// Miniature SSD configuration on [`tiny_geometry`]'s cell budget, seeded
-/// from [`GOLDEN_SEED`].
-pub(crate) fn tiny_ssd_config() -> SsdConfig {
-    let mut config = SsdConfig::small_test();
-    config.seed = GOLDEN_SEED;
-    config
 }
 
 /// A single-block chip at `pe_cycles` of wear, programmed with seeded random
