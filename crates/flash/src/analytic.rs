@@ -104,7 +104,7 @@ impl Default for AnalyticParams {
 
 /// Per-component RBER decomposition at one operating point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RberBreakdown {
+pub(crate) struct RberBreakdown {
     /// P/E cycling noise floor.
     pub pe: f64,
     /// Retention errors.
@@ -206,14 +206,6 @@ impl AnalyticModel {
     pub fn rber(&self, pe_cycles: u64, days: f64, reads: u64, vpass: f64) -> f64 {
         self.breakdown(pe_cycles, days, reads, vpass).total()
     }
-}
-
-/// Per-bit error floor from programming-distribution tail overlap at the
-/// factory read references (the page-analytic backend's fresh-block floor).
-/// Exposed for benchmarks and calibration tooling that want the
-/// read-count-independent part of the closed form on its own.
-pub fn gaussian_tail_floor(params: &ChipParams, pe_cycles: u64) -> f64 {
-    gaussian_tail_floor_shifted(params, pe_cycles, 0.0)
 }
 
 /// Per-bit error floor from programming-distribution tail overlap at the

@@ -15,7 +15,6 @@
 //! generations; the MLC accessors ([`VoltageRefs::va`] etc.) and the
 //! [`CellState`] enum remain the cell-exact tier's native vocabulary.
 
-use crate::params::NOMINAL_VPASS;
 
 /// The four programmable states of a 2-bit MLC cell, in threshold-voltage
 /// order.
@@ -284,39 +283,40 @@ impl Default for VoltageRefs {
     }
 }
 
-/// A voltage region on the normalized scale, used to describe where a state's
-/// distribution nominally lives (for plots and assertions).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StateRegion {
-    /// Inclusive lower edge.
-    pub lo: f64,
-    /// Exclusive upper edge.
-    pub hi: f64,
-}
-
-impl StateRegion {
-    /// Region assigned to `state` under the given references, with the upper
-    /// state bounded above by the nominal `Vpass`.
-    pub fn of(state: CellState, refs: &VoltageRefs) -> Self {
-        Self::of_index(state.index() as usize, refs)
-    }
-
-    /// Region assigned to state index `i` under the given references.
-    pub(crate) fn of_index(i: usize, refs: &VoltageRefs) -> Self {
-        let lo = if i == 0 { f64::NEG_INFINITY } else { refs.level(i - 1) };
-        let hi = if i == refs.len() { NOMINAL_VPASS } else { refs.level(i) };
-        StateRegion { lo, hi }
-    }
-
-    /// Whether a voltage falls inside the region.
-    pub fn contains(&self, vth: f64) -> bool {
-        vth >= self.lo && vth < self.hi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::NOMINAL_VPASS;
+
+    /// A voltage region on the normalized scale, used to describe where a state's
+    /// distribution nominally lives (for plots and assertions).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct StateRegion {
+        /// Inclusive lower edge.
+        lo: f64,
+        /// Exclusive upper edge.
+        hi: f64,
+    }
+
+    impl StateRegion {
+        /// Region assigned to `state` under the given references, with the upper
+        /// state bounded above by the nominal `Vpass`.
+        fn of(state: CellState, refs: &VoltageRefs) -> Self {
+            Self::of_index(state.index() as usize, refs)
+        }
+
+        /// Region assigned to state index `i` under the given references.
+        fn of_index(i: usize, refs: &VoltageRefs) -> Self {
+            let lo = if i == 0 { f64::NEG_INFINITY } else { refs.level(i - 1) };
+            let hi = if i == refs.len() { NOMINAL_VPASS } else { refs.level(i) };
+            StateRegion { lo, hi }
+        }
+
+        /// Whether a voltage falls inside the region.
+        fn contains(&self, vth: f64) -> bool {
+            vth >= self.lo && vth < self.hi
+        }
+    }
 
     /// Bit positions differing between two states' stored values of a
     /// `bits_per_cell`-bit cell (the Gray property makes this 1 for adjacent

@@ -28,9 +28,9 @@ use rd_workloads::WorkloadProfile;
 use std::sync::Mutex;
 
 /// Container magic of a fleet checkpoint (see [`rd_ftl::wire`]).
-pub const FLEET_SNAP_MAGIC: &[u8; 8] = b"RDFLTSNP";
+pub(crate) const FLEET_SNAP_MAGIC: &[u8; 8] = b"RDFLTSNP";
 /// Current fleet checkpoint format version.
-pub const FLEET_SNAP_VERSION: u32 = 1;
+pub(crate) const FLEET_SNAP_VERSION: u32 = 1;
 
 /// Section tags inside the fleet container.
 const SEC_CONFIG: u32 = 1;

@@ -56,7 +56,7 @@ fn mix64(mut x: u64) -> u64 {
 /// seed, the slot index, and the drive generation in that slot, so a
 /// replaced drive gets fresh decorrelated streams and a restored checkpoint
 /// re-derives the same ones.
-pub fn drive_seed(fleet_seed: u64, slot: u32, generation: u32) -> u64 {
+pub(crate) fn drive_seed(fleet_seed: u64, slot: u32, generation: u32) -> u64 {
     mix64(
         fleet_seed
             ^ (u64::from(slot) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -67,7 +67,7 @@ pub fn drive_seed(fleet_seed: u64, slot: u32, generation: u32) -> u64 {
 /// The seed of one epoch's host-traffic generator for a drive: varies per
 /// epoch (fresh arrivals every epoch) and per generation (a replacement
 /// drive does not replay its predecessor's traffic).
-pub fn traffic_seed(fleet_seed: u64, slot: u32, generation: u32, epoch: u32) -> u64 {
+pub(crate) fn traffic_seed(fleet_seed: u64, slot: u32, generation: u32, epoch: u32) -> u64 {
     mix64(
         drive_seed(fleet_seed, slot, generation)
             ^ (u64::from(epoch) + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93),
@@ -90,7 +90,7 @@ fn lognormal_factor(rng: &mut StdRng, sigma: f64) -> f64 {
 /// A drive's sampled identity: varied chip parameters plus its endurance
 /// rating (the P/E count at which the fleet driver replaces it).
 #[derive(Debug, Clone)]
-pub struct DriveVariation {
+pub(crate) struct DriveVariation {
     /// Chip parameters: the calibrated set scaled by this drive's factors.
     pub chip_params: ChipParams,
     /// Replacement threshold in P/E cycles.
@@ -101,7 +101,7 @@ pub struct DriveVariation {
 /// function of its arguments: checkpoint restore re-derives the same drive
 /// without serializing parameters. `base_endurance_pe` is the nominal
 /// rating the endurance factor scales.
-pub fn sample_drive(
+pub(crate) fn sample_drive(
     base: &ChipParams,
     spread: &VariationSpread,
     fleet_seed: u64,
