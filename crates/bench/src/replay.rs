@@ -101,7 +101,7 @@ pub struct RecoveryScenario {
 
 impl RecoveryScenario {
     /// The full `ext_recovery_path` scenario.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         Self {
             channels: 2,
             dies_per_channel: 2,

@@ -40,11 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod characterize;
-pub mod error;
+pub(crate) mod error;
 pub mod lifetime;
 pub mod overhead;
 pub mod rdr;
-pub mod recovery;
+pub(crate) mod recovery;
 pub(crate) mod rfr;
 pub(crate) mod ror;
 

@@ -56,7 +56,7 @@ impl BchCode {
     /// # Errors
     ///
     /// Fails if the field is unsupported or `t` leaves no data bits.
-    pub fn new(m: u32, t: u32) -> Result<Self, EccError> {
+    pub(crate) fn new(m: u32, t: u32) -> Result<Self, EccError> {
         let gf = GfTables::new(m)?;
         let n = gf.group_order();
         // Generator = LCM of minimal polynomials of alpha^1 .. alpha^{2t}.

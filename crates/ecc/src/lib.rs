@@ -42,8 +42,8 @@
 
 pub(crate) mod bch;
 pub mod gf;
-pub mod margin;
-pub mod model;
+pub(crate) mod margin;
+pub(crate) mod model;
 mod poly;
 
 pub use bch::BchCode;

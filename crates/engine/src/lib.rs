@@ -36,11 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod pool;
-pub mod queue;
-pub mod stats;
-pub mod timing;
+pub(crate) mod engine;
+pub(crate) mod pool;
+pub(crate) mod queue;
+pub(crate) mod stats;
+pub(crate) mod timing;
 pub(crate) mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};

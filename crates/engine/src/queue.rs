@@ -85,7 +85,7 @@ impl Outcome {
 
     /// Packs a request's kind, result and corrected-error count (a count of
     /// bits in one page; it stays far below the 61 bits it has).
-    pub fn new(kind: ReqKind, result: &Result<(), FtlError>, corrected_errors: u64) -> Self {
+    pub(crate) fn new(kind: ReqKind, result: &Result<(), FtlError>, corrected_errors: u64) -> Self {
         let class = match result {
             Ok(()) => 0,
             Err(FtlError::NotWritten { .. }) => 1,

@@ -320,7 +320,7 @@ impl LatencyHistogram {
     }
 
     /// Writes the histogram into a checkpoint.
-    pub fn encode_state(&self, w: &mut Writer) {
+    pub(crate) fn encode_state(&self, w: &mut Writer) {
         w.put_u64(self.first as u64);
         w.put_u64s(&self.counts);
         w.put_f64(self.sum);

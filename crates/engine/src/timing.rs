@@ -91,7 +91,7 @@ impl Timing {
     /// # Errors
     ///
     /// Rejects a non-positive or non-finite latency.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         for (name, v) in [
             ("read_us", self.read_us),
             ("program_us", self.program_us),

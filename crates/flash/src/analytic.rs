@@ -131,7 +131,7 @@ pub struct AnalyticModel {
 
 impl AnalyticModel {
     /// Creates a model from explicit parameters.
-    pub fn new(params: AnalyticParams) -> Self {
+    pub(crate) fn new(params: AnalyticParams) -> Self {
         Self { params }
     }
 

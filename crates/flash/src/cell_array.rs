@@ -241,7 +241,7 @@ pub(crate) struct SenseScratch {
 
 impl CellArray {
     /// Creates an erased array, sampling per-cell process variation.
-    pub fn new(wordlines: u32, bitlines: u32, params: &ChipParams, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(wordlines: u32, bitlines: u32, params: &ChipParams, rng: &mut StdRng) -> Self {
         let n = wordlines as usize * bitlines as usize;
         let mut leak = Vec::with_capacity(n);
         let mut susceptibility = Vec::with_capacity(n);
@@ -262,7 +262,7 @@ impl CellArray {
     }
 
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.intended.len()
     }
 
@@ -274,7 +274,7 @@ impl CellArray {
 
     /// Re-samples every cell into the erased distribution. Process-variation
     /// factors persist (they belong to the physical cell).
-    pub fn erase(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
+    pub(crate) fn erase(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
         let dist = params.state_dist(CellState::Er, pe_cycles);
         for i in 0..self.len() {
             self.intended[i] = CellState::Er.index();
@@ -328,7 +328,7 @@ impl CellArray {
 
     /// The cell's base voltage (as placed at program time, before retention
     /// and disturb).
-    pub fn base_vth(&self, wordline: u32, bitline: u32) -> f64 {
+    pub(crate) fn base_vth(&self, wordline: u32, bitline: u32) -> f64 {
         self.base_vth[self.index(wordline, bitline)] as f64
     }
 

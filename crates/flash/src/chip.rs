@@ -49,7 +49,7 @@ pub struct ReadOutcome {
 
 impl ReadOutcome {
     /// The read's counts without its bytes.
-    pub fn counts(&self) -> ReadCounts {
+    pub(crate) fn counts(&self) -> ReadCounts {
         ReadCounts { stats: self.stats, blocked_bitlines: self.blocked_bitlines }
     }
 }

@@ -134,7 +134,7 @@ impl PageAddr {
     }
 
     /// Builds the page address backed by `(wordline, kind)` on an MLC part.
-    pub fn of(block: u32, wordline: u32, kind: PageKind) -> Self {
+    pub(crate) fn of(block: u32, wordline: u32, kind: PageKind) -> Self {
         let page = wordline * 2 + u32::from(kind == PageKind::Msb);
         Self { block, page }
     }

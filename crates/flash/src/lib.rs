@@ -69,16 +69,16 @@
 // simulator below.
 pub mod analytic;
 pub mod chips;
-pub mod fidelity;
+pub(crate) mod fidelity;
 pub(crate) mod math;
 pub mod params;
-pub mod state;
+pub(crate) mod state;
 
 pub mod bits;
 pub(crate) mod cell_array;
 pub mod chip;
-pub mod error;
-pub mod geometry;
+pub(crate) mod error;
+pub(crate) mod geometry;
 pub mod noise;
 pub mod wire;
 

@@ -64,7 +64,7 @@ impl CellState {
     }
 
     /// Index of the state in threshold-voltage order (ER = 0 .. P3 = 3).
-    pub fn index(self) -> u8 {
+    pub(crate) fn index(self) -> u8 {
         self as u8
     }
 
@@ -104,7 +104,7 @@ impl CellState {
     }
 
     /// The next-lower state, if any.
-    pub fn down(self) -> Option<CellState> {
+    pub(crate) fn down(self) -> Option<CellState> {
         match self {
             CellState::Er => None,
             CellState::P1 => Some(CellState::Er),
@@ -185,12 +185,12 @@ impl VoltageRefs {
 
     /// Number of boundaries (`n_states - 1`).
     #[allow(clippy::len_without_is_empty)] // never empty by construction
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count as usize
     }
 
     /// Number of states the boundaries separate.
-    pub fn n_states(&self) -> usize {
+    pub(crate) fn n_states(&self) -> usize {
         self.count as usize + 1
     }
 

@@ -38,8 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fleet;
-pub mod variation;
+pub(crate) mod fleet;
+pub(crate) mod variation;
 
 pub use fleet::{Fleet, FleetConfig, FleetRow};
 pub use variation::VariationSpread;

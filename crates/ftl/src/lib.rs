@@ -43,14 +43,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod die;
-pub mod error;
-pub mod mapping;
+pub(crate) mod config;
+pub(crate) mod die;
+pub(crate) mod error;
+pub(crate) mod mapping;
 pub(crate) mod margin_probe;
-pub mod policy;
-pub mod recovery;
-pub mod stats;
+pub(crate) mod policy;
+pub(crate) mod recovery;
+pub(crate) mod stats;
 pub(crate) mod vpass_tuning;
 
 pub use config::SsdConfig;

@@ -53,7 +53,7 @@ impl PageMap {
     /// Panics if the die is larger than the packed entries can address
     /// (more than `u32::MAX - 1` physical pages), or exports more logical
     /// pages than it has physical ones.
-    pub fn new(logical_pages: u64, blocks: u32, pages_per_block: u32) -> Self {
+    pub(crate) fn new(logical_pages: u64, blocks: u32, pages_per_block: u32) -> Self {
         let physical = u64::from(blocks) * u64::from(pages_per_block);
         assert!(
             physical <= MAX_PHYSICAL_PAGES,
@@ -93,7 +93,7 @@ impl PageMap {
     }
 
     /// Logical owner of a physical page (if valid).
-    pub fn owner(&self, ppa: Ppa) -> Option<u64> {
+    pub(crate) fn owner(&self, ppa: Ppa) -> Option<u64> {
         match self.p2l[self.pack(ppa)] {
             NONE => None,
             lpa => Some(u64::from(lpa)),
@@ -106,7 +106,7 @@ impl PageMap {
     /// serialising with it. Reads only and returns nothing: an unmapped or
     /// out-of-range address is skipped, and no result may depend on a call.
     #[inline]
-    pub fn pretouch(&self, far: u64, near: u64) {
+    pub(crate) fn pretouch(&self, far: u64, near: u64) {
         let entry = |lpa: u64| usize::try_from(lpa).ok().and_then(|lpa| self.l2p.get(lpa));
         std::hint::black_box(entry(far).copied());
         // An unmapped page's `NONE` lies past the end of `p2l`.

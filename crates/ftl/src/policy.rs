@@ -31,7 +31,7 @@ pub struct PolicyContext<'a> {
 
 impl<'a> PolicyContext<'a> {
     /// Builds a context for one tick.
-    pub fn new(chip: &'a mut Chip, valid_blocks: &'a [u32]) -> Self {
+    pub(crate) fn new(chip: &'a mut Chip, valid_blocks: &'a [u32]) -> Self {
         Self { chip, valid_blocks, probe_reads: 0 }
     }
 

@@ -233,7 +233,7 @@ impl RecoveryLadder {
     /// [`rd_flash::ChipParams::default`] the rungs are the step `Default`s
     /// ([`RetrySweep`] then [`DisturbReRead`]), which mirror the default
     /// chip's ranges.
-    pub fn for_chip(params: &rd_flash::ChipParams) -> Self {
+    pub(crate) fn for_chip(params: &rd_flash::ChipParams) -> Self {
         Self::new(vec![
             Box::new(RetrySweep { shifts: params.retry_shifts.clone() }),
             Box::new(DisturbReRead { va_raises: params.reread_va_raises.clone() }),

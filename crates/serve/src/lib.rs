@@ -39,7 +39,7 @@
 pub(crate) mod accounting;
 pub mod cli;
 pub mod repl;
-pub mod service;
+pub(crate) mod service;
 pub(crate) mod shard;
 pub(crate) mod tenant;
 

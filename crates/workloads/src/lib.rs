@@ -31,9 +31,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod profile;
-pub mod stats;
-pub mod trace;
+pub(crate) mod profile;
+pub(crate) mod stats;
+pub(crate) mod trace;
 pub(crate) mod zipf;
 
 pub use profile::WorkloadProfile;

@@ -37,7 +37,7 @@ impl ZipfSampler {
     }
 
     /// Number of items.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cdf.len()
     }
 
