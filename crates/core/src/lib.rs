@@ -15,7 +15,7 @@
 //!   the ECC capability. Reproduces Fig. 10's up-to-36% RBER reduction.
 //! * [`Ror`] and [`Rfr`] — read-reference optimization and Retention
 //!   Failure Recovery, also as rungs of the controller's recovery ladder
-//!   ([`recovery`]).
+//!   (`recovery`).
 //! * [`characterize`] — the experiment harness regenerating every
 //!   characterization figure (Figs. 2–7, 10).
 //! * [`lifetime`] — the analytic endurance evaluator over the
@@ -40,13 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod characterize;
-pub(crate) mod error;
+mod error;
 pub mod lifetime;
 pub mod overhead;
 pub mod rdr;
-pub(crate) mod recovery;
-pub(crate) mod rfr;
-pub(crate) mod ror;
+mod recovery;
+mod rfr;
+mod ror;
 
 pub(crate) use error::CoreError;
 pub use lifetime::{EnduranceConfig, EnduranceResult, Mitigation};

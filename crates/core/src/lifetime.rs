@@ -36,8 +36,7 @@ pub enum Mitigation {
     },
 }
 
-impl Mitigation {
-}
+impl Mitigation {}
 
 /// Endurance evaluation configuration.
 #[derive(Debug, Clone)]

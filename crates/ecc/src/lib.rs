@@ -15,7 +15,7 @@
 //! (syndromes → Berlekamp–Massey → Chien search), including shortened codes
 //! sized like flash page ECC — and a fast [`ThresholdEcc`] model with the
 //! same accept/reject behaviour for simulation at scale, plus the margin
-//! arithmetic ([`margin`]).
+//! arithmetic (`margin`).
 //!
 //! ```
 //! use rd_ecc::{BchCode, ThresholdEcc};
@@ -40,10 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod bch;
+mod bch;
 pub mod gf;
-pub(crate) mod margin;
-pub(crate) mod model;
+mod margin;
+mod model;
 mod poly;
 
 pub use bch::BchCode;

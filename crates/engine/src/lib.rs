@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod engine;
-pub(crate) mod pool;
-pub(crate) mod queue;
-pub(crate) mod stats;
-pub(crate) mod timing;
-pub(crate) mod topology;
+mod engine;
+mod pool;
+mod queue;
+mod stats;
+mod timing;
+mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
 pub use pool::{PoolHandle, WorkerPool};

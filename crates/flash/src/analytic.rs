@@ -193,7 +193,13 @@ impl AnalyticModel {
     }
 
     /// Full decomposition at an operating point.
-    pub(crate) fn breakdown(&self, pe_cycles: u64, days: f64, reads: u64, vpass: f64) -> RberBreakdown {
+    pub(crate) fn breakdown(
+        &self,
+        pe_cycles: u64,
+        days: f64,
+        reads: u64,
+        vpass: f64,
+    ) -> RberBreakdown {
         RberBreakdown {
             pe: self.rber_pe(pe_cycles),
             retention: self.rber_retention(pe_cycles, days),

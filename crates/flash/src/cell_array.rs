@@ -241,7 +241,12 @@ pub(crate) struct SenseScratch {
 
 impl CellArray {
     /// Creates an erased array, sampling per-cell process variation.
-    pub(crate) fn new(wordlines: u32, bitlines: u32, params: &ChipParams, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(
+        wordlines: u32,
+        bitlines: u32,
+        params: &ChipParams,
+        rng: &mut StdRng,
+    ) -> Self {
         let n = wordlines as usize * bitlines as usize;
         let mut leak = Vec::with_capacity(n);
         let mut susceptibility = Vec::with_capacity(n);

@@ -6,7 +6,7 @@
 //! erase, Vpass and the programmed pages — lives once, in the chip's block
 //! ledger, whatever the tier; the lifecycle rules (program checks, erase,
 //! ageing, status) are the ledger's. Each fidelity tier (see
-//! [`crate::fidelity`]) keeps only its physics beside it: the default
+//! the `fidelity` module) keeps only its physics beside it: the default
 //! [`ReadFidelity::CellExact`] per-cell Monte-Carlo state (reachable as
 //! [`Chip::cells`]), or one closed-form state for the two other tiers —
 //! per-block lanes of the calibrated closed-form model with a fold-free
@@ -372,7 +372,7 @@ impl Chip {
 
     /// The operating point a wordline's cells sit at — the block's wear and
     /// retention age, and the wordline's own disturb dose (concentrated
-    /// disturb included) — for evaluating [`CellArray::current_vth`].
+    /// disturb included) — for evaluating `CellArray::current_vth`.
     /// Requires [`ReadFidelity::CellExact`].
     ///
     /// # Errors

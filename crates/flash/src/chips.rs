@@ -567,7 +567,10 @@ mod tests {
     /// with `vendor/chip:`).
     fn validate(chips: &[ChipSpec]) -> Result<(), Vec<String>> {
         let mut problems = Vec::new();
-        if !chips.first().is_some_and(|c| c.name == DEFAULT_CHIP && c.params == ChipParams::default()) {
+        if !chips
+            .first()
+            .is_some_and(|c| c.name == DEFAULT_CHIP && c.params == ChipParams::default())
+        {
             problems.push(format!(
                 "the first entry must be the default chip `{DEFAULT_CHIP}`, with \
                  `ChipParams::default()` as its params"
@@ -587,7 +590,6 @@ mod tests {
             Err(problems)
         }
     }
-
 
     fn mlc_chip(name: &'static str) -> ChipSpec {
         ChipSpec {

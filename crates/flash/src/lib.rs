@@ -24,7 +24,7 @@
 //!
 //! Two levels of fidelity are provided and kept consistent by tests:
 //!
-//! 1. [`Chip`] / [`CellArray`] — Monte-Carlo, per-cell simulation used for
+//! 1. [`Chip`] / `CellArray` — Monte-Carlo, per-cell simulation used for
 //!    the characterization experiments (Figs. 2–6, 10); [`Chip::cells`] and
 //!    [`Chip::operating_point`] expose a block's cells for inspection.
 //! 2. [`AnalyticModel`] — closed-form RBER model used at SSD scale
@@ -39,7 +39,7 @@
 //! state between interesting events at O(1) per read — the tier
 //! billion-op lifetime replay uses; the two share one closed-form per-block
 //! state, to which a page-analytic chip adds payloads and per-wordline
-//! disturb (see [`fidelity`] for the contract between the tiers). Whatever the tier, a chip keeps each block's wear,
+//! disturb (see `fidelity` for the contract between the tiers). Whatever the tier, a chip keeps each block's wear,
 //! retention age, read count, Vpass and programmed pages once, in one block
 //! ledger with one set of lifecycle rules ([`BlockStatus`] reports it);
 //! each tier adds only its physics.
@@ -69,16 +69,16 @@
 // simulator below.
 pub mod analytic;
 pub mod chips;
-pub(crate) mod fidelity;
-pub(crate) mod math;
+mod fidelity;
+mod math;
 pub mod params;
-pub(crate) mod state;
+mod state;
 
 pub mod bits;
-pub(crate) mod cell_array;
+mod cell_array;
 pub mod chip;
-pub(crate) mod error;
-pub(crate) mod geometry;
+mod error;
+mod geometry;
 pub mod noise;
 pub mod wire;
 

@@ -4,7 +4,7 @@
 //!
 //! Each submodule implements one source as a pure function of cell state
 //! plus sampled per-cell process variation, so the closed forms can be
-//! property-tested in isolation and composed by [`crate::CellArray`].
+//! property-tested in isolation and composed by `CellArray`.
 
 pub(crate) mod pe_cycling;
 pub(crate) mod program_interference;

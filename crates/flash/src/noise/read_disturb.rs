@@ -38,7 +38,7 @@
 //! the `P(s > s_crit) = s_crit^-a` tail above — a fraction of a percent of
 //! a worn block after 100K reads — can have changed state. RDR finds that
 //! tail by inducing more disturb and watching which cells move;
-//! [`crate::CellArray`]'s wordline-sensing kernel uses the same inequality
+//! `CellArray`'s wordline-sensing kernel uses the same inequality
 //! to classify the resistant majority by comparison, without evaluating
 //! the `exp`/`ln` pair.
 

@@ -14,7 +14,7 @@ use crate::params::ChipParams;
 /// Threshold-voltage drop of a cell after `days` of retention.
 ///
 /// `leak` is the cell's process-variation factor (mean 1, sampled by
-/// [`sample_leak_factor`]). The drop is clamped so the voltage never falls
+/// `sample_leak_factor`). The drop is clamped so the voltage never falls
 /// below zero (the scale's GND).
 pub fn vth_drop(params: &ChipParams, base_vth: f64, leak: f64, pe_cycles: u64, days: f64) -> f64 {
     if days <= 0.0 {

@@ -48,7 +48,7 @@ pub struct ChipParams {
     /// Fidelity tier of the chip built from these parameters:
     /// per-cell Monte-Carlo ([`ReadFidelity::CellExact`], the default) or
     /// the sampled closed-form model ([`ReadFidelity::PageAnalytic`]) for
-    /// SSD-scale replay. See [`crate::fidelity`] for the tier contract.
+    /// SSD-scale replay. See the `fidelity` module for the tier contract.
     pub fidelity: ReadFidelity,
 
     // --- P/E cycling noise -------------------------------------------------
@@ -246,7 +246,7 @@ impl ChipParams {
     /// matching reference count with references placed between adjacent
     /// means, the top state and the over-programmed tail fitting below the
     /// nominal Vpass, non-empty retry ranges, and a positive value for
-    /// every coefficient [`COEFFICIENTS`] marks so.
+    /// every coefficient `COEFFICIENTS` marks so.
     ///
     /// This is the one per-chip gate: the chip database's rules
     /// ([`crate::chips`]' unit tests), a decoded checkpoint's configuration and the

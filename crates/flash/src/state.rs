@@ -15,7 +15,6 @@
 //! generations; the MLC accessors ([`VoltageRefs::va`] etc.) and the
 //! [`CellState`] enum remain the cell-exact tier's native vocabulary.
 
-
 /// The four programmable states of a 2-bit MLC cell, in threshold-voltage
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,7 +31,8 @@ pub enum CellState {
 }
 
 /// All states in threshold-voltage order.
-pub(crate) const ALL_STATES: [CellState; 4] = [CellState::Er, CellState::P1, CellState::P2, CellState::P3];
+pub(crate) const ALL_STATES: [CellState; 4] =
+    [CellState::Er, CellState::P1, CellState::P2, CellState::P3];
 
 /// Largest state count a [`VoltageRefs`] set supports (QLC: 16 states).
 pub(crate) const MAX_STATES: usize = 16;
@@ -130,7 +130,7 @@ impl std::fmt::Display for CellState {
 /// `N-1` state boundaries of an `N`-state cell (MLC: `Va < Vb < Vc`).
 ///
 /// Stored inline at fixed capacity so the type stays `Copy` on the hot read
-/// path; only the first [`VoltageRefs::len`] slots are meaningful (the rest
+/// path; only the first `VoltageRefs::len` slots are meaningful (the rest
 /// are zeroed, and equality compares the active prefix only).
 #[derive(Debug, Clone, Copy)]
 pub struct VoltageRefs {
@@ -228,7 +228,7 @@ impl VoltageRefs {
     /// # Panics
     ///
     /// Panics when a non-MLC reference set puts `vth` above a fourth
-    /// boundary (use [`VoltageRefs::classify_index`]); debug builds reject
+    /// boundary (use `VoltageRefs::classify_index`); debug builds reject
     /// every non-MLC set. The chip's read commands validate the set once
     /// and return `FlashError::FidelityUnsupported` instead.
     pub fn classify(&self, vth: f64) -> CellState {

@@ -38,8 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod fleet;
-pub(crate) mod variation;
+mod fleet;
+mod variation;
 
 pub use fleet::{Fleet, FleetConfig, FleetRow};
 pub use variation::VariationSpread;

@@ -185,7 +185,7 @@ impl Die<NoMitigation> {
 impl<P: ControllerPolicy> Die<P> {
     /// Creates a die with an explicit controller policy and the recovery
     /// ladder declared by the chip's read-retry interface
-    /// ([`RecoveryLadder::for_chip`]).
+    /// (`RecoveryLadder::for_chip`).
     ///
     /// # Errors
     ///
@@ -435,7 +435,7 @@ impl<P: ControllerPolicy> Die<P> {
         self.write_data(lpa, &data, WriteClass::Host)
     }
 
-    /// [`PageMap::pretouch`] on this die's map: a caller that knows the
+    /// `PageMap::pretouch` on this die's map: a caller that knows the
     /// addresses of its coming requests (the engine's flash phase walks a
     /// queue) starts their map misses early. Changes nothing.
     #[inline]

@@ -20,7 +20,7 @@
 //!   actions and probe reads are counted and charged to the engine clock;
 //! * the paper's mitigation, **Vpass Tuning** (§3): [`VpassTuner`] is a
 //!   controller policy whose daily tick probes each valid block's
-//!   worst-case page for the unused ECC margin ([`margin_probe`]) and walks
+//!   worst-case page for the unused ECC margin (`margin_probe`) and walks
 //!   the block's pass-through voltage down into it, beside the
 //!   [`ReadReclaim`] baseline it is compared against.
 //!
@@ -43,15 +43,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod config;
-pub(crate) mod die;
-pub(crate) mod error;
-pub(crate) mod mapping;
-pub(crate) mod margin_probe;
-pub(crate) mod policy;
-pub(crate) mod recovery;
-pub(crate) mod stats;
-pub(crate) mod vpass_tuning;
+mod config;
+mod die;
+mod error;
+mod mapping;
+mod margin_probe;
+mod policy;
+mod recovery;
+mod stats;
+mod vpass_tuning;
 
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};

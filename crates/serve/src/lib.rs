@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod accounting;
+mod accounting;
 pub mod cli;
 pub mod repl;
-pub(crate) mod service;
-pub(crate) mod shard;
-pub(crate) mod tenant;
+mod service;
+mod shard;
+mod tenant;
 
 pub use accounting::TenantAccounting;
 pub use service::{

@@ -262,7 +262,7 @@ impl Service {
     /// # Errors
     ///
     /// [`FtlError::InvalidConfig`] naming the field, before any thread is
-    /// spawned: no tenants or one [`TenantConfig::validate`] rejects, a zero
+    /// spawned: no tenants or one `TenantConfig::validate` rejects, a zero
     /// `batch_ops` or `max_inflight_batches`, or a bad engine topology, shard
     /// split or `die_index_offset`. Engine construction failures propagate.
     pub fn start(config: ServeConfig, tenants: Vec<TenantConfig>) -> Result<Self, FtlError> {

@@ -31,10 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod profile;
-pub(crate) mod stats;
-pub(crate) mod trace;
-pub(crate) mod zipf;
+mod profile;
+mod stats;
+mod trace;
+mod zipf;
 
 pub use profile::WorkloadProfile;
 pub use stats::TraceStats;

@@ -9,8 +9,7 @@
 //!   tiers sample the same physics).
 //!
 //! The declared calibration anchors are checked against the real closed
-//! form by `rd_flash::chips`'s own unit test (`database_passes_every_rule`,
-//! in the `chips-codegen` crate the module is re-exported from).
+//! form by `rd_flash::chips`'s own unit test (`database_passes_every_rule`).
 
 use readdisturb::flash::chips;
 use readdisturb::prelude::*;
