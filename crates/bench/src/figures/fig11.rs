@@ -1,7 +1,7 @@
 //! Fig. 11 — RowHammer error rate vs module manufacture date for the
 //! 129-module DRAM population (related-work reproduction, from \[42\]).
 
-use super::dram::ModulePopulation;
+use crate::ModulePopulation;
 
 pub(crate) fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);

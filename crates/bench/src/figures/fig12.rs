@@ -1,7 +1,7 @@
 //! Fig. 12 — victims per aggressor row for three representative DRAM
 //! modules, one per manufacturer (related-work reproduction, from \[42\]).
 
-use super::dram::{HammerExperiment, ModulePopulation};
+use crate::{HammerExperiment, ModulePopulation};
 
 pub(crate) fn run() -> crate::FigureResult {
     let population = ModulePopulation::paper_129(2014);

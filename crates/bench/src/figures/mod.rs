@@ -4,7 +4,6 @@
 use crate::Figure;
 
 mod ablations;
-mod dram;
 mod ext_concentrated;
 mod ext_partial_block;
 mod ext_recovery;

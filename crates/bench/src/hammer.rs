@@ -4,20 +4,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::module::DramModule;
+use crate::module::DramModule;
 
 /// A hammer sweep over a module's rows.
 #[derive(Debug, Clone)]
-pub(crate) struct HammerExperiment {
+pub struct HammerExperiment {
     /// Histogram: `histogram[v]` = number of aggressor rows that flipped
     /// exactly `v` victim cells.
-    pub(crate) histogram: Vec<u64>,
+    pub histogram: Vec<u64>,
 }
 
 impl HammerExperiment {
     /// Hammers `rows` aggressor rows of `module`, collecting the
     /// victims-per-row histogram.
-    pub(crate) fn run(module: &DramModule, rows: u32, seed: u64) -> Self {
+    pub fn run(module: &DramModule, rows: u32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut histogram: Vec<u64> = Vec::new();
         for _ in 0..rows {
@@ -44,7 +44,7 @@ impl HammerExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::dram::ModulePopulation;
+    use crate::population::ModulePopulation;
 
     impl HammerExperiment {
         /// Total victim cells across all hammered rows.

@@ -1,17 +1,25 @@
 //! The paper's figures as one table ([`FIGURES`], which the `figures`
 //! binary runs by name) and the plumbing they share: CSV/JSONL emission to
-//! `target/figures/` and stdout, the paper-vs-measured shape check, and
-//! the pre-stressed recovery scenario behind `ext_recovery_path`
-//! ([`replay`]). Host-time measurement lives in `benchmark/`, not here.
+//! `target/figures/` and stdout, the paper-vs-measured shape check, the
+//! pre-stressed recovery scenario behind `ext_recovery_path` ([`replay`]),
+//! and the RowHammer module-population model behind the related-work
+//! Figs. 11–12 ([`ModulePopulation`], [`HammerExperiment`]). Host-time
+//! measurement lives in `benchmark/`, not here.
 
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
 mod figures;
+mod hammer;
+mod module;
+mod population;
 pub mod replay;
 
 pub use figures::FIGURES;
+pub use hammer::HammerExperiment;
+pub use module::{DramModule, Manufacturer};
+pub use population::ModulePopulation;
 
 /// What a figure's `run` returns; an `Err` ends the `figures` run the way
 /// it ends a `main`.

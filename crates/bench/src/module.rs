@@ -6,7 +6,7 @@ use rand::Rng;
 
 /// The three (anonymized) major DRAM manufacturers of the RowHammer study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum Manufacturer {
+pub enum Manufacturer {
     /// Manufacturer A.
     A,
     /// Manufacturer B.
@@ -27,19 +27,19 @@ impl std::fmt::Display for Manufacturer {
 
 /// One DRAM module of the tested population.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DramModule {
+pub struct DramModule {
     /// Manufacturer.
-    pub(crate) manufacturer: Manufacturer,
+    pub manufacturer: Manufacturer,
     /// Manufacture year (2008–2014).
-    pub(crate) year: u32,
+    pub year: u32,
     /// Manufacture week (1–52).
-    pub(crate) week: u32,
+    pub week: u32,
     /// Observed RowHammer error rate, in errors per 10^9 cells, when every
     /// row is hammered to the study's read count.
-    pub(crate) errors_per_gbit: u64,
+    pub errors_per_gbit: u64,
     /// Scale of the module's victims-per-aggressor-row distribution (the
     /// per-module heterogeneity visible in Fig. 12).
-    pub(crate) victim_scale: f64,
+    pub victim_scale: f64,
 }
 
 impl DramModule {

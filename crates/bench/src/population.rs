@@ -1,13 +1,43 @@
-//! The 129-module population of the RowHammer study (paper Fig. 11).
+//! The 129-module population of the RowHammer study (paper Fig. 11): a
+//! compact DRAM RowHammer (read disturb) model.
+//!
+//! The paper's related-work section (§5.2) reproduces two figures from the
+//! authors' RowHammer study (Kim et al., ISCA 2014 \[42\]): the error rate of
+//! 129 DRAM modules by manufacture date (Fig. 11) and the distribution of
+//! victim cells per aggressor row for three representative modules
+//! (Fig. 12). This model of that module population lets the repository
+//! regenerate every figure in the paper:
+//!
+//! * **Date-dependent vulnerability** — modules manufactured before 2010
+//!   show no RowHammer errors; vulnerability rises steeply with process
+//!   scaling so that *all* tested 2012–2013 modules are vulnerable
+//!   (the paper's emphasized finding).
+//! * **Per-module variation** — each module has its own heavy-tailed
+//!   victims-per-aggressor-row distribution; hammering an aggressor row
+//!   flips a module- and row-dependent number of bits.
+//!
+//! ```
+//! use rd_bench::{Manufacturer, ModulePopulation};
+//!
+//! let population = ModulePopulation::paper_129(42);
+//! assert_eq!(population.modules().len(), 129);
+//! let errors: u64 = population
+//!     .modules()
+//!     .iter()
+//!     .filter(|m| m.manufacturer == Manufacturer::A)
+//!     .map(|m| m.errors_per_gbit)
+//!     .sum();
+//! assert!(errors > 0);
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::module::{DramModule, Manufacturer};
+use crate::module::{DramModule, Manufacturer};
 
 /// The tested module population.
 #[derive(Debug, Clone)]
-pub(crate) struct ModulePopulation {
+pub struct ModulePopulation {
     modules: Vec<DramModule>,
 }
 
@@ -16,7 +46,7 @@ impl ModulePopulation {
     /// modules from 2008–2014, the earliest vulnerable module dating to
     /// 2010, all 2012–2013 modules vulnerable, and error rates climbing to
     /// ~10^5–10^6 errors per 10^9 cells for the newest parts.
-    pub(crate) fn paper_129(seed: u64) -> Self {
+    pub fn paper_129(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut modules = Vec::with_capacity(129);
         let manufacturers = [Manufacturer::A, Manufacturer::B, Manufacturer::C];
@@ -67,17 +97,17 @@ impl ModulePopulation {
     }
 
     /// The modules.
-    pub(crate) fn modules(&self) -> &[DramModule] {
+    pub fn modules(&self) -> &[DramModule] {
         &self.modules
     }
 
     /// Number of vulnerable modules.
-    pub(crate) fn vulnerable_count(&self) -> usize {
+    pub fn vulnerable_count(&self) -> usize {
         self.modules.iter().filter(|m| m.is_vulnerable()).count()
     }
 
     /// `(year, errors_per_gbit)` scatter points for Fig. 11, one per module.
-    pub(crate) fn fig11_points(&self) -> Vec<(Manufacturer, f64, u64)> {
+    pub fn fig11_points(&self) -> Vec<(Manufacturer, f64, u64)> {
         self.modules
             .iter()
             .map(|m| (m.manufacturer, m.year as f64 + m.week as f64 / 52.0, m.errors_per_gbit))
@@ -86,7 +116,7 @@ impl ModulePopulation {
 
     /// Three representative vulnerable modules (one per manufacturer) with
     /// the largest victim scales — the Fig. 12 exemplars.
-    pub(crate) fn fig12_representatives(&self) -> Vec<&DramModule> {
+    pub fn fig12_representatives(&self) -> Vec<&DramModule> {
         [Manufacturer::A, Manufacturer::B, Manufacturer::C]
             .iter()
             .filter_map(|&mfr| {

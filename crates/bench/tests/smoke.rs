@@ -2,13 +2,13 @@
 //! `rd_bench::FIGURES` entry (`fig*`, `ext_*`, `ablations`, `overheads`), run
 //! on the miniature testsupport geometry, asserting non-empty and finite
 //! output — plus the table itself, and the closed-form entries run through
-//! it at full scale. Figs. 11–12's DRAM model is private to the library, so
-//! its smoke tests sit in that module.
+//! it at full scale.
 //!
 //! These guard the figure-regeneration path without full-scale runs: a
 //! refactor that breaks a `characterize::fig*` function fails here in
 //! milliseconds instead of at the next (minutes-long) figure regeneration.
 
+use rd_bench::{HammerExperiment, ModulePopulation};
 use readdisturb::core::characterize::{
     ext_concentrated_disturb, ext_partial_block, ext_slc_mode, fig10_rdr, fig2_vth_histograms,
     fig3_rber_vs_reads, fig4_vpass_read_tolerance, fig5_passthrough_sweep,
@@ -168,6 +168,30 @@ fn fig10_rdr_points() {
     }
     let last = data.points.last().unwrap();
     assert!(last.rdr <= last.no_recovery, "RDR must not increase RBER at {} reads", last.reads);
+}
+
+/// fig11: the DRAM population exists with finite dates and a vulnerable
+/// majority (the related-work reproduction's core claim).
+#[test]
+fn fig11_population() {
+    let population = ModulePopulation::paper_129(GOLDEN_SEED);
+    let points = population.fig11_points();
+    assert!(!points.is_empty());
+    for (_, date, _) in &points {
+        assert_finite("manufacture date", *date);
+    }
+    assert!(population.vulnerable_count() > 0);
+}
+
+/// fig12: hammering a representative module yields a non-empty victim
+/// histogram.
+#[test]
+fn fig12_hammer() {
+    let population = ModulePopulation::paper_129(GOLDEN_SEED);
+    let reps = population.fig12_representatives();
+    assert!(!reps.is_empty());
+    let exp = HammerExperiment::run(reps[0], 1_024, GOLDEN_SEED);
+    assert!(!exp.histogram.is_empty());
 }
 
 /// overheads: the paper's 512 GB overhead model produces finite positives.
