@@ -56,7 +56,7 @@ mod vpass_tuning;
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
 pub use error::FtlError;
-pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, ReadReclaim};
+pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;
 pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};

@@ -38,7 +38,7 @@ impl<'a> PolicyContext<'a> {
     /// Reports `n` probe reads the policy issued against the chip (tuning
     /// sweeps, margin probes). They become controller time: tR each on the
     /// engine's discrete-event clock.
-    pub(crate) fn charge_probe_reads(&mut self, n: u64) {
+    pub fn charge_probe_reads(&mut self, n: u64) {
         self.probe_reads += n;
     }
 
