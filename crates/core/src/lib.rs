@@ -48,13 +48,13 @@ mod recovery;
 mod rfr;
 mod ror;
 
-pub(crate) use error::CoreError;
+pub use error::CoreError;
 pub use lifetime::{EnduranceConfig, EnduranceResult, Mitigation};
 pub use rd_ftl::{TuneReport, VpassTuner, VpassTunerConfig};
 pub use rdr::{Rdr, RdrConfig};
 pub use recovery::{full_recovery_ladder, RfrRecoveryStep, RorRecoveryStep};
-pub use rfr::{Rfr, RfrConfig};
-pub use ror::{Ror, RorConfig};
+pub use rfr::{Rfr, RfrConfig, RfrOutcome};
+pub use ror::{Ror, RorConfig, RorOutcome};
 
 /// The tuner's former wrapper name, kept for the benchmark, which names it.
 pub type VpassTuningPolicy = VpassTuner;

@@ -46,7 +46,7 @@ mod margin;
 mod model;
 mod poly;
 
-pub use bch::BchCode;
+pub use bch::{BchCode, Decoded};
 pub use margin::MarginPolicy;
 pub use model::{page_capability, PageDecode, PageEccModel, ThresholdEcc};
 

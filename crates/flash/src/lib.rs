@@ -24,7 +24,7 @@
 //!
 //! Two levels of fidelity are provided and kept consistent by tests:
 //!
-//! 1. [`Chip`] / `CellArray` — Monte-Carlo, per-cell simulation used for
+//! 1. [`Chip`] / [`CellArray`] — Monte-Carlo, per-cell simulation used for
 //!    the characterization experiments (Figs. 2–6, 10); [`Chip::cells`] and
 //!    [`Chip::operating_point`] expose a block's cells for inspection.
 //! 2. [`AnalyticModel`] — closed-form RBER model used at SSD scale
@@ -88,6 +88,7 @@ mod ledger;
 mod sampler;
 
 pub use analytic::AnalyticModel;
+pub use cell_array::{CellArray, OperatingPoint};
 pub use chip::{Chip, VthHistogram};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;

@@ -56,6 +56,7 @@ mod vpass_tuning;
 pub use config::SsdConfig;
 pub use die::{DecodedRead, Die, HostRead};
 pub use error::FtlError;
+pub use mapping::{PageMap, Ppa};
 pub use policy::{ControllerPolicy, NoMitigation, PolicyAction, PolicyContext, ReadReclaim};
 pub use rd_flash::chips;
 pub use rd_flash::wire;
@@ -65,7 +66,6 @@ pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};
 // reaches both through this crate.
 pub use rd_flash::{Chip, ReadFidelity, SnapError};
 pub use recovery::{
-    DisturbReRead, LadderOutcome, ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport,
-    RetrySweep, StepAttempt,
+    ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport, RetrySweep, StepAttempt,
 };
 pub use stats::SsdStats;

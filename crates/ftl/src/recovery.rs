@@ -150,7 +150,7 @@ impl RecoveryStep for RetrySweep {
 /// tier answers per-boundary references with `FidelityUnsupported`) get a
 /// deep uniform shift of the same magnitude instead.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DisturbReRead {
+pub(crate) struct DisturbReRead {
     /// Va raises tried in order (normalized volts).
     pub va_raises: Vec<f64>,
 }
@@ -196,7 +196,7 @@ impl RecoveryStep for DisturbReRead {
 /// Outcome of a full ladder escalation on one failing page, borrowed from
 /// the ladder (which reuses the report buffer across escalations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LadderOutcome<'a> {
+pub(crate) struct LadderOutcome<'a> {
     /// Per-step reports, in escalation order (every step engaged, up to
     /// and including the one that succeeded).
     pub steps: &'a [RecoveryStepReport],

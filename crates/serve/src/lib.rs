@@ -43,9 +43,7 @@ mod service;
 mod shard;
 mod tenant;
 
-pub use accounting::TenantAccounting;
-pub use service::{
-    ServeConfig, Service, ServiceReport, ServiceStageNs, SERVICE_SNAP_MAGIC, SERVICE_SNAP_VERSION,
-};
+pub use accounting::{TenantAccounting, TenantSummary};
+pub use service::{ServeConfig, Service, ServiceReport, ServiceStageNs};
 pub use shard::ShardPlan;
 pub use tenant::{ServiceOp, TenantConfig, Traffic};

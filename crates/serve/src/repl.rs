@@ -292,7 +292,7 @@ mod tests {
         run_repl(small_options(), script.as_bytes(), &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         let snap = std::fs::read(&path).unwrap();
-        assert_eq!(&snap[..8], crate::SERVICE_SNAP_MAGIC, "binary container, not JSON");
+        assert_eq!(&snap[..8], crate::service::SERVICE_SNAP_MAGIC, "binary container, not JSON");
         assert!(out.contains("wrote"), "{out}");
         assert!(out.contains("restored"), "{out}");
         std::fs::remove_dir_all(&dir).ok();

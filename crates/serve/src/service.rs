@@ -91,9 +91,9 @@ impl ServeConfig {
 }
 
 /// Container magic of a service checkpoint (see [`rd_ftl::wire`]).
-pub const SERVICE_SNAP_MAGIC: &[u8; 8] = b"RDSRVSNP";
+pub(crate) const SERVICE_SNAP_MAGIC: &[u8; 8] = b"RDSRVSNP";
 /// Current service checkpoint format version.
-pub const SERVICE_SNAP_VERSION: u32 = 1;
+pub(crate) const SERVICE_SNAP_VERSION: u32 = 1;
 /// Section tag: shard count + one engine container per shard.
 const SEC_SHARDS: u32 = 1;
 
