@@ -110,12 +110,15 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use rd_ftl::wire::{self, Reader, Writer};
-use rd_ftl::{ControllerPolicy, Die, FtlError, NoMitigation, ReadFidelity, SnapError, SsdConfig};
+use rd_ftl::{
+    fnv1a, fold_word, ControllerPolicy, Die, FtlError, NoMitigation, ReadFidelity, SnapError,
+    SsdConfig, FNV_OFFSET,
+};
 use rd_workloads::{OpKind, TraceOp};
 
 use crate::pool::{PoolHandle, WorkerPool};
 use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
-use crate::stats::{fnv1a, fold_page, DieStats, EngineStats, LatencyHistogram, FNV_OFFSET};
+use crate::stats::{DieStats, EngineStats, LatencyHistogram};
 use crate::timing::Timing;
 use crate::topology::Topology;
 
@@ -880,10 +883,12 @@ impl<P: ControllerPolicy> Engine<P> {
 
     /// The [`EngineStats::data_digest`] of [`Engine::stats`], without
     /// building the rest of the snapshot: the per-die digests folded by
-    /// [`fnv1a`] in die order. Each die folds every page it decodes eight
-    /// bytes per round ([`crate::fold_page`]) on the payload tiers
-    /// (`PageAnalytic`, `CellExact`), and every read's corrected-error count
-    /// in one round on the payload-free `BlockAggregate` tier.
+    /// [`fnv1a`] in die order. On the payload tiers (`PageAnalytic`,
+    /// `CellExact`) each die folds, for every page it decodes, the page's
+    /// `fold_page(FNV_OFFSET, payload)` its chip recorded at program time
+    /// ([`rd_ftl::DecodedRead::digest`]), in one [`crate::fold_word`]
+    /// round; on the payload-free `BlockAggregate` tier, every read's
+    /// corrected-error count in one round.
     pub fn data_digest(&self) -> u64 {
         self.die_digest.iter().fold(FNV_OFFSET, |digest, dd| fnv1a(digest, &dd.to_le_bytes()))
     }
@@ -1611,18 +1616,18 @@ fn execute_die<P: ControllerPolicy>(
             addr => addr,
         };
         let (result, corrected, data) = match kind {
-            // The decoded page is digested where it lives (the chip's
-            // stored payload) and copied only for a capturing caller.
+            // The decoded page is digested by the word its chip recorded
+            // when it programmed it, and copied only for a capturing caller.
             ReqKind::Read => match die.read_with(die_lpa, |r| {
-                // Payload-carrying tiers digest the decoded bytes, eight a
-                // round; the aggregate tier carries no payload, so its
-                // digest folds the corrected-error count (the read's full
-                // information content) in one xor-multiply round — order-
-                // and value-sensitive, without a walk over bytes.
+                // Payload-carrying tiers fold the page's recorded digest in
+                // one `fold_page` round, not its bytes; the aggregate tier
+                // carries no payload, so its digest folds the corrected-
+                // error count (the read's full information content) in one
+                // xor-multiply round. Both are order- and value-sensitive.
                 digest = if r.data.is_empty() {
                     (digest ^ r.corrected_errors).wrapping_mul(0x0000_0100_0000_01B3)
                 } else {
-                    fold_page(digest, r.data)
+                    fold_word(digest, r.digest)
                 };
                 (r.corrected_errors, ctx.capture.then(|| r.data.to_vec()))
             }) {

@@ -50,6 +50,7 @@ pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;
 // Re-export: the per-die read-path fidelity knob (see `rd_flash::fidelity`).
 pub use rd_ftl::ReadFidelity;
-pub use stats::{fnv1a, fold_page, DieStats, EngineStats, LatencyHistogram, FNV_OFFSET};
+pub use rd_ftl::{fnv1a, fold_page, fold_word, FNV_OFFSET};
+pub use stats::{DieStats, EngineStats, LatencyHistogram};
 pub use timing::Timing;
 pub use topology::Topology;

@@ -3,7 +3,7 @@
 //! paper's SSD-scale evaluation tracks.
 
 use rd_ftl::wire::{Reader, Writer};
-use rd_ftl::{ReadFidelity, SnapError, SsdStats};
+use rd_ftl::{fnv1a, ReadFidelity, SnapError, SsdStats, FNV_OFFSET};
 
 /// Per-die snapshot inside an [`EngineStats`].
 #[derive(Debug, Clone, PartialEq)]
@@ -25,9 +25,10 @@ pub struct DieStats {
     pub hottest_block_reads: u64,
     /// Digest of every read this die decoded, in service order (the per-die
     /// term the engine-level [`EngineStats::data_digest`] folds in die
-    /// order): each decoded page through [`fold_page`] on the payload tiers,
-    /// each read's corrected-error count in one xor-multiply round on the
-    /// payload-free aggregate tier. Carried per die so sharded deployments
+    /// order): on the payload tiers each decoded page's recorded
+    /// `fold_page(FNV_OFFSET, payload)` through one [`rd_ftl::fold_word`]
+    /// round, on the payload-free aggregate tier each read's corrected-error
+    /// count in one xor-multiply round. Carried per die so sharded deployments
     /// ([`EngineStats::merge_shards`]) can rebuild the exact monolithic digest.
     pub digest: u64,
     /// The die's controller counters (writes, erases, corrected bits, …).
@@ -86,10 +87,12 @@ pub struct EngineStats {
     /// Mean end-to-end request latency (µs).
     pub latency_mean_us: f64,
     /// The per-die [`DieStats::digest`]s folded by [`fnv1a`] in die order — a
-    /// bit-exact fingerprint of all data the engine served. A die folds each
-    /// decoded page eight bytes per round ([`fold_page`]) at the
-    /// `PageAnalytic` and `CellExact` tiers, and each read's corrected-error
-    /// count at `BlockAggregate`, which carries no payload.
+    /// bit-exact fingerprint of all data the engine served. At the
+    /// `PageAnalytic` and `CellExact` tiers a die folds each decoded page's
+    /// digest, `fold_page(FNV_OFFSET, payload)` recorded when the chip
+    /// programmed the page, in one [`rd_ftl::fold_word`] round; at
+    /// `BlockAggregate`, which carries no payload, each read's
+    /// corrected-error count.
     pub data_digest: u64,
     /// Per-die breakdown, indexed by die id.
     pub per_die: Vec<DieStats>,
@@ -358,51 +361,10 @@ impl LatencyHistogram {
     }
 }
 
-/// FNV-1a offset basis (the digest's initial state). Public so external
-/// digest-parity harnesses can fold per-die digests the way
-/// [`EngineStats::merge_shards`] does.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into an FNV-1a 64-bit digest.
-///
-/// Byte-serial, so it is kept off the per-read path: it folds the per-die
-/// digests into [`EngineStats::data_digest`] ([`crate::Engine::data_digest`],
-/// [`EngineStats::merge_shards`]), the `len % 8` tail of [`fold_page`], and
-/// the fleet's slot and row digests; the benchmark hashes each workload's
-/// statistics into its fingerprint with it.
-pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Multiplier of [`fold_page`]'s word round: 2⁶⁴ over the golden ratio.
-const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Folds a decoded page into a die's payload digest eight bytes per round.
-///
-/// Each little-endian word `w` is xored into `hash`, the result multiplied
-/// to 128 bits by an odd constant (2⁶⁴ over the golden ratio), and the two
-/// halves xored into the new `hash`; the `len % 8` tail bytes go through
-/// [`fnv1a`], so every byte reaches the digest. The high half is what
-/// carries a flipped top bit into the low bits: a wrapping multiply by an
-/// odd constant (FNV's prime, applied to whole words) never carries
-/// downwards, so flips of bit 63 in two words would cancel.
-pub fn fold_page(mut hash: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8-byte words"));
-        let p = u128::from(hash ^ w) * u128::from(FOLD_K);
-        hash = (p as u64) ^ ((p >> 64) as u64);
-    }
-    fnv1a(hash, words.remainder())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rd_ftl::fold_page;
 
     #[test]
     fn iops_and_totals() {

@@ -17,6 +17,7 @@
 //! a per-wordline disturb adjustment — and samples every read at O(errors).
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,9 +26,10 @@ use crate::aggregate_block::AggregateState;
 use crate::bits;
 use crate::block::{pack_page, Block};
 use crate::cell_array::{CellArray, OperatingPoint, SenseScratch};
+use crate::digest::{fold_page, FNV_OFFSET};
 use crate::error::FlashError;
 use crate::fidelity::ReadFidelity;
-use crate::geometry::Geometry;
+use crate::geometry::{Geometry, PageAddr, PageKind};
 use crate::ledger::{BlockLedger, BlockStatus};
 use crate::params::{ChipParams, NOMINAL_VPASS};
 use crate::sampler::{ByteSink, CountSink, ReadSink};
@@ -177,6 +179,11 @@ pub struct Chip {
     params: ChipParams,
     ledger: BlockLedger,
     storage: Storage,
+    /// `fold_page(FNV_OFFSET, payload)` of every programmed page, recorded
+    /// when [`Chip::program_page`] stores it, at `b * pages_per_block +
+    /// page`; empty on the payload-free aggregate tier. Never checkpointed:
+    /// a restore recomputes it.
+    digests: Vec<u64>,
     rng: StdRng,
     /// ECC correction capability hint (error bits per page) used by the
     /// block-aggregate tier to compute ECC-margin crossings analytically.
@@ -227,7 +234,9 @@ impl Chip {
         let empty_writes = params.fidelity == ReadFidelity::BlockAggregate;
         let ledger =
             BlockLedger::new(geometry.blocks, geometry.pages_per_block(), bitlines, empty_writes);
-        Self { geometry, params, ledger, storage, rng, read_margin: None }
+        let pages = if empty_writes { 0 } else { geometry.blocks * geometry.pages_per_block() };
+        let digests = vec![0; pages as usize];
+        Self { geometry, params, ledger, storage, digests, rng, read_margin: None }
     }
 
     /// Tells the chip the decoder's per-page correction capability (error
@@ -312,6 +321,11 @@ impl Chip {
         }
         self.rng = StdRng::from_state(rng_state);
         self.read_margin = read_margin;
+        if !self.digests.is_empty() {
+            for block in 0..self.geometry.blocks {
+                self.record_digests(block, 0..self.geometry.pages_per_block());
+            }
+        }
         Ok(())
     }
 
@@ -415,6 +429,11 @@ impl Chip {
         let Self { params, ledger, storage, rng, .. } = self;
         ledger.erase(block as usize, cycles);
         storage.reset(params, ledger, block as usize, rng);
+        if !self.digests.is_empty() {
+            let ppb = self.geometry.pages_per_block() as usize;
+            let b = block as usize;
+            self.digests[b * ppb..(b + 1) * ppb].fill(0);
+        }
         Ok(())
     }
 
@@ -422,7 +441,8 @@ impl Chip {
     /// before their MSB page (real MLC program order); programming an MSB
     /// page whose LSB page was never written treats the LSB data as
     /// all-ones (erased). The first page after an erase restarts the
-    /// block's retention clock.
+    /// block's retention clock. On the payload tiers it records the page's
+    /// digest ([`Chip::stored_page`]); erasing the block drops it.
     ///
     /// # Errors
     ///
@@ -441,13 +461,39 @@ impl Chip {
             self.storage.op_point_moved(b);
         }
         let Self { params, ledger, storage, rng, .. } = self;
-        match storage {
+        let recorded = match storage {
             Storage::Exact { blocks, .. } => {
                 blocks[b].program_page(params, rng, ledger, b, page, data);
+                // A cell-exact LSB program after its MSB rewrites the
+                // wordline's intended states, and with them the MSB page's
+                // bits (page + 1), which are recorded again; an MSB program
+                // keeps the LSB bits.
+                match (PageAddr { block, page }).kind() {
+                    PageKind::Lsb => page..page + 2,
+                    PageKind::Msb => page..page + 1,
+                }
             }
-            Storage::ClosedForm { state } => state.program_page(b, page, data),
+            Storage::ClosedForm { state } => {
+                state.program_page(b, page, data);
+                page..page + 1
+            }
+        };
+        // The aggregate tier keeps no payloads, so no digests.
+        if !self.digests.is_empty() {
+            self.record_digests(block, recorded);
         }
         Ok(())
+    }
+
+    /// Records the digest of each programmed page of `block` in `pages`.
+    fn record_digests(&mut self, block: u32, pages: Range<u32>) {
+        let first = (block * self.geometry.pages_per_block()) as usize;
+        for page in pages {
+            if let Ok(payload) = self.page_payload(block, page) {
+                let digest = fold_page(FNV_OFFSET, &payload);
+                self.digests[first + page as usize] = digest;
+            }
+        }
     }
 
     /// Programs every page of a block with pseudo-random data derived from
@@ -855,11 +901,25 @@ impl Chip {
             },
             _ if !programmed => Err(FlashError::PageNotProgrammed { page }),
             Storage::Exact { blocks, .. } => {
-                let addr = crate::geometry::PageAddr { block, page };
+                let addr = PageAddr { block, page };
                 let cells = blocks[b].cells();
                 Ok(Cow::Owned(pack_page(cells.intended_wordline(addr.wordline()), addr.kind())))
             }
         }
+    }
+
+    /// A programmed page's payload ([`Chip::page_payload`]) with the digest
+    /// [`Chip::program_page`] recorded for it, `fold_page(FNV_OFFSET,
+    /// payload)`: what a consumer that fingerprints its reads folds instead
+    /// of the page's bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Chip::page_payload`].
+    pub fn stored_page(&self, block: u32, page: u32) -> Result<(Cow<'_, [u8]>, u64), FlashError> {
+        let payload = self.page_payload(block, page)?;
+        let i = block * self.geometry.pages_per_block() + page;
+        Ok((payload, self.digests[i as usize]))
     }
 }
 
@@ -1252,5 +1312,80 @@ mod tests {
         // Without a hint the chip must assume a standalone caller and sample.
         chip.set_read_margin(None);
         assert!(chip.read_page(0, 0).is_ok());
+    }
+
+    /// Checks that every programmed page's recorded digest is the fold of
+    /// its payload as the chip serves it now.
+    fn assert_digests_current(chip: &Chip, when: &str) {
+        let geometry = chip.geometry();
+        for block in 0..geometry.blocks {
+            for page in 0..geometry.pages_per_block() {
+                match chip.stored_page(block, page) {
+                    Ok((payload, digest)) => assert_eq!(
+                        digest,
+                        fold_page(FNV_OFFSET, &payload),
+                        "{}: block {block} page {page} {when}",
+                        chip.fidelity()
+                    ),
+                    Err(FlashError::PageNotProgrammed { .. }) => {}
+                    Err(e) => panic!("{}: block {block} page {page} {when}: {e}", chip.fidelity()),
+                }
+            }
+        }
+    }
+
+    /// A chip rebuilt (under another seed) from `chip`'s checkpoint.
+    fn restored(chip: &Chip) -> Chip {
+        let mut w = crate::wire::Writer::new();
+        chip.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut copy =
+            Chip::with_fidelity(chip.geometry(), chip.params().clone(), 99, chip.fidelity());
+        copy.restore_state(&mut crate::wire::Reader::new(&bytes)).unwrap();
+        copy
+    }
+
+    #[test]
+    fn recorded_page_digests_follow_program_erase_and_restore() {
+        use rand::Rng;
+        // 65-byte pages: the digest folds a one-byte tail too.
+        let geometry =
+            Geometry { blocks: 4, wordlines_per_block: 8, bitlines: 520, bits_per_cell: 2 };
+        for fidelity in [ReadFidelity::CellExact, ReadFidelity::PageAnalytic] {
+            let mut chip = Chip::with_fidelity(geometry, ChipParams::default(), 5, fidelity);
+            let mut rng = StdRng::seed_from_u64(11);
+            let page_data = |rng: &mut StdRng| bits::random(rng, 520);
+            // MSB after LSB on wordline 0; LSB after MSB on wordline 1, whose
+            // LSB program rewrites the intended states under the MSB page.
+            for page in [0, 1, 3, 2] {
+                chip.program_page(0, page, &page_data(&mut rng)).unwrap();
+                assert_digests_current(&chip, &format!("after programming page {page}"));
+            }
+            for step in 0..300 {
+                let block = rng.gen_range(0..geometry.blocks);
+                match rng.gen_range(0..20) {
+                    0 => chip.erase_block(block).unwrap(),
+                    1 => chip.cycle_block(block, rng.gen_range(1..500)).unwrap(),
+                    2 => {
+                        let copy = restored(&chip);
+                        assert_eq!(copy.digests, chip.digests, "{fidelity}: step {step}");
+                        chip = copy;
+                    }
+                    _ => {
+                        let page = rng.gen_range(0..geometry.pages_per_block());
+                        let data = page_data(&mut rng);
+                        let programmed = chip.is_page_programmed(block, page).unwrap();
+                        assert_eq!(chip.program_page(block, page, &data).is_err(), programmed);
+                    }
+                }
+                assert_digests_current(&chip, &format!("at step {step}"));
+            }
+        }
+        let mut chip =
+            Chip::with_fidelity(geometry, ChipParams::default(), 5, ReadFidelity::BlockAggregate);
+        chip.program_page(0, 0, &[]).unwrap();
+        let _ = restored(&chip);
+        assert!(chip.digests.is_empty(), "a block-aggregate chip keeps no digest lane");
+        assert!(matches!(chip.stored_page(0, 0), Err(FlashError::FidelityUnsupported { .. })));
     }
 }

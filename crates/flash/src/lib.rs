@@ -77,6 +77,7 @@ mod state;
 pub mod bits;
 mod cell_array;
 pub mod chip;
+mod digest;
 mod error;
 mod geometry;
 pub mod noise;
@@ -90,6 +91,7 @@ mod sampler;
 pub use analytic::AnalyticModel;
 pub use cell_array::{CellArray, OperatingPoint};
 pub use chip::{Chip, VthHistogram};
+pub use digest::{fnv1a, fold_page, fold_word, FNV_OFFSET};
 pub use error::FlashError;
 pub use fidelity::ReadFidelity;
 pub use geometry::{Geometry, PageAddr, PageKind};

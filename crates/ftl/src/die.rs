@@ -101,6 +101,11 @@ pub struct DecodedRead<'a> {
     /// The decoded page: the chip's stored payload, not a copy (empty on
     /// the payload-free aggregate tier).
     pub data: &'a [u8],
+    /// `fold_page(FNV_OFFSET, data)`, recorded when the chip programmed the
+    /// page and looked up with it ([`Chip::stored_page`]), so a consumer
+    /// fingerprints the read in one [`rd_flash::fold_word`] instead of a
+    /// walk over `data` (0 on the aggregate tier).
+    pub digest: u64,
     /// See [`HostRead::corrected_errors`].
     pub corrected_errors: u64,
     /// See [`HostRead::blocked_bitlines`].
@@ -501,9 +506,10 @@ impl<P: ControllerPolicy> Die<P> {
         };
         // ECC corrected the read (directly or via a recovered re-read):
         // the original (intended) data.
-        let data = decoded_payload(&self.chip, ppa.block, ppa.page)?;
+        let (data, digest) = decoded_page(&self.chip, ppa.block, ppa.page)?;
         let consumed = consume(DecodedRead {
             data: &data,
+            digest,
             corrected_errors,
             blocked_bitlines: raw.blocked_bitlines,
             ppa,
@@ -711,7 +717,7 @@ impl<P: ControllerPolicy> Die<P> {
         let outcome = self.chip.read_page(block, page)?;
         let data = if outcome.stats.errors <= capability {
             self.stats.corrected_bits += outcome.stats.errors;
-            decoded_payload(&self.chip, block, page)?.into_owned()
+            decoded_page(&self.chip, block, page)?.0.into_owned()
         } else {
             // Same escalation as the host read path: a page the ladder
             // can recover must not be corrupted by its own relocation.
@@ -721,7 +727,7 @@ impl<P: ControllerPolicy> Die<P> {
             match ladder.recovered_errors() {
                 Some(recovered) => {
                     self.stats.corrected_bits += recovered;
-                    decoded_payload(&self.chip, block, page)?.into_owned()
+                    decoded_page(&self.chip, block, page)?.0.into_owned()
                 }
                 None => {
                     self.stats.data_loss_relocations += 1;
@@ -777,15 +783,17 @@ impl<P: ControllerPolicy> Die<P> {
     }
 }
 
-/// Payload of a read the ECC pipeline decoded: the chip's stored page. The
+/// Payload of a read the ECC pipeline decoded, the chip's stored page, with
+/// the digest the chip recorded for it ([`Chip::stored_page`]). The
 /// aggregate tier keeps error counts only (no page payloads), so decoded
-/// reads hand back an empty buffer instead of querying the intended-bits
-/// oracle it cannot serve.
-fn decoded_payload(chip: &Chip, block: u32, page: u32) -> Result<Cow<'_, [u8]>, FtlError> {
+/// reads hand back an empty buffer and a zero digest instead of querying
+/// the intended-bits oracle it cannot serve.
+#[inline]
+fn decoded_page(chip: &Chip, block: u32, page: u32) -> Result<(Cow<'_, [u8]>, u64), FtlError> {
     if chip.fidelity() == ReadFidelity::BlockAggregate {
-        return Ok(Cow::Borrowed(&[]));
+        return Ok((Cow::Borrowed(&[]), 0));
     }
-    Ok(chip.page_payload(block, page)?)
+    Ok(chip.stored_page(block, page)?)
 }
 
 #[cfg(test)]

@@ -62,9 +62,10 @@ pub use rd_flash::chips;
 pub use rd_flash::wire;
 pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};
 // Re-exports: the fidelity knob threads ChipParams → SsdConfig → Die →
-// EngineConfig, and `ControllerPolicy::on_read` takes the chip; rd-engine
-// reaches both through this crate.
-pub use rd_flash::{Chip, ReadFidelity, SnapError};
+// EngineConfig, `ControllerPolicy::on_read` takes the chip, and a
+// `DecodedRead` carries its page's `fold_page` digest; rd-engine reaches
+// all three through this crate.
+pub use rd_flash::{fnv1a, fold_page, fold_word, Chip, ReadFidelity, SnapError, FNV_OFFSET};
 pub use recovery::{
     ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport, RetrySweep, StepAttempt,
 };

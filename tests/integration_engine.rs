@@ -3,6 +3,7 @@
 //! error totals, same per-block read-disturb accumulation — because both
 //! wrap the same `rd_ftl::Die` with the same seed.
 
+use readdisturb::ftl::wire::{Reader, Writer};
 use readdisturb::ftl::{Die, FtlError};
 use readdisturb::prelude::*;
 use readdisturb::workloads::{OpKind, TraceOp};
@@ -130,10 +131,12 @@ fn multi_die_replay_conserves_trace_counts() {
 /// kernel (`rd_flash::cell_array`); it may not move a simulated number.
 /// These are the statistics the per-cell loops it replaced produced for
 /// this replay (recorded at commit 56caf17), at either thread count. The
-/// data digest (the first element) was re-recorded once when the engine
+/// data digest (the first element) was re-recorded twice: when the engine
 /// began folding each decoded page eight bytes per round (`fold_page`)
-/// instead of byte by byte with FNV-1a (it was 13_985_599_615_842_755_045);
-/// the other six are 56caf17's.
+/// instead of byte by byte with FNV-1a (it was 13_985_599_615_842_755_045),
+/// and when it began folding the one word the chip recorded for each page
+/// when programming it (it was 4_710_154_430_826_591_252); the other six
+/// are 56caf17's.
 #[test]
 fn cell_exact_replay_statistics_are_pinned() {
     let seed = 2015;
@@ -160,8 +163,81 @@ fn cell_exact_replay_statistics_are_pinned() {
                 totals.erases,
                 stats.uncorrectable_reads,
             ),
-            (4_710_154_430_826_591_252, 133, 6_821, 1_947, 3_552, 293, 0),
+            (6_668_663_498_911_304_383, 133, 6_821, 1_947, 3_552, 293, 0),
             "at {threads} thread(s)"
         );
+    }
+}
+
+/// A filled 2×2 engine at `fidelity`.
+fn filled_engine(seed: u64, fidelity: ReadFidelity, threads: usize) -> Engine {
+    let topology = Topology { channels: 2, dies_per_channel: 2 };
+    let mut config = engine_config(seed, topology);
+    config.die = config.die.with_fidelity(fidelity);
+    config.capture_read_data = false;
+    let mut engine = Engine::new(config).unwrap();
+    let fill =
+        (0..engine.logical_pages()).map(|lpa| TraceOp { kind: OpKind::Write, lpa, time_s: 0.0 });
+    engine.replay_stats_only(fill, threads);
+    engine
+}
+
+/// Reads of `lpas`, in order.
+fn reads(lpas: impl IntoIterator<Item = u64>) -> Vec<TraceOp> {
+    lpas.into_iter().map(|lpa| TraceOp { kind: OpKind::Read, lpa, time_s: 0.0 }).collect()
+}
+
+/// A page-analytic engine digests each decoded page by the word its chip
+/// recorded when programming it. Two engines whose only difference is one
+/// bit of one stored page (put there by a die checkpoint restore, which
+/// records the digests afresh) must agree on every read but that page's,
+/// and disagree once it is read.
+#[test]
+fn one_flipped_page_bit_moves_the_digest_once_the_page_is_read() {
+    let seed = 2015;
+    let mut reference = filled_engine(seed, ReadFidelity::PageAnalytic, 2);
+    let mut flipped = filled_engine(seed, ReadFidelity::PageAnalytic, 2);
+    let dies = u64::from(reference.config().topology.dies());
+    let target = 37;
+    let die = (target % dies) as u32;
+    let ppa = reference.die(die).map().lookup(target / dies).expect("the fill wrote every page");
+    let stored = reference.die(die).chip().page_payload(ppa.block, ppa.page).unwrap().into_owned();
+
+    let mut w = Writer::new();
+    flipped.die(die).encode_state(&mut w);
+    let mut bytes = w.into_bytes();
+    let at = bytes.windows(stored.len()).position(|window| window == stored.as_slice());
+    let at = at.expect("a die checkpoint carries the stored page");
+    bytes[at + 100] ^= 0x10;
+    flipped.die_mut(die).restore_state(&mut Reader::new(&bytes)).unwrap();
+    let changed = flipped.die(die).chip().page_payload(ppa.block, ppa.page).unwrap();
+    let differing: u32 = stored.iter().zip(changed.iter()).map(|(a, b)| (a ^ b).count_ones()).sum();
+    assert_eq!(differing, 1, "the restore must change exactly one stored bit");
+
+    let others = reads((0..reference.logical_pages()).filter(|&lpa| lpa != target));
+    let a = reference.replay_stats_only(others.iter().copied(), 2);
+    let b = flipped.replay_stats_only(others.iter().copied(), 2);
+    assert_eq!(a.data_digest, b.data_digest, "a page nobody read moved the digest");
+    assert_eq!(a, b);
+
+    let a = reference.replay_stats_only(reads([target]), 2);
+    let b = flipped.replay_stats_only(reads([target]), 2);
+    assert_eq!((a.reads, a.uncorrectable_reads), (reference.logical_pages(), 0));
+    assert_ne!(a.data_digest, b.data_digest, "the flipped page was read and the digest held");
+    assert_eq!(a.per_die[die as usize ^ 1].digest, b.per_die[die as usize ^ 1].digest);
+}
+
+/// The payload-free aggregate tier folds each read's corrected-error count,
+/// which the recorded page digests do not touch: the digest of this replay
+/// is the one recorded before payload pages carried a digest of their own
+/// (what keeps the `replay-mixed`, `serve-mixed` and `fleet-lifetime`
+/// fingerprints), at either thread count.
+#[test]
+fn aggregate_replay_digest_is_pinned() {
+    let seed = 2015;
+    for threads in [1, 2] {
+        let mut engine = filled_engine(seed, ReadFidelity::BlockAggregate, threads);
+        let stats = engine.replay_stats_only(trace(seed, 8_000), threads);
+        assert_eq!(stats.data_digest, 8_651_053_939_730_361_363, "at {threads} thread(s)");
     }
 }

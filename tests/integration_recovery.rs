@@ -258,13 +258,15 @@ where
 /// every read of this run then materialized, corrupted and re-compared a
 /// full page. The count-only reads (ladder rungs, tuner probes, host reads
 /// under a tick-only policy) must land on the same digest and counters.
-/// Element 0, the data digest, was re-recorded once when the engine began
-/// folding each decoded page eight bytes per round (`fold_page`) instead
-/// of byte by byte with FNV-1a (it was 9709479594948248871): the same
-/// pages reach it, under another fold. The six counters are 9f68a0e's.
+/// Element 0, the data digest, was re-recorded twice, the same pages
+/// reaching it under another fold each time: when the engine began folding
+/// each decoded page eight bytes per round (`fold_page`) instead of byte by
+/// byte with FNV-1a (it was 9709479594948248871), and when it began folding
+/// the one word its chip recorded for the page when programming it (it was
+/// 12543777059110965207). The six counters are 9f68a0e's.
 #[test]
 fn count_first_pipeline_matches_the_materializing_parent_under_vpass_tuning() {
-    const PARENT: PipelineRow = (12543777059110965207, 2295, 328, 9279, 5171, 3515, 14980);
+    const PARENT: PipelineRow = (9372948417196246184, 2295, 328, 9279, 5171, 3515, 14980);
     for threads in [1, 2] {
         let stats = hammered_analytic_replay(VpassTuner::default(), threads);
         assert_eq!(pipeline_row(&stats), PARENT, "{threads} thread(s)");
@@ -277,10 +279,11 @@ fn count_first_pipeline_matches_the_materializing_parent_under_vpass_tuning() {
 /// at; they are count-only now, as every policy's are, and must stay on the
 /// digest and counters of that materializing branch (values recorded at
 /// commit 9f68a0e; element 0, the data digest, re-recorded for the
-/// eight-bytes-per-round page fold as above — it was 8218770412743587499).
+/// eight-bytes-per-round page fold as above — it was 8218770412743587499 —
+/// and for the recorded page digest — it was 9560771601823409599).
 #[test]
 fn request_observing_policy_keeps_the_materializing_read_branch() {
-    const PARENT: PipelineRow = (9560771601823409599, 776, 7, 5301, 3146, 0, 14481);
+    const PARENT: PipelineRow = (1985846387163200756, 776, 7, 5301, 3146, 0, 14481);
     let stats = hammered_analytic_replay(ReadReclaim { read_threshold: 2_000 }, 2);
     assert_eq!(pipeline_row(&stats), PARENT);
     assert!(stats.totals().reclaims > 0, "the reclaim policy never fired");
