@@ -43,8 +43,7 @@ fn snapshot(chip: &Chip, va: f64) -> (f64, u64, u64) {
     let (mut sum, mut n, mut er_near, mut p1_near) = (0.0, 0u64, 0u64, 0u64);
     let cells_current = (0..geometry.wordlines_per_block).flat_map(|wl| {
         let op = chip.operating_point(0, wl).expect("in-range wordline");
-        (0..geometry.bitlines)
-            .map(move |bl| (cells.intended_state(wl, bl), cells.current_vth(params, wl, bl, op)))
+        cells.wordline_states(wl).zip(cells.wordline_current_vth(params, wl, op))
     });
     for (state, vth) in cells_current {
         match state {

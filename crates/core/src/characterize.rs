@@ -423,10 +423,11 @@ pub fn fig10_rdr(scale: Scale, seed: u64) -> Result<Fig10Data, CoreError> {
     let rdr = Rdr::default();
     let grid = [0u64, 200_000, 400_000, 600_000, 800_000, 1_000_000];
     let mut points = Vec::new();
+    let fresh = scale.chip(8_000, seed)?;
     for &reads in &grid {
         // Fresh chip per point: RDR's own induced disturbs must not leak
         // into the next measurement.
-        let mut chip = scale.chip(8_000, seed)?;
+        let mut chip = fresh.clone();
         chip.apply_read_disturbs(0, reads)?;
         let outcome = rdr.recover_block(&mut chip, 0)?;
         let no_recovery = chip.block_rber(0)?.rate();
@@ -518,9 +519,7 @@ pub fn ext_partial_block(scale: Scale, seed: u64) -> Result<Vec<PartialBlockRow>
     let erased_mean = |chip: &Chip| -> f64 {
         let cells = chip.cells(0).expect("cell-exact block");
         let op = chip.operating_point(0, erased_wl).expect("in-range wordline");
-        (0..scale.bitlines)
-            .map(|bl| cells.current_vth(chip.params(), erased_wl, bl, op))
-            .sum::<f64>()
+        cells.wordline_current_vth(chip.params(), erased_wl, op).sum::<f64>()
             / scale.bitlines as f64
     };
     let baseline = erased_mean(&chip);

@@ -236,9 +236,7 @@ pub(crate) fn errors_vs_intended(
         if !lsb_on && !msb_on {
             continue;
         }
-        for bl in 0..geometry.bitlines {
-            let intended = cells.intended_state(wl, bl);
-            let got = corrected[wl as usize][bl as usize];
+        for (intended, &got) in cells.wordline_states(wl).zip(&corrected[wl as usize]) {
             if lsb_on {
                 bits += 1;
                 errors += u64::from(got.lsb() != intended.lsb());

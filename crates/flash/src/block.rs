@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 
 use crate::bits;
-use crate::cell_array::{CellArray, Level, OperatingPoint, Screen, Sense, SenseScratch};
+use crate::cell_array::{CellArray, CellLanes, Level, OperatingPoint, Screen, Sense, SenseScratch};
 use crate::chip::ReadOutcome;
 use crate::error::FlashError;
 use crate::geometry::{PageAddr, PageKind};
@@ -31,6 +31,16 @@ pub(crate) struct Block {
     /// Cell indices whose base Vth can possibly exceed a relaxed Vpass.
     candidates: Vec<u32>,
     candidate_floor: f64,
+}
+
+/// A checkpoint's block state, decoded and checked against the block it
+/// will restore ([`Block::decode_state`]).
+#[derive(Debug)]
+pub(crate) struct BlockLanes {
+    dose: f64,
+    wordline_extra_dose: Vec<f64>,
+    candidates: Vec<u32>,
+    cells: CellLanes,
 }
 
 /// The Gray code of a state index ([`crate::state::gray_code`], on the
@@ -76,7 +86,7 @@ impl Block {
         rng: &mut StdRng,
     ) -> Self {
         let cells = CellArray::new(wordlines, bitlines, params, rng);
-        let candidate_floor = params.min_vpass.min(params.outlier_base) - 2.0;
+        let candidate_floor = CellArray::candidate_floor(params);
         let mut block = Self {
             wordlines,
             bitlines,
@@ -206,14 +216,16 @@ impl Block {
         self.cells.encode_state(w);
     }
 
-    /// Restores block state and ledger row `b` into a freshly built block
-    /// of identical geometry and parameters.
-    pub(crate) fn restore_state(
-        &mut self,
+    /// Decodes what [`Block::encode_state`] wrote for a block of identical
+    /// geometry and parameters: ledger row `b` goes into `ledger` (a staging
+    /// copy, row by row), the block's own state is returned for
+    /// [`Block::restore`]. This block is not touched.
+    pub(crate) fn decode_state(
+        &self,
         ledger: &mut BlockLedger,
         b: usize,
         r: &mut Reader<'_>,
-    ) -> Result<(), SnapError> {
+    ) -> Result<BlockLanes, SnapError> {
         let (dose, wordline_extra_dose) = ledger.restore_row(b, r, |r| {
             let dose_lanes = (r.get_f64()?, r.get_f64s()?);
             if dose_lanes.1.len() != self.wordlines as usize {
@@ -225,11 +237,16 @@ impl Block {
         if candidates.iter().any(|&i| i as usize >= self.cells.len()) {
             return Err(SnapError::Mismatch("candidate index out of range".into()));
         }
-        self.cells.restore_state(r)?;
-        self.dose = dose;
-        self.wordline_extra_dose = wordline_extra_dose;
-        self.candidates = candidates;
-        Ok(())
+        let cells = self.cells.decode_state(r)?;
+        Ok(BlockLanes { dose, wordline_extra_dose, candidates, cells })
+    }
+
+    /// Takes decoded state as the block's.
+    pub(crate) fn restore(&mut self, lanes: BlockLanes) {
+        let BlockLanes { dose, wordline_extra_dose, candidates, cells } = lanes;
+        (self.dose, self.wordline_extra_dose, self.candidates) =
+            (dose, wordline_extra_dose, candidates);
+        self.cells.restore(cells);
     }
 
     /// Applies the disturb effect of `n` reads *spread across the block*
@@ -306,6 +323,7 @@ impl Block {
         if disturb {
             self.hammer_wordline(params, ledger, b, wl, 1);
         }
+        self.cells.materialize(wl);
         let sense = self.sense(params, ledger, b);
         self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let blocked_bitlines =
@@ -398,6 +416,7 @@ impl Block {
         if disturb {
             self.hammer_wordline(params, ledger, b, wordline, steps);
         }
+        self.cells.materialize(wordline);
         let sense = self.sense(params, ledger, b);
         self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let mut out: Vec<f64> = self

@@ -54,6 +54,37 @@
 //! oracles, and the pass-through decision (is a cell above Vpass), which
 //! compares the voltage rounded to `f32` and so uses a guard wide enough
 //! to cover that rounding.
+//!
+//! ## Pending wordlines: an erase draws nothing it does not have to
+//!
+//! An erase places every cell at `mean_ER + σ_ER·z`, one Box–Muller draw per
+//! cell from the chip's generator, and the next program of each wordline
+//! overwrites all of them; a figure chip or an FTL's GC block is erased and
+//! then programmed whole, so almost none of those draws is ever sensed.
+//! [`CellArray::erase`] therefore sets the intended states at once but, for
+//! each wordline, only saves the generator's state and advances it past the
+//! wordline's draws ([`retention::skip_standard_normal`]: the same uniforms,
+//! no `ln`/`cos`). The wordline is *pending*: its erased voltages are drawn
+//! from that saved state — the same `f32` bits the eager loop wrote, since
+//! they are the same draws — only when something observes them:
+//!
+//! * a read or a voltage sweep of the wordline (`&mut` paths) writes them in
+//!   place, once ([`CellArray::materialize`]);
+//! * the `&self` observers — the Vth histogram, a checkpoint, the per-wordline
+//!   accessors behind [`crate::Chip::cells`] — regenerate one wordline at a
+//!   time as they walk it; the per-cell [`CellArray::current_vth`] advances
+//!   past the bitlines before its cell and draws one.
+//!
+//! Programming a wordline overwrites every cell, so it drops the record; a
+//! restore clears them all. A pending wordline is never programmed, so the
+//! RBER oracles never sense one. The pass-through candidates (cells whose
+//! base voltage exceeds the block's candidate floor) skip pending wordlines
+//! by a bound rather than by looking: an accepted `u1` is at least 2⁻⁵³, so
+//! `|z| ≤ √(106·ln 2) ≈ 8.57 <` [`retention::NORMAL_Z_BOUND`], and no erased
+//! cell can exceed the floor while `mean_ER + 8.6·σ_ER` (rounded to `f32`,
+//! as the lane is) does not — ~180 against a floor of 458 at the default
+//! parameters and 8K P/E; σ_ER widens with wear, and the bound holds to
+//! ~850K P/E. Where it fails, `erase` draws every wordline at once.
 
 use std::f64::consts::LN_2;
 
@@ -61,7 +92,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::noise::{pe_cycling, read_disturb, retention};
-use crate::params::ChipParams;
+use crate::params::{ChipParams, StateParams};
 use crate::state::{CellState, VoltageRefs, ALL_STATES};
 use crate::wire::{Reader, SnapError, Writer};
 
@@ -93,9 +124,38 @@ pub struct CellArray {
     wordlines: u32,
     bitlines: u32,
     intended: Vec<u8>,
+    /// Stale on a pending wordline (module docs).
     base_vth: Vec<f32>,
     leak: Vec<f32>,
     susceptibility: Vec<f32>,
+    /// Per wordline, the generator as the last erase found it there, while
+    /// the wordline's erased voltages are still undrawn (module docs).
+    pending: Vec<Option<StdRng>>,
+    /// The erased-state distribution of the last erase.
+    erased: StateParams,
+}
+
+/// The erased base voltage of the next cell a pending wordline's generator
+/// reaches: the eager erase's expression, draw for draw.
+#[inline]
+fn erased_base(erased: StateParams, rng: &mut StdRng) -> f32 {
+    (erased.mean + erased.sigma * retention::sample_standard_normal(rng)) as f32
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Erases on this thread go through [`CellArray::erase_eager`]: the
+    /// reference twin of the lazy-erase tests ([`with_eager_erase`]).
+    static EAGER_ERASE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every erase on this thread drawing its cells eagerly.
+#[cfg(test)]
+pub(crate) fn with_eager_erase<T>(f: impl FnOnce() -> T) -> T {
+    EAGER_ERASE.with(|eager| eager.set(true));
+    let out = f();
+    EAGER_ERASE.with(|eager| eager.set(false));
+    out
 }
 
 /// A wordline's operating point with everything that does not vary from cell
@@ -227,6 +287,16 @@ impl Screen {
     }
 }
 
+/// A checkpoint's per-cell lanes, decoded and checked against the array
+/// they will restore ([`CellArray::decode_state`]).
+#[derive(Debug)]
+pub(crate) struct CellLanes {
+    intended: Vec<u8>,
+    base_vth: Vec<f32>,
+    leak: Vec<f32>,
+    susceptibility: Vec<f32>,
+}
+
 /// Reused buffers of [`CellArray::sense_wordline`] and of the pass-through
 /// decision built on it (one per chip, so a warm read allocates nothing).
 #[derive(Debug, Clone, Default)]
@@ -261,9 +331,18 @@ impl CellArray {
             base_vth: vec![0.0; n],
             leak,
             susceptibility,
+            pending: vec![None; wordlines as usize],
+            erased: params.state_dist(CellState::Er, 0),
         };
         array.erase(params, rng, 0);
         array
+    }
+
+    /// The base voltage above which a cell is a pass-through candidate
+    /// ([`CellArray::passthrough_candidates`]): 2 V under the lower of the
+    /// lowest Vpass the tuner may set and the over-programmed outliers' base.
+    pub(crate) fn candidate_floor(params: &ChipParams) -> f64 {
+        params.min_vpass.min(params.outlier_base) - 2.0
     }
 
     /// Number of cells.
@@ -278,13 +357,91 @@ impl CellArray {
     }
 
     /// Re-samples every cell into the erased distribution. Process-variation
-    /// factors persist (they belong to the physical cell).
+    /// factors persist (they belong to the physical cell). The draws are
+    /// deferred: each wordline is left pending, its voltages drawn when
+    /// first observed — unless an erased cell could reach the candidate
+    /// floor, when they are drawn now (module docs). Either way the
+    /// generator ends where drawing every cell leaves it.
     pub(crate) fn erase(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
+        #[cfg(test)]
+        if EAGER_ERASE.with(std::cell::Cell::get) {
+            return self.erase_eager(params, rng, pe_cycles);
+        }
+        self.intended.fill(CellState::Er.index());
+        self.erased = params.state_dist(CellState::Er, pe_cycles);
+        for pending in &mut self.pending {
+            *pending = Some(rng.clone());
+            for _ in 0..self.bitlines {
+                retention::skip_standard_normal(rng);
+            }
+        }
+        if !Self::erased_stay_below(self.erased, Self::candidate_floor(params)) {
+            (0..self.wordlines).for_each(|wl| self.materialize(wl));
+        }
+    }
+
+    /// Whether no cell erased into `erased` can have a base voltage above
+    /// `floor`: the largest, `mean + NORMAL_Z_BOUND·|σ|`, rounded to `f32`
+    /// as the lane stores it, is not above it. Rounding is monotone, so no
+    /// smaller voltage rounds above it either.
+    fn erased_stay_below(erased: StateParams, floor: f64) -> bool {
+        let highest = erased.mean + retention::NORMAL_Z_BOUND * erased.sigma.abs();
+        f64::from(highest as f32) <= floor
+    }
+
+    /// The erase as it was before pending wordlines: every cell drawn now.
+    /// The reference the lazy erase is tested against.
+    #[cfg(test)]
+    pub(crate) fn erase_eager(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
         let dist = params.state_dist(CellState::Er, pe_cycles);
         for i in 0..self.len() {
             self.intended[i] = CellState::Er.index();
             let z = retention::sample_standard_normal(rng);
             self.base_vth[i] = (dist.mean + dist.sigma * z) as f32;
+        }
+        self.pending.fill(None);
+    }
+
+    /// Whether a wordline's erased voltages are still undrawn.
+    fn is_pending(&self, wordline: u32) -> bool {
+        self.pending[wordline as usize].is_some()
+    }
+
+    /// Draws a pending wordline's erased voltages into its lane; a no-op
+    /// on any other wordline.
+    pub(crate) fn materialize(&mut self, wordline: u32) {
+        if let Some(mut rng) = self.pending[wordline as usize].take() {
+            let lo = self.index(wordline, 0);
+            let erased = self.erased;
+            for base in &mut self.base_vth[lo..lo + self.bitlines as usize] {
+                *base = erased_base(erased, &mut rng);
+            }
+        }
+    }
+
+    /// A wordline's base voltages in bitline order: its lane, or the
+    /// erase's draws regenerated for a pending wordline.
+    fn wordline_bases(&self, wordline: u32) -> impl Iterator<Item = f32> + '_ {
+        let lo = self.index(wordline, 0);
+        let (mut pending, erased) = (self.pending[wordline as usize].clone(), self.erased);
+        let lane = &self.base_vth[lo..lo + self.bitlines as usize];
+        lane.iter().map(move |&stored| match &mut pending {
+            Some(rng) => erased_base(erased, rng),
+            None => stored,
+        })
+    }
+
+    /// Cell `i`'s base voltage, pending or not: for a pending cell the
+    /// generator is advanced past the bitlines before it and draws one.
+    fn base_at(&self, i: usize) -> f32 {
+        let (wl, bl) = (i / self.bitlines as usize, i % self.bitlines as usize);
+        match &self.pending[wl] {
+            None => self.base_vth[i],
+            Some(rng) => {
+                let mut rng = rng.clone();
+                (0..bl).for_each(|_| retention::skip_standard_normal(&mut rng));
+                erased_base(self.erased, &mut rng)
+            }
         }
     }
 
@@ -312,6 +469,8 @@ impl CellArray {
         let outlier_span =
             1.0 - (-(params.outlier_cap - params.outlier_base) / params.outlier_scale).exp();
         let lo = self.index(wordline, 0);
+        // Every cell is overwritten: the erased draws are never needed.
+        self.pending[wordline as usize] = None;
         for (bitline, &state) in states.iter().enumerate() {
             self.intended[lo + bitline] = state.index();
             let placed = pe_cycling::place_state_at(rng, misprogram, state);
@@ -332,8 +491,9 @@ impl CellArray {
     }
 
     /// The cell's base voltage (as placed at program time, before retention
-    /// and disturb).
+    /// and disturb) on a wordline that is not pending.
     pub(crate) fn base_vth(&self, wordline: u32, bitline: u32) -> f64 {
+        debug_assert!(!self.is_pending(wordline));
         self.base_vth[self.index(wordline, bitline)] as f64
     }
 
@@ -349,9 +509,16 @@ impl CellArray {
         &self.intended[lo..lo + self.bitlines as usize]
     }
 
+    /// The intended states of one wordline, in bitline order.
+    pub fn wordline_states(&self, wordline: u32) -> impl Iterator<Item = CellState> + '_ {
+        self.intended_wordline(wordline).iter().map(|&s| CellState::from_index(s))
+    }
+
     /// The cell's current threshold voltage under an operating point:
     /// retention loss applied to the base voltage, then the accumulated
-    /// disturb dose.
+    /// disturb dose. A walk along a wordline takes
+    /// [`CellArray::wordline_current_vth`] instead: on a wordline whose
+    /// erase is still undrawn this call re-walks the draws before its cell.
     pub fn current_vth(
         &self,
         params: &ChipParams,
@@ -359,25 +526,45 @@ impl CellArray {
         bitline: u32,
         op: OperatingPoint,
     ) -> f64 {
-        self.current_vth_at(self.index(wordline, bitline), &Sense::new(params, op))
+        let i = self.index(wordline, bitline);
+        let (leak, susceptibility) = (self.leak[i] as f64, self.susceptibility[i] as f64);
+        Sense::new(params, op).vth(self.base_at(i) as f64, leak, susceptibility)
     }
 
-    /// The one definition of a cell's voltage: every voltage this crate
-    /// reports, and every one [`CellArray::sense_wordline`] has to compute,
-    /// comes from here.
+    /// [`CellArray::current_vth`] of every cell of one wordline, in bitline
+    /// order, with the operating point evaluated once.
+    pub fn wordline_current_vth(
+        &self,
+        params: &ChipParams,
+        wordline: u32,
+        op: OperatingPoint,
+    ) -> impl Iterator<Item = f64> + '_ {
+        self.wordline_vth(wordline, Sense::new(params, op))
+    }
+
+    /// The one definition of a cell's voltage on a wordline that is not
+    /// pending: every voltage this crate reports, and every one
+    /// [`CellArray::sense_wordline`] has to compute, is [`Sense::vth`] of a
+    /// cell's lanes, and the hot paths take it from here.
     #[inline]
     pub(crate) fn current_vth_at(&self, i: usize, sense: &Sense) -> f64 {
+        debug_assert!(self.pending[i / self.bitlines as usize].is_none());
         sense.vth(self.base_vth[i] as f64, self.leak[i] as f64, self.susceptibility[i] as f64)
     }
 
-    /// The current voltages of one wordline, in bitline order.
+    /// The current voltages of one wordline, in bitline order; a pending
+    /// wordline's are regenerated as they are walked.
     pub(crate) fn wordline_vth(
         &self,
         wordline: u32,
         sense: Sense,
     ) -> impl Iterator<Item = f64> + '_ {
         let lo = self.index(wordline, 0);
-        (lo..lo + self.bitlines as usize).map(move |i| self.current_vth_at(i, &sense))
+        let hi = lo + self.bitlines as usize;
+        self.wordline_bases(wordline)
+            .zip(&self.leak[lo..hi])
+            .zip(&self.susceptibility[lo..hi])
+            .map(move |((base, &leak), &s)| sense.vth(base as f64, leak as f64, s as f64))
     }
 
     /// Senses one wordline against `screen`'s references: leaves the state
@@ -392,6 +579,7 @@ impl CellArray {
         screen: &Screen,
         scratch: &mut SenseScratch,
     ) -> usize {
+        debug_assert!(!self.is_pending(wordline), "materialize a wordline before sensing it");
         let n = self.bitlines as usize;
         let lo = self.index(wordline, 0);
         let SenseScratch { states, residue, .. } = scratch;
@@ -432,7 +620,7 @@ impl CellArray {
     /// kernel and its callers are tested against.
     #[cfg(test)]
     pub(crate) fn reference_vth(&self, params: &ChipParams, i: usize, op: OperatingPoint) -> f64 {
-        let base = self.base_vth[i] as f64;
+        let base = self.base_at(i) as f64;
         let drop = if op.age_days <= 0.0 || base <= 0.0 {
             0.0
         } else {
@@ -458,32 +646,46 @@ impl CellArray {
         op: OperatingPoint,
     ) -> impl Iterator<Item = (u32, u32, CellState, f64)> + 'a {
         let sense = Sense::new(params, op);
-        (0..self.len()).map(move |i| {
-            let wl = (i / self.bitlines as usize) as u32;
-            let bl = (i % self.bitlines as usize) as u32;
-            (wl, bl, CellState::from_index(self.intended[i]), self.current_vth_at(i, &sense))
+        (0..self.wordlines).flat_map(move |wl| {
+            self.wordline_states(wl)
+                .zip(self.wordline_vth(wl, sense))
+                .zip(0..)
+                .map(move |((state, vth), bl)| (wl, bl, state, vth))
         })
     }
 
     /// Indices of cells whose base voltage exceeds `floor` — the candidate
     /// set for pass-through blocking (only these can ever exceed a relaxed
     /// Vpass; disturb cannot push other cells that high, see module docs of
-    /// [`crate::noise::read_disturb`]).
+    /// [`crate::noise::read_disturb`]). Pending wordlines hold none, by the
+    /// bound `erase` checked against [`CellArray::candidate_floor`].
     pub(crate) fn passthrough_candidates(&self, floor: f64) -> Vec<u32> {
-        (0..self.len() as u32).filter(|&i| self.base_vth[i as usize] as f64 > floor).collect()
+        let n = self.bitlines as usize;
+        (0..self.wordlines)
+            .filter(|&wl| !self.is_pending(wl))
+            .flat_map(|wl| {
+                let lo = self.index(wl, 0);
+                (lo..lo + n).filter(|&i| self.base_vth[i] as f64 > floor).map(|i| i as u32)
+            })
+            .collect()
     }
 
-    /// Serializes the full per-cell state (checkpointing). Geometry is not
+    /// Serializes the full per-cell state (checkpointing), pending
+    /// wordlines' voltages drawn as they are written. Geometry is not
     /// written — restore validates it against the live array instead.
     pub(crate) fn encode_state(&self, w: &mut Writer) {
         w.put_bytes(&self.intended);
-        w.put_f32s(&self.base_vth);
+        w.put_u64(self.base_vth.len() as u64);
+        for wl in 0..self.wordlines {
+            self.wordline_bases(wl).for_each(|base| w.put_f32(base));
+        }
         w.put_f32s(&self.leak);
         w.put_f32s(&self.susceptibility);
     }
 
-    /// Restores per-cell state into an array of identical geometry.
-    pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+    /// Decodes per-cell state written by [`CellArray::encode_state`] for an
+    /// array of identical geometry, without touching this one.
+    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<CellLanes, SnapError> {
         let intended = r.get_bytes()?;
         let base_vth = r.get_f32s()?;
         let leak = r.get_f32s()?;
@@ -503,11 +705,16 @@ impl CellArray {
         if intended.iter().any(|&s| s > 3) {
             return Err(SnapError::Mismatch("cell state index out of range".into()));
         }
-        self.intended = intended;
-        self.base_vth = base_vth;
-        self.leak = leak;
-        self.susceptibility = susceptibility;
-        Ok(())
+        Ok(CellLanes { intended, base_vth, leak, susceptibility })
+    }
+
+    /// Takes decoded lanes as the array's state: every voltage drawn, no
+    /// wordline pending.
+    pub(crate) fn restore(&mut self, lanes: CellLanes) {
+        let CellLanes { intended, base_vth, leak, susceptibility } = lanes;
+        (self.intended, self.base_vth, self.leak, self.susceptibility) =
+            (intended, base_vth, leak, susceptibility);
+        self.pending.fill(None);
     }
 
     /// Fraction of cells intended per state.
@@ -627,6 +834,87 @@ mod tests {
             "outlier rate {rate} vs prob {}",
             params.outlier_prob
         );
+    }
+
+    /// The array and generator an eager erase would leave.
+    fn eager_twin(
+        array: &CellArray,
+        params: &ChipParams,
+        rng: &StdRng,
+        pe: u64,
+    ) -> (CellArray, StdRng) {
+        let (mut twin, mut rng) = (array.clone(), rng.clone());
+        twin.erase_eager(params, &mut rng, pe);
+        (twin, rng)
+    }
+
+    fn lane_bits(array: &CellArray) -> Vec<u32> {
+        (0..array.wordlines).flat_map(|wl| array.wordline_bases(wl)).map(f32::to_bits).collect()
+    }
+
+    #[test]
+    fn lazy_erase_defers_every_wordline_where_the_bound_holds() {
+        let (mut array, params, mut rng) = small_array();
+        let floor = CellArray::candidate_floor(&params);
+        for pe in [0, 8_000, 100_000, 800_000] {
+            assert!(CellArray::erased_stay_below(params.state_dist(CellState::Er, pe), floor));
+            let (twin, twin_rng) = eager_twin(&array, &params, &rng, pe);
+            array.erase(&params, &mut rng, pe);
+            assert!((0..4).all(|wl| array.is_pending(wl)), "at {pe} P/E");
+            assert_eq!(rng.state(), twin_rng.state(), "at {pe} P/E");
+            assert_eq!(lane_bits(&array), lane_bits(&twin), "at {pe} P/E");
+            assert!(array.passthrough_candidates(floor).is_empty());
+            (0..4).for_each(|wl| array.materialize(wl));
+            assert_eq!(lane_bits(&array), lane_bits(&twin));
+            assert!((0..4).all(|wl| !array.is_pending(wl)));
+        }
+        // σ_ER widens with wear until an erased cell could reach the floor.
+        assert!(!CellArray::erased_stay_below(params.state_dist(CellState::Er, 1_000_000), floor));
+    }
+
+    #[test]
+    fn lazy_erase_is_eager_where_an_erased_cell_could_reach_the_floor() {
+        let mut params = ChipParams::default();
+        params.states[CellState::Er.index() as usize].sigma = 60.0;
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut array = CellArray::new(4, 256, &params, &mut rng);
+        assert!((0..4).all(|wl| !array.is_pending(wl)), "a new array is drawn at once");
+        let (twin, twin_rng) = eager_twin(&array, &params, &rng, 3_000);
+        array.erase(&params, &mut rng, 3_000);
+        assert!((0..4).all(|wl| !array.is_pending(wl)));
+        assert_eq!(lane_bits(&array), lane_bits(&twin));
+        assert_eq!(rng.state(), twin_rng.state());
+        // The same at the default σ_ER once wear has widened it.
+        let params = ChipParams::default();
+        array.erase(&params, &mut rng, 1_000_000);
+        assert!((0..4).all(|wl| !array.is_pending(wl)));
+    }
+
+    #[test]
+    fn pending_cells_read_as_their_eager_twin() {
+        let (array, params, _) = small_array();
+        assert!((0..4).all(|wl| array.is_pending(wl)));
+        let mut drawn = array.clone();
+        (0..4).for_each(|wl| drawn.materialize(wl));
+        let op = OperatingPoint { pe_cycles: 0, age_days: 3.0, dose: 1.0e3 };
+        for (i, bl) in [(0, 0), (1, 17), (3, 255)] {
+            let (lazy, eager) =
+                (array.current_vth(&params, i, bl, op), drawn.current_vth(&params, i, bl, op));
+            assert_eq!(lazy.to_bits(), eager.to_bits());
+        }
+        for wl in 0..4 {
+            let lazy: Vec<u64> =
+                array.wordline_current_vth(&params, wl, op).map(f64::to_bits).collect();
+            let eager: Vec<u64> =
+                drawn.wordline_current_vth(&params, wl, op).map(f64::to_bits).collect();
+            assert_eq!(lazy, eager);
+        }
+        let encode = |array: &CellArray| {
+            let mut w = Writer::new();
+            array.encode_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(encode(&array), encode(&drawn));
     }
 
     #[test]

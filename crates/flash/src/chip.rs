@@ -134,7 +134,7 @@ impl VthHistogram {
 // costs a few hundred bytes total — boxing would only add an indirection
 // on the read hot path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Storage {
     /// Per-cell Monte-Carlo state (and the wordline-sensing scratch, shared
     /// by all blocks).
@@ -172,8 +172,9 @@ impl Storage {
     }
 }
 
-/// The simulated MLC NAND flash chip.
-#[derive(Debug)]
+/// The simulated MLC NAND flash chip. A clone continues exactly as the
+/// original would: same cells, same ledger, same generator.
+#[derive(Debug, Clone)]
 pub struct Chip {
     geometry: Geometry,
     params: ChipParams,
@@ -281,7 +282,8 @@ impl Chip {
     /// Restores state serialized by [`Chip::encode_state`] into `self`,
     /// which must have been constructed from the same configuration
     /// (geometry, params, fidelity tier, any seed). After a successful
-    /// restore the chip continues bit-identically to the checkpointed one.
+    /// restore the chip continues bit-identically to the checkpointed one;
+    /// a failed one, at any tier, leaves the chip as it was.
     ///
     /// # Errors
     ///
@@ -313,9 +315,14 @@ impl Chip {
         let ledger = &mut self.ledger;
         match &mut self.storage {
             Storage::Exact { blocks, .. } => {
-                for (b, block) in blocks.iter_mut().enumerate() {
-                    block.restore_state(ledger, b, r)?;
-                }
+                // Every block decodes into staging before any is restored,
+                // so a snapshot that fails anywhere changes nothing.
+                let mut rows = ledger.clone();
+                let decoded = (blocks.iter().enumerate())
+                    .map(|(b, block)| block.decode_state(&mut rows, b, r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                *ledger = rows;
+                blocks.iter_mut().zip(decoded).for_each(|(block, lanes)| block.restore(lanes));
             }
             Storage::ClosedForm { state } => state.restore_state(ledger, r)?,
         }
@@ -375,7 +382,9 @@ impl Chip {
     }
 
     /// Read-only access to a block's cells (oracle inspection for
-    /// experiments and tests). Requires [`ReadFidelity::CellExact`].
+    /// experiments and tests). Requires [`ReadFidelity::CellExact`]. A
+    /// wordline erased and not yet sensed has its voltages drawn as it is
+    /// walked; walk one with [`CellArray::wordline_current_vth`].
     ///
     /// # Errors
     ///
@@ -936,6 +945,9 @@ pub fn state_legend(params: &ChipParams) -> Vec<(CellState, f64, f64)> {
 }
 
 #[cfg(test)]
+mod lazy_erase_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1387,5 +1399,46 @@ mod tests {
         let _ = restored(&chip);
         assert!(chip.digests.is_empty(), "a block-aggregate chip keeps no digest lane");
         assert!(matches!(chip.stored_page(0, 0), Err(FlashError::FidelityUnsupported { .. })));
+    }
+
+    /// A cell-exact restore that fails anywhere — a truncated snapshot, or
+    /// one whose last block holds an out-of-range state index — leaves every
+    /// block and every ledger row as it was.
+    #[test]
+    fn cell_exact_restore_is_all_or_nothing() {
+        use crate::wire::{Reader, SnapError, Writer};
+        let geometry =
+            Geometry { blocks: 3, wordlines_per_block: 4, bitlines: 64, bits_per_cell: 2 };
+        let encoded = |chip: &Chip| {
+            let mut w = Writer::new();
+            chip.encode_state(&mut w);
+            w.into_bytes()
+        };
+        let worked = |seed: u64| {
+            let mut chip = Chip::new(geometry, ChipParams::default(), seed);
+            for block in 0..geometry.blocks {
+                chip.cycle_block(block, 1_000 * seed).unwrap();
+                chip.program_block_random(block, seed + u64::from(block)).unwrap();
+                chip.apply_read_disturbs(block, 10_000 * seed).unwrap();
+            }
+            chip
+        };
+        let good = encoded(&worked(3));
+        let mut chip = worked(4);
+        let before = encoded(&chip);
+        assert_ne!(good, before);
+        let truncated = &good[..good.len() - 1];
+        assert!(chip.restore_state(&mut Reader::new(truncated)).is_err());
+        assert_eq!(encoded(&chip), before, "after a truncated snapshot");
+        // The last block ends with its intended states and three
+        // length-prefixed f32 lanes; flip the top bit of its last state.
+        let cells = (geometry.wordlines_per_block * geometry.bitlines) as usize;
+        let mut flipped = good.clone();
+        flipped[good.len() - 3 * (8 + 4 * cells) - 1] ^= 0x80;
+        let result = chip.restore_state(&mut Reader::new(&flipped));
+        assert!(matches!(result, Err(SnapError::Mismatch(_))), "{result:?}");
+        assert_eq!(encoded(&chip), before, "after a bit-flipped snapshot");
+        chip.restore_state(&mut Reader::new(&good)).unwrap();
+        assert_eq!(encoded(&chip), good);
     }
 }

@@ -50,8 +50,17 @@ pub(crate) fn sample_leak_factor<R: Rng + ?Sized>(rng: &mut R, params: &ChipPara
     (mu + sigma * z).exp()
 }
 
+/// A bound on `|z|` for every `z` [`sample_standard_normal`] returns. A
+/// uniform draw is a multiple of 2⁻⁵³, so an accepted `u1` is at least 2⁻⁵³
+/// and `|z| ≤ √(−2·ln u1) ≤ √(106·ln 2) ≈ 8.5716`; the rest is margin for
+/// the rounding of `ln`, `sqrt` and `cos`.
+pub(crate) const NORMAL_Z_BOUND: f64 = 8.6;
+
 /// Box–Muller standard normal sample (avoids a distribution-crate
-/// dependency; two uniforms per call, one output used).
+/// dependency; two uniforms per call, one output used). A draw takes the
+/// generator through a `u1` loop that rejects `u1 = 0` and then one `u2`;
+/// [`skip_standard_normal`] advances it through the same draws without the
+/// `ln`, `sqrt` and `cos`. Every result lies within [`NORMAL_Z_BOUND`].
 pub(crate) fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
@@ -59,6 +68,21 @@ pub(crate) fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             let u2: f64 = rng.gen::<f64>();
             let r = (-2.0 * u1.ln()).sqrt();
             return r * (std::f64::consts::TAU * u2).cos();
+        }
+    }
+}
+
+/// Leaves `rng` where [`sample_standard_normal`] would leave it — the same
+/// `u1` loop and the same `u2` draw — without computing the sample. A
+/// caller that saves the generator's state first can draw the sample later,
+/// bit for bit, from that state.
+#[inline]
+pub(crate) fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
+    loop {
+        let u1: f64 = rng.gen::<f64>();
+        if u1 > 1e-300 {
+            rng.gen::<f64>();
+            return;
         }
     }
 }
@@ -129,5 +153,44 @@ mod tests {
         m2 /= n as f64;
         assert!(m1.abs() < 0.01, "mean {m1}");
         assert!((m2 - 1.0).abs() < 0.02, "var {m2}");
+    }
+
+    /// A generator that returns the given words, in order.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a word left")
+        }
+    }
+
+    /// The largest `|z|` a draw can have comes from the smallest accepted
+    /// `u1`, 2⁻⁵³ (the word `1 << 11`), with `cos(2π·u2) = ±1` (`u2` = 0 or
+    /// ½): it is √(106·ln 2), inside [`NORMAL_Z_BOUND`]. A zero `u1` is
+    /// rejected and redrawn.
+    #[test]
+    fn normal_z_bound_holds_at_the_smallest_u1() {
+        let extreme = (106.0 * std::f64::consts::LN_2).sqrt();
+        assert!((8.5715..8.5717).contains(&extreme), "{extreme}");
+        for (u2, sign) in [(0u64, 1.0), (1 << 63, -1.0)] {
+            let mut rng = Words(vec![0, 1 << 11, u2].into_iter());
+            let z = sample_standard_normal(&mut rng);
+            assert!((z - sign * extreme).abs() < 1e-12, "z = {z}");
+            assert!(z.abs() < NORMAL_Z_BOUND);
+            assert_eq!(rng.0.len(), 0, "the zero u1 was redrawn");
+        }
+    }
+
+    #[test]
+    fn skipping_a_draw_leaves_the_generator_where_drawing_does() {
+        let mut rng = Words(vec![0, 0, 5 << 11, 9, 1].into_iter());
+        skip_standard_normal(&mut rng);
+        assert_eq!(rng.0.as_slice(), [1]);
+        let (mut drawn, mut skipped) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for _ in 0..10_000 {
+            sample_standard_normal(&mut drawn);
+            skip_standard_normal(&mut skipped);
+        }
+        assert_eq!(drawn.state(), skipped.state());
     }
 }
