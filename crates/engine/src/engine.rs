@@ -1567,11 +1567,12 @@ impl FastDiv {
     }
 }
 
-/// How many requests ahead of the one it is executing [`execute_die`] loads
-/// the `l2p` entry of a request, and how many ahead the `p2l` entry of that
-/// request's current mapping (see [`rd_ftl::PageMap::pretouch`]): far enough
-/// for a miss to be served meanwhile, and the `p2l` touch later than the
-/// `l2p` one it reads through.
+/// How many requests ahead of the one it is executing [`execute_die`]
+/// prefetches the `l2p` entry of a request, and how many ahead the `p2l`
+/// entry of that request's current mapping (see
+/// [`rd_ftl::PageMap::pretouch`]): far enough for a miss to be served
+/// meanwhile, and the `p2l` prefetch later than the `l2p` one whose entry it
+/// reads. Twice these distances (32/16) measured no better on `serve-mixed`.
 const L2P_AHEAD: usize = 16;
 const P2L_AHEAD: usize = 8;
 
@@ -1581,10 +1582,14 @@ const P2L_AHEAD: usize = 8;
 /// place with its [`ExecTiming`].
 ///
 /// A lane that cycles through several dies finds each die's page map gone
-/// from its cache when it returns (at 128 requests a visit the flash phase
-/// costs twice what one long visit does), and the misses of one request
-/// would otherwise start only when it executes; the queue says which
-/// addresses come next, so their map lines are loaded ahead.
+/// from its cache when it returns, and the misses of one request would
+/// otherwise start only when it executes; the queue says which addresses
+/// come next, so their map lines are prefetched ahead. On `serve-mixed`'s
+/// shape (8 dies of 1024 blocks per lane, 1024-op batches) that took the
+/// flash stage from 171–199 to 96–148 ns per op (`examples/serve_threads`,
+/// three windows each on a 2-core x86_64 box); the ordinary loads it
+/// replaced stalled on their own misses and measured no better than no
+/// look-ahead at all.
 fn execute_die<P: ControllerPolicy>(
     die: &mut Die<P>,
     mut queue: DieQueue,

@@ -442,7 +442,8 @@ impl<P: ControllerPolicy> Die<P> {
 
     /// `PageMap::pretouch` on this die's map: a caller that knows the
     /// addresses of its coming requests (the engine's flash phase walks a
-    /// queue) starts their map misses early. Changes nothing.
+    /// queue) prefetches their map lines, so the misses start early and
+    /// nothing waits for them here. Changes nothing.
     #[inline]
     pub fn pretouch(&self, far: u64, near: u64) {
         self.map.pretouch(far, near);

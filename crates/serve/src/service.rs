@@ -115,6 +115,9 @@ enum ShardMsg {
     /// Restore request; the worker rebuilds its engine from the bytes.
     Restore(Vec<u8>, Sender<Result<(), SnapError>>),
     Shutdown,
+    /// Panics the worker thread, as a failing die job would.
+    #[cfg(test)]
+    Panic,
 }
 
 /// One shard's contribution to a service report.
@@ -136,6 +139,20 @@ struct ShardWorker {
     completed: Arc<AtomicU64>,
     /// Settled batch buffers coming back from the worker for reuse.
     recycle: Receiver<Vec<ShardOp>>,
+}
+
+impl ShardWorker {
+    /// Panics, naming the shard, if the worker thread has exited. Until
+    /// the service drops, a worker exits only by panicking, and then its
+    /// `completed` never advances again: a wait on it asks this each round.
+    fn assert_alive(&self) {
+        let handle = self.handle.as_ref().expect("a shard worker is joined only on drop");
+        assert!(
+            !handle.is_finished(),
+            "shard worker alive: {} has exited",
+            handle.thread().name().unwrap_or("a shard worker")
+        );
+    }
 }
 
 /// A shard worker thread's state: its engine, the batch whose flash phase
@@ -238,6 +255,8 @@ fn shard_worker_loop(mut shard: ShardState, inbox: Receiver<ShardMsg>) {
                 let _ = reply.send(shard.engine.restore(&bytes));
             }
             ShardMsg::Shutdown => return,
+            #[cfg(test)]
+            ShardMsg::Panic => panic!("shard worker told to panic"),
         }
     }
     // Inbox disconnected with a batch still on the pool (front-end dropped
@@ -386,6 +405,7 @@ impl Service {
 
     fn ship(worker: &mut ShardWorker, window: u64, batch_ops: usize) {
         while worker.submitted - worker.completed.load(Ordering::Acquire) >= window {
+            worker.assert_alive();
             std::thread::yield_now();
         }
         // Reuse a settled batch's buffer when one has cycled back; the
@@ -399,6 +419,12 @@ impl Service {
 
     /// Ships every partially-filled batch and waits until all shards have
     /// drained their queues.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the shard, if a shard worker has died (it panicked),
+    /// instead of waiting for it forever; [`Self::submit`] does the same
+    /// while its admission window is closed.
     pub fn flush(&mut self) {
         for worker in &mut self.workers {
             if !worker.pending.is_empty() {
@@ -407,6 +433,7 @@ impl Service {
         }
         for worker in &self.workers {
             while worker.completed.load(Ordering::Acquire) < worker.submitted {
+                worker.assert_alive();
                 std::thread::yield_now();
             }
         }
@@ -750,6 +777,52 @@ mod tests {
         other_shape.shards = 1;
         let mut single = Service::start(other_shape, tenants()).unwrap();
         assert!(matches!(single.restore(&snap).err(), Some(SnapError::Mismatch(_))));
+    }
+
+    /// Runs `f` on a helper thread and returns its panic message; fails if
+    /// `f` returns, or neither returns nor panics within 30 s (it hangs).
+    fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let message = outcome
+                .err()
+                .map(|payload| payload.downcast::<String>().map_or_else(|_| String::new(), |m| *m));
+            let _ = done.send(message);
+        });
+        result
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("hung on a dead shard worker instead of panicking")
+            .expect("returned instead of panicking")
+    }
+
+    /// A service whose shard 1 died with `batches` shipped to it and never
+    /// completed, as a die job panicking mid-flight leaves it.
+    fn with_dead_shard(batches: u64) -> Service {
+        let mut service = Service::start(ServeConfig::small_test(), tenants()).unwrap();
+        let worker = &mut service.workers[1];
+        worker.sender.send(ShardMsg::Panic).unwrap();
+        while !worker.handle.as_ref().unwrap().is_finished() {
+            std::thread::yield_now();
+        }
+        worker.submitted += batches;
+        service
+    }
+
+    #[test]
+    fn dead_shard_worker_panics_flush_and_submit_instead_of_hanging() {
+        let flush = panic_message(|| with_dead_shard(1).flush());
+        assert!(flush.contains("shard worker alive: rd-serve-shard-1 has exited"), "{flush}");
+        let submit = panic_message(|| {
+            let mut service = with_dead_shard(ServeConfig::small_test().max_inflight_batches);
+            // Shard 1's window is closed: its first full batch waits.
+            for lpa in 0.. {
+                if service.plan.route(lpa).0 == 1 {
+                    service.submit(ServiceOp { time_s: 0.0, tenant: 0, kind: ReqKind::Read, lpa });
+                }
+            }
+        });
+        assert!(submit.contains("shard worker alive: rd-serve-shard-1 has exited"), "{submit}");
     }
 
     #[test]
