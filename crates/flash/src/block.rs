@@ -154,6 +154,13 @@ impl Block {
         &self.cells
     }
 
+    /// The pass-through candidates, in the order the blocking decision
+    /// walks them.
+    #[cfg(test)]
+    pub(crate) fn candidates(&self) -> &[u32] {
+        &self.candidates
+    }
+
     /// After the ledger's erase (or pre-wear) to `pe_cycles`: all cells
     /// return to ER and the disturb dose resets.
     pub(crate) fn reset(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
@@ -198,7 +205,11 @@ impl Block {
                 }
             }
         }
-        self.cells.program_wordline(params, rng, wl, &states, ledger.pe_cycles[b]);
+        let pe_cycles = ledger.pe_cycles[b];
+        match addr.kind() {
+            PageKind::Lsb => self.cells.program_first_pass(params, rng, wl, &states, pe_cycles),
+            PageKind::Msb => self.cells.program_wordline(params, rng, wl, &states, pe_cycles),
+        }
         self.refresh_candidates_wordline(wl);
     }
 
@@ -440,12 +451,7 @@ impl Block {
         let lo = wordline as usize * self.bitlines as usize;
         let hi = lo + self.bitlines as usize;
         self.candidates.retain(|&i| (i as usize) < lo || (i as usize) >= hi);
-        for i in lo..hi {
-            let bl = (i - lo) as u32;
-            if self.cells.base_vth(wordline, bl) > self.candidate_floor {
-                self.candidates.push(i as u32);
-            }
-        }
+        self.candidates.extend(self.cells.wordline_candidates(wordline, self.candidate_floor));
     }
 
     /// Collects `(bitline, wordline)` of every cell whose voltage exceeds

@@ -55,36 +55,44 @@
 //! compares the voltage rounded to `f32` and so uses a guard wide enough
 //! to cover that rounding.
 //!
-//! ## Pending wordlines: an erase draws nothing it does not have to
+//! ## Pending wordlines: a pass draws nothing it does not have to
 //!
 //! An erase places every cell at `mean_ER + σ_ER·z`, one Box–Muller draw per
-//! cell from the chip's generator, and the next program of each wordline
-//! overwrites all of them; a figure chip or an FTL's GC block is erased and
-//! then programmed whole, so almost none of those draws is ever sensed.
-//! [`CellArray::erase`] therefore sets the intended states at once but, for
-//! each wordline, only saves the generator's state and advances it past the
-//! wordline's draws ([`retention::skip_standard_normal`]: the same uniforms,
-//! no `ln`/`cos`). The wordline is *pending*: its erased voltages are drawn
-//! from that saved state — the same `f32` bits the eager loop wrote, since
-//! they are the same draws — only when something observes them:
+//! cell from the chip's generator. MLC then programs a wordline in two
+//! passes: the LSB pass (page `2w`) leaves each cell in ER or an intermediate
+//! state, and the MSB pass (page `2w + 1`) places every cell again. Figure
+//! chips and FTL blocks are programmed page after page, so almost none of
+//! the erase's draws, and few of the LSB pass's, is ever sensed.
+//! [`CellArray::erase`] and [`CellArray::program_first_pass`] therefore set
+//! the intended states at once but, per wordline, only save the generator
+//! and walk it past the wordline's draws — the same uniforms in the same
+//! order, [`retention::skip_standard_normal`] in place of each normal's
+//! `ln`/`sqrt`/`cos`. The wordline is *pending*: its record says whose draws
+//! it owes, the erase's or the first pass's, and they are drawn from the
+//! saved state — the same `f32` bits as the eager loop (`Draws::cell`) —
+//! only when something observes them:
 //!
 //! * a read or a voltage sweep of the wordline (`&mut` paths) writes them in
 //!   place, once ([`CellArray::materialize`]);
-//! * the `&self` observers — the Vth histogram, a checkpoint, the per-wordline
-//!   accessors behind [`crate::Chip::cells`] — regenerate one wordline at a
-//!   time as they walk it; the per-cell [`CellArray::current_vth`] advances
-//!   past the bitlines before its cell and draws one.
+//! * the `&self` observers — the RBER oracles (into their [`SenseScratch`]),
+//!   the Vth histogram, a checkpoint, the accessors behind
+//!   [`crate::Chip::cells`] — regenerate one wordline at a time as they walk
+//!   it; the per-cell [`CellArray::current_vth`] walks past the bitlines
+//!   before its cell and draws one.
 //!
-//! Programming a wordline overwrites every cell, so it drops the record; a
-//! restore clears them all. A pending wordline is never programmed, so the
-//! RBER oracles never sense one. The pass-through candidates (cells whose
-//! base voltage exceeds the block's candidate floor) skip pending wordlines
-//! by a bound rather than by looking: an accepted `u1` is at least 2⁻⁵³, so
-//! `|z| ≤ √(106·ln 2) ≈ 8.57 <` [`retention::NORMAL_Z_BOUND`], and no erased
-//! cell can exceed the floor while `mean_ER + 8.6·σ_ER` (rounded to `f32`,
-//! as the lane is) does not — ~180 against a floor of 458 at the default
-//! parameters and 8K P/E; σ_ER widens with wear, and the bound holds to
-//! ~850K P/E. Where it fails, `erase` draws every wordline at once.
+//! An MSB program overwrites every cell and drops the record; a restore
+//! clears them all. The pass-through candidates (base voltage above the
+//! block's candidate floor) are found without drawing, by a bound: an
+//! accepted `u1` is at least 2⁻⁵³, so `|z| ≤ √(106·ln 2) ≈ 8.57 <`
+//! [`retention::NORMAL_Z_BOUND`], and no cell placed at `N(mean, σ)` exceeds
+//! the floor while `mean + 8.6·|σ|` (rounded to `f32`, as the lane is) does
+//! not. An erased cell reaches ~180 against a floor of 458 at the default
+//! parameters and 8K P/E, holding to ~850K P/E: a wordline owing an erase
+//! holds no candidate. A first-pass cell placed in ER, P1 or P2 reaches at
+//! most P2's ~411 at 8K P/E, holding to ~98K P/E: only cells placed in P3 (a
+//! P2 cell misprogrammed up) can cross the floor, so the walk draws those at
+//! once into the lane and writes NaN, which exceeds no floor, for the rest.
+//! Where a bound fails, that erase or pass draws every cell at once.
 
 use std::f64::consts::LN_2;
 
@@ -124,37 +132,119 @@ pub struct CellArray {
     wordlines: u32,
     bitlines: u32,
     intended: Vec<u8>,
-    /// Stale on a pending wordline (module docs).
+    /// Undrawn on a pending wordline: stale if it owes an erase, NaN but
+    /// for its P3 cells if it owes a first pass (module docs).
     base_vth: Vec<f32>,
     leak: Vec<f32>,
     susceptibility: Vec<f32>,
-    /// Per wordline, the generator as the last erase found it there, while
-    /// the wordline's erased voltages are still undrawn (module docs).
-    pending: Vec<Option<StdRng>>,
+    /// Per wordline, the draws it still owes while its voltages are undrawn
+    /// (module docs).
+    pending: Vec<Option<Pending>>,
     /// The erased-state distribution of the last erase.
     erased: StateParams,
 }
 
-/// The erased base voltage of the next cell a pending wordline's generator
-/// reaches: the eager erase's expression, draw for draw.
-#[inline]
-fn erased_base(erased: StateParams, rng: &mut StdRng) -> f32 {
-    (erased.mean + erased.sigma * retention::sample_standard_normal(rng)) as f32
+/// The draws a pending wordline owes, from the generator its pass found.
+#[derive(Debug, Clone)]
+enum Pending {
+    /// The erase's, at the array's `erased` distribution.
+    Erase(StdRng),
+    /// A first program pass's, at its wear.
+    FirstPass(StdRng, Draws),
+}
+
+/// Whether no cell placed at `dist` can have a base voltage above `floor`:
+/// the largest, `mean + NORMAL_Z_BOUND·|σ|`, rounded to `f32` as the lane
+/// stores it, is not above it. Rounding is monotone, so no smaller voltage
+/// rounds above it either.
+fn stays_below(dist: StateParams, floor: f64) -> bool {
+    let highest = dist.mean + retention::NORMAL_Z_BOUND * dist.sigma.abs();
+    f64::from(highest as f32) <= floor
+}
+
+/// What a program pass draws per cell, with everything that depends only on
+/// the wear level evaluated once per wordline. An erase is the pass that
+/// aims every cell at ER and misplaces none ([`Draws::erasing`]).
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    misprogram: f64,
+    dists: [StateParams; 4],
+    outlier_prob: f64,
+    outlier_base: f64,
+    outlier_scale: f64,
+    /// Share of the exponential tail above `outlier_base` that program-verify
+    /// keeps under `outlier_cap`.
+    outlier_span: f64,
+}
+
+impl Draws {
+    fn new(params: &ChipParams, pe_cycles: u64) -> Self {
+        Self {
+            misprogram: params.misprogram_prob(pe_cycles),
+            dists: ALL_STATES.map(|state| params.state_dist(state, pe_cycles)),
+            outlier_prob: params.outlier_prob,
+            outlier_base: params.outlier_base,
+            outlier_scale: params.outlier_scale,
+            outlier_span: 1.0
+                - (-(params.outlier_cap - params.outlier_base) / params.outlier_scale).exp(),
+        }
+    }
+
+    /// An erase's draws: every cell at `erased`, no misprogram draw.
+    fn erasing(erased: StateParams) -> Self {
+        Self {
+            misprogram: 0.0,
+            dists: [erased; 4],
+            outlier_prob: 0.0,
+            outlier_base: 0.0,
+            outlier_scale: 0.0,
+            outlier_span: 0.0,
+        }
+    }
+
+    /// Whether only a cell placed in P3 can have a base voltage above
+    /// `floor` (module docs).
+    fn only_p3_reaches(&self, floor: f64) -> bool {
+        self.dists[..CellState::P3.index() as usize].iter().all(|&dist| stays_below(dist, floor))
+    }
+
+    /// The base voltage of the next cell the pass aims at `state`: the
+    /// misprogram draw, a P3 cell's outlier test, then the outlier's or the
+    /// normal draw — whose `ln`/`cos` a cell placed outside P3 skips, NaN,
+    /// when `DRAW` is false. The one per-cell program draw, of eager passes,
+    /// [`CellArray::materialize`] and the `&self` regenerators alike.
+    #[inline]
+    fn cell<const DRAW: bool>(&self, rng: &mut StdRng, state: CellState) -> f32 {
+        let placed = pe_cycling::place_state_at(rng, self.misprogram, state);
+        let p3 = placed == CellState::P3;
+        let vth = if p3 && rng.gen::<f64>() < self.outlier_prob {
+            let u: f64 = rng.gen::<f64>() * self.outlier_span;
+            self.outlier_base - self.outlier_scale * (1.0 - u).ln()
+        } else if DRAW || p3 {
+            let dist = self.dists[placed.index() as usize];
+            dist.mean + dist.sigma * retention::sample_standard_normal(rng)
+        } else {
+            retention::skip_standard_normal(rng);
+            f64::NAN
+        };
+        vth as f32
+    }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Erases on this thread go through [`CellArray::erase_eager`]: the
-    /// reference twin of the lazy-erase tests ([`with_eager_erase`]).
-    static EAGER_ERASE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Erases and first passes on this thread draw every cell at once: the
+    /// reference twin of the lazy-draw tests ([`with_eager_draws`]).
+    static EAGER_DRAWS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Runs `f` with every erase on this thread drawing its cells eagerly.
+/// Runs `f` with every erase and first program pass on this thread drawing
+/// its cells eagerly.
 #[cfg(test)]
-pub(crate) fn with_eager_erase<T>(f: impl FnOnce() -> T) -> T {
-    EAGER_ERASE.with(|eager| eager.set(true));
+pub(crate) fn with_eager_draws<T>(f: impl FnOnce() -> T) -> T {
+    EAGER_DRAWS.with(|eager| eager.set(true));
     let out = f();
-    EAGER_ERASE.with(|eager| eager.set(false));
+    EAGER_DRAWS.with(|eager| eager.set(false));
     out
 }
 
@@ -307,6 +397,43 @@ pub(crate) struct SenseScratch {
     residue: Vec<u32>,
     /// `(bitline, wordline)` of the block's cells above Vpass.
     pub(crate) blockers: Vec<(u32, u32)>,
+    /// A pending wordline's base voltages, regenerated to be sensed.
+    bases: Vec<f32>,
+}
+
+/// [`CellArray::sense_wordline`] on one wordline's lanes, each voltage
+/// [`Sense::vth`] as in [`CellArray::current_vth_at`]. Inlined beside the
+/// regeneration of a pending wordline, it compiled to a 2× slower screen.
+#[inline(never)]
+fn sense_lanes(
+    bases: &[f32],
+    leak: &[f32],
+    susceptibility: &[f32],
+    sense: &Sense,
+    screen: &Screen,
+    scratch: &mut SenseScratch,
+) -> usize {
+    let n = bases.len();
+    let SenseScratch { states, residue, .. } = scratch;
+    states.resize(n, 0);
+    let lanes = bases.iter().zip(leak).zip(susceptibility);
+    // The screen: no branch and nothing carried from cell to cell, so the
+    // compiler is free to vectorize it. An unsettled cell is flagged in its
+    // state byte and collected afterwards.
+    const UNSETTLED: u8 = 0x80;
+    for (state, ((&base, &leak), &s)) in states.iter_mut().zip(lanes) {
+        let v0 = sense.retained(base as f64, leak as f64);
+        let (class, settled) = screen.classify(v0, sense.term(s as f64));
+        *state = if settled { class } else { UNSETTLED };
+    }
+    residue.clear();
+    residue.extend((0..n as u32).filter(|&bl| states[bl as usize] == UNSETTLED));
+    for &bl in residue.iter() {
+        let bl = bl as usize;
+        let vth = sense.vth(bases[bl] as f64, leak[bl] as f64, susceptibility[bl] as f64);
+        states[bl] = screen.refs.classify_index(vth) as u8;
+    }
+    residue.len()
 }
 
 impl CellArray {
@@ -364,29 +491,20 @@ impl CellArray {
     /// generator ends where drawing every cell leaves it.
     pub(crate) fn erase(&mut self, params: &ChipParams, rng: &mut StdRng, pe_cycles: u64) {
         #[cfg(test)]
-        if EAGER_ERASE.with(std::cell::Cell::get) {
+        if EAGER_DRAWS.with(std::cell::Cell::get) {
             return self.erase_eager(params, rng, pe_cycles);
         }
         self.intended.fill(CellState::Er.index());
         self.erased = params.state_dist(CellState::Er, pe_cycles);
         for pending in &mut self.pending {
-            *pending = Some(rng.clone());
+            *pending = Some(Pending::Erase(rng.clone()));
             for _ in 0..self.bitlines {
                 retention::skip_standard_normal(rng);
             }
         }
-        if !Self::erased_stay_below(self.erased, Self::candidate_floor(params)) {
+        if !stays_below(self.erased, Self::candidate_floor(params)) {
             (0..self.wordlines).for_each(|wl| self.materialize(wl));
         }
-    }
-
-    /// Whether no cell erased into `erased` can have a base voltage above
-    /// `floor`: the largest, `mean + NORMAL_Z_BOUND·|σ|`, rounded to `f32`
-    /// as the lane stores it, is not above it. Rounding is monotone, so no
-    /// smaller voltage rounds above it either.
-    fn erased_stay_below(erased: StateParams, floor: f64) -> bool {
-        let highest = erased.mean + retention::NORMAL_Z_BOUND * erased.sigma.abs();
-        f64::from(highest as f32) <= floor
     }
 
     /// The erase as it was before pending wordlines: every cell drawn now.
@@ -402,51 +520,77 @@ impl CellArray {
         self.pending.fill(None);
     }
 
-    /// Whether a wordline's erased voltages are still undrawn.
+    /// Whether a wordline's voltages are still undrawn.
     fn is_pending(&self, wordline: u32) -> bool {
         self.pending[wordline as usize].is_some()
     }
 
-    /// Draws a pending wordline's erased voltages into its lane; a no-op
-    /// on any other wordline.
+    fn owes_erase(&self, wordline: usize) -> bool {
+        matches!(self.pending[wordline], Some(Pending::Erase(_)))
+    }
+
+    /// Whether a wordline owes a first program pass's draws.
+    #[cfg(test)]
+    pub(crate) fn owes_first_pass(&self, wordline: u32) -> bool {
+        matches!(self.pending[wordline as usize], Some(Pending::FirstPass(..)))
+    }
+
+    /// The generator as the pass found a pending wordline, and the pass's
+    /// draws; `None` on any other wordline.
+    fn owed(&self, wordline: u32) -> Option<(StdRng, Draws)> {
+        self.pending[wordline as usize].as_ref().map(|pending| match pending {
+            Pending::Erase(rng) => (rng.clone(), Draws::erasing(self.erased)),
+            Pending::FirstPass(rng, draws) => (rng.clone(), *draws),
+        })
+    }
+
+    /// Draws a pending wordline's voltages into its lane; a no-op on any
+    /// other wordline.
     pub(crate) fn materialize(&mut self, wordline: u32) {
-        if let Some(mut rng) = self.pending[wordline as usize].take() {
+        if let Some((mut rng, draws)) = self.owed(wordline) {
+            self.pending[wordline as usize] = None;
             let lo = self.index(wordline, 0);
-            let erased = self.erased;
-            for base in &mut self.base_vth[lo..lo + self.bitlines as usize] {
-                *base = erased_base(erased, &mut rng);
+            let hi = lo + self.bitlines as usize;
+            for (base, &state) in self.base_vth[lo..hi].iter_mut().zip(&self.intended[lo..hi]) {
+                *base = draws.cell::<true>(&mut rng, CellState::from_index(state));
             }
         }
     }
 
-    /// A wordline's base voltages in bitline order: its lane, or the
-    /// erase's draws regenerated for a pending wordline.
+    /// A wordline's base voltages in bitline order: its lane, or the owed
+    /// draws regenerated for a pending wordline.
     fn wordline_bases(&self, wordline: u32) -> impl Iterator<Item = f32> + '_ {
         let lo = self.index(wordline, 0);
-        let (mut pending, erased) = (self.pending[wordline as usize].clone(), self.erased);
-        let lane = &self.base_vth[lo..lo + self.bitlines as usize];
-        lane.iter().map(move |&stored| match &mut pending {
-            Some(rng) => erased_base(erased, rng),
-            None => stored,
+        let hi = lo + self.bitlines as usize;
+        let mut owed = self.owed(wordline);
+        self.base_vth[lo..hi].iter().zip(&self.intended[lo..hi]).map(move |(&stored, &state)| {
+            match &mut owed {
+                Some((rng, draws)) => draws.cell::<true>(rng, CellState::from_index(state)),
+                None => stored,
+            }
         })
     }
 
     /// Cell `i`'s base voltage, pending or not: for a pending cell the
-    /// generator is advanced past the bitlines before it and draws one.
+    /// generator walks past the bitlines before it and draws one.
     fn base_at(&self, i: usize) -> f32 {
-        let (wl, bl) = (i / self.bitlines as usize, i % self.bitlines as usize);
-        match &self.pending[wl] {
+        let wl = i / self.bitlines as usize;
+        match self.owed(wl as u32) {
             None => self.base_vth[i],
-            Some(rng) => {
-                let mut rng = rng.clone();
-                (0..bl).for_each(|_| retention::skip_standard_normal(&mut rng));
-                erased_base(self.erased, &mut rng)
+            Some((mut rng, draws)) => {
+                let lo = wl * self.bitlines as usize;
+                for &state in &self.intended[lo..i] {
+                    draws.cell::<false>(&mut rng, CellState::from_index(state));
+                }
+                draws.cell::<true>(&mut rng, CellState::from_index(self.intended[i]))
             }
         }
     }
 
     /// Programs one wordline to the given target states (one per bitline),
-    /// applying misprogram and over-programmed-outlier noise.
+    /// applying misprogram and over-programmed-outlier noise, every cell
+    /// drawn now. The MSB pass, which places every cell again; the first
+    /// (LSB) pass is [`CellArray::program_first_pass`].
     ///
     /// # Panics
     ///
@@ -459,42 +603,59 @@ impl CellArray {
         states: &[CellState],
         pe_cycles: u64,
     ) {
+        self.place::<true>(rng, wordline, states, Draws::new(params, pe_cycles));
+    }
+
+    /// [`CellArray::program_wordline`] for a first (LSB) pass, which the
+    /// second overwrites: the wordline is left pending, only the cells placed
+    /// in P3 drawn, unless another could reach the candidate floor (module
+    /// docs). Either way the generator ends where drawing every cell leaves
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states.len() != bitlines`.
+    pub(crate) fn program_first_pass(
+        &mut self,
+        params: &ChipParams,
+        rng: &mut StdRng,
+        wordline: u32,
+        states: &[CellState],
+        pe_cycles: u64,
+    ) {
+        let draws = Draws::new(params, pe_cycles);
+        let lazy = draws.only_p3_reaches(Self::candidate_floor(params));
+        #[cfg(test)]
+        let lazy = lazy && !EAGER_DRAWS.with(std::cell::Cell::get);
+        if lazy {
+            self.place::<false>(rng, wordline, states, draws);
+        } else {
+            self.place::<true>(rng, wordline, states, draws);
+        }
+    }
+
+    /// Sets a wordline's intended states and places its cells by `draws`;
+    /// with `DRAW` false only those in P3, the wordline owing the rest.
+    fn place<const DRAW: bool>(
+        &mut self,
+        rng: &mut StdRng,
+        wordline: u32,
+        states: &[CellState],
+        draws: Draws,
+    ) {
         assert_eq!(states.len(), self.bitlines as usize, "one state per bitline");
-        // Everything that depends only on the wear level, once per wordline.
-        let misprogram = params.misprogram_prob(pe_cycles);
-        let dists = ALL_STATES.map(|state| params.state_dist(state, pe_cycles));
-        // Over-programmed outliers: exponential tail above outlier_base,
-        // truncated at outlier_cap (program-verify bounds the maximum
-        // stored voltage below the nominal Vpass).
-        let outlier_span =
-            1.0 - (-(params.outlier_cap - params.outlier_base) / params.outlier_scale).exp();
+        // Whatever the wordline owed is overwritten.
+        self.pending[wordline as usize] = (!DRAW).then(|| Pending::FirstPass(rng.clone(), draws));
         let lo = self.index(wordline, 0);
-        // Every cell is overwritten: the erased draws are never needed.
-        self.pending[wordline as usize] = None;
         for (bitline, &state) in states.iter().enumerate() {
             self.intended[lo + bitline] = state.index();
-            let placed = pe_cycling::place_state_at(rng, misprogram, state);
-            let vth = if placed == CellState::P3 && rng.gen::<f64>() < params.outlier_prob {
-                let u: f64 = rng.gen::<f64>() * outlier_span;
-                params.outlier_base - params.outlier_scale * (1.0 - u).ln()
-            } else {
-                let dist = dists[placed.index() as usize];
-                dist.mean + dist.sigma * retention::sample_standard_normal(rng)
-            };
-            self.base_vth[lo + bitline] = vth as f32;
+            self.base_vth[lo + bitline] = draws.cell::<DRAW>(rng, state);
         }
     }
 
     /// The intended (programmed) state of a cell.
     pub fn intended_state(&self, wordline: u32, bitline: u32) -> CellState {
         CellState::from_index(self.intended[self.index(wordline, bitline)])
-    }
-
-    /// The cell's base voltage (as placed at program time, before retention
-    /// and disturb) on a wordline that is not pending.
-    pub(crate) fn base_vth(&self, wordline: u32, bitline: u32) -> f64 {
-        debug_assert!(!self.is_pending(wordline));
-        self.base_vth[self.index(wordline, bitline)] as f64
     }
 
     /// The cell's read-disturb susceptibility factor.
@@ -518,7 +679,8 @@ impl CellArray {
     /// retention loss applied to the base voltage, then the accumulated
     /// disturb dose. A walk along a wordline takes
     /// [`CellArray::wordline_current_vth`] instead: on a wordline whose
-    /// erase is still undrawn this call re-walks the draws before its cell.
+    /// erase or first program pass is still undrawn this call re-walks the
+    /// draws before its cell.
     pub fn current_vth(
         &self,
         params: &ChipParams,
@@ -542,13 +704,14 @@ impl CellArray {
         self.wordline_vth(wordline, Sense::new(params, op))
     }
 
-    /// The one definition of a cell's voltage on a wordline that is not
-    /// pending: every voltage this crate reports, and every one
+    /// The one definition of a cell's voltage whose lane holds it drawn (on
+    /// a wordline that is not pending, or a first pass's P3 cell): every
+    /// voltage this crate reports, and every one
     /// [`CellArray::sense_wordline`] has to compute, is [`Sense::vth`] of a
     /// cell's lanes, and the hot paths take it from here.
     #[inline]
     pub(crate) fn current_vth_at(&self, i: usize, sense: &Sense) -> f64 {
-        debug_assert!(self.pending[i / self.bitlines as usize].is_none());
+        debug_assert!(!self.owes_erase(i / self.bitlines as usize) && !self.base_vth[i].is_nan());
         sense.vth(self.base_vth[i] as f64, self.leak[i] as f64, self.susceptibility[i] as f64)
     }
 
@@ -571,7 +734,8 @@ impl CellArray {
     /// index each bitline reads as in `scratch.states` — for every cell the
     /// [`VoltageRefs::classify_index`] of its [`CellArray::current_vth_at`],
     /// computed only for the cells the comparison screen cannot settle
-    /// (module docs). Returns how many cells those were.
+    /// (module docs). A pending wordline's base voltages are regenerated
+    /// into `scratch` first. Returns how many cells the screen left.
     pub(crate) fn sense_wordline(
         &self,
         wordline: u32,
@@ -579,31 +743,20 @@ impl CellArray {
         screen: &Screen,
         scratch: &mut SenseScratch,
     ) -> usize {
-        debug_assert!(!self.is_pending(wordline), "materialize a wordline before sensing it");
-        let n = self.bitlines as usize;
         let lo = self.index(wordline, 0);
-        let SenseScratch { states, residue, .. } = scratch;
-        states.resize(n, 0);
-        let lanes = self.base_vth[lo..lo + n]
-            .iter()
-            .zip(&self.leak[lo..lo + n])
-            .zip(&self.susceptibility[lo..lo + n]);
-        // The screen: no branch and nothing carried from cell to cell, so
-        // the compiler is free to vectorize it. An unsettled cell is flagged
-        // in its state byte and collected afterwards.
-        const UNSETTLED: u8 = 0x80;
-        for (state, ((&base, &leak), &s)) in states.iter_mut().zip(lanes) {
-            let v0 = sense.retained(base as f64, leak as f64);
-            let (class, settled) = screen.classify(v0, sense.term(s as f64));
-            *state = if settled { class } else { UNSETTLED };
-        }
-        residue.clear();
-        residue.extend((0..n as u32).filter(|&bl| states[bl as usize] == UNSETTLED));
-        for &bl in residue.iter() {
-            let vth = self.current_vth_at(lo + bl as usize, sense);
-            states[bl as usize] = screen.refs.classify_index(vth) as u8;
-        }
-        residue.len()
+        let hi = lo + self.bitlines as usize;
+        let (leak, susceptibility) = (&self.leak[lo..hi], &self.susceptibility[lo..hi]);
+        let mut bases = std::mem::take(&mut scratch.bases);
+        let lane = if self.is_pending(wordline) {
+            bases.clear();
+            bases.extend(self.wordline_bases(wordline));
+            &bases[..]
+        } else {
+            &self.base_vth[lo..hi]
+        };
+        let left = sense_lanes(lane, leak, susceptibility, sense, screen, scratch);
+        scratch.bases = bases;
+        left
     }
 
     /// Whether cell `i` blocks its bitline at the pass-through voltage
@@ -657,17 +810,25 @@ impl CellArray {
     /// Indices of cells whose base voltage exceeds `floor` — the candidate
     /// set for pass-through blocking (only these can ever exceed a relaxed
     /// Vpass; disturb cannot push other cells that high, see module docs of
-    /// [`crate::noise::read_disturb`]). Pending wordlines hold none, by the
-    /// bound `erase` checked against [`CellArray::candidate_floor`].
+    /// [`crate::noise::read_disturb`]). Found without drawing, by the bounds
+    /// `erase` and `program_first_pass` checked against
+    /// [`CellArray::candidate_floor`]: a wordline owing an erase holds none,
+    /// and one owing a first pass holds only cells placed in P3, which its
+    /// lane holds drawn (module docs).
     pub(crate) fn passthrough_candidates(&self, floor: f64) -> Vec<u32> {
-        let n = self.bitlines as usize;
-        (0..self.wordlines)
-            .filter(|&wl| !self.is_pending(wl))
-            .flat_map(|wl| {
-                let lo = self.index(wl, 0);
-                (lo..lo + n).filter(|&i| self.base_vth[i] as f64 > floor).map(|i| i as u32)
-            })
-            .collect()
+        (0..self.wordlines).flat_map(|wl| self.wordline_candidates(wl, floor)).collect()
+    }
+
+    /// [`CellArray::passthrough_candidates`] of one wordline, in bitline
+    /// order.
+    pub(crate) fn wordline_candidates(
+        &self,
+        wordline: u32,
+        floor: f64,
+    ) -> impl Iterator<Item = u32> + '_ {
+        let lo = self.index(wordline, 0);
+        let hi = if self.owes_erase(wordline as usize) { lo } else { lo + self.bitlines as usize };
+        (lo..hi).filter(move |&i| self.base_vth[i] as f64 > floor).map(|i| i as u32)
     }
 
     /// Serializes the full per-cell state (checkpointing), pending
@@ -857,7 +1018,7 @@ mod tests {
         let (mut array, params, mut rng) = small_array();
         let floor = CellArray::candidate_floor(&params);
         for pe in [0, 8_000, 100_000, 800_000] {
-            assert!(CellArray::erased_stay_below(params.state_dist(CellState::Er, pe), floor));
+            assert!(stays_below(params.state_dist(CellState::Er, pe), floor));
             let (twin, twin_rng) = eager_twin(&array, &params, &rng, pe);
             array.erase(&params, &mut rng, pe);
             assert!((0..4).all(|wl| array.is_pending(wl)), "at {pe} P/E");
@@ -869,7 +1030,7 @@ mod tests {
             assert!((0..4).all(|wl| !array.is_pending(wl)));
         }
         // σ_ER widens with wear until an erased cell could reach the floor.
-        assert!(!CellArray::erased_stay_below(params.state_dist(CellState::Er, 1_000_000), floor));
+        assert!(!stays_below(params.state_dist(CellState::Er, 1_000_000), floor));
     }
 
     #[test]
@@ -915,6 +1076,117 @@ mod tests {
             w.into_bytes()
         };
         assert_eq!(encode(&array), encode(&drawn));
+    }
+
+    /// The array and generator an eager first pass would leave.
+    fn eager_first_pass(
+        array: &CellArray,
+        params: &ChipParams,
+        rng: &StdRng,
+        states: &[CellState],
+        pe: u64,
+    ) -> (CellArray, StdRng) {
+        let (mut twin, mut rng) = (array.clone(), rng.clone());
+        twin.program_wordline(params, &mut rng, 1, states, pe);
+        (twin, rng)
+    }
+
+    fn lane_of(array: &CellArray, wordline: u32) -> &[f32] {
+        let lo = array.index(wordline, 0);
+        &array.base_vth[lo..lo + array.bitlines as usize]
+    }
+
+    /// While no cell placed in ER, P1 or P2 can reach the candidate floor, a
+    /// first pass is lazy. P2 is the highest: ~411 at 8K P/E, and the bound
+    /// holds to ~98K P/E at the default parameters (module docs). Past that
+    /// wear, or with P2's σ widened, the pass draws every cell at once.
+    #[test]
+    fn lazy_lsb_pass_bound_holds_to_the_documented_wear() {
+        let params = ChipParams::default();
+        let floor = CellArray::candidate_floor(&params);
+        for pe in [0, 8_000, 50_000, 97_000] {
+            assert!(Draws::new(&params, pe).only_p3_reaches(floor), "at {pe} P/E");
+        }
+        let p2 = params.state_dist(CellState::P2, 8_000);
+        let highest = p2.mean + retention::NORMAL_Z_BOUND * p2.sigma;
+        assert!((405.0..415.0).contains(&highest), "P2 reaches {highest} at 8K P/E");
+        assert!(!Draws::new(&params, 99_000).only_p3_reaches(floor));
+        assert!(!stays_below(params.state_dist(CellState::P2, 99_000), floor));
+        let mut widened = params.clone();
+        widened.states[CellState::P2.index() as usize].sigma = 25.0;
+        for (params, pe, lazy) in
+            [(&params, 8_000, true), (&params, 99_000, false), (&widened, 8_000, false)]
+        {
+            let mut rng = StdRng::seed_from_u64(pe);
+            let mut array = CellArray::new(2, 512, params, &mut rng);
+            let states: Vec<CellState> =
+                (0..512).map(|bl| [CellState::Er, CellState::P2][bl % 2]).collect();
+            let (twin, twin_rng) = eager_first_pass(&array, params, &rng, &states, pe);
+            array.program_first_pass(params, &mut rng, 1, &states, pe);
+            assert_eq!(array.owes_first_pass(1), lazy, "at {pe} P/E");
+            assert_eq!(rng.state(), twin_rng.state(), "at {pe} P/E");
+            assert_eq!(lane_bits(&array), lane_bits(&twin), "at {pe} P/E");
+        }
+    }
+
+    /// A cell a lazy first pass misprograms into P3 is drawn at once: its
+    /// lane holds the eager pass's voltage and it enters the candidate list,
+    /// in bitline order, as the eager pass's does. Every other cell stays
+    /// undrawn.
+    #[test]
+    fn lazy_lsb_pass_draws_misprogrammed_p3_cells_at_once() {
+        let defaults = ChipParams::default();
+        let pe_rber_coeff = 10.0 * defaults.pe_rber_coeff;
+        let params = ChipParams { pe_rber_coeff, outlier_prob: 0.5, ..defaults };
+        let (floor, pe) = (CellArray::candidate_floor(&params), 20_000);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut array = CellArray::new(2, 4096, &params, &mut rng);
+        let states = vec![CellState::P2; 4096];
+        let (twin, twin_rng) = eager_first_pass(&array, &params, &rng, &states, pe);
+        array.program_first_pass(&params, &mut rng, 1, &states, pe);
+        assert!(array.owes_first_pass(1));
+        assert_eq!(rng.state(), twin_rng.state());
+        let (lane, eager) = (lane_of(&array, 1), lane_of(&twin, 1));
+        let drawn: Vec<usize> = (0..4096).filter(|&bl| !lane[bl].is_nan()).collect();
+        // ~2% of P2 cells misprogram up at this wear.
+        assert!((40..160).contains(&drawn.len()), "{} cells drawn", drawn.len());
+        for &bl in &drawn {
+            assert_eq!(lane[bl].to_bits(), eager[bl].to_bits(), "bitline {bl}");
+            assert!(lane[bl] > 380.0, "bitline {bl} at {} is not a P3 cell", lane[bl]);
+        }
+        let candidates = array.passthrough_candidates(floor);
+        assert!(candidates.len() > 10, "{} candidates", candidates.len());
+        assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
+        assert_eq!(candidates, twin.passthrough_candidates(floor));
+    }
+
+    /// A lazy first pass, over every intended state and at wears the bound
+    /// allows, leaves the generator where the eager loop does; its wordline
+    /// then regenerates, reads per cell and materializes as the eager
+    /// pass's.
+    #[test]
+    fn lazy_lsb_pass_leaves_the_generator_where_the_eager_loop_does() {
+        let params = ChipParams::default();
+        for pe in [0, 3_000, 15_000, 90_000] {
+            let mut rng = StdRng::seed_from_u64(41 + pe);
+            let mut array = CellArray::new(3, 512, &params, &mut rng);
+            let states: Vec<CellState> = (0..512).map(|bl| ALL_STATES[(bl / 3) % 4]).collect();
+            let (mut twin, twin_rng) = eager_first_pass(&array, &params, &rng, &states, pe);
+            array.program_first_pass(&params, &mut rng, 1, &states, pe);
+            assert!(array.owes_first_pass(1));
+            assert_eq!(rng.state(), twin_rng.state(), "at {pe} P/E");
+            assert_eq!(lane_bits(&array), lane_bits(&twin), "at {pe} P/E");
+            let op = OperatingPoint { pe_cycles: pe, age_days: 2.0, dose: 1.0e3 };
+            for bl in [0, 100, 511] {
+                let lazy = array.current_vth(&params, 1, bl, op);
+                assert_eq!(lazy.to_bits(), twin.current_vth(&params, 1, bl, op).to_bits());
+            }
+            array.materialize(1);
+            twin.materialize(1);
+            assert!(!array.is_pending(1));
+            let bits = |lane: &[f32]| lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(lane_of(&array, 1)), bits(lane_of(&twin, 1)), "at {pe} P/E");
+        }
     }
 
     #[test]

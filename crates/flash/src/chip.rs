@@ -383,8 +383,9 @@ impl Chip {
 
     /// Read-only access to a block's cells (oracle inspection for
     /// experiments and tests). Requires [`ReadFidelity::CellExact`]. A
-    /// wordline erased and not yet sensed has its voltages drawn as it is
-    /// walked; walk one with [`CellArray::wordline_current_vth`].
+    /// wordline not yet sensed since its erase or its LSB program has its
+    /// voltages drawn as it is walked; walk one with
+    /// [`CellArray::wordline_current_vth`].
     ///
     /// # Errors
     ///
