@@ -68,11 +68,12 @@
 //! A front-end that only accounts — an rd-serve shard worker reads a
 //! completion's latency, its outcome and which request of the batch it was
 //! — asks for the summarized level: the timing pass writes the same
-//! 32-byte record for both emitting levels, one sort puts them in posting
-//! order, and only a full batch goes on to assemble [`IoCompletion`]s from
-//! them. Every record of the table lives in an arena that travels with its
-//! die's queue or is kept by the engine, so a warm batch allocates nothing
-//! per request.
+//! 32-byte record for both emitting levels, and posts a summarized batch's
+//! records in the order it wrote them; only a full batch sorts them into
+//! completion order and goes on to assemble [`IoCompletion`]s from them.
+//! Every record of the table lives in an arena that travels with its die's
+//! queue or is kept by the engine, so a warm batch allocates nothing per
+//! request.
 //!
 //! # Pipelining
 //!
@@ -116,7 +117,7 @@ use rd_ftl::{
 };
 use rd_workloads::{OpKind, TraceOp};
 
-use crate::pool::{PoolHandle, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
 use crate::stats::{DieStats, EngineStats, LatencyHistogram};
 use crate::timing::Timing;
@@ -571,7 +572,7 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     config: EngineConfig,
     /// The dies. A slot is `None` only while that die's flash phase is
     /// executing on the worker pool (ownership moves into the job and
-    /// returns through `results`).
+    /// returns through `landing`).
     dies: Vec<Option<Die<P>>>,
     /// Reciprocal of the die count: `submit` stripes every request with it.
     die_div: FastDiv,
@@ -580,10 +581,10 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// Posted completions, ordered by simulated completion time.
     cq: Vec<IoCompletion>,
     /// One record per request of an emitting batch, written by the timing
-    /// pass in dispatch order and sorted into posting order when the pass
-    /// ends. A full batch's records are then assembled into `cq`; a
-    /// summarized batch's stay, posted, until
-    /// [`Engine::swap_summaries`] takes them.
+    /// pass channel by channel, each in dispatch order. A full batch's
+    /// records are sorted into completion order when the pass ends and
+    /// assembled into `cq`; a summarized batch's stay, posted as written,
+    /// until [`Engine::swap_summaries`] takes them.
     timed: Vec<CompletionSummary>,
     next_id: u64,
     /// Per-die queues `submit` appends to, reused across batches (arena:
@@ -593,13 +594,9 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     /// until its timing pass has read them, and the next batch fills these
     /// meanwhile (double buffering; the buffers swap on every launch).
     spare_work: Vec<DieQueue>,
-    /// Externally attached pool slice (rd-serve shards share one pool).
-    /// When set, every flash phase runs on it.
-    pool: Option<PoolHandle>,
-    /// Lazily built engine-owned pool, used when no external pool is
-    /// attached and the caller asks for more than one worker. Rebuilt if a
-    /// later call asks for a different size.
-    owned_pool: Option<Arc<WorkerPool>>,
+    /// Lazily built pool, used when the caller asks for more than one
+    /// worker. Rebuilt if a later call asks for a different size.
+    owned_pool: Option<WorkerPool>,
     /// Where pool jobs land (created on first use; jobs hold clones only
     /// while they are in flight).
     landing: Option<Arc<Landing<P>>>,
@@ -676,7 +673,6 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             next_id: 0,
             work: vec![DieQueue::default(); nd],
             spare_work: vec![DieQueue::default(); nd],
-            pool: None,
             owned_pool: None,
             landing: None,
             spare_queues: Vec::new(),
@@ -732,15 +728,6 @@ impl<P: ControllerPolicy> Engine<P> {
     /// in flight on the pool (call [`Engine::join_batch`] first).
     pub fn die_mut(&mut self, die: u32) -> &mut Die<P> {
         self.dies[die as usize].as_mut().expect("die's flash phase in flight; join_batch() first")
-    }
-
-    /// Routes every subsequent flash phase to a slice of a shared
-    /// [`WorkerPool`] (rd-serve gives each shard engine a slice of one
-    /// machine-wide pool). Die `d` always runs on lane `d % workers`, so
-    /// results stay bit-identical for any slice size. Overrides the
-    /// `threads` argument of [`Engine::run`] / [`Engine::begin_batch`].
-    pub fn attach_pool(&mut self, pool: PoolHandle) {
-        self.pool = Some(pool);
     }
 
     /// Cumulative wall-clock stage counters (see [`EngineStageNs`]).
@@ -808,9 +795,10 @@ impl<P: ControllerPolicy> Engine<P> {
     }
 
     /// Takes every unconsumed summary of the summarized batches finished so
-    /// far, oldest first, by swap: `out` is cleared and becomes the engine's
-    /// next buffer, so a front-end that swaps batch after batch allocates
-    /// nothing.
+    /// far by swap: `out` is cleared and becomes the engine's next buffer,
+    /// so a front-end that swaps batch after batch allocates nothing.
+    /// Batches come oldest first, each in timing order
+    /// ([`Engine::begin_batch_summarized`]).
     pub fn swap_summaries(&mut self, out: &mut Vec<CompletionSummary>) {
         out.clear();
         std::mem::swap(&mut self.timed, out);
@@ -1082,10 +1070,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.finish_batch()
     }
 
-    /// Launches the flash phase of every pending request — on the attached
-    /// [`PoolHandle`] if one is set (then `threads` is ignored), on a
-    /// lazily built engine-owned pool for `threads > 1`, or inline on the
-    /// calling thread for a single worker. Returns the batch size. With
+    /// Launches the flash phase of every pending request — on a lazily
+    /// built engine-owned pool for `threads > 1`, or inline on the calling
+    /// thread for a single worker. Returns the batch size. With
     /// nothing pending the batch is empty, and still a batch: `join_batch`
     /// returns at once and `finish_batch` returns 0.
     ///
@@ -1104,9 +1091,19 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// [`Engine::begin_batch`] for a front-end that only accounts: the
     /// batch runs, is timed and is counted exactly as a full one, but
     /// [`Engine::finish_batch`] posts one 32-byte [`CompletionSummary`] per
-    /// request — in the order the [`IoCompletion`]s would have been posted
-    /// — for [`Engine::swap_summaries`] to take, and no [`IoCompletion`] is
-    /// built.
+    /// request for [`Engine::swap_summaries`] to take, and no
+    /// [`IoCompletion`] is built.
+    ///
+    /// Summaries are posted in **timing order**, not completion order:
+    /// channel by channel in index order, and within a channel in the order
+    /// the timing pass dispatched them. Each summary is the record the
+    /// request's [`IoCompletion`] is built from, to the bit; only the order
+    /// differs. Counts and [`LatencyHistogram`] buckets do not depend on
+    /// order. A latency sum does in general, but under [`Timing::mlc`] (the
+    /// default) every latency is a whole number of µs below 2⁵³, so a
+    /// tenant's sum is exact in any order. With time constants that are not
+    /// whole µs, a sum folded from summaries may differ in its last bits
+    /// from one folded in completion order.
     ///
     /// # Panics
     ///
@@ -1116,9 +1113,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     }
 
     /// Phase 1 launch: dispatches every non-empty per-die queue to the
-    /// executor [`Engine::begin_batch`] describes. The attached pool runs
-    /// the phase even with one lane, so a pipelining front-end still
-    /// overlaps it with the coordinator's timing pass. Die `d` maps to lane
+    /// executor [`Engine::begin_batch`] describes. Die `d` maps to lane
     /// `d % workers` — a pure function of die index and pool size, so
     /// execution partitioning (and therefore every digest) is reproducible.
     /// Either executor leaves `work` empty and owned by the engine, so
@@ -1129,26 +1124,16 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let batch = std::mem::take(&mut self.pending);
         let nd = self.dies.len();
         let jobs = self.work.iter().filter(|queue| !queue.slots.is_empty()).count();
-        let handle = match &self.pool {
-            // An empty batch has nothing to execute anywhere.
-            _ if jobs == 0 => None,
-            Some(h) => Some(h.clone()),
-            None => match resolve_threads(threads, nd) {
-                1 => None,
-                t => {
-                    if self.owned_pool.as_ref().map(|p| p.workers()) != Some(t) {
-                        self.owned_pool = Some(Arc::new(WorkerPool::new(t)));
-                    }
-                    let pool = self.owned_pool.as_ref().expect("just built");
-                    Some(PoolHandle::all(Arc::clone(pool)))
-                }
-            },
-        };
-        let pooled = handle.map(|handle| {
+        // An empty batch has nothing to execute anywhere.
+        let t = if jobs == 0 { 1 } else { resolve_threads(threads, nd) };
+        let pooled = (t > 1).then(|| {
+            if self.owned_pool.as_ref().map(WorkerPool::workers) != Some(t) {
+                self.owned_pool = Some(WorkerPool::new(t));
+            }
             let landing = Arc::clone(self.landing.get_or_insert_with(|| Arc::new(Landing::new())));
             // The countdown is set before the first job can land.
             landing.state.lock().expect("landing lock poisoned").running = jobs;
-            (handle, landing)
+            landing
         });
         let ctx = ExecContext {
             timing: self.config.timing,
@@ -1168,7 +1153,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             let queue =
                 std::mem::replace(&mut self.work[d], std::mem::take(&mut self.spare_work[d]));
             let start_digest = self.die_digest[d];
-            let Some((handle, landing)) = &pooled else {
+            let (Some(pool), Some(landing)) = (&self.owned_pool, &pooled) else {
                 // Inline execution on the calling thread (identical results).
                 let die = self.dies[d].as_mut().expect("die present");
                 let exec = execute_die(die, queue, &ctx, start_digest, d as u64);
@@ -1178,7 +1163,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             queues.push(None);
             let mut die = self.dies[d].take().expect("die present");
             let report = PanicReport { die: d, landing: Arc::clone(landing) };
-            handle.submit(
+            pool.submit(
                 d,
                 Box::new(move || {
                     let exec = execute_die(&mut die, queue, &ctx, start_digest, d as u64);
@@ -1327,11 +1312,14 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// latency histogram (its sum is added in timing order) and the
     /// makespan, so callers time channels strictly in index order;
     /// cross-channel interleaving cannot change any per-die or
-    /// order-insensitive global statistic, and the sort in
+    /// order-insensitive global statistic, and for a full batch the sort in
     /// [`Self::end_timing`] restores one global time order.
     ///
     /// An emitting batch gets one [`CompletionSummary`] per request, the
-    /// same record whether summaries or full completions are wanted.
+    /// same record whether summaries or full completions are wanted. A
+    /// channel's start times strictly increase in dispatch order (a request
+    /// starts no earlier than the end of the previous one's transfer slot,
+    /// which is positive), so its records are written in start-time order.
     fn time_channel(&mut self, flight: &mut Flight, ch: usize, batch_now: f64) {
         let dies = self.channel_dies(ch);
         let lo = dies.start;
@@ -1407,18 +1395,20 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         self.cursors = cursors;
     }
 
-    /// Closes a batch's timing pass: sorts its records (from `first` on in
-    /// `timed`) into simulated time order — posting them, if summaries were
-    /// asked for — assembles full completions from them, if those were, and
-    /// takes the queues back as arenas for later batches.
+    /// Closes a batch's timing pass: leaves a summarized batch's records
+    /// (from `first` on in `timed`) posted in timing order; sorts a full
+    /// batch's into simulated completion order and assembles its
+    /// completions from them; and takes the queues back as arenas for later
+    /// batches.
     fn end_timing(&mut self, flight: Flight, first: usize) -> usize {
         let Flight { mut queues, emit, total, first_id, .. } = flight;
-        // `slot` orders as the command id does: both count from the batch's
-        // first request.
-        self.timed[first..].sort_unstable_by(|a, b| {
-            a.complete_us.total_cmp(&b.complete_us).then(a.slot.cmp(&b.slot))
-        });
+        // A summarized batch is posted in timing order, as written.
         if emit == Emit::Full {
+            // `slot` orders as the command id does: both count from the
+            // batch's first request.
+            self.timed[first..].sort_unstable_by(|a, b| {
+                a.complete_us.total_cmp(&b.complete_us).then(a.slot.cmp(&b.slot))
+            });
             // A die's completion times never decrease and its ids grow, so
             // the sort left each die's records in dispatch order: a die's
             // next record belongs to its next `rich` entry.

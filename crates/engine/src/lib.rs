@@ -44,7 +44,7 @@ mod timing;
 mod topology;
 
 pub use engine::{Engine, EngineConfig, EngineStageNs, FastDiv, ENGINE_SNAP_MAGIC};
-pub use pool::{PoolHandle, WorkerPool};
+pub use pool::WorkerPool;
 pub use queue::{CompletionSummary, IoCompletion, Outcome, OutcomeClass, ReqKind};
 pub use rd_ftl::wire;
 pub use rd_ftl::SnapError;

@@ -7,14 +7,6 @@
 //! pure function of the die index and the pool size, and per-die results
 //! are keyed by die index rather than completion order. Both properties
 //! together keep engine digests bit-identical for any pool size.
-//!
-//! [`PoolHandle`] is a cheaply clonable window onto a shared pool: a
-//! contiguous `[offset, offset + len)` slice of its lanes. rd-serve
-//! creates one pool sized to the machine and hands each shard a slice, so
-//! shards share cores instead of pinning one thread each; slices may
-//! overlap when there are fewer workers than shards (the lanes are
-//! mutex-guarded queues, and determinism does not depend on which OS
-//! thread runs a job).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -128,59 +120,10 @@ fn worker_loop(lane: &Lane) {
             }
         };
         // A panicking job must not take the lane with it: the lane's other
-        // jobs are queued behind it and other engines share the pool. The
-        // job's owner learns of the panic from the job itself (the engine's
-        // die jobs report it on their result channel).
+        // jobs are queued behind it. The job's owner learns of the panic
+        // from the job itself (the engine's die jobs report it where their
+        // die would have landed).
         let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-    }
-}
-
-/// A clonable window onto a contiguous slice of a shared [`WorkerPool`]'s
-/// lanes. The engine addresses lanes by a local index in `0..workers()`;
-/// the handle maps it into the underlying pool.
-#[derive(Clone)]
-pub struct PoolHandle {
-    pool: Arc<WorkerPool>,
-    offset: usize,
-    len: usize,
-}
-
-impl PoolHandle {
-    /// A handle over every lane of `pool`.
-    pub fn all(pool: Arc<WorkerPool>) -> Self {
-        let len = pool.workers();
-        Self { pool, offset: 0, len }
-    }
-
-    /// A handle over lanes `[offset, offset + len)` of `pool`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty or out of range.
-    pub fn slice(pool: Arc<WorkerPool>, offset: usize, len: usize) -> Self {
-        assert!(len >= 1, "pool slice must contain at least one lane");
-        assert!(
-            offset + len <= pool.workers(),
-            "pool slice [{offset}, {}) out of range for {} workers",
-            offset + len,
-            pool.workers()
-        );
-        Self { pool, offset, len }
-    }
-
-    /// Enqueues `job` on local lane `lane % workers()`.
-    pub(crate) fn submit(&self, lane: usize, job: Job) {
-        self.pool.submit(self.offset + lane % self.len, job);
-    }
-}
-
-impl fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PoolHandle")
-            .field("offset", &self.offset)
-            .field("len", &self.len)
-            .field("pool_workers", &self.pool.workers())
-            .finish()
     }
 }
 
@@ -189,13 +132,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
-
-    impl PoolHandle {
-        /// Number of lanes visible through this handle.
-        fn workers(&self) -> usize {
-            self.len
-        }
-    }
 
     #[test]
     fn jobs_on_one_lane_run_in_fifo_order() {
@@ -228,21 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn slices_map_local_lanes_into_the_pool() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let handle = PoolHandle::slice(Arc::clone(&pool), 2, 2);
-        assert_eq!(handle.workers(), 2);
+    fn a_lane_survives_a_panicking_job() {
+        let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
-        // Local lane 3 wraps to local 1 → pool lane 3.
-        handle.submit(3, Box::new(move || tx.send(42usize).unwrap()));
-        assert_eq!(rx.recv().unwrap(), 42);
-        assert_eq!(PoolHandle::all(pool).workers(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn oversized_slice_panics() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let _ = PoolHandle::slice(pool, 1, 2);
+        pool.submit(0, Box::new(|| panic!("job refuses to run")));
+        pool.submit(0, Box::new(move || tx.send(42usize).unwrap()));
+        assert_eq!(rx.recv().unwrap(), 42, "the job behind a panicking one ran");
     }
 }

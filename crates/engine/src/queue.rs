@@ -7,8 +7,8 @@
 //! latency percentiles are computed — that the host pops or drains in
 //! simulated completion order. A front-end that only accounts (rd-serve's
 //! shard workers) asks for the 32-byte [`CompletionSummary`] instead: the
-//! same requests in the same order, without the address, the error value or
-//! the page data.
+//! same requests, without the address, the error value or the page data,
+//! posted in the order the timing pass produced them.
 
 use rd_ftl::FtlError;
 
@@ -122,7 +122,13 @@ impl Outcome {
 
 /// Completion record of one request of a summarized batch
 /// ([`Engine::begin_batch_summarized`](crate::Engine::begin_batch_summarized)):
-/// 32 bytes, posted in the order the [`IoCompletion`]s would have been.
+/// 32 bytes, the record the request's [`IoCompletion`] would be built from,
+/// to the bit. A batch's summaries are posted in timing order — channel by
+/// channel in index order, within a channel in dispatch order — not in
+/// completion order. Under [`Timing::mlc`](crate::Timing::mlc), the default,
+/// every latency is a whole number of µs below 2⁵³, so a latency sum folded
+/// from them is exact in any order; with time constants that are not whole
+/// µs, it may differ in its last bits from a fold in completion order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionSummary {
     /// Simulated completion time (µs).

@@ -273,6 +273,58 @@ mod tests {
         }
     }
 
+    /// As above, over a window in which garbage collection relocates pages,
+    /// so that latencies carry background time: the array is filled, then
+    /// overwritten several times over, and every tenant's accounting —
+    /// its latency sum to the bit — is the same from summaries, which are
+    /// posted in timing order, as from completions, posted in completion
+    /// order.
+    #[test]
+    fn summaries_fold_to_what_completions_fold_to_under_gc() {
+        use rd_engine::{Engine, EngineConfig, ReadFidelity};
+        const TENANTS: usize = 3;
+        let accounts = |summarized: bool| {
+            let config = EngineConfig::small_test().with_fidelity(ReadFidelity::PageAnalytic);
+            let mut engine = Engine::new(config).unwrap();
+            let logical = engine.logical_pages();
+            let mut accounts = vec![TenantAccounting::default(); TENANTS];
+            let mut summaries = Vec::new();
+            let mut completions = Vec::new();
+            for batch in 0..8u64 {
+                for i in 0..logical {
+                    let draw = (batch * logical + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+                    let kind = if draw.is_multiple_of(4) { ReqKind::Read } else { ReqKind::Write };
+                    engine.submit(kind, if batch == 0 { i } else { draw % logical });
+                }
+                if summarized {
+                    engine.begin_batch_summarized(2);
+                } else {
+                    engine.begin_batch(2);
+                }
+                engine.finish_batch();
+                engine.swap_summaries(&mut summaries);
+                for summary in &summaries {
+                    accounts[summary.slot as usize % TENANTS].record_summary(summary);
+                }
+                completions.clear();
+                engine.drain_completions_into(&mut completions);
+                for completion in &completions {
+                    let slot = completion.id - batch * logical;
+                    accounts[slot as usize % TENANTS].record(completion);
+                }
+            }
+            let gc_writes: u64 = engine.stats().per_die.iter().map(|d| d.ssd.gc_writes).sum();
+            (accounts, gc_writes)
+        };
+        let ((full, gc_writes), (lean, _)) = (accounts(false), accounts(true));
+        assert!(gc_writes > 0, "the window relocated no page");
+        for (tenant, (full, lean)) in full.iter().zip(&lean).enumerate() {
+            assert_eq!(full.latency, lean.latency, "tenant {tenant}: latencies differ");
+            assert_eq!(full.latency.sum().to_bits(), lean.latency.sum().to_bits());
+            assert_eq!(full.summary("t"), lean.summary("t"), "tenant {tenant}");
+        }
+    }
+
     #[test]
     fn uber_guards_zero_reads() {
         let mut acct = TenantAccounting::default();

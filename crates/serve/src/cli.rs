@@ -31,9 +31,6 @@ pub struct CliOptions {
     pub batch_ops: usize,
     /// Per-die queue depth.
     pub queue_depth: u32,
-    /// Shared flash worker pool size (0 = one lane per available core);
-    /// every shard draws a proportional slice.
-    pub pool_threads: usize,
     /// Tenant specs; empty means the default 4-tenant mix.
     pub tenants: Vec<TenantConfig>,
     /// Write a JSON snapshot here after `run`.
@@ -52,7 +49,6 @@ impl Default for CliOptions {
             ops: 200_000,
             batch_ops: 512,
             queue_depth: 16,
-            pool_threads: 0,
             tenants: Vec::new(),
             snapshot: None,
         }
@@ -109,7 +105,7 @@ impl CliOptions {
             shards: self.shards,
             batch_ops: self.batch_ops,
             max_inflight_batches: 4,
-            pool_threads: self.pool_threads,
+            pool_threads: 0,
         }
     }
 
@@ -171,8 +167,6 @@ FLAGS:
     --ops <n>          host ops to serve (run mode)     [default: 200000]
     --batch <n>        ops per shard batch              [default: 512]
     --queue-depth <n>  per-die queue depth              [default: 16]
-    --pool-threads <n> shared flash worker pool size; 0 = one
-                       lane per core                    [default: 0]
     --tenant <spec>    name:profile:ops_per_s[:burst_factor]; repeatable
                        (default: 4-tenant web/fin/mail/eng mix)
     --snapshot <path>  write a JSON report here after run
@@ -216,7 +210,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--ops" => options.ops = parse_num(&value(flag)?, flag)?,
             "--batch" => options.batch_ops = parse_num(&value(flag)?, flag)?,
             "--queue-depth" => options.queue_depth = parse_num(&value(flag)?, flag)?,
-            "--pool-threads" => options.pool_threads = parse_num(&value(flag)?, flag)?,
             "--tenant" => options.tenants.push(TenantConfig::parse_spec(&value(flag)?)?),
             "--snapshot" => options.snapshot = Some(value(flag)?),
             "-h" | "--help" => return Ok(Command::Help),

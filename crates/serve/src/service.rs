@@ -1,5 +1,4 @@
-//! The sharded service: one engine + worker thread per channel group,
-//! with the flash phase on one machine-wide worker pool.
+//! The sharded service: one engine + worker thread per channel group.
 //!
 //! [`Service`] owns `shards` worker threads, each wrapping its own
 //! [`rd_engine::Engine`] over a disjoint channel group (see
@@ -10,45 +9,40 @@
 //! batch buffers recycle back to the front-end, so the steady-state hot
 //! loop allocates nothing.
 //!
-//! **Multi-core serving.** One shared [`rd_engine::WorkerPool`] of
-//! `pool_threads` lanes (default: one per core) serves every shard: each
-//! shard engine gets a proportional slice, so a 4-shard deployment on a
-//! 16-core machine runs 16 flash workers instead of 4 shard threads. The
-//! shard worker loop is pipelined over the engine's three-stage batch API:
-//! when batch N+1 arrives while batch N's flash phase is on the pool, the
-//! worker joins N, launches N+1, and only then runs N's serial timing
-//! phase and tenant-accounting fold — coordinator work overlaps pool work.
+//! **The shard count is the parallelism.** A shard worker serves each
+//! batch start to finish on its own thread — submit, every die's flash
+//! phase, the timing pass, the tenant fold — so serving runs one thread
+//! per shard beside the front-end, and a shard owns whole channels, the
+//! controller's unit of parallelism.
 //!
 //! **What a shard worker consumes.** Of each completion: its latency, its
 //! outcome (kind, ok / not-written / failed, corrected errors) and which op
 //! of the batch it answers — that op's tenant is whom it is accounted to.
 //! So batches are launched with [`Engine::begin_batch_summarized`] and
-//! settle as 32-byte [`CompletionSummary`]s, in the order full completions
-//! would have been posted (the per-tenant latency sums are
-//! order-sensitive), taken in a buffer the worker swaps with the engine's;
-//! no [`rd_engine::IoCompletion`] is built on this path. Joining a batch
-//! costs the worker one sleep, ended by the last die to land.
+//! settle as 32-byte [`CompletionSummary`]s in timing order, taken in a
+//! buffer the worker swaps with the engine's; no
+//! [`rd_engine::IoCompletion`] is built on this path. Under the default
+//! timing every latency is a whole number of µs, so each tenant's latency
+//! sum is exact in that order as in any other.
 //!
 //! **Digest parity.** Workers process batches FIFO and each shard engine
 //! sees exactly the ops the monolithic engine's matching dies would see, in
-//! the same order, with the same per-die RNG streams; the pool assigns die
-//! `d` to lane `d % workers` with no stealing, and pipelining reorders only
-//! wall-clock execution, never the simulated sequence. The merged data
+//! the same order, with the same per-die RNG streams. The merged data
 //! digest ([`rd_engine::EngineStats::merge_shards`]) is therefore
 //! bit-identical to a single-engine batch replay of the same op sequence at
-//! every pool size. `tests/integration_serve.rs` and the benchmark's
+//! every shard count. `tests/integration_serve.rs` and the benchmark's
 //! `serve-mixed` workload gate on this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rd_engine::wire::{self, Reader, Writer};
 use rd_engine::{
-    CompletionSummary, Engine, EngineConfig, EngineStageNs, EngineStats, LatencyHistogram,
-    PoolHandle, ReqKind, SnapError, WorkerPool,
+    CompletionSummary, Engine, EngineConfig, EngineStageNs, EngineStats, LatencyHistogram, ReqKind,
+    SnapError,
 };
 use rd_ftl::FtlError;
 
@@ -69,10 +63,9 @@ pub struct ServeConfig {
     /// Admission window: max batches in flight per shard before
     /// `submit` backpressures the generator.
     pub max_inflight_batches: u64,
-    /// Size of the shared flash worker pool every shard draws from; 0
-    /// means one lane per available core. Each shard gets a proportional
-    /// slice (at least one lane; slices overlap when the pool is smaller
-    /// than the shard count). Results are bit-identical at any size.
+    /// Ignored: each shard runs its dies on its own worker thread, so
+    /// `shards` is the service's parallelism. Kept for callers that still
+    /// set it.
     pub pool_threads: usize,
 }
 
@@ -85,7 +78,7 @@ impl ServeConfig {
             shards: 2,
             batch_ops: 64,
             max_inflight_batches: 4,
-            pool_threads: 1,
+            pool_threads: 0,
         }
     }
 }
@@ -115,7 +108,7 @@ enum ShardMsg {
     /// Restore request; the worker rebuilds its engine from the bytes.
     Restore(Vec<u8>, Sender<Result<(), SnapError>>),
     Shutdown,
-    /// Panics the worker thread, as a failing die job would.
+    /// Panics the worker thread, as a panicking die would.
     #[cfg(test)]
     Panic,
 }
@@ -147,21 +140,38 @@ impl ShardWorker {
     /// `completed` never advances again: a wait on it asks this each round.
     fn assert_alive(&self) {
         let handle = self.handle.as_ref().expect("a shard worker is joined only on drop");
-        assert!(
-            !handle.is_finished(),
+        if handle.is_finished() {
+            self.exited();
+        }
+    }
+
+    /// The result of a send to, or a receive from, the worker thread: an
+    /// error means the thread has exited, and this panics naming it.
+    fn alive<T, E>(&self, result: Result<T, E>) -> T {
+        result.unwrap_or_else(|_| self.exited())
+    }
+
+    /// Sends the worker the request `msg` builds around a reply channel,
+    /// and waits for the reply.
+    fn ask<T>(&self, msg: impl FnOnce(Sender<T>) -> ShardMsg) -> T {
+        let (reply, receiver) = mpsc::channel();
+        self.alive(self.sender.send(msg(reply)));
+        self.alive(receiver.recv())
+    }
+
+    fn exited(&self) -> ! {
+        let handle = self.handle.as_ref().expect("a shard worker is joined only on drop");
+        panic!(
             "shard worker alive: {} has exited",
             handle.thread().name().unwrap_or("a shard worker")
         );
     }
 }
 
-/// A shard worker thread's state: its engine, the batch whose flash phase
-/// is on the pool, and what settling a batch touches.
+/// A shard worker thread's state: its engine and what serving a batch
+/// touches.
 struct ShardState {
     engine: Engine,
-    /// The ops of the batch on the pool, kept for tenant attribution: a
-    /// summary's `slot` is its op's index here.
-    inflight: Option<Vec<ShardOp>>,
     accounting: Vec<TenantAccounting>,
     /// The settled batch's summaries, swapped with the engine's buffer.
     scratch: Vec<CompletionSummary>,
@@ -171,31 +181,17 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Submits a batch to the shard engine and launches its flash
-    /// phase on the attached pool slice, asking for summaries: the worker
-    /// reads a completion's latency, outcome and batch slot, nothing else.
-    fn begin(&mut self, ops: Vec<ShardOp>) {
+    /// Serves one batch start to finish on this thread: submits it, runs
+    /// every die's flash phase inline and then the timing pass, asking for
+    /// summaries (the worker reads a completion's latency, outcome and
+    /// batch slot, nothing else), folds each summary into its op's tenant,
+    /// recycles the buffer and bumps the completion count the admission
+    /// window watches.
+    fn serve(&mut self, mut ops: Vec<ShardOp>) {
         for op in &ops {
             self.engine.submit(op.kind, op.lpa);
         }
         self.engine.begin_batch_summarized(1);
-        self.inflight = Some(ops);
-    }
-
-    /// Collects the in-flight flash phase (if any), launches `next`, and
-    /// only then completes the collected batch — serial timing phase,
-    /// summary swap, tenant accounting fold, buffer recycle, and the
-    /// completion count the admission window watches — so that coordinator
-    /// work overlaps the pool executing `next`.
-    fn settle_then_begin(&mut self, next: Option<Vec<ShardOp>>) {
-        let prev = self.inflight.take();
-        if prev.is_some() {
-            self.engine.join_batch();
-        }
-        if let Some(ops) = next {
-            self.begin(ops);
-        }
-        let Some(mut ops) = prev else { return };
         self.engine.finish_batch();
         let started = Instant::now();
         self.engine.swap_summaries(&mut self.scratch);
@@ -212,31 +208,9 @@ impl ShardState {
 }
 
 fn shard_worker_loop(mut shard: ShardState, inbox: Receiver<ShardMsg>) {
-    loop {
-        // While a flash phase is on the pool, poll instead of park: if no
-        // follow-up message is ready the pipeline window closes immediately
-        // (flush() spins on the completed counter and sends nothing).
-        let msg = if shard.inflight.is_some() {
-            match inbox.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => {
-                    shard.settle_then_begin(None);
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-            }
-        } else {
-            match inbox.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
-        // Control messages observe fully settled state.
-        if !matches!(msg, ShardMsg::Batch(_)) {
-            shard.settle_then_begin(None);
-        }
+    while let Ok(msg) = inbox.recv() {
         match msg {
-            ShardMsg::Batch(batch) => shard.settle_then_begin(Some(batch)),
+            ShardMsg::Batch(batch) => shard.serve(batch),
             ShardMsg::Report(reply) => {
                 let report = ShardReport {
                     stats: shard.engine.stats(),
@@ -259,9 +233,6 @@ fn shard_worker_loop(mut shard: ShardState, inbox: Receiver<ShardMsg>) {
             ShardMsg::Panic => panic!("shard worker told to panic"),
         }
     }
-    // Inbox disconnected with a batch still on the pool (front-end dropped
-    // without a shutdown message): settle so the engine drops consistent.
-    shard.settle_then_begin(None);
 }
 
 /// The running sharded front-end.
@@ -287,24 +258,14 @@ impl Service {
     pub fn start(config: ServeConfig, tenants: Vec<TenantConfig>) -> Result<Self, FtlError> {
         Self::check(&config, &tenants).map_err(FtlError::InvalidConfig)?;
         let plan = ShardPlan::new(config.engine.topology, config.shards);
-        let pool_threads = if config.pool_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            config.pool_threads
-        };
-        let pool = Arc::new(WorkerPool::new(pool_threads));
         let mut workers = Vec::with_capacity(config.shards as usize);
         for shard in 0..config.shards {
-            let mut engine = Engine::new(plan.shard_config(&config.engine, shard))?;
-            let (lane_lo, lane_count) =
-                pool_slice(pool_threads, config.shards as usize, shard as usize);
-            engine.attach_pool(PoolHandle::slice(Arc::clone(&pool), lane_lo, lane_count));
+            let engine = Engine::new(plan.shard_config(&config.engine, shard))?;
             let (sender, inbox) = mpsc::channel();
             let (recycle_tx, recycle_rx) = mpsc::channel();
             let completed = Arc::new(AtomicU64::new(0));
             let state = ShardState {
                 engine,
-                inflight: None,
                 accounting: vec![TenantAccounting::default(); tenants.len()],
                 scratch: Vec::new(),
                 accounting_ns: 0,
@@ -413,7 +374,7 @@ impl Service {
         let mut replacement = worker.recycle.try_recv().unwrap_or_default();
         replacement.reserve(batch_ops);
         let batch = std::mem::replace(&mut worker.pending, replacement);
-        worker.sender.send(ShardMsg::Batch(batch)).expect("shard worker alive");
+        worker.alive(worker.sender.send(ShardMsg::Batch(batch)));
         worker.submitted += 1;
     }
 
@@ -458,7 +419,7 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died (its report channel hangs up).
+    /// Panics, naming the shard, if a shard worker has died.
     pub fn report(&mut self, wall_s: f64) -> ServiceReport {
         self.flush();
         let mut shard_stats = Vec::with_capacity(self.workers.len());
@@ -466,13 +427,10 @@ impl Service {
             vec![TenantAccounting::default(); self.tenants.len()];
         let mut stage = ServiceStageNs::default();
         for worker in &self.workers {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Report(reply)).expect("shard worker alive");
-            let shard = receiver.recv().expect("shard worker alive");
+            let shard = worker.ask(ShardMsg::Report);
             for (merged, part) in tenant_accounting.iter_mut().zip(&shard.tenants) {
                 merged.merge(part);
             }
-            stage.pool_wait_ns += shard.stage.pool_wait_ns;
             stage.flash_ns += shard.stage.flash_ns;
             stage.timing_ns += shard.stage.timing_ns;
             stage.accounting_ns += shard.accounting_ns;
@@ -504,14 +462,12 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died.
+    /// Panics, naming the shard, if a shard worker has died.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, SnapError> {
         self.flush();
         let mut shards = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Snapshot(reply)).expect("shard worker alive");
-            shards.push(receiver.recv().expect("shard worker alive")?);
+            shards.push(worker.ask(ShardMsg::Snapshot)?);
         }
         let mut payload = Writer::new();
         payload.section(SEC_SHARDS, |w| {
@@ -536,7 +492,7 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker died.
+    /// Panics, naming the shard, if a shard worker has died.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         self.flush();
         let payload = wire::open(bytes, SERVICE_SNAP_MAGIC, SERVICE_SNAP_VERSION)?;
@@ -560,23 +516,10 @@ impl Service {
             return Err(SnapError::Mismatch("trailing bytes after shard section".into()));
         }
         for (worker, blob) in self.workers.iter().zip(blobs) {
-            let (reply, receiver) = mpsc::channel();
-            worker.sender.send(ShardMsg::Restore(blob, reply)).expect("shard worker alive");
-            receiver.recv().expect("shard worker alive")?;
+            worker.ask(|reply| ShardMsg::Restore(blob, reply))?;
         }
         Ok(())
     }
-}
-
-/// Contiguous slice of pool lanes serving `shard`: a proportional split of
-/// `workers` lanes over `shards`, widened to at least one lane. Slices
-/// overlap when the pool is smaller than the shard count — the lanes are
-/// shared queues, and determinism is unaffected by which OS thread runs a
-/// die's job.
-fn pool_slice(workers: usize, shards: usize, shard: usize) -> (usize, usize) {
-    let lo = ((shard * workers) / shards).min(workers - 1);
-    let hi = (((shard + 1) * workers) / shards).max(lo + 1);
-    (lo, hi - lo)
 }
 
 impl Drop for Service {
@@ -598,10 +541,11 @@ impl Drop for Service {
 /// part of any determinism comparison and reset with the service.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStageNs {
-    /// Shard-coordinator time blocked waiting on pool results, ns.
+    /// Always 0: a shard runs its dies on its own thread and waits on no
+    /// pool. Kept for callers that still read it.
     pub pool_wait_ns: u64,
-    /// Worker-side flash execution, ns (summed over dies and shards, so it
-    /// exceeds wall time whenever workers overlap).
+    /// Flash execution, ns (summed over dies and shards, so it exceeds wall
+    /// time whenever shards overlap).
     pub flash_ns: u64,
     /// Serial discrete-event timing phase, ns.
     pub timing_ns: u64,
@@ -797,7 +741,7 @@ mod tests {
     }
 
     /// A service whose shard 1 died with `batches` shipped to it and never
-    /// completed, as a die job panicking mid-flight leaves it.
+    /// completed, as a die panicking mid-batch leaves it.
     fn with_dead_shard(batches: u64) -> Service {
         let mut service = Service::start(ServeConfig::small_test(), tenants()).unwrap();
         let worker = &mut service.workers[1];
@@ -823,6 +767,19 @@ mod tests {
             }
         });
         assert!(submit.contains("shard worker alive: rd-serve-shard-1 has exited"), "{submit}");
+        // A shard that died idle, with nothing shipped to it, fails the
+        // requests it is sent instead.
+        let died_idle = |call: &str, f: fn(&mut Service)| {
+            let message = panic_message(move || f(&mut with_dead_shard(0)));
+            let named = message.contains("shard worker alive: rd-serve-shard-1 has exited");
+            assert!(named, "{call}: {message}");
+        };
+        died_idle("report", |service| drop(service.report(0.0)));
+        died_idle("checkpoint", |service| drop(service.checkpoint()));
+        died_idle("restore", |service| {
+            let mut healthy = Service::start(ServeConfig::small_test(), tenants()).unwrap();
+            drop(service.restore(&healthy.checkpoint().unwrap()));
+        });
     }
 
     #[test]

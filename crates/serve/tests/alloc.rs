@@ -2,13 +2,13 @@
 //!
 //! The service recycles its shard submission buffers, the engine
 //! double-buffers its per-die work arenas, the aggregate-tier flash read
-//! path allocates nothing per op, and the shard worker takes each batch's
-//! completions as 32-byte summaries in a buffer it swaps with the engine's
-//! — so once the pipeline is warm, a read-only serving window must cost a
-//! small constant number of allocations per *batch* (one boxed pool job per
-//! die) that does not scale with the number of ops in the batch. A per-op
-//! allocation anywhere on the submit → shard → flash → accounting path
-//! would show up here as per-batch counts growing linearly with
+//! path allocates nothing per op, each shard runs its dies inline on its
+//! own thread, and the shard worker takes each batch's completions as
+//! 32-byte summaries in a buffer it swaps with the engine's — so once the
+//! service is warm, a read-only serving window allocates almost nothing
+//! per *batch*, and nothing that scales with the number of ops in it. A
+//! per-op allocation anywhere on the submit → shard → flash → accounting
+//! path would show up here as per-batch counts growing linearly with
 //! `batch_ops`.
 //!
 //! The warmup window uses the real mixed tenant traffic (so the measured
@@ -25,7 +25,7 @@ use rd_ftl::SsdConfig;
 use rd_serve::{ServeConfig, Service, ServiceOp, TenantConfig};
 
 /// Counts every heap allocation (and reallocation) process-wide, from all
-/// threads — shard workers and pool workers included.
+/// threads — shard workers included.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -71,7 +71,7 @@ fn config(batch_ops: usize) -> ServeConfig {
         shards: 2,
         batch_ops,
         max_inflight_batches: 4,
-        pool_threads: 1,
+        pool_threads: 0,
     }
 }
 
@@ -121,19 +121,15 @@ fn steady_state_allocations_per_batch_are_bounded_and_batch_size_independent() {
     let large = allocs_per_batch(512);
     eprintln!("steady-state allocs/batch: {small:.1} at batch_ops=64, {large:.1} at 512");
 
-    // Measured: 2.2 — one boxed flash job per die of the shard (2), plus
-    // the amortized share of channel blocks — and up to 3.6 when a shard's
-    // second set of die arenas first grows inside the window (whether a
-    // batch ever arrives while another is on the pool is up to the
-    // scheduler). The margin to 6
-    // covers that; a per-batch `Vec` for each die's records, the batch's
-    // completion list, the timing pass's scratch and a result-channel node
-    // per die failed this at 8.3.
+    // Measured: 0.1 at both sizes — the amortized share of the mpsc
+    // channels' message blocks, the only allocation left per batch. A
+    // boxed pool job per die (what serving on a shared pool cost, 2.1 to
+    // 3.6 per batch) or any other per-batch `Vec` fails this.
     for (batch_ops, per_batch) in [(64u64, small), (512u64, large)] {
         assert!(
-            per_batch < 6.0,
+            per_batch < 1.0,
             "steady-state allocations per batch at batch_ops={batch_ops}: {per_batch:.1} \
-             (expected 2 to 4)"
+             (expected 0.1)"
         );
     }
 

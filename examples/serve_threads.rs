@@ -1,14 +1,13 @@
 //! Where a served op's CPU goes, thread by thread: one serving window on
 //! a filled 16-die array — the benchmark's `serve-mixed` shape: 4 × 4
-//! aggregate-tier dies of 1024 blocks, 2 shards, 2 pool lanes, 1024-op
-//! batches, four tenants — bracketed by reads of
-//! `/proc/self/task/*/{comm,schedstat}`. Prints, per thread, on-CPU time
-//! and run-queue wait per host op and the number of timeslices, beside the
-//! service's own per-stage totals. On two cores the five threads (the
-//! generator, two shard coordinators, two pool lanes) sum to more CPU than
-//! the window has wall clock, so serving gets faster by removing work from
-//! the busiest of them, not by waiting better; this table says which that
-//! is.
+//! aggregate-tier dies of 1024 blocks, 2 shards, 1024-op batches, four
+//! tenants — bracketed by reads of `/proc/self/task/*/{comm,schedstat}`.
+//! Prints, per thread, on-CPU time and run-queue wait per host op and the
+//! number of timeslices, beside the service's own per-stage totals. On two
+//! cores the three threads (the generator and two shard workers, each
+//! running its dies inline) can sum to more CPU than the window has wall
+//! clock, so serving gets faster by removing work from the busiest of them,
+//! not by waiting better; this table says which that is.
 //!
 //! Run with: `cargo run --release --example serve_threads`
 
@@ -66,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shards: 2,
         batch_ops: 1024,
         max_inflight_batches: 4,
-        pool_threads: 2,
+        pool_threads: 0,
     };
     let tenants = vec![
         TenantConfig::new("web", "umass-web", 6000.0),
@@ -106,9 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let stage = |after: u64, before: u64| (after - before) as f64 / window_ops;
     println!(
-        "stages, ns/op summed over shards: pool wait {:.1}, flash {:.1}, timing {:.1}, \
-         accounting {:.1}",
-        stage(report.stage.pool_wait_ns, stage_before.pool_wait_ns),
+        "stages, ns/op summed over shards: flash {:.1}, timing {:.1}, accounting {:.1}",
         stage(report.stage.flash_ns, stage_before.flash_ns),
         stage(report.stage.timing_ns, stage_before.timing_ns),
         stage(report.stage.accounting_ns, stage_before.accounting_ns),

@@ -44,7 +44,7 @@ fn run_both(
         shards,
         batch_ops,
         max_inflight_batches: 3,
-        pool_threads: 2,
+        pool_threads: 0,
     };
     let mut service = Service::start(config.clone(), tenants()).unwrap();
     let mut traffic = service.traffic(SEED);
@@ -96,7 +96,7 @@ fn per_tenant_accounting_conserves_the_op_stream() {
         shards: 4,
         batch_ops: 128,
         max_inflight_batches: 2,
-        pool_threads: 1,
+        pool_threads: 0,
     };
     let mut service = Service::start(config, tenants()).unwrap();
     let mut traffic = service.traffic(7);
