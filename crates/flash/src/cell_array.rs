@@ -57,20 +57,21 @@
 //!
 //! ## Pending wordlines: a pass draws nothing it does not have to
 //!
-//! An erase places every cell at `mean_ER + σ_ER·z`, one Box–Muller draw per
-//! cell from the chip's generator. MLC then programs a wordline in two
-//! passes: the LSB pass (page `2w`) leaves each cell in ER or an intermediate
-//! state, and the MSB pass (page `2w + 1`) places every cell again. Figure
-//! chips and FTL blocks are programmed page after page, so almost none of
-//! the erase's draws, and few of the LSB pass's, is ever sensed.
-//! [`CellArray::erase`] and [`CellArray::program_first_pass`] therefore set
-//! the intended states at once but, per wordline, only save the generator
-//! and walk it past the wordline's draws — the same uniforms in the same
-//! order, [`retention::skip_standard_normal`] in place of each normal's
-//! `ln`/`sqrt`/`cos`. The wordline is *pending*: its record says whose draws
-//! it owes, the erase's or the first pass's, and they are drawn from the
-//! saved state — the same `f32` bits as the eager loop (`Draws::cell`) —
-//! only when something observes them:
+//! An erase places every cell at `mean_ER + σ_ER·z`, one ziggurat draw
+//! ([`retention::sample_standard_normal`]) per cell from the chip's
+//! generator. MLC then programs a wordline in two passes: the LSB pass (page
+//! `2w`) leaves each cell in ER or an intermediate state, and the MSB pass
+//! (page `2w + 1`) places every cell again. Figure chips and FTL blocks are
+//! programmed page after page, so almost none of the erase's draws, and few
+//! of the LSB pass's, is ever sensed. [`CellArray::erase`] and
+//! [`CellArray::program_first_pass`] therefore set the intended states at
+//! once but, per wordline, only save the generator and walk it past the
+//! wordline's draws — the same uniforms in the same order,
+//! [`retention::skip_standard_normal`] walking each normal's acceptance steps
+//! without keeping its value. The wordline is *pending*: its record says
+//! whose draws it owes, the erase's or the first pass's, and they are drawn
+//! from the saved state — the same `f32` bits as the eager loop
+//! (`Draws::cell`) — only when something observes them:
 //!
 //! * a read or a voltage sweep of the wordline (`&mut` paths) writes them in
 //!   place, once ([`CellArray::materialize`]);
@@ -82,17 +83,17 @@
 //!
 //! An MSB program overwrites every cell and drops the record; a restore
 //! clears them all. The pass-through candidates (base voltage above the
-//! block's candidate floor) are found without drawing, by a bound: an
-//! accepted `u1` is at least 2⁻⁵³, so `|z| ≤ √(106·ln 2) ≈ 8.57 <`
-//! [`retention::NORMAL_Z_BOUND`], and no cell placed at `N(mean, σ)` exceeds
-//! the floor while `mean + 8.6·|σ|` (rounded to `f32`, as the lane is) does
-//! not. An erased cell reaches ~180 against a floor of 458 at the default
-//! parameters and 8K P/E, holding to ~850K P/E: a wordline owing an erase
-//! holds no candidate. A first-pass cell placed in ER, P1 or P2 reaches at
-//! most P2's ~411 at 8K P/E, holding to ~98K P/E: only cells placed in P3 (a
-//! P2 cell misprogrammed up) can cross the floor, so the walk draws those at
-//! once into the lane and writes NaN, which exceeds no floor, for the rest.
-//! Where a bound fails, that erase or pass draws every cell at once.
+//! block's candidate floor) are found without drawing, by a bound: the
+//! sampler redraws any `|z| ≥` [`retention::NORMAL_Z_BOUND`] `= 8.6`, so no
+//! cell placed at `N(mean, σ)` exceeds the floor while `mean + 8.6·|σ|`
+//! (rounded to `f32`, as the lane is) does not. An erased cell reaches ~180
+//! against a floor of 458 at the default parameters and 8K P/E, holding to
+//! ~850K P/E: a wordline owing an erase holds no candidate. A first-pass cell
+//! placed in ER, P1 or P2 reaches at most P2's ~411 at 8K P/E, holding to
+//! ~98K P/E: only cells placed in P3 (a P2 cell misprogrammed up) can cross
+//! the floor, so the walk draws those at once into the lane and writes NaN,
+//! which exceeds no floor, for the rest. Where a bound fails, that erase or
+//! pass draws every cell at once.
 
 use std::f64::consts::LN_2;
 
@@ -210,8 +211,8 @@ impl Draws {
 
     /// The base voltage of the next cell the pass aims at `state`: the
     /// misprogram draw, a P3 cell's outlier test, then the outlier's or the
-    /// normal draw — whose `ln`/`cos` a cell placed outside P3 skips, NaN,
-    /// when `DRAW` is false. The one per-cell program draw, of eager passes,
+    /// normal draw — whose value a cell placed outside P3 drops, NaN, when
+    /// `DRAW` is false. The one per-cell program draw, of eager passes,
     /// [`CellArray::materialize`] and the `&self` regenerators alike.
     #[inline]
     fn cell<const DRAW: bool>(&self, rng: &mut StdRng, state: CellState) -> f32 {

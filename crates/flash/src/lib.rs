@@ -52,11 +52,11 @@
 //! # fn main() -> Result<(), rd_flash::FlashError> {
 //! let geometry = Geometry::small(); // small block for doc tests
 //! let mut chip = Chip::new(geometry, ChipParams::default(), 42);
-//! chip.cycle_block(0, 1_000)?;              // pre-wear: 1K P/E cycles
+//! chip.cycle_block(0, 8_000)?;              // pre-wear: 8K P/E cycles
 //! chip.program_block_random(0, 7)?;         // program pseudo-random data
-//! chip.apply_read_disturbs(0, 100_000)?;    // 100K reads to the block
+//! chip.apply_read_disturbs(0, 1_000_000)?;  // 1M reads to the block
 //! let rber = chip.block_rber(0)?;
-//! assert!(rber.rate() > 0.0);
+//! assert!(rber.rate() > 0.0); // ≥ 31 bit errors at every chip seed 0..200
 //! # Ok(())
 //! # }
 //! ```

@@ -194,7 +194,7 @@ fn scripted_checkpoint(tier: ReadFidelity) -> Vec<u8> {
 #[test]
 fn checkpoint_bytes_are_pinned_per_tier() {
     const PINNED: [(ReadFidelity, u64); 3] = [
-        (ReadFidelity::CellExact, 0x70b7_716c_ca48_997a),
+        (ReadFidelity::CellExact, 0x1d06_71ab_1c82_0970),
         (ReadFidelity::PageAnalytic, 0x1d42_ff05_44fa_7ff3),
         (ReadFidelity::BlockAggregate, 0x327e_05bf_5824_ea60),
     ];

@@ -273,7 +273,7 @@ impl Service {
                 completed: Arc::clone(&completed),
             };
             let handle = std::thread::Builder::new()
-                .name(format!("rd-serve-shard-{shard}"))
+                .name(format!("rd-shard-{shard}"))
                 .spawn(move || shard_worker_loop(state, inbox))
                 .expect("spawn shard worker");
             workers.push(ShardWorker {
@@ -756,7 +756,7 @@ mod tests {
     #[test]
     fn dead_shard_worker_panics_flush_and_submit_instead_of_hanging() {
         let flush = panic_message(|| with_dead_shard(1).flush());
-        assert!(flush.contains("shard worker alive: rd-serve-shard-1 has exited"), "{flush}");
+        assert!(flush.contains("shard worker alive: rd-shard-1 has exited"), "{flush}");
         let submit = panic_message(|| {
             let mut service = with_dead_shard(ServeConfig::small_test().max_inflight_batches);
             // Shard 1's window is closed: its first full batch waits.
@@ -766,12 +766,12 @@ mod tests {
                 }
             }
         });
-        assert!(submit.contains("shard worker alive: rd-serve-shard-1 has exited"), "{submit}");
+        assert!(submit.contains("shard worker alive: rd-shard-1 has exited"), "{submit}");
         // A shard that died idle, with nothing shipped to it, fails the
         // requests it is sent instead.
         let died_idle = |call: &str, f: fn(&mut Service)| {
             let message = panic_message(move || f(&mut with_dead_shard(0)));
-            let named = message.contains("shard worker alive: rd-serve-shard-1 has exited");
+            let named = message.contains("shard worker alive: rd-shard-1 has exited");
             assert!(named, "{call}: {message}");
         };
         died_idle("report", |service| drop(service.report(0.0)));

