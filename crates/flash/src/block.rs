@@ -205,11 +205,7 @@ impl Block {
                 }
             }
         }
-        let pe_cycles = ledger.pe_cycles[b];
-        match addr.kind() {
-            PageKind::Lsb => self.cells.program_first_pass(params, rng, wl, &states, pe_cycles),
-            PageKind::Msb => self.cells.program_wordline(params, rng, wl, &states, pe_cycles),
-        }
+        self.cells.program_wordline(params, rng, wl, &states, ledger.pe_cycles[b]);
         self.refresh_candidates_wordline(wl);
     }
 
@@ -334,7 +330,6 @@ impl Block {
         if disturb {
             self.hammer_wordline(params, ledger, b, wl, 1);
         }
-        self.cells.materialize(wl);
         let sense = self.sense(params, ledger, b);
         self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let blocked_bitlines =
@@ -427,7 +422,6 @@ impl Block {
         if disturb {
             self.hammer_wordline(params, ledger, b, wordline, steps);
         }
-        self.cells.materialize(wordline);
         let sense = self.sense(params, ledger, b);
         self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
         let mut out: Vec<f64> = self

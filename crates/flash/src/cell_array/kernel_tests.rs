@@ -24,8 +24,6 @@ fn array_of(cells: &[Cell]) -> CellArray {
         base_vth: cells.iter().map(|c| c.0).collect(),
         leak: cells.iter().map(|c| c.1).collect(),
         susceptibility: cells.iter().map(|c| c.2).collect(),
-        pending: vec![None],
-        erased: ChipParams::default().state_dist(CellState::Er, 0),
     }
 }
 

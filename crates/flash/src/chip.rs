@@ -1402,9 +1402,10 @@ mod tests {
         assert!(matches!(chip.stored_page(0, 0), Err(FlashError::FidelityUnsupported { .. })));
     }
 
-    /// A cell-exact restore that fails anywhere — a truncated snapshot, or
-    /// one whose last block holds an out-of-range state index — leaves every
-    /// block and every ledger row as it was.
+    /// A cell-exact restore that fails anywhere — a truncated snapshot, one
+    /// whose last block holds an out-of-range state index, or one whose last
+    /// block's `leak` lane is a cell short (the error names the lane and its
+    /// length) — leaves every block and every ledger row as it was.
     #[test]
     fn cell_exact_restore_is_all_or_nothing() {
         use crate::wire::{Reader, SnapError, Writer};
@@ -1439,6 +1440,15 @@ mod tests {
         let result = chip.restore_state(&mut Reader::new(&flipped));
         assert!(matches!(result, Err(SnapError::Mismatch(_))), "{result:?}");
         assert_eq!(encoded(&chip), before, "after a bit-flipped snapshot");
+        let susceptibility_at = good.len() - (8 + 4 * cells);
+        let leak_at = susceptibility_at - (8 + 4 * cells);
+        let mut short = good[..susceptibility_at - 4].to_vec();
+        short[leak_at..leak_at + 8].copy_from_slice(&(cells as u64 - 1).to_le_bytes());
+        short.extend_from_slice(&good[susceptibility_at..]);
+        let result = chip.restore_state(&mut Reader::new(&short));
+        let named = |message: &str| message.ends_with(&format!("leak lane has {}", cells - 1));
+        assert!(matches!(&result, Err(SnapError::Mismatch(m)) if named(m)), "{result:?}");
+        assert_eq!(encoded(&chip), before, "after a short leak lane");
         chip.restore_state(&mut Reader::new(&good)).unwrap();
         assert_eq!(encoded(&chip), good);
     }
