@@ -12,7 +12,7 @@ use rd_bench::{HammerExperiment, ModulePopulation};
 use readdisturb::core::characterize::{
     ext_concentrated_disturb, ext_partial_block, ext_slc_mode, fig10_rdr, fig2_vth_histograms,
     fig3_rber_vs_reads, fig4_vpass_read_tolerance, fig5_passthrough_sweep,
-    fig6_retention_staircase, fig7_refresh_intervals,
+    fig6_retention_staircase, fig7_refresh_intervals, Scale,
 };
 use readdisturb::core::lifetime::{average_gain, EnduranceConfig, EnduranceEvaluator};
 use readdisturb::core::overhead::OverheadModel;
@@ -82,16 +82,59 @@ fn fig04_vpass_read_tolerance() {
 }
 
 /// fig05: additional pass-through RBER per retention age, finite and
-/// non-negative.
+/// non-negative, and every point bit-equal to the values recorded when each
+/// point set the block's Vpass and sensed the whole block anew: at
+/// `tiny_scale` (too few cells for a relaxed Vpass to block a bitline, so
+/// every extra RBER is 0) and at the `paper-exact` benchmark's 32×2048
+/// block, where bitlines block.
 #[test]
 fn fig05_passthrough_sweep() {
-    let data = fig5_passthrough_sweep(tiny_scale(), GOLDEN_SEED).expect("fig5");
-    assert!(!data.series.is_empty());
-    for series in &data.series {
-        assert!(!series.points.is_empty());
-        for &(vpass, extra) in &series.points {
-            assert_finite(&format!("extra rber at vpass {vpass}"), extra);
-            assert!(extra >= 0.0);
+    const VPASS_BITS: [u64; 17] = [
+        0x407e000000000000,
+        0x407e200000000000,
+        0x407e400000000000,
+        0x407e600000000000,
+        0x407e800000000000,
+        0x407ea00000000000,
+        0x407ec00000000000,
+        0x407ee00000000000,
+        0x407f000000000000,
+        0x407f200000000000,
+        0x407f400000000000,
+        0x407f600000000000,
+        0x407f800000000000,
+        0x407fa00000000000,
+        0x407fc00000000000,
+        0x407fe00000000000,
+        0x4080000000000000,
+    ];
+    const A: u64 = 0x3f41c00000000000; // 5.4168701171875e-4
+    const B: u64 = 0x3f30800000000000; // 2.5177001953125e-4
+    const Z: u64 = 0;
+    const TINY: [[u64; 17]; 7] = [[Z; 17]; 7];
+    const BENCH_BLOCK: [[u64; 17]; 7] = [
+        [A, A, A, A, A, A, B, B, B, B, B, B, Z, Z, Z, Z, Z], // 0 days
+        [A, A, A, A, A, A, B, B, B, B, B, B, Z, Z, Z, Z, Z], // 1 days
+        [A, A, A, A, A, A, B, B, B, B, B, B, Z, Z, Z, Z, Z], // 2 days
+        [A, A, A, A, A, B, B, B, B, B, B, Z, Z, Z, Z, Z, Z], // 6 days
+        [A, A, A, A, A, B, B, B, B, B, Z, Z, Z, Z, Z, Z, Z], // 9 days
+        [A, A, A, B, B, B, B, B, Z, Z, Z, Z, Z, Z, Z, Z, Z], // 17 days
+        [A, A, A, B, B, B, B, Z, Z, Z, Z, Z, Z, Z, Z, Z, Z], // 21 days
+    ];
+    let bench_block = Scale { wordlines: 32, bitlines: 2048 };
+    for (scale, recorded) in [(tiny_scale(), TINY), (bench_block, BENCH_BLOCK)] {
+        let data = fig5_passthrough_sweep(scale, GOLDEN_SEED).expect("fig5");
+        let ages: Vec<u32> = data.series.iter().map(|s| s.age_days).collect();
+        assert_eq!(ages, [0, 1, 2, 6, 9, 17, 21]);
+        for (series, recorded) in data.series.iter().zip(&recorded) {
+            for &(vpass, extra) in &series.points {
+                assert_finite(&format!("extra rber at vpass {vpass}"), extra);
+                assert!(extra >= 0.0);
+            }
+            let bits: Vec<(u64, u64)> =
+                series.points.iter().map(|&(v, extra)| (v.to_bits(), extra.to_bits())).collect();
+            let expected: Vec<(u64, u64)> = VPASS_BITS.into_iter().zip(*recorded).collect();
+            assert_eq!(bits, expected, "{scale:?}, {} days", series.age_days);
         }
     }
 }

@@ -228,29 +228,30 @@ pub struct Fig5Data {
 }
 
 /// Reproduces Fig. 5: additional RBER induced by relaxing Vpass, for
-/// retention ages 0–21 days (8K P/E).
+/// retention ages 0–21 days (8K P/E). Each age is one
+/// [`Chip::block_rber_sweep`] over the nominal Vpass and the grid: the
+/// block is sensed once per age, not once per point.
 ///
 /// # Errors
 ///
 /// Propagates flash addressing errors.
 pub fn fig5_passthrough_sweep(scale: Scale, seed: u64) -> Result<Fig5Data, CoreError> {
     let ages = [0u32, 1, 2, 6, 9, 17, 21];
-    let vpass_grid: Vec<f64> = (0..=16).map(|i| 478.0 + 2.0 * i as f64 + 2.0).collect();
+    let vpass_grid = (0..=16).map(|i| 478.0 + 2.0 * i as f64 + 2.0);
+    let vpasses: Vec<f64> = std::iter::once(NOMINAL_VPASS).chain(vpass_grid).collect();
     let mut chip = scale.chip(8_000, seed)?;
     let mut series = Vec::new();
     let mut current_age = 0u32;
     for &age in &ages {
         chip.advance_days((age - current_age) as f64);
         current_age = age;
-        chip.set_block_vpass(0, NOMINAL_VPASS)?;
-        let baseline = chip.block_rber(0)?.rate();
-        let mut points = Vec::new();
-        for &vpass in &vpass_grid {
-            chip.set_block_vpass(0, vpass)?;
-            let rber = chip.block_rber(0)?.rate();
-            points.push((vpass, (rber - baseline).max(0.0)));
-        }
-        chip.set_block_vpass(0, NOMINAL_VPASS)?;
+        let stats = chip.block_rber_sweep(0, &vpasses)?;
+        let baseline = stats[0].rate();
+        let points = vpasses[1..]
+            .iter()
+            .zip(&stats[1..])
+            .map(|(&vpass, rber)| (vpass, (rber.rate() - baseline).max(0.0)))
+            .collect();
         series.push(Fig5Series { age_days: age, points });
     }
     Ok(Fig5Data { series })

@@ -8,8 +8,17 @@
 //! whose worst-case (hottest-block, end-of-interval) RBER still fits.
 //!
 //! The analytic RBER model is used here — the Monte-Carlo chip is pinned to
-//! it by the calibration suite — because the search sweeps thousands of
-//! operating points per workload.
+//! it by the calibration suite — because the search evaluates it at a
+//! hundred-odd operating points per workload.
+//!
+//! A search costs one evaluation of the profile's hottest-block read count
+//! (a Zipf top share, an O(footprint) `powf` sum) and then, for each of the
+//! twenty-odd P/E values it probes, a few closed-form RBER terms — plus,
+//! under Vpass Tuning, the tuner's walk down its Vpass steps.
+//! [`evaluate_suite`] shares that read count between its two searches per
+//! workload.
+//!
+//! [`evaluate_suite`]: EnduranceEvaluator::evaluate_suite
 
 use rd_ecc::MarginPolicy;
 use rd_flash::{AnalyticModel, ChipParams, NOMINAL_VPASS};
@@ -35,8 +44,6 @@ pub enum Mitigation {
         threshold: u64,
     },
 }
-
-impl Mitigation {}
 
 /// Endurance evaluation configuration.
 #[derive(Debug, Clone)]
@@ -131,16 +138,17 @@ impl EnduranceEvaluator {
         vpass
     }
 
-    /// Worst-case RBER at the end of a refresh interval for the workload's
-    /// hottest block.
-    pub(crate) fn interval_end_rber(
-        &self,
-        profile: &WorkloadProfile,
-        mitigation: Mitigation,
-        pe_cycles: u64,
-    ) -> f64 {
+    /// Reads landing on the workload's hottest block during one refresh
+    /// interval, rounded to whole reads. Sums the profile's Zipf share:
+    /// evaluate it once per search, not per probed wear level.
+    fn hottest_block_reads(&self, profile: &WorkloadProfile) -> u64 {
+        profile.hottest_block_reads_per_interval(self.config.refresh_interval_days).round() as u64
+    }
+
+    /// Worst-case RBER at the end of a refresh interval for a hottest block
+    /// that takes `reads` reads per interval.
+    fn interval_end_rber(&self, reads: u64, mitigation: Mitigation, pe_cycles: u64) -> f64 {
         let days = self.config.refresh_interval_days;
-        let reads = profile.hottest_block_reads_per_interval(days).round() as u64;
         match mitigation {
             Mitigation::Baseline => self.model.rber(pe_cycles, days, reads, NOMINAL_VPASS),
             Mitigation::ReadReclaim { threshold } => {
@@ -162,8 +170,14 @@ impl EnduranceEvaluator {
     /// P/E cycle endurance: the largest wear level whose worst-case
     /// interval-end RBER stays within the ECC capability.
     pub fn endurance(&self, profile: &WorkloadProfile, mitigation: Mitigation) -> u64 {
+        self.endurance_at(self.hottest_block_reads(profile), mitigation)
+    }
+
+    /// [`Self::endurance`] of a hottest block that takes `reads` reads per
+    /// refresh interval.
+    fn endurance_at(&self, reads: u64, mitigation: Mitigation) -> u64 {
         let capability = self.config.margin.capability_rber;
-        let fits = |pe: u64| self.interval_end_rber(profile, mitigation, pe) <= capability;
+        let fits = |pe: u64| self.interval_end_rber(reads, mitigation, pe) <= capability;
         if !fits(100) {
             return 0;
         }
@@ -188,10 +202,13 @@ impl EnduranceEvaluator {
     pub fn evaluate_suite(&self, profiles: &[WorkloadProfile]) -> Vec<EnduranceResult> {
         profiles
             .iter()
-            .map(|p| EnduranceResult {
-                workload: p.name.to_string(),
-                baseline: self.endurance(p, Mitigation::Baseline),
-                tuned: self.endurance(p, Mitigation::VpassTuning),
+            .map(|p| {
+                let reads = self.hottest_block_reads(p);
+                EnduranceResult {
+                    workload: p.name.to_string(),
+                    baseline: self.endurance_at(reads, Mitigation::Baseline),
+                    tuned: self.endurance_at(reads, Mitigation::VpassTuning),
+                }
             })
             .collect()
     }

@@ -105,9 +105,9 @@ struct OperatingPoint {
 /// vpass or shift .to_bits())`.
 type MemoKey = [u64; 3];
 
-/// [`AggregateState::evaluate`]'s key for block `b`.
-fn point_key(ledger: &BlockLedger, b: usize) -> MemoKey {
-    [ledger.pe_cycles[b], ledger.age_days[b].to_bits(), ledger.vpass[b].to_bits()]
+/// [`AggregateState::evaluate`]'s key for block `b` at `vpass`.
+fn point_key(ledger: &BlockLedger, b: usize, vpass: f64) -> MemoKey {
+    [ledger.pe_cycles[b], ledger.age_days[b].to_bits(), vpass.to_bits()]
 }
 
 /// Direct-mapped memo of a closed-form evaluation over the points one die
@@ -258,9 +258,9 @@ impl AggregateState {
         self.invalidate(b);
     }
 
-    /// The closed form at the block's current (pe, age, vpass).
-    fn evaluate(&self, ledger: &BlockLedger, b: usize) -> OperatingPoint {
-        let (pe, age, vpass) = (ledger.pe_cycles[b], ledger.age_days[b], ledger.vpass[b]);
+    /// The closed form at the block's current (pe, age) and `vpass`.
+    fn evaluate(&self, ledger: &BlockLedger, b: usize, vpass: f64) -> OperatingPoint {
+        let (pe, age) = (ledger.pe_cycles[b], ledger.age_days[b]);
         let model = &self.model;
         OperatingPoint {
             slope: model.rd_slope(pe, vpass),
@@ -279,9 +279,10 @@ impl AggregateState {
 
     #[cold]
     fn settle_dirty(&mut self, ledger: &BlockLedger, b: usize) {
-        let key = point_key(ledger, b);
+        let vpass = ledger.vpass[b];
+        let key = point_key(ledger, b, vpass);
         let point = self.memo.get(key).unwrap_or_else(|| {
-            let point = self.evaluate(ledger, b);
+            let point = self.evaluate(ledger, b, vpass);
             self.memo.put(key, point);
             point
         });
@@ -294,9 +295,15 @@ impl AggregateState {
     /// The block's operating point for a `&self` consumer: what the lanes
     /// hold, or, while the block is dirty, the memo's or a fresh evaluation.
     fn point(&self, ledger: &BlockLedger, b: usize) -> OperatingPoint {
-        if self.dirty[b] {
-            let memo = self.memo.get(point_key(ledger, b));
-            return memo.unwrap_or_else(|| self.evaluate(ledger, b));
+        self.point_at(ledger, b, ledger.vpass[b])
+    }
+
+    /// [`Self::point`] with the block's Vpass at `vpass`: the lanes only
+    /// while the block is settled at exactly that Vpass.
+    fn point_at(&self, ledger: &BlockLedger, b: usize, vpass: f64) -> OperatingPoint {
+        if self.dirty[b] || vpass.to_bits() != ledger.vpass[b].to_bits() {
+            let memo = self.memo.get(point_key(ledger, b, vpass));
+            return memo.unwrap_or_else(|| self.evaluate(ledger, b, vpass));
         }
         let (slope, static_rber, blocked_prob) =
             (self.slope[b], self.static_rber[b], self.blocked_prob[b]);
@@ -665,24 +672,29 @@ impl AggregateState {
         self.invalidate(b);
     }
 
-    /// Expected per-bit RBER of one wordline of the block, pass-through
-    /// errors included (half of a blocked bitline's bits flip), settled or
-    /// not. Without page lanes every wordline has the block-level rate.
-    fn rber_with_blocking(&self, ledger: &BlockLedger, b: usize, wordline: u32) -> f64 {
-        let point = self.point(ledger, b);
+    /// Expected per-bit RBER of one wordline of the block at `point`,
+    /// pass-through errors included (half of a blocked bitline's bits
+    /// flip). Without page lanes every wordline has the block-level rate.
+    fn rber_with_blocking(&self, point: OperatingPoint, b: usize, wordline: u32) -> f64 {
         point.static_rber + self.wordline_rd_term(b, wordline) + 0.5 * point.blocked_prob
     }
 
     /// Closed-form `(expected error bits, bits)` of one wordline's
-    /// programmed pages at the default references.
-    fn wordline_expectation(&self, ledger: &BlockLedger, b: usize, wordline: u32) -> (f64, u64) {
+    /// programmed pages at the default references, at `point`.
+    fn wordline_expectation(
+        &self,
+        ledger: &BlockLedger,
+        point: OperatingPoint,
+        b: usize,
+        wordline: u32,
+    ) -> (f64, u64) {
         let first = wordline * self.bits_per_cell;
         let pages = (first..first + self.bits_per_cell).filter(|&p| ledger.is_programmed(b, p));
         let bits = pages.count() as u64 * u64::from(self.bitlines);
         if bits == 0 {
             return (0.0, 0);
         }
-        (self.rber_with_blocking(ledger, b, wordline) * bits as f64, bits)
+        (self.rber_with_blocking(point, b, wordline) * bits as f64, bits)
     }
 
     /// Closed-form expected RBER of one wordline's programmed pages
@@ -693,21 +705,28 @@ impl AggregateState {
         b: usize,
         wordline: u32,
     ) -> BitErrorStats {
-        let (expected, bits) = self.wordline_expectation(ledger, b, wordline);
+        let point = self.point(ledger, b);
+        let (expected, bits) = self.wordline_expectation(ledger, point, b, wordline);
         BitErrorStats::new(expected.round() as u64, bits)
     }
 
-    /// Closed-form expected RBER over all programmed pages of the block,
-    /// unrounded: `(expected error bits, total bits)` — summed over the
-    /// wordlines where there are page lanes.
-    pub(crate) fn rber_expectation(&self, ledger: &BlockLedger, b: usize) -> (f64, u64) {
+    /// Closed-form expected RBER over all programmed pages of the block
+    /// with its Vpass at `vpass`, unrounded: `(expected error bits, total
+    /// bits)` — summed over the wordlines where there are page lanes.
+    pub(crate) fn rber_expectation(
+        &self,
+        ledger: &BlockLedger,
+        b: usize,
+        vpass: f64,
+    ) -> (f64, u64) {
+        let point = self.point_at(ledger, b, vpass);
         if self.pages.is_some() {
             return (0..self.wordlines() as u32)
-                .map(|wl| self.wordline_expectation(ledger, b, wl))
+                .map(|wl| self.wordline_expectation(ledger, point, b, wl))
                 .fold((0.0, 0), |(expected, bits), (e, n)| (expected + e, bits + n));
         }
         let bits = ledger.programmed_pages(b) as u64 * self.bitlines as u64;
-        (self.rber_with_blocking(ledger, b, 0) * bits as f64, bits)
+        (self.rber_with_blocking(point, b, 0) * bits as f64, bits)
     }
 
     /// Serializes the ledger and every mutable lane into `w`.
@@ -1013,7 +1032,7 @@ mod tests {
         }
 
         fn expectation(&self, b: usize) -> (f64, u64) {
-            self.state.rber_expectation(&self.ledger, b)
+            self.state.rber_expectation(&self.ledger, b, self.ledger.vpass[b])
         }
 
         fn oracle(&self, b: usize) -> BitErrorStats {
@@ -1163,7 +1182,7 @@ mod tests {
                     if !lazy.state.dirty[b] {
                         prop_assert_eq!(
                             lazy.state.point(&lazy.ledger, b),
-                            lazy.state.evaluate(&lazy.ledger, b)
+                            lazy.state.evaluate(&lazy.ledger, b, lazy.ledger.vpass[b])
                         );
                     }
                 }
@@ -1389,11 +1408,12 @@ mod tests {
         };
         assert_eq!(lanes(&fixture, 0), lanes(&fixture, 1));
         for b in 0..3 {
-            let fresh = fixture.state.evaluate(&fixture.ledger, b);
+            let fresh = fixture.state.evaluate(&fixture.ledger, b, fixture.ledger.vpass[b]);
             assert_eq!(fixture.state.point(&fixture.ledger, b), fresh);
         }
-        let shared = point_key(&fixture.ledger, 0);
-        assert_ne!(shared, point_key(&fixture.ledger, 2));
+        let key = |b: usize| point_key(&fixture.ledger, b, fixture.ledger.vpass[b]);
+        let shared = key(0);
+        assert_ne!(shared, key(2));
         let planted = OperatingPoint { slope: 1.0, static_rber: 0.25, blocked_prob: 0.0 };
         fixture.state.memo.put(shared, planted);
         for b in 0..3 {
@@ -1404,7 +1424,7 @@ mod tests {
         for b in 0..2 {
             assert_eq!(fixture.state.point(&fixture.ledger, b), planted);
         }
-        let own = fixture.state.evaluate(&fixture.ledger, 2);
+        let own = fixture.state.evaluate(&fixture.ledger, 2, fixture.ledger.vpass[2]);
         assert_ne!(own, planted);
         assert_eq!(fixture.state.point(&fixture.ledger, 2), own);
     }

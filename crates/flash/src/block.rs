@@ -6,7 +6,9 @@
 use rand::rngs::StdRng;
 
 use crate::bits;
-use crate::cell_array::{CellArray, CellLanes, Level, OperatingPoint, Screen, Sense, SenseScratch};
+use crate::cell_array::{
+    CellArray, CellLanes, Level, OperatingPoint, PassVoltage, Screen, Sense, SenseScratch,
+};
 use crate::chip::ReadOutcome;
 use crate::error::FlashError;
 use crate::geometry::{PageAddr, PageKind};
@@ -76,6 +78,11 @@ pub(crate) fn pack_page(states: &[u8], kind: PageKind) -> Vec<u8> {
 fn bit_errors(sensed: &[u8], intended: &[u8], kind: PageKind) -> u64 {
     let shift = gray_shift(kind);
     sensed.iter().zip(intended).map(|(&s, &i)| u64::from(gray(s ^ i) >> shift & 1)).sum()
+}
+
+/// [`bit_errors`] of one cell: 1 if its page bit of `kind` reads wrong.
+fn bit_error(sensed: u8, intended: u8, kind: PageKind) -> u64 {
+    bit_errors(&[sensed], &[intended], kind)
 }
 
 impl Block {
@@ -344,14 +351,27 @@ impl Block {
 
     /// Oracle RBER over all programmed pages: counts both bits of every cell
     /// against the intended state, including pass-through blocking, without
-    /// adding disturb dose. This is what the paper's figures plot.
+    /// adding disturb dose. This is what the paper's figures plot. It is
+    /// [`Block::rber_sweep`] at the block's own Vpass.
     pub(crate) fn rber_oracle(
         &self,
         params: &ChipParams,
         ledger: &BlockLedger,
         b: usize,
     ) -> BitErrorStats {
-        self.oracle(params, ledger, b, 0..self.wordlines)
+        self.oracle(params, ledger, b, 0..self.wordlines, &[ledger.vpass[b]])[0]
+    }
+
+    /// The oracle RBER over all programmed pages with the block's Vpass set
+    /// to each of `vpasses` in turn (values the caller has checked).
+    pub(crate) fn rber_sweep(
+        &self,
+        params: &ChipParams,
+        ledger: &BlockLedger,
+        b: usize,
+        vpasses: &[f64],
+    ) -> Vec<BitErrorStats> {
+        self.oracle(params, ledger, b, 0..self.wordlines, vpasses)
     }
 
     /// Oracle RBER of a single wordline's programmed pages (used by the
@@ -363,31 +383,70 @@ impl Block {
         b: usize,
         wordline: u32,
     ) -> BitErrorStats {
-        self.oracle(params, ledger, b, wordline..wordline + 1)
+        self.oracle(params, ledger, b, wordline..wordline + 1, &[ledger.vpass[b]])[0]
     }
 
+    /// The oracle over the programmed pages of `wordlines`, once per
+    /// pass-through voltage in `vpasses`. What a wordline senses depends on
+    /// wear, age and dose, not on Vpass, so each programmed wordline is
+    /// sensed once and each pass-through candidate's voltage worked out
+    /// once. A Vpass only decides which candidates block: per Vpass, each
+    /// bitline its blockers on other wordlines force to P3 (counted once,
+    /// as [`Block::sense_with_blocking`] counts it) moves the wordline's
+    /// error counts from its sensed state's bits to P3's.
     fn oracle(
         &self,
         params: &ChipParams,
         ledger: &BlockLedger,
         b: usize,
         wordlines: std::ops::Range<u32>,
-    ) -> BitErrorStats {
-        let mut scratch = SenseScratch::default();
+        vpasses: &[f64],
+    ) -> Vec<BitErrorStats> {
         let sense = self.sense(params, ledger, b);
+        let voltages: Vec<((u32, u32), PassVoltage)> = self
+            .candidates
+            .iter()
+            .map(|&i| {
+                let (bl, wl) = (i % self.bitlines, i / self.bitlines);
+                let sense = sense.at_dose(self.wordline_dose(wl));
+                ((bl, wl), self.cells.pass_voltage(i as usize, &sense))
+            })
+            .collect();
+        let blockers: Vec<Vec<(u32, u32)>> = vpasses
+            .iter()
+            .map(|&vpass| {
+                let vpass = Level::vpass(params, vpass);
+                voltages.iter().filter(|(_, v)| v.exceeds(&vpass)).map(|&(at, _)| at).collect()
+            })
+            .collect();
         let screen = Screen::new(params, &params.refs);
-        self.find_blockers(params, ledger, b, sense, &mut scratch.blockers);
-        let mut stats = BitErrorStats::default();
+        let mut scratch = SenseScratch::default();
+        let mut stats = vec![BitErrorStats::default(); vpasses.len()];
+        let p3 = CellState::P3.index();
         for wl in wordlines {
-            let programmed = |kind| ledger.is_programmed(b, PageAddr::of(0, wl, kind).page);
-            if !PageKind::ALL.into_iter().any(programmed) {
+            let programmed =
+                PageKind::ALL.map(|kind| ledger.is_programmed(b, PageAddr::of(0, wl, kind).page));
+            if !programmed.contains(&true) {
                 continue;
             }
-            self.sense_with_blocking(wl, sense, &screen, &mut scratch);
+            let sense = sense.at_dose(self.wordline_dose(wl));
+            self.cells.sense_wordline(wl, &sense, &screen, &mut scratch);
             let intended = self.cells.intended_wordline(wl);
-            for kind in PageKind::ALL.into_iter().filter(|&kind| programmed(kind)) {
-                let errors = bit_errors(&scratch.states, intended, kind);
-                stats = stats + BitErrorStats::new(errors, u64::from(self.bitlines));
+            let sensed = PageKind::ALL.map(|kind| bit_errors(&scratch.states, intended, kind));
+            for (blockers, stats) in blockers.iter().zip(&mut stats) {
+                let mut errors = sensed;
+                each_blocked_bitline(&mut scratch.states, blockers, wl, |bl, state| {
+                    let intended = intended[bl as usize];
+                    for (errors, kind) in errors.iter_mut().zip(PageKind::ALL) {
+                        *errors = *errors - bit_error(*state, intended, kind)
+                            + bit_error(p3, intended, kind);
+                    }
+                });
+                for (errors, on) in errors.into_iter().zip(programmed) {
+                    if on {
+                        *stats = *stats + BitErrorStats::new(errors, u64::from(self.bitlines));
+                    }
+                }
             }
         }
         stats
@@ -484,22 +543,36 @@ impl Block {
     ) -> u64 {
         let sense = sense.at_dose(self.wordline_dose(wordline));
         self.cells.sense_wordline(wordline, &sense, screen, scratch);
-        // Two blockers can share a bitline: flag a bitline while counting it.
-        const COUNTED: u8 = 0x80;
         let SenseScratch { states, blockers, .. } = scratch;
-        let mut blocked = 0;
-        for &(bl, _) in blockers.iter().filter(|&&(_, wl)| wl != wordline) {
-            let state = &mut states[bl as usize];
-            if *state & COUNTED == 0 {
-                *state = CellState::P3.index() | COUNTED;
-                blocked += 1;
-            }
-        }
-        for &(bl, _) in blockers.iter() {
-            states[bl as usize] &= !COUNTED;
-        }
-        blocked
+        each_blocked_bitline(states, blockers, wordline, |_, state| *state = CellState::P3.index())
     }
+}
+
+/// Calls `visit(bitline, state)` once for each bitline that one of
+/// `blockers` on a wordline other than `wordline` keeps from conducting,
+/// with the bitline's sensed state in `states`; returns how many bitlines
+/// it visited. Two blockers can share a bitline: a bitline is flagged while
+/// it is counted, and every flag is cleared before returning.
+fn each_blocked_bitline(
+    states: &mut [u8],
+    blockers: &[(u32, u32)],
+    wordline: u32,
+    mut visit: impl FnMut(u32, &mut u8),
+) -> u64 {
+    const COUNTED: u8 = 0x80;
+    let mut blocked = 0;
+    for &(bl, _) in blockers.iter().filter(|&&(_, wl)| wl != wordline) {
+        let state = &mut states[bl as usize];
+        if *state & COUNTED == 0 {
+            visit(bl, state);
+            *state |= COUNTED;
+            blocked += 1;
+        }
+    }
+    for &(bl, _) in blockers {
+        states[bl as usize] &= !COUNTED;
+    }
+    blocked
 }
 
 /// A block with a one-row ledger of its own (row 0): the cell-exact tier as
@@ -872,6 +945,60 @@ mod tests {
             assert_eq!(new.oracle(&params), reference::rber_oracle(&old, &params), "{name}");
         }
         assert!(blocked_somewhere > 0, "no scenario blocked a bitline");
+    }
+
+    /// `Chip::block_rber_sweep` on every tier, over a worn, aged, disturbed
+    /// and hammered block at Vpass values from `min_vpass` to nominal: each
+    /// entry is what setting that Vpass and reading `block_rber` gives (on
+    /// the cell-exact tier also the per-cell reference's oracle), the chip's
+    /// checkpoint bytes do not move, and an out-of-range value is refused.
+    #[test]
+    fn block_rber_sweep_matches_setting_each_vpass() {
+        use crate::{Chip, Geometry, ReadFidelity};
+        let checkpoint = |chip: &Chip| {
+            let mut w = crate::wire::Writer::new();
+            chip.encode_state(&mut w);
+            w.into_bytes()
+        };
+        let geometry =
+            Geometry { blocks: 1, wordlines_per_block: 32, bitlines: 2048, bits_per_cell: 2 };
+        let params = ChipParams::default();
+        let min = params.min_vpass;
+        let vpasses: Vec<f64> = std::iter::once(NOMINAL_VPASS)
+            .chain((0..=8).map(|k| min + (NOMINAL_VPASS - min) * f64::from(k) / 8.0))
+            .collect();
+        for fidelity in
+            [ReadFidelity::CellExact, ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate]
+        {
+            let mut chip = Chip::with_fidelity(geometry, params.clone(), 2015, fidelity);
+            chip.cycle_block(0, 8_000).unwrap();
+            chip.program_block_random(0, 7).unwrap();
+            chip.advance_days(9.0);
+            chip.apply_read_disturbs(0, 500_000).unwrap();
+            chip.hammer_wordline(0, 11, 300_000).unwrap();
+            let before = checkpoint(&chip);
+            let swept = chip.block_rber_sweep(0, &vpasses).unwrap();
+            assert_eq!(checkpoint(&chip), before, "{fidelity}: the sweep moved the chip");
+            assert_eq!(swept.len(), vpasses.len());
+            for (&vpass, &stats) in vpasses.iter().zip(&swept) {
+                let mut set = chip.clone();
+                set.set_block_vpass(0, vpass).unwrap();
+                assert_eq!(stats, set.block_rber(0).unwrap(), "{fidelity} at {vpass}");
+                if fidelity == ReadFidelity::CellExact {
+                    let (block, ledger) = set.exact_parts(0);
+                    let fixture = Fixture { block: block.clone(), ledger: ledger.clone() };
+                    assert_eq!(stats, reference::rber_oracle(&fixture, &params), "at {vpass}");
+                }
+            }
+            assert!(swept[1].errors > swept[0].errors, "{fidelity}: min_vpass blocks nothing");
+            for bad in [min - 1.0, NOMINAL_VPASS + 1.0, f64::NAN] {
+                let refused = chip.block_rber_sweep(0, &[NOMINAL_VPASS, bad]);
+                assert!(
+                    matches!(refused, Err(FlashError::VpassOutOfRange { .. })),
+                    "{fidelity}: {bad} gave {refused:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -251,6 +251,24 @@ impl Level {
     }
 }
 
+/// A cell's voltage as the pass-through decision compares it
+/// ([`CellArray::pass_voltage`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PassVoltage {
+    v0: f64,
+    term: f64,
+    /// The voltage, rounded to `f32`.
+    vth: f64,
+}
+
+impl PassVoltage {
+    /// [`CellArray::exceeds_vpass`] of this cell at `vpass`.
+    #[inline]
+    pub(crate) fn exceeds(&self, vpass: &Level) -> bool {
+        !vpass.is_below(self.v0, self.term) && self.vth > vpass.at
+    }
+}
+
 /// An MLC read-reference set in the comparison domain.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Screen {
@@ -512,11 +530,22 @@ impl CellArray {
     }
 
     /// Whether cell `i` blocks its bitline at the pass-through voltage
-    /// `vpass` describes: its voltage, rounded to `f32`, exceeds it.
+    /// `vpass` describes: its voltage, rounded to `f32`, exceeds it. The
+    /// voltage is computed only for a cell the screen cannot settle.
     pub(crate) fn exceeds_vpass(&self, i: usize, sense: &Sense, vpass: &Level) -> bool {
         let v0 = sense.retained(self.base_vth[i] as f64, self.leak[i] as f64);
         !vpass.is_below(v0, sense.term(self.susceptibility[i] as f64))
             && (self.current_vth_at(i, sense) as f32) as f64 > vpass.at
+    }
+
+    /// Cell `i`'s voltage as [`CellArray::exceeds_vpass`] compares it,
+    /// computed up front, to be held against many pass-through voltages.
+    pub(crate) fn pass_voltage(&self, i: usize, sense: &Sense) -> PassVoltage {
+        PassVoltage {
+            v0: sense.retained(self.base_vth[i] as f64, self.leak[i] as f64),
+            term: sense.term(self.susceptibility[i] as f64),
+            vth: (self.current_vth_at(i, sense) as f32) as f64,
+        }
     }
 
     /// A cell's voltage as every caller computed it before [`Sense`]

@@ -373,6 +373,13 @@ impl Chip {
         }
     }
 
+    /// A cell-exact chip's block and the ledger it reads (for the tests
+    /// below the chip).
+    #[cfg(test)]
+    pub(crate) fn exact_parts(&self, block: u32) -> (&Block, &BlockLedger) {
+        (self.exact_block(block).expect("a cell-exact block"), &self.ledger)
+    }
+
     fn exact_block(&self, block: u32) -> Result<&Block, FlashError> {
         self.geometry.check_block(block)?;
         match &self.storage {
@@ -739,17 +746,23 @@ impl Chip {
     /// tuning range.
     pub fn set_block_vpass(&mut self, block: u32, vpass: f64) -> Result<(), FlashError> {
         self.geometry.check_block(block)?;
-        if !(self.params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
-            return Err(FlashError::VpassOutOfRange {
-                requested: vpass,
-                min: self.params.min_vpass,
-                max: NOMINAL_VPASS,
-            });
-        }
+        self.check_vpass(vpass)?;
         let b = block as usize;
         self.ledger.vpass[b] = vpass;
         self.storage.op_point_moved(b);
         Ok(())
+    }
+
+    /// Refuses a pass-through voltage outside the supported tuning range.
+    fn check_vpass(&self, vpass: f64) -> Result<(), FlashError> {
+        if (self.params.min_vpass..=NOMINAL_VPASS).contains(&vpass) {
+            return Ok(());
+        }
+        Err(FlashError::VpassOutOfRange {
+            requested: vpass,
+            min: self.params.min_vpass,
+            max: NOMINAL_VPASS,
+        })
     }
 
     /// A block's current pass-through voltage.
@@ -772,6 +785,41 @@ impl Chip {
     pub fn block_rber(&self, block: u32) -> Result<BitErrorStats, FlashError> {
         let (expected, bits) = self.rber_expectation(block)?;
         Ok(BitErrorStats::new(expected.round() as u64, bits))
+    }
+
+    /// [`Chip::block_rber`] as it would read with the block's Vpass set to
+    /// each of `vpasses` in turn — entry `k` is what
+    /// `set_block_vpass(block, vpasses[k])` followed by `block_rber(block)`
+    /// gives — without changing the chip. A Vpass sweep of one block state
+    /// (paper Fig. 5) costs one oracle sensing, not one per point: the
+    /// cell-exact tier senses each programmed wordline once and works out
+    /// each pass-through candidate's voltage once, then decides blocking
+    /// per Vpass; the closed-form tiers evaluate their point at each Vpass.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `block` is out of range or any of `vpasses` is outside the
+    /// supported tuning range (as [`Chip::set_block_vpass`] would).
+    pub fn block_rber_sweep(
+        &self,
+        block: u32,
+        vpasses: &[f64],
+    ) -> Result<Vec<BitErrorStats>, FlashError> {
+        self.geometry.check_block(block)?;
+        for &vpass in vpasses {
+            self.check_vpass(vpass)?;
+        }
+        let (b, params, ledger) = (block as usize, &self.params, &self.ledger);
+        Ok(match &self.storage {
+            Storage::Exact { blocks, .. } => blocks[b].rber_sweep(params, ledger, b, vpasses),
+            Storage::ClosedForm { state } => vpasses
+                .iter()
+                .map(|&vpass| {
+                    let (expected, bits) = state.rber_expectation(ledger, b, vpass);
+                    BitErrorStats::new(expected.round() as u64, bits)
+                })
+                .collect(),
+        })
     }
 
     /// Expected block RBER as a real number over the block's programmed
@@ -799,7 +847,7 @@ impl Chip {
                 let oracle = blocks[b].rber_oracle(params, ledger, b);
                 (oracle.errors as f64, oracle.bits)
             }
-            Storage::ClosedForm { state } => state.rber_expectation(ledger, b),
+            Storage::ClosedForm { state } => state.rber_expectation(ledger, b, ledger.vpass[b]),
         })
     }
 

@@ -19,6 +19,7 @@
 //! Golden values recorded at `GOLDEN_SEED = 2015` on the `tiny_scale`
 //! (8 wordlines × 512 bitlines) substrate.
 
+use readdisturb::core::characterize::fig8_endurance;
 use readdisturb_repro::testsupport::{
     all_golden_runs, rber_growth_run, rdr_recovery_run, vpass_tuning_run, GOLDEN_SEED,
 };
@@ -79,6 +80,32 @@ fn golden_vpass_tuning_gain() {
         "average endurance gain {} below the paper-order threshold",
         run.get("average_gain")
     );
+}
+
+/// Fig. 8 exactly: every workload's `(baseline, tuned)` endurance, as
+/// recorded when the search summed the profile's Zipf share at every wear
+/// level it probed. The endurance search is closed form, so these are exact
+/// (the 2% tolerances above bound the model, not the noise).
+#[test]
+fn golden_fig8_endurance_rows() {
+    const RECORDED: [(&str, u64, u64); 11] = [
+        ("iozone", 7841, 10703),
+        ("postmark", 8414, 10796),
+        ("cello99", 9396, 10831),
+        ("msr-hm0", 10470, 11078),
+        ("msr-prn1", 9152, 10831),
+        ("msr-proj0", 10517, 11093),
+        ("msr-src12", 8182, 10760),
+        ("fiu-home", 8998, 10831),
+        ("umass-fin1", 8652, 10831),
+        ("umass-web", 6606, 10442),
+        ("write-heavy", 11123, 11275),
+    ];
+    let rows: Vec<(String, u64, u64)> =
+        fig8_endurance().into_iter().map(|r| (r.workload, r.baseline, r.tuned)).collect();
+    let recorded: Vec<(String, u64, u64)> =
+        RECORDED.iter().map(|&(name, base, tuned)| (name.to_string(), base, tuned)).collect();
+    assert_eq!(rows, recorded);
 }
 
 /// Paper anchor 3 (Fig. 10): RDR removes a large fraction of the raw bit
