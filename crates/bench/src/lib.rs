@@ -74,10 +74,16 @@ pub(crate) fn emit_jsonl(name: &str, rows: &[String]) {
 }
 
 /// Prints a paper-vs-measured comparison line (the per-figure shape
-/// check; a ratio near 1.0 means the simulator still tracks the paper).
+/// check; a ratio near 1.0 means the simulator still tracks the paper). A
+/// paper value of 0 has no ratio, so its line gives the absolute
+/// difference instead.
 pub(crate) fn shape_check(label: &str, measured: f64, paper: f64) {
-    let ratio = if paper != 0.0 { measured / paper } else { f64::NAN };
-    println!("## shape-check {label}: measured {measured:.3e}, paper {paper:.3e} (x{ratio:.2})");
+    let versus = if paper == 0.0 {
+        format!("abs {:.3e}", (measured - paper).abs())
+    } else {
+        format!("x{:.2}", measured / paper)
+    };
+    println!("## shape-check {label}: measured {measured:.3e}, paper {paper:.3e} ({versus})");
 }
 
 #[cfg(test)]

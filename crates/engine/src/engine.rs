@@ -7,12 +7,13 @@
 //! [`Engine::submit`] stripes each request over the dies (page-level
 //! round-robin, as [`Topology::stripe`]) and appends it to its die's queue.
 //! A call to [`Engine::run`] processes everything submitted since the last
-//! launch as one batch, in two deterministic phases:
+//! batch as one batch, in two deterministic phases, and returns when both
+//! are done:
 //!
 //! 1. **Flash phase (parallel over dies).** Each die executes its queue in
 //!    arrival order against its own [`Die`] (chip + FTL + mitigation
-//!    policy). Dies share no state, so worker threads never contend and
-//!    the result is bit-identical for any thread count.
+//!    policy). Dies share no state, so lanes never contend and the result
+//!    is bit-identical for any thread count.
 //! 2. **Timing phase (serial, channel by channel).** A discrete-event pass
 //!    assigns simulated timestamps: per-die queue-depth pacing (a die
 //!    admits at most `queue_depth` outstanding requests), die busy
@@ -20,36 +21,36 @@
 //!    work (GC/refresh/reclaim relocations, erases), and per-channel
 //!    transfer slots that serialize dies sharing a bus.
 //!
-//! The unit of the timing phase is the **channel**, not the die: a request
-//! starts at `ready.max(chan_free)` — its die's clock and its channel's —
-//! so the dies of one channel are tied together by the bus they share,
-//! while two channels share no clock at all. The phases therefore overlap:
-//! [`Engine::finish_batch`] — which `run` is, after its launch — collects
-//! dies as they land, and as soon as every die of the lowest untimed
-//! channel is in, it times that channel while the pool's lanes execute the
-//! dies of later ones. The wall time of one batch is
-//! `max(flash / workers, timing)` plus the wait for the first channel, not
-//! their sum.
-//!
-//! **Channels are timed strictly in index order**, whatever order results
-//! arrive in, and the batch's submission time is read once, before the
-//! first. What the channels do share is the latency histogram — whose
-//! running sum behind the mean is added in timing order — and the
-//! makespan; the in-order rule makes every one of them see exactly what a
-//! fully serial pass would have produced, so statistics, completions and
-//! checkpoint bytes do not depend on the thread count.
+//! The unit of the timing phase is the **channel**: a request starts at
+//! `ready.max(chan_free)` — its die's clock and its channel's — so two
+//! channels share no clock. Channels are timed strictly in index order,
+//! whatever order their dies finish in, and the batch's submission time is
+//! read once, before the first; what the channels do share — the latency
+//! histogram, whose running sum behind the mean is added in timing order,
+//! and the makespan — sees exactly what a serial pass would, so statistics,
+//! completions and checkpoint bytes do not depend on the thread count.
 //!
 //! Completions are posted ordered by simulated completion time, and
 //! [`Engine::stats`] aggregates throughput, latency percentiles, and
 //! per-die reliability counters. Trace replay
 //! ([`Engine::replay_stats_only`]) is the same path: fold each op's lpa
-//! into the logical space and queue it, launch, finish — posting nothing.
+//! into the logical space and queue it, then run one batch that posts
+//! nothing.
 //!
-//! A die job that panics on the pool is reported by the job itself where
-//! its die would have landed, and the coordinator panics in turn, inside
-//! the `run`, `join_batch` or `finish_batch` that was collecting, naming
-//! the die — it never waits for a die that will not come. The pool's lanes
-//! survive the panic.
+//! # Lanes
+//!
+//! A batch starts and ends inside the call that launched it: the engine
+//! owns no thread and no lock. One lane runs inline. With `threads > 1`
+//! there are that many lanes, die `d` on lane `d % lanes` in ascending
+//! order: lane 0 is the calling thread, the others [`std::thread::scope`]
+//! threads that send their dies back over one channel (spawning every lane
+//! made a 4096-request fill batch a third slower on a 2-core x86_64 box).
+//! The calling thread folds each die as it arrives — into the die's own
+//! slots and integer totals, so arrival order changes no bit — and times
+//! the lowest untimed channel as soon as all its dies are in, running its
+//! own next die only when no channel is ready. A die that panics on a lane
+//! is caught there; the caller waits for every lane to end, puts the dies
+//! back and panics in turn, naming the die.
 //!
 //! # Bytes per request
 //!
@@ -58,7 +59,7 @@
 //! the box the benchmark runs on), so the per-request records are kept to
 //! one word each, in arenas the engine keeps across batches:
 //!
-//! | stage | stats-only (`replay_stats_only`) | summarized (`begin_batch_summarized`) | full (`run`, `begin_batch`) |
+//! | stage | stats-only (`replay_stats_only`) | summarized (`run_summarized`) | full (`run`) |
 //! |---|---|---|---|
 //! | queued | 24 → **8** (`WorkItem`: address + kind in one slot) | **12** (the slot + a `u32` id offset) | 24 → **12** |
 //! | executed | 16 → **0** (`ExecTiming` overwrites the slot it answers) | **8** (an `Outcome` word: kind, class, corrected errors) | 16 + 80 → 8 + **72** (the word + `ExecRich`: address, start time, error, data) |
@@ -71,43 +72,14 @@
 //! 32-byte record for both emitting levels, and posts a summarized batch's
 //! records in the order it wrote them; only a full batch sorts them into
 //! completion order and goes on to assemble [`IoCompletion`]s from them.
-//! Every record of the table lives in an arena that travels with its die's
-//! queue or is kept by the engine, so a warm batch allocates nothing per
-//! request.
-//!
-//! # Pipelining
-//!
-//! [`Engine::run`] overlaps the phases of *one* batch. A front-end that
-//! wants to overlap *consecutive* batches drives the same two pieces —
-//! collect the dies that have landed, time one channel — through the
-//! staged API:
-//! [`Engine::begin_batch`] (or [`Engine::begin_batch_summarized`]) launches
-//! the flash phase on a persistent [`WorkerPool`], [`Engine::join_batch`]
-//! only collects every die (after it the dies are accessible again), and
-//! [`Engine::finish_batch`] times every channel on the caller's thread —
-//! the settle loop `run` ends with, which finds every channel's dies in.
-//! Either way a die's digest and counters are folded into the engine's
-//! accounting where the die lands: each fold writes the die's own slot or
-//! adds to an integer total, so landing order cannot change a bit.
-//! While the coordinator runs the timing phase of batch N, the pool can
-//! already execute the flash phase of batch N+1 — a batch's timing reads
-//! only its own answered queues and the engine's clocks, never a die, so
-//! the interleaving is bit-identical to running the batches back to back.
-//! Requests submitted while a flash phase is in flight land on the queues
-//! the launch left behind and form the next batch.
-//!
-//! **One wake per flight.** The jobs of a flight land their dies on one
-//! list and count down; a coordinator that has to wait says at which count
-//! it wants to be woken and sleeps once. `join_batch` asks for zero — the
-//! last job to land wakes it, where a result channel woke it for every die
-//! (eight sleeps per 1,024-op batch on a 16-die array served by two
-//! shards). `finish_batch` asks for the count at which the channel it wants
-//! to time next *could* be complete — if `k` of its dies are missing, `k`
-//! landings from now — so it still times early channels while later dies
-//! execute. A job that lands with nobody waiting signals nobody.
+//! Every record of the table lives in a per-die arena that a batch takes for
+//! its flash phase and gives back answered, or in one the engine keeps, so
+//! a warm batch allocates nothing per request.
 
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use rd_ftl::wire::{self, Reader, Writer};
@@ -117,7 +89,6 @@ use rd_ftl::{
 };
 use rd_workloads::{OpKind, TraceOp};
 
-use crate::pool::WorkerPool;
 use crate::queue::{CompletionSummary, IoCompletion, Outcome, ReqKind};
 use crate::stats::{DieStats, EngineStats, LatencyHistogram};
 use crate::timing::Timing;
@@ -362,7 +333,7 @@ struct ExecContext {
 /// Flash-phase output of one die: its queue with every slot answered (and,
 /// on an emitting batch, its outcomes recorded) and the batch's per-die
 /// totals, which [`Engine::fold`] adds to the accounting where the die
-/// lands.
+/// arrives.
 #[derive(Debug)]
 struct DieExec {
     queue: DieQueue,
@@ -378,89 +349,8 @@ struct DieExec {
     reads_not_written: u64,
     writes_failed: u64,
     /// Wall-clock nanoseconds spent executing this die's work list
-    /// (measured inside the worker; summed into the flash stage counter).
+    /// (measured on its lane; summed into the flash stage counter).
     wall_ns: u64,
-}
-
-/// Where the pool jobs of a flight land: a list the coordinator empties
-/// and a countdown, so the coordinator sleeps once per flight (or once per
-/// channel it is waiting to time) instead of once per die.
-#[derive(Debug)]
-struct Landing<P: ControllerPolicy> {
-    state: Mutex<Landed<P>>,
-    wake: Condvar,
-}
-
-#[derive(Debug)]
-struct Landed<P: ControllerPolicy> {
-    /// Dies (ownership returns to the engine) and their flash-phase output,
-    /// in landing order, until the coordinator collects them.
-    dies: Vec<(usize, Die<P>, DieExec)>,
-    /// Jobs of the flight that have not landed.
-    running: usize,
-    /// Set by a parked coordinator: the job that brings `running` down to
-    /// this wakes it. A job that lands with nobody waiting signals nobody.
-    wake_at: Option<usize>,
-    /// A die whose job unwound instead of landing.
-    panicked: Option<usize>,
-}
-
-impl<P: ControllerPolicy> Landing<P> {
-    fn new() -> Self {
-        let state = Landed { dies: Vec::new(), running: 0, wake_at: None, panicked: None };
-        Self { state: Mutex::new(state), wake: Condvar::new() }
-    }
-
-    /// A job's last act: hands the die and its output over, and wakes the
-    /// coordinator if this is the landing it asked for.
-    fn land(&self, d: usize, die: Die<P>, exec: DieExec) {
-        let mut landed = self.state.lock().expect("landing lock poisoned");
-        landed.dies.push((d, die, exec));
-        landed.running -= 1;
-        let wake = landed.wake_at.is_some_and(|at| landed.running <= at);
-        if wake {
-            // One signal per request to be woken, not one per later landing.
-            landed.wake_at = None;
-        }
-        drop(landed);
-        if wake {
-            self.wake.notify_one();
-        }
-    }
-}
-
-/// Reports a die job that unwinds instead of landing, so the coordinator
-/// panics too instead of waiting for a die that will never come.
-struct PanicReport<P: ControllerPolicy> {
-    die: usize,
-    landing: Arc<Landing<P>>,
-}
-
-impl<P: ControllerPolicy> Drop for PanicReport<P> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // No job panics holding the lock; and a drop must not panic.
-            let mut landed = self.landing.state.lock().unwrap_or_else(PoisonError::into_inner);
-            landed.panicked = Some(self.die);
-            drop(landed);
-            self.landing.wake.notify_one();
-        }
-    }
-}
-
-/// A batch between launch and the end of its timing pass.
-#[derive(Debug)]
-struct Flight {
-    /// Per-die answered queues; `None` slots are still executing on the
-    /// pool.
-    queues: Vec<Option<DieQueue>>,
-    /// Dies dispatched to the pool and not yet collected.
-    outstanding: usize,
-    emit: Emit,
-    /// Requests in the batch.
-    total: usize,
-    /// Command id of the batch's first request.
-    first_id: u64,
 }
 
 /// What [`Engine::time_channel`] keeps per die of the channel it is timing:
@@ -477,17 +367,17 @@ struct DieCursor {
 /// out of [`EngineStats`] (which determinism gates compare bit-for-bit)
 /// and out of checkpoints.
 ///
-/// `pool_wait_ns` is coordinator time blocked collecting pool results in
-/// [`Engine::join_batch`], [`Engine::finish_batch`] and [`Engine::run`];
-/// `flash_ns` is worker-side execution time summed over dies (it can exceed
-/// wall time when workers overlap); `timing_ns` is the serial
-/// discrete-event pass in `finish_batch` (and so `run`), less its pool
-/// waits.
+/// `pool_wait_ns` is the calling thread's time blocked waiting for lane
+/// results (0 for a batch run inline; the name predates the lanes);
+/// `flash_ns` is flash-phase execution time summed over dies (it can exceed
+/// wall time when lanes overlap); `timing_ns` is the rest of the calling
+/// thread's time in a batch past an inline flash phase — the serial
+/// discrete-event pass and, with lanes, their launch — less its waits.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStageNs {
-    /// Coordinator wait for pool results, ns.
+    /// The calling thread's wait for lane results, ns.
     pub pool_wait_ns: u64,
-    /// Worker-side flash execution, ns (summed over dies).
+    /// Flash-phase execution, ns (summed over dies).
     pub flash_ns: u64,
     /// Serial timing phase, ns.
     pub timing_ns: u64,
@@ -570,13 +460,10 @@ impl Window {
 #[derive(Debug)]
 pub struct Engine<P: ControllerPolicy = NoMitigation> {
     config: EngineConfig,
-    /// The dies. A slot is `None` only while that die's flash phase is
-    /// executing on the worker pool (ownership moves into the job and
-    /// returns through `landing`).
-    dies: Vec<Option<Die<P>>>,
+    dies: Vec<Die<P>>,
     /// Reciprocal of the die count: `submit` stripes every request with it.
     die_div: FastDiv,
-    /// Requests submitted and not yet launched (they sit in `work`).
+    /// Requests submitted and not yet run (they sit in `work`).
     pending: usize,
     /// Posted completions, ordered by simulated completion time.
     cq: Vec<IoCompletion>,
@@ -588,29 +475,17 @@ pub struct Engine<P: ControllerPolicy = NoMitigation> {
     timed: Vec<CompletionSummary>,
     next_id: u64,
     /// Per-die queues `submit` appends to, reused across batches (arena:
-    /// cleared, never reallocated once the loop reaches steady state).
+    /// cleared, never reallocated once the loop reaches steady state). A
+    /// batch takes a die's queue for its flash phase and puts it back
+    /// answered, where the timing pass reads it.
     work: Vec<DieQueue>,
-    /// Second per-die arena set: a launched batch's queues stay with it
-    /// until its timing pass has read them, and the next batch fills these
-    /// meanwhile (double buffering; the buffers swap on every launch).
-    spare_work: Vec<DieQueue>,
-    /// Lazily built pool, used when the caller asks for more than one
-    /// worker. Rebuilt if a later call asks for a different size.
-    owned_pool: Option<WorkerPool>,
-    /// Where pool jobs land (created on first use; jobs hold clones only
-    /// while they are in flight).
-    landing: Option<Arc<Landing<P>>>,
-    /// Emptied `Flight::queues` lists, for the next launches (two once a
-    /// front-end pipelines: one flight joined, one on the pool).
-    spare_queues: Vec<Vec<Option<DieQueue>>>,
+    /// Sizes of the batches [`Engine::begin_batch`] ran that
+    /// [`Engine::finish_batch`] has not returned yet, oldest first.
+    unfinished: VecDeque<usize>,
     /// Timing-pass scratch: one cursor per die of a channel.
     cursors: Vec<DieCursor>,
     /// Completion-assembly scratch: the next `rich` entry of each die.
     rich_next: Vec<usize>,
-    /// Batch launched and neither joined nor finished.
-    flight: Option<Flight>,
-    /// Joined flash phase awaiting `finish_batch`.
-    joined: Option<Flight>,
     /// Cumulative per-stage wall-clock counters (diagnostic only).
     stage_ns: EngineStageNs,
     // Discrete-event clock state (persists across batches).
@@ -661,7 +536,7 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
         for d in 0..nd {
             let mut die_cfg = config.die.clone();
             die_cfg.seed = config.die_seed(d as u32);
-            dies.push(Some(Die::with_policy(die_cfg, policy.clone())?));
+            dies.push(Die::with_policy(die_cfg, policy.clone())?);
         }
         Ok(Self {
             config,
@@ -672,14 +547,9 @@ impl<P: ControllerPolicy + Clone> Engine<P> {
             timed: Vec::new(),
             next_id: 0,
             work: vec![DieQueue::default(); nd],
-            spare_work: vec![DieQueue::default(); nd],
-            owned_pool: None,
-            landing: None,
-            spare_queues: Vec::new(),
+            unfinished: VecDeque::new(),
             cursors: Vec::new(),
             rich_next: vec![0; nd],
-            flight: None,
-            joined: None,
             stage_ns: EngineStageNs::default(),
             die_free_us: vec![0.0; nd],
             chan_free_us: vec![0.0; nc],
@@ -710,24 +580,14 @@ impl<P: ControllerPolicy> Engine<P> {
     }
 
     /// Read-only access to a die (tests and experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die` is out of range, or while that die's flash phase is
-    /// in flight on the pool (call [`Engine::join_batch`] first).
     pub fn die(&self, die: u32) -> &Die<P> {
-        self.dies[die as usize].as_ref().expect("die's flash phase in flight; join_batch() first")
+        &self.dies[die as usize]
     }
 
     /// Mutable access to a die (experiments may pre-wear chips or inject
     /// disturbs before a replay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die` is out of range, or while that die's flash phase is
-    /// in flight on the pool (call [`Engine::join_batch`] first).
     pub fn die_mut(&mut self, die: u32) -> &mut Die<P> {
-        self.dies[die as usize].as_mut().expect("die's flash phase in flight; join_batch() first")
+        &mut self.dies[die as usize]
     }
 
     /// Cumulative wall-clock stage counters (see [`EngineStageNs`]).
@@ -737,11 +597,11 @@ impl<P: ControllerPolicy> Engine<P> {
 
     /// Stripes a request onto its die's work list (page-level round-robin,
     /// as [`Topology::stripe`]); returns its command id. The request runs
-    /// with the next launched batch.
+    /// with the next batch.
     ///
     /// # Panics
     ///
-    /// Panics once 2³² requests are pending: launch a batch first.
+    /// Panics once 2³² requests are pending: run a batch first.
     pub fn submit(&mut self, kind: ReqKind, lpa: u64) -> u64 {
         self.enqueue(kind, lpa, true)
     }
@@ -754,7 +614,7 @@ impl<P: ControllerPolicy> Engine<P> {
         // the batch as it was.
         assert!(
             !with_id || self.pending <= MAX_ID_OFFSET,
-            "{} requests pending: launch a batch before submitting more",
+            "{} requests pending: run a batch before submitting more",
             self.pending
         );
         let id = self.next_id;
@@ -783,7 +643,7 @@ impl<P: ControllerPolicy> Engine<P> {
         self.submit(ReqKind::Write, lpa)
     }
 
-    /// Requests submitted and not yet launched.
+    /// Requests submitted and not yet run.
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -798,7 +658,7 @@ impl<P: ControllerPolicy> Engine<P> {
     /// far by swap: `out` is cleared and becomes the engine's next buffer,
     /// so a front-end that swaps batch after batch allocates nothing.
     /// Batches come oldest first, each in timing order
-    /// ([`Engine::begin_batch_summarized`]).
+    /// ([`Engine::run_summarized`]).
     pub fn swap_summaries(&mut self, out: &mut Vec<CompletionSummary>) {
         out.clear();
         std::mem::swap(&mut self.timed, out);
@@ -812,7 +672,7 @@ impl<P: ControllerPolicy> Engine<P> {
     /// Propagates relocation failures.
     pub fn advance_time(&mut self, days: f64) -> Result<(), FtlError> {
         for die in &mut self.dies {
-            die.as_mut().expect("flash phase in flight; join_batch() first").advance_time(days)?;
+            die.advance_time(days)?;
         }
         Ok(())
     }
@@ -822,7 +682,6 @@ impl<P: ControllerPolicy> Engine<P> {
         let mut per_die = Vec::with_capacity(self.dies.len());
         let mut totals = rd_ftl::SsdStats::default();
         for (d, die) in self.dies.iter().enumerate() {
-            let die = die.as_ref().expect("flash phase in flight; join_batch() first");
             let ssd = die.stats();
             totals += ssd;
             let blocks = die.config().geometry.blocks;
@@ -903,17 +762,11 @@ impl<P: ControllerPolicy> Engine<P> {
         w.put_f64(c.timing.xfer_us);
     }
 
-    /// Checkpoints sit between batches: nothing submitted, in flight,
-    /// joined, or unconsumed.
+    /// Checkpoints sit between batches: nothing submitted or unconsumed.
     fn require_idle(&self, what: &str) -> Result<(), SnapError> {
         if self.pending > 0 || !self.cq.is_empty() || !self.timed.is_empty() {
             return Err(SnapError::Mismatch(format!(
                 "{what} requires every submitted request run and every completion drained"
-            )));
-        }
-        if self.flight.is_some() || self.joined.is_some() {
-            return Err(SnapError::Mismatch(format!(
-                "{what} requires no batch in flight (join_batch + finish_batch first)"
             )));
         }
         Ok(())
@@ -962,7 +815,7 @@ impl<P: ControllerPolicy> Engine<P> {
         w.section(SEC_DIES, |w| {
             w.put_u64(self.dies.len() as u64);
             for die in &self.dies {
-                die.as_ref().expect("no batch in flight").encode_state(w);
+                die.encode_state(w);
             }
         });
         Ok(wire::seal(ENGINE_SNAP_MAGIC, wire::SNAP_VERSION, &w.into_bytes()))
@@ -1046,53 +899,32 @@ impl<P: ControllerPolicy> Engine<P> {
             )));
         }
         for die in &mut self.dies {
-            die.as_mut().expect("no batch in flight").restore_state(&mut dies)?;
+            die.restore_state(&mut dies)?;
         }
         Ok(())
     }
 }
 
-impl<P: ControllerPolicy + Send + 'static> Engine<P> {
-    /// Processes every pending request as one batch: flash phase
-    /// (parallel over dies, `threads` workers; 0 = one per available core)
-    /// then timing phase. Returns the number of requests completed; the
-    /// completions are posted ordered by simulated completion time. Results
-    /// are bit-identical for any thread count. It is
-    /// [`Engine::begin_batch`] + [`Engine::finish_batch`].
+impl<P: ControllerPolicy + Send> Engine<P> {
+    /// Processes every pending request as one batch: flash phase (parallel
+    /// over dies on `threads` lanes; 0 = one per available core; one lane
+    /// runs inline) then timing phase, both finished when this returns.
+    /// Returns the number of requests completed; the completions are posted
+    /// ordered by simulated completion time. Results are bit-identical for
+    /// any thread count. With nothing pending the batch is empty, and still
+    /// a batch: it returns 0.
     ///
     /// # Panics
     ///
-    /// Panics if a batch is in flight or joined, or — naming the die — if
-    /// a die's job panicked on the pool.
+    /// Panics, naming the die, if a die's flash phase panicked on a lane.
     pub fn run(&mut self, threads: usize) -> usize {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        self.launch(threads, Emit::Full);
-        self.finish_batch()
+        self.execute(threads, Emit::Full)
     }
 
-    /// Launches the flash phase of every pending request — on a lazily
-    /// built engine-owned pool for `threads > 1`, or inline on the calling
-    /// thread for a single worker. Returns the batch size. With
-    /// nothing pending the batch is empty, and still a batch: `join_batch`
-    /// returns at once and `finish_batch` returns 0.
-    ///
-    /// While a pooled flash phase is in flight, the affected dies are
-    /// owned by the pool: [`Engine::die`], [`Engine::stats`], snapshots,
-    /// and the next `begin_batch` all require [`Engine::join_batch`]
-    /// first. Submitting more requests is fine — they form the next batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flash phase is already in flight.
-    pub fn begin_batch(&mut self, threads: usize) -> usize {
-        self.launch(threads, Emit::Full)
-    }
-
-    /// [`Engine::begin_batch`] for a front-end that only accounts: the
-    /// batch runs, is timed and is counted exactly as a full one, but
-    /// [`Engine::finish_batch`] posts one 32-byte [`CompletionSummary`] per
-    /// request for [`Engine::swap_summaries`] to take, and no
-    /// [`IoCompletion`] is built.
+    /// [`Engine::run`] for a front-end that only accounts: the batch runs,
+    /// is timed and is counted exactly as a full one, but posts one 32-byte
+    /// [`CompletionSummary`] per request for [`Engine::swap_summaries`] to
+    /// take, and no [`IoCompletion`] is built.
     ///
     /// Summaries are posted in **timing order**, not completion order:
     /// channel by channel in index order, and within a channel in the order
@@ -1104,79 +936,164 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// tenant's sum is exact in any order. With time constants that are not
     /// whole µs, a sum folded from summaries may differ in its last bits
     /// from one folded in completion order.
+    pub fn run_summarized(&mut self, threads: usize) -> usize {
+        self.execute(threads, Emit::Summary)
+    }
+
+    /// [`Engine::run`], remembering the batch's size for
+    /// [`Engine::finish_batch`]. The batch has run when this returns: the
+    /// staged API is a thin forward kept for callers that still name it.
+    pub fn begin_batch(&mut self, threads: usize) -> usize {
+        let total = self.run(threads);
+        self.unfinished.push_back(total);
+        total
+    }
+
+    /// Does nothing: [`Engine::begin_batch`] has already run the batch.
+    pub fn join_batch(&mut self) {}
+
+    /// The size of the oldest batch [`Engine::begin_batch`] ran that this
+    /// has not returned yet.
     ///
     /// # Panics
     ///
-    /// Panics if a flash phase is already in flight.
-    pub fn begin_batch_summarized(&mut self, threads: usize) -> usize {
-        self.launch(threads, Emit::Summary)
+    /// Panics if there is none.
+    pub fn finish_batch(&mut self) -> usize {
+        self.unfinished.pop_front().expect("no batch to finish; call begin_batch() first")
     }
 
-    /// Phase 1 launch: dispatches every non-empty per-die queue to the
-    /// executor [`Engine::begin_batch`] describes. Die `d` maps to lane
-    /// `d % workers` — a pure function of die index and pool size, so
-    /// execution partitioning (and therefore every digest) is reproducible.
-    /// Either executor leaves `work` empty and owned by the engine, so
-    /// `submit` can keep appending while the phase is in flight; a die run
-    /// inline is folded here, where it lands.
-    fn launch(&mut self, threads: usize, emit: Emit) -> usize {
-        assert!(self.flight.is_none(), "flash phase already in flight; call join_batch() first");
-        let batch = std::mem::take(&mut self.pending);
+    /// Runs every pending request as one batch that posts what `emit` asks
+    /// for, and returns its size.
+    fn execute(&mut self, threads: usize, emit: Emit) -> usize {
+        let total = std::mem::take(&mut self.pending);
+        let first_id = self.next_id - total as u64;
         let nd = self.dies.len();
-        let jobs = self.work.iter().filter(|queue| !queue.slots.is_empty()).count();
-        // An empty batch has nothing to execute anywhere.
-        let t = if jobs == 0 { 1 } else { resolve_threads(threads, nd) };
-        let pooled = (t > 1).then(|| {
-            if self.owned_pool.as_ref().map(WorkerPool::workers) != Some(t) {
-                self.owned_pool = Some(WorkerPool::new(t));
-            }
-            let landing = Arc::clone(self.landing.get_or_insert_with(|| Arc::new(Landing::new())));
-            // The countdown is set before the first job can land.
-            landing.state.lock().expect("landing lock poisoned").running = jobs;
-            landing
-        });
         let ctx = ExecContext {
             timing: self.config.timing,
             capture: self.config.capture_read_data,
             emit,
             dies: nd as u64,
         };
-        let mut queues = self.spare_queues.pop().unwrap_or_default();
-        for d in 0..nd {
-            if self.work[d].slots.is_empty() {
-                queues.push(Some(DieQueue::default()));
-                continue;
-            }
-            // Swap in the spare arena: the queue stays with this batch
-            // until its timing pass has read the answers, and the next
-            // batch fills the other one meanwhile.
-            let queue =
-                std::mem::replace(&mut self.work[d], std::mem::take(&mut self.spare_work[d]));
-            let start_digest = self.die_digest[d];
-            let (Some(pool), Some(landing)) = (&self.owned_pool, &pooled) else {
-                // Inline execution on the calling thread (identical results).
-                let die = self.dies[d].as_mut().expect("die present");
-                let exec = execute_die(die, queue, &ctx, start_digest, d as u64);
-                queues.push(Some(self.fold(d, exec)));
-                continue;
-            };
-            queues.push(None);
-            let mut die = self.dies[d].take().expect("die present");
-            let report = PanicReport { die: d, landing: Arc::clone(landing) };
-            pool.submit(
-                d,
-                Box::new(move || {
-                    let exec = execute_die(&mut die, queue, &ctx, start_digest, d as u64);
-                    // If the engine was dropped mid-flight the die is
-                    // discarded along with the landing.
-                    report.landing.land(d, die, exec);
-                }),
-            );
+        // The batch was submitted at the clock before any channel moves it;
+        // its records begin at `first` in `timed`.
+        let (batch_now, first) = (self.sim_end_us, self.timed.len());
+        if emit != Emit::None {
+            self.timed.reserve(total);
         }
-        let outstanding = if pooled.is_some() { jobs } else { 0 };
-        let first_id = self.next_id - batch as u64;
-        self.flight = Some(Flight { queues, outstanding, emit, total: batch, first_id });
-        batch
+        // One lane per thread asked for (0: one per core), at most one per
+        // die; an empty batch has nothing to execute anywhere.
+        let lanes = match threads {
+            _ if total == 0 => 1,
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()).min(nd),
+            t => t.min(nd),
+        };
+        let started;
+        let waited_before = self.stage_ns.pool_wait_ns;
+        if lanes == 1 {
+            for d in 0..nd {
+                if !self.work[d].slots.is_empty() {
+                    let queue = std::mem::take(&mut self.work[d]);
+                    let exec =
+                        execute_die(&mut self.dies[d], queue, &ctx, self.die_digest[d], d as u64);
+                    self.work[d] = self.fold(d, exec);
+                }
+            }
+            started = Instant::now();
+            for ch in 0..self.chan_free_us.len() {
+                self.time_channel(ch, batch_now, emit);
+            }
+        } else {
+            started = Instant::now();
+            self.settle_on_lanes(lanes, ctx, batch_now);
+        }
+        let done = self.end_timing(emit, total, first_id, first);
+        let waited = self.stage_ns.pool_wait_ns - waited_before;
+        self.stage_ns.timing_ns += (started.elapsed().as_nanos() as u64).saturating_sub(waited);
+        done
+    }
+
+    /// The flash phase on `lanes` lanes and the timing pass beside it, as
+    /// the module docs describe. A lane owns its dies for the batch and
+    /// hands them back as it ends: lanes writing to neighbours in one `Vec`
+    /// share cache lines, and a replay's flash phase measured ~15% slower.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the die, if a die's flash phase panicked on its lane:
+    /// once every lane has ended and the dies are back in the engine.
+    fn settle_on_lanes(&mut self, lanes: usize, ctx: ExecContext, batch_now: f64) {
+        let dies_per_channel = self.config.topology.dies_per_channel as usize;
+        let mut missing = vec![0usize; self.chan_free_us.len()];
+        let mut dies = Vec::with_capacity(self.dies.len());
+        let mut lane_work: Vec<Vec<_>> = (0..lanes).map(|_| Vec::new()).collect();
+        for (d, die) in std::mem::take(&mut self.dies).into_iter().enumerate() {
+            if self.work[d].slots.is_empty() {
+                dies.push((d, die));
+            } else {
+                missing[d / dies_per_channel] += 1;
+                let queue = std::mem::take(&mut self.work[d]);
+                lane_work[d % lanes].push((d, die, queue, self.die_digest[d]));
+            }
+        }
+        let mut own = std::mem::take(&mut lane_work[0]).into_iter();
+        let panicked = std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let spawned: Vec<_> = lane_work
+                .into_iter()
+                .filter(|work| !work.is_empty())
+                .map(|mut work| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        for (d, die, queue, digest) in &mut work {
+                            let ran = execute_caught(die, std::mem::take(queue), &ctx, *digest, *d);
+                            // The send fails only while the caller unwinds.
+                            let _ = tx.send((*d, ran));
+                        }
+                        work
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut next = 0;
+            let panicked = loop {
+                while next < missing.len() && missing[next] == 0 {
+                    self.time_channel(next, batch_now, ctx.emit);
+                    next += 1;
+                }
+                if next == missing.len() {
+                    break None;
+                }
+                let (d, ran) = if let Some((d, mut die, queue, digest)) = own.next() {
+                    let ran = execute_caught(&mut die, queue, &ctx, digest, d);
+                    dies.push((d, die));
+                    (d, ran)
+                } else {
+                    let waiting = Instant::now();
+                    let sent = rx.recv().expect("a lane ended without sending its dies back");
+                    self.stage_ns.pool_wait_ns += waiting.elapsed().as_nanos() as u64;
+                    sent
+                };
+                match ran {
+                    Ok(exec) => {
+                        self.work[d] = self.fold(d, exec);
+                        missing[d / dies_per_channel] -= 1;
+                    }
+                    // The die's own panic message is already out.
+                    Err(_) => break Some(d),
+                }
+            };
+            dies.extend(own.map(|(d, die, ..)| (d, die)));
+            for lane in spawned {
+                let work = lane.join().expect("a lane catches its dies' panics");
+                dies.extend(work.into_iter().map(|(d, die, ..)| (d, die)));
+            }
+            panicked
+        });
+        dies.sort_unstable_by_key(|&(d, _)| d);
+        self.dies = dies.into_iter().map(|(_, die)| die).collect();
+        if let Some(d) = panicked {
+            panic!("die {d}'s flash phase panicked on its lane");
+        }
     }
 
     /// The contiguous die range of channel `ch`.
@@ -1185,41 +1102,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ch * dpc..(ch + 1) * dpc
     }
 
-    /// Sleeps until at most `wake_at` of `flight`'s pool jobs are still
-    /// running — one sleep, however many land meanwhile — then puts every
-    /// die that has landed back in its slot and folds its output.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the die, if a job panicked on the pool.
-    fn collect(&mut self, flight: &mut Flight, wake_at: usize) {
-        if flight.outstanding == 0 {
-            return;
-        }
-        let started = Instant::now();
-        let landing = Arc::clone(self.landing.as_ref().expect("pooled flight has a landing"));
-        let mut landed = landing.state.lock().expect("landing lock poisoned");
-        while landed.running > wake_at && landed.panicked.is_none() {
-            landed.wake_at = Some(wake_at);
-            landed = landing.wake.wait(landed).expect("landing lock poisoned");
-        }
-        landed.wake_at = None;
-        let panicked = landed.panicked;
-        for (d, die, exec) in landed.dies.drain(..) {
-            self.dies[d] = Some(die);
-            flight.queues[d] = Some(self.fold(d, exec));
-            flight.outstanding -= 1;
-        }
-        drop(landed);
-        self.stage_ns.pool_wait_ns += started.elapsed().as_nanos() as u64;
-        if let Some(d) = panicked {
-            panic!("die {d}'s flash phase panicked on the worker pool");
-        }
-    }
-
     /// Folds die `d`'s flash-phase output into the cumulative accounting and
     /// returns its answered queue. Every update is the die's own slot or an
-    /// integer total, so the order dies land in changes no bit.
+    /// integer total, so the order dies arrive in changes no bit.
     fn fold(&mut self, d: usize, exec: DieExec) -> DieQueue {
         self.die_digest[d] = exec.digest;
         self.die_background_us[d] += exec.background_us;
@@ -1233,69 +1118,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         exec.queue
     }
 
-    /// Phase 1 collection: sleeps until every die dispatched by
-    /// [`Engine::begin_batch`] has landed — once, woken by the last of them
-    /// — puts the dies back in their slots and parks the batch for
-    /// [`Engine::finish_batch`]. After this the dies are accessible again
-    /// and the *next* batch may begin before the timing phase of this one
-    /// runs — that is the pipelining window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no flash phase is in flight, if a joined batch is already
-    /// awaiting [`Engine::finish_batch`], or — naming the die — if a die's
-    /// job panicked on the pool.
-    pub fn join_batch(&mut self) {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
-        let mut flight =
-            self.flight.take().expect("no flash phase in flight; call begin_batch() first");
-        self.collect(&mut flight, 0);
-        self.joined = Some(flight);
-    }
-
-    /// Phase 2: the serial discrete-event timing pass over the batch parked
-    /// by [`Engine::join_batch`] — or, if none is, over the one still in
-    /// flight, each channel timed as soon as its dies have landed; posts
-    /// its completions (or, for a batch begun by
-    /// [`Engine::begin_batch_summarized`], its summaries). Returns the
-    /// number of requests completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch was begun, or — naming the die — if a die's job
-    /// panicked on the pool.
-    pub fn finish_batch(&mut self) -> usize {
-        let joined_or_in_flight = self.joined.take().or_else(|| self.flight.take());
-        let mut flight = joined_or_in_flight.expect("no batch to finish; call begin_batch() first");
-        let started = Instant::now();
-        let waited_before = self.stage_ns.pool_wait_ns;
-        // The batch was submitted at the clock before any channel moves it;
-        // its records begin at `first` in `timed`.
-        let (batch_now, first) = (self.sim_end_us, self.timed.len());
-        if flight.emit != Emit::None {
-            self.timed.reserve(flight.total);
-        }
-        for ch in 0..self.chan_free_us.len() {
-            let dies = self.channel_dies(ch);
-            loop {
-                let missing = flight.queues[dies.clone()].iter().filter(|q| q.is_none()).count();
-                if missing == 0 {
-                    break;
-                }
-                // The channel is complete no sooner than `missing` landings
-                // from now: sleep through the ones before that.
-                let wake_at = flight.outstanding - missing;
-                self.collect(&mut flight, wake_at);
-            }
-            self.time_channel(&mut flight, ch, batch_now);
-        }
-        let done = self.end_timing(flight, first);
-        let waited = self.stage_ns.pool_wait_ns - waited_before;
-        self.stage_ns.timing_ns += (started.elapsed().as_nanos() as u64).saturating_sub(waited);
-        done
-    }
-
-    /// Discrete-event timing of channel `ch`, whose dies have all landed,
+    /// Discrete-event timing of channel `ch`, whose dies have all executed,
     /// for a batch submitted at `batch_now`. Repeatedly dispatches the
     /// request with the earliest per-die ready time (queue-depth pacing +
     /// die availability), serializing the channel's transfer slots. A die's
@@ -1303,30 +1126,23 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// values are cached and the loop is a flat argmin scan; ties pick the
     /// lowest die index, exactly as a full rescan would.
     ///
-    /// Channels share no timing state — a request starts at
-    /// `ready.max(chan_free)`, its own die's and its own channel's clocks —
-    /// so each channel's contiguous die range dispatches independently: the
-    /// argmin spans `dies_per_channel` entries, the channel-slot clock
-    /// lives in a register, and a channel can be timed before later
-    /// channels' dies have executed. What the channels do share is the
-    /// latency histogram (its sum is added in timing order) and the
-    /// makespan, so callers time channels strictly in index order;
-    /// cross-channel interleaving cannot change any per-die or
-    /// order-insensitive global statistic, and for a full batch the sort in
-    /// [`Self::end_timing`] restores one global time order.
+    /// Channels share no timing state (see the module docs), so the argmin
+    /// spans one channel's `dies_per_channel` entries, the channel-slot
+    /// clock lives in a register, and callers time channels strictly in
+    /// index order; for a full batch the sort in [`Self::end_timing`]
+    /// restores one global time order.
     ///
     /// An emitting batch gets one [`CompletionSummary`] per request, the
     /// same record whether summaries or full completions are wanted. A
     /// channel's start times strictly increase in dispatch order (a request
     /// starts no earlier than the end of the previous one's transfer slot,
     /// which is positive), so its records are written in start-time order.
-    fn time_channel(&mut self, flight: &mut Flight, ch: usize, batch_now: f64) {
+    fn time_channel(&mut self, ch: usize, batch_now: f64, emit: Emit) {
         let dies = self.channel_dies(ch);
         let lo = dies.start;
-        let emit = flight.emit != Emit::None;
-        let queues = &mut flight.queues[dies];
-        let queued = |q: &Option<DieQueue>| q.as_ref().expect("channel's dies landed").slots.len();
-        let chan_total: usize = queues.iter().map(queued).sum();
+        let emit = emit != Emit::None;
+        let queues = &mut self.work[dies];
+        let chan_total: usize = queues.iter().map(|q| q.slots.len()).sum();
         if chan_total == 0 {
             return;
         }
@@ -1341,7 +1157,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         let mut cursors = std::mem::take(&mut self.cursors);
         cursors.clear();
         cursors.extend(queues.iter().enumerate().map(|(j, q)| {
-            let (ready, submit) = if queued(q) == 0 {
+            let (ready, submit) = if q.slots.is_empty() {
                 (f64::INFINITY, batch_now)
             } else {
                 ready_of(&self.inflight[lo + j], self.die_free_us[lo + j])
@@ -1358,7 +1174,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             let d = lo + j;
             let DieCursor { next, ready, submit } = cursors[j];
             debug_assert!(ready.is_finite(), "work remains while total not reached");
-            let queue = queues[j].as_mut().expect("channel's dies landed");
+            let queue = &mut queues[j];
             let item = ExecTiming::from_slot(queue.slots[next]);
             let start = ready.max(chan_free);
             let complete = start + item.service_us;
@@ -1398,10 +1214,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
     /// Closes a batch's timing pass: leaves a summarized batch's records
     /// (from `first` on in `timed`) posted in timing order; sorts a full
     /// batch's into simulated completion order and assembles its
-    /// completions from them; and takes the queues back as arenas for later
-    /// batches.
-    fn end_timing(&mut self, flight: Flight, first: usize) -> usize {
-        let Flight { mut queues, emit, total, first_id, .. } = flight;
+    /// completions from them, numbered from `first_id`; and clears the
+    /// queues for later batches.
+    fn end_timing(&mut self, emit: Emit, total: usize, first_id: u64, first: usize) -> usize {
         // A summarized batch is posted in timing order, as written.
         if emit == Emit::Full {
             // `slot` orders as the command id does: both count from the
@@ -1416,7 +1231,7 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             self.cq.reserve(total);
             for s in self.timed.drain(first..) {
                 let d = s.die as usize;
-                let queue = queues[d].as_mut().expect("every die timed");
+                let queue = &mut self.work[d];
                 let i = self.rich_next[d];
                 self.rich_next[d] += 1;
                 assert_eq!(queue.ids[i], s.slot, "die {d}'s records left dispatch order");
@@ -1435,21 +1250,9 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
                 });
             }
         }
-        for (d, queue) in queues.drain(..).enumerate() {
-            let mut queue = queue.expect("every die timed");
+        for queue in &mut self.work {
             queue.clear();
-            // `submit` may be appending to an arena that never grew (the
-            // launch found no spare to swap in): give it this one.
-            let idle = if self.work[d].slots.capacity() == 0 {
-                &mut self.work[d]
-            } else {
-                &mut self.spare_work[d]
-            };
-            if idle.slots.capacity() == 0 {
-                *idle = queue;
-            }
         }
-        self.spare_queues.push(queues);
         total
     }
 
@@ -1479,10 +1282,8 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
         ops: I,
         threads: usize,
     ) -> usize {
-        assert!(self.joined.is_none(), "joined batch awaits finish_batch()");
         self.submit_trace(ops);
-        self.launch(threads, Emit::None);
-        self.finish_batch()
+        self.execute(threads, Emit::None)
     }
 
     /// Queues a trace without ids, each lpa folded into the logical space.
@@ -1505,17 +1306,6 @@ impl<P: ControllerPolicy + Send + 'static> Engine<P> {
             self.enqueue(kind, logical_div.div_rem(op.lpa).1, false);
         }
     }
-}
-
-/// Resolves a requested worker count: 0 means one per available core,
-/// clamped to the die count.
-fn resolve_threads(requested: usize, dies: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    };
-    t.clamp(1, dies.max(1))
 }
 
 /// Exact unsigned division by a fixed divisor via one reciprocal multiply:
@@ -1676,6 +1466,18 @@ fn execute_die<P: ControllerPolicy>(
         writes_failed,
         wall_ns: wall_started.elapsed().as_nanos() as u64,
     }
+}
+
+/// [`execute_die`] on a lane: a panic is caught and returned, for the
+/// caller to report with the die's index.
+fn execute_caught<P: ControllerPolicy>(
+    die: &mut Die<P>,
+    queue: DieQueue,
+    ctx: &ExecContext,
+    start_digest: u64,
+    d: usize,
+) -> std::thread::Result<DieExec> {
+    panic::catch_unwind(AssertUnwindSafe(|| execute_die(die, queue, ctx, start_digest, d as u64)))
 }
 
 #[cfg(test)]
@@ -1958,38 +1760,6 @@ mod tests {
         assert_eq!(answered.service_us, 675.0);
     }
 
-    /// A flight whose jobs have all landed before the coordinator asks — the
-    /// countdown reaches zero with nobody to wake — is joined without a
-    /// sleep and loses nothing.
-    #[test]
-    fn a_flight_that_lands_before_anyone_waits_is_joined_all_the_same() {
-        let mut engine = Engine::new(EngineConfig::small_test()).unwrap();
-        for lpa in 0..8u64 {
-            engine.submit_write(lpa);
-        }
-        assert_eq!(engine.begin_batch(2), 8);
-        let landing = Arc::clone(engine.landing.as_ref().expect("pooled launch"));
-        loop {
-            let landed = landing.state.lock().unwrap();
-            assert_eq!(landed.wake_at, None, "nobody is waiting");
-            if landed.running == 0 {
-                assert_eq!(landed.dies.len(), 4, "every die landed on the list");
-                break;
-            }
-            drop(landed);
-            std::thread::yield_now();
-        }
-        engine.join_batch();
-        assert_eq!(engine.finish_batch(), 8);
-        let completions = drained(&mut engine);
-        assert_eq!(completions.len(), 8);
-        assert!(completions.iter().all(|c| c.result.is_ok()));
-        // The landing is reused: a second flight counts down from its own jobs.
-        engine.submit_read(5);
-        assert_eq!(engine.run(2), 1);
-        assert_eq!(engine.stats().ops, 9);
-    }
-
     /// Ids ride as `u32` offsets from the batch's first; unit tests build
     /// with `MAX_ID_OFFSET` = 4095, so the 4097th pending `submit` trips the
     /// guard, while a stats-only replay — which records no ids — may queue
@@ -2007,7 +1777,7 @@ mod tests {
         let overflow =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.submit_read(0)));
         assert!(overflow.is_err(), "the guard let offset {} through", MAX_ID_OFFSET + 1);
-        // Launching makes room, and the largest offset came through intact.
+        // Running makes room, and the largest offset came through intact.
         assert_eq!(engine.run(2), MAX_ID_OFFSET + 1);
         let ids: Vec<u64> = drained(&mut engine).iter().map(|c| c.id).collect();
         assert_eq!(ids.iter().max(), Some(&(first + MAX_ID_OFFSET as u64)));

@@ -121,7 +121,7 @@ impl Outcome {
 }
 
 /// Completion record of one request of a summarized batch
-/// ([`Engine::begin_batch_summarized`](crate::Engine::begin_batch_summarized)):
+/// ([`Engine::run_summarized`](crate::Engine::run_summarized)):
 /// 32 bytes, the record the request's [`IoCompletion`] would be built from,
 /// to the bit. A batch's summaries are posted in timing order — channel by
 /// channel in index order, within a channel in dispatch order — not in

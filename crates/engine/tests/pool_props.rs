@@ -1,20 +1,16 @@
-//! Property suite for the worker pool's determinism contract: the engine's
+//! Property suite for the engine's determinism contract: the engine's
 //! full statistics — data digest, per-die counters, simulated latencies —
-//! are bit-identical for any pool size, with and without batch pipelining,
-//! at every read-path fidelity tier. The flash phase assigns die `d` to
-//! lane `d % workers` with no work stealing and folds each die's results
-//! where it lands, into that die's own counters and integer totals, and
-//! the timing phase is strictly serial, so nothing observable may depend
-//! on how many OS threads executed the flash work, on whether
-//! the next batch's flash phase overlapped the previous batch's timing
-//! phase, or on whether the next batch was submitted while the previous
-//! flash phase was still in flight. Nor on `run` timing a channel while
-//! later channels' dies still execute, nor on the one-word packing of
-//! queued requests; and a die job that panics on the pool panics the
-//! coordinator instead of hanging it. Nor on whether a batch posts full
-//! completions or 32-byte summaries (only their order differs: summaries
-//! arrive in timing order), nor on the coordinator being woken once per
-//! flight instead of once per die.
+//! are bit-identical for any lane count, with and without the staged
+//! `begin_batch` / `join_batch` / `finish_batch` forwards, at every
+//! read-path fidelity tier. The flash phase assigns die `d` to lane
+//! `d % lanes` with no work stealing and folds each die's results where it
+//! arrives, into that die's own counters and integer totals, and the timing
+//! phase is strictly serial, so nothing observable may depend on how many
+//! scoped threads executed the flash work, on a channel being timed while
+//! later channels' dies still execute, or on the one-word packing of queued
+//! requests; and a die that panics on a lane panics the caller instead of
+//! hanging it. Nor on whether a batch posts full completions or 32-byte
+//! summaries (only their order differs: summaries arrive in timing order).
 
 use proptest::prelude::*;
 use rd_engine::{Engine, EngineConfig, EngineStats, OutcomeClass, ReadFidelity, ReqKind, Topology};
@@ -37,14 +33,14 @@ fn engine(seed: u64, tier: u8) -> Engine {
 /// How `run_batched` drives consecutive batches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {
-    /// Each batch runs to completion before the next is submitted.
+    /// Each batch is one `run`.
     Sequential,
-    /// Batch `N+1` is submitted and launched after `join_batch(N)` and
-    /// before `finish_batch(N)` (the serve worker's overlap pattern).
+    /// Through the staged forwards, two batches open at a time: batch
+    /// `N+1` is submitted and begun after `join_batch(N)` and before
+    /// `finish_batch(N)`.
     Pipelined,
     /// As `Pipelined`, but batch `N+1` is submitted between
-    /// `begin_batch(N)` and `join_batch(N)`: requests submitted while a
-    /// flash phase is in flight must form the next batch.
+    /// `begin_batch(N)` and `join_batch(N)`: it must form the next batch.
     InFlight,
 }
 
@@ -94,10 +90,11 @@ fn run_batched(seed: u64, tier: u8, ops: usize, threads: usize, mode: Mode) -> E
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For arbitrary seeds, op counts, and fidelity tiers, every pool size
-    /// in {1, 2, 8} — sequential, pipelined, and with in-flight submission
-    /// — produces `EngineStats` equal to the single-threaded sequential
-    /// reference, per-die breakdown and data digest included.
+    /// For arbitrary seeds, op counts, and fidelity tiers, every lane count
+    /// in {1, 2, 8} — by `run`, and through the staged forwards submitting
+    /// between join and finish or between begin and join — produces
+    /// `EngineStats` equal to the single-lane `run` reference, per-die
+    /// breakdown and data digest included.
     #[test]
     fn stats_identical_across_pool_sizes_and_pipelining(
         seed in any::<u64>(),
@@ -147,9 +144,9 @@ fn worn_array(channels: u32, dies_per_channel: u32, seed: u64) -> Engine {
     engine
 }
 
-/// Runs `batches` through the staged API on `lanes` lanes, posting full
-/// completions or summaries, and returns every request's [`Row`] in posting
-/// order, the same rows in timing order, the final statistics and the
+/// Runs `batches` on `lanes` lanes, posting full completions (`run`) or
+/// summaries (`run_summarized`), and returns every request's [`Row`] in
+/// posting order, the same rows in timing order, the final statistics and the
 /// checkpoint. Timing order is each batch's rows sorted by channel, then by
 /// start time: a channel's start times strictly increase in the order its
 /// requests were dispatched. A full batch's comes from its completions'
@@ -171,13 +168,8 @@ fn rows_of(
         for &(kind, lpa) in &batch[1..] {
             engine.submit(kind, lpa);
         }
-        let n = if summarized {
-            engine.begin_batch_summarized(lanes)
-        } else {
-            engine.begin_batch(lanes)
-        };
-        engine.join_batch();
-        assert_eq!(engine.finish_batch(), n);
+        let n = if summarized { engine.run_summarized(lanes) } else { engine.run(lanes) };
+        assert_eq!(n, batch.len());
         engine.swap_summaries(&mut summaries);
         completions.clear();
         engine.drain_completions_into(&mut completions);
@@ -277,13 +269,12 @@ proptest! {
     }
 }
 
-/// A batch that lands on one die only — every other die's slot is filled
-/// at launch and the countdown starts at one — gives the same statistics,
-/// completions and checkpoint inline, overlapped on a pool and staged on a
-/// pool: the coordinator times the empty channel without sleeping and is
-/// woken for the other by the one job there is.
+/// A batch that lands on one die only — one lane has work, every other
+/// die's queue is empty and its channel is timed before anything arrives —
+/// gives the same statistics, completions and checkpoint inline, on 2 and 8
+/// lanes, by `run` and through the staged forwards.
 #[test]
-fn a_batch_on_one_die_wakes_the_coordinator_once_and_changes_nothing() {
+fn a_batch_on_one_die_changes_nothing() {
     let observe = |threads: usize, staged: bool| -> Observed {
         let mut engine = Engine::new(EngineConfig::small_test()).expect("engine");
         let dies = u64::from(engine.config().topology.dies());
@@ -326,35 +317,55 @@ impl rd_ftl::ControllerPolicy for PanicsOnRead {
     }
 }
 
-/// A die job that panics on the pool must panic the coordinator, inside
-/// the `run` that launched it and naming the die — not leave it blocked on
-/// a result that will never arrive.
+/// A die that panics on a lane must panic the caller, inside the `run` that
+/// launched it and naming the die — not leave it blocked on a result that
+/// will never arrive. On a 4×2 array at 2 lanes, die 2 is on the calling
+/// thread's own lane; at 8, on a spawned lane of its own, and every other
+/// die ran all its writes before `run` unwound and is back in the engine to
+/// be read: no lane outlived the call.
 #[test]
 fn panicking_die_job_panics_the_coordinator_instead_of_hanging() {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    let mut doomed = Engine::with_policy(EngineConfig::small_test(), PanicsOnRead).unwrap();
-    let dies = u64::from(doomed.config().topology.dies());
-    let (tx, rx) = mpsc::channel();
-    let coordinator = std::thread::spawn(move || {
-        // Eight writes, then reads of them, all striped onto die 2.
-        for i in 0..8 {
-            doomed.submit_write(i * dies + 2);
+    for lanes in [2usize, 8] {
+        let config = EngineConfig {
+            topology: Topology { channels: 4, dies_per_channel: 2 },
+            ..EngineConfig::small_test()
+        };
+        let mut doomed = Engine::with_policy(config, PanicsOnRead).unwrap();
+        let dies = u64::from(doomed.config().topology.dies());
+        let (tx, rx) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            // Eight writes on every die, then reads of die 2's.
+            for i in 0..8 {
+                for d in 0..dies {
+                    doomed.submit_write(i * dies + d);
+                }
+            }
+            for i in 0..8 {
+                doomed.submit_read(i * dies + 2);
+            }
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.run(lanes)))
+                    .map_err(|p| {
+                        p.downcast_ref::<String>()
+                            .cloned()
+                            .unwrap_or_else(|| "non-string panic".into())
+                    });
+            let _ = tx.send((outcome, doomed));
+        });
+        let (outcome, doomed) = rx.recv_timeout(Duration::from_secs(5)).expect("the caller hung");
+        caller.join().unwrap();
+        let message = outcome.expect_err("run() returned although die 2 panicked");
+        assert!(message.contains("die 2") && message.contains("panicked"), "panic was `{message}`");
+        if lanes == 8 {
+            for d in (0..dies as u32).filter(|&d| d != 2) {
+                let writes = doomed.die(d).stats().host_writes;
+                assert_eq!(writes, 8, "die {d}'s lane stopped after {writes} writes");
+            }
         }
-        for i in 0..8 {
-            doomed.submit_read(i * dies + 2);
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.run(2)))
-            .map_err(|p| {
-                p.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".into())
-            });
-        let _ = tx.send(outcome);
-    });
-    let outcome = rx.recv_timeout(Duration::from_secs(5)).expect("coordinator hung");
-    coordinator.join().unwrap();
-    let message = outcome.expect_err("run() returned although die 2's job panicked");
-    assert!(message.contains("die 2") && message.contains("panicked"), "panic was `{message}`");
+    }
 }
 
 /// Everything a caller can observe of a run: statistics, the completions
@@ -366,16 +377,15 @@ type Observed = (EngineStats, Vec<rd_engine::IoCompletion>, Vec<u8>);
 enum Settle {
     /// `run`.
     Run,
-    /// `begin_batch` + `finish_batch`: channels are timed as their dies land.
+    /// The staged forwards `begin_batch` + `finish_batch`.
     Finish,
-    /// `begin_batch` + `join_batch` + `finish_batch`: nothing is timed until
-    /// every die has landed.
+    /// The staged forwards `begin_batch` + `join_batch` + `finish_batch`.
     JoinFinish,
 }
 
 /// Fills a `channels × dies_per_channel` array, then runs a batch whose
 /// heavy work — overwrites, so GC — is all on die 0 while every other die
-/// gets a handful of reads: on a pool, channel 1's dies land long before
+/// gets a handful of reads: on lanes, channel 1's dies arrive long before
 /// channel 0's. Then a third, uniform batch on the recycled arenas. Every
 /// batch is settled as `settle` says.
 fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, settle: Settle) -> Observed {
@@ -424,11 +434,10 @@ fn skewed_run(channels: u32, dies_per_channel: u32, threads: usize, settle: Sett
 
 /// Timing a channel as soon as its dies are in, while later dies still
 /// execute, changes nothing observable: on a 2×2 and a 4×4 array, for a
-/// batch whose channel-1 dies land first, statistics, completions (order
-/// and every field) and checkpoint bytes are equal at 1, 2 and 8 threads,
-/// whether the batch is settled by `run`, by `finish_batch` straight after
-/// the launch, or by the staged sequence that times nothing until every die
-/// has landed.
+/// batch whose channel-1 dies arrive first, statistics, completions (order
+/// and every field) and checkpoint bytes are equal at 1, 2 and 8 lanes,
+/// whether the batch is settled by `run` or through the staged forwards,
+/// with or without `join_batch`.
 #[test]
 fn overlapped_timing_changes_nothing_observable() {
     for (channels, dies_per_channel) in [(2, 2), (4, 4)] {

@@ -51,9 +51,9 @@ fn submission_beyond_queue_depth_paces_admission() {
     }
 }
 
-/// Running an empty submission queue is a no-op — staged too, at both
-/// launch levels, with or without a join — and draining is idempotent:
-/// completions come out once, oldest first, then never again.
+/// Running an empty submission queue is a no-op — summarized too, and
+/// through the staged forwards with or without a join — and draining is
+/// idempotent: completions come out once, oldest first, then never again.
 #[test]
 fn empty_batch_and_completion_draining() {
     let mut engine = Engine::new(single_die_config(8)).unwrap();
@@ -66,21 +66,18 @@ fn empty_batch_and_completion_draining() {
     let idle = engine.stats();
     assert_eq!(idle.ops, 0);
     assert_eq!(idle.makespan_us, 0.0);
-    for summarized in [false, true] {
-        for join in [false, true] {
-            let launched =
-                if summarized { engine.begin_batch_summarized(2) } else { engine.begin_batch(2) };
-            assert_eq!(launched, 0);
-            if join {
-                engine.join_batch();
-            }
-            assert_eq!(engine.finish_batch(), 0, "summarized={summarized} join={join}");
-            engine.swap_summaries(&mut summaries);
-            engine.drain_completions_into(&mut completions);
-            assert!(summaries.is_empty() && completions.is_empty());
+    assert_eq!(engine.run_summarized(2), 0);
+    for join in [false, true] {
+        assert_eq!(engine.begin_batch(2), 0);
+        if join {
+            engine.join_batch();
         }
+        assert_eq!(engine.finish_batch(), 0, "join={join}");
     }
-    assert_eq!(engine.stats(), idle, "an empty staged batch moved the engine");
+    engine.swap_summaries(&mut summaries);
+    engine.drain_completions_into(&mut completions);
+    assert!(summaries.is_empty() && completions.is_empty());
+    assert_eq!(engine.stats(), idle, "an empty batch moved the engine");
 
     for lpa in 0..6u64 {
         engine.submit_write(lpa);

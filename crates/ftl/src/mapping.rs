@@ -4,9 +4,9 @@
 //! pair, about 0.9 MB for a 1024-block × 128-page die, which fits L2 — so
 //! a die's whole map can stay cached while the write path and garbage
 //! collection walk it. A thread that cycles through several dies (an
-//! engine pool lane serving 8 of them walks about 7.2 MB of maps) cannot
-//! keep them cached; [`PageMap::pretouch`] lets it prefetch the lines of
-//! requests it knows are coming:
+//! engine lane or shard worker running 8 of them walks about 7.2 MB of
+//! maps) cannot keep them cached; [`PageMap::pretouch`] lets it prefetch
+//! the lines of requests it knows are coming:
 //!
 //! * `l2p[lpa]` is the physical page packed as `block * pages_per_block +
 //!   page`;

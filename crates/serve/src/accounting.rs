@@ -242,12 +242,10 @@ mod tests {
                     engine.submit(kind, lpa);
                 }
                 if summarized {
-                    engine.begin_batch_summarized(2);
+                    engine.run_summarized(2);
                 } else {
-                    engine.begin_batch(2);
+                    engine.run(2);
                 }
-                engine.join_batch();
-                engine.finish_batch();
                 let first_id = batch * 200;
                 engine.swap_summaries(&mut summaries);
                 for summary in &summaries {
@@ -297,11 +295,10 @@ mod tests {
                     engine.submit(kind, if batch == 0 { i } else { draw % logical });
                 }
                 if summarized {
-                    engine.begin_batch_summarized(2);
+                    engine.run_summarized(2);
                 } else {
-                    engine.begin_batch(2);
+                    engine.run(2);
                 }
-                engine.finish_batch();
                 engine.swap_summaries(&mut summaries);
                 for summary in &summaries {
                     accounts[summary.slot as usize % TENANTS].record_summary(summary);

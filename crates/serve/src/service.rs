@@ -18,10 +18,10 @@
 //! **What a shard worker consumes.** Of each completion: its latency, its
 //! outcome (kind, ok / not-written / failed, corrected errors) and which op
 //! of the batch it answers — that op's tenant is whom it is accounted to.
-//! So batches are launched with [`Engine::begin_batch_summarized`] and
-//! settle as 32-byte [`CompletionSummary`]s in timing order, taken in a
-//! buffer the worker swaps with the engine's; no
-//! [`rd_engine::IoCompletion`] is built on this path. Under the default
+//! So batches run with [`Engine::run_summarized`] and settle as 32-byte
+//! [`CompletionSummary`]s in timing order, taken in a buffer the worker
+//! swaps with the engine's; no [`rd_engine::IoCompletion`] is built on this
+//! path. Under the default
 //! timing every latency is a whole number of µs, so each tenant's latency
 //! sum is exact in that order as in any other.
 //!
@@ -191,8 +191,7 @@ impl ShardState {
         for op in &ops {
             self.engine.submit(op.kind, op.lpa);
         }
-        self.engine.begin_batch_summarized(1);
-        self.engine.finish_batch();
+        self.engine.run_summarized(1);
         let started = Instant::now();
         self.engine.swap_summaries(&mut self.scratch);
         for summary in &self.scratch {

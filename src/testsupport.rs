@@ -16,6 +16,8 @@
 //!    the quarter-million of the full figures, so the whole pyramid runs in
 //!    seconds.
 
+use std::ops::Range;
+
 use readdisturb::core::characterize::Scale;
 use readdisturb::core::lifetime::{EnduranceConfig, EnduranceEvaluator};
 use readdisturb::core::rdr::Rdr;
@@ -30,6 +32,47 @@ pub const GOLDEN_SEED: u64 = 2015;
 /// enough to see the paper's effects while keeping suites fast.
 pub fn tiny_scale() -> Scale {
     Scale { wordlines: 8, bitlines: 512 }
+}
+
+/// Runs `body` once per seed of `seeds` and asserts that it passes at
+/// `min_frac` of them or more: a physics claim checked over noise
+/// realizations, where a test pinned to one seed checks that seed.
+///
+/// `rate` is the pass rate the body shows on a correct model, measured over
+/// the same seeds. If each of the n seeds passes independently at `rate`,
+/// a correct model fails this check with probability
+///
+/// ```text
+/// P[Bin(n, rate) < k] = Σ_{i<k} C(n, i) · rate^i · (1 − rate)^(n − i),   k = ⌈min_frac · n⌉,
+/// ```
+///
+/// and the helper refuses, before running any seed, a `min_frac` for which
+/// that is not below 1e-6. For example, at n = 40 and rate 0.90 the
+/// largest allowed k is 25 (62.5%), with P ≈ 5.9e-7.
+///
+/// # Panics
+///
+/// Panics if `min_frac` is too close to `rate` for that bound, or if fewer
+/// than `k` seeds pass; the message lists the seeds that failed.
+pub fn over_seeds(seeds: Range<u64>, rate: f64, min_frac: f64, body: impl Fn(u64) -> bool) {
+    let n = seeds.end.saturating_sub(seeds.start);
+    let k = (min_frac * n as f64).ceil() as u64;
+    // The binomial tail, term by term: C(n, i+1)/C(n, i) = (n−i)/(i+1).
+    let (mut term, mut tail) = ((1.0 - rate).powi(n as i32), 0.0);
+    for i in 0..k {
+        tail += term;
+        term *= (n - i) as f64 / (i + 1) as f64 * rate / (1.0 - rate);
+    }
+    assert!(
+        tail < 1e-6,
+        "a correct model passing at {rate} fails {k} of {n} with probability {tail:.1e}"
+    );
+    let failed: Vec<u64> = seeds.filter(|&seed| !body(seed)).collect();
+    assert!(
+        n - failed.len() as u64 >= k,
+        "passed {} of {n} seeds, needs {k}; failed: {failed:?}",
+        n - failed.len() as u64
+    );
 }
 
 /// A single-block chip at `pe_cycles` of wear, programmed with seeded random

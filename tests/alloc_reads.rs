@@ -345,14 +345,14 @@ fn stats_only_replay_keeps_eight_bytes_per_read() {
     assert!(engine.stats().recovered_reads > 0 && engine.stats().uncorrectable_reads > 0);
 }
 
-/// The byte gate for a summarized batch, the staged sequence an rd-serve
-/// shard worker drives (begin → join → finish → swap): once warm it asks
-/// for nothing at all. The outcome words and ids are arenas that travel
-/// with the die queues, the 32-byte summaries go to a buffer swapped with
-/// the caller's, the per-flight die list and the timing pass's cursors are
-/// kept by the engine (a `Vec` per die, per channel and per batch for the
-/// same records failed this), and a latency is a count in a histogram
-/// bucket (an 8-byte sample per request failed this at 8 B/request).
+/// The byte gate for a summarized batch, the sequence an rd-serve shard
+/// worker drives (`run_summarized` inline → swap): once warm it asks for
+/// nothing at all. The outcome words and ids are arenas that travel with
+/// the die queues, the 32-byte summaries go to a buffer swapped with the
+/// caller's, the timing pass's cursors are kept by the engine (a `Vec` per
+/// die, per channel and per batch for the same records failed this), and a
+/// latency is a count in a histogram bucket (an 8-byte sample per request
+/// failed this at 8 B/request).
 #[test]
 fn warm_summarized_batch_requests_no_bytes() {
     let mut engine = stressed_array();
@@ -363,9 +363,7 @@ fn warm_summarized_batch_requests_no_bytes() {
         for i in 0..BATCH {
             engine.submit_read((i * 7) % pages);
         }
-        assert_eq!(engine.begin_batch_summarized(1) as u64, BATCH);
-        engine.join_batch();
-        engine.finish_batch();
+        assert_eq!(engine.run_summarized(1) as u64, BATCH);
         engine.swap_summaries(&mut summaries);
         assert_eq!(summaries.len() as u64, BATCH);
     };
