@@ -284,7 +284,7 @@ impl<P: ControllerPolicy> Die<P> {
         &self.ecc
     }
 
-    /// Replaces the recovery ladder (e.g. with `rd-core`'s ROR/RFR steps,
+    /// Replaces the recovery ladder (e.g. with [`crate::full_recovery_ladder`],
     /// or [`RecoveryLadder::disabled`] for the pre-pipeline behaviour).
     pub fn set_recovery_ladder(&mut self, ladder: RecoveryLadder) {
         self.ladder = ladder;

@@ -15,6 +15,10 @@
 //!   escalates through a pluggable [`RecoveryLadder`] (read-retry sweep,
 //!   RFR-style disturb-aware re-read) before declaring loss, returning a
 //!   typed [`ReadResolution`];
+//! * the paper's **recovery mechanisms** beside that ladder: Read Disturb
+//!   Recovery ([`Rdr`], §4–5, Fig. 10), read-reference optimization
+//!   ([`Ror`]) and Retention Failure Recovery ([`Rfr`]), the last two also as
+//!   ladder rungs ([`full_recovery_ladder`]);
 //! * a two-hook [`ControllerPolicy`] — `on_read(chip, block)` after every
 //!   decoded host read, `on_tick(ctx)` once per simulated day; a policy's
 //!   actions and probe reads are counted and charged to the engine clock;
@@ -51,7 +55,10 @@ mod error;
 mod mapping;
 mod margin_probe;
 mod policy;
+mod rdr;
 mod recovery;
+mod rfr;
+mod ror;
 mod stats;
 mod vpass_tuning;
 
@@ -68,7 +75,11 @@ pub use vpass_tuning::{TuneReport, TunerStats, VpassTuner, VpassTunerConfig};
 // `DecodedRead` carries its page's `fold_page` digest; rd-engine reaches
 // all three through this crate.
 pub use rd_flash::{fnv1a, fold_page, fold_word, Chip, ReadFidelity, SnapError, FNV_OFFSET};
+pub use rdr::{Rdr, RdrConfig, RdrOutcome};
 pub use recovery::{
-    ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport, RetrySweep, StepAttempt,
+    full_recovery_ladder, ReadResolution, RecoveryLadder, RecoveryStep, RecoveryStepReport,
+    RetrySweep, RfrRecoveryStep, RorRecoveryStep, StepAttempt,
 };
+pub use rfr::{Rfr, RfrConfig, RfrOutcome};
+pub use ror::{Ror, RorConfig, RorOutcome};
 pub use stats::SsdStats;

@@ -18,9 +18,7 @@
 //! 36% RBER reduction at 1M reads).
 
 use rd_flash::noise::read_disturb;
-use rd_flash::{BitErrorStats, CellState, Chip, PageKind};
-
-use crate::error::CoreError;
+use rd_flash::{BitErrorStats, CellState, Chip, FlashError, PageKind};
 
 /// RDR configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,13 +92,12 @@ impl Rdr {
     /// # Errors
     ///
     /// Fails if `block` is out of range.
-    pub fn recover_block(&self, chip: &mut Chip, block: u32) -> Result<RdrOutcome, CoreError> {
-        let geometry = chip.geometry();
+    pub fn recover_block(&self, chip: &mut Chip, block: u32) -> Result<RdrOutcome, FlashError> {
         let params = chip.params().clone();
-        let wordlines = geometry.wordlines_per_block;
         let reads_before = chip.block_status(block)?.reads_since_erase;
 
         // Phase 1: baseline Vth measurement (read-retry sweeps; disturbing).
+        let wordlines = chip.geometry().wordlines_per_block;
         let mut before = Vec::with_capacity(wordlines as usize);
         for wl in 0..wordlines {
             before.push(chip.measure_wordline_vth(block, wl, self.config.measure_step, true)?);
@@ -113,60 +110,27 @@ impl Rdr {
         // Dose corresponding to the induced disturbs (what ΔVref is scaled to).
         let extra_dose = params.dose_increment(self.config.extra_disturbs, status.pe_cycles, vpass);
 
-        // Phase 3: re-measure and classify.
-        let refs = params.refs;
-        let boundaries = [
-            (refs.va(), CellState::Er, CellState::P1),
-            (refs.vb(), CellState::P1, CellState::P2),
-            (refs.vc(), CellState::P2, CellState::P3),
-        ];
-        let mut corrected = Vec::with_capacity(wordlines as usize);
-        let mut reclassified = 0u64;
-        let mut boundary_cells = 0u64;
-        for wl in 0..wordlines {
-            let after = chip.measure_wordline_vth(block, wl, self.config.measure_step, true)?;
-            let mut row = Vec::with_capacity(geometry.bitlines as usize);
-            for bl in 0..geometry.bitlines as usize {
-                let v_after = after[bl];
-                let v_before = before[wl as usize][bl];
-                // Blocked bitlines read as the highest state.
-                if !v_after.is_finite() || !v_before.is_finite() {
-                    row.push(CellState::P3);
-                    continue;
-                }
-                let plain = refs.classify(v_after);
-                let nearest = boundaries
-                    .iter()
-                    .min_by(|a, b| {
-                        (v_after - a.0).abs().partial_cmp(&(v_after - b.0).abs()).expect("finite")
-                    })
-                    .expect("three boundaries");
-                let offset = v_after - nearest.0;
-                let in_window = offset >= -self.config.boundary_window_below
-                    && offset <= self.config.boundary_window;
-                let state = if in_window {
-                    boundary_cells += 1;
-                    let delta_vref = self.delta_vref(&params, v_before, extra_dose);
-                    let prone = (v_after - v_before) > delta_vref;
-                    let assigned = if prone { nearest.1 } else { nearest.2 };
-                    if assigned != plain {
-                        reclassified += 1;
-                    }
-                    assigned
+        // Phase 3: re-measure and classify. Near a boundary, a disturb-prone
+        // cell drifted up from the lower state; a resistant one was
+        // programmed in the upper.
+        let window = (self.config.boundary_window_below, self.config.boundary_window);
+        let (corrected, reclassified, boundary_cells) = reassign_boundary_cells(
+            chip,
+            block,
+            &before,
+            self.config.measure_step,
+            window,
+            |v_before, v_after, (_, lower, upper), _| {
+                let prone = (v_after - v_before) > self.delta_vref(&params, v_before, extra_dose);
+                if prone {
+                    lower
                 } else {
-                    plain
-                };
-                row.push(state);
-            }
-            corrected.push(row);
-        }
-        let reads_after = chip.block_status(block)?.reads_since_erase;
-        Ok(RdrOutcome {
-            corrected,
-            reclassified,
-            boundary_cells,
-            reads_spent: reads_after - reads_before,
-        })
+                    upper
+                }
+            },
+        )?;
+        let reads_spent = chip.block_status(block)?.reads_since_erase - reads_before;
+        Ok(RdrOutcome { corrected, reclassified, boundary_cells, reads_spent })
     }
 
     /// The classification threshold `ΔVref` for a cell measured at
@@ -195,27 +159,86 @@ impl Rdr {
         chip: &Chip,
         block: u32,
         outcome: &RdrOutcome,
-    ) -> Result<BitErrorStats, CoreError> {
+    ) -> Result<BitErrorStats, FlashError> {
         errors_vs_intended(chip, block, &outcome.corrected)
     }
 
     /// Extracts the recovered bits of one page from an outcome.
     pub fn page_bits(&self, outcome: &RdrOutcome, page: u32) -> Vec<u8> {
-        let wl = (page / 2) as usize;
-        let kind = if page.is_multiple_of(2) { PageKind::Lsb } else { PageKind::Msb };
-        let row = &outcome.corrected[wl];
-        let mut data = vec![0u8; row.len().div_ceil(8)];
-        for (bl, state) in row.iter().enumerate() {
-            let bit = match kind {
-                PageKind::Lsb => state.lsb(),
-                PageKind::Msb => state.msb(),
-            };
-            if bit {
-                data[bl / 8] |= 1 << (bl % 8);
-            }
-        }
-        data
+        page_bits(&outcome.corrected, page)
     }
+}
+
+/// The bits of (MLC) `page` in recovered per-cell states
+/// (`corrected[wordline][bitline]`).
+pub(crate) fn page_bits(corrected: &[Vec<CellState>], page: u32) -> Vec<u8> {
+    let wl = (page / 2) as usize;
+    let kind = if page.is_multiple_of(2) { PageKind::Lsb } else { PageKind::Msb };
+    let row = &corrected[wl];
+    let mut data = vec![0u8; row.len().div_ceil(8)];
+    for (bl, state) in row.iter().enumerate() {
+        let bit = match kind {
+            PageKind::Lsb => state.lsb(),
+            PageKind::Msb => state.msb(),
+        };
+        if bit {
+            data[bl / 8] |= 1 << (bl % 8);
+        }
+    }
+    data
+}
+
+/// The classification RDR and [`crate::Rfr`] share: re-sweep every wordline
+/// of `block` and read each cell at the default references, except that a
+/// cell within `(below, above)` of its nearest reference is reassigned by
+/// `assign(v_before, v_after, (reference, lower, upper), plain)`, where
+/// `before` is the earlier sweep and `plain` the default reading. A bitline
+/// blocked in either sweep reads as the highest state. Returns the states
+/// with the counts of reassigned and in-window cells.
+pub(crate) fn reassign_boundary_cells(
+    chip: &mut Chip,
+    block: u32,
+    before: &[Vec<f64>],
+    step: f64,
+    (below, above): (f64, f64),
+    mut assign: impl FnMut(f64, f64, (f64, CellState, CellState), CellState) -> CellState,
+) -> Result<(Vec<Vec<CellState>>, u64, u64), FlashError> {
+    let refs = chip.params().refs;
+    let boundaries = [
+        (refs.va(), CellState::Er, CellState::P1),
+        (refs.vb(), CellState::P1, CellState::P2),
+        (refs.vc(), CellState::P2, CellState::P3),
+    ];
+    let mut corrected = Vec::with_capacity(before.len());
+    let (mut reclassified, mut boundary_cells) = (0u64, 0u64);
+    for (wl, before) in (0..).zip(before) {
+        let after = chip.measure_wordline_vth(block, wl, step, true)?;
+        let mut row = Vec::with_capacity(after.len());
+        for (&v_before, &v_after) in before.iter().zip(&after) {
+            if !v_after.is_finite() || !v_before.is_finite() {
+                row.push(CellState::P3);
+                continue;
+            }
+            let plain = refs.classify(v_after);
+            let nearest = *boundaries
+                .iter()
+                .min_by(|a, b| {
+                    (v_after - a.0).abs().partial_cmp(&(v_after - b.0).abs()).expect("finite")
+                })
+                .expect("three boundaries");
+            let offset = v_after - nearest.0;
+            if offset < -below || offset > above {
+                row.push(plain);
+                continue;
+            }
+            boundary_cells += 1;
+            let assigned = assign(v_before, v_after, nearest, plain);
+            reclassified += u64::from(assigned != plain);
+            row.push(assigned);
+        }
+        corrected.push(row);
+    }
+    Ok((corrected, reclassified, boundary_cells))
 }
 
 /// Raw bit errors of recovered per-cell states (`corrected[wordline][bitline]`)
@@ -225,7 +248,7 @@ pub(crate) fn errors_vs_intended(
     chip: &Chip,
     block: u32,
     corrected: &[Vec<CellState>],
-) -> Result<BitErrorStats, CoreError> {
+) -> Result<BitErrorStats, FlashError> {
     let geometry = chip.geometry();
     let cells = chip.cells(block)?;
     let mut errors = 0u64;
@@ -263,6 +286,7 @@ mod tests {
         chip
     }
 
+    /// Realization: Fig. 10's reduction on one cell-exact chip, seed 77.
     #[test]
     fn recovery_reduces_errors_after_heavy_disturb() {
         let mut chip = disturbed_chip(1_000_000);
@@ -283,6 +307,7 @@ mod tests {
         assert!(reduction > 0.15, "reduction only {:.1}%", reduction * 100.0);
     }
 
+    /// Realization: one cell-exact chip, seed 77.
     #[test]
     fn recovery_is_nearly_free_of_harm_at_low_disturb() {
         let mut chip = disturbed_chip(10_000);
@@ -301,6 +326,7 @@ mod tests {
         );
     }
 
+    /// Physics: accounting identities that hold at any seed.
     #[test]
     fn outcome_accounting_is_consistent() {
         let mut chip = disturbed_chip(200_000);
@@ -313,6 +339,7 @@ mod tests {
         assert_eq!(outcome.corrected[0].len(), g.bitlines as usize);
     }
 
+    /// Physics: an identity that holds at any seed.
     #[test]
     fn page_bits_match_corrected_states() {
         let mut chip = disturbed_chip(100_000);

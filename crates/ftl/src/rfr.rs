@@ -14,9 +14,9 @@
 //!    slow-leaking cells to the *lower*.
 
 use rd_flash::noise::retention;
-use rd_flash::{BitErrorStats, CellState, Chip};
+use rd_flash::{BitErrorStats, CellState, Chip, FlashError};
 
-use crate::error::CoreError;
+use crate::rdr::reassign_boundary_cells;
 
 /// RFR configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,11 +82,9 @@ impl Rfr {
     /// # Errors
     ///
     /// Fails if `block` is out of range.
-    pub fn recover_block(&self, chip: &mut Chip, block: u32) -> Result<RfrOutcome, CoreError> {
-        let geometry = chip.geometry();
+    pub fn recover_block(&self, chip: &mut Chip, block: u32) -> Result<RfrOutcome, FlashError> {
         let params = chip.params().clone();
-        let wordlines = geometry.wordlines_per_block;
-
+        let wordlines = chip.geometry().wordlines_per_block;
         let mut before = Vec::with_capacity(wordlines as usize);
         for wl in 0..wordlines {
             before.push(chip.measure_wordline_vth(block, wl, self.config.measure_step, true)?);
@@ -95,53 +93,25 @@ impl Rfr {
         chip.advance_block_days(block, self.config.extra_days)?;
         let pe = chip.block_status(block)?.pe_cycles;
 
-        let refs = params.refs;
-        let boundaries = [
-            (refs.va(), CellState::Er, CellState::P1),
-            (refs.vb(), CellState::P1, CellState::P2),
-            (refs.vc(), CellState::P2, CellState::P3),
-        ];
-        let mut corrected = Vec::with_capacity(wordlines as usize);
-        let mut reclassified = 0u64;
-        let mut boundary_cells = 0u64;
-        for wl in 0..wordlines {
-            let after = chip.measure_wordline_vth(block, wl, self.config.measure_step, true)?;
-            let mut row = Vec::with_capacity(geometry.bitlines as usize);
-            for bl in 0..geometry.bitlines as usize {
-                let v_before = before[wl as usize][bl];
-                let v_after = after[bl];
-                if !v_after.is_finite() || !v_before.is_finite() {
-                    row.push(CellState::P3);
-                    continue;
-                }
-                let plain = refs.classify(v_after);
-                let nearest = boundaries
-                    .iter()
-                    .min_by(|a, b| {
-                        (v_after - a.0).abs().partial_cmp(&(v_after - b.0).abs()).expect("finite")
-                    })
-                    .expect("three boundaries");
-                let offset = v_after - nearest.0;
-                let in_window = offset >= -self.config.boundary_window
-                    && offset <= self.config.boundary_window_above;
-                let state = if in_window {
-                    boundary_cells += 1;
-                    let delta_vref = self.delta_vref(&params, v_before, pe, age0);
-                    let fast_leaking = (v_before - v_after) > delta_vref;
-                    // Fast leakers fell from the upper state; slow leakers
-                    // were programmed where they sit.
-                    let assigned = if fast_leaking { nearest.2 } else { plain };
-                    if assigned != plain {
-                        reclassified += 1;
-                    }
-                    assigned
+        // Near a boundary, a fast leaker fell from the upper state; a slow
+        // leaker was programmed where it sits.
+        let window = (self.config.boundary_window, self.config.boundary_window_above);
+        let (corrected, reclassified, boundary_cells) = reassign_boundary_cells(
+            chip,
+            block,
+            &before,
+            self.config.measure_step,
+            window,
+            |v_before, v_after, (_, _, upper), plain| {
+                let fast_leaking =
+                    (v_before - v_after) > self.delta_vref(&params, v_before, pe, age0);
+                if fast_leaking {
+                    upper
                 } else {
                     plain
-                };
-                row.push(state);
-            }
-            corrected.push(row);
-        }
+                }
+            },
+        )?;
         Ok(RfrOutcome { corrected, reclassified, boundary_cells })
     }
 
@@ -171,7 +141,7 @@ impl Rfr {
         chip: &Chip,
         block: u32,
         outcome: &RfrOutcome,
-    ) -> Result<BitErrorStats, CoreError> {
+    ) -> Result<BitErrorStats, FlashError> {
         crate::rdr::errors_vs_intended(chip, block, &outcome.corrected)
     }
 }
@@ -189,6 +159,7 @@ mod tests {
         chip
     }
 
+    /// Realization: one cell-exact chip, seed 31.
     #[test]
     fn rfr_reduces_retention_errors_on_aged_block() {
         let mut chip = aged_chip(28.0);
@@ -208,6 +179,7 @@ mod tests {
         assert!(reduction > 0.05, "reduction only {:.1}%", reduction * 100.0);
     }
 
+    /// Realization: one cell-exact chip, seed 31.
     #[test]
     fn rfr_harmless_on_fresh_data() {
         let mut chip = aged_chip(0.0);
@@ -223,6 +195,7 @@ mod tests {
         );
     }
 
+    /// Physics: accounting identities that hold at any seed.
     #[test]
     fn outcome_accounting() {
         let mut chip = aged_chip(21.0);

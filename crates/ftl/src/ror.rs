@@ -11,9 +11,7 @@
 //! to the lowest-density point (the valley) between the adjacent state
 //! modes.
 
-use rd_flash::{Chip, VoltageRefs};
-
-use crate::error::CoreError;
+use rd_flash::{Chip, FlashError, VoltageRefs};
 
 /// Configuration of the reference optimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +67,7 @@ impl Ror {
         chip: &mut Chip,
         block: u32,
         wordline: u32,
-    ) -> Result<RorOutcome, CoreError> {
+    ) -> Result<RorOutcome, FlashError> {
         let reads_before = chip.block_status(block)?.reads_since_erase;
         let measured = chip.measure_wordline_vth(block, wordline, self.config.sweep_step, true)?;
         let reads_after = chip.block_status(block)?.reads_since_erase;
@@ -134,6 +132,7 @@ mod tests {
         chip
     }
 
+    /// Realization: one cell-exact chip, seed 13.
     #[test]
     fn optimized_refs_reduce_errors_on_shifted_block() {
         let mut chip = shifted_chip();
@@ -153,6 +152,7 @@ mod tests {
         );
     }
 
+    /// Physics: bounds the optimizer enforces at any seed.
     #[test]
     fn references_stay_ordered_and_near_defaults_on_fresh_block() {
         let mut chip = Chip::new(Geometry::characterization(), ChipParams::default(), 2);
@@ -168,6 +168,7 @@ mod tests {
         assert!(outcome.reads_spent > 0 && outcome.cells > 0);
     }
 
+    /// Realization: one cell-exact chip per read count, seed 7.
     #[test]
     fn disturb_moves_learned_va_upward() {
         // The ER-P1 valley moves up as ER shifts up under disturb.

@@ -1,7 +1,9 @@
-//! Property-based tests of FTL invariants under random operation sequences.
+//! Property-based tests of FTL invariants under random operation sequences,
+//! and of the Vpass tuner's safety contract.
 
 use proptest::prelude::*;
-use rd_ftl::{Die, FtlError, SsdConfig};
+use rd_flash::{Chip, ChipParams, Geometry, NOMINAL_VPASS};
+use rd_ftl::{Die, FtlError, SsdConfig, VpassTuner, VpassTunerConfig};
 
 fn tiny_config(seed: u64) -> SsdConfig {
     SsdConfig {
@@ -86,5 +88,43 @@ proptest! {
             stats.host_writes + stats.gc_writes + stats.refresh_writes + stats.reclaim_writes
         );
         prop_assert_eq!(stats.host_writes, writes as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The tuner's safety contract: whatever the block state, the final
+    /// setting satisfies N <= M (or falls back to nominal), and the voltage
+    /// stays inside the legal range.
+    ///
+    /// Physics: the contract holds over random seeds, wear, disturb and age.
+    #[test]
+    fn tuner_always_ends_safe(
+        seed in any::<u64>(),
+        pe in 1_000u64..14_000,
+        reads in 0u64..150_000,
+        days in 0.0f64..10.0,
+    ) {
+        let mut chip = Chip::new(
+            Geometry { blocks: 1, wordlines_per_block: 16, bitlines: 32 * 1024, bits_per_cell: 2 },
+            ChipParams::default(),
+            seed,
+        );
+        chip.cycle_block(0, pe).unwrap();
+        chip.program_block_random(0, seed ^ 1).unwrap();
+        chip.apply_read_disturbs(0, reads).unwrap();
+        chip.advance_days(days);
+        let mut tuner = VpassTuner::new(VpassTunerConfig::default());
+        tuner.manufacture_init(&mut chip, 0).unwrap();
+        let report = tuner.tune_block(&mut chip, 0).unwrap();
+        let params = chip.params();
+        prop_assert!(report.vpass_after >= params.min_vpass - 1e-9);
+        prop_assert!(report.vpass_after <= NOMINAL_VPASS + 1e-9);
+        prop_assert!(
+            report.fell_back || report.passthrough_zeros <= report.margin,
+            "N={} > M={}", report.passthrough_zeros, report.margin
+        );
+        prop_assert_eq!(chip.block_vpass(0).unwrap(), report.vpass_after);
     }
 }

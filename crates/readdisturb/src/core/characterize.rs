@@ -6,12 +6,14 @@
 //! against the paper's reported shapes (their `## shape-check` lines).
 
 use rd_ecc::MarginPolicy;
-use rd_flash::{AnalyticModel, Chip, ChipParams, Geometry, VthHistogram, NOMINAL_VPASS};
+use rd_flash::{
+    AnalyticModel, Chip, ChipParams, FlashError, Geometry, ReadFidelity, VthHistogram,
+    NOMINAL_VPASS,
+};
+use rd_ftl::Rdr;
 use rd_workloads::WorkloadProfile;
 
-use crate::error::CoreError;
 use crate::lifetime::{EnduranceConfig, EnduranceEvaluator, EnduranceResult};
-use crate::rdr::Rdr;
 
 /// Monte-Carlo experiment scale: cells simulated per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +44,24 @@ impl Scale {
         }
     }
 
-    fn chip(self, pe: u64, seed: u64) -> Result<Chip, CoreError> {
+    fn chip(self, pe: u64, seed: u64) -> Result<Chip, FlashError> {
         let mut chip = Chip::new(self.geometry(), ChipParams::default(), seed);
         chip.cycle_block(0, pe)?;
         chip.program_block_random(0, seed ^ 0xF1E1D)?;
         Ok(chip)
     }
+}
+
+/// The pages [`Chip::program_block_random`] writes into block 0 of
+/// `geometry` with `data_seed`, in page order, for experiments that program
+/// only some pages. They are read back from a page-analytic chip, which
+/// stores each page as given, so that the facade needs no `rand` dependency
+/// (the benchmark's `--locked` build pins the facade's dependency list).
+fn random_pages(geometry: Geometry, data_seed: u64) -> Result<Vec<Vec<u8>>, FlashError> {
+    let mut chip =
+        Chip::with_fidelity(geometry, ChipParams::default(), 0, ReadFidelity::PageAnalytic);
+    chip.program_block_random(0, data_seed)?;
+    (0..geometry.pages_per_block()).map(|page| chip.intended_page_bits(0, page)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -67,7 +81,7 @@ pub struct Fig2Data {
 /// # Errors
 ///
 /// Propagates flash addressing errors (none for valid scales).
-pub fn fig2_vth_histograms(scale: Scale, seed: u64) -> Result<Fig2Data, CoreError> {
+pub fn fig2_vth_histograms(scale: Scale, seed: u64) -> Result<Fig2Data, FlashError> {
     let mut chip = scale.chip(8_000, seed)?;
     let checkpoints = [0u64, 250_000, 500_000, 1_000_000];
     let mut snapshots = Vec::new();
@@ -121,7 +135,7 @@ pub const PAPER_FIG3_SLOPES: [(u64, f64); 7] = [
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn fig3_rber_vs_reads(scale: Scale, seed: u64) -> Result<Fig3Data, CoreError> {
+pub fn fig3_rber_vs_reads(scale: Scale, seed: u64) -> Result<Fig3Data, FlashError> {
     let model = AnalyticModel::from_chip(&ChipParams::default(), scale.wordlines);
     let mut series = Vec::new();
     for &(pe, _) in &PAPER_FIG3_SLOPES {
@@ -188,7 +202,7 @@ pub struct Fig4Data {
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn fig4_vpass_read_tolerance(scale: Scale, seed: u64) -> Result<Fig4Data, CoreError> {
+pub fn fig4_vpass_read_tolerance(scale: Scale, seed: u64) -> Result<Fig4Data, FlashError> {
     let grid: Vec<u64> = (0..=10).map(|i| (1.0e4 * 10f64.powf(i as f64 / 2.0)) as u64).collect();
     let mut series = Vec::new();
     for pct in (94..=100u32).rev() {
@@ -235,7 +249,7 @@ pub struct Fig5Data {
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn fig5_passthrough_sweep(scale: Scale, seed: u64) -> Result<Fig5Data, CoreError> {
+pub fn fig5_passthrough_sweep(scale: Scale, seed: u64) -> Result<Fig5Data, FlashError> {
     let ages = [0u32, 1, 2, 6, 9, 17, 21];
     let vpass_grid = (0..=16).map(|i| 478.0 + 2.0 * i as f64 + 2.0);
     let vpasses: Vec<f64> = std::iter::once(NOMINAL_VPASS).chain(vpass_grid).collect();
@@ -420,7 +434,7 @@ pub struct Fig10Data {
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn fig10_rdr(scale: Scale, seed: u64) -> Result<Fig10Data, CoreError> {
+pub fn fig10_rdr(scale: Scale, seed: u64) -> Result<Fig10Data, FlashError> {
     let rdr = Rdr::default();
     let grid = [0u64, 200_000, 400_000, 600_000, 800_000, 1_000_000];
     let mut points = Vec::new();
@@ -463,7 +477,7 @@ pub fn ext_concentrated_disturb(
     scale: Scale,
     seed: u64,
     reads: u64,
-) -> Result<Vec<ConcentratedRow>, CoreError> {
+) -> Result<Vec<ConcentratedRow>, FlashError> {
     let mut chip = scale.chip(8_000, seed)?;
     let target = scale.wordlines / 2;
     chip.hammer_wordline(0, target, reads)?;
@@ -498,23 +512,13 @@ pub struct PartialBlockRow {
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn ext_partial_block(scale: Scale, seed: u64) -> Result<Vec<PartialBlockRow>, CoreError> {
-    let mut chip = Chip::new(
-        Geometry {
-            blocks: 1,
-            wordlines_per_block: scale.wordlines,
-            bitlines: scale.bitlines,
-            bits_per_cell: 2,
-        },
-        ChipParams::default(),
-        seed,
-    );
+pub fn ext_partial_block(scale: Scale, seed: u64) -> Result<Vec<PartialBlockRow>, FlashError> {
+    let mut chip = Chip::new(scale.geometry(), ChipParams::default(), seed);
     chip.cycle_block(0, 8_000)?;
     // Program only the first half of the block.
-    let mut data_rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-    for page in 0..scale.wordlines {
-        let data = rd_flash::bits::random(&mut data_rng, scale.bitlines as usize);
-        chip.program_page(0, page, &data)?;
+    let pages = random_pages(scale.geometry(), seed)?;
+    for (page, data) in (0..scale.wordlines).zip(&pages) {
+        chip.program_page(0, page, data)?;
     }
     let erased_wl = scale.wordlines - 1; // top wordline: never programmed
     let erased_mean = |chip: &Chip| -> f64 {
@@ -561,7 +565,7 @@ pub struct SlcModeRow {
 /// # Errors
 ///
 /// Propagates flash addressing errors.
-pub fn ext_slc_mode(scale: Scale, seed: u64) -> Result<Vec<SlcModeRow>, CoreError> {
+pub fn ext_slc_mode(scale: Scale, seed: u64) -> Result<Vec<SlcModeRow>, FlashError> {
     let geometry = scale.geometry();
     let mut mlc = Chip::new(geometry, ChipParams::default(), seed);
     mlc.cycle_block(0, 8_000)?;
@@ -571,10 +575,9 @@ pub fn ext_slc_mode(scale: Scale, seed: u64) -> Result<Vec<SlcModeRow>, CoreErro
     slc.cycle_block(0, 8_000)?;
     // SLC configuration: program only the LSB page of each wordline (one
     // bit per cell, ER vs P2, sensed at the single Vb reference).
-    let mut data_rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 2);
-    for wl in 0..geometry.wordlines_per_block {
-        let data = rd_flash::bits::random(&mut data_rng, geometry.bits_per_page());
-        slc.program_page(0, wl * 2, &data)?;
+    let pages = random_pages(geometry, seed ^ 2)?;
+    for (wl, data) in (0..geometry.wordlines_per_block).zip(&pages) {
+        slc.program_page(0, wl * 2, data)?;
     }
 
     let mut rows = Vec::new();
@@ -597,6 +600,7 @@ pub fn ext_slc_mode(scale: Scale, seed: u64) -> Result<Vec<SlcModeRow>, CoreErro
 mod tests {
     use super::*;
 
+    /// Realization: Fig. 2's drift on one cell-exact chip, seed 11.
     #[test]
     fn fig2_er_state_shifts_up_with_reads() {
         let data = fig2_vth_histograms(Scale::quick(), 11).unwrap();
@@ -614,6 +618,7 @@ mod tests {
         assert!((p3_3 - p3_0).abs() < 1.0, "P3 moved {p3_0} -> {p3_3}");
     }
 
+    /// Realization: Fig. 3's growth on one cell-exact chip per wear level, seed 5.
     #[test]
     fn fig3_rber_grows_with_reads_and_wear() {
         let data = fig3_rber_vs_reads(Scale::quick(), 5).unwrap();
@@ -636,6 +641,7 @@ mod tests {
         );
     }
 
+    /// Realization: Fig. 4's ordering on one cell-exact chip, seed 3.
     #[test]
     fn fig4_lower_vpass_tolerates_more_reads() {
         let data = fig4_vpass_read_tolerance(Scale::quick(), 3).unwrap();
@@ -654,6 +660,7 @@ mod tests {
         assert!(rber_at(94, 1_000_000) < rber_at(100, 1_000_000) * 0.7);
     }
 
+    /// Physics: the closed-form model against Fig. 6's staircase.
     #[test]
     fn fig6_staircase_shape() {
         let data = fig6_retention_staircase(64);
@@ -677,6 +684,7 @@ mod tests {
         assert!((2..=7).contains(&four_band_end), "4% band ends at day {four_band_end}");
     }
 
+    /// Physics: the closed-form model against Fig. 7's sawtooth.
     #[test]
     fn fig7_mitigation_lowers_peaks() {
         let data = fig7_refresh_intervals(8_000, 40_000.0, 64);
@@ -691,6 +699,7 @@ mod tests {
         assert!(just_after.unmitigated < just_before.unmitigated);
     }
 
+    /// Physics: the closed-form evaluator against Fig. 8's gain.
     #[test]
     fn fig8_positive_average_gain() {
         let results = fig8_endurance();
@@ -699,6 +708,7 @@ mod tests {
         assert!(avg > 0.05, "average gain {avg}");
     }
 
+    /// Realization: one cell-exact chip, seed 3.
     #[test]
     fn concentrated_disturb_peaks_at_neighbors() {
         let rows = ext_concentrated_disturb(Scale::quick(), 3, 400_000).unwrap();
@@ -709,6 +719,7 @@ mod tests {
         assert!(rber_at(0) < rber_at(1), "hammered wordline should see least disturb");
     }
 
+    /// Realization: one cell-exact chip per mode, seed 7.
     #[test]
     fn slc_blocks_resist_read_disturb() {
         let rows = ext_slc_mode(Scale::quick(), 7).unwrap();
@@ -725,6 +736,7 @@ mod tests {
         );
     }
 
+    /// Realization: one cell-exact chip, seed 5.
     #[test]
     fn partial_block_erased_wordlines_shift_most() {
         let rows = ext_partial_block(Scale::quick(), 5).unwrap();

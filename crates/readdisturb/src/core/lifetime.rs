@@ -230,6 +230,7 @@ mod tests {
         EnduranceEvaluator::new(EnduranceConfig::default())
     }
 
+    /// Physics: the closed-form evaluator against the paper's ~4% reduction.
     #[test]
     fn tuned_vpass_monotone_in_wear_and_bounded() {
         let e = evaluator();
@@ -245,6 +246,7 @@ mod tests {
         assert!((0.02..=0.06).contains(&reduction), "fresh reduction {reduction}");
     }
 
+    /// Physics: the closed-form evaluator, no noise drawn.
     #[test]
     fn tuning_never_hurts_endurance() {
         let e = evaluator();
@@ -255,6 +257,7 @@ mod tests {
         }
     }
 
+    /// Physics: the closed-form evaluator against Fig. 8's ordering.
     #[test]
     fn read_hot_workloads_gain_most() {
         let e = evaluator();
@@ -271,6 +274,7 @@ mod tests {
         assert!(web_gain > wh_gain, "web {web_gain} vs write-heavy {wh_gain}");
     }
 
+    /// Physics: the closed-form evaluator against Fig. 8's range.
     #[test]
     fn endurance_in_papers_range() {
         // Fig. 8's bars run roughly 4K-12K P/E cycles.
@@ -285,6 +289,7 @@ mod tests {
         }
     }
 
+    /// Physics: the closed-form evaluator, no noise drawn.
     #[test]
     fn read_reclaim_between_baseline_and_tuning() {
         let e = evaluator();
@@ -294,6 +299,7 @@ mod tests {
         assert!(reclaim >= base, "reclaim {reclaim} < baseline {base}");
     }
 
+    /// Physics: the closed-form evaluator, no noise drawn.
     #[test]
     fn combined_mitigation_dominates_both_components() {
         // Ha et al. [30]: combining read reclaim with Vpass Tuning gives
@@ -310,6 +316,7 @@ mod tests {
         );
     }
 
+    /// Physics: arithmetic, no noise drawn.
     #[test]
     fn average_gain_math() {
         let results = vec![

@@ -61,6 +61,7 @@ impl Default for OverheadModel {
 mod tests {
     use super::*;
 
+    /// Physics: the cost model against the paper's 128 KB.
     #[test]
     fn storage_overhead_matches_paper() {
         let m = OverheadModel::paper_512gb();
@@ -69,6 +70,7 @@ mod tests {
         assert!((100.0..=160.0).contains(&kb), "storage overhead {kb} KB");
     }
 
+    /// Physics: the cost model against the paper's 24.34 s/day.
     #[test]
     fn daily_overhead_matches_paper() {
         let m = OverheadModel::paper_512gb();
@@ -78,6 +80,7 @@ mod tests {
         assert!(m.daily_overhead_fraction() < 1e-3, "must be negligible");
     }
 
+    /// Physics: the cost model's linearity, no noise drawn.
     #[test]
     fn overhead_scales_with_capacity() {
         let mut m = OverheadModel::paper_512gb();

@@ -1,18 +1,19 @@
 //! # readdisturb — reproduction of "Read Disturb Errors in MLC NAND Flash
 //! # Memory: Characterization, Mitigation, and Recovery" (DSN 2015)
 //!
-//! This facade crate re-exports the full system:
+//! This facade crate re-exports the full system and holds its offline
+//! experiments:
 //!
 //! | Crate | Contents |
 //! |---|---|
 //! | [`flash`] | cell-accurate MLC NAND simulator: Vth distributions, P/E cycling, retention, read disturb, pass-through errors |
 //! | [`ecc`] | GF(2^m) + BCH codec, threshold ECC model, the paper's margin arithmetic |
-//! | [`ftl`] | SSD substrate: page-mapped FTL, GC, wear leveling, 7-day refresh, read reclaim, and the paper's mitigation, Vpass Tuning, as a controller policy |
+//! | [`ftl`] | SSD substrate: page-mapped FTL, GC, wear leveling, 7-day refresh, read reclaim, the paper's mitigation, Vpass Tuning, as a controller policy, and its recovery — RDR, ROR and RFR — beside the recovery ladder |
 //! | [`engine`] | multi-channel/multi-die SSD engine: request scheduling, die-level timing, parallel trace replay |
 //! | [`workloads`] | synthetic trace generators modelled on the paper's trace families |
 //! | [`serve`] | sharded async multi-tenant serving front-end over the engine |
 //! | [`fleet`] | fleet-scale lifetime simulation: varied drives, epoch phases, versioned checkpoint/restore |
-//! | [`core`] | **the paper's offline half**: Read Disturb Recovery, ROR/RFR, the characterization harness, the endurance evaluator and overheads |
+//! | [`core`] | **the paper's offline experiments** (a module, not a crate): the characterization harness, the endurance evaluator and overheads |
 //!
 //! ## Quickstart
 //!
@@ -45,8 +46,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The paper's offline mechanisms: RDR, characterization, lifetime.
-pub use rd_core as core;
+// The experiments are `core`'s files, declared here at the root so that
+// their unit tests keep the paths `characterize::tests::…` and so on.
+#[path = "core/characterize.rs"]
+mod characterize;
+#[path = "core/lifetime.rs"]
+mod lifetime;
+#[path = "core/overhead.rs"]
+mod overhead;
+
+pub mod core;
+
 /// BCH and threshold ECC.
 pub use rd_ecc as ecc;
 /// The multi-channel/multi-die SSD engine.
@@ -64,10 +74,7 @@ pub use rd_workloads as workloads;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use rd_core::{
-        full_recovery_ladder, Mitigation, Rdr, RdrConfig, Rfr, RfrConfig, RfrRecoveryStep, Ror,
-        RorConfig, RorRecoveryStep,
-    };
+    pub use crate::lifetime::Mitigation;
     pub use rd_ecc::{BchCode, MarginPolicy, PageEccModel, ThresholdEcc};
     pub use rd_engine::{Engine, EngineConfig, EngineStats, ReqKind, Timing, Topology};
     pub use rd_flash::{
@@ -76,8 +83,9 @@ pub mod prelude {
     };
     pub use rd_fleet::{Fleet, FleetConfig, FleetRow, VariationSpread};
     pub use rd_ftl::{
-        ControllerPolicy, NoMitigation, ReadReclaim, ReadResolution, RecoveryLadder, RecoveryStep,
-        SsdConfig, TuneReport, VpassTuner, VpassTunerConfig,
+        full_recovery_ladder, ControllerPolicy, NoMitigation, Rdr, RdrConfig, ReadReclaim,
+        ReadResolution, RecoveryLadder, RecoveryStep, Rfr, RfrConfig, RfrRecoveryStep, Ror,
+        RorConfig, RorRecoveryStep, SsdConfig, TuneReport, VpassTuner, VpassTunerConfig,
     };
     pub use rd_serve::{ServeConfig, Service, ShardPlan, TenantConfig, Traffic};
     pub use rd_workloads::{TraceGenerator, TraceStats, WorkloadProfile};
@@ -91,7 +99,7 @@ mod tests {
         let _ = crate::flash::Geometry::small();
         let _ = crate::ecc::MarginPolicy::paper_default();
         let _ = crate::workloads::WorkloadProfile::suite();
-        let _ = crate::core::RdrConfig::default();
+        let _ = crate::ftl::RdrConfig::default();
         let _ = crate::engine::EngineConfig::small_test();
         let _ = crate::fleet::FleetConfig::quick();
         let _ = crate::serve::ServeConfig::small_test();

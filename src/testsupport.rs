@@ -20,7 +20,7 @@ use std::ops::Range;
 
 use readdisturb::core::characterize::Scale;
 use readdisturb::core::lifetime::{EnduranceConfig, EnduranceEvaluator};
-use readdisturb::core::rdr::Rdr;
+use readdisturb::core::Rdr;
 use readdisturb::flash::{Chip, ChipParams, Geometry};
 use readdisturb::workloads::WorkloadProfile;
 

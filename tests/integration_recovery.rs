@@ -3,8 +3,9 @@
 //! stress, on both fidelity tiers — plus bit-identical determinism of the
 //! recovery path across engine worker-thread counts.
 
-use readdisturb::ftl::{Die, FtlError, ReadResolution, SsdConfig};
+use readdisturb::ftl::{Die, FtlError, ReadResolution, RetrySweep, SsdConfig};
 use readdisturb::prelude::*;
+use readdisturb_repro::testsupport::over_seeds;
 
 /// A per-die configuration whose ECC line (capability = 16 bit errors per
 /// 2048-bit page) sits between the retry-recoverable error level and the
@@ -136,6 +137,137 @@ fn recovered_reads_report_their_ladder_steps() {
         }
     }
     assert!(saw_recovered, "disturb level never produced a recovered read");
+}
+
+/// The body of `escalation_order_clean_corrected_recovered_uncorrectable`
+/// at chip seed `seed` on `fidelity`: whether a fresh page decodes clean and
+/// lpa 1's reads then escalate Corrected → Recovered → Uncorrectable in that
+/// order. The recovery counters' invariants are asserted at every seed.
+fn escalates_in_order(seed: u64, fidelity: ReadFidelity) -> bool {
+    let mut die = Die::new(SsdConfig { seed, ..staged_config(fidelity) }).unwrap();
+    for b in 0..16 {
+        die.chip_mut().cycle_block(b, 10_000).unwrap();
+    }
+    for lpa in 0..4 {
+        die.write(lpa).unwrap();
+    }
+    let saw_clean = (0..4).any(|lpa| (0..8).any(|_| rank(&die.read(lpa)) == 0));
+    let Ok(read) = die.read(1) else { return false };
+    let block = read.ppa.block;
+    let mut ranks = Vec::new();
+    for step in 0..24 {
+        die.chip_mut().apply_read_disturbs(block, 250_000).unwrap();
+        if step >= 12 {
+            die.chip_mut().advance_block_days(block, 5.0).unwrap();
+        }
+        ranks.push(rank(&die.read(1)));
+    }
+    let stats = die.stats();
+    assert!(stats.recovery_steps >= stats.recovered_reads, "{fidelity}: {ranks:?}");
+    assert!(stats.recovery_reads >= stats.recovery_steps, "{fidelity}: {ranks:?}");
+    let first = |r: u8| ranks.iter().position(|&x| x == r);
+    let (corrected, recovered, uncorrectable) = (first(1), first(2), first(3));
+    saw_clean && corrected.is_some() && corrected < recovered && recovered < uncorrectable
+}
+
+/// `escalation_order_clean_corrected_recovered_uncorrectable` over chip
+/// seeds 60..100 instead of at `ESCALATION_SEED`: on both tiers a fresh page
+/// at 10K P/E decodes clean, and escalating disturb (then retention) walks
+/// lpa 1 through Corrected, Recovered and Uncorrectable in that order. The
+/// body passed at 36 of these 40 seeds and at 104 of seeds 0..120, all its
+/// failures on the cell-exact tier; needing 20 of 40 fails a model passing
+/// at 0.85 with probability below 1e-6 (`over_seeds`).
+///
+/// Physics: asserted over seeds.
+#[test]
+fn escalation_order_clean_corrected_recovered_uncorrectable_over_seeds() {
+    over_seeds(60..100, 0.85, 0.5, |seed| {
+        [ReadFidelity::CellExact, ReadFidelity::PageAnalytic]
+            .into_iter()
+            .all(|fidelity| escalates_in_order(seed, fidelity))
+    });
+}
+
+/// The body of `recovered_reads_report_their_ladder_steps` at chip seed
+/// `seed`: whether 600K disturbs leave lpa 1 recoverable by the ladder
+/// within ten reads. What a recovered read reports of its ladder steps is
+/// asserted at every seed.
+fn recovers_within_ten_reads(seed: u64) -> bool {
+    let config = SsdConfig { seed, ..staged_config(ReadFidelity::CellExact) };
+    let mut die = Die::new(config).unwrap();
+    for b in 0..16 {
+        die.chip_mut().cycle_block(b, 10_000).unwrap();
+    }
+    die.write(0).unwrap();
+    die.write(1).unwrap();
+    let Ok(read) = die.read(1) else { return false };
+    let block = read.ppa.block;
+    die.chip_mut().apply_read_disturbs(block, 600_000).unwrap();
+    let mut saw_recovered = false;
+    for _ in 0..10 {
+        if let Ok(r) = die.read(1) {
+            if let ReadResolution::Recovered { steps } = &r.resolution {
+                saw_recovered = true;
+                let (last, failed) = steps.split_last().expect("recovered implies a step");
+                let errors = last.errors.expect("last step succeeded");
+                assert!(errors <= die.ecc().capability());
+                assert_eq!(errors, r.corrected_errors);
+                assert!(last.reads_spent >= 1);
+                assert!(failed.iter().all(|step| step.errors.is_none()));
+            }
+        }
+    }
+    saw_recovered
+}
+
+/// `recovered_reads_report_their_ladder_steps` over chip seeds 60..100
+/// instead of at `ESCALATION_SEED`: on the cell-exact tier, 600K disturbs on
+/// a 10K-P/E block leave lpa 1 past ECC but within the recovery ladder's
+/// reach. The body passed at 38 of these 40 seeds and at 102 of seeds
+/// 0..120; needing 20 of 40 fails a model passing at 0.85 with probability
+/// below 1e-6 (`over_seeds`).
+///
+/// Physics: asserted over seeds.
+#[test]
+fn recovered_reads_report_their_ladder_steps_over_seeds() {
+    over_seeds(60..100, 0.85, 0.5, recovers_within_ten_reads);
+}
+
+/// The body of `rd-ftl`'s `retry_sweep_recovers_disturbed_page_on_all_tiers`
+/// at chip seed `seed` on `fidelity`: whether, on a 10K-P/E block disturbed
+/// a million times, a default retry sweep brings the first page that fails
+/// capability 20 back under it.
+fn retry_sweep_recovers(seed: u64, fidelity: ReadFidelity) -> bool {
+    let geometry =
+        Geometry { blocks: 2, wordlines_per_block: 16, bitlines: 2048, bits_per_cell: 2 };
+    let mut chip = Chip::with_fidelity(geometry, ChipParams::default(), seed, fidelity);
+    chip.cycle_block(0, 10_000).unwrap();
+    chip.program_block_random(0, 5).unwrap();
+    chip.apply_read_disturbs(0, 1_000_000).unwrap();
+    let capability = 20;
+    let failing = (0..geometry.pages_per_block())
+        .find(|&page| chip.read_page(0, page).unwrap().stats.errors > capability);
+    let Some(page) = failing else { return false };
+    let attempt = RetrySweep::default().attempt(&mut chip, 0, page, capability).unwrap();
+    assert!(attempt.reads_spent >= 1);
+    attempt.errors.is_some_and(|errors| errors <= capability)
+}
+
+/// `retry_sweep_recovers_disturbed_page_on_all_tiers` over chip seeds 0..60
+/// instead of at seed 101: at capability 20, above the wear level's
+/// misprogram floor, a retry sweep recovers a disturb-dominated page on all
+/// three tiers. The body passed at 37 of these 60 seeds and at 76 of seeds
+/// 0..120, all its failures on the cell-exact tier; needing 18 of 60 fails a
+/// model passing at 0.6 with probability below 1e-6 (`over_seeds`).
+///
+/// Physics: asserted over seeds.
+#[test]
+fn retry_sweep_recovers_disturbed_page_on_all_tiers_over_seeds() {
+    over_seeds(0..60, 0.6, 0.3, |seed| {
+        [ReadFidelity::CellExact, ReadFidelity::PageAnalytic, ReadFidelity::BlockAggregate]
+            .into_iter()
+            .all(|fidelity| retry_sweep_recovers(seed, fidelity))
+    });
 }
 
 /// Pre-stresses every die of an engine so the replayed trace escalates
