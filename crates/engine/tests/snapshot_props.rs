@@ -94,17 +94,21 @@ proptest! {
         }
     }
 
-    /// A well-formed container (valid magic and CRC) of a future format
-    /// version is refused with `BadVersion` — not misparsed, not a panic.
+    /// A well-formed container (valid magic and CRC) of an older or a
+    /// future format version is refused with `BadVersion` — not misparsed,
+    /// not a panic.
     #[test]
     fn version_mismatch_is_a_typed_error(
-        version in (rd_engine::wire::SNAP_VERSION + 1)..=u32::MAX,
+        version in prop_oneof![
+            0..rd_engine::wire::SNAP_VERSION,
+            (rd_engine::wire::SNAP_VERSION + 1)..=u32::MAX,
+        ],
         junk in 0usize..256,
     ) {
         let payload = vec![0xABu8; junk];
         let snap = rd_engine::wire::seal(ENGINE_SNAP_MAGIC, version, &payload);
         let mut victim = Engine::new(EngineConfig::small_test()).expect("engine");
-        let err = victim.restore(&snap).expect_err("future version accepted");
+        let err = victim.restore(&snap).expect_err("another version accepted");
         let expected = rd_engine::wire::SNAP_VERSION;
         prop_assert_eq!(err, SnapError::BadVersion { found: version, expected });
     }
@@ -118,51 +122,18 @@ struct Allocator {
     relocating: Option<u32>,
 }
 
-/// `engine`'s checkpoint with die 0's allocator fields passed through
-/// `edit`: a CRC-valid container whose every other byte is the engine's
-/// own.
-fn with_edited_allocator(engine: &Engine, edit: impl FnOnce(&mut Allocator)) -> Vec<u8> {
-    use rd_engine::wire::{self, Reader, Writer};
-    let encoded = |f: &dyn Fn(&mut Writer)| {
-        let mut w = Writer::new();
-        f(&mut w);
-        w.into_bytes()
-    };
-    let die = engine.die(0);
-    let image = encoded(&|w| die.encode_state(w));
-    // What precedes the allocator in a die image is public state.
-    let head = encoded(&|w| {
-        die.chip().encode_state(w);
-        die.map().encode_state(w);
-        die.stats().encode_state(w);
-    })
-    .len();
-    let mut r = Reader::new(&image[head..]);
-    let mut allocator = Allocator {
-        free: r.get_u32s().unwrap(),
-        active: r.get_bool().unwrap().then(|| (r.get_u32().unwrap(), r.get_u32().unwrap())),
-        relocating: None,
-    };
-    let in_gc = r.get_bool().unwrap();
-    allocator.relocating = r.get_bool().unwrap().then(|| r.get_u32().unwrap());
-    let tail = r.take(r.remaining()).unwrap(); // data RNG and clocks
-    edit(&mut allocator);
-    let edited = encoded(&|w| {
-        w.put_raw(&image[..head]);
-        w.put_u32s(&allocator.free);
-        w.put_bool(allocator.active.is_some());
-        if let Some((block, page)) = allocator.active {
-            w.put_u32(block);
-            w.put_u32(page);
-        }
-        w.put_bool(in_gc);
-        w.put_bool(allocator.relocating.is_some());
-        if let Some(block) = allocator.relocating {
-            w.put_u32(block);
-        }
-        w.put_raw(tail);
-    });
+fn encoded(f: &dyn Fn(&mut rd_engine::wire::Writer)) -> Vec<u8> {
+    let mut w = rd_engine::wire::Writer::new();
+    f(&mut w);
+    w.into_bytes()
+}
 
+/// `engine`'s checkpoint with die 0's image passed through `edit`: a
+/// CRC-valid container whose every other byte is the engine's own.
+fn with_edited_die(engine: &Engine, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    use rd_engine::wire;
+    let image = encoded(&|w| engine.die(0).encode_state(w));
+    let edited = edit(&image);
     // The dies are the container's last section and die 0 leads it: splice
     // the edited image in and re-frame the section with the tag it had.
     let snap = engine.snapshot().expect("queues are drained");
@@ -184,6 +155,65 @@ fn with_edited_allocator(engine: &Engine, edit: impl FnOnce(&mut Allocator)) -> 
         });
     });
     wire::seal(ENGINE_SNAP_MAGIC, wire::SNAP_VERSION, &rebuilt)
+}
+
+/// `engine`'s checkpoint with die 0's allocator fields passed through
+/// `edit`.
+fn with_edited_allocator(engine: &Engine, edit: impl FnOnce(&mut Allocator)) -> Vec<u8> {
+    use rd_engine::wire::Reader;
+    let die = engine.die(0);
+    // What precedes the allocator in a die image is public state.
+    let head = encoded(&|w| {
+        die.chip().encode_state(w);
+        die.map().encode_state(w);
+        die.stats().encode_state(w);
+    })
+    .len();
+    with_edited_die(engine, |image| {
+        let mut r = Reader::new(&image[head..]);
+        let mut allocator = Allocator {
+            free: r.get_u32s().unwrap(),
+            active: r.get_bool().unwrap().then(|| (r.get_u32().unwrap(), r.get_u32().unwrap())),
+            relocating: None,
+        };
+        let in_gc = r.get_bool().unwrap();
+        allocator.relocating = r.get_bool().unwrap().then(|| r.get_u32().unwrap());
+        let tail = r.take(r.remaining()).unwrap(); // data RNG and clocks
+        edit(&mut allocator);
+        encoded(&|w| {
+            w.put_raw(&image[..head]);
+            w.put_u32s(&allocator.free);
+            w.put_bool(allocator.active.is_some());
+            if let Some((block, page)) = allocator.active {
+                w.put_u32(block);
+                w.put_u32(page);
+            }
+            w.put_bool(in_gc);
+            w.put_bool(allocator.relocating.is_some());
+            if let Some(block) = allocator.relocating {
+                w.put_u32(block);
+            }
+            w.put_raw(tail);
+        })
+    })
+}
+
+/// `engine`'s checkpoint with die 0's page map — its packed `l2p` table,
+/// one physical slot per logical page — passed through `edit`.
+fn with_edited_map(engine: &Engine, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+    use rd_engine::wire::Reader;
+    let die = engine.die(0);
+    let chip = encoded(&|w| die.chip().encode_state(w)).len();
+    let map = encoded(&|w| die.map().encode_state(w)).len();
+    with_edited_die(engine, |image| {
+        let mut l2p = Reader::new(&image[chip..chip + map]).get_u32s().unwrap();
+        edit(&mut l2p);
+        encoded(&|w| {
+            w.put_raw(&image[..chip]);
+            w.put_u32s(&l2p);
+            w.put_raw(&image[chip + map..]);
+        })
+    })
 }
 
 /// A CRC-valid checkpoint whose free list repeats a block, lists a block
@@ -219,6 +249,55 @@ fn inconsistent_allocators_are_rejected() {
             Err(SnapError::Mismatch(e)) => assert!(e.contains(needle), "{needle}: got `{e}`"),
             other => panic!("{needle}: expected a mismatch, got {other:?}"),
         }
+    }
+}
+
+/// A CRC-valid checkpoint whose die-0 page map points a logical page past
+/// the die's last physical page, or two logical pages at one physical page,
+/// is refused by name, and the engine it was restored into keeps its state.
+#[test]
+fn inconsistent_page_maps_are_rejected() {
+    let engine = arbitrary_engine(11, 300, 2);
+    let mut victim = {
+        let mut config = EngineConfig::small_test().with_fidelity(ReadFidelity::BlockAggregate);
+        config.die.seed = 11;
+        Engine::new(config).expect("engine")
+    };
+    // The unedited rebuild is the engine's own checkpoint.
+    let same = with_edited_map(&engine, |_| {});
+    assert_eq!(same, engine.snapshot().unwrap());
+    victim.restore(&same).unwrap();
+    let earlier = victim.snapshot().unwrap();
+
+    let g = engine.config().die.geometry;
+    let physical = g.blocks * g.pages_per_block();
+    let mapped = move |l2p: &[u32]| {
+        let mut lpas = (0..l2p.len()).filter(move |&lpa| l2p[lpa] != u32::MAX);
+        (lpas.next().unwrap(), lpas.next().unwrap())
+    };
+    type Edit = Box<dyn FnOnce(&mut Vec<u32>)>;
+    let cases: [(Edit, &str); 2] = [
+        (
+            Box::new(move |l2p| {
+                let (a, _) = mapped(l2p);
+                l2p[a] = physical;
+            }),
+            "out of range",
+        ),
+        (
+            Box::new(move |l2p| {
+                let (a, b) = mapped(l2p);
+                l2p[b] = l2p[a];
+            }),
+            "double-mapped",
+        ),
+    ];
+    for (edit, needle) in cases {
+        match victim.restore(&with_edited_map(&engine, edit)) {
+            Err(SnapError::Mismatch(e)) => assert!(e.contains(needle), "{needle}: got `{e}`"),
+            other => panic!("{needle}: expected a mismatch, got {other:?}"),
+        }
+        assert!(victim.snapshot().unwrap() == earlier, "{needle}: the refused map left state");
     }
 }
 

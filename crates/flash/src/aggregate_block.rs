@@ -729,21 +729,19 @@ impl AggregateState {
         (self.rber_with_blocking(point, b, 0) * bits as f64, bits)
     }
 
-    /// Serializes the ledger and every mutable lane into `w`.
+    /// Serializes the ledger, lane by lane, with every mutable lane.
     ///
-    /// Without page lanes: the ledger lane by lane with every mutable lane,
-    /// caches included — fast-forward summaries and sampling flags are part
-    /// of the replay-visible state (they gate when RNG draws happen), so
-    /// bit-exact resume requires them verbatim rather than recomputed. The
+    /// Without page lanes: every mutable lane, caches included —
+    /// fast-forward summaries and sampling flags are part of the
+    /// replay-visible state (they gate when RNG draws happen), so bit-exact
+    /// resume requires them verbatim rather than recomputed. The
     /// operating-point lanes are written settled — a dirty block's values
     /// evaluated here — so the bytes do not depend on which blocks happen
     /// to have been read, and the dirty flags need no lane.
     ///
-    /// With page lanes: one row per block — the ledger row, the payload
-    /// count and payloads, then the block accumulator and the wordline
-    /// adjustments as folded disturb counters, each followed by zero
-    /// pending counters (the row layout of the folded/pending counters this
-    /// state replaced).
+    /// With page lanes: the block accumulators, the flat wordline
+    /// adjustments and every page's payload; the operating points are
+    /// re-evaluated after a restore.
     pub(crate) fn encode_state(&self, ledger: &BlockLedger, w: &mut Writer) {
         let Some(pages) = &self.pages else {
             let points: Vec<OperatingPoint> =
@@ -760,26 +758,18 @@ impl AggregateState {
             });
             return;
         };
-        let (wls, ppb) = (self.wordlines(), self.pages_per_block());
-        let pending = vec![0.0; wls];
-        for b in 0..self.dirty.len() {
-            ledger.encode_row(b, w, |_| {});
-            w.put_u64(ppb as u64);
-            pages.data[b * ppb..(b + 1) * ppb].iter().for_each(|data| w.put_bytes(data));
-            w.put_f64(self.lin[b]);
-            w.put_f64s(&pages.extra[b * wls..(b + 1) * wls]);
-            w.put_f64(0.0);
-            w.put_f64s(&pending);
-        }
+        ledger.encode_lanes(w, |w| {
+            w.put_f64s(&self.lin);
+            w.put_f64s(&pages.extra);
+            pages.data.iter().for_each(|data| w.put_bytes(data));
+        });
     }
 
     /// Restores what [`Self::encode_state`] wrote into `self`, which must
     /// have been constructed with the same geometry and params; nothing is
-    /// restored unless the whole section decodes and fits. In the row
-    /// layout, a programmed page's payload must be one page long and an
-    /// unprogrammed page's empty, and non-zero pending counters (a
-    /// checkpoint of the folded/pending counters) fold in at the restored
-    /// row's slope.
+    /// restored unless the whole section decodes and fits. With page lanes,
+    /// a programmed page's payload must be one page long and an
+    /// unprogrammed page's empty.
     pub(crate) fn restore_state(
         &mut self,
         ledger: &mut BlockLedger,
@@ -809,41 +799,28 @@ impl AggregateState {
             self.sampling = sampling;
             return Ok(());
         }
-        let mismatch = |what: String| Err(SnapError::Mismatch(format!("analytic block {what}")));
+        let mismatch = |what: String| SnapError::Mismatch(format!("analytic block {what}"));
+        let page_bytes = self.bitlines as usize / 8;
+        // The payloads are checked against the page flags, which decode
+        // after them: restore into staging, and commit once both agree.
         let mut rows = ledger.clone();
-        let (mut data, mut lin, mut extra) = (Vec::new(), Vec::new(), Vec::new());
-        for b in 0..n {
-            rows.restore_row(b, r, |_| Ok(()))?;
-            let count = r.get_u64()?;
-            if count != ppb as u64 {
-                return mismatch(format!("payload count {count} != {ppb}"));
+        let (lin, extra, data) = rows.restore_lanes(r, |r| {
+            let (lin, extra) = (r.get_f64s()?, r.get_f64s()?);
+            if lin.len() != n || extra.len() != n * wls {
+                return Err(mismatch(format!("lanes do not fit {n} blocks of {wls} wordlines")));
             }
-            for page in 0..ppb as u32 {
-                let payload = r.get_bytes()?;
-                let len = if rows.is_programmed(b, page) { self.bitlines as usize / 8 } else { 0 };
-                if payload.len() != len {
-                    return mismatch(format!(
-                        "page {page} payload {} bytes != {len}",
-                        payload.len()
-                    ));
-                }
-                data.push(payload);
+            let data = (0..n * ppb).map(|_| r.get_bytes()).collect::<Result<Vec<_>, _>>()?;
+            Ok((lin, extra, data))
+        })?;
+        for (i, payload) in data.iter().enumerate() {
+            let (b, page) = (i / ppb, (i % ppb) as u32);
+            let len = if rows.is_programmed(b, page) { page_bytes } else { 0 };
+            if payload.len() != len {
+                return Err(mismatch(format!(
+                    "{b} page {page} payload {} bytes != {len}",
+                    payload.len()
+                )));
             }
-            let (folded_lin, folded_extra) = (r.get_f64()?, r.get_f64s()?);
-            let (pending_reads, pending_extra) = (r.get_f64()?, r.get_f64s()?);
-            if folded_extra.len() != wls || pending_extra.len() != wls {
-                return mismatch(format!("wordline lanes != {wls}"));
-            }
-            let slope = self.model.rd_slope(rows.pe_cycles[b], rows.vpass[b]);
-            let fold = |folded: f64, pending: f64| {
-                if pending == 0.0 {
-                    folded
-                } else {
-                    folded + slope * pending
-                }
-            };
-            lin.push(fold(folded_lin, pending_reads));
-            extra.extend(folded_extra.iter().zip(&pending_extra).map(|(&f, &p)| fold(f, p)));
         }
         *ledger = rows;
         self.lin = lin;

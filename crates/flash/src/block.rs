@@ -216,37 +216,26 @@ impl Block {
         self.refresh_candidates_wordline(wl);
     }
 
-    /// Serializes all mutable block state with ledger row `b`
-    /// (checkpointing). Config-derived constants (`candidate_floor`,
-    /// geometry) are not written; the pass-through candidate list *is*,
-    /// verbatim, because its order depends on the program history and the
-    /// blocking decision walks it in order.
-    pub(crate) fn encode_state(&self, ledger: &BlockLedger, b: usize, w: &mut Writer) {
-        ledger.encode_row(b, w, |w| {
-            w.put_f64(self.dose);
-            w.put_f64s(&self.wordline_extra_dose);
-        });
+    /// Serializes all mutable block state (checkpointing; the chip writes
+    /// it inside the ledger's lanes). Config-derived constants
+    /// (`candidate_floor`, geometry) are not written; the pass-through
+    /// candidate list *is*, verbatim, because its order depends on the
+    /// program history and the blocking decision walks it in order.
+    pub(crate) fn encode_state(&self, w: &mut Writer) {
+        w.put_f64(self.dose);
+        w.put_f64s(&self.wordline_extra_dose);
         w.put_u32s(&self.candidates);
         self.cells.encode_state(w);
     }
 
     /// Decodes what [`Block::encode_state`] wrote for a block of identical
-    /// geometry and parameters: ledger row `b` goes into `ledger` (a staging
-    /// copy, row by row), the block's own state is returned for
-    /// [`Block::restore`]. This block is not touched.
-    pub(crate) fn decode_state(
-        &self,
-        ledger: &mut BlockLedger,
-        b: usize,
-        r: &mut Reader<'_>,
-    ) -> Result<BlockLanes, SnapError> {
-        let (dose, wordline_extra_dose) = ledger.restore_row(b, r, |r| {
-            let dose_lanes = (r.get_f64()?, r.get_f64s()?);
-            if dose_lanes.1.len() != self.wordlines as usize {
-                return Err(SnapError::Mismatch("block wordline count differs".into()));
-            }
-            Ok(dose_lanes)
-        })?;
+    /// geometry and parameters, for [`Block::restore`]. This block is not
+    /// touched.
+    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<BlockLanes, SnapError> {
+        let (dose, wordline_extra_dose) = (r.get_f64()?, r.get_f64s()?);
+        if wordline_extra_dose.len() != self.wordlines as usize {
+            return Err(SnapError::Mismatch("block wordline count differs".into()));
+        }
         let candidates = r.get_u32s()?;
         if candidates.iter().any(|&i| i as usize >= self.cells.len()) {
             return Err(SnapError::Mismatch("candidate index out of range".into()));

@@ -273,7 +273,7 @@ impl Chip {
         let ledger = &self.ledger;
         match &self.storage {
             Storage::Exact { blocks, .. } => {
-                blocks.iter().enumerate().for_each(|(b, block)| block.encode_state(ledger, b, w));
+                ledger.encode_lanes(w, |w| blocks.iter().for_each(|block| block.encode_state(w)));
             }
             Storage::ClosedForm { state } => state.encode_state(ledger, w),
         }
@@ -315,13 +315,11 @@ impl Chip {
         let ledger = &mut self.ledger;
         match &mut self.storage {
             Storage::Exact { blocks, .. } => {
-                // Every block decodes into staging before any is restored,
-                // so a snapshot that fails anywhere changes nothing.
-                let mut rows = ledger.clone();
-                let decoded = (blocks.iter().enumerate())
-                    .map(|(b, block)| block.decode_state(&mut rows, b, r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                *ledger = rows;
+                // Every block decodes before any is restored, so a snapshot
+                // that fails anywhere changes nothing.
+                let decoded = ledger.restore_lanes(r, |r| {
+                    blocks.iter().map(|block| block.decode_state(r)).collect::<Result<Vec<_>, _>>()
+                })?;
                 blocks.iter_mut().zip(decoded).for_each(|(block, lanes)| block.restore(lanes));
             }
             Storage::ClosedForm { state } => state.restore_state(ledger, r)?,
@@ -389,10 +387,7 @@ impl Chip {
     }
 
     /// Read-only access to a block's cells (oracle inspection for
-    /// experiments and tests). Requires [`ReadFidelity::CellExact`]. A
-    /// wordline not yet sensed since its erase or its LSB program has its
-    /// voltages drawn as it is walked; walk one with
-    /// [`CellArray::wordline_current_vth`].
+    /// experiments and tests). Requires [`ReadFidelity::CellExact`].
     ///
     /// # Errors
     ///
@@ -1480,15 +1475,19 @@ mod tests {
         let truncated = &good[..good.len() - 1];
         assert!(chip.restore_state(&mut Reader::new(truncated)).is_err());
         assert_eq!(encoded(&chip), before, "after a truncated snapshot");
-        // The last block ends with its intended states and three
-        // length-prefixed f32 lanes; flip the top bit of its last state.
+        // The last block ends, before the ledger's page flags and counts,
+        // with its intended states and three length-prefixed f32 lanes;
+        // flip the top bit of its last state.
         let cells = (geometry.wordlines_per_block * geometry.bitlines) as usize;
+        let blocks = geometry.blocks as usize;
+        let end =
+            good.len() - (8 + blocks * geometry.pages_per_block() as usize) - (8 + 4 * blocks);
         let mut flipped = good.clone();
-        flipped[good.len() - 3 * (8 + 4 * cells) - 1] ^= 0x80;
+        flipped[end - 3 * (8 + 4 * cells) - 1] ^= 0x80;
         let result = chip.restore_state(&mut Reader::new(&flipped));
         assert!(matches!(result, Err(SnapError::Mismatch(_))), "{result:?}");
         assert_eq!(encoded(&chip), before, "after a bit-flipped snapshot");
-        let susceptibility_at = good.len() - (8 + 4 * cells);
+        let susceptibility_at = end - (8 + 4 * cells);
         let leak_at = susceptibility_at - (8 + 4 * cells);
         let mut short = good[..susceptibility_at - 4].to_vec();
         short[leak_at..leak_at + 8].copy_from_slice(&(cells as u64 - 1).to_le_bytes());

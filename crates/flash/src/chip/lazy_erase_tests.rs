@@ -8,7 +8,9 @@
 //! left their wordlines undrawn until something sensed them, a scheme these
 //! drives checked step by step against a twin that drew every cell at once.
 //! Every pass now draws its cells when it runs; equal digests show that no
-//! outcome, checkpoint, candidate or draw has moved.
+//! outcome, checkpoint, candidate or draw has moved. The digests were
+//! re-recorded once since, when the checkpoint moved from per-block rows to
+//! the ledger's lanes: the new bytes re-laid as rows gave the old digests.
 
 use rand::{Rng, SeedableRng};
 
@@ -207,7 +209,7 @@ fn drive(
 #[test]
 fn lazy_erase_matches_its_eager_twin() {
     let digests = [1, 2015].map(|seed| drive(ChipParams::default(), seed, 400, [0; 3], step));
-    assert_eq!(digests, [0x9f3d_d010_dd67_ec23, 0x3ea6_c9ab_9171_7842], "{digests:#018x?}");
+    assert_eq!(digests, [0x99c8_7d99_1e39_159c, 0xc1fd_059d_f62b_2ad6], "{digests:#018x?}");
 }
 
 /// With σ_ER wide enough for an erased cell to reach the candidate floor.
@@ -216,7 +218,7 @@ fn lazy_erase_matches_its_eager_twin_where_erase_stays_eager() {
     let mut params = ChipParams::default();
     params.states[CellState::Er.index() as usize].sigma = 60.0;
     let digest = drive(params, 7, 200, [0; 3], step);
-    assert_eq!(digest, 0x3102_3b7c_31b3_39a0, "{digest:#018x}");
+    assert_eq!(digest, 0x9538_67aa_690e_7220, "{digest:#018x}");
 }
 
 /// Blocks programmed in page order, their open wordlines sensed before the
@@ -230,5 +232,5 @@ fn lazy_lsb_program_matches_its_eager_twin() {
     let outliers = ChipParams { outlier_prob: 0.5, ..ChipParams::default() };
     let digests = [(ChipParams::default(), 3), (outliers, 2015)]
         .map(|(params, seed)| drive(params, seed, 1_000, [0, 60_000, 120_000], lsb_step));
-    assert_eq!(digests, [0xb009_9c4e_beea_abc9, 0x03cb_4c42_7f2d_9e05], "{digests:#018x?}");
+    assert_eq!(digests, [0x68f6_c50e_4b01_6f11, 0xb9e3_bdd6_bb99_511c], "{digests:#018x?}");
 }

@@ -129,44 +129,9 @@ impl BlockLedger {
         }
     }
 
-    /// Writes row `b` as the per-block tiers checkpoint it: the P/E count,
-    /// whatever `physics` writes (the cell-exact tier's dose lanes sit
-    /// there), then age, reads, Vpass and the page flags.
-    pub(crate) fn encode_row(&self, b: usize, w: &mut Writer, physics: impl FnOnce(&mut Writer)) {
-        w.put_u64(self.pe_cycles[b]);
-        physics(w);
-        w.put_f64(self.age_days[b]);
-        w.put_u64(self.reads_since_erase[b]);
-        w.put_f64(self.vpass[b]);
-        w.put_bools(&self.programmed[b * self.pages..(b + 1) * self.pages]);
-    }
-
-    /// Restores row `b` written by [`Self::encode_row`], with `physics`
-    /// reading back what its counterpart wrote; the row is untouched unless
-    /// everything up to the page flags decodes and fits.
-    pub(crate) fn restore_row<T>(
-        &mut self,
-        b: usize,
-        r: &mut Reader<'_>,
-        physics: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapError>,
-    ) -> Result<T, SnapError> {
-        let pe_cycles = r.get_u64()?;
-        let physical = physics(r)?;
-        let (age, reads, vpass, flags) = (r.get_f64()?, r.get_u64()?, r.get_f64()?, r.get_bools()?);
-        if flags.len() != self.pages {
-            let pages = self.pages;
-            return Err(SnapError::Mismatch(format!("{} page flags, not {pages}", flags.len())));
-        }
-        self.pe_cycles[b] = pe_cycles;
-        (self.age_days[b], self.reads_since_erase[b], self.vpass[b]) = (age, reads, vpass);
-        self.programmed_count[b] = flags.iter().filter(|&&p| p).count() as u32;
-        self.programmed[b * self.pages..(b + 1) * self.pages].copy_from_slice(&flags);
-        Ok(physical)
-    }
-
-    /// Writes the whole ledger lane by lane, as the block-aggregate tier
-    /// checkpoints it: P/E, age, reads and Vpass lanes, whatever `physics`
-    /// writes, then the page flags and their per-block counts.
+    /// Writes the whole ledger lane by lane, as every tier checkpoints it:
+    /// P/E, age, reads and Vpass lanes, whatever `physics` writes (the
+    /// tier's own state), then the page flags and their per-block counts.
     pub(crate) fn encode_lanes(&self, w: &mut Writer, physics: impl FnOnce(&mut Writer)) {
         w.put_u64s(&self.pe_cycles);
         w.put_f64s(&self.age_days);
@@ -177,8 +142,9 @@ impl BlockLedger {
         w.put_u32s(&self.programmed_count);
     }
 
-    /// Restores lanes written by [`Self::encode_lanes`]. Every lane must fit
-    /// the chip and every block's count must equal its set flags; otherwise
+    /// Restores lanes written by [`Self::encode_lanes`], with `physics`
+    /// reading back what its counterpart wrote. Every lane must fit the
+    /// chip and every block's count must equal its set flags; otherwise
     /// nothing is restored.
     pub(crate) fn restore_lanes<T>(
         &mut self,
@@ -328,33 +294,24 @@ mod tests {
         ledger.reads_since_erase[1] = 11;
         ledger.vpass[0] = 480.0;
 
-        let mut rows = Writer::new();
-        for b in 0..2 {
-            ledger.encode_row(b, &mut rows, |w| w.put_u32(b as u32));
-        }
-        let (rows, mut restored) = (rows.into_bytes(), two_blocks(true));
-        let mut r = Reader::new(&rows);
-        for b in 0..2 {
-            assert_eq!(restored.restore_row(b, &mut r, |r| r.get_u32()), Ok(b as u32));
-        }
-        assert_eq!(restored.status(0, 0.0), ledger.status(0, 0.0));
-        assert_eq!(restored.status(1, 0.0), ledger.status(1, 0.0));
-        assert_eq!(restored.programmed, ledger.programmed);
-
         let mut lanes = Writer::new();
         ledger.encode_lanes(&mut lanes, |w| w.put_u8(9));
         let (lanes, mut restored) = (lanes.into_bytes(), two_blocks(true));
         let got = restored.restore_lanes(&mut Reader::new(&lanes), |r| r.get_u8());
         assert_eq!(got, Ok(9));
+        for b in 0..2 {
+            assert_eq!(restored.status(b, 0.0), ledger.status(b, 0.0));
+        }
+        assert_eq!(restored.programmed, ledger.programmed);
         assert_eq!(restored.programmed_count, ledger.programmed_count);
-        assert_eq!(restored.pe_cycles, ledger.pe_cycles);
 
-        // A row whose flags do not fit the geometry restores nothing.
+        // Lanes that do not fit the geometry restore nothing.
         let mut short = Writer::new();
-        BlockLedger::new(1, 3, 64, true).encode_row(0, &mut short, |_| {});
+        BlockLedger::new(1, 3, 64, true).encode_lanes(&mut short, |_| {});
         let before = restored.clone();
-        let result = restored.restore_row(0, &mut Reader::new(&short.into_bytes()), |_| Ok(()));
+        let result = restored.restore_lanes(&mut Reader::new(&short.into_bytes()), |_| Ok(()));
         assert!(matches!(result, Err(SnapError::Mismatch(_))));
         assert_eq!(restored.pe_cycles, before.pe_cycles);
+        assert_eq!(restored.programmed, before.programmed);
     }
 }

@@ -29,7 +29,10 @@ use std::fmt;
 /// Current container format version shared by every rd-* snapshot kind.
 /// Version 2: an engine checkpoint carries its latency histogram, not
 /// every request's latency.
-pub const SNAP_VERSION: u32 = 2;
+/// Version 3: every fidelity tier writes its block ledger lane by lane,
+/// and a die's page map is its packed `l2p` table (one `u32` per logical
+/// page).
+pub const SNAP_VERSION: u32 = 3;
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// the codec never panics on untrusted bytes.

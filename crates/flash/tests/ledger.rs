@@ -8,8 +8,8 @@
 //! change to any tier's checkpoint layout or arithmetic shows up here. An
 //! erase is pre-wear by one cycle on every tier, and a checkpoint whose
 //! block state contradicts itself is refused rather than restored — on the
-//! closed-form tiers without restoring any of it. A page-analytic
-//! checkpoint with pending read counters still restores, folded in.
+//! closed-form tiers without restoring any of it. A hand-built
+//! page-analytic checkpoint restores to the closed form at its lanes.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -194,8 +194,8 @@ fn scripted_checkpoint(tier: ReadFidelity) -> Vec<u8> {
 #[test]
 fn checkpoint_bytes_are_pinned_per_tier() {
     const PINNED: [(ReadFidelity, u64); 3] = [
-        (ReadFidelity::CellExact, 0x1d06_71ab_1c82_0970),
-        (ReadFidelity::PageAnalytic, 0x1d42_ff05_44fa_7ff3),
+        (ReadFidelity::CellExact, 0x9bb0_8ffe_d567_eb6d),
+        (ReadFidelity::PageAnalytic, 0x3b36_9cd0_50e6_6ce2),
         (ReadFidelity::BlockAggregate, 0x327e_05bf_5824_ea60),
     ];
     let got: Vec<(ReadFidelity, u64)> =
@@ -269,9 +269,8 @@ fn restore(tier: ReadFidelity, snapshot: wire::Writer) -> Result<(), SnapError> 
     chip.restore_state(&mut wire::Reader::new(&snapshot.into_bytes()))
 }
 
-/// One block of a hand-built page-analytic checkpoint, in its per-block
-/// row layout: the ledger row, the payloads, then the folded disturb
-/// counters and the pending ones.
+/// One block of a hand-built page-analytic checkpoint: its ledger row,
+/// its disturb accumulator and wordline adjustments, and its payloads.
 #[derive(Debug, Clone)]
 struct AnalyticRow {
     pe_cycles: u64,
@@ -280,10 +279,8 @@ struct AnalyticRow {
     programmed: Vec<bool>,
     /// Bytes of each programmed page's payload.
     payload_len: Vec<usize>,
-    folded_lin: f64,
-    folded_extra: Vec<f64>,
-    pending_reads: f64,
-    pending_extra: Vec<f64>,
+    lin: f64,
+    extra: Vec<f64>,
 }
 
 impl AnalyticRow {
@@ -297,34 +294,32 @@ impl AnalyticRow {
             vpass: NOMINAL_VPASS,
             programmed: vec![false; pages],
             payload_len: vec![g.bits_per_page() / 8; pages],
-            folded_lin: 0.0,
-            folded_extra: vec![0.0; wordlines],
-            pending_reads: 0.0,
-            pending_extra: vec![0.0; wordlines],
+            lin: 0.0,
+            extra: vec![0.0; wordlines],
         }
-    }
-
-    fn put(&self, w: &mut wire::Writer) {
-        w.put_u64(self.pe_cycles);
-        w.put_f64(self.age_days);
-        w.put_u64(0); // reads since erase
-        w.put_f64(self.vpass);
-        w.put_bools(&self.programmed);
-        w.put_u64(self.programmed.len() as u64);
-        for (&programmed, &len) in self.programmed.iter().zip(&self.payload_len) {
-            w.put_bytes(&vec![0xa5; if programmed { len } else { 0 }]);
-        }
-        w.put_f64(self.folded_lin);
-        w.put_f64s(&self.folded_extra);
-        w.put_f64(self.pending_reads);
-        w.put_f64s(&self.pending_extra);
     }
 }
 
-/// A page-analytic snapshot of `rows`, one per block.
+/// A page-analytic snapshot of `rows`, one per block, in the ledger's lane
+/// layout: the P/E, age, reads and Vpass lanes, the accumulator lane, the
+/// flat wordline lane and the payloads, then the page flags and counts.
 fn analytic_snapshot(rows: &[AnalyticRow]) -> wire::Writer {
     let mut w = snapshot_head(ReadFidelity::PageAnalytic);
-    rows.iter().for_each(|row| row.put(&mut w));
+    let lane = |of: fn(&AnalyticRow) -> f64| rows.iter().map(of).collect::<Vec<_>>();
+    w.put_u64s(&rows.iter().map(|row| row.pe_cycles).collect::<Vec<_>>());
+    w.put_f64s(&lane(|row| row.age_days));
+    w.put_u64s(&vec![0; rows.len()]); // reads since erase
+    w.put_f64s(&lane(|row| row.vpass));
+    w.put_f64s(&lane(|row| row.lin));
+    w.put_f64s(&rows.iter().flat_map(|row| row.extra.iter().copied()).collect::<Vec<_>>());
+    for row in rows {
+        for (&programmed, &len) in row.programmed.iter().zip(&row.payload_len) {
+            w.put_bytes(&vec![0xa5; if programmed { len } else { 0 }]);
+        }
+    }
+    w.put_bools(&rows.iter().flat_map(|row| row.programmed.iter().copied()).collect::<Vec<_>>());
+    let counts = rows.iter().map(|row| row.programmed.iter().filter(|&&p| p).count() as u32);
+    w.put_u32s(&counts.collect::<Vec<_>>());
     w
 }
 
@@ -347,14 +342,11 @@ fn analytic_payloads_must_be_one_page_long() {
     ));
 }
 
-/// A page-analytic checkpoint whose blocks carry pending read counters —
-/// the layout of the folded/pending counters, which today's chips write as
-/// zero — restores with the pending reads folded in at the restored row's
-/// slope: the dose is `folded_lin + rd_slope(pe, vpass) · pending_reads`,
-/// and the block RBER is the closed form at every wordline's
-/// `folded + slope · (pending_reads + pending_extra)`.
+/// A hand-built page-analytic checkpoint restores to the closed form at
+/// its lanes: the dose is the block accumulator `lin`, and the block RBER
+/// is the closed form at every wordline's `lin + extra`.
 #[test]
-fn pending_analytic_counters_fold_in_on_restore() {
+fn restored_analytic_lanes_read_as_the_closed_form() {
     let g = geometry();
     let params = ChipParams::default();
     let model = AnalyticModel::from_chip(&params, g.wordlines_per_block);
@@ -364,10 +356,8 @@ fn pending_analytic_counters_fold_in_on_restore() {
         row.age_days = 12.5 + b as f64;
         row.vpass = (0.99 - 0.02 * b as f64) * NOMINAL_VPASS;
         row.programmed = (0..g.pages_per_block()).map(|p| b == 0 || p % 3 != 1).collect();
-        row.folded_lin = 2.0e-3 * (b + 1) as f64;
-        row.folded_extra = vec![-1.0e-4, 3.0e-4, 0.0, 2.0e-4];
-        row.pending_reads = 150_000.0 + 10_000.0 * b as f64;
-        row.pending_extra = vec![-20_000.0, 45_000.0, 0.0, 10_000.0 * b as f64];
+        row.lin = 2.0e-3 * (b + 1) as f64;
+        row.extra = vec![-1.0e-4, 3.0e-4, 0.0, 2.0e-4 * b as f64];
     }
     let mut chip = Chip::with_fidelity(g, params.clone(), 1, ReadFidelity::PageAnalytic);
     chip.restore_state(&mut wire::Reader::new(&analytic_snapshot(&rows).into_bytes())).unwrap();
@@ -375,17 +365,13 @@ fn pending_analytic_counters_fold_in_on_restore() {
     let rd_sat = model.params().rd_sat;
     for (b, row) in rows.iter().enumerate() {
         let (pe, age, vpass) = (row.pe_cycles, row.age_days, row.vpass);
-        let slope = model.rd_slope(pe, vpass);
-        let dose = row.folded_lin + slope * row.pending_reads;
         let status = chip.block_status(b as u32).unwrap();
-        assert!(close(status.dose, dose), "block {b}: dose {} vs {dose}", status.dose);
+        assert!(close(status.dose, row.lin), "block {b}: dose {} vs {}", status.dose, row.lin);
         let point = ShiftPoint::at(&params, &model, pe, age, 0.0);
         let blocked = 2.0 * model.rber_passthrough(pe, age, vpass);
         let (mut expected, mut bits) = (0.0, 0.0);
         for wl in 0..g.wordlines_per_block as usize {
-            let lin = row.folded_lin
-                + row.folded_extra[wl]
-                + slope * (row.pending_reads + row.pending_extra[wl]);
+            let lin = row.lin + row.extra[wl];
             let rd = rd_sat * (lin.max(0.0) / rd_sat).ln_1p();
             let pages = (0..2).filter(|&i| row.programmed[2 * wl + i]).count() as f64;
             expected += (point.rber(rd) + 0.5 * blocked) * pages * f64::from(g.bitlines);

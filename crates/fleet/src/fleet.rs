@@ -37,9 +37,10 @@ const SEC_CONFIG: u32 = 1;
 const SEC_STATE: u32 = 2;
 
 /// Full description of a fleet run. The checkpoint serializes every field
-/// (chip parameters excluded — drives always vary around the calibrated
-/// [`rd_flash::ChipParams::default`] set at the configured fidelity, so
-/// `rd-fleet resume` needs no flags).
+/// (chip parameters excluded — drives vary around the named chip's
+/// database parameters ([`rd_flash::chips`]) at the configured fidelity,
+/// so the checkpoint carries the name and `rd-fleet resume` needs no
+/// flags).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Drive slots in the fleet.
@@ -62,8 +63,9 @@ pub struct FleetConfig {
     /// this ceiling (0 disables the criterion).
     pub replace_uncorrectable: u64,
     /// Per-drive engine template. `die.chip_params` is treated as the base
-    /// the variation scales; `die.seed` is the base seed each drive's
-    /// streams derive from.
+    /// the variation scales, and must be the `die.chip` entry's parameters
+    /// (fidelity aside; build it with [`rd_ftl::SsdConfig::with_chip`]);
+    /// `die.seed` is the base seed each drive's streams derive from.
     pub engine: EngineConfig,
 }
 
@@ -86,8 +88,10 @@ impl FleetConfig {
     }
 
     /// Validates the configuration, engine template included
-    /// ([`EngineConfig::check`]). [`Fleet::restore`] runs a config decoded
-    /// from checkpoint bytes through this, so nothing here may panic.
+    /// ([`EngineConfig::check`]): the chip parameters must be the named
+    /// chip's, since a checkpoint carries only the name. [`Fleet::restore`]
+    /// runs a config decoded from checkpoint bytes through this, so nothing
+    /// here may panic.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.drives == 0 {
             return Err("fleet needs at least one drive".into());
@@ -103,6 +107,17 @@ impl FleetConfig {
         }
         if WorkloadProfile::by_name(&self.profile).is_none() {
             return Err(format!("unknown workload profile '{}'", self.profile));
+        }
+        let die = &self.engine.die;
+        let spec = rd_flash::chips::get(&die.chip)
+            .ok_or_else(|| format!("unknown chip `{}` in the chip database", die.chip))?;
+        if (rd_flash::ChipParams { fidelity: die.chip_params.fidelity, ..spec.params })
+            != die.chip_params
+        {
+            return Err(format!(
+                "chip parameters are not chip `{}`'s, and a checkpoint keeps only the name",
+                die.chip
+            ));
         }
         self.engine.check()
     }
@@ -747,6 +762,20 @@ mod tests {
         let json = fleet.row().to_json();
         assert!(json.starts_with("{\"row\":\"fleet\""));
         assert!(json.contains("\"digest\":\""));
+    }
+
+    /// A checkpoint names the chip and carries no parameters, so a config
+    /// whose parameters are not its named chip's is refused up front
+    /// rather than resumed with the database's physics.
+    #[test]
+    fn chip_params_must_be_the_named_chips() {
+        let mut c = FleetConfig::quick();
+        c.engine.die.chip_params.rd_alpha *= 2.0;
+        let err = Fleet::new(c).err().expect("edited chip parameters accepted");
+        assert!(err.contains(rd_flash::chips::DEFAULT_CHIP), "{err}");
+        let mut other = tiny();
+        other.engine = other.engine.with_fidelity(ReadFidelity::PageAnalytic);
+        assert!(Fleet::new(other).is_ok(), "the fidelity is the config's own");
     }
 
     #[test]

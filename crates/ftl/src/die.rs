@@ -925,7 +925,7 @@ mod tests {
                 fast.map.encode_state(&mut map_bytes);
                 prop_assert_eq!(
                     map_bytes.into_bytes(),
-                    crate::mapping::tests::encode_unpacked(&lookups)
+                    crate::mapping::tests::encode_packed(&lookups, fast.map.pages_per_block())
                 );
                 let (mut a, mut b) = (rd_flash::wire::Writer::new(), rd_flash::wire::Writer::new());
                 fast.encode_state(&mut a);

@@ -17,7 +17,8 @@
 //! alike, which is why a die is limited to `u32::MAX - 1` physical pages
 //! ([`crate::SsdConfig::check`] turns a larger one away). The packing is
 //! private to this module: the interface speaks [`Ppa`] and `u64` logical
-//! pages, and a checkpoint stores `(block, page)` pairs.
+//! pages. A checkpoint stores `l2p` as it is, one packed `u32` per logical
+//! page.
 
 /// Physical page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,62 +198,49 @@ impl PageMap {
         self.pages_per_block
     }
 
-    /// Serializes the map (checkpointing support). Only the l2p table is
-    /// written: the reverse map and valid counts are derived mirrors and
-    /// are rebuilt on restore, consistent by construction.
+    /// Serializes the map (checkpointing support): the packed `l2p` table
+    /// as it is held. The reverse map and valid counts are derived mirrors
+    /// and are rebuilt on restore, consistent by construction.
     pub fn encode_state(&self, w: &mut rd_flash::wire::Writer) {
-        w.put_u64(self.l2p.len() as u64);
-        for &packed in &self.l2p {
-            if packed == NONE {
-                w.put_bool(false);
-                continue;
-            }
-            let ppa = self.unpack(packed);
-            w.put_bool(true);
-            w.put_u32(ppa.block);
-            w.put_u32(ppa.page);
-        }
+        w.put_u32s(&self.l2p);
     }
 
     /// Restores a map serialized by [`Self::encode_state`] into `self`,
-    /// which must have been constructed with the same shape.
+    /// which must have been constructed with the same shape; a refused map
+    /// restores nothing.
     ///
     /// # Errors
     ///
     /// Returns [`rd_flash::SnapError::Mismatch`] on shape disagreement, an
-    /// out-of-range physical address, or a double-mapped physical page.
+    /// out-of-range physical page, or a double-mapped physical page.
     pub(crate) fn restore_state(
         &mut self,
         r: &mut rd_flash::wire::Reader<'_>,
     ) -> Result<(), rd_flash::SnapError> {
         use rd_flash::SnapError;
-        let n = r.get_u64()? as usize;
-        if n != self.l2p.len() {
+        let l2p = r.get_u32s()?;
+        if l2p.len() != self.l2p.len() {
             return Err(SnapError::Mismatch(format!(
-                "logical page count {n} != {}",
+                "logical page count {} != {}",
+                l2p.len(),
                 self.l2p.len()
             )));
         }
-        let blocks = self.valid_count.len();
-        let mut l2p = Vec::with_capacity(n);
         let mut p2l = vec![NONE; self.p2l.len()];
-        let mut valid_count = vec![0u32; blocks];
-        for lpa in 0..n {
-            if !r.get_bool()? {
-                l2p.push(NONE);
+        let mut valid_count = vec![0u32; self.valid_count.len()];
+        for (lpa, &slot) in l2p.iter().enumerate() {
+            if slot == NONE {
                 continue;
             }
-            let ppa = Ppa { block: r.get_u32()?, page: r.get_u32()? };
-            if ppa.block as usize >= blocks || ppa.page >= self.pages_per_block {
-                return Err(SnapError::Mismatch(format!("ppa {ppa:?} out of range")));
-            }
-            let slot = self.pack(ppa);
-            if p2l[slot] != NONE {
+            let Some(owner) = p2l.get_mut(slot as usize) else {
+                return Err(SnapError::Mismatch(format!("physical page {slot} out of range")));
+            };
+            if *owner != NONE {
+                let ppa = self.unpack(slot);
                 return Err(SnapError::Mismatch(format!("ppa {ppa:?} double-mapped")));
             }
-            p2l[slot] = lpa as u32;
-            valid_count[ppa.block as usize] += 1;
-            l2p.push(slot as u32);
+            *owner = lpa as u32;
+            valid_count[(slot / self.pages_per_block) as usize] += 1;
         }
         self.l2p = l2p;
         self.p2l = p2l;
@@ -294,28 +282,22 @@ pub(crate) mod tests {
     }
 
     /// The checkpoint bytes of a map held as one `Option<Ppa>` per logical
-    /// page, written the way the unpacked tables wrote them.
-    pub(crate) fn encode_unpacked(l2p: &[Option<Ppa>]) -> Vec<u8> {
+    /// page: its table packed by hand, `block * pages_per_block + page`.
+    pub(crate) fn encode_packed(l2p: &[Option<Ppa>], pages_per_block: u32) -> Vec<u8> {
+        let packed: Vec<u32> = l2p
+            .iter()
+            .map(|entry| entry.map_or(NONE, |ppa| ppa.block * pages_per_block + ppa.page))
+            .collect();
         let mut w = rd_flash::wire::Writer::new();
-        w.put_u64(l2p.len() as u64);
-        for entry in l2p {
-            match entry {
-                Some(ppa) => {
-                    w.put_bool(true);
-                    w.put_u32(ppa.block);
-                    w.put_u32(ppa.page);
-                }
-                None => w.put_bool(false),
-            }
-        }
+        w.put_u32s(&packed);
         w.into_bytes()
     }
 
     proptest! {
         /// The packed tables against a pair of hash maps under random
         /// remaps: same lookups, owners, valid counts and returned old
-        /// locations; checkpoint bytes equal the model's written the old
-        /// way, and restore into a fresh map as the same map.
+        /// locations; checkpoint bytes equal the model's table packed by
+        /// hand, and restore into a fresh map as the same map.
         #[test]
         fn packed_tables_match_a_hash_map_model(
             blocks in 1u32..6,
@@ -356,7 +338,7 @@ pub(crate) mod tests {
             map.encode_state(&mut w);
             let bytes = w.into_bytes();
             let model: Vec<_> = (0..logical).map(|lpa| l2p.get(&lpa).copied()).collect();
-            prop_assert_eq!(&bytes, &encode_unpacked(&model));
+            prop_assert_eq!(&bytes, &encode_packed(&model, pages_per_block));
             let mut restored = PageMap::new(logical, blocks, pages_per_block);
             restored.restore_state(&mut rd_flash::wire::Reader::new(&bytes)).unwrap();
             prop_assert_eq!(restored.l2p, map.l2p);
